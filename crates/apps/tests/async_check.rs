@@ -15,7 +15,7 @@
 //! suite with `CUSAN_ASYNC_CHECK=1`, which flips the *default* mode and
 //! exercises the env path end to end. Because the env override beats the
 //! config field, mode-specific assertions (sync ranks have no async stats;
-//! async ranks went through the ring) are gated on `async_check_env()` —
+//! async ranks went through the ring) are gated on `EnvOverrides::get().async_check` —
 //! the bit-for-bit differential assertions hold regardless.
 
 use cusan::fault::FaultPlan;
@@ -70,7 +70,7 @@ fn assert_outcomes_identical<A, B>(what: &str, sync: &WorldOutcome<A>, asyn: &Wo
 /// barrier must have drained it before the outcome was collected.
 /// No-op when `CUSAN_ASYNC_CHECK=0` forces the inline backend process-wide.
 fn assert_async_ran<T>(what: &str, out: &WorldOutcome<T>) {
-    if cusan::ctx::async_check_env() == Some(false) {
+    if cusan::ctx::EnvOverrides::get().async_check == Some(false) {
         return;
     }
     for r in &out.ranks {
@@ -129,7 +129,7 @@ fn jacobi_async_matches_sync_bit_for_bit() {
     let base = Flavor::MustCusan.config();
     let sync = run_jacobi_traced(&cfg, sync_config(base));
     let asyn = run_jacobi_traced(&cfg, async_config(base));
-    if cusan::ctx::async_check_env().is_none() {
+    if cusan::ctx::EnvOverrides::get().async_check.is_none() {
         assert!(sync.outcome.ranks.iter().all(|r| r.async_check.is_none()));
     }
     assert_async_ran("jacobi", &asyn.outcome);
@@ -160,7 +160,12 @@ fn async_matches_sync_under_faults_and_budget() {
     // makes the detector drop annotations — both must reproduce exactly
     // when detection runs on the checker pool.
     let mut base = Flavor::MustCusan.config();
-    base.faults = FaultPlan::with_rate(42, 0.05);
+    // Seed 9 faults Jacobi at a late `cudaDeviceSynchronize` and TeaLeaf
+    // inside the halo exchange (`MPI_Isend`), on every rank at once. The
+    // seed must not fault one rank alone mid-exchange (42 does): its peer
+    // then sits out mpi-sim's fixed 20 s wait timeout in each mode, which
+    // times the simulator, not the checker.
+    base.faults = FaultPlan::with_rate(9, 0.05);
     base.shadow_page_budget = Some(8);
     let cfg = ChaosConfig::default();
 

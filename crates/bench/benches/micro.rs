@@ -35,58 +35,53 @@ fn bench_shadow_range(c: &mut Criterion) {
 
 /// The tiered-shadow fast paths (DESIGN.md "Shadow tiers"): cold
 /// page-aligned ranges hit the summary tier, repeated identical ranges hit
-/// the same-state cache, and a partial overlap pays the unfold. Each case
-/// runs tiered and untiered so the win (and the unfold cost ceiling) stays
-/// visible in `cargo bench` output; `bench_shadow` records the same cases
-/// to BENCH_shadow.json for trajectory tracking.
+/// the same-state cache, and a partial overlap pays the unfold.
 fn bench_shadow_access_range(c: &mut Criterion) {
     use criterion::BatchSize;
     const LEN: u64 = 1 << 20;
 
     let mut g = c.benchmark_group("shadow_access_range");
-    for (name, tiered) in [("tiered", true), ("flat", false)] {
-        g.throughput(Throughput::Bytes(LEN));
-        // Cold: every page is touched for the first time by a
-        // page-covering write (one summary store per page vs 512 walks).
-        g.bench_function(BenchmarkId::new("cold_1MiB", name), |b| {
-            b.iter_batched(
-                || {
-                    let mut rt = TsanRuntime::with_shadow_tiering("bench", tiered);
-                    let ctx = rt.intern_ctx("cold write");
-                    (rt, ctx)
-                },
-                |(mut rt, ctx)| {
-                    rt.write_range(black_box(0x10_0000), LEN, ctx);
-                    rt
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        // Hot: the Jacobi/TeaLeaf loop shape — the same buffer
-        // re-annotated with an unchanged epoch.
-        g.bench_function(BenchmarkId::new("repeated_1MiB", name), |b| {
-            let mut rt = TsanRuntime::with_shadow_tiering("bench", tiered);
-            let ctx = rt.intern_ctx("repeat write");
-            rt.write_range(0x10_0000, LEN, ctx);
-            b.iter(|| rt.write_range(black_box(0x10_0000), LEN, ctx));
-        });
-        // Unfold: summarize a page, then split it with a partial access.
-        g.bench_function(BenchmarkId::new("partial_unfold_4KiB", name), |b| {
-            b.iter_batched(
-                || {
-                    let mut rt = TsanRuntime::with_shadow_tiering("bench", tiered);
-                    let ctx = rt.intern_ctx("unfold");
-                    rt.write_range(0x10_0000, 4096, ctx);
-                    (rt, ctx)
-                },
-                |(mut rt, ctx)| {
-                    rt.write_range(black_box(0x10_0040), 128, ctx);
-                    rt
-                },
-                BatchSize::LargeInput,
-            );
-        });
-    }
+    g.throughput(Throughput::Bytes(LEN));
+    // Cold: every page is touched for the first time by a
+    // page-covering write (one summary store per page).
+    g.bench_function("cold_1MiB", |b| {
+        b.iter_batched(
+            || {
+                let mut rt = TsanRuntime::new("bench");
+                let ctx = rt.intern_ctx("cold write");
+                (rt, ctx)
+            },
+            |(mut rt, ctx)| {
+                rt.write_range(black_box(0x10_0000), LEN, ctx);
+                rt
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    // Hot: the Jacobi/TeaLeaf loop shape — the same buffer
+    // re-annotated with an unchanged epoch.
+    g.bench_function("repeated_1MiB", |b| {
+        let mut rt = TsanRuntime::new("bench");
+        let ctx = rt.intern_ctx("repeat write");
+        rt.write_range(0x10_0000, LEN, ctx);
+        b.iter(|| rt.write_range(black_box(0x10_0000), LEN, ctx));
+    });
+    // Unfold: summarize a page, then split it with a partial access.
+    g.bench_function("partial_unfold_4KiB", |b| {
+        b.iter_batched(
+            || {
+                let mut rt = TsanRuntime::new("bench");
+                let ctx = rt.intern_ctx("unfold");
+                rt.write_range(0x10_0000, 4096, ctx);
+                (rt, ctx)
+            },
+            |(mut rt, ctx)| {
+                rt.write_range(black_box(0x10_0040), 128, ctx);
+                rt
+            },
+            BatchSize::LargeInput,
+        );
+    });
     g.finish();
 }
 

@@ -42,7 +42,7 @@ fn mode_config(async_check: bool) -> ToolConfig {
 /// the frozen `CUSAN_CHECK_THREADS` override, exactly as the contexts
 /// apply it.
 fn check_threads(ranks: usize) -> usize {
-    effective_workers(ranks, cusan::ctx::check_threads_env())
+    effective_workers(ranks, cusan::ctx::EnvOverrides::get().check_threads)
 }
 
 /// Sum the per-rank async counters. Extremes fold as extremes (queue

@@ -28,7 +28,9 @@ const GOLDEN_FIXTURE: &str = include_str!("../../../../tests/data/tealeaf_small.
 /// text golden fixture is transcoded to match so the whole corpus is
 /// uniform.
 fn active_format() -> TraceFormat {
-    cusan::ctx::trace_format_env().unwrap_or(TraceFormat::Text)
+    cusan::ctx::EnvOverrides::get()
+        .trace_format
+        .unwrap_or(TraceFormat::Text)
 }
 
 fn corpus() -> Vec<Vec<u8>> {
@@ -145,8 +147,7 @@ fn main() {
     // under a zero live budget, then resumes, restores, and finishes —
     // the crash-safe path's cost, with its summaries still asserted
     // equal to solo replay.
-    let spill_dir = std::env::temp_dir().join(format!("cusan-bench-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spill_dir);
+    let spill_dir = cusan_serve::unique_scratch_dir("bench-spill");
     let spill_engine = ServeEngine::new(EngineConfig {
         spill_dir: Some(spill_dir.clone()),
         live_page_budget: Some(0),

@@ -1,4 +1,10 @@
 //! Tool configuration and the evaluation-flavor matrix.
+//!
+//! [`ToolConfig`] says which layers instrument, what they annotate and
+//! how events reach the checker (inline or pooled, text or binary
+//! trace). It has no shadow-representation field: the detector has one
+//! shadow (tiered, on the page arena). [`ToolConfig::VANILLA`] is the only
+//! full-field literal; every [`Flavor`] is a struct update over it.
 
 use crate::fault::FaultPlan;
 use crate::trace::TraceFormat;
@@ -35,21 +41,6 @@ pub struct ToolConfig {
     /// positives whole-allocation annotation can produce — for
     /// boundary-region kernels. Off by default to match the paper.
     pub bounded_tracking: bool,
-    /// Tiered shadow memory: page summaries for whole-page annotations
-    /// plus a same-state fast path for identical re-annotations. Purely a
-    /// performance tier — detection results are identical either way (see
-    /// `crates/tsan/tests/shadow_differential.rs`). On by default; the
-    /// `CUSAN_SHADOW_TIERED=0` environment knob (read in
-    /// [`crate::ToolCtx::new`]) forces the flat O(bytes) walk for A/B
-    /// measurements of the Fig. 12 slope.
-    pub shadow_tiered: bool,
-    /// Shadow page arena: carve unfolded shadow pages from geometrically
-    /// grown slabs with a recycling free list instead of one boxed
-    /// allocation per page. Purely an allocation strategy — detection
-    /// results are bit-for-bit identical either way. On by default; the
-    /// `CUSAN_SHADOW_ARENA=0` knob (read in [`crate::ToolCtx::new`])
-    /// restores the per-page allocator for A/B benchmarking.
-    pub shadow_arena: bool,
     /// Deterministic fault injection (see [`crate::fault`]): at each
     /// intercepted CUDA/MPI call, the plan decides whether the call
     /// returns its typed error instead of running. Disabled by default;
@@ -104,8 +95,6 @@ impl ToolConfig {
         typeart: false,
         track_access_ranges: false,
         bounded_tracking: false,
-        shadow_tiered: true,
-        shadow_arena: true,
         faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
         async_check: false,
@@ -145,57 +134,26 @@ impl Flavor {
         Flavor::MustCusan,
     ];
 
-    /// The instrumentation configuration for this flavor.
+    /// The instrumentation configuration for this flavor: the layer
+    /// flags it switches on over [`ToolConfig::VANILLA`].
     pub fn config(self) -> ToolConfig {
         match self {
             Flavor::Vanilla => ToolConfig::VANILLA,
             Flavor::Tsan => ToolConfig {
                 tsan: true,
-                must: false,
-                cusan: false,
-                typeart: false,
-                track_access_ranges: false,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
             Flavor::Must => ToolConfig {
                 tsan: true,
                 must: true,
-                cusan: false,
-                typeart: false,
-                track_access_ranges: false,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
             Flavor::Cusan => ToolConfig {
                 tsan: true,
-                must: false,
                 cusan: true,
                 typeart: true,
                 track_access_ranges: true,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
             Flavor::MustCusan => ToolConfig {
                 tsan: true,
@@ -203,15 +161,7 @@ impl Flavor {
                 cusan: true,
                 typeart: true,
                 track_access_ranges: true,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
         }
     }
@@ -263,19 +213,6 @@ mod tests {
             assert!(f.config().tsan);
             assert!(f.config().any_tsan());
         }
-    }
-
-    #[test]
-    fn shadow_tiering_defaults_on_everywhere() {
-        // The tiers and the page arena are pure perf; every flavor keeps
-        // them unless the env knobs (handled in ToolCtx) turn them off.
-        for f in Flavor::ALL {
-            assert!(f.config().shadow_tiered, "{f}");
-            assert!(f.config().shadow_arena, "{f}");
-        }
-        let vanilla = ToolConfig::VANILLA;
-        assert!(vanilla.shadow_tiered);
-        assert!(vanilla.shadow_arena);
     }
 
     #[test]

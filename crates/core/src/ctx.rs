@@ -18,168 +18,116 @@
 //! `cusan-rs` applications perform host accesses to simulated memory
 //! through the `host_*` helpers here, which emit read/write range events
 //! exactly when the `tsan` flag is active.
+//!
+//! The process-wide `CUSAN_*` product knobs live here too, as one
+//! [`EnvOverrides`] parsed once; [`ToolCtx::new`] applies them over the
+//! config it is given.
 
 use crate::async_check::{AsyncCheckStats, AsyncChecker};
 use crate::config::ToolConfig;
 use crate::event::{CtxInterner, CusanEvent, EventCounters, EventSink, FiberPredictor, StrId};
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::session::{CheckSession, SessionSummary};
+use crate::session::{CheckSession, SessionOptions, SessionSummary};
 use crate::trace::{TraceFormat, TraceSink};
 use sim_mem::{AddressSpace, MemError, Pod, Ptr};
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
-use std::sync::OnceLock;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
 
-/// Process-wide `CUSAN_SHADOW_TIERED` override, read **once** at first
-/// use: `0`/`false`/`off` forces the flat shadow walk, `1`/`true`/`on`
-/// forces tiering, anything else (or unset) defers to the config. The
-/// `OnceLock` guarantees every rank of a run — and every run in the
-/// process — sees the same shadow configuration even if the environment
-/// is mutated mid-run (e.g. by tests).
-static SHADOW_TIERED_ENV: OnceLock<Option<bool>> = OnceLock::new();
-
-/// The frozen environment override (see `SHADOW_TIERED_ENV`).
-pub fn shadow_tiered_env() -> Option<bool> {
-    *SHADOW_TIERED_ENV.get_or_init(|| match std::env::var("CUSAN_SHADOW_TIERED").as_deref() {
-        Ok("0") | Ok("false") | Ok("off") => Some(false),
-        Ok("1") | Ok("true") | Ok("on") => Some(true),
-        _ => None,
-    })
+/// The five process-wide `CUSAN_*` product knobs, parsed from the
+/// environment **once** at first use and frozen: every rank of a run —
+/// and every run in the process — sees the same overrides even if the
+/// environment is mutated mid-run (e.g. by tests). Ranks share barriers,
+/// the checker pool and byte-identical trace twins, so a per-rank
+/// divergence would deadlock or break determinism assertions.
+///
+/// A set field replaces the [`ToolConfig`] field of the same name in
+/// [`ToolCtx::new`]; `None` defers to the config. Unset, empty and
+/// malformed values are all `None` — malformed ones with a warning on
+/// stderr rather than an abort, since a knob must never make a run
+/// *less* robust.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnvOverrides {
+    /// `CUSAN_FAULTS=<seed>:<rate>` (see [`FaultPlan::parse`]).
+    pub faults: Option<FaultPlan>,
+    /// `CUSAN_ASYNC_CHECK`: `1`/`true`/`on` moves every rank's checking
+    /// onto the shared checker pool, `0`/`false`/`off` forces inline
+    /// checking.
+    pub async_check: Option<bool>,
+    /// `CUSAN_CHECK_THREADS=<n>`, a positive worker count for the
+    /// checker pool; only applies in async mode.
+    pub check_threads: Option<usize>,
+    /// `CUSAN_BARRIER_TIMEOUT_MS=<n>`, a positive poison timeout for the
+    /// simulated-MPI barriers (also read by the MUST harness).
+    pub barrier_timeout_ms: Option<u64>,
+    /// `CUSAN_TRACE_FORMAT={text,binary}`: the encoding recording
+    /// [`TraceSink`]s write. Readers always sniff, so this is
+    /// producer-side only.
+    pub trace_format: Option<TraceFormat>,
 }
 
-/// Process-wide `CUSAN_SHADOW_ARENA` override, frozen on first read like
-/// [`shadow_tiered_env`]: `0`/`false`/`off` restores the one-boxed-
-/// allocation-per-page shadow for A/B benchmarking, `1`/`true`/`on`
-/// forces the slab arena, anything else defers to the config. Detection
-/// results are bit-for-bit identical either way — only allocation
-/// behavior (and the `arena_*` stats) differ — so traces never record
-/// this knob and replay re-reads it instead.
-static SHADOW_ARENA_ENV: OnceLock<Option<bool>> = OnceLock::new();
+static ENV_OVERRIDES: std::sync::OnceLock<EnvOverrides> = std::sync::OnceLock::new();
 
-/// The frozen `CUSAN_SHADOW_ARENA` override (see `SHADOW_ARENA_ENV`).
-pub fn shadow_arena_env() -> Option<bool> {
-    *SHADOW_ARENA_ENV.get_or_init(|| match std::env::var("CUSAN_SHADOW_ARENA").as_deref() {
-        Ok("0") | Ok("false") | Ok("off") => Some(false),
-        Ok("1") | Ok("true") | Ok("on") => Some(true),
-        _ => None,
-    })
+/// One knob's value: `parse` applied to the trimmed variable.
+fn env_knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    let v = raw.trim();
+    if v.is_empty() {
+        return None;
+    }
+    match parse(v) {
+        Ok(value) => Some(value),
+        Err(why) => {
+            eprintln!("warning: ignoring {name}={raw:?}: {why}");
+            None
+        }
+    }
 }
 
-/// Process-wide `CUSAN_FAULTS=<seed>:<rate>` override, read **once** at
-/// first use (same freeze semantics as [`shadow_tiered_env`], for the
-/// same reason: every rank must see the same fault plan). A malformed
-/// value is ignored with a warning on stderr rather than aborting — the
-/// knob must never make a run *less* robust.
-static FAULTS_ENV: OnceLock<Option<FaultPlan>> = OnceLock::new();
-
-/// The frozen `CUSAN_FAULTS` override (see `FAULTS_ENV`).
-pub fn faults_env() -> Option<FaultPlan> {
-    *FAULTS_ENV.get_or_init(|| match std::env::var("CUSAN_FAULTS") {
-        Ok(v) => match FaultPlan::parse(&v) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("warning: ignoring CUSAN_FAULTS: {e}");
-                None
-            }
-        },
-        Err(_) => None,
-    })
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => Err("not a positive integer".to_string()),
+    }
 }
 
-/// Process-wide `CUSAN_ASYNC_CHECK` override, frozen on first read like
-/// [`shadow_tiered_env`]: `1`/`true`/`on` moves every rank's checking onto
-/// the shared checker pool, `0`/`false`/`off` forces inline checking,
-/// anything else defers to the config. Freezing matters doubly here —
-/// sync and async ranks in one run would still be correct (the modes are
-/// bit-for-bit identical) but the A/B benchmarks rely on a uniform mode.
-static ASYNC_CHECK_ENV: OnceLock<Option<bool>> = OnceLock::new();
+impl EnvOverrides {
+    /// The frozen overrides (the first call reads the environment).
+    pub fn get() -> &'static EnvOverrides {
+        ENV_OVERRIDES.get_or_init(|| EnvOverrides {
+            faults: env_knob("CUSAN_FAULTS", FaultPlan::parse),
+            async_check: env_knob("CUSAN_ASYNC_CHECK", |v| match v {
+                "0" | "false" | "off" => Ok(false),
+                "1" | "true" | "on" => Ok(true),
+                _ => Err("expected 0/false/off or 1/true/on".to_string()),
+            }),
+            check_threads: env_knob("CUSAN_CHECK_THREADS", positive),
+            barrier_timeout_ms: env_knob("CUSAN_BARRIER_TIMEOUT_MS", positive),
+            trace_format: env_knob("CUSAN_TRACE_FORMAT", |v| {
+                TraceFormat::parse(v).ok_or_else(|| "expected `text` or `binary`".to_string())
+            }),
+        })
+    }
 
-/// The frozen `CUSAN_ASYNC_CHECK` override (see `ASYNC_CHECK_ENV`).
-pub fn async_check_env() -> Option<bool> {
-    *ASYNC_CHECK_ENV.get_or_init(|| match std::env::var("CUSAN_ASYNC_CHECK").as_deref() {
-        Ok("0") | Ok("false") | Ok("off") => Some(false),
-        Ok("1") | Ok("true") | Ok("on") => Some(true),
-        _ => None,
-    })
-}
-
-/// Process-wide `CUSAN_CHECK_THREADS=<n>` override for the checker
-/// pool's worker count, frozen on first read like [`async_check_env`]
-/// (the pool is shared process-wide, so a per-rank divergence would be
-/// meaningless anyway). `0`, a malformed value, or unset defers to the
-/// config; only applies in async mode.
-static CHECK_THREADS_ENV: OnceLock<Option<usize>> = OnceLock::new();
-
-/// The frozen `CUSAN_CHECK_THREADS` override (see `CHECK_THREADS_ENV`).
-pub fn check_threads_env() -> Option<usize> {
-    *CHECK_THREADS_ENV.get_or_init(|| match std::env::var("CUSAN_CHECK_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                if !v.trim().is_empty() {
-                    eprintln!(
-                        "warning: ignoring CUSAN_CHECK_THREADS={v:?}: not a positive integer"
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// Process-wide `CUSAN_BARRIER_TIMEOUT_MS=<n>` override for the
-/// simulated-MPI barrier poison timeout, frozen on first read like
-/// [`async_check_env`] (barriers are shared by all ranks of a world, so
-/// per-rank divergence would deadlock the slow side). `0`, a malformed
-/// value, or unset defers to [`ToolConfig::barrier_timeout_ms`].
-static BARRIER_TIMEOUT_ENV: OnceLock<Option<u64>> = OnceLock::new();
-
-/// Process-wide `CUSAN_TRACE_FORMAT={text,binary}` override for the
-/// encoding recording [`TraceSink`]s write, frozen on first read like
-/// [`shadow_tiered_env`] (mixed-format twins within one run would break
-/// the byte-identical determinism assertions the harness makes across
-/// ranks). Readers always sniff, so this is producer-side only; a
-/// malformed value is ignored with a warning.
-static TRACE_FORMAT_ENV: OnceLock<Option<TraceFormat>> = OnceLock::new();
-
-/// The frozen `CUSAN_TRACE_FORMAT` override (see `TRACE_FORMAT_ENV`).
-pub fn trace_format_env() -> Option<TraceFormat> {
-    *TRACE_FORMAT_ENV.get_or_init(|| match std::env::var("CUSAN_TRACE_FORMAT") {
-        Ok(v) => match TraceFormat::parse(v.trim()) {
-            Some(f) => Some(f),
-            None => {
-                if !v.trim().is_empty() {
-                    eprintln!(
-                        "warning: ignoring CUSAN_TRACE_FORMAT={v:?}: expected `text` or `binary`"
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// The frozen `CUSAN_BARRIER_TIMEOUT_MS` override (see
-/// `BARRIER_TIMEOUT_ENV`).
-pub fn barrier_timeout_env() -> Option<u64> {
-    *BARRIER_TIMEOUT_ENV.get_or_init(|| match std::env::var("CUSAN_BARRIER_TIMEOUT_MS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                if !v.trim().is_empty() {
-                    eprintln!(
-                        "warning: ignoring CUSAN_BARRIER_TIMEOUT_MS={v:?}: not a positive integer"
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    })
+    /// Replace every `config` field that has an override set.
+    fn apply(&self, config: &mut ToolConfig) {
+        if let Some(plan) = self.faults {
+            config.faults = plan;
+        }
+        if let Some(async_check) = self.async_check {
+            config.async_check = async_check;
+        }
+        if let Some(threads) = self.check_threads {
+            config.check_threads = Some(threads);
+        }
+        if let Some(ms) = self.barrier_timeout_ms {
+            config.barrier_timeout_ms = Some(ms);
+        }
+        if let Some(format) = self.trace_format {
+            config.trace_format = format;
+        }
+    }
 }
 
 /// Where events are checked: inline on the rank thread (the paper's
@@ -216,40 +164,13 @@ pub struct ToolCtx {
 
 impl ToolCtx {
     /// Create the context for one rank. The process-wide frozen
-    /// [`shadow_tiered_env`], [`shadow_arena_env`], [`faults_env`],
-    /// [`async_check_env`], and [`check_threads_env`] overrides, if set,
-    /// replace `config.shadow_tiered` / `config.shadow_arena` /
-    /// `config.faults` / `config.async_check` / `config.check_threads`.
+    /// [`EnvOverrides`] replace the `config` fields they set.
     pub fn new(rank: usize, mut config: ToolConfig) -> Self {
-        if let Some(tiered) = shadow_tiered_env() {
-            config.shadow_tiered = tiered;
-        }
-        if let Some(arena) = shadow_arena_env() {
-            config.shadow_arena = arena;
-        }
-        if let Some(plan) = faults_env() {
-            config.faults = plan;
-        }
-        if let Some(async_check) = async_check_env() {
-            config.async_check = async_check;
-        }
-        if let Some(threads) = check_threads_env() {
-            config.check_threads = Some(threads);
-        }
-        if let Some(ms) = barrier_timeout_env() {
-            config.barrier_timeout_ms = Some(ms);
-        }
-        if let Some(format) = trace_format_env() {
-            config.trace_format = format;
-        }
-        let mut tsan = TsanRuntime::with_options(
-            &format!("host (rank {rank})"),
-            config.shadow_tiered,
-            config.shadow_arena,
-            true,
-        );
-        tsan.set_shadow_page_budget(config.shadow_page_budget);
-        let session = CheckSession::from_runtime(rank, tsan);
+        EnvOverrides::get().apply(&mut config);
+        let session = CheckSession::new(&SessionOptions {
+            rank,
+            shadow_page_budget: config.shadow_page_budget,
+        });
         let backend = if config.async_check {
             CheckerBackend::Async(AsyncChecker::new(session, config.check_threads))
         } else {
@@ -403,7 +324,6 @@ impl ToolCtx {
         let (sink, buf) = TraceSink::with_format(
             self.config.trace_format,
             self.rank,
-            self.config.shadow_tiered,
             self.config.shadow_page_budget,
         );
         self.install_sink(Box::new(sink));
@@ -597,11 +517,6 @@ impl ToolCtx {
     /// Shadow pages currently owned by the detector.
     pub fn shadow_pages(&self) -> usize {
         self.with_tsan(|t| t.shadow_pages())
-    }
-
-    /// Whether the detector's tiered shadow walk is active.
-    pub fn shadow_tiering_enabled(&self) -> bool {
-        self.with_tsan(|t| t.shadow_tiering_enabled())
     }
 }
 
@@ -816,9 +731,13 @@ mod tests {
         // Same freeze semantics as every other knob: the first read wins
         // for the whole process, so all ranks (sharing one barrier) see
         // one timeout.
-        let frozen = barrier_timeout_env();
+        let frozen = EnvOverrides::get().barrier_timeout_ms;
         std::env::set_var("CUSAN_BARRIER_TIMEOUT_MS", "12345");
-        assert_eq!(barrier_timeout_env(), frozen, "env re-read after freeze");
+        assert_eq!(
+            EnvOverrides::get().barrier_timeout_ms,
+            frozen,
+            "env re-read after freeze"
+        );
         std::env::remove_var("CUSAN_BARRIER_TIMEOUT_MS");
 
         // The config field flows into the context (unless the frozen env
@@ -836,7 +755,7 @@ mod tests {
         // A frozen CUSAN_ASYNC_CHECK override beats the config field (the
         // CI async-check-smoke job runs this whole suite with it set), so
         // mode-specific assertions only hold for the unforced mode.
-        let forced = async_check_env();
+        let forced = EnvOverrides::get().async_check;
         if forced.is_none() {
             let sync_ctx = ToolCtx::new(0, Flavor::Cusan.config());
             assert_eq!(sync_ctx.async_check_stats(), None);
@@ -864,42 +783,20 @@ mod tests {
 
     #[test]
     fn faults_env_is_frozen_process_wide() {
-        // Mirrors shadow_tiered_env_is_frozen_process_wide: the first
-        // read wins for the whole process, so every rank (and every
-        // re-run in one process) sees one plan.
-        let frozen = faults_env();
+        // The first read wins for the whole process, so every rank (and
+        // every re-run in one process) sees one plan.
+        let frozen = EnvOverrides::get().faults;
         let a = ToolCtx::new(0, Flavor::MustCusan.config());
         std::env::set_var("CUSAN_FAULTS", "123:0.5");
-        assert_eq!(faults_env(), frozen, "env re-read after freeze");
+        assert_eq!(
+            EnvOverrides::get().faults,
+            frozen,
+            "env re-read after freeze"
+        );
         let b = ToolCtx::new(1, Flavor::MustCusan.config());
         assert_eq!(a.fault_plan(), b.fault_plan());
         std::env::remove_var("CUSAN_FAULTS");
         let expected = frozen.unwrap_or(Flavor::MustCusan.config().faults);
         assert_eq!(a.fault_plan(), expected);
-    }
-
-    #[test]
-    fn shadow_tiered_env_is_frozen_process_wide() {
-        // The first read (whenever it happened in this test process) is
-        // the value every ToolCtx sees; mutating the environment
-        // afterwards must NOT give later ranks a divergent shadow config.
-        let frozen = shadow_tiered_env();
-        let a = ToolCtx::new(0, Flavor::Cusan.config());
-        std::env::set_var(
-            "CUSAN_SHADOW_TIERED",
-            if a.config.shadow_tiered { "0" } else { "1" },
-        );
-        assert_eq!(shadow_tiered_env(), frozen, "env re-read after freeze");
-        let b = ToolCtx::new(1, Flavor::Cusan.config());
-        assert_eq!(a.config.shadow_tiered, b.config.shadow_tiered);
-        assert_eq!(a.shadow_tiering_enabled(), b.shadow_tiering_enabled());
-        std::env::remove_var("CUSAN_SHADOW_TIERED");
-        let c = ToolCtx::new(2, Flavor::Cusan.config());
-        assert_eq!(a.config.shadow_tiered, c.config.shadow_tiered);
-        // Without an override frozen in, the config default (tiered on)
-        // applies; with one frozen in, all ranks share it. Either way the
-        // expected value is derivable from the frozen snapshot.
-        let expected = frozen.unwrap_or(Flavor::Cusan.config().shadow_tiered);
-        assert_eq!(a.config.shadow_tiered, expected);
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! Configure via [`crate::ToolConfig::faults`] or the process-wide
 //! `CUSAN_FAULTS=<seed>:<rate>` knob (rate is a probability in `[0, 1]`;
-//! see [`crate::ctx::faults_env`]).
+//! see [`crate::ctx::EnvOverrides`]).
 
 use std::cell::Cell;
 

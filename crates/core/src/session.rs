@@ -7,9 +7,10 @@
 //! independent of any particular event producer. Three producers drive
 //! sessions today:
 //!
-//! - **Live instrumentation** — [`crate::ToolCtx`] owns one session per
-//!   rank (inline in sync mode, behind the [`crate::CheckerPool`] in
-//!   async mode) and feeds it the events its CUDA/MPI layers emit.
+//! - **Live instrumentation** — [`crate::ToolCtx`] builds one session per
+//!   rank from its config's page budget (inline in sync mode, behind the
+//!   [`crate::CheckerPool`] in async mode) and feeds it the events its
+//!   CUDA/MPI layers emit.
 //! - **Offline replay** — [`crate::trace::replay`] builds a session from
 //!   a trace header and streams the recorded events through it.
 //! - **The serve path** — `cusan-serve` multiplexes thousands of
@@ -20,7 +21,6 @@
 
 use std::sync::Arc;
 
-use crate::ctx::shadow_arena_env;
 use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, StrId};
 use tsan_rt::{
     CtxId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime, TsanStats,
@@ -31,47 +31,34 @@ use tsan_rt::{
 pub const SESSION_SNAPSHOT_MAGIC: &[u8; 8] = b"cusanses";
 
 /// Version of the session snapshot layout.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
+pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
 
-/// Construction parameters for a [`CheckSession`] (mirrors the
-/// detector-relevant subset of [`crate::ToolConfig`] plus the trace
-/// header fields).
+/// Construction parameters for a [`CheckSession`]: the two trace-header
+/// fields that shape detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOptions {
     /// MPI rank (or client-chosen id) the session checks; only used for
     /// naming the host fiber, so reports match live runs.
     pub rank: usize,
-    /// Tiered shadow memory (page summaries + fast path).
-    pub shadow_tiered: bool,
-    /// Recycle shadow pages through the arena allocator.
-    pub shadow_arena: bool,
     /// Per-session shadow page budget (best-effort drops beyond it).
     pub shadow_page_budget: Option<usize>,
 }
 
 impl SessionOptions {
-    /// Defaults matching a live `ToolCtx` run with a vanilla config:
-    /// tiered shadow, arena per the frozen `CUSAN_SHADOW_ARENA` knob, no
+    /// Defaults matching a live `ToolCtx` run with a vanilla config: no
     /// budget.
     pub fn new(rank: usize) -> Self {
-        SessionOptions {
-            rank,
-            shadow_tiered: true,
-            shadow_arena: shadow_arena_env().unwrap_or(true),
-            shadow_page_budget: None,
-        }
+        Self::for_trace(rank, true, None)
     }
 
-    /// Options recorded in a trace header. Tiering and budget are part
-    /// of the recorded configuration (they change detection results);
-    /// the arena is a pure allocation strategy and so follows the
-    /// replaying process's environment, exactly like [`crate::replay`]
-    /// always has.
-    pub fn for_trace(rank: usize, tiered: bool, budget: Option<usize>) -> Self {
+    /// Options recorded in a trace header. `_tiered` takes the header's
+    /// shadow-mode flag and is not consulted: it is always `true`,
+    /// because the tiered shadow is the only one and the trace readers
+    /// refuse a `tiered 0` header (the removed flat shadow) before a
+    /// caller can get here.
+    pub fn for_trace(rank: usize, _tiered: bool, budget: Option<usize>) -> Self {
         SessionOptions {
             rank,
-            shadow_tiered: tiered,
-            shadow_arena: shadow_arena_env().unwrap_or(true),
             shadow_page_budget: budget,
         }
     }
@@ -108,18 +95,12 @@ pub struct CheckSession {
 impl CheckSession {
     /// Fresh session with its own runtime built from `opts`.
     pub fn new(opts: &SessionOptions) -> Self {
-        let mut rt = TsanRuntime::with_options(
-            &format!("host (rank {})", opts.rank),
-            opts.shadow_tiered,
-            opts.shadow_arena,
-            true,
-        );
+        let mut rt = TsanRuntime::new(&format!("host (rank {})", opts.rank));
         rt.set_shadow_page_budget(opts.shadow_page_budget);
         Self::from_runtime(opts.rank, rt)
     }
 
-    /// Wrap an already-configured runtime (the `ToolCtx` path, which
-    /// resolves knobs itself before constructing the runtime).
+    /// Wrap an already-configured runtime.
     pub fn from_runtime(rank: usize, rt: TsanRuntime) -> Self {
         CheckSession {
             rank,

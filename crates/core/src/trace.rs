@@ -33,12 +33,15 @@
 //! The first line is the header:
 //!
 //! ```text
-//! cusan-trace v2 rank <rank> tiered <0|1> budget <pages|none>
+//! cusan-trace v2 rank <rank> tiered 1 budget <pages|none>
 //! ```
 //!
-//! `tiered` and `budget` record the shadow-memory configuration so replay
-//! reproduces the live shadow-tier counters *and* any best-effort
-//! degradation (`dropped_annotations`) of a budget-capped run. Every
+//! `budget` records the shadow page budget so replay reproduces any
+//! best-effort degradation (`dropped_annotations`) of a budget-capped
+//! run. `tiered` is the recording run's shadow mode; writers always emit
+//! `1`, and a `tiered 0` header — a recording made on the flat shadow,
+//! which no longer exists — is refused by the readers in both formats
+//! rather than replayed under tiers it never ran with. Every
 //! other line is either a string-table entry — `s <id> <label>` with `\`
 //! and newline escaped, ids dense and ascending — or an event:
 //!
@@ -168,18 +171,14 @@ impl RecordWriter {
         }
     }
 
-    fn header(&mut self, out: &mut Vec<u8>, rank: usize, tiered: bool, budget: Option<usize>) {
+    fn header(&mut self, out: &mut Vec<u8>, rank: usize, budget: Option<usize>) {
         match self {
             RecordWriter::Text => {
                 let budget = budget.map_or_else(|| "none".to_string(), |b| b.to_string());
-                writeln!(
-                    out,
-                    "{TRACE_MAGIC} rank {rank} tiered {} budget {budget}",
-                    u8::from(tiered)
-                )
-                .expect("writes to Vec are infallible");
+                writeln!(out, "{TRACE_MAGIC} rank {rank} tiered 1 budget {budget}")
+                    .expect("writes to Vec are infallible");
             }
-            RecordWriter::Binary(_) => binio::Encoder::encode_header(out, rank, tiered, budget),
+            RecordWriter::Binary(_) => binio::Encoder::encode_header(out, rank, true, budget),
         }
     }
 
@@ -268,25 +267,20 @@ pub struct TraceSink {
 impl TraceSink {
     /// Text-format sink (the historical default). Returns the sink and
     /// the shared buffer handle the caller reads after the run.
-    pub fn new(
-        rank: usize,
-        tiered: bool,
-        budget: Option<usize>,
-    ) -> (TraceSink, Rc<RefCell<Vec<u8>>>) {
-        Self::with_format(TraceFormat::Text, rank, tiered, budget)
+    pub fn new(rank: usize, budget: Option<usize>) -> (TraceSink, Rc<RefCell<Vec<u8>>>) {
+        Self::with_format(TraceFormat::Text, rank, budget)
     }
 
     /// Create a sink in the given format whose header records `rank` and
-    /// the shadow configuration (tiering + page budget).
+    /// the shadow page budget.
     pub fn with_format(
         format: TraceFormat,
         rank: usize,
-        tiered: bool,
         budget: Option<usize>,
     ) -> (TraceSink, Rc<RefCell<Vec<u8>>>) {
         let mut writer = RecordWriter::new(format);
         let mut out = Vec::new();
-        writer.header(&mut out, rank, tiered, budget);
+        writer.header(&mut out, rank, budget);
         let buf = Rc::new(RefCell::new(out));
         (
             TraceSink {
@@ -341,7 +335,8 @@ impl Drop for TraceSink {
 pub struct Trace {
     /// Rank the trace was recorded on (names the replay host fiber).
     pub rank: usize,
-    /// Shadow-tier configuration of the recording run.
+    /// The header's shadow-mode flag; always `true` (see
+    /// [`TraceHeader::tiered`]).
     pub tiered: bool,
     /// Shadow page budget of the recording run (`None` = unlimited).
     pub budget: Option<usize>,
@@ -364,7 +359,9 @@ fn rec_err(recno: u64, msg: impl Into<String>) -> String {
 pub struct TraceHeader {
     /// Rank the trace was recorded on.
     pub rank: usize,
-    /// Shadow-tier configuration of the recording run.
+    /// The recording run's shadow mode. Always `true` in a header a
+    /// reader yields: `tiered 0` named the removed flat shadow and is
+    /// refused while parsing.
     pub tiered: bool,
     /// Shadow page budget of the recording run (`None` = unlimited).
     pub budget: Option<usize>,
@@ -407,6 +404,22 @@ impl TraceHeader {
                 },
             }),
             _ => Err(format!("bad header fields {rest:?}")),
+        }
+    }
+
+    /// Refuse a recording made on the removed flat shadow (`tiered 0`):
+    /// replaying it on the tiered shadow would report tier counters
+    /// (`fastpath_hits`, `page_summaries_stored`, `page_unfolds`) the
+    /// recording run never had.
+    fn reject_flat_shadow(self) -> Result<TraceHeader, String> {
+        if self.tiered {
+            Ok(self)
+        } else {
+            Err(
+                "trace header: recorded with `tiered 0` (the flat shadow walk), which was \
+                 removed; this reader only replays tiered-shadow traces (re-record the trace)"
+                    .to_string(),
+            )
         }
     }
 }
@@ -819,7 +832,7 @@ impl TracePushParser {
                     };
                     let line = std::str::from_utf8(&p[..line_len])
                         .map_err(|_| "trace header is not valid UTF-8".to_string())?;
-                    let header = TraceHeader::parse(line)?;
+                    let header = TraceHeader::parse(line)?.reject_flat_shadow()?;
                     self.start += consumed;
                     self.state = PushState::TextBody(TraceLineParser::new());
                     return Ok(Some(TraceItem::Header(header)));
@@ -843,13 +856,15 @@ impl TracePushParser {
                     let p = &self.buf[self.start..];
                     match binio::decode_header(p) {
                         Ok(Some((n, rank, tiered, budget))) => {
-                            self.start += n;
-                            self.state = PushState::BinBody(BinRecordParser::default());
-                            return Ok(Some(TraceItem::Header(TraceHeader {
+                            let header = TraceHeader {
                                 rank,
                                 tiered,
                                 budget,
-                            })));
+                            }
+                            .reject_flat_shadow()?;
+                            self.start += n;
+                            self.state = PushState::BinBody(BinRecordParser::default());
+                            return Ok(Some(TraceItem::Header(header)));
                         }
                         Ok(None) if self.eof => {
                             return Err("binary trace truncated inside the header".to_string())
@@ -1138,7 +1153,7 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, S
     let h = *reader.header();
     let mut writer = RecordWriter::new(format);
     let mut out = Vec::new();
-    writer.header(&mut out, h.rank, h.tiered, h.budget);
+    writer.header(&mut out, h.rank, h.budget);
     for rec in &mut reader {
         match rec? {
             TraceRecord::Str { id, label } => writer.str_record(&mut out, id.0, &label),
@@ -1223,7 +1238,7 @@ mod tests {
     use super::*;
 
     fn record_as(format: TraceFormat, events: &[(CusanEvent, &CtxInterner)]) -> Vec<u8> {
-        let (mut sink, buf) = TraceSink::with_format(format, 3, true, None);
+        let (mut sink, buf) = TraceSink::with_format(format, 3, None);
         for (ev, strings) in events {
             sink.on_event(ev, strings);
         }
@@ -1427,6 +1442,31 @@ mod tests {
         assert_eq!(t.events.len(), 2);
     }
 
+    /// Both entry points refuse `bytes` at the header, naming the removed
+    /// flat shadow.
+    fn assert_flat_shadow_refused(bytes: &[u8]) {
+        let err = TraceReader::new(bytes).err().expect("reader accepted");
+        assert!(err.contains("flat shadow"), "got: {err}");
+        let mut push = TracePushParser::new();
+        push.feed(bytes);
+        push.close();
+        assert_eq!(push.poll().err(), Some(err));
+    }
+
+    #[test]
+    fn text_header_recorded_on_the_flat_shadow_is_refused() {
+        let text = format!("{TRACE_MAGIC} rank 0 tiered 0 budget none\ns 0 f\nfc 1 0\n");
+        assert_flat_shadow_refused(text.as_bytes());
+    }
+
+    #[test]
+    fn binary_header_recorded_on_the_flat_shadow_is_refused() {
+        let mut bytes = Vec::new();
+        binio::Encoder::encode_header(&mut bytes, 0, false, None);
+        binio::Encoder::new().encode_end(&mut bytes);
+        assert_flat_shadow_refused(&bytes);
+    }
+
     #[test]
     fn binary_parser_enforces_string_table_rules() {
         // Build records by hand: an event referencing an undefined id.
@@ -1493,7 +1533,7 @@ mod tests {
             },
         ];
         for format in [TraceFormat::Text, TraceFormat::Binary] {
-            let (mut sink, buf) = TraceSink::with_format(format, 0, true, Some(2));
+            let (mut sink, buf) = TraceSink::with_format(format, 0, Some(2));
             for ev in &events {
                 sink.on_event(ev, &strings);
             }

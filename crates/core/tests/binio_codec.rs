@@ -147,6 +147,15 @@ proptest! {
         let reencoded = encode(rank, tiered, budget, &labels, &got_events);
         prop_assert_eq!(&reencoded, &bytes);
 
+        // The raw codec above carries either header flag; the trace
+        // readers refuse `tiered 0` (a recording made on the removed flat
+        // shadow), so the reader-level properties run on a `tiered 1` twin.
+        if !tiered {
+            let refused = Trace::from_bytes(&bytes).expect_err("flat-shadow header accepted");
+            prop_assert!(refused.contains("flat shadow"), "{}", refused);
+        }
+        let bytes = encode(rank, true, budget, &labels, &events);
+
         // 3. Transcode closure through the text twin.
         let text = transcode(&bytes[..], TraceFormat::Text).expect("binary → text");
         let back = transcode(&text[..], TraceFormat::Binary).expect("text → binary");

@@ -233,6 +233,20 @@ fn session_restore_rejects_garbage() {
 }
 
 #[test]
+fn v1_session_blob_is_refused_by_version() {
+    // Layout v1 carried the two shadow mode bytes (tiered, arena) that
+    // no longer exist; the version gate refuses it before any of the
+    // body is interpreted under the v2 layout.
+    let mut blob = fresh(None).snapshot_bytes();
+    assert_eq!(blob[8..12], 2u32.to_le_bytes());
+    blob[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        CheckSession::restore_bytes(&blob).err(),
+        Some(SnapshotError::UnsupportedVersion(1))
+    );
+}
+
+#[test]
 fn restored_session_reuses_interned_ids() {
     // Interned labels survive the round trip with their ids: an event
     // referencing a pre-spill StrId resolves to the same context label

@@ -213,7 +213,8 @@ fn run_world_impl<T: Send>(
     // Resolve the barrier poison timeout exactly like ToolCtx resolves
     // its knobs: the frozen CUSAN_BARRIER_TIMEOUT_MS override wins over
     // the config field; both unset keeps mpi-sim's standard timeout.
-    let barrier_timeout = cusan::ctx::barrier_timeout_env()
+    let barrier_timeout = cusan::ctx::EnvOverrides::get()
+        .barrier_timeout_ms
         .or(config.barrier_timeout_ms)
         .map(std::time::Duration::from_millis);
     let sched = plan

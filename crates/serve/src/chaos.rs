@@ -214,7 +214,7 @@ pub fn chaos_serve(
     corpus: &[(u64, Vec<u8>)],
     opts: &ChaosOptions,
 ) -> Result<ChaosReport, String> {
-    let spill_dir = std::env::temp_dir().join(format!("cusan-chaos-{}-{seed}", std::process::id()));
+    let spill_dir = crate::unique_scratch_dir(&format!("chaos-{seed}"));
     let result = run_scenario(seed, corpus, opts, spill_dir.clone());
     let _ = std::fs::remove_dir_all(&spill_dir);
     result

@@ -11,7 +11,7 @@
 //! ```text
 //! TcpListener ──► serve_connection ──► SessionIngest ──► AsyncChecker
 //!                       │                   │                 │
-//!                       │              TraceLineParser   CheckerPool (shared)
+//!                       │              TracePushParser   CheckerPool (shared)
 //!                       │                   │                 │
 //!                       └── ServeEngine ◄── SharedLabels  CheckSession
 //!                             (global shadow budget,
@@ -54,7 +54,20 @@ pub use proto::{check_traces, serve_connection, FrameError, Reply};
 use cusan::{CheckSession, SessionOptions, SessionSummary, TraceReader, TraceRecord};
 use std::io::BufReader;
 use std::net::TcpListener;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A scratch directory path (not created) that no other call is handed:
+/// `temp_dir()/cusan-<tag>-<pid>-<n>`, `n` from a process-wide counter.
+/// The pid separates processes; the counter separates callers inside
+/// one, which may pass the same tag at the same time (two tests running
+/// one chaos seed on two threads).
+pub fn unique_scratch_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("cusan-{tag}-{}-{n}", std::process::id()))
+}
 
 /// Reference result: replay `trace` (text or binary bytes — the reader
 /// sniffs) solo, synchronously, in this thread — the baseline every

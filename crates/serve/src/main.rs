@@ -363,7 +363,7 @@ fn selftest_corpus(o: &Options) -> Result<Vec<Vec<u8>>, String> {
     };
     // Chaos-twin recordings below honor CUSAN_TRACE_FORMAT; transcode a
     // text fixture to match so the corpus is format-uniform.
-    if cusan::ctx::trace_format_env() == Some(cusan::TraceFormat::Binary)
+    if cusan::ctx::EnvOverrides::get().trace_format == Some(cusan::TraceFormat::Binary)
         && !fixture.starts_with(cusan::binio::BIN_FAMILY)
     {
         fixture = cusan::transcode(&fixture[..], cusan::TraceFormat::Binary)

@@ -51,14 +51,39 @@ fn thirty_two_seeded_schedules_hold_with_binary_sessions() {
     sweep(binary_corpus());
 }
 
-fn sweep(corpus: Vec<(u64, Vec<u8>)>) {
-    let opts = ChaosOptions {
+/// Two runs of one seed at the same time must not share a spill
+/// directory: sharing one, a run reads the other's journal or has its
+/// directory deleted under it.
+#[test]
+fn same_seed_runs_concurrently_without_sharing_scratch() {
+    let corpus = corpus();
+    let opts = sweep_options();
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| chaos_serve(3, &corpus, &opts)))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("chaos thread panicked"))
+            .collect()
+    });
+    for report in reports {
+        let report = report.unwrap_or_else(|e| panic!("concurrent chaos seed 3: {e}"));
+        assert_eq!(report.sessions, corpus.len());
+    }
+}
+
+fn sweep_options() -> ChaosOptions {
+    ChaosOptions {
         fault_rate: 0.05,
         restart_rate: 0.25,
         chunk: 512,
         live_page_budget: Some(0), // every idle mid-trace session spills
         check_threads: Some(2),
-    };
+    }
+}
+
+fn sweep(corpus: Vec<(u64, Vec<u8>)>) {
+    let opts = sweep_options();
     let (mut fired, mut restarts, mut resumed, mut spilled, mut restored) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     for seed in 1..=32u64 {

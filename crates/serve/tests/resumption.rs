@@ -26,8 +26,7 @@ struct ScratchDir(PathBuf);
 
 impl ScratchDir {
     fn new(name: &str) -> ScratchDir {
-        let p = std::env::temp_dir().join(format!("cusan-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
+        let p = cusan_serve::unique_scratch_dir(&format!("test-{name}"));
         std::fs::create_dir_all(&p).expect("create scratch dir");
         ScratchDir(p)
     }

@@ -72,32 +72,21 @@ pub struct TsanRuntime {
 }
 
 impl TsanRuntime {
-    /// New runtime; the calling context becomes the host fiber. Shadow
-    /// tiering (page summaries + same-state fast path) is on by default;
-    /// see [`Self::with_shadow_tiering`].
+    /// New runtime; the calling context becomes the host fiber.
     pub fn new(host_name: &str) -> Self {
-        Self::with_shadow_tiering(host_name, true)
+        Self::with_epoch_clocks(host_name, true)
     }
 
-    /// New runtime with explicit control over shadow tiering — `false`
-    /// recovers the flat per-word walk for A/B measurements
-    /// (`CUSAN_SHADOW_TIERED=0`). Detection results are identical.
-    pub fn with_shadow_tiering(host_name: &str, tiered: bool) -> Self {
-        Self::with_options(host_name, tiered, true, true)
-    }
-
-    /// New runtime with every performance representation knob explicit:
-    /// shadow tiering, the shadow page arena (`CUSAN_SHADOW_ARENA` knob;
-    /// `false` recovers per-page boxed allocations), and epoch-compressed
-    /// clocks (`false` recovers join-always sync vars — the reference the
-    /// differential tests compare against). All three are pure perf
-    /// representations; detection results are identical in every
-    /// combination.
-    pub fn with_options(host_name: &str, tiered: bool, arena: bool, epoch_clocks: bool) -> Self {
+    /// [`Self::new`] with the scalar epoch fast paths explicit. `false`
+    /// is the join-always reference — every release/acquire joins full
+    /// vector clocks — that `tests/epoch_differential.rs` and
+    /// `tests/snapshot_differential.rs` compare the product against;
+    /// nothing outside those tests should pass it.
+    pub fn with_epoch_clocks(host_name: &str, epoch_clocks: bool) -> Self {
         let mut rt = TsanRuntime {
             fibers: FiberTable::new(host_name),
             current: FiberId::HOST,
-            shadow: ShadowMemory::with_options(tiered, arena),
+            shadow: ShadowMemory::new(),
             sync_vars: FxHashMap::default(),
             ctxs: CtxTable::new(),
             reports: Vec::new(),
@@ -453,16 +442,6 @@ impl TsanRuntime {
     /// The configured shadow page budget.
     pub fn shadow_page_budget(&self) -> Option<usize> {
         self.shadow.page_budget()
-    }
-
-    /// Whether the shadow's summary/fast-path tiers are active.
-    pub fn shadow_tiering_enabled(&self) -> bool {
-        self.shadow.tiering_enabled()
-    }
-
-    /// Whether the shadow's page arena is active.
-    pub fn shadow_arena_enabled(&self) -> bool {
-        self.shadow.arena_enabled()
     }
 
     /// Drop the shadow page covering `addr`, recycling its slot block
@@ -965,19 +944,13 @@ mod tests {
 
     #[test]
     fn memory_accounting_nonzero_after_accesses() {
-        // Tiered: a whole-buffer write is stored as page summaries, so the
-        // shadow costs a few words per 4 KiB instead of 4x the tracked size.
+        // A whole-buffer write is stored as page summaries, so the shadow
+        // costs a few words per 4 KiB instead of 4x the tracked size.
         let mut t = rt();
         let c = t.intern_ctx("x");
         t.write_range(0, 1 << 16, c);
         assert!(t.memory_bytes() > 0);
         assert!(t.memory_bytes() < (1 << 16), "summaries stay compact");
-        assert!(t.shadow_pages() >= 16);
-        // Untiered: the flat shadow costs 4 slot words per application word.
-        let mut t = TsanRuntime::with_shadow_tiering("host", false);
-        let c = t.intern_ctx("x");
-        t.write_range(0, 1 << 16, c);
-        assert!(t.memory_bytes() > (1 << 16));
         assert!(t.shadow_pages() >= 16);
     }
 
@@ -992,8 +965,6 @@ mod tests {
         assert_eq!(s.page_summaries_stored, 1);
         assert_eq!(s.fastpath_hits, 1);
         assert_eq!(s.page_unfolds, 1);
-        assert!(t.shadow_tiering_enabled());
-        assert!(!TsanRuntime::with_shadow_tiering("h", false).shadow_tiering_enabled());
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! buffers, memcpy spans) overwhelmingly annotate *whole buffers* with a
 //! single (fiber, epoch, ctx) — the effect behind the paper's Fig. 12,
 //! where checker cost grows linearly with tracked bytes. Two tiers
-//! collapse that cost for the dominant shapes while preserving the exact
-//! per-word detection semantics of the flat shadow:
+//! collapse that cost for the dominant shapes while preserving exact
+//! per-word detection semantics:
 //!
 //! 1. **Page summaries.** A shadow page whose words all hold identical
 //!    slot contents is stored as one `[u64; 4]` *summary* instead of 512
@@ -44,9 +44,9 @@
 //!    by the previous call), so a one-entry last-access cache skips the
 //!    entire walk.
 //!
-//! Both tiers can be disabled ([`ShadowMemory::with_tiering`]) to recover
-//! the flat O(bytes) walk for A/B measurements; detection results are
-//! identical either way (see `tests/shadow_differential.rs`).
+//! This is the only shadow representation. An independent flat per-word
+//! model lives in `tests/shadow_differential.rs` as the oracle the tiers
+//! are proven against.
 
 use crate::clock::VectorClock;
 use crate::fiber::FiberId;
@@ -134,8 +134,8 @@ pub struct ShadowCounters {
     /// its page budget (best-effort mode; see
     /// [`ShadowMemory::set_page_budget`]).
     pub dropped_annotations: u64,
-    /// Page blocks recycled from the arena free list (0 with the arena
-    /// off or while nothing was discarded).
+    /// Page blocks recycled from the arena free list (0 while nothing
+    /// was discarded).
     pub arena_pages_reused: u64,
     /// Arena slabs allocated (logarithmic in unfolded page count thanks
     /// to geometric slab growth).
@@ -161,8 +161,7 @@ struct BlockId {
 /// Slab arena carving [`SLOTS_PER_PAGE`]-word page blocks out of
 /// geometrically grown slabs, with a LIFO free list for recycled blocks.
 ///
-/// Unfolding a summary used to pay a fresh 16 KiB zeroed allocation per
-/// page; with the arena it pays one `Vec` allocation per *slab* (4 pages
+/// Unfolding a summary pays one `Vec` allocation per *slab* (4 pages
 /// doubling to 256) and otherwise just bumps a cursor. `vec![0u64; n]`
 /// lowers to `alloc_zeroed`, so large slabs come from lazily-zeroed OS
 /// pages — carving never eagerly zeroes slab memory ahead of use.
@@ -349,14 +348,29 @@ impl PageArena {
     /// block contents are filled in by the page decoder).
     fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let n_slabs = r.get_len()?;
-        let mut slabs = Vec::with_capacity(n_slabs);
+        let mut slab_pages = Vec::with_capacity(n_slabs);
         for _ in 0..n_slabs {
-            let pages = r.get_u64()? as usize;
-            if pages == 0 || pages > ARENA_MAX_SLAB_PAGES {
+            let pages = r.get_u64()?;
+            if pages == 0 || pages > ARENA_MAX_SLAB_PAGES as u64 {
                 return Err(SnapshotError::Corrupt(format!("slab of {pages} pages")));
             }
-            slabs.push(vec![0u64; pages * SLOTS_PER_PAGE].into_boxed_slice());
+            slab_pages.push(pages as usize);
         }
+        // A slab is only added once its predecessor is fully carved, and a
+        // carved block is owned by a page record or sits on the free list
+        // — at least 8 snapshot bytes either way. Hold the blob to that
+        // before zero-allocating 16 KiB per declared page.
+        let carved_pages: usize = slab_pages.iter().rev().skip(1).sum();
+        if carved_pages.saturating_mul(8) > r.remaining() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{carved_pages} carved slab pages declared but only {} bytes follow",
+                r.remaining()
+            )));
+        }
+        let slabs: Vec<Box<[u64]>> = slab_pages
+            .iter()
+            .map(|&pages| vec![0u64; pages * SLOTS_PER_PAGE].into_boxed_slice())
+            .collect();
         let carved = r.get_u64()? as usize;
         let last_cap = slabs.last().map_or(0, |s| s.len() / SLOTS_PER_PAGE);
         if carved > last_cap {
@@ -401,65 +415,14 @@ impl PageArena {
     }
 }
 
-/// Storage of one unfolded page: an arena block, or a boxed array when
-/// the arena is disabled (`CUSAN_SHADOW_ARENA=0` A/B mode).
-enum PageSlots {
-    Owned(Box<[u64; SLOTS_PER_PAGE]>),
-    Arena(BlockId),
-}
-
-impl PageSlots {
-    fn zeroed(arena: &mut PageArena, use_arena: bool) -> PageSlots {
-        if use_arena {
-            PageSlots::Arena(arena.alloc_zeroed())
-        } else {
-            PageSlots::Owned(vec![0u64; SLOTS_PER_PAGE].try_into().expect("page size"))
-        }
-    }
-
-    fn unfolded(
-        summary: [u64; SLOTS_PER_WORD],
-        arena: &mut PageArena,
-        use_arena: bool,
-    ) -> PageSlots {
-        if use_arena {
-            PageSlots::Arena(arena.alloc_filled(&summary))
-        } else {
-            let mut slots: Box<[u64; SLOTS_PER_PAGE]> =
-                vec![0u64; SLOTS_PER_PAGE].try_into().expect("page size");
-            let live = SLOTS_PER_WORD - summary.iter().rev().take_while(|&&s| s == 0).count();
-            if live > 0 {
-                for w in 0..WORDS_PER_PAGE {
-                    let base = w * SLOTS_PER_WORD;
-                    slots[base..base + live].copy_from_slice(&summary[..live]);
-                }
-            }
-            PageSlots::Owned(slots)
-        }
-    }
-
-    fn resolve<'a>(&'a self, arena: &'a PageArena) -> &'a [u64; SLOTS_PER_PAGE] {
-        match self {
-            PageSlots::Owned(b) => b,
-            PageSlots::Arena(id) => arena.block(*id),
-        }
-    }
-
-    fn resolve_mut<'a>(&'a mut self, arena: &'a mut PageArena) -> &'a mut [u64; SLOTS_PER_PAGE] {
-        match self {
-            PageSlots::Owned(b) => b,
-            PageSlots::Arena(id) => arena.block_mut(*id),
-        }
-    }
-}
-
 /// One shadow page: either a summary (all words identical) or flat slots.
 enum PageState {
     /// Invariant: a flat page with these slots replicated into every word
     /// behaves identically. Maintained by unfolding before any operation
     /// that would make words diverge.
     Summary([u64; SLOTS_PER_WORD]),
-    Unfolded(PageSlots),
+    /// Per-word slots in an arena block.
+    Unfolded(BlockId),
 }
 
 /// What the slot state machine decided to do with the incoming access.
@@ -549,8 +512,6 @@ struct LastAccess {
 pub struct ShadowMemory {
     pages: FxHashMap<u64, PageState>,
     arena: PageArena,
-    use_arena: bool,
-    tiered: bool,
     last: Option<LastAccess>,
     counters: ShadowCounters,
     page_budget: Option<usize>,
@@ -563,46 +524,19 @@ impl Default for ShadowMemory {
 }
 
 impl ShadowMemory {
-    /// Fresh, empty shadow memory with tiering and the page arena enabled.
+    /// Fresh, empty shadow memory.
     pub fn new() -> Self {
-        Self::with_tiering(true)
-    }
-
-    /// Fresh shadow with the page-summary/fast-path tiers on or off.
-    /// Untiered, every access walks one slot array per touched word — the
-    /// flat O(bytes) behavior measured in the paper's Fig. 12.
-    pub fn with_tiering(tiered: bool) -> Self {
-        Self::with_options(tiered, true)
-    }
-
-    /// Fresh shadow choosing both the tier mode and whether unfolded
-    /// pages live in the slab arena (`arena = false` reproduces the
-    /// one-`Box`-per-page allocator for A/B benchmarking; detection
-    /// behavior is bit-for-bit identical either way).
-    pub fn with_options(tiered: bool, arena: bool) -> Self {
         ShadowMemory {
             pages: FxHashMap::default(),
             arena: PageArena::new(),
-            use_arena: arena,
-            tiered,
             last: None,
             counters: ShadowCounters::default(),
             page_budget: None,
         }
     }
 
-    /// Whether the summary/fast-path tiers are active.
-    pub fn tiering_enabled(&self) -> bool {
-        self.tiered
-    }
-
-    /// Whether unfolded pages are carved from the slab arena.
-    pub fn arena_enabled(&self) -> bool {
-        self.use_arena
-    }
-
     /// Forget all shadow state for the page containing `addr`, returning
-    /// whether a page was tracked there. An arena-backed slot block goes
+    /// whether a page was tracked there. An unfolded page's slot block goes
     /// back on the free list for recycling. Used by allocation-lifetime
     /// hooks (free/device-reset paths) so long runs can give pages back.
     pub fn discard_page(&mut self, addr: u64) -> bool {
@@ -610,7 +544,7 @@ impl ShadowMemory {
         let Some(state) = self.pages.remove(&page_base) else {
             return false;
         };
-        if let PageState::Unfolded(PageSlots::Arena(id)) = state {
+        if let PageState::Unfolded(id) = state {
             self.arena.free_block(id);
         }
         // The last-access cache may describe a range inside the discarded
@@ -630,7 +564,7 @@ impl ShadowMemory {
     pub fn evict_all_pages(&mut self) -> usize {
         let n = self.pages.len();
         for (_, state) in self.pages.drain() {
-            if let PageState::Unfolded(PageSlots::Arena(id)) = state {
+            if let PageState::Unfolded(id) = state {
                 self.arena.free_block(id);
             }
         }
@@ -668,8 +602,8 @@ impl ShadowMemory {
     /// Record an access of `[addr, addr+len)` by `fiber` (whose clock
     /// component is `clock` and full vector clock is `fiber_clock`).
     /// Invokes `on_conflict` for each word where a conflicting prior
-    /// access is found. Cost is O(pages) for page-covering ranges with
-    /// tiering on, O(len) otherwise.
+    /// access is found. Cost is O(pages) for page-covering ranges,
+    /// O(len) for the partial pages at the edges.
     #[allow(clippy::too_many_arguments)]
     pub fn access_range(
         &mut self,
@@ -691,25 +625,23 @@ impl ShadowMemory {
             ctx,
             write,
         });
-        if self.tiered {
-            // Same-state fast path: the immediately preceding access was
-            // byte-for-byte identical (same range, fiber, epoch, ctx,
-            // direction). The store is idempotent — the previous call
-            // left our own entry (or skipped, leaving our own write) in
-            // every touched word — and no shadow or conflict state
-            // changed in between, so any conflict this walk would emit
-            // was already emitted then. Skip the whole walk.
-            let key = LastAccess {
-                addr,
-                len,
-                raw: new_raw,
-            };
-            if self.last == Some(key) {
-                self.counters.fastpath_hits += 1;
-                return;
-            }
-            self.last = Some(key);
+        // Same-state fast path: the immediately preceding access was
+        // byte-for-byte identical (same range, fiber, epoch, ctx,
+        // direction). The store is idempotent — the previous call left
+        // our own entry (or skipped, leaving our own write) in every
+        // touched word — and no shadow or conflict state changed in
+        // between, so any conflict this walk would emit was already
+        // emitted then. Skip the whole walk.
+        let key = LastAccess {
+            addr,
+            len,
+            raw: new_raw,
+        };
+        if self.last == Some(key) {
+            self.counters.fastpath_hits += 1;
+            return;
         }
+        self.last = Some(key);
         let first_word = addr / WORD_BYTES;
         let last_word = (addr + len - 1) / WORD_BYTES;
         let words_per_page = WORDS_PER_PAGE as u64;
@@ -718,13 +650,11 @@ impl ShadowMemory {
         let Self {
             pages,
             arena,
-            use_arena,
-            tiered,
             counters,
             page_budget,
             ..
         } = self;
-        let (use_arena, tiered, page_budget) = (*use_arena, *tiered, *page_budget);
+        let page_budget = *page_budget;
         let mut word = first_word;
         while word <= last_word {
             let page_base = word / words_per_page;
@@ -733,8 +663,8 @@ impl ShadowMemory {
             let end_word = last_word.min(page_last_word);
             // The chunk covers the whole page iff it starts at the page's
             // first word and ends at its last (bytes may still be ragged
-            // at the edges — word coverage is what the flat walk stores).
-            let whole_page = tiered && word == page_first_word && end_word == page_last_word;
+            // at the edges — word coverage is what a per-word walk stores).
+            let whole_page = word == page_first_word && end_word == page_last_word;
             let under_budget = page_budget.is_none_or(|b| pages.len() < b);
             match pages.entry(page_base) {
                 std::collections::hash_map::Entry::Vacant(_) if !under_budget => {
@@ -754,14 +684,11 @@ impl ShadowMemory {
                         counters.page_summaries_stored += 1;
                     } else {
                         // Partial first touch: pop a zeroed block from the
-                        // arena instead of a fresh 16 KiB allocation.
-                        let page =
-                            v.insert(PageState::Unfolded(PageSlots::zeroed(arena, use_arena)));
-                        let PageState::Unfolded(ps) = page else {
-                            unreachable!()
-                        };
+                        // arena.
+                        let id = arena.alloc_zeroed();
+                        v.insert(PageState::Unfolded(id));
                         walk_words(
-                            ps.resolve_mut(arena),
+                            arena.block_mut(id),
                             word,
                             end_word,
                             new_raw,
@@ -781,10 +708,9 @@ impl ShadowMemory {
                                 // Run the slot state machine once against
                                 // the summary. Conflicts are buffered and
                                 // re-emitted per word below so reports
-                                // stay word-addressed, exactly like the
-                                // flat walk (each word held identical
-                                // slots, so each word conflicts
-                                // identically).
+                                // stay word-addressed (each word held
+                                // identical slots, so each word
+                                // conflicts identically).
                                 let mut conflicts = [ShadowAccess {
                                     fiber: FiberId::HOST,
                                     clock: 0,
@@ -800,7 +726,7 @@ impl ShadowMemory {
                                     });
                                 // Eviction is word-local: applying it at
                                 // the summary tier would evict the same
-                                // slot in all 512 words while the flat
+                                // slot in all 512 words while a per-word
                                 // walk would diverge per word. Unfold and
                                 // take the slow path instead (rare: needs
                                 // 4 live foreign epochs).
@@ -821,18 +747,13 @@ impl ShadowMemory {
                                 }
                             }
                             if need_unfold {
-                                // Unfold = pop a block + replicate the live
-                                // prefix (arena) or allocate a fresh boxed
-                                // array (arena off).
-                                *state = PageState::Unfolded(PageSlots::unfolded(
-                                    *summary, arena, use_arena,
-                                ));
+                                // Unfold = pop a block + replicate the
+                                // summary into every word.
+                                let id = arena.alloc_filled(summary);
+                                *state = PageState::Unfolded(id);
                                 counters.page_unfolds += 1;
-                                let PageState::Unfolded(ps) = state else {
-                                    unreachable!()
-                                };
                                 walk_words(
-                                    ps.resolve_mut(arena),
+                                    arena.block_mut(id),
                                     word,
                                     end_word,
                                     new_raw,
@@ -843,9 +764,9 @@ impl ShadowMemory {
                                 );
                             }
                         }
-                        PageState::Unfolded(ps) => {
+                        PageState::Unfolded(id) => {
                             walk_words(
-                                ps.resolve_mut(arena),
+                                arena.block_mut(*id),
                                 word,
                                 end_word,
                                 new_raw,
@@ -871,9 +792,9 @@ impl ShadowMemory {
         };
         let slots: &[u64] = match page {
             PageState::Summary(summary) => &summary[..],
-            PageState::Unfolded(ps) => {
+            PageState::Unfolded(id) => {
                 let slot_base = (word % WORDS_PER_PAGE as u64) as usize * SLOTS_PER_WORD;
-                &ps.resolve(&self.arena)[slot_base..slot_base + SLOTS_PER_WORD]
+                &self.arena.block(*id)[slot_base..slot_base + SLOTS_PER_WORD]
             }
         };
         slots
@@ -897,29 +818,26 @@ impl ShadowMemory {
     }
 
     /// Approximate heap bytes used by the shadow (drives Fig. 11).
-    /// Summary pages cost a fixed few words; owned unfolded pages cost
-    /// the full slot array; arena-backed pages cost only their map entry
-    /// here because every slab byte — carved, free-listed, or not yet
-    /// carved — is charged via [`PageArena::heap_bytes`]. This keeps the
-    /// page-budget machinery honest about what the arena really holds.
+    /// Summary pages cost a fixed few words; unfolded pages cost only
+    /// their map entry here because every slab byte — carved,
+    /// free-listed, or not yet carved — is charged via
+    /// [`PageArena::heap_bytes`]. This keeps the page-budget machinery
+    /// honest about what the arena really holds.
     pub fn heap_bytes(&self) -> u64 {
         self.pages
             .values()
             .map(|p| match p {
                 PageState::Summary(_) => (SLOTS_PER_WORD * 8 + 32) as u64,
-                PageState::Unfolded(PageSlots::Owned(_)) => (SLOTS_PER_PAGE * 8 + 32) as u64,
-                PageState::Unfolded(PageSlots::Arena(_)) => 32,
+                PageState::Unfolded(_) => 32,
             })
             .sum::<u64>()
             + self.arena.heap_bytes()
     }
 
-    /// Serialize the entire shadow — mode flags, the same-state cache,
+    /// Serialize the entire shadow — the budget, the same-state cache,
     /// the tier counters, the arena shape, and every page (sorted by
     /// page key so repeated snapshots of one state are byte-identical).
     pub(crate) fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.tiered);
-        w.put_bool(self.use_arena);
         w.put_bool(self.page_budget.is_some());
         if let Some(b) = self.page_budget {
             w.put_u64(b as u64);
@@ -948,11 +866,8 @@ impl ShadowMemory {
                         w.put_u64(v);
                     }
                 }
-                PageState::Unfolded(PageSlots::Owned(slots)) => {
-                    w.put_u8(1);
-                    write_sparse_slots(w, slots);
-                }
-                PageState::Unfolded(PageSlots::Arena(id)) => {
+                // Tag 1 is retired with layout v1; it must stay unassigned.
+                PageState::Unfolded(id) => {
                     w.put_u8(2);
                     w.put_u32(id.slab);
                     w.put_u32(id.block);
@@ -962,13 +877,11 @@ impl ShadowMemory {
         }
     }
 
-    /// Rebuild a shadow from [`Self::write_snapshot`] output. Arena
+    /// Rebuild a shadow from [`Self::write_snapshot`] output. Unfolded
     /// pages are written back into their original block handles, so
     /// subsequent carve/recycle order — and with it every arena counter
     /// — evolves exactly as in the snapshotted shadow.
     pub(crate) fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let tiered = r.get_bool()?;
-        let use_arena = r.get_bool()?;
         let page_budget = if r.get_bool()? {
             Some(r.get_u64()? as usize)
         } else {
@@ -1012,12 +925,6 @@ impl ShadowMemory {
                     }
                     PageState::Summary(s)
                 }
-                1 => {
-                    let mut slots: Box<[u64; SLOTS_PER_PAGE]> =
-                        vec![0u64; SLOTS_PER_PAGE].try_into().expect("page size");
-                    read_sparse_slots(r, &mut slots)?;
-                    PageState::Unfolded(PageSlots::Owned(slots))
-                }
                 2 => {
                     let id = BlockId {
                         slab: r.get_u32()?,
@@ -1041,7 +948,7 @@ impl ShadowMemory {
                     }
                     read_sparse_slots(r, slots)?;
                     arena_blocks += 1;
-                    PageState::Unfolded(PageSlots::Arena(id))
+                    PageState::Unfolded(id)
                 }
                 t => {
                     return Err(SnapshotError::Corrupt(format!("page state tag {t}")));
@@ -1051,15 +958,13 @@ impl ShadowMemory {
         }
         if arena_blocks != arena.live_blocks {
             return Err(SnapshotError::Corrupt(format!(
-                "{arena_blocks} arena-backed pages but {} live blocks recorded",
+                "{arena_blocks} unfolded pages but {} live blocks recorded",
                 arena.live_blocks
             )));
         }
         Ok(ShadowMemory {
             pages,
             arena,
-            use_arena,
-            tiered,
             last,
             counters,
             page_budget,
@@ -1111,7 +1016,7 @@ fn read_sparse_slots(
     Ok(())
 }
 
-/// Flat walk over `[word, end_word]` within one page's slot array:
+/// Per-word walk over `[word, end_word]` within one page's slot array:
 /// per-word conflict scan + store.
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -1502,24 +1407,6 @@ mod tests {
         assert_eq!(sh.page_count(), 0);
     }
 
-    #[test]
-    fn heap_accounting_grows_with_pages_untiered() {
-        let mut sh = ShadowMemory::with_tiering(false);
-        let clk = VectorClock::new();
-        let before = sh.heap_bytes();
-        sh.access_range(
-            0,
-            4 * PAGE_BYTES,
-            false,
-            fid(1),
-            1,
-            ctx(0),
-            &clk,
-            no_conflict_expected,
-        );
-        assert!(sh.heap_bytes() >= before + 4 * (PAGE_BYTES * 4));
-    }
-
     // ---- tier behavior -----------------------------------------------------
 
     #[test]
@@ -1723,25 +1610,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_applies_untiered_too() {
-        let mut sh = ShadowMemory::with_tiering(false);
-        sh.set_page_budget(Some(1));
-        let clk = VectorClock::new();
-        sh.access_range(
-            0,
-            3 * PAGE_BYTES,
-            true,
-            fid(1),
-            1,
-            ctx(0),
-            &clk,
-            no_conflict_expected,
-        );
-        assert_eq!(sh.page_count(), 1);
-        assert_eq!(sh.counters().dropped_annotations, 2);
-    }
-
-    #[test]
     fn budget_degradation_is_deterministic() {
         let run = || {
             let mut sh = ShadowMemory::new();
@@ -1797,45 +1665,33 @@ mod tests {
         assert_eq!(sh.counters().dropped_annotations, 0);
     }
 
-    #[test]
-    fn untiered_matches_flat_behavior() {
-        let mut sh = ShadowMemory::with_tiering(false);
+    /// One 8-byte access per page: partial first touches, so every page
+    /// gets its own unfolded arena block.
+    fn touch_pages_partially(sh: &mut ShadowMemory, pages: u64) {
         let clk = VectorClock::new();
-        for _ in 0..3 {
-            sh.access_range(0, PAGE_BYTES, true, fid(1), 1, ctx(0), &clk, |_| {});
+        for p in 0..pages {
+            sh.access_range(
+                p * PAGE_BYTES,
+                8,
+                true,
+                fid(1),
+                1,
+                ctx(0),
+                &clk,
+                no_conflict_expected,
+            );
         }
-        // No tier events fire untiered; the arena still backs the flat
-        // page with one slab.
-        let c = sh.counters();
-        assert_eq!(c.fastpath_hits, 0);
-        assert_eq!(c.page_summaries_stored, 0);
-        assert_eq!(c.page_unfolds, 0);
-        assert_eq!(c.dropped_annotations, 0);
-        assert_eq!(c.arena_slabs_allocated, 1);
-        assert_eq!(sh.summary_page_count(), 0);
-        let mut hits = 0;
-        sh.access_range(0, PAGE_BYTES, false, fid(2), 1, ctx(1), &clk, |_| hits += 1);
-        assert_eq!(hits, WORDS_PER_PAGE);
     }
 
     #[test]
     fn arena_slabs_grow_geometrically() {
-        let mut sh = ShadowMemory::with_tiering(false);
-        let clk = VectorClock::new();
-        // 28 flat pages = 4 + 8 + 16 block capacity → exactly 3 slabs.
-        sh.access_range(
-            0,
-            28 * PAGE_BYTES,
-            true,
-            fid(1),
-            1,
-            ctx(0),
-            &clk,
-            no_conflict_expected,
-        );
+        let mut sh = ShadowMemory::new();
+        // 28 unfolded pages = 4 + 8 + 16 block capacity → exactly 3 slabs.
+        touch_pages_partially(&mut sh, 28);
         let c = sh.counters();
         assert_eq!(c.arena_slabs_allocated, 3);
         assert_eq!(c.arena_pages_reused, 0);
+        assert_eq!(sh.summary_page_count(), 0);
         // Slab bytes dominate: (4+8+16) pages * 16 KiB of slots each.
         assert!(sh.heap_bytes() >= 28 * (SLOTS_PER_PAGE as u64) * 8);
     }
@@ -1888,19 +1744,10 @@ mod tests {
 
     #[test]
     fn evict_all_pages_releases_slabs_and_counts() {
-        let mut sh = ShadowMemory::with_tiering(false);
+        let mut sh = ShadowMemory::new();
         let clk = VectorClock::new();
-        // 6 flat pages → 2 slabs (4 + 8).
-        sh.access_range(
-            0,
-            6 * PAGE_BYTES,
-            true,
-            fid(1),
-            1,
-            ctx(0),
-            &clk,
-            no_conflict_expected,
-        );
+        // 6 unfolded pages → 2 slabs (4 + 8).
+        touch_pages_partially(&mut sh, 6);
         assert_eq!(sh.page_count(), 6);
         assert!(sh.heap_bytes() > 0);
 
@@ -1921,7 +1768,7 @@ mod tests {
 
         // The arena still works after a trim (re-grows from scratch) and
         // keeps cumulative counters.
-        sh.access_range(0, PAGE_BYTES, true, fid(1), 1, ctx(0), &clk, |_| {});
+        sh.access_range(0, 8, true, fid(1), 1, ctx(0), &clk, |_| {});
         assert_eq!(sh.page_count(), 1);
         assert_eq!(sh.counters().arena_slabs_allocated, 3);
         assert!(sh.heap_bytes() > 0);
@@ -1982,30 +1829,62 @@ mod tests {
         }
     }
 
+    // ---- snapshot hardening ------------------------------------------------
+
+    /// The shadow sections that precede the arena: no budget, no cached
+    /// last access, zeroed tier counters.
+    fn shadow_snapshot_prefix() -> SnapshotWriter {
+        let mut w = SnapshotWriter::new();
+        w.put_bool(false);
+        w.put_bool(false);
+        for _ in 0..4 {
+            w.put_u64(0);
+        }
+        w
+    }
+
+    fn corrupt_message(w: SnapshotWriter) -> String {
+        let bytes = w.into_bytes();
+        match ShadowMemory::read_snapshot(&mut SnapshotReader::new(&bytes)) {
+            Err(SnapshotError::Corrupt(msg)) => msg,
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("expected Corrupt, got a shadow"),
+        }
+    }
+
     #[test]
-    fn arena_onoff_shadow_states_agree() {
-        let run = |arena: bool| {
-            let mut sh = ShadowMemory::with_options(true, arena);
-            let mut clk = VectorClock::new();
-            clk.set(fid(1), 1);
-            let mut conflicts = Vec::new();
-            // Mixed schedule: summaries, unfolds, evictions, partials.
-            for f in 1..=5u32 {
-                let (ff, fc) = (fid(f as usize), ctx(f));
-                sh.access_range(0, 2 * PAGE_BYTES, false, ff, 1, fc, &clk, |c| {
-                    conflicts.push(c)
-                });
-                sh.access_range(40, 16, true, ff, 2, fc, &clk, |c| conflicts.push(c));
-            }
-            let words: Vec<Vec<ShadowAccess>> = (0..2 * WORDS_PER_PAGE as u64)
-                .map(|w| sh.word_accesses(w * WORD_BYTES))
-                .collect();
-            (words, conflicts, sh.page_count())
-        };
-        let (w_on, c_on, p_on) = run(true);
-        let (w_off, c_off, p_off) = run(false);
-        assert_eq!(w_on, w_off);
-        assert_eq!(c_on, c_off);
-        assert_eq!(p_on, p_off);
+    fn restore_rejects_slabs_the_blob_cannot_back() {
+        // 16 full slabs = 64 MiB of zeroed slots for 128 bytes of slab
+        // records. The blob cannot hold a page or free-list record for
+        // each carved block, so it is refused before any slab exists.
+        let mut w = shadow_snapshot_prefix();
+        w.put_len(16);
+        for _ in 0..16 {
+            w.put_u64(ARENA_MAX_SLAB_PAGES as u64);
+        }
+        for v in [0, ARENA_MAX_SLAB_PAGES as u64, 0] {
+            w.put_u64(v); // carve cursor, growth point, live blocks
+        }
+        assert!(w.len() < 200);
+        let msg = corrupt_message(w);
+        assert!(msg.contains("3840 carved slab pages"), "{msg}");
+    }
+
+    #[test]
+    fn restore_rejects_the_retired_boxed_page_tag() {
+        let mut w = shadow_snapshot_prefix();
+        w.put_len(0); // slabs
+        for v in [0, ARENA_FIRST_SLAB_PAGES as u64, 0] {
+            w.put_u64(v); // carve cursor, growth point, live blocks
+        }
+        w.put_len(0); // free list
+        for _ in 0..3 {
+            w.put_u64(0); // arena counters
+        }
+        w.put_len(1);
+        w.put_u64(0); // page key
+        w.put_u8(1); // layout v1's boxed page
+        w.put_len(0); // its sparse slot list
+        assert_eq!(corrupt_message(w), "page state tag 1");
     }
 }

@@ -14,7 +14,7 @@
 //! * **The fiber table** keeps its free list verbatim, so LIFO slot
 //!   reuse — and with it replayed fiber numbering — continues exactly
 //!   where it left off.
-//! * **Shadow pages** are stored sorted by page key; arena-backed pages
+//! * **Shadow pages** are stored sorted by page key; unfolded pages
 //!   record their exact [`crate::shadow`] block handle so the restored
 //!   arena re-carves and recycles in the same order as a never-spilled
 //!   run (the arena counters are part of the summary surface).
@@ -32,7 +32,7 @@ use std::fmt;
 /// Magic prefix of a [`crate::TsanRuntime::snapshot_bytes`] blob.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"cusansnp";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot blob could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -118,7 +118,7 @@ fn assert_clocks_agree(compressed: &TsanRuntime, reference: &TsanRuntime, fibers
 /// actually fire; pin the canonical stream-op loop to all three.
 #[test]
 fn fast_paths_fire_on_stream_op_loop() {
-    let mut rt = TsanRuntime::with_options("host", true, true, true);
+    let mut rt = TsanRuntime::new("host");
     let stream = rt.create_fiber("stream");
     let host = rt.host_fiber();
     let key = SyncKey(0x51);
@@ -159,8 +159,8 @@ proptest! {
     fn epoch_compression_is_observably_identical(
         ops in proptest::collection::vec(op_strategy(5), 1..120)
     ) {
-        let mut compressed = TsanRuntime::with_options("host", true, true, true);
-        let mut reference = TsanRuntime::with_options("host", true, true, false);
+        let mut compressed = TsanRuntime::new("host");
+        let mut reference = TsanRuntime::with_epoch_clocks("host", false);
         prop_assert!(compressed.epoch_clocks_enabled());
         prop_assert!(!reference.epoch_clocks_enabled());
         let fibers: Vec<FiberId> = (0..5)
@@ -198,8 +198,8 @@ proptest! {
         rounds in 1usize..12,
         keys in proptest::collection::vec(0u64..3, 1..6)
     ) {
-        let mut compressed = TsanRuntime::with_options("host", true, true, true);
-        let mut reference = TsanRuntime::with_options("host", true, true, false);
+        let mut compressed = TsanRuntime::new("host");
+        let mut reference = TsanRuntime::with_epoch_clocks("host", false);
         for _ in 0..rounds {
             let a = compressed.create_fiber("worker");
             let b = reference.create_fiber("worker");

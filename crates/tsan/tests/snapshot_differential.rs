@@ -2,8 +2,8 @@
 //! workload at any point with a snapshot→restore round trip must be
 //! invisible — the restored runtime finishes the workload with
 //! bit-for-bit identical reports, stats, and shadow evolution to an
-//! uninterrupted run, in every representation mode (tiered/flat shadow,
-//! arena on/off, epoch clocks on/off, budgeted or not).
+//! uninterrupted run, with epoch clocks on or off (the join-always
+//! reference), budgeted or not.
 
 use tsan_rt::{FiberId, SyncKey, TsanRuntime};
 
@@ -155,8 +155,8 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     ops
 }
 
-fn fresh(tiered: bool, arena: bool, epoch: bool, budget: Option<usize>) -> TsanRuntime {
-    let mut rt = TsanRuntime::with_options("host", tiered, arena, epoch);
+fn fresh(epoch: bool, budget: Option<usize>) -> TsanRuntime {
+    let mut rt = TsanRuntime::with_epoch_clocks("host", epoch);
     rt.set_shadow_page_budget(budget);
     rt.add_suppression("suppressed-lib");
     rt
@@ -173,21 +173,16 @@ fn assert_observably_equal(a: &TsanRuntime, b: &TsanRuntime) {
 
 #[test]
 fn snapshot_restore_is_invisible_at_any_split() {
-    for (tiered, arena, epoch) in [
-        (true, true, true),
-        (true, false, true),
-        (false, true, false),
-        (true, true, false),
-    ] {
+    for epoch in [true, false] {
         for seed in [1u64, 42, 0xC0FFEE] {
             let ops = gen_ops(seed, 300);
             let budget = if seed == 42 { Some(3) } else { None };
-            let mut reference = fresh(tiered, arena, epoch, budget);
+            let mut reference = fresh(epoch, budget);
             for op in &ops {
                 apply(&mut reference, op);
             }
             for split in [0, 1, 37, 150, 299, 300] {
-                let mut head = fresh(tiered, arena, epoch, budget);
+                let mut head = fresh(epoch, budget);
                 for op in &ops[..split] {
                     apply(&mut head, op);
                 }
