@@ -17,8 +17,9 @@ use std::sync::Arc;
 /// Replay one rank's trace and assert it matches the live outcome — as
 /// recorded, and again through the transcoded twin in the other format
 /// (text ⇄ binary), which must replay identically and round-trip back to
-/// the recorded bytes exactly.
-fn assert_faithful(what: &str, rank: &RankOutcome) {
+/// the recorded bytes exactly. Returns the trace's size in bytes as
+/// `[text, binary]`.
+fn assert_faithful(what: &str, rank: &RankOutcome) -> [usize; 2] {
     let bytes = rank
         .trace
         .as_deref()
@@ -70,6 +71,23 @@ fn assert_faithful(what: &str, rank: &RankOutcome) {
         "{what} rank {}: transcode round trip is not byte-identical",
         rank.rank
     );
+    match recorded {
+        TraceFormat::Text => [bytes.len(), twin.len()],
+        TraceFormat::Binary => [twin.len(), bytes.len()],
+    }
+}
+
+/// The binary encoding's size claim on an app's recording (all ranks):
+/// at most 1 / 2.5 of the text encoding's bytes for the same events.
+/// `tests/trace_fixture.rs` holds the checked-in fixture to the same.
+fn assert_binary_compact(what: &str, sizes: &[[usize; 2]]) {
+    let text: usize = sizes.iter().map(|s| s[0]).sum();
+    let binary: usize = sizes.iter().map(|s| s[1]).sum();
+    assert!(
+        text as f64 >= 2.5 * binary as f64,
+        "{what}: binary trace only {:.2}x smaller than text ({binary} vs {text} bytes)",
+        text as f64 / binary as f64
+    );
 }
 
 #[test]
@@ -95,12 +113,15 @@ fn jacobi_replay_reproduces_live_run() {
         nx: 64,
         ny: 32,
         ranks: 2,
-        iters: 3,
+        // Enough iterations that events, not the string table (the same
+        // bytes in both encodings), make up the trace.
+        iters: 20,
         ..JacobiConfig::default()
     };
     let run = run_jacobi_traced(&cfg, Flavor::MustCusan);
+    let mut sizes = Vec::new();
     for rank in &run.outcome.ranks {
-        assert_faithful("jacobi", rank);
+        sizes.push(assert_faithful("jacobi", rank));
         // The CounterBump mirror of the device's Table-I CUDA rows must
         // agree with the device's own counters.
         assert_eq!(rank.events.named("cuda.streams"), rank.cuda.streams);
@@ -118,6 +139,7 @@ fn jacobi_replay_reproduces_live_run() {
             rank.cuda.kernel_calls
         );
     }
+    assert_binary_compact("jacobi", &sizes);
 }
 
 #[test]
@@ -130,14 +152,16 @@ fn tealeaf_replay_reproduces_live_run() {
         ..TeaLeafConfig::default()
     };
     let run = run_tealeaf_traced(&cfg, Flavor::MustCusan);
+    let mut sizes = Vec::new();
     for rank in &run.outcome.ranks {
-        assert_faithful("tealeaf", rank);
+        sizes.push(assert_faithful("tealeaf", rank));
         assert_eq!(
             rank.events.named("cuda.kernel_calls"),
             rank.cuda.kernel_calls
         );
         assert_eq!(rank.events.named("cuda.sync_calls"), rank.cuda.sync_calls);
     }
+    assert_binary_compact("tealeaf", &sizes);
 }
 
 #[test]

@@ -3,24 +3,25 @@
 //! Runs Jacobi, 2-D Jacobi, and TeaLeaf under the full MUST & CuSan stack
 //! with checking inline (sync) and on the shared work-stealing checker
 //! pool (async), prints a table, and writes `BENCH_async_check.json` to
-//! the current directory (override with `CUSAN_BENCH_ASYNC_JSON`) so
-//! future PRs have a perf baseline to diff against. The JSON records the
-//! hardware thread count, the effective pool worker count per case
-//! (after any `CUSAN_CHECK_THREADS` override), and the adaptive
-//! batch-size profile (min/max/avg plus the power-of-two histogram), so a
-//! regression in batch shaping is visible even when wall-clock noise
-//! hides it.
+//! the current directory (override with `CUSAN_BENCH_ASYNC_JSON`; the
+//! file is git-ignored and no CI job runs this bin — it is the by-hand
+//! A/B for the sync-vs-async decision ROADMAP item 2 leaves open). The
+//! JSON records the hardware thread count, the effective pool worker
+//! count per case (after any `CUSAN_CHECK_THREADS` override), and the
+//! adaptive batch-size profile (min/max/avg plus the power-of-two
+//! histogram), so a regression in batch shaping is visible even when
+//! wall-clock noise hides it.
 //!
 //! The async backend overlaps detection with application progress, so a
 //! win requires spare hardware parallelism: with `available_parallelism`
 //! ≥ 2 the async mode should at least break even (asserted leniently at
-//! ≥ 0.5× to keep CI robust); on a single hardware thread the sweep only
-//! *records* the cost of the indirection — ring traffic plus context
-//! switches with nothing to overlap onto — and asserts nothing. The
-//! observability counters (stalls, max queue depth) are reported either
-//! way: a stall-heavy profile means the detector thread cannot keep up
-//! and the ring capacity or batch size needs tuning, independent of
-//! wall-clock.
+//! ≥ 0.5× so a noisy box does not fail it); on a single hardware thread
+//! the sweep only *records* the cost of the indirection — ring traffic
+//! plus context switches with nothing to overlap onto — and asserts
+//! nothing. The observability counters (stalls, max queue depth) are
+//! reported either way: a stall-heavy profile means the detector thread
+//! cannot keep up and the ring capacity or batch size needs tuning,
+//! independent of wall-clock.
 
 use cusan::async_check::BATCH_HIST_BUCKETS;
 use cusan::{effective_workers, AsyncCheckStats, Flavor, ToolConfig};

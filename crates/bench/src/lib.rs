@@ -17,10 +17,20 @@
 //! V100 cluster); the *shape* — which flavor costs what, and how overhead
 //! scales with tracked memory — is the reproduction target.
 //!
+//! Beside those, three tools that are not measurements of record:
+//! `replay_trace` (record / check / replay / transcode traces),
+//! `chaos_soak` (seeded fault and schedule soak) and `bench_async_check`
+//! (the sync-vs-async A/B run by hand). Everything else that is measured
+//! — decode, apply, serve, spill, explorer, shadow and clock costs —
+//! is a row of the ledger in `benchmark/`.
+//!
 //! Environment knobs: `CUSAN_BENCH_RUNS`, `CUSAN_BENCH_JACOBI_NX/NY/ITERS`,
-//! `CUSAN_BENCH_TEALEAF_NX/NY/STEPS`, `CUSAN_BENCH_RANKS`,
-//! `CUSAN_BENCH_FULL=1` (enables the largest Fig. 12 domain),
-//! `CUSAN_BENCH_RSS_BASELINE_MB` (Fig. 11 process-baseline model).
+//! `CUSAN_BENCH_JACOBI2D_NX/NY/ITERS`, `CUSAN_BENCH_TEALEAF_NX/NY/STEPS`,
+//! `CUSAN_BENCH_RANKS`, `CUSAN_BENCH_FULL=1` (enables the largest
+//! Fig. 12 domain), `CUSAN_BENCH_RSS_BASELINE_MB` (Fig. 11
+//! process-baseline model), `CUSAN_BENCH_ASYNC_JSON` (where
+//! `bench_async_check` writes its record; `BENCH_async_check.json`,
+//! git-ignored, by default).
 
 use cusan::Flavor;
 use cusan_apps::{Jacobi2dConfig, JacobiConfig, TeaLeafConfig};

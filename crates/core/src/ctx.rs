@@ -753,7 +753,7 @@ mod tests {
     #[test]
     fn async_stats_surface_only_in_async_mode() {
         // A frozen CUSAN_ASYNC_CHECK override beats the config field (the
-        // CI async-check-smoke job runs this whole suite with it set), so
+        // CI `strategy` legs run this whole suite with it set), so
         // mode-specific assertions only hold for the unforced mode.
         let forced = EnvOverrides::get().async_check;
         if forced.is_none() {

@@ -55,7 +55,7 @@ pub use event::{
 pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{
-    replay, replay_stream, transcode, ReplayOutcome, Trace, TraceFormat, TraceHeader, TraceItem,
-    TraceLineParser, TracePushParser, TraceReader, TraceRecord, TraceSink,
+    replay, replay_stream, transcode, Trace, TraceFormat, TraceHeader, TraceItem, TraceLineParser,
+    TracePushParser, TraceReader, TraceRecord, TraceSink,
 };
 pub use tsan_rt::SnapshotError;

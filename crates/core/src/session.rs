@@ -11,8 +11,9 @@
 //!   rank from its config's page budget (inline in sync mode, behind the
 //!   [`crate::CheckerPool`] in async mode) and feeds it the events its
 //!   CUDA/MPI layers emit.
-//! - **Offline replay** — [`crate::trace::replay`] builds a session from
-//!   a trace header and streams the recorded events through it.
+//! - **Offline replay** — [`crate::trace::replay_stream`] builds a
+//!   session from a trace header ([`CheckSession::for_header`]) and
+//!   streams the recorded records through it ([`CheckSession::feed`]).
 //! - **The serve path** — `cusan-serve` multiplexes thousands of
 //!   sessions over one pool, one per uploaded trace shard stream.
 //!
@@ -22,6 +23,7 @@
 use std::sync::Arc;
 
 use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, StrId};
+use crate::trace::{TraceHeader, TraceRecord};
 use tsan_rt::{
     CtxId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime, TsanStats,
 };
@@ -100,6 +102,17 @@ impl CheckSession {
         Self::from_runtime(opts.rank, rt)
     }
 
+    /// Fresh session shaped by a trace's header: the recorded rank names
+    /// the host fiber and the recorded budget bounds the shadow, so a
+    /// replayed or served session detects exactly what the live run did.
+    pub fn for_header(header: &TraceHeader) -> Self {
+        Self::new(&SessionOptions::for_trace(
+            header.rank,
+            header.tiered,
+            header.budget,
+        ))
+    }
+
     /// Wrap an already-configured runtime.
     pub fn from_runtime(rank: usize, rt: TsanRuntime) -> Self {
         CheckSession {
@@ -135,6 +148,17 @@ impl CheckSession {
     pub fn apply(&mut self, ev: &CusanEvent) {
         self.checker.apply(ev, &self.strings, &mut self.rt);
         self.counters.observe(ev, &self.strings);
+    }
+
+    /// Feed one decoded trace record: a string-table entry is mirrored
+    /// (sharing the parser's label bytes), an event is applied.
+    pub fn feed(&mut self, rec: &TraceRecord) {
+        match rec {
+            TraceRecord::Str { label, .. } => {
+                self.intern_shared(label);
+            }
+            TraceRecord::Event(ev) => self.apply(ev),
+        }
     }
 
     /// The session's mirror string table.

@@ -64,13 +64,13 @@
 //! test) — in either format.
 
 use crate::binio::{self, BinRecord};
-use crate::event::{CtxInterner, CusanEvent, EventCounters, EventSink, StrId};
-use crate::session::{CheckSession, SessionOptions};
+use crate::event::{CtxInterner, CusanEvent, EventSink, StrId};
+use crate::session::{CheckSession, SessionSummary};
 use std::cell::RefCell;
 use std::io::{BufRead, Write};
 use std::rc::Rc;
 use std::sync::Arc;
-use tsan_rt::{FiberId, RaceReport, SnapshotReader, SnapshotWriter, SyncKey, TsanStats};
+use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey};
 
 /// Magic prefix of a text trace header line. The version is part of the
 /// magic: readers reject any other version with a clear message.
@@ -1164,33 +1164,18 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, S
     Ok(out)
 }
 
-/// Result of replaying a trace offline.
-#[derive(Debug)]
-pub struct ReplayOutcome {
-    /// Retained race reports, identical to the live run's.
-    pub reports: Vec<RaceReport>,
-    /// Detector counters, identical to the live run's.
-    pub stats: TsanStats,
-    /// Pipeline counters folded from the replayed events.
-    pub counters: EventCounters,
-}
-
 /// Re-drive a recorded trace through a fresh [`CheckSession`].
 ///
 /// Uses the same apply path as the live run ([`CheckSession::apply`]),
-/// with the recorded rank's host-fiber name and shadow configuration, so
-/// reports (fiber and context labels included), [`TsanStats`], and
-/// [`EventCounters`] all reproduce exactly. (The arena is a pure
-/// allocation strategy, so traces never record it; the session reads the
-/// same frozen env knob the live run's ToolCtx uses, keeping live and
-/// replayed stats — `arena_*` fields included — identical within one
-/// process.)
-pub fn replay(trace: &Trace) -> ReplayOutcome {
-    let mut session = CheckSession::new(&SessionOptions::for_trace(
-        trace.rank,
-        trace.tiered,
-        trace.budget,
-    ));
+/// with the recorded rank's host-fiber name and shadow budget, so
+/// reports (fiber and context labels included), detector stats and
+/// event counters all reproduce exactly.
+pub fn replay(trace: &Trace) -> SessionSummary {
+    let mut session = CheckSession::for_header(&TraceHeader {
+        rank: trace.rank,
+        tiered: trace.tiered,
+        budget: trace.budget,
+    });
     for i in 0..trace.strings.len() {
         let label = trace
             .strings
@@ -1201,36 +1186,20 @@ pub fn replay(trace: &Trace) -> ReplayOutcome {
     for ev in &trace.events {
         session.apply(ev);
     }
-    let summary = session.into_summary();
-    ReplayOutcome {
-        reports: summary.reports,
-        stats: summary.stats,
-        counters: summary.counters,
-    }
+    session.into_summary()
 }
 
 /// Streaming replay: drive records from a [`BufRead`] source (either
 /// format) straight into a session without materializing a [`Trace`].
 /// Equivalent to `replay(&Trace::from_reader(input)?)` with O(1) memory
 /// in the trace length.
-pub fn replay_stream<R: BufRead>(input: R) -> Result<ReplayOutcome, String> {
+pub fn replay_stream<R: BufRead>(input: R) -> Result<SessionSummary, String> {
     let mut reader = TraceReader::new(input)?;
-    let h = *reader.header();
-    let mut session = CheckSession::new(&SessionOptions::for_trace(h.rank, h.tiered, h.budget));
+    let mut session = CheckSession::for_header(reader.header());
     for rec in &mut reader {
-        match rec? {
-            TraceRecord::Str { label, .. } => {
-                session.intern_shared(&label);
-            }
-            TraceRecord::Event(ev) => session.apply(&ev),
-        }
+        session.feed(&rec?);
     }
-    let summary = session.into_summary();
-    Ok(ReplayOutcome {
-        reports: summary.reports,
-        stats: summary.stats,
-        counters: summary.counters,
-    })
+    Ok(session.into_summary())
 }
 
 #[cfg(test)]
@@ -1327,7 +1296,8 @@ mod tests {
         let bin = record_as(TraceFormat::Binary, &pairs);
         // String labels cost the same raw bytes in both formats and
         // dominate this tiny sample; the ≥2.5× bytes-per-event gate
-        // lives in `bench_trace` where events dominate.
+        // lives in `crates/apps/tests/trace_replay.rs` and
+        // `tests/trace_fixture.rs`, where events dominate.
         assert!(
             bin.len() < text.len(),
             "binary ({}) should be smaller than text ({})",

@@ -29,9 +29,8 @@
 use crate::client::{check_traces_resilient, RetryPolicy};
 use crate::engine::{EngineConfig, ServeEngine, ServeStats};
 use crate::proto::Reply;
-use crate::{serve_connection, solo_summary, summary_to_json};
+use crate::{serve_stream, solo_summary, summary_to_json};
 use cusan::{FaultInjector, FaultPlan};
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -138,14 +137,9 @@ impl ChaosServer {
                     break;
                 }
                 let Ok(stream) = stream else { break };
-                let Ok(clone) = stream.try_clone() else {
-                    continue;
-                };
-                let mut reader = BufReader::new(clone);
-                let mut writer = stream;
                 // Connection failures are the whole point here; the
                 // engine detaches the connection's sessions either way.
-                let _ = serve_connection(&engine, &mut reader, &mut writer);
+                let _ = serve_stream(&engine, stream);
             }
         });
         Ok((addr, stop, thread))

@@ -228,7 +228,10 @@ pub struct ServeEngine {
     /// outer lock covers only map shape changes and lookups.
     live: Mutex<HashMap<u64, Arc<Mutex<LiveSession>>>>,
     /// Self-reference so `&self` methods can hand fresh ingests the
-    /// `Arc` they hold (engines only exist inside an `Arc`).
+    /// `Arc` their constructors take (engines only exist inside an
+    /// `Arc`). Ingests keep it weak too, so the registry below holding
+    /// them is not a cycle: dropping the last outside `Arc` frees the
+    /// engine with every resident session.
     me: Weak<ServeEngine>,
 }
 
@@ -413,9 +416,10 @@ impl ServeEngine {
         self.live.lock().get(&id).map(Arc::clone)
     }
 
-    /// The engine's own `Arc` (ingests hold one). Always upgradable:
-    /// engines only exist inside the `Arc` built by [`ServeEngine::new`],
-    /// and `&self` proves at least one strong reference is live.
+    /// The engine's own `Arc` (ingest constructors take one). Always
+    /// upgradable: engines only exist inside the `Arc` built by
+    /// [`ServeEngine::new`], and `&self` proves at least one strong
+    /// reference is live.
     fn self_arc(&self) -> Arc<ServeEngine> {
         self.me.upgrade().expect("engine outlived its own Arc")
     }

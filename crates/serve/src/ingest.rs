@@ -17,11 +17,8 @@
 //! of the same trace, at any worker count and in either trace format.
 
 use crate::engine::ServeEngine;
-use cusan::{
-    AsyncChecker, CheckSession, SessionOptions, SessionSummary, TraceItem, TracePushParser,
-    TraceRecord,
-};
-use std::sync::Arc;
+use cusan::{AsyncChecker, CheckSession, SessionSummary, TraceItem, TracePushParser, TraceRecord};
+use std::sync::{Arc, Weak};
 use tsan_rt::{SnapshotReader, SnapshotWriter};
 
 enum IngestState {
@@ -36,7 +33,11 @@ enum IngestState {
 
 /// One client trace stream being checked (see the module docs).
 pub struct SessionIngest {
-    engine: Arc<ServeEngine>,
+    /// Weak: the engine's registry owns its resident ingests, so a
+    /// strong reference back would keep a dropped engine — and the pool
+    /// workers its unfinished sessions are registered with — alive for
+    /// good. Whoever feeds an ingest holds the engine.
+    engine: Weak<ServeEngine>,
     /// Record framing + validation + string table; buffers the
     /// unconsumed tail of the stream (never grows past one record plus
     /// one chunk).
@@ -46,10 +47,12 @@ pub struct SessionIngest {
 
 impl SessionIngest {
     /// Fresh ingest; the session itself is created lazily when the
-    /// header record arrives.
+    /// header record arrives. The caller keeps `engine` alive for as
+    /// long as it feeds the ingest (feeding a dropped engine's ingest
+    /// is an error).
     pub fn new(engine: Arc<ServeEngine>) -> Self {
         SessionIngest {
-            engine,
+            engine: Arc::downgrade(&engine),
             parser: TracePushParser::new(),
             state: IngestState::AwaitHeader,
         }
@@ -62,12 +65,19 @@ impl SessionIngest {
         if matches!(self.state, IngestState::Done) {
             return Err("session already closed".to_string());
         }
+        let engine = self.engine()?;
         self.parser.feed(chunk);
-        self.pump()
+        self.pump(&engine)
+    }
+
+    fn engine(&self) -> Result<Arc<ServeEngine>, String> {
+        self.engine
+            .upgrade()
+            .ok_or_else(|| "serve engine dropped".to_string())
     }
 
     /// Drain every complete record the parser holds into the checker.
-    fn pump(&mut self) -> Result<(), String> {
+    fn pump(&mut self, engine: &ServeEngine) -> Result<(), String> {
         loop {
             let item = match self.parser.poll() {
                 Ok(Some(item)) => item,
@@ -80,17 +90,12 @@ impl SessionIngest {
             match item {
                 TraceItem::Header(header) => {
                     debug_assert!(matches!(self.state, IngestState::AwaitHeader));
-                    let session = CheckSession::new(&SessionOptions::for_trace(
-                        header.rank,
-                        header.tiered,
-                        header.budget,
-                    ));
                     let checker = AsyncChecker::with_pool(
-                        Arc::clone(self.engine.pool()),
-                        session,
-                        self.engine.config().check_threads,
+                        Arc::clone(engine.pool()),
+                        CheckSession::for_header(&header),
+                        engine.config().check_threads,
                     );
-                    self.engine.note_open();
+                    engine.note_open();
                     self.state = IngestState::Body { checker };
                 }
                 TraceItem::Record(rec) => {
@@ -102,7 +107,7 @@ impl SessionIngest {
                             // Mirror the canonical allocation, not the
                             // parser's private one: concurrent sessions
                             // of the same app share label bytes.
-                            checker.send_intern_shared(self.engine.labels().canon(&label));
+                            checker.send_intern_shared(engine.labels().canon(&label));
                         }
                         TraceRecord::Event(ev) => checker.send_event(ev),
                     }
@@ -173,7 +178,7 @@ impl SessionIngest {
         };
         r.expect_end().map_err(err)?;
         Ok(SessionIngest {
-            engine,
+            engine: Arc::downgrade(&engine),
             parser,
             state,
         })
@@ -188,8 +193,9 @@ impl SessionIngest {
         if matches!(self.state, IngestState::Done) {
             return Err("session already closed".to_string());
         }
+        let engine = self.engine()?;
         self.parser.close();
-        self.pump().map_err(|e| {
+        self.pump(&engine).map_err(|e| {
             if e == "empty trace" {
                 "empty session: no trace header received".to_string()
             } else {
@@ -208,7 +214,7 @@ impl SessionIngest {
                 // session to the engine: eviction must never contend
                 // with a pool worker holding the session lock.
                 drop(checker);
-                self.engine.finish_session(handle, pages, &summary);
+                engine.finish_session(handle, pages, &summary);
                 Ok(summary)
             }
         }

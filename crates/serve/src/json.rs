@@ -1,11 +1,12 @@
 //! Hand-rolled JSON for session summaries (the workspace is offline, so
-//! no serde — same convention as the bench bins).
+//! no serde). This is the product's only JSON writer: the wire format of
+//! an `S` reply and of `cusan-serve check`'s output.
 //!
 //! Serialization is deterministic: field order is fixed, reports keep
 //! detection order, and the named counter map is a `BTreeMap`. Two equal
 //! [`SessionSummary`] values therefore always produce byte-identical
-//! JSON — the serve selftest compares served and solo summaries at the
-//! JSON level for exactly this reason.
+//! JSON — the determinism and chaos tests compare served and solo
+//! summaries at the JSON level for exactly this reason.
 
 use cusan::SessionSummary;
 use std::fmt::Write as _;

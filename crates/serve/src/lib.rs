@@ -22,15 +22,16 @@
 //! instrumentation uses — [`cusan::CheckSession::apply`] behind the
 //! work-stealing pool — so a served session's summary is bit-for-bit
 //! identical to a solo synchronous replay of the same trace, at any
-//! worker count. The determinism tests and the `selftest` binary mode
-//! assert this for ≥ 64 concurrent sessions.
+//! worker count. `tests/determinism.rs` asserts this for 64 concurrent
+//! sessions, in process and over loopback TCP.
 //!
 //! Since the crash-safety work, that contract extends to *failures*:
 //! sessions are owned by the engine and survive their connections (the
 //! `R` resume op reattaches and replays from the last acked offset),
 //! unfinished idle sessions can be spilled to disk and transparently
 //! restored, and a restarted server recovers in-flight sessions from
-//! its spill directory. The [`chaos`] harness drives all of it with
+//! its spill directory. The [`chaos`] harness (run over 32 seeds in
+//! each trace encoding by `tests/chaos_serve.rs`) drives all of it with
 //! seeded socket-level fault schedules and asserts the summaries stay
 //! byte-identical to solo replay. See `DESIGN.md`, "Failure model &
 //! resumption".
@@ -51,9 +52,9 @@ pub use json::summary_to_json;
 pub use labels::SharedLabels;
 pub use proto::{check_traces, serve_connection, FrameError, Reply};
 
-use cusan::{CheckSession, SessionOptions, SessionSummary, TraceReader, TraceRecord};
-use std::io::BufReader;
-use std::net::TcpListener;
+use cusan::SessionSummary;
+use std::io::{BufReader, BufWriter};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,25 +74,24 @@ pub fn unique_scratch_dir(tag: &str) -> PathBuf {
 /// sniffs) solo, synchronously, in this thread — the baseline every
 /// served session is compared against.
 pub fn solo_summary(trace: impl AsRef<[u8]>) -> Result<SessionSummary, String> {
-    let mut reader = TraceReader::new(trace.as_ref())?;
-    let h = *reader.header();
-    let mut session = CheckSession::new(&SessionOptions::for_trace(h.rank, h.tiered, h.budget));
-    for rec in &mut reader {
-        match rec? {
-            TraceRecord::Str { label, .. } => {
-                session.intern_shared(&label);
-            }
-            TraceRecord::Event(ev) => session.apply(&ev),
-        }
-    }
-    Ok(session.into_summary())
+    cusan::replay_stream(trace.as_ref())
+}
+
+/// Serve one accepted TCP connection until `Q` or EOF, reading and
+/// writing through buffers: a reply frame leaves in one segment, where
+/// two unbuffered writes on a socket without `TCP_NODELAY` cost a
+/// client that waits for each reply a delayed-ACK round (≈ 40 ms).
+pub(crate) fn serve_stream(engine: &Arc<ServeEngine>, stream: TcpStream) -> std::io::Result<()> {
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+    serve_connection(engine, &mut reader, &mut writer)
 }
 
 /// Accept connections on `listener` forever (or until `max_connections`,
-/// when given — the selftest's bounded variant), one thread per
-/// connection, all sharing `engine`. Per-connection I/O errors are
-/// logged, not fatal: one misbehaving client must not take the service
-/// down.
+/// when given — what tests and the benchmark use to end a server), one
+/// thread per connection, all sharing `engine`. Per-connection I/O
+/// errors are logged, not fatal: one misbehaving client must not take
+/// the service down.
 pub fn serve_listener(
     engine: Arc<ServeEngine>,
     listener: TcpListener,
@@ -105,9 +105,7 @@ pub fn serve_listener(
                 let peer = stream
                     .peer_addr()
                     .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string());
-                let mut reader = BufReader::new(stream.try_clone().expect("clone TCP stream"));
-                let mut writer = stream;
-                if let Err(e) = serve_connection(&engine, &mut reader, &mut writer) {
+                if let Err(e) = serve_stream(&engine, stream) {
                     eprintln!("cusan-serve: connection from {peer} failed: {e}");
                 }
             });

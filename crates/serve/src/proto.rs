@@ -298,11 +298,17 @@ fn ack_frame(id: u64, acked: u64) -> Vec<u8> {
     frame_with_id(OP_ACK, id, &acked.to_be_bytes())
 }
 
+fn error_frame(id: u64, message: &str) -> Vec<u8> {
+    frame_with_id(OP_ERROR, id, message.as_bytes())
+}
+
 /// Serve one connection until `Q` or EOF. Sessions are owned by the
 /// engine, not the connection: when the connection ends (cleanly or
 /// not), every session it attached is *detached* — kept alive for a
 /// later resume — rather than dropped. `C` is the only frame that ends
-/// a session.
+/// a session. Each reply is flushed as soon as it is written, so hand
+/// this a buffered `writer` over a socket: the frame then leaves in one
+/// write instead of a length prefix followed by a payload.
 pub fn serve_connection<R: Read, W: Write>(
     engine: &Arc<ServeEngine>,
     reader: &mut R,
@@ -326,18 +332,16 @@ fn serve_frames<R: Read, W: Write>(
         let Some(&op) = payload.first() else {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "empty frame"));
         };
-        match op {
+        let reply = match op {
             OP_QUIT => break,
             OP_OPEN => {
                 let (id, _) = parse_id(&payload)?;
                 match engine.open_new(id) {
                     Ok(()) => {
                         mine.insert(id);
+                        None
                     }
-                    Err(e) => write_frame(
-                        writer,
-                        &frame_with_id(OP_ERROR, id, e.to_string().as_bytes()),
-                    )?,
+                    Err(e) => Some(error_frame(id, &e.to_string())),
                 }
             }
             OP_RESUME => {
@@ -352,51 +356,40 @@ fn serve_frames<R: Read, W: Write>(
                         mine.insert(id);
                     })
                 };
-                match r {
-                    Ok(acked) => write_frame(writer, &ack_frame(id, acked))?,
-                    Err(e) => write_frame(writer, &frame_with_id(OP_ERROR, id, e.as_bytes()))?,
-                }
-                writer.flush()?;
+                Some(match r {
+                    Ok(acked) => ack_frame(id, acked),
+                    Err(e) => error_frame(id, &e),
+                })
             }
             OP_HEARTBEAT => {
                 let (id, _) = parse_id(&payload)?;
-                match engine.touch(id) {
-                    Ok(acked) => write_frame(writer, &ack_frame(id, acked))?,
-                    Err(e) => write_frame(writer, &frame_with_id(OP_ERROR, id, e.as_bytes()))?,
-                }
-                writer.flush()?;
+                Some(match engine.touch(id) {
+                    Ok(acked) => ack_frame(id, acked),
+                    Err(e) => error_frame(id, &e),
+                })
             }
             OP_DATA => {
                 let (id, offset, chunk) = parse_data(&payload)?;
                 match engine.feed(id, offset, chunk) {
-                    Ok(_) => {}
-                    Err(FeedError::Gap { expected, got }) => {
-                        // The session is intact — the client can learn
-                        // `expected` from an `R`/`H` and replay.
-                        let msg = format!("offset gap: expected {expected}, frame starts at {got}");
-                        write_frame(writer, &frame_with_id(OP_ERROR, id, msg.as_bytes()))?;
-                        writer.flush()?;
-                    }
+                    Ok(_) => None,
+                    // The session is intact — the client can learn
+                    // `expected` from an `R`/`H` and replay.
+                    Err(e @ FeedError::Gap { .. }) => Some(error_frame(id, &e.to_string())),
                     Err(FeedError::Fatal(e)) => {
                         mine.remove(&id);
-                        write_frame(writer, &frame_with_id(OP_ERROR, id, e.as_bytes()))?;
-                        writer.flush()?;
+                        Some(error_frame(id, &e))
                     }
                 }
             }
             OP_CLOSE => {
                 let (id, _) = parse_id(&payload)?;
                 mine.remove(&id);
-                match engine.close(id) {
+                Some(match engine.close(id) {
                     Ok(summary) => {
-                        let json = summary_to_json(id, &summary);
-                        write_frame(writer, &frame_with_id(OP_SUMMARY, id, json.as_bytes()))?;
+                        frame_with_id(OP_SUMMARY, id, summary_to_json(id, &summary).as_bytes())
                     }
-                    Err(e) => {
-                        write_frame(writer, &frame_with_id(OP_ERROR, id, e.as_bytes()))?;
-                    }
-                }
-                writer.flush()?;
+                    Err(e) => error_frame(id, &e),
+                })
             }
             op => {
                 return Err(io::Error::new(
@@ -404,9 +397,17 @@ fn serve_frames<R: Read, W: Write>(
                     format!("unknown opcode {op:#x}"),
                 ));
             }
+        };
+        // Every reply is flushed as it is written: behind a buffered
+        // writer the length prefix and the payload leave in one write,
+        // and a client that waits for this reply before it sends more
+        // is never left waiting on a buffer.
+        if let Some(frame) = reply {
+            write_frame(writer, &frame)?;
+            writer.flush()?;
         }
     }
-    writer.flush()
+    Ok(())
 }
 
 /// Client helper: stream `traces` (id → full trace text) over one
@@ -563,5 +564,62 @@ mod tests {
         }
         // Malformed ack body (wrong length) is an error.
         assert!(parse_reply(&frame_with_id(OP_ACK, 9, b"xyz")).is_err());
+    }
+
+    /// Records every `write` call it receives as one entry.
+    #[derive(Debug)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_reaches_a_buffered_transport_as_one_write() {
+        // What `serve_listener` sets up: replies go through a
+        // `BufWriter`, so a reply costs the socket one write (length
+        // prefix and payload together) provided every reply path
+        // flushes — an unflushed one would share a later reply's write.
+        let engine = ServeEngine::new(crate::EngineConfig::default());
+        let trace = b"cusan-trace v2 rank 0 tiered 1 budget none\ns 0 f\nfc 1 0\n";
+        let mut request = Vec::new();
+        for frame in [
+            resume_frame(1),                    // A
+            data_frame(1, 0, trace),            // accepted: no reply
+            heartbeat_frame(1),                 // A
+            open_frame(1),                      // E: already open
+            data_frame(1, 9_999, b"x"),         // E: offset gap
+            heartbeat_frame(2),                 // E: not open
+            close_frame(1),                     // S
+            close_frame(1),                     // E: not open
+            open_frame(3),                      // accepted: no reply
+            data_frame(3, 0, b"not a trace\n"), // E: fatal
+            quit_frame(),
+        ] {
+            write_frame(&mut request, &frame).unwrap();
+        }
+        let mut replies = io::BufWriter::new(WriteLog(Vec::new()));
+        serve_connection(&engine, &mut request.as_slice(), &mut replies).unwrap();
+        let writes = replies.into_inner().unwrap().0;
+        let ops: Vec<u8> = writes
+            .iter()
+            .map(|w| {
+                let mut r: &[u8] = w;
+                let payload = read_frame(&mut r).unwrap().expect("a whole frame");
+                assert!(
+                    r.is_empty(),
+                    "one frame per write, got {} more bytes",
+                    r.len()
+                );
+                payload[0]
+            })
+            .collect();
+        assert_eq!(ops, *b"AAEEESEE");
     }
 }

@@ -172,42 +172,65 @@ fn global_budget_evicts_idle_sessions_without_changing_races() {
     assert_eq!(stats.sessions_finished, 16);
 }
 
-#[test]
-fn socket_end_to_end_replies_with_solo_identical_json() {
+/// `sessions` sessions (`corpus[i % corpus.len()]`) dealt round-robin
+/// over `connections` TCP connections to one listener, every connection
+/// interleaving its sessions in small chunks; each reply must be the
+/// solo replay's JSON, byte for byte. With a `global_budget`, finished
+/// sessions must have been evicted to stay under it.
+fn socket_end_to_end(
+    corpus: &[Vec<u8>],
+    connections: usize,
+    sessions: usize,
+    global_budget: Option<usize>,
+) {
     use cusan_serve::{check_traces, serve_listener, Reply};
     use std::net::{TcpListener, TcpStream};
 
-    let corpus = corpus();
     let engine = ServeEngine::new(EngineConfig {
         check_threads: Some(2),
-        global_page_budget: None,
+        global_page_budget: global_budget,
         ..EngineConfig::default()
     });
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = {
         let engine = Arc::clone(&engine);
-        std::thread::spawn(move || serve_listener(engine, listener, Some(1)))
+        std::thread::spawn(move || serve_listener(engine, listener, Some(connections)))
     };
 
-    // One connection multiplexing every corpus trace, tiny interleaved
-    // chunks.
-    let traces: Vec<(u64, Vec<u8>)> = corpus
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i as u64, t.clone()))
+    let per_conn: Vec<Vec<(u64, Vec<u8>)>> = (0..connections)
+        .map(|c| {
+            (c..sessions)
+                .step_by(connections)
+                .map(|i| (i as u64, corpus[i % corpus.len()].clone()))
+                .collect()
+        })
         .collect();
-    let stream = TcpStream::connect(addr).unwrap();
-    let reader = stream.try_clone().unwrap();
-    let mut replies = check_traces(reader, stream, &traces, 173).unwrap();
+    let mut replies: Vec<Reply> = std::thread::scope(|scope| {
+        let clients: Vec<_> = per_conn
+            .iter()
+            .map(|traces| {
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    let reader = stream.try_clone().unwrap();
+                    check_traces(reader, stream, traces, 173).unwrap()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
     server.join().unwrap().unwrap();
 
     replies.sort_by_key(|r| match r {
         Reply::Summary { id, .. } | Reply::Error { id, .. } | Reply::Ack { id, .. } => *id,
     });
-    assert_eq!(replies.len(), corpus.len());
+    assert_eq!(replies.len(), sessions);
+    let solo: Vec<_> = corpus.iter().map(|t| solo_summary(t).unwrap()).collect();
     for (i, reply) in replies.iter().enumerate() {
-        let expected = summary_to_json(i as u64, &solo_summary(&corpus[i]).unwrap());
+        let expected = summary_to_json(i as u64, &solo[i % corpus.len()]);
         match reply {
             Reply::Summary { id, json } => {
                 assert_eq!(*id, i as u64);
@@ -219,7 +242,30 @@ fn socket_end_to_end_replies_with_solo_identical_json() {
             Reply::Ack { id, .. } => panic!("session {id}: stray ack as terminal reply"),
         }
     }
-    assert_eq!(engine.stats().sessions_finished, corpus.len() as u64);
+    let stats = engine.stats();
+    assert_eq!(stats.sessions_finished, sessions as u64);
+    if let Some(budget) = global_budget {
+        assert!(
+            stats.sessions_evicted > 0,
+            "budget {budget} evicted nothing (peak {} pages)",
+            stats.peak_resident_pages
+        );
+        assert!(
+            stats.resident_pages <= budget as u64,
+            "resident {} exceeds budget {budget}",
+            stats.resident_pages
+        );
+    }
+}
+
+#[test]
+fn socket_end_to_end_replies_with_solo_identical_json() {
+    let corpus = corpus();
+    // One connection multiplexing every corpus trace.
+    socket_end_to_end(&corpus, 1, corpus.len(), None);
+    // 64 sessions interleaved over 8 connections, under a budget that
+    // has to evict idle finished sessions while others still stream.
+    socket_end_to_end(&corpus, 8, 64, Some(32));
 }
 
 #[test]

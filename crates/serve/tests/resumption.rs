@@ -314,6 +314,36 @@ fn restarted_server_recovers_sessions_from_disk() {
 }
 
 #[test]
+fn dropping_the_engine_frees_its_resident_sessions() {
+    // A server generation that dies with sessions mid-trace (what the
+    // test above calls a crash) must not outlive its last handle: the
+    // registry owns the session and the session must not own the engine
+    // back, or the engine, the session and the pool workers polling for
+    // it all leak.
+    let engine = ServeEngine::new(EngineConfig {
+        check_threads: Some(2),
+        ..EngineConfig::default()
+    });
+    let bytes = GOLDEN.as_bytes();
+    engine.open_new(1).unwrap();
+    engine.feed(1, 0, &bytes[..bytes.len() / 2]).unwrap();
+    let pool = Arc::clone(engine.pool());
+    assert_eq!(pool.session_count(), 1, "half-fed session is registered");
+    assert_eq!(pool.worker_count(), 2);
+
+    let weak = Arc::downgrade(&engine);
+    drop(engine);
+    assert!(weak.upgrade().is_none(), "resident session kept the engine");
+    assert_eq!(pool.session_count(), 0, "session left the pool");
+    // Workers notice the empty registration set within a few parks.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while pool.worker_count() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(pool.worker_count(), 0, "idle workers must exit");
+}
+
+#[test]
 fn socket_resumption_survives_a_mid_trace_disconnect() {
     let engine = ServeEngine::new(EngineConfig {
         check_threads: Some(2),
