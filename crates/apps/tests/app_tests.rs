@@ -127,6 +127,41 @@ fn jacobi_vanilla_misses_what_cusan_catches() {
     }
 }
 
+/// The racy run's per-rank verdict, pinned to what per-word conflict
+/// emission produced (recorded at commit 05e6ed9): the 8 KiB halo rows
+/// start at offset 0x10, so each races over a partial page, a whole
+/// summary page (one 512-word run) and another partial page.
+#[test]
+fn jacobi_missing_sync_summary_is_pinned() {
+    let cfg = JacobiConfig {
+        nx: 1024,
+        ny: 64,
+        ranks: 2,
+        iters: 3,
+        race: RaceMode::SkipSyncBeforeExchange,
+    };
+    let run = run_jacobi(&cfg, Flavor::MustCusan);
+    const KERNEL: &str = "kernel copy_buf arg#0 (dst) [write]";
+    const SEND: &str = "MPI_Sendrecv send buffer [read]";
+    const RECV: &str = "MPI_Sendrecv recv buffer [write]";
+    let expected: [[(u64, &str); 2]; 2] = [
+        [(0x1000000040010, SEND), (0x1000000042010, RECV)],
+        [(0x1010000002010, SEND), (0x1010000000010, RECV)],
+    ];
+    for (rank, want) in run.outcome.ranks.iter().zip(expected) {
+        assert_eq!(rank.race_count, 2);
+        // 3 iterations x 2 context pairs x 1024 words, minus the 2 reported.
+        assert_eq!(rank.tsan.races_deduped, 6142);
+        let got: Vec<(u64, &str, &str)> = rank
+            .races
+            .iter()
+            .map(|r| (r.addr, r.current.ctx.as_str(), r.previous.ctx.as_str()))
+            .collect();
+        let want: Vec<(u64, &str, &str)> = want.iter().map(|&(a, c)| (a, c, KERNEL)).collect();
+        assert_eq!(got, want, "rank {}", rank.rank);
+    }
+}
+
 #[test]
 fn tealeaf_converges() {
     let run = run_tealeaf(&small_tealeaf(2), Flavor::Vanilla);

@@ -140,6 +140,33 @@ fn unescape(s: &str) -> String {
     out
 }
 
+/// Validation both body decoders run on an event before handing it out
+/// (the message gets the caller's line/record position): string ids must
+/// be defined, and a byte range must end inside the address space —
+/// `addr + len` is what the shadow's range arithmetic computes.
+fn check_event(ev: &CusanEvent, strings: &CtxInterner) -> Result<(), String> {
+    if let Some(id) = event_used_str(ev) {
+        if id.0 as usize >= strings.len() {
+            return Err(format!("undefined string id {}", id.0));
+        }
+    }
+    match *ev {
+        CusanEvent::ReadRange { addr, len, .. }
+        | CusanEvent::WriteRange { addr, len, .. }
+        | CusanEvent::Alloc {
+            addr, bytes: len, ..
+        }
+        | CusanEvent::Free { addr, bytes: len }
+            if addr.checked_add(len).is_none() =>
+        {
+            Err(format!(
+                "range {addr:x}+{len} runs past the end of the address space"
+            ))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// String id an event references, if any — both parsers enforce that it
 /// is already defined by the string table.
 fn event_used_str(ev: &CusanEvent) -> Option<StrId> {
@@ -595,12 +622,7 @@ impl TraceLineParser {
             },
             other => return Err(parse_err(lineno, format!("unknown event kind {other:?}"))),
         };
-        // Events must not reference string ids the table hasn't defined.
-        if let Some(id) = event_used_str(&ev) {
-            if id.0 as usize >= self.strings.len() {
-                return Err(parse_err(lineno, format!("undefined string id {}", id.0)));
-            }
-        }
+        check_event(&ev, &self.strings).map_err(|msg| parse_err(lineno, msg))?;
         Ok(Some(TraceRecord::Event(ev)))
     }
 }
@@ -666,14 +688,7 @@ impl BinRecordParser {
                         ))
                     }
                     BinRecord::Event(ev) => {
-                        if let Some(id) = event_used_str(&ev) {
-                            if id.0 as usize >= self.strings.len() {
-                                return Err(rec_err(
-                                    self.recno,
-                                    format!("undefined string id {}", id.0),
-                                ));
-                            }
-                        }
+                        check_event(&ev, &self.strings).map_err(|msg| rec_err(self.recno, msg))?;
                         Ok(BinStep::Record(n, TraceRecord::Event(ev)))
                     }
                 }
@@ -1461,6 +1476,44 @@ mod tests {
         enc.encode_end(&mut bytes);
         let err = Trace::from_bytes(&bytes).unwrap_err();
         assert!(err.contains("string table not dense"), "got: {err}");
+    }
+
+    #[test]
+    fn ranges_past_the_address_space_are_refused_in_both_encodings() {
+        let mut strings = CtxInterner::new();
+        let ctx = strings.intern("hostile");
+        let (addr, len) = (u64::MAX, 16);
+        let hostile = [
+            CusanEvent::ReadRange { addr, len, ctx },
+            CusanEvent::WriteRange { addr, len, ctx },
+            CusanEvent::Alloc {
+                addr,
+                bytes: len,
+                kind: ctx,
+            },
+            CusanEvent::Free { addr, bytes: len },
+        ];
+        for format in [TraceFormat::Text, TraceFormat::Binary] {
+            for ev in &hostile {
+                let bytes = record_as(format, &[(*ev, &strings)]);
+                let err = replay_stream(&bytes[..]).unwrap_err();
+                assert!(
+                    err.contains("ffffffffffffffff+16 runs past the end"),
+                    "{format:?} {ev:?}: {err}"
+                );
+                assert!(Trace::from_bytes(&bytes).is_err());
+            }
+            // The last representable range is fine, and the shadow walks
+            // it without overflowing.
+            let top = CusanEvent::WriteRange {
+                addr: u64::MAX - 15,
+                len: 15,
+                ctx,
+            };
+            let bytes = record_as(format, &[(top, &strings)]);
+            let summary = replay_stream(&bytes[..]).unwrap();
+            assert_eq!(summary.stats.write_bytes, 15);
+        }
     }
 
     #[test]

@@ -329,3 +329,63 @@ fn bad_streams_fail_cleanly_without_poisoning_the_engine() {
     assert_eq!(summary, solo_summary(GOLDEN).unwrap());
     assert_eq!(engine.stats().sessions_finished, 1);
 }
+
+#[test]
+fn a_range_past_the_address_space_fails_only_its_own_session() {
+    use cusan::binio::Encoder;
+    use cusan::{CusanEvent, StrId};
+    use cusan_serve::proto::{
+        close_frame, data_frame, open_frame, parse_reply, quit_frame, read_frame, write_frame,
+    };
+    use cusan_serve::{serve_connection, Reply};
+
+    // `wr ffffffffffffffff 16 <ctx>` in both encodings.
+    let text = b"cusan-trace v2 rank 0 tiered 1 budget none\ns 0 x\nwr ffffffffffffffff 16 0\n";
+    let mut binary = Vec::new();
+    Encoder::encode_header(&mut binary, 0, true, None);
+    let mut enc = Encoder::new();
+    enc.encode_str(&mut binary, 0, "x");
+    enc.encode_event(
+        &mut binary,
+        &CusanEvent::WriteRange {
+            addr: u64::MAX,
+            len: 16,
+            ctx: StrId(0),
+        },
+    );
+    enc.encode_end(&mut binary);
+
+    let golden = GOLDEN.as_bytes();
+    let (head, tail) = golden.split_at(golden.len() / 2);
+    let solo_json = summary_to_json(2, &solo_summary(GOLDEN).unwrap());
+    for hostile in [&text[..], &binary[..]] {
+        // The sibling session streams on both sides of the bad record.
+        let engine = ServeEngine::new(EngineConfig::default());
+        let mut request = Vec::new();
+        for frame in [
+            open_frame(1),
+            open_frame(2),
+            data_frame(2, 0, head),
+            data_frame(1, 0, hostile),
+            data_frame(2, head.len() as u64, tail),
+            close_frame(2),
+            quit_frame(),
+        ] {
+            write_frame(&mut request, &frame).unwrap();
+        }
+        let mut reply_bytes = Vec::new();
+        serve_connection(&engine, &mut request.as_slice(), &mut reply_bytes).unwrap();
+        let mut replies = Vec::new();
+        let mut r = reply_bytes.as_slice();
+        while let Some(payload) = read_frame(&mut r).unwrap() {
+            replies.push(parse_reply(&payload).unwrap());
+        }
+        match &replies[..] {
+            [Reply::Error { id: 1, message }, Reply::Summary { id: 2, json }] => {
+                assert!(message.contains("runs past the end"), "got: {message}");
+                assert_eq!(*json, solo_json);
+            }
+            other => panic!("unexpected replies: {other:?}"),
+        }
+    }
+}

@@ -350,9 +350,13 @@ impl TsanRuntime {
         let fibers: &FiberTable = fibers;
         let fiber_clock = &fibers.get(cur).clock;
         shadow.access_range(addr, len, write, cur, clock_val, ctx, fiber_clock, |c| {
+            // A run of `c.words` identically-conflicting words folds in
+            // one step: word-by-word, the first word's insert decides
+            // and every later word of the run is a duplicate.
             let key = (ctx.0, c.prev.ctx.0);
-            if !report_keys.insert(key) {
-                stats.races_deduped += 1;
+            let new_key = report_keys.insert(key);
+            stats.races_deduped += c.words - u64::from(new_key);
+            if !new_key {
                 return;
             }
             let report = RaceReport {
@@ -855,17 +859,54 @@ mod tests {
 
     #[test]
     fn dedupe_by_context_pair() {
+        // One page, then eight: each racy summary page arrives as one
+        // 512-word run and must count like 512 single-word conflicts.
+        for pages in [1u64, 8] {
+            let mut t = rt();
+            let f = t.create_fiber("f");
+            let cw = t.intern_ctx("w");
+            let cr = t.intern_ctx("r");
+            t.switch_to_fiber(f);
+            t.write_range(A, pages * 4096, cw);
+            t.switch_to_fiber(FiberId::HOST);
+            t.read_range(A, pages * 4096, cr);
+            // 512 conflicting words per page but a single (r,w) report,
+            // addressed at the first conflicting word.
+            assert_eq!(t.race_count(), 1);
+            assert_eq!(t.stats().races_deduped, pages * 512 - 1);
+            assert_eq!(t.reports().len(), 1);
+            assert_eq!(t.reports()[0].addr, A);
+        }
+    }
+
+    #[test]
+    fn two_prior_conflicts_report_in_slot_order() {
+        // Two unordered readers sit in summary slots 0 and 1; a third
+        // fiber's write conflicts with both on every word of two pages.
+        // Per word that is (r1, r2), (r1, r2), ...: r1 is reported first,
+        // and each page contributes 512 emissions per prior access.
         let mut t = rt();
-        let f = t.create_fiber("f");
+        let f1 = t.create_fiber("f1");
+        let f2 = t.create_fiber("f2");
+        let cr1 = t.intern_ctx("r1");
+        let cr2 = t.intern_ctx("r2");
         let cw = t.intern_ctx("w");
-        let cr = t.intern_ctx("r");
-        t.switch_to_fiber(f);
-        t.write_range(A, 4096, cw);
+        t.switch_to_fiber(f1);
+        t.read_range(A, 2 * 4096, cr1);
+        t.switch_to_fiber(f2);
+        t.read_range(A, 2 * 4096, cr2);
         t.switch_to_fiber(FiberId::HOST);
-        t.read_range(A, 4096, cr);
-        // 512 conflicting words but a single (r,w) report.
-        assert_eq!(t.race_count(), 1);
-        assert_eq!(t.stats().races_deduped, 511);
+        t.write_range(A, 2 * 4096, cw);
+        let prev: Vec<&str> = t
+            .reports()
+            .iter()
+            .map(|r| r.previous.ctx.as_str())
+            .collect();
+        assert_eq!(prev, ["r1", "r2"]);
+        assert!(t.reports().iter().all(|r| r.addr == A));
+        let s = t.stats();
+        assert_eq!(s.races_reported, 2);
+        assert_eq!(s.races_deduped, 2 * 2 * 512 - 2);
     }
 
     #[test]

@@ -31,11 +31,13 @@
 //!    slot contents is stored as one `[u64; 4]` *summary* instead of 512
 //!    word slot-arrays. An access covering every word of a page runs the
 //!    slot state machine **once** against the summary — O(1) per 4 KiB
-//!    instead of 512 word walks — and conflicts found there are re-emitted
-//!    per word so the [`RawConflict`] surface (word-aligned addresses) is
-//!    unchanged. A partial overlap, or a store that would evict (eviction
-//!    is word-local, so words would diverge), lazily *unfolds* the summary
-//!    into the flat word representation first.
+//!    instead of 512 word walks, for the store *and* for what it finds:
+//!    each conflicting prior access is emitted as one [`RawConflict`]
+//!    *run* covering the page's 512 words (the per-word walk emits runs
+//!    of one word), which the runtime folds into its dedup set and
+//!    counters in one step. A partial overlap, or a store that would
+//!    evict (eviction is word-local, so words would diverge), lazily
+//!    *unfolds* the summary into the flat word representation first.
 //! 2. **Same-state fast path.** The single most common pattern in
 //!    iteration loops (Jacobi, TeaLeaf) is re-annotating an identical
 //!    range with an identical packed epoch — same fiber, clock, ctx, and
@@ -109,11 +111,15 @@ pub fn unpack(raw: u64) -> ShadowAccess {
     }
 }
 
-/// A race discovered while recording an access.
+/// A race discovered while recording an access: a run of consecutive
+/// words that all conflict identically with `prev`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawConflict {
-    /// Word-aligned application address of the conflicting word.
+    /// Word-aligned application address of the run's first word.
     pub word_addr: u64,
+    /// Words in the run (≥ 1): a whole summary page conflicts as one run
+    /// of 512, the per-word walk emits runs of 1.
+    pub words: u64,
     /// The previously recorded access.
     pub prev: ShadowAccess,
 }
@@ -601,9 +607,11 @@ impl ShadowMemory {
 
     /// Record an access of `[addr, addr+len)` by `fiber` (whose clock
     /// component is `clock` and full vector clock is `fiber_clock`).
-    /// Invokes `on_conflict` for each word where a conflicting prior
-    /// access is found. Cost is O(pages) for page-covering ranges,
-    /// O(len) for the partial pages at the edges.
+    /// Invokes `on_conflict` for each run of words that conflicts with a
+    /// prior access: once per (summary page, prior access), once per
+    /// (word, prior access) on unfolded pages. Cost is O(pages) for
+    /// page-covering ranges — conflicts included — and O(len) for the
+    /// partial pages at the edges. `addr + len` must not overflow.
     #[allow(clippy::too_many_arguments)]
     pub fn access_range(
         &mut self,
@@ -643,7 +651,10 @@ impl ShadowMemory {
         }
         self.last = Some(key);
         let first_word = addr / WORD_BYTES;
-        let last_word = (addr + len - 1) / WORD_BYTES;
+        // The range's end is validated upstream: the trace decoders
+        // reject records whose `addr + len` overflows, and live ranges
+        // come from real allocations.
+        let last_word = (addr + (len - 1)) / WORD_BYTES;
         let words_per_page = WORDS_PER_PAGE as u64;
         // Split borrows: the map entry, the arena, and the counters are
         // touched together in every arm below.
@@ -706,11 +717,12 @@ impl ShadowMemory {
                             let mut need_unfold = true;
                             if whole_page {
                                 // Run the slot state machine once against
-                                // the summary. Conflicts are buffered and
-                                // re-emitted per word below so reports
-                                // stay word-addressed (each word held
-                                // identical slots, so each word
-                                // conflicts identically).
+                                // the summary. Conflicts are buffered
+                                // (an eviction discards them: the unfold
+                                // walk below finds them again) and
+                                // emitted as one page-long run each —
+                                // every word held identical slots, so
+                                // every word conflicts identically.
                                 let mut conflicts = [ShadowAccess {
                                     fiber: FiberId::HOST,
                                     clock: 0,
@@ -731,13 +743,12 @@ impl ShadowMemory {
                                 // take the slow path instead (rare: needs
                                 // 4 live foreign epochs).
                                 if decision != StoreDecision::Evict {
-                                    for w in page_first_word..=page_last_word {
-                                        for prev in conflicts.iter().take(n_conflicts) {
-                                            on_conflict(RawConflict {
-                                                word_addr: w * WORD_BYTES,
-                                                prev: *prev,
-                                            });
-                                        }
+                                    for prev in conflicts.iter().take(n_conflicts) {
+                                        on_conflict(RawConflict {
+                                            word_addr: page_first_word * WORD_BYTES,
+                                            words: words_per_page,
+                                            prev: *prev,
+                                        });
                                     }
                                     if let StoreDecision::At(i) = decision {
                                         summary[i] = new_raw;
@@ -1037,6 +1048,7 @@ fn walk_words(
         let decision = scan_slots(slots, fiber, write, fiber_clock, |prev| {
             on_conflict(RawConflict {
                 word_addr: w * WORD_BYTES,
+                words: 1,
                 prev,
             })
         });
@@ -1433,7 +1445,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_conflicts_reported_per_word() {
+    fn summary_conflict_is_one_run_per_page() {
         let mut sh = ShadowMemory::new();
         let clk = VectorClock::new();
         sh.access_range(
@@ -1446,15 +1458,48 @@ mod tests {
             &clk,
             no_conflict_expected,
         );
-        let mut words = Vec::new();
+        let mut runs = Vec::new();
         sh.access_range(0, PAGE_BYTES, false, fid(2), 1, ctx(1), &clk, |c| {
-            words.push(c.word_addr)
+            runs.push((c.word_addr, c.words, c.prev.fiber))
         });
-        assert_eq!(words.len(), WORDS_PER_PAGE, "one conflict per word");
-        assert_eq!(words[0], 0);
-        assert_eq!(words[511], 511 * WORD_BYTES);
+        assert_eq!(runs, vec![(0, WORDS_PER_PAGE as u64, fid(1))]);
         // The page stays summarized: both epochs fit the summary slots.
         assert_eq!(sh.summary_page_count(), 1);
+    }
+
+    /// The O(1)-per-page claim as a count of work, not a timing: a
+    /// whole-page access against a summary calls `on_conflict` once per
+    /// conflicting prior access, never once per word.
+    #[test]
+    fn summary_pages_cost_one_callback_per_conflict() {
+        const PAGES: u64 = 64;
+        let len = PAGES * PAGE_BYTES;
+        let clk = VectorClock::new();
+        let written_by_fiber_1 = || {
+            let mut sh = ShadowMemory::new();
+            sh.access_range(0, len, true, fid(1), 1, ctx(0), &clk, no_conflict_expected);
+            sh
+        };
+
+        let mut sh = written_by_fiber_1();
+        let (mut calls, mut words) = (0u64, 0u64);
+        sh.access_range(0, len, true, fid(2), 1, ctx(1), &clk, |c| {
+            calls += 1;
+            words += c.words;
+        });
+        assert_eq!(calls, PAGES, "one run per racy summary page");
+        assert_eq!(words, PAGES * WORDS_PER_PAGE as u64);
+
+        // The steady state of an iteration loop: the second fiber is
+        // ordered after the first, so 64 summary pages take 64 stores and
+        // no callback at all.
+        let mut sh = written_by_fiber_1();
+        let mut ordered = VectorClock::new();
+        ordered.set(fid(1), 1);
+        let (f2, c1) = (fid(2), ctx(1));
+        sh.access_range(0, len, true, f2, 1, c1, &ordered, no_conflict_expected);
+        assert_eq!(sh.counters().page_summaries_stored, 2 * PAGES);
+        assert_eq!(sh.summary_page_count(), PAGES as usize);
     }
 
     #[test]
@@ -1522,13 +1567,17 @@ mod tests {
         sh.access_range(0, PAGE_BYTES, false, fid(1), 1, ctx(0), &clk, |_| {});
         // Another fiber writes: invalidates the cache by being different.
         let mut hits = 0;
-        sh.access_range(0, PAGE_BYTES, true, fid(2), 1, ctx(1), &clk, |_| hits += 1);
-        assert_eq!(hits, WORDS_PER_PAGE);
+        sh.access_range(0, PAGE_BYTES, true, fid(2), 1, ctx(1), &clk, |c| {
+            hits += c.words
+        });
+        assert_eq!(hits, WORDS_PER_PAGE as u64);
         // Fiber 1 re-issues its identical read — the previous access was
         // fiber 2's write, so this must walk and conflict again.
         hits = 0;
-        sh.access_range(0, PAGE_BYTES, false, fid(1), 1, ctx(0), &clk, |_| hits += 1);
-        assert_eq!(hits, WORDS_PER_PAGE);
+        sh.access_range(0, PAGE_BYTES, false, fid(1), 1, ctx(0), &clk, |c| {
+            hits += c.words
+        });
+        assert_eq!(hits, WORDS_PER_PAGE as u64);
     }
 
     #[test]
@@ -1564,7 +1613,9 @@ mod tests {
         assert_eq!(sh.summary_page_count(), 0);
         assert_eq!(sh.counters().page_unfolds, 1);
         let mut hits = 0;
-        sh.access_range(0, PAGE_BYTES, true, fid(9), 1, ctx(9), &clk, |_| hits += 1);
+        sh.access_range(0, PAGE_BYTES, true, fid(9), 1, ctx(9), &clk, |c| {
+            hits += c.words
+        });
         assert!(hits >= 3 * WORDS_PER_PAGE as u64, "still detecting");
     }
 
@@ -1590,8 +1641,10 @@ mod tests {
         assert_eq!(sh.counters().dropped_annotations, 2);
         // Tracked pages keep full detection...
         let mut hits = 0;
-        sh.access_range(0, PAGE_BYTES, false, fid(2), 1, ctx(1), &clk, |_| hits += 1);
-        assert_eq!(hits, WORDS_PER_PAGE);
+        sh.access_range(0, PAGE_BYTES, false, fid(2), 1, ctx(1), &clk, |c| {
+            hits += c.words
+        });
+        assert_eq!(hits, WORDS_PER_PAGE as u64);
         // ...while dropped pages are best-effort: no record, no conflict.
         let mut hits = 0;
         sh.access_range(

@@ -87,6 +87,7 @@ impl ReferenceShadow {
                 if (write || prev.write) && fiber_clock.get(prev.fiber) < prev.clock {
                     on_conflict(RawConflict {
                         word_addr: w * WORD_BYTES,
+                        words: 1,
                         prev,
                     });
                 }
@@ -192,8 +193,14 @@ fn gen_op(rng: &mut Lcg) -> Op {
 /// conflict comparison stays meaningful per word.
 type Conflicts = BTreeMap<(u64, u64), u64>;
 
+/// A run is expanded into its words before it is counted, so the
+/// comparison with the per-word reference stays word-exact.
 fn record(conflicts: &mut Conflicts, c: RawConflict) {
-    *conflicts.entry((c.word_addr, pack(c.prev))).or_insert(0) += 1;
+    for w in 0..c.words {
+        *conflicts
+            .entry((c.word_addr + w * WORD_BYTES, pack(c.prev)))
+            .or_insert(0) += 1;
+    }
 }
 
 fn run_trace(seed: u64, ops: usize) -> (Conflicts, Conflicts) {
@@ -339,9 +346,13 @@ fn fastpath_only_skips_redundant_emissions() {
     let f2 = FiberId::from_index(2);
     tiered.access_range(0, PAGE_BYTES, true, f1, 1, CtxId(0), &clk, |_| {});
     let mut first = 0u64;
-    tiered.access_range(0, PAGE_BYTES, false, f2, 1, CtxId(1), &clk, |_| first += 1);
+    tiered.access_range(0, PAGE_BYTES, false, f2, 1, CtxId(1), &clk, |c| {
+        first += c.words
+    });
     let mut second = 0u64;
-    tiered.access_range(0, PAGE_BYTES, false, f2, 1, CtxId(1), &clk, |_| second += 1);
+    tiered.access_range(0, PAGE_BYTES, false, f2, 1, CtxId(1), &clk, |c| {
+        second += c.words
+    });
     assert_eq!(first, PAGE_BYTES / WORD_BYTES);
     assert_eq!(second, 0, "fast path skips the duplicate emission");
     assert_eq!(tiered.counters().fastpath_hits, 1);
