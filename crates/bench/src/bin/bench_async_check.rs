@@ -9,8 +9,9 @@
 //! JSON records the hardware thread count, the effective pool worker
 //! count per case (after any `CUSAN_CHECK_THREADS` override), and the
 //! adaptive batch-size profile (min/max/avg plus the power-of-two
-//! histogram), so a regression in batch shaping is visible even when
-//! wall-clock noise hides it.
+//! histogram) and the wakes `send` issued (`doorbells`, at most one per
+//! 64 messages), so a regression in batch shaping or in the hand-off's
+//! syscall count is visible even when wall-clock noise hides it.
 //!
 //! The async backend overlaps detection with application progress, so a
 //! win requires spare hardware parallelism: with `available_parallelism`
@@ -59,6 +60,7 @@ fn fold_stats<T>(out: &WorldOutcome<T>) -> AsyncCheckStats {
             acc.batches_applied += s.batches_applied;
             acc.max_queue_depth = acc.max_queue_depth.max(s.max_queue_depth);
             acc.stalls += s.stalls;
+            acc.doorbells += s.doorbells;
             if s.batches_applied > 0 {
                 acc.min_batch = if acc.min_batch == 0 {
                     s.min_batch
@@ -148,29 +150,31 @@ fn main() {
     ];
 
     println!(
-        "{:<10} {:>4} {:>10} {:>10} {:>8} {:>12} {:>9} {:>8} {:>7} {:>13} {:>7}",
+        "{:<10} {:>4} {:>10} {:>10} {:>8} {:>12} {:>9} {:>9} {:>8} {:>7} {:>13} {:>7}",
         "App",
         "Thr",
         "Sync",
         "Async",
         "Speedup",
         "Events",
+        "Doorbells",
         "Batches",
         "MaxDepth",
         "Stalls",
         "Batch mn/av/mx",
         "Stolen"
     );
-    println!("{:-<110}", "");
+    println!("{:-<120}", "");
     for c in &cases {
         println!(
-            "{:<10} {:>4} {:>10.2?} {:>10.2?} {:>7.2}x {:>12} {:>9} {:>8} {:>7} {:>4}/{:>3}/{:>3} {:>7}",
+            "{:<10} {:>4} {:>10.2?} {:>10.2?} {:>7.2}x {:>12} {:>9} {:>9} {:>8} {:>7} {:>4}/{:>3}/{:>3} {:>7}",
             c.name,
             check_threads(c.ranks),
             c.sync,
             c.asyn,
             c.speedup(),
             c.stats.events_enqueued,
+            c.stats.doorbells,
             c.stats.batches_applied,
             c.stats.max_queue_depth,
             c.stats.stalls,
@@ -190,7 +194,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"ranks\": {}, \"check_threads\": {}, \"sync_ns\": {}, \"async_ns\": {}, \"speedup\": {:.3}, \
-             \"events_enqueued\": {}, \"batches_applied\": {}, \"max_queue_depth\": {}, \"stalls\": {}, \
+             \"events_enqueued\": {}, \"doorbells\": {}, \"batches_applied\": {}, \"max_queue_depth\": {}, \"stalls\": {}, \
              \"min_batch\": {}, \"max_batch\": {}, \"avg_batch\": {}, \"batches_stolen\": {}, \"batch_hist\": [{}]}}{}",
             c.name,
             c.ranks,
@@ -199,6 +203,7 @@ fn main() {
             c.asyn.as_nanos(),
             c.speedup(),
             c.stats.events_enqueued,
+            c.stats.doorbells,
             c.stats.batches_applied,
             c.stats.max_queue_depth,
             c.stats.stalls,

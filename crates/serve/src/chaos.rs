@@ -23,8 +23,11 @@
 //!
 //! Restarts are decided only between client connections (the resilient
 //! client is the only traffic source), which mirrors the crash window
-//! that matters: bytes are journaled synchronously *before* they are
-//! acked, so a crash after an ack can never lose acked bytes.
+//! that matters: bytes are written to the journal *before any ack,
+//! detach or spill*, so a crash after an ack can never lose acked
+//! bytes. (Bytes the server accepted but was never asked about may be
+//! lost with it — at most 64 KiB a session — and the client, never
+//! having been told otherwise, re-sends them.)
 
 use crate::client::{check_traces_resilient, RetryPolicy};
 use crate::engine::{EngineConfig, ServeEngine, ServeStats};

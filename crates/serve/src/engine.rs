@@ -38,12 +38,23 @@
 //! ## Journals and restart recovery
 //!
 //! With `spill_dir` set, every accepted session byte is also appended to
-//! an on-disk journal before it is acknowledged. A restarted server
+//! an on-disk journal **before any ack, detach or spill**: accepted
+//! bytes collect in a per-session write-behind buffer that is written
+//! out before every point at which an offset leaves the process (an `A`
+//! reply — [`ServeEngine::resume`], [`ServeEngine::touch`]) or the
+//! session leaves its connection ([`ServeEngine::detach`],
+//! [`ServeEngine::spill_session`]), and whenever it reaches
+//! [`JOURNAL_WRITE_BEHIND`]. So no byte is ever acked unless a restarted
+//! server can re-derive it from disk, and a crash costs an uploader
+//! that never asked for an ack at most that many bytes of re-send. A
+//! session that opens, streams and closes on one connection without
+//! asking touches no file at all. A restarted server
 //! ([`ServeEngine::recover`]) re-registers every journaled session as
-//! spilled; the first frame restores it from the latest spill (if any)
-//! plus the journal tail — or replays the whole journal when the
-//! process died before ever spilling. Clients learn the recovered acked
-//! offset from the `R` handshake and replay the rest.
+//! spilled, its acked offset the journal's length; the first frame
+//! restores it from the latest spill (if any) plus the journal tail — or
+//! replays the whole journal when the process died before ever
+//! spilling. Clients learn the recovered acked offset from the `R`
+//! handshake and replay the rest.
 
 use crate::ingest::SessionIngest;
 use crate::labels::SharedLabels;
@@ -64,6 +75,13 @@ const SPILL_MAGIC: &[u8; 8] = b"cusanspl";
 /// (pending bytes + state tag + table + binary delta state) instead of
 /// the text-only line-parser layout.
 const SPILL_VERSION: u32 = 2;
+
+/// Accepted bytes a session may hold back from its journal file between
+/// acks. It bounds both the re-send a crash costs a client that never
+/// asked for an ack and the memory an attached session adds; at the
+/// clients' 4 KiB frames it turns sixteen open/write/close rounds into
+/// one.
+pub const JOURNAL_WRITE_BEHIND: usize = 64 << 10;
 
 /// Engine-wide configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -152,12 +170,15 @@ impl std::fmt::Display for FeedError {
 /// Opening or attaching to a session can fail in typed,
 /// client-distinguishable ways (the protocol layer maps these onto `E`
 /// frames verbatim).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttachError {
     /// `O` with an id that is already registered.
     AlreadyOpen,
     /// The server is at `max_sessions` capacity.
     AtCapacity,
+    /// The session's accepted bytes could not be journaled, so its
+    /// offset cannot be acked; the session has been dropped.
+    Journal(String),
 }
 
 impl std::fmt::Display for AttachError {
@@ -165,6 +186,7 @@ impl std::fmt::Display for AttachError {
         match self {
             AttachError::AlreadyOpen => f.write_str("session id already open"),
             AttachError::AtCapacity => f.write_str("server at session capacity"),
+            AttachError::Journal(e) => f.write_str(e),
         }
     }
 }
@@ -189,6 +211,26 @@ struct LiveSession {
     attach_count: usize,
     /// Last frame/attach/detach, for idle expiry and spill ordering.
     last_touch: Instant,
+    /// Write-behind journal buffer: the accepted bytes
+    /// `[acked - journal_tail.len(), acked)` the journal file does not
+    /// hold yet. Empty whenever the session is spilled.
+    journal_tail: Vec<u8>,
+    /// A journal or spill file may exist for this session (so ending it
+    /// has disk state to remove).
+    on_disk: bool,
+}
+
+impl LiveSession {
+    fn new(state: LiveState, acked: u64, attach_count: usize, on_disk: bool) -> LiveSession {
+        LiveSession {
+            state,
+            acked,
+            attach_count,
+            last_touch: Instant::now(),
+            journal_tail: Vec::new(),
+            on_disk,
+        }
+    }
 }
 
 /// A finished session retained for its warm shadow pages. The checker
@@ -214,7 +256,6 @@ struct EngineState {
     sessions_restored: u64,
     sessions_expired: u64,
     duplicate_bytes_dropped: u64,
-    summaries: Vec<SessionSummary>,
 }
 
 /// Shared state of one `cusan-serve` process (see the module docs).
@@ -275,15 +316,8 @@ impl ServeEngine {
                 continue;
             };
             let acked = fs::metadata(&path)?.len();
-            live.insert(
-                id,
-                Arc::new(Mutex::new(LiveSession {
-                    state: LiveState::Spilled,
-                    acked,
-                    attach_count: 0,
-                    last_touch: Instant::now(),
-                })),
-            );
+            let session = LiveSession::new(LiveState::Spilled, acked, 0, true);
+            live.insert(id, Arc::new(Mutex::new(session)));
         }
         drop(live);
         Ok(engine)
@@ -357,15 +391,9 @@ impl ServeEngine {
         {
             return Err(AttachError::AtCapacity);
         }
-        live.insert(
-            id,
-            Arc::new(Mutex::new(LiveSession {
-                state: LiveState::Resident(Box::new(SessionIngest::new(self.self_arc()))),
-                acked: 0,
-                attach_count: 1,
-                last_touch: Instant::now(),
-            })),
-        );
+        let ingest = SessionIngest::new(self.self_arc());
+        let session = LiveSession::new(LiveState::Resident(Box::new(ingest)), 0, 1, false);
+        live.insert(id, Arc::new(Mutex::new(session)));
         Ok(())
     }
 
@@ -382,16 +410,25 @@ impl ServeEngine {
     /// attached to a ghost whose registry entry and disk state were
     /// already gone.
     ///
+    /// The returned offset is about to leave the process, so the
+    /// session's journal is brought up to it first (off the registry
+    /// lock); a session whose journal cannot be written is dropped.
+    ///
     /// [`sweep_idle`]: ServeEngine::sweep_idle
     pub fn resume(&self, id: u64) -> Result<u64, AttachError> {
         let mut live = self.live.lock();
-        if let Some(sess) = live.get(&id) {
+        if let Some(sess) = live.get(&id).map(Arc::clone) {
             let mut s = sess.lock();
             s.attach_count += 1;
             s.last_touch = Instant::now();
+            drop(live);
+            if let Err(e) = self.flush_journal(id, &mut s) {
+                drop(s);
+                self.drop_session(id);
+                return Err(AttachError::Journal(e));
+            }
             let acked = s.acked;
             drop(s);
-            drop(live);
             self.state.lock().sessions_resumed += 1;
             return Ok(acked);
         }
@@ -404,12 +441,47 @@ impl ServeEngine {
     }
 
     /// Touch session `id` (the `H` frame, and duplicate `R`s): refresh
-    /// its idle clock, report the acked offset.
+    /// its idle clock, journal what it has accepted, report the acked
+    /// offset. A session whose journal cannot be written is dropped.
     pub fn touch(&self, id: u64) -> Result<u64, String> {
         let sess = self.lookup(id).ok_or("session not open")?;
         let mut s = sess.lock();
         s.last_touch = Instant::now();
+        if let Err(e) = self.flush_journal(id, &mut s) {
+            drop(s);
+            self.drop_session(id);
+            return Err(e);
+        }
         Ok(s.acked)
+    }
+
+    /// Write session `id`'s write-behind buffer to its journal file.
+    /// Every path that lets an offset out of the process, or the session
+    /// off its connection, calls this first (see the module docs). A
+    /// failed write leaves the file at its previous length and the
+    /// buffer intact, so a retry cannot duplicate bytes.
+    fn flush_journal(&self, id: u64, s: &mut LiveSession) -> Result<(), String> {
+        if s.journal_tail.is_empty() {
+            return Ok(());
+        }
+        let path = self
+            .journal_path(id)
+            .expect("bytes are only buffered with a spill dir");
+        let held = s.acked - s.journal_tail.len() as u64;
+        fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| {
+                f.write_all(&s.journal_tail).inspect_err(|_| {
+                    let _ = f.set_len(held);
+                })
+            })
+            .map_err(|e| format!("journal {}: {e}", path.display()))?;
+        s.on_disk = true;
+        // Released, not cleared: idle sessions outnumber streaming ones.
+        s.journal_tail = Vec::new();
+        Ok(())
     }
 
     fn lookup(&self, id: u64) -> Option<Arc<Mutex<LiveSession>>> {
@@ -456,25 +528,26 @@ impl ServeEngine {
             });
         };
         self.ensure_resident(id, &mut s).map_err(FeedError::Fatal)?;
-        // Journal before feeding: a byte must never be acked (and thus
-        // skipped by a resuming client) unless a restarted server can
-        // re-derive it from disk.
-        if let Some(path) = self.journal_path(id) {
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(chunk))
-                .map_err(|e| FeedError::Fatal(format!("journal {}: {e}", path.display())))?;
-        }
         let LiveState::Resident(ingest) = &mut s.state else {
             unreachable!("ensure_resident restored the session");
         };
-        match ingest.feed(chunk) {
-            Ok(()) => {
-                s.acked += chunk.len() as u64;
-                Ok(s.acked)
+        let mut fed = ingest.feed(chunk);
+        if fed.is_ok() {
+            s.acked += chunk.len() as u64;
+            // Write-behind: the offset returned here stays in this
+            // process. Whatever hands it on — an `A` reply, a detach, a
+            // spill — writes the journal first, so a byte is never acked
+            // (and thus skipped by a resuming client) unless a restarted
+            // server can re-derive it from disk.
+            if self.config.spill_dir.is_some() {
+                s.journal_tail.extend_from_slice(chunk);
+                if s.journal_tail.len() >= JOURNAL_WRITE_BEHIND {
+                    fed = self.flush_journal(id, &mut s);
+                }
             }
+        }
+        match fed {
+            Ok(()) => Ok(s.acked),
             Err(e) => {
                 drop(s);
                 self.drop_session(id);
@@ -493,8 +566,13 @@ impl ServeEngine {
         let mut s = sess.lock();
         self.ensure_resident(id, &mut s)?;
         let state = std::mem::replace(&mut s.state, LiveState::Spilled);
+        // Bytes still in the write-behind buffer die with the session: a
+        // closed session has nothing left to recover.
+        let on_disk = s.on_disk;
         drop(s);
-        self.remove_disk_state(id);
+        if on_disk {
+            self.remove_disk_state(id);
+        }
         let LiveState::Resident(ingest) = state else {
             unreachable!("ensure_resident restored the session");
         };
@@ -502,13 +580,19 @@ impl ServeEngine {
     }
 
     /// Detach one connection from session `id` (connection end, clean or
-    /// not). The session stays registered; if the live budget is now
-    /// exceeded, idle sessions are spilled.
+    /// not). The session stays registered and its journal is brought up
+    /// to date — the next process to see it may be a restarted one; if
+    /// the live budget is now exceeded, idle sessions are spilled.
     pub fn detach(&self, id: u64) {
         if let Some(sess) = self.lookup(id) {
             let mut s = sess.lock();
             s.attach_count = s.attach_count.saturating_sub(1);
             s.last_touch = Instant::now();
+            // Nobody to report to: the session keeps its buffer, and the
+            // next ack attempt retries the write and fails typed.
+            if let Err(e) = self.flush_journal(id, &mut s) {
+                eprintln!("cusan-serve: detaching session {id}: {e}");
+            }
         }
         self.enforce_live_budget();
     }
@@ -566,6 +650,9 @@ impl ServeEngine {
         if s.attach_count > 0 || matches!(s.state, LiveState::Spilled) {
             return Ok(false);
         }
+        // The spill file records `acked`; the journal must reach it
+        // first, because recovery takes the journal's length for it.
+        self.flush_journal(id, &mut s)?;
         let LiveState::Resident(ingest) = std::mem::replace(&mut s.state, LiveState::Spilled)
         else {
             unreachable!("checked resident above");
@@ -574,6 +661,7 @@ impl ServeEngine {
         match ingest.spill() {
             Ok(blob) => {
                 let file = encode_spill_file(acked, &blob);
+                s.on_disk = true;
                 fs::write(&spill_path, file)
                     .map_err(|e| format!("{}: {e}", spill_path.display()))?;
                 drop(s);
@@ -690,19 +778,13 @@ impl ServeEngine {
         self.state.lock().sessions_opened += 1;
     }
 
-    /// Hand a finished session to the engine: record its summary, retain
-    /// its shadow pages, and enforce the global budget by evicting the
-    /// oldest retained sessions first. `handle` must no longer have a
-    /// registered checker (the ingest drops it first).
-    pub(crate) fn finish_session(
-        &self,
-        handle: Arc<Mutex<CheckSession>>,
-        pages: usize,
-        summary: &SessionSummary,
-    ) {
+    /// Hand a finished session to the engine: retain its shadow pages,
+    /// and enforce the global budget by evicting the oldest retained
+    /// sessions first. `handle` must no longer have a registered checker
+    /// (the ingest drops it first).
+    pub(crate) fn finish_session(&self, handle: Arc<Mutex<CheckSession>>, pages: usize) {
         let mut st = self.state.lock();
         st.sessions_finished += 1;
-        st.summaries.push(summary.clone());
         st.resident_pages += pages;
         st.retained.push_back(Retained { handle, pages });
         if let Some(budget) = self.config.global_page_budget {
@@ -737,11 +819,6 @@ impl ServeEngine {
             sessions_expired: st.sessions_expired,
             duplicate_bytes_dropped: st.duplicate_bytes_dropped,
         }
-    }
-
-    /// All finished sessions' summaries, in finish order.
-    pub fn summaries(&self) -> Vec<SessionSummary> {
-        self.state.lock().summaries.clone()
     }
 }
 

@@ -214,7 +214,7 @@ impl SessionIngest {
                 // session to the engine: eviction must never contend
                 // with a pool worker holding the session lock.
                 drop(checker);
-                engine.finish_session(handle, pages, &summary);
+                engine.finish_session(handle, pages);
                 Ok(summary)
             }
         }

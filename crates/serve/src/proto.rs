@@ -302,6 +302,19 @@ fn error_frame(id: u64, message: &str) -> Vec<u8> {
     frame_with_id(OP_ERROR, id, message.as_bytes())
 }
 
+/// The `A` reply to `R`/`H` — or the `E`, in which case the session is
+/// gone (never attached, or dropped because its journal could not be
+/// brought up to the offset) and no longer this connection's to detach.
+fn ack_or_error(id: u64, acked: Result<u64, String>, mine: &mut HashSet<u64>) -> Vec<u8> {
+    match acked {
+        Ok(acked) => ack_frame(id, acked),
+        Err(e) => {
+            mine.remove(&id);
+            error_frame(id, &e)
+        }
+    }
+}
+
 /// Serve one connection until `Q` or EOF. Sessions are owned by the
 /// engine, not the connection: when the connection ends (cleanly or
 /// not), every session it attached is *detached* — kept alive for a
@@ -356,17 +369,11 @@ fn serve_frames<R: Read, W: Write>(
                         mine.insert(id);
                     })
                 };
-                Some(match r {
-                    Ok(acked) => ack_frame(id, acked),
-                    Err(e) => error_frame(id, &e),
-                })
+                Some(ack_or_error(id, r, mine))
             }
             OP_HEARTBEAT => {
                 let (id, _) = parse_id(&payload)?;
-                Some(match engine.touch(id) {
-                    Ok(acked) => ack_frame(id, acked),
-                    Err(e) => error_frame(id, &e),
-                })
+                Some(ack_or_error(id, engine.touch(id), mine))
             }
             OP_DATA => {
                 let (id, offset, chunk) = parse_data(&payload)?;

@@ -1,21 +1,25 @@
 //! The crash-safety contracts of the serve path, piece by piece:
 //! offset-checked exactly-once delivery, typed capacity errors, idle
 //! expiry, spill/restore of unfinished sessions (the A/B differential),
-//! restart recovery from the journal, socket-level resumption, and
-//! canonical-label stability under session churn. The whole-system
+//! restart recovery from the journal, the write-behind journal's
+//! invariant (on disk before any ack, detach or spill), socket-level
+//! resumption, and canonical-label stability under session churn. The whole-system
 //! version of these properties — everything at once under seeded
 //! failure schedules — lives in `chaos_serve.rs`.
 
 use cusan_serve::proto::{
-    close_frame, data_frame, heartbeat_frame, parse_reply, quit_frame, read_frame, resume_frame,
-    write_frame,
+    close_frame, data_frame, heartbeat_frame, open_frame, parse_reply, quit_frame, read_frame,
+    resume_frame, write_frame,
 };
 use cusan_serve::{
     serve_connection, serve_listener, solo_summary, summary_to_json, AttachError, EngineConfig,
     FeedError, Reply, ServeEngine,
 };
+use std::cell::RefCell;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -311,6 +315,259 @@ fn restarted_server_recovers_sessions_from_disk() {
         .feed(7, (split * 2) as u64, &bytes[split * 2..])
         .unwrap();
     assert_eq!(engine.close(7).unwrap(), solo_summary(GOLDEN).unwrap());
+}
+
+/// The client half of a connection as a script: hands `serve_connection`
+/// one frame at a time and calls `between(k)` each time the server comes
+/// back for frame `k` — that is, once it has handled, and replied to,
+/// every frame before it (`k == frames.len()` is the EOF that ends the
+/// connection).
+struct Script<F: FnMut(usize)> {
+    frames: Vec<Vec<u8>>,
+    next: usize,
+    pos: usize,
+    between: F,
+}
+
+impl<F: FnMut(usize)> Script<F> {
+    fn new(payloads: &[Vec<u8>], between: F) -> Script<F> {
+        let frames = payloads
+            .iter()
+            .map(|p| {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, p).unwrap();
+                wire
+            })
+            .collect();
+        Script {
+            frames,
+            next: 0,
+            pos: 0,
+            between,
+        }
+    }
+}
+
+impl<F: FnMut(usize)> Read for Script<F> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == 0 {
+            (self.between)(self.next);
+        }
+        let Some(frame) = self.frames.get(self.next) else {
+            return Ok(0);
+        };
+        let n = buf.len().min(frame.len() - self.pos);
+        buf[..n].copy_from_slice(&frame[self.pos..self.pos + n]);
+        self.pos += n;
+        if self.pos == frame.len() {
+            self.next += 1;
+            self.pos = 0;
+        }
+        Ok(n)
+    }
+}
+
+/// The server half's writer, readable from the script's callback.
+#[derive(Clone, Default)]
+struct Replies(Rc<RefCell<Vec<u8>>>);
+
+impl Write for Replies {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Replies {
+    fn parsed(&self) -> Vec<Reply> {
+        let bytes = self.0.borrow();
+        let mut r = bytes.as_slice();
+        let mut out = Vec::new();
+        while let Some(payload) = read_frame(&mut r).unwrap() {
+            out.push(parse_reply(&payload).unwrap());
+        }
+        out
+    }
+}
+
+fn dir_entries(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// Bytes of session `id`'s journal file (absent: none).
+fn journal(dir: &Path, id: u64) -> Vec<u8> {
+    match std::fs::read(dir.join(format!("session-{id}.journal"))) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => panic!("reading journal {id}: {e}"),
+    }
+}
+
+fn data_frames(id: u64, bytes: &[u8], from: usize, chunk: usize) -> Vec<Vec<u8>> {
+    bytes[from..]
+        .chunks(chunk)
+        .enumerate()
+        .map(|(i, c)| data_frame(id, (from + i * chunk) as u64, c))
+        .collect()
+}
+
+#[test]
+fn a_session_that_never_asks_for_an_ack_touches_no_file() {
+    // Open, stream, close on one connection — what every `check_traces`
+    // client does. No offset ever leaves the process and the session
+    // never leaves its connection, so there is nothing a restarted
+    // server could be asked to re-derive: the spill dir stays empty
+    // after every single frame.
+    let dir = ScratchDir::new("no-ack-no-file");
+    let engine = ServeEngine::new(spilling_config(&dir));
+    let mut frames = vec![open_frame(3)];
+    frames.extend(data_frames(3, GOLDEN.as_bytes(), 0, 4096));
+    assert!(frames.len() > 5, "several data frames");
+    frames.push(close_frame(3));
+    let replies = Replies::default();
+    let mut script = Script::new(&frames, |k| {
+        assert_eq!(
+            dir_entries(&dir.0),
+            Vec::<String>::new(),
+            "disk touched before frame {k}"
+        );
+    });
+    serve_connection(&engine, &mut script, &mut replies.clone()).unwrap();
+    assert_eq!(
+        replies.parsed(),
+        vec![Reply::Summary {
+            id: 3,
+            json: summary_to_json(3, &solo_summary(GOLDEN).unwrap())
+        }]
+    );
+}
+
+#[test]
+fn every_acked_offset_is_already_in_the_journal() {
+    // The invariant as the wire shows it: whenever an `A` reply is out,
+    // the journal file holds exactly the acked prefix of the stream —
+    // so `recover`, which takes the file's length for the offset, can
+    // never hand a resuming client an offset it has to skip bytes for.
+    let dir = ScratchDir::new("ack-means-journaled");
+    let engine = ServeEngine::new(spilling_config(&dir));
+    let bytes = GOLDEN.as_bytes();
+    let (a, b) = (bytes.len() / 3, bytes.len() * 2 / 3);
+    let mut frames = vec![resume_frame(5)];
+    frames.extend(data_frames(5, &bytes[..a], 0, 1000));
+    frames.push(heartbeat_frame(5));
+    frames.extend(data_frames(5, &bytes[..b], a, 1000));
+    frames.push(resume_frame(5)); // a duplicate resume is a touch
+    frames.extend(data_frames(5, bytes, b, 1000));
+    let ack_frames: Vec<usize> = (0..frames.len())
+        .filter(|&k| matches!(frames[k][0], b'R' | b'H'))
+        .collect();
+    let replies = Replies::default();
+    let mut acks_checked = 0;
+    let mut script = Script::new(&frames, |k| {
+        // Frame k-1 has just been handled; if it was acked, its reply is
+        // the last one out.
+        if k == 0 || !ack_frames.contains(&(k - 1)) {
+            return;
+        }
+        let Some(Reply::Ack { id: 5, acked }) = replies.parsed().pop() else {
+            panic!("frame {} must be answered with an ack", k - 1);
+        };
+        assert_eq!(journal(&dir.0, 5), &bytes[..acked as usize]);
+        acks_checked += 1;
+    });
+    serve_connection(&engine, &mut script, &mut replies.clone()).unwrap();
+    assert_eq!(acks_checked, 3);
+    let acked: Vec<u64> = replies
+        .parsed()
+        .iter()
+        .map(|r| match r {
+            Reply::Ack { id: 5, acked } => *acked,
+            other => panic!("expected acks only, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(acked, vec![0, a as u64, b as u64]);
+    // The connection ended without a close: the detach wrote the rest,
+    // and a restarted server resumes at the full length.
+    assert_eq!(journal(&dir.0, 5), bytes);
+    drop(engine);
+    let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
+    assert_eq!(engine.resume(5).unwrap(), bytes.len() as u64);
+    assert_eq!(engine.close(5).unwrap(), solo_summary(GOLDEN).unwrap());
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+}
+
+#[test]
+fn unacked_bytes_trail_the_journal_by_at_most_the_write_behind_bound() {
+    // An attached uploader that never asks for an ack: what a crash can
+    // cost it is bounded, and what the journal does hold is a prefix of
+    // its stream. The golden trace padded with counter bumps to 200 KiB.
+    const BOUND: u64 = cusan_serve::engine::JOURNAL_WRITE_BEHIND as u64;
+    let mut trace = GOLDEN.as_bytes().to_vec();
+    while trace.len() < 200 << 10 {
+        trace.extend_from_slice(b"cb 4 1\n");
+    }
+    let dir = ScratchDir::new("write-behind-bound");
+    let engine = ServeEngine::new(spilling_config(&dir));
+    engine.open_new(1).unwrap();
+    let mut acked = 0;
+    for chunk in trace.chunks(4096) {
+        acked = engine.feed(1, acked, chunk).unwrap();
+        let held = journal(&dir.0, 1);
+        assert!(
+            held.len() as u64 + BOUND > acked && held.len() as u64 <= acked,
+            "journal holds {} of {acked} accepted bytes",
+            held.len()
+        );
+        assert_eq!(held, &trace[..held.len()]);
+    }
+    assert_eq!(acked, trace.len() as u64);
+    assert!(!journal(&dir.0, 1).is_empty(), "the bound forced writes");
+    // Asking closes the gap.
+    assert_eq!(engine.touch(1).unwrap(), acked);
+    assert_eq!(journal(&dir.0, 1), trace);
+    assert_eq!(engine.close(1).unwrap(), solo_summary(&trace).unwrap());
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+}
+
+#[test]
+fn a_journal_write_failure_drops_the_session() {
+    // A spill dir that is a regular file: every journal write fails.
+    // The failure surfaces where the journal is first needed (the `H`'s
+    // ack), as one `E`; the session is dropped like one whose trace
+    // failed to parse — not left attached to a connection that has
+    // forgotten it, immune to the idle sweep and failing every frame.
+    let dir = ScratchDir::new("journal-failure");
+    let not_a_dir = dir.0.join("plain-file");
+    std::fs::write(&not_a_dir, b"").unwrap();
+    let engine = ServeEngine::new(EngineConfig {
+        spill_dir: Some(not_a_dir),
+        ..EngineConfig::default()
+    });
+    let mut request = Vec::new();
+    write_frame(&mut request, &open_frame(1)).unwrap();
+    write_frame(&mut request, &data_frame(1, 0, &GOLDEN.as_bytes()[..500])).unwrap();
+    write_frame(&mut request, &heartbeat_frame(1)).unwrap();
+    write_frame(&mut request, &quit_frame()).unwrap();
+    let replies = Replies::default();
+    serve_connection(&engine, &mut request.as_slice(), &mut replies.clone()).unwrap();
+    match replies.parsed().as_slice() {
+        [Reply::Error { id: 1, message }] => {
+            assert!(message.starts_with("journal "), "got: {message}")
+        }
+        other => panic!("expected exactly one error, got {other:?}"),
+    }
+    assert_eq!(engine.live_sessions(), 0);
+    // The id is free again (not `AlreadyOpen`), and resuming it starts
+    // from nothing.
+    engine.open_new(1).unwrap();
+    engine.detach(1);
+    assert_eq!(engine.resume(1).unwrap(), 0);
 }
 
 #[test]
