@@ -499,6 +499,9 @@ fn worker_loop(pool: Arc<CheckerPool>, index: usize) {
         // Rotate the scan start so one chatty session can't starve
         // others.
         rot = rot.wrapping_add(1);
+        // A parked worker must not pin the sessions it last scanned: one
+        // that unregisters meanwhile is its owner's alone to free.
+        drop(slots);
         if applied == 0 {
             let mut st = pool.state.lock();
             pool.idle.fetch_add(1, Ordering::SeqCst);
@@ -709,12 +712,13 @@ impl AsyncChecker {
         self.with_session(|s| f(s.runtime_mut()))
     }
 
-    /// The shared handle to the session under check. The serve engine
-    /// keeps this past the checker's drop so finished sessions can be
-    /// summarized and their shadow pages evicted under the global
-    /// budget. Lock discipline: the pool's workers take this lock only
-    /// while holding the claim, so briefly locking it from outside never
-    /// reorders events — but holding it starves the drain, so don't.
+    /// The shared handle to the session under check. The serve path
+    /// keeps it across the checker's drop — which drains the ring and
+    /// leaves the pool — to take the finished session out of it and
+    /// consume it into its summary. Lock discipline: the pool's workers
+    /// take this lock only while holding the claim, so briefly locking
+    /// it from outside never reorders events — but holding it starves
+    /// the drain, so don't.
     pub fn session_handle(&self) -> Arc<Mutex<CheckSession>> {
         Arc::clone(&self.slot.session)
     }
@@ -1132,7 +1136,7 @@ mod tests {
             feed(&ac, &strings, &evs);
             // No flush: drop must still apply everything (graceful
             // shutdown drains the ring before unregistering). The
-            // session handle outlives the checker — the serve engine
+            // session handle outlives the checker — the serve path
             // relies on exactly this to summarize finished sessions.
             let handle = ac.session_handle();
             drop(ac);

@@ -66,10 +66,9 @@ impl SessionOptions {
     }
 }
 
-/// A self-contained snapshot of everything a session detected, cloned
-/// out of the runtime so it survives the session (and in the serve path,
-/// survives shadow eviction — summaries are always taken *before* a
-/// session's shadow pages may be reclaimed).
+/// A self-contained snapshot of everything a session detected, taken
+/// out of the runtime so it survives the session (in the serve path it
+/// is all that does: a finished session is freed with its summary).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSummary {
     /// Rank the session checked.
@@ -176,23 +175,14 @@ impl CheckSession {
         &self.rt
     }
 
-    /// Mutable access to the detector runtime (suppressions, budget,
-    /// eviction hooks).
+    /// Mutable access to the detector runtime (suppressions, budget).
     pub fn runtime_mut(&mut self) -> &mut TsanRuntime {
         &mut self.rt
     }
 
-    /// Resident shadow pages (the serve path's global-budget unit).
+    /// Resident shadow pages (the serve path's live-budget unit).
     pub fn shadow_pages(&self) -> usize {
         self.rt.shadow_pages()
-    }
-
-    /// Evict every shadow page, returning slab memory to the arena free
-    /// list (see [`TsanRuntime::evict_shadow_pages`]). Sound only once
-    /// the session is finished — eviction forgets access history, so a
-    /// later access would miss races against pre-eviction accesses.
-    pub fn evict_shadow(&mut self) -> usize {
-        self.rt.evict_shadow_pages()
     }
 
     /// Snapshot reports/stats/counters (see [`SessionSummary`]).
@@ -213,9 +203,7 @@ impl CheckSession {
     /// `snapshot_bytes ∘ restore_bytes` is the identity on blobs. This
     /// is what lets the serve path spill an **unfinished** session to
     /// disk under memory pressure and later resume feeding it events
-    /// with bit-for-bit identical results (unlike
-    /// [`CheckSession::evict_shadow`], which forgets access history and
-    /// is only sound for finished sessions).
+    /// with bit-for-bit identical results.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.put_raw(SESSION_SNAPSHOT_MAGIC);
@@ -419,23 +407,6 @@ mod tests {
         assert_eq!(sum.counters.write_bytes, 64);
         // into_summary agrees with the cloning snapshot.
         assert_eq!(s.into_summary(), sum);
-    }
-
-    #[test]
-    fn eviction_after_summary_preserves_the_race_set() {
-        let mut s = race_session();
-        let before = s.summary();
-        assert!(s.shadow_pages() > 0);
-        let evicted = s.evict_shadow();
-        assert!(evicted > 0);
-        assert_eq!(s.shadow_pages(), 0);
-        // Reports and race counts are unaffected by shadow eviction;
-        // only allocation stats move.
-        let after = s.summary();
-        assert_eq!(after.reports, before.reports);
-        assert_eq!(after.race_count, before.race_count);
-        assert_eq!(after.counters, before.counters);
-        assert!(after.stats.arena_pages_evicted >= before.stats.arena_pages_evicted);
     }
 
     #[test]

@@ -185,14 +185,11 @@ impl ChaosServer {
 }
 
 /// Accumulate engine counters across server generations: monotone
-/// counters add, residency gauges take the last generation's value and
-/// the max of peaks.
+/// counters add, the label-table size is the last generation's, peaks
+/// take the max.
 fn fold_stats(into: &mut ServeStats, gen: ServeStats) {
     into.sessions_opened += gen.sessions_opened;
     into.sessions_finished += gen.sessions_finished;
-    into.sessions_evicted += gen.sessions_evicted;
-    into.shadow_pages_evicted += gen.shadow_pages_evicted;
-    into.resident_pages = gen.resident_pages;
     into.peak_resident_pages = into.peak_resident_pages.max(gen.peak_resident_pages);
     into.labels_unique = gen.labels_unique;
     into.labels_shared += gen.labels_shared;

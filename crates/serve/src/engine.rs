@@ -1,30 +1,28 @@
-//! The serve engine: one checker pool, many sessions, one shadow budget.
+//! The serve engine: one checker pool, many sessions.
 //!
 //! [`ServeEngine`] owns the process-wide pieces every served session
 //! shares — a private [`CheckerPool`], the [`SharedLabels`]
-//! canonicalization table, the global shadow-page accounting, and (since
-//! the crash-safety work) the **live-session registry**: sessions belong
-//! to the engine, not to the connection that opened them. A connection
-//! *attaches* to a session (`O`/`R` frames) and *detaches* when it ends;
-//! the session itself survives until it is closed (`C`), swept as idle,
-//! or the process dies — and with a spill directory configured, even
-//! process death is survivable.
+//! canonicalization table, and (since the crash-safety work) the
+//! **live-session registry**: sessions belong to the engine, not to the
+//! connection that opened them. A connection *attaches* to a session
+//! (`O`/`R` frames) and *detaches* when it ends; the session itself
+//! survives until it is closed (`C`), swept as idle, or the process
+//! dies — and with a spill directory configured, even process death is
+//! survivable.
 //!
-//! ## The global budget (finished sessions)
+//! ## Lifetime: a session's memory leaves with its summary
 //!
-//! `global_page_budget` bounds the total shadow pages held by retained
-//! *finished* sessions; when a newly finished session pushes the total
-//! over, the oldest retained sessions are evicted
-//! ([`cusan::CheckSession::evict_shadow`]) until the total fits again.
-//! Eviction is *sound by construction*: only finished sessions are
-//! candidates, and every summary is snapshotted before its session
-//! becomes evictable — so the budget provably cannot change any
-//! session's detected race set.
+//! A served session ends the way a solo replay does. `C` takes it out of
+//! the registry and [`crate::SessionIngest::finish`] consumes it into
+//! its [`SessionSummary`]: shadow arena, clocks, interner and ring are
+//! freed before the `S` reply is written. The engine keeps nothing of a
+//! finished session but counters, so its footprint is its *live*
+//! sessions plus the label table.
 //!
-//! ## The live budget (unfinished sessions): spill, don't evict
+//! ## The live budget (unfinished sessions): spill
 //!
 //! An *unfinished* session's shadow pages encode access history the
-//! detector still needs, so they can never be evicted. They can,
+//! detector still needs, so they can never be dropped. They can,
 //! however, be **spilled**: `live_page_budget` bounds the shadow pages
 //! held by *detached* (idle) unfinished sessions, and when the total
 //! exceeds it the least-recently-touched ones are serialized to
@@ -53,14 +51,16 @@
 //! spilled, its acked offset the journal's length; the first frame
 //! restores it from the latest spill (if any) plus the journal tail — or
 //! replays the whole journal when the process died before ever
-//! spilling. Clients learn the recovered acked offset from the `R`
-//! handshake and replay the rest.
+//! spilling, or while writing the spill: the journal holds `[0, acked)`
+//! before any spill starts, so a spill file that does not decode is
+//! logged, discarded and rebuilt from journal byte 0. Clients learn the
+//! recovered acked offset from the `R` handshake and replay the rest.
 
 use crate::ingest::SessionIngest;
 use crate::labels::SharedLabels;
-use cusan::{CheckSession, CheckerPool, SessionSummary};
+use cusan::{CheckerPool, SessionSummary};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -89,9 +89,6 @@ pub struct EngineConfig {
     /// Explicit checker-pool worker count (`None`: size from hardware,
     /// exactly like [`cusan::ToolConfig::check_threads`]).
     pub check_threads: Option<usize>,
-    /// Global cap on shadow pages retained across *finished* sessions
-    /// (`None`: retain everything).
-    pub global_page_budget: Option<usize>,
     /// Cap on shadow pages held by *detached unfinished* sessions;
     /// beyond it the least-recently-touched are spilled to `spill_dir`
     /// (`None`, or no `spill_dir`: never spill under pressure).
@@ -112,16 +109,9 @@ pub struct EngineConfig {
 pub struct ServeStats {
     /// Sessions opened (fresh `O`/`R` accepted).
     pub sessions_opened: u64,
-    /// Sessions finished (closed, summary snapshotted).
+    /// Sessions finished (closed, consumed into their summary).
     pub sessions_finished: u64,
-    /// Finished sessions whose shadow pages were evicted under the
-    /// global budget.
-    pub sessions_evicted: u64,
-    /// Shadow pages reclaimed by those evictions.
-    pub shadow_pages_evicted: u64,
-    /// Shadow pages currently retained by finished sessions.
-    pub resident_pages: u64,
-    /// High-water mark of `resident_pages`.
+    /// Most shadow pages any one session held when it finished.
     pub peak_resident_pages: u64,
     /// Distinct labels in the shared table.
     pub labels_unique: u64,
@@ -233,24 +223,11 @@ impl LiveSession {
     }
 }
 
-/// A finished session retained for its warm shadow pages. The checker
-/// handle was dropped before the entry was created, so nothing but the
-/// engine can be holding the session lock — eviction never contends
-/// with a pool worker.
-struct Retained {
-    handle: Arc<Mutex<CheckSession>>,
-    pages: usize,
-}
-
 #[derive(Default)]
 struct EngineState {
-    retained: VecDeque<Retained>,
-    resident_pages: usize,
     peak_resident_pages: usize,
     sessions_opened: u64,
     sessions_finished: u64,
-    sessions_evicted: u64,
-    shadow_pages_evicted: u64,
     sessions_resumed: u64,
     sessions_spilled: u64,
     sessions_restored: u64,
@@ -527,11 +504,13 @@ impl ServeEngine {
                 got: offset,
             });
         };
-        self.ensure_resident(id, &mut s).map_err(FeedError::Fatal)?;
-        let LiveState::Resident(ingest) = &mut s.state else {
-            unreachable!("ensure_resident restored the session");
-        };
-        let mut fed = ingest.feed(chunk);
+        let mut fed = self.ensure_resident(id, &mut s);
+        if fed.is_ok() {
+            let LiveState::Resident(ingest) = &mut s.state else {
+                unreachable!("ensure_resident restored the session");
+            };
+            fed = ingest.feed(chunk);
+        }
         if fed.is_ok() {
             s.acked += chunk.len() as u64;
             // Write-behind: the offset returned here stays in this
@@ -556,8 +535,8 @@ impl ServeEngine {
         }
     }
 
-    /// Close session `id`: restore it if spilled, finish it, retain it
-    /// as a finished session, and clear its disk state.
+    /// Close session `id`: restore it if spilled, clear its disk state,
+    /// and consume it into its summary.
     pub fn close(&self, id: u64) -> Result<SessionSummary, String> {
         let sess = {
             let mut live = self.live.lock();
@@ -605,12 +584,20 @@ impl ServeEngine {
         let engine = self.self_arc();
         let spill_path = self.spill_path(id).ok_or("spilled without a spill dir")?;
         let (mut ingest, restored_to) = match fs::read(&spill_path) {
-            Ok(blob) => {
-                let (acked_at_spill, ingest_blob) = decode_spill_file(&blob)
-                    .map_err(|e| format!("{}: {e}", spill_path.display()))?;
-                let ingest = SessionIngest::restore(engine, &ingest_blob)?;
-                (ingest, acked_at_spill)
-            }
+            Ok(blob) => match restore_spill_file(&engine, &blob, s.acked) {
+                Ok(restored) => restored,
+                // A spill cut short (killed mid-write, disk full) or
+                // damaged. The journal held `[0, acked)` before the
+                // spill began, so it alone rebuilds the session.
+                Err(e) => {
+                    eprintln!(
+                        "cusan-serve: session {id}: {}: {e}; rebuilding from the journal",
+                        spill_path.display()
+                    );
+                    let _ = fs::remove_file(&spill_path);
+                    (SessionIngest::new(engine), 0)
+                }
+            },
             // No spill file: the journal alone (a crash before any
             // spill) rebuilds the session from byte zero.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (SessionIngest::new(engine), 0),
@@ -778,27 +765,11 @@ impl ServeEngine {
         self.state.lock().sessions_opened += 1;
     }
 
-    /// Hand a finished session to the engine: retain its shadow pages,
-    /// and enforce the global budget by evicting the oldest retained
-    /// sessions first. `handle` must no longer have a registered checker
-    /// (the ingest drops it first).
-    pub(crate) fn finish_session(&self, handle: Arc<Mutex<CheckSession>>, pages: usize) {
+    /// Record a finished session that held `pages` shadow pages.
+    pub(crate) fn finish_session(&self, pages: usize) {
         let mut st = self.state.lock();
         st.sessions_finished += 1;
-        st.resident_pages += pages;
-        st.retained.push_back(Retained { handle, pages });
-        if let Some(budget) = self.config.global_page_budget {
-            while st.resident_pages > budget {
-                let Some(oldest) = st.retained.pop_front() else {
-                    break;
-                };
-                let evicted = oldest.handle.lock().evict_shadow();
-                st.resident_pages -= oldest.pages;
-                st.sessions_evicted += 1;
-                st.shadow_pages_evicted += evicted as u64;
-            }
-        }
-        st.peak_resident_pages = st.peak_resident_pages.max(st.resident_pages);
+        st.peak_resident_pages = st.peak_resident_pages.max(pages);
     }
 
     /// Snapshot of the engine counters.
@@ -807,9 +778,6 @@ impl ServeEngine {
         ServeStats {
             sessions_opened: st.sessions_opened,
             sessions_finished: st.sessions_finished,
-            sessions_evicted: st.sessions_evicted,
-            shadow_pages_evicted: st.shadow_pages_evicted,
-            resident_pages: st.resident_pages as u64,
             peak_resident_pages: st.peak_resident_pages as u64,
             labels_unique: self.labels.unique(),
             labels_shared: self.labels.shared(),
@@ -831,7 +799,14 @@ fn encode_spill_file(acked: u64, ingest_blob: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_spill_file(bytes: &[u8]) -> Result<(u64, Vec<u8>), String> {
+/// Decode a spill file into the ingest it holds and the stream offset it
+/// was taken at. A spill never runs ahead of the journal, so an offset
+/// beyond `acked` is corruption like any other.
+fn restore_spill_file(
+    engine: &Arc<ServeEngine>,
+    bytes: &[u8],
+    acked: u64,
+) -> Result<(SessionIngest, u64), String> {
     let mut r = SnapshotReader::new(bytes);
     let err = |e: tsan_rt::SnapshotError| format!("corrupt spill file: {e}");
     if r.get_raw(SPILL_MAGIC.len()).map_err(err)? != SPILL_MAGIC {
@@ -841,8 +816,86 @@ fn decode_spill_file(bytes: &[u8]) -> Result<(u64, Vec<u8>), String> {
     if version != SPILL_VERSION {
         return Err(format!("unsupported spill version {version}"));
     }
-    let acked = r.get_u64().map_err(err)?;
+    let acked_at_spill = r.get_u64().map_err(err)?;
     let blob = r.get_bytes().map_err(err)?;
     r.expect_end().map_err(err)?;
-    Ok((acked, blob.to_vec()))
+    if acked_at_spill > acked {
+        return Err(format!(
+            "corrupt spill file: taken at offset {acked_at_spill}, journal ends at {acked}"
+        ));
+    }
+    let ingest = SessionIngest::restore(Arc::clone(engine), blob)?;
+    Ok((ingest, acked_at_spill))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const GOLDEN: &[u8] = include_bytes!("../../../tests/data/tealeaf_small.trace");
+
+    /// The checked session behind resident session `id`.
+    fn session_weak(engine: &ServeEngine, id: u64) -> Weak<Mutex<cusan::CheckSession>> {
+        let sess = engine.lookup(id).expect("session is registered");
+        let s = sess.lock();
+        let LiveState::Resident(ingest) = &s.state else {
+            panic!("session {id} is not resident");
+        };
+        ingest.session_weak().expect("header was fed")
+    }
+
+    /// `close` has returned: the session must be gone. A pool worker
+    /// that was mid-scan at the close may hold the slot for the rest of
+    /// that scan (it never parks on it), hence the bounded poll.
+    fn assert_freed(session: &Weak<Mutex<cusan::CheckSession>>, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while session.upgrade().is_some() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert!(session.upgrade().is_none(), "{what} outlived its summary");
+    }
+
+    #[test]
+    fn a_closed_session_is_freed_with_its_summary() {
+        let solo = crate::solo_summary(GOLDEN).unwrap();
+        let half = GOLDEN.len() / 2;
+
+        // Resident from open to close.
+        let engine = ServeEngine::new(EngineConfig::default());
+        engine.open_new(1).unwrap();
+        engine.feed(1, 0, GOLDEN).unwrap();
+        let session = session_weak(&engine, 1);
+        assert!(session.upgrade().is_some());
+        assert_eq!(engine.close(1).unwrap(), solo);
+        assert_freed(&session, "a resident session");
+        // The peak is one session's pages, not a running total.
+        let pages = engine.stats().peak_resident_pages;
+        assert!(pages > 0);
+        engine.open_new(3).unwrap();
+        engine.feed(3, 0, GOLDEN).unwrap();
+        engine.close(3).unwrap();
+        assert_eq!(engine.stats().peak_resident_pages, pages);
+
+        // Spilled mid-trace: the spill frees the first incarnation, the
+        // close the restored one.
+        let dir = crate::unique_scratch_dir("test-freed-at-close");
+        let engine = ServeEngine::new(EngineConfig {
+            spill_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        });
+        engine.open_new(2).unwrap();
+        engine.feed(2, 0, &GOLDEN[..half]).unwrap();
+        let spilled = session_weak(&engine, 2);
+        engine.detach(2);
+        assert!(engine.spill_session(2).unwrap());
+        assert_freed(&spilled, "a spilled session");
+        engine.feed(2, half as u64, &GOLDEN[half..]).unwrap();
+        let restored = session_weak(&engine, 2);
+        assert_eq!(engine.close(2).unwrap(), solo);
+        assert_freed(&restored, "a restored session");
+        let stats = engine.stats();
+        assert_eq!((stats.sessions_spilled, stats.sessions_restored), (1, 1));
+        assert_eq!(stats.peak_resident_pages, pages);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

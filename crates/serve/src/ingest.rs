@@ -126,6 +126,15 @@ impl SessionIngest {
         }
     }
 
+    /// The session under check, for tests that watch it die.
+    #[cfg(test)]
+    pub(crate) fn session_weak(&self) -> Option<Weak<parking_lot::Mutex<CheckSession>>> {
+        match &self.state {
+            IngestState::Body { checker } => Some(Arc::downgrade(&checker.session_handle())),
+            _ => None,
+        }
+    }
+
     /// Spill this *unfinished* ingest to a compact byte blob: the full
     /// detector state ([`CheckSession::snapshot_bytes`]) plus the
     /// parser's complete mid-stream state (pending bytes, string table,
@@ -184,11 +193,12 @@ impl SessionIngest {
         })
     }
 
-    /// Close the stream: drain the checker, snapshot the summary, and
-    /// retire the session into the engine (where it becomes evictable
-    /// under the global budget). A trailing text line without a final
-    /// newline is accepted; a binary stream must end exactly at its
-    /// end-of-trace marker or this reports the truncation.
+    /// Close the stream: drain the checker and consume the session into
+    /// its summary, the way a solo replay ends — nothing of the session
+    /// outlives this call (see the [`crate::engine`] docs, "Lifetime").
+    /// A trailing text line without a final newline is accepted; a
+    /// binary stream must end exactly at its end-of-trace marker or this
+    /// reports the truncation.
     pub fn finish(mut self) -> Result<SessionSummary, String> {
         if matches!(self.state, IngestState::Done) {
             return Err("session already closed".to_string());
@@ -206,15 +216,25 @@ impl SessionIngest {
             IngestState::AwaitHeader => Err("empty session: no trace header received".to_string()),
             IngestState::Done => Err("session already closed".to_string()),
             IngestState::Body { checker } => {
-                // Summary *before* the session becomes evictable — the
-                // eviction-soundness contract (see crate::engine docs).
-                let (summary, pages) = checker.with_session(|s| (s.summary(), s.shadow_pages()));
+                // Dropping the checker applies what is still queued and
+                // takes the session out of the pool, which leaves this
+                // handle its only owner — unless a worker is mid-scan
+                // over a snapshot that still lists the slot; then the
+                // summary is copied and the session dies with that scan.
                 let handle = checker.session_handle();
-                // Unregister from the pool before handing the idle
-                // session to the engine: eviction must never contend
-                // with a pool worker holding the session lock.
                 drop(checker);
-                engine.finish_session(handle, pages);
+                let (summary, pages) = match Arc::try_unwrap(handle) {
+                    Ok(session) => {
+                        let session = session.into_inner();
+                        let pages = session.shadow_pages();
+                        (session.into_summary(), pages)
+                    }
+                    Err(shared) => {
+                        let session = shared.lock();
+                        (session.summary(), session.shadow_pages())
+                    }
+                };
+                engine.finish_session(pages);
                 Ok(summary)
             }
         }

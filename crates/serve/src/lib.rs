@@ -14,8 +14,8 @@
 //!                       │              TracePushParser   CheckerPool (shared)
 //!                       │                   │                 │
 //!                       └── ServeEngine ◄── SharedLabels  CheckSession
-//!                             (global shadow budget,
-//!                              retained finished sessions)
+//!                             (live-session registry,
+//!                              journals, spill)
 //! ```
 //!
 //! Everything downstream of [`SessionIngest`] is the same machinery live

@@ -1,19 +1,22 @@
 //! `cusan-serve` — check recorded traces as a service.
 //!
 //! ```text
-//! cusan-serve listen <addr> [--check-threads N] [--global-budget P]
-//!                    [--max-sessions N] [--spill-dir DIR]
-//!                    [--live-budget P] [--idle-timeout-ms MS]
-//! cusan-serve check <trace-file>... [--check-threads N] [--global-budget P]
+//! cusan-serve listen <addr> [--check-threads N] [--max-sessions N]
+//!                    [--spill-dir DIR] [--live-budget P] [--idle-timeout-ms MS]
+//! cusan-serve check <trace-file>... [--check-threads N]
 //!                    [--serve ADDR] [--retries N] [--backoff-ms MS] [--chunk B]
 //! ```
 //!
+//! An argument starting with `--` that is not listed here is a usage
+//! error (exit 2), never a positional.
+//!
 //! * `listen` — serve the frame protocol (see [`cusan_serve::proto`]) on
-//!   a TCP address until killed. `--max-sessions` bounds concurrently
-//!   open sessions (excess opens get a typed `E` reply); `--spill-dir`
-//!   enables journaling, live-session spilling (forced under
-//!   `--live-budget`), and restart recovery; `--idle-timeout-ms` starts
-//!   a sweeper that expires detached idle sessions.
+//!   a TCP address until killed. `--max-sessions` (default 1024) bounds
+//!   concurrently open sessions (excess opens get a typed `E` reply);
+//!   `--spill-dir` enables journaling, live-session spilling (forced
+//!   under `--live-budget`), and restart recovery; a sweeper expires
+//!   detached sessions idle for `--idle-timeout-ms` (default one hour).
+//!   `0` lifts either limit.
 //! * `check` — check each trace file and print one summary JSON line per
 //!   file. Offline through an in-process engine by default; with
 //!   `--serve ADDR` the traces stream to a remote server through the
@@ -34,7 +37,6 @@ struct Options {
     files: Vec<String>,
     chunk: usize,
     check_threads: Option<usize>,
-    global_budget: Option<usize>,
     max_sessions: Option<usize>,
     spill_dir: Option<String>,
     live_budget: Option<usize>,
@@ -52,7 +54,6 @@ fn parse_args() -> Result<Options, String> {
         files: Vec::new(),
         chunk: 997,
         check_threads: None,
-        global_budget: None,
         max_sessions: None,
         spill_dir: None,
         live_budget: None,
@@ -72,7 +73,6 @@ fn parse_args() -> Result<Options, String> {
         match args[i].as_str() {
             "--chunk" => o.chunk = num(&value(&mut i)?)?,
             "--check-threads" => o.check_threads = Some(num(&value(&mut i)?)?),
-            "--global-budget" => o.global_budget = Some(num(&value(&mut i)?)?),
             "--max-sessions" => o.max_sessions = Some(num(&value(&mut i)?)?),
             "--spill-dir" => o.spill_dir = Some(value(&mut i)?),
             "--live-budget" => o.live_budget = Some(num(&value(&mut i)?)?),
@@ -80,6 +80,9 @@ fn parse_args() -> Result<Options, String> {
             "--serve" => o.serve_addr = Some(value(&mut i)?),
             "--retries" => o.retries = num(&value(&mut i)?)? as u64,
             "--backoff-ms" => o.backoff_ms = num(&value(&mut i)?)? as u64,
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown option {flag}\n{}", usage()))
+            }
             other => o.files.push(other.to_string()),
         }
         i += 1;
@@ -99,7 +102,6 @@ fn usage() -> String {
 fn engine_config(o: &Options) -> EngineConfig {
     EngineConfig {
         check_threads: o.check_threads,
-        global_page_budget: o.global_budget,
         live_page_budget: o.live_budget,
         max_sessions: o.max_sessions,
         spill_dir: o.spill_dir.as_ref().map(std::path::PathBuf::from),
@@ -129,16 +131,36 @@ fn main() -> ExitCode {
     }
 }
 
+/// What `listen` allows when the flag is absent: a server left running
+/// must not grow without bound by default. `0` on the command line
+/// lifts the limit.
+const LISTEN_MAX_SESSIONS: usize = 1024;
+const LISTEN_IDLE_TIMEOUT_MS: u64 = 60 * 60 * 1000;
+
+fn shown(limit: Option<impl ToString>) -> String {
+    limit.map_or("unlimited".to_string(), |n| n.to_string())
+}
+
 fn run_listen(o: &Options) -> Result<(), String> {
     let addr = o.files.first().ok_or("listen needs an address")?;
+    let max_sessions = Some(o.max_sessions.unwrap_or(LISTEN_MAX_SESSIONS)).filter(|&n| n != 0);
+    let idle_ms = Some(o.idle_timeout_ms.unwrap_or(LISTEN_IDLE_TIMEOUT_MS)).filter(|&ms| ms != 0);
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("cusan-serve: listening on {local}");
-    let config = engine_config(o);
+    eprintln!(
+        "cusan-serve: listening on {local} (max-sessions {}, idle-timeout-ms {})",
+        shown(max_sessions),
+        shown(idle_ms)
+    );
+    let config = EngineConfig {
+        max_sessions,
+        idle_timeout: idle_ms.map(Duration::from_millis),
+        ..engine_config(o)
+    };
     // `recover`, not `new`: a restarted server resumes every session its
     // previous incarnation journaled (a no-op without --spill-dir).
     let engine = ServeEngine::recover(config).map_err(|e| format!("recovering spill dir: {e}"))?;
-    if let Some(ms) = o.idle_timeout_ms {
+    if let Some(ms) = idle_ms {
         let engine = Arc::clone(&engine);
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_millis(ms.clamp(10, 1_000)));

@@ -1,8 +1,7 @@
 //! The serve determinism contract: N concurrent sessions multiplexed
 //! over one checker pool produce summaries bit-for-bit identical to solo
-//! synchronous replays — at any worker count, under chunked interleaved
-//! delivery, and under a global shadow budget forcing cross-session
-//! eviction.
+//! synchronous replays — at any worker count and under chunked
+//! interleaved delivery, in process and over sockets.
 //!
 //! The corpus is the golden TeaLeaf fixture (recorded by
 //! `tests/trace_fixture.rs` — regenerate, don't hand-edit) plus
@@ -82,7 +81,6 @@ fn concurrent_sessions_match_solo_replay_at_any_worker_count() {
         let engine = run_sessions(
             EngineConfig {
                 check_threads: Some(threads),
-                global_page_budget: None,
                 ..EngineConfig::default()
             },
             &corpus,
@@ -91,7 +89,6 @@ fn concurrent_sessions_match_solo_replay_at_any_worker_count() {
         );
         let stats = engine.stats();
         assert_eq!(stats.sessions_finished, corpus.len() as u64);
-        assert_eq!(stats.sessions_evicted, 0, "no budget, no eviction");
     }
 }
 
@@ -101,7 +98,6 @@ fn sixty_four_sessions_over_one_pool() {
     let engine = run_sessions(
         EngineConfig {
             check_threads: Some(2),
-            global_page_budget: None,
             ..EngineConfig::default()
         },
         &corpus,
@@ -118,77 +114,19 @@ fn sixty_four_sessions_over_one_pool() {
         stats.labels_shared,
         stats.labels_unique
     );
-    assert!(
-        stats.peak_resident_pages > 0,
-        "finished sessions retain shadow"
-    );
-}
-
-#[test]
-fn global_budget_evicts_idle_sessions_without_changing_races() {
-    let corpus = corpus();
-    // Baseline: unlimited retention, to learn the corpus's real page load.
-    let unlimited = run_sessions(
-        EngineConfig {
-            check_threads: Some(2),
-            global_page_budget: None,
-            ..EngineConfig::default()
-        },
-        &corpus,
-        16,
-        512,
-    );
-    let full = unlimited.stats().resident_pages;
-    assert!(
-        full > 0,
-        "corpus must produce shadow pages to make the test meaningful"
-    );
-
-    // A budget of a quarter of that forces evictions. run_sessions
-    // itself asserts every summary still equals solo replay — the
-    // budget provably cannot change any session's detected race set.
-    let budget = (full / 4).max(1);
-    let capped = run_sessions(
-        EngineConfig {
-            check_threads: Some(2),
-            global_page_budget: Some(budget as usize),
-            ..EngineConfig::default()
-        },
-        &corpus,
-        16,
-        512,
-    );
-    let stats = capped.stats();
-    assert!(
-        stats.sessions_evicted > 0,
-        "budget {budget} of {full} must evict"
-    );
-    assert!(stats.shadow_pages_evicted > 0);
-    assert!(
-        stats.resident_pages <= budget,
-        "resident {} exceeds budget {budget}",
-        stats.resident_pages
-    );
-    assert_eq!(stats.sessions_finished, 16);
+    assert!(stats.peak_resident_pages > 0, "sessions held shadow pages");
 }
 
 /// `sessions` sessions (`corpus[i % corpus.len()]`) dealt round-robin
 /// over `connections` TCP connections to one listener, every connection
 /// interleaving its sessions in small chunks; each reply must be the
-/// solo replay's JSON, byte for byte. With a `global_budget`, finished
-/// sessions must have been evicted to stay under it.
-fn socket_end_to_end(
-    corpus: &[Vec<u8>],
-    connections: usize,
-    sessions: usize,
-    global_budget: Option<usize>,
-) {
+/// solo replay's JSON, byte for byte.
+fn socket_end_to_end(corpus: &[Vec<u8>], connections: usize, sessions: usize) {
     use cusan_serve::{check_traces, serve_listener, Reply};
     use std::net::{TcpListener, TcpStream};
 
     let engine = ServeEngine::new(EngineConfig {
         check_threads: Some(2),
-        global_page_budget: global_budget,
         ..EngineConfig::default()
     });
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -242,30 +180,17 @@ fn socket_end_to_end(
             Reply::Ack { id, .. } => panic!("session {id}: stray ack as terminal reply"),
         }
     }
-    let stats = engine.stats();
-    assert_eq!(stats.sessions_finished, sessions as u64);
-    if let Some(budget) = global_budget {
-        assert!(
-            stats.sessions_evicted > 0,
-            "budget {budget} evicted nothing (peak {} pages)",
-            stats.peak_resident_pages
-        );
-        assert!(
-            stats.resident_pages <= budget as u64,
-            "resident {} exceeds budget {budget}",
-            stats.resident_pages
-        );
-    }
+    assert_eq!(engine.stats().sessions_finished, sessions as u64);
 }
 
 #[test]
 fn socket_end_to_end_replies_with_solo_identical_json() {
     let corpus = corpus();
     // One connection multiplexing every corpus trace.
-    socket_end_to_end(&corpus, 1, corpus.len(), None);
-    // 64 sessions interleaved over 8 connections, under a budget that
-    // has to evict idle finished sessions while others still stream.
-    socket_end_to_end(&corpus, 8, 64, Some(32));
+    socket_end_to_end(&corpus, 1, corpus.len());
+    // 64 sessions interleaved over 8 connections, some finishing while
+    // others still stream.
+    socket_end_to_end(&corpus, 8, 64);
 }
 
 #[test]
@@ -289,7 +214,6 @@ fn binary_corpus_serves_identically_to_text() {
     let engine = run_sessions(
         EngineConfig {
             check_threads: Some(2),
-            global_page_budget: None,
             ..EngineConfig::default()
         },
         &binary,

@@ -456,16 +456,6 @@ impl TsanRuntime {
         self.shadow.discard_page(addr)
     }
 
-    /// Evict the entire shadow — every page, plus the arena slabs once
-    /// nothing stays live — returning the number of pages evicted (see
-    /// [`crate::shadow::ShadowMemory::evict_all_pages`]). Reports, sync
-    /// state, and counters are untouched; only legal once no further
-    /// accesses will be recorded (a finished session), since eviction
-    /// forgets access history.
-    pub fn evict_shadow_pages(&mut self) -> usize {
-        self.shadow.evict_all_pages()
-    }
-
     /// Approximate heap bytes owned by the detector: shadow pages, vector
     /// clocks, sync variables, context table. Drives Fig. 11.
     pub fn memory_bytes(&self) -> u64 {

@@ -146,8 +146,7 @@ pub struct ShadowCounters {
     /// Arena slabs allocated (logarithmic in unfolded page count thanks
     /// to geometric slab growth).
     pub arena_slabs_allocated: u64,
-    /// Arena page blocks returned to the free list by page discard or
-    /// whole-shadow eviction ([`ShadowMemory::evict_all_pages`]).
+    /// Arena page blocks returned to the free list by page discard.
     pub arena_pages_evicted: u64,
 }
 
@@ -183,8 +182,8 @@ struct PageArena {
     /// Blocks already carved from the newest slab.
     carved: usize,
     next_slab_pages: usize,
-    /// Blocks handed out and not yet freed; when it hits zero the slabs
-    /// themselves can be released ([`Self::trim_if_idle`]).
+    /// Blocks handed out and not yet freed (a restored snapshot is
+    /// checked against it).
     live_blocks: usize,
     pages_reused: u64,
     slabs_allocated: u64,
@@ -274,20 +273,6 @@ impl PageArena {
         self.live_blocks -= 1;
         self.pages_evicted += 1;
         self.free.push(id);
-    }
-
-    /// Release the slabs themselves once no block is live. Plain per-page
-    /// discard deliberately does NOT trim — steady-state discard/unfold
-    /// cycles are exactly what the free list accelerates — but a finished
-    /// session's whole-shadow eviction must actually return the bytes
-    /// (the slab growth point is kept, so a resurrected arena re-grows
-    /// geometrically from where it left off).
-    fn trim_if_idle(&mut self) {
-        if self.live_blocks == 0 && !self.slabs.is_empty() {
-            self.slabs = Vec::new();
-            self.free = Vec::new();
-            self.carved = 0;
-        }
     }
 
     fn block(&self, id: BlockId) -> &[u64; SLOTS_PER_PAGE] {
@@ -557,26 +542,6 @@ impl ShadowMemory {
         // page; the next identical access must re-walk, not fast-path.
         self.last = None;
         true
-    }
-
-    /// Forget *every* tracked page — a finished session's whole-shadow
-    /// eviction (the serve path's global-budget reclaim). Arena blocks
-    /// return to the free list and, with nothing left live, the slabs
-    /// themselves are released, so the evicted session's bytes actually
-    /// leave [`ShadowMemory::heap_bytes`] (per-page discard recycles
-    /// blocks but keeps slab memory charged for reuse). Returns the
-    /// number of pages evicted. Sound only when no further accesses will
-    /// be recorded: eviction forgets access history.
-    pub fn evict_all_pages(&mut self) -> usize {
-        let n = self.pages.len();
-        for (_, state) in self.pages.drain() {
-            if let PageState::Unfolded(id) = state {
-                self.arena.free_block(id);
-            }
-        }
-        self.last = None;
-        self.arena.trim_if_idle();
-        n
     }
 
     /// Cap the number of shadow pages. Once the budget is reached the
@@ -1793,38 +1758,6 @@ mod tests {
                 "stale slot leaked into recycled zeroed block at word {w}"
             );
         }
-    }
-
-    #[test]
-    fn evict_all_pages_releases_slabs_and_counts() {
-        let mut sh = ShadowMemory::new();
-        let clk = VectorClock::new();
-        // 6 unfolded pages → 2 slabs (4 + 8).
-        touch_pages_partially(&mut sh, 6);
-        assert_eq!(sh.page_count(), 6);
-        assert!(sh.heap_bytes() > 0);
-
-        // Per-page discard recycles the block but keeps slab bytes
-        // charged (that's the free list working as intended).
-        assert!(sh.discard_page(0));
-        let bytes_after_discard = sh.heap_bytes();
-        assert!(bytes_after_discard >= 12 * (SLOTS_PER_PAGE as u64) * 8);
-        assert_eq!(sh.counters().arena_pages_evicted, 1);
-
-        // Whole-shadow eviction returns every block AND the slabs.
-        assert_eq!(sh.evict_all_pages(), 5);
-        assert_eq!(sh.page_count(), 0);
-        assert_eq!(sh.heap_bytes(), 0);
-        let c = sh.counters();
-        assert_eq!(c.arena_pages_evicted, 6);
-        assert_eq!(c.arena_slabs_allocated, 2);
-
-        // The arena still works after a trim (re-grows from scratch) and
-        // keeps cumulative counters.
-        sh.access_range(0, 8, true, fid(1), 1, ctx(0), &clk, |_| {});
-        assert_eq!(sh.page_count(), 1);
-        assert_eq!(sh.counters().arena_slabs_allocated, 3);
-        assert!(sh.heap_bytes() > 0);
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub struct TsanStats {
     /// Arena slabs allocated (geometric growth: 4 pages doubling to the
     /// cap, so this stays logarithmic in the unfolded page count).
     pub arena_slabs_allocated: u64,
-    /// Arena page blocks returned to the free list by page discard or
-    /// whole-shadow eviction (the serve path's global-budget reclaim).
+    /// Arena page blocks returned to the free list by page discard.
     pub arena_pages_evicted: u64,
 }
 
