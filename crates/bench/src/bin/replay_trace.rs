@@ -11,9 +11,11 @@
 //! Usage:
 //!
 //! ```text
-//! replay_trace record <dir>      record Jacobi + TeaLeaf (MUST & CuSan)
-//!                                and write one .trace file per rank
-//!                                (CUSAN_TRACE_FORMAT picks the encoding)
+//! replay_trace record <dir>      record Jacobi, TeaLeaf and TeaLeaf with
+//!                                its halo-exchange sync removed (MUST &
+//!                                CuSan) and write one .trace file per
+//!                                rank (CUSAN_TRACE_FORMAT picks the
+//!                                encoding)
 //! replay_trace replay <file>...  replay traces (either format, sniffed),
 //!                                print reports + stats
 //! replay_trace transcode <in> <out>  rewrite a trace into the other
@@ -23,7 +25,7 @@
 //! ```
 
 use cusan::{replay, transcode, Flavor, Trace, TraceFormat};
-use cusan_apps::{run_jacobi_traced, run_tealeaf_traced, JacobiConfig, TeaLeafConfig};
+use cusan_apps::{run_jacobi_traced, run_tealeaf_traced, JacobiConfig, RaceMode, TeaLeafConfig};
 use cusan_bench::banner;
 use must_rt::RankOutcome;
 use std::time::{Duration, Instant};
@@ -48,14 +50,21 @@ fn small_tealeaf() -> TeaLeafConfig {
     }
 }
 
-/// Record both mini-apps; returns (app name, live rank outcomes, live wall
-/// time) per app.
+/// Record both mini-apps, and TeaLeaf once more with the sync before its
+/// halo exchange removed (the run that has races to replay); returns (app
+/// name, live rank outcomes, live wall time) per run.
 fn record_apps() -> Vec<(&'static str, Vec<RankOutcome>, Duration)> {
     let j = run_jacobi_traced(&small_jacobi(), Flavor::MustCusan);
     let t = run_tealeaf_traced(&small_tealeaf(), Flavor::MustCusan);
+    let racy = TeaLeafConfig {
+        race: RaceMode::SkipSyncBeforeExchange,
+        ..small_tealeaf()
+    };
+    let r = run_tealeaf_traced(&racy, Flavor::MustCusan);
     vec![
         ("jacobi", j.outcome.ranks, j.elapsed),
         ("tealeaf", t.outcome.ranks, t.elapsed),
+        ("tealeaf_racy", r.outcome.ranks, r.elapsed),
     ]
 }
 
@@ -280,7 +289,7 @@ fn cmd_check() -> i32 {
             }
         }
         println!(
-            "{app:<8} live {live:>10.2?}  replay {replay_total:>10.2?}  ({events} events, {} ranks)",
+            "{app:<12} live {live:>10.2?}  replay {replay_total:>10.2?}  ({events} events, {} ranks)",
             ranks.len()
         );
     }

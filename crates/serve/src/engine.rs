@@ -543,7 +543,12 @@ impl ServeEngine {
             live.remove(&id).ok_or("session not open")?
         };
         let mut s = sess.lock();
-        self.ensure_resident(id, &mut s)?;
+        // A session that cannot be restored is gone either way; its files
+        // must not outlive it for `recover` to re-register.
+        if let Err(e) = self.ensure_resident(id, &mut s) {
+            self.remove_disk_state(id);
+            return Err(e);
+        }
         let state = std::mem::replace(&mut s.state, LiveState::Spilled);
         // Bytes still in the write-behind buffer die with the session: a
         // closed session has nothing left to recover.

@@ -377,6 +377,39 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
 }
 
+#[test]
+fn closing_an_unrestorable_session_leaves_nothing_to_recover() {
+    // Spill gone and the journal shorter than what was acknowledged:
+    // nothing can rebuild session 6. `close` fails, and it must take the
+    // session's files with it — the id is already out of the registry, so
+    // nobody else will, and a restart would re-register a session that
+    // can never finish.
+    let bytes = GOLDEN.as_bytes();
+    let split = bytes.len() / 2;
+    let dir = ScratchDir::new("close-unrestorable");
+    let engine = ServeEngine::new(spilling_config(&dir));
+    engine.open_new(6).unwrap();
+    engine.feed(6, 0, &bytes[..split]).unwrap();
+    engine.detach(6);
+    assert!(engine.spill_session(6).unwrap());
+    std::fs::remove_file(dir.0.join("session-6.spill")).unwrap();
+    let journal_path = dir.0.join("session-6.journal");
+    let journal_file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&journal_path)
+        .unwrap();
+    journal_file.set_len(split as u64 / 2).unwrap();
+    drop(journal_file);
+
+    let err = engine.close(6).unwrap_err();
+    assert!(err.contains("acked bytes"), "{err}");
+    assert_eq!(engine.live_sessions(), 0);
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+    drop(engine);
+    let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
+    assert_eq!(engine.live_sessions(), 0, "nothing to resurrect");
+}
+
 /// The client half of a connection as a script: hands `serve_connection`
 /// one frame at a time and calls `between(k)` each time the server comes
 /// back for frame `k` — that is, once it has handled, and replied to,

@@ -38,6 +38,21 @@
 //!    counters in one step. A partial overlap, or a store that would
 //!    evict (eviction is word-local, so words would diverge), lazily
 //!    *unfolds* the summary into the flat word representation first.
+//!
+//!    **Run-valued walk.** The same rule carries over to unfolded pages:
+//!    `walk_runs` scans each maximal run of words holding the same four
+//!    slots once, stores with a strided write (an eviction keeps its
+//!    per-word victim) and emits one [`RawConflict`] run per conflicting
+//!    prior access — cost ∝ distinct word *states*, of which a page that
+//!    partial accesses cut into regions has two or three, not 512. It
+//!    serves every chunk whose shape is known up front: a page-covering
+//!    chunk on an unfolded page, and the chunk that has just materialised
+//!    its block (a first touch: all empty; an unfold: the summary
+//!    replicated). A partial chunk on an already-unfolded page is the one
+//!    remaining caller of the per-word `walk_words`; the two walks are
+//!    proven equivalent, and that caller moves over once the ledger's
+//!    serve ratios stop charging solo-replay speed-ups as regressions
+//!    (ROADMAP items 0 and 1).
 //! 2. **Same-state fast path.** The single most common pattern in
 //!    iteration loops (Jacobi, TeaLeaf) is re-annotating an identical
 //!    range with an identical packed epoch — same fiber, clock, ctx, and
@@ -118,7 +133,8 @@ pub struct RawConflict {
     /// Word-aligned application address of the run's first word.
     pub word_addr: u64,
     /// Words in the run (≥ 1): a whole summary page conflicts as one run
-    /// of 512, the per-word walk emits runs of 1.
+    /// of 512, the run-valued walk emits one run per stretch of equal
+    /// words, the per-word walk emits runs of 1.
     pub words: u64,
     /// The previously recorded access.
     pub prev: ShadowAccess,
@@ -440,6 +456,8 @@ fn scan_slots(
     fiber_clock: &VectorClock,
     mut emit: impl FnMut(ShadowAccess),
 ) -> StoreDecision {
+    #[cfg(test)]
+    tests::SCANS.with(|n| n.set(n.get() + 1));
     let mut store_at: Option<usize> = None;
     let mut skip_store = false;
     let mut empty_at: Option<usize> = None;
@@ -478,6 +496,31 @@ fn scan_slots(
             (None, None) => StoreDecision::Evict,
         }
     }
+}
+
+/// [`scan_slots`] with the conflicts buffered instead of emitted: a scan
+/// that stands for many words (a summary, a run) only learns how many
+/// after it has decided. At most one conflict per slot; the count is the
+/// last field.
+#[inline]
+fn scan_buffered(
+    slots: &[u64; SLOTS_PER_WORD],
+    fiber: FiberId,
+    write: bool,
+    fiber_clock: &VectorClock,
+) -> (StoreDecision, [ShadowAccess; SLOTS_PER_WORD], usize) {
+    let mut conflicts = [ShadowAccess {
+        fiber: FiberId::HOST,
+        clock: 0,
+        ctx: CtxId(0),
+        write: false,
+    }; SLOTS_PER_WORD];
+    let mut n = 0usize;
+    let decision = scan_slots(slots, fiber, write, fiber_clock, |prev| {
+        conflicts[n] = prev;
+        n += 1;
+    });
+    (decision, conflicts, n)
 }
 
 /// Word-local deterministic eviction victim. Depends only on the word
@@ -574,9 +617,11 @@ impl ShadowMemory {
     /// component is `clock` and full vector clock is `fiber_clock`).
     /// Invokes `on_conflict` for each run of words that conflicts with a
     /// prior access: once per (summary page, prior access), once per
-    /// (word, prior access) on unfolded pages. Cost is O(pages) for
-    /// page-covering ranges — conflicts included — and O(len) for the
-    /// partial pages at the edges. `addr + len` must not overflow.
+    /// (run of equal words, prior access) where the run-valued walk
+    /// serves, once per (word, prior access) elsewhere. Cost is
+    /// O(pages + distinct states) for page-covering chunks in either
+    /// representation — conflicts included — and O(len) for a partial
+    /// chunk on an already-unfolded page. `addr + len` must not overflow.
     #[allow(clippy::too_many_arguments)]
     pub fn access_range(
         &mut self,
@@ -660,10 +705,10 @@ impl ShadowMemory {
                         counters.page_summaries_stored += 1;
                     } else {
                         // Partial first touch: pop a zeroed block from the
-                        // arena.
+                        // arena. Every word is empty — one run.
                         let id = arena.alloc_zeroed();
                         v.insert(PageState::Unfolded(id));
-                        walk_words(
+                        walk_runs(
                             arena.block_mut(id),
                             word,
                             end_word,
@@ -688,19 +733,8 @@ impl ShadowMemory {
                                 // emitted as one page-long run each —
                                 // every word held identical slots, so
                                 // every word conflicts identically.
-                                let mut conflicts = [ShadowAccess {
-                                    fiber: FiberId::HOST,
-                                    clock: 0,
-                                    ctx: CtxId(0),
-                                    write: false,
-                                };
-                                    SLOTS_PER_WORD];
-                                let mut n_conflicts = 0usize;
-                                let decision =
-                                    scan_slots(&summary[..], fiber, write, fiber_clock, |prev| {
-                                        conflicts[n_conflicts] = prev;
-                                        n_conflicts += 1;
-                                    });
+                                let (decision, conflicts, n_conflicts) =
+                                    scan_buffered(summary, fiber, write, fiber_clock);
                                 // Eviction is word-local: applying it at
                                 // the summary tier would evict the same
                                 // slot in all 512 words while a per-word
@@ -724,11 +758,12 @@ impl ShadowMemory {
                             }
                             if need_unfold {
                                 // Unfold = pop a block + replicate the
-                                // summary into every word.
+                                // summary into every word, so the chunk
+                                // is one run of it.
                                 let id = arena.alloc_filled(summary);
                                 *state = PageState::Unfolded(id);
                                 counters.page_unfolds += 1;
-                                walk_words(
+                                walk_runs(
                                     arena.block_mut(id),
                                     word,
                                     end_word,
@@ -740,6 +775,25 @@ impl ShadowMemory {
                                 );
                             }
                         }
+                        // A page-covering chunk pays per distinct word
+                        // state (the few regions partial accesses left
+                        // behind), not per word.
+                        PageState::Unfolded(id) if whole_page => {
+                            walk_runs(
+                                arena.block_mut(*id),
+                                word,
+                                end_word,
+                                new_raw,
+                                fiber,
+                                write,
+                                fiber_clock,
+                                &mut on_conflict,
+                            );
+                        }
+                        // The last per-word caller: a partial chunk on
+                        // an already-unfolded page. `walk_runs` is
+                        // equivalent here too; routing it waits on the
+                        // ledger's serve ratios (ROADMAP items 0 and 1).
                         PageState::Unfolded(id) => {
                             walk_words(
                                 arena.block_mut(*id),
@@ -1026,9 +1080,76 @@ fn walk_words(
     }
 }
 
+/// Run-valued walk over `[word, end_word]` within one page's slot array:
+/// each maximal run of words holding the same four slots is scanned once,
+/// stored with a strided write, and conflicts as one [`RawConflict`] run
+/// per conflicting prior access. Slots, conflicts (once runs are expanded)
+/// and the order in which each prior access first appears are exactly
+/// [`walk_words`]'s: equal slots decide equally, and eviction — the one
+/// word-dependent store — keeps its per-word victim.
+#[allow(clippy::too_many_arguments)]
+fn walk_runs(
+    page_slots: &mut [u64; SLOTS_PER_PAGE],
+    word: u64,
+    end_word: u64,
+    new_raw: u64,
+    fiber: FiberId,
+    write: bool,
+    fiber_clock: &VectorClock,
+    on_conflict: &mut impl FnMut(RawConflict),
+) {
+    let slot_base = |w: u64| (w % WORDS_PER_PAGE as u64) as usize * SLOTS_PER_WORD;
+    let mut run_start = word;
+    while run_start <= end_word {
+        let base = slot_base(run_start);
+        let state: [u64; SLOTS_PER_WORD] = page_slots[base..base + SLOTS_PER_WORD]
+            .try_into()
+            .expect("word size");
+        let (decision, conflicts, n_conflicts) = scan_buffered(&state, fiber, write, fiber_clock);
+        // Store into the run's words while finding where it ends: a word
+        // joins the run iff it still holds the state that was scanned.
+        let mut w = run_start;
+        loop {
+            let base = slot_base(w);
+            match decision {
+                StoreDecision::Skip => {}
+                StoreDecision::At(i) => page_slots[base + i] = new_raw,
+                StoreDecision::Evict => page_slots[base + victim_slot(w, fiber)] = new_raw,
+            }
+            w += 1;
+            if w > end_word {
+                break;
+            }
+            let base = slot_base(w);
+            if page_slots[base..base + SLOTS_PER_WORD] != state {
+                break;
+            }
+        }
+        for prev in conflicts.iter().take(n_conflicts) {
+            on_conflict(RawConflict {
+                word_addr: run_start * WORD_BYTES,
+                words: w - run_start,
+                prev: *prev,
+            });
+        }
+        run_start = w;
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    /// The per-word walk as the reference of the equivalence property.
+    /// Imported under another name so that grepping this file for calls
+    /// of `walk_words` keeps showing its one production caller only.
+    use super::walk_words as walk_per_word;
     use super::*;
+    use proptest::prelude::*;
+
+    thread_local! {
+        /// `scan_slots` calls made by this test's thread — the unit of
+        /// work the run-valued walk promises to save.
+        pub(super) static SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn ctx(i: u32) -> CtxId {
         CtxId(i)
@@ -1483,7 +1604,7 @@ mod tests {
         );
         assert_eq!(sh.summary_page_count(), 1);
         let mut hits = 0;
-        sh.access_range(64, 128, true, fid(2), 1, ctx(1), &clk, |_| hits += 1);
+        sh.access_range(64, 128, true, fid(2), 1, ctx(1), &clk, |c| hits += c.words);
         assert_eq!(hits, 16, "conflicts on the 16 overlapped words");
         assert_eq!(sh.summary_page_count(), 0, "summary unfolded");
         assert_eq!(sh.counters().page_unfolds, 1);
@@ -1582,6 +1703,219 @@ mod tests {
             hits += c.words
         });
         assert!(hits >= 3 * WORDS_PER_PAGE as u64, "still detecting");
+    }
+
+    // ---- run-valued walk ---------------------------------------------------
+
+    fn reset_scans() {
+        SCANS.with(|n| n.set(0));
+    }
+
+    fn scans() -> u64 {
+        SCANS.with(|n| n.get())
+    }
+
+    /// The run-valued claim as a count of work, not a timing: a whole-page
+    /// access over an *unfolded* page scans and calls back once per
+    /// distinct word state, never once per word.
+    #[test]
+    fn unfolded_pages_cost_one_scan_per_distinct_state() {
+        let words = WORDS_PER_PAGE as u64;
+        let unordered = VectorClock::new();
+        for k in 1..=3u64 {
+            // An 8-byte first touch unfolds the page; then fiber i + 1
+            // writes the i-th of k regions (the whole page when k = 1,
+            // which stays unfolded).
+            let regions_written = || {
+                let mut sh = ShadowMemory::new();
+                sh.access_range(0, 8, true, fid(1), 1, ctx(0), &unordered, |_| {});
+                for i in 0..k {
+                    let (lo, hi) = (i * words / k, (i + 1) * words / k);
+                    let f = fid(i as usize + 1);
+                    let len = (hi - lo) * WORD_BYTES;
+                    sh.access_range(lo * WORD_BYTES, len, true, f, 1, ctx(0), &unordered, |_| {});
+                }
+                assert_eq!(sh.summary_page_count(), 0, "k = {k}: page is unfolded");
+                sh
+            };
+
+            let mut sh = regions_written();
+            let (mut calls, mut covered) = (0u64, 0u64);
+            reset_scans();
+            sh.access_range(0, PAGE_BYTES, true, fid(9), 1, ctx(1), &unordered, |c| {
+                calls += 1;
+                covered += c.words;
+            });
+            assert_eq!(scans(), k, "k = {k}: one scan per region, not {words}");
+            assert_eq!(calls, k, "k = {k}: one run per racy region");
+            assert_eq!(covered, words);
+
+            // The steady state of an iteration loop: the covering fiber is
+            // ordered after every region's writer — k scans, no callback.
+            let mut sh = regions_written();
+            let mut ordered = VectorClock::new();
+            for f in 1..=k as usize {
+                ordered.set(fid(f), 1);
+            }
+            let (f9, c1) = (fid(9), ctx(1));
+            reset_scans();
+            sh.access_range(
+                0,
+                PAGE_BYTES,
+                true,
+                f9,
+                1,
+                c1,
+                &ordered,
+                no_conflict_expected,
+            );
+            assert_eq!(scans(), k);
+            assert_eq!(
+                sh.word_accesses(PAGE_BYTES - 8).len(),
+                2,
+                "stored on every word"
+            );
+        }
+    }
+
+    /// (fiber, clock, ctx, write); clock 0 is an empty slot.
+    type Slot = (usize, u32, u32, bool);
+    /// Words in the segment, and the four slots each of them holds.
+    type Segment = (usize, (Slot, Slot, Slot, Slot));
+
+    fn slot_raw((fiber, clock, c, write): Slot) -> u64 {
+        if clock == 0 {
+            return 0;
+        }
+        pack(ShadowAccess {
+            fiber: fid(fiber),
+            clock,
+            ctx: ctx(c),
+            write,
+        })
+    }
+
+    /// A page block laid out as the segments, repeated until it is full.
+    fn block_of(segments: &[Segment]) -> Vec<u64> {
+        let mut block = Vec::with_capacity(SLOTS_PER_PAGE);
+        for &(words, (a, b, c, d)) in segments.iter().cycle() {
+            for _ in 0..words.min(WORDS_PER_PAGE - block.len() / SLOTS_PER_WORD) {
+                block.extend([a, b, c, d].map(slot_raw));
+            }
+            if block.len() == SLOTS_PER_PAGE {
+                return block;
+            }
+        }
+        unreachable!("segments is never empty")
+    }
+
+    /// The incoming access of the equivalence property: (fiber, clock,
+    /// ctx, write) and what its vector clock knows of fibers 0..8.
+    type Incoming = (Slot, Vec<u32>);
+
+    /// Run both walks over words `[lo, hi]` of a copy of `block` and
+    /// demand the same slots, the same conflicts word for word, and each
+    /// prior access first met at the same word in the same order (what
+    /// the runtime's report order and `addr` are made of).
+    fn assert_walks_agree(block: &[u64], page: u64, lo: u64, hi: u64, incoming: &Incoming) {
+        let ((fiber, clock, c, write), known) = incoming;
+        let fiber = fid(*fiber);
+        let new_raw = pack(ShadowAccess {
+            fiber,
+            clock: *clock,
+            ctx: ctx(*c),
+            write: *write,
+        });
+        let mut clk = VectorClock::new();
+        for (f, &v) in known.iter().enumerate() {
+            clk.set(fid(f), v);
+        }
+        let first_word = page * WORDS_PER_PAGE as u64;
+        let walk = |runs: bool| {
+            let mut slots = block.to_vec();
+            let page_slots: &mut [u64; SLOTS_PER_PAGE] =
+                (&mut slots[..]).try_into().expect("block size");
+            let mut emitted = Vec::new();
+            let (w, e) = (first_word + lo, first_word + hi);
+            if runs {
+                walk_runs(page_slots, w, e, new_raw, fiber, *write, &clk, &mut |c| {
+                    emitted.push(c)
+                });
+            } else {
+                walk_per_word(page_slots, w, e, new_raw, fiber, *write, &clk, &mut |c| {
+                    emitted.push(c)
+                });
+            }
+            (slots, emitted)
+        };
+        let (run_slots, run_emitted) = walk(true);
+        let (word_slots, word_emitted) = walk(false);
+        assert!(run_slots == word_slots, "slots diverged");
+
+        let expand = |emitted: &[RawConflict]| {
+            let mut per_word: Vec<(u64, u64)> = emitted
+                .iter()
+                .flat_map(|c| (0..c.words).map(|i| (c.word_addr + i * WORD_BYTES, pack(c.prev))))
+                .collect();
+            per_word.sort_unstable();
+            per_word
+        };
+        assert_eq!(expand(&run_emitted), expand(&word_emitted));
+
+        let first_seen = |emitted: &[RawConflict]| {
+            let mut seen: Vec<(u64, u64)> = Vec::new();
+            for c in emitted {
+                if !seen.iter().any(|&(prev, _)| prev == pack(c.prev)) {
+                    seen.push((pack(c.prev), c.word_addr));
+                }
+            }
+            seen
+        };
+        assert_eq!(first_seen(&run_emitted), first_seen(&word_emitted));
+    }
+
+    fn slot_strategy(clocks: std::ops::Range<u32>) -> impl Strategy<Value = Slot> {
+        (0usize..7, clocks, 0u32..3, any::<bool>())
+    }
+
+    fn segments_strategy(clocks: std::ops::Range<u32>) -> impl Strategy<Value = Vec<Segment>> {
+        let slot = || slot_strategy(clocks.clone());
+        proptest::collection::vec((1usize..160, (slot(), slot(), slot(), slot())), 1..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `walk_runs` ≡ `walk_words` on arbitrary block contents (empty
+        /// slots, repeated fibers, runs from one word to the whole page)
+        /// and an arbitrary `[lo, hi]`.
+        #[test]
+        fn walk_runs_equals_the_per_word_walk(
+            segments in segments_strategy(0..4),
+            page in 0u64..5,
+            lo in 0u64..512,
+            span in 0u64..512,
+            incoming in (slot_strategy(1..4), proptest::collection::vec(0u32..4, 8)),
+        ) {
+            let hi = (lo + span).min(WORDS_PER_PAGE as u64 - 1);
+            assert_walks_agree(&block_of(&segments), page, lo, hi, &incoming);
+        }
+
+        /// Every word holds four live epochs of fibers 0..7 and fiber 7
+        /// arrives: each run decides `Evict`, whose victim differs from
+        /// word to word inside the run.
+        #[test]
+        fn walk_runs_equals_the_per_word_walk_under_eviction(
+            segments in segments_strategy(1..4),
+            page in 0u64..5,
+            lo in 0u64..512,
+            span in 0u64..512,
+            incoming in ((7usize..8, 1u32..4, 0u32..3, any::<bool>()),
+                         proptest::collection::vec(0u32..4, 8)),
+        ) {
+            let hi = (lo + span).min(WORDS_PER_PAGE as u64 - 1);
+            assert_walks_agree(&block_of(&segments), page, lo, hi, &incoming);
+        }
     }
 
     // ---- budget / best-effort mode -----------------------------------------

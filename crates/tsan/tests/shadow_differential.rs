@@ -19,6 +19,9 @@
 //! annotations, frequent identical re-annotations (the fast-path pattern),
 //! some partial/unaligned accesses (unfold pressure), 6 fibers (slot
 //! eviction pressure), and release/acquire edges over a few sync keys.
+//! A second mix ([`gen_cover_op`]) aims at the run-valued walk: every
+//! page is unfolded up front, partial writes keep cutting it into
+//! regions, and 2–5 fibers keep covering whole pages.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -185,6 +188,47 @@ fn gen_op(rng: &mut Lcg) -> Op {
     }
 }
 
+/// The run-valued mix: partial *writes* leave a few differently-stated
+/// regions per (unfolded) page, and whole-page accesses from `fibers`
+/// fibers then cover them — the chunks that pay per region, not per word.
+fn gen_cover_op(rng: &mut Lcg, fibers: u64) -> Op {
+    match rng.below(100) {
+        // Region-cutting partial write, up to ~3/4 of a page, unaligned.
+        0..=34 => {
+            let len = 8 + rng.below(3000);
+            let addr = rng.below(ARENA_PAGES * PAGE_BYTES - len);
+            Op::Access(
+                addr,
+                len,
+                true,
+                rng.below(fibers) as usize,
+                rng.below(8) as u32,
+            )
+        }
+        // Page-covering access: 1..=3 pages, page-aligned.
+        35..=74 => {
+            let pages = 1 + rng.below(3);
+            let page = rng.below(ARENA_PAGES - pages + 1);
+            Op::Access(
+                page * PAGE_BYTES,
+                pages * PAGE_BYTES,
+                rng.below(3) > 0,
+                rng.below(fibers) as usize,
+                rng.below(8) as u32,
+            )
+        }
+        75..=79 => Op::RepeatLast,
+        80..=89 => Op::Release(
+            rng.below(fibers) as usize,
+            rng.below(SYNC_KEYS as u64) as usize,
+        ),
+        _ => Op::Acquire(
+            rng.below(fibers) as usize,
+            rng.below(SYNC_KEYS as u64) as usize,
+        ),
+    }
+}
+
 // ---- the differential harness ---------------------------------------------
 
 /// Conflict multiset: (word_addr, packed prev) → count. Multiset (not
@@ -203,7 +247,14 @@ fn record(conflicts: &mut Conflicts, c: RawConflict) {
     }
 }
 
-fn run_trace(seed: u64, ops: usize) -> (Conflicts, Conflicts) {
+/// Replay `prelude`, then `ops` operations drawn from `gen`, through both
+/// shadows; returns the device under test with both conflict multisets.
+fn run_trace(
+    seed: u64,
+    prelude: &[Op],
+    ops: usize,
+    mut gen: impl FnMut(&mut Lcg) -> Op,
+) -> (ShadowMemory, Conflicts, Conflicts) {
     let mut rng = Lcg(seed);
     let mut dut = ShadowMemory::new();
     let mut reference = ReferenceShadow::default();
@@ -222,8 +273,12 @@ fn run_trace(seed: u64, ops: usize) -> (Conflicts, Conflicts) {
     let mut ref_conflicts = Conflicts::new();
     let mut last_access: Option<(u64, u64, bool, usize, u32)> = None;
 
-    for i in 0..ops {
-        let op = match gen_op(&mut rng) {
+    for i in 0..prelude.len() + ops {
+        let drawn = match prelude.get(i) {
+            Some(&op) => op,
+            None => gen(&mut rng),
+        };
+        let op = match drawn {
             Op::RepeatLast => match last_access {
                 // A fast-path hit only happens when nothing else ran in
                 // between, which the generator produces often enough.
@@ -299,7 +354,7 @@ fn run_trace(seed: u64, ops: usize) -> (Conflicts, Conflicts) {
         assert_eq!(a, b, "seed {seed}: final slots diverged at {addr:#x}");
     }
 
-    (dut_conflicts, ref_conflicts)
+    (dut, dut_conflicts, ref_conflicts)
 }
 
 /// Conflict *sets* (with per-word granularity) must match exactly. The
@@ -327,11 +382,32 @@ fn assert_same_detections(seed: u64, dut: &Conflicts, reference: &Conflicts) {
 fn tiered_matches_reference_on_random_traces() {
     // ~14k randomized ops across several seeds.
     for seed in [1, 2, 3, 7, 8, 0xDEAD, 0xC0FFEE] {
-        let (dut, reference) = run_trace(seed, 2000);
+        let (_, dut, reference) = run_trace(seed, &[], 2000, gen_op);
         assert_same_detections(seed, &dut, &reference);
         assert!(
             !reference.is_empty(),
             "seed {seed}: trace produced no conflicts — generator is too tame to test anything"
+        );
+    }
+}
+
+#[test]
+fn whole_page_accesses_over_unfolded_pages_match_reference() {
+    // One 8-byte write per page: every page is unfolded before the mix
+    // starts (and a page never folds back), so each page-covering chunk
+    // below lands on flat word slots.
+    let unfold_all: Vec<Op> = (0..ARENA_PAGES)
+        .map(|p| Op::Access(p * PAGE_BYTES + 64, 8, true, 0, 0))
+        .collect();
+    for (seed, fibers) in [(11, 2), (12, 3), (13, 4), (14, 5), (0xBEEF, 5)] {
+        let (shadow, dut, reference) =
+            run_trace(seed, &unfold_all, 1500, |rng| gen_cover_op(rng, fibers));
+        assert_same_detections(seed, &dut, &reference);
+        assert_eq!(shadow.summary_page_count(), 0, "seed {seed}: a page folded");
+        assert_eq!(shadow.counters().page_unfolds, 0);
+        assert!(
+            !reference.is_empty(),
+            "seed {seed}: no conflicts across {fibers} fibers — the mix tests nothing"
         );
     }
 }

@@ -7,11 +7,52 @@
 //! recordings must fail here — bump the trace magic and regenerate the
 //! fixtures (`replay_trace record` / `replay_trace transcode`) to change
 //! a format deliberately.
+//!
+//! It is also the detector's recorded ground truth. The fixture above is
+//! race-free, so `tests/data/tealeaf_small_racy.trace` is the same run
+//! with `RaceMode::SkipSyncBeforeExchange` (rank 0: two reports, ≈ 2 500
+//! folded duplicates), and `tests/data/*.summary.json` hold what the
+//! detector said about both *before* the run-valued shadow walk existed
+//! (recorded at 243341d). A change to the shadow, the clocks or the
+//! report fold must reproduce them byte for byte — reports in order with
+//! their `addr`, `races_reported`, `races_deduped`, every `TsanStats`
+//! field. To regenerate after a deliberate change of detector output:
+//!
+//! ```text
+//! replay_trace record <dir>      # <dir>/tealeaf_rank0.trace, tealeaf_racy_rank0.trace
+//! cp <dir>/tealeaf_racy_rank0.trace tests/data/tealeaf_small_racy.trace
+//! cusan-serve check tests/data/tealeaf_small.trace      > tests/data/tealeaf_small.summary.json
+//! cusan-serve check tests/data/tealeaf_small_racy.trace > tests/data/tealeaf_small_racy.summary.json
+//! ```
 
-use cusan::{replay, transcode, CusanEvent, Trace, TraceFormat};
+use cusan::{replay, replay_stream, transcode, CusanEvent, Trace, TraceFormat};
+use cusan_serve::summary_to_json;
 
 const FIXTURE: &str = include_str!("data/tealeaf_small.trace");
 const FIXTURE_BIN: &[u8] = include_bytes!("data/tealeaf_small.trace.bin");
+const FIXTURE_RACY: &str = include_str!("data/tealeaf_small_racy.trace");
+const SUMMARY: &str = include_str!("data/tealeaf_small.summary.json");
+const SUMMARY_RACY: &str = include_str!("data/tealeaf_small_racy.summary.json");
+
+#[test]
+fn golden_summaries_are_reproduced_byte_for_byte() {
+    // The race counts keep a regenerated golden honest: the racy one is
+    // worth having because it holds reports (their order and first-word
+    // `addr`) and a dedup count in the thousands.
+    for (name, trace, golden, races) in [
+        ("tealeaf_small", FIXTURE, SUMMARY, 0),
+        ("tealeaf_small_racy", FIXTURE_RACY, SUMMARY_RACY, 2),
+    ] {
+        let summary = replay_stream(trace.as_bytes()).expect("fixture replays");
+        assert_eq!(summary.race_count, races, "{name}");
+        assert_eq!(summary.stats.races_deduped > 1000, races > 0, "{name}");
+        assert_eq!(
+            format!("{}\n", summary_to_json(0, &summary)),
+            golden,
+            "{name}: the detector's output moved (recipe in this file's header)"
+        );
+    }
+}
 
 #[test]
 fn golden_tealeaf_trace_parses() {
