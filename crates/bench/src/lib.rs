@@ -17,23 +17,19 @@
 //! V100 cluster); the *shape* — which flavor costs what, and how overhead
 //! scales with tracked memory — is the reproduction target.
 //!
-//! Beside those, three tools that are not measurements of record:
-//! `replay_trace` (record / check / replay / transcode traces),
-//! `chaos_soak` (seeded fault and schedule soak) and `bench_async_check`
-//! (the sync-vs-async A/B run by hand). Everything else that is measured
-//! — decode, apply, serve, spill, explorer, shadow and clock costs —
-//! is a row of the ledger in `benchmark/`.
+//! Beside those, two tools that are not measurements: `replay_trace`
+//! (record / check / replay / transcode traces) and `chaos_soak` (seeded
+//! fault and schedule soak). Everything else that is measured — decode,
+//! apply, serve, spill, explorer, shadow and clock costs — is a row of
+//! the ledger in `benchmark/`; no bin here writes a file.
 //!
 //! Environment knobs: `CUSAN_BENCH_RUNS`, `CUSAN_BENCH_JACOBI_NX/NY/ITERS`,
-//! `CUSAN_BENCH_JACOBI2D_NX/NY/ITERS`, `CUSAN_BENCH_TEALEAF_NX/NY/STEPS`,
-//! `CUSAN_BENCH_RANKS`, `CUSAN_BENCH_FULL=1` (enables the largest
-//! Fig. 12 domain), `CUSAN_BENCH_RSS_BASELINE_MB` (Fig. 11
-//! process-baseline model), `CUSAN_BENCH_ASYNC_JSON` (where
-//! `bench_async_check` writes its record; `BENCH_async_check.json`,
-//! git-ignored, by default).
+//! `CUSAN_BENCH_TEALEAF_NX/NY/STEPS`, `CUSAN_BENCH_RANKS`,
+//! `CUSAN_BENCH_FULL=1` (enables the largest Fig. 12 domain),
+//! `CUSAN_BENCH_RSS_BASELINE_MB` (Fig. 11 process-baseline model).
 
 use cusan::Flavor;
-use cusan_apps::{Jacobi2dConfig, JacobiConfig, TeaLeafConfig};
+use cusan_apps::{JacobiConfig, TeaLeafConfig};
 use std::time::Duration;
 
 /// Read an env knob with a default.
@@ -68,17 +64,6 @@ pub fn tealeaf_config() -> TeaLeafConfig {
         ranks: env_u64("CUSAN_BENCH_RANKS", 2) as usize,
         steps: env_u64("CUSAN_BENCH_TEALEAF_STEPS", 2) as u32,
         ..TeaLeafConfig::default()
-    }
-}
-
-/// The 2-D Jacobi configuration used by the figure binaries (fixed 2x2
-/// rank grid; the domain and iteration knobs mirror the 1-D solver's).
-pub fn jacobi2d_config() -> Jacobi2dConfig {
-    Jacobi2dConfig {
-        nx: env_u64("CUSAN_BENCH_JACOBI2D_NX", 128),
-        ny: env_u64("CUSAN_BENCH_JACOBI2D_NY", 128),
-        iters: env_u64("CUSAN_BENCH_JACOBI2D_ITERS", 20) as u32,
-        ..Jacobi2dConfig::default()
     }
 }
 

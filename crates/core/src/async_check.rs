@@ -1,31 +1,28 @@
-//! Off-critical-path checking: a shared work-stealing checker pool
-//! behind per-session bounded SPSC rings.
+//! The checker pool: `cusan-serve`'s hand-off from connection threads
+//! to a shared, work-stealing set of checker workers, behind per-session
+//! bounded SPSC rings.
 //!
-//! The paper's headline cost (Fig. 10) is running the happens-before
-//! analysis inline on the application's critical path. The event pipeline
-//! already reduced every checked CUDA/MPI call to an ordered
-//! [`CusanEvent`] stream, so detection no longer *needs* the producer's
-//! thread: in async mode ([`crate::ToolConfig::async_check`] /
-//! `CUSAN_ASYNC_CHECK=1`) the producer pushes each event into a bounded
-//! lock-free ring ([`rtrb`]) and the shared [`CheckerPool`] drains it in
-//! batches, applying the events to the session's [`CheckSession`] exactly
-//! as the inline path would.
+//! **One client.** Live instrumentation checks inline on the thread that
+//! made the call, as the paper does (§IV: CuSan's callbacks annotate TSan
+//! in-process) — [`crate::ToolCtx`] owns its [`CheckSession`] and applies
+//! every event itself. The pool exists for the serve path only: a
+//! connection thread decodes trace records, pushes each into its
+//! session's bounded lock-free ring ([`rtrb`]), and the shared
+//! [`CheckerPool`] drains the rings in batches, applying the events to
+//! the session's [`CheckSession`] exactly as a solo replay would.
 //!
 //! **Sessions, not ranks.** The pool's unit of registration is a
-//! [`CheckSession`] — live instrumentation registers one per rank
-//! (through [`crate::ToolCtx`]), while the serve path registers one per
-//! uploaded trace stream, multiplexing thousands of independent replay
-//! sessions over the same workers. Nothing in the pool assumes its
-//! sessions belong to one MPI world.
+//! [`CheckSession`], one per uploaded trace stream, so thousands of
+//! independent replay sessions multiplex over the same workers. Nothing
+//! in the pool assumes its sessions belong to one MPI world.
 //!
 //! **Pool, not thread-per-session.** Detection work is proportional to
 //! the event backlog, not to the session count, so the pool sizes itself
 //! from hardware: `min(active sessions, hardware threads − 1)` worker
-//! threads by default (at least one), overridable with
-//! [`crate::ToolConfig::check_threads`] / `CUSAN_CHECK_THREADS=<n>`.
-//! Workers scan the registered sessions round-robin and *steal whole
-//! batches* from whichever ring has backlog. Two invariants make
-//! stealing safe:
+//! threads by default (at least one), overridable per registration
+//! (`cusan-serve --check-threads`). Workers scan the registered sessions
+//! round-robin and *steal whole batches* from whichever ring has backlog.
+//! Two invariants make stealing safe:
 //!
 //! 1. **Claim token** — each session's ring endpoint and batch buffer
 //!    ([`Ingress`]) live behind a per-session mutex; a worker that wants
@@ -39,66 +36,47 @@
 //!    workers end up carrying the batches.
 //!
 //! **Determinism is an invariant, not a best effort.** Per session, the
-//! pool applies the same totally-ordered event stream the sync checker
+//! pool applies the same totally-ordered event stream an inline replay
 //! would, through the same [`CheckSession::apply`], to an
 //! identically-initialized session, and mirrors the producer's string
-//! interner via in-order `Msg::Intern` messages (dense ids are
+//! table via in-order `Msg::Intern` messages (dense ids are
 //! allocation-order, so replaying the interns reproduces them). Hence
-//! stats, race reports, counters, and traces are bit-for-bit identical
-//! to sync mode — for any worker count and any number of concurrent
+//! stats, race reports and counters are bit-for-bit identical to a solo
+//! replay — for any worker count and any number of concurrent
 //! sessions — and only wall-clock timing (plus the [`AsyncCheckStats`]
 //! observability counters) may differ.
 //!
-//! Protocol details:
-//! * **Batched doorbell** — a wake is a `futex` syscall (and, on a host
-//!   with one free hardware thread, a context switch into a worker that
-//!   then drains a batch of one), so `send` rings the pool once per
-//!   [`DOORBELL_EVERY`] messages, not once per message. The tail shorter
-//!   than that is picked up by the workers' timed park (≤ `PARK`) or
-//!   drained inline by `flush`, backpressure and `Drop`, which wake the
-//!   pool unconditionally — so the flush barrier, per-session ordering
-//!   and the bit-for-bit contract do not depend on the doorbell at all;
-//!   it only moves *when* a batch is applied.
-//!   [`AsyncCheckStats::doorbells`] counts the wakes `send` issued.
-//! * **Hardware read once** — the hardware-thread count behind
-//!   [`effective_workers`] is read once per process: the standard
-//!   library re-derives it from cgroup files on every call (13–21 µs),
-//!   and the pool asks on every worker scan and every registration.
-//! * **Workers linger** — a worker the current registration set no
-//!   longer needs keeps scanning for [`LINGER_PARKS`] consecutive empty
-//!   parks before it exits, so a pool that drains to zero sessions
-//!   between batches (one served connection after another) reuses its
-//!   threads instead of joining and spawning one per session.
-//!   [`CheckerPool::workers_spawned`] counts the spawns.
-//! * **Backpressure** — when the ring is full the producer first tries to
-//!   drain its own ring inline (claiming it like any worker would), and
-//!   otherwise blocks (bounded memory), counting one stall per blocked
-//!   send.
-//! * **Adaptive batches** — the drain batch size follows the observed
-//!   backlog (`Consumer::slots_used`), clamped to
-//!   [`BATCH_MIN`]..=[`BATCH_MAX`]: small batches when the ring is
-//!   near-empty (latency), large when backlogged (throughput). The
-//!   chosen sizes surface in [`AsyncCheckStats`] (`min/max/avg_batch`,
-//!   `batch_hist`).
-//! * **Queue depth is ring occupancy** — `max_queue_depth` is the
-//!   high-water mark of `Producer::slots_used()` observed at send time,
-//!   which is physically bounded by [`RING_CAPACITY`]. (It was once
-//!   computed as `sent − applied`, which transiently overcounts by up to
-//!   a batch while popped messages await application.)
+//! Protocol details (the constants and counters carry the numbers):
+//! * **The ring is two batches** ([`RING_CAPACITY`]): one being applied,
+//!   one being filled. A producer that finds it full claims its own ring
+//!   and applies a batch inline, like any worker would; only when the
+//!   claim is held elsewhere — a worker is already applying this
+//!   session's batch — does it wait. So a small ring cannot stall a
+//!   connection thread, it only decides *who* applies, and the fixed
+//!   hand-off per attached session is 12 KiB (`listen` admits 1024).
+//! * **Batched doorbell** ([`DOORBELL_EVERY`]) — `send` wakes the pool
+//!   once per chunk, not per message. A shorter tail is found by the
+//!   workers' timed park or drained inline by `flush`, backpressure and
+//!   `Drop`, which wake the pool unconditionally — ordering and the
+//!   bit-for-bit contract never depend on the doorbell, it only moves
+//!   *when* a batch is applied.
+//! * **Workers linger** ([`LINGER_PARKS`]) so one served connection
+//!   after another reuses its threads; the hardware-thread count behind
+//!   [`effective_workers`] is read once per process.
+//! * **Adaptive batches** — the drain batch follows the observed backlog,
+//!   clamped to [`BATCH_MIN`]..=[`BATCH_MAX`]; `max_queue_depth` is ring
+//!   occupancy at send time, never `sent − applied`.
 //! * **Flush barrier** — [`AsyncChecker::flush`] returns only once every
-//!   message sent so far has been applied; every stat/report accessor —
-//!   including [`AsyncChecker::stats`] — goes through it, so readers
-//!   always observe a drained queue.
+//!   message sent so far has been applied; [`AsyncChecker::with_session`]
+//!   and [`AsyncChecker::stats`] go through it.
 //! * **Graceful shutdown** — dropping the checker drains the ring
 //!   (helping inline if the pool is busy), unregisters the session, and
 //!   re-raises the worker's panic, if any, on the dropping thread.
 //! * **Poison, don't hang** — a panic while applying a session's batch
-//!   (e.g. a detector assertion) is caught on the worker, the session is
-//!   poisoned, and its producer's `flush`/`send` fail fast; *other*
-//!   sessions keep draining on the surviving workers.
+//!   is caught on the worker, the session is poisoned and its producer's
+//!   `flush`/`send` fail fast; *other* sessions keep draining.
 //! * All waits use short condvar timeouts (`PARK`): a missed wakeup
-//!   costs at most one timeout period, never a deadlock — important on
-//!   single-CPU hosts where threads interleave coarsely.
+//!   costs one timeout period, never a deadlock.
 
 use crate::event::CusanEvent;
 use crate::session::CheckSession;
@@ -111,11 +89,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tsan_rt::TsanRuntime;
-
-/// Ring capacity in messages. Bounds producer/consumer skew (and thus the
-/// tool's extra memory) regardless of application event rate.
-pub const RING_CAPACITY: usize = 4096;
 
 /// Smallest drain-batch target: below this backlog a batch simply takes
 /// what is there (latency mode).
@@ -124,6 +97,16 @@ pub const BATCH_MIN: usize = 8;
 /// Largest messages applied per session lock acquisition (throughput
 /// mode; bounds the latency a flusher can see behind one claim).
 pub const BATCH_MAX: usize = 256;
+
+/// Ring capacity in messages: one batch being applied plus one being
+/// filled. A connection thread that finds the ring full applies a batch
+/// itself, so a larger ring buys no throughput (`serve-fanin`
+/// `op_ms_p50` reads the same at 4096 slots), only resident memory per
+/// attached session.
+pub const RING_CAPACITY: usize = 2 * BATCH_MAX;
+const _: () = assert!(RING_CAPACITY == 512);
+// 12 KiB per attached session; `listen` admits 1024 of them by default.
+const _: () = assert!(RING_CAPACITY * std::mem::size_of::<Msg>() <= 16 << 10);
 
 /// Power-of-two buckets of the batch-size histogram: bucket `i` counts
 /// batches of `2^i ..= 2^(i+1)-1` messages (the last bucket is exactly
@@ -138,7 +121,7 @@ const PARK: Duration = Duration::from_millis(1);
 /// `send` wakes the pool once per this many messages. [`BATCH_MIN`] × 8:
 /// large enough that the wake (a syscall plus, on a busy host, a context
 /// switch) is amortised over a batch worth applying, small enough that a
-/// woken worker finds the ring at under 2 % of [`RING_CAPACITY`].
+/// woken worker finds the ring at an eighth of [`RING_CAPACITY`].
 pub const DOORBELL_EVERY: u64 = 64;
 
 /// Consecutive empty parks (≈ this many milliseconds) a worker the pool
@@ -163,7 +146,7 @@ fn hardware_threads() -> usize {
 /// The worker count the pool converges to for a given number of active
 /// sessions: an explicit override wins, otherwise one worker per session
 /// up to hardware threads − 1 (always at least one so a 1-CPU host still
-/// drains). Exposed for the bench JSON and tests.
+/// drains).
 pub fn effective_workers(active_sessions: usize, explicit: Option<usize>) -> usize {
     if active_sessions == 0 {
         return 0;
@@ -190,7 +173,8 @@ pub struct AsyncCheckStats {
     /// Largest ring occupancy observed by the producer at send time, in
     /// messages. Bounded by [`RING_CAPACITY`] by construction.
     pub max_queue_depth: u64,
-    /// Sends that found the ring full and had to block.
+    /// Sends that found the ring full and had to drain it inline or wait
+    /// for the worker holding the claim.
     pub stalls: u64,
     /// Wakes `send` issued to a parked worker: at most one per
     /// [`DOORBELL_EVERY`] messages.
@@ -350,10 +334,9 @@ struct PoolState {
     handles: Vec<Option<JoinHandle<()>>>,
 }
 
-/// The shared detector-thread pool. One global instance serves every
-/// session created through [`AsyncChecker::new`]; tests, benches, and
-/// the serve engine build private pools with [`CheckerPool::new`] to pin
-/// exact worker counts or isolate tenants.
+/// The shared detector-thread pool. There is no process-wide instance:
+/// a serve engine (or a test) owns the pool its sessions register with,
+/// which is also what isolates tenants.
 pub struct CheckerPool {
     state: Mutex<PoolState>,
     /// Producers → workers: new work exists somewhere.
@@ -365,8 +348,6 @@ pub struct CheckerPool {
     /// Worker threads ever spawned (observability/tests).
     spawned: AtomicU64,
 }
-
-static GLOBAL_POOL: OnceLock<Arc<CheckerPool>> = OnceLock::new();
 
 impl CheckerPool {
     /// A fresh, empty pool. Workers are spawned lazily as sessions
@@ -383,11 +364,6 @@ impl CheckerPool {
             next_id: AtomicU64::new(0),
             spawned: AtomicU64::new(0),
         })
-    }
-
-    /// The process-wide pool used by [`AsyncChecker::new`].
-    pub fn global() -> Arc<CheckerPool> {
-        Arc::clone(GLOBAL_POOL.get_or_init(CheckerPool::new))
     }
 
     /// Live worker threads right now (observability/tests).
@@ -525,7 +501,7 @@ struct ProducerSide {
 
 /// Handle owned by the producing thread: the producer half of the ring
 /// plus the session's registration in the shared pool. Not `Sync`; one
-/// per session, like the sync backend.
+/// per session.
 pub struct AsyncChecker {
     pool: Arc<CheckerPool>,
     slot: Arc<SessionSlot>,
@@ -533,17 +509,9 @@ pub struct AsyncChecker {
 }
 
 impl AsyncChecker {
-    /// Move `session` behind the global checker pool. `check_threads` is
-    /// the session's explicit worker-count request
-    /// ([`crate::ToolConfig::check_threads`]); `None` lets the pool size
-    /// itself from hardware.
-    pub fn new(session: CheckSession, check_threads: Option<usize>) -> Self {
-        Self::with_pool(CheckerPool::global(), session, check_threads)
-    }
-
-    /// Like [`AsyncChecker::new`] but registering with a specific pool —
-    /// tests, benches, and the serve engine use private pools to pin
-    /// exact worker counts.
+    /// Move `session` behind `pool`. `check_threads` is the session's
+    /// explicit worker-count request (`cusan-serve --check-threads`);
+    /// `None` lets the pool size itself from hardware.
     pub fn with_pool(
         pool: Arc<CheckerPool>,
         session: CheckSession,
@@ -593,15 +561,10 @@ impl AsyncChecker {
     }
 
     /// Mirror a freshly-interned label to the session's string table.
-    /// Must be called in intern order, before any event using the new id.
-    pub fn send_intern(&self, label: &str) {
-        self.send(Msg::Intern(Arc::from(label)));
-    }
-
-    /// [`AsyncChecker::send_intern`] for a label whose bytes are already
-    /// shared — the serve path's cross-session table hands the same
-    /// `Arc<str>` to every session, so mirroring costs a refcount bump
-    /// instead of a copy.
+    /// Must be called in intern order, before any event using the new
+    /// id. The bytes are shared — the serve path's cross-session table
+    /// hands the same `Arc<str>` to every session, so mirroring costs a
+    /// refcount bump instead of a copy.
     pub fn send_intern_shared(&self, label: Arc<str>) {
         self.send(Msg::Intern(label));
     }
@@ -707,11 +670,6 @@ impl AsyncChecker {
         f(&mut session)
     }
 
-    /// Flush, then run `f` on the (drained) session's runtime.
-    pub fn with_runtime<R>(&self, f: impl FnOnce(&mut TsanRuntime) -> R) -> R {
-        self.with_session(|s| f(s.runtime_mut()))
-    }
-
     /// The shared handle to the session under check. The serve path
     /// keeps it across the checker's drop — which drains the ring and
     /// leaves the pool — to take the finished session out of it and
@@ -791,7 +749,7 @@ impl Drop for AsyncChecker {
 mod tests {
     use super::*;
     use crate::event::{CheckerSink, CtxInterner, StrId};
-    use tsan_rt::FiberId;
+    use tsan_rt::{FiberId, TsanRuntime};
 
     fn session() -> CheckSession {
         CheckSession::from_runtime(0, TsanRuntime::new("host"))
@@ -832,23 +790,35 @@ mod tests {
         rt.stats()
     }
 
+    /// A session on a private pool, the way the serve engine builds one.
+    fn pooled(check_threads: Option<usize>) -> AsyncChecker {
+        AsyncChecker::with_pool(CheckerPool::new(), session(), check_threads)
+    }
+
+    fn send_intern(ac: &AsyncChecker, label: &str) {
+        ac.send_intern_shared(Arc::from(label));
+    }
+
     fn feed(ac: &AsyncChecker, strings: &CtxInterner, evs: &[CusanEvent]) {
         for i in 0..strings.len() {
-            ac.send_intern(strings.label(StrId(i as u32)));
+            send_intern(ac, strings.label(StrId(i as u32)));
         }
         for ev in evs {
             ac.send_event(*ev);
         }
     }
 
+    fn tsan_stats(ac: &AsyncChecker) -> tsan_rt::TsanStats {
+        ac.with_session(|s| s.runtime().stats())
+    }
+
     fn run_async(
         strings: &CtxInterner,
         evs: &[CusanEvent],
     ) -> (tsan_rt::TsanStats, AsyncCheckStats) {
-        let ac = AsyncChecker::new(session(), None);
+        let ac = pooled(None);
         feed(&ac, strings, evs);
-        let stats = ac.with_runtime(|rt| rt.stats());
-        (stats, ac.stats())
+        (tsan_stats(&ac), ac.stats())
     }
 
     #[test]
@@ -865,14 +835,13 @@ mod tests {
     #[test]
     fn flush_is_a_barrier() {
         let (strings, evs) = event_stream(2000);
-        let ac = AsyncChecker::new(session(), None);
+        let ac = pooled(None);
         feed(&ac, &strings, &evs);
         ac.flush();
         // After flush, the applied count covers everything sent; the
         // runtime must already reflect the full stream without further
         // waiting.
-        let switches = ac.with_runtime(|rt| rt.stats().fiber_switches);
-        assert_eq!(switches, 4000);
+        assert_eq!(tsan_stats(&ac).fiber_switches, 4000);
     }
 
     #[test]
@@ -881,7 +850,7 @@ mod tests {
         // counters and mirror interner match what the producer fed —
         // the serve path reads summaries from exactly this state.
         let (strings, evs) = event_stream(100);
-        let ac = AsyncChecker::new(session(), None);
+        let ac = pooled(None);
         feed(&ac, &strings, &evs);
         let (counters, mirrored, shared) = ac.with_session(|s| {
             (
@@ -898,7 +867,7 @@ mod tests {
 
     #[test]
     fn send_intern_shared_reuses_the_allocation() {
-        let ac = AsyncChecker::new(session(), None);
+        let ac = pooled(None);
         let label: Arc<str> = Arc::from("kernel write");
         ac.send_intern_shared(Arc::clone(&label));
         let mirrored = ac.with_session(|s| s.strings().shared_label(StrId(0)).unwrap());
@@ -921,6 +890,33 @@ mod tests {
     }
 
     #[test]
+    fn producer_outrunning_a_parked_pool_applies_its_own_batches() {
+        // The case a two-batch ring makes common: the only worker is not
+        // running (held at the pool lock, which every scan and park
+        // re-takes) while the producer sends 20 rings' worth. A full
+        // ring turns the producer into the applier; the result is sync's.
+        let (strings, evs) = event_stream(20 * RING_CAPACITY as u64 / 3 + 1);
+        assert!(evs.len() >= 20 * RING_CAPACITY);
+        let pool = CheckerPool::new();
+        let ac = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+        {
+            let _parked = pool.state.lock();
+            feed(&ac, &strings, &evs);
+            // The worker got at most the scan it was in when the lock
+            // was taken: one batch of this session.
+            let inline = ac.slot.batches.load(Ordering::Relaxed).saturating_sub(1);
+            assert!(inline >= 1, "the producer did not help");
+            let applied = ac.slot.messages.load(Ordering::Relaxed) as usize;
+            assert!(applied + RING_CAPACITY + BATCH_MAX >= strings.len() + evs.len());
+        }
+        assert_eq!(tsan_stats(&ac), run_sync(&strings, &evs));
+        let stats = ac.stats();
+        assert!(stats.stalls >= 1, "the ring must have filled");
+        assert!(stats.max_queue_depth <= RING_CAPACITY as u64);
+        assert_eq!(stats.events_enqueued, evs.len() as u64);
+    }
+
+    #[test]
     fn queue_depth_counts_ring_occupancy_not_applied_lag() {
         // Regression for the depth accounting bug: the consumer pops
         // messages off the ring (freeing slots for the producer) before
@@ -931,11 +927,10 @@ mod tests {
         // and check the reported high-water mark. Occupancy-based depth
         // reads RING_CAPACITY; `sent − applied` would read
         // RING_CAPACITY + 64 and fail the assert.
-        let pool = CheckerPool::new();
-        let ac = AsyncChecker::with_pool(pool, session(), Some(1));
+        let ac = pooled(Some(1));
         let mut strings = CtxInterner::new();
         let ctx = strings.intern("w");
-        ac.send_intern("w");
+        send_intern(&ac, "w");
         ac.flush();
         {
             // Hold the claim: no worker can drain while we simulate the
@@ -971,8 +966,7 @@ mod tests {
         let stats = ac.stats();
         assert_eq!(stats.events_enqueued, 64 + RING_CAPACITY as u64);
         assert!(stats.max_queue_depth <= RING_CAPACITY as u64);
-        let writes = ac.with_runtime(|rt| rt.stats().write_range_calls);
-        assert_eq!(writes, 64 + RING_CAPACITY as u64);
+        assert_eq!(tsan_stats(&ac).write_range_calls, 64 + RING_CAPACITY as u64);
     }
 
     #[test]
@@ -982,8 +976,7 @@ mod tests {
         // collection could undercount the final partial batch. The
         // documented contract is that *every* stat/report accessor goes
         // through the barrier.
-        let pool = CheckerPool::new();
-        let ac = AsyncChecker::with_pool(pool, session(), Some(1));
+        let ac = pooled(Some(1));
         let (strings, evs) = event_stream(3);
         feed(&ac, &strings, &evs);
         let s = ac.stats(); // no explicit flush() before this
@@ -1034,15 +1027,15 @@ mod tests {
         assert_eq!(pool.worker_count(), 1);
         // Interleave the producers so both rings hold work at once.
         for i in 0..strings.len() {
-            a.send_intern(strings.label(StrId(i as u32)));
-            b.send_intern(strings.label(StrId(i as u32)));
+            send_intern(&a, strings.label(StrId(i as u32)));
+            send_intern(&b, strings.label(StrId(i as u32)));
         }
         for ev in &evs {
             a.send_event(*ev);
             b.send_event(*ev);
         }
-        assert_eq!(a.with_runtime(|rt| rt.stats()), expected);
-        assert_eq!(b.with_runtime(|rt| rt.stats()), expected);
+        assert_eq!(tsan_stats(&a), expected);
+        assert_eq!(tsan_stats(&b), expected);
     }
 
     #[test]
@@ -1063,7 +1056,7 @@ mod tests {
         assert_eq!(pool.session_count(), 4);
         for i in 0..strings.len() {
             for ac in &acs {
-                ac.send_intern(strings.label(StrId(i as u32)));
+                send_intern(ac, strings.label(StrId(i as u32)));
             }
         }
         for ev in &evs {
@@ -1072,7 +1065,7 @@ mod tests {
             }
         }
         for ac in &acs {
-            assert_eq!(ac.with_runtime(|rt| rt.stats()), expected);
+            assert_eq!(tsan_stats(ac), expected);
             let s = ac.stats();
             assert!(s.batches_applied >= 1);
             assert!(s.batches_stolen <= s.batches_applied);
@@ -1092,7 +1085,7 @@ mod tests {
             CheckSession::from_runtime(1, TsanRuntime::new("host")),
             Some(1),
         );
-        bad.send_intern("bad");
+        send_intern(&bad, "bad");
         bad.send_event(CusanEvent::FiberCreate {
             fiber: FiberId::from_index(40),
             name: StrId(0),
@@ -1109,8 +1102,7 @@ mod tests {
         // The surviving session drains normally on the shared worker.
         let (strings, evs) = event_stream(50);
         feed(&good, &strings, &evs);
-        let stats = good.with_runtime(|rt| rt.stats());
-        assert_eq!(stats.write_range_calls, 50);
+        assert_eq!(tsan_stats(&good).write_range_calls, 50);
 
         // Dropping the poisoned session re-raises the original panic.
         let dropped = std::panic::catch_unwind(AssertUnwindSafe(move || drop(bad)));
@@ -1131,7 +1123,7 @@ mod tests {
     #[test]
     fn drop_drains_outstanding_events() {
         let writes = {
-            let ac = AsyncChecker::new(session(), None);
+            let ac = pooled(None);
             let (strings, evs) = event_stream(100);
             feed(&ac, &strings, &evs);
             // No flush: drop must still apply everything (graceful
@@ -1174,10 +1166,9 @@ mod tests {
         let (strings, evs) = event_stream(3333);
         let sends = (strings.len() + evs.len()) as u64;
         assert_eq!(sends, 10_002);
-        let pool = CheckerPool::new();
-        let ac = AsyncChecker::with_pool(pool, session(), Some(1));
+        let ac = pooled(Some(1));
         feed(&ac, &strings, &evs);
-        assert_eq!(ac.with_runtime(|rt| rt.stats()), run_sync(&strings, &evs));
+        assert_eq!(tsan_stats(&ac), run_sync(&strings, &evs));
         let stats = ac.stats();
         assert_eq!(stats.events_enqueued, evs.len() as u64);
         assert!(
@@ -1194,11 +1185,10 @@ mod tests {
         // the session handle, because every accessor on the checker is a
         // flush barrier (and would drain the ring itself). The deadline
         // bounds liveness, not latency — a park is 1 ms.
-        let pool = CheckerPool::new();
-        let ac = AsyncChecker::with_pool(pool, session(), Some(1));
+        let ac = pooled(Some(1));
         let mut strings = CtxInterner::new();
         let ctx = strings.intern("w");
-        ac.send_intern("w");
+        send_intern(&ac, "w");
         for i in 0..9u64 {
             ac.send_event(CusanEvent::WriteRange {
                 addr: 0x1000 + i * 8,
@@ -1228,7 +1218,7 @@ mod tests {
         for _ in 0..32 {
             let ac = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
             feed(&ac, &strings, &evs);
-            assert_eq!(ac.with_runtime(|rt| rt.stats()), expected);
+            assert_eq!(tsan_stats(&ac), expected);
         }
         assert_eq!(pool.session_count(), 0);
         assert!(
@@ -1246,8 +1236,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "fiber numbering diverged")]
     fn consumer_panic_propagates_on_drop() {
-        let ac = AsyncChecker::new(session(), None);
-        ac.send_intern("bad");
+        let ac = pooled(None);
+        send_intern(&ac, "bad");
         ac.send_event(CusanEvent::FiberCreate {
             fiber: FiberId::from_index(40),
             name: StrId(0),

@@ -1,10 +1,11 @@
 //! Tool configuration and the evaluation-flavor matrix.
 //!
 //! [`ToolConfig`] says which layers instrument, what they annotate and
-//! how events reach the checker (inline or pooled, text or binary
-//! trace). It has no shadow-representation field: the detector has one
-//! shadow (tiered, on the page arena). [`ToolConfig::VANILLA`] is the only
-//! full-field literal; every [`Flavor`] is a struct update over it.
+//! how a recorded trace is encoded (text or binary). It has no
+//! execution-strategy field: the detector has one shadow (tiered, on the
+//! page arena) and live checking is inline on the calling thread.
+//! [`ToolConfig::VANILLA`] is the only full-field literal; every
+//! [`Flavor`] is a struct update over it.
 
 use crate::fault::FaultPlan;
 use crate::trace::TraceFormat;
@@ -53,22 +54,6 @@ pub struct ToolConfig {
     /// (`TsanStats::dropped_annotations`) instead of growing the shadow
     /// unboundedly. `None` (the default) is unlimited.
     pub shadow_page_budget: Option<usize>,
-    /// Asynchronous checking: push events into a bounded SPSC ring
-    /// drained by the shared checker pool instead of applying them
-    /// inline (see `crates/core/src/async_check.rs`). Pure execution
-    /// strategy — traces, stats, and race reports are bit-for-bit
-    /// identical to sync mode. Off by default; the `CUSAN_ASYNC_CHECK=1`
-    /// knob (read in [`crate::ToolCtx::new`]) overrides this field
-    /// process-wide.
-    pub async_check: bool,
-    /// Worker-thread count for the shared async checker pool
-    /// (ignored when `async_check` is off). `None` (the default) sizes
-    /// the pool from hardware — `min(active ranks,
-    /// available_parallelism − 1)`, at least one — keeping detection
-    /// work proportional to backlog rather than rank count. The
-    /// `CUSAN_CHECK_THREADS=<n>` knob (read in [`crate::ToolCtx::new`])
-    /// overrides this field process-wide.
-    pub check_threads: Option<usize>,
     /// Poison timeout for the simulated-MPI barriers, in milliseconds: a
     /// rank stuck this long in `mpi-sim`'s `SimBarrier` (world barrier
     /// or collective phase barrier) poisons the barrier and every waiter
@@ -97,8 +82,6 @@ impl ToolConfig {
         bounded_tracking: false,
         faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
-        async_check: false,
-        check_threads: None,
         barrier_timeout_ms: None,
         trace_format: TraceFormat::Text,
     };
@@ -224,21 +207,9 @@ mod tests {
             assert_eq!(f.config().faults, FaultPlan::DISABLED, "{f}");
             assert!(!f.config().faults.enabled(), "{f}");
             assert_eq!(f.config().shadow_page_budget, None, "{f}");
-            assert!(!f.config().async_check, "{f}: sync is the A/B default");
         }
         assert_eq!(ToolConfig::VANILLA.faults, FaultPlan::DISABLED);
         assert_eq!(ToolConfig::VANILLA.shadow_page_budget, None);
-        const { assert!(!ToolConfig::VANILLA.async_check) } // sync is the A/B default
-    }
-
-    #[test]
-    fn check_threads_defaults_to_hardware_sizing() {
-        // `None` lets the shared checker pool size itself from hardware;
-        // no flavor pins a worker count.
-        for f in Flavor::ALL {
-            assert_eq!(f.config().check_threads, None, "{f}");
-        }
-        assert_eq!(ToolConfig::VANILLA.check_threads, None);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!
 //! All instrumentation flows through [`ToolCtx::emit`] as typed
 //! [`CusanEvent`]s (see [`crate::event`]): the owned [`CheckSession`]
-//! applies each event to the detector first (inline, or via the checker
-//! pool in async mode), then the counter sink and any installed sinks
-//! (e.g. the trace recorder) observe it, in that order. `ToolCtx` is the
-//! live-instrumentation *front end* over a session — trace replay and
-//! `cusan-serve` drive the same [`CheckSession`] without one.
+//! applies each event to the detector first, inline on the thread that
+//! made the call (the paper's model, §IV), then the counter sink and any
+//! installed sinks (e.g. the trace recorder) observe it, in that order.
+//! `ToolCtx` is the live-instrumentation *front end* over a session —
+//! trace replay and `cusan-serve` drive the same [`CheckSession`]
+//! without one.
 //!
 //! It also carries the **host-access instrumentation**: the real TSan
 //! compiler pass instruments every host load/store of user code; in
@@ -23,24 +24,23 @@
 //! [`EnvOverrides`] parsed once; [`ToolCtx::new`] applies them over the
 //! config it is given.
 
-use crate::async_check::{AsyncCheckStats, AsyncChecker};
 use crate::config::ToolConfig;
-use crate::event::{CtxInterner, CusanEvent, EventCounters, EventSink, FiberPredictor, StrId};
+use crate::event::{CusanEvent, EventCounters, EventSink, StrId};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::session::{CheckSession, SessionOptions, SessionSummary};
 use crate::trace::{TraceFormat, TraceSink};
 use sim_mem::{AddressSpace, MemError, Pod, Ptr};
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
 
-/// The five process-wide `CUSAN_*` product knobs, parsed from the
+/// The three process-wide `CUSAN_*` product knobs, parsed from the
 /// environment **once** at first use and frozen: every rank of a run —
 /// and every run in the process — sees the same overrides even if the
-/// environment is mutated mid-run (e.g. by tests). Ranks share barriers,
-/// the checker pool and byte-identical trace twins, so a per-rank
-/// divergence would deadlock or break determinism assertions.
+/// environment is mutated mid-run (e.g. by tests). Ranks share barriers
+/// and byte-identical trace twins, so a per-rank divergence would
+/// deadlock or break determinism assertions.
 ///
 /// A set field replaces the [`ToolConfig`] field of the same name in
 /// [`ToolCtx::new`]; `None` defers to the config. Unset, empty and
@@ -51,13 +51,6 @@ use typeart_rt::TypeartRuntime;
 pub struct EnvOverrides {
     /// `CUSAN_FAULTS=<seed>:<rate>` (see [`FaultPlan::parse`]).
     pub faults: Option<FaultPlan>,
-    /// `CUSAN_ASYNC_CHECK`: `1`/`true`/`on` moves every rank's checking
-    /// onto the shared checker pool, `0`/`false`/`off` forces inline
-    /// checking.
-    pub async_check: Option<bool>,
-    /// `CUSAN_CHECK_THREADS=<n>`, a positive worker count for the
-    /// checker pool; only applies in async mode.
-    pub check_threads: Option<usize>,
     /// `CUSAN_BARRIER_TIMEOUT_MS=<n>`, a positive poison timeout for the
     /// simulated-MPI barriers (also read by the MUST harness).
     pub barrier_timeout_ms: Option<u64>,
@@ -85,6 +78,24 @@ fn env_knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Opt
     }
 }
 
+/// Knobs earlier versions read and this one does not.
+const REMOVED_KNOBS: [&str; 2] = ["CUSAN_ASYNC_CHECK", "CUSAN_CHECK_THREADS"];
+
+/// One warning per removed knob among the names of set variables, so a
+/// stale setting says it has no effect instead of silently not having
+/// one.
+fn removed_knob_warnings<'a>(set: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    set.into_iter()
+        .filter(|name| REMOVED_KNOBS.contains(name))
+        .map(|name| {
+            format!(
+                "warning: ignoring {name}: no longer read: live checking is inline; \
+                 `cusan-serve --check-threads` sizes the pool"
+            )
+        })
+        .collect()
+}
+
 fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, String> {
     match v.parse::<T>() {
         Ok(n) if n > T::default() => Ok(n),
@@ -95,18 +106,20 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, S
 impl EnvOverrides {
     /// The frozen overrides (the first call reads the environment).
     pub fn get() -> &'static EnvOverrides {
-        ENV_OVERRIDES.get_or_init(|| EnvOverrides {
-            faults: env_knob("CUSAN_FAULTS", FaultPlan::parse),
-            async_check: env_knob("CUSAN_ASYNC_CHECK", |v| match v {
-                "0" | "false" | "off" => Ok(false),
-                "1" | "true" | "on" => Ok(true),
-                _ => Err("expected 0/false/off or 1/true/on".to_string()),
-            }),
-            check_threads: env_knob("CUSAN_CHECK_THREADS", positive),
-            barrier_timeout_ms: env_knob("CUSAN_BARRIER_TIMEOUT_MS", positive),
-            trace_format: env_knob("CUSAN_TRACE_FORMAT", |v| {
-                TraceFormat::parse(v).ok_or_else(|| "expected `text` or `binary`".to_string())
-            }),
+        ENV_OVERRIDES.get_or_init(|| {
+            let set = REMOVED_KNOBS
+                .into_iter()
+                .filter(|name| std::env::var_os(name).is_some());
+            for line in removed_knob_warnings(set) {
+                eprintln!("{line}");
+            }
+            EnvOverrides {
+                faults: env_knob("CUSAN_FAULTS", FaultPlan::parse),
+                barrier_timeout_ms: env_knob("CUSAN_BARRIER_TIMEOUT_MS", positive),
+                trace_format: env_knob("CUSAN_TRACE_FORMAT", |v| {
+                    TraceFormat::parse(v).ok_or_else(|| "expected `text` or `binary`".to_string())
+                }),
+            }
         })
     }
 
@@ -114,12 +127,6 @@ impl EnvOverrides {
     fn apply(&self, config: &mut ToolConfig) {
         if let Some(plan) = self.faults {
             config.faults = plan;
-        }
-        if let Some(async_check) = self.async_check {
-            config.async_check = async_check;
-        }
-        if let Some(threads) = self.check_threads {
-            config.check_threads = Some(threads);
         }
         if let Some(ms) = self.barrier_timeout_ms {
             config.barrier_timeout_ms = Some(ms);
@@ -130,30 +137,14 @@ impl EnvOverrides {
     }
 }
 
-/// Where events are checked: inline on the rank thread (the paper's
-/// model and the default), or on the shared work-stealing checker pool
-/// behind a per-session bounded ring (see [`crate::async_check`]). Both
-/// backends drive the same [`CheckSession`] through
-/// [`CheckSession::apply`], so results are bit-for-bit equal; only the
-/// wall-clock placement of the work differs.
-enum CheckerBackend {
-    // Boxed to keep the two variants' sizes comparable: the session's
-    // runtime is by far the largest piece of per-rank state.
-    Sync(Box<RefCell<CheckSession>>),
-    Async(AsyncChecker),
-}
-
 /// Shared per-rank tool state. Not `Send`: each rank thread owns its own.
 pub struct ToolCtx {
     /// Active instrumentation configuration.
     pub config: ToolConfig,
-    /// The race detector behind its checking backend.
-    backend: CheckerBackend,
+    /// The race detector: every event is applied to it inline.
+    session: RefCell<CheckSession>,
     /// Allocation-type tracking.
     pub typeart: RefCell<TypeartRuntime>,
-    strings: RefCell<CtxInterner>,
-    /// Producer-side mirror of fiber numbering (see [`FiberPredictor`]).
-    predictor: RefCell<FiberPredictor>,
     sinks: RefCell<Vec<Box<dyn EventSink>>>,
     counters: RefCell<EventCounters>,
     injector: FaultInjector,
@@ -171,17 +162,10 @@ impl ToolCtx {
             rank,
             shadow_page_budget: config.shadow_page_budget,
         });
-        let backend = if config.async_check {
-            CheckerBackend::Async(AsyncChecker::new(session, config.check_threads))
-        } else {
-            CheckerBackend::Sync(Box::new(RefCell::new(session)))
-        };
         ToolCtx {
             config,
-            backend,
+            session: RefCell::new(session),
             typeart: RefCell::new(TypeartRuntime::new()),
-            strings: RefCell::new(CtxInterner::new()),
-            predictor: RefCell::new(FiberPredictor::new()),
             sinks: RefCell::new(Vec::new()),
             counters: RefCell::new(EventCounters::default()),
             injector: FaultInjector::new(config.faults),
@@ -191,53 +175,16 @@ impl ToolCtx {
         }
     }
 
-    /// Run `f` with shared access to the detector. In async mode this
-    /// first flushes the event queue, so readers always observe a state
-    /// that reflects every event emitted so far — same as sync mode.
+    /// Run `f` with shared access to the detector.
     fn with_tsan<R>(&self, f: impl FnOnce(&TsanRuntime) -> R) -> R {
-        match &self.backend {
-            CheckerBackend::Sync(session) => f(session.borrow().runtime()),
-            CheckerBackend::Async(ac) => ac.with_runtime(|rt| f(rt)),
-        }
-    }
-
-    /// Run `f` with exclusive access to the detector (flushes first in
-    /// async mode, like [`Self::with_tsan`]).
-    fn with_tsan_mut<R>(&self, f: impl FnOnce(&mut TsanRuntime) -> R) -> R {
-        match &self.backend {
-            CheckerBackend::Sync(session) => f(session.borrow_mut().runtime_mut()),
-            CheckerBackend::Async(ac) => ac.with_runtime(f),
-        }
+        f(self.session.borrow().runtime())
     }
 
     /// Snapshot the owned [`CheckSession`]'s summary — the same
     /// reports/stats/counters object trace replay and the serve path
     /// produce, so live runs can be compared against them wholesale.
-    /// Flushes first in async mode, like every accessor.
     pub fn session_summary(&self) -> SessionSummary {
-        match &self.backend {
-            CheckerBackend::Sync(session) => session.borrow().summary(),
-            CheckerBackend::Async(ac) => ac.with_session(|s| s.summary()),
-        }
-    }
-
-    /// Barrier: in async mode, wait until the checker pool has applied
-    /// every event emitted so far. No-op in sync mode. Harness flush
-    /// points call this before collecting outcomes so `RankOutcome`,
-    /// `race_count`, and the Table-I snapshot observe a drained queue
-    /// (individual accessors also flush, making direct reads safe too).
-    pub fn flush_checker(&self) {
-        if let CheckerBackend::Async(ac) = &self.backend {
-            ac.flush();
-        }
-    }
-
-    /// Observability counters of the async backend (`None` in sync mode).
-    pub fn async_check_stats(&self) -> Option<AsyncCheckStats> {
-        match &self.backend {
-            CheckerBackend::Sync { .. } => None,
-            CheckerBackend::Async(ac) => Some(ac.stats()),
-        }
+        self.session.borrow().summary()
     }
 
     /// The rank this context belongs to.
@@ -255,56 +202,29 @@ impl ToolCtx {
     // ---- the event pipeline -------------------------------------------------
 
     /// Intern a label (context, fiber name, counter name) in the rank's
-    /// shared string table. A *fresh* label is also forwarded to the
-    /// owned session's mirror table, in intern order, so it assigns the
-    /// same dense id before any event references it — inline in sync
-    /// mode, via an in-order ring message in async mode.
+    /// string table — the owned session's, so an id is assigned before
+    /// any event references it.
     pub fn intern_label(&self, label: &str) -> StrId {
-        let mut strings = self.strings.borrow_mut();
-        let before = strings.len();
-        let id = strings.intern(label);
-        if strings.len() > before {
-            match &self.backend {
-                CheckerBackend::Sync(session) => {
-                    session.borrow_mut().intern(label);
-                }
-                CheckerBackend::Async(ac) => ac.send_intern(label),
-            }
-        }
-        id
-    }
-
-    /// The rank's string table (for sinks and diagnostics).
-    pub fn strings(&self) -> Ref<'_, CtxInterner> {
-        self.strings.borrow()
+        self.session.borrow_mut().intern(label)
     }
 
     /// Push one event through the pipeline: checker first (detection),
-    /// then counters, then installed sinks in install order. With the
-    /// async backend the checker stage *enqueues* instead of applying —
-    /// counters and sinks still observe on the producer side, from the
-    /// same totally-ordered stream, so traces and counter snapshots are
-    /// byte-identical across backends (a sink may merely observe an event
-    /// the detector has not applied yet).
+    /// then counters, then installed sinks in install order.
     pub fn emit(&self, ev: CusanEvent) {
-        let strings = self.strings.borrow();
-        match &self.backend {
-            CheckerBackend::Sync(session) => session.borrow_mut().apply(&ev),
-            CheckerBackend::Async(ac) => ac.send_event(ev),
-        }
-        self.predictor.borrow_mut().observe(&ev);
-        self.counters.borrow_mut().observe(&ev, &strings);
+        let mut session = self.session.borrow_mut();
+        session.apply(&ev);
+        let strings = session.strings();
+        self.counters.borrow_mut().observe(&ev, strings);
         for sink in self.sinks.borrow_mut().iter_mut() {
-            sink.on_event(&ev, &strings);
+            sink.on_event(&ev, strings);
         }
     }
 
     /// Emit a [`CusanEvent::FiberCreate`] for a fresh fiber and return its
-    /// id. The id comes from the producer-side [`FiberPredictor`] (the
-    /// detector may lag behind in async mode), and the checker asserts it
-    /// matches the runtime's numbering when the event is applied.
+    /// id: the one the session's runtime will assign next (the checker
+    /// asserts the two match when the event is applied).
     pub fn emit_fiber_create(&self, name: &str) -> FiberId {
-        let fiber = self.predictor.borrow().peek();
+        let fiber = self.with_tsan(|t| t.peek_next_fiber());
         let name = self.intern_label(name);
         self.emit(CusanEvent::FiberCreate { fiber, name });
         fiber
@@ -332,8 +252,7 @@ impl ToolCtx {
 
     /// Declare the event stream complete: every installed sink's
     /// [`EventSink::finish`] runs (sealing recorded traces). Idempotent;
-    /// harness flush points call it right after [`Self::flush_checker`],
-    /// before collecting outcomes.
+    /// the harness calls it before collecting outcomes.
     pub fn finish_sinks(&self) {
         for sink in self.sinks.borrow_mut().iter_mut() {
             sink.finish();
@@ -469,19 +388,14 @@ impl ToolCtx {
     pub fn load_suppressions(&self, text: &str) -> Result<usize, String> {
         let sup = tsan_rt::report::Suppressions::parse(text)?;
         let n = sup.len();
-        self.with_tsan_mut(|t| {
-            for p in sup.patterns() {
-                t.add_suppression(p);
-            }
-        });
+        let mut session = self.session.borrow_mut();
+        for p in sup.patterns() {
+            session.runtime_mut().add_suppression(p);
+        }
         Ok(n)
     }
 
     // ---- results ------------------------------------------------------------
-    //
-    // Every accessor goes through the backend, which in async mode
-    // flushes the event queue first: reads always observe the fully
-    // drained detector state, exactly as if checking had been inline.
 
     /// Race reports collected so far.
     pub fn race_reports(&self) -> Vec<RaceReport> {
@@ -666,64 +580,78 @@ mod tests {
     }
 
     #[test]
-    fn async_backend_matches_sync_through_toolctx() {
-        // The same emit sequence through both backends must land on a
-        // bit-for-bit identical detector (races, stats, counters) — the
-        // tentpole invariant, here at the ToolCtx level.
-        let drive = |async_check: bool| {
-            let mut config = Flavor::Cusan.config();
-            config.async_check = async_check;
-            let ctx = ToolCtx::new(0, config);
-            let f = ctx.emit_fiber_create("cuda stream 1");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: f,
-                sync: true,
-            });
-            ctx.annotate_host_write(Ptr(0x2000), 256, "kernel write");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: FiberId::HOST,
-                sync: false,
-            });
-            ctx.annotate_host_read(Ptr(0x2000), 256, "host read");
-            (ctx.race_reports(), ctx.tsan_stats(), ctx.event_counters())
-        };
-        let sync = drive(false);
-        let asyn = drive(true);
-        assert_eq!(sync, asyn);
-        assert_eq!(sync.0.len(), 1, "the Fig. 6B race fires in both modes");
+    fn session_summary_is_backend_invariant() {
+        // The owned session's wholesale summary — the object the serve
+        // path emits — must agree with the producer-side counter sink:
+        // both fold the one stream `emit` applies.
+        let ctx = ToolCtx::new(0, Flavor::Cusan.config());
+        let f = ctx.emit_fiber_create("cuda stream 1");
+        ctx.emit(CusanEvent::FiberSwitch {
+            fiber: f,
+            sync: true,
+        });
+        ctx.annotate_host_write(Ptr(0x3000), 128, "kernel write");
+        ctx.emit(CusanEvent::FiberSwitch {
+            fiber: FiberId::HOST,
+            sync: false,
+        });
+        ctx.annotate_host_read(Ptr(0x3000), 128, "host read");
+        let summary = ctx.session_summary();
+        assert_eq!(summary.rank, 0);
+        assert_eq!(summary.race_count, 1, "the Fig. 6B race");
+        assert_eq!(summary.reports, ctx.race_reports());
+        assert_eq!(summary.stats, ctx.tsan_stats());
+        assert_eq!(
+            summary.counters,
+            ctx.event_counters(),
+            "session counters mirror the producer-side sink"
+        );
     }
 
     #[test]
-    fn session_summary_is_backend_invariant() {
-        // The owned session's wholesale summary — the object the serve
-        // path emits — must be identical across backends, and its
-        // counters must agree with the producer-side counter sink.
-        let drive = |async_check: bool| {
-            let mut config = Flavor::Cusan.config();
-            config.async_check = async_check;
-            let ctx = ToolCtx::new(0, config);
-            let f = ctx.emit_fiber_create("cuda stream 1");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: f,
-                sync: true,
-            });
-            ctx.annotate_host_write(Ptr(0x3000), 128, "kernel write");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: FiberId::HOST,
-                sync: false,
-            });
-            ctx.annotate_host_read(Ptr(0x3000), 128, "host read");
-            (ctx.session_summary(), ctx.event_counters())
-        };
-        let (sync_sum, sync_counters) = drive(false);
-        let (async_sum, _) = drive(true);
-        assert_eq!(sync_sum, async_sum);
-        assert_eq!(sync_sum.rank, 0);
-        assert_eq!(sync_sum.race_count, 1);
+    fn fiber_create_ids_are_the_sessions_across_destroy_and_reuse() {
+        // `emit_fiber_create` stamps the id the session's runtime will
+        // assign; `CheckerSink::apply` asserts the two agree on every
+        // FiberCreate, so a wrong stamp panics here. Ids are dense and a
+        // destroyed fiber's slot is reused LIFO.
+        let ctx = ToolCtx::new(0, Flavor::Cusan.config());
+        let a = ctx.emit_fiber_create("a");
+        let b = ctx.emit_fiber_create("b");
+        let c = ctx.emit_fiber_create("c");
         assert_eq!(
-            sync_sum.counters, sync_counters,
-            "session counters mirror the producer-side sink"
+            [a, b, c].map(|f| f.index()),
+            [1, 2, 3],
+            "dense after the host fiber"
         );
+        ctx.emit(CusanEvent::FiberDestroy { fiber: a });
+        ctx.emit(CusanEvent::FiberDestroy { fiber: c });
+        assert_eq!(ctx.emit_fiber_create("c2"), c, "last freed, first reused");
+        assert_eq!(ctx.emit_fiber_create("a2"), a);
+        assert_eq!(ctx.emit_fiber_create("d").index(), 4, "then fresh again");
+        assert_eq!(ctx.fiber_name(a), "a2");
+        assert_eq!(ctx.fiber_name(c), "c2");
+        assert_eq!(ctx.event_counters().fiber_creates, 6);
+        assert_eq!(ctx.session_summary().counters.fiber_creates, 6);
+    }
+
+    #[test]
+    fn a_removed_knob_warns_by_name() {
+        let set = [
+            "PATH",
+            "CUSAN_CHECK_THREADS",
+            "CUSAN_FAULTS",
+            "CUSAN_ASYNC_CHECK",
+        ];
+        let lines = removed_knob_warnings(set);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("warning: ignoring CUSAN_CHECK_THREADS: no longer read"));
+        assert!(lines[1].starts_with("warning: ignoring CUSAN_ASYNC_CHECK: no longer read"));
+        for line in &lines {
+            assert!(line.ends_with("`cusan-serve --check-threads` sizes the pool"));
+            assert!(!line.contains('\n') && !line.contains("  "), "{line:?}");
+        }
+        assert!(removed_knob_warnings(["CUSAN_FAULTS", "CUSAN_TRACE_FORMAT"]).is_empty());
+        assert!(removed_knob_warnings([]).is_empty());
     }
 
     #[test]
@@ -748,37 +676,6 @@ mod tests {
         assert_eq!(ctx.config.barrier_timeout_ms, frozen.or(Some(250)));
         let default_ctx = ToolCtx::new(1, Flavor::Must.config());
         assert_eq!(default_ctx.config.barrier_timeout_ms, frozen);
-    }
-
-    #[test]
-    fn async_stats_surface_only_in_async_mode() {
-        // A frozen CUSAN_ASYNC_CHECK override beats the config field (the
-        // CI `strategy` legs run this whole suite with it set), so
-        // mode-specific assertions only hold for the unforced mode.
-        let forced = EnvOverrides::get().async_check;
-        if forced.is_none() {
-            let sync_ctx = ToolCtx::new(0, Flavor::Cusan.config());
-            assert_eq!(sync_ctx.async_check_stats(), None);
-            sync_ctx.flush_checker(); // no-op, must not panic
-        }
-        if forced == Some(false) {
-            return; // env forces inline checking; no async backend to probe
-        }
-        let mut config = Flavor::Cusan.config();
-        config.async_check = true;
-        let ctx = ToolCtx::new(0, config);
-        let f = ctx.emit_fiber_create("s");
-        ctx.emit(CusanEvent::FiberSwitch {
-            fiber: f,
-            sync: true,
-        });
-        ctx.flush_checker();
-        let stats = ctx.async_check_stats().expect("async backend active");
-        // FiberCreate + FiberSwitch; the fiber-name intern message is
-        // counted as a message but not as an event.
-        assert_eq!(stats.events_enqueued, 2);
-        assert!(stats.batches_applied >= 1);
-        assert!(stats.max_queue_depth >= 1);
     }
 
     #[test]

@@ -41,10 +41,9 @@ pub struct StrId(pub u32);
 /// Per-session string interner: context labels, fiber names, counter
 /// names.
 ///
-/// One instance per [`crate::CheckSession`] (and one producer-side mirror
-/// per [`crate::ToolCtx`]); every instrumentation layer interns through
-/// it, so a label has exactly one id per session and the trace string
-/// table is the single source of context naming.
+/// One instance per [`crate::CheckSession`]; every instrumentation layer
+/// interns through it, so a label has exactly one id per session and the
+/// trace string table is the single source of context naming.
 ///
 /// Labels are stored as `Arc<str>` so their bytes can be shared — the
 /// serve path dedups label storage across thousands of concurrent
@@ -262,64 +261,6 @@ impl CheckerSink {
             | CusanEvent::ApiFault { .. }
             | CusanEvent::ScheduleChoice { .. } => {}
         }
-    }
-}
-
-/// Producer-side mirror of the detector's fiber numbering.
-///
-/// [`crate::ToolCtx::emit_fiber_create`] must stamp a `FiberCreate` event
-/// with its fiber id *before* the checker applies it. With the sync
-/// backend the id could be peeked from the runtime
-/// ([`TsanRuntime::peek_next_fiber`]); with the async backend the runtime
-/// lags behind, so the producer mirrors the numbering itself: ids are
-/// dense, slots of destroyed fibers are reused LIFO, and the host fiber
-/// (id 0) pre-exists. Both backends use this predictor — the checker's
-/// equality assertion in [`CheckerSink::apply`] is the safety net that
-/// the mirror never diverges.
-#[derive(Debug)]
-pub struct FiberPredictor {
-    /// Next never-used index (1: the host fiber occupies 0).
-    next: u32,
-    /// Destroyed-fiber indices, reused LIFO (mirrors `FiberTable::free`).
-    free: Vec<u32>,
-}
-
-impl FiberPredictor {
-    /// Mirror of a fresh runtime: only the host fiber exists.
-    pub fn new() -> Self {
-        FiberPredictor {
-            next: 1,
-            free: Vec::new(),
-        }
-    }
-
-    /// The id the next fiber creation will be assigned.
-    pub fn peek(&self) -> FiberId {
-        match self.free.last() {
-            Some(&idx) => FiberId::from_index(idx as usize),
-            None => FiberId::from_index(self.next as usize),
-        }
-    }
-
-    /// Track one event; only fiber create/destroy move the numbering.
-    pub fn observe(&mut self, ev: &CusanEvent) {
-        match *ev {
-            CusanEvent::FiberCreate { fiber, .. } => match self.free.pop() {
-                Some(idx) => debug_assert_eq!(idx as usize, fiber.index()),
-                None => {
-                    debug_assert_eq!(self.next as usize, fiber.index());
-                    self.next += 1;
-                }
-            },
-            CusanEvent::FiberDestroy { fiber } => self.free.push(fiber.index() as u32),
-            _ => {}
-        }
-    }
-}
-
-impl Default for FiberPredictor {
-    fn default() -> Self {
-        FiberPredictor::new()
     }
 }
 
@@ -591,57 +532,6 @@ mod tests {
         assert_eq!(m.read_bytes, 200);
         assert_eq!(m.named(counter_names::CUDA_KERNEL), 6);
         assert_eq!(m.api_faults, 2);
-    }
-
-    #[test]
-    fn predictor_mirrors_fiber_table_numbering() {
-        // The producer-side mirror must agree with the runtime through
-        // create / destroy / LIFO slot reuse — validated by the checker's
-        // own equality assertion on every FiberCreate.
-        let mut strings = CtxInterner::new();
-        let name = strings.intern("f");
-        let mut rt = TsanRuntime::new("host");
-        let mut checker = CheckerSink::new();
-        let mut pred = FiberPredictor::new();
-        let step = |pred: &mut FiberPredictor,
-                    checker: &mut CheckerSink,
-                    rt: &mut TsanRuntime,
-                    ev: CusanEvent| {
-            checker.apply(&ev, &strings, rt);
-            pred.observe(&ev);
-        };
-        let a = pred.peek();
-        assert_eq!(a, rt.peek_next_fiber());
-        step(
-            &mut pred,
-            &mut checker,
-            &mut rt,
-            CusanEvent::FiberCreate { fiber: a, name },
-        );
-        let b = pred.peek();
-        assert_eq!(b, rt.peek_next_fiber());
-        step(
-            &mut pred,
-            &mut checker,
-            &mut rt,
-            CusanEvent::FiberCreate { fiber: b, name },
-        );
-        step(
-            &mut pred,
-            &mut checker,
-            &mut rt,
-            CusanEvent::FiberDestroy { fiber: a },
-        );
-        // Freed slot is reused LIFO; the mirror must predict that too.
-        assert_eq!(pred.peek(), a);
-        assert_eq!(pred.peek(), rt.peek_next_fiber());
-        step(
-            &mut pred,
-            &mut checker,
-            &mut rt,
-            CusanEvent::FiberCreate { fiber: a, name },
-        );
-        assert_eq!(pred.peek(), rt.peek_next_fiber());
     }
 
     #[test]

@@ -46,12 +46,10 @@ pub mod session;
 pub mod trace;
 
 pub use api::CusanCuda;
-pub use async_check::{effective_workers, AsyncCheckStats, AsyncChecker, CheckerPool};
+pub use async_check::{AsyncCheckStats, AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
-pub use event::{
-    CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, FiberPredictor, StrId,
-};
+pub use event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, StrId};
 pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{

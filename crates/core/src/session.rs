@@ -8,14 +8,14 @@
 //! sessions today:
 //!
 //! - **Live instrumentation** — [`crate::ToolCtx`] builds one session per
-//!   rank from its config's page budget (inline in sync mode, behind the
-//!   [`crate::CheckerPool`] in async mode) and feeds it the events its
-//!   CUDA/MPI layers emit.
+//!   rank from its config's page budget and applies the events its
+//!   CUDA/MPI layers emit to it inline.
 //! - **Offline replay** — [`crate::trace::replay_stream`] builds a
 //!   session from a trace header ([`CheckSession::for_header`]) and
 //!   streams the recorded records through it ([`CheckSession::feed`]).
 //! - **The serve path** — `cusan-serve` multiplexes thousands of
-//!   sessions over one pool, one per uploaded trace shard stream.
+//!   sessions over one [`crate::CheckerPool`], one per uploaded trace
+//!   shard stream.
 //!
 //! All three share [`CheckSession::apply`], which is what makes replayed
 //! and served results bit-for-bit identical to live runs.
@@ -142,8 +142,8 @@ impl CheckSession {
     }
 
     /// Apply one event: detector first, then the session counters. This
-    /// is the one apply path shared by live sync, the async pool, trace
-    /// replay, and serve.
+    /// is the one apply path shared by live checking, trace replay and
+    /// serve's checker pool.
     pub fn apply(&mut self, ev: &CusanEvent) {
         self.checker.apply(ev, &self.strings, &mut self.rt);
         self.counters.observe(ev, &self.strings);

@@ -12,7 +12,7 @@
 use crate::checks::MustReport;
 use crate::mpi::CheckedMpi;
 use cuda_sim::CudaCounters;
-use cusan::{AsyncCheckStats, CusanCuda, CusanEvent, EventCounters, ToolConfig, ToolCtx};
+use cusan::{CusanCuda, CusanEvent, EventCounters, ToolConfig, ToolCtx};
 use explore::{Decision, ScheduleController, SchedulePlan};
 use kernel_ir::KernelRegistry;
 use mpi_sim::run_world_with_schedule;
@@ -74,9 +74,6 @@ pub struct RankOutcome {
     /// Non-fatal tool diagnostics (teardown flush failures, degraded
     /// tracking) — conditions the checker reports instead of panicking on.
     pub diagnostics: Vec<String>,
-    /// Async-checker observability counters (`None` when checking ran
-    /// inline). Timing-dependent — excluded from determinism comparisons.
-    pub async_check: Option<AsyncCheckStats>,
 }
 
 /// Result of a checked world run.
@@ -261,11 +258,6 @@ fn run_world_impl<T: Send>(
                 emit_schedule_choices(&ctx.tools, &plan.decisions(plan.collective_lane()));
             }
         }
-        // Flush barrier: with the async backend, wait for the detector
-        // thread to drain the event queue so every accessor below reads
-        // final state (each accessor also flushes on its own; one
-        // explicit barrier keeps the collection point obvious).
-        ctx.tools.flush_checker();
         // Seal sinks (a recorded binary trace gets its end-of-trace
         // marker) before the buffers are collected below.
         ctx.tools.finish_sinks();
@@ -280,7 +272,6 @@ fn run_world_impl<T: Send>(
             trace: trace_buf.map(|b| b.borrow().clone()),
             tool_memory_bytes: ctx.tools.tool_memory_bytes(),
             diagnostics: ctx.tools.diagnostics(),
-            async_check: ctx.tools.async_check_stats(),
         };
         (result, outcome)
     });

@@ -86,8 +86,9 @@ pub const JOURNAL_WRITE_BEHIND: usize = 64 << 10;
 /// Engine-wide configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Explicit checker-pool worker count (`None`: size from hardware,
-    /// exactly like [`cusan::ToolConfig::check_threads`]).
+    /// Explicit checker-pool worker count, `--check-threads` (`None`:
+    /// size from hardware — one worker per registered session up to
+    /// hardware threads − 1, at least one; see [`cusan::async_check`]).
     pub check_threads: Option<usize>,
     /// Cap on shadow pages held by *detached unfinished* sessions;
     /// beyond it the least-recently-touched are spilled to `spill_dir`

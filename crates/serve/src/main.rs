@@ -7,8 +7,10 @@
 //!                    [--serve ADDR] [--retries N] [--backoff-ms MS] [--chunk B]
 //! ```
 //!
-//! An argument starting with `--` that is not listed here is a usage
-//! error (exit 2), never a positional.
+//! `--help` / `-h` prints both modes with every option and its default
+//! and exits 0. An argument starting with `--` that is not listed here,
+//! a missing value or an unknown mode is a usage error (the same text on
+//! stderr, exit 2), never a positional.
 //!
 //! * `listen` — serve the frame protocol (see [`cusan_serve::proto`]) on
 //!   a TCP address until killed. `--max-sessions` (default 1024) bounds
@@ -32,8 +34,19 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Bytes per feed (`check`) and per data frame (`check --serve`) unless
+/// `--chunk` says otherwise.
+const DEFAULT_CHUNK: usize = 64 << 10;
+const DEFAULT_RETRIES: u64 = 16;
+const DEFAULT_BACKOFF_MS: u64 = 10;
+
+enum Mode {
+    Listen,
+    Check,
+}
+
 struct Options {
-    mode: String,
+    mode: Mode,
     files: Vec<String>,
     chunk: usize,
     check_threads: Option<usize>,
@@ -48,26 +61,31 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().ok_or_else(usage)?.clone();
+    let mode = match args.first().map(String::as_str) {
+        Some("listen") => Mode::Listen,
+        Some("check") => Mode::Check,
+        Some(other) => return Err(format!("unknown mode {other}\n{}", usage())),
+        None => return Err(usage()),
+    };
     let mut o = Options {
         mode,
         files: Vec::new(),
-        chunk: 997,
+        chunk: DEFAULT_CHUNK,
         check_threads: None,
         max_sessions: None,
         spill_dir: None,
         live_budget: None,
         idle_timeout_ms: None,
         serve_addr: None,
-        retries: 16,
-        backoff_ms: 10,
+        retries: DEFAULT_RETRIES,
+        backoff_ms: DEFAULT_BACKOFF_MS,
     };
     let mut i = 1;
     let value = |i: &mut usize| -> Result<String, String> {
         *i += 1;
         args.get(*i)
             .cloned()
-            .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
+            .ok_or_else(|| format!("{} needs a value\n{}", args[*i - 1], usage()))
     };
     while i < args.len() {
         match args[i].as_str() {
@@ -96,7 +114,34 @@ fn num(s: &str) -> Result<usize, String> {
 }
 
 fn usage() -> String {
-    "usage: cusan-serve <listen <addr> | check <file>...> [options]".to_string()
+    format!(
+        "usage: cusan-serve listen <addr> [options]
+       cusan-serve check <trace-file>... [options]
+
+listen: serve the frame protocol on a TCP address until killed
+  --check-threads N     checker pool workers (default: one per session up to
+                        hardware threads - 1, at least 1)
+  --max-sessions N      sessions open at once, 0 = unlimited (default {LISTEN_MAX_SESSIONS})
+  --spill-dir DIR       journal sessions under DIR, spill them there under
+                        --live-budget, recover them after a restart
+                        (default: off)
+  --live-budget P       shadow pages detached sessions may hold before the
+                        least recently used are spilled (default: unlimited)
+  --idle-timeout-ms MS  expire sessions detached this long, 0 = never
+                        (default {LISTEN_IDLE_TIMEOUT_MS})
+
+check: check each trace file and print one summary JSON line per file
+  --check-threads N     as for listen
+  --serve ADDR          stream the traces to a `cusan-serve listen` at ADDR
+                        instead of checking in-process (default: off)
+  --retries N           connection attempts with --serve (default {DEFAULT_RETRIES})
+  --backoff-ms MS       first reconnect delay with --serve, doubling up to a
+                        cap (default {DEFAULT_BACKOFF_MS})
+  --chunk B             bytes per feed, or per data frame with --serve
+                        (default {DEFAULT_CHUNK})
+
+  -h, --help            print this text and exit"
+    )
 }
 
 fn engine_config(o: &Options) -> EngineConfig {
@@ -110,6 +155,10 @@ fn engine_config(o: &Options) -> EngineConfig {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let o = match parse_args() {
         Ok(o) => o,
         Err(e) => {
@@ -117,10 +166,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let r = match o.mode.as_str() {
-        "listen" => run_listen(&o),
-        "check" => run_check(&o),
-        _ => Err(usage()),
+    let r = match o.mode {
+        Mode::Listen => run_listen(&o),
+        Mode::Check => run_check(&o),
     };
     match r {
         Ok(()) => ExitCode::SUCCESS,
@@ -184,7 +232,7 @@ fn run_check(o: &Options) -> Result<(), String> {
     for (i, path) in o.files.iter().enumerate() {
         let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
         let mut ingest = SessionIngest::new(Arc::clone(&engine));
-        for chunk in bytes.chunks(64 << 10) {
+        for chunk in bytes.chunks(o.chunk.max(1)) {
             ingest.feed(chunk).map_err(|e| format!("{path}: {e}"))?;
         }
         let summary = ingest.finish().map_err(|e| format!("{path}: {e}"))?;

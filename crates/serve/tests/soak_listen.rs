@@ -358,3 +358,48 @@ fn an_unknown_option_is_a_usage_error_not_an_address() {
         );
     }
 }
+
+#[test]
+fn help_names_every_option_with_its_default_and_exits_zero() {
+    let run = |args: &[&str]| Command::new(SERVE).args(args).output().expect("run");
+    let help = run(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    assert!(help.stderr.is_empty(), "help goes to stdout");
+    let text = String::from_utf8(help.stdout).expect("utf-8");
+    for needle in [
+        "cusan-serve listen <addr>",
+        "cusan-serve check <trace-file>...",
+        "--check-threads N",
+        "--max-sessions N",
+        "(default 1024)",
+        "--spill-dir DIR",
+        "--live-budget P",
+        "--idle-timeout-ms MS",
+        "(default 3600000)",
+        "--serve ADDR",
+        "--retries N",
+        "(default 16)",
+        "--backoff-ms MS",
+        "(default 10)",
+        "--chunk B",
+        "(default 65536)",
+    ] {
+        assert!(text.contains(needle), "no {needle:?} in\n{text}");
+    }
+    for args in [&["-h"][..], &["check", "x.trace", "-h"][..]] {
+        let out = run(args);
+        assert_eq!(
+            (out.status.code(), &out.stdout[..]),
+            (Some(0), text.as_bytes()),
+            "{args:?}"
+        );
+    }
+    // A usage error carries the same text, on stderr, and keeps exit 2.
+    for args in [&[][..], &["serve"][..], &["listen", "--max-sessions"][..]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(text.trim_end()), "{args:?}: {stderr}");
+    }
+}
