@@ -1038,12 +1038,18 @@ pub fn outcome_digest<T>(out: &must_rt::WorldOutcome<T>) -> u64 {
     for r in &out.ranks {
         h.write_u64(r.rank as u64);
         if let Some(bytes) = &r.trace {
-            let trace = cusan::Trace::from_bytes(bytes).expect("recorded trace parses");
-            for ev in &trace.events {
-                if matches!(ev, cusan::CusanEvent::ScheduleChoice { .. }) {
-                    continue;
+            // Records straight off the reader: a digest needs no
+            // materialized `Trace`, and this rank's own recording none of
+            // the consistency checks building one runs.
+            let reader = cusan::TraceReader::new(&bytes[..]).expect("recorded trace parses");
+            for rec in reader {
+                match rec.expect("recorded trace parses") {
+                    cusan::TraceRecord::Event(cusan::CusanEvent::ScheduleChoice { .. })
+                    | cusan::TraceRecord::Str { .. } => {}
+                    cusan::TraceRecord::Event(ev) => {
+                        h.write_str(&format!("{ev:?}"));
+                    }
                 }
-                h.write_str(&format!("{ev:?}"));
             }
         }
         h.write_u64(r.race_count);

@@ -75,10 +75,16 @@
 //! * **Poison, don't hang** — a panic while applying a session's batch
 //!   is caught on the worker, the session is poisoned and its producer's
 //!   `flush`/`send` fail fast; *other* sessions keep draining.
+//! * **Refuse, don't panic** — an event the session's fiber table cannot
+//!   accept ([`FiberEventError`]: the trace decodes but is inconsistent)
+//!   is input, not a bug. The first one stops the session's drain through
+//!   the same poison flag, is kept on the slot, and comes back as `Err`
+//!   from every later `send_*`, `flush` and `with_session`; dropping the
+//!   checker afterwards is quiet.
 //! * All waits use short condvar timeouts (`PARK`): a missed wakeup
 //!   costs one timeout period, never a deadlock.
 
-use crate::event::CusanEvent;
+use crate::event::{CusanEvent, FiberEventError};
 use crate::session::CheckSession;
 use parking_lot::{Condvar, Mutex};
 use rtrb::{Consumer, Producer, PushError, RingBuffer};
@@ -201,6 +207,10 @@ pub struct AsyncCheckStats {
 enum Msg {
     Intern(Arc<str>),
     Event(CusanEvent),
+    /// A bug in the detector, on demand: the tests of the poison path
+    /// need a batch that panics, and no input produces one.
+    #[cfg(test)]
+    Bug,
 }
 
 /// Ring-consumer state of one session, handed between workers under the
@@ -232,9 +242,13 @@ struct SessionSlot {
     /// released, so a flusher that observes the count can immediately
     /// take the lock).
     applied: AtomicU64,
-    /// A batch application panicked; producer-side `flush`/`send` must
+    /// The session no longer drains — a batch panicked, or met an event
+    /// the session refused (`refused`); producer-side `flush`/`send` must
     /// fail fast instead of waiting forever.
     poisoned: AtomicBool,
+    /// The event refusal that stopped the drain, if that is what did.
+    /// Written before `poisoned` is set, read only after it is seen set.
+    refused: Mutex<Option<FiberEventError>>,
     /// The first caught panic payload, re-raised when the session's
     /// [`AsyncChecker`] is dropped.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -261,11 +275,13 @@ impl SessionSlot {
     /// slot's session, then publish progress. Progress (`applied`, the
     /// batch counters, the wakeup) is published only after the session
     /// lock is released, so a flush-then-lock reader never contends with
-    /// the batch it just observed as applied.
-    fn apply_scratch(&self, ing: &mut Ingress, stolen: bool) -> usize {
+    /// the batch it just observed as applied. An event the session
+    /// refuses ends the batch there — the rest of it is dropped and
+    /// nothing is published, so `applied` stays short of `sent` for good.
+    fn apply_scratch(&self, ing: &mut Ingress, stolen: bool) -> Result<usize, FiberEventError> {
         let n = ing.scratch.len();
         if n == 0 {
-            return 0;
+            return Ok(0);
         }
         {
             let mut session = self.session.lock();
@@ -274,7 +290,9 @@ impl SessionSlot {
                     Msg::Intern(label) => {
                         session.intern_shared(&label);
                     }
-                    Msg::Event(ev) => session.apply(&ev),
+                    Msg::Event(ev) => session.try_apply(&ev)?,
+                    #[cfg(test)]
+                    Msg::Bug => panic!("injected detector bug"),
                 }
             }
         }
@@ -289,7 +307,7 @@ impl SessionSlot {
         }
         self.applied.fetch_add(n64, Ordering::Release);
         self.drain_cv.notify_all();
-        n
+        Ok(n)
     }
 
     /// Claim-holder only: steal one adaptive batch off the ring and
@@ -297,7 +315,8 @@ impl SessionSlot {
     /// near-empty for latency, growing toward [`BATCH_MAX`] with
     /// occupancy for throughput. A panic inside the detector poisons the
     /// slot (storing the payload for the owner's drop) instead of
-    /// killing the worker; `Err` means poisoned.
+    /// killing the worker, and so does a refused event (storing the
+    /// refusal for the owner's next call); `Err` means poisoned.
     fn drain_guarded(&self, ing: &mut Ingress, stolen: bool) -> Result<usize, ()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(());
@@ -309,18 +328,18 @@ impl SessionSlot {
         let target = backlog.clamp(BATCH_MIN, BATCH_MAX);
         ing.rx.pop_batch(&mut ing.scratch, target);
         match std::panic::catch_unwind(AssertUnwindSafe(|| self.apply_scratch(ing, stolen))) {
-            Ok(n) => Ok(n),
+            Ok(Ok(n)) => return Ok(n),
+            Ok(Err(refusal)) => *self.refused.lock() = Some(refusal),
             Err(payload) => {
                 let mut slot = self.panic.lock();
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
-                drop(slot);
-                self.poisoned.store(true, Ordering::Release);
-                self.drain_cv.notify_all();
-                Err(())
             }
         }
+        self.poisoned.store(true, Ordering::Release);
+        self.drain_cv.notify_all();
+        Err(())
     }
 }
 
@@ -530,6 +549,7 @@ impl AsyncChecker {
             }),
             applied: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
+            refused: Mutex::new(None),
             panic: Mutex::new(None),
             progress: Mutex::new(()),
             drain_cv: Condvar::new(),
@@ -555,23 +575,33 @@ impl AsyncChecker {
         }
     }
 
-    /// Enqueue an event for the checker pool.
-    pub fn send_event(&self, ev: CusanEvent) {
-        self.send(Msg::Event(ev));
+    /// Enqueue an event for the checker pool. `Err` once the session has
+    /// refused an earlier event (see the module docs): nothing sent after
+    /// the refused event is applied.
+    pub fn send_event(&self, ev: CusanEvent) -> Result<(), FiberEventError> {
+        self.send(Msg::Event(ev))
     }
 
     /// Mirror a freshly-interned label to the session's string table.
     /// Must be called in intern order, before any event using the new
     /// id. The bytes are shared — the serve path's cross-session table
     /// hands the same `Arc<str>` to every session, so mirroring costs a
-    /// refcount bump instead of a copy.
-    pub fn send_intern_shared(&self, label: Arc<str>) {
-        self.send(Msg::Intern(label));
+    /// refcount bump instead of a copy. Fails like
+    /// [`AsyncChecker::send_event`].
+    pub fn send_intern_shared(&self, label: Arc<str>) -> Result<(), FiberEventError> {
+        self.send(Msg::Intern(label))
     }
 
-    fn fail_if_poisoned(&self, what: &str) {
-        assert!(
-            !self.slot.poisoned.load(Ordering::Acquire),
+    /// `Ok` while the session drains. Once it has stopped: the refusal
+    /// that stopped it, or — a batch panicked, which is a bug — a panic.
+    fn still_draining(&self, what: &str) -> Result<(), FiberEventError> {
+        if !self.slot.poisoned.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        if let Some(refusal) = *self.slot.refused.lock() {
+            return Err(refusal);
+        }
+        panic!(
             "async checker pool: session for rank {} is poisoned by a worker panic; {what}",
             self.slot.rank
         );
@@ -589,7 +619,8 @@ impl AsyncChecker {
         }
     }
 
-    fn send(&self, msg: Msg) {
+    fn send(&self, msg: Msg) -> Result<(), FiberEventError> {
+        self.still_draining("cannot enqueue more events")?;
         let mut p = self.prod.borrow_mut();
         let is_event = matches!(msg, Msg::Event(_));
         let mut msg = msg;
@@ -603,7 +634,7 @@ impl AsyncChecker {
                         stalled = true;
                         p.stalls += 1;
                     }
-                    self.fail_if_poisoned("cannot enqueue more events");
+                    self.still_draining("cannot enqueue more events")?;
                     // Prefer doing the work to waiting for it: on an
                     // oversubscribed host the backlogged producer is
                     // often the only runnable thread.
@@ -637,19 +668,21 @@ impl AsyncChecker {
         if p.sent.is_multiple_of(DOORBELL_EVERY) && self.pool.kick() {
             p.doorbells += 1;
         }
+        Ok(())
     }
 
     /// Barrier: returns once every message sent so far has been applied,
-    /// helping to drain inline when the pool is busy elsewhere. Panics
-    /// (fails fast) if the session was poisoned by a worker panic — the
-    /// original payload is re-raised when the `AsyncChecker` is dropped.
-    pub fn flush(&self) {
+    /// helping to drain inline when the pool is busy elsewhere. `Err` if
+    /// the session refused one of them. Panics (fails fast) if the
+    /// session was poisoned by a worker panic — the original payload is
+    /// re-raised when the `AsyncChecker` is dropped.
+    pub fn flush(&self) -> Result<(), FiberEventError> {
         let sent = self.prod.borrow().sent;
         loop {
             if self.slot.applied.load(Ordering::Acquire) >= sent {
-                return;
+                return Ok(());
             }
-            self.fail_if_poisoned("events are lost, not merely late");
+            self.still_draining("events are lost, not merely late")?;
             if self.try_help_drain() > 0 {
                 continue;
             }
@@ -664,10 +697,13 @@ impl AsyncChecker {
     }
 
     /// Flush, then run `f` on the (drained) session.
-    pub fn with_session<R>(&self, f: impl FnOnce(&mut CheckSession) -> R) -> R {
-        self.flush();
+    pub fn with_session<R>(
+        &self,
+        f: impl FnOnce(&mut CheckSession) -> R,
+    ) -> Result<R, FiberEventError> {
+        self.flush()?;
         let mut session = self.slot.session.lock();
-        f(&mut session)
+        Ok(f(&mut session))
     }
 
     /// The shared handle to the session under check. The serve path
@@ -684,9 +720,10 @@ impl AsyncChecker {
     /// Snapshot of the observability counters. Flushes first, like every
     /// stat/report accessor, so the batch counters cover the final
     /// partial batch too. (An earlier version skipped the barrier here
-    /// and could undercount `batches_applied` at outcome collection.)
+    /// and could undercount `batches_applied` at outcome collection.) A
+    /// session that refused an event reports the batches before it.
     pub fn stats(&self) -> AsyncCheckStats {
-        self.flush();
+        let _ = self.flush();
         let p = self.prod.borrow();
         let batches = self.slot.batches.load(Ordering::Relaxed);
         let messages = self.slot.messages.load(Ordering::Relaxed);
@@ -718,7 +755,8 @@ impl Drop for AsyncChecker {
         // Drain everything still queued (graceful shutdown), helping
         // inline so the drop cannot outwait a busy pool. A poisoned
         // session stops draining — its remaining events are acknowledged
-        // lost and the panic payload is re-raised below.
+        // lost and the panic payload, if a panic is what poisoned it, is
+        // re-raised below.
         let sent = self.prod.get_mut().sent;
         while !self.slot.poisoned.load(Ordering::Acquire)
             && self.slot.applied.load(Ordering::Acquire) < sent
@@ -785,7 +823,7 @@ mod tests {
         let mut rt = TsanRuntime::new("host");
         let mut checker = CheckerSink::new();
         for ev in evs {
-            checker.apply(ev, strings, &mut rt);
+            checker.apply(ev, strings, &mut rt).unwrap();
         }
         rt.stats()
     }
@@ -796,7 +834,7 @@ mod tests {
     }
 
     fn send_intern(ac: &AsyncChecker, label: &str) {
-        ac.send_intern_shared(Arc::from(label));
+        ac.send_intern_shared(Arc::from(label)).unwrap();
     }
 
     fn feed(ac: &AsyncChecker, strings: &CtxInterner, evs: &[CusanEvent]) {
@@ -804,12 +842,12 @@ mod tests {
             send_intern(ac, strings.label(StrId(i as u32)));
         }
         for ev in evs {
-            ac.send_event(*ev);
+            ac.send_event(*ev).unwrap();
         }
     }
 
     fn tsan_stats(ac: &AsyncChecker) -> tsan_rt::TsanStats {
-        ac.with_session(|s| s.runtime().stats())
+        ac.with_session(|s| s.runtime().stats()).unwrap()
     }
 
     fn run_async(
@@ -837,7 +875,7 @@ mod tests {
         let (strings, evs) = event_stream(2000);
         let ac = pooled(None);
         feed(&ac, &strings, &evs);
-        ac.flush();
+        ac.flush().unwrap();
         // After flush, the applied count covers everything sent; the
         // runtime must already reflect the full stream without further
         // waiting.
@@ -852,13 +890,15 @@ mod tests {
         let (strings, evs) = event_stream(100);
         let ac = pooled(None);
         feed(&ac, &strings, &evs);
-        let (counters, mirrored, shared) = ac.with_session(|s| {
-            (
-                s.counters().clone(),
-                s.strings().len(),
-                s.strings().shared_label(StrId(0)),
-            )
-        });
+        let (counters, mirrored, shared) = ac
+            .with_session(|s| {
+                (
+                    s.counters().clone(),
+                    s.strings().len(),
+                    s.strings().shared_label(StrId(0)),
+                )
+            })
+            .unwrap();
         assert_eq!(counters.write_range_calls, 100);
         assert_eq!(counters.fiber_switches, 200);
         assert_eq!(mirrored, strings.len());
@@ -869,8 +909,10 @@ mod tests {
     fn send_intern_shared_reuses_the_allocation() {
         let ac = pooled(None);
         let label: Arc<str> = Arc::from("kernel write");
-        ac.send_intern_shared(Arc::clone(&label));
-        let mirrored = ac.with_session(|s| s.strings().shared_label(StrId(0)).unwrap());
+        ac.send_intern_shared(Arc::clone(&label)).unwrap();
+        let mirrored = ac
+            .with_session(|s| s.strings().shared_label(StrId(0)).unwrap())
+            .unwrap();
         assert!(
             Arc::ptr_eq(&label, &mirrored),
             "the mirror must share the sender's allocation"
@@ -931,7 +973,7 @@ mod tests {
         let mut strings = CtxInterner::new();
         let ctx = strings.intern("w");
         send_intern(&ac, "w");
-        ac.flush();
+        ac.flush().unwrap();
         {
             // Hold the claim: no worker can drain while we simulate the
             // in-flight window.
@@ -941,7 +983,8 @@ mod tests {
                     addr: 0x1000 + i * 8,
                     len: 8,
                     ctx,
-                });
+                })
+                .unwrap();
             }
             let mut parked = Vec::new();
             assert_eq!(ing.rx.pop_batch(&mut parked, 64), 64);
@@ -951,7 +994,8 @@ mod tests {
                     addr: 0x20_0000 + i * 8,
                     len: 8,
                     ctx,
-                });
+                })
+                .unwrap();
             }
             assert_eq!(
                 ac.prod.borrow().max_queue_depth,
@@ -961,7 +1005,7 @@ mod tests {
             // Apply the parked prefix in order so the stream stays
             // complete, then let the pool finish the rest.
             let mut ing2 = ing;
-            ac.slot.apply_scratch(&mut ing2, false);
+            ac.slot.apply_scratch(&mut ing2, false).unwrap();
         }
         let stats = ac.stats();
         assert_eq!(stats.events_enqueued, 64 + RING_CAPACITY as u64);
@@ -1031,8 +1075,8 @@ mod tests {
             send_intern(&b, strings.label(StrId(i as u32)));
         }
         for ev in &evs {
-            a.send_event(*ev);
-            b.send_event(*ev);
+            a.send_event(*ev).unwrap();
+            b.send_event(*ev).unwrap();
         }
         assert_eq!(tsan_stats(&a), expected);
         assert_eq!(tsan_stats(&b), expected);
@@ -1061,7 +1105,7 @@ mod tests {
         }
         for ev in &evs {
             for ac in &acs {
-                ac.send_event(*ev);
+                ac.send_event(*ev).unwrap();
             }
         }
         for ac in &acs {
@@ -1074,10 +1118,10 @@ mod tests {
 
     #[test]
     fn worker_panic_poisons_only_its_session() {
-        // A detector assertion while applying session 0's batch must (a)
-        // fail session 0's flush fast instead of hanging it, (b) leave
-        // the worker alive to keep draining session 1, and (c) re-raise
-        // the original payload when session 0's handle is dropped.
+        // A detector bug while applying session 0's batch must (a) fail
+        // session 0's flush fast instead of hanging it, (b) leave the
+        // worker alive to keep draining session 1, and (c) re-raise the
+        // original payload when session 0's handle is dropped.
         let pool = CheckerPool::new();
         let bad = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
         let good = AsyncChecker::with_pool(
@@ -1085,11 +1129,7 @@ mod tests {
             CheckSession::from_runtime(1, TsanRuntime::new("host")),
             Some(1),
         );
-        send_intern(&bad, "bad");
-        bad.send_event(CusanEvent::FiberCreate {
-            fiber: FiberId::from_index(40),
-            name: StrId(0),
-        });
+        bad.send(Msg::Bug).unwrap();
         let flushed = std::panic::catch_unwind(AssertUnwindSafe(|| bad.flush()));
         let payload = flushed.expect_err("poisoned flush must fail fast");
         let msg = payload
@@ -1113,7 +1153,7 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(
-            text.contains("fiber numbering diverged"),
+            text.contains("injected detector bug"),
             "original payload, got: {text}"
         );
         drop(good); // clean shutdown for the healthy session
@@ -1145,7 +1185,7 @@ mod tests {
             let ac = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(2));
             let (strings, evs) = event_stream(10);
             feed(&ac, &strings, &evs);
-            ac.flush();
+            ac.flush().unwrap();
             assert_eq!(pool.worker_count(), 2);
         }
         assert_eq!(pool.session_count(), 0);
@@ -1194,7 +1234,8 @@ mod tests {
                 addr: 0x1000 + i * 8,
                 len: 8,
                 ctx,
-            });
+            })
+            .unwrap();
         }
         assert_eq!(ac.prod.borrow().doorbells, 0);
         let handle = ac.session_handle();
@@ -1234,15 +1275,49 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fiber numbering diverged")]
+    #[should_panic(expected = "injected detector bug")]
     fn consumer_panic_propagates_on_drop() {
         let ac = pooled(None);
-        send_intern(&ac, "bad");
-        ac.send_event(CusanEvent::FiberCreate {
-            fiber: FiberId::from_index(40),
-            name: StrId(0),
-        });
+        ac.send(Msg::Bug).unwrap();
         drop(ac); // re-raises the pool worker's panic on this thread
+    }
+
+    #[test]
+    fn a_refused_event_comes_back_as_err_not_as_a_panic() {
+        // Input, not a bug: the session's fiber table cannot accept
+        // `fs 7`. The refusal stops this session's drain, is reported by
+        // every later call, and leaves the worker and its neighbour
+        // alone; the drop is quiet.
+        let pool = CheckerPool::new();
+        let bad = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+        let good = AsyncChecker::with_pool(
+            Arc::clone(&pool),
+            CheckSession::from_runtime(1, TsanRuntime::new("host")),
+            Some(1),
+        );
+        let (strings, evs) = event_stream(50);
+        feed(&bad, &strings, &evs);
+        let dead = FiberId::from_index(7);
+        // The send itself may or may not see it yet; the barrier must.
+        let _ = bad.send_event(CusanEvent::FiberSwitch {
+            fiber: dead,
+            sync: false,
+        });
+        let refusal = FiberEventError::SwitchToDead(dead);
+        assert_eq!(bad.flush(), Err(refusal));
+        assert_eq!(bad.send_event(evs[1]), Err(refusal));
+        assert_eq!(bad.send_intern_shared(Arc::from("late")), Err(refusal));
+        assert_eq!(bad.with_session(|_| ()), Err(refusal));
+        // Everything before the refused event was applied, nothing after.
+        let handle = bad.session_handle();
+        assert_eq!(handle.lock().runtime().stats(), run_sync(&strings, &evs));
+        assert_eq!(bad.stats().events_enqueued, evs.len() as u64 + 1);
+
+        feed(&good, &strings, &evs);
+        assert_eq!(tsan_stats(&good), run_sync(&strings, &evs));
+        drop(bad);
+        drop(good);
+        assert_eq!(pool.session_count(), 0);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! MUST layer, and the trace string table.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::Arc;
+use tsan_rt::fiber::MAX_FIBERS;
 use tsan_rt::{CtxId, FiberId, SyncKey, TsanRuntime};
 
 /// Id of a string interned in a [`CtxInterner`]. Ids are dense and
@@ -119,7 +121,8 @@ impl CtxInterner {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CusanEvent {
     /// A fiber was created (CUDA stream or MPI request). `fiber` is the id
-    /// the runtime assigned; the checker asserts replay reproduces it.
+    /// the runtime assigned; the checker refuses a replay that would
+    /// assign another ([`FiberEventError`]).
     FiberCreate { fiber: FiberId, name: StrId },
     /// Active-fiber switch; `sync` carries happens-before from the
     /// previous fiber (`__tsan_switch_to_fiber` flag).
@@ -184,6 +187,64 @@ pub trait EventSink {
     fn finish(&mut self) {}
 }
 
+/// A fiber event the fiber table it is applied to cannot accept. The
+/// three fiber events are the only ones whose meaning depends on earlier
+/// events, so a trace can decode record by record and still describe an
+/// execution no runtime produced; [`CheckerSink::apply`] checks each
+/// against the runtime's own table before touching it and returns this
+/// instead of tripping the runtime's assertions. The refused event is not
+/// applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FiberEventError {
+    /// `FiberCreate` stamped with an id other than the one the table
+    /// assigns next.
+    CreateNotNext {
+        /// The id the event carries.
+        fiber: FiberId,
+        /// The id the table would assign.
+        next: FiberId,
+    },
+    /// `FiberCreate` with every slot the shadow encoding can name live.
+    TableFull,
+    /// `FiberSwitch` to a fiber that does not exist or was destroyed.
+    SwitchToDead(FiberId),
+    /// `FiberDestroy` of a fiber that does not exist or was destroyed.
+    DestroyDead(FiberId),
+    /// `FiberDestroy` of the host fiber.
+    DestroyHost,
+    /// `FiberDestroy` of the fiber the stream is running on.
+    DestroyCurrent(FiberId),
+}
+
+impl fmt::Display for FiberEventError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("inconsistent fiber event: ")?;
+        match *self {
+            FiberEventError::CreateNotNext { fiber, next } => write!(
+                f,
+                "create of fiber {}, but the fiber table assigns {} next",
+                fiber.index(),
+                next.index()
+            ),
+            FiberEventError::TableFull => {
+                write!(f, "create with all {MAX_FIBERS} fiber slots live")
+            }
+            FiberEventError::SwitchToDead(fiber) => {
+                write!(f, "switch to fiber {}, which is not alive", fiber.index())
+            }
+            FiberEventError::DestroyDead(fiber) => {
+                write!(f, "destroy of fiber {}, which is not alive", fiber.index())
+            }
+            FiberEventError::DestroyHost => f.write_str("destroy of the host fiber"),
+            FiberEventError::DestroyCurrent(fiber) => {
+                write!(f, "destroy of fiber {}, the current fiber", fiber.index())
+            }
+        }
+    }
+}
+
+impl std::error::Error for FiberEventError {}
+
 /// The detection sink: applies events to a [`TsanRuntime`].
 ///
 /// This is the pre-refactor direct-call behavior, factored into the one
@@ -224,19 +285,48 @@ impl CheckerSink {
         CheckerSink { ctx_map }
     }
 
-    /// Apply one event to the detector.
-    pub fn apply(&mut self, ev: &CusanEvent, strings: &CtxInterner, rt: &mut TsanRuntime) {
+    /// Apply one event to the detector. A fiber event is first checked
+    /// against `rt`'s fiber table — one bounds-and-liveness test — and
+    /// refused, with `rt` untouched, if the table cannot accept it.
+    pub fn apply(
+        &mut self,
+        ev: &CusanEvent,
+        strings: &CtxInterner,
+        rt: &mut TsanRuntime,
+    ) -> Result<(), FiberEventError> {
         match *ev {
             CusanEvent::FiberCreate { fiber, name } => {
-                let created = rt.create_fiber(strings.label(name));
-                assert_eq!(
-                    created, fiber,
-                    "fiber numbering diverged from the event stream (corrupt trace?)"
-                );
+                let next = rt.peek_next_fiber();
+                if fiber != next {
+                    return Err(FiberEventError::CreateNotNext { fiber, next });
+                }
+                if next.index() >= MAX_FIBERS {
+                    return Err(FiberEventError::TableFull);
+                }
+                rt.create_fiber(strings.label(name));
             }
-            CusanEvent::FiberSwitch { fiber, sync: true } => rt.switch_to_fiber_sync(fiber),
-            CusanEvent::FiberSwitch { fiber, sync: false } => rt.switch_to_fiber(fiber),
-            CusanEvent::FiberDestroy { fiber } => rt.destroy_fiber(fiber),
+            CusanEvent::FiberSwitch { fiber, sync } => {
+                if !rt.is_fiber_alive(fiber) {
+                    return Err(FiberEventError::SwitchToDead(fiber));
+                }
+                if sync {
+                    rt.switch_to_fiber_sync(fiber);
+                } else {
+                    rt.switch_to_fiber(fiber);
+                }
+            }
+            CusanEvent::FiberDestroy { fiber } => {
+                if fiber == FiberId::HOST {
+                    return Err(FiberEventError::DestroyHost);
+                }
+                if !rt.is_fiber_alive(fiber) {
+                    return Err(FiberEventError::DestroyDead(fiber));
+                }
+                if fiber == rt.current_fiber() {
+                    return Err(FiberEventError::DestroyCurrent(fiber));
+                }
+                rt.destroy_fiber(fiber);
+            }
             CusanEvent::HappensBefore { key } => rt.annotate_happens_before(key),
             CusanEvent::HappensAfter { key } => {
                 rt.annotate_happens_after(key);
@@ -261,6 +351,7 @@ impl CheckerSink {
             | CusanEvent::ApiFault { .. }
             | CusanEvent::ScheduleChoice { .. } => {}
         }
+        Ok(())
     }
 }
 
@@ -450,7 +541,7 @@ mod tests {
             },
         ];
         for ev in &evs {
-            checker.apply(ev, &strings, &mut rt);
+            checker.apply(ev, &strings, &mut rt).unwrap();
         }
         assert_eq!(rt.race_count(), 1);
         let r = &rt.reports()[0];
@@ -460,20 +551,82 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fiber numbering diverged")]
     fn checker_rejects_diverging_fiber_ids() {
         let mut strings = CtxInterner::new();
         let name = strings.intern("f");
         let mut rt = TsanRuntime::new("host");
+        let fresh = rt.stats();
+        // Fiber events never touch the sink's context map.
+        let mut step = |ev: CusanEvent| CheckerSink::new().apply(&ev, &strings, &mut rt);
+        let f = FiberId::from_index;
+        let create = |fiber| CusanEvent::FiberCreate { fiber, name };
+        let switch = |fiber, sync| CusanEvent::FiberSwitch { fiber, sync };
+        let destroy = |fiber| CusanEvent::FiberDestroy { fiber };
+
+        let (fiber, next) = (f(7), f(1));
+        assert_eq!(
+            step(create(fiber)),
+            Err(FiberEventError::CreateNotNext { fiber, next })
+        );
+        for sync in [false, true] {
+            assert_eq!(
+                step(switch(f(7), sync)),
+                Err(FiberEventError::SwitchToDead(f(7)))
+            );
+        }
+        assert_eq!(step(destroy(f(0))), Err(FiberEventError::DestroyHost));
+        assert_eq!(step(destroy(f(1))), Err(FiberEventError::DestroyDead(f(1))));
+
+        step(create(f(1))).unwrap();
+        step(switch(f(1), false)).unwrap();
+        assert_eq!(
+            step(destroy(f(1))),
+            Err(FiberEventError::DestroyCurrent(f(1)))
+        );
+        step(switch(FiberId::HOST, false)).unwrap();
+        step(destroy(f(1))).unwrap();
+        assert_eq!(step(destroy(f(1))), Err(FiberEventError::DestroyDead(f(1))));
+        assert_eq!(
+            step(switch(f(1), true)),
+            Err(FiberEventError::SwitchToDead(f(1)))
+        );
+        // A refusal leaves the detector as it was: only the four accepted
+        // events are counted, and the freed slot is still next.
+        let stats = rt.stats();
+        assert_eq!(stats.fibers_created, fresh.fibers_created + 1);
+        assert_eq!(stats.fibers_destroyed, fresh.fibers_destroyed + 1);
+        assert_eq!(stats.fiber_switches, fresh.fiber_switches + 2);
+        assert_eq!(rt.peek_next_fiber(), f(1));
+    }
+
+    #[test]
+    fn fiber_create_beyond_the_table_is_refused_not_asserted() {
+        let mut strings = CtxInterner::new();
+        let name = strings.intern("f");
+        let mut rt = TsanRuntime::new("host");
         let mut checker = CheckerSink::new();
-        checker.apply(
-            &CusanEvent::FiberCreate {
-                fiber: FiberId::from_index(7),
+        for i in 1..MAX_FIBERS {
+            let fiber = FiberId::from_index(i);
+            checker
+                .apply(&CusanEvent::FiberCreate { fiber, name }, &strings, &mut rt)
+                .unwrap();
+        }
+        let fiber = FiberId::from_index(MAX_FIBERS);
+        assert_eq!(
+            checker.apply(&CusanEvent::FiberCreate { fiber, name }, &strings, &mut rt),
+            Err(FiberEventError::TableFull)
+        );
+        // A destroyed slot is handed out again.
+        let reused = FiberId::from_index(9);
+        for ev in [
+            CusanEvent::FiberDestroy { fiber: reused },
+            CusanEvent::FiberCreate {
+                fiber: reused,
                 name,
             },
-            &strings,
-            &mut rt,
-        );
+        ] {
+            checker.apply(&ev, &strings, &mut rt).unwrap();
+        }
     }
 
     #[test]
@@ -543,7 +696,9 @@ mod tests {
         let mut rt = TsanRuntime::new("host");
         let mut checker = CheckerSink::new();
         let before = rt.stats();
-        checker.apply(&CusanEvent::ApiFault { call, site: 3 }, &strings, &mut rt);
+        checker
+            .apply(&CusanEvent::ApiFault { call, site: 3 }, &strings, &mut rt)
+            .unwrap();
         assert_eq!(rt.stats(), before);
         assert_eq!(rt.race_count(), 0);
     }

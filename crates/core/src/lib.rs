@@ -49,7 +49,9 @@ pub use api::CusanCuda;
 pub use async_check::{AsyncCheckStats, AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
-pub use event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, StrId};
+pub use event::{
+    CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, FiberEventError, StrId,
+};
 pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{

@@ -17,12 +17,13 @@
 //!   sessions over one [`crate::CheckerPool`], one per uploaded trace
 //!   shard stream.
 //!
-//! All three share [`CheckSession::apply`], which is what makes replayed
-//! and served results bit-for-bit identical to live runs.
+//! All three share one apply path — [`CheckSession::try_apply`], which
+//! [`CheckSession::apply`] wraps for the live producer — and that is what
+//! makes replayed and served results bit-for-bit identical to live runs.
 
 use std::sync::Arc;
 
-use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, StrId};
+use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 use crate::trace::{TraceHeader, TraceRecord};
 use tsan_rt::{
     CtxId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime, TsanStats,
@@ -143,20 +144,35 @@ impl CheckSession {
 
     /// Apply one event: detector first, then the session counters. This
     /// is the one apply path shared by live checking, trace replay and
-    /// serve's checker pool.
-    pub fn apply(&mut self, ev: &CusanEvent) {
-        self.checker.apply(ev, &self.strings, &mut self.rt);
+    /// serve's checker pool. A fiber event this session's fiber table
+    /// cannot accept is refused and leaves the session as it was; every
+    /// producer of events it did not make itself — a trace, a socket —
+    /// calls this.
+    pub fn try_apply(&mut self, ev: &CusanEvent) -> Result<(), FiberEventError> {
+        self.checker.apply(ev, &self.strings, &mut self.rt)?;
         self.counters.observe(ev, &self.strings);
+        Ok(())
+    }
+
+    /// [`CheckSession::try_apply`] for a producer that stamps its fiber
+    /// events from this session's own runtime (live instrumentation, a
+    /// [`crate::Trace`] the parser has already checked): a refusal there
+    /// is a bug, so it panics.
+    pub fn apply(&mut self, ev: &CusanEvent) {
+        if let Err(e) = self.try_apply(ev) {
+            panic!("{e}");
+        }
     }
 
     /// Feed one decoded trace record: a string-table entry is mirrored
     /// (sharing the parser's label bytes), an event is applied.
-    pub fn feed(&mut self, rec: &TraceRecord) {
+    pub fn feed(&mut self, rec: &TraceRecord) -> Result<(), FiberEventError> {
         match rec {
             TraceRecord::Str { label, .. } => {
                 self.intern_shared(label);
+                Ok(())
             }
-            TraceRecord::Event(ev) => self.apply(ev),
+            TraceRecord::Event(ev) => self.try_apply(ev),
         }
     }
 

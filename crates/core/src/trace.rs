@@ -64,13 +64,14 @@
 //! test) — in either format.
 
 use crate::binio::{self, BinRecord};
-use crate::event::{CtxInterner, CusanEvent, EventSink, StrId};
+use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventSink, StrId};
 use crate::session::{CheckSession, SessionSummary};
 use std::cell::RefCell;
+use std::fmt;
 use std::io::{BufRead, Write};
 use std::rc::Rc;
 use std::sync::Arc;
-use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey};
+use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey, TsanRuntime};
 
 /// Magic prefix of a text trace header line. The version is part of the
 /// magic: readers reject any other version with a clear message.
@@ -809,6 +810,17 @@ impl TracePushParser {
         }
     }
 
+    /// `msg` with the position of the record [`Self::poll`] yielded last,
+    /// in the decoders' own style (`trace line N: …` / `trace record N:
+    /// …`).
+    fn locate(&self, msg: impl fmt::Display) -> String {
+        match &self.state {
+            PushState::TextBody(p) => parse_err(p.lineno(), msg.to_string()),
+            PushState::BinBody(p) => rec_err(p.recno, msg.to_string()),
+            _ => msg.to_string(),
+        }
+    }
+
     /// Produce the next item, or `Ok(None)` when more bytes are needed
     /// (before [`Self::close`]) / the stream is fully drained (after).
     /// Errors are not consumed: a poisoned stream keeps returning the
@@ -1082,6 +1094,13 @@ impl<R: BufRead> TraceReader<R> {
     pub fn into_strings(self) -> CtxInterner {
         self.parser.into_strings()
     }
+
+    /// `msg` with the position of the record yielded last, in the
+    /// decoders' own style (`trace line N: …` / `trace record N: …`) —
+    /// for what only applying a record can find wrong with it.
+    pub fn locate(&self, msg: impl fmt::Display) -> String {
+        self.parser.locate(msg)
+    }
 }
 
 impl<R: BufRead> Iterator for TraceReader<R> {
@@ -1134,12 +1153,27 @@ impl Trace {
     }
 
     /// Parse a whole trace from any buffered byte source (text or
-    /// binary, sniffed from the magic).
+    /// binary, sniffed from the magic). [`replay`] has no error to
+    /// return, so what only applying a record can refuse is refused here:
+    /// the fiber events are applied to a scratch runtime's fiber table as
+    /// they are read, and a `Trace` holds only streams it accepted.
     pub fn from_reader<R: BufRead>(input: R) -> Result<Trace, String> {
         let mut reader = TraceReader::new(input)?;
         let mut events = Vec::new();
-        for rec in &mut reader {
+        let mut fibers = TsanRuntime::new("");
+        let mut checker = CheckerSink::new();
+        while let Some(rec) = reader.next() {
             if let TraceRecord::Event(ev) = rec? {
+                if matches!(
+                    ev,
+                    CusanEvent::FiberCreate { .. }
+                        | CusanEvent::FiberSwitch { .. }
+                        | CusanEvent::FiberDestroy { .. }
+                ) {
+                    checker
+                        .apply(&ev, reader.strings(), &mut fibers)
+                        .map_err(|e| reader.locate(e))?;
+                }
                 events.push(ev);
             }
         }
@@ -1184,7 +1218,9 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, S
 /// Uses the same apply path as the live run ([`CheckSession::apply`]),
 /// with the recorded rank's host-fiber name and shadow budget, so
 /// reports (fiber and context labels included), detector stats and
-/// event counters all reproduce exactly.
+/// event counters all reproduce exactly. Panics on a fiber event the
+/// session refuses — [`Trace::from_reader`] builds no such trace; one
+/// assembled by hand that does is a bug in the caller.
 pub fn replay(trace: &Trace) -> SessionSummary {
     let mut session = CheckSession::for_header(&TraceHeader {
         rank: trace.rank,
@@ -1211,8 +1247,8 @@ pub fn replay(trace: &Trace) -> SessionSummary {
 pub fn replay_stream<R: BufRead>(input: R) -> Result<SessionSummary, String> {
     let mut reader = TraceReader::new(input)?;
     let mut session = CheckSession::for_header(reader.header());
-    for rec in &mut reader {
-        session.feed(&rec?);
+    while let Some(rec) = reader.next() {
+        session.feed(&rec?).map_err(|e| reader.locate(e))?;
     }
     Ok(session.into_summary())
 }
@@ -1513,6 +1549,49 @@ mod tests {
             let bytes = record_as(format, &[(top, &strings)]);
             let summary = replay_stream(&bytes[..]).unwrap();
             assert_eq!(summary.stats.write_bytes, 15);
+        }
+    }
+
+    #[test]
+    fn inconsistent_fiber_events_are_refused_in_both_encodings() {
+        // Every record decodes; what is wrong is what the stream says
+        // happened. (body, its last record's number, the refusal)
+        let cases = [
+            ("fs 7\n", 1, "switch to fiber 7, which is not alive"),
+            ("fd 0\n", 1, "destroy of the host fiber"),
+            (
+                "s 0 f\nfc 5 0\n",
+                2,
+                "create of fiber 5, but the fiber table assigns 1 next",
+            ),
+            (
+                "s 0 f\nfc 1 0\nfd 1\nfd 1\n",
+                4,
+                "destroy of fiber 1, which is not alive",
+            ),
+            (
+                "s 0 f\nfc 1 0\nfy 1\nfd 1\n",
+                4,
+                "destroy of fiber 1, the current fiber",
+            ),
+        ];
+        for (body, recno, why) in cases {
+            let text = format!("{TRACE_MAGIC} rank 0 tiered 1 budget none\n{body}");
+            let binary = transcode(text.as_bytes(), TraceFormat::Binary).unwrap();
+            for (bytes, at) in [
+                (text.as_bytes(), format!("trace line {}", recno + 1)),
+                (&binary[..], format!("trace record {recno}")),
+            ] {
+                let want = format!("{at}: inconsistent fiber event: {why}");
+                assert_eq!(replay_stream(bytes).unwrap_err(), want);
+                // `replay` cannot fail, so the parser does.
+                assert_eq!(Trace::from_bytes(bytes).unwrap_err(), want);
+            }
+            // Without its last record the stream is fine, both ways.
+            let cut = text.trim_end().rfind('\n').unwrap() + 1;
+            let streamed = replay_stream(&text.as_bytes()[..cut]).unwrap();
+            let solo = replay(&Trace::parse(&text[..cut]).unwrap());
+            assert_eq!(streamed, solo);
         }
     }
 

@@ -11,10 +11,15 @@
 //! the engine's [`crate::SharedLabels`] before mirroring, so concurrent
 //! sessions share label allocations instead of copying them.
 //!
-//! The apply path is [`cusan::CheckSession::apply`] — the same one live
-//! instrumentation and offline replay use — which is what makes a
+//! The apply path is [`cusan::CheckSession::try_apply`] — the same one
+//! live instrumentation and offline replay use — which is what makes a
 //! served session's summary bit-for-bit identical to a solo sync replay
-//! of the same trace, at any worker count and in either trace format.
+//! of the same trace, at any worker count and in either trace format. A
+//! trace that decodes but whose fiber events no runtime could have
+//! produced fails the way a malformed one does: the session's first
+//! refusal ([`cusan::FiberEventError`]) comes back from the `feed` or
+//! `finish` that meets it — the pool applies behind the parser, so it
+//! names the event, not a line — and the ingest is dead from there.
 
 use crate::engine::ServeEngine;
 use cusan::{AsyncChecker, CheckSession, SessionSummary, TraceItem, TracePushParser, TraceRecord};
@@ -78,14 +83,17 @@ impl SessionIngest {
 
     /// Drain every complete record the parser holds into the checker.
     fn pump(&mut self, engine: &ServeEngine) -> Result<(), String> {
+        let pumped = self.pump_records(engine);
+        if pumped.is_err() {
+            self.state = IngestState::Done;
+        }
+        pumped
+    }
+
+    fn pump_records(&mut self, engine: &ServeEngine) -> Result<(), String> {
         loop {
-            let item = match self.parser.poll() {
-                Ok(Some(item)) => item,
-                Ok(None) => return Ok(()),
-                Err(e) => {
-                    self.state = IngestState::Done;
-                    return Err(e);
-                }
+            let Some(item) = self.parser.poll()? else {
+                return Ok(());
             };
             match item {
                 TraceItem::Header(header) => {
@@ -107,10 +115,11 @@ impl SessionIngest {
                             // Mirror the canonical allocation, not the
                             // parser's private one: concurrent sessions
                             // of the same app share label bytes.
-                            checker.send_intern_shared(engine.labels().canon(&label));
+                            checker.send_intern_shared(engine.labels().canon(&label))
                         }
                         TraceRecord::Event(ev) => checker.send_event(ev),
                     }
+                    .map_err(|e| e.to_string())?;
                 }
             }
         }
@@ -118,10 +127,13 @@ impl SessionIngest {
 
     /// Resident shadow pages of the session under check (0 before the
     /// header arrives). Drains the checker first so the answer reflects
-    /// every byte fed — budget decisions made on it are deterministic.
+    /// every byte fed — budget decisions made on it are deterministic. A
+    /// session that has refused an event counts what it held by then.
     pub fn resident_pages(&self) -> usize {
         match &self.state {
-            IngestState::Body { checker } => checker.with_session(|s| s.shadow_pages()),
+            IngestState::Body { checker } => checker
+                .with_session(|s| s.shadow_pages())
+                .unwrap_or_else(|_| checker.session_handle().lock().shadow_pages()),
             _ => 0,
         }
     }
@@ -155,7 +167,9 @@ impl SessionIngest {
             IngestState::Body { checker } => {
                 w.put_u8(1);
                 self.parser.spill_to(&mut w);
-                let session_blob = checker.with_session(|s| s.snapshot_bytes());
+                let session_blob = checker
+                    .with_session(|s| s.snapshot_bytes())
+                    .map_err(|e| e.to_string())?;
                 w.put_bytes(&session_blob);
             }
         }
@@ -216,11 +230,14 @@ impl SessionIngest {
             IngestState::AwaitHeader => Err("empty session: no trace header received".to_string()),
             IngestState::Done => Err("session already closed".to_string()),
             IngestState::Body { checker } => {
-                // Dropping the checker applies what is still queued and
-                // takes the session out of the pool, which leaves this
-                // handle its only owner — unless a worker is mid-scan
-                // over a snapshot that still lists the slot; then the
-                // summary is copied and the session dies with that scan.
+                // The barrier applies what is still queued — and is
+                // where a refusal in the stream's tail surfaces. Dropping
+                // the checker then takes the session out of the pool,
+                // which leaves this handle its only owner — unless a
+                // worker is mid-scan over a snapshot that still lists the
+                // slot; then the summary is copied and the session dies
+                // with that scan.
+                checker.flush().map_err(|e| e.to_string())?;
                 let handle = checker.session_handle();
                 drop(checker);
                 let (summary, pages) = match Arc::try_unwrap(handle) {

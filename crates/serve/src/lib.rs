@@ -55,6 +55,7 @@ pub use proto::{check_traces, serve_connection, FrameError, Reply};
 use cusan::SessionSummary;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,13 +91,27 @@ pub(crate) fn serve_stream(engine: &Arc<ServeEngine>, stream: TcpStream) -> std:
 /// Accept connections on `listener` forever (or until `max_connections`,
 /// when given — what tests and the benchmark use to end a server), one
 /// thread per connection, all sharing `engine`. Per-connection I/O
-/// errors are logged, not fatal: one misbehaving client must not take
-/// the service down.
+/// errors — and a connection thread's panic, which is a bug in the
+/// server but that connection's alone — are logged, not fatal: one
+/// misbehaving client must not take the service down.
 pub fn serve_listener(
     engine: Arc<ServeEngine>,
     listener: TcpListener,
     max_connections: Option<usize>,
 ) -> std::io::Result<()> {
+    serve_listener_with(engine, listener, max_connections, serve_stream)
+}
+
+/// [`serve_listener`] with a connection's work as a parameter: no input
+/// makes `serve_stream` panic, so the test of what a panicking
+/// connection thread costs the listener supplies one that does.
+fn serve_listener_with(
+    engine: Arc<ServeEngine>,
+    listener: TcpListener,
+    max_connections: Option<usize>,
+    serve_stream: impl Fn(&Arc<ServeEngine>, TcpStream) -> std::io::Result<()> + Sync,
+) -> std::io::Result<()> {
+    let serve_stream = &serve_stream;
     std::thread::scope(|scope| {
         for (accepted, stream) in listener.incoming().enumerate() {
             let stream = stream?;
@@ -105,8 +120,20 @@ pub fn serve_listener(
                 let peer = stream
                     .peer_addr()
                     .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string());
-                if let Err(e) = serve_stream(&engine, stream) {
-                    eprintln!("cusan-serve: connection from {peer} failed: {e}");
+                // Caught here: a scoped thread that ends by panicking
+                // makes the scope panic when it closes, which would turn
+                // one connection's bug into the listener's.
+                match catch_unwind(AssertUnwindSafe(|| serve_stream(&engine, stream))) {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => eprintln!("cusan-serve: connection from {peer} failed: {e}"),
+                    Err(panic) => {
+                        let what = panic
+                            .downcast_ref::<String>()
+                            .map(String::as_str)
+                            .or_else(|| panic.downcast_ref::<&str>().copied())
+                            .unwrap_or("a non-string payload");
+                        eprintln!("cusan-serve: connection from {peer} panicked: {what}");
+                    }
                 }
             });
             if max_connections.is_some_and(|max| accepted + 1 >= max) {
@@ -115,4 +142,44 @@ pub fn serve_listener(
         }
         Ok(())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn a_panicking_connection_thread_is_logged_not_re_raised() {
+        // A bounded listener used to panic on return (`a scoped thread
+        // panicked`) when any of its connection threads had; the next
+        // connection must be served and the listener must return `Ok`.
+        let engine = ServeEngine::new(EngineConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let connections = AtomicUsize::new(0);
+        let trace = b"cusan-trace v2 rank 0 tiered 1 budget none\ns 0 f\nfc 1 0\n".to_vec();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                serve_listener_with(Arc::clone(&engine), listener, Some(2), |engine, stream| {
+                    if connections.fetch_add(1, Ordering::SeqCst) == 0 {
+                        panic!("injected connection bug");
+                    }
+                    serve_stream(engine, stream)
+                })
+            });
+            // The first connection's thread dies; its peer sees EOF.
+            let mut first = TcpStream::connect(addr).unwrap();
+            assert!(matches!(proto::read_frame(&mut first), Ok(None) | Err(_)));
+            let second = TcpStream::connect(addr).unwrap();
+            let replies =
+                check_traces(second.try_clone().unwrap(), second, &[(7, trace)], 16).unwrap();
+            assert!(
+                matches!(&replies[..], [Reply::Summary { id: 7, .. }]),
+                "{replies:?}"
+            );
+            server.join().expect("listener thread").expect("listener");
+        });
+        assert_eq!(engine.live_sessions(), 0);
+    }
 }

@@ -20,10 +20,13 @@
 //!   detached sessions idle for `--idle-timeout-ms` (default one hour).
 //!   `0` lifts either limit.
 //! * `check` — check each trace file and print one summary JSON line per
-//!   file. Offline through an in-process engine by default; with
-//!   `--serve ADDR` the traces stream to a remote server through the
-//!   resilient client (resume on disconnect, `--retries` attempts,
-//!   capped exponential backoff from `--backoff-ms`).
+//!   file (or one `cusan-serve: <path>: <error>` line on stderr; every
+//!   file is checked, and any failure makes the exit status 1 after an
+//!   `N of M traces failed` line). Offline through an in-process engine
+//!   by default; with `--serve ADDR` the traces stream to a remote
+//!   server through the resilient client (resume on disconnect,
+//!   `--retries` attempts, capped exponential backoff from
+//!   `--backoff-ms`).
 
 use cusan_serve::{
     check_traces_resilient, serve_listener, summary_to_json, EngineConfig, Reply, RetryPolicy,
@@ -229,14 +232,28 @@ fn run_check(o: &Options) -> Result<(), String> {
         return run_check_remote(o, addr);
     }
     let engine = ServeEngine::new(engine_config(o));
-    for (i, path) in o.files.iter().enumerate() {
-        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let check = |path: &str| -> Result<cusan::SessionSummary, String> {
+        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
         let mut ingest = SessionIngest::new(Arc::clone(&engine));
         for chunk in bytes.chunks(o.chunk.max(1)) {
-            ingest.feed(chunk).map_err(|e| format!("{path}: {e}"))?;
+            ingest.feed(chunk)?;
         }
-        let summary = ingest.finish().map_err(|e| format!("{path}: {e}"))?;
-        println!("{}", summary_to_json(i as u64, &summary));
+        ingest.finish()
+    };
+    // Every file gets its line, as `check --serve` gives every session
+    // its reply: one bad trace does not hide the verdict on the rest.
+    let mut failed = 0usize;
+    for (i, path) in o.files.iter().enumerate() {
+        match check(path) {
+            Ok(summary) => println!("{}", summary_to_json(i as u64, &summary)),
+            Err(e) => {
+                eprintln!("cusan-serve: {path}: {e}");
+                failed += 1;
+            }
+        }
+    }
+    if failed > 0 {
+        return Err(format!("{failed} of {} traces failed", o.files.len()));
     }
     Ok(())
 }

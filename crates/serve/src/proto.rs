@@ -315,6 +315,23 @@ fn ack_or_error(id: u64, acked: Result<u64, String>, mine: &mut HashSet<u64>) ->
     }
 }
 
+/// The sessions one connection has attached, detached when it goes out
+/// of scope — on `Q`, on EOF, on an I/O error and on a panic unwinding
+/// through the connection thread alike. A session left attached is never
+/// swept or spilled and holds a `max_sessions` slot for good.
+struct Attached<'e> {
+    engine: &'e ServeEngine,
+    ids: HashSet<u64>,
+}
+
+impl Drop for Attached<'_> {
+    fn drop(&mut self) {
+        for id in self.ids.drain() {
+            self.engine.detach(id);
+        }
+    }
+}
+
 /// Serve one connection until `Q` or EOF. Sessions are owned by the
 /// engine, not the connection: when the connection ends (cleanly or
 /// not), every session it attached is *detached* — kept alive for a
@@ -327,12 +344,11 @@ pub fn serve_connection<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> io::Result<()> {
-    let mut mine: HashSet<u64> = HashSet::new();
-    let result = serve_frames(engine, reader, writer, &mut mine);
-    for id in mine {
-        engine.detach(id);
-    }
-    result
+    let mut mine = Attached {
+        engine,
+        ids: HashSet::new(),
+    };
+    serve_frames(engine, reader, writer, &mut mine.ids)
 }
 
 fn serve_frames<R: Read, W: Write>(
@@ -628,5 +644,36 @@ mod tests {
             })
             .collect();
         assert_eq!(ops, *b"AAEEESEE");
+    }
+
+    /// Hands out its bytes, then panics instead of reporting EOF.
+    struct PanicsAtEof<'a>(&'a [u8]);
+
+    impl Read for PanicsAtEof<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(!self.0.is_empty(), "injected connection bug");
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_unwinding_connection_still_detaches_its_sessions() {
+        // A session left attached is never swept: with a zero idle
+        // timeout the sweeper takes exactly the detached ones.
+        let engine = ServeEngine::new(crate::EngineConfig {
+            idle_timeout: Some(std::time::Duration::ZERO),
+            ..crate::EngineConfig::default()
+        });
+        let trace = b"cusan-trace v2 rank 0 tiered 1 budget none\ns 0 f\nfc 1 0\n";
+        let mut request = Vec::new();
+        for frame in [open_frame(1), resume_frame(2), data_frame(1, 0, trace)] {
+            write_frame(&mut request, &frame).unwrap();
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_connection(&engine, &mut PanicsAtEof(&request), &mut io::sink())
+        }));
+        assert!(unwound.is_err(), "the reader panics after the last frame");
+        assert_eq!(engine.live_sessions(), 2, "sessions outlive connections");
+        assert_eq!(engine.sweep_idle(), 2, "and both were detached");
     }
 }

@@ -1,0 +1,178 @@
+//! Traces that decode but lie: every record is well-formed, and the
+//! fiber events describe an execution no runtime produced (a switch to a
+//! fiber that never existed, a second destroy, …). Served, such a trace
+//! must cost its own session an `E` naming the event — not a panic, not
+//! its connection, not the session next to it, not the listener.
+//!
+//! The solo legs of the same matrix (`replay_stream`, `Trace::from_bytes`)
+//! are `inconsistent_fiber_events_are_refused_in_both_encodings` in
+//! `crates/core/src/trace.rs`.
+
+use cusan::{transcode, TraceFormat};
+use cusan_serve::proto::{
+    close_frame, data_frame, open_frame, parse_reply, quit_frame, read_frame, write_frame,
+};
+use cusan_serve::{
+    check_traces, serve_connection, serve_listener, solo_summary, summary_to_json, EngineConfig,
+    Reply, ServeEngine,
+};
+use std::io::Write as _;
+use std::net::{TcpListener, TcpStream};
+use std::process::Command;
+use std::sync::Arc;
+
+const GOLDEN: &str = include_str!("../../../tests/data/tealeaf_small.trace");
+const HEADER: &str = "cusan-trace v2 rank 0 tiered 1 budget none\n";
+
+/// (text body, what the refusal says).
+const BODIES: [(&str, &str); 5] = [
+    ("fs 7\n", "switch to fiber 7, which is not alive"),
+    ("fd 0\n", "destroy of the host fiber"),
+    (
+        "s 0 f\nfc 5 0\n",
+        "create of fiber 5, but the fiber table assigns 1 next",
+    ),
+    (
+        "s 0 f\nfc 1 0\nfd 1\nfd 1\n",
+        "destroy of fiber 1, which is not alive",
+    ),
+    (
+        "s 0 f\nfc 1 0\nfy 1\nfd 1\n",
+        "destroy of fiber 1, the current fiber",
+    ),
+];
+
+/// Every body in both encodings, with its refusal.
+fn hostile_traces() -> Vec<(Vec<u8>, &'static str)> {
+    BODIES
+        .iter()
+        .flat_map(|(body, why)| {
+            let text = format!("{HEADER}{body}").into_bytes();
+            let binary = transcode(&text[..], TraceFormat::Binary).expect("the records decode");
+            [(text, *why), (binary, *why)]
+        })
+        .collect()
+}
+
+/// One connection's frames: the hostile session 1 in the middle of its
+/// neighbour, session 2, which streams on both sides of it.
+fn request(hostile: &[u8]) -> Vec<u8> {
+    let golden = GOLDEN.as_bytes();
+    let (head, tail) = golden.split_at(golden.len() / 2);
+    let mut request = Vec::new();
+    for frame in [
+        open_frame(1),
+        open_frame(2),
+        data_frame(2, 0, head),
+        data_frame(1, 0, hostile),
+        data_frame(2, head.len() as u64, tail),
+        close_frame(1),
+        close_frame(2),
+        quit_frame(),
+    ] {
+        write_frame(&mut request, &frame).unwrap();
+    }
+    request
+}
+
+/// The pool applies behind the parser, so the refusal answers the `D`
+/// that carried the event or the `C` after it (which a `D` that already
+/// dropped the session answers "not open"): session 1's first reply is
+/// the refusal either way, and session 2 gets exactly its summary.
+fn assert_replies(reply_bytes: &[u8], why: &str) {
+    let mut replies = Vec::new();
+    let mut r = reply_bytes;
+    while let Some(payload) = read_frame(&mut r).unwrap() {
+        replies.push(parse_reply(&payload).unwrap());
+    }
+    let (ours, neighbours): (Vec<_>, Vec<_>) = replies
+        .iter()
+        .partition(|r| matches!(r, Reply::Error { id: 1, .. }));
+    match &ours[..] {
+        [Reply::Error { message, .. }] | [Reply::Error { message, .. }, Reply::Error { .. }] => {
+            assert_eq!(*message, format!("inconsistent fiber event: {why}"));
+        }
+        other => panic!("{why}: session 1 got {other:?}"),
+    }
+    let solo = summary_to_json(2, &solo_summary(GOLDEN).unwrap());
+    match &neighbours[..] {
+        [Reply::Summary { id: 2, json }] => assert_eq!(*json, solo),
+        other => panic!("{why}: session 2 got {other:?}"),
+    }
+}
+
+#[test]
+fn an_inconsistent_trace_fails_only_its_own_session() {
+    for (hostile, why) in hostile_traces() {
+        let engine = ServeEngine::new(EngineConfig::default());
+        let mut reply_bytes = Vec::new();
+        serve_connection(&engine, &mut request(&hostile).as_slice(), &mut reply_bytes).unwrap();
+        assert_replies(&reply_bytes, why);
+        assert_eq!(engine.live_sessions(), 0, "{why}");
+        assert_eq!(engine.stats().sessions_finished, 1, "{why}");
+    }
+}
+
+#[test]
+fn a_listener_outlives_every_inconsistent_trace() {
+    // One bounded listener, one connection per hostile trace and a last
+    // one that is all good: the listener must serve them all and return
+    // `Ok` — a connection thread that died would make it panic instead.
+    let hostile = hostile_traces();
+    let engine = ServeEngine::new(EngineConfig {
+        check_threads: Some(2),
+        ..EngineConfig::default()
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let engine = Arc::clone(&engine);
+        let connections = hostile.len() + 1;
+        std::thread::spawn(move || serve_listener(engine, listener, Some(connections)))
+    };
+    for (trace, why) in &hostile {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&request(trace)).unwrap();
+        let mut reply_bytes = Vec::new();
+        std::io::copy(&mut stream, &mut reply_bytes).unwrap();
+        assert_replies(&reply_bytes, why);
+    }
+    let stream = TcpStream::connect(addr).unwrap();
+    let good = [(9, GOLDEN.as_bytes().to_vec())];
+    let replies = check_traces(stream.try_clone().unwrap(), stream, &good, 4096).unwrap();
+    let solo = summary_to_json(9, &solo_summary(GOLDEN).unwrap());
+    assert_eq!(replies, [Reply::Summary { id: 9, json: solo }]);
+
+    server.join().expect("listener thread").expect("listener");
+    assert_eq!(engine.live_sessions(), 0);
+    assert_eq!(engine.stats().sessions_finished, hostile.len() as u64 + 1);
+}
+
+#[test]
+fn offline_check_answers_an_inconsistent_trace_with_a_line_not_a_backtrace() {
+    // Exit 101 and a backtrace before: the refusal panicked out of
+    // `SessionIngest::finish`.
+    let dir = cusan_serve::unique_scratch_dir("hostile-check");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut files = Vec::new();
+    let mut expected = String::new();
+    for (i, (trace, why)) in hostile_traces().into_iter().enumerate() {
+        let path = dir.join(format!("hostile-{i}.trace"));
+        std::fs::write(&path, trace).unwrap();
+        expected += &format!(
+            "cusan-serve: {}: inconsistent fiber event: {why}\n",
+            path.display()
+        );
+        files.push(path);
+    }
+    expected += &format!("cusan-serve: {0} of {0} traces failed\n", files.len());
+    let out = Command::new(env!("CARGO_BIN_EXE_cusan-serve"))
+        .arg("check")
+        .args(&files)
+        .output()
+        .expect("run cusan-serve check");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(String::from_utf8(out.stderr).unwrap(), expected);
+    assert!(out.stdout.is_empty());
+}

@@ -360,6 +360,34 @@ fn an_unknown_option_is_a_usage_error_not_an_address() {
 }
 
 #[test]
+fn offline_check_reports_every_file_and_counts_the_failures() {
+    // `check a b c` stopped at the first bad file: `c` was never
+    // checked. Same contract as `check --serve` now — a line per file,
+    // exit 1 with the count.
+    let golden = Path::new(DATA).join("tealeaf_small.trace");
+    let missing = Path::new(DATA).join("no-such.trace");
+    let header_only = Path::new(DATA).join("../trace_fixture.rs"); // not a trace
+    let out = Command::new(SERVE)
+        .arg("check")
+        .args([&golden, &missing, &golden, &header_only, &golden])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let solo = solo_summary(std::fs::read(&golden).expect("golden")).expect("golden replays");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let summaries: Vec<String> = [0, 2, 4].map(|id| summary_to_json(id, &solo)).to_vec();
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), summaries);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 3, "{stderr}");
+    for (line, path) in lines.iter().zip([&missing, &header_only]) {
+        let prefix = format!("cusan-serve: {}: ", path.display());
+        assert!(line.starts_with(&prefix), "{line}");
+    }
+    assert_eq!(lines[2], "cusan-serve: 2 of 5 traces failed");
+}
+
+#[test]
 fn help_names_every_option_with_its_default_and_exits_zero() {
     let run = |args: &[&str]| Command::new(SERVE).args(args).output().expect("run");
     let help = run(&["--help"]);

@@ -127,9 +127,17 @@ impl TsanRuntime {
     /// will return. Event pipelines use this to stamp a `FiberCreate`
     /// event with its id *before* the creating sink applies it, so a
     /// recorded trace replayed against a fresh runtime reproduces the
-    /// exact same fiber numbering (asserted by the checker sink).
+    /// exact same fiber numbering (checked by the checker sink).
     pub fn peek_next_fiber(&self) -> FiberId {
         self.fibers.peek_next()
+    }
+
+    /// Whether `f` names a fiber that exists and has not been destroyed —
+    /// the precondition of switching to it or destroying it. Callers
+    /// applying fiber operations they did not produce themselves (a
+    /// recorded trace) check it first; the operations assert it.
+    pub fn is_fiber_alive(&self, f: FiberId) -> bool {
+        self.fibers.is_alive(f)
     }
 
     /// Destroy a fiber. Must not be the current fiber or the host fiber.

@@ -45,14 +45,16 @@
 //!    per-word victim) and emits one [`RawConflict`] run per conflicting
 //!    prior access — cost ∝ distinct word *states*, of which a page that
 //!    partial accesses cut into regions has two or three, not 512. It
-//!    serves every chunk whose shape is known up front: a page-covering
-//!    chunk on an unfolded page, and the chunk that has just materialised
-//!    its block (a first touch: all empty; an unfold: the summary
-//!    replicated). A partial chunk on an already-unfolded page is the one
-//!    remaining caller of the per-word `walk_words`; the two walks are
-//!    proven equivalent, and that caller moves over once the ledger's
-//!    serve ratios stop charging solo-replay speed-ups as regressions
-//!    (ROADMAP items 0 and 1).
+//!    serves every chunk that starts on its page's first word — a
+//!    covered page, and the ragged *last* page of every multi-page range
+//!    — and the chunk that has just materialised its block (a first
+//!    touch: all empty; an unfold: the summary replicated). What is left
+//!    to the per-word `walk_words` is the one chunk that can start
+//!    mid-page, a range's *first*, on an already-unfolded page. The two
+//!    walks are proven equivalent; that chunk stays behind only because
+//!    the ledger's serve ratios charge solo-replay speed-ups as
+//!    regressions and admit one edge per PR, not both (ROADMAP items 0
+//!    and 1).
 //! 2. **Same-state fast path.** The single most common pattern in
 //!    iteration loops (Jacobi, TeaLeaf) is re-annotating an identical
 //!    range with an identical packed epoch — same fiber, clock, ctx, and
@@ -619,9 +621,10 @@ impl ShadowMemory {
     /// prior access: once per (summary page, prior access), once per
     /// (run of equal words, prior access) where the run-valued walk
     /// serves, once per (word, prior access) elsewhere. Cost is
-    /// O(pages + distinct states) for page-covering chunks in either
-    /// representation — conflicts included — and O(len) for a partial
-    /// chunk on an already-unfolded page. `addr + len` must not overflow.
+    /// O(pages + distinct states) for every chunk that starts on its
+    /// page's first word — conflicts included — and O(words) for the one
+    /// chunk that can start mid-page, a range's first, when its page is
+    /// already unfolded. `addr + len` must not overflow.
     #[allow(clippy::too_many_arguments)]
     pub fn access_range(
         &mut self,
@@ -775,10 +778,12 @@ impl ShadowMemory {
                                 );
                             }
                         }
-                        // A page-covering chunk pays per distinct word
-                        // state (the few regions partial accesses left
-                        // behind), not per word.
-                        PageState::Unfolded(id) if whole_page => {
+                        // A chunk that starts on its page's first word
+                        // — a covered page, or the ragged last page of a
+                        // multi-page range — pays per distinct word state
+                        // (the few regions partial accesses left behind),
+                        // not per word.
+                        PageState::Unfolded(id) if word == page_first_word => {
                             walk_runs(
                                 arena.block_mut(*id),
                                 word,
@@ -790,8 +795,9 @@ impl ShadowMemory {
                                 &mut on_conflict,
                             );
                         }
-                        // The last per-word caller: a partial chunk on
-                        // an already-unfolded page. `walk_runs` is
+                        // The last per-word caller: the one chunk that
+                        // can start mid-page, a range's first, on an
+                        // already-unfolded page. `walk_runs` is
                         // equivalent here too; routing it waits on the
                         // ledger's serve ratios (ROADMAP items 0 and 1).
                         PageState::Unfolded(id) => {
@@ -1340,7 +1346,9 @@ mod tests {
             no_conflict_expected,
         );
         let mut hits = 0;
-        sh.access_range(0x1000, 64, false, fid(2), 1, ctx(1), &clk, |_| hits += 1);
+        sh.access_range(0x1000, 64, false, fid(2), 1, ctx(1), &clk, |c| {
+            hits += c.words
+        });
         assert_eq!(hits, 8, "one conflict per 8-byte word");
     }
 
@@ -1403,7 +1411,7 @@ mod tests {
         );
         assert_eq!(sh.page_count(), 2);
         let mut hits = 0;
-        sh.access_range(addr, 32, true, fid(2), 1, ctx(1), &clk, |_| hits += 1);
+        sh.access_range(addr, 32, true, fid(2), 1, ctx(1), &clk, |c| hits += c.words);
         assert_eq!(hits, 4);
     }
 
@@ -1776,6 +1784,63 @@ mod tests {
                 "stored on every word"
             );
         }
+    }
+
+    /// The same count for the chunks the guard `word == page_first_word`
+    /// admits beyond whole pages — a range's ragged *last* page — and for
+    /// the one it leaves out, a range's first.
+    #[test]
+    fn a_range_pays_per_state_where_it_ends_and_per_word_where_it_starts() {
+        let unordered = VectorClock::new();
+        // Page 1 cut into two regions by two partial writes: fiber 1 holds
+        // words [0, 200), fiber 2 words [200, 512).
+        let cut_page = || {
+            let mut sh = ShadowMemory::new();
+            let (lo, hi) = (200 * WORD_BYTES, 312 * WORD_BYTES);
+            sh.access_range(PAGE_BYTES, lo, true, fid(1), 1, ctx(0), &unordered, |_| {});
+            sh.access_range(
+                PAGE_BYTES + lo,
+                hi,
+                true,
+                fid(2),
+                1,
+                ctx(0),
+                &unordered,
+                |_| {},
+            );
+            assert_eq!(sh.summary_page_count(), 0, "page 1 is unfolded");
+            sh
+        };
+
+        // All of page 0 and the first 300 words of page 1: the last chunk
+        // starts on its page's first word and crosses both regions.
+        let mut sh = cut_page();
+        let (mut calls, mut covered) = (0u64, 0u64);
+        reset_scans();
+        let len = PAGE_BYTES + 300 * WORD_BYTES;
+        sh.access_range(0, len, true, fid(9), 1, ctx(1), &unordered, |c| {
+            assert!(c.word_addr >= PAGE_BYTES, "page 0 was never touched");
+            calls += 1;
+            covered += c.words;
+        });
+        assert_eq!(scans(), 2, "one scan per region crossed, not 300");
+        assert_eq!((calls, covered), (2, 300));
+        assert_eq!(sh.word_accesses(PAGE_BYTES + 299 * WORD_BYTES).len(), 2);
+        assert_eq!(sh.word_accesses(PAGE_BYTES + 300 * WORD_BYTES).len(), 1);
+
+        // The same 300 words of the same page entered at word 100: a
+        // range's first chunk is the arm that is left, and pays per word.
+        // Routing it too (ROADMAP item 1) has to move this assertion.
+        let mut sh = cut_page();
+        let (mut calls, mut covered) = (0u64, 0u64);
+        reset_scans();
+        let (addr, len) = (PAGE_BYTES + 100 * WORD_BYTES, 300 * WORD_BYTES);
+        sh.access_range(addr, len, true, fid(9), 1, ctx(1), &unordered, |c| {
+            calls += 1;
+            covered += c.words;
+        });
+        assert_eq!(scans(), 300, "the first chunk is still walked word by word");
+        assert_eq!((calls, covered), (300, 300));
     }
 
     /// (fiber, clock, ctx, write); clock 0 is an empty slot.

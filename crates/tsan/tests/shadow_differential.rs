@@ -21,7 +21,11 @@
 //! eviction pressure), and release/acquire edges over a few sync keys.
 //! A second mix ([`gen_cover_op`]) aims at the run-valued walk: every
 //! page is unfolded up front, partial writes keep cutting it into
-//! regions, and 2–5 fibers keep covering whole pages.
+//! regions, and 2–5 fibers keep covering whole pages. Its unaligned
+//! writes also supply the other chunk that walk serves — a range's last
+//! page, entered at its first word and left mid-page — and
+//! [`TailChunks`] counts them, and the evictions inside them, instead of
+//! trusting the generator.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -40,6 +44,8 @@ use tsan_rt::shadow::{
 #[derive(Default)]
 struct ReferenceShadow {
     words: HashMap<u64, [u64; SLOTS_PER_WORD]>,
+    /// Words in which the last `access_range` call evicted a slot.
+    evicted: Vec<u64>,
 }
 
 impl ReferenceShadow {
@@ -66,6 +72,7 @@ impl ReferenceShadow {
         });
         let first = addr / WORD_BYTES;
         let last = (addr + len - 1) / WORD_BYTES;
+        self.evicted.clear();
         for w in first..=last {
             let slots = self.words.entry(w).or_default();
             let mut store_at = None;
@@ -96,9 +103,10 @@ impl ReferenceShadow {
                 }
             }
             if !skip {
-                let i = store_at
-                    .or(empty_at)
-                    .unwrap_or((w as usize ^ fiber.index()) % SLOTS_PER_WORD);
+                let i = store_at.or(empty_at).unwrap_or_else(|| {
+                    self.evicted.push(w);
+                    (w as usize ^ fiber.index()) % SLOTS_PER_WORD
+                });
                 slots[i] = new_raw;
             }
         }
@@ -247,6 +255,19 @@ fn record(conflicts: &mut Conflicts, c: RawConflict) {
     }
 }
 
+/// How often a trace walked the chunk `walk_runs` serves besides whole
+/// pages: the last page of a range, entered at its first word and left
+/// before its last (identical re-issues, which the fast path skips, not
+/// counted). Whether that page was unfolded at the time is the caller's
+/// to know — the cover mix unfolds every page up front.
+#[derive(Debug, Default)]
+struct TailChunks {
+    chunks: u64,
+    /// Words of those chunks whose store evicted a slot (read off the
+    /// reference, which the device under test is asserted equal to).
+    evictions: u64,
+}
+
 /// Replay `prelude`, then `ops` operations drawn from `gen`, through both
 /// shadows; returns the device under test with both conflict multisets.
 fn run_trace(
@@ -254,7 +275,7 @@ fn run_trace(
     prelude: &[Op],
     ops: usize,
     mut gen: impl FnMut(&mut Lcg) -> Op,
-) -> (ShadowMemory, Conflicts, Conflicts) {
+) -> (ShadowMemory, Conflicts, Conflicts, TailChunks) {
     let mut rng = Lcg(seed);
     let mut dut = ShadowMemory::new();
     let mut reference = ReferenceShadow::default();
@@ -272,6 +293,8 @@ fn run_trace(
     let mut dut_conflicts = Conflicts::new();
     let mut ref_conflicts = Conflicts::new();
     let mut last_access: Option<(u64, u64, bool, usize, u32)> = None;
+    let mut tails = TailChunks::default();
+    let words_per_page = PAGE_BYTES / WORD_BYTES;
 
     for i in 0..prelude.len() + ops {
         let drawn = match prelude.get(i) {
@@ -312,6 +335,16 @@ fn run_trace(
                     &clocks[f],
                     |c| record(&mut ref_conflicts, c),
                 );
+                let (first_word, last_word) = (addr / WORD_BYTES, (addr + len - 1) / WORD_BYTES);
+                let tail_start = last_word / words_per_page * words_per_page;
+                if first_word <= tail_start
+                    && last_word % words_per_page != words_per_page - 1
+                    && !matches!(drawn, Op::RepeatLast)
+                {
+                    tails.chunks += 1;
+                    let evicted = reference.evicted.iter().filter(|w| **w >= tail_start);
+                    tails.evictions += evicted.count() as u64;
+                }
             }
             Op::Release(f, k) => {
                 let fiber = FiberId::from_index(f);
@@ -354,7 +387,7 @@ fn run_trace(
         assert_eq!(a, b, "seed {seed}: final slots diverged at {addr:#x}");
     }
 
-    (dut, dut_conflicts, ref_conflicts)
+    (dut, dut_conflicts, ref_conflicts, tails)
 }
 
 /// Conflict *sets* (with per-word granularity) must match exactly. The
@@ -382,7 +415,7 @@ fn assert_same_detections(seed: u64, dut: &Conflicts, reference: &Conflicts) {
 fn tiered_matches_reference_on_random_traces() {
     // ~14k randomized ops across several seeds.
     for seed in [1, 2, 3, 7, 8, 0xDEAD, 0xC0FFEE] {
-        let (_, dut, reference) = run_trace(seed, &[], 2000, gen_op);
+        let (_, dut, reference, _) = run_trace(seed, &[], 2000, gen_op);
         assert_same_detections(seed, &dut, &reference);
         assert!(
             !reference.is_empty(),
@@ -400,11 +433,16 @@ fn whole_page_accesses_over_unfolded_pages_match_reference() {
         .map(|p| Op::Access(p * PAGE_BYTES + 64, 8, true, 0, 0))
         .collect();
     for (seed, fibers) in [(11, 2), (12, 3), (13, 4), (14, 5), (0xBEEF, 5)] {
-        let (shadow, dut, reference) =
+        let (shadow, dut, reference, tails) =
             run_trace(seed, &unfold_all, 1500, |rng| gen_cover_op(rng, fibers));
         assert_same_detections(seed, &dut, &reference);
         assert_eq!(shadow.summary_page_count(), 0, "seed {seed}: a page folded");
         assert_eq!(shadow.counters().page_unfolds, 0);
+        // Every page was unfolded throughout, so each of these took the
+        // run-valued walk over a ragged last page — and with a fifth
+        // fiber, some of their words had to evict.
+        assert!(tails.chunks >= 100, "seed {seed}: {tails:?}");
+        assert_eq!(tails.evictions > 0, fibers == 5, "seed {seed}: {tails:?}");
         assert!(
             !reference.is_empty(),
             "seed {seed}: no conflicts across {fibers} fibers — the mix tests nothing"
