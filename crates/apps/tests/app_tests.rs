@@ -217,9 +217,6 @@ fn tealeaf_correct_version_race_free_under_full_stack() {
         ts.fibers_created - 2,
         "all request fibers retired; host + stream fiber remain"
     );
-    // The default-stream launch→sync loop is what the scalar epoch paths
-    // exist for: they must outnumber the full vector-clock joins.
-    assert!(ts.epoch_fast_acquires > ts.full_clock_joins, "{ts:?}");
 }
 
 #[test]

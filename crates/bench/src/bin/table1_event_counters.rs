@@ -80,27 +80,14 @@ fn print_rows(jacobi: (&CudaCounters, &TsanStats), tealeaf: (&CudaCounters, &Tsa
     // whole-range fast paths observable — see DESIGN.md "Shadow tiers").
     println!(
         "{:<38} {:>14} {:>14}",
-        "TSan  Shadow fast-path hits", jt.fastpath_hits, tt.fastpath_hits
-    );
-    println!(
-        "{:<38} {:>14} {:>14}",
         "TSan  Shadow page summaries", jt.page_summaries_stored, tt.page_summaries_stored
     );
     println!(
         "{:<38} {:>14} {:>14}",
         "TSan  Shadow page unfolds", jt.page_unfolds, tt.page_unfolds
     );
-    // Epoch-compression and arena counters (see DESIGN.md "Shadow arena
-    // & epoch clocks"): joins skipped by the scalar fast paths vs full
-    // O(fibers) joins actually performed, and arena recycling activity.
-    println!(
-        "{:<38} {:>14} {:>14}",
-        "TSan  Epoch fast acquires", jt.epoch_fast_acquires, tt.epoch_fast_acquires
-    );
-    println!(
-        "{:<38} {:>14} {:>14}",
-        "TSan  Epoch fast releases", jt.epoch_fast_releases, tt.epoch_fast_releases
-    );
+    // Clock and arena counters (see DESIGN.md "Shadow arena"): O(fibers)
+    // joins performed, and arena recycling activity.
     println!(
         "{:<38} {:>14} {:>14}",
         "TSan  Full clock joins", jt.full_clock_joins, tt.full_clock_joins

@@ -114,12 +114,6 @@ const _: () = assert!(RING_CAPACITY == 512);
 // 12 KiB per attached session; `listen` admits 1024 of them by default.
 const _: () = assert!(RING_CAPACITY * std::mem::size_of::<Msg>() <= 16 << 10);
 
-/// Power-of-two buckets of the batch-size histogram: bucket `i` counts
-/// batches of `2^i ..= 2^(i+1)-1` messages (the last bucket is exactly
-/// [`BATCH_MAX`]).
-pub const BATCH_HIST_BUCKETS: usize = 9;
-const _: () = assert!(1 << (BATCH_HIST_BUCKETS - 1) == BATCH_MAX);
-
 /// Condvar timeout for all parks: bounds the cost of a lost wakeup, and
 /// the latency of a tail shorter than [`DOORBELL_EVERY`].
 const PARK: Duration = Duration::from_millis(1);
@@ -166,7 +160,7 @@ pub fn effective_workers(active_sessions: usize, explicit: Option<usize>) -> usi
 }
 
 /// Observability counters for one session's async checker.
-/// Timing-dependent (stalls, depth, batch shapes, steals) — deliberately
+/// Timing-dependent (stalls, depth, batch count) — deliberately
 /// **not** part of the determinism contract, and surfaced separately
 /// from [`tsan_rt::TsanStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,18 +179,6 @@ pub struct AsyncCheckStats {
     /// Wakes `send` issued to a parked worker: at most one per
     /// [`DOORBELL_EVERY`] messages.
     pub doorbells: u64,
-    /// Smallest batch applied (0 if no batches yet).
-    pub min_batch: u64,
-    /// Largest batch applied. At most [`BATCH_MAX`].
-    pub max_batch: u64,
-    /// Mean batch size (messages applied / batches, rounded down).
-    pub avg_batch: u64,
-    /// Batches applied by a pool worker other than this session's
-    /// affinity worker (`slot id mod worker count`) — the work actually
-    /// stolen.
-    pub batches_stolen: u64,
-    /// Power-of-two batch-size histogram (see [`BATCH_HIST_BUCKETS`]).
-    pub batch_hist: [u64; BATCH_HIST_BUCKETS],
 }
 
 /// One ring message. Intern messages replicate the producer's string
@@ -227,8 +209,7 @@ struct Ingress {
 /// Everything the pool needs to check one registered session.
 struct SessionSlot {
     /// Unique registration id (ranks collide across concurrent worlds —
-    /// and serve clients choose their own — so this never does). Also
-    /// the affinity key for the `batches_stolen` counter.
+    /// and serve clients choose their own — so this never does).
     id: u64,
     rank: usize,
     /// Explicit worker-count request from this session's config, if any.
@@ -256,18 +237,8 @@ struct SessionSlot {
     /// applied / poison).
     progress: Mutex<()>,
     drain_cv: Condvar,
-    // -- batch-shape observability (Relaxed: monotonic counters) --------
+    /// Batches applied (Relaxed: a monotonic counter).
     batches: AtomicU64,
-    messages: AtomicU64,
-    min_batch: AtomicU64,
-    max_batch: AtomicU64,
-    stolen: AtomicU64,
-    hist: [AtomicU64; BATCH_HIST_BUCKETS],
-}
-
-fn hist_bucket(n: u64) -> usize {
-    debug_assert!(n >= 1);
-    ((u64::BITS - 1 - n.leading_zeros()) as usize).min(BATCH_HIST_BUCKETS - 1)
 }
 
 impl SessionSlot {
@@ -278,7 +249,7 @@ impl SessionSlot {
     /// the batch it just observed as applied. An event the session
     /// refuses ends the batch there — the rest of it is dropped and
     /// nothing is published, so `applied` stays short of `sent` for good.
-    fn apply_scratch(&self, ing: &mut Ingress, stolen: bool) -> Result<usize, FiberEventError> {
+    fn apply_scratch(&self, ing: &mut Ingress) -> Result<usize, FiberEventError> {
         let n = ing.scratch.len();
         if n == 0 {
             return Ok(0);
@@ -298,13 +269,6 @@ impl SessionSlot {
         }
         let n64 = n as u64;
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.messages.fetch_add(n64, Ordering::Relaxed);
-        self.min_batch.fetch_min(n64, Ordering::Relaxed);
-        self.max_batch.fetch_max(n64, Ordering::Relaxed);
-        self.hist[hist_bucket(n64)].fetch_add(1, Ordering::Relaxed);
-        if stolen {
-            self.stolen.fetch_add(1, Ordering::Relaxed);
-        }
         self.applied.fetch_add(n64, Ordering::Release);
         self.drain_cv.notify_all();
         Ok(n)
@@ -317,7 +281,7 @@ impl SessionSlot {
     /// slot (storing the payload for the owner's drop) instead of
     /// killing the worker, and so does a refused event (storing the
     /// refusal for the owner's next call); `Err` means poisoned.
-    fn drain_guarded(&self, ing: &mut Ingress, stolen: bool) -> Result<usize, ()> {
+    fn drain_guarded(&self, ing: &mut Ingress) -> Result<usize, ()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(());
         }
@@ -327,7 +291,7 @@ impl SessionSlot {
         }
         let target = backlog.clamp(BATCH_MIN, BATCH_MAX);
         ing.rx.pop_batch(&mut ing.scratch, target);
-        match std::panic::catch_unwind(AssertUnwindSafe(|| self.apply_scratch(ing, stolen))) {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| self.apply_scratch(ing))) {
             Ok(Ok(n)) => return Ok(n),
             Ok(Err(refusal)) => *self.refused.lock() = Some(refusal),
             Err(payload) => {
@@ -466,16 +430,14 @@ fn worker_loop(pool: Arc<CheckerPool>, index: usize) {
         // Exit check and slot snapshot under one lock: a worker decides
         // to die and clears its alive flag atomically with respect to
         // the spawn logic, so the pool never double-spawns an index.
-        let (slots, workers_now) = {
+        let slots = {
             let mut st = pool.state.lock();
             let desired = pool.desired_locked(&st);
             if index >= desired && empty_parks >= LINGER_PARKS {
                 st.alive[index] = false;
                 return;
             }
-            // `max(1)`: a lingering worker may run with no session
-            // registered (and then has no slot to compute affinity for).
-            (st.slots.clone(), desired.max(1) as u64)
+            st.slots.clone()
         };
         let mut applied = 0usize;
         let n = slots.len();
@@ -487,8 +449,7 @@ fn worker_loop(pool: Arc<CheckerPool>, index: usize) {
             // Claim or skip: a session being drained by someone else (a
             // sibling worker or its own producer helping) needs no help.
             if let Some(mut ing) = slot.work.try_lock() {
-                let stolen = slot.id % workers_now != index as u64;
-                applied += slot.drain_guarded(&mut ing, stolen).unwrap_or(0);
+                applied += slot.drain_guarded(&mut ing).unwrap_or(0);
             }
         }
         // Rotate the scan start so one chatty session can't starve
@@ -554,11 +515,6 @@ impl AsyncChecker {
             progress: Mutex::new(()),
             drain_cv: Condvar::new(),
             batches: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            min_batch: AtomicU64::new(u64::MAX),
-            max_batch: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            hist: Default::default(),
         });
         pool.register(Arc::clone(&slot));
         AsyncChecker {
@@ -614,7 +570,7 @@ impl AsyncChecker {
     /// claim is currently held elsewhere.
     fn try_help_drain(&self) -> usize {
         match self.slot.work.try_lock() {
-            Some(mut ing) => self.slot.drain_guarded(&mut ing, false).unwrap_or(0),
+            Some(mut ing) => self.slot.drain_guarded(&mut ing).unwrap_or(0),
             None => 0,
         }
     }
@@ -725,27 +681,12 @@ impl AsyncChecker {
     pub fn stats(&self) -> AsyncCheckStats {
         let _ = self.flush();
         let p = self.prod.borrow();
-        let batches = self.slot.batches.load(Ordering::Relaxed);
-        let messages = self.slot.messages.load(Ordering::Relaxed);
-        let mut batch_hist = [0u64; BATCH_HIST_BUCKETS];
-        for (out, b) in batch_hist.iter_mut().zip(&self.slot.hist) {
-            *out = b.load(Ordering::Relaxed);
-        }
         AsyncCheckStats {
             events_enqueued: p.events_enqueued,
-            batches_applied: batches,
+            batches_applied: self.slot.batches.load(Ordering::Relaxed),
             max_queue_depth: p.max_queue_depth,
             stalls: p.stalls,
             doorbells: p.doorbells,
-            min_batch: if batches == 0 {
-                0
-            } else {
-                self.slot.min_batch.load(Ordering::Relaxed)
-            },
-            max_batch: self.slot.max_batch.load(Ordering::Relaxed),
-            avg_batch: messages.checked_div(batches).unwrap_or(0),
-            batches_stolen: self.slot.stolen.load(Ordering::Relaxed),
-            batch_hist,
         }
     }
 }
@@ -948,7 +889,7 @@ mod tests {
             // was taken: one batch of this session.
             let inline = ac.slot.batches.load(Ordering::Relaxed).saturating_sub(1);
             assert!(inline >= 1, "the producer did not help");
-            let applied = ac.slot.messages.load(Ordering::Relaxed) as usize;
+            let applied = ac.slot.applied.load(Ordering::Acquire) as usize;
             assert!(applied + RING_CAPACITY + BATCH_MAX >= strings.len() + evs.len());
         }
         assert_eq!(tsan_stats(&ac), run_sync(&strings, &evs));
@@ -1005,7 +946,7 @@ mod tests {
             // Apply the parked prefix in order so the stream stays
             // complete, then let the pool finish the rest.
             let mut ing2 = ing;
-            ac.slot.apply_scratch(&mut ing2, false).unwrap();
+            ac.slot.apply_scratch(&mut ing2).unwrap();
         }
         let stats = ac.stats();
         assert_eq!(stats.events_enqueued, 64 + RING_CAPACITY as u64);
@@ -1030,27 +971,15 @@ mod tests {
             "stats() must flush before reading the batch counters"
         );
         assert!(s.batches_applied >= 1, "the partial batch must be counted");
-        assert_eq!(
-            ac.slot.messages.load(Ordering::Relaxed),
-            ac.prod.borrow().sent,
-            "every message sent must be accounted to a batch"
-        );
     }
 
     #[test]
     fn adaptive_batches_stay_within_bounds() {
         let (strings, evs) = event_stream(2000);
         let (_, ac) = run_async(&strings, &evs);
-        assert!(ac.batches_applied >= 1);
-        assert!(ac.min_batch >= 1);
-        assert!(ac.min_batch <= ac.avg_batch && ac.avg_batch <= ac.max_batch);
-        assert!(ac.max_batch <= BATCH_MAX as u64);
-        assert_eq!(
-            ac.batch_hist.iter().sum::<u64>(),
-            ac.batches_applied,
-            "every batch lands in exactly one histogram bucket"
-        );
-        assert!(ac.batches_stolen <= ac.batches_applied);
+        // No batch exceeds BATCH_MAX messages, so 2000 events (plus their
+        // interns) cannot fit in fewer batches than this.
+        assert!(ac.batches_applied * BATCH_MAX as u64 >= ac.events_enqueued);
     }
 
     #[test]
@@ -1112,7 +1041,6 @@ mod tests {
             assert_eq!(tsan_stats(ac), expected);
             let s = ac.stats();
             assert!(s.batches_applied >= 1);
-            assert!(s.batches_stolen <= s.batches_applied);
         }
     }
 

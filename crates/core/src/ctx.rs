@@ -8,8 +8,8 @@
 //! All instrumentation flows through [`ToolCtx::emit`] as typed
 //! [`CusanEvent`]s (see [`crate::event`]): the owned [`CheckSession`]
 //! applies each event to the detector first, inline on the thread that
-//! made the call (the paper's model, §IV), then the counter sink and any
-//! installed sinks (e.g. the trace recorder) observe it, in that order.
+//! made the call (the paper's model, §IV), and folds it into its
+//! counters; then the trace recorder, if one is installed, writes it.
 //! `ToolCtx` is the live-instrumentation *front end* over a session —
 //! trace replay and `cusan-serve` drive the same [`CheckSession`]
 //! without one.
@@ -25,7 +25,7 @@
 //! config it is given.
 
 use crate::config::ToolConfig;
-use crate::event::{CusanEvent, EventCounters, EventSink, StrId};
+use crate::event::{CusanEvent, EventCounters, StrId};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::session::{CheckSession, SessionOptions, SessionSummary};
 use crate::trace::{TraceFormat, TraceSink};
@@ -145,8 +145,7 @@ pub struct ToolCtx {
     session: RefCell<CheckSession>,
     /// Allocation-type tracking.
     pub typeart: RefCell<TypeartRuntime>,
-    sinks: RefCell<Vec<Box<dyn EventSink>>>,
-    counters: RefCell<EventCounters>,
+    recorder: RefCell<Option<TraceSink>>,
     injector: FaultInjector,
     diagnostics: RefCell<Vec<String>>,
     rank: usize,
@@ -166,8 +165,7 @@ impl ToolCtx {
             config,
             session: RefCell::new(session),
             typeart: RefCell::new(TypeartRuntime::new()),
-            sinks: RefCell::new(Vec::new()),
-            counters: RefCell::new(EventCounters::default()),
+            recorder: RefCell::new(None),
             injector: FaultInjector::new(config.faults),
             diagnostics: RefCell::new(Vec::new()),
             rank,
@@ -208,15 +206,13 @@ impl ToolCtx {
         self.session.borrow_mut().intern(label)
     }
 
-    /// Push one event through the pipeline: checker first (detection),
-    /// then counters, then installed sinks in install order.
+    /// Push one event through the pipeline: the session first (detection,
+    /// then its counters), then the trace recorder if one is installed.
     pub fn emit(&self, ev: CusanEvent) {
         let mut session = self.session.borrow_mut();
         session.apply(&ev);
-        let strings = session.strings();
-        self.counters.borrow_mut().observe(&ev, strings);
-        for sink in self.sinks.borrow_mut().iter_mut() {
-            sink.on_event(&ev, strings);
+        if let Some(recorder) = self.recorder.borrow_mut().as_mut() {
+            recorder.on_event(&ev, session.strings());
         }
     }
 
@@ -230,14 +226,9 @@ impl ToolCtx {
         fiber
     }
 
-    /// Install an observer sink behind the checker and counter stages.
-    pub fn install_sink(&self, sink: Box<dyn EventSink>) {
-        self.sinks.borrow_mut().push(sink);
-    }
-
     /// Install a [`TraceSink`] recording this rank's event stream in
     /// `config.trace_format`; returns the shared buffer holding the
-    /// serialized trace. Call [`Self::finish_sinks`] before reading the
+    /// serialized trace. Call [`Self::seal_trace`] before reading the
     /// buffer so the trace is sealed (binary traces end with their
     /// end-of-trace marker).
     pub fn install_trace_sink(&self) -> Rc<RefCell<Vec<u8>>> {
@@ -246,16 +237,16 @@ impl ToolCtx {
             self.rank,
             self.config.shadow_page_budget,
         );
-        self.install_sink(Box::new(sink));
+        *self.recorder.borrow_mut() = Some(sink);
         buf
     }
 
-    /// Declare the event stream complete: every installed sink's
-    /// [`EventSink::finish`] runs (sealing recorded traces). Idempotent;
-    /// the harness calls it before collecting outcomes.
-    pub fn finish_sinks(&self) {
-        for sink in self.sinks.borrow_mut().iter_mut() {
-            sink.finish();
+    /// Declare the event stream complete: the recorded trace, if any, is
+    /// sealed. Idempotent; the harness calls it before collecting
+    /// outcomes.
+    pub fn seal_trace(&self) {
+        if let Some(recorder) = self.recorder.borrow_mut().as_mut() {
+            recorder.seal();
         }
     }
 
@@ -302,10 +293,10 @@ impl ToolCtx {
         self.diagnostics.borrow().clone()
     }
 
-    /// Snapshot of the pipeline's own counters (Table-I view derived
+    /// Snapshot of the session's event counters (Table-I view derived
     /// purely from the event stream).
     pub fn event_counters(&self) -> EventCounters {
-        self.counters.borrow().clone()
+        self.session.borrow().counters().clone()
     }
 
     // ---- host-access instrumentation ---------------------------------------
@@ -458,7 +449,7 @@ mod tests {
         assert_eq!(s.write_range_calls, 1);
         assert_eq!(s.read_range_calls, 1);
         assert_eq!(s.write_bytes, 8);
-        // The counter sink sees the same stream the checker applied.
+        // The event counters fold the same stream the checker applied.
         let c = on.event_counters();
         assert_eq!(c.write_range_calls, 1);
         assert_eq!(c.read_range_calls, 1);
@@ -582,8 +573,7 @@ mod tests {
     #[test]
     fn session_summary_is_backend_invariant() {
         // The owned session's wholesale summary — the object the serve
-        // path emits — must agree with the producer-side counter sink:
-        // both fold the one stream `emit` applies.
+        // path emits — must agree with the context's own accessors.
         let ctx = ToolCtx::new(0, Flavor::Cusan.config());
         let f = ctx.emit_fiber_create("cuda stream 1");
         ctx.emit(CusanEvent::FiberSwitch {
@@ -601,11 +591,6 @@ mod tests {
         assert_eq!(summary.race_count, 1, "the Fig. 6B race");
         assert_eq!(summary.reports, ctx.race_reports());
         assert_eq!(summary.stats, ctx.tsan_stats());
-        assert_eq!(
-            summary.counters,
-            ctx.event_counters(),
-            "session counters mirror the producer-side sink"
-        );
     }
 
     #[test]
@@ -631,7 +616,6 @@ mod tests {
         assert_eq!(ctx.fiber_name(a), "a2");
         assert_eq!(ctx.fiber_name(c), "c2");
         assert_eq!(ctx.event_counters().fiber_creates, 6);
-        assert_eq!(ctx.session_summary().counters.fiber_creates, 6);
     }
 
     #[test]

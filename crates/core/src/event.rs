@@ -5,7 +5,7 @@
 //! callbacks translate runtime semantics into TSan annotations. Here that
 //! translation is reified: every callback the CUDA layer
 //! ([`crate::CusanCuda`]) and the MUST layer emit is a [`CusanEvent`]
-//! value flowing through an ordered sink pipeline owned by
+//! value flowing through an ordered pipeline owned by
 //! [`crate::ToolCtx`]:
 //!
 //! 1. **Checker** ([`CheckerSink`]) — always first. Applies the event to
@@ -13,15 +13,15 @@
 //!    counters. The same apply path drives live detection and offline
 //!    trace replay ([`crate::trace::replay`]), which is what makes replay
 //!    reproduce live results exactly.
-//! 2. **Counters** ([`EventCounters`]) — always installed. Derives
-//!    [`EventCounters`] purely from the event stream (including the named
-//!    CUDA Table-I rows carried by [`CusanEvent::CounterBump`]).
-//! 3. **Installed sinks** — e.g. the trace recorder
-//!    ([`crate::trace::TraceSink`]), in install order.
+//! 2. **Counters** ([`EventCounters`]) — the session's, derived purely
+//!    from the event stream (including the named CUDA Table-I rows
+//!    carried by [`CusanEvent::CounterBump`]).
+//! 3. **The trace recorder** ([`crate::trace::TraceSink`]), when a run
+//!    records.
 //!
-//! Sinks observe events *after* the checker has applied them, and events
-//! of one rank are totally ordered (each rank owns its pipeline, matching
-//! the one-TSan-per-process model).
+//! The recorder sees an event *after* the checker has applied it, and
+//! events of one rank are totally ordered (each rank owns its pipeline,
+//! matching the one-TSan-per-process model).
 //!
 //! String payloads (context labels, fiber names, counter names) are
 //! interned once per rank in a [`CtxInterner`] — the single source of
@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use tsan_rt::fiber::MAX_FIBERS;
+use tsan_rt::report::MAX_CTXS;
 use tsan_rt::{CtxId, FiberId, SyncKey, TsanRuntime};
 
 /// Id of a string interned in a [`CtxInterner`]. Ids are dense and
@@ -170,29 +171,13 @@ pub enum CusanEvent {
     },
 }
 
-/// An ordered observer of the per-rank event stream.
-///
-/// Sinks run after the checker has applied the event to the detector, in
-/// install order. They must not assume anything about other sinks.
-pub trait EventSink {
-    /// Name for diagnostics.
-    fn name(&self) -> &'static str;
-    /// Observe one event; `strings` resolves interned ids.
-    fn on_event(&mut self, ev: &CusanEvent, strings: &CtxInterner);
-    /// The stream is complete — no more events will arrive. Sinks whose
-    /// output has a terminator (e.g. a binary trace's end-of-trace
-    /// marker) finalize here; the default does nothing. Called by
-    /// `ToolCtx::finish_sinks`, and must be idempotent (drop paths may
-    /// finalize again as a backstop).
-    fn finish(&mut self) {}
-}
-
-/// A fiber event the fiber table it is applied to cannot accept. The
-/// three fiber events are the only ones whose meaning depends on earlier
-/// events, so a trace can decode record by record and still describe an
-/// execution no runtime produced; [`CheckerSink::apply`] checks each
-/// against the runtime's own table before touching it and returns this
-/// instead of tripping the runtime's assertions. The refused event is not
+/// An event the runtime it is applied to cannot accept. The three fiber
+/// events are the only ones whose meaning depends on earlier events, so
+/// a trace can decode record by record and still describe an execution
+/// no runtime produced; [`CheckerSink::apply`] checks each against the
+/// runtime's own fiber table before touching it and returns this instead
+/// of tripping the runtime's assertions — as it does for a range event
+/// that would overflow the context table. The refused event is not
 /// applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FiberEventError {
@@ -214,11 +199,17 @@ pub enum FiberEventError {
     DestroyHost,
     /// `FiberDestroy` of the fiber the stream is running on.
     DestroyCurrent(FiberId),
+    /// Not a fiber event, but refused on the same path: a range event
+    /// whose context label is new with every id the shadow encoding can
+    /// name already taken.
+    ContextTableFull,
 }
 
 impl fmt::Display for FiberEventError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("inconsistent fiber event: ")?;
+        if *self != FiberEventError::ContextTableFull {
+            f.write_str("inconsistent fiber event: ")?;
+        }
         match *self {
             FiberEventError::CreateNotNext { fiber, next } => write!(
                 f,
@@ -239,6 +230,10 @@ impl fmt::Display for FiberEventError {
             FiberEventError::DestroyCurrent(fiber) => {
                 write!(f, "destroy of fiber {}, the current fiber", fiber.index())
             }
+            FiberEventError::ContextTableFull => write!(
+                f,
+                "context table exhausted: a new context label with all {MAX_CTXS} ids taken"
+            ),
         }
     }
 }
@@ -265,12 +260,24 @@ impl CheckerSink {
         Self::default()
     }
 
-    fn runtime_ctx(&mut self, rt: &mut TsanRuntime, strings: &CtxInterner, id: StrId) -> CtxId {
+    fn runtime_ctx(
+        &mut self,
+        rt: &mut TsanRuntime,
+        strings: &CtxInterner,
+        id: StrId,
+    ) -> Result<CtxId, FiberEventError> {
         let idx = id.0 as usize;
+        if let Some(&Some(ctx)) = self.ctx_map.get(idx) {
+            return Ok(ctx);
+        }
+        let ctx = rt
+            .try_intern_ctx(strings.label(id))
+            .ok_or(FiberEventError::ContextTableFull)?;
         if idx >= self.ctx_map.len() {
             self.ctx_map.resize(idx + 1, None);
         }
-        *self.ctx_map[idx].get_or_insert_with(|| rt.intern_ctx(strings.label(id)))
+        self.ctx_map[idx] = Some(ctx);
+        Ok(ctx)
     }
 
     /// The `StrId` → `CtxId` mapping filled so far (session snapshots
@@ -332,11 +339,11 @@ impl CheckerSink {
                 rt.annotate_happens_after(key);
             }
             CusanEvent::ReadRange { addr, len, ctx } => {
-                let ctx = self.runtime_ctx(rt, strings, ctx);
+                let ctx = self.runtime_ctx(rt, strings, ctx)?;
                 rt.read_range(addr, len, ctx);
             }
             CusanEvent::WriteRange { addr, len, ctx } => {
-                let ctx = self.runtime_ctx(rt, strings, ctx);
+                let ctx = self.runtime_ctx(rt, strings, ctx)?;
                 rt.write_range(addr, len, ctx);
             }
             // Markers: no detection semantics. In particular `ApiFault`

@@ -49,9 +49,7 @@ pub use api::CusanCuda;
 pub use async_check::{AsyncCheckStats, AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
-pub use event::{
-    CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, FiberEventError, StrId,
-};
+pub use event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{

@@ -34,7 +34,7 @@ use tsan_rt::{
 pub const SESSION_SNAPSHOT_MAGIC: &[u8; 8] = b"cusanses";
 
 /// Version of the session snapshot layout.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
+pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
 
 /// Construction parameters for a [`CheckSession`]: the two trace-header
 /// fields that shape detection.

@@ -64,7 +64,7 @@
 //! test) — in either format.
 
 use crate::binio::{self, BinRecord};
-use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventSink, StrId};
+use crate::event::{CheckerSink, CtxInterner, CusanEvent, StrId};
 use crate::session::{CheckSession, SessionSummary};
 use std::cell::RefCell;
 use std::fmt;
@@ -282,8 +282,8 @@ impl RecordWriter {
 /// String-table entries are flushed lazily: before writing an event
 /// record, every interner entry not yet written is emitted, so any id an
 /// event references is defined earlier in the stream. Binary traces are
-/// *sealed* with an end-of-trace marker — via [`EventSink::finish`]
-/// (called by `ToolCtx::finish_sinks` before the harness collects the
+/// *sealed* with an end-of-trace marker — via [`TraceSink::seal`]
+/// (called by `ToolCtx::seal_trace` before the harness collects the
 /// buffer) or, as a backstop, on drop.
 pub struct TraceSink {
     buf: Rc<RefCell<Vec<u8>>>,
@@ -329,14 +329,10 @@ impl TraceSink {
             self.writer.end(&mut self.buf.borrow_mut());
         }
     }
-}
 
-impl EventSink for TraceSink {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn on_event(&mut self, ev: &CusanEvent, strings: &CtxInterner) {
+    /// Write one event, preceded by every string-table entry not yet
+    /// written; `strings` resolves interned ids.
+    pub fn on_event(&mut self, ev: &CusanEvent, strings: &CtxInterner) {
         debug_assert!(!self.sealed, "event after the trace was sealed");
         let mut buf = self.buf.borrow_mut();
         while self.written < strings.len() {
@@ -345,10 +341,6 @@ impl EventSink for TraceSink {
             self.written += 1;
         }
         self.writer.event(&mut buf, ev);
-    }
-
-    fn finish(&mut self) {
-        self.seal();
     }
 }
 
@@ -437,7 +429,7 @@ impl TraceHeader {
 
     /// Refuse a recording made on the removed flat shadow (`tiered 0`):
     /// replaying it on the tiered shadow would report tier counters
-    /// (`fastpath_hits`, `page_summaries_stored`, `page_unfolds`) the
+    /// (`page_summaries_stored`, `page_unfolds`) the
     /// recording run never had.
     fn reject_flat_shadow(self) -> Result<TraceHeader, String> {
         if self.tiered {

@@ -5,6 +5,7 @@
 //! that was never interrupted. This is the soundness contract the serve
 //! path's spill/restore of *unfinished* sessions rests on.
 
+use cusan::session::SESSION_SNAPSHOT_VERSION;
 use cusan::{CheckSession, CusanEvent, SessionOptions, SnapshotError, StrId};
 use tsan_rt::{FiberId, SyncKey};
 
@@ -234,16 +235,19 @@ fn session_restore_rejects_garbage() {
 
 #[test]
 fn v1_session_blob_is_refused_by_version() {
-    // Layout v1 carried the two shadow mode bytes (tiered, arena) that
-    // no longer exist; the version gate refuses it before any of the
-    // body is interpreted under the v2 layout.
+    // Layout v1 carried the two shadow mode bytes (tiered, arena) and
+    // v2 the clock stamps and the same-state cache, none of which exist
+    // any more; the version gate refuses both before any of the body is
+    // interpreted under the current layout.
     let mut blob = fresh(None).snapshot_bytes();
-    assert_eq!(blob[8..12], 2u32.to_le_bytes());
-    blob[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert_eq!(
-        CheckSession::restore_bytes(&blob).err(),
-        Some(SnapshotError::UnsupportedVersion(1))
-    );
+    assert_eq!(blob[8..12], SESSION_SNAPSHOT_VERSION.to_le_bytes());
+    for old in 1..SESSION_SNAPSHOT_VERSION {
+        blob[8..12].copy_from_slice(&old.to_le_bytes());
+        assert_eq!(
+            CheckSession::restore_bytes(&blob).err(),
+            Some(SnapshotError::UnsupportedVersion(old))
+        );
+    }
 }
 
 #[test]

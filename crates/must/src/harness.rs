@@ -258,9 +258,9 @@ fn run_world_impl<T: Send>(
                 emit_schedule_choices(&ctx.tools, &plan.decisions(plan.collective_lane()));
             }
         }
-        // Seal sinks (a recorded binary trace gets its end-of-trace
+        // Seal the recording (a binary trace gets its end-of-trace
         // marker) before the buffers are collected below.
-        ctx.tools.finish_sinks();
+        ctx.tools.seal_trace();
         let outcome = RankOutcome {
             rank,
             races: ctx.tools.race_reports(),

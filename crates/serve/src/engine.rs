@@ -73,8 +73,10 @@ const SPILL_MAGIC: &[u8; 8] = b"cusanspl";
 /// Version of the spill-file layout. v2: the ingest blob's parser
 /// section is the format-sniffing [`cusan::TracePushParser`] snapshot
 /// (pending bytes + state tag + table + binary delta state) instead of
-/// the text-only line-parser layout.
-const SPILL_VERSION: u32 = 2;
+/// the text-only line-parser layout. v3: the detector snapshot inside
+/// it carries no clock stamps and no same-state cache. A file of another
+/// version is discarded and the session rebuilt from its journal.
+const SPILL_VERSION: u32 = 3;
 
 /// Accepted bytes a session may hold back from its journal file between
 /// acks. It bounds both the re-send a crash costs a client that never

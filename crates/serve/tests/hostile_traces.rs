@@ -1,8 +1,10 @@
 //! Traces that decode but lie: every record is well-formed, and the
 //! fiber events describe an execution no runtime produced (a switch to a
-//! fiber that never existed, a second destroy, …). Served, such a trace
-//! must cost its own session an `E` naming the event — not a panic, not
-//! its connection, not the session next to it, not the listener.
+//! fiber that never existed, a second destroy, …) — or the range events
+//! name more contexts than a shadow slot has ids for. Served, such a
+//! trace must cost its own session an `E` naming the event — not a
+//! panic, not its connection, not the session next to it, not the
+//! listener.
 //!
 //! The solo legs of the same matrix (`replay_stream`, `Trace::from_bytes`)
 //! are `inconsistent_fiber_events_are_refused_in_both_encodings` in
@@ -42,44 +44,65 @@ const BODIES: [(&str, &str); 5] = [
     ),
 ];
 
+/// A text trace in both encodings, each with the refusal it earns.
+fn both_encodings(text: Vec<u8>, refusal: String) -> [(Vec<u8>, String); 2] {
+    let binary = transcode(&text[..], TraceFormat::Binary).expect("the records decode");
+    [(text, refusal.clone()), (binary, refusal)]
+}
+
 /// Every body in both encodings, with its refusal.
-fn hostile_traces() -> Vec<(Vec<u8>, &'static str)> {
+fn hostile_traces() -> Vec<(Vec<u8>, String)> {
     BODIES
         .iter()
         .flat_map(|(body, why)| {
-            let text = format!("{HEADER}{body}").into_bytes();
-            let binary = transcode(&text[..], TraceFormat::Binary).expect("the records decode");
-            [(text, *why), (binary, *why)]
+            both_encodings(
+                format!("{HEADER}{body}").into_bytes(),
+                format!("inconsistent fiber event: {why}"),
+            )
         })
         .collect()
 }
 
-/// One connection's frames: the hostile session 1 in the middle of its
-/// neighbour, session 2, which streams on both sides of it.
-fn request(hostile: &[u8]) -> Vec<u8> {
+/// One read per fresh context label, 2^20 of them: `<unknown>` holds id
+/// 0, so the last label is the one without an id. Returns the trace in
+/// both encodings and the number of its last record.
+fn context_flood() -> ([(Vec<u8>, String); 2], u64) {
+    const LABELS: u64 = 1 << 20;
+    let mut text = HEADER.as_bytes().to_vec();
+    for i in 0..LABELS {
+        writeln!(text, "s {i} c{i:x}\nrr 1000 8 {i}").unwrap();
+    }
+    let refusal =
+        "context table exhausted: a new context label with all 1048576 ids taken".to_string();
+    (both_encodings(text, refusal), 2 * LABELS)
+}
+
+/// One connection's frames: the hostile session 1 (in 1 MiB frames) in
+/// the middle of its neighbour, session 2, which streams on both sides
+/// of it.
+fn write_request(to: &mut impl std::io::Write, hostile: &[u8]) {
     let golden = GOLDEN.as_bytes();
     let (head, tail) = golden.split_at(golden.len() / 2);
-    let mut request = Vec::new();
-    for frame in [
-        open_frame(1),
-        open_frame(2),
-        data_frame(2, 0, head),
-        data_frame(1, 0, hostile),
-        data_frame(2, head.len() as u64, tail),
-        close_frame(1),
-        close_frame(2),
-        quit_frame(),
-    ] {
-        write_frame(&mut request, &frame).unwrap();
+    let mut send = |frame: Vec<u8>| write_frame(to, &frame).unwrap();
+    send(open_frame(1));
+    send(open_frame(2));
+    send(data_frame(2, 0, head));
+    let mut offset = 0;
+    for chunk in hostile.chunks(1 << 20) {
+        send(data_frame(1, offset, chunk));
+        offset += chunk.len() as u64;
     }
-    request
+    send(data_frame(2, head.len() as u64, tail));
+    send(close_frame(1));
+    send(close_frame(2));
+    send(quit_frame());
 }
 
 /// The pool applies behind the parser, so the refusal answers the `D`
 /// that carried the event or the `C` after it (which a `D` that already
 /// dropped the session answers "not open"): session 1's first reply is
 /// the refusal either way, and session 2 gets exactly its summary.
-fn assert_replies(reply_bytes: &[u8], why: &str) {
+fn assert_replies(reply_bytes: &[u8], refusal: &str) {
     let mut replies = Vec::new();
     let mut r = reply_bytes;
     while let Some(payload) = read_frame(&mut r).unwrap() {
@@ -90,14 +113,14 @@ fn assert_replies(reply_bytes: &[u8], why: &str) {
         .partition(|r| matches!(r, Reply::Error { id: 1, .. }));
     match &ours[..] {
         [Reply::Error { message, .. }] | [Reply::Error { message, .. }, Reply::Error { .. }] => {
-            assert_eq!(*message, format!("inconsistent fiber event: {why}"));
+            assert_eq!(*message, refusal);
         }
-        other => panic!("{why}: session 1 got {other:?}"),
+        other => panic!("{refusal}: session 1 got {other:?}"),
     }
     let solo = summary_to_json(2, &solo_summary(GOLDEN).unwrap());
     match &neighbours[..] {
         [Reply::Summary { id: 2, json }] => assert_eq!(*json, solo),
-        other => panic!("{why}: session 2 got {other:?}"),
+        other => panic!("{refusal}: session 2 got {other:?}"),
     }
 }
 
@@ -105,9 +128,10 @@ fn assert_replies(reply_bytes: &[u8], why: &str) {
 fn an_inconsistent_trace_fails_only_its_own_session() {
     for (hostile, why) in hostile_traces() {
         let engine = ServeEngine::new(EngineConfig::default());
-        let mut reply_bytes = Vec::new();
-        serve_connection(&engine, &mut request(&hostile).as_slice(), &mut reply_bytes).unwrap();
-        assert_replies(&reply_bytes, why);
+        let (mut request, mut reply_bytes) = (Vec::new(), Vec::new());
+        write_request(&mut request, &hostile);
+        serve_connection(&engine, &mut request.as_slice(), &mut reply_bytes).unwrap();
+        assert_replies(&reply_bytes, &why);
         assert_eq!(engine.live_sessions(), 0, "{why}");
         assert_eq!(engine.stats().sessions_finished, 1, "{why}");
     }
@@ -115,10 +139,13 @@ fn an_inconsistent_trace_fails_only_its_own_session() {
 
 #[test]
 fn a_listener_outlives_every_inconsistent_trace() {
-    // One bounded listener, one connection per hostile trace and a last
-    // one that is all good: the listener must serve them all and return
-    // `Ok` — a connection thread that died would make it panic instead.
-    let hostile = hostile_traces();
+    a_listener_outlives(&hostile_traces());
+}
+
+/// One bounded listener, one connection per hostile trace and a last
+/// one that is all good: the listener must serve them all and return
+/// `Ok` — a connection thread that died would make it panic instead.
+fn a_listener_outlives(hostile: &[(Vec<u8>, String)]) {
     let engine = ServeEngine::new(EngineConfig {
         check_threads: Some(2),
         ..EngineConfig::default()
@@ -130,9 +157,9 @@ fn a_listener_outlives_every_inconsistent_trace() {
         let connections = hostile.len() + 1;
         std::thread::spawn(move || serve_listener(engine, listener, Some(connections)))
     };
-    for (trace, why) in &hostile {
+    for (trace, why) in hostile {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(&request(trace)).unwrap();
+        write_request(&mut stream, trace);
         let mut reply_bytes = Vec::new();
         std::io::copy(&mut stream, &mut reply_bytes).unwrap();
         assert_replies(&reply_bytes, why);
@@ -150,19 +177,20 @@ fn a_listener_outlives_every_inconsistent_trace() {
 
 #[test]
 fn offline_check_answers_an_inconsistent_trace_with_a_line_not_a_backtrace() {
-    // Exit 101 and a backtrace before: the refusal panicked out of
-    // `SessionIngest::finish`.
+    offline_check_answers_with_a_line(hostile_traces());
+}
+
+/// Exit 101 and a backtrace before: the refusal panicked out of
+/// `SessionIngest::finish`.
+fn offline_check_answers_with_a_line(hostile: Vec<(Vec<u8>, String)>) {
     let dir = cusan_serve::unique_scratch_dir("hostile-check");
     std::fs::create_dir_all(&dir).unwrap();
     let mut files = Vec::new();
     let mut expected = String::new();
-    for (i, (trace, why)) in hostile_traces().into_iter().enumerate() {
+    for (i, (trace, why)) in hostile.into_iter().enumerate() {
         let path = dir.join(format!("hostile-{i}.trace"));
         std::fs::write(&path, trace).unwrap();
-        expected += &format!(
-            "cusan-serve: {}: inconsistent fiber event: {why}\n",
-            path.display()
-        );
+        expected += &format!("cusan-serve: {}: {why}\n", path.display());
         files.push(path);
     }
     expected += &format!("cusan-serve: {0} of {0} traces failed\n", files.len());
@@ -175,4 +203,20 @@ fn offline_check_answers_an_inconsistent_trace_with_a_line_not_a_backtrace() {
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(String::from_utf8(out.stderr).unwrap(), expected);
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_trace_with_more_contexts_than_ids_is_refused_not_asserted_on() {
+    // "context table exhausted" was an `assert!` in the detector: a
+    // panic on the pool worker applying the batch. One test, its legs
+    // in turn: each holds a million labels while it runs.
+    let (flood, last_record) = context_flood();
+    for ((trace, why), at) in flood.iter().zip([
+        format!("trace line {}", last_record + 1),
+        format!("trace record {last_record}"),
+    ]) {
+        assert_eq!(solo_summary(trace).unwrap_err(), format!("{at}: {why}"));
+    }
+    a_listener_outlives(&flood);
+    offline_check_answers_with_a_line(flood.into());
 }

@@ -322,13 +322,14 @@ fn restarted_server_recovers_sessions_from_disk() {
 fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     // A server killed inside `fs::write` (or out of disk) leaves a spill
     // file that stops anywhere; a bad sector leaves one that does not
-    // decode. Neither costs the session anything: its journal held every
-    // accepted byte before the spill began.
+    // decode; an upgrade leaves one in the previous version's layout.
+    // None costs the session anything: its journal held every accepted
+    // byte before the spill began.
     let bytes = GOLDEN.as_bytes();
     let split = bytes.len() / 2;
     let solo = solo_summary(GOLDEN).unwrap();
     type Damage = fn(&mut Vec<u8>);
-    let damages: [(&str, Damage); 7] = [
+    let damages: [(&str, Damage); 8] = [
         ("emptied", |f| f.clear()),
         ("cut inside the magic", |f| f.truncate(5)),
         ("cut inside the header", |f| f.truncate(17)),
@@ -338,6 +339,8 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
         // Byte 28 is the ingest blob's state tag: 8 magic, 4 version,
         // 8 offset, 8 length.
         ("state tag flipped", |f| f[28] ^= 0xff),
+        // Byte 8 is the version's low byte (little-endian).
+        ("written by the previous version", |f| f[8] -= 1),
     ];
     // Session 4, spilled half-way through the trace.
     let spilled_half_way = |dir: &ScratchDir| {
@@ -348,13 +351,17 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
         assert!(engine.spill_session(4).unwrap());
         engine
     };
-    for (what, damage) in damages {
-        let dir = ScratchDir::new("torn-spill");
-        let engine = spilled_half_way(&dir);
+    let damage_spill = |dir: &ScratchDir, damage: Damage| {
         let spill = dir.0.join("session-4.spill");
         let mut file = std::fs::read(&spill).unwrap();
         damage(&mut file);
         std::fs::write(&spill, file).unwrap();
+        spill
+    };
+    for (what, damage) in damages {
+        let dir = ScratchDir::new("torn-spill");
+        let engine = spilled_half_way(&dir);
+        let spill = damage_spill(&dir, damage);
 
         // The same process meets the damage on the next frame …
         engine.feed(4, split as u64, &bytes[split..]).unwrap();
@@ -365,16 +372,23 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     }
 
     // … and so does a restarted one, whose only copy of the offset is
-    // the journal's length.
-    let dir = ScratchDir::new("torn-spill-restart");
-    drop(spilled_half_way(&dir));
-    std::fs::write(dir.0.join("session-4.spill"), b"cusanspl\x00").unwrap();
-    let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
-    assert_eq!(engine.resume(4).unwrap(), split as u64);
-    engine.feed(4, split as u64, &bytes[split..]).unwrap();
-    assert_eq!(engine.stats().sessions_restored, 1);
-    assert_eq!(engine.close(4).unwrap(), solo);
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+    // the journal's length: after a crash, and after an upgrade that
+    // moved the spill layout under a session spilled by the old binary.
+    let restarts: [(&str, Damage); 2] = [
+        ("cut inside the version", |f| f.truncate(9)),
+        ("written by the previous version", |f| f[8] -= 1),
+    ];
+    for (what, damage) in restarts {
+        let dir = ScratchDir::new("torn-spill-restart");
+        drop(spilled_half_way(&dir));
+        damage_spill(&dir, damage);
+        let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
+        assert_eq!(engine.resume(4).unwrap(), split as u64, "{what}");
+        engine.feed(4, split as u64, &bytes[split..]).unwrap();
+        assert_eq!(engine.stats().sessions_restored, 1, "{what}");
+        assert_eq!(engine.close(4).unwrap(), solo, "{what}");
+        assert_eq!(dir_entries(&dir.0), Vec::<String>::new(), "{what}");
+    }
 }
 
 #[test]

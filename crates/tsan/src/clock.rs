@@ -71,41 +71,6 @@ impl VectorClock {
         }
     }
 
-    /// [`Self::join`] that also reports whether any component of `self`
-    /// grew. A `false` return proves `self` already dominated `other`, so
-    /// callers maintaining clock-generation counters can skip bumping
-    /// them (the epoch-compression fast paths key on those counters).
-    pub fn join_changed(&mut self, other: &VectorClock) -> bool {
-        let n = self.c.len().min(other.c.len());
-        let mut changed = false;
-        for (a, &b) in self.c.iter_mut().zip(&other.c[..n]) {
-            if b > *a {
-                *a = b;
-                changed = true;
-            }
-        }
-        if other.c.len() > self.c.len() {
-            // The tail only changes the observable clock if it carries a
-            // nonzero component (absent components read as zero).
-            changed |= other.c[n..].iter().any(|&b| b != 0);
-            self.c.extend_from_slice(&other.c[n..]);
-        }
-        changed
-    }
-
-    /// True if every component of `self` is ≥ the corresponding component
-    /// of `other` (i.e. `other` happens-before-or-equals this view).
-    pub fn dominates(&self, other: &VectorClock) -> bool {
-        let n = self.c.len().min(other.c.len());
-        self.c
-            .iter()
-            .zip(&other.c[..n])
-            .all(|(&a, &b)| a >= b)
-            // Components past self's length read as zero, so any nonzero
-            // tail component of `other` breaks domination.
-            && other.c[n..].iter().all(|&b| b == 0)
-    }
-
     /// Number of allocated components (for memory accounting).
     pub fn len(&self) -> usize {
         self.c.len()
@@ -192,75 +157,5 @@ mod tests {
         let mut abb = ab.clone();
         abb.join(&b);
         assert_eq!(ab, abb);
-    }
-
-    #[test]
-    fn dominates_reflexive_and_ordering() {
-        let mut a = VectorClock::new();
-        a.set(f(0), 2);
-        a.set(f(1), 3);
-        assert!(a.dominates(&a));
-        let mut b = a.clone();
-        b.bump(f(1));
-        assert!(b.dominates(&a));
-        assert!(!a.dominates(&b));
-    }
-
-    #[test]
-    fn join_changed_reports_growth_exactly() {
-        let mut a = VectorClock::new();
-        a.set(f(0), 3);
-        a.set(f(2), 1);
-        let mut b = VectorClock::new();
-        b.set(f(0), 2);
-        assert!(!a.join_changed(&b), "already dominated");
-        let mut c = VectorClock::new();
-        c.set(f(1), 5);
-        assert!(a.join_changed(&c));
-        assert_eq!(a.get(f(1)), 5);
-        // A longer clock whose tail is all zero adds nothing observable.
-        let mut zeros = VectorClock::new();
-        zeros.set(f(7), 1);
-        zeros.set(f(7), 0); // len 8, every component 0
-        assert!(!a.join_changed(&zeros));
-        // ...but a nonzero tail component does.
-        let mut tail = VectorClock::new();
-        tail.set(f(9), 2);
-        assert!(a.join_changed(&tail));
-        assert_eq!(a.get(f(9)), 2);
-    }
-
-    #[test]
-    fn join_changed_matches_join_result() {
-        let mut a = VectorClock::new();
-        a.set(f(0), 4);
-        a.set(f(3), 2);
-        let mut b = VectorClock::new();
-        b.set(f(1), 7);
-        b.set(f(3), 1);
-        let mut via_join = a.clone();
-        via_join.join(&b);
-        a.join_changed(&b);
-        assert_eq!(a, via_join);
-    }
-
-    #[test]
-    fn dominates_ignores_zero_tail() {
-        let mut short = VectorClock::new();
-        short.set(f(0), 1);
-        let mut long = VectorClock::new();
-        long.set(f(0), 1);
-        long.set(f(5), 0); // trailing zeros only
-        assert!(short.dominates(&long));
-        assert!(long.dominates(&short));
-    }
-
-    #[test]
-    fn dominates_with_shorter_self() {
-        let a = VectorClock::new();
-        let mut b = VectorClock::new();
-        b.set(f(4), 1);
-        assert!(!a.dominates(&b));
-        assert!(b.dominates(&a));
     }
 }

@@ -34,59 +34,11 @@ impl FiberId {
 /// fiber field in the packed shadow epoch (see [`crate::shadow`]).
 pub const MAX_FIBERS: usize = 1 << 11;
 
-/// Identifies one fiber clock value without comparing the clock itself:
-/// within one slot incarnation, `gen` bumps on every clock change that is
-/// *not* an own-component bump, and the own component (the epoch) covers
-/// the rest — so two equal `(incarnation, gen, epoch)` triples for one
-/// slot prove the underlying clocks were equal. The epoch-compression
-/// fast paths in [`crate::TsanRuntime`] stamp and compare these.
-pub(crate) type ClockStamp = (FiberId, u32, u64, u32); // (fiber, incarnation, gen, epoch)
-
 #[derive(Debug)]
 pub(crate) struct Fiber {
     pub clock: VectorClock,
     pub name: String,
     pub alive: bool,
-    /// Bumped each time this slot is reused for a new fiber. Guards every
-    /// scalar fast path against stale stamps referring to a previous
-    /// incarnation (whose clock the current one does not dominate).
-    pub incarnation: u32,
-    /// Clock-generation counter: bumped whenever this fiber's clock
-    /// changes other than by bumping its own component (i.e. on acquire
-    /// joins and sync switches that grew the clock, and on slot reuse).
-    /// Never reset, so `(incarnation, gen, epoch)` triples stay unique.
-    pub gen: u64,
-    /// Stamp of the source clock this fiber last sync-switch-joined, if
-    /// still known-valid. While the source clock is provably unchanged
-    /// (same stamp) the join can be skipped: this clock already dominates
-    /// it. Cleared on slot reuse.
-    pub last_sync: Option<ClockStamp>,
-    /// Sole-source window: if `Some((f, inc))`, every foreign change to
-    /// this clock in generations `(sole_since_gen, gen]` came from joining
-    /// snapshots of fiber slot `f` at incarnation `inc`. Lets a sync
-    /// switch *onto* `f` skip its join even though `gen` moved: the only
-    /// things acquired since the recorded stamp were `f`'s own past
-    /// clocks, which `f` still dominates. The host-syncs-on-one-stream
-    /// loop (TeaLeaf) lives in this window. Cleared (window emptied) on
-    /// slot reuse and on any join from a different or unidentifiable
-    /// source.
-    pub sole_source: Option<(FiberId, u32)>,
-    /// Start of the sole-source window (exclusive); see [`Self::sole_source`].
-    pub sole_since_gen: u64,
-}
-
-impl Fiber {
-    /// Record a foreign clock change sourced from `src` (the identity of
-    /// the snapshot joined, if it was a pure snapshot of one fiber slot):
-    /// extends the sole-source window when the source repeats, restarts
-    /// it otherwise, and bumps `gen`.
-    pub fn note_foreign_join(&mut self, src: Option<(FiberId, u32)>) {
-        if src.is_none() || self.sole_source != src {
-            self.sole_since_gen = self.gen;
-            self.sole_source = src;
-        }
-        self.gen += 1;
-    }
 }
 
 /// The fiber table: creation, destruction with slot reuse, lookup.
@@ -107,11 +59,6 @@ impl FiberTable {
                 clock: host_clock,
                 name: host_name.to_string(),
                 alive: true,
-                incarnation: 0,
-                gen: 0,
-                last_sync: None,
-                sole_source: None,
-                sole_since_gen: 0,
             }],
             free: Vec::new(),
             created: 1,
@@ -137,11 +84,6 @@ impl FiberTable {
             fiber.clock.set(id, old_time.max(creator_clock.get(id)) + 1);
             fiber.name = name.to_string();
             fiber.alive = true;
-            fiber.incarnation += 1;
-            fiber.gen += 1;
-            fiber.last_sync = None;
-            fiber.sole_source = None;
-            fiber.sole_since_gen = fiber.gen;
             id
         } else {
             assert!(self.fibers.len() < MAX_FIBERS, "fiber table exhausted");
@@ -152,11 +94,6 @@ impl FiberTable {
                 clock,
                 name: name.to_string(),
                 alive: true,
-                incarnation: 0,
-                gen: 0,
-                last_sync: None,
-                sole_source: None,
-                sole_since_gen: 0,
             });
             id
         }
@@ -183,11 +120,6 @@ impl FiberTable {
             child.name.clear();
             child.name.push_str(name);
             child.alive = true;
-            child.incarnation += 1;
-            child.gen += 1;
-            child.last_sync = None;
-            child.sole_source = None;
-            child.sole_since_gen = child.gen;
             parent.clock.bump(creator);
             id
         } else {
@@ -201,11 +133,6 @@ impl FiberTable {
                 clock,
                 name: name.to_string(),
                 alive: true,
-                incarnation: 0,
-                gen: 0,
-                last_sync: None,
-                sole_source: None,
-                sole_since_gen: 0,
             });
             id
         }
@@ -297,21 +224,6 @@ impl FiberTable {
             write_clock(w, &f.clock);
             w.put_str(&f.name);
             w.put_bool(f.alive);
-            w.put_u32(f.incarnation);
-            w.put_u64(f.gen);
-            w.put_bool(f.last_sync.is_some());
-            if let Some((sf, inc, gen, epoch)) = f.last_sync {
-                w.put_u32(sf.index() as u32);
-                w.put_u32(inc);
-                w.put_u64(gen);
-                w.put_u32(epoch);
-            }
-            w.put_bool(f.sole_source.is_some());
-            if let Some((sf, inc)) = f.sole_source {
-                w.put_u32(sf.index() as u32);
-                w.put_u32(inc);
-            }
-            w.put_u64(f.sole_since_gen);
         }
     }
 
@@ -340,34 +252,7 @@ impl FiberTable {
             let clock = read_clock(r)?;
             let name = r.get_str()?;
             let alive = r.get_bool()?;
-            let incarnation = r.get_u32()?;
-            let gen = r.get_u64()?;
-            let last_sync = if r.get_bool()? {
-                Some((
-                    FiberId::from_index(r.get_u32()? as usize),
-                    r.get_u32()?,
-                    r.get_u64()?,
-                    r.get_u32()?,
-                ))
-            } else {
-                None
-            };
-            let sole_source = if r.get_bool()? {
-                Some((FiberId::from_index(r.get_u32()? as usize), r.get_u32()?))
-            } else {
-                None
-            };
-            let sole_since_gen = r.get_u64()?;
-            fibers.push(Fiber {
-                clock,
-                name,
-                alive,
-                incarnation,
-                gen,
-                last_sync,
-                sole_source,
-                sole_since_gen,
-            });
+            fibers.push(Fiber { clock, name, alive });
         }
         Ok(FiberTable {
             fibers,
@@ -473,26 +358,6 @@ mod tests {
         let (b2, a2) = t.pair_mut(f, FiberId::HOST);
         assert_eq!(b2.name, "x");
         assert_eq!(a2.name, "host");
-    }
-
-    #[test]
-    fn slot_reuse_bumps_incarnation_and_gen_and_clears_stamp() {
-        let mut t = FiberTable::new("host");
-        let f1 = t.create_child("req1", FiberId::HOST);
-        assert_eq!(t.get(f1).incarnation, 0);
-        let gen0 = t.get(f1).gen;
-        t.get_mut(f1).last_sync = Some((FiberId::HOST, 0, 0, 1));
-        t.destroy(f1);
-        let f2 = t.create_child("req2", FiberId::HOST);
-        assert_eq!(f1, f2, "slot should be reused");
-        assert_eq!(t.get(f2).incarnation, 1);
-        assert!(t.get(f2).gen > gen0);
-        assert_eq!(t.get(f2).last_sync, None);
-        // Fresh slots always start at incarnation 0.
-        let f3 = t.create_child("fresh", FiberId::HOST);
-        assert_ne!(f3, f2);
-        assert_eq!(t.get(f3).incarnation, 0);
-        assert_eq!(t.get(f3).gen, 0);
     }
 
     #[test]

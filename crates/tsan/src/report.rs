@@ -20,6 +20,11 @@ impl CtxId {
     pub const UNKNOWN: CtxId = CtxId(0);
 }
 
+/// Maximum number of interned access contexts (`<unknown>` included);
+/// bounded by the 20-bit ctx field in the packed shadow epoch (see
+/// [`crate::shadow`]).
+pub const MAX_CTXS: usize = 1 << 20;
+
 /// Intern table for access-context labels.
 #[derive(Debug)]
 pub(crate) struct CtxTable {
@@ -38,15 +43,23 @@ impl CtxTable {
         t
     }
 
-    pub fn intern(&mut self, label: &str) -> CtxId {
+    /// The id of `label`, interning it if there is room; `None` once all
+    /// [`MAX_CTXS`] ids are taken by other labels.
+    pub fn try_intern(&mut self, label: &str) -> Option<CtxId> {
         if let Some(&id) = self.by_label.get(label) {
-            return id;
+            return Some(id);
+        }
+        if self.labels.len() >= MAX_CTXS {
+            return None;
         }
         let id = CtxId(self.labels.len() as u32);
-        assert!(id.0 < (1 << 20), "context table exhausted");
         self.labels.push(label.to_string());
         self.by_label.insert(label.to_string(), id);
-        id
+        Some(id)
+    }
+
+    pub fn intern(&mut self, label: &str) -> CtxId {
+        self.try_intern(label).expect("context table exhausted")
     }
 
     pub fn label(&self, id: CtxId) -> &str {

@@ -21,34 +21,6 @@ pub struct SyncKey(pub u64);
 /// after the cap; only report storage stops growing).
 pub const DEFAULT_MAX_REPORTS: usize = 256;
 
-/// One synchronization variable: the full released clock plus the scalar
-/// epoch cache the compressed fast paths compare against.
-///
-/// `compressed` means `clock` is exactly the releaser's clock as of the
-/// stamp `(releaser, rel_inc, rel_gen, epoch)` — not a join of several
-/// fibers' clocks — which is what makes the two-word scalar comparisons
-/// below sound (see DESIGN.md "Shadow arena & epoch clocks").
-struct SyncVar {
-    clock: VectorClock,
-    /// Fiber that last released on this variable.
-    releaser: FiberId,
-    /// The releaser slot's incarnation at release time. Slot reuse gives
-    /// a recycled [`FiberId`] a clock the old incarnation's stamps say
-    /// nothing about, so every fast path requires an incarnation match.
-    rel_inc: u32,
-    /// The releaser's clock-generation counter at release time.
-    rel_gen: u64,
-    /// The releaser's own clock component at release time.
-    epoch: u32,
-    /// Whether `clock` is a pure snapshot of the releaser's clock.
-    compressed: bool,
-    /// `(fiber, incarnation)` of the last acquirer, invalidated by every
-    /// release: while valid, that fiber's clock still dominates `clock`
-    /// (its clock only grew since the join), so a repeat acquire is a
-    /// no-op.
-    last_acq: Option<(FiberId, u32)>,
-}
-
 /// A per-rank ThreadSanitizer-style runtime. See crate docs.
 ///
 /// Not `Sync` on purpose: one runtime per simulated MPI process, used from
@@ -57,32 +29,19 @@ pub struct TsanRuntime {
     fibers: FiberTable,
     current: FiberId,
     shadow: ShadowMemory,
-    sync_vars: FxHashMap<u64, SyncVar>,
+    /// The released clock of each synchronization variable.
+    sync_vars: FxHashMap<u64, VectorClock>,
     ctxs: CtxTable,
     reports: Vec<RaceReport>,
     report_keys: FxHashSet<(u32, u32)>,
     suppressions: Suppressions,
     stats: TsanStats,
     max_reports: usize,
-    /// Scalar epoch fast paths on release/acquire/sync-switch. Purely a
-    /// performance representation — detection results are bit-for-bit
-    /// identical either way (`tests/epoch_differential.rs`); `false`
-    /// recovers the join-always reference behavior.
-    epoch_clocks: bool,
 }
 
 impl TsanRuntime {
     /// New runtime; the calling context becomes the host fiber.
     pub fn new(host_name: &str) -> Self {
-        Self::with_epoch_clocks(host_name, true)
-    }
-
-    /// [`Self::new`] with the scalar epoch fast paths explicit. `false`
-    /// is the join-always reference — every release/acquire joins full
-    /// vector clocks — that `tests/epoch_differential.rs` and
-    /// `tests/snapshot_differential.rs` compare the product against;
-    /// nothing outside those tests should pass it.
-    pub fn with_epoch_clocks(host_name: &str, epoch_clocks: bool) -> Self {
         let mut rt = TsanRuntime {
             fibers: FiberTable::new(host_name),
             current: FiberId::HOST,
@@ -94,7 +53,6 @@ impl TsanRuntime {
             suppressions: Suppressions::default(),
             stats: TsanStats::default(),
             max_reports: DEFAULT_MAX_REPORTS,
-            epoch_clocks,
         };
         rt.stats.fibers_created = 1;
         rt
@@ -166,45 +124,9 @@ impl TsanRuntime {
         assert!(self.fibers.is_alive(f), "switch to dead fiber {f:?}");
         self.stats.fiber_switches += 1;
         if f != self.current {
-            let cur = self.current;
-            let (to, from) = self.fibers.pair_mut(f, cur);
-            let epoch = from.clock.get(cur);
-            // The stamped join can be skipped when the source clock
-            // provably grew past the already-joined value in no way this
-            // clock does not dominate:
-            //  * exact stamp match — same incarnation, generation and own
-            //    epoch, i.e. the source clock is bit-identical to the one
-            //    last joined. Back-to-back device ops on one stream hit
-            //    this on every op after the first; or
-            //  * same incarnation and own epoch, older generation, but the
-            //    source's only foreign joins since the stamped generation
-            //    were snapshots of *this* fiber (the sole-source window),
-            //    which this clock dominates by monotonicity. The
-            //    host-syncs-on-one-stream cadence (TeaLeaf) lands here:
-            //    the host's acquire of the stream's release bumps the
-            //    host generation but adds nothing the stream lacks.
-            let fast = self.epoch_clocks
-                && match to.last_sync {
-                    Some((sf, s_inc, s_gen, s_ep))
-                        if sf == cur && s_inc == from.incarnation && s_ep == epoch =>
-                    {
-                        s_gen == from.gen
-                            || (from.sole_source == Some((f, to.incarnation))
-                                && from.sole_since_gen <= s_gen)
-                    }
-                    _ => false,
-                };
-            if fast {
-                self.stats.epoch_fast_acquires += 1;
-            } else {
-                self.stats.full_clock_joins += 1;
-                if to.clock.join_changed(&from.clock) {
-                    // The joined clock is a pure snapshot of `cur`'s
-                    // current incarnation — an identifiable sole source.
-                    to.note_foreign_join(Some((cur, from.incarnation)));
-                }
-            }
-            to.last_sync = Some((cur, from.incarnation, from.gen, epoch));
+            self.stats.full_clock_joins += 1;
+            let (to, from) = self.fibers.pair_mut(f, self.current);
+            to.clock.join(&from.clock);
         }
         self.current = f;
     }
@@ -224,53 +146,14 @@ impl TsanRuntime {
         // Split borrows: `sync_vars` and `fibers` are disjoint fields, so
         // the release can join by reference; the steady-state path (the
         // sync var already exists) performs no clock allocation at all.
-        let f = self.fibers.get(cur);
-        let clock = &f.clock;
-        let epoch = clock.get(cur);
+        let clock = &self.fibers.get(cur).clock;
         match self.sync_vars.entry(key.0) {
             std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(SyncVar {
-                    clock: clock.clone(),
-                    releaser: cur,
-                    rel_inc: f.incarnation,
-                    rel_gen: f.gen,
-                    epoch,
-                    compressed: true,
-                    last_acq: None,
-                });
+                v.insert(clock.clone());
             }
             std::collections::hash_map::Entry::Occupied(mut o) => {
-                let sv = o.get_mut();
-                if self.epoch_clocks
-                    && sv.compressed
-                    && sv.releaser == cur
-                    && sv.rel_inc == f.incarnation
-                    && sv.rel_gen == f.gen
-                {
-                    // Repeated release with an unchanged clock (same
-                    // generation ⇒ only own-component bumps happened
-                    // since the stamp): the join collapses to updating
-                    // the one component that moved.
-                    sv.clock.set(cur, epoch);
-                    self.stats.epoch_fast_releases += 1;
-                } else {
-                    self.stats.full_clock_joins += 1;
-                    if self.epoch_clocks && clock.dominates(&sv.clock) {
-                        // The join result is exactly this clock, so the
-                        // sync var becomes a pure snapshot again and
-                        // stays eligible for the scalar fast paths.
-                        sv.clock.copy_from(clock);
-                        sv.compressed = true;
-                    } else {
-                        sv.clock.join(clock);
-                        sv.compressed = false;
-                    }
-                }
-                sv.releaser = cur;
-                sv.rel_inc = f.incarnation;
-                sv.rel_gen = f.gen;
-                sv.epoch = epoch;
-                sv.last_acq = None;
+                self.stats.full_clock_joins += 1;
+                o.get_mut().join(clock);
             }
         }
         self.fibers.get_mut(cur).clock.bump(cur);
@@ -281,32 +164,11 @@ impl TsanRuntime {
     /// on `key` (the annotation is then a no-op, as in TSan).
     pub fn annotate_happens_after(&mut self, key: SyncKey) -> bool {
         self.stats.happens_after += 1;
-        let cur = self.current;
-        let Some(sv) = self.sync_vars.get_mut(&key.0) else {
+        let Some(released) = self.sync_vars.get(&key.0) else {
             return false;
         };
-        let f = self.fibers.get_mut(cur);
-        if self.epoch_clocks {
-            // Acquiring a variable we last released ourselves (and whose
-            // clock is still our own snapshot), or re-acquiring one that
-            // has not been released since our last acquire: the sync
-            // clock is already dominated by this fiber's clock, which
-            // only grew in the meantime. Two-word compare, no join.
-            let own_release = sv.compressed && sv.releaser == cur && sv.rel_inc == f.incarnation;
-            let repeat_acquire = sv.last_acq == Some((cur, f.incarnation));
-            if own_release || repeat_acquire {
-                self.stats.epoch_fast_acquires += 1;
-                return true;
-            }
-        }
         self.stats.full_clock_joins += 1;
-        if f.clock.join_changed(&sv.clock) {
-            // A compressed sync clock is a pure snapshot of its releaser,
-            // so the join has an identifiable sole source; a decompressed
-            // (joined) clock does not.
-            f.note_foreign_join(sv.compressed.then_some((sv.releaser, sv.rel_inc)));
-        }
-        sv.last_acq = Some((cur, f.incarnation));
+        self.fibers.get_mut(self.current).clock.join(released);
         true
     }
 
@@ -318,8 +180,16 @@ impl TsanRuntime {
     // ---- memory access annotations ----------------------------------------
 
     /// Intern an access-context label for use with range annotations.
+    /// Panics once [`crate::report::MAX_CTXS`] distinct labels exist.
     pub fn intern_ctx(&mut self, label: &str) -> CtxId {
         self.ctxs.intern(label)
+    }
+
+    /// [`Self::intern_ctx`] for labels the caller did not produce itself
+    /// (a recorded trace): `None` instead of a panic when the table is
+    /// full, with the runtime untouched.
+    pub fn try_intern_ctx(&mut self, label: &str) -> Option<CtxId> {
+        self.ctxs.try_intern(label)
     }
 
     /// Label of an interned context.
@@ -421,7 +291,6 @@ impl TsanRuntime {
         s.fibers_created = self.fibers.created;
         s.fibers_destroyed = self.fibers.destroyed;
         let c = self.shadow.counters();
-        s.fastpath_hits = c.fastpath_hits;
         s.page_summaries_stored = c.page_summaries_stored;
         s.page_unfolds = c.page_unfolds;
         s.dropped_annotations = c.dropped_annotations;
@@ -429,18 +298,6 @@ impl TsanRuntime {
         s.arena_slabs_allocated = c.arena_slabs_allocated;
         s.arena_pages_evicted = c.arena_pages_evicted;
         s
-    }
-
-    /// The current vector clock of a fiber (tests and differential
-    /// harnesses; the epoch-vs-reference proptest compares `dominates`
-    /// outcomes across runtimes through this).
-    pub fn fiber_clock(&self, f: FiberId) -> &VectorClock {
-        &self.fibers.get(f).clock
-    }
-
-    /// Whether the scalar epoch fast paths are active.
-    pub fn epoch_clocks_enabled(&self) -> bool {
-        self.epoch_clocks
     }
 
     /// Cap the shadow's page count; past the budget the detector runs in
@@ -470,7 +327,7 @@ impl TsanRuntime {
         let sync: u64 = self
             .sync_vars
             .values()
-            .map(|sv| sv.clock.heap_bytes() + std::mem::size_of::<SyncVar>() as u64 + 16)
+            .map(|clock| clock.heap_bytes() + std::mem::size_of::<VectorClock>() as u64 + 16)
             .sum();
         self.shadow.heap_bytes() + self.fibers.heap_bytes() + sync + self.ctxs.heap_bytes()
     }
@@ -497,7 +354,6 @@ impl TsanRuntime {
     /// runtimes in the same observable state produce byte-identical
     /// snapshots, and `snapshot(restore(snapshot(x))) == snapshot(x)`.
     pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.epoch_clocks);
         w.put_u32(self.current.index() as u32);
         w.put_u64(self.max_reports as u64);
         self.fibers.write_snapshot(w);
@@ -506,19 +362,8 @@ impl TsanRuntime {
         keys.sort_unstable();
         w.put_len(keys.len());
         for key in keys {
-            let sv = &self.sync_vars[&key];
             w.put_u64(key);
-            write_clock(w, &sv.clock);
-            w.put_u32(sv.releaser.index() as u32);
-            w.put_u32(sv.rel_inc);
-            w.put_u64(sv.rel_gen);
-            w.put_u32(sv.epoch);
-            w.put_bool(sv.compressed);
-            w.put_bool(sv.last_acq.is_some());
-            if let Some((f, inc)) = sv.last_acq {
-                w.put_u32(f.index() as u32);
-                w.put_u32(inc);
-            }
+            write_clock(w, &self.sync_vars[&key]);
         }
         self.ctxs.write_snapshot(w);
         w.put_len(self.reports.len());
@@ -554,12 +399,9 @@ impl TsanRuntime {
             self.stats.races_reported,
             self.stats.races_suppressed,
             self.stats.races_deduped,
-            self.stats.fastpath_hits,
             self.stats.page_summaries_stored,
             self.stats.page_unfolds,
             self.stats.dropped_annotations,
-            self.stats.epoch_fast_acquires,
-            self.stats.epoch_fast_releases,
             self.stats.full_clock_joins,
             self.stats.arena_pages_reused,
             self.stats.arena_slabs_allocated,
@@ -574,7 +416,6 @@ impl TsanRuntime {
     /// one: applying any event suffix to both yields bit-for-bit equal
     /// reports, stats, and shadow evolution.
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let epoch_clocks = r.get_bool()?;
         let current = FiberId::from_index(r.get_u32()? as usize);
         let max_reports = r.get_u64()? as usize;
         let fibers = FiberTable::read_snapshot(r)?;
@@ -597,29 +438,7 @@ impl TsanRuntime {
                 )));
             }
             prev_key = Some(key);
-            let clock = read_clock(r)?;
-            let releaser = FiberId::from_index(r.get_u32()? as usize);
-            let rel_inc = r.get_u32()?;
-            let rel_gen = r.get_u64()?;
-            let epoch = r.get_u32()?;
-            let compressed = r.get_bool()?;
-            let last_acq = if r.get_bool()? {
-                Some((FiberId::from_index(r.get_u32()? as usize), r.get_u32()?))
-            } else {
-                None
-            };
-            sync_vars.insert(
-                key,
-                SyncVar {
-                    clock,
-                    releaser,
-                    rel_inc,
-                    rel_gen,
-                    epoch,
-                    compressed,
-                    last_acq,
-                },
-            );
+            sync_vars.insert(key, read_clock(r)?);
         }
         let ctxs = CtxTable::read_snapshot(r)?;
         let n_reports = r.get_len()?;
@@ -649,7 +468,7 @@ impl TsanRuntime {
             report_keys.insert((r.get_u32()?, r.get_u32()?));
         }
         let suppressions = Suppressions::read_snapshot(r)?;
-        let mut raw = [0u64; 22];
+        let mut raw = [0u64; 19];
         for v in &mut raw {
             *v = r.get_u64()?;
         }
@@ -666,16 +485,14 @@ impl TsanRuntime {
             races_reported: raw[9],
             races_suppressed: raw[10],
             races_deduped: raw[11],
-            fastpath_hits: raw[12],
-            page_summaries_stored: raw[13],
-            page_unfolds: raw[14],
-            dropped_annotations: raw[15],
-            epoch_fast_acquires: raw[16],
-            epoch_fast_releases: raw[17],
-            full_clock_joins: raw[18],
-            arena_pages_reused: raw[19],
-            arena_slabs_allocated: raw[20],
-            arena_pages_evicted: raw[21],
+            page_summaries_stored: raw[12],
+            page_unfolds: raw[13],
+            dropped_annotations: raw[14],
+            full_clock_joins: raw[15],
+            arena_pages_reused: raw[16],
+            arena_slabs_allocated: raw[17],
+            arena_pages_evicted: raw[18],
+            ..TsanStats::default()
         };
         Ok(TsanRuntime {
             fibers,
@@ -688,7 +505,6 @@ impl TsanRuntime {
             suppressions,
             stats,
             max_reports,
-            epoch_clocks,
         })
     }
 
@@ -998,11 +814,10 @@ mod tests {
         let mut t = rt();
         let c = t.intern_ctx("x");
         t.write_range(0, 4096, c);
-        t.write_range(0, 4096, c); // identical re-annotation: fast path
+        t.write_range(0, 4096, c); // identical re-annotation: walked again
         t.write_range(64, 128, c); // partial overlap: unfold
         let s = t.stats();
-        assert_eq!(s.page_summaries_stored, 1);
-        assert_eq!(s.fastpath_hits, 1);
+        assert_eq!(s.page_summaries_stored, 2);
         assert_eq!(s.page_unfolds, 1);
     }
 

@@ -1,5 +1,5 @@
 //! Shadow memory: packed access epochs, 4 slots per 8-byte word, with a
-//! page-summary tier and a same-state fast path on top.
+//! page-summary tier on top.
 //!
 //! Mirrors ThreadSanitizer's shadow layout: every 8 bytes of application
 //! memory map to a small fixed number of *shadow slots*, each recording one
@@ -23,45 +23,38 @@
 //! The instrumentation layers above (CuSan kernel arguments, MUST MPI
 //! buffers, memcpy spans) overwhelmingly annotate *whole buffers* with a
 //! single (fiber, epoch, ctx) — the effect behind the paper's Fig. 12,
-//! where checker cost grows linearly with tracked bytes. Two tiers
-//! collapse that cost for the dominant shapes while preserving exact
+//! where checker cost grows linearly with tracked bytes. The summary tier
+//! collapses that cost for the dominant shapes while preserving exact
 //! per-word detection semantics:
 //!
-//! 1. **Page summaries.** A shadow page whose words all hold identical
-//!    slot contents is stored as one `[u64; 4]` *summary* instead of 512
-//!    word slot-arrays. An access covering every word of a page runs the
-//!    slot state machine **once** against the summary — O(1) per 4 KiB
-//!    instead of 512 word walks, for the store *and* for what it finds:
-//!    each conflicting prior access is emitted as one [`RawConflict`]
-//!    *run* covering the page's 512 words (the per-word walk emits runs
-//!    of one word), which the runtime folds into its dedup set and
-//!    counters in one step. A partial overlap, or a store that would
-//!    evict (eviction is word-local, so words would diverge), lazily
-//!    *unfolds* the summary into the flat word representation first.
+//! **Page summaries.** A shadow page whose words all hold identical
+//! slot contents is stored as one `[u64; 4]` *summary* instead of 512
+//! word slot-arrays. An access covering every word of a page runs the
+//! slot state machine **once** against the summary — O(1) per 4 KiB
+//! instead of 512 word walks, for the store *and* for what it finds:
+//! each conflicting prior access is emitted as one [`RawConflict`]
+//! *run* covering the page's 512 words (the per-word walk emits runs
+//! of one word), which the runtime folds into its dedup set and
+//! counters in one step. A partial overlap, or a store that would
+//! evict (eviction is word-local, so words would diverge), lazily
+//! *unfolds* the summary into the flat word representation first.
 //!
-//!    **Run-valued walk.** The same rule carries over to unfolded pages:
-//!    `walk_runs` scans each maximal run of words holding the same four
-//!    slots once, stores with a strided write (an eviction keeps its
-//!    per-word victim) and emits one [`RawConflict`] run per conflicting
-//!    prior access — cost ∝ distinct word *states*, of which a page that
-//!    partial accesses cut into regions has two or three, not 512. It
-//!    serves every chunk that starts on its page's first word — a
-//!    covered page, and the ragged *last* page of every multi-page range
-//!    — and the chunk that has just materialised its block (a first
-//!    touch: all empty; an unfold: the summary replicated). What is left
-//!    to the per-word `walk_words` is the one chunk that can start
-//!    mid-page, a range's *first*, on an already-unfolded page. The two
-//!    walks are proven equivalent; that chunk stays behind only because
-//!    the ledger's serve ratios charge solo-replay speed-ups as
-//!    regressions and admit one edge per PR, not both (ROADMAP items 0
-//!    and 1).
-//! 2. **Same-state fast path.** The single most common pattern in
-//!    iteration loops (Jacobi, TeaLeaf) is re-annotating an identical
-//!    range with an identical packed epoch — same fiber, clock, ctx, and
-//!    direction. Recording it again is a no-op by construction (the store
-//!    is idempotent and any conflict it would report was already reported
-//!    by the previous call), so a one-entry last-access cache skips the
-//!    entire walk.
+//! **Run-valued walk.** The same rule carries over to unfolded pages:
+//! `walk_runs` scans each maximal run of words holding the same four
+//! slots once, stores with a strided write (an eviction keeps its
+//! per-word victim) and emits one [`RawConflict`] run per conflicting
+//! prior access — cost ∝ distinct word *states*, of which a page that
+//! partial accesses cut into regions has two or three, not 512. It
+//! serves every chunk that starts on its page's first word — a
+//! covered page, and the ragged *last* page of every multi-page range
+//! — and the chunk that has just materialised its block (a first
+//! touch: all empty; an unfold: the summary replicated). What is left
+//! to the per-word `walk_words` is the one chunk that can start
+//! mid-page, a range's *first*, on an already-unfolded page. The two
+//! walks are proven equivalent; that chunk stays behind only because
+//! the ledger's serve ratios charge solo-replay speed-ups as
+//! regressions and admit one edge per PR, not both (ROADMAP items 0
+//! and 1).
 //!
 //! This is the only shadow representation. An independent flat per-word
 //! model lives in `tests/shadow_differential.rs` as the oracle the tiers
@@ -146,8 +139,6 @@ pub struct RawConflict {
 /// [`crate::TsanStats`] and Table I).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShadowCounters {
-    /// Whole accesses skipped by the same-state last-access cache.
-    pub fastpath_hits: u64,
     /// Whole-page accesses recorded at the summary tier (one packed store
     /// instead of a 512-word walk).
     pub page_summaries_stored: u64,
@@ -535,20 +526,10 @@ fn victim_slot(word: u64, fiber: FiberId) -> usize {
     (word as usize ^ fiber.index()) % SLOTS_PER_WORD
 }
 
-/// Key of the same-state fast path: `raw` packs (write, fiber, clock,
-/// ctx), so two equal keys describe fully identical accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LastAccess {
-    addr: u64,
-    len: u64,
-    raw: u64,
-}
-
 /// The shadow memory of one [`crate::TsanRuntime`].
 pub struct ShadowMemory {
     pages: FxHashMap<u64, PageState>,
     arena: PageArena,
-    last: Option<LastAccess>,
     counters: ShadowCounters,
     page_budget: Option<usize>,
 }
@@ -565,7 +546,6 @@ impl ShadowMemory {
         ShadowMemory {
             pages: FxHashMap::default(),
             arena: PageArena::new(),
-            last: None,
             counters: ShadowCounters::default(),
             page_budget: None,
         }
@@ -583,9 +563,6 @@ impl ShadowMemory {
         if let PageState::Unfolded(id) = state {
             self.arena.free_block(id);
         }
-        // The last-access cache may describe a range inside the discarded
-        // page; the next identical access must re-walk, not fast-path.
-        self.last = None;
         true
     }
 
@@ -646,23 +623,6 @@ impl ShadowMemory {
             ctx,
             write,
         });
-        // Same-state fast path: the immediately preceding access was
-        // byte-for-byte identical (same range, fiber, epoch, ctx,
-        // direction). The store is idempotent — the previous call left
-        // our own entry (or skipped, leaving our own write) in every
-        // touched word — and no shadow or conflict state changed in
-        // between, so any conflict this walk would emit was already
-        // emitted then. Skip the whole walk.
-        let key = LastAccess {
-            addr,
-            len,
-            raw: new_raw,
-        };
-        if self.last == Some(key) {
-            self.counters.fastpath_hits += 1;
-            return;
-        }
-        self.last = Some(key);
         let first_word = addr / WORD_BYTES;
         // The range's end is validated upstream: the trace decoders
         // reject records whose `addr + len` overflows, and live ranges
@@ -870,22 +830,15 @@ impl ShadowMemory {
             + self.arena.heap_bytes()
     }
 
-    /// Serialize the entire shadow — the budget, the same-state cache,
-    /// the tier counters, the arena shape, and every page (sorted by
-    /// page key so repeated snapshots of one state are byte-identical).
+    /// Serialize the entire shadow — the budget, the tier counters, the
+    /// arena shape, and every page (sorted by page key so repeated
+    /// snapshots of one state are byte-identical).
     pub(crate) fn write_snapshot(&self, w: &mut SnapshotWriter) {
         w.put_bool(self.page_budget.is_some());
         if let Some(b) = self.page_budget {
             w.put_u64(b as u64);
         }
-        w.put_bool(self.last.is_some());
-        if let Some(la) = self.last {
-            w.put_u64(la.addr);
-            w.put_u64(la.len);
-            w.put_u64(la.raw);
-        }
         // Own counters only — the arena carries its tallies itself.
-        w.put_u64(self.counters.fastpath_hits);
         w.put_u64(self.counters.page_summaries_stored);
         w.put_u64(self.counters.page_unfolds);
         w.put_u64(self.counters.dropped_annotations);
@@ -923,17 +876,7 @@ impl ShadowMemory {
         } else {
             None
         };
-        let last = if r.get_bool()? {
-            Some(LastAccess {
-                addr: r.get_u64()?,
-                len: r.get_u64()?,
-                raw: r.get_u64()?,
-            })
-        } else {
-            None
-        };
         let counters = ShadowCounters {
-            fastpath_hits: r.get_u64()?,
             page_summaries_stored: r.get_u64()?,
             page_unfolds: r.get_u64()?,
             dropped_annotations: r.get_u64()?,
@@ -1001,7 +944,6 @@ impl ShadowMemory {
         Ok(ShadowMemory {
             pages,
             arena,
-            last,
             counters,
             page_budget,
         })
@@ -1622,44 +1564,10 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_skips_identical_reannotation() {
-        let mut sh = ShadowMemory::new();
-        let clk = VectorClock::new();
-        for _ in 0..10 {
-            sh.access_range(
-                0,
-                PAGE_BYTES,
-                true,
-                fid(1),
-                1,
-                ctx(0),
-                &clk,
-                no_conflict_expected,
-            );
-        }
-        assert_eq!(sh.counters().fastpath_hits, 9);
-        assert_eq!(sh.counters().page_summaries_stored, 1);
-        // A different epoch misses the cache and is recorded.
-        sh.access_range(
-            0,
-            PAGE_BYTES,
-            true,
-            fid(1),
-            2,
-            ctx(0),
-            &clk,
-            no_conflict_expected,
-        );
-        assert_eq!(sh.counters().fastpath_hits, 9);
-        assert_eq!(sh.word_accesses(0)[0].clock, 2);
-    }
-
-    #[test]
-    fn fastpath_does_not_mask_interleaved_writer() {
+    fn reissued_read_after_interleaved_writer_conflicts_again() {
         let mut sh = ShadowMemory::new();
         let clk = VectorClock::new();
         sh.access_range(0, PAGE_BYTES, false, fid(1), 1, ctx(0), &clk, |_| {});
-        // Another fiber writes: invalidates the cache by being different.
         let mut hits = 0;
         sh.access_range(0, PAGE_BYTES, true, fid(2), 1, ctx(1), &clk, |c| {
             hits += c.words
@@ -2216,13 +2124,12 @@ mod tests {
 
     // ---- snapshot hardening ------------------------------------------------
 
-    /// The shadow sections that precede the arena: no budget, no cached
-    /// last access, zeroed tier counters.
+    /// The shadow sections that precede the arena: no budget, zeroed
+    /// tier counters.
     fn shadow_snapshot_prefix() -> SnapshotWriter {
         let mut w = SnapshotWriter::new();
         w.put_bool(false);
-        w.put_bool(false);
-        for _ in 0..4 {
+        for _ in 0..3 {
             w.put_u64(0);
         }
         w

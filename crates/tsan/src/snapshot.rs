@@ -32,7 +32,7 @@ use std::fmt;
 /// Magic prefix of a [`crate::TsanRuntime::snapshot_bytes`] blob.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"cusansnp";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot blob could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

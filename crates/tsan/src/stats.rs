@@ -33,8 +33,8 @@ pub struct TsanStats {
     /// Conflicts dropped because an identical (ctx, ctx) pair was already
     /// reported.
     pub races_deduped: u64,
-    /// Whole range annotations skipped by the shadow's same-state
-    /// last-access cache (identical range re-annotated in the same epoch).
+    /// Never written (the same-state cache is gone); stays only because
+    /// the frozen `benchmark/src/probes.rs` names it (ROADMAP item 0(d)).
     pub fastpath_hits: u64,
     /// Whole-page accesses recorded at the page-summary tier (one packed
     /// store instead of a 512-word walk).
@@ -45,17 +45,14 @@ pub struct TsanStats {
     /// Page-sized annotation chunks the shadow dropped after reaching its
     /// page budget (best-effort degradation; 0 unless a budget is set).
     pub dropped_annotations: u64,
-    /// Acquire-side joins skipped by the scalar epoch fast paths: repeat
-    /// acquires and own-release acquires on `annotate_happens_after`,
-    /// plus sync fiber switches whose source clock is provably unchanged.
+    /// Never written (every clock op is a full join); stays only because
+    /// the frozen `benchmark/src/probes.rs` names it (ROADMAP item 0(d)).
     pub epoch_fast_acquires: u64,
-    /// Release-side joins collapsed to a single-component update because
-    /// the releaser's clock was unchanged since its previous release on
-    /// the same sync variable.
+    /// Never written; as [`Self::epoch_fast_acquires`].
     pub epoch_fast_releases: u64,
-    /// Full O(fibers) vector-clock joins performed (release, acquire, and
-    /// sync-switch slow paths). The epoch fast-path hit rate is
-    /// `epoch_fast_acquires + epoch_fast_releases` against this.
+    /// O(fibers) vector-clock joins performed: every release onto an
+    /// existing sync variable, every acquire that finds one, every sync
+    /// switch between distinct fibers.
     pub full_clock_joins: u64,
     /// Shadow page blocks recycled from the arena free list instead of
     /// freshly carved.

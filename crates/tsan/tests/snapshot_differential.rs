@@ -2,8 +2,7 @@
 //! workload at any point with a snapshot→restore round trip must be
 //! invisible — the restored runtime finishes the workload with
 //! bit-for-bit identical reports, stats, and shadow evolution to an
-//! uninterrupted run, with epoch clocks on or off (the join-always
-//! reference), budgeted or not.
+//! uninterrupted run, budgeted or not.
 
 use tsan_rt::{FiberId, SyncKey, TsanRuntime};
 
@@ -155,8 +154,8 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     ops
 }
 
-fn fresh(epoch: bool, budget: Option<usize>) -> TsanRuntime {
-    let mut rt = TsanRuntime::with_epoch_clocks("host", epoch);
+fn fresh(budget: Option<usize>) -> TsanRuntime {
+    let mut rt = TsanRuntime::new("host");
     rt.set_shadow_page_budget(budget);
     rt.add_suppression("suppressed-lib");
     rt
@@ -173,31 +172,29 @@ fn assert_observably_equal(a: &TsanRuntime, b: &TsanRuntime) {
 
 #[test]
 fn snapshot_restore_is_invisible_at_any_split() {
-    for epoch in [true, false] {
-        for seed in [1u64, 42, 0xC0FFEE] {
-            let ops = gen_ops(seed, 300);
-            let budget = if seed == 42 { Some(3) } else { None };
-            let mut reference = fresh(epoch, budget);
-            for op in &ops {
-                apply(&mut reference, op);
+    for seed in [1u64, 42, 0xC0FFEE] {
+        let ops = gen_ops(seed, 300);
+        let budget = if seed == 42 { Some(3) } else { None };
+        let mut reference = fresh(budget);
+        for op in &ops {
+            apply(&mut reference, op);
+        }
+        for split in [0, 1, 37, 150, 299, 300] {
+            let mut head = fresh(budget);
+            for op in &ops[..split] {
+                apply(&mut head, op);
             }
-            for split in [0, 1, 37, 150, 299, 300] {
-                let mut head = fresh(epoch, budget);
-                for op in &ops[..split] {
-                    apply(&mut head, op);
-                }
-                let blob = head.snapshot_bytes();
-                let mut tail = TsanRuntime::restore_bytes(&blob)
-                    .unwrap_or_else(|e| panic!("restore at split {split}: {e}"));
-                // Snapshots are canonical: re-snapshotting the restored
-                // runtime reproduces the blob byte-for-byte.
-                assert_eq!(tail.snapshot_bytes(), blob, "split {split} not canonical");
-                assert_observably_equal(&head, &tail);
-                for op in &ops[split..] {
-                    apply(&mut tail, op);
-                }
-                assert_observably_equal(&reference, &tail);
+            let blob = head.snapshot_bytes();
+            let mut tail = TsanRuntime::restore_bytes(&blob)
+                .unwrap_or_else(|e| panic!("restore at split {split}: {e}"));
+            // Snapshots are canonical: re-snapshotting the restored
+            // runtime reproduces the blob byte-for-byte.
+            assert_eq!(tail.snapshot_bytes(), blob, "split {split} not canonical");
+            assert_observably_equal(&head, &tail);
+            for op in &ops[split..] {
+                apply(&mut tail, op);
             }
+            assert_observably_equal(&reference, &tail);
         }
     }
 }
