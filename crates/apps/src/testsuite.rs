@@ -9,6 +9,11 @@
 //!
 //! Case names follow the upstream convention:
 //! `<category>/<scenario>[_nok]` where `_nok` marks an incorrect program.
+//!
+//! Scheduled runs ([`run_case_scheduled`]) record every rank's trace in
+//! the config's `trace_format`; [`outcome_digest`] hashes those records
+//! straight off [`cusan::TraceReader`], and replaying one goes through
+//! [`cusan::replay_stream`] like any other recording.
 
 use crate::kernels::AppKernels;
 use cuda_sim::{CopyKind, DefaultStreamMode, StreamFlags, StreamId};
@@ -1039,8 +1044,8 @@ pub fn outcome_digest<T>(out: &must_rt::WorldOutcome<T>) -> u64 {
         h.write_u64(r.rank as u64);
         if let Some(bytes) = &r.trace {
             // Records straight off the reader: a digest needs no
-            // materialized `Trace`, and this rank's own recording none of
-            // the consistency checks building one runs.
+            // detector, and this rank's own recording none of the fiber
+            // checks replay runs.
             let reader = cusan::TraceReader::new(&bytes[..]).expect("recorded trace parses");
             for rec in reader {
                 match rec.expect("recorded trace parses") {

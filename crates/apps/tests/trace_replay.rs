@@ -6,10 +6,11 @@
 //! exactly. These tests assert that contract over the full testsuite and
 //! both evaluation mini-apps, plus byte-level determinism of the recorder.
 
-use cusan::{replay, transcode, Flavor, Trace, TraceFormat};
+use cusan::{replay_stream, transcode, Flavor, ToolConfig, TraceFormat};
 use cusan_apps::testsuite::cases;
 use cusan_apps::{
-    kernels::AppKernels, run_jacobi_traced, run_tealeaf_traced, JacobiConfig, TeaLeafConfig,
+    kernels::AppKernels, run_jacobi_traced, run_tealeaf_traced, JacobiConfig, RaceMode,
+    TeaLeafConfig,
 };
 use must_rt::{run_checked_world_traced, RankOutcome};
 use std::sync::Arc;
@@ -24,9 +25,8 @@ fn assert_faithful(what: &str, rank: &RankOutcome) -> [usize; 2] {
         .trace
         .as_deref()
         .expect("traced run must carry a trace");
-    let trace = Trace::from_bytes(bytes)
-        .unwrap_or_else(|e| panic!("{what} rank {}: trace parse failed: {e}", rank.rank));
-    let outcome = replay(&trace);
+    let outcome = replay_stream(bytes)
+        .unwrap_or_else(|e| panic!("{what} rank {}: trace replay failed: {e}", rank.rank));
     assert_eq!(
         outcome.reports, rank.races,
         "{what} rank {}: replayed race reports diverge from live run",
@@ -55,7 +55,7 @@ fn assert_faithful(what: &str, rank: &RankOutcome) -> [usize; 2] {
     };
     let twin = transcode(bytes, twin_format)
         .unwrap_or_else(|e| panic!("{what} rank {}: transcode failed: {e}", rank.rank));
-    let twin_out = replay(&Trace::from_bytes(&twin).expect("twin parses"));
+    let twin_out = replay_stream(&twin[..]).expect("twin replays");
     assert_eq!(
         twin_out.reports,
         outcome.reports,
@@ -165,35 +165,42 @@ fn tealeaf_replay_reproduces_live_run() {
 }
 
 #[test]
-fn streaming_parse_and_replay_match_materialized() {
-    // The serve path never materializes a `Trace`: it streams records
-    // straight into a session. Assert the two parse paths and the two
-    // replay paths agree on real app traces.
-    let cfg = TeaLeafConfig {
-        nx: 16,
-        ny: 16,
-        ranks: 2,
-        steps: 1,
-        ..TeaLeafConfig::default()
-    };
-    let run = run_tealeaf_traced(&cfg, Flavor::MustCusan);
-    for rank in &run.outcome.ranks {
-        let bytes = rank.trace.as_deref().expect("traced run");
-        let materialized = Trace::from_bytes(bytes).expect("parse");
-        let streamed = Trace::from_reader(bytes).expect("from_reader");
-        assert_eq!(materialized.rank, streamed.rank);
-        assert_eq!(materialized.events, streamed.events);
-        assert_eq!(materialized.strings.len(), streamed.strings.len());
-
-        let solo = replay(&materialized);
-        let stream = cusan::replay_stream(bytes).expect("replay_stream");
-        assert_eq!(stream.reports, solo.reports);
-        assert_eq!(stream.stats, solo.stats);
-        assert_eq!(stream.counters, solo.counters);
-        // And both agree with the live run.
-        assert_eq!(stream.reports, rank.races);
-        assert_eq!(stream.stats, rank.tsan);
-        assert_eq!(stream.counters, rank.events);
+fn binary_live_recording_is_the_transcoded_text_recording() {
+    // `ToolConfig::trace_format` is the one way to record binary: the
+    // binary recording of a run is byte for byte its text recording
+    // transcoded, and replays as faithfully — clean and racy alike.
+    for race in [RaceMode::None, RaceMode::SkipSyncBeforeExchange] {
+        let cfg = TeaLeafConfig {
+            nx: 16,
+            ny: 16,
+            ranks: 2,
+            steps: 1,
+            race,
+            ..TeaLeafConfig::default()
+        };
+        let text = run_tealeaf_traced(&cfg, Flavor::MustCusan);
+        let binary = run_tealeaf_traced(
+            &cfg,
+            ToolConfig {
+                trace_format: TraceFormat::Binary,
+                ..Flavor::MustCusan.config()
+            },
+        );
+        assert_eq!(
+            binary.outcome.has_races(),
+            race == RaceMode::SkipSyncBeforeExchange
+        );
+        for (t, b) in text.outcome.ranks.iter().zip(&binary.outcome.ranks) {
+            let text_bytes = t.trace.as_deref().expect("traced run");
+            let binary_bytes = b.trace.as_deref().expect("traced run");
+            assert_eq!(
+                binary_bytes,
+                transcode(text_bytes, TraceFormat::Binary).unwrap(),
+                "{race:?} rank {}: binary recording is not the transcoded text one",
+                b.rank
+            );
+            assert_faithful(&format!("tealeaf {race:?} binary"), b);
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! For every seed, each app runs under a seeded [`FaultPlan`] (every 4th
 //! seed additionally under a shadow-page budget, exercising counted
-//! best-effort degradation) and the soak asserts the robustness
-//! contract end to end:
+//! best-effort degradation; odd seeds record binary traces, even seeds
+//! text) and the soak asserts the robustness contract end to end:
 //!
 //! * **No panics**: every rank either finishes or returns a typed error;
 //!   the harness always collects outcomes.
@@ -21,7 +21,7 @@
 //! Usage: `chaos_soak [seeds]` (default 32; the CI smoke job passes 8,
 //! or set `CHAOS_SEEDS`).
 
-use cusan::{replay, FaultPlan, Flavor, ToolConfig, Trace};
+use cusan::{replay_stream, FaultPlan, Flavor, ToolConfig, TraceFormat};
 use cusan_apps::testsuite::outcome_digest;
 use cusan_apps::{
     run_chaos_jacobi, run_chaos_jacobi_scheduled, run_chaos_tealeaf, run_chaos_tealeaf_scheduled,
@@ -45,6 +45,9 @@ fn soak_config(seed: u64) -> ToolConfig {
     c.faults = FaultPlan::with_rate(seed, RATES[seed as usize % RATES.len()]);
     if seed % 4 == 3 {
         c.shadow_page_budget = Some(BUDGET);
+    }
+    if seed % 2 == 1 {
+        c.trace_format = TraceFormat::Binary;
     }
     c
 }
@@ -96,17 +99,16 @@ fn soak_one(
     // Replay fidelity: the recorded stream reproduces the live run.
     for r in &a.ranks {
         let bytes = r.trace.as_deref().expect("soak runs are traced");
-        let trace = match Trace::from_bytes(bytes) {
-            Ok(t) => t,
+        let out = match replay_stream(bytes) {
+            Ok(out) => out,
             Err(e) => {
                 tally.errs.push(format!(
-                    "{app} seed {seed} rank {}: trace parse error: {e}",
+                    "{app} seed {seed} rank {}: trace replay error: {e}",
                     r.rank
                 ));
                 continue;
             }
         };
-        let out = replay(&trace);
         if out.reports != r.races {
             tally.errs.push(format!(
                 "{app} seed {seed} rank {}: replay races {} != live {}",
@@ -193,17 +195,16 @@ fn soak_explored(
         }
         for r in &ex.value.ranks {
             let bytes = r.trace.as_deref().expect("soak runs are traced");
-            let trace = match Trace::from_bytes(bytes) {
-                Ok(t) => t,
+            let out = match replay_stream(bytes) {
+                Ok(out) => out,
                 Err(e) => {
                     tally.errs.push(format!(
-                        "{app} seed {seed} plan {:?} rank {}: trace parse error: {e}",
+                        "{app} seed {seed} plan {:?} rank {}: trace replay error: {e}",
                         ex.plan, r.rank
                     ));
                     continue;
                 }
             };
-            let out = replay(&trace);
             if out.reports != r.races || out.stats != r.tsan || out.counters != r.events {
                 tally.errs.push(format!(
                     "{app} seed {seed} plan {:?} rank {}: explored replay diverges from live run",

@@ -13,9 +13,8 @@
 //! ```text
 //! replay_trace record <dir>      record Jacobi, TeaLeaf and TeaLeaf with
 //!                                its halo-exchange sync removed (MUST &
-//!                                CuSan) and write one .trace file per
-//!                                rank (CUSAN_TRACE_FORMAT picks the
-//!                                encoding)
+//!                                CuSan) and write one text .trace file
+//!                                per rank (`transcode` makes binary)
 //! replay_trace replay <file>...  replay traces (either format, sniffed),
 //!                                print reports + stats
 //! replay_trace transcode <in> <out>  rewrite a trace into the other
@@ -24,7 +23,7 @@
 //!                                vs transcoded twin (the CI gate)
 //! ```
 
-use cusan::{replay, transcode, Flavor, Trace, TraceFormat};
+use cusan::{replay_stream, transcode, Flavor, TraceFormat, TraceReader, TraceRecord};
 use cusan_apps::{run_jacobi_traced, run_tealeaf_traced, JacobiConfig, RaceMode, TeaLeafConfig};
 use cusan_bench::banner;
 use must_rt::RankOutcome;
@@ -74,11 +73,10 @@ fn record_apps() -> Vec<(&'static str, Vec<RankOutcome>, Duration)> {
 fn verify_rank(app: &str, rank: &RankOutcome) -> Vec<String> {
     let mut errs = Vec::new();
     let bytes = rank.trace.as_deref().expect("traced run carries a trace");
-    let trace = match Trace::from_bytes(bytes) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("{app} rank {}: trace parse error: {e}", rank.rank)],
+    let outcome = match replay_stream(bytes) {
+        Ok(o) => o,
+        Err(e) => return vec![format!("{app} rank {}: trace replay error: {e}", rank.rank)],
     };
-    let outcome = replay(&trace);
     if outcome.reports != rank.races {
         errs.push(format!(
             "{app} rank {}: race reports diverge (live {} vs replay {})",
@@ -130,14 +128,13 @@ fn verify_rank(app: &str, rank: &RankOutcome) -> Vec<String> {
             twin_format.name()
         )),
         Ok(twin) => {
-            match Trace::from_bytes(&twin) {
+            match replay_stream(&twin[..]) {
                 Err(e) => errs.push(format!(
-                    "{app} rank {}: {} twin parse error: {e}",
+                    "{app} rank {}: {} twin replay error: {e}",
                     rank.rank,
                     twin_format.name()
                 )),
-                Ok(twin_trace) => {
-                    let twin_out = replay(&twin_trace);
+                Ok(twin_out) => {
                     if twin_out.reports != outcome.reports
                         || twin_out.stats != outcome.stats
                         || twin_out.counters != outcome.counters
@@ -171,6 +168,19 @@ fn verify_rank(app: &str, rank: &RankOutcome) -> Vec<String> {
         }
     }
     errs
+}
+
+/// Rank and event count of a trace, off the streaming reader.
+fn census(bytes: &[u8]) -> Result<(usize, usize), String> {
+    let reader = TraceReader::new(bytes)?;
+    let rank = reader.header().rank;
+    let mut events = 0;
+    for rec in reader {
+        if let TraceRecord::Event(_) = rec? {
+            events += 1;
+        }
+    }
+    Ok((rank, events))
 }
 
 /// Which format a recorded byte buffer holds (both start with a magic).
@@ -211,15 +221,13 @@ fn cmd_replay(files: &[String]) -> i32 {
                 continue;
             }
         };
-        match Trace::from_bytes(&bytes) {
-            Ok(trace) => {
-                let start = Instant::now();
-                let outcome = replay(&trace);
-                let dt = start.elapsed();
+        let start = Instant::now();
+        let replayed = replay_stream(&bytes[..]);
+        let dt = start.elapsed();
+        match (census(&bytes), replayed) {
+            (Ok((rank, events)), Ok(outcome)) => {
                 println!(
-                    "{f}: rank {} — {} events ({}), {} races, {} fiber switches, {:.2?}",
-                    trace.rank,
-                    trace.events.len(),
+                    "{f}: rank {rank} — {events} events ({}), {} races, {} fiber switches, {:.2?}",
                     sniff(&bytes).name(),
                     outcome.reports.len(),
                     outcome.stats.fiber_switches,
@@ -229,7 +237,7 @@ fn cmd_replay(files: &[String]) -> i32 {
                     println!("{rep}");
                 }
             }
-            Err(e) => {
+            (Err(e), _) | (_, Err(e)) => {
                 eprintln!("{f}: parse error: {e}");
                 status = 1;
             }
@@ -285,7 +293,7 @@ fn cmd_check() -> i32 {
             errs.extend(verify_rank(app, r));
             replay_total += start.elapsed();
             if let Some(t) = &r.trace {
-                events += Trace::from_bytes(t).map(|t| t.events.len()).unwrap_or(0);
+                events += census(t).map_or(0, |(_, n)| n);
             }
         }
         println!(

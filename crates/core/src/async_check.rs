@@ -19,9 +19,10 @@
 //! **Pool, not thread-per-session.** Detection work is proportional to
 //! the event backlog, not to the session count, so the pool sizes itself
 //! from hardware: `min(active sessions, hardware threads − 1)` worker
-//! threads by default (at least one), overridable per registration
-//! (`cusan-serve --check-threads`). Workers scan the registered sessions
-//! round-robin and *steal whole batches* from whichever ring has backlog.
+//! threads by default (at least one), or the count the pool was built
+//! with (`cusan-serve --check-threads`). Workers scan the registered
+//! sessions round-robin and *steal whole batches* from whichever ring has
+//! backlog.
 //! Two invariants make stealing safe:
 //!
 //! 1. **Claim token** — each session's ring endpoint and batch buffer
@@ -63,9 +64,9 @@
 //! * **Workers linger** ([`LINGER_PARKS`]) so one served connection
 //!   after another reuses its threads; the hardware-thread count behind
 //!   [`effective_workers`] is read once per process.
-//! * **Adaptive batches** — the drain batch follows the observed backlog,
-//!   clamped to [`BATCH_MIN`]..=[`BATCH_MAX`]; `max_queue_depth` is ring
-//!   occupancy at send time, never `sent − applied`.
+//! * **Batches** — a drain pops whatever the ring holds, up to
+//!   [`BATCH_MAX`] messages; `max_queue_depth` is ring occupancy at send
+//!   time, never `sent − applied`.
 //! * **Flush barrier** — [`AsyncChecker::flush`] returns only once every
 //!   message sent so far has been applied; [`AsyncChecker::with_session`]
 //!   and [`AsyncChecker::stats`] go through it.
@@ -96,12 +97,8 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Smallest drain-batch target: below this backlog a batch simply takes
-/// what is there (latency mode).
-pub const BATCH_MIN: usize = 8;
-
-/// Largest messages applied per session lock acquisition (throughput
-/// mode; bounds the latency a flusher can see behind one claim).
+/// Largest messages applied per session lock acquisition (bounds the
+/// latency a flusher can see behind one claim).
 pub const BATCH_MAX: usize = 256;
 
 /// Ring capacity in messages: one batch being applied plus one being
@@ -118,8 +115,8 @@ const _: () = assert!(RING_CAPACITY * std::mem::size_of::<Msg>() <= 16 << 10);
 /// the latency of a tail shorter than [`DOORBELL_EVERY`].
 const PARK: Duration = Duration::from_millis(1);
 
-/// `send` wakes the pool once per this many messages. [`BATCH_MIN`] × 8:
-/// large enough that the wake (a syscall plus, on a busy host, a context
+/// `send` wakes the pool once per this many messages: large enough that
+/// the wake (a syscall plus, on a busy host, a context
 /// switch) is amortised over a batch worth applying, small enough that a
 /// woken worker finds the ring at an eighth of [`RING_CAPACITY`].
 pub const DOORBELL_EVERY: u64 = 64;
@@ -144,8 +141,8 @@ fn hardware_threads() -> usize {
 }
 
 /// The worker count the pool converges to for a given number of active
-/// sessions: an explicit override wins, otherwise one worker per session
-/// up to hardware threads − 1 (always at least one so a 1-CPU host still
+/// sessions: an explicit count wins, otherwise one worker per session up
+/// to hardware threads − 1 (always at least one so a 1-CPU host still
 /// drains).
 pub fn effective_workers(active_sessions: usize, explicit: Option<usize>) -> usize {
     if active_sessions == 0 {
@@ -212,8 +209,6 @@ struct SessionSlot {
     /// and serve clients choose their own — so this never does).
     id: u64,
     rank: usize,
-    /// Explicit worker-count request from this session's config, if any.
-    explicit_threads: Option<usize>,
     /// The session under check: detector runtime, mirror interner,
     /// apply path, counters.
     session: Arc<Mutex<CheckSession>>,
@@ -274,23 +269,18 @@ impl SessionSlot {
         Ok(n)
     }
 
-    /// Claim-holder only: steal one adaptive batch off the ring and
-    /// apply it. The batch target follows the observed backlog — small
-    /// near-empty for latency, growing toward [`BATCH_MAX`] with
-    /// occupancy for throughput. A panic inside the detector poisons the
-    /// slot (storing the payload for the owner's drop) instead of
+    /// Claim-holder only: steal one batch — up to [`BATCH_MAX`] messages
+    /// — off the ring and apply it. A panic inside the detector poisons
+    /// the slot (storing the payload for the owner's drop) instead of
     /// killing the worker, and so does a refused event (storing the
     /// refusal for the owner's next call); `Err` means poisoned.
     fn drain_guarded(&self, ing: &mut Ingress) -> Result<usize, ()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(());
         }
-        let backlog = ing.rx.slots_used();
-        if backlog == 0 {
+        if ing.rx.pop_batch(&mut ing.scratch, BATCH_MAX) == 0 {
             return Ok(0);
         }
-        let target = backlog.clamp(BATCH_MIN, BATCH_MAX);
-        ing.rx.pop_batch(&mut ing.scratch, target);
         match std::panic::catch_unwind(AssertUnwindSafe(|| self.apply_scratch(ing))) {
             Ok(Ok(n)) => return Ok(n),
             Ok(Err(refusal)) => *self.refused.lock() = Some(refusal),
@@ -322,6 +312,9 @@ struct PoolState {
 /// which is also what isolates tenants.
 pub struct CheckerPool {
     state: Mutex<PoolState>,
+    /// Explicit worker count (`cusan-serve --check-threads`); `None`
+    /// sizes the pool from hardware.
+    check_threads: Option<usize>,
     /// Producers → workers: new work exists somewhere.
     work_cv: Condvar,
     /// Workers currently parked on `work_cv`; producers skip the notify
@@ -333,15 +326,18 @@ pub struct CheckerPool {
 }
 
 impl CheckerPool {
-    /// A fresh, empty pool. Workers are spawned lazily as sessions
-    /// register and exit on their own once no session needs them.
-    pub fn new() -> Arc<CheckerPool> {
+    /// A fresh, empty pool of `check_threads` workers (`None`: sized
+    /// from hardware, see [`effective_workers`]). Workers are spawned
+    /// lazily as sessions register and exit on their own once no session
+    /// needs them.
+    pub fn new(check_threads: Option<usize>) -> Arc<CheckerPool> {
         Arc::new(CheckerPool {
             state: Mutex::new(PoolState {
                 slots: Vec::new(),
                 alive: Vec::new(),
                 handles: Vec::new(),
             }),
+            check_threads,
             work_cv: Condvar::new(),
             idle: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
@@ -378,12 +374,9 @@ impl CheckerPool {
         parked
     }
 
-    /// Worker count this pool wants for the current registration set:
-    /// the largest explicit per-session request wins over the hardware
-    /// formula (see [`effective_workers`]).
+    /// Worker count this pool wants for the current registration set.
     fn desired_locked(&self, st: &PoolState) -> usize {
-        let explicit = st.slots.iter().filter_map(|s| s.explicit_threads).max();
-        effective_workers(st.slots.len(), explicit)
+        effective_workers(st.slots.len(), self.check_threads)
     }
 
     fn register(self: &Arc<Self>, slot: Arc<SessionSlot>) {
@@ -489,20 +482,13 @@ pub struct AsyncChecker {
 }
 
 impl AsyncChecker {
-    /// Move `session` behind `pool`. `check_threads` is the session's
-    /// explicit worker-count request (`cusan-serve --check-threads`);
-    /// `None` lets the pool size itself from hardware.
-    pub fn with_pool(
-        pool: Arc<CheckerPool>,
-        session: CheckSession,
-        check_threads: Option<usize>,
-    ) -> Self {
+    /// Move `session` behind `pool`.
+    pub fn with_pool(pool: Arc<CheckerPool>, session: CheckSession) -> Self {
         let (tx, rx) = RingBuffer::new(RING_CAPACITY);
         let rank = session.rank();
         let slot = Arc::new(SessionSlot {
             id: pool.next_id.fetch_add(1, Ordering::Relaxed),
             rank,
-            explicit_threads: check_threads,
             session: Arc::new(Mutex::new(session)),
             work: Mutex::new(Ingress {
                 rx,
@@ -727,7 +713,7 @@ impl Drop for AsyncChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CheckerSink, CtxInterner, StrId};
+    use crate::event::{CtxInterner, StrId};
     use tsan_rt::{FiberId, TsanRuntime};
 
     fn session() -> CheckSession {
@@ -761,17 +747,19 @@ mod tests {
     }
 
     fn run_sync(strings: &CtxInterner, evs: &[CusanEvent]) -> tsan_rt::TsanStats {
-        let mut rt = TsanRuntime::new("host");
-        let mut checker = CheckerSink::new();
-        for ev in evs {
-            checker.apply(ev, strings, &mut rt).unwrap();
+        let mut s = session();
+        for i in 0..strings.len() {
+            s.intern(strings.label(StrId(i as u32)));
         }
-        rt.stats()
+        for ev in evs {
+            s.try_apply(ev).unwrap();
+        }
+        s.runtime().stats()
     }
 
     /// A session on a private pool, the way the serve engine builds one.
     fn pooled(check_threads: Option<usize>) -> AsyncChecker {
-        AsyncChecker::with_pool(CheckerPool::new(), session(), check_threads)
+        AsyncChecker::with_pool(CheckerPool::new(check_threads), session())
     }
 
     fn send_intern(ac: &AsyncChecker, label: &str) {
@@ -880,8 +868,8 @@ mod tests {
         // ring turns the producer into the applier; the result is sync's.
         let (strings, evs) = event_stream(20 * RING_CAPACITY as u64 / 3 + 1);
         assert!(evs.len() >= 20 * RING_CAPACITY);
-        let pool = CheckerPool::new();
-        let ac = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+        let pool = CheckerPool::new(Some(1));
+        let ac = AsyncChecker::with_pool(Arc::clone(&pool), session());
         {
             let _parked = pool.state.lock();
             feed(&ac, &strings, &evs);
@@ -990,12 +978,11 @@ mod tests {
         // result bit for bit.
         let (strings, evs) = event_stream(800);
         let expected = run_sync(&strings, &evs);
-        let pool = CheckerPool::new();
-        let a = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+        let pool = CheckerPool::new(Some(1));
+        let a = AsyncChecker::with_pool(Arc::clone(&pool), session());
         let b = AsyncChecker::with_pool(
             Arc::clone(&pool),
             CheckSession::from_runtime(1, TsanRuntime::new("host")),
-            Some(1),
         );
         assert_eq!(pool.worker_count(), 1);
         // Interleave the producers so both rings hold work at once.
@@ -1015,13 +1002,12 @@ mod tests {
     fn stealing_four_sessions_two_workers_is_deterministic() {
         let (strings, evs) = event_stream(400);
         let expected = run_sync(&strings, &evs);
-        let pool = CheckerPool::new();
+        let pool = CheckerPool::new(Some(2));
         let acs: Vec<AsyncChecker> = (0..4)
             .map(|r| {
                 AsyncChecker::with_pool(
                     Arc::clone(&pool),
                     CheckSession::from_runtime(r, TsanRuntime::new("host")),
-                    Some(2),
                 )
             })
             .collect();
@@ -1050,12 +1036,11 @@ mod tests {
         // session 0's flush fast instead of hanging it, (b) leave the
         // worker alive to keep draining session 1, and (c) re-raise the
         // original payload when session 0's handle is dropped.
-        let pool = CheckerPool::new();
-        let bad = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+        let pool = CheckerPool::new(Some(1));
+        let bad = AsyncChecker::with_pool(Arc::clone(&pool), session());
         let good = AsyncChecker::with_pool(
             Arc::clone(&pool),
             CheckSession::from_runtime(1, TsanRuntime::new("host")),
-            Some(1),
         );
         bad.send(Msg::Bug).unwrap();
         let flushed = std::panic::catch_unwind(AssertUnwindSafe(|| bad.flush()));
@@ -1108,9 +1093,9 @@ mod tests {
 
     #[test]
     fn pool_workers_exit_when_no_sessions_remain() {
-        let pool = CheckerPool::new();
+        let pool = CheckerPool::new(Some(2));
         {
-            let ac = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(2));
+            let ac = AsyncChecker::with_pool(Arc::clone(&pool), session());
             let (strings, evs) = event_stream(10);
             feed(&ac, &strings, &evs);
             ac.flush().unwrap();
@@ -1181,11 +1166,11 @@ mod tests {
         // The served pattern: one session after another on a pool that
         // drains to zero in between. The worker outlives the gaps, and
         // still exits once the pool stays empty.
-        let pool = CheckerPool::new();
+        let pool = CheckerPool::new(Some(1));
         let (strings, evs) = event_stream(10);
         let expected = run_sync(&strings, &evs);
         for _ in 0..32 {
-            let ac = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+            let ac = AsyncChecker::with_pool(Arc::clone(&pool), session());
             feed(&ac, &strings, &evs);
             assert_eq!(tsan_stats(&ac), expected);
         }
@@ -1216,12 +1201,11 @@ mod tests {
         // `fs 7`. The refusal stops this session's drain, is reported by
         // every later call, and leaves the worker and its neighbour
         // alone; the drop is quiet.
-        let pool = CheckerPool::new();
-        let bad = AsyncChecker::with_pool(Arc::clone(&pool), session(), Some(1));
+        let pool = CheckerPool::new(Some(1));
+        let bad = AsyncChecker::with_pool(Arc::clone(&pool), session());
         let good = AsyncChecker::with_pool(
             Arc::clone(&pool),
             CheckSession::from_runtime(1, TsanRuntime::new("host")),
-            Some(1),
         );
         let (strings, evs) = event_stream(50);
         feed(&bad, &strings, &evs);

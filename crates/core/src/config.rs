@@ -5,7 +5,8 @@
 //! execution-strategy field: the detector has one shadow (tiered, on the
 //! page arena) and live checking is inline on the calling thread.
 //! [`ToolConfig::VANILLA`] is the only full-field literal; every
-//! [`Flavor`] is a struct update over it.
+//! [`Flavor`] is a struct update over it. Nothing else configures a run:
+//! the product reads no environment variable.
 
 use crate::fault::FaultPlan;
 use crate::trace::TraceFormat;
@@ -44,9 +45,7 @@ pub struct ToolConfig {
     pub bounded_tracking: bool,
     /// Deterministic fault injection (see [`crate::fault`]): at each
     /// intercepted CUDA/MPI call, the plan decides whether the call
-    /// returns its typed error instead of running. Disabled by default;
-    /// the `CUSAN_FAULTS=<seed>:<rate>` knob (read in
-    /// [`crate::ToolCtx::new`]) overrides this field process-wide.
+    /// returns its typed error instead of running. Disabled by default.
     pub faults: FaultPlan,
     /// Shadow-memory page budget: once the detector owns this many shadow
     /// pages it degrades to counted best-effort mode — range annotations
@@ -58,16 +57,12 @@ pub struct ToolConfig {
     /// rank stuck this long in `mpi-sim`'s `SimBarrier` (world barrier
     /// or collective phase barrier) poisons the barrier and every waiter
     /// gets a typed timeout error instead of hanging. `None` (the
-    /// default) keeps the built-in 20 s. The `CUSAN_BARRIER_TIMEOUT_MS`
-    /// knob (read in [`crate::ToolCtx::new`] and the MUST harness)
-    /// overrides this field process-wide.
+    /// default) keeps the built-in 20 s.
     pub barrier_timeout_ms: Option<u64>,
     /// Encoding the per-rank [`crate::TraceSink`] writes when recording
     /// is on: v2 text (the default, human-greppable) or v3 binary (~3×
     /// fewer bytes; see [`crate::binio`]). Readers sniff the format from
-    /// the magic, so this is producer-side only. The
-    /// `CUSAN_TRACE_FORMAT={text,binary}` knob (read in
-    /// [`crate::ToolCtx::new`]) overrides this field process-wide.
+    /// the magic, so this is producer-side only.
     pub trace_format: TraceFormat,
 }
 
@@ -214,9 +209,8 @@ mod tests {
 
     #[test]
     fn trace_format_defaults_to_text() {
-        // Binary recording is opt-in (CUSAN_TRACE_FORMAT=binary); the
-        // text default keeps fresh recordings greppable and fixtures
-        // stable.
+        // Binary recording is opt-in (`trace_format: Binary`); the text
+        // default keeps fresh recordings greppable and fixtures stable.
         for f in Flavor::ALL {
             assert_eq!(f.config().trace_format, TraceFormat::Text, "{f}");
         }

@@ -20,121 +20,55 @@
 //! through the `host_*` helpers here, which emit read/write range events
 //! exactly when the `tsan` flag is active.
 //!
-//! The process-wide `CUSAN_*` product knobs live here too, as one
-//! [`EnvOverrides`] parsed once; [`ToolCtx::new`] applies them over the
-//! config it is given.
+//! [`ToolConfig`] is the only way to configure a run: nothing here reads
+//! the environment, except to warn once per process about `CUSAN_*`
+//! variables earlier versions read.
 
 use crate::config::ToolConfig;
 use crate::event::{CusanEvent, EventCounters, StrId};
-use crate::fault::{FaultInjector, FaultPlan};
+use crate::fault::FaultInjector;
 use crate::session::{CheckSession, SessionOptions, SessionSummary};
-use crate::trace::{TraceFormat, TraceSink};
+use crate::trace::TraceSink;
 use sim_mem::{AddressSpace, MemError, Pod, Ptr};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::Once;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
 
-/// The three process-wide `CUSAN_*` product knobs, parsed from the
-/// environment **once** at first use and frozen: every rank of a run —
-/// and every run in the process — sees the same overrides even if the
-/// environment is mutated mid-run (e.g. by tests). Ranks share barriers
-/// and byte-identical trace twins, so a per-rank divergence would
-/// deadlock or break determinism assertions.
-///
-/// A set field replaces the [`ToolConfig`] field of the same name in
-/// [`ToolCtx::new`]; `None` defers to the config. Unset, empty and
-/// malformed values are all `None` — malformed ones with a warning on
-/// stderr rather than an abort, since a knob must never make a run
-/// *less* robust.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnvOverrides {
-    /// `CUSAN_FAULTS=<seed>:<rate>` (see [`FaultPlan::parse`]).
-    pub faults: Option<FaultPlan>,
-    /// `CUSAN_BARRIER_TIMEOUT_MS=<n>`, a positive poison timeout for the
-    /// simulated-MPI barriers (also read by the MUST harness).
-    pub barrier_timeout_ms: Option<u64>,
-    /// `CUSAN_TRACE_FORMAT={text,binary}`: the encoding recording
-    /// [`TraceSink`]s write. Readers always sniff, so this is
-    /// producer-side only.
-    pub trace_format: Option<TraceFormat>,
-}
-
-static ENV_OVERRIDES: std::sync::OnceLock<EnvOverrides> = std::sync::OnceLock::new();
-
-/// One knob's value: `parse` applied to the trimmed variable.
-fn env_knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    let v = raw.trim();
-    if v.is_empty() {
-        return None;
-    }
-    match parse(v) {
-        Ok(value) => Some(value),
-        Err(why) => {
-            eprintln!("warning: ignoring {name}={raw:?}: {why}");
-            None
-        }
-    }
-}
-
-/// Knobs earlier versions read and this one does not.
-const REMOVED_KNOBS: [&str; 2] = ["CUSAN_ASYNC_CHECK", "CUSAN_CHECK_THREADS"];
+/// Variables earlier versions read, each with what replaced it.
+const REMOVED_KNOBS: [(&str, &str); 5] = [
+    (
+        "CUSAN_ASYNC_CHECK",
+        "live checking is inline; `cusan-serve --check-threads` sizes the pool",
+    ),
+    (
+        "CUSAN_CHECK_THREADS",
+        "live checking is inline; `cusan-serve --check-threads` sizes the pool",
+    ),
+    ("CUSAN_FAULTS", "set `ToolConfig::faults`"),
+    (
+        "CUSAN_BARRIER_TIMEOUT_MS",
+        "set `ToolConfig::barrier_timeout_ms`",
+    ),
+    (
+        "CUSAN_TRACE_FORMAT",
+        "set `ToolConfig::trace_format` or run `replay_trace transcode`",
+    ),
+];
 
 /// One warning per removed knob among the names of set variables, so a
 /// stale setting says it has no effect instead of silently not having
 /// one.
 fn removed_knob_warnings<'a>(set: impl IntoIterator<Item = &'a str>) -> Vec<String> {
     set.into_iter()
-        .filter(|name| REMOVED_KNOBS.contains(name))
-        .map(|name| {
-            format!(
-                "warning: ignoring {name}: no longer read: live checking is inline; \
-                 `cusan-serve --check-threads` sizes the pool"
-            )
+        .filter_map(|name| {
+            let (_, instead) = REMOVED_KNOBS.iter().find(|(knob, _)| *knob == name)?;
+            Some(format!(
+                "warning: ignoring {name}: no longer read: {instead}"
+            ))
         })
         .collect()
-}
-
-fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, String> {
-    match v.parse::<T>() {
-        Ok(n) if n > T::default() => Ok(n),
-        _ => Err("not a positive integer".to_string()),
-    }
-}
-
-impl EnvOverrides {
-    /// The frozen overrides (the first call reads the environment).
-    pub fn get() -> &'static EnvOverrides {
-        ENV_OVERRIDES.get_or_init(|| {
-            let set = REMOVED_KNOBS
-                .into_iter()
-                .filter(|name| std::env::var_os(name).is_some());
-            for line in removed_knob_warnings(set) {
-                eprintln!("{line}");
-            }
-            EnvOverrides {
-                faults: env_knob("CUSAN_FAULTS", FaultPlan::parse),
-                barrier_timeout_ms: env_knob("CUSAN_BARRIER_TIMEOUT_MS", positive),
-                trace_format: env_knob("CUSAN_TRACE_FORMAT", |v| {
-                    TraceFormat::parse(v).ok_or_else(|| "expected `text` or `binary`".to_string())
-                }),
-            }
-        })
-    }
-
-    /// Replace every `config` field that has an override set.
-    fn apply(&self, config: &mut ToolConfig) {
-        if let Some(plan) = self.faults {
-            config.faults = plan;
-        }
-        if let Some(ms) = self.barrier_timeout_ms {
-            config.barrier_timeout_ms = Some(ms);
-        }
-        if let Some(format) = self.trace_format {
-            config.trace_format = format;
-        }
-    }
 }
 
 /// Shared per-rank tool state. Not `Send`: each rank thread owns its own.
@@ -153,10 +87,20 @@ pub struct ToolCtx {
 }
 
 impl ToolCtx {
-    /// Create the context for one rank. The process-wide frozen
-    /// [`EnvOverrides`] replace the `config` fields they set.
-    pub fn new(rank: usize, mut config: ToolConfig) -> Self {
-        EnvOverrides::get().apply(&mut config);
+    /// Create the context for one rank, configured by `config` alone.
+    /// The first call in a process warns about any set variable earlier
+    /// versions read (`REMOVED_KNOBS`).
+    pub fn new(rank: usize, config: ToolConfig) -> Self {
+        static WARN_REMOVED_KNOBS: Once = Once::new();
+        WARN_REMOVED_KNOBS.call_once(|| {
+            let set = REMOVED_KNOBS
+                .iter()
+                .map(|(name, _)| *name)
+                .filter(|name| std::env::var_os(name).is_some());
+            for line in removed_knob_warnings(set) {
+                eprintln!("{line}");
+            }
+        });
         let session = CheckSession::new(&SessionOptions {
             rank,
             shadow_page_budget: config.shadow_page_budget,
@@ -269,11 +213,6 @@ impl ToolCtx {
         }
     }
 
-    /// The active fault plan (after any `CUSAN_FAULTS` override).
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.injector.plan()
-    }
-
     // ---- diagnostics --------------------------------------------------------
 
     /// Report a non-fatal tool-internal problem (e.g. a teardown flush
@@ -372,20 +311,6 @@ impl ToolCtx {
         space.write_at::<T>(ptr, value)
     }
 
-    /// Install suppressions from a TSan-style suppression file
-    /// (`race:<substring>` lines; see the paper's artifact description —
-    /// cluster-specific suppression lists avoid false positives from
-    /// uninstrumented libraries).
-    pub fn load_suppressions(&self, text: &str) -> Result<usize, String> {
-        let sup = tsan_rt::report::Suppressions::parse(text)?;
-        let n = sup.len();
-        let mut session = self.session.borrow_mut();
-        for p in sup.patterns() {
-            session.runtime_mut().add_suppression(p);
-        }
-        Ok(n)
-    }
-
     // ---- results ------------------------------------------------------------
 
     /// Race reports collected so far.
@@ -429,6 +354,7 @@ impl ToolCtx {
 mod tests {
     use super::*;
     use crate::config::Flavor;
+    use crate::fault::FaultPlan;
     use sim_mem::MemKind;
 
     #[test]
@@ -596,9 +522,9 @@ mod tests {
     #[test]
     fn fiber_create_ids_are_the_sessions_across_destroy_and_reuse() {
         // `emit_fiber_create` stamps the id the session's runtime will
-        // assign; `CheckerSink::apply` asserts the two agree on every
-        // FiberCreate, so a wrong stamp panics here. Ids are dense and a
-        // destroyed fiber's slot is reused LIFO.
+        // assign; `CheckSession::apply` refuses — panics, for a live
+        // producer — any FiberCreate where the two differ. Ids are dense
+        // and a destroyed fiber's slot is reused LIFO.
         let ctx = ToolCtx::new(0, Flavor::Cusan.config());
         let a = ctx.emit_fiber_create("a");
         let b = ctx.emit_fiber_create("b");
@@ -624,60 +550,42 @@ mod tests {
             "PATH",
             "CUSAN_CHECK_THREADS",
             "CUSAN_FAULTS",
+            "CUSAN_BENCH_RUNS",
             "CUSAN_ASYNC_CHECK",
+            "CUSAN_BARRIER_TIMEOUT_MS",
+            "CUSAN_TRACE_FORMAT",
         ];
         let lines = removed_knob_warnings(set);
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert!(lines[0].starts_with("warning: ignoring CUSAN_CHECK_THREADS: no longer read"));
-        assert!(lines[1].starts_with("warning: ignoring CUSAN_ASYNC_CHECK: no longer read"));
-        for line in &lines {
-            assert!(line.ends_with("`cusan-serve --check-threads` sizes the pool"));
+        let names = [
+            "CUSAN_CHECK_THREADS",
+            "CUSAN_FAULTS",
+            "CUSAN_ASYNC_CHECK",
+            "CUSAN_BARRIER_TIMEOUT_MS",
+            "CUSAN_TRACE_FORMAT",
+        ];
+        assert_eq!(lines.len(), names.len(), "{lines:?}");
+        for (line, name) in lines.iter().zip(names) {
+            assert!(
+                line.starts_with(&format!("warning: ignoring {name}: no longer read: ")),
+                "{line:?}"
+            );
             assert!(!line.contains('\n') && !line.contains("  "), "{line:?}");
         }
-        assert!(removed_knob_warnings(["CUSAN_FAULTS", "CUSAN_TRACE_FORMAT"]).is_empty());
+        assert!(lines[0].ends_with("`cusan-serve --check-threads` sizes the pool"));
+        assert!(lines[1].ends_with("set `ToolConfig::faults`"));
+        assert!(lines[3].ends_with("set `ToolConfig::barrier_timeout_ms`"));
+        assert!(lines[4].contains("`ToolConfig::trace_format`"));
+        assert!(removed_knob_warnings(["CUSAN_BENCH_RUNS", "PATH"]).is_empty());
         assert!(removed_knob_warnings([]).is_empty());
     }
 
     #[test]
-    fn barrier_timeout_env_is_frozen_and_config_flows() {
-        // Same freeze semantics as every other knob: the first read wins
-        // for the whole process, so all ranks (sharing one barrier) see
-        // one timeout.
-        let frozen = EnvOverrides::get().barrier_timeout_ms;
-        std::env::set_var("CUSAN_BARRIER_TIMEOUT_MS", "12345");
-        assert_eq!(
-            EnvOverrides::get().barrier_timeout_ms,
-            frozen,
-            "env re-read after freeze"
-        );
-        std::env::remove_var("CUSAN_BARRIER_TIMEOUT_MS");
-
-        // The config field flows into the context (unless the frozen env
-        // override replaces it).
+    fn barrier_timeout_flows_from_config() {
         let mut config = Flavor::Must.config();
         config.barrier_timeout_ms = Some(250);
         let ctx = ToolCtx::new(0, config);
-        assert_eq!(ctx.config.barrier_timeout_ms, frozen.or(Some(250)));
+        assert_eq!(ctx.config.barrier_timeout_ms, Some(250));
         let default_ctx = ToolCtx::new(1, Flavor::Must.config());
-        assert_eq!(default_ctx.config.barrier_timeout_ms, frozen);
-    }
-
-    #[test]
-    fn faults_env_is_frozen_process_wide() {
-        // The first read wins for the whole process, so every rank (and
-        // every re-run in one process) sees one plan.
-        let frozen = EnvOverrides::get().faults;
-        let a = ToolCtx::new(0, Flavor::MustCusan.config());
-        std::env::set_var("CUSAN_FAULTS", "123:0.5");
-        assert_eq!(
-            EnvOverrides::get().faults,
-            frozen,
-            "env re-read after freeze"
-        );
-        let b = ToolCtx::new(1, Flavor::MustCusan.config());
-        assert_eq!(a.fault_plan(), b.fault_plan());
-        std::env::remove_var("CUSAN_FAULTS");
-        let expected = frozen.unwrap_or(Flavor::MustCusan.config().faults);
-        assert_eq!(a.fault_plan(), expected);
+        assert_eq!(default_ctx.config.barrier_timeout_ms, None);
     }
 }

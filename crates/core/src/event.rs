@@ -8,11 +8,12 @@
 //! value flowing through an ordered pipeline owned by
 //! [`crate::ToolCtx`]:
 //!
-//! 1. **Checker** ([`CheckerSink`]) — always first. Applies the event to
-//!    the rank's [`TsanRuntime`], producing race reports and Table-I TSan
-//!    counters. The same apply path drives live detection and offline
-//!    trace replay ([`crate::trace::replay`]), which is what makes replay
-//!    reproduce live results exactly.
+//! 1. **Checker** ([`crate::CheckSession::try_apply`]) — always first.
+//!    Applies the event to the rank's detector runtime, producing race
+//!    reports and Table-I TSan counters. The same apply path drives live
+//!    detection, offline trace replay ([`crate::trace::replay_stream`])
+//!    and `cusan-serve`, which is what makes replay reproduce live
+//!    results exactly.
 //! 2. **Counters** ([`EventCounters`]) — the session's, derived purely
 //!    from the event stream (including the named CUDA Table-I rows
 //!    carried by [`CusanEvent::CounterBump`]).
@@ -33,7 +34,7 @@ use std::fmt;
 use std::sync::Arc;
 use tsan_rt::fiber::MAX_FIBERS;
 use tsan_rt::report::MAX_CTXS;
-use tsan_rt::{CtxId, FiberId, SyncKey, TsanRuntime};
+use tsan_rt::{FiberId, SyncKey};
 
 /// Id of a string interned in a [`CtxInterner`]. Ids are dense and
 /// allocated in first-use order, which makes them stable across a
@@ -174,11 +175,11 @@ pub enum CusanEvent {
 /// An event the runtime it is applied to cannot accept. The three fiber
 /// events are the only ones whose meaning depends on earlier events, so
 /// a trace can decode record by record and still describe an execution
-/// no runtime produced; [`CheckerSink::apply`] checks each against the
-/// runtime's own fiber table before touching it and returns this instead
-/// of tripping the runtime's assertions — as it does for a range event
-/// that would overflow the context table. The refused event is not
-/// applied.
+/// no runtime produced; [`crate::CheckSession::try_apply`] checks each
+/// against the runtime's own fiber table before touching it and returns
+/// this instead of tripping the runtime's assertions — as it does for a
+/// range event that would overflow the context table. The refused event
+/// is not applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FiberEventError {
     /// `FiberCreate` stamped with an id other than the one the table
@@ -239,128 +240,6 @@ impl fmt::Display for FiberEventError {
 }
 
 impl std::error::Error for FiberEventError {}
-
-/// The detection sink: applies events to a [`TsanRuntime`].
-///
-/// This is the pre-refactor direct-call behavior, factored into the one
-/// place that translates events into detector calls. Live runs and
-/// [`crate::trace::replay`] both go through [`CheckerSink::apply`], so a
-/// replayed trace reproduces fiber numbering, context interning order,
-/// report dedup, and counters of the live run exactly.
-#[derive(Debug, Default)]
-pub struct CheckerSink {
-    /// Pipeline [`StrId`] → runtime [`CtxId`], filled lazily in first-use
-    /// order (identical live and on replay).
-    ctx_map: Vec<Option<CtxId>>,
-}
-
-impl CheckerSink {
-    /// Fresh checker with an empty context mapping.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn runtime_ctx(
-        &mut self,
-        rt: &mut TsanRuntime,
-        strings: &CtxInterner,
-        id: StrId,
-    ) -> Result<CtxId, FiberEventError> {
-        let idx = id.0 as usize;
-        if let Some(&Some(ctx)) = self.ctx_map.get(idx) {
-            return Ok(ctx);
-        }
-        let ctx = rt
-            .try_intern_ctx(strings.label(id))
-            .ok_or(FiberEventError::ContextTableFull)?;
-        if idx >= self.ctx_map.len() {
-            self.ctx_map.resize(idx + 1, None);
-        }
-        self.ctx_map[idx] = Some(ctx);
-        Ok(ctx)
-    }
-
-    /// The `StrId` → `CtxId` mapping filled so far (session snapshots
-    /// serialize it so a restored checker resolves contexts without
-    /// re-interning in a different order).
-    pub(crate) fn ctx_map(&self) -> &[Option<CtxId>] {
-        &self.ctx_map
-    }
-
-    /// Rebuild a checker around a snapshotted mapping.
-    pub(crate) fn from_ctx_map(ctx_map: Vec<Option<CtxId>>) -> Self {
-        CheckerSink { ctx_map }
-    }
-
-    /// Apply one event to the detector. A fiber event is first checked
-    /// against `rt`'s fiber table — one bounds-and-liveness test — and
-    /// refused, with `rt` untouched, if the table cannot accept it.
-    pub fn apply(
-        &mut self,
-        ev: &CusanEvent,
-        strings: &CtxInterner,
-        rt: &mut TsanRuntime,
-    ) -> Result<(), FiberEventError> {
-        match *ev {
-            CusanEvent::FiberCreate { fiber, name } => {
-                let next = rt.peek_next_fiber();
-                if fiber != next {
-                    return Err(FiberEventError::CreateNotNext { fiber, next });
-                }
-                if next.index() >= MAX_FIBERS {
-                    return Err(FiberEventError::TableFull);
-                }
-                rt.create_fiber(strings.label(name));
-            }
-            CusanEvent::FiberSwitch { fiber, sync } => {
-                if !rt.is_fiber_alive(fiber) {
-                    return Err(FiberEventError::SwitchToDead(fiber));
-                }
-                if sync {
-                    rt.switch_to_fiber_sync(fiber);
-                } else {
-                    rt.switch_to_fiber(fiber);
-                }
-            }
-            CusanEvent::FiberDestroy { fiber } => {
-                if fiber == FiberId::HOST {
-                    return Err(FiberEventError::DestroyHost);
-                }
-                if !rt.is_fiber_alive(fiber) {
-                    return Err(FiberEventError::DestroyDead(fiber));
-                }
-                if fiber == rt.current_fiber() {
-                    return Err(FiberEventError::DestroyCurrent(fiber));
-                }
-                rt.destroy_fiber(fiber);
-            }
-            CusanEvent::HappensBefore { key } => rt.annotate_happens_before(key),
-            CusanEvent::HappensAfter { key } => {
-                rt.annotate_happens_after(key);
-            }
-            CusanEvent::ReadRange { addr, len, ctx } => {
-                let ctx = self.runtime_ctx(rt, strings, ctx)?;
-                rt.read_range(addr, len, ctx);
-            }
-            CusanEvent::WriteRange { addr, len, ctx } => {
-                let ctx = self.runtime_ctx(rt, strings, ctx)?;
-                rt.write_range(addr, len, ctx);
-            }
-            // Markers: no detection semantics. In particular `ApiFault`
-            // must leave the detector untouched — a failed call changes
-            // no happens-before state (the consistency-on-failure
-            // invariant).
-            CusanEvent::Alloc { .. }
-            | CusanEvent::Free { .. }
-            | CusanEvent::RequestBegin { .. }
-            | CusanEvent::RequestComplete { .. }
-            | CusanEvent::CounterBump { .. }
-            | CusanEvent::ApiFault { .. }
-            | CusanEvent::ScheduleChoice { .. } => {}
-        }
-        Ok(())
-    }
-}
 
 /// Counters derived purely from the event stream (the pipeline's own view
 /// of Table I). The `named` map carries [`CusanEvent::CounterBump`] rows —
@@ -492,6 +371,8 @@ pub mod counter_names {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::CheckSession;
+    use tsan_rt::TsanRuntime;
 
     #[test]
     fn interner_dedupes_and_resolves() {
@@ -519,16 +400,19 @@ mod tests {
         assert!(i.shared_label(StrId(99)).is_none());
     }
 
+    /// A session on a runtime whose host fiber is plain `host`.
+    fn session() -> CheckSession {
+        CheckSession::from_runtime(0, TsanRuntime::new("host"))
+    }
+
     #[test]
     fn checker_applies_detection_semantics() {
         // The Fig. 6B pattern, driven entirely through events.
-        let mut strings = CtxInterner::new();
-        let name = strings.intern("cuda stream 0");
-        let cw = strings.intern("kernel write");
-        let cr = strings.intern("host read");
-        let mut rt = TsanRuntime::new("host");
-        let mut checker = CheckerSink::new();
-        let fiber = rt.peek_next_fiber();
+        let mut s = session();
+        let name = s.intern("cuda stream 0");
+        let cw = s.intern("kernel write");
+        let cr = s.intern("host read");
+        let fiber = s.runtime().peek_next_fiber();
         let evs = [
             CusanEvent::FiberCreate { fiber, name },
             CusanEvent::FiberSwitch { fiber, sync: true },
@@ -548,8 +432,9 @@ mod tests {
             },
         ];
         for ev in &evs {
-            checker.apply(ev, &strings, &mut rt).unwrap();
+            s.try_apply(ev).unwrap();
         }
+        let rt = s.runtime();
         assert_eq!(rt.race_count(), 1);
         let r = &rt.reports()[0];
         assert_eq!(r.previous.fiber, "cuda stream 0");
@@ -559,12 +444,10 @@ mod tests {
 
     #[test]
     fn checker_rejects_diverging_fiber_ids() {
-        let mut strings = CtxInterner::new();
-        let name = strings.intern("f");
-        let mut rt = TsanRuntime::new("host");
-        let fresh = rt.stats();
-        // Fiber events never touch the sink's context map.
-        let mut step = |ev: CusanEvent| CheckerSink::new().apply(&ev, &strings, &mut rt);
+        let mut s = session();
+        let name = s.intern("f");
+        let fresh = s.runtime().stats();
+        let mut step = |ev: CusanEvent| s.try_apply(&ev);
         let f = FiberId::from_index;
         let create = |fiber| CusanEvent::FiberCreate { fiber, name };
         let switch = |fiber, sync| CusanEvent::FiberSwitch { fiber, sync };
@@ -599,28 +482,25 @@ mod tests {
         );
         // A refusal leaves the detector as it was: only the four accepted
         // events are counted, and the freed slot is still next.
-        let stats = rt.stats();
+        let stats = s.runtime().stats();
         assert_eq!(stats.fibers_created, fresh.fibers_created + 1);
         assert_eq!(stats.fibers_destroyed, fresh.fibers_destroyed + 1);
         assert_eq!(stats.fiber_switches, fresh.fiber_switches + 2);
-        assert_eq!(rt.peek_next_fiber(), f(1));
+        assert_eq!(s.runtime().peek_next_fiber(), f(1));
     }
 
     #[test]
     fn fiber_create_beyond_the_table_is_refused_not_asserted() {
-        let mut strings = CtxInterner::new();
-        let name = strings.intern("f");
-        let mut rt = TsanRuntime::new("host");
-        let mut checker = CheckerSink::new();
+        let mut s = session();
+        let name = s.intern("f");
         for i in 1..MAX_FIBERS {
             let fiber = FiberId::from_index(i);
-            checker
-                .apply(&CusanEvent::FiberCreate { fiber, name }, &strings, &mut rt)
+            s.try_apply(&CusanEvent::FiberCreate { fiber, name })
                 .unwrap();
         }
         let fiber = FiberId::from_index(MAX_FIBERS);
         assert_eq!(
-            checker.apply(&CusanEvent::FiberCreate { fiber, name }, &strings, &mut rt),
+            s.try_apply(&CusanEvent::FiberCreate { fiber, name }),
             Err(FiberEventError::TableFull)
         );
         // A destroyed slot is handed out again.
@@ -632,7 +512,7 @@ mod tests {
                 name,
             },
         ] {
-            checker.apply(&ev, &strings, &mut rt).unwrap();
+            s.try_apply(&ev).unwrap();
         }
     }
 
@@ -698,15 +578,12 @@ mod tests {
     fn api_fault_is_a_detector_noop() {
         // The consistency-on-failure invariant at the event level: an
         // ApiFault marker must not move any detector state.
-        let mut strings = CtxInterner::new();
-        let call = strings.intern("cudaMalloc");
-        let mut rt = TsanRuntime::new("host");
-        let mut checker = CheckerSink::new();
-        let before = rt.stats();
-        checker
-            .apply(&CusanEvent::ApiFault { call, site: 3 }, &strings, &mut rt)
+        let mut s = session();
+        let call = s.intern("cudaMalloc");
+        let before = s.runtime().stats();
+        s.try_apply(&CusanEvent::ApiFault { call, site: 3 })
             .unwrap();
-        assert_eq!(rt.stats(), before);
-        assert_eq!(rt.race_count(), 0);
+        assert_eq!(s.runtime().stats(), before);
+        assert_eq!(s.runtime().race_count(), 0);
     }
 }

@@ -23,9 +23,7 @@
 //! schedule and offline replay reproduces a faulty run bit-for-bit
 //! without re-deciding anything.
 //!
-//! Configure via [`crate::ToolConfig::faults`] or the process-wide
-//! `CUSAN_FAULTS=<seed>:<rate>` knob (rate is a probability in `[0, 1]`;
-//! see [`crate::ctx::EnvOverrides`]).
+//! Configure via [`crate::ToolConfig::faults`].
 
 use std::cell::Cell;
 
@@ -66,7 +64,7 @@ impl FaultPlan {
         self.rate_ppm > 0
     }
 
-    /// Parse the `CUSAN_FAULTS` knob format `<seed>:<rate>`, where
+    /// Parse the `<seed>:<rate>` spelling of a plan, where
     /// `seed` is a u64 and `rate` a probability in `[0, 1]`
     /// (e.g. `42:0.01`).
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
@@ -169,11 +167,6 @@ impl FaultInjector {
             plan,
             site: Cell::new(0),
         }
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Sites queried so far.

@@ -49,11 +49,11 @@ pub use api::CusanCuda;
 pub use async_check::{AsyncCheckStats, AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
-pub use event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
+pub use event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{
-    replay, replay_stream, transcode, Trace, TraceFormat, TraceHeader, TraceItem, TraceLineParser,
-    TracePushParser, TraceReader, TraceRecord, TraceSink,
+    replay_stream, transcode, TraceFormat, TraceHeader, TraceItem, TracePushParser, TraceReader,
+    TraceRecord, TraceSink,
 };
 pub use tsan_rt::SnapshotError;

@@ -2,10 +2,10 @@
 //!
 //! A [`CheckSession`] bundles everything one checked execution needs on
 //! the *consumer* side of the event pipeline — the [`TsanRuntime`], the
-//! mirror [`CtxInterner`] that resolves event string ids, the
-//! [`CheckerSink`] apply path, and the per-session [`EventCounters`] —
-//! independent of any particular event producer. Three producers drive
-//! sessions today:
+//! mirror [`CtxInterner`] that resolves event string ids, the one match
+//! that translates an event into detector calls, and the per-session
+//! [`EventCounters`] — independent of any particular event producer.
+//! Three producers drive sessions today:
 //!
 //! - **Live instrumentation** — [`crate::ToolCtx`] builds one session per
 //!   rank from its config's page budget and applies the events its
@@ -19,14 +19,18 @@
 //!
 //! All three share one apply path — [`CheckSession::try_apply`], which
 //! [`CheckSession::apply`] wraps for the live producer — and that is what
-//! makes replayed and served results bit-for-bit identical to live runs.
+//! makes replayed and served results bit-for-bit identical to live runs:
+//! it reproduces fiber numbering, context interning order, report dedup
+//! and counters exactly.
 
 use std::sync::Arc;
 
-use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
+use crate::event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 use crate::trace::{TraceHeader, TraceRecord};
+use tsan_rt::fiber::MAX_FIBERS;
 use tsan_rt::{
-    CtxId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime, TsanStats,
+    CtxId, FiberId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime,
+    TsanStats,
 };
 
 /// Magic prefix of a serialized [`CheckSession`] (distinct from the
@@ -89,7 +93,9 @@ pub struct SessionSummary {
 pub struct CheckSession {
     rank: usize,
     strings: CtxInterner,
-    checker: CheckerSink,
+    /// Pipeline [`StrId`] → runtime [`CtxId`], filled lazily in first-use
+    /// order (identical live and on replay).
+    ctx_map: Vec<Option<CtxId>>,
     counters: EventCounters,
     rt: TsanRuntime,
 }
@@ -118,7 +124,7 @@ impl CheckSession {
         CheckSession {
             rank,
             strings: CtxInterner::new(),
-            checker: CheckerSink::new(),
+            ctx_map: Vec::new(),
             counters: EventCounters::default(),
             rt,
         }
@@ -149,15 +155,96 @@ impl CheckSession {
     /// producer of events it did not make itself — a trace, a socket —
     /// calls this.
     pub fn try_apply(&mut self, ev: &CusanEvent) -> Result<(), FiberEventError> {
-        self.checker.apply(ev, &self.strings, &mut self.rt)?;
+        self.detect(ev)?;
         self.counters.observe(ev, &self.strings);
         Ok(())
     }
 
+    /// The runtime context of label `id`, interned on first use.
+    fn runtime_ctx(&mut self, id: StrId) -> Result<CtxId, FiberEventError> {
+        let idx = id.0 as usize;
+        if let Some(&Some(ctx)) = self.ctx_map.get(idx) {
+            return Ok(ctx);
+        }
+        let ctx = self
+            .rt
+            .try_intern_ctx(self.strings.label(id))
+            .ok_or(FiberEventError::ContextTableFull)?;
+        if idx >= self.ctx_map.len() {
+            self.ctx_map.resize(idx + 1, None);
+        }
+        self.ctx_map[idx] = Some(ctx);
+        Ok(ctx)
+    }
+
+    /// Translate one event into detector calls. A fiber event is first
+    /// checked against the runtime's fiber table — one bounds-and-liveness
+    /// test — and refused, with the runtime untouched, if the table cannot
+    /// accept it.
+    fn detect(&mut self, ev: &CusanEvent) -> Result<(), FiberEventError> {
+        match *ev {
+            CusanEvent::FiberCreate { fiber, name } => {
+                let next = self.rt.peek_next_fiber();
+                if fiber != next {
+                    return Err(FiberEventError::CreateNotNext { fiber, next });
+                }
+                if next.index() >= MAX_FIBERS {
+                    return Err(FiberEventError::TableFull);
+                }
+                self.rt.create_fiber(self.strings.label(name));
+            }
+            CusanEvent::FiberSwitch { fiber, sync } => {
+                if !self.rt.is_fiber_alive(fiber) {
+                    return Err(FiberEventError::SwitchToDead(fiber));
+                }
+                if sync {
+                    self.rt.switch_to_fiber_sync(fiber);
+                } else {
+                    self.rt.switch_to_fiber(fiber);
+                }
+            }
+            CusanEvent::FiberDestroy { fiber } => {
+                if fiber == FiberId::HOST {
+                    return Err(FiberEventError::DestroyHost);
+                }
+                if !self.rt.is_fiber_alive(fiber) {
+                    return Err(FiberEventError::DestroyDead(fiber));
+                }
+                if fiber == self.rt.current_fiber() {
+                    return Err(FiberEventError::DestroyCurrent(fiber));
+                }
+                self.rt.destroy_fiber(fiber);
+            }
+            CusanEvent::HappensBefore { key } => self.rt.annotate_happens_before(key),
+            CusanEvent::HappensAfter { key } => {
+                self.rt.annotate_happens_after(key);
+            }
+            CusanEvent::ReadRange { addr, len, ctx } => {
+                let ctx = self.runtime_ctx(ctx)?;
+                self.rt.read_range(addr, len, ctx);
+            }
+            CusanEvent::WriteRange { addr, len, ctx } => {
+                let ctx = self.runtime_ctx(ctx)?;
+                self.rt.write_range(addr, len, ctx);
+            }
+            // Markers: no detection semantics. In particular `ApiFault`
+            // must leave the detector untouched — a failed call changes
+            // no happens-before state (the consistency-on-failure
+            // invariant).
+            CusanEvent::Alloc { .. }
+            | CusanEvent::Free { .. }
+            | CusanEvent::RequestBegin { .. }
+            | CusanEvent::RequestComplete { .. }
+            | CusanEvent::CounterBump { .. }
+            | CusanEvent::ApiFault { .. }
+            | CusanEvent::ScheduleChoice { .. } => {}
+        }
+        Ok(())
+    }
+
     /// [`CheckSession::try_apply`] for a producer that stamps its fiber
-    /// events from this session's own runtime (live instrumentation, a
-    /// [`crate::Trace`] the parser has already checked): a refusal there
-    /// is a bug, so it panics.
+    /// events from this session's own runtime (live instrumentation): a
+    /// refusal there is a bug, so it panics.
     pub fn apply(&mut self, ev: &CusanEvent) {
         if let Err(e) = self.try_apply(ev) {
             panic!("{e}");
@@ -191,11 +278,6 @@ impl CheckSession {
         &self.rt
     }
 
-    /// Mutable access to the detector runtime (suppressions, budget).
-    pub fn runtime_mut(&mut self) -> &mut TsanRuntime {
-        &mut self.rt
-    }
-
     /// Resident shadow pages (the serve path's live-budget unit).
     pub fn shadow_pages(&self) -> usize {
         self.rt.shadow_pages()
@@ -212,7 +294,7 @@ impl CheckSession {
         }
     }
 
-    /// Serialize the complete session — interner, checker context map,
+    /// Serialize the complete session — interner, context map,
     /// event counters, and the full detector runtime — into a
     /// self-describing blob. The encoding is *canonical*: two sessions
     /// with identical observable state produce identical bytes, and
@@ -230,10 +312,9 @@ impl CheckSession {
         for i in 0..self.strings.len() {
             w.put_str(self.strings.label(StrId(i as u32)));
         }
-        // Checker StrId → CtxId map.
-        let ctx_map = self.checker.ctx_map();
-        w.put_len(ctx_map.len());
-        for entry in ctx_map {
+        // StrId → CtxId map.
+        w.put_len(self.ctx_map.len());
+        for entry in &self.ctx_map {
             match entry {
                 Some(ctx) => {
                     w.put_bool(true);
@@ -357,7 +438,7 @@ impl CheckSession {
         Ok(CheckSession {
             rank,
             strings,
-            checker: CheckerSink::from_ctx_map(ctx_map),
+            ctx_map,
             counters,
             rt,
         })

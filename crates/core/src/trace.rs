@@ -1,11 +1,12 @@
 //! Deterministic trace record/replay for the event pipeline.
 //!
-//! [`TraceSink`] serializes one rank's event stream; [`Trace::parse`] /
-//! [`Trace::from_bytes`] read it back; and [`replay`] re-drives a parsed
-//! trace through a fresh [`CheckSession`] via the same apply path used
-//! live — no apps, no simulators. A replayed trace therefore reproduces
-//! the live run's race reports and event counters exactly (asserted by
-//! `crates/apps/tests/trace_replay.rs` across the whole testsuite).
+//! [`TraceSink`] serializes one rank's event stream; [`TraceReader`]
+//! reads it back record by record; and [`replay_stream`] drives those
+//! records through a fresh [`CheckSession`] via the same apply path used
+//! live — no apps, no simulators, and no trace held in memory. A replayed
+//! trace therefore reproduces the live run's race reports and event
+//! counters exactly (asserted by `crates/apps/tests/trace_replay.rs`
+//! across the whole testsuite).
 //!
 //! # Formats
 //!
@@ -17,11 +18,12 @@
 //!
 //! * **v2 text** (the default, human-greppable): line-oriented UTF-8,
 //!   described below.
-//! * **v3 binary** (`CUSAN_TRACE_FORMAT=binary`, ~3× fewer bytes per
-//!   event): LEB128 varints, delta-coded addresses/fiber ids/sync keys,
-//!   one-byte opcodes, length-delimited records, and an end-of-trace
-//!   marker that makes any truncation — even at a record boundary — a
-//!   typed error. See [`crate::binio`] for the full layout.
+//! * **v3 binary** (`ToolConfig::trace_format`, or [`transcode`] a text
+//!   recording; ~3× fewer bytes per event): LEB128 varints, delta-coded
+//!   addresses/fiber ids/sync keys, one-byte opcodes, length-delimited
+//!   records, and an end-of-trace marker that makes any truncation —
+//!   even at a record boundary — a typed error. See [`crate::binio`] for
+//!   the full layout.
 //!
 //! Unknown versions of either family fail parsing loudly instead of
 //! silently misreading old recordings. [`transcode`] converts between
@@ -64,14 +66,14 @@
 //! test) — in either format.
 
 use crate::binio::{self, BinRecord};
-use crate::event::{CheckerSink, CtxInterner, CusanEvent, StrId};
+use crate::event::{CtxInterner, CusanEvent, StrId};
 use crate::session::{CheckSession, SessionSummary};
 use std::cell::RefCell;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::rc::Rc;
 use std::sync::Arc;
-use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey, TsanRuntime};
+use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey};
 
 /// Magic prefix of a text trace header line. The version is part of the
 /// magic: readers reject any other version with a clear message.
@@ -83,7 +85,7 @@ const TRACE_FAMILY: &str = "cusan-trace v";
 
 /// Which encoding a trace writer produces. Readers never need this —
 /// they sniff the magic — so it only appears on the producer side
-/// ([`crate::ToolConfig::trace_format`], `CUSAN_TRACE_FORMAT`).
+/// ([`crate::ToolConfig::trace_format`], [`transcode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
     /// v2 line-oriented UTF-8 (the default; human-greppable).
@@ -93,16 +95,7 @@ pub enum TraceFormat {
 }
 
 impl TraceFormat {
-    /// Parse the `CUSAN_TRACE_FORMAT` knob's value.
-    pub fn parse(s: &str) -> Option<TraceFormat> {
-        match s {
-            "text" => Some(TraceFormat::Text),
-            "binary" => Some(TraceFormat::Binary),
-            _ => None,
-        }
-    }
-
-    /// The knob spelling (`"text"` / `"binary"`).
+    /// The format's name (`"text"` / `"binary"`).
     pub fn name(self) -> &'static str {
         match self {
             TraceFormat::Text => "text",
@@ -293,14 +286,9 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// Text-format sink (the historical default). Returns the sink and
-    /// the shared buffer handle the caller reads after the run.
-    pub fn new(rank: usize, budget: Option<usize>) -> (TraceSink, Rc<RefCell<Vec<u8>>>) {
-        Self::with_format(TraceFormat::Text, rank, budget)
-    }
-
     /// Create a sink in the given format whose header records `rank` and
-    /// the shadow page budget.
+    /// the shadow page budget. Returns the sink and the shared buffer
+    /// handle the caller reads after the run.
     pub fn with_format(
         format: TraceFormat,
         rank: usize,
@@ -348,22 +336,6 @@ impl Drop for TraceSink {
     fn drop(&mut self) {
         self.seal();
     }
-}
-
-/// A parsed trace: one rank's complete event stream plus its string table.
-#[derive(Debug)]
-pub struct Trace {
-    /// Rank the trace was recorded on (names the replay host fiber).
-    pub rank: usize,
-    /// The header's shadow-mode flag; always `true` (see
-    /// [`TraceHeader::tiered`]).
-    pub tiered: bool,
-    /// Shadow page budget of the recording run (`None` = unlimited).
-    pub budget: Option<usize>,
-    /// The string table.
-    pub strings: CtxInterner,
-    /// The events, in emission order.
-    pub events: Vec<CusanEvent>,
 }
 
 fn parse_err(lineno: usize, msg: impl Into<String>) -> String {
@@ -460,53 +432,29 @@ pub enum TraceRecord {
     Event(CusanEvent),
 }
 
-/// Incremental (push-mode) parser for *text* trace body lines.
-///
-/// Feed it complete lines one at a time and it maintains the string
-/// table, the density/defined-id validation, and line numbers for error
-/// messages. [`TracePushParser`] wraps it (next to its binary
-/// counterpart) behind format sniffing; [`TraceReader`] wraps *that* for
-/// pull-mode iteration over a [`BufRead`].
+/// Incremental parser for *text* trace body lines: fed complete lines
+/// one at a time, it maintains the string table, the density/defined-id
+/// validation, and line numbers for error messages. [`TracePushParser`]
+/// wraps it (next to its binary counterpart) behind format sniffing.
 #[derive(Debug, Default)]
-pub struct TraceLineParser {
+struct TraceLineParser {
     strings: CtxInterner,
     /// Body lines consumed so far (the header is line 0, so the first
-    /// body line is 1 — matching the whole-file parser's numbering).
+    /// body line is 1 — matching the file's numbering). The serve spill
+    /// format records it so a restored parser numbers errors alike.
     lineno: usize,
 }
 
 impl TraceLineParser {
-    /// Parser with an empty string table, positioned after the header.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The string table accumulated so far.
-    pub fn strings(&self) -> &CtxInterner {
-        &self.strings
-    }
-
-    /// Consume the parser into its string table.
-    pub fn into_strings(self) -> CtxInterner {
-        self.strings
-    }
-
-    /// Body lines consumed so far (the serve spill format records this
-    /// so a restored parser keeps numbering errors like the original).
-    pub fn lineno(&self) -> usize {
-        self.lineno
-    }
-
-    /// Rebuild a parser mid-stream from a snapshotted string table and
-    /// line position — the inverse of [`Self::into_strings`] +
-    /// [`Self::lineno`], used when a spilled serve session is restored.
-    pub fn from_parts(strings: CtxInterner, lineno: usize) -> Self {
-        TraceLineParser { strings, lineno }
-    }
-
     /// Parse one body line (without its trailing newline). Returns
     /// `Ok(None)` for empty lines.
-    pub fn parse_line(&mut self, line: &str) -> Result<Option<TraceRecord>, String> {
+    ///
+    /// Kept out of line: inlined into [`TracePushParser::poll`] it
+    /// decodes faster, and the ledger's `replay-events/overhead_x` —
+    /// replay ÷ decode-only — reads a faster decoder as a +13 %
+    /// regression (ROADMAP item 0).
+    #[inline(never)]
+    fn parse_line(&mut self, line: &str) -> Result<Option<TraceRecord>, String> {
         self.lineno += 1;
         let lineno = self.lineno;
         if line.is_empty() {
@@ -769,45 +717,12 @@ impl TracePushParser {
         self.eof = true;
     }
 
-    /// The sniffed format (`None` until the first bytes decide it).
-    pub fn format(&self) -> Option<TraceFormat> {
-        match self.state {
-            PushState::Sniff => None,
-            PushState::TextHeader | PushState::TextBody(_) => Some(TraceFormat::Text),
-            PushState::BinHeader | PushState::BinBody(_) => Some(TraceFormat::Binary),
-        }
-    }
-
-    /// True once the header has been yielded (body state).
-    pub fn in_body(&self) -> bool {
-        matches!(self.state, PushState::TextBody(_) | PushState::BinBody(_))
-    }
-
-    /// The string table accumulated so far (`None` before the header).
-    pub fn strings(&self) -> Option<&CtxInterner> {
-        match &self.state {
-            PushState::TextBody(p) => Some(p.strings()),
-            PushState::BinBody(p) => Some(&p.strings),
-            _ => None,
-        }
-    }
-
-    /// Consume the parser into its string table (empty if the header
-    /// never arrived).
-    pub fn into_strings(self) -> CtxInterner {
-        match self.state {
-            PushState::TextBody(p) => p.into_strings(),
-            PushState::BinBody(p) => p.strings,
-            _ => CtxInterner::new(),
-        }
-    }
-
     /// `msg` with the position of the record [`Self::poll`] yielded last,
     /// in the decoders' own style (`trace line N: …` / `trace record N:
     /// …`).
     fn locate(&self, msg: impl fmt::Display) -> String {
         match &self.state {
-            PushState::TextBody(p) => parse_err(p.lineno(), msg.to_string()),
+            PushState::TextBody(p) => parse_err(p.lineno, msg.to_string()),
             PushState::BinBody(p) => rec_err(p.recno, msg.to_string()),
             _ => msg.to_string(),
         }
@@ -853,7 +768,7 @@ impl TracePushParser {
                         .map_err(|_| "trace header is not valid UTF-8".to_string())?;
                     let header = TraceHeader::parse(line)?.reject_flat_shadow()?;
                     self.start += consumed;
-                    self.state = PushState::TextBody(TraceLineParser::new());
+                    self.state = PushState::TextBody(TraceLineParser::default());
                     return Ok(Some(TraceItem::Header(header)));
                 }
                 PushState::TextBody(ref mut parser) => {
@@ -864,7 +779,7 @@ impl TracePushParser {
                         None => return Ok(None),
                     };
                     let line = std::str::from_utf8(&p[..line_len])
-                        .map_err(|_| parse_err(parser.lineno() + 1, "line is not valid UTF-8"))?;
+                        .map_err(|_| parse_err(parser.lineno + 1, "line is not valid UTF-8"))?;
                     let rec = parser.parse_line(line)?;
                     self.start += consumed;
                     if let Some(rec) = rec {
@@ -935,8 +850,8 @@ impl TracePushParser {
             PushState::Sniff | PushState::TextHeader | PushState::BinHeader => w.put_u8(0),
             PushState::TextBody(p) => {
                 w.put_u8(1);
-                w.put_u64(p.lineno() as u64);
-                spill_labels(w, p.strings());
+                w.put_u64(p.lineno as u64);
+                spill_labels(w, &p.strings);
             }
             PushState::BinBody(p) => {
                 w.put_u8(2);
@@ -961,7 +876,7 @@ impl TracePushParser {
             1 => {
                 let lineno = r.get_u64().map_err(err)? as usize;
                 let strings = restore_labels(r)?;
-                PushState::TextBody(TraceLineParser::from_parts(strings, lineno))
+                PushState::TextBody(TraceLineParser { strings, lineno })
             }
             2 => {
                 let recno = r.get_u64().map_err(err)?;
@@ -1070,27 +985,10 @@ impl<R: BufRead> TraceReader<R> {
         &self.header
     }
 
-    /// The sniffed format of the underlying stream.
-    pub fn format(&self) -> TraceFormat {
-        self.parser
-            .format()
-            .expect("format decided with the header")
-    }
-
-    /// The string table accumulated so far.
-    pub fn strings(&self) -> &CtxInterner {
-        self.parser.strings().expect("body state after header")
-    }
-
-    /// Consume the reader into its string table.
-    pub fn into_strings(self) -> CtxInterner {
-        self.parser.into_strings()
-    }
-
     /// `msg` with the position of the record yielded last, in the
     /// decoders' own style (`trace line N: …` / `trace record N: …`) —
     /// for what only applying a record can find wrong with it.
-    pub fn locate(&self, msg: impl fmt::Display) -> String {
+    fn locate(&self, msg: impl fmt::Display) -> String {
         self.parser.locate(msg)
     }
 }
@@ -1132,58 +1030,6 @@ impl<R: BufRead> Iterator for TraceReader<R> {
     }
 }
 
-impl Trace {
-    /// Parse the text format produced by [`TraceSink`]. Wrapper over the
-    /// streaming [`Trace::from_reader`].
-    pub fn parse(text: &str) -> Result<Trace, String> {
-        Self::from_reader(text.as_bytes())
-    }
-
-    /// Parse a trace in whichever format `bytes` holds.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Trace, String> {
-        Self::from_reader(bytes)
-    }
-
-    /// Parse a whole trace from any buffered byte source (text or
-    /// binary, sniffed from the magic). [`replay`] has no error to
-    /// return, so what only applying a record can refuse is refused here:
-    /// the fiber events are applied to a scratch runtime's fiber table as
-    /// they are read, and a `Trace` holds only streams it accepted.
-    pub fn from_reader<R: BufRead>(input: R) -> Result<Trace, String> {
-        let mut reader = TraceReader::new(input)?;
-        let mut events = Vec::new();
-        let mut fibers = TsanRuntime::new("");
-        let mut checker = CheckerSink::new();
-        while let Some(rec) = reader.next() {
-            if let TraceRecord::Event(ev) = rec? {
-                if matches!(
-                    ev,
-                    CusanEvent::FiberCreate { .. }
-                        | CusanEvent::FiberSwitch { .. }
-                        | CusanEvent::FiberDestroy { .. }
-                ) {
-                    checker
-                        .apply(&ev, reader.strings(), &mut fibers)
-                        .map_err(|e| reader.locate(e))?;
-                }
-                events.push(ev);
-            }
-        }
-        let TraceHeader {
-            rank,
-            tiered,
-            budget,
-        } = *reader.header();
-        Ok(Trace {
-            rank,
-            tiered,
-            budget,
-            strings: reader.into_strings(),
-            events,
-        })
-    }
-}
-
 /// Re-encode a trace stream into `format`, record-for-record — the
 /// interleaving of string-table entries and events is preserved, so a
 /// transcoded trace replays identically and a round trip (text → binary
@@ -1205,37 +1051,15 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, S
     Ok(out)
 }
 
-/// Re-drive a recorded trace through a fresh [`CheckSession`].
+/// Replay a recorded trace: drive its records from a [`BufRead`] source
+/// (either format) straight into a fresh [`CheckSession`] built from its
+/// header, in O(1) memory in the trace length.
 ///
-/// Uses the same apply path as the live run ([`CheckSession::apply`]),
+/// Uses the same apply path as the live run ([`CheckSession::try_apply`]),
 /// with the recorded rank's host-fiber name and shadow budget, so
-/// reports (fiber and context labels included), detector stats and
-/// event counters all reproduce exactly. Panics on a fiber event the
-/// session refuses — [`Trace::from_reader`] builds no such trace; one
-/// assembled by hand that does is a bug in the caller.
-pub fn replay(trace: &Trace) -> SessionSummary {
-    let mut session = CheckSession::for_header(&TraceHeader {
-        rank: trace.rank,
-        tiered: trace.tiered,
-        budget: trace.budget,
-    });
-    for i in 0..trace.strings.len() {
-        let label = trace
-            .strings
-            .shared_label(StrId(i as u32))
-            .expect("string table is dense");
-        session.intern_shared(&label);
-    }
-    for ev in &trace.events {
-        session.apply(ev);
-    }
-    session.into_summary()
-}
-
-/// Streaming replay: drive records from a [`BufRead`] source (either
-/// format) straight into a session without materializing a [`Trace`].
-/// Equivalent to `replay(&Trace::from_reader(input)?)` with O(1) memory
-/// in the trace length.
+/// reports (fiber and context labels included), detector stats and event
+/// counters all reproduce exactly. A record that does not decode, or a
+/// fiber event the session refuses, is an error naming its position.
 pub fn replay_stream<R: BufRead>(input: R) -> Result<SessionSummary, String> {
     let mut reader = TraceReader::new(input)?;
     let mut session = CheckSession::for_header(reader.header());
@@ -1261,6 +1085,23 @@ mod tests {
 
     fn record(events: &[(CusanEvent, &CtxInterner)]) -> String {
         String::from_utf8(record_as(TraceFormat::Text, events)).expect("text traces are UTF-8")
+    }
+
+    /// A trace off the streaming reader: header, labels in id order (ids
+    /// are dense) and events.
+    type WholeTrace = (TraceHeader, Vec<Arc<str>>, Vec<CusanEvent>);
+
+    fn read_all(bytes: &[u8]) -> Result<WholeTrace, String> {
+        let mut reader = TraceReader::new(bytes)?;
+        let header = *reader.header();
+        let (mut labels, mut events) = (Vec::new(), Vec::new());
+        for rec in &mut reader {
+            match rec? {
+                TraceRecord::Str { label, .. } => labels.push(label),
+                TraceRecord::Event(ev) => events.push(ev),
+            }
+        }
+        Ok((header, labels, events))
     }
 
     fn sample_events(strings: &mut CtxInterner) -> Vec<CusanEvent> {
@@ -1321,13 +1162,13 @@ mod tests {
         let mut strings = CtxInterner::new();
         let events = sample_events(&mut strings);
         let text = record(&events.iter().map(|e| (*e, &strings)).collect::<Vec<_>>());
-        let trace = Trace::parse(&text).unwrap();
-        assert_eq!(trace.rank, 3);
-        assert!(trace.tiered);
-        assert_eq!(trace.budget, None);
-        assert_eq!(trace.events, events);
-        assert_eq!(trace.strings.label(StrId(0)), "cuda stream 0 (default)");
-        assert_eq!(trace.strings.label(StrId(1)), "kernel k arg#0 (p) [write]");
+        let (header, labels, read) = read_all(text.as_bytes()).unwrap();
+        assert_eq!(header.rank, 3);
+        assert!(header.tiered);
+        assert_eq!(header.budget, None);
+        assert_eq!(read, events);
+        assert_eq!(&*labels[0], "cuda stream 0 (default)");
+        assert_eq!(&*labels[1], "kernel k arg#0 (p) [write]");
     }
 
     #[test]
@@ -1347,22 +1188,11 @@ mod tests {
             bin.len(),
             text.len()
         );
-        let tt = Trace::from_bytes(&text).unwrap();
-        let tb = Trace::from_bytes(&bin).unwrap();
-        assert_eq!(tb.rank, tt.rank);
-        assert_eq!(tb.tiered, tt.tiered);
-        assert_eq!(tb.budget, tt.budget);
-        assert_eq!(tb.events, tt.events);
-        assert_eq!(tb.strings.len(), tt.strings.len());
-        for i in 0..tt.strings.len() {
-            assert_eq!(
-                tb.strings.label(StrId(i as u32)),
-                tt.strings.label(StrId(i as u32))
-            );
-        }
+        // Header, string table and events all agree.
+        assert_eq!(read_all(&bin).unwrap(), read_all(&text).unwrap());
         // Replay is format-blind.
-        let rt = replay(&tt);
-        let rb = replay(&tb);
+        let rt = replay_stream(&text[..]).unwrap();
+        let rb = replay_stream(&bin[..]).unwrap();
         assert_eq!(rb.reports, rt.reports);
         assert_eq!(rb.stats, rt.stats);
         assert_eq!(rb.counters, rt.counters);
@@ -1394,7 +1224,7 @@ mod tests {
         let pairs: Vec<_> = events.iter().map(|e| (*e, &strings)).collect();
         let bin = record_as(TraceFormat::Binary, &pairs);
         for cut in 0..bin.len() {
-            let err = Trace::from_bytes(&bin[..cut])
+            let err = read_all(&bin[..cut])
                 .expect_err(&format!("prefix of {cut}/{} bytes must fail", bin.len()));
             assert!(
                 err.contains("truncated") || err.contains("empty trace"),
@@ -1404,7 +1234,7 @@ mod tests {
         // Trailing garbage after the end marker fails too.
         let mut extra = bin.clone();
         extra.extend_from_slice(&[3, 11, 0]);
-        let err = Trace::from_bytes(&extra).unwrap_err();
+        let err = read_all(&extra).unwrap_err();
         assert!(err.contains("after the end-of-trace marker"), "got: {err}");
     }
 
@@ -1430,29 +1260,30 @@ mod tests {
                     &strings,
                 )],
             );
-            let trace = Trace::from_bytes(&bytes).unwrap();
-            assert_eq!(trace.strings.label(id), "weird \\ label\nwith newline");
+            let (_, labels, _) = read_all(&bytes).unwrap();
+            assert_eq!(&*labels[id.0 as usize], "weird \\ label\nwith newline");
         }
     }
 
     #[test]
     fn parse_rejects_malformed_input() {
-        assert!(Trace::parse("").is_err());
-        assert!(Trace::parse("not-a-trace\n").is_err());
-        assert!(Trace::parse(&format!("{TRACE_MAGIC} rank x tiered 1 budget none\n")).is_err());
-        assert!(Trace::parse(&format!("{TRACE_MAGIC} rank 0 tiered 1 budget zz\n")).is_err());
+        let parse = |text: &str| read_all(text.as_bytes());
+        assert!(parse("").is_err());
+        assert!(parse("not-a-trace\n").is_err());
+        assert!(parse(&format!("{TRACE_MAGIC} rank x tiered 1 budget none\n")).is_err());
+        assert!(parse(&format!("{TRACE_MAGIC} rank 0 tiered 1 budget zz\n")).is_err());
         let ok_header = format!("{TRACE_MAGIC} rank 0 tiered 1 budget none\n");
-        assert!(Trace::parse(&format!("{ok_header}zz 1 2\n")).is_err());
-        assert!(Trace::parse(&format!("{ok_header}rr zz 8 0\n")).is_err());
+        assert!(parse(&format!("{ok_header}zz 1 2\n")).is_err());
+        assert!(parse(&format!("{ok_header}rr zz 8 0\n")).is_err());
         // Event referencing an undefined string id — `af` included.
-        assert!(Trace::parse(&format!("{ok_header}fc 1 0\n")).is_err());
-        assert!(Trace::parse(&format!("{ok_header}af 0 1\n")).is_err());
-        assert!(Trace::parse(&format!("{ok_header}sc 0 2 1\n")).is_err());
+        assert!(parse(&format!("{ok_header}fc 1 0\n")).is_err());
+        assert!(parse(&format!("{ok_header}af 0 1\n")).is_err());
+        assert!(parse(&format!("{ok_header}sc 0 2 1\n")).is_err());
         // Non-dense string table.
-        assert!(Trace::parse(&format!("{ok_header}s 5 label\n")).is_err());
+        assert!(parse(&format!("{ok_header}s 5 label\n")).is_err());
         // Well-formed minimal trace parses.
-        let t = Trace::parse(&format!("{ok_header}s 0 f\nfc 1 0\nfd 1\n")).unwrap();
-        assert_eq!(t.events.len(), 2);
+        let (_, _, events) = parse(&format!("{ok_header}s 0 f\nfc 1 0\nfd 1\n")).unwrap();
+        assert_eq!(events.len(), 2);
     }
 
     /// Both entry points refuse `bytes` at the header, naming the removed
@@ -1494,7 +1325,7 @@ mod tests {
             },
         );
         enc.encode_end(&mut bytes);
-        let err = Trace::from_bytes(&bytes).unwrap_err();
+        let err = read_all(&bytes).unwrap_err();
         assert!(err.contains("undefined string id 0"), "got: {err}");
         // Non-dense string table.
         let mut bytes = Vec::new();
@@ -1502,7 +1333,7 @@ mod tests {
         let mut enc = binio::Encoder::new();
         enc.encode_str(&mut bytes, 5, "label");
         enc.encode_end(&mut bytes);
-        let err = Trace::from_bytes(&bytes).unwrap_err();
+        let err = read_all(&bytes).unwrap_err();
         assert!(err.contains("string table not dense"), "got: {err}");
     }
 
@@ -1529,7 +1360,7 @@ mod tests {
                     err.contains("ffffffffffffffff+16 runs past the end"),
                     "{format:?} {ev:?}: {err}"
                 );
-                assert!(Trace::from_bytes(&bytes).is_err());
+                assert!(read_all(&bytes).is_err());
             }
             // The last representable range is fine, and the shadow walks
             // it without overflowing.
@@ -1576,14 +1407,18 @@ mod tests {
             ] {
                 let want = format!("{at}: inconsistent fiber event: {why}");
                 assert_eq!(replay_stream(bytes).unwrap_err(), want);
-                // `replay` cannot fail, so the parser does.
-                assert_eq!(Trace::from_bytes(bytes).unwrap_err(), want);
+                // Refusing is the checker's job: every record decodes.
+                assert!(read_all(bytes).is_ok());
             }
-            // Without its last record the stream is fine, both ways.
+            // Without its last record the stream is fine, in both
+            // encodings alike.
             let cut = text.trim_end().rfind('\n').unwrap() + 1;
-            let streamed = replay_stream(&text.as_bytes()[..cut]).unwrap();
-            let solo = replay(&Trace::parse(&text[..cut]).unwrap());
-            assert_eq!(streamed, solo);
+            let text = &text.as_bytes()[..cut];
+            let binary = transcode(text, TraceFormat::Binary).unwrap();
+            assert_eq!(
+                replay_stream(text).unwrap(),
+                replay_stream(&binary[..]).unwrap()
+            );
         }
     }
 
@@ -1591,7 +1426,7 @@ mod tests {
     fn parse_rejects_old_version_loudly() {
         // A v1 recording (no budget field, no `af` events) must fail with a
         // version message, not a generic header error.
-        let err = Trace::parse("cusan-trace v1 rank 0 tiered 1\n").unwrap_err();
+        let err = read_all(b"cusan-trace v1 rank 0 tiered 1\n").unwrap_err();
         assert!(
             err.contains("unsupported trace format version"),
             "got: {err}"
@@ -1601,7 +1436,7 @@ mod tests {
         let mut v4 = Vec::new();
         binio::Encoder::encode_header(&mut v4, 0, true, None);
         v4[7] = b'4';
-        let err = Trace::from_bytes(&v4).unwrap_err();
+        let err = read_all(&v4).unwrap_err();
         assert!(
             err.contains("unsupported binary trace version"),
             "got: {err}"
@@ -1637,11 +1472,11 @@ mod tests {
                 let text = std::str::from_utf8(&bytes).unwrap();
                 assert!(text.starts_with(&format!("{TRACE_MAGIC} rank 0 tiered 1 budget 2\n")));
             }
-            let trace = Trace::from_bytes(&bytes).unwrap();
-            assert_eq!(trace.budget, Some(2));
+            let (header, _, _) = read_all(&bytes).unwrap();
+            assert_eq!(header.budget, Some(2));
             // Replay applies the recorded budget, reproducing the
             // degradation counters of the capped live run.
-            let out = replay(&trace);
+            let out = replay_stream(&bytes[..]).unwrap();
             assert_eq!(out.stats.dropped_annotations, 6);
         }
     }
@@ -1676,7 +1511,6 @@ mod tests {
                 budget: None
             }
         );
-        assert_eq!(reader.format(), TraceFormat::Text);
         let recs: Vec<TraceRecord> = reader.by_ref().map(Result::unwrap).collect();
         assert_eq!(recs.len(), 5);
         match &recs[0] {
@@ -1691,23 +1525,8 @@ mod tests {
         // The binary twin yields the identical record stream.
         let bin = transcode(text.as_bytes(), TraceFormat::Binary).unwrap();
         let mut breader = TraceReader::new(&bin[..]).unwrap();
-        assert_eq!(breader.format(), TraceFormat::Binary);
         let brecs: Vec<TraceRecord> = breader.by_ref().map(Result::unwrap).collect();
         assert_eq!(brecs, recs);
-
-        // from_reader (and therefore parse) agrees with the iterator.
-        let trace = Trace::from_reader(text.as_bytes()).unwrap();
-        assert_eq!(trace.events, events);
-        assert_eq!(trace.strings.len(), 2);
-
-        // Streaming replay agrees with materialized replay, per format.
-        let solo = replay(&trace);
-        for bytes in [text.as_bytes(), &bin[..]] {
-            let streamed = replay_stream(bytes).unwrap();
-            assert_eq!(streamed.reports, solo.reports);
-            assert_eq!(streamed.stats, solo.stats);
-            assert_eq!(streamed.counters, solo.counters);
-        }
     }
 
     #[test]
@@ -1717,7 +1536,7 @@ mod tests {
         let pairs: Vec<_> = events.iter().map(|e| (*e, &strings)).collect();
         for format in [TraceFormat::Text, TraceFormat::Binary] {
             let bytes = record_as(format, &pairs);
-            let whole = Trace::from_bytes(&bytes).unwrap();
+            let (whole, _, whole_events) = read_all(&bytes).unwrap();
             for chunk in [1usize, 2, 3, 7, 16] {
                 let mut parser = TracePushParser::new();
                 let mut items = Vec::new();
@@ -1752,14 +1571,14 @@ mod tests {
                     }
                 }
                 assert_eq!(header.unwrap().rank, whole.rank, "{format:?} chunk {chunk}");
-                assert_eq!(got_events, whole.events, "{format:?} chunk {chunk}");
+                assert_eq!(got_events, whole_events, "{format:?} chunk {chunk}");
             }
         }
     }
 
     #[test]
     fn incremental_parser_keeps_line_numbers() {
-        let mut p = TraceLineParser::new();
+        let mut p = TraceLineParser::default();
         assert!(p.parse_line("s 0 f").unwrap().is_some());
         assert!(p.parse_line("").unwrap().is_none());
         let err = p.parse_line("rr zz 8 0").unwrap_err();
@@ -1796,8 +1615,7 @@ mod tests {
             },
         ];
         let text = record(&events.iter().map(|e| (*e, &strings)).collect::<Vec<_>>());
-        let trace = Trace::parse(&text).unwrap();
-        let out = replay(&trace);
+        let out = replay_stream(text.as_bytes()).unwrap();
         assert_eq!(out.reports.len(), 1);
         assert_eq!(out.reports[0].previous.fiber, "cuda stream 0");
         assert_eq!(out.stats.read_range_calls, 1);

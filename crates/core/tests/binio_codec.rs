@@ -19,7 +19,7 @@
 //! path of the text twin), and empty event streams.
 
 use cusan::binio::{BinRecord, Decoder, Encoder};
-use cusan::{transcode, CusanEvent, StrId, Trace, TraceFormat, TraceReader, TraceRecord};
+use cusan::{transcode, CusanEvent, StrId, TraceFormat, TraceReader, TraceRecord};
 use proptest::prelude::*;
 use tsan_rt::{FiberId, SyncKey};
 
@@ -63,9 +63,9 @@ fn encode(
     buf
 }
 
-/// Every event of a stream, through the streaming reader. Not
-/// `Trace::from_bytes`: that also refuses fiber events no runtime could
-/// have produced, which the arbitrary ones below are.
+/// Every event of a stream, through the streaming reader. It only
+/// decodes: refusing fiber events no runtime could have produced — which
+/// the arbitrary ones below are — is replay's job.
 fn read_events(bytes: &[u8]) -> Result<Vec<CusanEvent>, String> {
     let mut events = Vec::new();
     for rec in TraceReader::new(bytes)? {
@@ -164,7 +164,7 @@ proptest! {
         // readers refuse `tiered 0` (a recording made on the removed flat
         // shadow), so the reader-level properties run on a `tiered 1` twin.
         if !tiered {
-            let refused = Trace::from_bytes(&bytes).expect_err("flat-shadow header accepted");
+            let refused = read_events(&bytes).expect_err("flat-shadow header accepted");
             prop_assert!(refused.contains("flat shadow"), "{}", refused);
         }
         let bytes = encode(rank, true, budget, &labels, &events);

@@ -118,16 +118,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// True if the operator is a comparison (result is `i64` 0/1).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        )
-    }
-}
-
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {

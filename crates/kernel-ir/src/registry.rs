@@ -188,16 +188,6 @@ impl<'a> NativeCtx<'a> {
         NativeCtx { grid, kernel, args }
     }
 
-    /// Kernel name (diagnostics).
-    pub fn kernel_name(&self) -> &str {
-        self.kernel
-    }
-
-    /// Number of bound arguments.
-    pub fn arg_count(&self) -> usize {
-        self.args.len()
-    }
-
     /// Scalar `f64` argument.
     pub fn f64_arg(&self, i: usize) -> f64 {
         match self.args[i] {

@@ -8,6 +8,10 @@
 //! application closure, flushes the device, and collects per-rank
 //! outcomes: race reports, MUST diagnostics, Table-I counters, and memory
 //! accounting.
+//!
+//! The [`ToolConfig`] it is given is the whole configuration: every rank
+//! gets the same one, and the world's barrier poison timeout is its
+//! `barrier_timeout_ms`. Nothing is read from the environment.
 
 use crate::checks::MustReport;
 use crate::mpi::CheckedMpi;
@@ -119,14 +123,6 @@ impl<T> WorldOutcome<T> {
     pub fn total_tool_memory(&self) -> u64 {
         self.ranks.iter().map(|r| r.tool_memory_bytes).sum()
     }
-
-    /// All tool diagnostics, rank-tagged.
-    pub fn all_diagnostics(&self) -> Vec<(usize, String)> {
-        self.ranks
-            .iter()
-            .flat_map(|r| r.diagnostics.iter().map(move |d| (r.rank, d.clone())))
-            .collect()
-    }
 }
 
 /// Run an `n`-rank CUDA-aware MPI application under the given tool
@@ -143,7 +139,7 @@ pub fn run_checked_world<T: Send>(
 
 /// Like [`run_checked_world`], but with a trace sink installed on every
 /// rank: each [`RankOutcome::trace`] carries the rank's serialized event
-/// stream, replayable offline with [`cusan::replay`].
+/// stream, replayable offline with [`cusan::replay_stream`].
 pub fn run_checked_world_traced<T: Send>(
     n: usize,
     config: impl Into<ToolConfig>,
@@ -207,12 +203,9 @@ fn run_world_impl<T: Send>(
     let space = Arc::new(AddressSpace::new());
     let space_for_stats = Arc::clone(&space);
     let registry = &registry;
-    // Resolve the barrier poison timeout exactly like ToolCtx resolves
-    // its knobs: the frozen CUSAN_BARRIER_TIMEOUT_MS override wins over
-    // the config field; both unset keeps mpi-sim's standard timeout.
-    let barrier_timeout = cusan::ctx::EnvOverrides::get()
+    // Unset keeps mpi-sim's standard barrier poison timeout.
+    let barrier_timeout = config
         .barrier_timeout_ms
-        .or(config.barrier_timeout_ms)
         .map(std::time::Duration::from_millis);
     let sched = plan
         .as_ref()

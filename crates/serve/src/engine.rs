@@ -265,7 +265,7 @@ impl ServeEngine {
             let _ = fs::create_dir_all(dir);
         }
         Arc::new_cyclic(|me| ServeEngine {
-            pool: CheckerPool::new(),
+            pool: CheckerPool::new(config.check_threads),
             config,
             labels: SharedLabels::new(),
             state: Mutex::new(EngineState::default()),
@@ -301,11 +301,6 @@ impl ServeEngine {
         }
         drop(live);
         Ok(engine)
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// The shared checker pool sessions register with.

@@ -101,7 +101,6 @@ impl SessionIngest {
                     let checker = AsyncChecker::with_pool(
                         Arc::clone(engine.pool()),
                         CheckSession::for_header(&header),
-                        engine.config().check_threads,
                     );
                     engine.note_open();
                     self.state = IngestState::Body { checker };
@@ -190,11 +189,7 @@ impl SessionIngest {
             1 => {
                 let session_blob = r.get_bytes().map_err(err)?;
                 let session = CheckSession::restore_bytes(session_blob).map_err(err)?;
-                let checker = AsyncChecker::with_pool(
-                    Arc::clone(engine.pool()),
-                    session,
-                    engine.config().check_threads,
-                );
+                let checker = AsyncChecker::with_pool(Arc::clone(engine.pool()), session);
                 IngestState::Body { checker }
             }
             t => return Err(format!("corrupt session spill: unknown state tag {t}")),

@@ -198,12 +198,8 @@ fn binary_corpus_serves_identically_to_text() {
     // Transcode every corpus trace into the v3 binary encoding and serve
     // *those*: the summaries must still be byte-identical to solo sync
     // replays of the text originals — the serve determinism contract is
-    // format-blind. The corpus is recorded in whatever encoding
-    // `CUSAN_TRACE_FORMAT` picked, so it is normalised to text first.
-    let text: Vec<Vec<u8>> = corpus()
-        .iter()
-        .map(|t| cusan::transcode(&t[..], cusan::TraceFormat::Text).expect("transcode"))
-        .collect();
+    // format-blind.
+    let text = corpus();
     let solo: Vec<_> = text
         .iter()
         .map(|t| solo_summary(t).expect("corpus traces parse"))

@@ -6,8 +6,8 @@
 //! panic, not its connection, not the session next to it, not the
 //! listener.
 //!
-//! The solo legs of the same matrix (`replay_stream`, `Trace::from_bytes`)
-//! are `inconsistent_fiber_events_are_refused_in_both_encodings` in
+//! The solo leg of the same matrix (`replay_stream`) is
+//! `inconsistent_fiber_events_are_refused_in_both_encodings` in
 //! `crates/core/src/trace.rs`.
 
 use cusan::{transcode, TraceFormat};

@@ -60,11 +60,6 @@ impl TsanRuntime {
 
     // ---- fibers -----------------------------------------------------------
 
-    /// The host fiber id.
-    pub fn host_fiber(&self) -> FiberId {
-        FiberId::HOST
-    }
-
     /// The currently active fiber.
     pub fn current_fiber(&self) -> FiberId {
         self.current

@@ -120,8 +120,7 @@ fn explored_schedules_replay_bit_for_bit() {
         // Offline replay of the recorded trace reproduces the live run.
         for rank in &run.value.ranks {
             let bytes = rank.trace.as_ref().expect("scheduled runs are traced");
-            let trace = cusan::Trace::from_bytes(bytes).expect("trace parses");
-            let replayed = cusan::replay(&trace);
+            let replayed = cusan::replay_stream(&bytes[..]).expect("trace replays");
             assert_eq!(replayed.reports.len(), rank.races.len());
             for (a, b) in replayed.reports.iter().zip(rank.races.iter()) {
                 assert_eq!(a.to_string(), b.to_string());

@@ -25,8 +25,11 @@
 //! cusan-serve check tests/data/tealeaf_small_racy.trace > tests/data/tealeaf_small_racy.summary.json
 //! ```
 
-use cusan::{replay, replay_stream, transcode, CusanEvent, Trace, TraceFormat};
+use cusan::{
+    replay_stream, transcode, CusanEvent, TraceFormat, TraceHeader, TraceReader, TraceRecord,
+};
 use cusan_serve::summary_to_json;
+use std::sync::Arc;
 
 const FIXTURE: &str = include_str!("data/tealeaf_small.trace");
 const FIXTURE_BIN: &[u8] = include_bytes!("data/tealeaf_small.trace.bin");
@@ -54,17 +57,30 @@ fn golden_summaries_are_reproduced_byte_for_byte() {
     }
 }
 
+/// A whole trace off the streaming reader: header, string table in id
+/// order, events.
+fn read(bytes: &[u8]) -> (TraceHeader, Vec<Arc<str>>, Vec<CusanEvent>) {
+    let mut reader = TraceReader::new(bytes).expect("checked-in fixture must stay parseable");
+    let header = *reader.header();
+    let (mut labels, mut events) = (Vec::new(), Vec::new());
+    for rec in &mut reader {
+        match rec.expect("checked-in fixture must stay parseable") {
+            TraceRecord::Str { label, .. } => labels.push(label),
+            TraceRecord::Event(ev) => events.push(ev),
+        }
+    }
+    (header, labels, events)
+}
+
 #[test]
 fn golden_tealeaf_trace_parses() {
-    let trace = Trace::parse(FIXTURE).expect("checked-in fixture must stay parseable");
-    assert_eq!(trace.rank, 0);
-    assert!(trace.tiered);
-    assert_eq!(trace.events.len(), 2386);
+    let (header, labels, events) = read(FIXTURE.as_bytes());
+    assert_eq!(header.rank, 0);
+    assert!(header.tiered);
+    assert_eq!(events.len(), 2386);
     // Every referenced label resolved during parsing; spot-check the
     // interned vocabulary.
-    let labels: Vec<&str> = (0..trace.strings.len() as u32)
-        .map(|i| trace.strings.label(cusan::StrId(i)))
-        .collect();
+    let labels: Vec<&str> = labels.iter().map(|l| &**l).collect();
     assert!(labels.contains(&"cuda stream 0 (default)"));
     assert!(labels.contains(&"cuda.kernel_calls"));
     assert!(labels.iter().any(|l| l.starts_with("mpi req#")));
@@ -72,8 +88,7 @@ fn golden_tealeaf_trace_parses() {
 
 #[test]
 fn golden_tealeaf_trace_replays_clean() {
-    let trace = Trace::parse(FIXTURE).unwrap();
-    let outcome = replay(&trace);
+    let outcome = replay_stream(FIXTURE.as_bytes()).unwrap();
     // The recording is of a correct program: replay must agree.
     assert_eq!(outcome.reports, vec![]);
     assert_eq!(outcome.stats.fiber_switches, 586);
@@ -107,16 +122,10 @@ fn golden_binary_twin_stays_in_lockstep_with_text() {
 
 #[test]
 fn golden_binary_twin_parses_and_replays_identically() {
-    let text = Trace::parse(FIXTURE).unwrap();
-    let bin =
-        Trace::from_bytes(FIXTURE_BIN).expect("checked-in binary fixture must stay parseable");
-    assert_eq!(bin.rank, text.rank);
-    assert_eq!(bin.tiered, text.tiered);
-    assert_eq!(bin.budget, text.budget);
-    assert_eq!(bin.events, text.events);
-    assert_eq!(bin.strings.len(), text.strings.len());
-    let t = replay(&text);
-    let b = replay(&bin);
+    // Header, string table and events all agree.
+    assert_eq!(read(FIXTURE_BIN), read(FIXTURE.as_bytes()));
+    let t = replay_stream(FIXTURE.as_bytes()).unwrap();
+    let b = replay_stream(FIXTURE_BIN).unwrap();
     assert_eq!(b.reports, t.reports);
     assert_eq!(b.stats, t.stats);
     assert_eq!(b.counters, t.counters);
@@ -126,7 +135,7 @@ fn golden_binary_twin_parses_and_replays_identically() {
 fn binary_twin_meets_the_compression_target() {
     // The headline perf claim, gated on the checked-in recording: the v3
     // encoding spends ≤ 1/2.5 the bytes per event of the text format.
-    let events = Trace::parse(FIXTURE).unwrap().events.len() as f64;
+    let events = read(FIXTURE.as_bytes()).2.len() as f64;
     let text_bpe = FIXTURE.len() as f64 / events;
     let bin_bpe = FIXTURE_BIN.len() as f64 / events;
     assert!(
@@ -140,14 +149,12 @@ fn binary_twin_meets_the_compression_target() {
 fn fixture_event_mix_matches_tealeaf_shape() {
     // TeaLeaf is the non-blocking app: one CUDA stream, many MPI request
     // fibers (paper Table I: fibers ≫ streams).
-    let trace = Trace::parse(FIXTURE).unwrap();
-    let creates = trace
-        .events
+    let (_, _, events) = read(FIXTURE.as_bytes());
+    let creates = events
         .iter()
         .filter(|e| matches!(e, CusanEvent::FiberCreate { .. }))
         .count();
-    let destroys = trace
-        .events
+    let destroys = events
         .iter()
         .filter(|e| matches!(e, CusanEvent::FiberDestroy { .. }))
         .count();
