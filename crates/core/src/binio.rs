@@ -75,6 +75,7 @@ pub const BIN_FAMILY: &[u8; 7] = b"cusanbt";
 /// Hard cap on one record's payload length. Real records are tens of
 /// bytes (the longest are string-table labels); a length field beyond
 /// this is corruption, not a record we should wait for more bytes on.
+/// Text traces cap a line (header included) at the same length.
 pub const MAX_RECORD: u64 = 1 << 20;
 
 /// Typed decode error for the binary trace codec.

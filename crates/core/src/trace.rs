@@ -61,6 +61,9 @@
 //! | `af <call> <site>` | injected API fault |
 //! | `sc <kind> <arity> <chosen>` | resolved schedule choice point |
 //!
+//! A line, header included, holds at most [`binio::MAX_RECORD`] bytes;
+//! readers refuse a longer one as soon as that much of it has arrived.
+//!
 //! All writers format identically, so two recordings of the same
 //! deterministic run are byte-identical (see the Jacobi determinism
 //! test) — in either format.
@@ -679,6 +682,9 @@ pub struct TracePushParser {
     buf: Vec<u8>,
     /// Consumed prefix of `buf` (compacted on the next feed).
     start: usize,
+    /// Bytes after `start` already searched for the end of a text line,
+    /// so a line that arrives in many chunks is scanned once.
+    scanned: usize,
     eof: bool,
     state: PushState,
 }
@@ -695,6 +701,7 @@ impl TracePushParser {
         TracePushParser {
             buf: Vec::new(),
             start: 0,
+            scanned: 0,
             eof: false,
             state: PushState::Sniff,
         }
@@ -759,10 +766,10 @@ impl TracePushParser {
                 }
                 PushState::TextHeader => {
                     let p = &self.buf[self.start..];
-                    let (line_len, consumed) = match p.iter().position(|&b| b == b'\n') {
-                        Some(i) => (i, i + 1),
-                        None if self.eof => (p.len(), p.len()),
-                        None => return Ok(None),
+                    let Some((line_len, consumed)) =
+                        text_line(p, &mut self.scanned, self.eof).map_err(|e| parse_err(0, e))?
+                    else {
+                        return Ok(None);
                     };
                     let line = std::str::from_utf8(&p[..line_len])
                         .map_err(|_| "trace header is not valid UTF-8".to_string())?;
@@ -773,10 +780,10 @@ impl TracePushParser {
                 }
                 PushState::TextBody(ref mut parser) => {
                     let p = &self.buf[self.start..];
-                    let (line_len, consumed) = match p.iter().position(|&b| b == b'\n') {
-                        Some(i) => (i, i + 1),
-                        None if self.eof && !p.is_empty() => (p.len(), p.len()),
-                        None => return Ok(None),
+                    let Some((line_len, consumed)) = text_line(p, &mut self.scanned, self.eof)
+                        .map_err(|e| parse_err(parser.lineno + 1, e))?
+                    else {
+                        return Ok(None);
                     };
                     let line = std::str::from_utf8(&p[..line_len])
                         .map_err(|_| parse_err(parser.lineno + 1, "line is not valid UTF-8"))?;
@@ -899,6 +906,7 @@ impl TracePushParser {
         Ok(TracePushParser {
             buf: pending,
             start: 0,
+            scanned: 0,
             eof: false,
             state,
         })
@@ -925,6 +933,39 @@ fn restore_labels(r: &mut SnapshotReader) -> Result<CtxInterner, String> {
         }
     }
     Ok(strings)
+}
+
+/// The text line at the front of `p`: `(length, bytes it consumes)`, or
+/// `None` while its newline is still to come. `scanned` is how much of
+/// `p` earlier polls have searched already. A line longer than
+/// [`binio::MAX_RECORD`] is refused as soon as that much of it is
+/// buffered, newline or not, so the outcome does not depend on how the
+/// stream was chunked and a stream without newlines holds at most the
+/// cap plus one chunk.
+#[inline]
+fn text_line(p: &[u8], scanned: &mut usize, eof: bool) -> Result<Option<(usize, usize)>, String> {
+    let (len, consumed) = match p[*scanned..].iter().position(|&b| b == b'\n') {
+        Some(i) => (*scanned + i, *scanned + i + 1),
+        None if eof && !p.is_empty() => (p.len(), p.len()),
+        None => {
+            *scanned = p.len();
+            (p.len(), 0)
+        }
+    };
+    if len as u64 > binio::MAX_RECORD {
+        return Err(line_too_long());
+    }
+    if consumed == 0 {
+        return Ok(None);
+    }
+    *scanned = 0;
+    Ok(Some((len, consumed)))
+}
+
+#[cold]
+#[inline(never)]
+fn line_too_long() -> String {
+    format!("line exceeds the {}-byte cap", binio::MAX_RECORD)
 }
 
 fn refill<R: BufRead>(input: &mut R, parser: &mut TracePushParser) -> Result<bool, String> {
@@ -1574,6 +1615,45 @@ mod tests {
                 assert_eq!(got_events, whole_events, "{format:?} chunk {chunk}");
             }
         }
+    }
+
+    #[test]
+    fn a_text_line_past_the_record_cap_is_refused_however_it_is_chunked() {
+        fn first_error(parser: &mut TracePushParser) -> Option<String> {
+            loop {
+                match parser.poll() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => return None,
+                    Err(e) => return Some(e),
+                }
+            }
+        }
+        let cap = binio::MAX_RECORD as usize;
+        let header = format!("{TRACE_MAGIC} rank 0 tiered 1 budget none\n");
+        let too_long = "x".repeat(cap + 1);
+        let refusal = "line exceeds the 1048576-byte cap";
+        for (text, line) in [
+            (too_long.clone(), 1),
+            (format!("{header}s 0 f\n{too_long}"), 3),
+        ] {
+            let refusal = format!("trace line {line}: {refusal}");
+            // The newline arrives with the line …
+            let mut whole = TracePushParser::new();
+            whole.feed(format!("{text}\n").as_bytes());
+            assert_eq!(first_error(&mut whole), Some(refusal.clone()));
+            // … or never: refused once the cap is exceeded.
+            let mut chunked = TracePushParser::new();
+            let error = text.as_bytes().chunks(4096).find_map(|chunk| {
+                chunked.feed(chunk);
+                first_error(&mut chunked)
+            });
+            assert_eq!(error, Some(refusal));
+        }
+        // A line of exactly the cap is a line like any other.
+        let mut at_cap = TracePushParser::new();
+        at_cap.feed(format!("{header}s 0 {}\n", "y".repeat(cap - 4)).as_bytes());
+        at_cap.close();
+        assert_eq!(first_error(&mut at_cap), None);
     }
 
     #[test]

@@ -25,11 +25,17 @@
 //! detector still needs, so they can never be dropped. They can,
 //! however, be **spilled**: `live_page_budget` bounds the shadow pages
 //! held by *detached* (idle) unfinished sessions, and when the total
-//! exceeds it the least-recently-touched ones are serialized to
-//! `spill_dir` ([`crate::SessionIngest::spill`]) and dropped from
-//! memory. The next frame for a spilled session transparently restores
-//! it; the spill codec is exact (canonical snapshots of the full
-//! detector state), so a spilled-and-restored session finishes with
+//! exceeds it the least-recently-touched ones are dropped from memory.
+//! A session whose journal (below) holds at most [`JOURNAL_ONLY_SPILL`]
+//! bytes — every testsuite-sized one — keeps nothing else: replaying
+//! that journal costs less than a snapshot's round trip through a file.
+//! A larger one is first serialized to `spill_dir`
+//! ([`crate::SessionIngest::spill`]) as `session-<id>.spill`, whose
+//! ingest blob carries a checksum. The next frame for a spilled session
+//! transparently restores it from the spill file plus the journal past
+//! it, or from the journal alone; both are exact (the spill codec takes
+//! canonical snapshots of the full detector state, and replay is
+//! deterministic), so a spilled-and-restored session finishes with
 //! bit-for-bit the same summary as one that stayed resident — asserted
 //! by the differential tests and the chaos soak.
 //!
@@ -46,15 +52,20 @@
 //! server can re-derive it from disk, and a crash costs an uploader
 //! that never asked for an ack at most that many bytes of re-send. A
 //! session that opens, streams and closes on one connection without
-//! asking touches no file at all. A restarted server
-//! ([`ServeEngine::recover`]) re-registers every journaled session as
-//! spilled, its acked offset the journal's length; the first frame
+//! asking touches no file at all. The engine records which of its two
+//! files each session has, so ending a session unlinks only those and a
+//! restore reads a spill file only where one was written. A restarted
+//! server ([`ServeEngine::recover`]) re-registers every journaled
+//! session as spilled, its acked offset the journal's length, and —
+//! not knowing which spilled with a file — tries both; the first frame
 //! restores it from the latest spill (if any) plus the journal tail — or
-//! replays the whole journal when the process died before ever
-//! spilling, or while writing the spill: the journal holds `[0, acked)`
-//! before any spill starts, so a spill file that does not decode is
-//! logged, discarded and rebuilt from journal byte 0. Clients learn the
-//! recovered acked offset from the `R` handshake and replay the rest.
+//! replays the whole journal when it spilled as its journal, when the
+//! process died before ever spilling, or while writing the spill: the
+//! journal holds `[0, acked)` before any spill starts, so a spill file
+//! that does not decode, or whose checksum does not match, is logged,
+//! discarded and rebuilt from journal byte 0. A directory entry that
+//! cannot be read is logged and skipped. Clients learn the recovered
+//! acked offset from the `R` handshake and replay the rest.
 
 use crate::ingest::SessionIngest;
 use crate::labels::SharedLabels;
@@ -74,9 +85,10 @@ const SPILL_MAGIC: &[u8; 8] = b"cusanspl";
 /// section is the format-sniffing [`cusan::TracePushParser`] snapshot
 /// (pending bytes + state tag + table + binary delta state) instead of
 /// the text-only line-parser layout. v3: the detector snapshot inside
-/// it carries no clock stamps and no same-state cache. A file of another
+/// it carries no clock stamps and no same-state cache. v4: a 64-bit
+/// [`spill_checksum`] of the ingest blob follows it. A file of another
 /// version is discarded and the session rebuilt from its journal.
-const SPILL_VERSION: u32 = 3;
+const SPILL_VERSION: u32 = 4;
 
 /// Accepted bytes a session may hold back from its journal file between
 /// acks. It bounds both the re-send a crash costs a client that never
@@ -84,6 +96,20 @@ const SPILL_VERSION: u32 = 3;
 /// clients' 4 KiB frames it turns sixteen open/write/close rounds into
 /// one.
 pub const JOURNAL_WRITE_BEHIND: usize = 64 << 10;
+
+/// Journal bytes up to which a spilled session keeps no spill file: its
+/// in-memory state is dropped and the next frame replays the journal
+/// through a fresh ingest. That replay grows with the journal, while a
+/// spill file costs a round trip (encode, write, read, decode, one more
+/// unlink) that is mostly fixed. The value is the break-even, measured
+/// per session on the ledger's corpus spilled three quarters in (two
+/// hardware threads, ext4): a testsuite session with a 0.3 KB journal
+/// finishes ≈ 23 µs sooner spilled as its journal (≈ 43 against 66 µs),
+/// one with 1.4 KB ≈ 11 µs sooner; the saving shrinks by ≈ 10 µs per KiB
+/// and reaches zero near 2.4 KB. The smallest app session (Jacobi
+/// 256×128, 4.7 KB at the detach point, large ranges) would finish
+/// ≈ 120 µs later.
+pub const JOURNAL_ONLY_SPILL: usize = 2 << 10;
 
 /// Engine-wide configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -122,7 +148,8 @@ pub struct ServeStats {
     pub labels_shared: u64,
     /// `R` attaches to an already-existing session (reconnects).
     pub sessions_resumed: u64,
-    /// Unfinished sessions serialized to disk under the live budget.
+    /// Unfinished sessions spilled under the live budget (to a spill
+    /// file, or as their journal alone).
     pub sessions_spilled: u64,
     /// Spilled/journaled sessions transparently restored on a frame.
     pub sessions_restored: u64,
@@ -208,20 +235,28 @@ struct LiveSession {
     /// `[acked - journal_tail.len(), acked)` the journal file does not
     /// hold yet. Empty whenever the session is spilled.
     journal_tail: Vec<u8>,
-    /// A journal or spill file may exist for this session (so ending it
-    /// has disk state to remove).
-    on_disk: bool,
+    /// Which of its files the session may have on disk.
+    files: DiskFiles,
+}
+
+/// Which of a session's two files may exist: ending the session unlinks
+/// only these, and a restore reads a spill file only if one may exist.
+/// A session found by [`ServeEngine::recover`] may have either.
+#[derive(Clone, Copy, Default)]
+struct DiskFiles {
+    journal: bool,
+    spill: bool,
 }
 
 impl LiveSession {
-    fn new(state: LiveState, acked: u64, attach_count: usize, on_disk: bool) -> LiveSession {
+    fn new(state: LiveState, acked: u64, attach_count: usize, files: DiskFiles) -> LiveSession {
         LiveSession {
             state,
             acked,
             attach_count,
             last_touch: Instant::now(),
             journal_tail: Vec::new(),
-            on_disk,
+            files,
         }
     }
 }
@@ -274,11 +309,13 @@ impl ServeEngine {
         })
     }
 
-    /// [`ServeEngine::new`], then re-register every session whose spill
-    /// file or journal survives in `spill_dir` — the restarted-server
-    /// path. Recovered sessions sit on disk until their first frame
-    /// (restore is lazy); their acked offset is the journal length, so
-    /// a resuming client replays exactly the lost tail.
+    /// [`ServeEngine::new`], then re-register every session whose
+    /// journal survives in `spill_dir` — the restarted-server path.
+    /// Recovered sessions sit on disk until their first frame (restore
+    /// is lazy); their acked offset is the journal length, so a resuming
+    /// client replays exactly the lost tail. A directory entry that
+    /// cannot be read (a dangling symlink, say) is logged and skipped:
+    /// it costs its own session, not the restart.
     pub fn recover(config: EngineConfig) -> std::io::Result<Arc<ServeEngine>> {
         let engine = ServeEngine::new(config);
         let Some(dir) = engine.config.spill_dir.clone() else {
@@ -286,7 +323,13 @@ impl ServeEngine {
         };
         let mut live = engine.live.lock();
         for entry in fs::read_dir(&dir)? {
-            let path = entry?.path();
+            let path = match entry {
+                Ok(entry) => entry.path(),
+                Err(e) => {
+                    eprintln!("cusan-serve: recovering {}: {e}; skipped", dir.display());
+                    continue;
+                }
+            };
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             let Some(id) = name
                 .strip_prefix("session-")
@@ -295,8 +338,20 @@ impl ServeEngine {
             else {
                 continue;
             };
-            let acked = fs::metadata(&path)?.len();
-            let session = LiveSession::new(LiveState::Spilled, acked, 0, true);
+            let acked = match fs::metadata(&path) {
+                Ok(meta) => meta.len(),
+                Err(e) => {
+                    eprintln!("cusan-serve: recovering {}: {e}; skipped", path.display());
+                    continue;
+                }
+            };
+            // Whether the previous process left a spill file is unknown:
+            // the restore tries it.
+            let files = DiskFiles {
+                journal: true,
+                spill: true,
+            };
+            let session = LiveSession::new(LiveState::Spilled, acked, 0, files);
             live.insert(id, Arc::new(Mutex::new(session)));
         }
         drop(live);
@@ -332,12 +387,16 @@ impl ServeEngine {
             .map(|d| d.join(format!("session-{id}.journal")))
     }
 
-    fn remove_disk_state(&self, id: u64) {
-        if let Some(p) = self.spill_path(id) {
-            let _ = fs::remove_file(p);
+    fn remove_disk_state(&self, id: u64, files: DiskFiles) {
+        if files.spill {
+            if let Some(p) = self.spill_path(id) {
+                let _ = fs::remove_file(p);
+            }
         }
-        if let Some(p) = self.journal_path(id) {
-            let _ = fs::remove_file(p);
+        if files.journal {
+            if let Some(p) = self.journal_path(id) {
+                let _ = fs::remove_file(p);
+            }
         }
     }
 
@@ -367,7 +426,8 @@ impl ServeEngine {
             return Err(AttachError::AtCapacity);
         }
         let ingest = SessionIngest::new(self.self_arc());
-        let session = LiveSession::new(LiveState::Resident(Box::new(ingest)), 0, 1, false);
+        let state = LiveState::Resident(Box::new(ingest));
+        let session = LiveSession::new(state, 0, 1, DiskFiles::default());
         live.insert(id, Arc::new(Mutex::new(session)));
         Ok(())
     }
@@ -443,6 +503,8 @@ impl ServeEngine {
             .journal_path(id)
             .expect("bytes are only buffered with a spill dir");
         let held = s.acked - s.journal_tail.len() as u64;
+        // Set first: a failed write may still have created the file.
+        s.files.journal = true;
         fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -453,7 +515,6 @@ impl ServeEngine {
                 })
             })
             .map_err(|e| format!("journal {}: {e}", path.display()))?;
-        s.on_disk = true;
         // Released, not cleared: idle sessions outnumber streaming ones.
         s.journal_tail = Vec::new();
         Ok(())
@@ -544,17 +605,15 @@ impl ServeEngine {
         // A session that cannot be restored is gone either way; its files
         // must not outlive it for `recover` to re-register.
         if let Err(e) = self.ensure_resident(id, &mut s) {
-            self.remove_disk_state(id);
+            self.remove_disk_state(id, s.files);
             return Err(e);
         }
         let state = std::mem::replace(&mut s.state, LiveState::Spilled);
         // Bytes still in the write-behind buffer die with the session: a
         // closed session has nothing left to recover.
-        let on_disk = s.on_disk;
+        let files = s.files;
         drop(s);
-        if on_disk {
-            self.remove_disk_state(id);
-        }
+        self.remove_disk_state(id, files);
         let LiveState::Resident(ingest) = state else {
             unreachable!("ensure_resident restored the session");
         };
@@ -585,28 +644,13 @@ impl ServeEngine {
             return Ok(());
         }
         let engine = self.self_arc();
-        let spill_path = self.spill_path(id).ok_or("spilled without a spill dir")?;
-        let (mut ingest, restored_to) = match fs::read(&spill_path) {
-            Ok(blob) => match restore_spill_file(&engine, &blob, s.acked) {
-                Ok(restored) => restored,
-                // A spill cut short (killed mid-write, disk full) or
-                // damaged. The journal held `[0, acked)` before the
-                // spill began, so it alone rebuilds the session.
-                Err(e) => {
-                    eprintln!(
-                        "cusan-serve: session {id}: {}: {e}; rebuilding from the journal",
-                        spill_path.display()
-                    );
-                    let _ = fs::remove_file(&spill_path);
-                    (SessionIngest::new(engine), 0)
-                }
-            },
-            // No spill file: the journal alone (a crash before any
-            // spill) rebuilds the session from byte zero.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (SessionIngest::new(engine), 0),
-            Err(e) => return Err(format!("{}: {e}", spill_path.display())),
+        // No spill file (a journal-only spill, or a crash before any
+        // spill): the journal alone rebuilds the session from byte zero.
+        let (mut ingest, restored_to) = match self.read_spill_file(&engine, id, s)? {
+            Some(restored) => restored,
+            None => (SessionIngest::new(engine), 0),
         };
-        // Replay the journal tail the spill predates.
+        // Replay the journal past the spill (all of it without one).
         if restored_to < s.acked {
             let journal_path = self.journal_path(id).ok_or("journaling disabled")?;
             let journal =
@@ -625,9 +669,49 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Spill session `id` to disk if it is registered, resident, and
-    /// detached. Returns whether it was spilled. Public for tests and
-    /// operational tooling; budget pressure calls it internally.
+    /// The ingest in session `id`'s spill file and the offset it was
+    /// taken at, or `None` when there is no file to restore from: none
+    /// written, none on disk, or one that does not decode. A spill cut
+    /// short (killed mid-write, disk full) or damaged is logged and
+    /// deleted, since the journal held `[0, acked)` before it began.
+    fn read_spill_file(
+        &self,
+        engine: &Arc<ServeEngine>,
+        id: u64,
+        s: &mut LiveSession,
+    ) -> Result<Option<(SessionIngest, u64)>, String> {
+        if !s.files.spill {
+            return Ok(None);
+        }
+        let spill_path = self.spill_path(id).ok_or("spilled without a spill dir")?;
+        let blob = match fs::read(&spill_path) {
+            Ok(blob) => blob,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                s.files.spill = false;
+                return Ok(None);
+            }
+            Err(e) => return Err(format!("{}: {e}", spill_path.display())),
+        };
+        match restore_spill_file(engine, &blob, s.acked) {
+            Ok(restored) => Ok(Some(restored)),
+            Err(e) => {
+                eprintln!(
+                    "cusan-serve: session {id}: {}: {e}; rebuilding from the journal",
+                    spill_path.display()
+                );
+                let _ = fs::remove_file(&spill_path);
+                s.files.spill = false;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Spill session `id` if it is registered, resident, and detached.
+    /// Returns whether it was spilled. A session whose journal holds at
+    /// most [`JOURNAL_ONLY_SPILL`] bytes is spilled by dropping its
+    /// in-memory state: the journal is its spill. A larger one writes a
+    /// spill file. Public for tests and operational tooling; budget
+    /// pressure calls it internally.
     pub fn spill_session(&self, id: u64) -> Result<bool, String> {
         let spill_path = match self.spill_path(id) {
             Some(p) => p,
@@ -648,18 +732,17 @@ impl ServeEngine {
             unreachable!("checked resident above");
         };
         let acked = s.acked;
-        match ingest.spill() {
-            Ok(blob) => {
-                let file = encode_spill_file(acked, &blob);
-                s.on_disk = true;
-                fs::write(&spill_path, file)
-                    .map_err(|e| format!("{}: {e}", spill_path.display()))?;
-                drop(s);
-                self.state.lock().sessions_spilled += 1;
-                Ok(true)
-            }
-            Err(e) => Err(e),
+        if acked <= JOURNAL_ONLY_SPILL as u64 {
+            drop(ingest);
+        } else {
+            let file = encode_spill_file(acked, &ingest.spill()?);
+            // Set first: a failed write may still have created the file.
+            s.files.spill = true;
+            fs::write(&spill_path, file).map_err(|e| format!("{}: {e}", spill_path.display()))?;
         }
+        drop(s);
+        self.state.lock().sessions_spilled += 1;
+        Ok(true)
     }
 
     /// Spill least-recently-touched detached sessions until their total
@@ -747,8 +830,9 @@ impl ServeEngine {
                     None
                 }
             };
-            if removed.is_some() {
-                self.remove_disk_state(id);
+            if let Some(sess) = removed {
+                let files = sess.lock().files;
+                self.remove_disk_state(id, files);
                 self.state.lock().sessions_expired += 1;
                 n += 1;
             }
@@ -758,8 +842,11 @@ impl ServeEngine {
 
     /// Drop a session without finishing it (fatal feed errors).
     fn drop_session(&self, id: u64) {
-        self.live.lock().remove(&id);
-        self.remove_disk_state(id);
+        let removed = self.live.lock().remove(&id);
+        if let Some(sess) = removed {
+            let files = sess.lock().files;
+            self.remove_disk_state(id, files);
+        }
     }
 
     /// Record a session open (header accepted). Retained for the ingest
@@ -799,7 +886,39 @@ fn encode_spill_file(acked: u64, ingest_blob: &[u8]) -> Vec<u8> {
     w.put_u32(SPILL_VERSION);
     w.put_u64(acked);
     w.put_bytes(ingest_blob);
+    w.put_u64(spill_checksum(ingest_blob));
     w.into_bytes()
+}
+
+/// 64-bit checksum of a spill file's ingest blob, a word at a time: four
+/// lanes each fold every fourth little-endian word with
+/// xor-multiply-rotate, then the lanes are folded into the length. Each
+/// step is a bijection of the running value for a fixed word, so damage
+/// confined to one word always changes the sum; the four lanes keep the
+/// multiplies independent (≈ 0.06 ns/byte, 7 µs for a 110 KiB TeaLeaf
+/// spill). It catches damage, not an adversary who rewrites the file.
+fn spill_checksum(bytes: &[u8]) -> u64 {
+    fn mix(h: u64, word: &[u8]) -> u64 {
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte word"));
+        (h ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31)
+    }
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word);
+        }
+    }
+    let mut tail = [0u8; 32];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    for (lane, word) in lanes.iter_mut().zip(tail.chunks_exact(8)) {
+        *lane = mix(*lane, word);
+    }
+    lanes
+        .iter()
+        .fold(bytes.len() as u64, |h, lane| mix(h, &lane.to_le_bytes()))
 }
 
 /// Decode a spill file into the ingest it holds and the stream offset it
@@ -821,7 +940,11 @@ fn restore_spill_file(
     }
     let acked_at_spill = r.get_u64().map_err(err)?;
     let blob = r.get_bytes().map_err(err)?;
+    let checksum = r.get_u64().map_err(err)?;
     r.expect_end().map_err(err)?;
+    if checksum != spill_checksum(blob) {
+        return Err("corrupt spill file: checksum mismatch".to_string());
+    }
     if acked_at_spill > acked {
         return Err(format!(
             "corrupt spill file: taken at offset {acked_at_spill}, journal ends at {acked}"
@@ -899,6 +1022,37 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.sessions_spilled, stats.sessions_restored), (1, 1));
         assert_eq!(stats.peak_resident_pages, pages);
+
+        // Spilled as its journal alone: nothing of it stays in memory.
+        engine.open_new(4).unwrap();
+        engine.feed(4, 0, &GOLDEN[..JOURNAL_ONLY_SPILL]).unwrap();
+        let spilled = session_weak(&engine, 4);
+        engine.detach(4);
+        assert!(engine.spill_session(4).unwrap());
+        assert_freed(&spilled, "a session spilled as its journal");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_spill_checksum_sees_every_flipped_byte() {
+        // Lengths around the 32-byte block, so the zero-padded tail is
+        // covered; each byte flipped in its low bit, its high bit and
+        // whole.
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in [0, 1, 7, 8, 31, 32, 33, 64, 100] {
+            let data = &bytes[..len];
+            let sum = spill_checksum(data);
+            for at in 0..len {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut damaged = data.to_vec();
+                    damaged[at] ^= flip;
+                    assert_ne!(spill_checksum(&damaged), sum, "len {len}, byte {at}");
+                }
+            }
+            // Zero padding does not hide a shorter or longer blob.
+            let mut longer = data.to_vec();
+            longer.push(0);
+            assert_ne!(spill_checksum(&longer), sum, "len {len} + a zero byte");
+        }
     }
 }

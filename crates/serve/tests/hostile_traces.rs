@@ -1,10 +1,10 @@
 //! Traces that decode but lie: every record is well-formed, and the
 //! fiber events describe an execution no runtime produced (a switch to a
 //! fiber that never existed, a second destroy, …) — or the range events
-//! name more contexts than a shadow slot has ids for. Served, such a
-//! trace must cost its own session an `E` naming the event — not a
-//! panic, not its connection, not the session next to it, not the
-//! listener.
+//! name more contexts than a shadow slot has ids for; and a text line
+//! that never ends. Served, such a trace must cost its own session an
+//! `E` naming what is wrong — not a panic, not its connection, not the
+//! session next to it, not the listener.
 //!
 //! The solo leg of the same matrix (`replay_stream`) is
 //! `inconsistent_fiber_events_are_refused_in_both_encodings` in
@@ -16,7 +16,7 @@ use cusan_serve::proto::{
 };
 use cusan_serve::{
     check_traces, serve_connection, serve_listener, solo_summary, summary_to_json, EngineConfig,
-    Reply, ServeEngine,
+    FeedError, Reply, ServeEngine,
 };
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -81,6 +81,11 @@ fn context_flood() -> ([(Vec<u8>, String); 2], u64) {
 /// the middle of its neighbour, session 2, which streams on both sides
 /// of it.
 fn write_request(to: &mut impl std::io::Write, hostile: &[u8]) {
+    write_request_framed(to, hostile, 1 << 20);
+}
+
+/// [`write_request`] with the hostile session in `frame`-byte frames.
+fn write_request_framed(to: &mut impl std::io::Write, hostile: &[u8], frame: usize) {
     let golden = GOLDEN.as_bytes();
     let (head, tail) = golden.split_at(golden.len() / 2);
     let mut send = |frame: Vec<u8>| write_frame(to, &frame).unwrap();
@@ -88,7 +93,7 @@ fn write_request(to: &mut impl std::io::Write, hostile: &[u8]) {
     send(open_frame(2));
     send(data_frame(2, 0, head));
     let mut offset = 0;
-    for chunk in hostile.chunks(1 << 20) {
+    for chunk in hostile.chunks(frame) {
         send(data_frame(1, offset, chunk));
         offset += chunk.len() as u64;
     }
@@ -100,8 +105,9 @@ fn write_request(to: &mut impl std::io::Write, hostile: &[u8]) {
 
 /// The pool applies behind the parser, so the refusal answers the `D`
 /// that carried the event or the `C` after it (which a `D` that already
-/// dropped the session answers "not open"): session 1's first reply is
-/// the refusal either way, and session 2 gets exactly its summary.
+/// dropped the session answers "not open", like every `D` after the
+/// refusal): session 1's first reply is the refusal either way, and
+/// session 2 gets exactly its summary.
 fn assert_replies(reply_bytes: &[u8], refusal: &str) {
     let mut replies = Vec::new();
     let mut r = reply_bytes;
@@ -111,9 +117,16 @@ fn assert_replies(reply_bytes: &[u8], refusal: &str) {
     let (ours, neighbours): (Vec<_>, Vec<_>) = replies
         .iter()
         .partition(|r| matches!(r, Reply::Error { id: 1, .. }));
-    match &ours[..] {
-        [Reply::Error { message, .. }] | [Reply::Error { message, .. }, Reply::Error { .. }] => {
-            assert_eq!(*message, refusal);
+    let messages: Vec<&str> = ours
+        .iter()
+        .map(|r| match r {
+            Reply::Error { message, .. } => message.as_str(),
+            _ => unreachable!("partitioned on errors"),
+        })
+        .collect();
+    match &messages[..] {
+        [first, rest @ ..] if rest.iter().all(|m| *m == "session not open") => {
+            assert_eq!(*first, refusal);
         }
         other => panic!("{refusal}: session 1 got {other:?}"),
     }
@@ -203,6 +216,48 @@ fn offline_check_answers_with_a_line(hostile: Vec<(Vec<u8>, String)>) {
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(String::from_utf8(out.stderr).unwrap(), expected);
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_text_line_that_never_ends_costs_its_session_one_e_within_the_cap() {
+    // 2 MiB without a newline after a valid header, in 4 KiB frames: the
+    // session is refused once its partial line passes the record cap,
+    // not after buffering (and rescanning) everything it is sent.
+    const FRAME: usize = 4096;
+    let cap = cusan::binio::MAX_RECORD as usize;
+    let mut endless = HEADER.as_bytes().to_vec();
+    endless.resize(HEADER.len() + (2 << 20), b'x');
+    let refusal = format!("trace line 2: line exceeds the {cap}-byte cap");
+
+    let engine = ServeEngine::new(EngineConfig::default());
+    engine.open_new(1).unwrap();
+    let mut offset = 0;
+    let refused_at = endless
+        .chunks(FRAME)
+        .find_map(|chunk| match engine.feed(1, offset, chunk) {
+            Ok(acked) => {
+                offset = acked;
+                None
+            }
+            Err(FeedError::Fatal(e)) => Some((offset as usize + chunk.len(), e)),
+            Err(e) => panic!("{e}"),
+        });
+    let (fed, why) = refused_at.expect("the session is refused");
+    assert_eq!(why, refusal);
+    assert!(
+        fed - HEADER.len() <= cap + FRAME,
+        "refused after {fed} bytes"
+    );
+    assert_eq!(engine.live_sessions(), 0);
+
+    // Its neighbour on the connection finishes as if alone.
+    let engine = ServeEngine::new(EngineConfig::default());
+    let (mut request, mut reply_bytes) = (Vec::new(), Vec::new());
+    write_request_framed(&mut request, &endless, FRAME);
+    serve_connection(&engine, &mut request.as_slice(), &mut reply_bytes).unwrap();
+    assert_replies(&reply_bytes, &refusal);
+
+    offline_check_answers_with_a_line(vec![(endless, refusal)]);
 }
 
 #[test]

@@ -1,13 +1,16 @@
 //! The crash-safety contracts of the serve path, piece by piece:
 //! offset-checked exactly-once delivery, typed capacity errors, idle
-//! expiry, spill/restore of unfinished sessions (the A/B differential),
-//! restart recovery from the journal (also past a torn or corrupt spill
-//! file), the write-behind journal's invariant (on disk before any ack,
+//! expiry, spill/restore of unfinished sessions (the A/B differential,
+//! and the small sessions whose journal is their spill), restart
+//! recovery from the journal (also past a torn, corrupt or checksum-
+//! failing spill file, and past a directory entry it cannot read), the
+//! write-behind journal's invariant (on disk before any ack,
 //! detach or spill), socket-level
 //! resumption, and canonical-label stability under session churn. The whole-system
 //! version of these properties — everything at once under seeded
 //! failure schedules — lives in `chaos_serve.rs`.
 
+use cusan_serve::engine::JOURNAL_ONLY_SPILL;
 use cusan_serve::proto::{
     close_frame, data_frame, heartbeat_frame, open_frame, parse_reply, quit_frame, read_frame,
     resume_frame, write_frame,
@@ -389,6 +392,171 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
         assert_eq!(engine.close(4).unwrap(), solo, "{what}");
         assert_eq!(dir_entries(&dir.0), Vec::<String>::new(), "{what}");
     }
+
+    // Damage the decoder cannot see: one byte of a shadow slot's clock.
+    // The blob still restores — into a detector that finishes with
+    // another summary — so only the checksum can tell.
+    let dir = ScratchDir::new("flipped-slot");
+    let engine = spilled_half_way(&dir);
+    let spill = dir.0.join("session-4.spill");
+    let file = std::fs::read(&spill).unwrap();
+    let flipped = slot_value_offsets(&file)
+        .into_iter()
+        .map(|at| {
+            let mut file = file.clone();
+            file[at + CLOCK_BYTE] ^= 0xff;
+            file
+        })
+        .find(|file| finishes_otherwise(file, &bytes[split..], &solo))
+        .expect("a slot whose clock decides the summary");
+    std::fs::write(&spill, flipped).unwrap();
+    engine.feed(4, split as u64, &bytes[split..]).unwrap();
+    assert_eq!(engine.stats().sessions_restored, 1);
+    assert!(!spill.exists(), "the bad file is discarded");
+    assert_eq!(engine.close(4).unwrap(), solo);
+}
+
+/// Byte of a little-endian shadow slot inside its clock field (bits
+/// 20–51): flipping it moves the access far into its fiber's future.
+const CLOCK_BYTE: usize = 5;
+
+/// Offsets in a spill file that look like shadow slot values: the
+/// detector snapshot writes an unfolded page as tag 2, its block id
+/// (two `u32`s), a `u64` count and that many (`u32` slot index, `u64`
+/// value) pairs, indices ascending below 2048 and values nonzero.
+/// A match need not be one; [`finishes_otherwise`] confirms.
+fn slot_value_offsets(file: &[u8]) -> Vec<usize> {
+    let u32_at = |at: usize| {
+        file.get(at..at + 4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+    };
+    let u64_at = |at: usize| {
+        file.get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+    };
+    let mut offsets = Vec::new();
+    for page in (0..file.len()).filter(|&at| file[at] == 2) {
+        let Some(count) = u64_at(page + 9).filter(|n| (1..=2048).contains(n)) else {
+            continue;
+        };
+        let pairs: Option<Vec<(u32, u64)>> = (0..count as usize)
+            .map(|k| {
+                let at = page + 17 + 12 * k;
+                Some((u32_at(at)?, u64_at(at + 4)?))
+            })
+            .collect();
+        let Some(pairs) = pairs else { continue };
+        let ascending = pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        if ascending && pairs.iter().all(|&(i, v)| i < 2048 && v != 0) {
+            offsets.extend((0..pairs.len()).map(|k| page + 17 + 12 * k + 4));
+        }
+    }
+    offsets
+}
+
+/// Whether the ingest in spill file `file`, restored past any integrity
+/// check, decodes and finishes `rest` with a summary other than `solo`.
+fn finishes_otherwise(file: &[u8], rest: &[u8], solo: &cusan::SessionSummary) -> bool {
+    // 8 magic, 4 version, 8 offset, then the blob's 8-byte length.
+    let len = u64::from_le_bytes(file[20..28].try_into().unwrap()) as usize;
+    let engine = ServeEngine::new(EngineConfig::default());
+    let Ok(mut ingest) = cusan_serve::SessionIngest::restore(engine.clone(), &file[28..28 + len])
+    else {
+        return false;
+    };
+    ingest.feed(rest).is_ok() && ingest.finish().is_ok_and(|s| s != *solo)
+}
+
+#[test]
+fn a_testsuite_sized_session_spills_as_its_journal_alone() {
+    let trace = testsuite_trace("cuda-to-host/memcpy_sync_read");
+    let solo = solo_summary(&trace).unwrap();
+    let head = trace.len() * 3 / 4;
+    assert!(
+        head <= JOURNAL_ONLY_SPILL,
+        "{head} bytes at the detach point"
+    );
+    let dir = ScratchDir::new("journal-only-spill");
+    let config = EngineConfig {
+        live_page_budget: Some(0),
+        ..spilling_config(&dir)
+    };
+    // Fed up to the detach point and detached: the budget spills it.
+    let detached = |engine: &ServeEngine, id: u64, bytes: &[u8], at: usize| {
+        let spilled = engine.stats().sessions_spilled;
+        engine.open_new(id).unwrap();
+        engine.feed(id, 0, &bytes[..at]).unwrap();
+        engine.detach(id);
+        assert_eq!(engine.stats().sessions_spilled, spilled + 1);
+    };
+    let finish = |engine: &ServeEngine, id: u64, bytes: &[u8], at: usize| {
+        assert_eq!(engine.resume(id).unwrap(), at as u64);
+        engine.feed(id, at as u64, &bytes[at..]).unwrap();
+        engine.close(id)
+    };
+
+    // Its journal is its spill.
+    let engine = ServeEngine::new(config.clone());
+    detached(&engine, 1, &trace, head);
+    assert_eq!(dir_entries(&dir.0), ["session-1.journal"]);
+    assert_eq!(journal(&dir.0, 1), &trace[..head]);
+    assert_eq!(finish(&engine, 1, &trace, head).unwrap(), solo);
+    assert_eq!(engine.stats().sessions_restored, 1);
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+
+    // And after a restart.
+    detached(&engine, 2, &trace, head);
+    drop(engine);
+    let engine = ServeEngine::recover(config).unwrap();
+    assert_eq!(finish(&engine, 2, &trace, head).unwrap(), solo);
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+
+    // Past the threshold a session still writes a spill file — which
+    // alone restores it: the journal is not read.
+    let golden = GOLDEN.as_bytes();
+    let split = golden.len() / 2;
+    assert!(split > JOURNAL_ONLY_SPILL);
+    detached(&engine, 3, golden, split);
+    let mut files = dir_entries(&dir.0);
+    files.sort();
+    assert_eq!(files, ["session-3.journal", "session-3.spill"]);
+    std::fs::remove_file(dir.0.join("session-3.journal")).unwrap();
+    assert_eq!(
+        finish(&engine, 3, golden, split).unwrap(),
+        solo_summary(GOLDEN).unwrap()
+    );
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+}
+
+/// Rank 0's trace of testsuite program `name` under the default schedule.
+fn testsuite_trace(name: &str) -> Vec<u8> {
+    let case = cusan_apps::testsuite::cases()
+        .into_iter()
+        .find(|c| c.name == name)
+        .expect("a testsuite program");
+    let out = cusan_apps::testsuite::run_case_scheduled(&case, explore::SchedulePlan::defaults(2));
+    let rank = out.ranks.into_iter().next().expect("rank 0");
+    rank.trace.expect("scheduled runs are traced")
+}
+
+#[cfg(unix)]
+#[test]
+fn an_unreadable_journal_entry_does_not_block_recovery() {
+    let bytes = GOLDEN.as_bytes();
+    let split = bytes.len() / 3;
+    let dir = ScratchDir::new("recover-dangling");
+    {
+        let engine = ServeEngine::new(spilling_config(&dir));
+        engine.open_new(7).unwrap();
+        engine.feed(7, 0, &bytes[..split]).unwrap();
+        engine.detach(7);
+    }
+    std::os::unix::fs::symlink(dir.0.join("gone"), dir.0.join("session-9.journal")).unwrap();
+    let engine = ServeEngine::recover(spilling_config(&dir)).expect("recovery skips the entry");
+    assert_eq!(engine.live_sessions(), 1);
+    assert_eq!(engine.resume(7).unwrap(), split as u64);
+    engine.feed(7, split as u64, &bytes[split..]).unwrap();
+    assert_eq!(engine.close(7).unwrap(), solo_summary(GOLDEN).unwrap());
 }
 
 #[test]
