@@ -1021,7 +1021,7 @@ pub fn run_case_scheduled(
 }
 
 /// [`run_case_scheduled`] under an explicit tool configuration.
-pub fn run_case_scheduled_with(
+fn run_case_scheduled_with(
     case: &Case,
     cfg: cusan::ToolConfig,
     plan: Arc<explore::SchedulePlan>,

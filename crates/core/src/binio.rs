@@ -45,8 +45,8 @@
 //! | 15 | end of trace | (no fields) |
 //! | 16 | schedule choice | varint kind, varint arity, varint chosen |
 //!
-//! The end-of-trace marker (written when a recording is sealed or a
-//! transcode finishes) is what makes truncation *always* detectable:
+//! The end-of-trace marker (written when a recording or a transcode
+//! finishes) is what makes truncation *always* detectable:
 //! without it, a stream cut exactly at a record boundary would read as a
 //! complete, shorter trace. Readers reject bytes after the marker and
 //! treat end-of-input without it as truncation.

@@ -27,11 +27,10 @@
 use crate::config::ToolConfig;
 use crate::event::{CusanEvent, EventCounters, StrId};
 use crate::fault::FaultInjector;
-use crate::session::{CheckSession, SessionOptions, SessionSummary};
+use crate::session::{CheckSession, SessionOptions};
 use crate::trace::TraceSink;
 use sim_mem::{AddressSpace, MemError, Pod, Ptr};
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 use std::sync::Once;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
@@ -122,13 +121,6 @@ impl ToolCtx {
         f(self.session.borrow().runtime())
     }
 
-    /// Snapshot the owned [`CheckSession`]'s summary — the same
-    /// reports/stats/counters object trace replay and the serve path
-    /// produce, so live runs can be compared against them wholesale.
-    pub fn session_summary(&self) -> SessionSummary {
-        self.session.borrow().summary()
-    }
-
     /// The rank this context belongs to.
     pub fn rank(&self) -> usize {
         self.rank
@@ -170,28 +162,21 @@ impl ToolCtx {
         fiber
     }
 
-    /// Install a [`TraceSink`] recording this rank's event stream in
-    /// `config.trace_format`; returns the shared buffer holding the
-    /// serialized trace. Call [`Self::seal_trace`] before reading the
-    /// buffer so the trace is sealed (binary traces end with their
-    /// end-of-trace marker).
-    pub fn install_trace_sink(&self) -> Rc<RefCell<Vec<u8>>> {
-        let (sink, buf) = TraceSink::with_format(
+    /// Record this rank's event stream from here on, in
+    /// `config.trace_format`, until [`Self::take_trace`].
+    pub fn record_trace(&self) {
+        *self.recorder.borrow_mut() = Some(TraceSink::new(
             self.config.trace_format,
             self.rank,
             self.config.shadow_page_budget,
-        );
-        *self.recorder.borrow_mut() = Some(sink);
-        buf
+        ));
     }
 
-    /// Declare the event stream complete: the recorded trace, if any, is
-    /// sealed. Idempotent; the harness calls it before collecting
-    /// outcomes.
-    pub fn seal_trace(&self) {
-        if let Some(recorder) = self.recorder.borrow_mut().as_mut() {
-            recorder.seal();
-        }
+    /// End the recording [`Self::record_trace`] started and hand over the
+    /// trace (a binary one closed by its end-of-trace marker); `None` if
+    /// nothing is being recorded. Later events are not recorded.
+    pub fn take_trace(&self) -> Option<Vec<u8>> {
+        self.recorder.borrow_mut().take().map(TraceSink::finish)
     }
 
     // ---- fault injection ----------------------------------------------------
@@ -494,29 +479,6 @@ mod tests {
         assert_eq!(ctx.event_counters().named("tool.diagnostics"), 2);
         // Diagnostics never touch detection state.
         assert_eq!(ctx.race_count(), 0);
-    }
-
-    #[test]
-    fn session_summary_is_backend_invariant() {
-        // The owned session's wholesale summary — the object the serve
-        // path emits — must agree with the context's own accessors.
-        let ctx = ToolCtx::new(0, Flavor::Cusan.config());
-        let f = ctx.emit_fiber_create("cuda stream 1");
-        ctx.emit(CusanEvent::FiberSwitch {
-            fiber: f,
-            sync: true,
-        });
-        ctx.annotate_host_write(Ptr(0x3000), 128, "kernel write");
-        ctx.emit(CusanEvent::FiberSwitch {
-            fiber: FiberId::HOST,
-            sync: false,
-        });
-        ctx.annotate_host_read(Ptr(0x3000), 128, "host read");
-        let summary = ctx.session_summary();
-        assert_eq!(summary.rank, 0);
-        assert_eq!(summary.race_count, 1, "the Fig. 6B race");
-        assert_eq!(summary.reports, ctx.race_reports());
-        assert_eq!(summary.stats, ctx.tsan_stats());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod session;
 pub mod trace;
 
 pub use api::CusanCuda;
-pub use async_check::{AsyncCheckStats, AsyncChecker, CheckerPool};
+pub use async_check::{AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
 pub use event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};

@@ -71,10 +71,8 @@
 use crate::binio::{self, BinRecord};
 use crate::event::{CtxInterner, CusanEvent, StrId};
 use crate::session::{CheckSession, SessionSummary};
-use std::cell::RefCell;
 use std::fmt;
 use std::io::{BufRead, Write};
-use std::rc::Rc;
 use std::sync::Arc;
 use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey};
 
@@ -273,71 +271,54 @@ impl RecordWriter {
     }
 }
 
-/// A sink that serializes the event stream into a shared byte buffer.
+/// A recorder that serializes one rank's event stream into the bytes it
+/// owns.
 ///
 /// String-table entries are flushed lazily: before writing an event
 /// record, every interner entry not yet written is emitted, so any id an
-/// event references is defined earlier in the stream. Binary traces are
-/// *sealed* with an end-of-trace marker — via [`TraceSink::seal`]
-/// (called by `ToolCtx::seal_trace` before the harness collects the
-/// buffer) or, as a backstop, on drop.
+/// event references is defined earlier in the stream. [`TraceSink::finish`]
+/// ends the recording and hands the trace over; binary traces get their
+/// end-of-trace marker there.
 pub struct TraceSink {
-    buf: Rc<RefCell<Vec<u8>>>,
+    out: Vec<u8>,
     written: usize,
     writer: RecordWriter,
-    sealed: bool,
 }
 
 impl TraceSink {
-    /// Create a sink in the given format whose header records `rank` and
-    /// the shadow page budget. Returns the sink and the shared buffer
-    /// handle the caller reads after the run.
-    pub fn with_format(
-        format: TraceFormat,
-        rank: usize,
-        budget: Option<usize>,
-    ) -> (TraceSink, Rc<RefCell<Vec<u8>>>) {
+    /// Start a recording in the given format whose header records `rank`
+    /// and the shadow page budget.
+    pub fn new(format: TraceFormat, rank: usize, budget: Option<usize>) -> TraceSink {
         let mut writer = RecordWriter::new(format);
         let mut out = Vec::new();
         writer.header(&mut out, rank, budget);
-        let buf = Rc::new(RefCell::new(out));
-        (
-            TraceSink {
-                buf: Rc::clone(&buf),
-                written: 0,
-                writer,
-                sealed: false,
-            },
-            buf,
-        )
-    }
-
-    /// Seal the stream (idempotent): binary traces get their
-    /// end-of-trace marker, making the buffer a complete trace.
-    pub fn seal(&mut self) {
-        if !self.sealed {
-            self.sealed = true;
-            self.writer.end(&mut self.buf.borrow_mut());
+        TraceSink {
+            out,
+            written: 0,
+            writer,
         }
     }
 
     /// Write one event, preceded by every string-table entry not yet
     /// written; `strings` resolves interned ids.
     pub fn on_event(&mut self, ev: &CusanEvent, strings: &CtxInterner) {
-        debug_assert!(!self.sealed, "event after the trace was sealed");
-        let mut buf = self.buf.borrow_mut();
         while self.written < strings.len() {
             let id = StrId(self.written as u32);
-            self.writer.str_record(&mut buf, id.0, strings.label(id));
+            self.writer
+                .str_record(&mut self.out, id.0, strings.label(id));
             self.written += 1;
         }
-        self.writer.event(&mut buf, ev);
+        self.writer.event(&mut self.out, ev);
     }
-}
 
-impl Drop for TraceSink {
-    fn drop(&mut self) {
-        self.seal();
+    /// End the recording: the complete trace, a binary one closed by its
+    /// end-of-trace marker.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.writer.end(&mut self.out);
+        // A finished trace is kept (an outcome, a corpus): without its
+        // growth slack, which can be as large as the trace itself.
+        self.out.shrink_to_fit();
+        self.out
     }
 }
 
@@ -1115,13 +1096,11 @@ mod tests {
     use super::*;
 
     fn record_as(format: TraceFormat, events: &[(CusanEvent, &CtxInterner)]) -> Vec<u8> {
-        let (mut sink, buf) = TraceSink::with_format(format, 3, None);
+        let mut sink = TraceSink::new(format, 3, None);
         for (ev, strings) in events {
             sink.on_event(ev, strings);
         }
-        sink.seal();
-        let out = buf.borrow().clone();
-        out
+        sink.finish()
     }
 
     fn record(events: &[(CusanEvent, &CtxInterner)]) -> String {
@@ -1503,12 +1482,11 @@ mod tests {
             },
         ];
         for format in [TraceFormat::Text, TraceFormat::Binary] {
-            let (mut sink, buf) = TraceSink::with_format(format, 0, Some(2));
+            let mut sink = TraceSink::new(format, 0, Some(2));
             for ev in &events {
                 sink.on_event(ev, &strings);
             }
-            sink.seal();
-            let bytes = buf.borrow().clone();
+            let bytes = sink.finish();
             if format == TraceFormat::Text {
                 let text = std::str::from_utf8(&bytes).unwrap();
                 assert!(text.starts_with(&format!("{TRACE_MAGIC} rank 0 tiered 1 budget 2\n")));

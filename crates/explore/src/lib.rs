@@ -188,7 +188,7 @@ impl SchedulePlan {
     }
 
     /// All lanes' decision logs (the explorer's view of one run).
-    pub fn decision_log(&self) -> Vec<Vec<Decision>> {
+    fn decision_log(&self) -> Vec<Vec<Decision>> {
         (0..self.lanes.len()).map(|l| self.decisions(l)).collect()
     }
 }

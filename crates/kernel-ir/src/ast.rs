@@ -481,15 +481,6 @@ impl KernelDef {
             })
         }
     }
-
-    /// Indices of the pointer parameters.
-    pub fn ptr_params(&self) -> impl Iterator<Item = usize> + '_ {
-        self.params
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.ty.is_ptr())
-            .map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -636,12 +627,6 @@ mod tests {
             caller2.validate(&lookup, KernelId(1)),
             Err(ValidationError::CallArgKind { position: 0, .. })
         ));
-    }
-
-    #[test]
-    fn ptr_params_iterator() {
-        let d = simple_def();
-        assert_eq!(d.ptr_params().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

@@ -27,14 +27,12 @@
 //! * [`builder`] — ergonomic kernel construction with operator overloading
 //! * [`analysis`] — per-argument access attributes (the compiler pass)
 //! * [`interp`] — reference interpreter with bounds checking
-//! * [`pretty`] — pseudo-CUDA pretty-printer (diagnostics)
 //! * [`registry`] — kernel registry, launch grids, native execution contexts
 
 pub mod analysis;
 pub mod ast;
 pub mod builder;
 pub mod interp;
-pub mod pretty;
 pub mod registry;
 
 pub use analysis::{AccessAttr, AnalysisResult};

@@ -137,8 +137,8 @@ pub fn run_checked_world<T: Send>(
     run_world_impl(n, config.into(), registry, false, None, f)
 }
 
-/// Like [`run_checked_world`], but with a trace sink installed on every
-/// rank: each [`RankOutcome::trace`] carries the rank's serialized event
+/// Like [`run_checked_world`], but recording a trace on every rank:
+/// each [`RankOutcome::trace`] carries the rank's serialized event
 /// stream, replayable offline with [`cusan::replay_stream`].
 pub fn run_checked_world_traced<T: Send>(
     n: usize,
@@ -168,8 +168,8 @@ pub fn run_checked_world_scheduled<T: Send>(
     run_world_impl(n, config.into(), registry, false, Some(plan), f)
 }
 
-/// [`run_checked_world_scheduled`] with a trace sink installed on every
-/// rank (the scheduled twin of [`run_checked_world_traced`]).
+/// [`run_checked_world_scheduled`] recording a trace on every rank
+/// (the scheduled twin of [`run_checked_world_traced`]).
 pub fn run_checked_world_scheduled_traced<T: Send>(
     n: usize,
     config: impl Into<ToolConfig>,
@@ -214,9 +214,11 @@ fn run_world_impl<T: Send>(
     let pairs = run_world_with_schedule(n, space, barrier_timeout, sched, move |comm| {
         let rank = comm.rank();
         let tools = Rc::new(ToolCtx::new(rank, config));
-        // The trace sink must observe every event, including the default
+        // The recording must observe every event, including the default
         // stream's FiberCreate emitted by CusanCuda::new below.
-        let trace_buf = record.then(|| tools.install_trace_sink());
+        if record {
+            tools.record_trace();
+        }
         let space = Arc::clone(comm.space());
         let mut cuda = CusanCuda::new(
             DeviceId(rank as u32),
@@ -251,9 +253,9 @@ fn run_world_impl<T: Send>(
                 emit_schedule_choices(&ctx.tools, &plan.decisions(plan.collective_lane()));
             }
         }
-        // Seal the recording (a binary trace gets its end-of-trace
-        // marker) before the buffers are collected below.
-        ctx.tools.seal_trace();
+        // End the recording (a binary trace gets its end-of-trace
+        // marker): this rank emits nothing more.
+        let trace = ctx.tools.take_trace();
         let outcome = RankOutcome {
             rank,
             races: ctx.tools.race_reports(),
@@ -262,7 +264,7 @@ fn run_world_impl<T: Send>(
             tsan: ctx.tools.tsan_stats(),
             cuda: ctx.cuda.counters(),
             events: ctx.tools.event_counters(),
-            trace: trace_buf.map(|b| b.borrow().clone()),
+            trace,
             tool_memory_bytes: ctx.tools.tool_memory_bytes(),
             diagnostics: ctx.tools.diagnostics(),
         };

@@ -1,7 +1,8 @@
 //! The disconnect-surviving client: resume, replay, retry.
 //!
-//! [`check_traces_resilient`] streams a batch of traces like
-//! [`crate::check_traces`], but survives the connection dying at any
+//! [`check_traces_resilient`] streams a batch of traces over one
+//! connection, interleaving their `D` frames round-robin, and collects
+//! one terminal reply per trace. It survives the connection dying at any
 //! point: it reconnects (with capped exponential backoff), sends `R` for
 //! every unfinished session, learns each session's server-side acked
 //! offset from the `A` replies, rewinds its cursors to those offsets,

@@ -960,25 +960,26 @@ mod tests {
 
     const GOLDEN: &[u8] = include_bytes!("../../../tests/data/tealeaf_small.trace");
 
-    /// The checked session behind resident session `id`.
-    fn session_weak(engine: &ServeEngine, id: u64) -> Weak<Mutex<cusan::CheckSession>> {
+    /// A label the checked session behind resident session `id` holds.
+    fn session_label(engine: &ServeEngine, id: u64) -> Arc<str> {
         let sess = engine.lookup(id).expect("session is registered");
         let s = sess.lock();
         let LiveState::Resident(ingest) = &s.state else {
             panic!("session {id} is not resident");
         };
-        ingest.session_weak().expect("header was fed")
+        ingest.session_label().expect("header was fed")
     }
 
-    /// `close` has returned: the session must be gone. A pool worker
-    /// that was mid-scan at the close may hold the slot for the rest of
-    /// that scan (it never parks on it), hence the bounded poll.
-    fn assert_freed(session: &Weak<Mutex<cusan::CheckSession>>, what: &str) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while session.upgrade().is_some() && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert!(session.upgrade().is_none(), "{what} outlived its summary");
+    /// `close` (or a spill) has returned: the session must be gone, so
+    /// nothing but `label` itself and — if it is the canonical
+    /// allocation — the engine's label table still holds it.
+    fn assert_freed(engine: &ServeEngine, label: Arc<str>, what: &str) {
+        let canonical = Arc::ptr_eq(&engine.labels().canon(&label), &label);
+        assert_eq!(
+            Arc::strong_count(&label),
+            1 + usize::from(canonical),
+            "{what} outlived its summary"
+        );
     }
 
     #[test]
@@ -990,10 +991,9 @@ mod tests {
         let engine = ServeEngine::new(EngineConfig::default());
         engine.open_new(1).unwrap();
         engine.feed(1, 0, GOLDEN).unwrap();
-        let session = session_weak(&engine, 1);
-        assert!(session.upgrade().is_some());
+        let label = session_label(&engine, 1);
         assert_eq!(engine.close(1).unwrap(), solo);
-        assert_freed(&session, "a resident session");
+        assert_freed(&engine, label, "a resident session");
         // The peak is one session's pages, not a running total.
         let pages = engine.stats().peak_resident_pages;
         assert!(pages > 0);
@@ -1011,14 +1011,14 @@ mod tests {
         });
         engine.open_new(2).unwrap();
         engine.feed(2, 0, &GOLDEN[..half]).unwrap();
-        let spilled = session_weak(&engine, 2);
+        let spilled = session_label(&engine, 2);
         engine.detach(2);
         assert!(engine.spill_session(2).unwrap());
-        assert_freed(&spilled, "a spilled session");
+        assert_freed(&engine, spilled, "a spilled session");
         engine.feed(2, half as u64, &GOLDEN[half..]).unwrap();
-        let restored = session_weak(&engine, 2);
+        let restored = session_label(&engine, 2);
         assert_eq!(engine.close(2).unwrap(), solo);
-        assert_freed(&restored, "a restored session");
+        assert_freed(&engine, restored, "a restored session");
         let stats = engine.stats();
         assert_eq!((stats.sessions_spilled, stats.sessions_restored), (1, 1));
         assert_eq!(stats.peak_resident_pages, pages);
@@ -1026,10 +1026,10 @@ mod tests {
         // Spilled as its journal alone: nothing of it stays in memory.
         engine.open_new(4).unwrap();
         engine.feed(4, 0, &GOLDEN[..JOURNAL_ONLY_SPILL]).unwrap();
-        let spilled = session_weak(&engine, 4);
+        let spilled = session_label(&engine, 4);
         engine.detach(4);
         assert!(engine.spill_session(4).unwrap());
-        assert_freed(&spilled, "a session spilled as its journal");
+        assert_freed(&engine, spilled, "a session spilled as its journal");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,10 +6,13 @@
 //! length-delimited frames, sniffed from the magic — with
 //! [`cusan::TracePushParser`] and feeds them to an
 //! [`cusan::AsyncChecker`] registered with the engine's shared pool.
-//! Chunk boundaries are arbitrary (mid-line, mid-varint, mid-code-point
-//! splits are all fine). String-table entries are canonicalized through
-//! the engine's [`crate::SharedLabels`] before mirroring, so concurrent
-//! sessions share label allocations instead of copying them.
+//! The checker is the session's one owner: `finish` and `spill` take
+//! the session back ([`cusan::AsyncChecker::finish`]), so nothing of it
+//! outlives either call. Chunk boundaries are arbitrary (mid-line,
+//! mid-varint, mid-code-point splits are all fine). String-table entries
+//! are canonicalized through the engine's [`crate::SharedLabels`] before
+//! mirroring, so concurrent sessions share label allocations instead of
+//! copying them.
 //!
 //! The apply path is [`cusan::CheckSession::try_apply`] — the same one
 //! live instrumentation and offline replay use — which is what makes a
@@ -127,21 +130,27 @@ impl SessionIngest {
     /// Resident shadow pages of the session under check (0 before the
     /// header arrives). Drains the checker first so the answer reflects
     /// every byte fed — budget decisions made on it are deterministic. A
-    /// session that has refused an event counts what it held by then.
+    /// session that refused an event counts 0, which is right: its next
+    /// frame or close fails with that refusal and drops it, so spilling
+    /// it would gain the budget nothing.
     pub fn resident_pages(&self) -> usize {
         match &self.state {
-            IngestState::Body { checker } => checker
-                .with_session(|s| s.shadow_pages())
-                .unwrap_or_else(|_| checker.session_handle().lock().shadow_pages()),
+            IngestState::Body { checker } => {
+                checker.with_session(|s| s.shadow_pages()).unwrap_or(0)
+            }
             _ => 0,
         }
     }
 
-    /// The session under check, for tests that watch it die.
+    /// A label the session under check holds, for tests that watch the
+    /// session die.
     #[cfg(test)]
-    pub(crate) fn session_weak(&self) -> Option<Weak<parking_lot::Mutex<CheckSession>>> {
+    pub(crate) fn session_label(&self) -> Option<Arc<str>> {
         match &self.state {
-            IngestState::Body { checker } => Some(Arc::downgrade(&checker.session_handle())),
+            IngestState::Body { checker } => checker
+                .with_session(|s| s.strings().shared_label(cusan::StrId(0)))
+                .ok()
+                .flatten(),
             _ => None,
         }
     }
@@ -166,10 +175,8 @@ impl SessionIngest {
             IngestState::Body { checker } => {
                 w.put_u8(1);
                 self.parser.spill_to(&mut w);
-                let session_blob = checker
-                    .with_session(|s| s.snapshot_bytes())
-                    .map_err(|e| e.to_string())?;
-                w.put_bytes(&session_blob);
+                let session = checker.finish().map_err(|e| e.to_string())?;
+                w.put_bytes(&session.snapshot_bytes());
             }
         }
         Ok(w.into_bytes())
@@ -226,28 +233,10 @@ impl SessionIngest {
             IngestState::Done => Err("session already closed".to_string()),
             IngestState::Body { checker } => {
                 // The barrier applies what is still queued — and is
-                // where a refusal in the stream's tail surfaces. Dropping
-                // the checker then takes the session out of the pool,
-                // which leaves this handle its only owner — unless a
-                // worker is mid-scan over a snapshot that still lists the
-                // slot; then the summary is copied and the session dies
-                // with that scan.
-                checker.flush().map_err(|e| e.to_string())?;
-                let handle = checker.session_handle();
-                drop(checker);
-                let (summary, pages) = match Arc::try_unwrap(handle) {
-                    Ok(session) => {
-                        let session = session.into_inner();
-                        let pages = session.shadow_pages();
-                        (session.into_summary(), pages)
-                    }
-                    Err(shared) => {
-                        let session = shared.lock();
-                        (session.summary(), session.shadow_pages())
-                    }
-                };
-                engine.finish_session(pages);
-                Ok(summary)
+                // where a refusal in the stream's tail surfaces.
+                let session = checker.finish().map_err(|e| e.to_string())?;
+                engine.finish_session(session.shadow_pages());
+                Ok(session.into_summary())
             }
         }
     }

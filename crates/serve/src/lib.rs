@@ -50,7 +50,7 @@ pub use engine::{AttachError, EngineConfig, FeedError, ServeEngine, ServeStats};
 pub use ingest::SessionIngest;
 pub use json::summary_to_json;
 pub use labels::SharedLabels;
-pub use proto::{check_traces, serve_connection, FrameError, Reply};
+pub use proto::{serve_connection, FrameError, Reply};
 
 use cusan::SessionSummary;
 use std::io::{BufReader, BufWriter};
@@ -171,9 +171,14 @@ mod tests {
             // The first connection's thread dies; its peer sees EOF.
             let mut first = TcpStream::connect(addr).unwrap();
             assert!(matches!(proto::read_frame(&mut first), Ok(None) | Err(_)));
-            let second = TcpStream::connect(addr).unwrap();
-            let replies =
-                check_traces(second.try_clone().unwrap(), second, &[(7, trace)], 16).unwrap();
+            let replies = check_traces_resilient(
+                |_| TcpStream::connect(addr),
+                &[(7, trace)],
+                16,
+                &cusan::FaultInjector::new(cusan::FaultPlan::DISABLED),
+                &RetryPolicy::default(),
+            )
+            .unwrap();
             assert!(
                 matches!(&replies[..], [Reply::Summary { id: 7, .. }]),
                 "{replies:?}"

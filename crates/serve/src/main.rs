@@ -3,14 +3,14 @@
 //! ```text
 //! cusan-serve listen <addr> [--check-threads N] [--max-sessions N]
 //!                    [--spill-dir DIR] [--live-budget P] [--idle-timeout-ms MS]
-//! cusan-serve check <trace-file>... [--check-threads N]
-//!                    [--serve ADDR] [--retries N] [--backoff-ms MS] [--chunk B]
+//! cusan-serve check <trace-file>... [--serve ADDR] [--retries N]
+//!                    [--backoff-ms MS] [--chunk B]
 //! ```
 //!
 //! `--help` / `-h` prints both modes with every option and its default
-//! and exits 0. An argument starting with `--` that is not listed here,
-//! a missing value or an unknown mode is a usage error (the same text on
-//! stderr, exit 2), never a positional.
+//! and exits 0. An argument starting with `--` that is not listed here
+//! for its mode, a missing value or an unknown mode is a usage error
+//! (the same text on stderr, exit 2), never a positional.
 //!
 //! * `listen` — serve the frame protocol (see [`cusan_serve::proto`]) on
 //!   a TCP address until killed. `--max-sessions` (default 1024) bounds
@@ -22,23 +22,26 @@
 //! * `check` — check each trace file and print one summary JSON line per
 //!   file (or one `cusan-serve: <path>: <error>` line on stderr; every
 //!   file is checked, and any failure makes the exit status 1 after an
-//!   `N of M traces failed` line). Offline through an in-process engine
-//!   by default; with `--serve ADDR` the traces stream to a remote
-//!   server through the resilient client (resume on disconnect,
-//!   `--retries` attempts, capped exponential backoff from
-//!   `--backoff-ms`).
+//!   `N of M traces failed` line). Offline by default: each file is
+//!   replayed solo ([`cusan_serve::solo_summary`], the reference every
+//!   served summary is compared against), so a trace that decodes but is
+//!   inconsistent is answered with its `trace line N:` / `trace record
+//!   N:` position. With `--serve ADDR` the traces stream to a remote
+//!   server in `--chunk`-byte data frames through the resilient client
+//!   (resume on disconnect, `--retries` attempts, capped exponential
+//!   backoff from `--backoff-ms`).
 
 use cusan_serve::{
-    check_traces_resilient, serve_listener, summary_to_json, EngineConfig, Reply, RetryPolicy,
-    ServeEngine, SessionIngest,
+    check_traces_resilient, serve_listener, solo_summary, summary_to_json, EngineConfig, Reply,
+    RetryPolicy, ServeEngine,
 };
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bytes per feed (`check`) and per data frame (`check --serve`) unless
-/// `--chunk` says otherwise.
+/// Bytes per data frame (`check --serve`) unless `--chunk` says
+/// otherwise.
 const DEFAULT_CHUNK: usize = 64 << 10;
 const DEFAULT_RETRIES: u64 = 16;
 const DEFAULT_BACKOFF_MS: u64 = 10;
@@ -91,20 +94,22 @@ fn parse_args() -> Result<Options, String> {
             .ok_or_else(|| format!("{} needs a value\n{}", args[*i - 1], usage()))
     };
     while i < args.len() {
-        match args[i].as_str() {
-            "--chunk" => o.chunk = num(&value(&mut i)?)?,
-            "--check-threads" => o.check_threads = Some(num(&value(&mut i)?)?),
-            "--max-sessions" => o.max_sessions = Some(num(&value(&mut i)?)?),
-            "--spill-dir" => o.spill_dir = Some(value(&mut i)?),
-            "--live-budget" => o.live_budget = Some(num(&value(&mut i)?)?),
-            "--idle-timeout-ms" => o.idle_timeout_ms = Some(num(&value(&mut i)?)? as u64),
-            "--serve" => o.serve_addr = Some(value(&mut i)?),
-            "--retries" => o.retries = num(&value(&mut i)?)? as u64,
-            "--backoff-ms" => o.backoff_ms = num(&value(&mut i)?)? as u64,
-            flag if flag.starts_with("--") => {
+        match (&o.mode, args[i].as_str()) {
+            (Mode::Listen, "--check-threads") => o.check_threads = Some(num(&value(&mut i)?)?),
+            (Mode::Listen, "--max-sessions") => o.max_sessions = Some(num(&value(&mut i)?)?),
+            (Mode::Listen, "--spill-dir") => o.spill_dir = Some(value(&mut i)?),
+            (Mode::Listen, "--live-budget") => o.live_budget = Some(num(&value(&mut i)?)?),
+            (Mode::Listen, "--idle-timeout-ms") => {
+                o.idle_timeout_ms = Some(num(&value(&mut i)?)? as u64)
+            }
+            (Mode::Check, "--chunk") => o.chunk = num(&value(&mut i)?)?,
+            (Mode::Check, "--serve") => o.serve_addr = Some(value(&mut i)?),
+            (Mode::Check, "--retries") => o.retries = num(&value(&mut i)?)? as u64,
+            (Mode::Check, "--backoff-ms") => o.backoff_ms = num(&value(&mut i)?)? as u64,
+            (_, flag) if flag.starts_with("--") => {
                 return Err(format!("unknown option {flag}\n{}", usage()))
             }
-            other => o.files.push(other.to_string()),
+            (_, other) => o.files.push(other.to_string()),
         }
         i += 1;
     }
@@ -133,28 +138,16 @@ listen: serve the frame protocol on a TCP address until killed
   --idle-timeout-ms MS  expire sessions detached this long, 0 = never
                         (default {LISTEN_IDLE_TIMEOUT_MS})
 
-check: check each trace file and print one summary JSON line per file
-  --check-threads N     as for listen
+check: replay each trace file solo and print one summary JSON line per file
   --serve ADDR          stream the traces to a `cusan-serve listen` at ADDR
                         instead of checking in-process (default: off)
   --retries N           connection attempts with --serve (default {DEFAULT_RETRIES})
   --backoff-ms MS       first reconnect delay with --serve, doubling up to a
                         cap (default {DEFAULT_BACKOFF_MS})
-  --chunk B             bytes per feed, or per data frame with --serve
-                        (default {DEFAULT_CHUNK})
+  --chunk B             bytes per data frame with --serve (default {DEFAULT_CHUNK})
 
   -h, --help            print this text and exit"
     )
-}
-
-fn engine_config(o: &Options) -> EngineConfig {
-    EngineConfig {
-        check_threads: o.check_threads,
-        live_page_budget: o.live_budget,
-        max_sessions: o.max_sessions,
-        spill_dir: o.spill_dir.as_ref().map(std::path::PathBuf::from),
-        idle_timeout: o.idle_timeout_ms.map(Duration::from_millis),
-    }
 }
 
 fn main() -> ExitCode {
@@ -204,9 +197,11 @@ fn run_listen(o: &Options) -> Result<(), String> {
         shown(idle_ms)
     );
     let config = EngineConfig {
+        check_threads: o.check_threads,
+        live_page_budget: o.live_budget,
         max_sessions,
+        spill_dir: o.spill_dir.as_ref().map(std::path::PathBuf::from),
         idle_timeout: idle_ms.map(Duration::from_millis),
-        ..engine_config(o)
     };
     // `recover`, not `new`: a restarted server resumes every session its
     // previous incarnation journaled (a no-op without --spill-dir).
@@ -231,20 +226,14 @@ fn run_check(o: &Options) -> Result<(), String> {
     if let Some(addr) = &o.serve_addr {
         return run_check_remote(o, addr);
     }
-    let engine = ServeEngine::new(engine_config(o));
-    let check = |path: &str| -> Result<cusan::SessionSummary, String> {
-        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-        let mut ingest = SessionIngest::new(Arc::clone(&engine));
-        for chunk in bytes.chunks(o.chunk.max(1)) {
-            ingest.feed(chunk)?;
-        }
-        ingest.finish()
-    };
     // Every file gets its line, as `check --serve` gives every session
     // its reply: one bad trace does not hide the verdict on the rest.
     let mut failed = 0usize;
     for (i, path) in o.files.iter().enumerate() {
-        match check(path) {
+        match std::fs::read(path)
+            .map_err(|e| e.to_string())
+            .and_then(solo_summary)
+        {
             Ok(summary) => println!("{}", summary_to_json(i as u64, &summary)),
             Err(e) => {
                 eprintln!("cusan-serve: {path}: {e}");

@@ -433,72 +433,6 @@ fn serve_frames<R: Read, W: Write>(
     Ok(())
 }
 
-/// Client helper: stream `traces` (id → full trace text) over one
-/// connection, interleaving their `DATA` frames round-robin in
-/// `chunk`-byte slices, and collect one reply per session. `reader` and
-/// `writer` are the two halves of one duplex connection (for TCP, the
-/// stream and its `try_clone`); writing runs on a separate thread so a
-/// summary-heavy server can never deadlock against an unread reply
-/// backlog. For the disconnect-surviving variant, see
-/// [`crate::client::check_traces_resilient`].
-pub fn check_traces<R, W>(
-    mut reader: R,
-    mut writer: W,
-    traces: &[(u64, Vec<u8>)],
-    chunk: usize,
-) -> io::Result<Vec<Reply>>
-where
-    R: Read,
-    W: Write + Send,
-{
-    let chunk = chunk.max(1);
-    let expected = traces.len();
-    std::thread::scope(|scope| {
-        let send = scope.spawn(move || -> io::Result<()> {
-            for (id, _) in traces {
-                write_frame(&mut writer, &open_frame(*id))?;
-            }
-            let mut cursors: Vec<(u64, u64, &[u8])> = traces
-                .iter()
-                .map(|(id, t)| (*id, 0u64, t.as_slice()))
-                .collect();
-            while cursors.iter().any(|(_, _, rest)| !rest.is_empty()) {
-                for (id, sent, rest) in &mut cursors {
-                    if rest.is_empty() {
-                        continue;
-                    }
-                    let take = chunk.min(rest.len());
-                    write_frame(&mut writer, &data_frame(*id, *sent, &rest[..take]))?;
-                    *sent += take as u64;
-                    *rest = &rest[take..];
-                }
-            }
-            for (id, _) in traces {
-                write_frame(&mut writer, &close_frame(*id))?;
-            }
-            write_frame(&mut writer, &quit_frame())?;
-            writer.flush()
-        });
-        let mut replies = Vec::with_capacity(expected);
-        while replies.len() < expected {
-            match read_frame(&mut reader).map_err(io::Error::from)? {
-                Some(payload) => replies.push(parse_reply(&payload)?),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!(
-                            "server closed after {} of {expected} replies",
-                            replies.len()
-                        ),
-                    ))
-                }
-            }
-        }
-        send.join().expect("client sender panicked")?;
-        Ok(replies)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,7 +122,7 @@ fn sixty_four_sessions_over_one_pool() {
 /// interleaving its sessions in small chunks; each reply must be the
 /// solo replay's JSON, byte for byte.
 fn socket_end_to_end(corpus: &[Vec<u8>], connections: usize, sessions: usize) {
-    use cusan_serve::{check_traces, serve_listener, Reply};
+    use cusan_serve::{check_traces_resilient, serve_listener, Reply, RetryPolicy};
     use std::net::{TcpListener, TcpStream};
 
     let engine = ServeEngine::new(EngineConfig {
@@ -149,9 +149,14 @@ fn socket_end_to_end(corpus: &[Vec<u8>], connections: usize, sessions: usize) {
             .iter()
             .map(|traces| {
                 scope.spawn(move || {
-                    let stream = TcpStream::connect(addr).unwrap();
-                    let reader = stream.try_clone().unwrap();
-                    check_traces(reader, stream, traces, 173).unwrap()
+                    check_traces_resilient(
+                        |_| TcpStream::connect(addr),
+                        traces,
+                        173,
+                        &cusan::FaultInjector::new(cusan::FaultPlan::DISABLED),
+                        &RetryPolicy::default(),
+                    )
+                    .unwrap()
                 })
             })
             .collect();

@@ -15,8 +15,8 @@ use cusan_serve::proto::{
     close_frame, data_frame, open_frame, parse_reply, quit_frame, read_frame, write_frame,
 };
 use cusan_serve::{
-    check_traces, serve_connection, serve_listener, solo_summary, summary_to_json, EngineConfig,
-    FeedError, Reply, ServeEngine,
+    check_traces_resilient, serve_connection, serve_listener, solo_summary, summary_to_json,
+    EngineConfig, FeedError, Reply, RetryPolicy, ServeEngine,
 };
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -177,9 +177,15 @@ fn a_listener_outlives(hostile: &[(Vec<u8>, String)]) {
         std::io::copy(&mut stream, &mut reply_bytes).unwrap();
         assert_replies(&reply_bytes, why);
     }
-    let stream = TcpStream::connect(addr).unwrap();
     let good = [(9, GOLDEN.as_bytes().to_vec())];
-    let replies = check_traces(stream.try_clone().unwrap(), stream, &good, 4096).unwrap();
+    let replies = check_traces_resilient(
+        |_| TcpStream::connect(addr),
+        &good,
+        4096,
+        &cusan::FaultInjector::new(cusan::FaultPlan::DISABLED),
+        &RetryPolicy::default(),
+    )
+    .unwrap();
     let solo = summary_to_json(9, &solo_summary(GOLDEN).unwrap());
     assert_eq!(replies, [Reply::Summary { id: 9, json: solo }]);
 
@@ -194,7 +200,8 @@ fn offline_check_answers_an_inconsistent_trace_with_a_line_not_a_backtrace() {
 }
 
 /// Exit 101 and a backtrace before: the refusal panicked out of
-/// `SessionIngest::finish`.
+/// `SessionIngest::finish`. Offline `check` is solo replay, so each line
+/// is solo's refusal with its `trace line N:` / `trace record N:`.
 fn offline_check_answers_with_a_line(hostile: Vec<(Vec<u8>, String)>) {
     let dir = cusan_serve::unique_scratch_dir("hostile-check");
     std::fs::create_dir_all(&dir).unwrap();
@@ -202,8 +209,10 @@ fn offline_check_answers_with_a_line(hostile: Vec<(Vec<u8>, String)>) {
     let mut expected = String::new();
     for (i, (trace, why)) in hostile.into_iter().enumerate() {
         let path = dir.join(format!("hostile-{i}.trace"));
+        let solo = solo_summary(&trace).unwrap_err();
+        assert!(solo.starts_with("trace ") && solo.ends_with(&why), "{solo}");
         std::fs::write(&path, trace).unwrap();
-        expected += &format!("cusan-serve: {}: {why}\n", path.display());
+        expected += &format!("cusan-serve: {}: {solo}\n", path.display());
         files.push(path);
     }
     expected += &format!("cusan-serve: {0} of {0} traces failed\n", files.len());

@@ -348,6 +348,8 @@ fn an_unknown_option_is_a_usage_error_not_an_address() {
     for args in [
         &["listen", "--global-budget", "5", "127.0.0.1:0"][..],
         &["check", "--no-such-flag", "x.trace"][..],
+        // A listen option: offline `check` is solo replay, no pool.
+        &["check", "--check-threads", "2", "x.trace"][..],
     ] {
         let out = Command::new(SERVE).args(args).output().expect("run");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

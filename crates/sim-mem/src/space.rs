@@ -397,19 +397,6 @@ impl AddressSpace {
         self.write_bytes(ptr, &buf[..T::SIZE])
     }
 
-    /// Run `f` over an immutable typed view of `[ptr, ptr + n*size_of::<T>())`.
-    pub fn with_slice<T: Pod, R>(
-        &self,
-        ptr: Ptr,
-        n: u64,
-        f: impl FnOnce(&[T]) -> R,
-    ) -> Result<R, MemError> {
-        let a = self.find_range(ptr, n * T::SIZE as u64)?;
-        let off = ptr.0 - a.base.0;
-        let g = a.read_slice::<T>(off, n);
-        Ok(f(&g))
-    }
-
     /// Run `f` over a mutable typed view of `[ptr, ptr + n*size_of::<T>())`.
     pub fn with_slice_mut<T: Pod, R>(
         &self,
@@ -426,16 +413,6 @@ impl AddressSpace {
     /// Current accounting snapshot.
     pub fn stats(&self) -> SpaceStats {
         *self.stats.lock()
-    }
-
-    /// Currently-live bytes of a specific memory kind.
-    pub fn live_bytes_of_kind(&self, want: MemKind) -> u64 {
-        self.table
-            .read()
-            .values()
-            .filter(|a| a.kind == want)
-            .map(|a| a.len)
-            .sum()
     }
 
     /// Number of live allocations.
@@ -592,7 +569,6 @@ mod tests {
         s.free(a).unwrap();
         assert_eq!(s.stats().live_bytes, 200);
         assert_eq!(s.stats().peak_bytes, 300);
-        assert_eq!(s.live_bytes_of_kind(MemKind::Device(DeviceId(0))), 200);
         s.free(b).unwrap();
         assert_eq!(s.live_allocs(), 0);
         assert_eq!(s.stats().total_allocs, 2);
@@ -609,10 +585,7 @@ mod tests {
             }
         })
         .unwrap();
-        let sum = s
-            .with_slice::<f64, _>(p, 4, |sl| sl.iter().sum::<f64>())
-            .unwrap();
-        assert_eq!(sum, 6.0);
+        assert_eq!(s.read_vec::<f64>(p, 4).unwrap(), [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -167,11 +167,6 @@ impl TsanRuntime {
         true
     }
 
-    /// True if some fiber released on `key` at least once.
-    pub fn has_release(&self, key: SyncKey) -> bool {
-        self.sync_vars.contains_key(&key.0)
-    }
-
     // ---- memory access annotations ----------------------------------------
 
     /// Intern an access-context label for use with range annotations.
@@ -578,7 +573,6 @@ mod tests {
     fn acquire_without_release_is_noop() {
         let mut t = rt();
         assert!(!t.annotate_happens_after(SyncKey(99)));
-        assert!(!t.has_release(SyncKey(99)));
     }
 
     #[test]

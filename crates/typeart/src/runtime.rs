@@ -46,11 +46,6 @@ impl TypeQuery {
     pub fn remaining_bytes(&self) -> u64 {
         self.record.bytes - self.offset_bytes
     }
-
-    /// Elements from the queried pointer to the end of the allocation.
-    pub fn remaining_elems(&self, elem_size: u64) -> u64 {
-        self.remaining_bytes().checked_div(elem_size).unwrap_or(0)
-    }
 }
 
 /// Errors from allocation bookkeeping.
@@ -235,7 +230,6 @@ mod tests {
         assert_eq!(q.elem_index, 2);
         assert!(q.element_aligned);
         assert_eq!(q.remaining_bytes(), 800 - 16);
-        assert_eq!(q.remaining_elems(8), 98);
         let r = ta.on_free(p).unwrap();
         assert_eq!(r.count, 100);
         assert!(ta.query(p).is_none());
