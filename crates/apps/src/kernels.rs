@@ -4,12 +4,13 @@
 //! the compiler pass for per-argument access attributes) and a native Rust
 //! closure (executed by the simulated device). The two derive from the
 //! same pseudo-CUDA source written in the doc comment of each constructor;
-//! `tests/` contains property tests asserting interpreter ≡ native.
+//! `tests/` contains property tests asserting interpreter ≡ native, down to
+//! the error an overrunning launch returns.
 
 use kernel_ir::ast::ScalarTy;
 use kernel_ir::builder::*;
 use kernel_ir::registry::{NativeCtx, NativeKernel};
-use kernel_ir::{KernelId, KernelRegistry};
+use kernel_ir::{InterpError, KernelId, KernelRegistry};
 use std::sync::{Arc, OnceLock};
 
 /// Kernel ids for the registered app kernels.
@@ -74,6 +75,81 @@ impl AppKernels {
     }
 }
 
+/// A launch extent taken from an `i64` argument; a negative one launches no
+/// thread, as `t < n` holds for none.
+fn extent(v: i64) -> usize {
+    v.max(0) as usize
+}
+
+/// The bounds check every native runs before it touches memory. Thread
+/// `t < threads` (in a one-thread reduction: loop iteration `t`) makes the
+/// accesses `accesses(t)`: `(pointer param, element index)` pairs in the
+/// interpreter's evaluation order. In every kernel here an access's index
+/// grows with `t` and any three consecutive threads include one of each
+/// access shape, so the last three threads fit iff all do. A launch that
+/// overruns walks its threads in order to return the error the interpreter
+/// stops at.
+fn check_bounds<I>(
+    kernel: &str,
+    lens: &[usize],
+    threads: usize,
+    accesses: impl Fn(usize) -> I,
+) -> Result<(), InterpError>
+where
+    I: IntoIterator<Item = (usize, usize)>,
+{
+    let fits = |t| accesses(t).into_iter().all(|(p, i)| i < lens[p]);
+    if (threads.saturating_sub(3)..threads).all(fits) {
+        return Ok(());
+    }
+    for t in 0..threads {
+        if let Some((param, idx)) = accesses(t).into_iter().find(|&(p, i)| i >= lens[p]) {
+            return Err(InterpError::OutOfBounds {
+                kernel: kernel.to_string(),
+                param,
+                idx: idx as i64,
+                len: lens[param] as u64,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The rows a stencil launch covers. Over a block `nx` wide with a halo row
+/// above and below, thread `t` updates element `t + nx` (row `t / nx + 1`,
+/// column `t % nx`); yields each row's first element and its column count
+/// (`nx`, or fewer in a partial last row), in thread order.
+fn stencil_rows(nx: usize, threads: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..threads)
+        .step_by(nx.max(1))
+        .map(move |t| (t + nx, (threads - t).min(nx)))
+}
+
+/// The 5-point update of the interior columns `1..=nx - 2` among the
+/// first `cols` of the row that starts at element `k0` of a block `nx`
+/// wide: `out[k] = f(a[k], a[k - 1], a[k + 1], a[k - nx], a[k + nx])`.
+/// The three input rows are sliced once, so the column loop indexes
+/// nothing but `i ± 1`.
+fn stencil_row(
+    out: &mut [f64],
+    a: &[f64],
+    nx: usize,
+    (k0, cols): (usize, usize),
+    f: impl Fn(f64, f64, f64, f64, f64) -> f64,
+) {
+    let end = cols.min(nx - 1);
+    if end < 2 {
+        return;
+    }
+    let up = &a[k0 - nx..k0 - nx + end];
+    let mid = &a[k0..=k0 + end];
+    let down = &a[k0 + nx..k0 + nx + end];
+    let out = &mut out[k0..k0 + end];
+    for i in 1..end {
+        out[i] = f(mid[i], mid[i - 1], mid[i + 1], up[i], down[i]);
+    }
+}
+
 /// ```cuda
 /// __global__ void fill(double* p, double v, long n)
 ///   { long t = TID; if (t < n) p[t] = v; }
@@ -86,10 +162,12 @@ fn register_fill(reg: &mut KernelRegistry) -> KernelId {
     b.if_(tid().lt(n.get()), |b| b.store(p, tid(), v.get()));
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
         let v = ctx.f64_arg(1);
-        let n = (ctx.i64_arg(2) as u64).min(ctx.grid) as usize;
+        let n = extent(ctx.i64_arg(2)).min(ctx.grid as usize);
+        let kernel = ctx.kernel();
         let p = ctx.f64s_mut(0);
-        let n = n.min(p.len());
+        check_bounds(kernel, &[p.len()], n, |t| [(0, t)])?;
         p[..n].fill(v);
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register fill")
@@ -106,10 +184,13 @@ fn register_copy(reg: &mut KernelRegistry) -> KernelId {
     let n = b.scalar_param("n", ScalarTy::I64);
     b.if_(tid().lt(n.get()), |b| b.store(dst, tid(), load(src, tid())));
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
-        let n = (ctx.i64_arg(2) as u64).min(ctx.grid) as usize;
+        let n = extent(ctx.i64_arg(2)).min(ctx.grid as usize);
+        let kernel = ctx.kernel();
         let (mut w, r) = ctx.split_f64(&[0], &[1]);
-        let n = n.min(w[0].len()).min(r[0].len());
-        w[0][..n].copy_from_slice(&r[0][..n]);
+        let (dst, src) = (&mut *w[0], r[0]);
+        check_bounds(kernel, &[dst.len(), src.len()], n, |t| [(1, t), (0, t)])?;
+        dst[..n].copy_from_slice(&src[..n]);
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register copy_buf")
@@ -150,19 +231,27 @@ fn register_jacobi_step(reg: &mut KernelRegistry) -> KernelId {
         });
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
-        let nx = ctx.i64_arg(2) as usize;
-        let rows = ctx.i64_arg(3) as usize;
-        let n = (nx * rows).min(ctx.grid as usize);
+        let nx = extent(ctx.i64_arg(2));
+        let n = nx
+            .saturating_mul(extent(ctx.i64_arg(3)))
+            .min(ctx.grid as usize);
+        let kernel = ctx.kernel();
         let (mut w, r) = ctx.split_f64(&[0], &[1]);
         let (anew, a) = (&mut *w[0], r[0]);
-        for t in 0..n {
-            let j = t / nx + 1;
-            let i = t % nx;
-            if (1..=nx - 2).contains(&i) {
-                let k = j * nx + i;
-                anew[k] = 0.25 * (a[k - 1] + a[k + 1] + a[k - nx] + a[k + nx]);
-            }
+        check_bounds(kernel, &[anew.len(), a.len()], n, |t| {
+            let k = t + nx;
+            (1..nx - 1)
+                .contains(&(t % nx))
+                .then_some([(1, k - 1), (1, k + 1), (1, k - nx), (1, k + nx), (0, k)])
+                .into_iter()
+                .flatten()
+        })?;
+        for row in stencil_rows(nx, n) {
+            stencil_row(anew, a, nx, row, |_, west, east, north, south| {
+                0.25 * (west + east + north + south)
+            });
         }
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register jacobi_step")
@@ -191,15 +280,23 @@ fn register_residual(reg: &mut KernelRegistry) -> KernelId {
         b.store(out, ci(0), acc.get());
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
-        let n = ctx.i64_arg(3) as usize;
+        if ctx.grid == 0 {
+            return Ok(());
+        }
+        let n = extent(ctx.i64_arg(3));
+        let kernel = ctx.kernel();
         let (mut w, r) = ctx.split_f64(&[0], &[1, 2]);
         let (a, anew) = (r[0], r[1]);
+        let lens = [w[0].len(), a.len(), anew.len()];
+        check_bounds(kernel, &lens, n, |k| [(2, k), (1, k)])?;
+        check_bounds(kernel, &lens, 1, |_| [(0, 0)])?;
         let mut s = 0.0;
         for k in 0..n {
             let d = anew[k] - a[k];
             s += d * d;
         }
         w[0][0] = s;
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register residual_reduce")
@@ -235,19 +332,31 @@ fn register_residual2d(reg: &mut KernelRegistry) -> KernelId {
         b.store(out, ci(0), acc.get());
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
-        let w = ctx.i64_arg(3) as usize;
-        let rows = ctx.i64_arg(4) as usize;
+        if ctx.grid == 0 {
+            return Ok(());
+        }
+        let w = extent(ctx.i64_arg(3));
+        let rows = extent(ctx.i64_arg(4));
+        let cols = w.saturating_sub(2);
+        let kernel = ctx.kernel();
         let (mut o, r) = ctx.split_f64(&[0], &[1, 2]);
         let (a, anew) = (r[0], r[1]);
+        let lens = [o[0].len(), a.len(), anew.len()];
+        check_bounds(kernel, &lens, rows.saturating_mul(cols), |it| {
+            let k = (it / cols + 1) * w + it % cols + 1;
+            [(2, k), (1, k)]
+        })?;
+        check_bounds(kernel, &lens, 1, |_| [(0, 0)])?;
         let mut s = 0.0;
         for j in 1..=rows {
-            for i in 1..(w - 1) {
+            for i in 1..=cols {
                 let k = j * w + i;
                 let d = anew[k] - a[k];
                 s += d * d;
             }
         }
         o[0][0] = s;
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register residual2d")
@@ -275,14 +384,22 @@ fn register_dot(reg: &mut KernelRegistry) -> KernelId {
         b.store(out, ci(0), acc.get());
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
-        let n = ctx.i64_arg(3) as usize;
+        if ctx.grid == 0 {
+            return Ok(());
+        }
+        let n = extent(ctx.i64_arg(3));
+        let kernel = ctx.kernel();
         let (mut w, r) = ctx.split_f64(&[0], &[1, 2]);
         let (x, y) = (r[0], r[1]);
+        let lens = [w[0].len(), x.len(), y.len()];
+        check_bounds(kernel, &lens, n, |k| [(1, k), (2, k)])?;
+        check_bounds(kernel, &lens, 1, |_| [(0, 0)])?;
         let mut s = 0.0;
         for k in 0..n {
             s += x[k] * y[k];
         }
         w[0][0] = s;
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register dot_reduce")
@@ -331,24 +448,40 @@ fn register_apply_a(reg: &mut KernelRegistry) -> KernelId {
         );
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
-        let nx = ctx.i64_arg(2) as usize;
-        let rows = ctx.i64_arg(3) as usize;
+        let nx = extent(ctx.i64_arg(2));
+        let n = nx
+            .saturating_mul(extent(ctx.i64_arg(3)))
+            .min(ctx.grid as usize);
         let rx = ctx.f64_arg(4);
         let ry = ctx.f64_arg(5);
-        let n = (nx * rows).min(ctx.grid as usize);
+        let kernel = ctx.kernel();
         let (mut wbufs, r) = ctx.split_f64(&[0], &[1]);
         let (w, p) = (&mut *wbufs[0], r[0]);
+        check_bounds(kernel, &[w.len(), p.len()], n, |t| {
+            let k = t + nx;
+            let around = (1..nx - 1).contains(&(t % nx)).then_some([
+                (1, k - 1),
+                (1, k + 1),
+                (1, k - nx),
+                (1, k + nx),
+            ]);
+            [(1, k)]
+                .into_iter()
+                .chain(around.into_iter().flatten())
+                .chain([(0, k)])
+        })?;
         let diag = 1.0 + 2.0 * rx + 2.0 * ry;
-        for t in 0..n {
-            let j = t / nx + 1;
-            let i = t % nx;
-            let k = j * nx + i;
-            if (1..=nx - 2).contains(&i) {
-                w[k] = diag * p[k] - rx * (p[k - 1] + p[k + 1]) - ry * (p[k - nx] + p[k + nx]);
-            } else {
-                w[k] = p[k];
+        for (k0, cols) in stencil_rows(nx, n) {
+            // Identity on the fixed column boundaries this row reaches.
+            w[k0] = p[k0];
+            if cols == nx {
+                w[k0 + nx - 1] = p[k0 + nx - 1];
             }
+            stencil_row(w, p, nx, (k0, cols), |c, west, east, north, south| {
+                diag * c - rx * (west + east) - ry * (north + south)
+            });
         }
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register apply_a")
@@ -369,12 +502,15 @@ fn register_axpy(reg: &mut KernelRegistry) -> KernelId {
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
         let alpha = ctx.f64_arg(2);
-        let n = (ctx.i64_arg(3) as u64).min(ctx.grid) as usize;
+        let n = extent(ctx.i64_arg(3)).min(ctx.grid as usize);
+        let kernel = ctx.kernel();
         let (mut w, r) = ctx.split_f64(&[0], &[1]);
         let (y, x) = (&mut *w[0], r[0]);
-        for t in 0..n.min(y.len()).min(x.len()) {
+        check_bounds(kernel, &[y.len(), x.len()], n, |t| [(0, t), (1, t)])?;
+        for t in 0..n {
             y[t] += alpha * x[t];
         }
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register axpy")
@@ -395,12 +531,15 @@ fn register_xpay(reg: &mut KernelRegistry) -> KernelId {
     });
     let native: NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
         let beta = ctx.f64_arg(2);
-        let n = (ctx.i64_arg(3) as u64).min(ctx.grid) as usize;
+        let n = extent(ctx.i64_arg(3)).min(ctx.grid as usize);
+        let kernel = ctx.kernel();
         let (mut w, r) = ctx.split_f64(&[0], &[1]);
         let (y, x) = (&mut *w[0], r[0]);
-        for t in 0..n.min(y.len()).min(x.len()) {
+        check_bounds(kernel, &[y.len(), x.len()], n, |t| [(1, t), (0, t)])?;
+        for t in 0..n {
             y[t] = x[t] + beta * y[t];
         }
+        Ok(())
     });
     reg.register(b.finish(), Some(native))
         .expect("register xpay")

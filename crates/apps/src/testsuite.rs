@@ -1000,7 +1000,18 @@ pub fn wildcard_schedule_race() -> Case {
                 let a = ctx.cuda.malloc::<f64>(EAGER_M).unwrap();
                 let b = ctx.cuda.malloc::<f64>(EAGER_M).unwrap();
                 let flag = ctx.cuda.malloc::<f64>(1).unwrap();
-                fill(ctx, k, a, 2.0, StreamId::DEFAULT);
+                ctx.cuda
+                    .launch(
+                        k.fill,
+                        LaunchGrid::linear(EAGER_M),
+                        StreamId::DEFAULT,
+                        vec![
+                            LaunchArg::Ptr(a),
+                            LaunchArg::F64(2.0),
+                            LaunchArg::I64(EAGER_M as i64),
+                        ],
+                    )
+                    .unwrap();
                 ctx.cuda.device_synchronize().unwrap();
                 ctx.mpi.send(a, EAGER_M, MpiDatatype::Double, 0, 0).unwrap();
                 ctx.mpi.send(b, EAGER_M, MpiDatatype::Double, 0, 1).unwrap();

@@ -245,6 +245,79 @@ fn tealeaf_instrumentation_does_not_change_numerics() {
     assert_eq!(v.cg.iterations, c.cg.iterations);
 }
 
+/// The stencil apps' results to the bit, under Vanilla and under the full
+/// tool stack, at two small sizes each. Recorded while the native
+/// `jacobi_step` and `apply_a` still walked the grid element by element
+/// with a division and a remainder per thread: a rewrite of a native
+/// kernel must reproduce every one of these.
+#[test]
+fn stencil_results_are_pinned() {
+    use cusan_apps::{run_jacobi2d, Jacobi2dConfig};
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for flavor in [Flavor::Vanilla, Flavor::MustCusan] {
+        for (nx, ny, ranks, iters) in [(64, 32, 2, 30), (40, 24, 3, 12)] {
+            let cfg = JacobiConfig {
+                nx,
+                ny,
+                ranks,
+                iters,
+                race: RaceMode::None,
+            };
+            let run = run_jacobi(&cfg, flavor);
+            got.push((
+                format!("{flavor} jacobi {nx}x{ny}"),
+                run.final_norm.to_bits(),
+            ));
+        }
+        for (nx, ny, px, py) in [(32, 32, 2, 2), (24, 12, 3, 1)] {
+            let cfg = Jacobi2dConfig {
+                nx,
+                ny,
+                px,
+                py,
+                iters: 15,
+                race: RaceMode::None,
+            };
+            let run = run_jacobi2d(&cfg, flavor);
+            let last = *run.norms.last().expect("one norm per iteration");
+            got.push((format!("{flavor} jacobi2d {nx}x{ny}"), last.to_bits()));
+        }
+        for (nx, ny, ranks) in [(32, 32, 2), (24, 18, 3)] {
+            let cfg = TeaLeafConfig {
+                nx,
+                ny,
+                ranks,
+                max_iters: 40,
+                ..TeaLeafConfig::default()
+            };
+            let run = run_tealeaf(&cfg, flavor);
+            got.push((
+                format!("{flavor} tealeaf {nx}x{ny} rr"),
+                run.cg.rr.to_bits(),
+            ));
+            got.push((
+                format!("{flavor} tealeaf {nx}x{ny} iterations"),
+                u64::from(run.cg.iterations),
+            ));
+        }
+    }
+    let pinned: [(&str, u64); 8] = [
+        ("jacobi 64x32", 4593805213517746755),
+        ("jacobi 40x24", 4596442629484726831),
+        ("jacobi2d 32x32", 4594667095038242338),
+        ("jacobi2d 24x12", 4593773715430802014),
+        ("tealeaf 32x32 rr", 4475852673054563443),
+        ("tealeaf 32x32 iterations", 55),
+        ("tealeaf 24x18 rr", 4472766947107197648),
+        ("tealeaf 24x18 iterations", 55),
+    ];
+    let want: Vec<(String, u64)> = [Flavor::Vanilla, Flavor::MustCusan]
+        .iter()
+        .flat_map(|flavor| pinned.map(|(label, bits)| (format!("{flavor} {label}"), bits)))
+        .collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn flavors_order_overhead_event_counts() {
     // More instrumentation => more TSan events. (Wall-clock ordering is

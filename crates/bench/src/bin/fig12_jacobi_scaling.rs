@@ -4,7 +4,9 @@
 //! The paper sweeps 512×256 … 8192×4096 and shows CuSan's overhead
 //! growing with the tracked-memory volume (from ~6× to ~36× and beyond).
 //! The default sweep here stops at 2048×1024 to keep the run short; set
-//! `CUSAN_BENCH_FULL=1` for the two largest domains.
+//! `CUSAN_BENCH_FULL=1` for the two largest domains. Vanilla and CuSan
+//! seconds are printed beside the ratio, so the tool's own cost per domain
+//! is their difference.
 
 use cusan::Flavor;
 use cusan_apps::{run_jacobi, JacobiConfig};
@@ -25,8 +27,8 @@ fn main() {
     );
 
     println!(
-        "{:<12} {:>12} {:>14} {:>14} {:>14}",
-        "Domain", "Rel.Runtime", "TSan Read", "TSan Write", "Vanilla[s]"
+        "{:<12} {:>12} {:>14} {:>14} {:>14} {:>12}",
+        "Domain", "Rel.Runtime", "TSan Read", "TSan Write", "Vanilla[s]", "CuSan[s]"
     );
     for (nx, ny) in domains {
         let cfg = JacobiConfig {
@@ -49,12 +51,13 @@ fn main() {
             r.elapsed
         });
         println!(
-            "{:<12} {:>11.2}x {:>11.1} MB {:>11.1} MB {:>14.3}",
+            "{:<12} {:>11.2}x {:>11.1} MB {:>11.1} MB {:>14.3} {:>12.3}",
             format!("{nx}x{ny}"),
             rel(cusan, vanilla),
             read_mb,
             write_mb,
-            vanilla.as_secs_f64()
+            vanilla.as_secs_f64(),
+            cusan.as_secs_f64()
         );
     }
     println!(

@@ -8,7 +8,8 @@
 //! turning any unsoundness of the analysis into an immediate test failure.
 //!
 //! If a kernel has no native closure, the reference interpreter runs over
-//! the same bound views.
+//! the same bound views. On either path a launch that indexes past a bound
+//! buffer is a [`CudaError::Kernel`] carrying the interpreter's error.
 
 use crate::error::CudaError;
 use kernel_ir::ast::{KernelDef, ParamTy, ScalarTy};
@@ -231,8 +232,7 @@ pub(crate) fn execute_kernel(
             }
         }
         let mut ctx = NativeCtx::new(&def.name, grid.total(), native_args);
-        native(&mut ctx);
-        Ok(())
+        native(&mut ctx).map_err(CudaError::Kernel)
     } else {
         // Interpreter path over the same bound views.
         let mut run_args: Vec<RunArg> = Vec::with_capacity(args.len());
@@ -330,6 +330,7 @@ mod tests {
             for v in ctx.f64s_mut(0) {
                 *v = 7.0; // ...native says 7, proving native ran
             }
+            Ok(())
         });
         let k = reg.register(b.finish(), Some(native)).unwrap();
         let p = space.alloc_array::<f64>(DEV, 3).unwrap();
@@ -457,6 +458,45 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CudaError::Kernel(_)), "{err}");
+    }
+
+    #[test]
+    fn native_overrun_surfaces_as_kernel_error() {
+        let (space, mut reg) = setup();
+        let mut b = KernelBuilder::new("unguarded");
+        let p = b.ptr_param("p", ScalarTy::F64);
+        b.store(p, tid(), cf(1.0));
+        let native: kernel_ir::NativeKernel = Arc::new(|ctx: &mut NativeCtx<'_>| {
+            let len = ctx.f64s_mut(0).len();
+            Err(kernel_ir::InterpError::OutOfBounds {
+                kernel: ctx.kernel().to_string(),
+                param: 0,
+                idx: len as i64,
+                len: len as u64,
+            })
+        });
+        let k = reg.register(b.finish(), Some(native)).unwrap();
+        let d = space.alloc_array::<f64>(DEV, 2).unwrap();
+        let err = execute_kernel(
+            &space,
+            &reg,
+            k,
+            LaunchGrid::cover(8, 8),
+            &[LaunchArg::Ptr(d)],
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CudaError::Kernel(kernel_ir::InterpError::OutOfBounds {
+                    kernel,
+                    param: 0,
+                    idx: 2,
+                    len: 2
+                }) if kernel == "unguarded"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

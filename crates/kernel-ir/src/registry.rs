@@ -8,6 +8,7 @@
 
 use crate::analysis::{self, AccessAttr, AnalysisResult};
 use crate::ast::{KernelDef, KernelId, ValidationError};
+use crate::interp::InterpError;
 use sim_mem::Ptr;
 use std::collections::HashMap;
 use std::fmt;
@@ -188,6 +189,11 @@ impl<'a> NativeCtx<'a> {
         NativeCtx { grid, kernel, args }
     }
 
+    /// The launched kernel's name, for the errors a native returns.
+    pub fn kernel(&self) -> &'a str {
+        self.kernel
+    }
+
     /// Scalar `f64` argument.
     pub fn f64_arg(&self, i: usize) -> f64 {
         match self.args[i] {
@@ -210,8 +216,10 @@ impl<'a> NativeCtx<'a> {
     ctx_accessors!(i32s, i32s_mut, split_i32, i32, MutI32, RefI32);
 }
 
-/// A native kernel implementation (the "fat binary" body).
-pub type NativeKernel = Arc<dyn Fn(&mut NativeCtx<'_>) + Send + Sync>;
+/// A native kernel implementation (the "fat binary" body). A launch that
+/// would index past a bound buffer returns the interpreter's
+/// [`InterpError::OutOfBounds`] instead of touching memory.
+pub type NativeKernel = Arc<dyn Fn(&mut NativeCtx<'_>) -> Result<(), InterpError> + Send + Sync>;
 
 /// Registration errors.
 #[derive(Debug)]
@@ -441,6 +449,7 @@ mod tests {
             for t in 0..grid.min(out.len() as u64) {
                 out[t as usize] = v;
             }
+            Ok(())
         });
         let mut b = KernelBuilder::new("fill");
         let p = b.ptr_param("p", ScalarTy::F64);
@@ -454,7 +463,7 @@ mod tests {
             4,
             vec![NativeArg::MutF64(&mut buf), NativeArg::F64(7.0)],
         );
-        f(&mut ctx);
+        f(&mut ctx).unwrap();
         assert_eq!(buf, vec![7.0; 4]);
     }
 
