@@ -159,6 +159,17 @@ fn peer_send(ctx: &mut RankCtx, k: &AppKernels) {
 
 // ---- the suite -------------------------------------------------------------------
 
+/// Programs whose execution depends on thread timing by construction: a
+/// free racing an in-flight send, and a `Waitany` taking whichever
+/// request finishes first. Their verdict and MUST findings repeat from
+/// run to run; which race they report, and the bytes they record, need
+/// not.
+pub const TIMING_DEPENDENT: [&str; 3] = [
+    "cuda-to-mpi/free_during_isend_nok",
+    "extensions/waitany_then_kernel",
+    "extensions/waitany_wrong_buffer_nok",
+];
+
 /// All cases, grouped by category.
 pub fn cases() -> Vec<Case> {
     macro_rules! case {
@@ -1119,6 +1130,14 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), cases.len());
+    }
+
+    #[test]
+    fn timing_dependent_programs_are_in_the_suite() {
+        let cases = cases();
+        for name in TIMING_DEPENDENT {
+            assert!(cases.iter().any(|c| c.name == name), "{name}");
+        }
     }
 
     #[test]

@@ -201,8 +201,8 @@ pub enum FiberEventError {
     /// `FiberDestroy` of the fiber the stream is running on.
     DestroyCurrent(FiberId),
     /// Not a fiber event, but refused on the same path: a range event
-    /// whose context label is new with every id the shadow encoding can
-    /// name already taken.
+    /// whose label id is past the [`MAX_CTXS`] context ids a shadow slot
+    /// can name (the session's label ids are its context ids).
     ContextTableFull,
 }
 
@@ -312,10 +312,14 @@ impl EventCounters {
             CusanEvent::ApiFault { .. } => self.api_faults += 1,
             CusanEvent::ScheduleChoice { .. } => self.schedule_choices += 1,
             CusanEvent::CounterBump { counter, delta } => {
-                *self
-                    .named
-                    .entry(strings.label(counter).to_string())
-                    .or_insert(0) += delta;
+                // Only a counter's first bump allocates its name.
+                let name = strings.label(counter);
+                match self.named.get_mut(name) {
+                    Some(total) => *total += delta,
+                    None => {
+                        self.named.insert(name.to_string(), delta);
+                    }
+                }
             }
         }
     }

@@ -2,9 +2,13 @@
 //!
 //! A [`CheckSession`] bundles everything one checked execution needs on
 //! the *consumer* side of the event pipeline — the [`TsanRuntime`], the
-//! mirror [`CtxInterner`] that resolves event string ids, the one match
-//! that translates an event into detector calls, and the per-session
+//! [`CtxInterner`] that resolves event string ids, the one match that
+//! translates an event into detector calls, and the per-session
 //! [`EventCounters`] — independent of any particular event producer.
+//!
+//! The interner is the session's only label table: every label it takes
+//! is defined in the runtime under the same id, so a range event's
+//! [`StrId`] *is* its [`CtxId`] and a fiber's name is its label's id.
 //! Three producers drive sessions today:
 //!
 //! - **Live instrumentation** — [`crate::ToolCtx`] builds one session per
@@ -28,6 +32,7 @@ use std::sync::Arc;
 use crate::event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 use crate::trace::{TraceHeader, TraceRecord};
 use tsan_rt::fiber::MAX_FIBERS;
+use tsan_rt::report::MAX_CTXS;
 use tsan_rt::{
     CtxId, FiberId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime,
     TsanStats,
@@ -37,8 +42,9 @@ use tsan_rt::{
 /// runtime-level `cusansnp` so the two blob kinds cannot be confused).
 pub const SESSION_SNAPSHOT_MAGIC: &[u8; 8] = b"cusanses";
 
-/// Version of the session snapshot layout.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
+/// Version of the session snapshot layout. v4: the labels travel once,
+/// in the (v4) runtime section; the interner is rebuilt from them.
+pub const SESSION_SNAPSHOT_VERSION: u32 = 4;
 
 /// Construction parameters for a [`CheckSession`]: the two trace-header
 /// fields that shape detection.
@@ -88,14 +94,11 @@ pub struct SessionSummary {
     pub counters: EventCounters,
 }
 
-/// Detector runtime + mirror interner + apply path + per-session
-/// counters, as one ownable unit (see the module docs).
+/// Detector runtime + label table + apply path + per-session counters,
+/// as one ownable unit (see the module docs).
 pub struct CheckSession {
     rank: usize,
     strings: CtxInterner,
-    /// Pipeline [`StrId`] → runtime [`CtxId`], filled lazily in first-use
-    /// order (identical live and on replay).
-    ctx_map: Vec<Option<CtxId>>,
     counters: EventCounters,
     rt: TsanRuntime,
 }
@@ -119,12 +122,13 @@ impl CheckSession {
         ))
     }
 
-    /// Wrap an already-configured runtime.
+    /// Wrap an already-configured runtime that has no labels defined:
+    /// from here on the session defines them.
     pub fn from_runtime(rank: usize, rt: TsanRuntime) -> Self {
+        debug_assert!(rt.labels().is_empty(), "the session owns label ids");
         CheckSession {
             rank,
             strings: CtxInterner::new(),
-            ctx_map: Vec::new(),
             counters: EventCounters::default(),
             rt,
         }
@@ -135,17 +139,29 @@ impl CheckSession {
         self.rank
     }
 
-    /// Intern a label into the session's mirror table. Producers must
-    /// forward every fresh label *before* the first event referencing
-    /// it, in interning order — ids are dense, so order is identity.
+    /// Intern a label into the session's table. Producers must forward
+    /// every fresh label *before* the first event referencing it, in
+    /// interning order — ids are dense, so order is identity.
     pub fn intern(&mut self, label: &str) -> StrId {
-        self.strings.intern(label)
+        let id = self.strings.intern(label);
+        self.define_if_new(id)
     }
 
     /// [`CheckSession::intern`] for a label whose bytes are already
     /// shared (serve's cross-session label table).
     pub fn intern_shared(&mut self, label: &Arc<str>) -> StrId {
-        self.strings.intern_shared(label)
+        let id = self.strings.intern_shared(label);
+        self.define_if_new(id)
+    }
+
+    /// Define a label the interner has just added in the runtime, under
+    /// the same id and sharing its bytes.
+    fn define_if_new(&mut self, id: StrId) -> StrId {
+        if id.0 as usize == self.rt.labels().len() {
+            let label = self.strings.shared_label(id).expect("interned above");
+            self.rt.define_ctx(label);
+        }
+        id
     }
 
     /// Apply one event: detector first, then the session counters. This
@@ -158,23 +174,6 @@ impl CheckSession {
         self.detect(ev)?;
         self.counters.observe(ev, &self.strings);
         Ok(())
-    }
-
-    /// The runtime context of label `id`, interned on first use.
-    fn runtime_ctx(&mut self, id: StrId) -> Result<CtxId, FiberEventError> {
-        let idx = id.0 as usize;
-        if let Some(&Some(ctx)) = self.ctx_map.get(idx) {
-            return Ok(ctx);
-        }
-        let ctx = self
-            .rt
-            .try_intern_ctx(self.strings.label(id))
-            .ok_or(FiberEventError::ContextTableFull)?;
-        if idx >= self.ctx_map.len() {
-            self.ctx_map.resize(idx + 1, None);
-        }
-        self.ctx_map[idx] = Some(ctx);
-        Ok(ctx)
     }
 
     /// Translate one event into detector calls. A fiber event is first
@@ -191,7 +190,7 @@ impl CheckSession {
                 if next.index() >= MAX_FIBERS {
                     return Err(FiberEventError::TableFull);
                 }
-                self.rt.create_fiber(self.strings.label(name));
+                self.rt.create_fiber(CtxId(name.0));
             }
             CusanEvent::FiberSwitch { fiber, sync } => {
                 if !self.rt.is_fiber_alive(fiber) {
@@ -220,12 +219,10 @@ impl CheckSession {
                 self.rt.annotate_happens_after(key);
             }
             CusanEvent::ReadRange { addr, len, ctx } => {
-                let ctx = self.runtime_ctx(ctx)?;
-                self.rt.read_range(addr, len, ctx);
+                self.rt.read_range(addr, len, range_ctx(ctx)?);
             }
             CusanEvent::WriteRange { addr, len, ctx } => {
-                let ctx = self.runtime_ctx(ctx)?;
-                self.rt.write_range(addr, len, ctx);
+                self.rt.write_range(addr, len, range_ctx(ctx)?);
             }
             // Markers: no detection semantics. In particular `ApiFault`
             // must leave the detector untouched — a failed call changes
@@ -263,7 +260,7 @@ impl CheckSession {
         }
     }
 
-    /// The session's mirror string table.
+    /// The session's label table.
     pub fn strings(&self) -> &CtxInterner {
         &self.strings
     }
@@ -294,9 +291,9 @@ impl CheckSession {
         }
     }
 
-    /// Serialize the complete session — interner, context map,
-    /// event counters, and the full detector runtime — into a
-    /// self-describing blob. The encoding is *canonical*: two sessions
+    /// Serialize the complete session — event counters and the full
+    /// detector runtime, whose label section is the interner's content —
+    /// into a self-describing blob. The encoding is *canonical*: two sessions
     /// with identical observable state produce identical bytes, and
     /// `snapshot_bytes ∘ restore_bytes` is the identity on blobs. This
     /// is what lets the serve path spill an **unfinished** session to
@@ -307,22 +304,6 @@ impl CheckSession {
         w.put_raw(SESSION_SNAPSHOT_MAGIC);
         w.put_u32(SESSION_SNAPSHOT_VERSION);
         w.put_u64(self.rank as u64);
-        // Mirror interner, in id order (ids are dense: order is identity).
-        w.put_len(self.strings.len());
-        for i in 0..self.strings.len() {
-            w.put_str(self.strings.label(StrId(i as u32)));
-        }
-        // StrId → CtxId map.
-        w.put_len(self.ctx_map.len());
-        for entry in &self.ctx_map {
-            match entry {
-                Some(ctx) => {
-                    w.put_bool(true);
-                    w.put_u32(ctx.0);
-                }
-                None => w.put_bool(false),
-            }
-        }
         // Event-stream counters: the 15 scalar fields in declared order,
         // then the named rows (BTreeMap iteration is already sorted).
         let c = &self.counters;
@@ -350,7 +331,8 @@ impl CheckSession {
             w.put_str(name);
             w.put_u64(*total);
         }
-        // The detector runtime, inline (its own sections are canonical).
+        // The detector runtime, inline (its own sections are canonical);
+        // it carries the labels.
         self.rt.write_snapshot(&mut w);
         w.into_bytes()
     }
@@ -366,31 +348,6 @@ impl CheckSession {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let rank = r.get_u64()? as usize;
-        let n_labels = r.get_len()?;
-        let mut strings = CtxInterner::new();
-        for i in 0..n_labels {
-            let label = r.get_str()?;
-            let id = strings.intern(&label);
-            if id != StrId(i as u32) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate interner label {label:?}"
-                )));
-            }
-        }
-        let n_map = r.get_len()?;
-        if n_map > n_labels {
-            return Err(SnapshotError::Corrupt(format!(
-                "ctx map covers {n_map} ids but only {n_labels} labels exist"
-            )));
-        }
-        let mut ctx_map = Vec::with_capacity(n_map);
-        for _ in 0..n_map {
-            ctx_map.push(if r.get_bool()? {
-                Some(CtxId(r.get_u32()?))
-            } else {
-                None
-            });
-        }
         let mut counters = EventCounters::default();
         {
             let c = &mut counters;
@@ -427,18 +384,19 @@ impl CheckSession {
         }
         let rt = TsanRuntime::read_snapshot(&mut r)?;
         r.expect_end()?;
-        for entry in ctx_map.iter().flatten() {
-            if rt.ctx_label(*entry) == "<invalid>" {
+        // The interner, rebuilt from the runtime's labels: ids are dense,
+        // so a label seen twice would break the id ↔ context identity.
+        let mut strings = CtxInterner::new();
+        for (i, label) in rt.labels().iter().enumerate() {
+            if strings.intern_shared(label).0 as usize != i {
                 return Err(SnapshotError::Corrupt(format!(
-                    "ctx map references unknown runtime ctx {}",
-                    entry.0
+                    "duplicate context label {label:?}"
                 )));
             }
         }
         Ok(CheckSession {
             rank,
             strings,
-            ctx_map,
             counters,
             rt,
         })
@@ -455,6 +413,15 @@ impl CheckSession {
             counters: self.counters,
         }
     }
+}
+
+/// The detector context of a range event's label: the label's own id,
+/// refused once it is past what a shadow slot can name.
+fn range_ctx(id: StrId) -> Result<CtxId, FiberEventError> {
+    if id.0 as usize >= MAX_CTXS {
+        return Err(FiberEventError::ContextTableFull);
+    }
+    Ok(CtxId(id.0))
 }
 
 #[cfg(test)]

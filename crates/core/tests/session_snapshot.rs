@@ -6,8 +6,11 @@
 //! path's spill/restore of *unfinished* sessions rests on.
 
 use cusan::session::SESSION_SNAPSHOT_VERSION;
-use cusan::{CheckSession, CusanEvent, SessionOptions, SnapshotError, StrId};
+use cusan::{CheckSession, CusanEvent, SessionOptions, SnapshotError, StrId, TraceReader};
+use std::sync::Arc;
 use tsan_rt::{FiberId, SyncKey};
+
+const GOLDEN: &[u8] = include_bytes!("../../../tests/data/tealeaf_small.trace");
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -235,19 +238,63 @@ fn session_restore_rejects_garbage() {
 
 #[test]
 fn v1_session_blob_is_refused_by_version() {
-    // Layout v1 carried the two shadow mode bytes (tiered, arena) and
-    // v2 the clock stamps and the same-state cache, none of which exist
-    // any more; the version gate refuses both before any of the body is
-    // interpreted under the current layout.
+    // Layout v1 carried the two shadow mode bytes (tiered, arena), v2
+    // the clock stamps and the same-state cache, and v3 the interner and
+    // its context map beside the runtime's own label table, none of
+    // which exist any more; the version gate refuses them all before any
+    // of the body is interpreted under the current layout.
     let mut blob = fresh(None).snapshot_bytes();
     assert_eq!(blob[8..12], SESSION_SNAPSHOT_VERSION.to_le_bytes());
-    for old in 1..SESSION_SNAPSHOT_VERSION {
+    for old in (1..SESSION_SNAPSHOT_VERSION).chain([3]) {
         blob[8..12].copy_from_slice(&old.to_le_bytes());
         assert_eq!(
             CheckSession::restore_bytes(&blob).err(),
             Some(SnapshotError::UnsupportedVersion(old))
         );
     }
+}
+
+/// Occurrences of `needle` in `haystack`.
+fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
+    haystack
+        .windows(needle.len())
+        .filter(|w| *w == needle)
+        .count()
+}
+
+#[test]
+fn replayed_session_has_one_label_table() {
+    let reader = TraceReader::new(GOLDEN).unwrap();
+    let mut s = CheckSession::for_header(reader.header());
+    for rec in reader {
+        s.feed(&rec.unwrap()).unwrap();
+    }
+    // A label's interner id is its context id, and both name the same
+    // allocation.
+    let labels = s.runtime().labels();
+    assert!(labels.len() > 10, "the fixture defines its labels");
+    assert_eq!(labels.len(), s.strings().len());
+    for (i, label) in labels.iter().enumerate() {
+        let id = StrId(i as u32);
+        assert!(Arc::ptr_eq(label, &s.strings().shared_label(id).unwrap()));
+    }
+    // The snapshot's label table carries each label once, as a
+    // length-prefixed string; the only other place a label's text appears
+    // is the named-counter row it keys.
+    let blob = s.snapshot_bytes();
+    for label in labels {
+        let mut encoded = (label.len() as u64).to_le_bytes().to_vec();
+        encoded.extend_from_slice(label.as_bytes());
+        let counter_row = usize::from(s.counters().named.contains_key(&**label));
+        assert_eq!(
+            occurrences(&blob, &encoded),
+            1 + counter_row,
+            "label {label:?}"
+        );
+    }
+    let back = CheckSession::restore_bytes(&blob).unwrap();
+    assert_eq!(back.strings().len(), labels.len());
+    assert_eq!(back.snapshot_bytes(), blob);
 }
 
 #[test]

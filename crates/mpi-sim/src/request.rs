@@ -5,7 +5,7 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Deadlock-detection timeout for blocking waits.
+/// The deadlock-detection timeout of a world built without one.
 pub(crate) const WAIT_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Completion status of a receive (source/tag are meaningful for
@@ -68,14 +68,16 @@ impl Flag {
         }
     }
 
-    pub fn wait(&self, what: &str) -> Result<Status, MpiError> {
+    /// Block until the flag settles, or fail with [`MpiError::Timeout`]
+    /// after `timeout` without a settlement.
+    pub fn wait(&self, what: &str, timeout: Duration) -> Result<Status, MpiError> {
         let mut st = self.state.lock();
         loop {
             match &*st {
                 FlagState::Done(s) => return Ok(*s),
                 FlagState::Failed(e) => return Err(e.clone()),
                 FlagState::Pending => {
-                    if self.cv.wait_for(&mut st, WAIT_TIMEOUT).timed_out() {
+                    if self.cv.wait_for(&mut st, timeout).timed_out() {
                         return Err(MpiError::Timeout {
                             what: what.to_string(),
                         });

@@ -340,9 +340,10 @@ impl Comm {
         })
     }
 
-    /// `MPI_Wait`.
+    /// `MPI_Wait`; gives up with [`MpiError::Timeout`] after the world's
+    /// deadlock-detection timeout ([`Comm::barrier_timeout`]).
     pub fn wait(&self, req: &mut Request) -> Result<Status, MpiError> {
-        let st = req.flag.wait(&req.what)?;
+        let st = req.flag.wait(&req.what, self.barrier_timeout())?;
         req.completed = true;
         Ok(st)
     }
@@ -355,19 +356,31 @@ impl Comm {
     /// `MPI_Waitany`: blocks until one of the *active* requests completes
     /// and returns its index and status. Already-completed requests are
     /// inactive (like `MPI_REQUEST_NULL`); if all are inactive, returns
-    /// [`MpiError::BadRequest`].
-    #[allow(clippy::needless_range_loop)] // the winning index is the result
+    /// [`MpiError::BadRequest`]. Gives up with [`MpiError::Timeout`]
+    /// after the world's deadlock-detection timeout.
     pub fn waitany(&self, reqs: &mut [Request]) -> Result<(usize, Status), MpiError> {
-        if reqs.iter().all(|r| r.completed) {
+        self.waitany_by(reqs, |r| r)
+    }
+
+    /// [`Comm::waitany`] over requests wrapped in `R`: `request` reaches
+    /// each element's [`Request`]. A checking layer waits on its own
+    /// request type this way and annotates the winner itself.
+    pub fn waitany_by<R>(
+        &self,
+        reqs: &mut [R],
+        request: impl Fn(&mut R) -> &mut Request,
+    ) -> Result<(usize, Status), MpiError> {
+        if reqs.iter_mut().all(|r| request(r).completed) {
             return Err(MpiError::BadRequest);
         }
-        let deadline = std::time::Instant::now() + crate::request::WAIT_TIMEOUT;
+        let deadline = std::time::Instant::now() + self.barrier_timeout();
         loop {
-            for i in 0..reqs.len() {
-                if reqs[i].completed {
+            for (i, r) in reqs.iter_mut().enumerate() {
+                let req = request(r);
+                if req.completed {
                     continue;
                 }
-                if let Some(st) = self.test(&mut reqs[i])? {
+                if let Some(st) = self.test(req)? {
                     return Ok((i, st));
                 }
             }
@@ -445,10 +458,10 @@ impl Comm {
         self.shared.barrier.wait().map(|_| ())
     }
 
-    /// The poison timeout of the world barrier (and the collective phase
-    /// barrier — [`run_world_with_timeout`] configures both together).
-    /// For tests verifying the `CUSAN_BARRIER_TIMEOUT_MS` /
-    /// `ToolConfig::barrier_timeout_ms` plumbing.
+    /// The world's deadlock-detection timeout: the poison timeout of the
+    /// world barrier and the collective phase barrier, and how long a
+    /// point-to-point wait (`Wait`, `Waitany`, blocking `Send`/`Recv`)
+    /// blocks — [`run_world_with_timeout`] configures them together.
     pub fn barrier_timeout(&self) -> std::time::Duration {
         self.shared.barrier.timeout()
     }
@@ -583,11 +596,11 @@ pub fn run_world<T: Send>(
     run_world_with_timeout(n, space, None, f)
 }
 
-/// As [`run_world`] with an explicit poison timeout for the world
-/// barrier and the collective phase barrier; `None` keeps the standard
-/// deadlock-detection timeout. This is where
-/// `ToolConfig::barrier_timeout_ms` / `CUSAN_BARRIER_TIMEOUT_MS` land
-/// (the MUST harness resolves them and passes the result through).
+/// As [`run_world`] with an explicit deadlock-detection timeout for the
+/// world barrier, the collective phase barrier and point-to-point waits;
+/// `None` keeps the standard one. This is where
+/// `ToolConfig::barrier_timeout_ms` lands (the MUST harness passes it
+/// through).
 pub fn run_world_with_timeout<T: Send>(
     n: usize,
     space: Arc<AddressSpace>,

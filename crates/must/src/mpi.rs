@@ -293,23 +293,12 @@ impl CheckedMpi {
     }
 
     /// `MPI_Waitany`: completion of the winning request terminates its
-    /// concurrent region; the others stay open.
-    #[allow(clippy::needless_range_loop)] // the winning index is the result
+    /// concurrent region; the others stay open. Times out like
+    /// [`mpi_sim::Comm::waitany`], whose loop it is.
     pub fn waitany(&self, reqs: &mut [MustRequest]) -> Result<(usize, Status), MpiError> {
-        if reqs.iter().all(|r| r.inner.is_completed()) {
-            return Err(MpiError::BadRequest);
-        }
-        loop {
-            for i in 0..reqs.len() {
-                if reqs[i].inner.is_completed() {
-                    continue;
-                }
-                if let Some(st) = self.test(&mut reqs[i])? {
-                    return Ok((i, st));
-                }
-            }
-            std::thread::yield_now();
-        }
+        let (i, st) = self.comm.waitany_by(reqs, |r| &mut r.inner)?;
+        self.complete_nonblocking(&mut reqs[i]);
+        Ok((i, st))
     }
 
     /// `MPI_Test`: a successful test is a completion.

@@ -7,7 +7,7 @@ use cusan::Flavor;
 use kernel_ir::ast::ScalarTy;
 use kernel_ir::builder::*;
 use kernel_ir::{KernelId, KernelRegistry, LaunchArg, LaunchGrid};
-use mpi_sim::{MpiDatatype, ReduceOp};
+use mpi_sim::{MpiDatatype, MpiError, ReduceOp};
 use must_rt::{run_checked_world, MustReport, RankCtx};
 use sim_mem::Ptr;
 use std::sync::Arc;
@@ -531,4 +531,35 @@ fn gather_family_device_buffers() {
             out.all_must_reports()
         );
     }
+}
+
+/// A `Waitany` on receives nobody sends gives up after the world's
+/// configured timeout with a typed error instead of polling forever.
+#[test]
+fn waitany_on_unmatched_receives_times_out() {
+    let k = kernels();
+    let mut config = Flavor::MustCusan.config();
+    config.barrier_timeout_ms = Some(250);
+    let out = run_checked_world(1, config, k.registry, |ctx| {
+        let buf = ctx.cuda.malloc::<f64>(2 * N).unwrap();
+        let mut reqs: Vec<_> = (0..2)
+            .map(|i| {
+                let half = buf.offset(i * N * 8);
+                ctx.mpi.irecv(half, N, MpiDatatype::Double, 0, 7).unwrap()
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let result = ctx.mpi.waitany(&mut reqs);
+        (result, start.elapsed())
+    });
+    let (result, waited) = &out.results[0];
+    assert!(
+        matches!(result, Err(MpiError::Timeout { .. })),
+        "{result:?}"
+    );
+    assert!(
+        *waited >= std::time::Duration::from_millis(250),
+        "{waited:?}"
+    );
+    assert!(*waited < std::time::Duration::from_secs(10), "{waited:?}");
 }

@@ -86,9 +86,11 @@ const SPILL_MAGIC: &[u8; 8] = b"cusanspl";
 /// (pending bytes + state tag + table + binary delta state) instead of
 /// the text-only line-parser layout. v3: the detector snapshot inside
 /// it carries no clock stamps and no same-state cache. v4: a 64-bit
-/// [`spill_checksum`] of the ingest blob follows it. A file of another
-/// version is discarded and the session rebuilt from its journal.
-const SPILL_VERSION: u32 = 4;
+/// [`spill_checksum`] of the ingest blob follows it. v5: the session
+/// snapshot inside carries each label once (session layout v4). A file
+/// of another version is discarded and the session rebuilt from its
+/// journal.
+const SPILL_VERSION: u32 = 5;
 
 /// Accepted bytes a session may hold back from its journal file between
 /// acks. It bounds both the re-send a crash costs a client that never

@@ -63,11 +63,12 @@ fn hostile_traces() -> Vec<(Vec<u8>, String)> {
         .collect()
 }
 
-/// One read per fresh context label, 2^20 of them: `<unknown>` holds id
-/// 0, so the last label is the one without an id. Returns the trace in
+/// One read per fresh context label, 2^20 + 1 of them: a label's id is
+/// its context id, so ids 0..2^20 − 1 are all usable and the last label,
+/// id 2^20, is the one a shadow slot cannot name. Returns the trace in
 /// both encodings and the number of its last record.
 fn context_flood() -> ([(Vec<u8>, String); 2], u64) {
-    const LABELS: u64 = 1 << 20;
+    const LABELS: u64 = (1 << 20) + 1;
     let mut text = HEADER.as_bytes().to_vec();
     for i in 0..LABELS {
         writeln!(text, "s {i} c{i:x}\nrr 1000 8 {i}").unwrap();

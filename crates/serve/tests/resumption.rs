@@ -342,8 +342,10 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
         // Byte 28 is the ingest blob's state tag: 8 magic, 4 version,
         // 8 offset, 8 length.
         ("state tag flipped", |f| f[28] ^= 0xff),
-        // Byte 8 is the version's low byte (little-endian).
-        ("written by the previous version", |f| f[8] -= 1),
+        // Bytes 8..12 are the version (little-endian).
+        ("written by layout v4", |f| {
+            f[8..12].copy_from_slice(&4u32.to_le_bytes())
+        }),
     ];
     // Session 4, spilled half-way through the trace.
     let spilled_half_way = |dir: &ScratchDir| {
@@ -379,7 +381,9 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     // moved the spill layout under a session spilled by the old binary.
     let restarts: [(&str, Damage); 2] = [
         ("cut inside the version", |f| f.truncate(9)),
-        ("written by the previous version", |f| f[8] -= 1),
+        ("written by layout v4", |f| {
+            f[8..12].copy_from_slice(&4u32.to_le_bytes())
+        }),
     ];
     for (what, damage) in restarts {
         let dir = ScratchDir::new("torn-spill-restart");

@@ -6,7 +6,9 @@
 //! are attributed to and implies **no** synchronization.
 
 use crate::clock::VectorClock;
+use crate::report::CtxId;
 use crate::snapshot::{read_clock, write_clock, SnapshotError, SnapshotReader, SnapshotWriter};
+use std::sync::Arc;
 
 /// Identifier of a fiber. Ids index densely into the runtime's fiber table;
 /// slots of destroyed fibers are reused (with a monotonically growing clock,
@@ -37,13 +39,16 @@ pub const MAX_FIBERS: usize = 1 << 11;
 #[derive(Debug)]
 pub(crate) struct Fiber {
     pub clock: VectorClock,
-    pub name: String,
+    /// The label naming the fiber, by id into the runtime's label table
+    /// (unused for the host, which keeps its own name).
+    pub name: CtxId,
     pub alive: bool,
 }
 
 /// The fiber table: creation, destruction with slot reuse, lookup.
 #[derive(Debug)]
 pub(crate) struct FiberTable {
+    host_name: Box<str>,
     fibers: Vec<Fiber>,
     free: Vec<u32>,
     pub created: u64,
@@ -55,9 +60,10 @@ impl FiberTable {
         let mut host_clock = VectorClock::new();
         host_clock.set(FiberId::HOST, 1);
         FiberTable {
+            host_name: host_name.into(),
             fibers: vec![Fiber {
                 clock: host_clock,
-                name: host_name.to_string(),
+                name: CtxId(0),
                 alive: true,
             }],
             free: Vec::new(),
@@ -71,7 +77,7 @@ impl FiberTable {
     /// Reference implementation for [`Self::create_child`], which is the
     /// clone-free path the runtime uses; tests assert their equivalence.
     #[cfg(test)]
-    pub fn create(&mut self, name: &str, creator_clock: &VectorClock) -> FiberId {
+    pub fn create(&mut self, name: CtxId, creator_clock: &VectorClock) -> FiberId {
         self.created += 1;
         if let Some(idx) = self.free.pop() {
             let id = FiberId(idx);
@@ -82,7 +88,7 @@ impl FiberTable {
             // epochs from a previous incarnation never look concurrent with
             // themselves.
             fiber.clock.set(id, old_time.max(creator_clock.get(id)) + 1);
-            fiber.name = name.to_string();
+            fiber.name = name;
             fiber.alive = true;
             id
         } else {
@@ -92,7 +98,7 @@ impl FiberTable {
             clock.set(id, 1);
             self.fibers.push(Fiber {
                 clock,
-                name: name.to_string(),
+                name,
                 alive: true,
             });
             id
@@ -105,7 +111,7 @@ impl FiberTable {
     /// snapshotting the creator, bumping it, and calling [`Self::create`]
     /// with the snapshot, but without the temporary clone. Slot-reuse
     /// copies into the retired fiber's existing clock allocation.
-    pub fn create_child(&mut self, name: &str, creator: FiberId) -> FiberId {
+    pub fn create_child(&mut self, name: CtxId, creator: FiberId) -> FiberId {
         self.created += 1;
         if let Some(idx) = self.free.pop() {
             let id = FiberId(idx);
@@ -117,8 +123,7 @@ impl FiberTable {
             // epochs from a previous incarnation never look concurrent with
             // themselves.
             child.clock.set(id, old_time.max(parent.clock.get(id)) + 1);
-            child.name.clear();
-            child.name.push_str(name);
+            child.name = name;
             child.alive = true;
             parent.clock.bump(creator);
             id
@@ -131,7 +136,7 @@ impl FiberTable {
             parent.clock.bump(creator);
             self.fibers.push(Fiber {
                 clock,
-                name: name.to_string(),
+                name,
                 alive: true,
             });
             id
@@ -164,7 +169,7 @@ impl FiberTable {
     pub fn destroy(&mut self, id: FiberId) {
         assert!(id != FiberId::HOST, "cannot destroy the host fiber");
         let f = &mut self.fibers[id.index()];
-        assert!(f.alive, "double destroy of fiber {:?} ({})", id, f.name);
+        assert!(f.alive, "double destroy of fiber {id:?}");
         f.alive = false;
         self.destroyed += 1;
         self.free.push(id.0);
@@ -180,8 +185,13 @@ impl FiberTable {
         &mut self.fibers[id.index()]
     }
 
-    pub fn name(&self, id: FiberId) -> &str {
-        &self.fibers[id.index()].name
+    /// Name of fiber `id`: the host's own, or the label `labels` holds
+    /// for the fiber's name id.
+    pub fn name<'a>(&'a self, id: FiberId, labels: &'a [Arc<str>]) -> &'a str {
+        if id == FiberId::HOST {
+            return &self.host_name;
+        }
+        crate::report::label(labels, self.fibers[id.index()].name)
     }
 
     pub fn is_alive(&self, id: FiberId) -> bool {
@@ -198,9 +208,9 @@ impl FiberTable {
     pub fn heap_bytes(&self) -> u64 {
         self.fibers
             .iter()
-            .map(|f| f.clock.heap_bytes() + f.name.capacity() as u64)
+            .map(|f| f.clock.heap_bytes())
             .sum::<u64>()
-            + (self.fibers.capacity() * std::mem::size_of::<Fiber>()) as u64
+            + (self.fibers.capacity() * std::mem::size_of::<Fiber>() + self.host_name.len()) as u64
     }
 
     /// Total slots (live + retired) in the table — bounds-checks ids
@@ -211,8 +221,10 @@ impl FiberTable {
 
     /// Serialize the whole table, free list verbatim: LIFO slot reuse —
     /// and with it replayed fiber numbering — must continue exactly
-    /// where the snapshotted table left off.
+    /// where the snapshotted table left off. Fiber names are written as
+    /// label ids; only the host's own name is a string.
     pub(crate) fn write_snapshot(&self, w: &mut SnapshotWriter) {
+        w.put_str(&self.host_name);
         w.put_u64(self.created);
         w.put_u64(self.destroyed);
         w.put_len(self.free.len());
@@ -222,13 +234,18 @@ impl FiberTable {
         w.put_len(self.fibers.len());
         for f in &self.fibers {
             write_clock(w, &f.clock);
-            w.put_str(&f.name);
+            w.put_u32(f.name.0);
             w.put_bool(f.alive);
         }
     }
 
-    /// Rebuild a table from [`Self::write_snapshot`] output.
-    pub(crate) fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    /// Rebuild a table from [`Self::write_snapshot`] output, whose fiber
+    /// names must be ids below `n_labels`.
+    pub(crate) fn read_snapshot(
+        r: &mut SnapshotReader<'_>,
+        n_labels: usize,
+    ) -> Result<Self, SnapshotError> {
+        let host_name = r.get_str()?.into_boxed_str();
         let created = r.get_u64()?;
         let destroyed = r.get_u64()?;
         let n_free = r.get_len()?;
@@ -248,13 +265,20 @@ impl FiberTable {
             )));
         }
         let mut fibers = Vec::with_capacity(n_fibers);
-        for _ in 0..n_fibers {
+        for i in 0..n_fibers {
             let clock = read_clock(r)?;
-            let name = r.get_str()?;
+            let name = CtxId(r.get_u32()?);
+            if i != FiberId::HOST.index() && name.0 as usize >= n_labels {
+                return Err(SnapshotError::Corrupt(format!(
+                    "fiber {i} named by label {} of {n_labels}",
+                    name.0
+                )));
+            }
             let alive = r.get_bool()?;
             fibers.push(Fiber { clock, name, alive });
         }
         Ok(FiberTable {
+            host_name,
             fibers,
             free,
             created,
@@ -271,7 +295,7 @@ mod tests {
     fn host_fiber_exists() {
         let t = FiberTable::new("host");
         assert!(t.is_alive(FiberId::HOST));
-        assert_eq!(t.name(FiberId::HOST), "host");
+        assert_eq!(t.name(FiberId::HOST, &[]), "host");
         assert_eq!(t.live_count(), 1);
     }
 
@@ -280,7 +304,7 @@ mod tests {
         let mut t = FiberTable::new("host");
         let mut creator = VectorClock::new();
         creator.set(FiberId::HOST, 5);
-        let f = t.create("stream0", &creator);
+        let f = t.create(CtxId(0), &creator);
         assert_eq!(t.get(f).clock.get(FiberId::HOST), 5);
         assert!(t.get(f).clock.get(f) >= 1);
     }
@@ -289,13 +313,14 @@ mod tests {
     fn destroy_and_reuse_keeps_time_monotonic() {
         let mut t = FiberTable::new("host");
         let creator = VectorClock::new();
-        let f1 = t.create("req1", &creator);
+        let labels: [Arc<str>; 2] = ["req1".into(), "req2".into()];
+        let f1 = t.create(CtxId(0), &creator);
         let time1 = t.get(f1).clock.get(f1);
         t.destroy(f1);
-        let f2 = t.create("req2", &creator);
+        let f2 = t.create(CtxId(1), &creator);
         assert_eq!(f1, f2, "slot should be reused");
         assert!(t.get(f2).clock.get(f2) > time1);
-        assert_eq!(t.name(f2), "req2");
+        assert_eq!(t.name(f2, &labels), "req2");
         assert_eq!(t.created, 3);
         assert_eq!(t.destroyed, 1);
     }
@@ -305,13 +330,13 @@ mod tests {
         let mut t = FiberTable::new("host");
         let creator = VectorClock::new();
         assert_eq!(t.peek_next(), FiberId(1));
-        let f1 = t.create("a", &creator);
+        let f1 = t.create(CtxId(0), &creator);
         assert_eq!(f1, FiberId(1));
-        let _f2 = t.create("b", &creator);
+        let _f2 = t.create(CtxId(1), &creator);
         t.destroy(f1);
         // Freed slots are reused LIFO, and peek must predict that too.
         assert_eq!(t.peek_next(), f1);
-        assert_eq!(t.create("c", &creator), f1);
+        assert_eq!(t.create(CtxId(2), &creator), f1);
         assert_eq!(t.peek_next(), FiberId(3));
     }
 
@@ -321,7 +346,7 @@ mod tests {
         // bump creator, create(snapshot) — including across slot reuse.
         let drive = |child_path: bool| {
             let mut t = FiberTable::new("host");
-            let mk = |t: &mut FiberTable, name: &str| {
+            let mk = |t: &mut FiberTable, name: CtxId| {
                 if child_path {
                     t.create_child(name, FiberId::HOST)
                 } else {
@@ -330,17 +355,17 @@ mod tests {
                     t.create(name, &snap)
                 }
             };
-            let a = mk(&mut t, "a");
-            let b = mk(&mut t, "b");
+            let a = mk(&mut t, CtxId(0));
+            let b = mk(&mut t, CtxId(1));
             t.destroy(a);
-            let c = mk(&mut t, "c"); // reuses a's slot
+            let c = mk(&mut t, CtxId(2)); // reuses a's slot
             assert_eq!(a, c);
             let ids = [FiberId::HOST, a, b];
             let clocks: Vec<Vec<u32>> = [FiberId::HOST, c, b]
                 .iter()
                 .map(|&f| ids.iter().map(|&g| t.get(f).clock.get(g)).collect())
                 .collect();
-            (clocks, t.created, t.destroyed, t.name(c).to_string())
+            (clocks, t.created, t.destroyed, t.get(c).name)
         };
         assert_eq!(drive(true), drive(false));
     }
@@ -348,7 +373,7 @@ mod tests {
     #[test]
     fn pair_mut_returns_distinct_fibers_in_order() {
         let mut t = FiberTable::new("host");
-        let f = t.create_child("x", FiberId::HOST);
+        let f = t.create_child(CtxId(7), FiberId::HOST);
         let (a, b) = t.pair_mut(FiberId::HOST, f);
         a.clock.set(FiberId::HOST, 41);
         b.clock.set(f, 17);
@@ -356,15 +381,15 @@ mod tests {
         assert_eq!(t.get(f).clock.get(f), 17);
         // Order of arguments maps to order of returns in both directions.
         let (b2, a2) = t.pair_mut(f, FiberId::HOST);
-        assert_eq!(b2.name, "x");
-        assert_eq!(a2.name, "host");
+        assert_eq!(b2.name, CtxId(7));
+        assert_eq!(a2.clock.get(FiberId::HOST), 41);
     }
 
     #[test]
     #[should_panic(expected = "double destroy")]
     fn double_destroy_panics() {
         let mut t = FiberTable::new("host");
-        let f = t.create("x", &VectorClock::new());
+        let f = t.create(CtxId(0), &VectorClock::new());
         t.destroy(f);
         t.destroy(f);
     }

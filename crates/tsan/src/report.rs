@@ -7,108 +7,22 @@
 //! a user needs to locate both sides of the race.
 
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-/// Interned id of an access-context label (bounded to 20 bits by the
-/// shadow-slot packing).
+/// Id of an access-context label: its index in the label table the
+/// runtime's owner defines ([`crate::TsanRuntime::define_ctx`]). A range
+/// access may name ids below [`MAX_CTXS`] only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CtxId(pub u32);
 
-impl CtxId {
-    /// Context used when no label was supplied.
-    pub const UNKNOWN: CtxId = CtxId(0);
-}
-
-/// Maximum number of interned access contexts (`<unknown>` included);
-/// bounded by the 20-bit ctx field in the packed shadow epoch (see
-/// [`crate::shadow`]).
+/// Number of context ids a range access can name; bounded by the 20-bit
+/// ctx field in the packed shadow epoch (see [`crate::shadow`]).
 pub const MAX_CTXS: usize = 1 << 20;
 
-/// Intern table for access-context labels.
-#[derive(Debug)]
-pub(crate) struct CtxTable {
-    labels: Vec<String>,
-    by_label: HashMap<String, CtxId>,
-}
-
-impl CtxTable {
-    pub fn new() -> Self {
-        let mut t = CtxTable {
-            labels: Vec::new(),
-            by_label: HashMap::new(),
-        };
-        let unknown = t.intern("<unknown>");
-        debug_assert_eq!(unknown, CtxId::UNKNOWN);
-        t
-    }
-
-    /// The id of `label`, interning it if there is room; `None` once all
-    /// [`MAX_CTXS`] ids are taken by other labels.
-    pub fn try_intern(&mut self, label: &str) -> Option<CtxId> {
-        if let Some(&id) = self.by_label.get(label) {
-            return Some(id);
-        }
-        if self.labels.len() >= MAX_CTXS {
-            return None;
-        }
-        let id = CtxId(self.labels.len() as u32);
-        self.labels.push(label.to_string());
-        self.by_label.insert(label.to_string(), id);
-        Some(id)
-    }
-
-    pub fn intern(&mut self, label: &str) -> CtxId {
-        self.try_intern(label).expect("context table exhausted")
-    }
-
-    pub fn label(&self, id: CtxId) -> &str {
-        self.labels
-            .get(id.0 as usize)
-            .map(String::as_str)
-            .unwrap_or("<invalid>")
-    }
-
-    pub fn heap_bytes(&self) -> u64 {
-        self.labels.iter().map(|l| l.capacity() as u64 + 24).sum()
-    }
-
-    /// Serialize the label table in id order (ids are dense, so order is
-    /// identity).
-    pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_len(self.labels.len());
-        for l in &self.labels {
-            w.put_str(l);
-        }
-    }
-
-    /// Rebuild from [`Self::write_snapshot`] output.
-    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.get_len()?;
-        if n == 0 {
-            return Err(SnapshotError::Corrupt("empty context table".into()));
-        }
-        let mut t = CtxTable {
-            labels: Vec::with_capacity(n),
-            by_label: HashMap::with_capacity(n),
-        };
-        for i in 0..n {
-            let label = r.get_str()?;
-            if t.by_label.contains_key(&label) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate context label {label:?}"
-                )));
-            }
-            t.by_label.insert(label.clone(), CtxId(i as u32));
-            t.labels.push(label);
-        }
-        if t.labels[0] != "<unknown>" {
-            return Err(SnapshotError::Corrupt(
-                "context id 0 is not <unknown>".into(),
-            ));
-        }
-        Ok(t)
-    }
+/// The label `id` names in `labels`, or `<invalid>` past its end.
+pub(crate) fn label(labels: &[Arc<str>], id: CtxId) -> &str {
+    labels.get(id.0 as usize).map_or("<invalid>", |l| l)
 }
 
 /// One side of a reported race.
@@ -249,23 +163,6 @@ impl Suppressions {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intern_dedupes() {
-        let mut t = CtxTable::new();
-        let a = t.intern("kernel foo arg#0");
-        let b = t.intern("kernel foo arg#0");
-        let c = t.intern("kernel foo arg#1");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(t.label(a), "kernel foo arg#0");
-    }
-
-    #[test]
-    fn unknown_ctx_is_zero() {
-        let t = CtxTable::new();
-        assert_eq!(t.label(CtxId::UNKNOWN), "<unknown>");
-    }
 
     fn sample_report() -> RaceReport {
         RaceReport {

@@ -3,13 +3,14 @@
 use crate::clock::VectorClock;
 use crate::fiber::{FiberId, FiberTable};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::report::{CtxId, CtxTable, RaceReport, RaceSide, Suppressions};
+use crate::report::{label, CtxId, RaceReport, RaceSide, Suppressions};
 use crate::shadow::ShadowMemory;
 use crate::snapshot::{
     read_clock, write_clock, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
 use crate::stats::TsanStats;
+use std::sync::Arc;
 
 /// Key identifying a synchronization variable — the analogue of the memory
 /// address passed to `AnnotateHappensBefore/After`. CuSan derives keys from
@@ -31,7 +32,9 @@ pub struct TsanRuntime {
     shadow: ShadowMemory,
     /// The released clock of each synchronization variable.
     sync_vars: FxHashMap<u64, VectorClock>,
-    ctxs: CtxTable,
+    /// The label of every defined context id, in id order: report text
+    /// and fiber names.
+    labels: Vec<Arc<str>>,
     reports: Vec<RaceReport>,
     report_keys: FxHashSet<(u32, u32)>,
     suppressions: Suppressions,
@@ -47,7 +50,7 @@ impl TsanRuntime {
             current: FiberId::HOST,
             shadow: ShadowMemory::new(),
             sync_vars: FxHashMap::default(),
-            ctxs: CtxTable::new(),
+            labels: Vec::new(),
             reports: Vec::new(),
             report_keys: FxHashSet::default(),
             suppressions: Suppressions::default(),
@@ -65,9 +68,10 @@ impl TsanRuntime {
         self.current
     }
 
-    /// Create a fiber; its clock inherits the *current* fiber's clock
-    /// (creation synchronizes creator → new fiber, as in TSan).
-    pub fn create_fiber(&mut self, name: &str) -> FiberId {
+    /// Create a fiber named by the defined label `name`; its clock
+    /// inherits the *current* fiber's clock (creation synchronizes
+    /// creator → new fiber, as in TSan).
+    pub fn create_fiber(&mut self, name: CtxId) -> FiberId {
         self.stats.fibers_created += 1;
         // Creation is a release: accesses the creator performs *after* the
         // creation must not appear ordered before the new fiber's work.
@@ -128,7 +132,7 @@ impl TsanRuntime {
 
     /// Name of a fiber (for diagnostics).
     pub fn fiber_name(&self, f: FiberId) -> &str {
-        self.fibers.name(f)
+        self.fibers.name(f, &self.labels)
     }
 
     // ---- synchronization annotations -------------------------------------
@@ -169,22 +173,20 @@ impl TsanRuntime {
 
     // ---- memory access annotations ----------------------------------------
 
-    /// Intern an access-context label for use with range annotations.
-    /// Panics once [`crate::report::MAX_CTXS`] distinct labels exist.
-    pub fn intern_ctx(&mut self, label: &str) -> CtxId {
-        self.ctxs.intern(label)
+    /// Define the next label id — the name of an access context or a
+    /// fiber. The table is append-only and does not dedup: its owner
+    /// defines each label once, in its own id order, so ids mean the same
+    /// on both sides. Range annotations may use ids below
+    /// [`crate::report::MAX_CTXS`] only.
+    pub fn define_ctx(&mut self, label: Arc<str>) -> CtxId {
+        let id = CtxId(self.labels.len() as u32);
+        self.labels.push(label);
+        id
     }
 
-    /// [`Self::intern_ctx`] for labels the caller did not produce itself
-    /// (a recorded trace): `None` instead of a panic when the table is
-    /// full, with the runtime untouched.
-    pub fn try_intern_ctx(&mut self, label: &str) -> Option<CtxId> {
-        self.ctxs.try_intern(label)
-    }
-
-    /// Label of an interned context.
-    pub fn ctx_label(&self, id: CtxId) -> &str {
-        self.ctxs.label(id)
+    /// Every defined label, in id order.
+    pub fn labels(&self) -> &[Arc<str>] {
+        &self.labels
     }
 
     /// `tsan_read_range(addr, len)` with an access context.
@@ -207,7 +209,7 @@ impl TsanRuntime {
         let Self {
             fibers,
             shadow,
-            ctxs,
+            labels,
             reports,
             report_keys,
             suppressions,
@@ -231,13 +233,13 @@ impl TsanRuntime {
                 addr: c.word_addr,
                 current: RaceSide {
                     write,
-                    fiber: fibers.name(cur).to_string(),
-                    ctx: ctxs.label(ctx).to_string(),
+                    fiber: fibers.name(cur, labels).to_string(),
+                    ctx: label(labels, ctx).to_string(),
                 },
                 previous: RaceSide {
                     write: c.prev.write,
-                    fiber: fibers.name(c.prev.fiber).to_string(),
-                    ctx: ctxs.label(c.prev.ctx).to_string(),
+                    fiber: fibers.name(c.prev.fiber, labels).to_string(),
+                    ctx: label(labels, c.prev.ctx).to_string(),
                 },
             };
             if suppressions.matches(&report) {
@@ -312,14 +314,15 @@ impl TsanRuntime {
     }
 
     /// Approximate heap bytes owned by the detector: shadow pages, vector
-    /// clocks, sync variables, context table. Drives Fig. 11.
+    /// clocks, sync variables, label handles. Drives Fig. 11.
     pub fn memory_bytes(&self) -> u64 {
         let sync: u64 = self
             .sync_vars
             .values()
             .map(|clock| clock.heap_bytes() + std::mem::size_of::<VectorClock>() as u64 + 16)
             .sum();
-        self.shadow.heap_bytes() + self.fibers.heap_bytes() + sync + self.ctxs.heap_bytes()
+        let labels = self.labels.capacity() * std::mem::size_of::<Arc<str>>();
+        self.shadow.heap_bytes() + self.fibers.heap_bytes() + sync + labels as u64
     }
 
     /// Shadow pages allocated (diagnostics / benches).
@@ -346,6 +349,10 @@ impl TsanRuntime {
     pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
         w.put_u32(self.current.index() as u32);
         w.put_u64(self.max_reports as u64);
+        w.put_len(self.labels.len());
+        for label in &self.labels {
+            w.put_str(label);
+        }
         self.fibers.write_snapshot(w);
         self.shadow.write_snapshot(w);
         let mut keys: Vec<u64> = self.sync_vars.keys().copied().collect();
@@ -355,7 +362,6 @@ impl TsanRuntime {
             w.put_u64(key);
             write_clock(w, &self.sync_vars[&key]);
         }
-        self.ctxs.write_snapshot(w);
         w.put_len(self.reports.len());
         for rep in &self.reports {
             w.put_u64(rep.addr);
@@ -408,7 +414,12 @@ impl TsanRuntime {
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let current = FiberId::from_index(r.get_u32()? as usize);
         let max_reports = r.get_u64()? as usize;
-        let fibers = FiberTable::read_snapshot(r)?;
+        let n_labels = r.get_len()?;
+        let mut labels = Vec::with_capacity(n_labels);
+        for _ in 0..n_labels {
+            labels.push(Arc::from(r.get_str()?));
+        }
+        let fibers = FiberTable::read_snapshot(r, n_labels)?;
         if current.index() >= fibers.slot_count() {
             return Err(SnapshotError::Corrupt(format!(
                 "current fiber {} out of range",
@@ -430,7 +441,6 @@ impl TsanRuntime {
             prev_key = Some(key);
             sync_vars.insert(key, read_clock(r)?);
         }
-        let ctxs = CtxTable::read_snapshot(r)?;
         let n_reports = r.get_len()?;
         let mut reports = Vec::with_capacity(n_reports);
         for _ in 0..n_reports {
@@ -489,7 +499,7 @@ impl TsanRuntime {
             current,
             shadow,
             sync_vars,
-            ctxs,
+            labels,
             reports,
             report_keys,
             suppressions,
@@ -534,14 +544,32 @@ mod tests {
         TsanRuntime::new("host")
     }
 
+    /// Create a fiber named by a freshly defined label.
+    fn fiber(t: &mut TsanRuntime, name: &str) -> FiberId {
+        let name = t.define_ctx(name.into());
+        t.create_fiber(name)
+    }
+
+    #[test]
+    fn defined_labels_take_ids_in_order_and_name_fibers() {
+        let mut t = rt();
+        let a = t.define_ctx("cuda stream 1".into());
+        let b = t.define_ctx("cuda stream 1".into());
+        assert_eq!((a, b), (CtxId(0), CtxId(1)), "append-only, no dedup");
+        let f = t.create_fiber(b);
+        assert_eq!(t.fiber_name(f), "cuda stream 1");
+        assert_eq!(t.fiber_name(FiberId::HOST), "host");
+        assert_eq!(t.labels().len(), 2);
+    }
+
     #[test]
     fn unsynchronized_fiber_write_host_read_races() {
         // Abstract Fig. 6B: kernel writes on a stream fiber, host reads
         // without synchronization.
         let mut t = rt();
-        let stream = t.create_fiber("cuda stream 0");
-        let ctx_k = t.intern_ctx("kernel write");
-        let ctx_h = t.intern_ctx("host read");
+        let stream = fiber(&mut t, "cuda stream 0");
+        let ctx_k = t.define_ctx("kernel write".into());
+        let ctx_h = t.define_ctx("host read".into());
         t.switch_to_fiber(stream);
         t.write_range(A, 64, ctx_k);
         t.switch_to_fiber(FiberId::HOST);
@@ -557,9 +585,9 @@ mod tests {
     fn release_acquire_orders_accesses() {
         // Abstract Fig. 6B with a cudaDeviceSynchronize: no race.
         let mut t = rt();
-        let stream = t.create_fiber("cuda stream 0");
+        let stream = fiber(&mut t, "cuda stream 0");
         let key = SyncKey(7);
-        let ctx = t.intern_ctx("x");
+        let ctx = t.define_ctx("x".into());
         t.switch_to_fiber(stream);
         t.write_range(A, 64, ctx);
         t.annotate_happens_before(key);
@@ -578,8 +606,8 @@ mod tests {
     #[test]
     fn fiber_switch_does_not_synchronize() {
         let mut t = rt();
-        let f = t.create_fiber("f");
-        let ctx = t.intern_ctx("x");
+        let f = fiber(&mut t, "f");
+        let ctx = t.define_ctx("x".into());
         // Host writes BEFORE creating... note: creation syncs creator->fiber,
         // so write after creation is needed to get concurrency.
         t.write_range(A, 8, ctx);
@@ -594,9 +622,9 @@ mod tests {
     #[test]
     fn creation_synchronizes_creator_to_fiber() {
         let mut t = rt();
-        let ctx = t.intern_ctx("x");
+        let ctx = t.define_ctx("x".into());
         t.write_range(A, 8, ctx);
-        let f = t.create_fiber("f"); // inherits host clock incl. the write
+        let f = fiber(&mut t, "f"); // inherits host clock incl. the write
         t.switch_to_fiber(f);
         t.write_range(A, 8, ctx);
         assert_eq!(t.race_count(), 0);
@@ -607,9 +635,9 @@ mod tests {
         // stream1 -> (k1) -> stream2 -> (k2) -> host; host may then access
         // data written by stream1 without a direct arc (Fig. 3 semantics).
         let mut t = rt();
-        let s1 = t.create_fiber("s1");
-        let s2 = t.create_fiber("s2");
-        let ctx = t.intern_ctx("x");
+        let s1 = fiber(&mut t, "s1");
+        let s2 = fiber(&mut t, "s2");
+        let ctx = t.define_ctx("x".into());
         t.switch_to_fiber(s1);
         t.write_range(A, 8, ctx);
         t.annotate_happens_before(SyncKey(1));
@@ -626,8 +654,8 @@ mod tests {
     fn release_before_access_does_not_cover_it() {
         // An access AFTER the fiber's release is not ordered by that arc.
         let mut t = rt();
-        let f = t.create_fiber("f");
-        let ctx = t.intern_ctx("x");
+        let f = fiber(&mut t, "f");
+        let ctx = t.define_ctx("x".into());
         t.switch_to_fiber(f);
         t.annotate_happens_before(SyncKey(1));
         t.write_range(A, 8, ctx); // after the release: epoch advanced
@@ -643,9 +671,9 @@ mod tests {
         // region between Irecv and Wait is modeled by an MPI fiber writing
         // the buffer.
         let mut t = rt();
-        let ctx_mpi = t.intern_ctx("MPI_Irecv buffer [write]");
-        let ctx_cmp = t.intern_ctx("compute read");
-        let req = t.create_fiber("mpi req#1 (Irecv)");
+        let ctx_mpi = t.define_ctx("MPI_Irecv buffer [write]".into());
+        let ctx_cmp = t.define_ctx("compute read".into());
+        let req = fiber(&mut t, "mpi req#1 (Irecv)");
         let key = SyncKey(0x100);
         t.switch_to_fiber(req);
         t.write_range(A, 1024, ctx_mpi);
@@ -666,9 +694,9 @@ mod tests {
         // 512-word run and must count like 512 single-word conflicts.
         for pages in [1u64, 8] {
             let mut t = rt();
-            let f = t.create_fiber("f");
-            let cw = t.intern_ctx("w");
-            let cr = t.intern_ctx("r");
+            let f = fiber(&mut t, "f");
+            let cw = t.define_ctx("w".into());
+            let cr = t.define_ctx("r".into());
             t.switch_to_fiber(f);
             t.write_range(A, pages * 4096, cw);
             t.switch_to_fiber(FiberId::HOST);
@@ -689,11 +717,11 @@ mod tests {
         // Per word that is (r1, r2), (r1, r2), ...: r1 is reported first,
         // and each page contributes 512 emissions per prior access.
         let mut t = rt();
-        let f1 = t.create_fiber("f1");
-        let f2 = t.create_fiber("f2");
-        let cr1 = t.intern_ctx("r1");
-        let cr2 = t.intern_ctx("r2");
-        let cw = t.intern_ctx("w");
+        let f1 = fiber(&mut t, "f1");
+        let f2 = fiber(&mut t, "f2");
+        let cr1 = t.define_ctx("r1".into());
+        let cr2 = t.define_ctx("r2".into());
+        let cw = t.define_ctx("w".into());
         t.switch_to_fiber(f1);
         t.read_range(A, 2 * 4096, cr1);
         t.switch_to_fiber(f2);
@@ -715,10 +743,10 @@ mod tests {
     #[test]
     fn distinct_context_pairs_reported_separately() {
         let mut t = rt();
-        let f = t.create_fiber("f");
-        let cw = t.intern_ctx("w");
-        let cr1 = t.intern_ctx("r1");
-        let cr2 = t.intern_ctx("r2");
+        let f = fiber(&mut t, "f");
+        let cw = t.define_ctx("w".into());
+        let cr1 = t.define_ctx("r1".into());
+        let cr2 = t.define_ctx("r2".into());
         t.switch_to_fiber(f);
         t.write_range(A, 8, cw);
         t.switch_to_fiber(FiberId::HOST);
@@ -732,9 +760,9 @@ mod tests {
     fn suppression_suppresses() {
         let mut t = rt();
         t.add_suppression("openmpi-internal");
-        let f = t.create_fiber("f");
-        let cw = t.intern_ctx("openmpi-internal progress thread");
-        let cr = t.intern_ctx("host");
+        let f = fiber(&mut t, "f");
+        let cw = t.define_ctx("openmpi-internal progress thread".into());
+        let cr = t.define_ctx("host".into());
         t.switch_to_fiber(f);
         t.write_range(A, 8, cw);
         t.switch_to_fiber(FiberId::HOST);
@@ -746,8 +774,8 @@ mod tests {
     #[test]
     fn stats_count_events() {
         let mut t = rt();
-        let f = t.create_fiber("f");
-        let c = t.intern_ctx("x");
+        let f = fiber(&mut t, "f");
+        let c = t.define_ctx("x".into());
         t.switch_to_fiber(f);
         t.switch_to_fiber(FiberId::HOST);
         t.annotate_happens_before(SyncKey(1));
@@ -771,15 +799,15 @@ mod tests {
     fn report_cap_limits_storage_not_counting() {
         let mut t = rt();
         t.max_reports = 2;
-        let f = t.create_fiber("f");
+        let f = fiber(&mut t, "f");
         t.switch_to_fiber(f);
         for i in 0..5 {
-            let c = t.intern_ctx(&format!("w{i}"));
+            let c = t.define_ctx(format!("w{i}").into());
             t.write_range(A, 8, c);
         }
         t.switch_to_fiber(FiberId::HOST);
         for i in 0..5 {
-            let c = t.intern_ctx(&format!("r{i}"));
+            let c = t.define_ctx(format!("r{i}").into());
             t.write_range(A, 8, c);
         }
         assert!(t.race_count() > 2);
@@ -791,7 +819,7 @@ mod tests {
         // A whole-buffer write is stored as page summaries, so the shadow
         // costs a few words per 4 KiB instead of 4x the tracked size.
         let mut t = rt();
-        let c = t.intern_ctx("x");
+        let c = t.define_ctx("x".into());
         t.write_range(0, 1 << 16, c);
         assert!(t.memory_bytes() > 0);
         assert!(t.memory_bytes() < (1 << 16), "summaries stay compact");
@@ -801,7 +829,7 @@ mod tests {
     #[test]
     fn stats_surface_shadow_tier_counters() {
         let mut t = rt();
-        let c = t.intern_ctx("x");
+        let c = t.define_ctx("x".into());
         t.write_range(0, 4096, c);
         t.write_range(0, 4096, c); // identical re-annotation: walked again
         t.write_range(64, 128, c); // partial overlap: unfold
@@ -816,7 +844,7 @@ mod tests {
         assert_eq!(t.shadow_page_budget(), None);
         t.set_shadow_page_budget(Some(2));
         assert_eq!(t.shadow_page_budget(), Some(2));
-        let c = t.intern_ctx("big write");
+        let c = t.define_ctx("big write".into());
         t.write_range(0, 8 << 12, c); // 8 pages, budget 2
         assert_eq!(t.shadow_pages(), 2);
         let s = t.stats();
@@ -824,7 +852,7 @@ mod tests {
         assert_eq!(s.write_range_calls, 1, "call still counted");
         // No budget → the counter stays zero.
         let mut u = rt();
-        let c = u.intern_ctx("w");
+        let c = u.define_ctx("w".into());
         u.write_range(0, 8 << 12, c);
         assert_eq!(u.stats().dropped_annotations, 0);
     }
@@ -834,9 +862,10 @@ mod tests {
         // MUST pattern: fiber per request, destroyed after wait; a second
         // request reuses the slot without false positives.
         let mut t = rt();
-        let c = t.intern_ctx("isend read");
+        let c = t.define_ctx("isend read".into());
+        let cw = t.define_ctx("host write after wait".into());
         for i in 0..3 {
-            let req = t.create_fiber(&format!("req#{i}"));
+            let req = fiber(&mut t, &format!("req#{i}"));
             let key = SyncKey(0x200 + i);
             t.switch_to_fiber(req);
             t.read_range(A, 256, c);
@@ -845,7 +874,6 @@ mod tests {
             t.annotate_happens_after(key);
             t.destroy_fiber(req);
             // Host writes the buffer after wait — must never race.
-            let cw = t.intern_ctx("host write after wait");
             t.write_range(A, 256, cw);
         }
         assert_eq!(t.race_count(), 0);

@@ -11,6 +11,9 @@
 //!
 //! * **Vector clocks** are stored component-for-component (capacity is
 //!   not observable — only `heap_bytes`, which no summary includes).
+//! * **Labels** are written once, in id order, ahead of everything that
+//!   names them: a fiber's name is written as its label id, and shadow
+//!   slots carry context ids already.
 //! * **The fiber table** keeps its free list verbatim, so LIFO slot
 //!   reuse — and with it replayed fiber numbering — continues exactly
 //!   where it left off.
@@ -31,8 +34,10 @@ use std::fmt;
 
 /// Magic prefix of a [`crate::TsanRuntime::snapshot_bytes`] blob.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"cusansnp";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version. v4: one label table in id order
+/// (no `<unknown>` row, no second copy of the context labels) and fiber
+/// names written as label ids.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot blob could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -21,6 +21,12 @@ struct TokenStep {
     accesses: Vec<(u64, u64, bool)>, // (addr, len, write)
 }
 
+/// Create a fiber named by a freshly defined label.
+fn fiber(rt: &mut TsanRuntime, name: &str) -> FiberId {
+    let name = rt.define_ctx(name.into());
+    rt.create_fiber(name)
+}
+
 fn addr_strategy() -> impl Strategy<Value = u64> {
     // A handful of overlapping cache-page-spanning locations.
     prop_oneof![
@@ -50,9 +56,9 @@ proptest! {
     ) {
         let mut rt = TsanRuntime::new("host");
         let fibers: Vec<FiberId> =
-            (0..6).map(|i| rt.create_fiber(&format!("fiber {i}"))).collect();
+            (0..6).map(|i| fiber(&mut rt, &format!("fiber {i}"))).collect();
         let token = SyncKey(0xA0);
-        let ctx = rt.intern_ctx("tokenized access");
+        let ctx = rt.define_ctx("tokenized access".into());
         // Host holds the token initially.
         rt.annotate_happens_before(token);
         for step in &steps {
@@ -88,8 +94,8 @@ proptest! {
         prop_assume!(overlap_words);
 
         let mut rt = TsanRuntime::new("host");
-        let f = rt.create_fiber("other");
-        let ctx = rt.intern_ctx("x");
+        let f = fiber(&mut rt, "other");
+        let ctx = rt.define_ctx("x".into());
         rt.switch_to_fiber(f);
         if a_writes {
             rt.write_range(a0, len_a, ctx);
@@ -109,8 +115,8 @@ proptest! {
     ) {
         let mut rt = TsanRuntime::new("host");
         let fibers: Vec<FiberId> =
-            (0..4).map(|i| rt.create_fiber(&format!("r{i}"))).collect();
-        let ctx = rt.intern_ctx("shared read");
+            (0..4).map(|i| fiber(&mut rt, &format!("r{i}"))).collect();
+        let ctx = rt.define_ctx("shared read".into());
         for (f, addr, len) in reads {
             rt.switch_to_fiber(fibers[f]);
             rt.read_range(addr, len, ctx);
@@ -129,8 +135,8 @@ proptest! {
         let run = || {
             let mut rt = TsanRuntime::new("host");
             let fibers: Vec<FiberId> =
-                (0..4).map(|i| rt.create_fiber(&format!("f{i}"))).collect();
-            let ctx = rt.intern_ctx("x");
+                (0..4).map(|i| fiber(&mut rt, &format!("f{i}"))).collect();
+            let ctx = rt.define_ctx("x".into());
             for &(f, addr, len, write, sync) in &steps {
                 if sync {
                     rt.annotate_happens_before(SyncKey(7));
@@ -157,7 +163,7 @@ proptest! {
         ops in proptest::collection::vec((addr_strategy(), 1u64..256, any::<bool>()), 1..60)
     ) {
         let mut rt = TsanRuntime::new("host");
-        let ctx = rt.intern_ctx("x");
+        let ctx = rt.define_ctx("x".into());
         for (addr, len, write) in ops {
             if write {
                 rt.write_range(addr, len, ctx);

@@ -145,10 +145,13 @@ impl Reference {
 fn run_engine(ops: &[Op]) -> u64 {
     let mut rt = TsanRuntime::new("host");
     let fibers: Vec<FiberId> = (0..N_FIBERS)
-        .map(|i| rt.create_fiber(&format!("f{i}")))
+        .map(|i| {
+            let name = rt.define_ctx(format!("f{i}").into());
+            rt.create_fiber(name)
+        })
         .collect();
     let to_fiber = |i: usize| if i == 0 { FiberId::HOST } else { fibers[i - 1] };
-    let ctx = rt.intern_ctx("access");
+    let ctx = rt.define_ctx("access".into());
     // NOTE: op fiber indices are 0..N_FIBERS where 0 = host; the reference
     // uses the same numbering.
     for op in ops {

@@ -4,7 +4,10 @@
 //! bit-for-bit identical reports, stats, and shadow evolution to an
 //! uninterrupted run, budgeted or not.
 
-use tsan_rt::{FiberId, SyncKey, TsanRuntime};
+use tsan_rt::{CtxId, FiberId, SyncKey, TsanRuntime};
+
+/// Access-context labels every runtime here defines first, as ids 0..5.
+const CTXS: u64 = 5;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -32,7 +35,7 @@ enum Op {
     Access {
         addr: u64,
         len: u64,
-        label: String,
+        ctx: CtxId,
         write: bool,
     },
     Discard(u64),
@@ -41,6 +44,7 @@ enum Op {
 fn apply(rt: &mut TsanRuntime, op: &Op) {
     match op {
         Op::Create { expect, name } => {
+            let name = rt.define_ctx(name.as_str().into());
             let got = rt.create_fiber(name);
             assert_eq!(got, *expect, "fiber numbering diverged");
         }
@@ -54,14 +58,13 @@ fn apply(rt: &mut TsanRuntime, op: &Op) {
         Op::Access {
             addr,
             len,
-            label,
+            ctx,
             write,
         } => {
-            let ctx = rt.intern_ctx(label);
             if *write {
-                rt.write_range(*addr, *len, ctx);
+                rt.write_range(*addr, *len, *ctx);
             } else {
-                rt.read_range(*addr, *len, ctx);
+                rt.read_range(*addr, *len, *ctx);
             }
         }
         Op::Discard(addr) => {
@@ -78,7 +81,7 @@ fn apply(rt: &mut TsanRuntime, op: &Op) {
 /// discards that seed the arena free list.
 fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     let mut s = seed;
-    let mut scratch = TsanRuntime::new("host");
+    let mut scratch = fresh(None);
     let mut live: Vec<FiberId> = vec![FiberId::HOST];
     let mut current = FiberId::HOST;
     let mut ops = Vec::with_capacity(n);
@@ -88,9 +91,10 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
             0 if live.len() < 6 => {
                 let name = format!("fiber#{i}");
                 let expect = scratch.peek_next_fiber();
-                scratch.create_fiber(&name);
+                let op = Op::Create { expect, name };
+                apply(&mut scratch, &op);
                 live.push(expect);
-                ops.push(Op::Create { expect, name });
+                ops.push(op);
             }
             1 if live.len() > 2 => {
                 let candidates: Vec<FiberId> = live
@@ -134,20 +138,14 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
             _ => {
                 let addr = 0x1000 * ((r >> 8) % 8) + 8 * ((r >> 40) % 4);
                 let len = [8u64, 64, 100, 4096, 8192][(r >> 16) as usize % 5];
-                let label = format!("ctx{}", (r >> 24) % 5);
-                let write = (r >> 33) & 1 == 1;
-                let ctx = scratch.intern_ctx(&label);
-                if write {
-                    scratch.write_range(addr, len, ctx);
-                } else {
-                    scratch.read_range(addr, len, ctx);
-                }
-                ops.push(Op::Access {
+                let op = Op::Access {
                     addr,
                     len,
-                    label,
-                    write,
-                });
+                    ctx: CtxId(((r >> 24) % CTXS) as u32),
+                    write: (r >> 33) & 1 == 1,
+                };
+                apply(&mut scratch, &op);
+                ops.push(op);
             }
         }
     }
@@ -158,6 +156,9 @@ fn fresh(budget: Option<usize>) -> TsanRuntime {
     let mut rt = TsanRuntime::new("host");
     rt.set_shadow_page_budget(budget);
     rt.add_suppression("suppressed-lib");
+    for i in 0..CTXS {
+        rt.define_ctx(format!("ctx{i}").into());
+    }
     rt
 }
 
@@ -205,7 +206,7 @@ fn restored_runtime_continues_arena_recycling_identically() {
     // blocks in the same order as the uninterrupted run (arena counters
     // are part of the summary surface).
     let script = |rt: &mut TsanRuntime, phase2: bool| {
-        let ctx = rt.intern_ctx("w");
+        let ctx = CtxId(0);
         for i in 0..6u64 {
             rt.write_range(i * 0x1000, 64, ctx); // partial: unfolded pages
         }
@@ -218,10 +219,10 @@ fn restored_runtime_continues_arena_recycling_identically() {
             }
         }
     };
-    let mut reference = TsanRuntime::new("host");
+    let mut reference = fresh(None);
     script(&mut reference, false);
     script(&mut reference, true);
-    let mut head = TsanRuntime::new("host");
+    let mut head = fresh(None);
     script(&mut head, false);
     let mut restored = TsanRuntime::restore_bytes(&head.snapshot_bytes()).unwrap();
     script(&mut restored, true);
@@ -265,9 +266,10 @@ fn restore_rejects_garbage() {
 fn restore_preserves_suppressions_and_report_cap() {
     let mut rt = TsanRuntime::new("host");
     rt.add_suppression("openmpi-internal");
-    let f = rt.create_fiber("f");
-    let cw = rt.intern_ctx("openmpi-internal progress");
-    let cr = rt.intern_ctx("host read");
+    let name = rt.define_ctx("f".into());
+    let f = rt.create_fiber(name);
+    let cw = rt.define_ctx("openmpi-internal progress".into());
+    let cr = rt.define_ctx("host read".into());
     rt.switch_to_fiber(f);
     rt.write_range(0x4000, 8, cw);
     let mut back = TsanRuntime::restore_bytes(&rt.snapshot_bytes()).unwrap();

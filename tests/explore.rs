@@ -13,12 +13,13 @@
 //!    live reports.
 //! 4. The whole 60-program testsuite reports identical race sets under
 //!    an installed all-defaults plan and under no controller at all —
-//!    the controller hooks are semantically invisible at choice 0.
+//!    the controller hooks are semantically invisible at choice 0. The
+//!    three timing-dependent programs repeat only their verdict.
 //! 5. (proptest) Legacy default-stream barriers hold under *every*
 //!    explored completion order of independent user-stream ops.
 
 use cusan_apps::testsuite::{
-    cases, outcome_digest, run_case, run_case_scheduled, wildcard_schedule_race,
+    cases, outcome_digest, run_case, run_case_scheduled, wildcard_schedule_race, TIMING_DEPENDENT,
 };
 use cusan_apps::AppKernels;
 use explore::{explore, ChoiceKind, SchedulePlan};
@@ -135,6 +136,23 @@ fn testsuite_race_sets_are_identical_under_default_plan() {
     for case in cases() {
         let plain = run_case(&case);
         let planned = run_case_scheduled(&case, SchedulePlan::defaults(2));
+        assert_eq!(
+            plain.must_reports,
+            planned.all_must_reports().len(),
+            "{}: MUST findings changed under the all-defaults plan",
+            case.name
+        );
+        if TIMING_DEPENDENT.contains(&case.name) {
+            // Which request settles first is the threads' choice, not
+            // the plan's: only the verdict repeats.
+            assert_eq!(
+                plain.races > 0,
+                planned.total_races() > 0,
+                "{}: verdict changed under the all-defaults plan",
+                case.name
+            );
+            continue;
+        }
         let mut plain_races: Vec<String> = plain
             .details
             .iter()
@@ -146,12 +164,6 @@ fn testsuite_race_sets_are_identical_under_default_plan() {
             plain_races,
             race_set(&planned),
             "{}: race set changed under the all-defaults plan",
-            case.name
-        );
-        assert_eq!(
-            plain.must_reports,
-            planned.all_must_reports().len(),
-            "{}: MUST findings changed under the all-defaults plan",
             case.name
         );
     }
