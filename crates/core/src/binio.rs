@@ -1,4 +1,4 @@
-//! LEB128 varint primitives and the v3 binary trace codec.
+//! The v3 binary trace codec.
 //!
 //! The compact twin of the v2 text trace format (see [`crate::trace`]):
 //! the same header fields and the same record stream — string-table
@@ -51,16 +51,19 @@
 //! complete, shorter trace. Readers reject bytes after the marker and
 //! treat end-of-input without it as truncation.
 //!
-//! Every decode failure is a typed [`BinError`] — truncated input
+//! The varint primitives, the [`Scanner`] cursor and the error type are
+//! the tool's one byte codec, [`tsan_rt::codec`], which every snapshot
+//! layer uses too. Every decode failure is a positioned [`DecodeError`] —
+//! truncated input
 //! (including *every* strict prefix of a valid trace), varint overflow,
 //! unknown opcodes, bad UTF-8, oversized or trailing-garbage records —
 //! never a panic. Framing errors are recoverable by feeding more bytes
 //! (the push parser in [`crate::trace`] maps mid-frame
-//! [`BinError::Truncated`] to "wait for the next chunk"); payload errors
+//! [`DecodeError::Truncated`] to "wait for the next chunk"); payload errors
 //! inside a complete frame are corruption and poison the stream.
 
-use crate::event::CusanEvent;
-use std::fmt;
+use crate::event::{CusanEvent, StrId};
+use tsan_rt::codec::{put_svarint, put_varint, DecodeError, Scanner};
 use tsan_rt::{FiberId, SyncKey};
 
 /// Magic prefix of a binary (v3) trace. The trailing digit is the
@@ -77,171 +80,6 @@ pub const BIN_FAMILY: &[u8; 7] = b"cusanbt";
 /// this is corruption, not a record we should wait for more bytes on.
 /// Text traces cap a line (header included) at the same length.
 pub const MAX_RECORD: u64 = 1 << 20;
-
-/// Typed decode error for the binary trace codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BinError {
-    /// Input ended mid-varint or mid-record at byte offset `at` (relative
-    /// to the scanned slice). While streaming this means "feed more
-    /// bytes"; at end-of-input it means the trace is truncated.
-    Truncated {
-        /// Offset of the first missing byte.
-        at: usize,
-    },
-    /// A varint ran past 10 bytes or overflowed 64 bits.
-    VarintOverflow {
-        /// Offset where the varint started.
-        at: usize,
-    },
-    /// Unknown record opcode.
-    BadOpcode {
-        /// The opcode byte.
-        op: u8,
-    },
-    /// A string-table label was not valid UTF-8.
-    BadUtf8,
-    /// A record's length field exceeded [`MAX_RECORD`].
-    OversizedRecord {
-        /// The claimed payload length.
-        len: u64,
-    },
-    /// A record payload had bytes left over after its last field — the
-    /// length field and the opcode disagree.
-    TrailingRecordBytes {
-        /// Unconsumed payload bytes.
-        left: usize,
-    },
-    /// A malformed header field (bad tiered flag, zero-length payload…).
-    BadHeader(&'static str),
-    /// The magic named a binary trace version this reader does not
-    /// understand.
-    UnsupportedVersion {
-        /// The version byte found in the magic.
-        got: u8,
-    },
-}
-
-impl fmt::Display for BinError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BinError::Truncated { at } => write!(f, "truncated at byte {at}"),
-            BinError::VarintOverflow { at } => write!(f, "varint overflow at byte {at}"),
-            BinError::BadOpcode { op } => write!(f, "unknown opcode {op}"),
-            BinError::BadUtf8 => write!(f, "string label is not valid UTF-8"),
-            BinError::OversizedRecord { len } => {
-                write!(f, "record length {len} exceeds the {MAX_RECORD}-byte cap")
-            }
-            BinError::TrailingRecordBytes { left } => {
-                write!(f, "{left} trailing bytes after the record's last field")
-            }
-            BinError::BadHeader(what) => write!(f, "bad header: {what}"),
-            BinError::UnsupportedVersion { got } => write!(
-                f,
-                "unsupported binary trace version {:?}, this reader only understands \
-                 `cusanbt3` (re-record or transcode the trace)",
-                char::from(*got)
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BinError {}
-
-/// Append `v` as an unsigned LEB128 varint (always minimal-length).
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Append `v` zigzag-mapped as a varint (small magnitudes of either sign
-/// stay small).
-pub fn put_svarint(buf: &mut Vec<u8>, v: i64) {
-    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Bounds-checked cursor over a byte slice; every read is a typed
-/// [`BinError`] on failure, never a panic.
-#[derive(Debug, Clone)]
-pub struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    /// Scan `bytes` from the front.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Scanner { bytes, pos: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes left to consume.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// One raw byte.
-    pub fn u8(&mut self) -> Result<u8, BinError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or(BinError::Truncated { at: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
-        if self.remaining() < n {
-            return Err(BinError::Truncated {
-                at: self.bytes.len(),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// One unsigned LEB128 varint.
-    pub fn varint(&mut self) -> Result<u64, BinError> {
-        let start = self.pos;
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(BinError::VarintOverflow { at: start });
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(BinError::VarintOverflow { at: start });
-            }
-        }
-    }
-
-    /// One zigzag-mapped signed varint.
-    pub fn svarint(&mut self) -> Result<i64, BinError> {
-        Ok(unzigzag(self.varint()?))
-    }
-}
 
 /// Opcodes, one byte per record.
 mod op {
@@ -448,40 +286,34 @@ pub enum BinRecord {
 #[allow(clippy::type_complexity)]
 pub fn decode_header(
     bytes: &[u8],
-) -> Result<Option<(usize, usize, bool, Option<usize>)>, BinError> {
+) -> Result<Option<(usize, usize, bool, Option<usize>)>, DecodeError> {
     let mut s = Scanner::new(bytes);
-    let magic = match s.take(BIN_MAGIC.len()) {
-        Ok(m) => m,
-        Err(BinError::Truncated { .. }) => return Ok(None),
-        Err(e) => return Err(e),
+    let mut header = || {
+        let magic = s.take(BIN_MAGIC.len())?;
+        if magic[..BIN_FAMILY.len()] != BIN_FAMILY[..] {
+            return Err(DecodeError::BadMagic);
+        }
+        let version = magic[BIN_FAMILY.len()];
+        if version != BIN_MAGIC[BIN_FAMILY.len()] {
+            return Err(DecodeError::Corrupt {
+                at: BIN_FAMILY.len(),
+                what: format!(
+                    "unsupported binary trace version {:?}, this reader only understands \
+                     `cusanbt3` (re-record or transcode the trace)",
+                    char::from(version)
+                ),
+            });
+        }
+        let rank = s.varint_as()?;
+        let tiered = s.bool()?;
+        let budget = s.varint_as::<usize>()?.checked_sub(1);
+        Ok((s.pos(), rank, tiered, budget))
     };
-    if magic[..BIN_FAMILY.len()] != BIN_FAMILY[..] {
-        return Err(BinError::BadHeader("magic mismatch"));
+    match header() {
+        Ok(h) => Ok(Some(h)),
+        Err(DecodeError::Truncated { .. }) => Ok(None),
+        Err(e) => Err(e),
     }
-    if magic[BIN_FAMILY.len()] != BIN_MAGIC[BIN_FAMILY.len()] {
-        return Err(BinError::UnsupportedVersion {
-            got: magic[BIN_FAMILY.len()],
-        });
-    }
-    let rank = match s.varint() {
-        Ok(v) => v,
-        Err(BinError::Truncated { .. }) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let tiered = match s.u8() {
-        Ok(0) => false,
-        Ok(1) => true,
-        Ok(_) => return Err(BinError::BadHeader("tiered flag is not 0 or 1")),
-        Err(BinError::Truncated { .. }) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let budget = match s.varint() {
-        Ok(0) => None,
-        Ok(b) => Some((b - 1) as usize),
-        Err(BinError::Truncated { .. }) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    Ok(Some((s.pos(), rank as usize, tiered, budget)))
 }
 
 /// Decode length-delimited records, mirroring [`Encoder`]'s delta state.
@@ -513,18 +345,21 @@ impl Decoder {
     /// consumed `consumed` bytes. `Err` means the stream is corrupt: a
     /// complete frame failed to decode, or the length field itself is
     /// invalid.
-    pub fn decode_record(&mut self, bytes: &[u8]) -> Result<Option<(usize, BinRecord)>, BinError> {
+    pub fn decode_record(
+        &mut self,
+        bytes: &[u8],
+    ) -> Result<Option<(usize, BinRecord)>, DecodeError> {
         let mut s = Scanner::new(bytes);
         let len = match s.varint() {
             Ok(l) => l,
-            Err(BinError::Truncated { .. }) => return Ok(None),
+            Err(DecodeError::Truncated { .. }) => return Ok(None),
             Err(e) => return Err(e),
         };
-        if len == 0 {
-            return Err(BinError::BadHeader("zero-length record"));
-        }
-        if len > MAX_RECORD {
-            return Err(BinError::OversizedRecord { len });
+        if len == 0 || len > MAX_RECORD {
+            return Err(DecodeError::Corrupt {
+                at: 0,
+                what: format!("record length {len} is not in 1..={MAX_RECORD}"),
+            });
         }
         if (s.remaining() as u64) < len {
             return Ok(None);
@@ -536,41 +371,29 @@ impl Decoder {
 
     /// Decode one complete payload. Any error here — including running
     /// out of payload bytes — is corruption: the frame was complete.
-    fn decode_payload(&mut self, payload: &[u8]) -> Result<BinRecord, BinError> {
+    fn decode_payload(&mut self, payload: &[u8]) -> Result<BinRecord, DecodeError> {
         let d = &mut self.deltas;
         let mut s = Scanner::new(payload);
         let opcode = s.u8()?;
         let rec = match opcode {
-            op::STR => {
-                let id = s.varint()?;
-                let len = s.varint()? as usize;
-                let label = std::str::from_utf8(s.take(len)?).map_err(|_| BinError::BadUtf8)?;
-                BinRecord::Str {
-                    id: id as u32,
-                    label: label.to_string(),
-                }
-            }
+            op::STR => BinRecord::Str {
+                id: s.varint_as()?,
+                label: s.str()?.to_string(),
+            },
             op::FIBER_CREATE => {
-                let fiber = DeltaState::apply(&mut d.fiber, s.svarint()?);
-                let name = s.varint()?;
-                BinRecord::Event(CusanEvent::FiberCreate {
-                    fiber: FiberId::from_index(fiber as usize),
-                    name: crate::event::StrId(name as u32),
-                })
+                let fiber = fiber_id(&mut s, &mut d.fiber)?;
+                let name = StrId(s.varint_as()?);
+                BinRecord::Event(CusanEvent::FiberCreate { fiber, name })
             }
             op::FIBER_SWITCH_SYNC | op::FIBER_SWITCH_NOSYNC => {
-                let fiber = DeltaState::apply(&mut d.fiber, s.svarint()?);
                 BinRecord::Event(CusanEvent::FiberSwitch {
-                    fiber: FiberId::from_index(fiber as usize),
+                    fiber: fiber_id(&mut s, &mut d.fiber)?,
                     sync: opcode == op::FIBER_SWITCH_SYNC,
                 })
             }
-            op::FIBER_DESTROY => {
-                let fiber = DeltaState::apply(&mut d.fiber, s.svarint()?);
-                BinRecord::Event(CusanEvent::FiberDestroy {
-                    fiber: FiberId::from_index(fiber as usize),
-                })
-            }
+            op::FIBER_DESTROY => BinRecord::Event(CusanEvent::FiberDestroy {
+                fiber: fiber_id(&mut s, &mut d.fiber)?,
+            }),
             op::HAPPENS_BEFORE | op::HAPPENS_AFTER => {
                 let key = SyncKey(DeltaState::apply(&mut d.key, s.svarint()?));
                 BinRecord::Event(if opcode == op::HAPPENS_BEFORE {
@@ -582,7 +405,7 @@ impl Decoder {
             op::READ_RANGE | op::WRITE_RANGE => {
                 let addr = DeltaState::apply(&mut d.addr, s.svarint()?);
                 let len = s.varint()?;
-                let ctx = crate::event::StrId(s.varint()? as u32);
+                let ctx = StrId(s.varint_as()?);
                 BinRecord::Event(if opcode == op::READ_RANGE {
                     CusanEvent::ReadRange { addr, len, ctx }
                 } else {
@@ -592,7 +415,7 @@ impl Decoder {
             op::ALLOC => {
                 let addr = DeltaState::apply(&mut d.addr, s.svarint()?);
                 let bytes = s.varint()?;
-                let kind = crate::event::StrId(s.varint()? as u32);
+                let kind = StrId(s.varint_as()?);
                 BinRecord::Event(CusanEvent::Alloc { addr, bytes, kind })
             }
             op::FREE => {
@@ -607,17 +430,17 @@ impl Decoder {
                 serial: s.varint()?,
             }),
             op::COUNTER_BUMP => {
-                let counter = crate::event::StrId(s.varint()? as u32);
+                let counter = StrId(s.varint_as()?);
                 let delta = s.varint()?;
                 BinRecord::Event(CusanEvent::CounterBump { counter, delta })
             }
             op::API_FAULT => {
-                let call = crate::event::StrId(s.varint()? as u32);
+                let call = StrId(s.varint_as()?);
                 let site = s.varint()?;
                 BinRecord::Event(CusanEvent::ApiFault { call, site })
             }
             op::SCHEDULE_CHOICE => {
-                let kind = crate::event::StrId(s.varint()? as u32);
+                let kind = StrId(s.varint_as()?);
                 let arity = s.varint()?;
                 let chosen = s.varint()?;
                 BinRecord::Event(CusanEvent::ScheduleChoice {
@@ -627,10 +450,11 @@ impl Decoder {
                 })
             }
             op::END => BinRecord::End,
-            other => return Err(BinError::BadOpcode { op: other }),
+            op => return Err(s.corrupt(format!("unknown opcode {op}"))),
         };
         if s.remaining() != 0 {
-            return Err(BinError::TrailingRecordBytes {
+            return Err(DecodeError::Trailing {
+                at: s.pos(),
                 left: s.remaining(),
             });
         }
@@ -638,10 +462,17 @@ impl Decoder {
     }
 }
 
+/// A delta-coded fiber id, refused if it does not fit a fiber's `u32`.
+fn fiber_id(s: &mut Scanner<'_>, last: &mut u64) -> Result<FiberId, DecodeError> {
+    let at = s.pos();
+    let value = DeltaState::apply(last, s.svarint()?);
+    let index = u32::try_from(value).map_err(|_| DecodeError::OutOfRange { at, value })?;
+    Ok(FiberId::from_index(index as usize))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::StrId;
 
     #[test]
     fn varint_roundtrip_and_minimality() {
@@ -683,13 +514,13 @@ mod tests {
         let buf = [0x80u8; 11];
         assert_eq!(
             Scanner::new(&buf).varint(),
-            Err(BinError::VarintOverflow { at: 0 })
+            Err(DecodeError::VarintOverflow { at: 0 })
         );
         // 10 bytes but with bits past 2^64.
         let buf = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         assert_eq!(
             Scanner::new(&buf).varint(),
-            Err(BinError::VarintOverflow { at: 0 })
+            Err(DecodeError::VarintOverflow { at: 0 })
         );
         // u64::MAX itself decodes fine.
         let mut buf = Vec::new();
@@ -702,7 +533,7 @@ mod tests {
         let buf = [0x80u8, 0x80];
         assert_eq!(
             Scanner::new(&buf).varint(),
-            Err(BinError::Truncated { at: 2 })
+            Err(DecodeError::Truncated { at: 2 })
         );
     }
 
@@ -790,35 +621,45 @@ mod tests {
         let buf = [1u8, 99];
         assert_eq!(
             Decoder::new().decode_record(&buf),
-            Err(BinError::BadOpcode { op: 99 })
+            Err(DecodeError::Corrupt {
+                at: 1,
+                what: "unknown opcode 99".to_string()
+            })
         );
         // Zero-length record.
         let buf = [0u8];
-        assert!(matches!(
+        assert_eq!(
             Decoder::new().decode_record(&buf),
-            Err(BinError::BadHeader(_))
-        ));
+            Err(DecodeError::Corrupt {
+                at: 0,
+                what: format!("record length 0 is not in 1..={MAX_RECORD}")
+            })
+        );
         // Oversized length field.
         let mut buf = Vec::new();
         put_varint(&mut buf, MAX_RECORD + 1);
         assert_eq!(
             Decoder::new().decode_record(&buf),
-            Err(BinError::OversizedRecord {
-                len: MAX_RECORD + 1
+            Err(DecodeError::Corrupt {
+                at: 0,
+                what: format!(
+                    "record length {} is not in 1..={MAX_RECORD}",
+                    MAX_RECORD + 1
+                )
             })
         );
         // Trailing garbage inside a complete frame.
         let buf = [3u8, op::REQUEST_BEGIN, 0, 0xaa];
         assert_eq!(
             Decoder::new().decode_record(&buf),
-            Err(BinError::TrailingRecordBytes { left: 1 })
+            Err(DecodeError::Trailing { at: 2, left: 1 })
         );
         // Payload shorter than its fields claim (complete frame, inner
         // truncation = corruption).
         let buf = [1u8, op::REQUEST_BEGIN];
         assert!(matches!(
             Decoder::new().decode_record(&buf),
-            Err(BinError::Truncated { .. })
+            Err(DecodeError::Truncated { .. })
         ));
     }
 
@@ -839,9 +680,12 @@ mod tests {
         // A future version fails loudly.
         let mut v4 = buf.clone();
         v4[7] = b'4';
-        assert_eq!(
-            decode_header(&v4),
-            Err(BinError::UnsupportedVersion { got: b'4' })
+        let e = decode_header(&v4).unwrap_err();
+        assert_eq!(e.at(), Some(7));
+        assert!(
+            e.to_string()
+                .contains("unsupported binary trace version '4'"),
+            "{e}"
         );
     }
 }

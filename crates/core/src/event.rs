@@ -54,7 +54,7 @@ pub struct StrId(pub u32);
 /// sessions through [`CtxInterner::intern_shared`], while ids stay dense
 /// and per-session (id density is what makes them stable across a
 /// record/replay round trip).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct CtxInterner {
     labels: Vec<Arc<str>>,
     by_label: HashMap<Arc<str>, StrId>,

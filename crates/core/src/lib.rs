@@ -56,4 +56,4 @@ pub use trace::{
     replay_stream, transcode, TraceFormat, TraceHeader, TraceItem, TracePushParser, TraceReader,
     TraceRecord, TraceSink,
 };
-pub use tsan_rt::SnapshotError;
+pub use tsan_rt::DecodeError;

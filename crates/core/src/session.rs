@@ -31,20 +31,14 @@ use std::sync::Arc;
 
 use crate::event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 use crate::trace::{TraceHeader, TraceRecord};
+use tsan_rt::codec::{put_bytes, put_header, put_varint, DecodeError, Scanner};
 use tsan_rt::fiber::MAX_FIBERS;
 use tsan_rt::report::MAX_CTXS;
-use tsan_rt::{
-    CtxId, FiberId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime,
-    TsanStats,
-};
+use tsan_rt::{CtxId, FiberId, RaceReport, TsanRuntime, TsanStats};
 
-/// Magic prefix of a serialized [`CheckSession`] (distinct from the
-/// runtime-level `cusansnp` so the two blob kinds cannot be confused).
-pub const SESSION_SNAPSHOT_MAGIC: &[u8; 8] = b"cusanses";
-
-/// Version of the session snapshot layout. v4: the labels travel once,
-/// in the (v4) runtime section; the interner is rebuilt from them.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 4;
+/// Magic prefix of a [`CheckSession::snapshot_bytes`] blob; the
+/// [`tsan_rt::codec::LAYOUT_VERSION`] follows it.
+pub const SESSION_MAGIC: &[u8; 8] = b"cusanses";
 
 /// Construction parameters for a [`CheckSession`]: the two trace-header
 /// fields that shape detection.
@@ -293,105 +287,77 @@ impl CheckSession {
 
     /// Serialize the complete session — event counters and the full
     /// detector runtime, whose label section is the interner's content —
-    /// into a self-describing blob. The encoding is *canonical*: two sessions
-    /// with identical observable state produce identical bytes, and
-    /// `snapshot_bytes ∘ restore_bytes` is the identity on blobs. This
-    /// is what lets the serve path spill an **unfinished** session to
-    /// disk under memory pressure and later resume feeding it events
-    /// with bit-for-bit identical results.
+    /// into a blob framed by [`SESSION_MAGIC`] and the layout version.
+    /// The encoding is *canonical*: two sessions with identical
+    /// observable state produce identical bytes, and `snapshot_bytes ∘
+    /// restore_bytes` is the identity on blobs. This is what lets the
+    /// serve path spill an **unfinished** session to disk under memory
+    /// pressure and later resume feeding it events with bit-for-bit
+    /// identical results.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.put_raw(SESSION_SNAPSHOT_MAGIC);
-        w.put_u32(SESSION_SNAPSHOT_VERSION);
-        w.put_u64(self.rank as u64);
-        // Event-stream counters: the 15 scalar fields in declared order,
-        // then the named rows (BTreeMap iteration is already sorted).
-        let c = &self.counters;
-        for v in [
-            c.fiber_creates,
-            c.fiber_destroys,
-            c.fiber_switches,
-            c.sync_switches,
-            c.happens_before,
-            c.happens_after,
-            c.read_range_calls,
-            c.write_range_calls,
-            c.read_bytes,
-            c.write_bytes,
-            c.allocs,
-            c.frees,
-            c.requests_begun,
-            c.requests_completed,
-            c.api_faults,
-        ] {
-            w.put_u64(v);
+        let mut buf = Vec::new();
+        put_header(&mut buf, SESSION_MAGIC);
+        self.write_snapshot(&mut buf);
+        buf
+    }
+
+    /// [`CheckSession::snapshot_bytes`] without the framing: the sections
+    /// a spill file embeds inline.
+    pub fn write_snapshot(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.rank as u64);
+        // Event-stream counters: the scalar fields, then the named rows
+        // (BTreeMap iteration is already sorted).
+        let mut counters = self.counters.clone();
+        for v in scalar_counters(&mut counters) {
+            put_varint(buf, *v);
         }
-        w.put_len(c.named.len());
-        for (name, total) in &c.named {
-            w.put_str(name);
-            w.put_u64(*total);
+        put_varint(buf, counters.named.len() as u64);
+        for (name, total) in &counters.named {
+            put_bytes(buf, name.as_bytes());
+            put_varint(buf, *total);
         }
         // The detector runtime, inline (its own sections are canonical);
         // it carries the labels.
-        self.rt.write_snapshot(&mut w);
-        w.into_bytes()
+        self.rt.write_snapshot(buf);
     }
 
     /// Rebuild a session from [`CheckSession::snapshot_bytes`] output.
-    pub fn restore_bytes(bytes: &[u8]) -> Result<CheckSession, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        if r.get_raw(SESSION_SNAPSHOT_MAGIC.len())? != SESSION_SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != SESSION_SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let rank = r.get_u64()? as usize;
+    pub fn restore_bytes(bytes: &[u8]) -> Result<CheckSession, DecodeError> {
+        let mut s = Scanner::new(bytes);
+        s.header(SESSION_MAGIC)?;
+        let session = Self::read_snapshot(&mut s)?;
+        s.expect_end()?;
+        Ok(session)
+    }
+
+    /// Rebuild a session from [`CheckSession::write_snapshot`] output.
+    pub fn read_snapshot(s: &mut Scanner<'_>) -> Result<CheckSession, DecodeError> {
+        let rank = s.varint_as()?;
         let mut counters = EventCounters::default();
-        {
-            let c = &mut counters;
-            for field in [
-                &mut c.fiber_creates,
-                &mut c.fiber_destroys,
-                &mut c.fiber_switches,
-                &mut c.sync_switches,
-                &mut c.happens_before,
-                &mut c.happens_after,
-                &mut c.read_range_calls,
-                &mut c.write_range_calls,
-                &mut c.read_bytes,
-                &mut c.write_bytes,
-                &mut c.allocs,
-                &mut c.frees,
-                &mut c.requests_begun,
-                &mut c.requests_completed,
-                &mut c.api_faults,
-            ] {
-                *field = r.get_u64()?;
-            }
-            let n_named = r.get_len()?;
-            let mut last: Option<String> = None;
-            for _ in 0..n_named {
-                let name = r.get_str()?;
-                if last.as_deref() >= Some(name.as_str()) {
-                    return Err(SnapshotError::Corrupt("named counters out of order".into()));
-                }
-                let total = r.get_u64()?;
-                c.named.insert(name.clone(), total);
-                last = Some(name);
-            }
+        for v in scalar_counters(&mut counters) {
+            *v = s.varint()?;
         }
-        let rt = TsanRuntime::read_snapshot(&mut r)?;
-        r.expect_end()?;
+        let n_named = s.count(2)?;
+        for _ in 0..n_named {
+            let name = s.str()?;
+            if counters
+                .named
+                .keys()
+                .next_back()
+                .is_some_and(|last| **last >= *name)
+            {
+                return Err(s.corrupt("named counters out of order"));
+            }
+            let total = s.varint()?;
+            counters.named.insert(name.to_string(), total);
+        }
+        let rt = TsanRuntime::read_snapshot(s)?;
         // The interner, rebuilt from the runtime's labels: ids are dense,
         // so a label seen twice would break the id ↔ context identity.
         let mut strings = CtxInterner::new();
         for (i, label) in rt.labels().iter().enumerate() {
             if strings.intern_shared(label).0 as usize != i {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate context label {label:?}"
-                )));
+                return Err(s.corrupt(format!("duplicate context label {label:?}")));
             }
         }
         Ok(CheckSession {
@@ -413,6 +379,29 @@ impl CheckSession {
             counters: self.counters,
         }
     }
+}
+
+/// The event counters a session snapshot stores ahead of the named rows,
+/// in layout order.
+fn scalar_counters(c: &mut EventCounters) -> [&mut u64; 16] {
+    [
+        &mut c.fiber_creates,
+        &mut c.fiber_destroys,
+        &mut c.fiber_switches,
+        &mut c.sync_switches,
+        &mut c.happens_before,
+        &mut c.happens_after,
+        &mut c.read_range_calls,
+        &mut c.write_range_calls,
+        &mut c.read_bytes,
+        &mut c.write_bytes,
+        &mut c.allocs,
+        &mut c.frees,
+        &mut c.requests_begun,
+        &mut c.requests_completed,
+        &mut c.api_faults,
+        &mut c.schedule_choices,
+    ]
 }
 
 /// The detector context of a range event's label: the label's own id,

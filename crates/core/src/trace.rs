@@ -74,7 +74,8 @@ use crate::session::{CheckSession, SessionSummary};
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
-use tsan_rt::{FiberId, SnapshotReader, SnapshotWriter, SyncKey};
+use tsan_rt::codec::{put_bytes, put_varint, DecodeError, Scanner};
+use tsan_rt::{FiberId, SyncKey};
 
 /// Magic prefix of a text trace header line. The version is part of the
 /// magic: readers reject any other version with a clear message.
@@ -655,9 +656,10 @@ enum PushState {
 /// family magic (`cusanbt`) decode as v3 records (wrong versions fail
 /// loudly), everything else parses as text lines (where a non-`v2`
 /// header fails loudly too). The parser buffers only the unconsumed
-/// tail, and its complete mid-stream state — pending bytes, string
-/// table, position counters, binary delta state — snapshots into the
-/// serve spill format via [`TracePushParser::spill_to`].
+/// tail, and its mid-stream state — pending bytes, position counters,
+/// binary delta state — snapshots into the serve spill format via
+/// [`TracePushParser::spill_to`]; its string table travels as the
+/// consuming session's.
 #[derive(Debug)]
 pub struct TracePushParser {
     buf: Vec<u8>,
@@ -826,63 +828,59 @@ impl TracePushParser {
         }
     }
 
-    /// Serialize the complete mid-stream state — pending bytes, format
-    /// decision, string table, position counters, binary delta state —
-    /// into a snapshot (the serve spill format's parser section).
-    /// [`TracePushParser::restore_from`] rebuilds a parser that
-    /// continues byte-for-byte identically.
-    pub fn spill_to(&self, w: &mut SnapshotWriter) {
-        w.put_bytes(&self.buf[self.start..]);
+    /// Serialize the mid-stream state — pending bytes, format decision,
+    /// position counters, binary delta state — into `buf` (the serve
+    /// spill layout's parser section). The string table is not written:
+    /// it is, label for label, the table of the session that consumed
+    /// every record this parser yielded, and that session's snapshot
+    /// carries it. [`TracePushParser::restore_from`] rebuilds a parser
+    /// that continues byte-for-byte identically.
+    pub fn spill_to(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, &self.buf[self.start..]);
         match &self.state {
             // Pre-header states re-sniff their pending bytes on restore.
-            PushState::Sniff | PushState::TextHeader | PushState::BinHeader => w.put_u8(0),
+            PushState::Sniff | PushState::TextHeader | PushState::BinHeader => buf.push(0),
             PushState::TextBody(p) => {
-                w.put_u8(1);
-                w.put_u64(p.lineno as u64);
-                spill_labels(w, &p.strings);
+                buf.push(1);
+                put_varint(buf, p.lineno as u64);
             }
             PushState::BinBody(p) => {
-                w.put_u8(2);
-                w.put_u64(p.recno);
-                w.put_bool(p.saw_end);
-                spill_labels(w, &p.strings);
+                buf.push(2);
+                put_varint(buf, p.recno);
+                buf.push(u8::from(p.saw_end));
                 let ds = p.dec.state();
-                w.put_u64(ds.addr);
-                w.put_u64(ds.fiber);
-                w.put_u64(ds.key);
+                for v in [ds.addr, ds.fiber, ds.key] {
+                    put_varint(buf, v);
+                }
             }
         }
     }
 
-    /// Rebuild a parser from [`TracePushParser::spill_to`] output.
-    pub fn restore_from(r: &mut SnapshotReader) -> Result<TracePushParser, String> {
-        let err = |e: tsan_rt::SnapshotError| format!("corrupt parser snapshot: {e}");
-        let pending = r.get_bytes().map_err(err)?.to_vec();
-        let tag = r.get_u8().map_err(err)?;
-        let state = match tag {
+    /// Rebuild a parser from [`TracePushParser::spill_to`] output and
+    /// `strings`, the string table of the session that consumed its
+    /// records (empty before a header).
+    pub fn restore_from(
+        s: &mut Scanner<'_>,
+        strings: CtxInterner,
+    ) -> Result<TracePushParser, DecodeError> {
+        let pending = s.bytes()?.to_vec();
+        let state = match s.u8()? {
             0 => PushState::Sniff,
-            1 => {
-                let lineno = r.get_u64().map_err(err)? as usize;
-                let strings = restore_labels(r)?;
-                PushState::TextBody(TraceLineParser { strings, lineno })
-            }
-            2 => {
-                let recno = r.get_u64().map_err(err)?;
-                let saw_end = r.get_bool().map_err(err)?;
-                let strings = restore_labels(r)?;
-                let deltas = binio::DeltaState {
-                    addr: r.get_u64().map_err(err)?,
-                    fiber: r.get_u64().map_err(err)?,
-                    key: r.get_u64().map_err(err)?,
-                };
-                PushState::BinBody(BinRecordParser {
-                    strings,
-                    dec: binio::Decoder::from_state(deltas),
-                    recno,
-                    saw_end,
-                })
-            }
-            t => return Err(format!("corrupt parser snapshot: unknown state tag {t}")),
+            1 => PushState::TextBody(TraceLineParser {
+                strings,
+                lineno: s.varint_as()?,
+            }),
+            2 => PushState::BinBody(BinRecordParser {
+                strings,
+                recno: s.varint()?,
+                saw_end: s.bool()?,
+                dec: binio::Decoder::from_state(binio::DeltaState {
+                    addr: s.varint()?,
+                    fiber: s.varint()?,
+                    key: s.varint()?,
+                }),
+            }),
+            t => return Err(s.corrupt(format!("unknown parser state tag {t}"))),
         };
         Ok(TracePushParser {
             buf: pending,
@@ -892,28 +890,6 @@ impl TracePushParser {
             state,
         })
     }
-}
-
-fn spill_labels(w: &mut SnapshotWriter, strings: &CtxInterner) {
-    w.put_len(strings.len());
-    for i in 0..strings.len() {
-        w.put_str(strings.label(StrId(i as u32)));
-    }
-}
-
-fn restore_labels(r: &mut SnapshotReader) -> Result<CtxInterner, String> {
-    let err = |e: tsan_rt::SnapshotError| format!("corrupt parser snapshot: {e}");
-    let n = r.get_len().map_err(err)?;
-    let mut strings = CtxInterner::new();
-    for i in 0..n {
-        let label = r.get_str().map_err(err)?;
-        if strings.intern(&label) != StrId(i as u32) {
-            return Err(format!(
-                "corrupt parser snapshot: duplicate parser label {label:?}"
-            ));
-        }
-    }
-    Ok(strings)
 }
 
 /// The text line at the front of `p`: `(length, bytes it consumes)`, or
@@ -1559,6 +1535,9 @@ mod tests {
             for chunk in [1usize, 2, 3, 7, 16] {
                 let mut parser = TracePushParser::new();
                 let mut items = Vec::new();
+                // The consumer's copy of the string table, as a session
+                // holds it: a restore takes the parser's from here.
+                let mut consumer = CtxInterner::new();
                 let mut fed = 0;
                 for c in bytes.chunks(chunk) {
                     parser.feed(c);
@@ -1566,13 +1545,16 @@ mod tests {
                     // Spill/restore mid-stream at every chunk boundary:
                     // the restored parser must continue identically.
                     if fed <= bytes.len() / 2 {
-                        let mut w = SnapshotWriter::new();
-                        parser.spill_to(&mut w);
-                        let blob = w.into_bytes();
-                        let mut r = SnapshotReader::new(&blob);
-                        parser = TracePushParser::restore_from(&mut r).unwrap();
+                        let mut blob = Vec::new();
+                        parser.spill_to(&mut blob);
+                        let mut s = Scanner::new(&blob);
+                        parser = TracePushParser::restore_from(&mut s, consumer.clone()).unwrap();
+                        s.expect_end().unwrap();
                     }
                     while let Some(item) = parser.poll().unwrap() {
+                        if let TraceItem::Record(TraceRecord::Str { label, .. }) = &item {
+                            consumer.intern_shared(label);
+                        }
                         items.push(item);
                     }
                 }

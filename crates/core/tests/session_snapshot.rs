@@ -5,9 +5,9 @@
 //! that was never interrupted. This is the soundness contract the serve
 //! path's spill/restore of *unfinished* sessions rests on.
 
-use cusan::session::SESSION_SNAPSHOT_VERSION;
-use cusan::{CheckSession, CusanEvent, SessionOptions, SnapshotError, StrId, TraceReader};
+use cusan::{CheckSession, CusanEvent, DecodeError, SessionOptions, StrId, TraceReader};
 use std::sync::Arc;
+use tsan_rt::codec::{put_bytes, LAYOUT_VERSION};
 use tsan_rt::{FiberId, SyncKey};
 
 const GOLDEN: &[u8] = include_bytes!("../../../tests/data/tealeaf_small.trace");
@@ -31,8 +31,8 @@ struct Script {
 /// Generate a script by mirroring fiber numbering with a scratch model,
 /// mixing every event shape the pipeline carries: fiber churn with LIFO
 /// slot reuse, sync and plain switches, release/acquire chains, racy and
-/// synchronized ranges, markers (alloc/free/request/fault), and named
-/// counter bumps.
+/// synchronized ranges, markers (alloc/free/request/fault/schedule
+/// choice), and named counter bumps.
 fn gen_script(seed: u64, n: usize) -> Script {
     let labels: Vec<String> = (0..8)
         .map(|i| format!("ctx{i}"))
@@ -101,7 +101,12 @@ fn gen_script(seed: u64, n: usize) -> Script {
                 counter: bump,
                 delta: 1 + (r >> 8) % 3,
             }),
-            8 => events.push(CusanEvent::ApiFault { call, site: r >> 8 }),
+            8 if (r >> 40) & 1 == 0 => events.push(CusanEvent::ApiFault { call, site: r >> 8 }),
+            8 => events.push(CusanEvent::ScheduleChoice {
+                kind: call,
+                arity: 3,
+                chosen: (r >> 8) % 3,
+            }),
             _ => {
                 let addr = 0x1000 * ((r >> 8) % 8) + 8 * ((r >> 40) % 4);
                 let len = [8u64, 64, 100, 4096][(r >> 16) as usize % 4];
@@ -209,47 +214,55 @@ fn session_restore_rejects_garbage() {
     let s = fresh(None);
     assert_eq!(
         CheckSession::restore_bytes(b"definitely not a session").err(),
-        Some(SnapshotError::BadMagic)
+        Some(DecodeError::BadMagic)
     );
     assert_eq!(
         CheckSession::restore_bytes(b"cus").err(),
-        Some(SnapshotError::Truncated)
+        Some(DecodeError::Truncated { at: 3 })
     );
     let mut blob = s.snapshot_bytes();
     blob[8] = 0x7F; // version field
-    assert!(matches!(
-        CheckSession::restore_bytes(&blob),
-        Err(SnapshotError::UnsupportedVersion(_))
-    ));
+    assert_eq!(
+        CheckSession::restore_bytes(&blob).err(),
+        Some(DecodeError::UnsupportedVersion { got: 0x7F })
+    );
     let blob = s.snapshot_bytes();
     assert!(CheckSession::restore_bytes(&blob[..blob.len() - 1]).is_err());
     let mut blob = s.snapshot_bytes();
     blob.push(0);
-    assert!(matches!(
-        CheckSession::restore_bytes(&blob),
-        Err(SnapshotError::Corrupt(_))
-    ));
-    // A runtime-level blob is not a session blob.
     assert_eq!(
-        CheckSession::restore_bytes(&s.runtime().snapshot_bytes()).err(),
-        Some(SnapshotError::BadMagic)
+        CheckSession::restore_bytes(&blob).err(),
+        Some(DecodeError::Trailing {
+            at: blob.len() - 1,
+            left: 1
+        })
+    );
+    // The unframed sections a spill file embeds are not a session blob.
+    let mut sections = Vec::new();
+    s.write_snapshot(&mut sections);
+    assert_eq!(
+        CheckSession::restore_bytes(&sections).err(),
+        Some(DecodeError::BadMagic)
     );
 }
 
 #[test]
 fn v1_session_blob_is_refused_by_version() {
-    // Layout v1 carried the two shadow mode bytes (tiered, arena), v2
-    // the clock stamps and the same-state cache, and v3 the interner and
-    // its context map beside the runtime's own label table, none of
-    // which exist any more; the version gate refuses them all before any
-    // of the body is interpreted under the current layout.
+    // Layouts v1–v5 wrote the version as a little-endian u32: v1 carried
+    // the two shadow mode bytes (tiered, arena), v2 the clock stamps and
+    // the same-state cache, v3 the interner and its context map beside
+    // the runtime's own label table, v4 fixed-width fields throughout —
+    // none of which exist any more. The one version gate refuses them
+    // all before any of the body is interpreted under the current layout.
     let mut blob = fresh(None).snapshot_bytes();
-    assert_eq!(blob[8..12], SESSION_SNAPSHOT_VERSION.to_le_bytes());
-    for old in (1..SESSION_SNAPSHOT_VERSION).chain([3]) {
+    assert_eq!(u64::from(blob[8]), LAYOUT_VERSION);
+    for old in 1..LAYOUT_VERSION as u32 {
         blob[8..12].copy_from_slice(&old.to_le_bytes());
         assert_eq!(
             CheckSession::restore_bytes(&blob).err(),
-            Some(SnapshotError::UnsupportedVersion(old))
+            Some(DecodeError::UnsupportedVersion {
+                got: u64::from(old)
+            })
         );
     }
 }
@@ -283,8 +296,8 @@ fn replayed_session_has_one_label_table() {
     // is the named-counter row it keys.
     let blob = s.snapshot_bytes();
     for label in labels {
-        let mut encoded = (label.len() as u64).to_le_bytes().to_vec();
-        encoded.extend_from_slice(label.as_bytes());
+        let mut encoded = Vec::new();
+        put_bytes(&mut encoded, label.as_bytes());
         let counter_row = usize::from(s.counters().named.contains_key(&**label));
         assert_eq!(
             occurrences(&blob, &encoded),
@@ -329,4 +342,62 @@ fn restored_session_reuses_interned_ids() {
     assert_eq!(sum.race_count, 1);
     assert_eq!(sum.reports[0].previous.ctx, "kernel write");
     assert_eq!(sum.reports[0].previous.fiber, "stream 1");
+}
+
+/// The racy TeaLeaf fixture, checked half-way: its snapshot and the
+/// records that follow.
+fn racy_half_way() -> (Vec<u8>, Vec<cusan::TraceRecord>) {
+    let reader = TraceReader::new(RACY).unwrap();
+    let mut s = CheckSession::for_header(reader.header());
+    let mut records: Vec<_> = reader.map(Result::unwrap).collect();
+    let rest = records.split_off(records.len() / 2);
+    for rec in &records {
+        s.feed(rec).unwrap();
+    }
+    (s.snapshot_bytes(), rest)
+}
+
+const RACY: &[u8] = include_bytes!("../../../tests/data/tealeaf_small_racy.trace");
+
+#[test]
+fn every_proper_prefix_is_refused_at_a_position() {
+    let (blob, _) = racy_half_way();
+    for cut in 0..blob.len() {
+        let e = CheckSession::restore_bytes(&blob[..cut])
+            .err()
+            .expect("a proper prefix restored");
+        assert!(
+            e.at().is_some_and(|at| at <= cut),
+            "prefix of {cut} bytes: {e}"
+        );
+    }
+}
+
+#[test]
+fn a_flipped_byte_is_refused_or_yields_a_session_that_takes_the_rest() {
+    let (blob, rest) = racy_half_way();
+    let mut seed = 0x5EED;
+    let (mut refused, mut restored) = (0, 0);
+    for _ in 0..256 {
+        let r = splitmix(&mut seed);
+        let mut damaged = blob.clone();
+        damaged[(r % blob.len() as u64) as usize] ^= 1 + ((r >> 32) % 255) as u8;
+        let Ok(mut s) = CheckSession::restore_bytes(&damaged) else {
+            refused += 1;
+            continue;
+        };
+        restored += 1;
+        // A refusal of a record is the session's answer; a panic is not.
+        for rec in &rest {
+            if s.feed(rec).is_err() {
+                break;
+            }
+        }
+        s.into_summary();
+    }
+    assert_eq!(refused + restored, 256);
+    assert!(
+        refused > 0 && restored > 0,
+        "{refused} refused, {restored} restored"
+    );
 }

@@ -29,9 +29,12 @@
 //! A session whose journal (below) holds at most [`JOURNAL_ONLY_SPILL`]
 //! bytes — every testsuite-sized one — keeps nothing else: replaying
 //! that journal costs less than a snapshot's round trip through a file.
-//! A larger one is first serialized to `spill_dir`
-//! ([`crate::SessionIngest::spill`]) as `session-<id>.spill`, whose
-//! ingest blob carries a checksum. The next frame for a spilled session
+//! A larger one is first serialized to `spill_dir` as
+//! `session-<id>.spill`: its magic, the one
+//! [`tsan_rt::codec::LAYOUT_VERSION`], the acked offset, the ingest's
+//! sections inline ([`crate::SessionIngest::spill_to`]) and a checksum of
+//! every byte after the magic — the offset included, since a restore
+//! replays the journal from it. The next frame for a spilled session
 //! transparently restores it from the spill file plus the journal past
 //! it, or from the journal alone; both are exact (the spill codec takes
 //! canonical snapshots of the full detector state, and replay is
@@ -62,8 +65,9 @@
 //! replays the whole journal when it spilled as its journal, when the
 //! process died before ever spilling, or while writing the spill: the
 //! journal holds `[0, acked)` before any spill starts, so a spill file
-//! that does not decode, or whose checksum does not match, is logged,
-//! discarded and rebuilt from journal byte 0. A directory entry that
+//! of another layout version, one whose checksum does not match or one
+//! that does not decode (a positioned [`tsan_rt::DecodeError`]) is
+//! logged, discarded and rebuilt from journal byte 0. A directory entry that
 //! cannot be read is logged and skipped. Clients learn the recovered
 //! acked offset from the `R` handshake and replay the rest.
 
@@ -77,20 +81,12 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-use tsan_rt::{SnapshotReader, SnapshotWriter};
+use tsan_rt::codec::{put_header, put_varint, DecodeError, Scanner};
 
-/// Magic prefix of an on-disk session spill file.
+/// Magic prefix of an on-disk session spill file; the layout version
+/// ([`tsan_rt::codec::LAYOUT_VERSION`]) follows it. A file of another
+/// version is discarded and the session rebuilt from its journal.
 const SPILL_MAGIC: &[u8; 8] = b"cusanspl";
-/// Version of the spill-file layout. v2: the ingest blob's parser
-/// section is the format-sniffing [`cusan::TracePushParser`] snapshot
-/// (pending bytes + state tag + table + binary delta state) instead of
-/// the text-only line-parser layout. v3: the detector snapshot inside
-/// it carries no clock stamps and no same-state cache. v4: a 64-bit
-/// [`spill_checksum`] of the ingest blob follows it. v5: the session
-/// snapshot inside carries each label once (session layout v4). A file
-/// of another version is discarded and the session rebuilt from its
-/// journal.
-const SPILL_VERSION: u32 = 5;
 
 /// Accepted bytes a session may hold back from its journal file between
 /// acks. It bounds both the re-send a crash costs a client that never
@@ -737,7 +733,7 @@ impl ServeEngine {
         if acked <= JOURNAL_ONLY_SPILL as u64 {
             drop(ingest);
         } else {
-            let file = encode_spill_file(acked, &ingest.spill()?);
+            let file = encode_spill_file(acked, *ingest)?;
             // Set first: a failed write may still have created the file.
             s.files.spill = true;
             fs::write(&spill_path, file).map_err(|e| format!("{}: {e}", spill_path.display()))?;
@@ -882,17 +878,20 @@ impl ServeEngine {
     }
 }
 
-fn encode_spill_file(acked: u64, ingest_blob: &[u8]) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    w.put_raw(SPILL_MAGIC);
-    w.put_u32(SPILL_VERSION);
-    w.put_u64(acked);
-    w.put_bytes(ingest_blob);
-    w.put_u64(spill_checksum(ingest_blob));
-    w.into_bytes()
+/// A spill file: magic, layout version, the acked offset the spill was
+/// taken at, the ingest's sections inline, and a [`spill_checksum`] of
+/// every byte after the magic.
+fn encode_spill_file(acked: u64, ingest: SessionIngest) -> Result<Vec<u8>, String> {
+    let mut file = Vec::new();
+    put_header(&mut file, SPILL_MAGIC);
+    put_varint(&mut file, acked);
+    ingest.spill_to(&mut file)?;
+    let sum = spill_checksum(&file[SPILL_MAGIC.len()..]);
+    file.extend_from_slice(&sum.to_le_bytes());
+    Ok(file)
 }
 
-/// 64-bit checksum of a spill file's ingest blob, a word at a time: four
+/// 64-bit checksum of a spill file's body, a word at a time: four
 /// lanes each fold every fourth little-endian word with
 /// xor-multiply-rotate, then the lanes are folded into the length. Each
 /// step is a bijection of the running value for a fixed word, so damage
@@ -924,35 +923,33 @@ fn spill_checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Decode a spill file into the ingest it holds and the stream offset it
-/// was taken at. A spill never runs ahead of the journal, so an offset
-/// beyond `acked` is corruption like any other.
+/// was taken at. The version is checked first, so an older layout is
+/// refused as such; then the checksum, so no field — the offset
+/// included — is believed before the whole body is known intact. A spill
+/// never runs ahead of the journal, so an offset beyond `acked` is
+/// corruption like any other.
 fn restore_spill_file(
     engine: &Arc<ServeEngine>,
     bytes: &[u8],
     acked: u64,
-) -> Result<(SessionIngest, u64), String> {
-    let mut r = SnapshotReader::new(bytes);
-    let err = |e: tsan_rt::SnapshotError| format!("corrupt spill file: {e}");
-    if r.get_raw(SPILL_MAGIC.len()).map_err(err)? != SPILL_MAGIC {
-        return Err("corrupt spill file: bad magic".to_string());
+) -> Result<(SessionIngest, u64), DecodeError> {
+    let (body, sum) = bytes.split_at(bytes.len().saturating_sub(8));
+    let mut s = Scanner::new(body);
+    s.header(SPILL_MAGIC)?;
+    if sum != spill_checksum(&body[SPILL_MAGIC.len()..]).to_le_bytes() {
+        return Err(DecodeError::Corrupt {
+            at: body.len(),
+            what: "checksum mismatch".to_string(),
+        });
     }
-    let version = r.get_u32().map_err(err)?;
-    if version != SPILL_VERSION {
-        return Err(format!("unsupported spill version {version}"));
-    }
-    let acked_at_spill = r.get_u64().map_err(err)?;
-    let blob = r.get_bytes().map_err(err)?;
-    let checksum = r.get_u64().map_err(err)?;
-    r.expect_end().map_err(err)?;
-    if checksum != spill_checksum(blob) {
-        return Err("corrupt spill file: checksum mismatch".to_string());
-    }
+    let acked_at_spill = s.varint()?;
     if acked_at_spill > acked {
-        return Err(format!(
-            "corrupt spill file: taken at offset {acked_at_spill}, journal ends at {acked}"
-        ));
+        return Err(s.corrupt(format!(
+            "taken at offset {acked_at_spill}, journal ends at {acked}"
+        )));
     }
-    let ingest = SessionIngest::restore(Arc::clone(engine), blob)?;
+    let ingest = SessionIngest::restore(Arc::clone(engine), &mut s)?;
+    s.expect_end()?;
     Ok((ingest, acked_at_spill))
 }
 
@@ -1056,5 +1053,48 @@ mod tests {
             longer.push(0);
             assert_ne!(spill_checksum(&longer), sum, "len {len} + a zero byte");
         }
+    }
+
+    #[test]
+    fn a_damaged_spill_file_is_refused_before_it_is_believed() {
+        const RACY: &[u8] = include_bytes!("../../../tests/data/tealeaf_small_racy.trace");
+        let dir = crate::unique_scratch_dir("test-hostile-spill");
+        let engine = ServeEngine::new(EngineConfig {
+            spill_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        });
+        let half = RACY.len() / 2;
+        engine.open_new(1).unwrap();
+        engine.feed(1, 0, &RACY[..half]).unwrap();
+        engine.detach(1);
+        assert!(engine.spill_session(1).unwrap());
+        let file = fs::read(dir.join("session-1.spill")).unwrap();
+        let acked = half as u64;
+        let (ingest, at) = restore_spill_file(&engine, &file, acked).unwrap();
+        assert_eq!(at, acked);
+        drop(ingest);
+        // Every proper prefix is refused at an offset inside it.
+        for cut in 0..file.len() {
+            let e = restore_spill_file(&engine, &file[..cut], acked)
+                .err()
+                .expect("a proper prefix restored");
+            assert!(
+                e.at().is_some_and(|at| at <= cut),
+                "prefix of {cut} bytes: {e}"
+            );
+        }
+        // A flipped byte anywhere is refused: the magic and version by
+        // their gate, every later byte by the checksum.
+        let mut seed = 0x5EED_u64;
+        for _ in 0..256 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = seed >> 11;
+            let mut damaged = file.clone();
+            damaged[(r % file.len() as u64) as usize] ^= 1 + ((r >> 32) % 255) as u8;
+            assert!(restore_spill_file(&engine, &damaged, acked).is_err());
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -27,7 +27,7 @@
 use crate::engine::ServeEngine;
 use cusan::{AsyncChecker, CheckSession, SessionSummary, TraceItem, TracePushParser, TraceRecord};
 use std::sync::{Arc, Weak};
-use tsan_rt::{SnapshotReader, SnapshotWriter};
+use tsan_rt::codec::{DecodeError, Scanner};
 
 enum IngestState {
     /// Nothing decoded yet: the parser is still sniffing/expecting the
@@ -155,53 +155,45 @@ impl SessionIngest {
         }
     }
 
-    /// Spill this *unfinished* ingest to a compact byte blob: the full
-    /// detector state ([`CheckSession::snapshot_bytes`]) plus the
-    /// parser's complete mid-stream state (pending bytes, string table,
-    /// position, binary delta state). The checker is drained first, so
-    /// the blob captures every byte ever fed; [`SessionIngest::restore`]
-    /// rebuilds an ingest that continues bit-for-bit identically to one
-    /// that was never spilled. Consumes the ingest — its pool
-    /// registration is released, which is the point: spilling frees the
-    /// session's entire memory footprint.
-    pub fn spill(mut self) -> Result<Vec<u8>, String> {
-        let mut w = SnapshotWriter::new();
-        match std::mem::replace(&mut self.state, IngestState::Done) {
+    /// Spill this *unfinished* ingest into `buf`: whether a session has
+    /// begun, the drained session's sections
+    /// ([`CheckSession::write_snapshot`]), then the parser's mid-stream
+    /// state, whose string table is the session's. [`SessionIngest::restore`]
+    /// rebuilds an ingest that continues bit-for-bit identically.
+    /// Consuming the ingest releases its pool registration: spilling
+    /// frees the session's entire memory footprint.
+    pub fn spill_to(mut self, buf: &mut Vec<u8>) -> Result<(), String> {
+        let checker = match std::mem::replace(&mut self.state, IngestState::Done) {
             IngestState::Done => return Err("session already closed".to_string()),
-            IngestState::AwaitHeader => {
-                w.put_u8(0);
-                self.parser.spill_to(&mut w);
-            }
-            IngestState::Body { checker } => {
-                w.put_u8(1);
-                self.parser.spill_to(&mut w);
-                let session = checker.finish().map_err(|e| e.to_string())?;
-                w.put_bytes(&session.snapshot_bytes());
-            }
+            IngestState::AwaitHeader => None,
+            IngestState::Body { checker } => Some(checker),
+        };
+        buf.push(u8::from(checker.is_some()));
+        if let Some(checker) = checker {
+            let session = checker.finish().map_err(|e| e.to_string())?;
+            session.write_snapshot(buf);
         }
-        Ok(w.into_bytes())
+        self.parser.spill_to(buf);
+        Ok(())
     }
 
-    /// Rebuild an ingest from [`SessionIngest::spill`] output, re-registering
-    /// with `engine`'s pool. The restored ingest accepts the byte stream
-    /// exactly where the spilled one left off.
-    pub fn restore(engine: Arc<ServeEngine>, blob: &[u8]) -> Result<Self, String> {
-        let mut r = SnapshotReader::new(blob);
-        let err = |e: tsan_rt::SnapshotError| format!("corrupt session spill: {e}");
-        let tag = r.get_u8().map_err(err)?;
-        let parser = TracePushParser::restore_from(&mut r)
-            .map_err(|e| format!("corrupt session spill: {e}"))?;
-        let state = match tag {
-            0 => IngestState::AwaitHeader,
-            1 => {
-                let session_blob = r.get_bytes().map_err(err)?;
-                let session = CheckSession::restore_bytes(session_blob).map_err(err)?;
-                let checker = AsyncChecker::with_pool(Arc::clone(engine.pool()), session);
-                IngestState::Body { checker }
-            }
-            t => return Err(format!("corrupt session spill: unknown state tag {t}")),
+    /// Rebuild an ingest from [`SessionIngest::spill_to`] output,
+    /// re-registering with `engine`'s pool. The restored ingest accepts
+    /// the byte stream exactly where the spilled one left off.
+    pub fn restore(engine: Arc<ServeEngine>, s: &mut Scanner<'_>) -> Result<Self, DecodeError> {
+        let session = if s.bool()? {
+            Some(CheckSession::read_snapshot(s)?)
+        } else {
+            None
         };
-        r.expect_end().map_err(err)?;
+        let strings = session.as_ref().map(|s| s.strings().clone());
+        let parser = TracePushParser::restore_from(s, strings.unwrap_or_default())?;
+        let state = match session {
+            Some(session) => IngestState::Body {
+                checker: AsyncChecker::with_pool(Arc::clone(engine.pool()), session),
+            },
+            None => IngestState::AwaitHeader,
+        };
         Ok(SessionIngest {
             engine: Arc::downgrade(&engine),
             parser,

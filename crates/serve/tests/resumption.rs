@@ -26,6 +26,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
+use tsan_rt::codec::{put_varint, Scanner};
 
 const GOLDEN: &str = include_str!("../../../tests/data/tealeaf_small.trace");
 
@@ -335,17 +336,15 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     let damages: [(&str, Damage); 8] = [
         ("emptied", |f| f.clear()),
         ("cut inside the magic", |f| f.truncate(5)),
-        ("cut inside the header", |f| f.truncate(17)),
+        ("cut inside the offset", |f| f.truncate(10)),
         ("cut in half", |f| f.truncate(f.len() / 2)),
         ("one byte short", |f| f.truncate(f.len() - 1)),
         ("magic flipped", |f| f[0] ^= 0xff),
-        // Byte 28 is the ingest blob's state tag: 8 magic, 4 version,
-        // 8 offset, 8 length.
-        ("state tag flipped", |f| f[28] ^= 0xff),
-        // Bytes 8..12 are the version (little-endian).
-        ("written by layout v4", |f| {
-            f[8..12].copy_from_slice(&4u32.to_le_bytes())
+        ("session flag flipped", |f| {
+            let at = sections_at(f);
+            f[at] ^= 0xff
         }),
+        ("written by layout v5", |f| f[8] = 5),
     ];
     // Session 4, spilled half-way through the trace.
     let spilled_half_way = |dir: &ScratchDir| {
@@ -380,10 +379,8 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     // the journal's length: after a crash, and after an upgrade that
     // moved the spill layout under a session spilled by the old binary.
     let restarts: [(&str, Damage); 2] = [
-        ("cut inside the version", |f| f.truncate(9)),
-        ("written by layout v4", |f| {
-            f[8..12].copy_from_slice(&4u32.to_le_bytes())
-        }),
+        ("cut after the version", |f| f.truncate(9)),
+        ("written by layout v5", |f| f[8] = 5),
     ];
     for (what, damage) in restarts {
         let dir = ScratchDir::new("torn-spill-restart");
@@ -424,51 +421,80 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
 /// 20–51): flipping it moves the access far into its fiber's future.
 const CLOCK_BYTE: usize = 5;
 
+/// Where a spill file's ingest sections start: after the magic, the
+/// layout version and the acked offset.
+fn sections_at(file: &[u8]) -> usize {
+    let mut s = Scanner::new(file);
+    s.header(b"cusanspl").unwrap();
+    s.varint().unwrap();
+    s.pos()
+}
+
 /// Offsets in a spill file that look like shadow slot values: the
-/// detector snapshot writes an unfolded page as tag 2, its block id
-/// (two `u32`s), a `u64` count and that many (`u32` slot index, `u64`
-/// value) pairs, indices ascending below 2048 and values nonzero.
-/// A match need not be one; [`finishes_otherwise`] confirms.
+/// detector snapshot writes an unfolded page as tag 2, its block id (two
+/// varints), a varint count and that many (slot index, 8-byte
+/// little-endian value) pairs, indices ascending below 2048 (written as
+/// gaps) and values nonzero. A match need not be one; [`finishes_otherwise`] confirms.
 fn slot_value_offsets(file: &[u8]) -> Vec<usize> {
-    let u32_at = |at: usize| {
-        file.get(at..at + 4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    };
-    let u64_at = |at: usize| {
-        file.get(at..at + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    };
-    let mut offsets = Vec::new();
-    for page in (0..file.len()).filter(|&at| file[at] == 2) {
-        let Some(count) = u64_at(page + 9).filter(|n| (1..=2048).contains(n)) else {
-            continue;
-        };
-        let pairs: Option<Vec<(u32, u64)>> = (0..count as usize)
-            .map(|k| {
-                let at = page + 17 + 12 * k;
-                Some((u32_at(at)?, u64_at(at + 4)?))
-            })
-            .collect();
-        let Some(pairs) = pairs else { continue };
-        let ascending = pairs.windows(2).all(|w| w[0].0 < w[1].0);
-        if ascending && pairs.iter().all(|&(i, v)| i < 2048 && v != 0) {
-            offsets.extend((0..pairs.len()).map(|k| page + 17 + 12 * k + 4));
+    let slots_at = |page: usize| -> Option<Vec<usize>> {
+        let mut s = Scanner::new(file);
+        s.take(page + 1).ok()?;
+        s.varint().ok()?;
+        s.varint().ok()?;
+        let count = s.varint().ok().filter(|n| (1..=2048).contains(n))?;
+        let mut last = None;
+        let mut offsets = Vec::new();
+        for _ in 0..count {
+            s.ascending(&mut last).ok().filter(|&i| i < 2048)?;
+            offsets.push(s.pos());
+            s.u64_le().ok().filter(|&v| v != 0)?;
         }
-    }
-    offsets
+        Some(offsets)
+    };
+    (0..file.len())
+        .filter(|&at| file[at] == 2)
+        .filter_map(slots_at)
+        .flatten()
+        .collect()
 }
 
 /// Whether the ingest in spill file `file`, restored past any integrity
 /// check, decodes and finishes `rest` with a summary other than `solo`.
 fn finishes_otherwise(file: &[u8], rest: &[u8], solo: &cusan::SessionSummary) -> bool {
-    // 8 magic, 4 version, 8 offset, then the blob's 8-byte length.
-    let len = u64::from_le_bytes(file[20..28].try_into().unwrap()) as usize;
     let engine = ServeEngine::new(EngineConfig::default());
-    let Ok(mut ingest) = cusan_serve::SessionIngest::restore(engine.clone(), &file[28..28 + len])
-    else {
+    let mut s = Scanner::new(&file[..file.len() - 8]);
+    s.take(sections_at(file)).unwrap();
+    let Ok(mut ingest) = cusan_serve::SessionIngest::restore(engine.clone(), &mut s) else {
         return false;
     };
     ingest.feed(rest).is_ok() && ingest.finish().is_ok_and(|s| s != *solo)
+}
+
+#[test]
+fn a_spill_file_whose_offset_was_lowered_is_rebuilt_from_the_journal() {
+    // The offset a spill was taken at is where the restore resumes the
+    // journal. Lowered, it would re-feed bytes the spilled ingest has
+    // already consumed — so the checksum covers it like every other byte
+    // after the magic, and the damaged file is rebuilt from the journal.
+    let bytes = GOLDEN.as_bytes();
+    let split = bytes.len() / 2;
+    let dir = ScratchDir::new("lowered-offset");
+    let engine = ServeEngine::new(spilling_config(&dir));
+    engine.open_new(4).unwrap();
+    engine.feed(4, 0, &bytes[..split]).unwrap();
+    engine.detach(4);
+    assert!(engine.spill_session(4).unwrap());
+    let spill = dir.0.join("session-4.spill");
+    let file = std::fs::read(&spill).unwrap();
+    let mut lowered = file[..9].to_vec();
+    put_varint(&mut lowered, (split / 2) as u64);
+    lowered.extend_from_slice(&file[sections_at(&file)..]);
+    std::fs::write(&spill, lowered).unwrap();
+
+    engine.feed(4, split as u64, &bytes[split..]).unwrap();
+    assert_eq!(engine.stats().sessions_restored, 1);
+    assert!(!spill.exists(), "the damaged file is discarded");
+    assert_eq!(engine.close(4).unwrap(), solo_summary(GOLDEN).unwrap());
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! slots (see [`crate::shadow`]); components count *release operations*, not
 //! individual memory accesses, so 2^32 is far beyond any simulation.
 
+use crate::codec::{put_varint, DecodeError, Scanner};
 use crate::fiber::FiberId;
 
 /// A dense vector clock indexed by fiber id.
@@ -86,15 +87,23 @@ impl VectorClock {
         (self.c.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
-    /// Raw components for the snapshot codec (capacity is not
-    /// observable, so components are the whole state).
-    pub(crate) fn components(&self) -> &[u32] {
-        &self.c
+    /// Append the components, count first (capacity is not observable,
+    /// so the components are the whole state).
+    pub(crate) fn write_to(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.c.len() as u64);
+        for &v in &self.c {
+            put_varint(buf, u64::from(v));
+        }
     }
 
-    /// Rebuild from raw components (snapshot restore).
-    pub(crate) fn from_components(c: Vec<u32>) -> Self {
-        VectorClock { c }
+    /// Decode [`Self::write_to`] output.
+    pub(crate) fn read_from(s: &mut Scanner<'_>) -> Result<Self, DecodeError> {
+        let n = s.count(1)?;
+        let mut c = Vec::with_capacity(n);
+        for _ in 0..n {
+            c.push(s.varint_as()?);
+        }
+        Ok(VectorClock { c })
     }
 }
 
@@ -157,5 +166,29 @@ mod tests {
         let mut abb = ab.clone();
         abb.join(&b);
         assert_eq!(ab, abb);
+    }
+
+    #[test]
+    fn clock_roundtrip() {
+        let mut c = VectorClock::new();
+        c.set(f(0), 3);
+        c.set(f(5), u32::MAX);
+        let mut buf = Vec::new();
+        c.write_to(&mut buf);
+        let mut s = Scanner::new(&buf);
+        let back = VectorClock::read_from(&mut s).unwrap();
+        s.expect_end().unwrap();
+        assert_eq!(back, c);
+        assert_eq!(back.len(), c.len());
+        // A component past u32 is refused, not truncated.
+        let mut buf = vec![1];
+        put_varint(&mut buf, 1 << 32);
+        assert_eq!(
+            VectorClock::read_from(&mut Scanner::new(&buf)),
+            Err(DecodeError::OutOfRange {
+                at: 1,
+                value: 1 << 32
+            })
+        );
     }
 }

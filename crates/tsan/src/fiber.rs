@@ -6,8 +6,8 @@
 //! are attributed to and implies **no** synchronization.
 
 use crate::clock::VectorClock;
+use crate::codec::{put_bytes, put_varint, DecodeError, Scanner};
 use crate::report::CtxId;
-use crate::snapshot::{read_clock, write_clock, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::sync::Arc;
 
 /// Identifier of a fiber. Ids index densely into the runtime's fiber table;
@@ -223,59 +223,64 @@ impl FiberTable {
     /// and with it replayed fiber numbering — must continue exactly
     /// where the snapshotted table left off. Fiber names are written as
     /// label ids; only the host's own name is a string.
-    pub(crate) fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_str(&self.host_name);
-        w.put_u64(self.created);
-        w.put_u64(self.destroyed);
-        w.put_len(self.free.len());
+    pub(crate) fn write_snapshot(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.host_name.as_bytes());
+        put_varint(buf, self.created);
+        put_varint(buf, self.destroyed);
+        put_varint(buf, self.free.len() as u64);
         for &idx in &self.free {
-            w.put_u32(idx);
+            put_varint(buf, u64::from(idx));
         }
-        w.put_len(self.fibers.len());
+        put_varint(buf, self.fibers.len() as u64);
         for f in &self.fibers {
-            write_clock(w, &f.clock);
-            w.put_u32(f.name.0);
-            w.put_bool(f.alive);
+            f.clock.write_to(buf);
+            put_varint(buf, u64::from(f.name.0));
+            buf.push(u8::from(f.alive));
         }
     }
 
     /// Rebuild a table from [`Self::write_snapshot`] output, whose fiber
-    /// names must be ids below `n_labels`.
-    pub(crate) fn read_snapshot(
-        r: &mut SnapshotReader<'_>,
-        n_labels: usize,
-    ) -> Result<Self, SnapshotError> {
-        let host_name = r.get_str()?.into_boxed_str();
-        let created = r.get_u64()?;
-        let destroyed = r.get_u64()?;
-        let n_free = r.get_len()?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(r.get_u32()?);
-        }
-        let n_fibers = r.get_len()?;
+    /// names must be ids below `n_labels`. The host must be alive and the
+    /// free list must name distinct retired slots, so no later create or
+    /// destroy can meet a table the runtime could not have built.
+    pub(crate) fn read_snapshot(s: &mut Scanner<'_>, n_labels: usize) -> Result<Self, DecodeError> {
+        let host_name = s.str()?.into();
+        let created = s.varint()?;
+        let destroyed = s.varint()?;
+        let n_free = s.count(1)?;
+        let free = (0..n_free)
+            .map(|_| s.varint_as())
+            .collect::<Result<Vec<u32>, _>>()?;
+        // A slot is at least its clock's count, its name and its flag.
+        let n_fibers = s.count(3)?;
         if n_fibers == 0 || n_fibers > MAX_FIBERS {
-            return Err(SnapshotError::Corrupt(format!(
-                "fiber table of {n_fibers} slots"
-            )));
-        }
-        if let Some(&idx) = free.iter().find(|&&idx| idx as usize >= n_fibers) {
-            return Err(SnapshotError::Corrupt(format!(
-                "free-list slot {idx} out of range"
-            )));
+            return Err(s.corrupt(format!("fiber table of {n_fibers} slots")));
         }
         let mut fibers = Vec::with_capacity(n_fibers);
         for i in 0..n_fibers {
-            let clock = read_clock(r)?;
-            let name = CtxId(r.get_u32()?);
+            let clock = VectorClock::read_from(s)?;
+            let name = CtxId(s.varint_as()?);
             if i != FiberId::HOST.index() && name.0 as usize >= n_labels {
-                return Err(SnapshotError::Corrupt(format!(
-                    "fiber {i} named by label {} of {n_labels}",
-                    name.0
+                return Err(s.corrupt(format!("fiber {i} named by label {} of {n_labels}", name.0)));
+            }
+            let alive = s.bool()?;
+            fibers.push(Fiber { clock, name, alive });
+        }
+        if !fibers[FiberId::HOST.index()].alive {
+            return Err(s.corrupt("the host fiber is not alive"));
+        }
+        let mut listed = vec![false; n_fibers];
+        for &idx in &free {
+            let i = idx as usize;
+            if i == FiberId::HOST.index()
+                || i >= n_fibers
+                || fibers[i].alive
+                || std::mem::replace(&mut listed[i], true)
+            {
+                return Err(s.corrupt(format!(
+                    "free-list slot {idx} is not a distinct retired fiber"
                 )));
             }
-            let alive = r.get_bool()?;
-            fibers.push(Fiber { clock, name, alive });
         }
         Ok(FiberTable {
             host_name,

@@ -36,19 +36,27 @@
 //!   recycled and no allocation "sweeping" is needed.
 //! * Stack traces are replaced by interned *access context* labels supplied
 //!   at annotation sites.
+//!
+//! ## Snapshots
+//!
+//! [`TsanRuntime::write_snapshot`] serializes the complete runtime, so
+//! the serve path can spill an unfinished session and resume it later.
+//! Every layer that writes bytes it reads back — these sections, `cusan`'s
+//! binary trace and session, `cusan-serve`'s spill file — uses the one
+//! [`codec`] and one [`codec::LAYOUT_VERSION`].
 
 pub mod clock;
+pub mod codec;
 pub mod fiber;
 mod fxhash;
 pub mod report;
 pub mod runtime;
 pub mod shadow;
-pub mod snapshot;
 pub mod stats;
 
 pub use clock::VectorClock;
+pub use codec::DecodeError;
 pub use fiber::FiberId;
 pub use report::{CtxId, RaceReport};
 pub use runtime::{SyncKey, TsanRuntime};
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::TsanStats;

@@ -6,7 +6,7 @@
 //! access context with the recorded previous one — exactly the information
 //! a user needs to locate both sides of the race.
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::codec::{put_bytes, put_varint, DecodeError, Scanner};
 use std::fmt;
 use std::sync::Arc;
 
@@ -142,20 +142,19 @@ impl Suppressions {
     /// Serialize the pattern list in install order (matching is
     /// any-pattern, but order still decides nothing — kept for byte
     /// stability of repeated snapshots).
-    pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_len(self.patterns.len());
+    pub fn write_snapshot(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.patterns.len() as u64);
         for p in &self.patterns {
-            w.put_str(p);
+            put_bytes(buf, p.as_bytes());
         }
     }
 
     /// Rebuild from [`Self::write_snapshot`] output.
-    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.get_len()?;
-        let mut patterns = Vec::with_capacity(n);
-        for _ in 0..n {
-            patterns.push(r.get_str()?);
-        }
+    pub fn read_snapshot(s: &mut Scanner<'_>) -> Result<Self, DecodeError> {
+        let n = s.count(1)?;
+        let patterns = (0..n)
+            .map(|_| s.str().map(str::to_string))
+            .collect::<Result<_, _>>()?;
         Ok(Suppressions { patterns })
     }
 }

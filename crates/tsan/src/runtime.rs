@@ -1,14 +1,11 @@
 //! The TSan-style runtime: fibers + shadow + sync vars + reporting.
 
 use crate::clock::VectorClock;
+use crate::codec::{put_ascending, put_bytes, put_varint, DecodeError, Scanner};
 use crate::fiber::{FiberId, FiberTable};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::report::{label, CtxId, RaceReport, RaceSide, Suppressions};
 use crate::shadow::ShadowMemory;
-use crate::snapshot::{
-    read_clock, write_clock, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
-};
 use crate::stats::TsanStats;
 use std::sync::Arc;
 
@@ -338,72 +335,55 @@ impl TsanRuntime {
 
     // ---- snapshot/restore --------------------------------------------------
 
-    /// Serialize the complete runtime state into `w` (no magic/version
-    /// framing — [`Self::snapshot_bytes`] adds it; embedders like the
-    /// session spill format frame the stream themselves).
+    /// Serialize the complete runtime state into `buf`, unframed:
+    /// embedders (the session snapshot, the spill file) put the one
+    /// magic and [`crate::codec::LAYOUT_VERSION`] in front of their own
+    /// sections.
     ///
     /// The encoding is *canonical*: hash-ordered state (sync variables,
     /// report-dedup keys, shadow pages) is sorted before writing, so two
     /// runtimes in the same observable state produce byte-identical
     /// snapshots, and `snapshot(restore(snapshot(x))) == snapshot(x)`.
-    pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.current.index() as u32);
-        w.put_u64(self.max_reports as u64);
-        w.put_len(self.labels.len());
+    pub fn write_snapshot(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.current.index() as u64);
+        put_varint(buf, self.max_reports as u64);
+        put_varint(buf, self.labels.len() as u64);
         for label in &self.labels {
-            w.put_str(label);
+            put_bytes(buf, label.as_bytes());
         }
-        self.fibers.write_snapshot(w);
-        self.shadow.write_snapshot(w);
+        self.fibers.write_snapshot(buf);
+        self.shadow.write_snapshot(buf);
         let mut keys: Vec<u64> = self.sync_vars.keys().copied().collect();
         keys.sort_unstable();
-        w.put_len(keys.len());
+        put_varint(buf, keys.len() as u64);
+        let mut last = None;
         for key in keys {
-            w.put_u64(key);
-            write_clock(w, &self.sync_vars[&key]);
+            put_ascending(buf, &mut last, key);
+            self.sync_vars[&key].write_to(buf);
         }
-        w.put_len(self.reports.len());
+        put_varint(buf, self.reports.len() as u64);
         for rep in &self.reports {
-            w.put_u64(rep.addr);
+            put_varint(buf, rep.addr);
             for side in [&rep.current, &rep.previous] {
-                w.put_bool(side.write);
-                w.put_str(&side.fiber);
-                w.put_str(&side.ctx);
+                buf.push(u8::from(side.write));
+                put_bytes(buf, side.fiber.as_bytes());
+                put_bytes(buf, side.ctx.as_bytes());
             }
         }
         let mut dedup: Vec<(u32, u32)> = self.report_keys.iter().copied().collect();
         dedup.sort_unstable();
-        w.put_len(dedup.len());
+        put_varint(buf, dedup.len() as u64);
         for (a, b) in dedup {
-            w.put_u32(a);
-            w.put_u32(b);
+            put_varint(buf, u64::from(a));
+            put_varint(buf, u64::from(b));
         }
-        self.suppressions.write_snapshot(w);
+        self.suppressions.write_snapshot(buf);
         // The raw (unmerged) counter struct: the derived fields are
         // recomputed from the fiber/shadow sections on every `stats()`
         // call, so serializing them here too would double state.
-        for v in [
-            self.stats.fiber_switches,
-            self.stats.fibers_created,
-            self.stats.fibers_destroyed,
-            self.stats.happens_before,
-            self.stats.happens_after,
-            self.stats.read_range_calls,
-            self.stats.write_range_calls,
-            self.stats.read_bytes,
-            self.stats.write_bytes,
-            self.stats.races_reported,
-            self.stats.races_suppressed,
-            self.stats.races_deduped,
-            self.stats.page_summaries_stored,
-            self.stats.page_unfolds,
-            self.stats.dropped_annotations,
-            self.stats.full_clock_joins,
-            self.stats.arena_pages_reused,
-            self.stats.arena_slabs_allocated,
-            self.stats.arena_pages_evicted,
-        ] {
-            w.put_u64(v);
+        let mut stats = self.stats;
+        for v in raw_counters(&mut stats) {
+            put_varint(buf, *v);
         }
     }
 
@@ -411,90 +391,53 @@ impl TsanRuntime {
     /// restored runtime is observationally identical to the snapshotted
     /// one: applying any event suffix to both yields bit-for-bit equal
     /// reports, stats, and shadow evolution.
-    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let current = FiberId::from_index(r.get_u32()? as usize);
-        let max_reports = r.get_u64()? as usize;
-        let n_labels = r.get_len()?;
-        let mut labels = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            labels.push(Arc::from(r.get_str()?));
+    pub fn read_snapshot(s: &mut Scanner<'_>) -> Result<Self, DecodeError> {
+        let current = FiberId::from_index(s.varint_as::<u32>()? as usize);
+        let max_reports = s.varint_as()?;
+        let n_labels = s.count(1)?;
+        let labels = (0..n_labels)
+            .map(|_| s.str().map(Arc::from))
+            .collect::<Result<Vec<Arc<str>>, _>>()?;
+        let fibers = FiberTable::read_snapshot(s, n_labels)?;
+        if !fibers.is_alive(current) {
+            return Err(s.corrupt(format!("current fiber {} is not alive", current.index())));
         }
-        let fibers = FiberTable::read_snapshot(r, n_labels)?;
-        if current.index() >= fibers.slot_count() {
-            return Err(SnapshotError::Corrupt(format!(
-                "current fiber {} out of range",
-                current.index()
-            )));
-        }
-        let shadow = ShadowMemory::read_snapshot(r)?;
-        let n_sync = r.get_len()?;
+        let shadow = ShadowMemory::read_snapshot(s, fibers.slot_count())?;
+        // Maps and report lists grow as their entries decode: an entry
+        // costs more memory than its minimum encoding, so reserving a
+        // declared count up front would let a short blob reserve a lot.
+        let n_sync = s.count(2)?;
         let mut sync_vars = FxHashMap::default();
-        sync_vars.reserve(n_sync);
-        let mut prev_key: Option<u64> = None;
+        let mut last = None;
         for _ in 0..n_sync {
-            let key = r.get_u64()?;
-            if prev_key.is_some_and(|p| key <= p) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "sync keys not strictly ascending at {key:#x}"
-                )));
-            }
-            prev_key = Some(key);
-            sync_vars.insert(key, read_clock(r)?);
+            let key = s.ascending(&mut last)?;
+            sync_vars.insert(key, VectorClock::read_from(s)?);
         }
-        let n_reports = r.get_len()?;
-        let mut reports = Vec::with_capacity(n_reports);
+        let n_reports = s.count(7)?;
+        let mut reports = Vec::new();
         for _ in 0..n_reports {
-            let addr = r.get_u64()?;
-            let mut sides = Vec::with_capacity(2);
-            for _ in 0..2 {
-                sides.push(RaceSide {
-                    write: r.get_bool()?,
-                    fiber: r.get_str()?,
-                    ctx: r.get_str()?,
-                });
-            }
-            let previous = sides.pop().expect("two sides");
-            let current = sides.pop().expect("two sides");
+            let addr = s.varint()?;
+            let mut side = || -> Result<RaceSide, DecodeError> {
+                Ok(RaceSide {
+                    write: s.bool()?,
+                    fiber: s.str()?.to_string(),
+                    ctx: s.str()?.to_string(),
+                })
+            };
+            let current = side()?;
+            let previous = side()?;
             reports.push(RaceReport {
                 addr,
                 current,
                 previous,
             });
         }
-        let n_dedup = r.get_len()?;
-        let mut report_keys = FxHashSet::default();
-        report_keys.reserve(n_dedup);
-        for _ in 0..n_dedup {
-            report_keys.insert((r.get_u32()?, r.get_u32()?));
-        }
-        let suppressions = Suppressions::read_snapshot(r)?;
-        let mut raw = [0u64; 19];
-        for v in &mut raw {
-            *v = r.get_u64()?;
-        }
-        let stats = TsanStats {
-            fiber_switches: raw[0],
-            fibers_created: raw[1],
-            fibers_destroyed: raw[2],
-            happens_before: raw[3],
-            happens_after: raw[4],
-            read_range_calls: raw[5],
-            write_range_calls: raw[6],
-            read_bytes: raw[7],
-            write_bytes: raw[8],
-            races_reported: raw[9],
-            races_suppressed: raw[10],
-            races_deduped: raw[11],
-            page_summaries_stored: raw[12],
-            page_unfolds: raw[13],
-            dropped_annotations: raw[14],
-            full_clock_joins: raw[15],
-            arena_pages_reused: raw[16],
-            arena_slabs_allocated: raw[17],
-            arena_pages_evicted: raw[18],
-            ..TsanStats::default()
-        };
-        Ok(TsanRuntime {
+        let n_dedup = s.count(2)?;
+        let report_keys = (0..n_dedup)
+            .map(|_| Ok((s.varint_as()?, s.varint_as()?)))
+            .collect::<Result<FxHashSet<_>, DecodeError>>()?;
+        let suppressions = Suppressions::read_snapshot(s)?;
+        let mut rt = TsanRuntime {
             fibers,
             current,
             shadow,
@@ -503,35 +446,39 @@ impl TsanRuntime {
             reports,
             report_keys,
             suppressions,
-            stats,
+            stats: TsanStats::default(),
             max_reports,
-        })
-    }
-
-    /// [`Self::write_snapshot`] framed with [`SNAPSHOT_MAGIC`] and
-    /// [`SNAPSHOT_VERSION`] — the standalone blob format.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.put_raw(SNAPSHOT_MAGIC);
-        w.put_u32(SNAPSHOT_VERSION);
-        self.write_snapshot(&mut w);
-        w.into_bytes()
-    }
-
-    /// Decode a [`Self::snapshot_bytes`] blob.
-    pub fn restore_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        if r.get_raw(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
+        };
+        for v in raw_counters(&mut rt.stats) {
+            *v = s.varint()?;
         }
-        let version = r.get_u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let rt = Self::read_snapshot(&mut r)?;
-        r.expect_end()?;
         Ok(rt)
     }
+}
+
+/// The counters a runtime snapshot stores, in layout order.
+fn raw_counters(s: &mut TsanStats) -> [&mut u64; 19] {
+    [
+        &mut s.fiber_switches,
+        &mut s.fibers_created,
+        &mut s.fibers_destroyed,
+        &mut s.happens_before,
+        &mut s.happens_after,
+        &mut s.read_range_calls,
+        &mut s.write_range_calls,
+        &mut s.read_bytes,
+        &mut s.write_bytes,
+        &mut s.races_reported,
+        &mut s.races_suppressed,
+        &mut s.races_deduped,
+        &mut s.page_summaries_stored,
+        &mut s.page_unfolds,
+        &mut s.dropped_annotations,
+        &mut s.full_clock_joins,
+        &mut s.arena_pages_reused,
+        &mut s.arena_slabs_allocated,
+        &mut s.arena_pages_evicted,
+    ]
 }
 
 #[cfg(test)]

@@ -61,10 +61,11 @@
 //! are proven against.
 
 use crate::clock::VectorClock;
+use crate::codec::{put_ascending, put_varint, DecodeError, Scanner};
 use crate::fiber::FiberId;
 use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHashSet;
 use crate::report::CtxId;
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Application bytes covered by one shadow word.
 pub const WORD_BYTES: u64 = 8;
@@ -166,7 +167,7 @@ const ARENA_FIRST_SLAB_PAGES: usize = 4;
 const ARENA_MAX_SLAB_PAGES: usize = 256;
 
 /// Handle of one page block inside the arena: slab index + block index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BlockId {
     slab: u32,
     block: u32,
@@ -191,9 +192,6 @@ struct PageArena {
     /// Blocks already carved from the newest slab.
     carved: usize,
     next_slab_pages: usize,
-    /// Blocks handed out and not yet freed (a restored snapshot is
-    /// checked against it).
-    live_blocks: usize,
     pages_reused: u64,
     slabs_allocated: u64,
     pages_evicted: u64,
@@ -206,7 +204,6 @@ impl PageArena {
             free: Vec::new(),
             carved: 0,
             next_slab_pages: ARENA_FIRST_SLAB_PAGES,
-            live_blocks: 0,
             pages_reused: 0,
             slabs_allocated: 0,
             pages_evicted: 0,
@@ -216,7 +213,6 @@ impl PageArena {
     /// Pop a block: recycled (stale contents!) or freshly carved
     /// (guaranteed all-zero). The bool is `true` for a fresh carve.
     fn pop(&mut self) -> (BlockId, bool) {
-        self.live_blocks += 1;
         if let Some(id) = self.free.pop() {
             self.pages_reused += 1;
             return (id, false);
@@ -279,7 +275,6 @@ impl PageArena {
     /// Return a block to the free list. The stale contents stay in place
     /// until the block is reallocated (and then overwritten/zeroed).
     fn free_block(&mut self, id: BlockId) {
-        self.live_blocks -= 1;
         self.pages_evicted += 1;
         self.free.push(id);
     }
@@ -326,92 +321,103 @@ impl PageArena {
     /// serialized with the pages that own them; free-listed blocks hold
     /// stale data by contract (always overwritten or re-zeroed before
     /// reuse), so restoring them as zeros is behavior-identical.
-    fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_len(self.slabs.len());
+    fn write_snapshot(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.slabs.len() as u64);
         for s in &self.slabs {
-            w.put_u64((s.len() / SLOTS_PER_PAGE) as u64);
+            put_varint(buf, (s.len() / SLOTS_PER_PAGE) as u64);
         }
-        w.put_u64(self.carved as u64);
-        w.put_u64(self.next_slab_pages as u64);
-        w.put_u64(self.live_blocks as u64);
-        w.put_len(self.free.len());
+        put_varint(buf, self.carved as u64);
+        put_varint(buf, self.next_slab_pages as u64);
+        put_varint(buf, self.free.len() as u64);
         for id in &self.free {
-            w.put_u32(id.slab);
-            w.put_u32(id.block);
+            put_varint(buf, u64::from(id.slab));
+            put_varint(buf, u64::from(id.block));
         }
-        w.put_u64(self.pages_reused);
-        w.put_u64(self.slabs_allocated);
-        w.put_u64(self.pages_evicted);
+        put_varint(buf, self.pages_reused);
+        put_varint(buf, self.slabs_allocated);
+        put_varint(buf, self.pages_evicted);
     }
 
     /// Rebuild from [`Self::write_snapshot`] output, slabs zeroed (live
-    /// block contents are filled in by the page decoder).
-    fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n_slabs = r.get_len()?;
+    /// block contents are filled in by the page decoder). `claimed`
+    /// collects the free-listed blocks, each at most once; the page
+    /// decoder claims the rest.
+    fn read_snapshot(
+        s: &mut Scanner<'_>,
+        claimed: &mut FxHashSet<BlockId>,
+    ) -> Result<Self, DecodeError> {
+        let n_slabs = s.count(1)?;
         let mut slab_pages = Vec::with_capacity(n_slabs);
         for _ in 0..n_slabs {
-            let pages = r.get_u64()?;
-            if pages == 0 || pages > ARENA_MAX_SLAB_PAGES as u64 {
-                return Err(SnapshotError::Corrupt(format!("slab of {pages} pages")));
+            let pages: usize = s.varint_as()?;
+            if pages == 0 || pages > ARENA_MAX_SLAB_PAGES {
+                return Err(s.corrupt(format!("slab of {pages} pages")));
             }
-            slab_pages.push(pages as usize);
+            slab_pages.push(pages);
         }
-        // A slab is only added once its predecessor is fully carved, and a
-        // carved block is owned by a page record or sits on the free list
-        // — at least 8 snapshot bytes either way. Hold the blob to that
-        // before zero-allocating 16 KiB per declared page.
-        let carved_pages: usize = slab_pages.iter().rev().skip(1).sum();
-        if carved_pages.saturating_mul(8) > r.remaining() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{carved_pages} carved slab pages declared but only {} bytes follow",
-                r.remaining()
-            )));
-        }
-        let slabs: Vec<Box<[u64]>> = slab_pages
-            .iter()
-            .map(|&pages| vec![0u64; pages * SLOTS_PER_PAGE].into_boxed_slice())
-            .collect();
-        let carved = r.get_u64()? as usize;
-        let last_cap = slabs.last().map_or(0, |s| s.len() / SLOTS_PER_PAGE);
+        let carved: usize = s.varint_as()?;
+        let last_cap = slab_pages.last().copied().unwrap_or(0);
         if carved > last_cap {
-            return Err(SnapshotError::Corrupt(format!(
+            return Err(s.corrupt(format!(
                 "carve cursor {carved} past slab capacity {last_cap}"
             )));
         }
-        let next_slab_pages = r.get_u64()? as usize;
+        let next_slab_pages: usize = s.varint_as()?;
         if next_slab_pages == 0 || next_slab_pages > ARENA_MAX_SLAB_PAGES {
-            return Err(SnapshotError::Corrupt(format!(
-                "slab growth point {next_slab_pages}"
+            return Err(s.corrupt(format!("slab growth point {next_slab_pages}")));
+        }
+        // A slab is only added once its predecessor is fully carved, and
+        // a carved block is owned by a page record (≥ 5 bytes) or sits on
+        // the free list (two varints, ≥ 2 bytes). Hold the blob to that
+        // before zero-allocating 16 KiB per declared page.
+        let carved_pages = slab_pages.iter().rev().skip(1).sum::<usize>() + carved;
+        if carved_pages.saturating_mul(2) > s.remaining() {
+            return Err(s.corrupt(format!(
+                "{carved_pages} carved slab pages declared but only {} bytes follow",
+                s.remaining()
             )));
         }
-        let live_blocks = r.get_u64()? as usize;
-        let n_free = r.get_len()?;
+        let n_free = s.count(2)?;
         let mut arena = PageArena {
-            slabs,
+            slabs: slab_pages
+                .iter()
+                .map(|&pages| vec![0u64; pages * SLOTS_PER_PAGE].into_boxed_slice())
+                .collect(),
             free: Vec::with_capacity(n_free),
             carved,
             next_slab_pages,
-            live_blocks,
             pages_reused: 0,
             slabs_allocated: 0,
             pages_evicted: 0,
         };
         for _ in 0..n_free {
-            let id = BlockId {
-                slab: r.get_u32()?,
-                block: r.get_u32()?,
-            };
-            if !arena.is_carved(id) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "free-listed block {id:?} was never carved"
-                )));
-            }
+            let id = arena.read_block_id(s, claimed)?;
             arena.free.push(id);
         }
-        arena.pages_reused = r.get_u64()?;
-        arena.slabs_allocated = r.get_u64()?;
-        arena.pages_evicted = r.get_u64()?;
+        arena.pages_reused = s.varint()?;
+        arena.slabs_allocated = s.varint()?;
+        arena.pages_evicted = s.varint()?;
         Ok(arena)
+    }
+
+    /// Decode a block handle and claim it: it must name a carved block
+    /// that no free-list entry or page has claimed before.
+    fn read_block_id(
+        &self,
+        s: &mut Scanner<'_>,
+        claimed: &mut FxHashSet<BlockId>,
+    ) -> Result<BlockId, DecodeError> {
+        let id = BlockId {
+            slab: s.varint_as()?,
+            block: s.varint_as()?,
+        };
+        if !self.is_carved(id) {
+            return Err(s.corrupt(format!("block {id:?} was never carved")));
+        }
+        if !claimed.insert(id) {
+            return Err(s.corrupt(format!("block {id:?} claimed twice")));
+        }
+        Ok(id)
     }
 }
 
@@ -833,112 +839,96 @@ impl ShadowMemory {
     /// Serialize the entire shadow — the budget, the tier counters, the
     /// arena shape, and every page (sorted by page key so repeated
     /// snapshots of one state are byte-identical).
-    pub(crate) fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.page_budget.is_some());
+    pub(crate) fn write_snapshot(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(self.page_budget.is_some()));
         if let Some(b) = self.page_budget {
-            w.put_u64(b as u64);
+            put_varint(buf, b as u64);
         }
         // Own counters only — the arena carries its tallies itself.
-        w.put_u64(self.counters.page_summaries_stored);
-        w.put_u64(self.counters.page_unfolds);
-        w.put_u64(self.counters.dropped_annotations);
-        self.arena.write_snapshot(w);
+        put_varint(buf, self.counters.page_summaries_stored);
+        put_varint(buf, self.counters.page_unfolds);
+        put_varint(buf, self.counters.dropped_annotations);
+        self.arena.write_snapshot(buf);
         let mut keys: Vec<u64> = self.pages.keys().copied().collect();
         keys.sort_unstable();
-        w.put_len(keys.len());
+        put_varint(buf, keys.len() as u64);
+        let mut last = None;
         for key in keys {
-            w.put_u64(key);
+            put_ascending(buf, &mut last, key);
             match &self.pages[&key] {
-                PageState::Summary(s) => {
-                    w.put_u8(0);
-                    for &v in s {
-                        w.put_u64(v);
+                PageState::Summary(slots) => {
+                    buf.push(0);
+                    for &v in slots {
+                        buf.extend_from_slice(&v.to_le_bytes());
                     }
                 }
                 // Tag 1 is retired with layout v1; it must stay unassigned.
                 PageState::Unfolded(id) => {
-                    w.put_u8(2);
-                    w.put_u32(id.slab);
-                    w.put_u32(id.block);
-                    write_sparse_slots(w, self.arena.block(*id));
+                    buf.push(2);
+                    put_varint(buf, u64::from(id.slab));
+                    put_varint(buf, u64::from(id.block));
+                    write_sparse_slots(buf, self.arena.block(*id));
                 }
             }
         }
     }
 
-    /// Rebuild a shadow from [`Self::write_snapshot`] output. Unfolded
-    /// pages are written back into their original block handles, so
-    /// subsequent carve/recycle order — and with it every arena counter
-    /// — evolves exactly as in the snapshotted shadow.
-    pub(crate) fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let page_budget = if r.get_bool()? {
-            Some(r.get_u64()? as usize)
+    /// Rebuild a shadow from [`Self::write_snapshot`] output, whose slots
+    /// must name fibers below `n_fibers`. Unfolded pages are written back
+    /// into their original block handles, so subsequent carve/recycle
+    /// order — and with it every arena counter — evolves exactly as in
+    /// the snapshotted shadow.
+    pub(crate) fn read_snapshot(s: &mut Scanner<'_>, n_fibers: usize) -> Result<Self, DecodeError> {
+        let page_budget = if s.bool()? {
+            Some(s.varint_as()?)
         } else {
             None
         };
         let counters = ShadowCounters {
-            page_summaries_stored: r.get_u64()?,
-            page_unfolds: r.get_u64()?,
-            dropped_annotations: r.get_u64()?,
+            page_summaries_stored: s.varint()?,
+            page_unfolds: s.varint()?,
+            dropped_annotations: s.varint()?,
             ..ShadowCounters::default()
         };
-        let mut arena = PageArena::read_snapshot(r)?;
-        let n_pages = r.get_len()?;
+        let mut claimed = FxHashSet::default();
+        let mut arena = PageArena::read_snapshot(s, &mut claimed)?;
+        // The map grows as pages decode (see `TsanRuntime::read_snapshot`).
+        let n_pages = s.count(5)?;
         let mut pages = FxHashMap::default();
-        pages.reserve(n_pages);
-        let mut arena_blocks = 0usize;
-        let mut prev_key: Option<u64> = None;
+        let mut last = None;
         for _ in 0..n_pages {
-            let key = r.get_u64()?;
-            if prev_key.is_some_and(|p| key <= p) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "page keys not strictly ascending at {key:#x}"
-                )));
-            }
-            prev_key = Some(key);
-            let state = match r.get_u8()? {
+            let key = s.ascending(&mut last)?;
+            let state = match s.u8()? {
                 0 => {
-                    let mut s = [0u64; SLOTS_PER_WORD];
-                    for v in &mut s {
-                        *v = r.get_u64()?;
+                    let mut slots = [0u64; SLOTS_PER_WORD];
+                    for v in &mut slots {
+                        *v = read_slot(s, n_fibers)?;
                     }
-                    PageState::Summary(s)
+                    PageState::Summary(slots)
                 }
                 2 => {
-                    let id = BlockId {
-                        slab: r.get_u32()?,
-                        block: r.get_u32()?,
-                    };
-                    if !arena.is_carved(id) {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "page block {id:?} was never carved"
-                        )));
-                    }
-                    if arena.free.contains(&id) {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "page block {id:?} is also on the free list"
-                        )));
-                    }
-                    let slots = arena.block_mut(id);
-                    if slots.iter().any(|&s| s != 0) {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "block {id:?} claimed by two pages"
-                        )));
-                    }
-                    read_sparse_slots(r, slots)?;
-                    arena_blocks += 1;
+                    let id = arena.read_block_id(s, &mut claimed)?;
+                    read_sparse_slots(s, arena.block_mut(id), n_fibers)?;
                     PageState::Unfolded(id)
                 }
-                t => {
-                    return Err(SnapshotError::Corrupt(format!("page state tag {t}")));
-                }
+                t => return Err(s.corrupt(format!("page state tag {t}"))),
             };
             pages.insert(key, state);
         }
-        if arena_blocks != arena.live_blocks {
-            return Err(SnapshotError::Corrupt(format!(
-                "{arena_blocks} unfolded pages but {} live blocks recorded",
-                arena.live_blocks
+        // Every carved block is a page's or on the free list, once.
+        let carved = arena
+            .slabs
+            .iter()
+            .rev()
+            .skip(1)
+            .map(|s| s.len())
+            .sum::<usize>()
+            / SLOTS_PER_PAGE
+            + arena.carved;
+        if claimed.len() != carved {
+            return Err(s.corrupt(format!(
+                "{} of {carved} carved blocks owned by a page or the free list",
+                claimed.len()
             )));
         }
         Ok(ShadowMemory {
@@ -951,47 +941,49 @@ impl ShadowMemory {
 }
 
 /// Encode one page's slot array as (index, value) pairs of its nonzero
-/// slots — spilled shadows are dominated by sparsely-touched pages, and
-/// zero slots reconstruct for free.
-fn write_sparse_slots(w: &mut SnapshotWriter, slots: &[u64; SLOTS_PER_PAGE]) {
-    let n = slots.iter().filter(|&&s| s != 0).count();
-    w.put_len(n);
-    for (i, &s) in slots.iter().enumerate() {
-        if s != 0 {
-            w.put_u32(i as u32);
-            w.put_u64(s);
+/// slots, indices ascending — spilled shadows are dominated by
+/// sparsely-touched pages, and zero slots reconstruct for free.
+fn write_sparse_slots(buf: &mut Vec<u8>, slots: &[u64; SLOTS_PER_PAGE]) {
+    put_varint(buf, slots.iter().filter(|&&v| v != 0).count() as u64);
+    let mut last = None;
+    for (i, &v) in slots.iter().enumerate() {
+        if v != 0 {
+            put_ascending(buf, &mut last, i as u64);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
 }
 
 /// Decode [`write_sparse_slots`] output into an all-zero slot array.
 fn read_sparse_slots(
-    r: &mut SnapshotReader<'_>,
+    s: &mut Scanner<'_>,
     slots: &mut [u64; SLOTS_PER_PAGE],
-) -> Result<(), SnapshotError> {
-    let n = r.get_len()?;
-    if n > SLOTS_PER_PAGE {
-        return Err(SnapshotError::Corrupt(format!("{n} slots in one page")));
-    }
-    let mut prev: Option<u32> = None;
+    n_fibers: usize,
+) -> Result<(), DecodeError> {
+    // A pair is a one-byte index at least and an 8-byte word.
+    let n = s.count(9)?;
+    let mut last = None;
     for _ in 0..n {
-        let i = r.get_u32()?;
-        if i as usize >= SLOTS_PER_PAGE {
-            return Err(SnapshotError::Corrupt(format!("slot index {i}")));
+        let i = s.ascending(&mut last)?;
+        let Some(slot) = usize::try_from(i).ok().and_then(|i| slots.get_mut(i)) else {
+            return Err(s.corrupt(format!("slot index {i} past the page")));
+        };
+        *slot = read_slot(s, n_fibers)?;
+        if *slot == 0 {
+            return Err(s.corrupt("zero slot in sparse list"));
         }
-        if prev.is_some_and(|p| i <= p) {
-            return Err(SnapshotError::Corrupt(format!(
-                "slot indices not strictly ascending at {i}"
-            )));
-        }
-        let v = r.get_u64()?;
-        if v == 0 {
-            return Err(SnapshotError::Corrupt("zero slot in sparse list".into()));
-        }
-        slots[i as usize] = v;
-        prev = Some(i);
     }
     Ok(())
+}
+
+/// One packed slot word, whose access (if any) must name a fiber below
+/// `n_fibers` — a report names both fibers of a race.
+fn read_slot(s: &mut Scanner<'_>, n_fibers: usize) -> Result<u64, DecodeError> {
+    let v = s.u64_le()?;
+    if v != 0 && unpack(v).fiber.index() >= n_fibers {
+        return Err(s.corrupt(format!("slot {v:#x} names a fiber past the table")));
+    }
+    Ok(v)
 }
 
 /// Per-word walk over `[word, end_word]` within one page's slot array:
@@ -2126,19 +2118,13 @@ mod tests {
 
     /// The shadow sections that precede the arena: no budget, zeroed
     /// tier counters.
-    fn shadow_snapshot_prefix() -> SnapshotWriter {
-        let mut w = SnapshotWriter::new();
-        w.put_bool(false);
-        for _ in 0..3 {
-            w.put_u64(0);
-        }
-        w
+    fn shadow_snapshot_prefix() -> Vec<u8> {
+        vec![0; 4]
     }
 
-    fn corrupt_message(w: SnapshotWriter) -> String {
-        let bytes = w.into_bytes();
-        match ShadowMemory::read_snapshot(&mut SnapshotReader::new(&bytes)) {
-            Err(SnapshotError::Corrupt(msg)) => msg,
+    fn corrupt_message(buf: Vec<u8>) -> String {
+        match ShadowMemory::read_snapshot(&mut Scanner::new(&buf), 1) {
+            Err(DecodeError::Corrupt { what, .. }) => what,
             Err(e) => panic!("expected Corrupt, got {e:?}"),
             Ok(_) => panic!("expected Corrupt, got a shadow"),
         }
@@ -2146,37 +2132,61 @@ mod tests {
 
     #[test]
     fn restore_rejects_slabs_the_blob_cannot_back() {
-        // 16 full slabs = 64 MiB of zeroed slots for 128 bytes of slab
+        // 16 full slabs = 64 MiB of zeroed slots for 32 bytes of slab
         // records. The blob cannot hold a page or free-list record for
         // each carved block, so it is refused before any slab exists.
-        let mut w = shadow_snapshot_prefix();
-        w.put_len(16);
+        let mut buf = shadow_snapshot_prefix();
+        put_varint(&mut buf, 16);
         for _ in 0..16 {
-            w.put_u64(ARENA_MAX_SLAB_PAGES as u64);
+            put_varint(&mut buf, ARENA_MAX_SLAB_PAGES as u64);
         }
-        for v in [0, ARENA_MAX_SLAB_PAGES as u64, 0] {
-            w.put_u64(v); // carve cursor, growth point, live blocks
+        for v in [0, ARENA_MAX_SLAB_PAGES as u64] {
+            put_varint(&mut buf, v); // carve cursor, growth point
         }
-        assert!(w.len() < 200);
-        let msg = corrupt_message(w);
+        assert!(buf.len() < 200);
+        let msg = corrupt_message(buf);
         assert!(msg.contains("3840 carved slab pages"), "{msg}");
     }
 
     #[test]
     fn restore_rejects_the_retired_boxed_page_tag() {
-        let mut w = shadow_snapshot_prefix();
-        w.put_len(0); // slabs
-        for v in [0, ARENA_FIRST_SLAB_PAGES as u64, 0] {
-            w.put_u64(v); // carve cursor, growth point, live blocks
+        let mut buf = shadow_snapshot_prefix();
+        put_varint(&mut buf, 0); // slabs
+        for v in [0, ARENA_FIRST_SLAB_PAGES as u64] {
+            put_varint(&mut buf, v); // carve cursor, growth point
         }
-        w.put_len(0); // free list
-        for _ in 0..3 {
-            w.put_u64(0); // arena counters
+        buf.extend_from_slice(&[0; 4]); // free list, arena counters
+        put_varint(&mut buf, 1);
+        put_varint(&mut buf, 0); // page key
+        buf.push(1); // layout v1's boxed page
+        buf.extend_from_slice(&[0; 4]); // room for a minimal page
+        assert_eq!(corrupt_message(buf), "page state tag 1");
+    }
+
+    #[test]
+    fn restore_refuses_a_block_claimed_twice_or_a_slot_of_no_fiber() {
+        // Two partially written pages: each owns a block, (0, 0) and
+        // (0, 1), and the blob ends with the second page's record.
+        let mut sh = ShadowMemory::new();
+        let clk = VectorClock::new();
+        for addr in [0x1000, 0x3000] {
+            sh.access_range(addr, 8, true, fid(1), 1, ctx(0), &clk, no_conflict_expected);
         }
-        w.put_len(1);
-        w.put_u64(0); // page key
-        w.put_u8(1); // layout v1's boxed page
-        w.put_len(0); // its sparse slot list
-        assert_eq!(corrupt_message(w), "page state tag 1");
+        let mut buf = Vec::new();
+        sh.write_snapshot(&mut buf);
+        let mut s = Scanner::new(&buf);
+        ShadowMemory::read_snapshot(&mut s, 2).unwrap();
+        s.expect_end().unwrap();
+        // Fiber 1 wrote the slots; a one-fiber table cannot name it.
+        assert!(corrupt_message(buf.clone()).contains("names a fiber past the table"));
+        // The second page's block id, pointed at the first page's block:
+        // the record ends in block, count, index and the 8-byte word.
+        let block = buf.len() - 8 - 3;
+        assert_eq!(buf[block], 1);
+        buf[block] = 0;
+        match ShadowMemory::read_snapshot(&mut Scanner::new(&buf), 2) {
+            Err(DecodeError::Corrupt { what, .. }) => assert!(what.contains("claimed twice")),
+            other => panic!("expected Corrupt, got {:?}", other.err()),
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! bit-for-bit identical reports, stats, and shadow evolution to an
 //! uninterrupted run, budgeted or not.
 
-use tsan_rt::{CtxId, FiberId, SyncKey, TsanRuntime};
+use tsan_rt::codec::Scanner;
+use tsan_rt::{CtxId, DecodeError, FiberId, SyncKey, TsanRuntime};
 
 /// Access-context labels every runtime here defines first, as ids 0..5.
 const CTXS: u64 = 5;
@@ -152,6 +153,21 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     ops
 }
 
+/// The runtime's snapshot sections, as embedders frame them.
+fn snapshot(rt: &TsanRuntime) -> Vec<u8> {
+    let mut buf = Vec::new();
+    rt.write_snapshot(&mut buf);
+    buf
+}
+
+/// A runtime restored from exactly `blob`.
+fn restore(blob: &[u8]) -> Result<TsanRuntime, DecodeError> {
+    let mut s = Scanner::new(blob);
+    let rt = TsanRuntime::read_snapshot(&mut s)?;
+    s.expect_end()?;
+    Ok(rt)
+}
+
 fn fresh(budget: Option<usize>) -> TsanRuntime {
     let mut rt = TsanRuntime::new("host");
     rt.set_shadow_page_budget(budget);
@@ -168,7 +184,7 @@ fn assert_observably_equal(a: &TsanRuntime, b: &TsanRuntime) {
     assert_eq!(a.stats(), b.stats());
     assert_eq!(a.shadow_pages(), b.shadow_pages());
     assert_eq!(a.live_fibers(), b.live_fibers());
-    assert_eq!(a.snapshot_bytes(), b.snapshot_bytes());
+    assert_eq!(snapshot(a), snapshot(b));
 }
 
 #[test]
@@ -185,12 +201,12 @@ fn snapshot_restore_is_invisible_at_any_split() {
             for op in &ops[..split] {
                 apply(&mut head, op);
             }
-            let blob = head.snapshot_bytes();
-            let mut tail = TsanRuntime::restore_bytes(&blob)
-                .unwrap_or_else(|e| panic!("restore at split {split}: {e}"));
+            let blob = snapshot(&head);
+            let mut tail =
+                restore(&blob).unwrap_or_else(|e| panic!("restore at split {split}: {e}"));
             // Snapshots are canonical: re-snapshotting the restored
             // runtime reproduces the blob byte-for-byte.
-            assert_eq!(tail.snapshot_bytes(), blob, "split {split} not canonical");
+            assert_eq!(snapshot(&tail), blob, "split {split} not canonical");
             assert_observably_equal(&head, &tail);
             for op in &ops[split..] {
                 apply(&mut tail, op);
@@ -224,7 +240,7 @@ fn restored_runtime_continues_arena_recycling_identically() {
     script(&mut reference, true);
     let mut head = fresh(None);
     script(&mut head, false);
-    let mut restored = TsanRuntime::restore_bytes(&head.snapshot_bytes()).unwrap();
+    let mut restored = restore(&snapshot(&head)).unwrap();
     script(&mut restored, true);
     let (a, b) = (reference.stats(), restored.stats());
     assert!(b.arena_pages_reused >= 3, "recycle path exercised");
@@ -236,30 +252,33 @@ fn restored_runtime_continues_arena_recycling_identically() {
 
 #[test]
 fn restore_rejects_garbage() {
-    use tsan_rt::SnapshotError;
-    assert_eq!(
-        TsanRuntime::restore_bytes(b"not a snapshot at all").err(),
-        Some(SnapshotError::BadMagic)
-    );
-    assert_eq!(
-        TsanRuntime::restore_bytes(b"cus").err(),
-        Some(SnapshotError::Truncated)
-    );
-    let mut blob = TsanRuntime::new("host").snapshot_bytes();
-    blob[8] = 0xFF; // version field
-    assert!(matches!(
-        TsanRuntime::restore_bytes(&blob),
-        Err(SnapshotError::UnsupportedVersion(_))
-    ));
-    let blob = TsanRuntime::new("host").snapshot_bytes();
-    assert!(TsanRuntime::restore_bytes(&blob[..blob.len() - 1]).is_err());
+    assert!(restore(b"not a snapshot at all").is_err());
+    assert!(restore(b"").is_err());
+    // Every proper prefix is refused, at an offset inside it.
+    let mut rt = fresh(None);
+    for op in &gen_ops(7, 60) {
+        apply(&mut rt, op);
+    }
+    let blob = snapshot(&rt);
+    for cut in 0..blob.len() {
+        let e = restore(&blob[..cut])
+            .err()
+            .expect("a proper prefix restored");
+        assert!(
+            e.at().is_some_and(|at| at <= cut),
+            "prefix of {cut} bytes: {e}"
+        );
+    }
     // Trailing garbage is an error, not silently ignored.
-    let mut blob = TsanRuntime::new("host").snapshot_bytes();
+    let mut blob = snapshot(&TsanRuntime::new("host"));
     blob.push(0);
-    assert!(matches!(
-        TsanRuntime::restore_bytes(&blob),
-        Err(SnapshotError::Corrupt(_))
-    ));
+    assert_eq!(
+        restore(&blob).err(),
+        Some(DecodeError::Trailing {
+            at: blob.len() - 1,
+            left: 1
+        })
+    );
 }
 
 #[test]
@@ -272,7 +291,7 @@ fn restore_preserves_suppressions_and_report_cap() {
     let cr = rt.define_ctx("host read".into());
     rt.switch_to_fiber(f);
     rt.write_range(0x4000, 8, cw);
-    let mut back = TsanRuntime::restore_bytes(&rt.snapshot_bytes()).unwrap();
+    let mut back = restore(&snapshot(&rt)).unwrap();
     back.switch_to_fiber(FiberId::HOST);
     back.read_range(0x4000, 8, cr);
     assert_eq!(back.race_count(), 0, "suppression survived the round trip");
