@@ -18,8 +18,8 @@
 //!   allocations; faulted runs leak at most what their failed frees
 //!   abandoned.
 //!
-//! Usage: `chaos_soak [seeds]` (default 32; the CI smoke job passes 8,
-//! or set `CHAOS_SEEDS`).
+//! Usage: `chaos_soak [seeds] [explore-budget]` (defaults 32 and 3; the
+//! CI soak job passes 8, then 4 and 3).
 
 use cusan::{replay_stream, FaultPlan, Flavor, ToolConfig, TraceFormat};
 use cusan_apps::testsuite::outcome_digest;
@@ -255,12 +255,10 @@ fn verdict(errs: &[String], faults_fired: u64) -> i32 {
 fn main() {
     let seeds: u64 = std::env::args()
         .nth(1)
-        .or_else(|| std::env::var("CHAOS_SEEDS").ok())
         .map(|s| s.parse().expect("seed count must be a number"))
         .unwrap_or(32);
     let explore_budget: usize = std::env::args()
         .nth(2)
-        .or_else(|| std::env::var("CHAOS_EXPLORE_BUDGET").ok())
         .map(|s| s.parse().expect("explore budget must be a number"))
         .unwrap_or(3);
     banner(

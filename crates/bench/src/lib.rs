@@ -1,71 +1,21 @@
 //! # cusan-bench — the evaluation harness
 //!
-//! One binary per table/figure of the paper's evaluation (§V):
-//!
-//! | binary | regenerates |
-//! |---|---|
-//! | `fig10_runtime_overhead` | Fig. 10 — relative runtime per tool flavor |
-//! | `fig11_memory_overhead` | Fig. 11 — relative memory per tool flavor |
-//! | `table1_event_counters` | Table I — CUDA + TSan event counters |
-//! | `fig12_jacobi_scaling` | Fig. 12 — overhead vs domain size + tracked bytes |
-//! | `ablation_no_access_tracking` | §V-B claim — overhead without range annotations |
-//!
-//! Methodology follows the paper: each timing is the average over `runs`
-//! measured executions after one uncounted warmup run (paper: 4 runs + 1
-//! warmup; default here is 3 + 1, override with `CUSAN_BENCH_RUNS`).
-//! Absolute numbers will differ from the paper (simulated substrate vs a
-//! V100 cluster); the *shape* — which flavor costs what, and how overhead
-//! scales with tracked memory — is the reproduction target.
-//!
-//! Beside those, two tools that are not measurements: `replay_trace`
-//! (record / check / replay / transcode traces) and `chaos_soak` (seeded
-//! fault and schedule soak). Everything else that is measured — decode,
-//! apply, serve, spill, explorer, shadow and clock costs — is a row of
-//! the ledger in `benchmark/`; no bin here writes a file.
-//!
-//! Environment knobs: `CUSAN_BENCH_RUNS`, `CUSAN_BENCH_JACOBI_NX/NY/ITERS`,
-//! `CUSAN_BENCH_TEALEAF_NX/NY/STEPS`, `CUSAN_BENCH_RANKS`,
-//! `CUSAN_BENCH_FULL=1` (enables the largest Fig. 12 domain),
-//! `CUSAN_BENCH_RSS_BASELINE_MB` (Fig. 11 process-baseline model).
+//! Three binaries: `reproduce` regenerates the paper's evaluation (§V:
+//! Figs. 10–12, Table I, the §V-B and §VI-D ablations) and one extension
+//! figure; `replay_trace` records, checks, replays and transcodes traces;
+//! `chaos_soak` sweeps seeded fault plans and schedules. Everything else
+//! that is measured — decode, apply, serve, spill, explorer, shadow and
+//! clock costs — is a row of the ledger in `benchmark/`; no bin here
+//! writes a file or reads an environment variable.
 
-use cusan::Flavor;
-use cusan_apps::{JacobiConfig, TeaLeafConfig};
-use std::time::Duration;
-
-/// Read an env knob with a default.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Number of measured runs (after one warmup).
-pub fn bench_runs() -> usize {
-    env_u64("CUSAN_BENCH_RUNS", 3) as usize
-}
-
-/// The Jacobi configuration used by the figure binaries.
-pub fn jacobi_config() -> JacobiConfig {
-    JacobiConfig {
-        nx: env_u64("CUSAN_BENCH_JACOBI_NX", 1024),
-        ny: env_u64("CUSAN_BENCH_JACOBI_NY", 512),
-        ranks: env_u64("CUSAN_BENCH_RANKS", 2) as usize,
-        iters: env_u64("CUSAN_BENCH_JACOBI_ITERS", 50) as u32,
-        ..JacobiConfig::default()
-    }
-}
-
-/// The TeaLeaf configuration used by the figure binaries.
-pub fn tealeaf_config() -> TeaLeafConfig {
-    TeaLeafConfig {
-        nx: env_u64("CUSAN_BENCH_TEALEAF_NX", 64),
-        ny: env_u64("CUSAN_BENCH_TEALEAF_NY", 64),
-        ranks: env_u64("CUSAN_BENCH_RANKS", 2) as usize,
-        steps: env_u64("CUSAN_BENCH_TEALEAF_STEPS", 2) as u32,
-        ..TeaLeafConfig::default()
-    }
-}
+use cuda_sim::StreamId;
+use cusan::{CusanCuda, ToolConfig, ToolCtx};
+use cusan_apps::AppKernels;
+use kernel_ir::{LaunchArg, LaunchGrid};
+use sim_mem::{AddressSpace, DeviceId};
+use std::rc::Rc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Mean wall time over `runs` invocations of `f` after one warmup.
 pub fn measure(runs: usize, mut f: impl FnMut() -> Duration) -> Duration {
@@ -92,16 +42,51 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// The four instrumented flavors, in figure order.
-pub const INSTRUMENTED: [Flavor; 4] =
-    [Flavor::Tsan, Flavor::Must, Flavor::Cusan, Flavor::MustCusan];
-
 /// Print a figure/table banner.
 pub fn banner(title: &str, detail: &str) {
     println!("================================================================");
     println!("{title}");
     println!("{detail}");
     println!("================================================================");
+}
+
+/// The §VI-D boundary-pack workload (EXPERIMENTS.md E7): `PACK_ITERS`
+/// kernels, each filling the first `PACK_ROW` elements of a 16 MiB device
+/// field (grid = one row ≪ allocation, the shape of a 2-D halo pack).
+pub const PACK_FIELD_ELEMS: u64 = 1 << 21;
+pub const PACK_ROW: u64 = 1 << 10;
+pub const PACK_ITERS: u64 = 200;
+
+/// Run the boundary pack under `cfg`: the wall time of its launches and
+/// the bytes the detector tracked.
+pub fn boundary_pack(cfg: ToolConfig) -> (Duration, u64) {
+    let k = AppKernels::shared();
+    let tools = Rc::new(ToolCtx::new(0, cfg));
+    let mut cuda = CusanCuda::new(
+        DeviceId(0),
+        Arc::new(AddressSpace::new()),
+        Arc::clone(&k.registry),
+        Rc::clone(&tools),
+    );
+    let field = cuda.malloc::<f64>(PACK_FIELD_ELEMS).unwrap();
+    let start = Instant::now();
+    for i in 0..PACK_ITERS {
+        cuda.launch(
+            k.fill,
+            LaunchGrid::cover(PACK_ROW, 128),
+            StreamId::DEFAULT,
+            vec![
+                LaunchArg::Ptr(field),
+                LaunchArg::F64(i as f64),
+                LaunchArg::I64(PACK_ROW as i64),
+            ],
+        )
+        .unwrap();
+        cuda.device_synchronize().unwrap();
+    }
+    let elapsed = start.elapsed();
+    let stats = tools.tsan_stats();
+    (elapsed, stats.read_bytes + stats.write_bytes)
 }
 
 #[cfg(test)]
@@ -130,10 +115,5 @@ mod tests {
         assert_eq!(fmt_bytes(2048), "2.00 KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.00 MiB");
         assert_eq!(fmt_bytes(5 << 30), "5.00 GiB");
-    }
-
-    #[test]
-    fn env_default_used_when_unset() {
-        assert_eq!(env_u64("CUSAN_BENCH_DOES_NOT_EXIST", 7), 7);
     }
 }

@@ -35,8 +35,11 @@ use std::sync::Once;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
 
+/// What replaced the evaluation binaries' size knobs.
+const REPRODUCE_SIZES: &str = "`reproduce` has one size table: pass `--small` or `--full`";
+
 /// Variables earlier versions read, each with what replaced it.
-const REMOVED_KNOBS: [(&str, &str); 5] = [
+const REMOVED_KNOBS: [(&str, &str); 20] = [
     (
         "CUSAN_ASYNC_CHECK",
         "live checking is inline; `cusan-serve --check-threads` sizes the pool",
@@ -53,6 +56,24 @@ const REMOVED_KNOBS: [(&str, &str); 5] = [
     (
         "CUSAN_TRACE_FORMAT",
         "set `ToolConfig::trace_format` or run `replay_trace transcode`",
+    ),
+    ("CUSAN_BENCH_RUNS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_JACOBI_NX", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_JACOBI_NY", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_JACOBI_ITERS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_TEALEAF_NX", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_TEALEAF_NY", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_TEALEAF_STEPS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_RANKS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_FULL", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_FIELD_ELEMS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_ROW_ELEMS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_PACK_ITERS", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_JACOBI2D_N", REPRODUCE_SIZES),
+    ("CUSAN_BENCH_JACOBI2D_ITERS", REPRODUCE_SIZES),
+    (
+        "CUSAN_BENCH_RSS_BASELINE_MB",
+        "`reproduce fig11` prints measured bytes, not a modeled RSS",
     ),
 ];
 
@@ -516,15 +537,10 @@ mod tests {
             "CUSAN_ASYNC_CHECK",
             "CUSAN_BARRIER_TIMEOUT_MS",
             "CUSAN_TRACE_FORMAT",
+            "CUSAN_BENCH_RSS_BASELINE_MB",
         ];
         let lines = removed_knob_warnings(set);
-        let names = [
-            "CUSAN_CHECK_THREADS",
-            "CUSAN_FAULTS",
-            "CUSAN_ASYNC_CHECK",
-            "CUSAN_BARRIER_TIMEOUT_MS",
-            "CUSAN_TRACE_FORMAT",
-        ];
+        let names = &set[1..];
         assert_eq!(lines.len(), names.len(), "{lines:?}");
         for (line, name) in lines.iter().zip(names) {
             assert!(
@@ -535,10 +551,15 @@ mod tests {
         }
         assert!(lines[0].ends_with("`cusan-serve --check-threads` sizes the pool"));
         assert!(lines[1].ends_with("set `ToolConfig::faults`"));
-        assert!(lines[3].ends_with("set `ToolConfig::barrier_timeout_ms`"));
-        assert!(lines[4].contains("`ToolConfig::trace_format`"));
-        assert!(removed_knob_warnings(["CUSAN_BENCH_RUNS", "PATH"]).is_empty());
+        assert!(lines[2].ends_with("pass `--small` or `--full`"));
+        assert!(lines[4].ends_with("set `ToolConfig::barrier_timeout_ms`"));
+        assert!(lines[5].contains("`ToolConfig::trace_format`"));
+        assert!(lines[6].contains("measured bytes"));
+        assert!(removed_knob_warnings(["CUSAN_BENCH", "CUSAN_NOT_A_KNOB", "PATH"]).is_empty());
         assert!(removed_knob_warnings([]).is_empty());
+        for (name, _) in REMOVED_KNOBS {
+            assert_eq!(removed_knob_warnings([name]).len(), 1, "{name}");
+        }
     }
 
     #[test]
