@@ -137,26 +137,7 @@ pub fn run_chaos_jacobi_scheduled(
     tools: impl Into<ToolConfig>,
     plan: Option<Arc<explore::SchedulePlan>>,
 ) -> WorldOutcome<ChaosResult> {
-    let cfg = *cfg;
-    let k = AppKernels::shared();
-    let gate = teardown_gate(cfg.ranks);
-    let body = move |ctx: &mut RankCtx| {
-        let mut ptrs = Vec::new();
-        let r = chaos_jacobi_body(ctx, k, &cfg, &mut ptrs);
-        gate.wait();
-        teardown(ctx, ptrs);
-        r
-    };
-    match plan {
-        Some(plan) => run_checked_world_scheduled_traced(
-            cfg.ranks,
-            tools.into(),
-            Arc::clone(&k.registry),
-            plan,
-            body,
-        ),
-        None => run_checked_world_traced(cfg.ranks, tools.into(), Arc::clone(&k.registry), body),
-    }
+    run_chaos(cfg, tools.into(), plan, chaos_jacobi_body)
 }
 
 /// TeaLeaf-shaped chaos body: non-blocking 4-way `Isend`/`Irecv` halo
@@ -174,49 +155,50 @@ pub fn run_chaos_tealeaf_scheduled(
     tools: impl Into<ToolConfig>,
     plan: Option<Arc<explore::SchedulePlan>>,
 ) -> WorldOutcome<ChaosResult> {
+    run_chaos(cfg, tools.into(), plan, chaos_tealeaf_body)
+}
+
+/// A chaos body: it records every pointer it allocates for [`teardown`].
+type ChaosBody = fn(&mut RankCtx, &AppKernels, &ChaosConfig, &mut Vec<Ptr>) -> ChaosResult;
+
+/// Run `body` then [`teardown`] on every rank, traced, under `plan` if
+/// one is given.
+fn run_chaos(
+    cfg: &ChaosConfig,
+    tools: ToolConfig,
+    plan: Option<Arc<explore::SchedulePlan>>,
+    body: ChaosBody,
+) -> WorldOutcome<ChaosResult> {
     let cfg = *cfg;
     let k = AppKernels::shared();
-    let gate = teardown_gate(cfg.ranks);
-    let body = move |ctx: &mut RankCtx| {
+    let registry = Arc::clone(&k.registry);
+    let rank_body = move |ctx: &mut RankCtx| {
         let mut ptrs = Vec::new();
-        let r = chaos_tealeaf_body(ctx, k, &cfg, &mut ptrs);
-        gate.wait();
+        let r = body(ctx, k, &cfg, &mut ptrs);
         teardown(ctx, ptrs);
         r
     };
     match plan {
-        Some(plan) => run_checked_world_scheduled_traced(
-            cfg.ranks,
-            tools.into(),
-            Arc::clone(&k.registry),
-            plan,
-            body,
-        ),
-        None => run_checked_world_traced(cfg.ranks, tools.into(), Arc::clone(&k.registry), body),
+        Some(plan) => {
+            run_checked_world_scheduled_traced(cfg.ranks, tools, registry, plan, rank_body)
+        }
+        None => run_checked_world_traced(cfg.ranks, tools, registry, rank_body),
     }
 }
 
-/// Process-local gate every rank passes between its body returning and
-/// its teardown frees. A rank that dies at its (lockstep) fault site may
-/// leave eager sends or posted receives pending; a partner still inside
-/// the exchange delivers into those buffers when *its* matching call
-/// arrives. Freeing before every body has returned would race that
-/// delivery — the partner's outcome would flip between its own
-/// symmetric fault and `Mem(Unmapped)` depending on thread timing,
-/// breaking the soak's per-seed determinism. The gate cannot deadlock:
-/// bodies never block indefinitely (waits and collectives time out), so
-/// every rank reaches it. Deliberately a plain [`std::sync::Barrier`],
-/// not an MPI barrier: it must be invisible to the fault injector and
-/// to traces.
-fn teardown_gate(ranks: usize) -> Arc<std::sync::Barrier> {
-    Arc::new(std::sync::Barrier::new(ranks))
-}
-
 /// Free everything the body managed to allocate, ignoring failures:
-/// teardown must survive a fault plan that is still firing. Runs only
-/// after [`teardown_gate`] — no in-flight delivery can observe the
-/// frees.
+/// teardown must survive a fault plan that is still firing. The frees
+/// wait for every rank's body to return (`Comm::finalize`, unchecked,
+/// so invisible to the fault injector and to traces). A rank that dies
+/// at its (lockstep) fault site may leave eager sends or posted receives
+/// pending; a partner still inside the exchange delivers into those
+/// buffers when *its* matching call arrives. Freeing earlier would race
+/// that delivery — the partner's outcome would flip between its own
+/// symmetric fault and `Mem(Unmapped)` depending on thread timing,
+/// breaking the soak's per-seed determinism. A world that deadlocks
+/// instead fails `finalize` and frees anyway.
 fn teardown(ctx: &mut RankCtx, ptrs: Vec<Ptr>) {
+    let _ = ctx.mpi.comm().finalize();
     for p in ptrs {
         let _ = ctx.cuda.free(p);
     }

@@ -53,14 +53,6 @@ pub struct ToolConfig {
     /// (`TsanStats::dropped_annotations`) instead of growing the shadow
     /// unboundedly. `None` (the default) is unlimited.
     pub shadow_page_budget: Option<usize>,
-    /// Deadlock-detection timeout of the simulated MPI world, in
-    /// milliseconds: a rank stuck this long in `mpi-sim`'s `SimBarrier`
-    /// (world barrier or collective phase barrier) poisons the barrier
-    /// and every waiter gets a typed timeout error instead of hanging,
-    /// and a point-to-point wait (`Wait`, `Waitany`, blocking
-    /// `Send`/`Recv`) that long without a match fails with the same
-    /// error. `None` (the default) keeps the built-in 20 s.
-    pub barrier_timeout_ms: Option<u64>,
     /// Encoding the per-rank [`crate::TraceSink`] writes when recording
     /// is on: v2 text (the default, human-greppable) or v3 binary (~3×
     /// fewer bytes; see [`crate::binio`]). Readers sniff the format from
@@ -79,7 +71,6 @@ impl ToolConfig {
         bounded_tracking: false,
         faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
-        barrier_timeout_ms: None,
         trace_format: TraceFormat::Text,
     };
 

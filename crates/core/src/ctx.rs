@@ -51,7 +51,7 @@ const REMOVED_KNOBS: [(&str, &str); 20] = [
     ("CUSAN_FAULTS", "set `ToolConfig::faults`"),
     (
         "CUSAN_BARRIER_TIMEOUT_MS",
-        "set `ToolConfig::barrier_timeout_ms`",
+        "deadlocks are detected when every rank is blocked; there is no timeout",
     ),
     (
         "CUSAN_TRACE_FORMAT",
@@ -552,7 +552,7 @@ mod tests {
         assert!(lines[0].ends_with("`cusan-serve --check-threads` sizes the pool"));
         assert!(lines[1].ends_with("set `ToolConfig::faults`"));
         assert!(lines[2].ends_with("pass `--small` or `--full`"));
-        assert!(lines[4].ends_with("set `ToolConfig::barrier_timeout_ms`"));
+        assert!(lines[4].ends_with("detected when every rank is blocked; there is no timeout"));
         assert!(lines[5].contains("`ToolConfig::trace_format`"));
         assert!(lines[6].contains("measured bytes"));
         assert!(removed_knob_warnings(["CUSAN_BENCH", "CUSAN_NOT_A_KNOB", "PATH"]).is_empty());
@@ -560,15 +560,5 @@ mod tests {
         for (name, _) in REMOVED_KNOBS {
             assert_eq!(removed_knob_warnings([name]).len(), 1, "{name}");
         }
-    }
-
-    #[test]
-    fn barrier_timeout_flows_from_config() {
-        let mut config = Flavor::Must.config();
-        config.barrier_timeout_ms = Some(250);
-        let ctx = ToolCtx::new(0, config);
-        assert_eq!(ctx.config.barrier_timeout_ms, Some(250));
-        let default_ctx = ToolCtx::new(1, Flavor::Must.config());
-        assert_eq!(default_ctx.config.barrier_timeout_ms, None);
     }
 }

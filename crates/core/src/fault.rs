@@ -15,8 +15,8 @@
 //!   the same call sequence therefore faults *in lockstep* on every
 //!   rank, so a failed collective is abandoned by all ranks at once
 //!   instead of deadlocking the survivors. (Asymmetric schedules still
-//!   degrade gracefully: the simulated collectives time out with
-//!   `MpiError::Timeout` rather than hanging — see `mpi-sim`.)
+//!   degrade gracefully: once every rank is blocked, `mpi-sim` fails
+//!   each wait with `MpiError::Deadlock` rather than hanging.)
 //!
 //! Fired faults flow through the event pipeline as
 //! [`crate::CusanEvent::ApiFault`], so recorded traces carry the fault

@@ -1,14 +1,15 @@
 //! Collective operations: barrier-phased reference implementations.
 //!
-//! Every collective runs in three barrier-separated phases over a shared
-//! slot table: (1) contribute, (2) compute/read, (3) leader cleanup. This
-//! is deliberately the simplest correct scheme — collectives are not on
-//! the overhead-critical path of the evaluation; their MPI-semantic
-//! surface (buffer reads/writes) is what MUST annotates.
+//! Every collective runs in phases separated by the world monitor's phase
+//! barrier over a shared slot table: (1) contribute, (2) compute/read,
+//! (3) leader cleanup. This is deliberately the simplest correct scheme —
+//! collectives are not on the overhead-critical path of the evaluation;
+//! their MPI-semantic surface (buffer reads/writes) is what MUST
+//! annotates.
 
-use crate::barrier::SimBarrier;
 use crate::datatype::{reduce_bytes, MpiDatatype, ReduceOp};
 use crate::error::MpiError;
+use crate::monitor::{BarrierId, Monitor};
 use explore::{ChoiceKind, ScheduleController};
 use parking_lot::Mutex;
 use sim_mem::{AddressSpace, Ptr};
@@ -21,7 +22,7 @@ struct Slots {
 
 pub(crate) struct CollShared {
     slots: Mutex<Slots>,
-    phase: SimBarrier,
+    monitor: Arc<Monitor>,
     size: usize,
     /// Schedule controller plus the world-global lane it is consulted
     /// on for reduction fold order (participant "arrival" order).
@@ -30,34 +31,23 @@ pub(crate) struct CollShared {
 }
 
 impl CollShared {
-    /// Shared collective state for `size` ranks with an explicit
-    /// phase-barrier poison timeout (`None` keeps the standard
-    /// deadlock-detection timeout) and an optional schedule controller
-    /// deciding reduction fold order on the given lane.
+    /// Shared collective state for `size` ranks, phased by the world's
+    /// `monitor`, with an optional schedule controller deciding
+    /// reduction fold order on the given lane.
     pub fn with_schedule(
         size: usize,
-        timeout: Option<std::time::Duration>,
+        monitor: Arc<Monitor>,
         sched: Option<(Arc<dyn ScheduleController>, usize)>,
     ) -> Self {
-        let phase = match timeout {
-            Some(t) => SimBarrier::with_timeout(size, "collective phase", t),
-            None => SimBarrier::new(size, "collective phase"),
-        };
         CollShared {
             slots: Mutex::new(Slots {
                 contribs: vec![None; size],
                 result: None,
             }),
-            phase,
+            monitor,
             size,
             sched,
         }
-    }
-
-    /// The phase barrier's poison timeout (config/env plumbing tests).
-    #[cfg(test)]
-    pub fn phase_timeout(&self) -> std::time::Duration {
-        self.phase.timeout()
     }
 
     /// The 3-phase skeleton: `contribute` fills this rank's slot, `compute`
@@ -74,27 +64,24 @@ impl CollShared {
             let mut s = self.slots.lock();
             contribute(&mut s.contribs);
         }
-        // A missing rank (fault injection, application bug) poisons the
-        // phase barrier and every participant returns Timeout instead of
-        // hanging the world.
-        let r1 = self.phase.wait()?;
-        if r1.is_leader() {
+        // A missing rank (fault injection, application bug) leaves the
+        // others blocked here: once every live rank is, they all return
+        // Deadlock instead of hanging the world.
+        if self.monitor.barrier(rank, BarrierId::Phase)? {
             let mut s = self.slots.lock();
             compute(&mut s);
         }
-        self.phase.wait()?;
+        self.monitor.barrier(rank, BarrierId::Phase)?;
         let out = {
             let s = self.slots.lock();
             consume(&s)
         };
-        let r3 = self.phase.wait()?;
-        if r3.is_leader() {
+        if self.monitor.barrier(rank, BarrierId::Phase)? {
             let mut s = self.slots.lock();
             s.contribs.iter_mut().for_each(|c| *c = None);
             s.result = None;
         }
-        self.phase.wait()?;
-        let _ = rank;
+        self.monitor.barrier(rank, BarrierId::Phase)?;
         out
     }
 
@@ -484,22 +471,16 @@ mod tests {
                 SchedulePlan::with_choices(vec![vec![], vec![], vec![], coll_choices.clone()]);
             let sched: Arc<dyn ScheduleController> = Arc::clone(&plan) as _;
             let (s, rc) = (send.clone(), recv.clone());
-            crate::world::run_world_with_schedule(
-                n,
-                Arc::clone(&sp),
-                None,
-                Some(sched),
-                move |comm| {
-                    comm.allreduce(
-                        s[comm.rank()],
-                        rc[comm.rank()],
-                        1,
-                        MpiDatatype::Long,
-                        ReduceOp::Sum,
-                    )
-                    .unwrap();
-                },
-            );
+            crate::world::run_world_with_schedule(n, Arc::clone(&sp), Some(sched), move |comm| {
+                comm.allreduce(
+                    s[comm.rank()],
+                    rc[comm.rank()],
+                    1,
+                    MpiDatatype::Long,
+                    ReduceOp::Sum,
+                )
+                .unwrap();
+            });
             for p in &recv {
                 assert_eq!(sp.read_at::<i64>(*p).unwrap(), 60, "sum commutes");
             }

@@ -23,11 +23,12 @@ pub enum MpiError {
     },
     /// Underlying memory failure (unmapped buffer, overrun).
     Mem(MemError),
-    /// A blocking operation did not complete within the deadlock-detection
-    /// timeout (an unmatched send/recv or lost completion).
-    Timeout {
-        /// Human-readable description of what was being waited for.
-        what: String,
+    /// Every live rank is blocked, so no wait can ever complete (an
+    /// unmatched send/recv, a barrier some rank never reaches). Every
+    /// waiter gets it, and so does every later wait that would block.
+    Deadlock {
+        /// Each blocked rank and what it waits for, in rank order.
+        waiting: Vec<(usize, String)>,
     },
     /// Request already completed or invalid.
     BadRequest,
@@ -52,8 +53,12 @@ impl fmt::Display for MpiError {
                 )
             }
             MpiError::Mem(e) => write!(f, "memory error: {e}"),
-            MpiError::Timeout { what } => {
-                write!(f, "MPI timeout (likely deadlock): waiting for {what}")
+            MpiError::Deadlock { waiting } => {
+                write!(f, "MPI deadlock: every live rank is blocked")?;
+                for (rank, what) in waiting {
+                    write!(f, "; rank {rank} waits for {what}")?;
+                }
+                Ok(())
             }
             MpiError::BadRequest => write!(f, "invalid or already-completed request"),
             MpiError::FaultInjected { call } => write!(f, "injected fault in {call}"),

@@ -22,14 +22,16 @@
 //! * Collectives: `barrier`, `bcast`, `reduce`, `allreduce`.
 //! * Truncation errors when a message exceeds the posted receive buffer.
 //!
-//! Deadlocks (e.g. an `irecv` that is never matched) are detected with a
-//! timeout and reported as [`MpiError::Timeout`] instead of hanging the
-//! test suite.
+//! Deadlocks (e.g. an `irecv` that is never matched) are detected
+//! exactly, when every live rank is blocked, and reported as
+//! [`MpiError::Deadlock`] instead of hanging the test suite: one wait
+//! monitor per world sees every blocking wait and every settlement.
+//! There is no timeout.
 
-mod barrier;
 pub mod collective;
 pub mod datatype;
 pub mod error;
+mod monitor;
 pub mod request;
 pub mod world;
 
@@ -37,6 +39,5 @@ pub use datatype::{MpiDatatype, ReduceOp};
 pub use error::MpiError;
 pub use request::{Request, Status};
 pub use world::{
-    run_world, run_world_with_schedule, run_world_with_timeout, Comm, ANY_SOURCE, ANY_TAG,
-    PROC_NULL, PROC_NULL_SRC,
+    run_world, run_world_with_schedule, Comm, ANY_SOURCE, ANY_TAG, PROC_NULL, PROC_NULL_SRC,
 };

@@ -1,12 +1,7 @@
 //! Non-blocking requests and completion flags.
 
 use crate::error::MpiError;
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// The deadlock-detection timeout of a world built without one.
-pub(crate) const WAIT_TIMEOUT: Duration = Duration::from_secs(20);
+use std::sync::{Arc, OnceLock};
 
 /// Completion status of a receive (source/tag are meaningful for
 /// `ANY_SOURCE`/`ANY_TAG` receives; sends report their own parameters).
@@ -20,81 +15,9 @@ pub struct Status {
     pub bytes: u64,
 }
 
-#[derive(Debug)]
-pub(crate) enum FlagState {
-    Pending,
-    Done(Status),
-    Failed(MpiError),
-}
-
-/// Shared completion flag between the two sides of a match.
-#[derive(Debug)]
-pub(crate) struct Flag {
-    pub state: Mutex<FlagState>,
-    pub cv: Condvar,
-}
-
-impl Flag {
-    pub fn new() -> Arc<Flag> {
-        Arc::new(Flag {
-            state: Mutex::new(FlagState::Pending),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Settle the flag as completed. First settlement wins: an eager
-    /// send's flag is completed at post time, and a later delivery path
-    /// (e.g. a truncating receive failing both sides of the match) must
-    /// never flip an outcome the poster may already have observed —
-    /// whichever thread settles first by mailbox order, not whichever
-    /// acquires this lock last.
-    pub fn complete(&self, status: Status) {
-        let mut st = self.state.lock();
-        if matches!(*st, FlagState::Pending) {
-            *st = FlagState::Done(status);
-            drop(st);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Settle the flag as failed (first settlement wins; see
-    /// [`Flag::complete`]).
-    pub fn fail(&self, err: MpiError) {
-        let mut st = self.state.lock();
-        if matches!(*st, FlagState::Pending) {
-            *st = FlagState::Failed(err);
-            drop(st);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Block until the flag settles, or fail with [`MpiError::Timeout`]
-    /// after `timeout` without a settlement.
-    pub fn wait(&self, what: &str, timeout: Duration) -> Result<Status, MpiError> {
-        let mut st = self.state.lock();
-        loop {
-            match &*st {
-                FlagState::Done(s) => return Ok(*s),
-                FlagState::Failed(e) => return Err(e.clone()),
-                FlagState::Pending => {
-                    if self.cv.wait_for(&mut st, timeout).timed_out() {
-                        return Err(MpiError::Timeout {
-                            what: what.to_string(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    pub fn poll(&self) -> Option<Result<Status, MpiError>> {
-        match &*self.state.lock() {
-            FlagState::Pending => None,
-            FlagState::Done(s) => Some(Ok(*s)),
-            FlagState::Failed(e) => Some(Err(e.clone())),
-        }
-    }
-}
+/// Completion flag shared by the two sides of a match: set once, first
+/// settlement wins. Waiting on it goes through the world's monitor.
+pub(crate) type Flag = OnceLock<Result<Status, MpiError>>;
 
 /// What kind of operation a request tracks (diagnostics + MUST labels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,10 +16,10 @@
 //! earliest posted send with a matching `(source, tag)`, and an arriving
 //! send matches the earliest posted matching receive.
 
-use crate::barrier::SimBarrier;
 use crate::collective::CollShared;
 use crate::datatype::{MpiDatatype, ReduceOp};
 use crate::error::MpiError;
+use crate::monitor::{BarrierId, Monitor};
 use crate::request::{Flag, Request, RequestKind, Status};
 use explore::{ChoiceKind, ScheduleController};
 use parking_lot::Mutex;
@@ -79,7 +79,7 @@ pub(crate) struct WorldShared {
     pub space: Arc<AddressSpace>,
     pub size: usize,
     mailboxes: Vec<Mutex<MailboxState>>,
-    pub barrier: SimBarrier,
+    monitor: Arc<Monitor>,
     pub coll: CollShared,
     /// Installed schedule controller (None: the default schedule).
     /// Consulted at wildcard-receive matches; collectives hold their
@@ -124,51 +124,41 @@ impl Comm {
         }
     }
 
-    /// Deliver a matched message into the receive buffer and complete both
-    /// flags. Called with the destination mailbox lock held.
-    fn deliver(space: &AddressSpace, send: PendingSend, recv: PostedRecv, dest_rank: usize) {
-        if send.bytes > recv.cap {
-            let err = MpiError::Truncated {
+    /// Deliver a matched message into the receive buffer, settle both
+    /// flags and report the settlement. Called with the destination
+    /// mailbox lock held. First settlement wins: an eager send's flag is
+    /// complete at post time, and a truncating receive failing both sides
+    /// must never flip an outcome the poster may already have observed.
+    fn deliver(shared: &WorldShared, send: PendingSend, recv: PostedRecv, dest_rank: usize) {
+        let copied = if send.bytes > recv.cap {
+            Err(MpiError::Truncated {
                 message: send.bytes,
                 capacity: recv.cap,
-            };
-            recv.flag.fail(err.clone());
-            send.flag.fail(err);
-            return;
-        }
-        let copy_result = match &send.payload {
-            SendPayload::Eager(bytes) => space.write_bytes(recv.ptr, bytes),
-            SendPayload::Zero(src_ptr) => space.copy(recv.ptr, *src_ptr, send.bytes),
+            })
+        } else {
+            match &send.payload {
+                SendPayload::Eager(bytes) => shared.space.write_bytes(recv.ptr, bytes),
+                SendPayload::Zero(src_ptr) => shared.space.copy(recv.ptr, *src_ptr, send.bytes),
+            }
+            .map_err(MpiError::Mem)
         };
-        match copy_result {
-            Ok(()) => {
-                recv.flag.complete(Status {
-                    source: send.src,
-                    tag: send.tag,
-                    bytes: send.bytes,
-                });
-                send.flag.complete(Status {
-                    source: dest_rank,
-                    tag: send.tag,
-                    bytes: send.bytes,
-                });
-            }
-            Err(e) => {
-                recv.flag.fail(MpiError::Mem(e.clone()));
-                send.flag.fail(MpiError::Mem(e));
-            }
-        }
+        let status = |source| Status {
+            source,
+            tag: send.tag,
+            bytes: send.bytes,
+        };
+        let _ = recv.flag.set(copied.clone().map(|()| status(send.src)));
+        let _ = send.flag.set(copied.map(|()| status(dest_rank)));
+        shared.monitor.settled();
     }
 
     fn null_request(&self, kind: RequestKind, what: &str) -> Request {
-        let flag = Flag::new();
-        flag.complete(Status {
-            source: usize::MAX,
-            tag: ANY_TAG,
-            bytes: 0,
-        });
         Request {
-            flag,
+            flag: Arc::new(Flag::from(Ok(Status {
+                source: usize::MAX,
+                tag: ANY_TAG,
+                bytes: 0,
+            }))),
             kind,
             what: what.to_string(),
             completed: false,
@@ -190,7 +180,7 @@ impl Comm {
         }
         let dest = self.check_rank(dest)?;
         let bytes = count * dtype.size();
-        let flag = Flag::new();
+        let flag = Arc::<Flag>::default();
         let payload = if bytes <= EAGER_LIMIT {
             let mut data = vec![0u8; bytes as usize];
             self.shared.space.read_bytes(buf, &mut data)?;
@@ -221,20 +211,22 @@ impl Comm {
         match candidate {
             Some(i) => {
                 let recv = mb.recvs.swap_remove(i);
-                Self::deliver(&self.shared.space, send, recv, dest);
+                Self::deliver(&self.shared, send, recv, dest);
             }
             None => {
                 // Eager sends complete as soon as the payload is buffered,
                 // even with no matching receive posted yet — like a real
-                // MPI eager protocol. Rendezvous sends stay pending.
+                // MPI eager protocol. Rendezvous sends stay pending. No
+                // rank can wait on this flag yet, so this completion is
+                // no settlement for the monitor.
                 let eager = matches!(send.payload, SendPayload::Eager(_));
                 mb.sends.push(send);
                 if eager {
-                    flag.complete(Status {
+                    let _ = flag.set(Ok(Status {
                         source: dest,
                         tag,
                         bytes,
-                    });
+                    }));
                 }
             }
         }
@@ -265,7 +257,7 @@ impl Comm {
         }
         let cap = count * dtype.size();
         self.shared.space.find_range(buf, cap)?;
-        let flag = Flag::new();
+        let flag = Arc::<Flag>::default();
         let mut mb = self.shared.mailboxes[self.rank].lock();
         mb.seq += 1;
         let recv = PostedRecv {
@@ -327,7 +319,7 @@ impl Comm {
         match candidate {
             Some(i) => {
                 let send = mb.sends.swap_remove(i);
-                Self::deliver(&self.shared.space, send, recv, self.rank);
+                Self::deliver(&self.shared, send, recv, self.rank);
             }
             None => mb.recvs.push(recv),
         }
@@ -340,10 +332,10 @@ impl Comm {
         })
     }
 
-    /// `MPI_Wait`; gives up with [`MpiError::Timeout`] after the world's
-    /// deadlock-detection timeout ([`Comm::barrier_timeout`]).
+    /// `MPI_Wait`; [`MpiError::Deadlock`] if every live rank is blocked.
     pub fn wait(&self, req: &mut Request) -> Result<Status, MpiError> {
-        let st = req.flag.wait(&req.what, self.barrier_timeout())?;
+        let monitor = &self.shared.monitor;
+        let st = monitor.wait_until(self.rank, &req.what, || req.flag.get().cloned())??;
         req.completed = true;
         Ok(st)
     }
@@ -356,8 +348,8 @@ impl Comm {
     /// `MPI_Waitany`: blocks until one of the *active* requests completes
     /// and returns its index and status. Already-completed requests are
     /// inactive (like `MPI_REQUEST_NULL`); if all are inactive, returns
-    /// [`MpiError::BadRequest`]. Gives up with [`MpiError::Timeout`]
-    /// after the world's deadlock-detection timeout.
+    /// [`MpiError::BadRequest`]. [`MpiError::Deadlock`] if every live rank
+    /// is blocked.
     pub fn waitany(&self, reqs: &mut [Request]) -> Result<(usize, Status), MpiError> {
         self.waitany_by(reqs, |r| r)
     }
@@ -373,35 +365,26 @@ impl Comm {
         if reqs.iter_mut().all(|r| request(r).completed) {
             return Err(MpiError::BadRequest);
         }
-        let deadline = std::time::Instant::now() + self.barrier_timeout();
-        loop {
-            for (i, r) in reqs.iter_mut().enumerate() {
+        // The first active request (in index order) whose flag settled.
+        let i = self.shared.monitor.wait_until(self.rank, "Waitany", || {
+            reqs.iter_mut().position(|r| {
                 let req = request(r);
-                if req.completed {
-                    continue;
-                }
-                if let Some(st) = self.test(req)? {
-                    return Ok((i, st));
-                }
-            }
-            if std::time::Instant::now() > deadline {
-                return Err(MpiError::Timeout {
-                    what: "Waitany".to_string(),
-                });
-            }
-            std::thread::yield_now();
-        }
+                !req.completed && req.flag.get().is_some()
+            })
+        })?;
+        let st = self.test(request(&mut reqs[i]))?.expect("settled");
+        Ok((i, st))
     }
 
     /// `MPI_Test`.
     pub fn test(&self, req: &mut Request) -> Result<Option<Status>, MpiError> {
-        match req.flag.poll() {
+        match req.flag.get() {
             None => Ok(None),
             Some(Ok(st)) => {
                 req.completed = true;
-                Ok(Some(st))
+                Ok(Some(*st))
             }
-            Some(Err(e)) => Err(e),
+            Some(Err(e)) => Err(e.clone()),
         }
     }
 
@@ -452,18 +435,24 @@ impl Comm {
         self.wait(&mut rreq)
     }
 
-    /// `MPI_Barrier`. Returns [`MpiError::Timeout`] instead of hanging if
-    /// some rank never arrives (see [`SimBarrier`]).
+    /// `MPI_Barrier`. [`MpiError::Deadlock`] instead of hanging if some
+    /// rank never arrives.
     pub fn barrier(&self) -> Result<(), MpiError> {
-        self.shared.barrier.wait().map(|_| ())
+        self.shared
+            .monitor
+            .barrier(self.rank, BarrierId::World)
+            .map(drop)
     }
 
-    /// The world's deadlock-detection timeout: the poison timeout of the
-    /// world barrier and the collective phase barrier, and how long a
-    /// point-to-point wait (`Wait`, `Waitany`, blocking `Send`/`Recv`)
-    /// blocks — [`run_world_with_timeout`] configures them together.
-    pub fn barrier_timeout(&self) -> std::time::Duration {
-        self.shared.barrier.timeout()
+    /// `MPI_Finalize`: block until every rank has called it. A barrier of
+    /// its own, which a checking layer does not annotate: a rank may free
+    /// its buffers once it returns, since no partner is still inside an
+    /// exchange that could deliver into them.
+    pub fn finalize(&self) -> Result<(), MpiError> {
+        self.shared
+            .monitor
+            .barrier(self.rank, BarrierId::Finalize)
+            .map(drop)
     }
 
     /// `MPI_Allreduce`.
@@ -587,30 +576,27 @@ impl Comm {
 
 /// Run an `n`-rank world: spawns one thread per rank, invokes `f` with the
 /// rank's communicator, joins all ranks, and returns their results in rank
-/// order. A panicking rank propagates after the others finish or time out.
+/// order. A panicking rank propagates once the others finish; a rank
+/// left waiting on it gets [`MpiError::Deadlock`].
 pub fn run_world<T: Send>(
     n: usize,
     space: Arc<AddressSpace>,
     f: impl Fn(Comm) -> T + Send + Sync,
 ) -> Vec<T> {
-    run_world_with_timeout(n, space, None, f)
+    run_world_with_schedule(n, space, None, f)
 }
 
-/// As [`run_world`] with an explicit deadlock-detection timeout for the
-/// world barrier, the collective phase barrier and point-to-point waits;
-/// `None` keeps the standard one. This is where
-/// `ToolConfig::barrier_timeout_ms` lands (the MUST harness passes it
-/// through).
-pub fn run_world_with_timeout<T: Send>(
-    n: usize,
-    space: Arc<AddressSpace>,
-    timeout: Option<std::time::Duration>,
-    f: impl Fn(Comm) -> T + Send + Sync,
-) -> Vec<T> {
-    run_world_with_schedule(n, space, timeout, None, f)
+/// Records a rank thread's exit with the world's monitor, also when the
+/// rank unwinds.
+struct RankExit(Arc<Monitor>, usize);
+
+impl Drop for RankExit {
+    fn drop(&mut self) {
+        self.0.exit(self.1);
+    }
 }
 
-/// As [`run_world_with_timeout`] with an optional schedule controller
+/// As [`run_world`] with an optional schedule controller
 /// deciding wildcard-receive matches and collective fold order (the
 /// `explore` crate's choice points). Rank `r` consults controller lane
 /// `r`; collectives use the world-global lane `n` — so a
@@ -620,23 +606,23 @@ pub fn run_world_with_timeout<T: Send>(
 pub fn run_world_with_schedule<T: Send>(
     n: usize,
     space: Arc<AddressSpace>,
-    timeout: Option<std::time::Duration>,
     sched: Option<Arc<dyn ScheduleController>>,
     f: impl Fn(Comm) -> T + Send + Sync,
 ) -> Vec<T> {
     assert!(n > 0, "world size must be positive");
-    let barrier = match timeout {
-        Some(t) => SimBarrier::with_timeout(n, "Barrier", t),
-        None => SimBarrier::new(n, "Barrier"),
-    };
+    let monitor = Arc::new(Monitor::new(n));
     let shared = Arc::new(WorldShared {
         space,
         size: n,
         mailboxes: (0..n)
             .map(|_| Mutex::new(MailboxState::default()))
             .collect(),
-        barrier,
-        coll: CollShared::with_schedule(n, timeout, sched.as_ref().map(|s| (Arc::clone(s), n))),
+        coll: CollShared::with_schedule(
+            n,
+            Arc::clone(&monitor),
+            sched.as_ref().map(|s| (Arc::clone(s), n)),
+        ),
+        monitor,
         sched,
     });
     std::thread::scope(|s| {
@@ -644,7 +630,10 @@ pub fn run_world_with_schedule<T: Send>(
             .map(|rank| {
                 let shared = Arc::clone(&shared);
                 let f = &f;
-                s.spawn(move || f(Comm { rank, shared }))
+                s.spawn(move || {
+                    let _exit = RankExit(Arc::clone(&shared.monitor), rank);
+                    f(Comm { rank, shared })
+                })
             })
             .collect();
         handles
@@ -977,24 +966,143 @@ mod tests {
         });
     }
 
+    fn deadlock_ranks(r: &Result<Status, MpiError>) -> Vec<usize> {
+        match r {
+            Err(MpiError::Deadlock { waiting }) => waiting.iter().map(|w| w.0).collect(),
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn barrier_timeout_flows_to_both_barriers() {
-        use std::time::Duration;
+    fn recv_cycle_is_a_deadlock_naming_every_rank() {
         let sp = space();
-        let t = Duration::from_millis(321);
-        run_world_with_timeout(2, Arc::clone(&sp), Some(t), move |comm| {
-            assert_eq!(comm.barrier_timeout(), t);
-            assert_eq!(comm.shared.coll.phase_timeout(), t);
-            comm.barrier().unwrap();
+        let bufs: Vec<Ptr> = (0..3)
+            .map(|_| sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap())
+            .collect();
+        let results = run_world(3, Arc::clone(&sp), move |comm| {
+            let from = (comm.rank() + 1) % 3;
+            comm.recv(bufs[comm.rank()], 1, MpiDatatype::Int, from as i32, 0)
         });
-        // `None` (and plain run_world) keep the standard timeout.
-        run_world(1, sp, |comm| {
-            assert_eq!(comm.barrier_timeout(), crate::request::WAIT_TIMEOUT);
-            assert_eq!(
-                comm.shared.coll.phase_timeout(),
-                crate::request::WAIT_TIMEOUT
+        for r in &results {
+            assert_eq!(deadlock_ranks(r), [0, 1, 2]);
+        }
+        assert_eq!(results[0], results[2], "every waiter gets the same error");
+        assert!(results[0]
+            .as_ref()
+            .unwrap_err()
+            .to_string()
+            .contains("rank 2 waits for Irecv from 0 tag 0"));
+    }
+
+    #[test]
+    fn recv_from_a_returned_rank_is_a_deadlock() {
+        let sp = space();
+        let buf = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
+        let results = run_world(2, Arc::clone(&sp), move |comm| {
+            (comm.rank() == 0).then(|| comm.recv(buf, 1, MpiDatatype::Int, 1, 0))
+        });
+        assert_eq!(deadlock_ranks(results[0].as_ref().unwrap()), [0]);
+    }
+
+    #[test]
+    fn barrier_two_of_three_reach_is_a_deadlock_and_stays_one() {
+        let results = run_world(3, space(), |comm| {
+            if comm.rank() == 2 {
+                return None;
+            }
+            let first = comm.barrier();
+            let start = std::time::Instant::now();
+            let late = comm.barrier();
+            Some((first, late, start.elapsed()))
+        });
+        for (first, late, took) in results.into_iter().flatten() {
+            assert!(
+                matches!(&first, Err(MpiError::Deadlock { waiting }) if waiting.len() == 2),
+                "{first:?}"
             );
+            assert_eq!(late, first, "a late arrival gets the same error");
+            assert!(took < std::time::Duration::from_millis(100), "{took:?}");
+        }
+    }
+
+    #[test]
+    fn a_slow_partner_is_not_a_deadlock() {
+        let sp = space();
+        let buf = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
+        let results = run_world(2, Arc::clone(&sp), move |comm| {
+            if comm.rank() == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                comm.send(buf, 1, MpiDatatype::Int, 0, 0)
+            } else {
+                comm.recv(buf, 1, MpiDatatype::Int, 1, 0)
+            }
         });
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+    }
+
+    /// Many blocking handoffs beside two threads that never block: a
+    /// rank that is merely descheduled is never taken for blocked.
+    #[test]
+    fn no_false_deadlock_beside_busy_threads() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let sp = space();
+        // 1024 doubles: above EAGER_LIMIT, so every send is rendezvous.
+        let bufs: Vec<Ptr> = (0..2)
+            .map(|_| sp.alloc_array::<f64>(MemKind::HostPageable, 1024).unwrap())
+            .collect();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                });
+            }
+            let results = run_world(2, Arc::clone(&sp), |comm| -> Result<(), MpiError> {
+                let me = comm.rank();
+                for _ in 0..10_000 {
+                    if me == 0 {
+                        comm.send(bufs[0], 1024, MpiDatatype::Double, 1, 0)?;
+                        comm.recv(bufs[0], 1024, MpiDatatype::Double, 1, 0)?;
+                    } else {
+                        comm.recv(bufs[1], 1024, MpiDatatype::Double, 0, 0)?;
+                        comm.send(bufs[1], 1024, MpiDatatype::Double, 0, 0)?;
+                    }
+                }
+                for _ in 0..1_000 {
+                    comm.allreduce(bufs[me], bufs[me], 1, MpiDatatype::Double, ReduceOp::Sum)?;
+                }
+                Ok(())
+            });
+            stop.store(true, Ordering::Relaxed);
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+        });
+    }
+
+    #[test]
+    fn a_panicking_rank_reraises_promptly() {
+        let sp = space();
+        let buf = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
+        let start = std::time::Instant::now();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_world(2, Arc::clone(&sp), move |comm| {
+                if comm.rank() == 1 {
+                    panic!("rank 1 dies");
+                }
+                let r = comm.recv(buf, 1, MpiDatatype::Int, 1, 0);
+                assert!(matches!(r, Err(MpiError::Deadlock { .. })), "{r:?}");
+            })
+        }));
+        let took = start.elapsed();
+        let msg = caught.unwrap_err();
+        assert!(
+            msg.downcast_ref::<String>()
+                .unwrap()
+                .starts_with("rank 1 panicked"),
+            "{msg:?}"
+        );
+        assert!(took < std::time::Duration::from_secs(1), "{took:?}");
     }
 
     #[test]
@@ -1129,7 +1237,7 @@ mod tests {
             sp.write_at::<i32>(b, 200).unwrap();
             let plan = SchedulePlan::with_choices(vec![rank0_choices, vec![], vec![]]);
             let sched: Arc<dyn ScheduleController> = Arc::clone(&plan) as _;
-            run_world_with_schedule(2, Arc::clone(&sp), None, Some(sched), move |comm| {
+            run_world_with_schedule(2, Arc::clone(&sp), Some(sched), move |comm| {
                 if comm.rank() == 1 {
                     comm.send(a, 1, MpiDatatype::Int, 0, 10).unwrap();
                     comm.send(b, 1, MpiDatatype::Int, 0, 20).unwrap();

@@ -10,8 +10,9 @@
 //! accounting.
 //!
 //! The [`ToolConfig`] it is given is the whole configuration: every rank
-//! gets the same one, and the world's barrier poison timeout is its
-//! `barrier_timeout_ms`. Nothing is read from the environment.
+//! gets the same one. Nothing is read from the environment. A deadlocked
+//! world needs no setting: `mpi-sim` detects it when every rank is
+//! blocked and fails each wait with `MpiError::Deadlock`.
 
 use crate::checks::MustReport;
 use crate::mpi::CheckedMpi;
@@ -203,15 +204,11 @@ fn run_world_impl<T: Send>(
     let space = Arc::new(AddressSpace::new());
     let space_for_stats = Arc::clone(&space);
     let registry = &registry;
-    // Unset keeps mpi-sim's standard barrier poison timeout.
-    let barrier_timeout = config
-        .barrier_timeout_ms
-        .map(std::time::Duration::from_millis);
     let sched = plan
         .as_ref()
         .map(|p| Arc::clone(p) as Arc<dyn ScheduleController>);
     let plan = &plan;
-    let pairs = run_world_with_schedule(n, space, barrier_timeout, sched, move |comm| {
+    let pairs = run_world_with_schedule(n, space, sched, move |comm| {
         let rank = comm.rank();
         let tools = Rc::new(ToolCtx::new(rank, config));
         // The recording must observe every event, including the default

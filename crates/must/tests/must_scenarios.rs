@@ -533,14 +533,14 @@ fn gather_family_device_buffers() {
     }
 }
 
-/// A `Waitany` on receives nobody sends gives up after the world's
-/// configured timeout with a typed error instead of polling forever.
+/// A `Waitany` on receives nobody sends is a deadlock the moment the
+/// only rank blocks: a typed error at once, no timeout. (Observed:
+/// 4–7 µs on a 2-core x86-64 machine; the bound leaves room for a
+/// loaded machine.)
 #[test]
-fn waitany_on_unmatched_receives_times_out() {
+fn waitany_on_unmatched_receives_is_a_deadlock() {
     let k = kernels();
-    let mut config = Flavor::MustCusan.config();
-    config.barrier_timeout_ms = Some(250);
-    let out = run_checked_world(1, config, k.registry, |ctx| {
+    let out = run_checked_world(1, Flavor::MustCusan.config(), k.registry, |ctx| {
         let buf = ctx.cuda.malloc::<f64>(2 * N).unwrap();
         let mut reqs: Vec<_> = (0..2)
             .map(|i| {
@@ -553,13 +553,14 @@ fn waitany_on_unmatched_receives_times_out() {
         (result, start.elapsed())
     });
     let (result, waited) = &out.results[0];
-    assert!(
-        matches!(result, Err(MpiError::Timeout { .. })),
-        "{result:?}"
+    assert_eq!(
+        result,
+        &Err(MpiError::Deadlock {
+            waiting: vec![(0, "Waitany".to_string())]
+        })
     );
     assert!(
-        *waited >= std::time::Duration::from_millis(250),
+        *waited < std::time::Duration::from_millis(100),
         "{waited:?}"
     );
-    assert!(*waited < std::time::Duration::from_secs(10), "{waited:?}");
 }
