@@ -26,11 +26,10 @@
 use crate::kernels::AppKernels;
 use cuda_sim::{CopyKind, CudaError, StreamFlags, StreamId};
 use cusan::ToolConfig;
+use explore::SchedulePlan;
 use kernel_ir::{LaunchArg, LaunchGrid};
 use mpi_sim::{MpiDatatype, MpiError, ReduceOp, PROC_NULL};
-use must_rt::{
-    run_checked_world_scheduled_traced, run_checked_world_traced, RankCtx, WorldOutcome,
-};
+use must_rt::{run_checked_world, run_checked_world_scheduled, RankCtx, WorldOutcome};
 use sim_mem::{MemError, Ptr};
 use std::fmt;
 use std::sync::Arc;
@@ -122,38 +121,24 @@ fn neighbors(rank: usize, ranks: usize) -> (i64, i64) {
 
 /// Jacobi-shaped chaos body: blocking `Sendrecv` halo exchange, second
 /// stream for the residual reduction, per-iteration `Allreduce`. Always
-/// traced (the soak compares live vs. recorded vs. replayed).
+/// recorded (the soak compares live vs. recorded vs. replayed), under
+/// `plan` if one is given (the explored chaos slice; a plan needs
+/// `cfg.ranks + 1` lanes).
 pub fn run_chaos_jacobi(
     cfg: &ChaosConfig,
     tools: impl Into<ToolConfig>,
-) -> WorldOutcome<ChaosResult> {
-    run_chaos_jacobi_scheduled(cfg, tools, None)
-}
-
-/// [`run_chaos_jacobi`] under an optional schedule plan (the explored
-/// chaos slice; a plan needs `cfg.ranks + 1` lanes).
-pub fn run_chaos_jacobi_scheduled(
-    cfg: &ChaosConfig,
-    tools: impl Into<ToolConfig>,
-    plan: Option<Arc<explore::SchedulePlan>>,
+    plan: Option<Arc<SchedulePlan>>,
 ) -> WorldOutcome<ChaosResult> {
     run_chaos(cfg, tools.into(), plan, chaos_jacobi_body)
 }
 
 /// TeaLeaf-shaped chaos body: non-blocking 4-way `Isend`/`Irecv` halo
-/// exchange with `Waitall`, dot-product `Allreduce`. Always traced.
+/// exchange with `Waitall`, dot-product `Allreduce`. Always recorded,
+/// under `plan` if one is given.
 pub fn run_chaos_tealeaf(
     cfg: &ChaosConfig,
     tools: impl Into<ToolConfig>,
-) -> WorldOutcome<ChaosResult> {
-    run_chaos_tealeaf_scheduled(cfg, tools, None)
-}
-
-/// [`run_chaos_tealeaf`] under an optional schedule plan.
-pub fn run_chaos_tealeaf_scheduled(
-    cfg: &ChaosConfig,
-    tools: impl Into<ToolConfig>,
-    plan: Option<Arc<explore::SchedulePlan>>,
+    plan: Option<Arc<SchedulePlan>>,
 ) -> WorldOutcome<ChaosResult> {
     run_chaos(cfg, tools.into(), plan, chaos_tealeaf_body)
 }
@@ -161,17 +146,18 @@ pub fn run_chaos_tealeaf_scheduled(
 /// A chaos body: it records every pointer it allocates for [`teardown`].
 type ChaosBody = fn(&mut RankCtx, &AppKernels, &ChaosConfig, &mut Vec<Ptr>) -> ChaosResult;
 
-/// Run `body` then [`teardown`] on every rank, traced, under `plan` if
-/// one is given.
+/// Run `body` then [`teardown`] on every rank, recorded (in the format
+/// `tools` names, else text), under `plan` if one is given.
 fn run_chaos(
     cfg: &ChaosConfig,
     tools: ToolConfig,
-    plan: Option<Arc<explore::SchedulePlan>>,
+    plan: Option<Arc<SchedulePlan>>,
     body: ChaosBody,
 ) -> WorldOutcome<ChaosResult> {
     let cfg = *cfg;
     let k = AppKernels::shared();
     let registry = Arc::clone(&k.registry);
+    let tools = crate::recording(tools);
     let rank_body = move |ctx: &mut RankCtx| {
         let mut ptrs = Vec::new();
         let r = body(ctx, k, &cfg, &mut ptrs);
@@ -179,10 +165,8 @@ fn run_chaos(
         r
     };
     match plan {
-        Some(plan) => {
-            run_checked_world_scheduled_traced(cfg.ranks, tools, registry, plan, rank_body)
-        }
-        None => run_checked_world_traced(cfg.ranks, tools, registry, rank_body),
+        Some(plan) => run_checked_world_scheduled(cfg.ranks, tools, registry, plan, rank_body),
+        None => run_checked_world(cfg.ranks, tools, registry, rank_body),
     }
 }
 
@@ -447,8 +431,8 @@ mod tests {
     fn fault_free_chaos_bodies_finish_clean() {
         let cfg = ChaosConfig::default();
         for out in [
-            run_chaos_jacobi(&cfg, Flavor::MustCusan),
-            run_chaos_tealeaf(&cfg, Flavor::MustCusan),
+            run_chaos_jacobi(&cfg, Flavor::MustCusan, None),
+            run_chaos_tealeaf(&cfg, Flavor::MustCusan, None),
         ] {
             assert!(out.results.iter().all(|r| r.is_ok()), "{:?}", out.results);
             assert_eq!(out.total_races(), 0);
@@ -462,7 +446,7 @@ mod tests {
             ranks: 4,
             ..ChaosConfig::default()
         };
-        let out = run_chaos_jacobi(&cfg, faulty(11, 0.05));
+        let out = run_chaos_jacobi(&cfg, faulty(11, 0.05), None);
         let errs: Vec<_> = out.results.iter().filter_map(|r| r.clone().err()).collect();
         assert!(!errs.is_empty(), "5% over hundreds of sites must fire");
         // Rank-independent decisions + symmetric bodies: every rank fails
@@ -474,8 +458,8 @@ mod tests {
     #[test]
     fn same_seed_reruns_are_identical() {
         let cfg = ChaosConfig::default();
-        let a = run_chaos_tealeaf(&cfg, faulty(3, 0.02));
-        let b = run_chaos_tealeaf(&cfg, faulty(3, 0.02));
+        let a = run_chaos_tealeaf(&cfg, faulty(3, 0.02), None);
+        let b = run_chaos_tealeaf(&cfg, faulty(3, 0.02), None);
         assert_eq!(a.results, b.results);
         for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
             assert_eq!(ra.trace, rb.trace, "rank {} trace differs", ra.rank);

@@ -25,7 +25,7 @@ use cuda_sim::{CopyKind, StreamFlags, StreamId};
 use cusan::ToolConfig;
 use kernel_ir::{LaunchArg, LaunchGrid};
 use mpi_sim::{MpiDatatype, ReduceOp, PROC_NULL};
-use must_rt::{run_checked_world, run_checked_world_traced, RankCtx, WorldOutcome};
+use must_rt::{run_checked_world, RankCtx, WorldOutcome};
 use sim_mem::Ptr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,27 +81,15 @@ pub struct JacobiRun {
     pub outcome: WorldOutcome<Vec<f64>>,
 }
 
-/// Run Jacobi under a tool configuration.
+/// Run Jacobi under a tool configuration (recording a trace when its
+/// `record` says so).
 pub fn run_jacobi(cfg: &JacobiConfig, tools: impl Into<ToolConfig>) -> JacobiRun {
-    run_jacobi_impl(cfg, tools.into(), false)
-}
-
-/// Like [`run_jacobi`], with a per-rank event trace recorded
-/// ([`must_rt::RankOutcome::trace`]).
-pub fn run_jacobi_traced(cfg: &JacobiConfig, tools: impl Into<ToolConfig>) -> JacobiRun {
-    run_jacobi_impl(cfg, tools.into(), true)
-}
-
-fn run_jacobi_impl(cfg: &JacobiConfig, tools: ToolConfig, traced: bool) -> JacobiRun {
     let cfg = *cfg;
     let k = AppKernels::shared();
     let start = Instant::now();
-    let body = move |ctx: &mut RankCtx| jacobi_rank(ctx, k, &cfg);
-    let outcome = if traced {
-        run_checked_world_traced(cfg.ranks, tools, Arc::clone(&k.registry), body)
-    } else {
-        run_checked_world(cfg.ranks, tools, Arc::clone(&k.registry), body)
-    };
+    let outcome = run_checked_world(cfg.ranks, tools, Arc::clone(&k.registry), move |ctx| {
+        jacobi_rank(ctx, k, &cfg)
+    });
     let elapsed = start.elapsed();
     let norms = outcome.results[0].clone();
     JacobiRun {
@@ -111,6 +99,11 @@ fn run_jacobi_impl(cfg: &JacobiConfig, tools: ToolConfig, traced: bool) -> Jacob
         elapsed,
         outcome,
     }
+}
+
+/// [`run_jacobi`] with `record` on: the caller's format, else text.
+pub fn run_jacobi_traced(cfg: &JacobiConfig, tools: impl Into<ToolConfig>) -> JacobiRun {
+    run_jacobi(cfg, crate::recording(tools.into()))
 }
 
 fn row_ptr(base: Ptr, row: u64, nx: u64) -> Ptr {

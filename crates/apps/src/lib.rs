@@ -30,10 +30,7 @@ pub mod kernels;
 pub mod tealeaf;
 pub mod testsuite;
 
-pub use chaos::{
-    run_chaos_jacobi, run_chaos_jacobi_scheduled, run_chaos_tealeaf, run_chaos_tealeaf_scheduled,
-    ChaosConfig, ChaosError, ChaosResult,
-};
+pub use chaos::{run_chaos_jacobi, run_chaos_tealeaf, ChaosConfig, ChaosError, ChaosResult};
 pub use jacobi::{run_jacobi, run_jacobi_traced, JacobiConfig, JacobiRun};
 pub use jacobi2d::{run_jacobi2d, Jacobi2dConfig, Jacobi2dRun};
 pub use kernels::AppKernels;
@@ -48,4 +45,12 @@ pub enum RaceMode {
     /// Skip the `cudaDeviceSynchronize` between the kernels that produce
     /// the halo data and the MPI halo exchange (the Fig. 4 line-4 bug).
     SkipSyncBeforeExchange,
+}
+
+/// `tools` with recording on: the format it names, else text.
+pub(crate) fn recording(tools: cusan::ToolConfig) -> cusan::ToolConfig {
+    cusan::ToolConfig {
+        record: tools.record.or(Some(cusan::TraceFormat::Text)),
+        ..tools
+    }
 }

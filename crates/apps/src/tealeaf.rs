@@ -20,7 +20,7 @@ use cuda_sim::{CopyKind, StreamId};
 use cusan::ToolConfig;
 use kernel_ir::{KernelId, LaunchArg, LaunchGrid};
 use mpi_sim::{MpiDatatype, ReduceOp};
-use must_rt::{run_checked_world, run_checked_world_traced, RankCtx, WorldOutcome};
+use must_rt::{run_checked_world, RankCtx, WorldOutcome};
 use sim_mem::Ptr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,27 +98,15 @@ pub struct TeaLeafRun {
     pub outcome: WorldOutcome<CgResult>,
 }
 
-/// Run TeaLeaf under a tool configuration.
+/// Run TeaLeaf under a tool configuration (recording a trace when its
+/// `record` says so).
 pub fn run_tealeaf(cfg: &TeaLeafConfig, tools: impl Into<ToolConfig>) -> TeaLeafRun {
-    run_tealeaf_impl(cfg, tools.into(), false)
-}
-
-/// Like [`run_tealeaf`], with a per-rank event trace recorded
-/// ([`must_rt::RankOutcome::trace`]).
-pub fn run_tealeaf_traced(cfg: &TeaLeafConfig, tools: impl Into<ToolConfig>) -> TeaLeafRun {
-    run_tealeaf_impl(cfg, tools.into(), true)
-}
-
-fn run_tealeaf_impl(cfg: &TeaLeafConfig, tools: ToolConfig, traced: bool) -> TeaLeafRun {
     let cfg = *cfg;
     let k = AppKernels::shared();
     let start = Instant::now();
-    let body = move |ctx: &mut RankCtx| tealeaf_rank(ctx, k, &cfg);
-    let outcome = if traced {
-        run_checked_world_traced(cfg.ranks, tools, Arc::clone(&k.registry), body)
-    } else {
-        run_checked_world(cfg.ranks, tools, Arc::clone(&k.registry), body)
-    };
+    let outcome = run_checked_world(cfg.ranks, tools, Arc::clone(&k.registry), move |ctx| {
+        tealeaf_rank(ctx, k, &cfg)
+    });
     let elapsed = start.elapsed();
     TeaLeafRun {
         config: cfg,
@@ -126,6 +114,11 @@ fn run_tealeaf_impl(cfg: &TeaLeafConfig, tools: ToolConfig, traced: bool) -> Tea
         elapsed,
         outcome,
     }
+}
+
+/// [`run_tealeaf`] with `record` on: the caller's format, else text.
+pub fn run_tealeaf_traced(cfg: &TeaLeafConfig, tools: impl Into<ToolConfig>) -> TeaLeafRun {
+    run_tealeaf(cfg, crate::recording(tools.into()))
 }
 
 fn row_ptr(base: Ptr, row: u64, nx: u64) -> Ptr {

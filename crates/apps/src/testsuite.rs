@@ -11,7 +11,7 @@
 //! `<category>/<scenario>[_nok]` where `_nok` marks an incorrect program.
 //!
 //! Scheduled runs ([`run_case_scheduled`]) record every rank's trace in
-//! the config's `trace_format`; [`outcome_digest`] hashes those records
+//! text (`ToolConfig::record`); [`outcome_digest`] hashes those records
 //! straight off [`cusan::TraceReader`], and replaying one goes through
 //! [`cusan::replay_stream`] like any other recording.
 
@@ -1039,18 +1039,10 @@ pub fn run_case_scheduled(
     case: &Case,
     plan: Arc<explore::SchedulePlan>,
 ) -> must_rt::WorldOutcome<()> {
-    run_case_scheduled_with(case, Flavor::MustCusan.config(), plan)
-}
-
-/// [`run_case_scheduled`] under an explicit tool configuration.
-fn run_case_scheduled_with(
-    case: &Case,
-    cfg: cusan::ToolConfig,
-    plan: Arc<explore::SchedulePlan>,
-) -> must_rt::WorldOutcome<()> {
     let k = AppKernels::shared();
     let run = case.run;
-    must_rt::run_checked_world_scheduled_traced(2, cfg, Arc::clone(&k.registry), plan, move |ctx| {
+    let cfg = crate::recording(Flavor::MustCusan.config());
+    must_rt::run_checked_world_scheduled(2, cfg, Arc::clone(&k.registry), plan, move |ctx| {
         run(ctx, k);
     })
 }

@@ -6,13 +6,15 @@
 //! exactly. These tests assert that contract over the full testsuite and
 //! both evaluation mini-apps, plus byte-level determinism of the recorder.
 
-use cusan::{replay_stream, transcode, Flavor, ToolConfig, TraceFormat};
+use cusan::{
+    replay_stream, transcode, CusanEvent, Flavor, ToolConfig, TraceFormat, TraceReader, TraceRecord,
+};
 use cusan_apps::testsuite::cases;
 use cusan_apps::{
     kernels::AppKernels, run_jacobi_traced, run_tealeaf_traced, JacobiConfig, RaceMode,
     TeaLeafConfig,
 };
-use must_rt::{run_checked_world_traced, RankOutcome};
+use must_rt::{run_checked_world, RankOutcome};
 use std::sync::Arc;
 
 /// Replay one rank's trace and assert it matches the live outcome — as
@@ -95,9 +97,12 @@ fn testsuite_cases_roundtrip_through_trace_replay() {
     let k = AppKernels::shared();
     for case in cases() {
         let run = case.run;
-        let out = run_checked_world_traced(
+        let out = run_checked_world(
             2,
-            Flavor::MustCusan.config(),
+            ToolConfig {
+                record: Some(TraceFormat::Text),
+                ..Flavor::MustCusan.config()
+            },
             Arc::clone(&k.registry),
             move |ctx| run(ctx, k),
         );
@@ -166,7 +171,7 @@ fn tealeaf_replay_reproduces_live_run() {
 
 #[test]
 fn binary_live_recording_is_the_transcoded_text_recording() {
-    // `ToolConfig::trace_format` is the one way to record binary: the
+    // `ToolConfig::record` is the one way to record binary live: the
     // binary recording of a run is byte for byte its text recording
     // transcoded, and replays as faithfully — clean and racy alike.
     for race in [RaceMode::None, RaceMode::SkipSyncBeforeExchange] {
@@ -182,7 +187,7 @@ fn binary_live_recording_is_the_transcoded_text_recording() {
         let binary = run_tealeaf_traced(
             &cfg,
             ToolConfig {
-                trace_format: TraceFormat::Binary,
+                record: Some(TraceFormat::Binary),
                 ..Flavor::MustCusan.config()
             },
         );
@@ -200,6 +205,59 @@ fn binary_live_recording_is_the_transcoded_text_recording() {
                 b.rank
             );
             assert_faithful(&format!("tealeaf {race:?} binary"), b);
+        }
+    }
+}
+
+/// `ToolConfig::record` alone decides whether a checked world records:
+/// `None` leaves every rank without a trace, and `Some` records from the
+/// context's first event, so every rank's trace holds the default
+/// stream's `FiberCreate` ahead of any event but the `cuda.streams`
+/// counter bump `CusanCuda::new` emits with it.
+#[test]
+fn record_is_the_config_field_and_starts_with_the_context() {
+    let k = AppKernels::shared();
+    let body = move |ctx: &mut must_rt::RankCtx| {
+        let p = ctx.cuda.malloc::<f64>(8).unwrap();
+        ctx.cuda.memset(p, 0, 64).unwrap();
+    };
+    let off = run_checked_world(2, Flavor::MustCusan, Arc::clone(&k.registry), body);
+    assert!(off.ranks.iter().all(|r| r.trace.is_none()));
+    for format in [TraceFormat::Text, TraceFormat::Binary] {
+        let tools = ToolConfig {
+            record: Some(format),
+            ..Flavor::MustCusan.config()
+        };
+        let out = run_checked_world(2, tools, Arc::clone(&k.registry), body);
+        for rank in &out.ranks {
+            let bytes = rank.trace.as_deref().expect("record: Some records");
+            let mut labels = Vec::new();
+            let mut events = Vec::new();
+            for rec in TraceReader::new(bytes).expect("recorded trace parses") {
+                match rec.expect("recorded trace parses") {
+                    TraceRecord::Str { label, .. } => labels.push(label),
+                    TraceRecord::Event(ev) => events.push(ev),
+                }
+            }
+            let label = |id: cusan::StrId| &*labels[id.0 as usize];
+            let at = |i: usize| {
+                format!(
+                    "{format:?} rank {}: event {i} is {:?}",
+                    rank.rank, events[i]
+                )
+            };
+            assert!(
+                matches!(events[0], CusanEvent::CounterBump { counter, delta: 1 }
+                    if label(counter) == "cuda.streams"),
+                "{}",
+                at(0)
+            );
+            assert!(
+                matches!(events[1], CusanEvent::FiberCreate { fiber, name }
+                    if fiber.index() == 1 && label(name) == "cuda stream 0 (default)"),
+                "{}",
+                at(1)
+            );
         }
     }
 }

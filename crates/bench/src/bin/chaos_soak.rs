@@ -23,10 +23,7 @@
 
 use cusan::{replay_stream, FaultPlan, Flavor, ToolConfig, TraceFormat};
 use cusan_apps::testsuite::outcome_digest;
-use cusan_apps::{
-    run_chaos_jacobi, run_chaos_jacobi_scheduled, run_chaos_tealeaf, run_chaos_tealeaf_scheduled,
-    ChaosConfig, ChaosResult,
-};
+use cusan_apps::{run_chaos_jacobi, run_chaos_tealeaf, ChaosConfig, ChaosResult};
 use cusan_bench::banner;
 use explore::SchedulePlan;
 use must_rt::WorldOutcome;
@@ -47,7 +44,7 @@ fn soak_config(seed: u64) -> ToolConfig {
         c.shadow_page_budget = Some(BUDGET);
     }
     if seed % 2 == 1 {
-        c.trace_format = TraceFormat::Binary;
+        c.record = Some(TraceFormat::Binary);
     }
     c
 }
@@ -282,14 +279,24 @@ fn main() {
 
     tally
         .errs
-        .extend(baseline("jacobi", |t| run_chaos_jacobi(&cfg, t)));
+        .extend(baseline("jacobi", |t| run_chaos_jacobi(&cfg, t, None)));
     tally
         .errs
-        .extend(baseline("tealeaf", |t| run_chaos_tealeaf(&cfg, t)));
+        .extend(baseline("tealeaf", |t| run_chaos_tealeaf(&cfg, t, None)));
 
     for seed in 0..seeds {
-        soak_one("jacobi", seed, |t| run_chaos_jacobi(&cfg, t), &mut tally);
-        soak_one("tealeaf", seed, |t| run_chaos_tealeaf(&cfg, t), &mut tally);
+        soak_one(
+            "jacobi",
+            seed,
+            |t| run_chaos_jacobi(&cfg, t, None),
+            &mut tally,
+        );
+        soak_one(
+            "tealeaf",
+            seed,
+            |t| run_chaos_tealeaf(&cfg, t, None),
+            &mut tally,
+        );
         if explore_budget > 1 {
             // Every 4th seed also sweeps alternative schedules: the
             // fault plan composes with the controller, and every
@@ -301,7 +308,7 @@ fn main() {
                     seed,
                     cfg.ranks + 1,
                     explore_budget,
-                    |t, p| run_chaos_jacobi_scheduled(&cfg, t, Some(p)),
+                    |t, p| run_chaos_jacobi(&cfg, t, Some(p)),
                     &mut tally,
                 );
                 soak_explored(
@@ -309,7 +316,7 @@ fn main() {
                     seed,
                     cfg.ranks + 1,
                     explore_budget,
-                    |t, p| run_chaos_tealeaf_scheduled(&cfg, t, Some(p)),
+                    |t, p| run_chaos_tealeaf(&cfg, t, Some(p)),
                     &mut tally,
                 );
             }

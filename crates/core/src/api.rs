@@ -68,9 +68,9 @@ pub struct CusanCuda {
 impl CusanCuda {
     /// Wrap a fresh device for `rank`'s tool context.
     ///
-    /// Emits the default stream's `FiberCreate` — start any recording
-    /// ([`ToolCtx::record_trace`]) *before* constructing the checked API
-    /// or replay will miss the event.
+    /// Emits the default stream's `FiberCreate`; a recording the
+    /// context's `config.record` asked for is already running, so the
+    /// trace holds it.
     pub fn new(
         device: DeviceId,
         space: Arc<AddressSpace>,

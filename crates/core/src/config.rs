@@ -1,7 +1,7 @@
 //! Tool configuration and the evaluation-flavor matrix.
 //!
 //! [`ToolConfig`] says which layers instrument, what they annotate and
-//! how a recorded trace is encoded (text or binary). It has no
+//! whether a run records its trace, and in which encoding. It has no
 //! execution-strategy field: the detector has one shadow (tiered, on the
 //! page arena) and live checking is inline on the calling thread.
 //! [`ToolConfig::VANILLA`] is the only full-field literal; every
@@ -53,11 +53,12 @@ pub struct ToolConfig {
     /// (`TsanStats::dropped_annotations`) instead of growing the shadow
     /// unboundedly. `None` (the default) is unlimited.
     pub shadow_page_budget: Option<usize>,
-    /// Encoding the per-rank [`crate::TraceSink`] writes when recording
-    /// is on: v2 text (the default, human-greppable) or v3 binary (~3×
-    /// fewer bytes; see [`crate::binio`]). Readers sniff the format from
-    /// the magic, so this is producer-side only.
-    pub trace_format: TraceFormat,
+    /// Record the run's event stream, and in which encoding: `None` (the
+    /// default) records nothing; `Some` starts the per-rank
+    /// [`crate::TraceSink`] with the context, before any event, in v2
+    /// text (human-greppable) or v3 binary (~3× fewer bytes; see
+    /// [`crate::binio`]). Readers sniff the format from the magic.
+    pub record: Option<TraceFormat>,
 }
 
 impl ToolConfig {
@@ -71,7 +72,7 @@ impl ToolConfig {
         bounded_tracking: false,
         faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
-        trace_format: TraceFormat::Text,
+        record: None,
     };
 
     /// True if any TSan-backed layer is on.
@@ -201,13 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_format_defaults_to_text() {
-        // Binary recording is opt-in (`trace_format: Binary`); the text
-        // default keeps fresh recordings greppable and fixtures stable.
+    fn record_defaults_to_none() {
+        // Recording is opt-in (`record: Some(format)`): no flavor pays
+        // for a trace it did not ask for.
         for f in Flavor::ALL {
-            assert_eq!(f.config().trace_format, TraceFormat::Text, "{f}");
+            assert_eq!(f.config().record, None, "{f}");
         }
-        assert_eq!(ToolConfig::VANILLA.trace_format, TraceFormat::Text);
+        assert_eq!(ToolConfig::VANILLA.record, None);
     }
 
     #[test]

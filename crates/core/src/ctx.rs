@@ -55,7 +55,7 @@ const REMOVED_KNOBS: [(&str, &str); 20] = [
     ),
     (
         "CUSAN_TRACE_FORMAT",
-        "set `ToolConfig::trace_format` or run `replay_trace transcode`",
+        "set `ToolConfig::record` or run `replay_trace transcode`",
     ),
     ("CUSAN_BENCH_RUNS", REPRODUCE_SIZES),
     ("CUSAN_BENCH_JACOBI_NX", REPRODUCE_SIZES),
@@ -107,7 +107,8 @@ pub struct ToolCtx {
 }
 
 impl ToolCtx {
-    /// Create the context for one rank, configured by `config` alone.
+    /// Create the context for one rank, configured by `config` alone;
+    /// with `config.record` set it records from its first event on.
     /// The first call in a process warns about any set variable earlier
     /// versions read (`REMOVED_KNOBS`).
     pub fn new(rank: usize, config: ToolConfig) -> Self {
@@ -129,7 +130,11 @@ impl ToolCtx {
             config,
             session: RefCell::new(session),
             typeart: RefCell::new(TypeartRuntime::new()),
-            recorder: RefCell::new(None),
+            recorder: RefCell::new(
+                config
+                    .record
+                    .map(|format| TraceSink::new(format, rank, config.shadow_page_budget)),
+            ),
             injector: FaultInjector::new(config.faults),
             diagnostics: RefCell::new(Vec::new()),
             rank,
@@ -183,17 +188,7 @@ impl ToolCtx {
         fiber
     }
 
-    /// Record this rank's event stream from here on, in
-    /// `config.trace_format`, until [`Self::take_trace`].
-    pub fn record_trace(&self) {
-        *self.recorder.borrow_mut() = Some(TraceSink::new(
-            self.config.trace_format,
-            self.rank,
-            self.config.shadow_page_budget,
-        ));
-    }
-
-    /// End the recording [`Self::record_trace`] started and hand over the
+    /// End the recording `config.record` started and hand over the
     /// trace (a binary one closed by its end-of-trace marker); `None` if
     /// nothing is being recorded. Later events are not recorded.
     pub fn take_trace(&self) -> Option<Vec<u8>> {
@@ -553,7 +548,7 @@ mod tests {
         assert!(lines[1].ends_with("set `ToolConfig::faults`"));
         assert!(lines[2].ends_with("pass `--small` or `--full`"));
         assert!(lines[4].ends_with("detected when every rank is blocked; there is no timeout"));
-        assert!(lines[5].contains("`ToolConfig::trace_format`"));
+        assert!(lines[5].contains("`ToolConfig::record`"));
         assert!(lines[6].contains("measured bytes"));
         assert!(removed_knob_warnings(["CUSAN_BENCH", "CUSAN_NOT_A_KNOB", "PATH"]).is_empty());
         assert!(removed_knob_warnings([]).is_empty());

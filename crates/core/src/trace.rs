@@ -18,7 +18,7 @@
 //!
 //! * **v2 text** (the default, human-greppable): line-oriented UTF-8,
 //!   described below.
-//! * **v3 binary** (`ToolConfig::trace_format`, or [`transcode`] a text
+//! * **v3 binary** (`ToolConfig::record`, or [`transcode`] a text
 //!   recording; ~3× fewer bytes per event): LEB128 varints, delta-coded
 //!   addresses/fiber ids/sync keys, one-byte opcodes, length-delimited
 //!   records, and an end-of-trace marker that makes any truncation —
@@ -87,7 +87,7 @@ const TRACE_FAMILY: &str = "cusan-trace v";
 
 /// Which encoding a trace writer produces. Readers never need this —
 /// they sniff the magic — so it only appears on the producer side
-/// ([`crate::ToolConfig::trace_format`], [`transcode`]).
+/// ([`crate::ToolConfig::record`], [`transcode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
     /// v2 line-oriented UTF-8 (the default; human-greppable).

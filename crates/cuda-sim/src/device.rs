@@ -46,7 +46,7 @@ pub struct CudaDevice {
     counters: CudaCounters,
     default_mode: DefaultStreamMode,
     /// Schedule controller plus the lane (rank) it is consulted on for
-    /// full-device drain order. `None`: the default schedule.
+    /// full-device drain order. `None`: candidate 0 at every drain step.
     sched: Option<(Arc<dyn ScheduleController>, usize)>,
 }
 
@@ -318,9 +318,10 @@ impl CudaDevice {
         st.completed >= d.seq.min(st.enqueued)
     }
 
-    /// The stream whose front op the *uncontrolled* recursive drain
-    /// would execute next: start at the lowest-index live non-idle
-    /// stream and follow each front op's first unsatisfied dependency.
+    /// The stream whose front op a full-device drain offers as candidate
+    /// 0: start at the lowest-index live non-idle stream and follow each
+    /// front op's first unsatisfied dependency (the order a
+    /// stream-by-stream drain completing dependencies first would take).
     /// Terminates because the dep graph is acyclic — a dep's seq only
     /// references work enqueued before the depending op.
     fn default_next(&self) -> Option<u32> {
@@ -339,25 +340,13 @@ impl CudaDevice {
         }
     }
 
+    /// Drain every live stream. Independent queued ops genuinely commute
+    /// at a full-device sync, so this completes ONE ready front op at a
+    /// time: candidate 0 is [`Self::default_next`]'s, then every other
+    /// stream whose front op is ready. An installed controller picks
+    /// when there are two or more; otherwise candidate 0 runs.
     fn force_all(&mut self) -> Result<(), CudaError> {
-        if self.sched.is_none() {
-            for i in 0..self.streams.len() {
-                if self.streams[i].alive {
-                    let target = self.streams[i].enqueued;
-                    self.complete_through(StreamId(i as u32), target)?;
-                }
-            }
-            return Ok(());
-        }
-        // Controlled drain: independent queued ops genuinely commute at
-        // a full-device sync, so complete ONE ready front op at a time
-        // and let the controller pick among them. Candidate 0 is the op
-        // the recursive drain above would execute next, so all-default
-        // choices reproduce the uncontrolled schedule exactly.
-        loop {
-            let Some(first) = self.default_next() else {
-                return Ok(());
-            };
+        while let Some(first) = self.default_next() {
             let mut cands: Vec<u32> = vec![first];
             for (i, st) in self.streams.iter().enumerate() {
                 if i as u32 == first || !st.alive {
@@ -370,23 +359,23 @@ impl CudaDevice {
                     cands.push(i as u32);
                 }
             }
-            let pick = if cands.len() > 1 {
-                let (ctrl, lane) = self.sched.as_ref().expect("controlled path");
-                let sigs: Vec<u64> = cands
-                    .iter()
-                    .map(|&s| {
-                        self.streams[s as usize]
-                            .queue
-                            .front()
-                            .expect("candidates have front ops")
-                            .kind
-                            .drain_sig()
-                    })
-                    .collect();
-                ctrl.choose(*lane, ChoiceKind::StreamDrain, &sigs)
-                    .min(cands.len() - 1)
-            } else {
-                0
+            let pick = match &self.sched {
+                Some((ctrl, lane)) if cands.len() > 1 => {
+                    let sigs: Vec<u64> = cands
+                        .iter()
+                        .map(|&s| {
+                            self.streams[s as usize]
+                                .queue
+                                .front()
+                                .expect("candidates have front ops")
+                                .kind
+                                .drain_sig()
+                        })
+                        .collect();
+                    ctrl.choose(*lane, ChoiceKind::StreamDrain, &sigs)
+                        .min(cands.len() - 1)
+                }
+                _ => 0,
             };
             let s = cands[pick] as usize;
             let op = self.streams[s]
@@ -397,6 +386,7 @@ impl CudaDevice {
             // Candidates are ready by construction: execute directly.
             self.execute(op.kind)?;
         }
+        Ok(())
     }
 
     // ---- kernel launch ----------------------------------------------------------
@@ -1001,13 +991,14 @@ mod tests {
         assert_eq!(attr.offset, 8);
     }
 
-    /// The controlled drain with an all-defaults plan must reproduce
-    /// the uncontrolled drain exactly — even when a lower-index stream
-    /// is blocked on a dependency while others are ready.
+    /// The default drain order, pinned absolutely: with no controller
+    /// and under an all-defaults plan alike, a lower-index stream blocked
+    /// on a dependency waits while the higher-index one it depends on
+    /// drains first, and every queued op runs exactly once.
     #[test]
     fn controlled_drain_default_plan_matches_uncontrolled() {
         use explore::SchedulePlan;
-        let run = |controlled: bool| {
+        for controlled in [false, true] {
             let mut f = fixture();
             if controlled {
                 f.dev.set_schedule_controller(SchedulePlan::defaults(0), 0);
@@ -1023,12 +1014,40 @@ mod tests {
             f.dev.stream_wait_event(s1, e).unwrap();
             launch_copy(&mut f, q, p, 4, s1);
             f.dev.device_synchronize().unwrap();
-            (
-                f.dev.space().read_vec::<f64>(q, 4).unwrap(),
-                f.dev.counters().ops_executed,
-            )
-        };
-        assert_eq!(run(false), run(true));
+            assert_eq!(f.dev.space().read_vec::<f64>(q, 4).unwrap(), [3.0; 4]);
+            // The fill, the event record and the copy.
+            assert_eq!(f.dev.counters().ops_executed, 3, "controlled: {controlled}");
+        }
+    }
+
+    /// An op that fails mid-drain fails the sync, and the work that
+    /// depended on it stays queued: the drain pops one ready op at a
+    /// time, so it never takes a dependent op off its queue before the
+    /// dependency ran. The next sync runs it.
+    #[test]
+    fn a_failed_drain_leaves_dependent_work_queued() {
+        let mut f = fixture();
+        let p = f.dev.malloc_array::<f64>(4).unwrap();
+        let q = f.dev.malloc_array::<f64>(4).unwrap();
+        let s1 = f.dev.stream_create(StreamFlags::NonBlocking);
+        let s2 = f.dev.stream_create(StreamFlags::NonBlocking);
+        let idle = f.dev.stream_create(StreamFlags::NonBlocking);
+        let e = f.dev.event_create();
+        // s2 fills p, which is freed behind its back; s1 waits on s2.
+        launch_fill(&mut f, p, 3.0, 4, s2);
+        f.dev.event_record(e, s2).unwrap();
+        f.dev.stream_wait_event(s1, e).unwrap();
+        launch_fill(&mut f, q, 5.0, 4, s1);
+        f.dev.free_async(p, idle).unwrap();
+        assert!(f.dev.device_synchronize().is_err());
+        assert_eq!(f.dev.counters().ops_executed, 1, "only the failed fill ran");
+        assert!(
+            !f.dev.is_stream_idle(s1).unwrap(),
+            "s1's fill is still queued"
+        );
+        f.dev.device_synchronize().unwrap();
+        assert_eq!(f.dev.space().read_vec::<f64>(q, 4).unwrap(), [5.0; 4]);
+        assert_eq!(f.dev.counters().ops_executed, 3);
     }
 
     /// A plan choosing the alternative drain order genuinely reorders

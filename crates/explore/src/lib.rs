@@ -10,9 +10,11 @@
 //!
 //! ## Choice points
 //!
-//! The sim consults an installed [`ScheduleController`] at exactly three
-//! kinds of *choice points*, each a place where the simulated platform's
-//! semantics genuinely admit more than one outcome:
+//! The sim has exactly three kinds of *choice points*, each a place
+//! where the simulated platform's semantics genuinely admit more than one
+//! outcome, and each with one candidate-selection path: it consults an
+//! installed [`ScheduleController`] when there are two or more
+//! candidates, and takes candidate 0 otherwise:
 //!
 //! | kind | site | candidates |
 //! |------|------|------------|
@@ -21,8 +23,8 @@
 //! | [`ChoiceKind::CollectiveFold`] | `mpi-sim` reduction fold | remaining contributions (arrival order) |
 //!
 //! Candidates are always presented in a **canonical deterministic
-//! order** with the default schedule's pick at index 0, so the empty
-//! plan (choice 0 everywhere) reproduces the uncontrolled sim exactly,
+//! order**. There is no uncontrolled sim: the default schedule is the
+//! empty plan (choice 0 everywhere), one point of the explored space,
 //! and any plan at all is still a deterministic execution.
 //!
 //! ## Exploration
@@ -121,7 +123,8 @@ pub struct SchedulePlan {
 
 impl SchedulePlan {
     /// The all-defaults plan for a world of `n_ranks` ranks: choice 0
-    /// at every decision, i.e. exactly the uncontrolled schedule.
+    /// at every decision, i.e. exactly the schedule a run without a
+    /// controller takes.
     pub fn defaults(n_ranks: usize) -> Arc<SchedulePlan> {
         SchedulePlan::with_choices(vec![Vec::new(); n_ranks + 1])
     }

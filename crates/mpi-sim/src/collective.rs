@@ -26,7 +26,7 @@ pub(crate) struct CollShared {
     size: usize,
     /// Schedule controller plus the world-global lane it is consulted
     /// on for reduction fold order (participant "arrival" order).
-    /// `None`: ascending rank order, the default schedule.
+    /// `None`: candidate 0 at every step, ascending rank order.
     sched: Option<(Arc<dyn ScheduleController>, usize)>,
 }
 
@@ -283,35 +283,30 @@ fn concat(contribs: &[Option<Vec<u8>>]) -> Result<Vec<u8>, MpiError> {
     Ok(out)
 }
 
-/// Fold the contributions into one reduction result. The default order
-/// is ascending rank; under a schedule controller the order models the
-/// (unordered) arrival of participants — candidates are the remaining
-/// ranks, seq-ascending with signature = rank, so choice 0 at every
-/// step reproduces the ascending default exactly.
+/// Fold the contributions into one reduction result, taking each next
+/// one from the ranks not yet folded. The candidates model the
+/// (unordered) arrival of participants: seq-ascending with signature =
+/// rank, so candidate 0 — the pick without a controller, or when one
+/// rank is left — folds in ascending rank order. An installed
+/// controller picks among two or more.
 fn fold(
     contribs: &[Option<Vec<u8>>],
     dtype: MpiDatatype,
     op: ReduceOp,
     sched: Option<&(Arc<dyn ScheduleController>, usize)>,
 ) -> Result<Vec<u8>, MpiError> {
-    let mut order: Vec<usize> = (0..contribs.len()).collect();
-    if let Some((ctrl, lane)) = sched {
-        let mut remaining = order;
-        order = Vec::with_capacity(contribs.len());
-        while !remaining.is_empty() {
-            let k = if remaining.len() > 1 {
+    let mut remaining: Vec<usize> = (0..contribs.len()).collect();
+    let mut acc: Option<Vec<u8>> = None;
+    while !remaining.is_empty() {
+        let k = match sched {
+            Some((ctrl, lane)) if remaining.len() > 1 => {
                 let sigs: Vec<u64> = remaining.iter().map(|r| *r as u64).collect();
                 ctrl.choose(*lane, ChoiceKind::CollectiveFold, &sigs)
                     .min(remaining.len() - 1)
-            } else {
-                0
-            };
-            order.push(remaining.remove(k));
-        }
-    }
-    let mut acc: Option<Vec<u8>> = None;
-    for r in order {
-        let Some(c) = &contribs[r] else {
+            }
+            _ => 0,
+        };
+        let Some(c) = &contribs[remaining.remove(k)] else {
             return Err(MpiError::BadRequest);
         };
         match &mut acc {
@@ -447,48 +442,73 @@ mod tests {
         }
     }
 
-    /// The collective fold choice point: a plan permuting the fold
-    /// order is consulted on the world-global lane, and for a
-    /// commutative reduction every explored order gives the identical
-    /// result (the detector-visible outcome is schedule-independent).
+    /// The collective fold choice point, twice per world: an `f64` sum
+    /// whose rounding depends on the fold order makes the order
+    /// observable — ascending rank with no controller and under an
+    /// all-defaults plan, the plan's permutation otherwise — and an
+    /// `i64` sum shows every explored order gives the identical result
+    /// for an exact commutative reduction (the detector-visible outcome
+    /// is schedule-independent). A plan is consulted on the world-global
+    /// lane.
     #[test]
     fn fold_order_plans_are_consulted_and_commute() {
         use explore::{ChoiceKind, ScheduleController, SchedulePlan};
         let n = 3;
-        for coll_choices in [vec![], vec![2, 1], vec![1, 0]] {
+        let vals = [0.1, 0.2, 0.3];
+        let sum_in = |order: [usize; 3]| order.iter().fold(0.0, |acc, &r| acc + vals[r]);
+        assert_ne!(sum_in([0, 1, 2]), sum_in([2, 1, 0]), "order is observable");
+        for (coll_choices, order) in [
+            (None, [0, 1, 2]),
+            (Some(vec![]), [0, 1, 2]),
+            (Some(vec![2, 1]), [2, 1, 0]),
+            (Some(vec![1, 0]), [1, 0, 2]),
+        ] {
             let sp = space();
-            let send: Vec<Ptr> = (0..n)
-                .map(|r| {
-                    let p = sp.alloc_array::<i64>(MemKind::HostPageable, 1).unwrap();
-                    sp.write_at::<i64>(p, (r as i64 + 1) * 10).unwrap();
-                    p
-                })
-                .collect();
-            let recv: Vec<Ptr> = (0..n)
-                .map(|_| sp.alloc_array::<i64>(MemKind::HostPageable, 1).unwrap())
-                .collect();
-            let plan =
-                SchedulePlan::with_choices(vec![vec![], vec![], vec![], coll_choices.clone()]);
-            let sched: Arc<dyn ScheduleController> = Arc::clone(&plan) as _;
-            let (s, rc) = (send.clone(), recv.clone());
-            crate::world::run_world_with_schedule(n, Arc::clone(&sp), Some(sched), move |comm| {
-                comm.allreduce(
-                    s[comm.rank()],
-                    rc[comm.rank()],
-                    1,
-                    MpiDatatype::Long,
-                    ReduceOp::Sum,
-                )
-                .unwrap();
-            });
-            for p in &recv {
-                assert_eq!(sp.read_at::<i64>(*p).unwrap(), 60, "sum commutes");
+            // One 8-byte word per rank.
+            let words = || -> Vec<Ptr> {
+                (0..n)
+                    .map(|_| sp.alloc(MemKind::HostPageable, 8).unwrap())
+                    .collect()
+            };
+            let (fsend, frecv, isend, irecv) = (words(), words(), words(), words());
+            for r in 0..n {
+                sp.write_at::<f64>(fsend[r], vals[r]).unwrap();
+                sp.write_at::<i64>(isend[r], (r as i64 + 1) * 10).unwrap();
             }
-            let log = plan.decisions(3);
-            assert_eq!(log.len(), n - 1, "n-1 fold consultations");
-            assert!(log.iter().all(|d| d.kind == ChoiceKind::CollectiveFold));
-            assert_eq!(log[0].arity, 3);
-            assert_eq!(log[1].arity, 2);
+            // The same permutation for both reductions.
+            let plan = coll_choices.map(|c| {
+                let both = [c.clone(), c].concat();
+                SchedulePlan::with_choices(vec![vec![], vec![], vec![], both])
+            });
+            let sched = plan
+                .as_ref()
+                .map(|p| Arc::clone(p) as Arc<dyn ScheduleController>);
+            let bufs = (fsend, frecv.clone(), isend, irecv.clone());
+            crate::world::run_world_with_schedule(n, Arc::clone(&sp), sched, move |comm| {
+                let r = comm.rank();
+                let (fs, fr, is, ir) = &bufs;
+                comm.allreduce(fs[r], fr[r], 1, MpiDatatype::Double, ReduceOp::Sum)
+                    .unwrap();
+                comm.allreduce(is[r], ir[r], 1, MpiDatatype::Long, ReduceOp::Sum)
+                    .unwrap();
+            });
+            for r in 0..n {
+                assert_eq!(
+                    sp.read_at::<f64>(frecv[r]).unwrap(),
+                    sum_in(order),
+                    "{order:?}"
+                );
+                assert_eq!(sp.read_at::<i64>(irecv[r]).unwrap(), 60, "sum commutes");
+            }
+            if let Some(plan) = plan {
+                let log = plan.decisions(3);
+                assert_eq!(log.len(), 2 * (n - 1), "n-1 fold consultations each");
+                assert!(log.iter().all(|d| d.kind == ChoiceKind::CollectiveFold));
+                assert_eq!(
+                    log.iter().map(|d| d.arity).collect::<Vec<_>>(),
+                    [3, 2, 3, 2]
+                );
+            }
         }
     }
 

@@ -81,9 +81,9 @@ pub(crate) struct WorldShared {
     mailboxes: Vec<Mutex<MailboxState>>,
     monitor: Arc<Monitor>,
     pub coll: CollShared,
-    /// Installed schedule controller (None: the default schedule).
-    /// Consulted at wildcard-receive matches; collectives hold their
-    /// own copy inside [`CollShared`].
+    /// Installed schedule controller, consulted at wildcard-receive
+    /// matches with more than one candidate (`None`: candidate 0);
+    /// collectives hold their own copy inside [`CollShared`].
     sched: Option<Arc<dyn ScheduleController>>,
 }
 
@@ -270,54 +270,42 @@ impl Comm {
         };
         // Match the earliest compatible pending send — by recorded
         // mailbox seq, so the winner is fixed the moment both ops are
-        // stamped, never by lock-acquisition timing. Under a wildcard
-        // with a schedule controller installed, *which* `(src, tag)`
-        // stream wins is a genuine platform choice: the legal
-        // candidates are the per-`(src, tag)` oldest pending sends
-        // (non-overtaking pins the order within a stream), presented
-        // seq-ascending so choice 0 is exactly the default pick.
-        let wildcard = src == ANY_SOURCE || tag == ANY_TAG;
-        let candidate = match &self.shared.sched {
-            Some(sched) if wildcard => {
-                // (send index, seq, src, tag) head of each matching stream.
-                let mut heads: Vec<(usize, u64, usize, i32)> = Vec::new();
-                for (i, s) in mb.sends.iter().enumerate() {
-                    if !matches(src, s.src, tag, s.tag) {
-                        continue;
-                    }
-                    match heads.iter_mut().find(|h| h.2 == s.src && h.3 == s.tag) {
-                        Some(h) if s.seq < h.1 => {
-                            h.0 = i;
-                            h.1 = s.seq;
-                        }
-                        Some(_) => {}
-                        None => heads.push((i, s.seq, s.src, s.tag)),
-                    }
-                }
-                heads.sort_by_key(|h| h.1);
-                if heads.len() > 1 {
-                    let sigs: Vec<u64> = heads
-                        .iter()
-                        .map(|h| ((h.2 as u64) << 32) | u64::from(h.3 as u32))
-                        .collect();
-                    let k = sched
-                        .choose(self.rank, ChoiceKind::WildcardRecv, &sigs)
-                        .min(heads.len() - 1);
-                    Some(heads[k].0)
-                } else {
-                    heads.first().map(|h| h.0)
-                }
+        // stamped, never by lock-acquisition timing. The candidates are
+        // the per-`(src, tag)` oldest pending sends (non-overtaking pins
+        // the order within a stream), seq-ascending, so candidate 0 is
+        // the earliest. Only a wildcard selector can see more than one;
+        // then *which* stream wins is a genuine platform choice, made by
+        // an installed controller and otherwise candidate 0. Each head
+        // is (send index, seq, src, tag).
+        let mut heads: Vec<(usize, u64, usize, i32)> = Vec::new();
+        for (i, s) in mb.sends.iter().enumerate() {
+            if !matches(src, s.src, tag, s.tag) {
+                continue;
             }
-            _ => mb
-                .sends
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches(src, s.src, tag, s.tag))
-                .min_by_key(|(_, s)| s.seq)
-                .map(|(i, _)| i),
+            match heads.iter_mut().find(|h| h.2 == s.src && h.3 == s.tag) {
+                Some(h) if s.seq < h.1 => {
+                    h.0 = i;
+                    h.1 = s.seq;
+                }
+                Some(_) => {}
+                None => heads.push((i, s.seq, s.src, s.tag)),
+            }
+        }
+        heads.sort_by_key(|h| h.1);
+        let k = match &self.shared.sched {
+            Some(sched) if heads.len() > 1 => {
+                let sigs: Vec<u64> = heads
+                    .iter()
+                    .map(|h| ((h.2 as u64) << 32) | u64::from(h.3 as u32))
+                    .collect();
+                sched
+                    .choose(self.rank, ChoiceKind::WildcardRecv, &sigs)
+                    .min(heads.len() - 1)
+            }
+            _ => 0,
         };
-        match candidate {
-            Some(i) => {
+        match heads.get(k) {
+            Some(&(i, ..)) => {
                 let send = mb.sends.swap_remove(i);
                 Self::deliver(&self.shared, send, recv, self.rank);
             }
@@ -600,9 +588,9 @@ impl Drop for RankExit {
 /// deciding wildcard-receive matches and collective fold order (the
 /// `explore` crate's choice points). Rank `r` consults controller lane
 /// `r`; collectives use the world-global lane `n` — so a
-/// `SchedulePlan` for this world needs `n + 1` lanes. `None`, or a plan
-/// of all-default choices, reproduces the uncontrolled schedule
-/// exactly.
+/// `SchedulePlan` for this world needs `n + 1` lanes. There is no
+/// uncontrolled schedule: `None` takes candidate 0 at every choice
+/// point, exactly what a plan of all-default choices picks.
 pub fn run_world_with_schedule<T: Send>(
     n: usize,
     space: Arc<AddressSpace>,
@@ -1219,25 +1207,32 @@ mod tests {
         );
     }
 
-    /// The wildcard choice point: under the default schedule an
-    /// `ANY_TAG` receive matches the minimum-seq pending send; a plan
-    /// choosing candidate 1 matches the other `(src, tag)` stream.
-    /// Non-wildcard matching never consults the controller.
+    /// The wildcard choice point: with no controller, and under an
+    /// all-defaults plan, an `ANY_TAG` receive matches the minimum-seq
+    /// pending send (tag 10); a plan choosing candidate 1 matches the
+    /// other `(src, tag)` stream. Non-wildcard matching never consults
+    /// the controller.
     #[test]
     fn wildcard_choice_point_follows_the_plan() {
         use explore::SchedulePlan;
-        for (rank0_choices, want, want_tag) in
-            [(vec![], 100, 10), (vec![0], 100, 10), (vec![1], 200, 20)]
-        {
+        for (rank0_choices, want_tag) in [
+            (None, 10),
+            (Some(vec![]), 10),
+            (Some(vec![0]), 10),
+            (Some(vec![1]), 20),
+        ] {
             let sp = space();
             let a = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
             let b = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
             let rx = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
             sp.write_at::<i32>(a, 100).unwrap();
             sp.write_at::<i32>(b, 200).unwrap();
-            let plan = SchedulePlan::with_choices(vec![rank0_choices, vec![], vec![]]);
-            let sched: Arc<dyn ScheduleController> = Arc::clone(&plan) as _;
-            run_world_with_schedule(2, Arc::clone(&sp), Some(sched), move |comm| {
+            let plan = rank0_choices
+                .map(|choices| SchedulePlan::with_choices(vec![choices, vec![], vec![]]));
+            let sched = plan
+                .as_ref()
+                .map(|p| Arc::clone(p) as Arc<dyn ScheduleController>);
+            run_world_with_schedule(2, Arc::clone(&sp), sched, move |comm| {
                 if comm.rank() == 1 {
                     comm.send(a, 1, MpiDatatype::Int, 0, 10).unwrap();
                     comm.send(b, 1, MpiDatatype::Int, 0, 20).unwrap();
@@ -1252,14 +1247,17 @@ mod tests {
                     comm.recv(rx, 1, MpiDatatype::Int, 1, other).unwrap();
                 }
             });
+            // The second receive took the message the first left.
             assert_eq!(
                 sp.read_at::<i32>(rx).unwrap(),
-                if want == 100 { 200 } else { 100 }
+                if want_tag == 10 { 200 } else { 100 }
             );
-            let decisions = plan.decisions(0);
-            assert_eq!(decisions.len(), 1, "one wildcard consultation");
-            assert_eq!(decisions[0].arity, 2);
-            assert_eq!(decisions[0].kind, explore::ChoiceKind::WildcardRecv);
+            if let Some(plan) = plan {
+                let decisions = plan.decisions(0);
+                assert_eq!(decisions.len(), 1, "one wildcard consultation");
+                assert_eq!(decisions[0].arity, 2);
+                assert_eq!(decisions[0].kind, explore::ChoiceKind::WildcardRecv);
+            }
         }
     }
 }

@@ -10,7 +10,8 @@
 //! accounting.
 //!
 //! The [`ToolConfig`] it is given is the whole configuration: every rank
-//! gets the same one. Nothing is read from the environment. A deadlocked
+//! gets the same one, and its `record` field says whether the ranks
+//! record their traces. Nothing is read from the environment. A deadlocked
 //! world needs no setting: `mpi-sim` detects it when every rank is
 //! blocked and fails each wait with `MpiError::Deadlock`.
 
@@ -70,9 +71,8 @@ pub struct RankOutcome {
     pub cuda: CudaCounters,
     /// Event-pipeline counters (folded from the emitted event stream).
     pub events: EventCounters,
-    /// Serialized event trace, when the run was recorded
-    /// ([`run_checked_world_traced`]) — text or binary bytes per the
-    /// run's `trace_format` (readers sniff).
+    /// Serialized event trace, when the run's `ToolConfig::record` asked
+    /// for one — text or binary bytes per that field (readers sniff).
     pub trace: Option<Vec<u8>>,
     /// Tool heap usage in bytes (Fig. 11 numerator contribution).
     pub tool_memory_bytes: u64,
@@ -135,19 +135,7 @@ pub fn run_checked_world<T: Send>(
     registry: Arc<KernelRegistry>,
     f: impl Fn(&mut RankCtx) -> T + Send + Sync,
 ) -> WorldOutcome<T> {
-    run_world_impl(n, config.into(), registry, false, None, f)
-}
-
-/// Like [`run_checked_world`], but recording a trace on every rank:
-/// each [`RankOutcome::trace`] carries the rank's serialized event
-/// stream, replayable offline with [`cusan::replay_stream`].
-pub fn run_checked_world_traced<T: Send>(
-    n: usize,
-    config: impl Into<ToolConfig>,
-    registry: Arc<KernelRegistry>,
-    f: impl Fn(&mut RankCtx) -> T + Send + Sync,
-) -> WorldOutcome<T> {
-    run_world_impl(n, config.into(), registry, true, None, f)
+    run_world_impl(n, config.into(), registry, None, f)
 }
 
 /// Like [`run_checked_world`], but with a [`SchedulePlan`] installed on
@@ -166,19 +154,7 @@ pub fn run_checked_world_scheduled<T: Send>(
     plan: Arc<SchedulePlan>,
     f: impl Fn(&mut RankCtx) -> T + Send + Sync,
 ) -> WorldOutcome<T> {
-    run_world_impl(n, config.into(), registry, false, Some(plan), f)
-}
-
-/// [`run_checked_world_scheduled`] recording a trace on every rank
-/// (the scheduled twin of [`run_checked_world_traced`]).
-pub fn run_checked_world_scheduled_traced<T: Send>(
-    n: usize,
-    config: impl Into<ToolConfig>,
-    registry: Arc<KernelRegistry>,
-    plan: Arc<SchedulePlan>,
-    f: impl Fn(&mut RankCtx) -> T + Send + Sync,
-) -> WorldOutcome<T> {
-    run_world_impl(n, config.into(), registry, true, Some(plan), f)
+    run_world_impl(n, config.into(), registry, Some(plan), f)
 }
 
 /// Emit the plan's consulted decisions on `lane` as trace markers.
@@ -197,7 +173,6 @@ fn run_world_impl<T: Send>(
     n: usize,
     config: ToolConfig,
     registry: Arc<KernelRegistry>,
-    record: bool,
     plan: Option<Arc<SchedulePlan>>,
     f: impl Fn(&mut RankCtx) -> T + Send + Sync,
 ) -> WorldOutcome<T> {
@@ -211,11 +186,6 @@ fn run_world_impl<T: Send>(
     let pairs = run_world_with_schedule(n, space, sched, move |comm| {
         let rank = comm.rank();
         let tools = Rc::new(ToolCtx::new(rank, config));
-        // The recording must observe every event, including the default
-        // stream's FiberCreate emitted by CusanCuda::new below.
-        if record {
-            tools.record_trace();
-        }
         let space = Arc::clone(comm.space());
         let mut cuda = CusanCuda::new(
             DeviceId(rank as u32),

@@ -28,8 +28,7 @@ pub mod report;
 
 pub use checks::MustReport;
 pub use harness::{
-    run_checked_world, run_checked_world_scheduled, run_checked_world_scheduled_traced,
-    run_checked_world_traced, RankCtx, RankOutcome, WorldOutcome,
+    run_checked_world, run_checked_world_scheduled, RankCtx, RankOutcome, WorldOutcome,
 };
 pub use mpi::{CheckedMpi, MustRequest};
 pub use report::{render_counters, render_text};

@@ -154,6 +154,11 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, io::Error> {
     Ok(got)
 }
 
+/// Payload bytes [`read_frame`] reserves before any arrive: a length
+/// prefix alone must not make a connection hold memory, so the buffer
+/// grows with the bytes received past this.
+const FRAME_RESERVE: usize = 8 << 10;
+
 /// Read one frame; `Ok(None)` on clean EOF at a frame boundary. A
 /// partial length prefix, a partial payload, and an oversized length
 /// are each distinct typed errors — never conflated with clean EOF.
@@ -168,8 +173,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::Oversized { len });
     }
-    let mut payload = vec![0u8; len];
-    let got = read_full(r, &mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE));
+    let got = r.take(len as u64).read_to_end(&mut payload)?;
     if got < len {
         return Err(FrameError::TruncatedPayload { got, want: len });
     }
@@ -501,6 +506,40 @@ mod tests {
             read_frame(&mut r),
             Err(FrameError::TruncatedPayload { got: 0, .. })
         ));
+    }
+
+    /// Every prefix of a 3-frame stream reads back the frames it holds
+    /// whole, then ends in `Ok(None)` exactly at a frame boundary and in
+    /// the typed error naming how far the torn frame got anywhere else.
+    #[test]
+    fn every_prefix_of_a_stream_is_a_clean_eof_or_a_typed_error() {
+        let frames = [open_frame(3), data_frame(3, 0, b"0123456789"), quit_frame()];
+        let mut wire = Vec::new();
+        let mut starts = Vec::new();
+        for f in &frames {
+            starts.push(wire.len());
+            write_frame(&mut wire, f).unwrap();
+        }
+        starts.push(wire.len());
+        for cut in 0..=wire.len() {
+            let mut r: &[u8] = &wire[..cut];
+            let whole = starts.iter().rposition(|&s| s <= cut).unwrap();
+            for f in &frames[..whole] {
+                assert_eq!(&read_frame(&mut r).unwrap().unwrap(), f, "cut {cut}");
+            }
+            let into = cut - starts[whole];
+            match read_frame(&mut r) {
+                Ok(None) => assert_eq!(into, 0, "cut {cut}"),
+                Err(FrameError::TruncatedLength { got }) => {
+                    assert!(into < 4, "cut {cut}");
+                    assert_eq!(got, into, "cut {cut}");
+                }
+                Err(FrameError::TruncatedPayload { got, want }) => {
+                    assert_eq!((got + 4, want), (into, frames[whole].len()), "cut {cut}");
+                }
+                other => panic!("cut {cut}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ fn corpus() -> Vec<(u64, Vec<u8>)> {
     let out = cusan_apps::run_chaos_jacobi(
         &cusan_apps::ChaosConfig::default(),
         cusan::Flavor::MustCusan,
+        None,
     );
     for rank in out.ranks {
         traces.push(rank.trace.expect("chaos runs are always traced"));

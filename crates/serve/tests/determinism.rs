@@ -17,8 +17,8 @@ fn corpus() -> Vec<Vec<u8>> {
     let mut traces = vec![GOLDEN.as_bytes().to_vec()];
     let cfg = cusan_apps::ChaosConfig::default();
     for out in [
-        cusan_apps::run_chaos_jacobi(&cfg, cusan::Flavor::MustCusan),
-        cusan_apps::run_chaos_tealeaf(&cfg, cusan::Flavor::MustCusan),
+        cusan_apps::run_chaos_jacobi(&cfg, cusan::Flavor::MustCusan, None),
+        cusan_apps::run_chaos_tealeaf(&cfg, cusan::Flavor::MustCusan, None),
     ] {
         for rank in out.ranks {
             traces.push(rank.trace.expect("chaos runs are always traced"));

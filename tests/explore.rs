@@ -24,7 +24,7 @@ use cusan_apps::testsuite::{
 use cusan_apps::AppKernels;
 use explore::{explore, ChoiceKind, SchedulePlan};
 use kernel_ir::{LaunchArg, LaunchGrid};
-use must_rt::{run_checked_world_scheduled_traced, RankCtx, WorldOutcome};
+use must_rt::{run_checked_world_scheduled, RankCtx, WorldOutcome};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -199,9 +199,12 @@ proptest! {
         const M: u64 = 64;
         let k = AppKernels::shared();
         let report = explore(2, 10, |plan| {
-            let out = run_checked_world_scheduled_traced(
+            let out = run_checked_world_scheduled(
                 1,
-                cusan::Flavor::MustCusan.config(),
+                cusan::ToolConfig {
+                    record: Some(cusan::TraceFormat::Text),
+                    ..cusan::Flavor::MustCusan.config()
+                },
                 Arc::clone(&k.registry),
                 Arc::clone(plan),
                 move |ctx| {
