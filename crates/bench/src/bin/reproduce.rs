@@ -5,9 +5,10 @@
 //! ```
 //!
 //! `ablations` are §V-B and §VI-D; `ext` is the Fig. 10 method on the 2-D
-//! Jacobi. `--small` (CI) measures 1 run after the warmup instead of 3 and
-//! runs Fig. 10's Jacobi 5 iterations, Fig. 12's 2; `--full` adds Fig. 12's
-//! two largest domains. EXPERIMENTS.md grades every claim.
+//! Jacobi. `--small` (CI) measures 1 run after the warmup instead of 3
+//! (Fig. 12: 3 interleaved Vanilla/CuSan pairs instead of 7) and runs Fig.
+//! 10's Jacobi 5 iterations, Fig. 12's 2; `--full` adds Fig. 12's two
+//! largest domains. EXPERIMENTS.md grades every claim.
 
 use cuda_sim::CudaCounters;
 use cusan::Flavor;
@@ -19,6 +20,7 @@ use cusan_bench::{
 };
 use must_rt::WorldOutcome;
 use std::process::ExitCode;
+use std::time::Duration;
 use tsan_rt::TsanStats;
 
 const USAGE: &str =
@@ -222,14 +224,19 @@ fn table1(s: &Sizes) {
     );
 }
 
-/// Fig. 12. Vanilla and CuSan seconds stand beside the ratio.
+/// Fig. 12. Vanilla and CuSan seconds stand beside the ratio, then the
+/// mechanism: the tool's own milliseconds (CuSan − Vanilla), those per
+/// tracked KiB, and the paper's unit of cost — the 8-byte shadow words a
+/// per-word TSan would touch, tracked bytes ÷ 8. The tool's cost is a
+/// difference of two noisy times, so both flavors run interleaved and
+/// each column is a median.
 fn fig12(s: &Sizes) {
-    let (ranks, iters, runs) = (s.jacobi.ranks, s.fig12_iters, s.runs);
+    let (ranks, iters, pairs) = (s.jacobi.ranks, s.fig12_iters, 2 * s.runs + 1);
     banner(
         "Fig. 12 — Jacobi relative runtime overhead vs global domain size",
-        &format!("{ranks} ranks, {iters} iterations, mean of {runs} runs (+1 warmup); right columns: total tracked bytes, all ranks"),
+        &format!("{ranks} ranks, {iters} iterations, median of {pairs} interleaved Vanilla/CuSan pairs (+1 warmup pair); tracked bytes and words: total, all ranks"),
     );
-    println!("Domain        Rel.Runtime      TSan Read     TSan Write     Vanilla[s]     CuSan[s]");
+    println!("Domain        Rel.Runtime      TSan Read     TSan Write     Vanilla[s]     CuSan[s]     Tool[ms]  Tool[ns/KiB]   Words[M]");
     for &(nx, ny) in &s.fig12_domains {
         let cfg = JacobiConfig {
             nx,
@@ -237,22 +244,40 @@ fn fig12(s: &Sizes) {
             iters,
             ..s.jacobi
         };
-        let vanilla = measure(runs, || run_jacobi(&cfg, Flavor::Vanilla).elapsed);
         let (mut read, mut write) = (0, 0);
-        let cusan = measure(runs, || {
-            let r = run_jacobi(&cfg, Flavor::Cusan);
-            read = r.outcome.ranks.iter().map(|rk| rk.tsan.read_bytes).sum();
-            write = r.outcome.ranks.iter().map(|rk| rk.tsan.write_bytes).sum();
-            r.elapsed
+        let mut times: [Vec<Duration>; 2] = Default::default();
+        for pair in 0..=pairs {
+            // Alternate which flavor goes first: neither inherits the
+            // other's warm allocator every time.
+            let flavors = [Flavor::Vanilla, Flavor::Cusan];
+            for side in [pair % 2, 1 - pair % 2] {
+                let r = run_jacobi(&cfg, flavors[side]);
+                if side == 1 {
+                    read = r.outcome.ranks.iter().map(|rk| rk.tsan.read_bytes).sum();
+                    write = r.outcome.ranks.iter().map(|rk| rk.tsan.write_bytes).sum();
+                }
+                if pair > 0 {
+                    times[side].push(r.elapsed);
+                }
+            }
+        }
+        let [vanilla, cusan] = times.map(|mut t| {
+            t.sort_unstable();
+            t[t.len() / 2]
         });
+        let tool_s = cusan.as_secs_f64() - vanilla.as_secs_f64();
+        let tracked = (read + write) as f64;
         println!(
-            "{:<12} {:>11.2}x {:>11.1} MB {:>11.1} MB {:>14.3} {:>12.3}",
+            "{:<12} {:>11.2}x {:>11.1} MB {:>11.1} MB {:>14.3} {:>12.3} {:>12.2} {:>13.2} {:>10.1}",
             format!("{nx}x{ny}"),
             rel(cusan, vanilla),
             read as f64 / 1e6,
             write as f64 / 1e6,
             vanilla.as_secs_f64(),
-            cusan.as_secs_f64()
+            cusan.as_secs_f64(),
+            tool_s * 1e3,
+            tool_s * 1e9 / (tracked / 1024.0).max(1.0),
+            tracked / 8.0 / 1e6
         );
     }
     println!("\npaper (V100): overhead grows with the domain from ~6x (512x256) to ~36x (8192x4096),\ntracking 10^3..10^6 MB; the monotone overhead-vs-tracked-bytes relation is the target.");

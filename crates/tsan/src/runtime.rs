@@ -637,8 +637,9 @@ mod tests {
 
     #[test]
     fn dedupe_by_context_pair() {
-        // One page, then eight: each racy summary page arrives as one
-        // 512-word run and must count like 512 single-word conflicts.
+        // One page, then eight: the racy summary extent arrives as one
+        // run of 512 words per page and must count like that many
+        // single-word conflicts.
         for pages in [1u64, 8] {
             let mut t = rt();
             let f = fiber(&mut t, "f");

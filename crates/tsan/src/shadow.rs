@@ -1,5 +1,5 @@
 //! Shadow memory: packed access epochs, 4 slots per 8-byte word, with a
-//! page-summary tier on top.
+//! summary-extent tier on top.
 //!
 //! Mirrors ThreadSanitizer's shadow layout: every 8 bytes of application
 //! memory map to a small fixed number of *shadow slots*, each recording one
@@ -27,17 +27,30 @@
 //! collapses that cost for the dominant shapes while preserving exact
 //! per-word detection semantics:
 //!
-//! **Page summaries.** A shadow page whose words all hold identical
-//! slot contents is stored as one `[u64; 4]` *summary* instead of 512
-//! word slot-arrays. An access covering every word of a page runs the
-//! slot state machine **once** against the summary — O(1) per 4 KiB
-//! instead of 512 word walks, for the store *and* for what it finds:
-//! each conflicting prior access is emitted as one [`RawConflict`]
-//! *run* covering the page's 512 words (the per-word walk emits runs
-//! of one word), which the runtime folds into its dedup set and
-//! counters in one step. A partial overlap, or a store that would
-//! evict (eviction is word-local, so words would diverge), lazily
-//! *unfolds* the summary into the flat word representation first.
+//! **Summary extents.** A run of consecutive shadow pages whose words
+//! all hold identical slot contents is stored as one *extent*: a
+//! `[u64; 4]` *summary* and a page count, instead of 512 word
+//! slot-arrays per page. The page table is an ordered map of extents
+//! keyed by first page; an access looks it up once per extent or gap it
+//! meets, never once per page. An access covering every word of a
+//! stretch of an extent's pages runs the slot state machine **once**
+//! against the summary — O(1) per run of identical pages instead of per
+//! 4 KiB or per word, for the store *and* for what it finds: each
+//! conflicting prior access is emitted as one [`RawConflict`] *run*
+//! covering the stretch's words (the per-word walk emits runs of one
+//! word), which the runtime folds into its dedup set and counters in one
+//! step. A first touch of a gap's covered pages stores one extent for
+//! all of them. Extents are canonical — they never overlap, and two
+//! adjacent summaries never hold equal slots, because a stored or
+//! created summary merges with equal neighbours at once — so the shape
+//! is a function of the content. A partial overlap, or a store that
+//! would evict (eviction is word-local, so words would diverge), lazily
+//! *unfolds* the affected pages one by one into the flat word
+//! representation first; an unfolded page is an extent of exactly one
+//! page, and never folds back. Counters, snapshots and the page budget
+//! stay per page: `page_summaries_stored` grows by the pages a stretch
+//! covers, a snapshot holds one record per page, and a budget is spent
+//! page by page in address order.
 //!
 //! **Run-valued walk.** The same rule carries over to unfolded pages:
 //! `walk_runs` scans each maximal run of words holding the same four
@@ -60,10 +73,11 @@
 //! model lives in `tests/shadow_differential.rs` as the oracle the tiers
 //! are proven against.
 
+use std::collections::BTreeMap;
+
 use crate::clock::VectorClock;
 use crate::codec::{put_ascending, put_varint, DecodeError, Scanner};
 use crate::fiber::FiberId;
-use crate::fxhash::FxHashMap;
 use crate::fxhash::FxHashSet;
 use crate::report::CtxId;
 
@@ -128,9 +142,10 @@ pub fn unpack(raw: u64) -> ShadowAccess {
 pub struct RawConflict {
     /// Word-aligned application address of the run's first word.
     pub word_addr: u64,
-    /// Words in the run (≥ 1): a whole summary page conflicts as one run
-    /// of 512, the run-valued walk emits one run per stretch of equal
-    /// words, the per-word walk emits runs of 1.
+    /// Words in the run (≥ 1): the covered stretch of a summary extent
+    /// conflicts as one run of `pages × 512`, the run-valued walk emits
+    /// one run per stretch of equal words, the per-word walk emits runs
+    /// of 1.
     pub words: u64,
     /// The previously recorded access.
     pub prev: ShadowAccess,
@@ -140,8 +155,9 @@ pub struct RawConflict {
 /// [`crate::TsanStats`] and Table I).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShadowCounters {
-    /// Whole-page accesses recorded at the summary tier (one packed store
-    /// instead of a 512-word walk).
+    /// Pages recorded at the summary tier by an access covering them
+    /// whole, counted per page although one scan serves a whole stretch
+    /// of an extent.
     pub page_summaries_stored: u64,
     /// Summaries expanded into flat word slots (partial overlap or a
     /// store that needed word-local eviction).
@@ -421,14 +437,86 @@ impl PageArena {
     }
 }
 
-/// One shadow page: either a summary (all words identical) or flat slots.
-enum PageState {
-    /// Invariant: a flat page with these slots replicated into every word
-    /// behaves identically. Maintained by unfolding before any operation
-    /// that would make words diverge.
-    Summary([u64; SLOTS_PER_WORD]),
-    /// Per-word slots in an arena block.
+/// A run of shadow pages stored as one unit, keyed in the page table by
+/// its first page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Extent {
+    /// `pages` consecutive pages whose words all hold `slots`. Invariant:
+    /// flat pages with these slots replicated into every word behave
+    /// identically. Maintained by unfolding before any operation that
+    /// would make words diverge.
+    Summary {
+        pages: u64,
+        slots: [u64; SLOTS_PER_WORD],
+    },
+    /// Exactly one page of per-word slots in an arena block.
     Unfolded(BlockId),
+}
+
+impl Extent {
+    fn pages(&self) -> u64 {
+        match self {
+            Extent::Summary { pages, .. } => *pages,
+            Extent::Unfolded(_) => 1,
+        }
+    }
+}
+
+/// Page table: extents keyed by first page. Canonical form: extents never
+/// overlap and two adjacent summaries never hold equal slots, so the
+/// shape is a function of the content (and of which pages are unfolded).
+type Extents = BTreeMap<u64, Extent>;
+
+/// The extent holding `page`, with its first page.
+fn extent_at(extents: &Extents, page: u64) -> Option<(u64, Extent)> {
+    let (&key, &extent) = extents.range(..=page).next_back()?;
+    (key + extent.pages() > page).then_some((key, extent))
+}
+
+/// Cut pages `[lo, hi]` out of the summary extent at `key`, keeping the
+/// rest of it on either side.
+fn cut(extents: &mut Extents, key: u64, lo: u64, hi: u64) {
+    let Some(Extent::Summary { pages, slots }) = extents.get_mut(&key) else {
+        unreachable!("`cut` splits summary extents only")
+    };
+    let (end, slots) = (key + *pages, *slots);
+    if lo > key {
+        *pages = lo - key;
+    } else {
+        extents.remove(&key);
+    }
+    if hi + 1 < end {
+        let rest = Extent::Summary {
+            pages: end - hi - 1,
+            slots,
+        };
+        extents.insert(hi + 1, rest);
+    }
+}
+
+/// Insert a summary extent of `pages` pages from `start`, merged with an
+/// adjacent summary on either side that holds the same slots: the
+/// canonical form, kept by every store.
+fn insert_summary(
+    extents: &mut Extents,
+    mut start: u64,
+    mut pages: u64,
+    slots: [u64; SLOTS_PER_WORD],
+) {
+    if let Some(&Extent::Summary { pages: n, slots: s }) = extents.get(&(start + pages)) {
+        if s == slots {
+            extents.remove(&(start + pages));
+            pages += n;
+        }
+    }
+    if let Some((&k, &Extent::Summary { pages: n, slots: s })) = extents.range(..start).next_back()
+    {
+        if k + n == start && s == slots {
+            start = k;
+            pages += n;
+        }
+    }
+    extents.insert(start, Extent::Summary { pages, slots });
 }
 
 /// What the slot state machine decided to do with the incoming access.
@@ -534,7 +622,9 @@ fn victim_slot(word: u64, fiber: FiberId) -> usize {
 
 /// The shadow memory of one [`crate::TsanRuntime`].
 pub struct ShadowMemory {
-    pages: FxHashMap<u64, PageState>,
+    extents: Extents,
+    /// Pages held, summed over `extents`.
+    page_count: u64,
     arena: PageArena,
     counters: ShadowCounters,
     page_budget: Option<usize>,
@@ -550,7 +640,8 @@ impl ShadowMemory {
     /// Fresh, empty shadow memory.
     pub fn new() -> Self {
         ShadowMemory {
-            pages: FxHashMap::default(),
+            extents: Extents::new(),
+            page_count: 0,
             arena: PageArena::new(),
             counters: ShadowCounters::default(),
             page_budget: None,
@@ -559,16 +650,22 @@ impl ShadowMemory {
 
     /// Forget all shadow state for the page containing `addr`, returning
     /// whether a page was tracked there. An unfolded page's slot block goes
-    /// back on the free list for recycling. Used by allocation-lifetime
-    /// hooks (free/device-reset paths) so long runs can give pages back.
+    /// back on the free list for recycling; a summary extent is split
+    /// around the page. Used by allocation-lifetime hooks (free/device-reset
+    /// paths) so long runs can give pages back.
     pub fn discard_page(&mut self, addr: u64) -> bool {
-        let page_base = (addr / WORD_BYTES) / WORDS_PER_PAGE as u64;
-        let Some(state) = self.pages.remove(&page_base) else {
+        let page = (addr / WORD_BYTES) / WORDS_PER_PAGE as u64;
+        let Some((key, extent)) = extent_at(&self.extents, page) else {
             return false;
         };
-        if let PageState::Unfolded(id) = state {
-            self.arena.free_block(id);
+        match extent {
+            Extent::Summary { .. } => cut(&mut self.extents, key, page, page),
+            Extent::Unfolded(id) => {
+                self.extents.remove(&key);
+                self.arena.free_block(id);
+            }
         }
+        self.page_count -= 1;
         true
     }
 
@@ -601,13 +698,15 @@ impl ShadowMemory {
     /// Record an access of `[addr, addr+len)` by `fiber` (whose clock
     /// component is `clock` and full vector clock is `fiber_clock`).
     /// Invokes `on_conflict` for each run of words that conflicts with a
-    /// prior access: once per (summary page, prior access), once per
-    /// (run of equal words, prior access) where the run-valued walk
-    /// serves, once per (word, prior access) elsewhere. Cost is
-    /// O(pages + distinct states) for every chunk that starts on its
-    /// page's first word — conflicts included — and O(words) for the one
-    /// chunk that can start mid-page, a range's first, when its page is
-    /// already unfolded. `addr + len` must not overflow.
+    /// prior access: once per (stretch of a summary extent the access
+    /// covers whole, prior access), once per (run of equal words, prior
+    /// access) where the run-valued walk serves, once per (word, prior
+    /// access) elsewhere. The page table is looked up once per extent or
+    /// gap met, never per page. Cost is O(extents + distinct states) for
+    /// every chunk that starts on its page's first word — conflicts
+    /// included — and O(words) for the one chunk that can start mid-page,
+    /// a range's first, when its page is already unfolded. `addr + len`
+    /// must not overflow.
     #[allow(clippy::too_many_arguments)]
     pub fn access_range(
         &mut self,
@@ -635,48 +734,126 @@ impl ShadowMemory {
         // come from real allocations.
         let last_word = (addr + (len - 1)) / WORD_BYTES;
         let words_per_page = WORDS_PER_PAGE as u64;
-        // Split borrows: the map entry, the arena, and the counters are
+        let (first_page, last_page) = (first_word / words_per_page, last_word / words_per_page);
+        // A page's chunk covers it unless it is the range's first page
+        // entered mid-page or its last page left mid-page (bytes may still
+        // be ragged at the edges — word coverage is what a per-word walk
+        // stores).
+        let partial = |page: u64| {
+            (page == first_page && !first_word.is_multiple_of(words_per_page))
+                || (page == last_page && last_word % words_per_page != words_per_page - 1)
+        };
+        let chunk = |page: u64| {
+            let page_first_word = page * words_per_page;
+            (
+                first_word.max(page_first_word),
+                last_word.min(page_first_word + words_per_page - 1),
+            )
+        };
+        // Split borrows: the page table, the arena, and the counters are
         // touched together in every arm below.
         let Self {
-            pages,
+            extents,
+            page_count,
             arena,
             counters,
             page_budget,
-            ..
         } = self;
-        let page_budget = *page_budget;
-        let mut word = first_word;
-        while word <= last_word {
-            let page_base = word / words_per_page;
-            let page_first_word = page_base * words_per_page;
-            let page_last_word = page_first_word + words_per_page - 1;
-            let end_word = last_word.min(page_last_word);
-            // The chunk covers the whole page iff it starts at the page's
-            // first word and ends at its last (bytes may still be ragged
-            // at the edges — word coverage is what a per-word walk stores).
-            let whole_page = word == page_first_word && end_word == page_last_word;
-            let under_budget = page_budget.is_none_or(|b| pages.len() < b);
-            match pages.entry(page_base) {
-                std::collections::hash_map::Entry::Vacant(_) if !under_budget => {
-                    // Budget reached: best-effort mode. The chunk would
-                    // need a new shadow page — drop it, count it, keep
-                    // going. Existing pages (the Occupied arm) retain
-                    // full detection.
-                    counters.dropped_annotations += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    if whole_page {
-                        // First touch by a page-covering access: one
-                        // packed store for 4 KiB.
-                        let mut summary = [0u64; SLOTS_PER_WORD];
-                        summary[0] = new_raw;
-                        v.insert(PageState::Summary(summary));
-                        counters.page_summaries_stored += 1;
+        let page_budget = (*page_budget).map(|b| b as u64);
+        let mut page = first_page;
+        while page <= last_page {
+            match extent_at(extents, page) {
+                // A chunk that starts on its page's first word — a covered
+                // page, or the ragged last page of a multi-page range —
+                // pays per distinct word state (the few regions partial
+                // accesses left behind), not per word.
+                Some((_, Extent::Unfolded(id))) => {
+                    let (word, end_word) = chunk(page);
+                    let slots = arena.block_mut(id);
+                    if word == page * words_per_page {
+                        walk_runs(
+                            slots,
+                            word,
+                            end_word,
+                            new_raw,
+                            fiber,
+                            write,
+                            fiber_clock,
+                            &mut on_conflict,
+                        );
                     } else {
-                        // Partial first touch: pop a zeroed block from the
-                        // arena. Every word is empty — one run.
-                        let id = arena.alloc_zeroed();
-                        v.insert(PageState::Unfolded(id));
+                        // The last per-word caller: the one chunk that can
+                        // start mid-page, a range's first, on an
+                        // already-unfolded page. `walk_runs` is equivalent
+                        // here too; routing it waits on the ledger's serve
+                        // ratios (ROADMAP items 0 and 1).
+                        walk_words(
+                            slots,
+                            word,
+                            end_word,
+                            new_raw,
+                            fiber,
+                            write,
+                            fiber_clock,
+                            &mut on_conflict,
+                        );
+                    }
+                    page += 1;
+                }
+                Some((key, Extent::Summary { pages, slots })) => {
+                    let unfold_end = if partial(page) {
+                        page
+                    } else {
+                        // The pages of this extent the range covers whole,
+                        // from `page` on.
+                        let end = (key + pages - 1).min(last_page);
+                        let whole_end = end - u64::from(partial(end));
+                        // Run the slot state machine once against the
+                        // summary. Conflicts are buffered (an eviction
+                        // discards them: the unfold walks below find them
+                        // again) and emitted as one run each covering the
+                        // stretch — every word held identical slots, so
+                        // every word conflicts identically.
+                        let (decision, conflicts, n_conflicts) =
+                            scan_buffered(&slots, fiber, write, fiber_clock);
+                        if decision != StoreDecision::Evict {
+                            let stretch = whole_end - page + 1;
+                            for prev in conflicts.iter().take(n_conflicts) {
+                                on_conflict(RawConflict {
+                                    word_addr: page * words_per_page * WORD_BYTES,
+                                    words: stretch * words_per_page,
+                                    prev: *prev,
+                                });
+                            }
+                            counters.page_summaries_stored += stretch;
+                            if let StoreDecision::At(i) = decision {
+                                if slots[i] != new_raw {
+                                    let mut stored = slots;
+                                    stored[i] = new_raw;
+                                    cut(extents, key, page, whole_end);
+                                    insert_summary(extents, page, stretch, stored);
+                                }
+                            }
+                            page = whole_end + 1;
+                            continue;
+                        }
+                        // Eviction is word-local: applying it at the
+                        // summary tier would evict the same slot in every
+                        // word while a per-word walk would diverge per
+                        // word. Unfold and take the slow path instead
+                        // (rare: needs 4 live foreign epochs).
+                        whole_end
+                    };
+                    // Unfold = pop a block + replicate the summary into
+                    // every word, so the chunk is one run of it. Once a
+                    // page is unfolded, the rest of the extent starts
+                    // after it.
+                    for p in page..=unfold_end {
+                        let id = arena.alloc_filled(&slots);
+                        cut(extents, if p == page { key } else { p }, p, p);
+                        extents.insert(p, Extent::Unfolded(id));
+                        counters.page_unfolds += 1;
+                        let (word, end_word) = chunk(p);
                         walk_runs(
                             arena.block_mut(id),
                             word,
@@ -688,113 +865,68 @@ impl ShadowMemory {
                             &mut on_conflict,
                         );
                     }
+                    page = unfold_end + 1;
                 }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let state = o.get_mut();
-                    match state {
-                        PageState::Summary(summary) => {
-                            let mut need_unfold = true;
-                            if whole_page {
-                                // Run the slot state machine once against
-                                // the summary. Conflicts are buffered
-                                // (an eviction discards them: the unfold
-                                // walk below finds them again) and
-                                // emitted as one page-long run each —
-                                // every word held identical slots, so
-                                // every word conflicts identically.
-                                let (decision, conflicts, n_conflicts) =
-                                    scan_buffered(summary, fiber, write, fiber_clock);
-                                // Eviction is word-local: applying it at
-                                // the summary tier would evict the same
-                                // slot in all 512 words while a per-word
-                                // walk would diverge per word. Unfold and
-                                // take the slow path instead (rare: needs
-                                // 4 live foreign epochs).
-                                if decision != StoreDecision::Evict {
-                                    for prev in conflicts.iter().take(n_conflicts) {
-                                        on_conflict(RawConflict {
-                                            word_addr: page_first_word * WORD_BYTES,
-                                            words: words_per_page,
-                                            prev: *prev,
-                                        });
-                                    }
-                                    if let StoreDecision::At(i) = decision {
-                                        summary[i] = new_raw;
-                                    }
-                                    counters.page_summaries_stored += 1;
-                                    need_unfold = false;
-                                }
-                            }
-                            if need_unfold {
-                                // Unfold = pop a block + replicate the
-                                // summary into every word, so the chunk
-                                // is one run of it.
-                                let id = arena.alloc_filled(summary);
-                                *state = PageState::Unfolded(id);
-                                counters.page_unfolds += 1;
-                                walk_runs(
-                                    arena.block_mut(id),
-                                    word,
-                                    end_word,
-                                    new_raw,
-                                    fiber,
-                                    write,
-                                    fiber_clock,
-                                    &mut on_conflict,
-                                );
-                            }
-                        }
-                        // A chunk that starts on its page's first word
-                        // — a covered page, or the ragged last page of a
-                        // multi-page range — pays per distinct word state
-                        // (the few regions partial accesses left behind),
-                        // not per word.
-                        PageState::Unfolded(id) if word == page_first_word => {
-                            walk_runs(
-                                arena.block_mut(*id),
-                                word,
-                                end_word,
-                                new_raw,
-                                fiber,
-                                write,
-                                fiber_clock,
-                                &mut on_conflict,
-                            );
-                        }
-                        // The last per-word caller: the one chunk that
-                        // can start mid-page, a range's first, on an
-                        // already-unfolded page. `walk_runs` is
-                        // equivalent here too; routing it waits on the
-                        // ledger's serve ratios (ROADMAP items 0 and 1).
-                        PageState::Unfolded(id) => {
-                            walk_words(
-                                arena.block_mut(*id),
-                                word,
-                                end_word,
-                                new_raw,
-                                fiber,
-                                write,
-                                fiber_clock,
-                                &mut on_conflict,
-                            );
-                        }
+                None if partial(page) => {
+                    // Partial first touch: pop a zeroed block from the
+                    // arena. Every word is empty — one run.
+                    if page_budget.is_none_or(|b| *page_count < b) {
+                        let id = arena.alloc_zeroed();
+                        extents.insert(page, Extent::Unfolded(id));
+                        *page_count += 1;
+                        let (word, end_word) = chunk(page);
+                        walk_runs(
+                            arena.block_mut(id),
+                            word,
+                            end_word,
+                            new_raw,
+                            fiber,
+                            write,
+                            fiber_clock,
+                            &mut on_conflict,
+                        );
+                    } else {
+                        counters.dropped_annotations += 1;
                     }
+                    page += 1;
+                }
+                None => {
+                    // First touch of the covered pages of a gap: one
+                    // packed store for all of them. Past the page budget
+                    // the shadow is best-effort: each page that would
+                    // need storing is dropped and counted, in page order,
+                    // while existing extents keep full detection.
+                    let gap_end = match extents.range(page..).next() {
+                        Some((&next, _)) => (next - 1).min(last_page),
+                        None => last_page,
+                    };
+                    let whole_end = gap_end - u64::from(partial(gap_end));
+                    let gap = whole_end - page + 1;
+                    let stored =
+                        page_budget.map_or(gap, |b| b.saturating_sub(*page_count).min(gap));
+                    if stored > 0 {
+                        let mut slots = [0u64; SLOTS_PER_WORD];
+                        slots[0] = new_raw;
+                        insert_summary(extents, page, stored, slots);
+                        *page_count += stored;
+                        counters.page_summaries_stored += stored;
+                    }
+                    counters.dropped_annotations += gap - stored;
+                    page = whole_end + 1;
                 }
             }
-            word = end_word + 1;
         }
     }
 
     /// All recorded accesses for the word containing `addr` (test/debug).
     pub fn word_accesses(&self, addr: u64) -> Vec<ShadowAccess> {
         let word = addr / WORD_BYTES;
-        let page_base = word / WORDS_PER_PAGE as u64;
-        let Some(page) = self.pages.get(&page_base) else {
+        let Some((_, extent)) = extent_at(&self.extents, word / WORDS_PER_PAGE as u64) else {
             return Vec::new();
         };
-        let slots: &[u64] = match page {
-            PageState::Summary(summary) => &summary[..],
-            PageState::Unfolded(id) => {
+        let slots: &[u64] = match &extent {
+            Extent::Summary { slots, .. } => &slots[..],
+            Extent::Unfolded(id) => {
                 let slot_base = (word % WORDS_PER_PAGE as u64) as usize * SLOTS_PER_WORD;
                 &self.arena.block(*id)[slot_base..slot_base + SLOTS_PER_WORD]
             }
@@ -808,37 +940,37 @@ impl ShadowMemory {
 
     /// Number of shadow pages allocated so far (summaries included).
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.page_count as usize
     }
 
     /// Number of pages currently held as summaries.
     pub fn summary_page_count(&self) -> usize {
-        self.pages
+        self.extents
             .values()
-            .filter(|p| matches!(p, PageState::Summary(_)))
-            .count()
+            .map(|e| match e {
+                Extent::Summary { pages, .. } => *pages as usize,
+                Extent::Unfolded(_) => 0,
+            })
+            .sum()
     }
 
     /// Approximate heap bytes used by the shadow (drives Fig. 11).
-    /// Summary pages cost a fixed few words; unfolded pages cost only
-    /// their map entry here because every slab byte — carved,
-    /// free-listed, or not yet carved — is charged via
-    /// [`PageArena::heap_bytes`]. This keeps the page-budget machinery
-    /// honest about what the arena really holds.
+    /// Charged per page, whatever the extent shape: a summary page costs a
+    /// fixed few words, an unfolded page only its table entry here because
+    /// every slab byte — carved, free-listed, or not yet carved — is
+    /// charged via `PageArena::heap_bytes`. This keeps the page-budget
+    /// machinery honest about what the arena really holds.
     pub fn heap_bytes(&self) -> u64 {
-        self.pages
-            .values()
-            .map(|p| match p {
-                PageState::Summary(_) => (SLOTS_PER_WORD * 8 + 32) as u64,
-                PageState::Unfolded(_) => 32,
-            })
-            .sum::<u64>()
+        let summary_pages = self.summary_page_count() as u64;
+        let unfolded_pages = self.page_count - summary_pages;
+        summary_pages * (SLOTS_PER_WORD * 8 + 32) as u64
+            + unfolded_pages * 32
             + self.arena.heap_bytes()
     }
 
     /// Serialize the entire shadow — the budget, the tier counters, the
-    /// arena shape, and every page (sorted by page key so repeated
-    /// snapshots of one state are byte-identical).
+    /// arena shape, and one record per page in page order, whatever the
+    /// extent shape (so one content always snapshots to the same bytes).
     pub(crate) fn write_snapshot(&self, buf: &mut Vec<u8>) {
         buf.push(u8::from(self.page_budget.is_some()));
         if let Some(b) = self.page_budget {
@@ -849,21 +981,22 @@ impl ShadowMemory {
         put_varint(buf, self.counters.page_unfolds);
         put_varint(buf, self.counters.dropped_annotations);
         self.arena.write_snapshot(buf);
-        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
-        keys.sort_unstable();
-        put_varint(buf, keys.len() as u64);
+        put_varint(buf, self.page_count);
         let mut last = None;
-        for key in keys {
-            put_ascending(buf, &mut last, key);
-            match &self.pages[&key] {
-                PageState::Summary(slots) => {
-                    buf.push(0);
-                    for &v in slots {
-                        buf.extend_from_slice(&v.to_le_bytes());
+        for (&key, extent) in &self.extents {
+            match extent {
+                Extent::Summary { pages, slots } => {
+                    for page in key..key + pages {
+                        put_ascending(buf, &mut last, page);
+                        buf.push(0);
+                        for &v in slots {
+                            buf.extend_from_slice(&v.to_le_bytes());
+                        }
                     }
                 }
                 // Tag 1 is retired with layout v1; it must stay unassigned.
-                PageState::Unfolded(id) => {
+                Extent::Unfolded(id) => {
+                    put_ascending(buf, &mut last, key);
                     buf.push(2);
                     put_varint(buf, u64::from(id.slab));
                     put_varint(buf, u64::from(id.block));
@@ -874,10 +1007,11 @@ impl ShadowMemory {
     }
 
     /// Rebuild a shadow from [`Self::write_snapshot`] output, whose slots
-    /// must name fibers below `n_fibers`. Unfolded pages are written back
-    /// into their original block handles, so subsequent carve/recycle
-    /// order — and with it every arena counter — evolves exactly as in
-    /// the snapshotted shadow.
+    /// must name fibers below `n_fibers`. Consecutive summary pages with
+    /// equal slots coalesce back into one extent. Unfolded pages are
+    /// written back into their original block handles, so subsequent
+    /// carve/recycle order — and with it every arena counter — evolves
+    /// exactly as in the snapshotted shadow.
     pub(crate) fn read_snapshot(s: &mut Scanner<'_>, n_fibers: usize) -> Result<Self, DecodeError> {
         let page_budget = if s.bool()? {
             Some(s.varint_as()?)
@@ -892,28 +1026,37 @@ impl ShadowMemory {
         };
         let mut claimed = FxHashSet::default();
         let mut arena = PageArena::read_snapshot(s, &mut claimed)?;
-        // The map grows as pages decode (see `TsanRuntime::read_snapshot`).
+        // The table grows as pages decode (see `TsanRuntime::read_snapshot`).
         let n_pages = s.count(5)?;
-        let mut pages = FxHashMap::default();
+        let mut extents = Extents::new();
         let mut last = None;
         for _ in 0..n_pages {
             let key = s.ascending(&mut last)?;
-            let state = match s.u8()? {
+            let extent = match s.u8()? {
                 0 => {
                     let mut slots = [0u64; SLOTS_PER_WORD];
                     for v in &mut slots {
                         *v = read_slot(s, n_fibers)?;
                     }
-                    PageState::Summary(slots)
+                    if let Some(mut prev) = extents.last_entry() {
+                        let start = *prev.key();
+                        if let Extent::Summary { pages, slots: s } = prev.get_mut() {
+                            if start + *pages == key && *s == slots {
+                                *pages += 1;
+                                continue;
+                            }
+                        }
+                    }
+                    Extent::Summary { pages: 1, slots }
                 }
                 2 => {
                     let id = arena.read_block_id(s, &mut claimed)?;
                     read_sparse_slots(s, arena.block_mut(id), n_fibers)?;
-                    PageState::Unfolded(id)
+                    Extent::Unfolded(id)
                 }
                 t => return Err(s.corrupt(format!("page state tag {t}"))),
             };
-            pages.insert(key, state);
+            extents.insert(key, extent);
         }
         // Every carved block is a page's or on the free list, once.
         let carved = arena
@@ -932,7 +1075,8 @@ impl ShadowMemory {
             )));
         }
         Ok(ShadowMemory {
-            pages,
+            extents,
+            page_count: n_pages as u64,
             arena,
             counters,
             page_budget,
@@ -1495,32 +1639,37 @@ mod tests {
         assert_eq!(sh.summary_page_count(), 1);
     }
 
-    /// The O(1)-per-page claim as a count of work, not a timing: a
-    /// whole-page access against a summary calls `on_conflict` once per
-    /// conflicting prior access, never once per word.
+    /// The once-per-extent claim as a count of work, not a timing: an
+    /// access covering a summary extent calls `on_conflict` once per
+    /// conflicting prior access for the whole extent, never once per page
+    /// or per word.
     #[test]
-    fn summary_pages_cost_one_callback_per_conflict() {
+    fn summary_extents_cost_one_callback_per_conflict() {
         const PAGES: u64 = 64;
         let len = PAGES * PAGE_BYTES;
         let clk = VectorClock::new();
         let written_by_fiber_1 = || {
             let mut sh = ShadowMemory::new();
             sh.access_range(0, len, true, fid(1), 1, ctx(0), &clk, no_conflict_expected);
+            assert_eq!(sh.extents.len(), 1);
             sh
         };
 
         let mut sh = written_by_fiber_1();
-        let (mut calls, mut words) = (0u64, 0u64);
+        let mut runs = Vec::new();
         sh.access_range(0, len, true, fid(2), 1, ctx(1), &clk, |c| {
-            calls += 1;
-            words += c.words;
+            runs.push((c.word_addr, c.words))
         });
-        assert_eq!(calls, PAGES, "one run per racy summary page");
-        assert_eq!(words, PAGES * WORDS_PER_PAGE as u64);
+        assert_eq!(
+            runs,
+            vec![(0, PAGES * WORDS_PER_PAGE as u64)],
+            "one run for 64 racy pages"
+        );
 
         // The steady state of an iteration loop: the second fiber is
-        // ordered after the first, so 64 summary pages take 64 stores and
-        // no callback at all.
+        // ordered after the first, so 64 summary pages take one scan, one
+        // store and no callback at all, and stay one extent (the counter
+        // still counts pages).
         let mut sh = written_by_fiber_1();
         let mut ordered = VectorClock::new();
         ordered.set(fid(1), 1);
@@ -1528,6 +1677,83 @@ mod tests {
         sh.access_range(0, len, true, f2, 1, c1, &ordered, no_conflict_expected);
         assert_eq!(sh.counters().page_summaries_stored, 2 * PAGES);
         assert_eq!(sh.summary_page_count(), PAGES as usize);
+        assert_eq!(sh.extents.len(), 1);
+    }
+
+    /// The same claim for `scan_slots`: a range pays one scan per region
+    /// of equal pages it meets — 1 for a uniform 4 MiB buffer, k for k
+    /// regions — not one per page.
+    #[test]
+    fn a_range_pays_one_scan_per_region_of_equal_pages() {
+        const PAGES: u64 = 1024;
+        let unordered = VectorClock::new();
+        for k in 1..=4u64 {
+            // Fiber i + 1 writes the i-th of k regions of whole pages.
+            let mut sh = ShadowMemory::new();
+            for i in 0..k {
+                let (lo, hi) = (i * PAGES / k, (i + 1) * PAGES / k);
+                let f = fid(i as usize + 1);
+                let len = (hi - lo) * PAGE_BYTES;
+                sh.access_range(lo * PAGE_BYTES, len, true, f, 1, ctx(0), &unordered, |_| {});
+            }
+            assert_eq!(sh.extents.len() as u64, k);
+
+            let (mut calls, mut covered) = (0u64, 0u64);
+            reset_scans();
+            let len = PAGES * PAGE_BYTES;
+            sh.access_range(0, len, true, fid(9), 1, ctx(1), &unordered, |c| {
+                calls += 1;
+                covered += c.words;
+            });
+            assert_eq!(scans(), k, "k = {k}: one scan per region, not {PAGES}");
+            assert_eq!(calls, k, "k = {k}: one run per racy region");
+            assert_eq!(covered, PAGES * WORDS_PER_PAGE as u64);
+            assert_eq!(sh.counters().page_summaries_stored, 2 * PAGES);
+            assert_eq!(sh.counters().page_unfolds, 0);
+        }
+    }
+
+    /// Extents are canonical: a sub-range write splits one, and a
+    /// re-covering write that leaves every page equal merges it back.
+    #[test]
+    fn a_re_covering_write_merges_the_extents_a_sub_range_write_split() {
+        const PAGES: u64 = 64;
+        let clk = VectorClock::new();
+        let mut sh = ShadowMemory::new();
+        let (f1, f2, c0) = (fid(1), fid(2), ctx(0));
+        sh.access_range(0, PAGES * PAGE_BYTES, true, f1, 1, c0, &clk, |_| {});
+        assert_eq!(sh.extents.len(), 1);
+        // Pages 10..20 gain fiber 2's write: three extents.
+        let (lo, len) = (10 * PAGE_BYTES, 10 * PAGE_BYTES);
+        sh.access_range(lo, len, true, f2, 1, c0, &clk, |_| {});
+        assert_eq!(sh.extents.len(), 3);
+        assert_eq!(sh.word_accesses(lo - 8).len(), 1);
+        assert_eq!(sh.word_accesses(lo).len(), 2);
+        // The same write over all 64 pages: the outer pages gain it, the
+        // middle ones already hold it — every page equal, one extent.
+        sh.access_range(0, PAGES * PAGE_BYTES, true, f2, 1, c0, &clk, |_| {});
+        assert_eq!(sh.extents.len(), 1);
+        assert_eq!(sh.page_count(), PAGES as usize);
+        assert_eq!(sh.summary_page_count(), PAGES as usize);
+        assert_eq!(sh.counters().page_summaries_stored, 2 * PAGES + 10);
+    }
+
+    #[test]
+    fn discarding_a_page_splits_its_extent() {
+        let clk = VectorClock::new();
+        let mut sh = ShadowMemory::new();
+        sh.access_range(0, 8 * PAGE_BYTES, true, fid(1), 1, ctx(0), &clk, |_| {});
+        assert!(sh.discard_page(3 * PAGE_BYTES + 100));
+        assert!(!sh.discard_page(3 * PAGE_BYTES));
+        assert_eq!(sh.extents.len(), 2);
+        assert_eq!(sh.page_count(), 7);
+        assert!(sh.word_accesses(3 * PAGE_BYTES).is_empty());
+        assert_eq!(sh.word_accesses(4 * PAGE_BYTES).len(), 1);
+        // Writing the page again fills the gap and the extents merge.
+        let (f1, c0) = (fid(1), ctx(0));
+        sh.access_range(3 * PAGE_BYTES, PAGE_BYTES, true, f1, 1, c0, &clk, |_| {});
+        assert_eq!(sh.extents.len(), 1);
+        assert_eq!(sh.page_count(), 8);
     }
 
     #[test]
@@ -2115,6 +2341,77 @@ mod tests {
     }
 
     // ---- snapshot hardening ------------------------------------------------
+
+    fn snapshot(sh: &ShadowMemory) -> Vec<u8> {
+        let mut buf = Vec::new();
+        sh.write_snapshot(&mut buf);
+        buf
+    }
+
+    fn restore(bytes: &[u8]) -> ShadowMemory {
+        let mut s = Scanner::new(bytes);
+        let sh = ShadowMemory::read_snapshot(&mut s, 3).expect("restores");
+        s.expect_end().expect("nothing trails");
+        sh
+    }
+
+    /// A snapshot is one record per page: one 64-page access and 64
+    /// one-page accesses write the same bytes, and so does the same
+    /// content cut into one extent per page — a shape the canonical form
+    /// never leaves behind. Restoring coalesces it into one extent.
+    #[test]
+    fn snapshot_bytes_do_not_depend_on_extent_shape() {
+        const PAGES: u64 = 64;
+        let clk = VectorClock::new();
+        let (f1, c0) = (fid(1), ctx(0));
+        let mut whole = ShadowMemory::new();
+        whole.access_range(0, PAGES * PAGE_BYTES, true, f1, 1, c0, &clk, |_| {});
+        let mut paged = ShadowMemory::new();
+        for p in 0..PAGES {
+            paged.access_range(p * PAGE_BYTES, PAGE_BYTES, true, f1, 1, c0, &clk, |_| {});
+        }
+        let bytes = snapshot(&whole);
+        assert_eq!(snapshot(&paged), bytes);
+
+        let Some(&Extent::Summary { slots, .. }) = whole.extents.get(&0) else {
+            panic!("one summary extent");
+        };
+        let mut split = restore(&bytes);
+        split.extents = (0..PAGES)
+            .map(|p| (p, Extent::Summary { pages: 1, slots }))
+            .collect();
+        assert_eq!(snapshot(&split), bytes);
+
+        let restored = restore(&snapshot(&split));
+        assert_eq!(restored.extents.len(), 1, "a uniform shadow is one extent");
+        assert_eq!(restored.page_count(), PAGES as usize);
+        assert_eq!(snapshot(&restored), bytes);
+    }
+
+    /// Restore → snapshot is byte-identical, and the restored table is the
+    /// snapshotted one, on a shadow of every extent kind: split and merged
+    /// summaries, unfolded pages, a discarded page, a dropped budget tail.
+    #[test]
+    fn restore_then_snapshot_is_byte_identical() {
+        let clk = VectorClock::new();
+        let mut sh = ShadowMemory::new();
+        sh.set_page_budget(Some(60));
+        let (f1, f2, c0) = (fid(1), fid(2), ctx(0));
+        let p = PAGE_BYTES;
+        sh.access_range(0, 64 * p, true, f1, 1, c0, &clk, |_| {});
+        sh.access_range(20 * p, 10 * p, false, f2, 1, c0, &clk, |_| {});
+        sh.access_range(5 * p + 24, 100, true, f2, 1, c0, &clk, |_| {});
+        sh.access_range(29 * p - 8, 2 * p, true, f2, 1, c0, &clk, |_| {});
+        assert!(sh.discard_page(40 * p));
+        assert_eq!(sh.counters().dropped_annotations, 4);
+        assert!(sh.extents.len() > 5);
+
+        let bytes = snapshot(&sh);
+        let restored = restore(&bytes);
+        assert_eq!(restored.extents, sh.extents);
+        assert_eq!(restored.page_count(), sh.page_count());
+        assert_eq!(snapshot(&restored), bytes);
+    }
 
     /// The shadow sections that precede the arena: no budget, zeroed
     /// tier counters.

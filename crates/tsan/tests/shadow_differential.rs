@@ -2,16 +2,17 @@
 //!
 //! Replays randomized access/sync traces against two implementations:
 //!
-//! * the **tiered** [`ShadowMemory`] (page summaries) — the code under
+//! * the **tiered** [`ShadowMemory`] (summary extents) — the code under
 //!   test;
 //! * a **naive reference shadow** written here from scratch: a plain
-//!   `HashMap<word, [u64; 4]>` that walks every word of every access with
-//!   the same slot state machine and the same word-local eviction victim.
+//!   `Vec<[u64; 4]>` indexed by word that walks every word of every
+//!   access with the same slot state machine and the same word-local
+//!   eviction victim, and tallies tracked pages one by one.
 //!
 //! Because eviction is deterministic and word-local in both, the two must
-//! produce *exactly* equal conflict multisets (as word-addr/packed-prev
-//! pairs) and equal final per-word slot contents — not merely equal
-//! modulo eviction order. Any divergence (a lost detection, a spurious
+//! produce *exactly* equal conflicts access by access (the words each
+//! prior access conflicts on, in the order found) and equal final
+//! per-word slot contents — not merely equal modulo eviction order. Any divergence (a lost detection, a spurious
 //! conflict, a dropped re-emission) fails the test.
 //!
 //! The trace generator is a seeded LCG, so failures reproduce. The op mix
@@ -24,10 +25,17 @@
 //! regions, and 2–5 fibers keep covering whole pages. Its unaligned
 //! writes also supply the other chunk that walk serves — a range's last
 //! page, entered at its first word and left mid-page — and
-//! [`TailChunks`] counts them, and the evictions inside them, instead of
-//! trusting the generator.
+//! [`Tally`] counts them, and the evictions inside them, instead of
+//! trusting the generator. A third mix ([`gen_extent_op`]) aims at the
+//! summary extents: over a 64-page arena, long covers form extents,
+//! sub-range covers split them, re-covers merge them back, ragged ends
+//! unfold their edge pages and discards cut pages out of their middle.
+//! Half of its seeds run under a page budget that long first touches
+//! exhaust mid-gap; the reference keeps its own per-page tally of pages
+//! taken and chunks dropped, which the shadow's counts must equal after
+//! every operation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 
 use tsan_rt::clock::VectorClock;
 use tsan_rt::fiber::FiberId;
@@ -43,9 +51,15 @@ use tsan_rt::shadow::{
 /// word-local eviction victim `(word ^ fiber) % 4`).
 #[derive(Default)]
 struct ReferenceShadow {
-    words: HashMap<u64, [u64; SLOTS_PER_WORD]>,
+    /// Slots by word index, grown on demand; an untouched word is empty.
+    words: Vec<[u64; SLOTS_PER_WORD]>,
     /// Words in which the last `access_range` call evicted a slot.
     evicted: Vec<u64>,
+    /// The per-page tally: pages tracked, the page budget, and the page
+    /// chunks dropped because a new page would have exceeded it.
+    pages: HashSet<u64>,
+    budget: Option<usize>,
+    dropped: u64,
 }
 
 impl ReferenceShadow {
@@ -73,8 +87,27 @@ impl ReferenceShadow {
         let first = addr / WORD_BYTES;
         let last = (addr + len - 1) / WORD_BYTES;
         self.evicted.clear();
+        let words_per_page = PAGE_BYTES / WORD_BYTES;
+        let mut tracked = false;
         for w in first..=last {
-            let slots = self.words.entry(w).or_default();
+            // Page by page: a page not yet tracked is taken while the
+            // budget allows, otherwise its whole chunk is dropped.
+            if w == first || w % words_per_page == 0 {
+                let page = w / words_per_page;
+                tracked = self.pages.contains(&page)
+                    || (self.budget.is_none_or(|b| self.pages.len() < b)
+                        && self.pages.insert(page));
+                if !tracked {
+                    self.dropped += 1;
+                }
+            }
+            if !tracked {
+                continue;
+            }
+            if self.words.len() <= w as usize {
+                self.words.resize(w as usize + 1, [0; SLOTS_PER_WORD]);
+            }
+            let slots = &mut self.words[w as usize];
             let mut store_at = None;
             let mut skip = false;
             let mut empty_at = None;
@@ -112,9 +145,21 @@ impl ReferenceShadow {
         }
     }
 
+    /// Forget the page holding `addr`; whether it was tracked.
+    fn discard_page(&mut self, addr: u64) -> bool {
+        let words_per_page = PAGE_BYTES / WORD_BYTES;
+        let page = addr / PAGE_BYTES;
+        let first = (page * words_per_page) as usize;
+        let end = (first + words_per_page as usize).min(self.words.len());
+        if first < end {
+            self.words[first..end].fill([0; SLOTS_PER_WORD]);
+        }
+        self.pages.remove(&page)
+    }
+
     fn word_accesses(&self, addr: u64) -> Vec<ShadowAccess> {
         self.words
-            .get(&(addr / WORD_BYTES))
+            .get((addr / WORD_BYTES) as usize)
             .map(|s| s.iter().filter(|&&r| r != 0).map(|&r| unpack(r)).collect())
             .unwrap_or_default()
     }
@@ -141,8 +186,10 @@ impl Lcg {
 
 const FIBERS: usize = 6;
 const SYNC_KEYS: usize = 4;
-/// The tracked arena: 8 pages.
+/// The tracked arena of the first two mixes: 8 pages.
 const ARENA_PAGES: u64 = 8;
+/// The extent mix's arena: long enough for long extents.
+const EXTENT_ARENA_PAGES: u64 = 64;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -154,6 +201,8 @@ enum Op {
     Release(usize, usize),
     /// fiber acquires key.
     Acquire(usize, usize),
+    /// Discard the page holding this address.
+    Discard(u64),
 }
 
 fn gen_op(rng: &mut Lcg) -> Op {
@@ -237,44 +286,121 @@ fn gen_cover_op(rng: &mut Lcg, fibers: u64) -> Op {
     }
 }
 
-// ---- the differential harness ---------------------------------------------
-
-/// Conflict multiset: (word_addr, packed prev) → count.
-type Conflicts = BTreeMap<(u64, u64), u64>;
-
-/// A run is expanded into its words before it is counted, so the
-/// comparison with the per-word reference stays word-exact.
-fn record(conflicts: &mut Conflicts, c: RawConflict) {
-    for w in 0..c.words {
-        *conflicts
-            .entry((c.word_addr + w * WORD_BYTES, pack(c.prev)))
-            .or_insert(0) += 1;
+/// The extent mix, over [`EXTENT_ARENA_PAGES`]: long whole-buffer covers,
+/// sub-range covers that split the extents they leave behind, re-covers of
+/// the last long cover that merge them back, long ranges with ragged ends,
+/// and discards that land mid-extent. Few contexts, so neighbouring pages
+/// often end up equal. Run under a page budget, the long first touches
+/// run out of it inside a vacant gap.
+fn gen_extent_op(rng: &mut Lcg, last_cover: &mut Option<Op>) -> Op {
+    let arena = EXTENT_ARENA_PAGES;
+    let fiber = rng.below(FIBERS as u64) as usize;
+    let ctx = rng.below(2) as u32;
+    match rng.below(100) {
+        // Long cover: 16..=64 pages, page-aligned.
+        0..=24 => {
+            let pages = 16 + rng.below(arena - 15);
+            let page = rng.below(arena - pages + 1);
+            let write = rng.below(3) > 0;
+            let op = Op::Access(page * PAGE_BYTES, pages * PAGE_BYTES, write, fiber, ctx);
+            *last_cover = Some(op);
+            op
+        }
+        // Sub-range cover: 1..=8 pages, page-aligned.
+        25..=44 => {
+            let pages = 1 + rng.below(8);
+            let page = rng.below(arena - pages + 1);
+            let write = rng.below(2) == 0;
+            Op::Access(page * PAGE_BYTES, pages * PAGE_BYTES, write, fiber, ctx)
+        }
+        // Re-cover: the last long cover again.
+        45..=56 => last_cover.unwrap_or(Op::RepeatLast),
+        // A long range entered and left mid-page.
+        57..=71 => {
+            let len = 1 + rng.below(40 * PAGE_BYTES);
+            let addr = rng.below(arena * PAGE_BYTES - len);
+            Op::Access(addr, len, rng.below(2) == 0, fiber, ctx)
+        }
+        72..=76 => Op::Discard(rng.below(arena * PAGE_BYTES)),
+        77..=88 => Op::Release(fiber, rng.below(SYNC_KEYS as u64) as usize),
+        _ => Op::Acquire(fiber, rng.below(SYNC_KEYS as u64) as usize),
     }
 }
 
-/// How often a trace walked the chunk `walk_runs` serves besides whole
-/// pages: the last page of a range, entered at its first word and left
-/// before its last. Whether that page was unfolded at the time is the
-/// caller's to know — the cover mix unfolds every page up front.
-#[derive(Debug, Default)]
-struct TailChunks {
-    chunks: u64,
-    /// Words of those chunks whose store evicted a slot (read off the
-    /// reference, which the device under test is asserted equal to).
-    evictions: u64,
+// ---- the differential harness ---------------------------------------------
+
+/// The conflicts of one access, word-exact yet independent of how they
+/// were grouped: packed prior access → the runs of words that conflicted
+/// with it, in the order emitted, a run that continues the previous one
+/// merged into it. The per-word reference's runs of one and the shadow's
+/// page- or extent-long runs normalise alike iff they name the same words
+/// in the same order.
+type Runs = BTreeMap<u64, Vec<(u64, u64)>>;
+
+/// A trace's conflicts, access by access.
+type Conflicts = Vec<Runs>;
+
+fn record(runs: &mut Runs, c: RawConflict) {
+    let runs = runs.entry(pack(c.prev)).or_default();
+    match runs.last_mut() {
+        Some((addr, words)) if *addr + *words * WORD_BYTES == c.word_addr => *words += c.words,
+        _ => runs.push((c.word_addr, c.words)),
+    }
 }
+
+fn any_conflict(conflicts: &Conflicts) -> bool {
+    conflicts.iter().any(|runs| !runs.is_empty())
+}
+
+/// What a trace exercised, counted off the reference (which the device
+/// under test is asserted equal to) instead of trusted to the generator.
+#[derive(Debug, Default)]
+struct Tally {
+    /// How often a trace walked the chunk `walk_runs` serves besides
+    /// whole pages: the last page of a range, entered at its first word
+    /// and left before its last. Whether that page was unfolded at the
+    /// time is the caller's to know — the cover mix unfolds every page up
+    /// front.
+    tail_chunks: u64,
+    /// Words of those chunks whose store evicted a slot.
+    tail_evictions: u64,
+    /// Accesses during which the page budget ran out: some new pages
+    /// were taken, later ones dropped.
+    budget_ran_out: u64,
+    /// Discards that found a tracked page.
+    discards: u64,
+}
+
+/// The shadow a trace runs against: its arena and page budget.
+#[derive(Clone, Copy)]
+struct Arena {
+    pages: u64,
+    budget: Option<usize>,
+}
+
+const SMALL_ARENA: Arena = Arena {
+    pages: ARENA_PAGES,
+    budget: None,
+};
 
 /// Replay `prelude`, then `ops` operations drawn from `gen`, through both
 /// shadows; returns the device under test with both conflict multisets.
+/// After every operation the device's page count and dropped chunks must
+/// equal the reference's per-page tally.
 fn run_trace(
     seed: u64,
+    arena: Arena,
     prelude: &[Op],
     ops: usize,
     mut gen: impl FnMut(&mut Lcg) -> Op,
-) -> (ShadowMemory, Conflicts, Conflicts, TailChunks) {
+) -> (ShadowMemory, Conflicts, Conflicts, Tally) {
     let mut rng = Lcg(seed);
     let mut dut = ShadowMemory::new();
-    let mut reference = ReferenceShadow::default();
+    dut.set_page_budget(arena.budget);
+    let mut reference = ReferenceShadow {
+        budget: arena.budget,
+        ..ReferenceShadow::default()
+    };
 
     // Happens-before state, maintained once and fed to both shadows.
     let mut clocks: Vec<VectorClock> = (0..FIBERS)
@@ -289,7 +415,7 @@ fn run_trace(
     let mut dut_conflicts = Conflicts::new();
     let mut ref_conflicts = Conflicts::new();
     let mut last_access: Option<(u64, u64, bool, usize, u32)> = None;
-    let mut tails = TailChunks::default();
+    let mut tally = Tally::default();
     let words_per_page = PAGE_BYTES / WORD_BYTES;
 
     for i in 0..prelude.len() + ops {
@@ -309,6 +435,8 @@ fn run_trace(
                 last_access = Some((addr, len, write, f, ctx));
                 let fiber = FiberId::from_index(f);
                 let clock = clocks[f].get(fiber);
+                let (pages_before, dropped_before) = (reference.pages.len(), reference.dropped);
+                let (mut dut_runs, mut ref_runs) = (Runs::new(), Runs::new());
                 dut.access_range(
                     addr,
                     len,
@@ -317,7 +445,7 @@ fn run_trace(
                     clock,
                     CtxId(ctx),
                     &clocks[f],
-                    |c| record(&mut dut_conflicts, c),
+                    |c| record(&mut dut_runs, c),
                 );
                 reference.access_range(
                     addr,
@@ -327,14 +455,19 @@ fn run_trace(
                     clock,
                     CtxId(ctx),
                     &clocks[f],
-                    |c| record(&mut ref_conflicts, c),
+                    |c| record(&mut ref_runs, c),
                 );
+                dut_conflicts.push(dut_runs);
+                ref_conflicts.push(ref_runs);
                 let (first_word, last_word) = (addr / WORD_BYTES, (addr + len - 1) / WORD_BYTES);
                 let tail_start = last_word / words_per_page * words_per_page;
                 if first_word <= tail_start && last_word % words_per_page != words_per_page - 1 {
-                    tails.chunks += 1;
+                    tally.tail_chunks += 1;
                     let evicted = reference.evicted.iter().filter(|w| **w >= tail_start);
-                    tails.evictions += evicted.count() as u64;
+                    tally.tail_evictions += evicted.count() as u64;
+                }
+                if reference.pages.len() > pages_before && reference.dropped > dropped_before {
+                    tally.budget_ran_out += 1;
                 }
             }
             Op::Release(f, k) => {
@@ -352,12 +485,26 @@ fn run_trace(
                     clocks[f].join(sv);
                 }
             }
+            Op::Discard(addr) => {
+                let discarded = dut.discard_page(addr);
+                assert_eq!(
+                    discarded,
+                    reference.discard_page(addr),
+                    "seed {seed} step {i}"
+                );
+                tally.discards += u64::from(discarded);
+            }
             Op::RepeatLast => unreachable!(),
         }
+        assert_eq!(
+            (dut.page_count(), dut.counters().dropped_annotations),
+            (reference.pages.len(), reference.dropped),
+            "seed {seed} step {i}: pages and dropped chunks diverged from the per-page tally"
+        );
         // Spot-check slot-level equality as the trace evolves (cheap:
         // a few words per step).
         if i % 97 == 0 {
-            let w = (rng.below(ARENA_PAGES * PAGE_BYTES / WORD_BYTES)) * WORD_BYTES;
+            let w = (rng.below(arena.pages * PAGE_BYTES / WORD_BYTES)) * WORD_BYTES;
             let mut a = dut.word_accesses(w);
             let mut b = reference.word_accesses(w);
             let key = |x: &ShadowAccess| pack(*x);
@@ -368,7 +515,7 @@ fn run_trace(
     }
 
     // Full final sweep over every word both sides could have touched.
-    for w in 0..(ARENA_PAGES * PAGE_BYTES / WORD_BYTES) {
+    for w in 0..(arena.pages * PAGE_BYTES / WORD_BYTES) {
         let addr = w * WORD_BYTES;
         let mut a = dut.word_accesses(addr);
         let mut b = reference.word_accesses(addr);
@@ -378,26 +525,29 @@ fn run_trace(
         assert_eq!(a, b, "seed {seed}: final slots diverged at {addr:#x}");
     }
 
-    (dut, dut_conflicts, ref_conflicts, tails)
+    (dut, dut_conflicts, ref_conflicts, tally)
 }
 
 /// Every walk emits what the per-word reference emits, re-issues
-/// included, so the conflict multisets must be equal.
+/// included, so the conflicts must be equal access by access.
 fn assert_same_detections(seed: u64, dut: &Conflicts, reference: &Conflicts) {
-    assert_eq!(
-        dut, reference,
-        "seed {seed}: tiered and reference shadows disagree on the conflict multiset"
-    );
+    assert_eq!(dut.len(), reference.len());
+    for (i, (d, r)) in dut.iter().zip(reference).enumerate() {
+        assert_eq!(
+            d, r,
+            "seed {seed} access {i}: tiered and reference shadows disagree on the conflicts"
+        );
+    }
 }
 
 #[test]
 fn tiered_matches_reference_on_random_traces() {
     // ~14k randomized ops across several seeds.
     for seed in [1, 2, 3, 7, 8, 0xDEAD, 0xC0FFEE] {
-        let (_, dut, reference, _) = run_trace(seed, &[], 2000, gen_op);
+        let (_, dut, reference, _) = run_trace(seed, SMALL_ARENA, &[], 2000, gen_op);
         assert_same_detections(seed, &dut, &reference);
         assert!(
-            !reference.is_empty(),
+            any_conflict(&reference),
             "seed {seed}: trace produced no conflicts — generator is too tame to test anything"
         );
     }
@@ -412,20 +562,80 @@ fn whole_page_accesses_over_unfolded_pages_match_reference() {
         .map(|p| Op::Access(p * PAGE_BYTES + 64, 8, true, 0, 0))
         .collect();
     for (seed, fibers) in [(11, 2), (12, 3), (13, 4), (14, 5), (0xBEEF, 5)] {
-        let (shadow, dut, reference, tails) =
-            run_trace(seed, &unfold_all, 1500, |rng| gen_cover_op(rng, fibers));
+        let (shadow, dut, reference, tally) =
+            run_trace(seed, SMALL_ARENA, &unfold_all, 1500, |rng| {
+                gen_cover_op(rng, fibers)
+            });
         assert_same_detections(seed, &dut, &reference);
         assert_eq!(shadow.summary_page_count(), 0, "seed {seed}: a page folded");
         assert_eq!(shadow.counters().page_unfolds, 0);
         // Every page was unfolded throughout, so each of these took the
         // run-valued walk over a ragged last page — and with a fifth
         // fiber, some of their words had to evict.
-        assert!(tails.chunks >= 100, "seed {seed}: {tails:?}");
-        assert_eq!(tails.evictions > 0, fibers == 5, "seed {seed}: {tails:?}");
+        assert!(tally.tail_chunks >= 100, "seed {seed}: {tally:?}");
+        assert_eq!(
+            tally.tail_evictions > 0,
+            fibers == 5,
+            "seed {seed}: {tally:?}"
+        );
         assert!(
-            !reference.is_empty(),
+            any_conflict(&reference),
             "seed {seed}: no conflicts across {fibers} fibers — the mix tests nothing"
         );
+    }
+}
+
+/// The extent mix over `seed`, budgeted on odd seeds.
+fn run_extent_trace(seed: u64, ops: usize) -> (ShadowMemory, Conflicts, Conflicts, Tally) {
+    let arena = Arena {
+        pages: EXTENT_ARENA_PAGES,
+        budget: (seed % 2 == 1).then_some(40),
+    };
+    let mut last_cover = None;
+    run_trace(seed, arena, &[], ops, |rng| {
+        gen_extent_op(rng, &mut last_cover)
+    })
+}
+
+#[test]
+fn long_extents_split_and_merged_match_reference() {
+    for seed in [21, 22, 23, 24, 0xE7E7, 0xE7E8] {
+        let (shadow, dut, reference, tally) = run_extent_trace(seed, 800);
+        assert_same_detections(seed, &dut, &reference);
+        assert!(
+            any_conflict(&reference),
+            "seed {seed}: the mix found no conflict"
+        );
+        let c = shadow.counters();
+        assert!(
+            c.page_summaries_stored > 0 && c.page_unfolds > 0,
+            "seed {seed}: {c:?}"
+        );
+        assert!(tally.discards > 0, "seed {seed}: {tally:?}");
+        // Budgeted, the long first touches run out of pages mid-range.
+        let budgeted = seed % 2 == 1;
+        assert_eq!(tally.budget_ran_out > 0, budgeted, "seed {seed}: {tally:?}");
+    }
+}
+
+/// Release-mode sweep of all three mixes over 200 seeds each:
+/// `cargo test --release -p tsan-rt --test shadow_differential -- --ignored`.
+#[test]
+#[ignore = "release-mode sweep, run by CI's evaluation job"]
+fn all_three_mixes_match_reference_over_200_seeds() {
+    let unfold_all: Vec<Op> = (0..ARENA_PAGES)
+        .map(|p| Op::Access(p * PAGE_BYTES + 64, 8, true, 0, 0))
+        .collect();
+    for seed in 1000..1200 {
+        let (_, dut, reference, _) = run_trace(seed, SMALL_ARENA, &[], 2000, gen_op);
+        assert_same_detections(seed, &dut, &reference);
+        let fibers = 2 + seed % 4;
+        let (_, dut, reference, _) = run_trace(seed, SMALL_ARENA, &unfold_all, 1500, |rng| {
+            gen_cover_op(rng, fibers)
+        });
+        assert_same_detections(seed, &dut, &reference);
+        let (_, dut, reference, _) = run_extent_trace(seed, 800);
+        assert_same_detections(seed, &dut, &reference);
     }
 }
 
