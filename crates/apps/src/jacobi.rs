@@ -20,12 +20,13 @@
 //! genuinely stale halos.
 
 use crate::kernels::AppKernels;
-use crate::RaceMode;
+use crate::{expect_ok, run_world, AppResult, RaceMode};
 use cuda_sim::{CopyKind, StreamFlags, StreamId};
 use cusan::ToolConfig;
+use explore::ScheduleController;
 use kernel_ir::{LaunchArg, LaunchGrid};
 use mpi_sim::{MpiDatatype, ReduceOp, PROC_NULL};
-use must_rt::{run_checked_world, RankCtx, WorldOutcome};
+use must_rt::{RankCtx, WorldOutcome};
 use sim_mem::Ptr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,18 +83,16 @@ pub struct JacobiRun {
 }
 
 /// Run Jacobi under a tool configuration (recording a trace when its
-/// `record` says so).
+/// `record` says so). Expects every rank to succeed: without a
+/// controller nothing is injected, so a failure is a bug.
 pub fn run_jacobi(cfg: &JacobiConfig, tools: impl Into<ToolConfig>) -> JacobiRun {
-    let cfg = *cfg;
-    let k = AppKernels::shared();
     let start = Instant::now();
-    let outcome = run_checked_world(cfg.ranks, tools, Arc::clone(&k.registry), move |ctx| {
-        jacobi_rank(ctx, k, &cfg)
-    });
+    let outcome = try_run_jacobi(cfg, tools, None);
     let elapsed = start.elapsed();
+    let outcome = expect_ok(outcome);
     let norms = outcome.results[0].clone();
     JacobiRun {
-        config: cfg,
+        config: *cfg,
         final_norm: norms.last().copied().unwrap_or(0.0),
         norms,
         elapsed,
@@ -106,11 +105,26 @@ pub fn run_jacobi_traced(cfg: &JacobiConfig, tools: impl Into<ToolConfig>) -> Ja
     run_jacobi(cfg, crate::recording(tools.into()))
 }
 
+/// Run Jacobi under a tool configuration and, if given, a schedule
+/// controller (which may inject faults): each rank's norms, or the first
+/// error its body ran into.
+pub fn try_run_jacobi(
+    cfg: &JacobiConfig,
+    tools: impl Into<ToolConfig>,
+    controller: Option<Arc<dyn ScheduleController>>,
+) -> WorldOutcome<AppResult<Vec<f64>>> {
+    let cfg = *cfg;
+    let k = AppKernels::shared();
+    run_world(cfg.ranks, tools.into(), controller, move |ctx| {
+        jacobi_rank(ctx, k, &cfg)
+    })
+}
+
 fn row_ptr(base: Ptr, row: u64, nx: u64) -> Ptr {
     base.offset(row * nx * 8)
 }
 
-fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> Vec<f64> {
+fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> AppResult<Vec<f64>> {
     let rank = ctx.rank();
     let nx = cfg.nx;
     let rows = cfg.rows_per_rank();
@@ -118,32 +132,30 @@ fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> Vec<f64
     let n_int = nx * rows;
 
     // Device allocations.
-    let d_a = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_anew = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_norm = ctx.cuda.malloc::<f64>(1).unwrap();
-    let h_norm = ctx.cuda.host_malloc::<f64>(1).unwrap();
-    let h_norm_global = ctx.cuda.host_malloc::<f64>(1).unwrap();
+    let d_a = ctx.cuda.malloc::<f64>(local)?;
+    let d_anew = ctx.cuda.malloc::<f64>(local)?;
+    let d_norm = ctx.cuda.malloc::<f64>(1)?;
+    let h_norm = ctx.cuda.host_malloc::<f64>(1)?;
+    let h_norm_global = ctx.cuda.host_malloc::<f64>(1)?;
 
     // Zero-initialize (2 cudaMemset calls, as in the paper's counter mix).
-    ctx.cuda.memset(d_a, 0, local * 8).unwrap();
-    ctx.cuda.memset(d_anew, 0, local * 8).unwrap();
+    ctx.cuda.memset(d_a, 0, local * 8)?;
+    ctx.cuda.memset(d_anew, 0, local * 8)?;
 
     // Dirichlet condition: the global top boundary (rank 0's halo row 0)
     // is held at 1.0 in both fields.
     if rank == 0 {
         for buf in [d_a, d_anew] {
-            ctx.cuda
-                .launch(
-                    k.fill,
-                    LaunchGrid::linear(nx),
-                    StreamId::DEFAULT,
-                    vec![
-                        LaunchArg::Ptr(buf),
-                        LaunchArg::F64(1.0),
-                        LaunchArg::I64(nx as i64),
-                    ],
-                )
-                .unwrap();
+            ctx.cuda.launch(
+                k.fill,
+                LaunchGrid::linear(nx),
+                StreamId::DEFAULT,
+                vec![
+                    LaunchArg::Ptr(buf),
+                    LaunchArg::F64(1.0),
+                    LaunchArg::I64(nx as i64),
+                ],
+            )?;
         }
     }
 
@@ -165,101 +177,87 @@ fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> Vec<f64
     let mut norms = Vec::with_capacity(cfg.iters as usize);
     for _ in 0..cfg.iters {
         // 1. Stencil update on the default stream.
-        ctx.cuda
-            .launch(
-                k.jacobi_step,
-                LaunchGrid::linear(n_int),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(d_anew),
-                    LaunchArg::Ptr(d_a),
-                    LaunchArg::I64(nx as i64),
-                    LaunchArg::I64(rows as i64),
-                ],
-            )
-            .unwrap();
+        ctx.cuda.launch(
+            k.jacobi_step,
+            LaunchGrid::linear(n_int),
+            StreamId::DEFAULT,
+            vec![
+                LaunchArg::Ptr(d_anew),
+                LaunchArg::Ptr(d_a),
+                LaunchArg::I64(nx as i64),
+                LaunchArg::I64(rows as i64),
+            ],
+        )?;
 
         // 2. Residual reduction on the norm stream (ordered after the
         //    step kernel by legacy default-stream semantics).
-        ctx.cuda
-            .launch(
-                k.residual,
-                LaunchGrid::cover(1, 1),
-                norm_stream,
-                vec![
-                    LaunchArg::Ptr(d_norm),
-                    LaunchArg::Ptr(row_ptr(d_a, 1, nx)),
-                    LaunchArg::Ptr(row_ptr(d_anew, 1, nx)),
-                    LaunchArg::I64(n_int as i64),
-                ],
-            )
-            .unwrap();
+        ctx.cuda.launch(
+            k.residual,
+            LaunchGrid::cover(1, 1),
+            norm_stream,
+            vec![
+                LaunchArg::Ptr(d_norm),
+                LaunchArg::Ptr(row_ptr(d_a, 1, nx)),
+                LaunchArg::Ptr(row_ptr(d_anew, 1, nx)),
+                LaunchArg::I64(n_int as i64),
+            ],
+        )?;
 
         // 3. Blocking D2H copy of the local norm, then Allreduce.
-        ctx.cuda
-            .memcpy(h_norm, d_norm, 8, CopyKind::DeviceToHost)
-            .unwrap();
+        ctx.cuda.memcpy(h_norm, d_norm, 8, CopyKind::DeviceToHost)?;
         ctx.mpi
-            .allreduce(h_norm, h_norm_global, 1, MpiDatatype::Double, ReduceOp::Sum)
-            .unwrap();
-        let global_sq: f64 = ctx
-            .tools
-            .host_read_at(&ctx.space(), h_norm_global, "jacobi norm read")
-            .unwrap();
+            .allreduce(h_norm, h_norm_global, 1, MpiDatatype::Double, ReduceOp::Sum)?;
+        let global_sq: f64 =
+            ctx.tools
+                .host_read_at(&ctx.space(), h_norm_global, "jacobi norm read")?;
         norms.push(global_sq.sqrt());
 
         // 4. Commit anew -> a (whole local field including halos).
-        ctx.cuda
-            .launch(
-                k.copy,
-                LaunchGrid::linear(local),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(d_a),
-                    LaunchArg::Ptr(d_anew),
-                    LaunchArg::I64(local as i64),
-                ],
-            )
-            .unwrap();
+        ctx.cuda.launch(
+            k.copy,
+            LaunchGrid::linear(local),
+            StreamId::DEFAULT,
+            vec![
+                LaunchArg::Ptr(d_a),
+                LaunchArg::Ptr(d_anew),
+                LaunchArg::I64(local as i64),
+            ],
+        )?;
 
         // 5. Synchronize, then exchange halos with blocking Sendrecv on
         //    device pointers.
         if cfg.race != RaceMode::SkipSyncBeforeExchange {
-            ctx.cuda.device_synchronize().unwrap();
+            ctx.cuda.device_synchronize()?;
         }
-        ctx.mpi
-            .sendrecv(
-                row_ptr(d_a, 1, nx),
-                nx,
-                up,
-                TAG_UP,
-                row_ptr(d_a, 0, nx),
-                nx,
-                up as i32,
-                TAG_DOWN,
-                MpiDatatype::Double,
-            )
-            .unwrap();
-        ctx.mpi
-            .sendrecv(
-                row_ptr(d_a, rows, nx),
-                nx,
-                down,
-                TAG_DOWN,
-                row_ptr(d_a, rows + 1, nx),
-                nx,
-                down as i32,
-                TAG_UP,
-                MpiDatatype::Double,
-            )
-            .unwrap();
+        ctx.mpi.sendrecv(
+            row_ptr(d_a, 1, nx),
+            nx,
+            up,
+            TAG_UP,
+            row_ptr(d_a, 0, nx),
+            nx,
+            up as i32,
+            TAG_DOWN,
+            MpiDatatype::Double,
+        )?;
+        ctx.mpi.sendrecv(
+            row_ptr(d_a, rows, nx),
+            nx,
+            down,
+            TAG_DOWN,
+            row_ptr(d_a, rows + 1, nx),
+            nx,
+            down as i32,
+            TAG_UP,
+            MpiDatatype::Double,
+        )?;
     }
 
     // Release device memory (exercises cudaFree's device-wide sync).
     for p in [d_a, d_anew, d_norm, h_norm, h_norm_global] {
-        ctx.cuda.free(p).unwrap();
+        ctx.cuda.free(p)?;
     }
-    norms
+    Ok(norms)
 }
 
 #[cfg(test)]

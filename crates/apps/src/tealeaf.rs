@@ -15,12 +15,13 @@
 //! halos.
 
 use crate::kernels::AppKernels;
-use crate::RaceMode;
+use crate::{expect_ok, run_world, AppResult, RaceMode};
 use cuda_sim::{CopyKind, StreamId};
 use cusan::ToolConfig;
+use explore::ScheduleController;
 use kernel_ir::{KernelId, LaunchArg, LaunchGrid};
 use mpi_sim::{MpiDatatype, ReduceOp};
-use must_rt::{run_checked_world, RankCtx, WorldOutcome};
+use must_rt::{RankCtx, WorldOutcome};
 use sim_mem::Ptr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,17 +100,15 @@ pub struct TeaLeafRun {
 }
 
 /// Run TeaLeaf under a tool configuration (recording a trace when its
-/// `record` says so).
+/// `record` says so). Expects every rank to succeed: without a
+/// controller nothing is injected, so a failure is a bug.
 pub fn run_tealeaf(cfg: &TeaLeafConfig, tools: impl Into<ToolConfig>) -> TeaLeafRun {
-    let cfg = *cfg;
-    let k = AppKernels::shared();
     let start = Instant::now();
-    let outcome = run_checked_world(cfg.ranks, tools, Arc::clone(&k.registry), move |ctx| {
-        tealeaf_rank(ctx, k, &cfg)
-    });
+    let outcome = try_run_tealeaf(cfg, tools, None);
     let elapsed = start.elapsed();
+    let outcome = expect_ok(outcome);
     TeaLeafRun {
-        config: cfg,
+        config: *cfg,
         cg: outcome.results[0],
         elapsed,
         outcome,
@@ -119,6 +118,21 @@ pub fn run_tealeaf(cfg: &TeaLeafConfig, tools: impl Into<ToolConfig>) -> TeaLeaf
 /// [`run_tealeaf`] with `record` on: the caller's format, else text.
 pub fn run_tealeaf_traced(cfg: &TeaLeafConfig, tools: impl Into<ToolConfig>) -> TeaLeafRun {
     run_tealeaf(cfg, crate::recording(tools.into()))
+}
+
+/// Run TeaLeaf under a tool configuration and, if given, a schedule
+/// controller (which may inject faults): each rank's CG result, or the
+/// first error its body ran into.
+pub fn try_run_tealeaf(
+    cfg: &TeaLeafConfig,
+    tools: impl Into<ToolConfig>,
+    controller: Option<Arc<dyn ScheduleController>>,
+) -> WorldOutcome<AppResult<CgResult>> {
+    let cfg = *cfg;
+    let k = AppKernels::shared();
+    run_world(cfg.ranks, tools.into(), controller, move |ctx| {
+        tealeaf_rank(ctx, k, &cfg)
+    })
 }
 
 fn row_ptr(base: Ptr, row: u64, nx: u64) -> Ptr {
@@ -133,104 +147,95 @@ struct Cg<'a> {
 }
 
 impl Cg<'_> {
-    fn launch2(&self, ctx: &mut RankCtx, kernel: KernelId, n: u64, y: Ptr, x: Ptr, scalar: f64) {
-        ctx.cuda
-            .launch(
-                kernel,
-                LaunchGrid::linear(n),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(y),
-                    LaunchArg::Ptr(x),
-                    LaunchArg::F64(scalar),
-                    LaunchArg::I64(n as i64),
-                ],
-            )
-            .unwrap();
+    fn launch2(
+        &self,
+        ctx: &mut RankCtx,
+        kernel: KernelId,
+        n: u64,
+        y: Ptr,
+        x: Ptr,
+        scalar: f64,
+    ) -> AppResult<()> {
+        ctx.cuda.launch(
+            kernel,
+            LaunchGrid::linear(n),
+            StreamId::DEFAULT,
+            vec![
+                LaunchArg::Ptr(y),
+                LaunchArg::Ptr(x),
+                LaunchArg::F64(scalar),
+                LaunchArg::I64(n as i64),
+            ],
+        )?;
+        Ok(())
     }
 
     /// `dot_reduce` + blocking D2H + Allreduce: a global scalar product.
-    fn global_dot(&self, ctx: &mut RankCtx, scratch: Scratch, x: Ptr, y: Ptr) -> f64 {
+    fn global_dot(&self, ctx: &mut RankCtx, scratch: Scratch, x: Ptr, y: Ptr) -> AppResult<f64> {
+        ctx.cuda.launch(
+            self.k.dot,
+            LaunchGrid::cover(1, 1),
+            StreamId::DEFAULT,
+            vec![
+                LaunchArg::Ptr(scratch.d),
+                LaunchArg::Ptr(x),
+                LaunchArg::Ptr(y),
+                LaunchArg::I64(self.n_int as i64),
+            ],
+        )?;
         ctx.cuda
-            .launch(
-                self.k.dot,
-                LaunchGrid::cover(1, 1),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(scratch.d),
-                    LaunchArg::Ptr(x),
-                    LaunchArg::Ptr(y),
-                    LaunchArg::I64(self.n_int as i64),
-                ],
-            )
-            .unwrap();
-        ctx.cuda
-            .memcpy(scratch.h, scratch.d, 8, CopyKind::DeviceToHost)
-            .unwrap();
+            .memcpy(scratch.h, scratch.d, 8, CopyKind::DeviceToHost)?;
         ctx.mpi
-            .allreduce(scratch.h, scratch.hg, 1, MpiDatatype::Double, ReduceOp::Sum)
-            .unwrap();
-        ctx.tools
-            .host_read_at(&ctx.space(), scratch.hg, "tealeaf dot read")
-            .unwrap()
+            .allreduce(scratch.h, scratch.hg, 1, MpiDatatype::Double, ReduceOp::Sum)?;
+        Ok(ctx
+            .tools
+            .host_read_at(&ctx.space(), scratch.hg, "tealeaf dot read")?)
     }
 
     /// Non-blocking halo exchange of `buf`'s boundary rows (Fig. 1 shape).
-    fn exchange_halos(&self, ctx: &mut RankCtx, buf: Ptr, race: RaceMode) {
+    fn exchange_halos(&self, ctx: &mut RankCtx, buf: Ptr, race: RaceMode) -> AppResult<()> {
         const TAG_UP: i32 = 10;
         const TAG_DOWN: i32 = 11;
         let rank = ctx.rank();
         let ranks = ctx.size();
         if race != RaceMode::SkipSyncBeforeExchange {
-            ctx.cuda.device_synchronize().unwrap();
+            ctx.cuda.device_synchronize()?;
         }
         let (nx, rows) = (self.nx, self.rows);
         let mut reqs = Vec::with_capacity(4);
         if rank > 0 {
             let up = rank as i64 - 1;
+            reqs.push(ctx.mpi.irecv(
+                row_ptr(buf, 0, nx),
+                nx,
+                MpiDatatype::Double,
+                up as i32,
+                TAG_DOWN,
+            )?);
             reqs.push(
                 ctx.mpi
-                    .irecv(
-                        row_ptr(buf, 0, nx),
-                        nx,
-                        MpiDatatype::Double,
-                        up as i32,
-                        TAG_DOWN,
-                    )
-                    .unwrap(),
-            );
-            reqs.push(
-                ctx.mpi
-                    .isend(row_ptr(buf, 1, nx), nx, MpiDatatype::Double, up, TAG_UP)
-                    .unwrap(),
+                    .isend(row_ptr(buf, 1, nx), nx, MpiDatatype::Double, up, TAG_UP)?,
             );
         }
         if rank + 1 < ranks {
             let down = rank as i64 + 1;
-            reqs.push(
-                ctx.mpi
-                    .irecv(
-                        row_ptr(buf, rows + 1, nx),
-                        nx,
-                        MpiDatatype::Double,
-                        down as i32,
-                        TAG_UP,
-                    )
-                    .unwrap(),
-            );
-            reqs.push(
-                ctx.mpi
-                    .isend(
-                        row_ptr(buf, rows, nx),
-                        nx,
-                        MpiDatatype::Double,
-                        down,
-                        TAG_DOWN,
-                    )
-                    .unwrap(),
-            );
+            reqs.push(ctx.mpi.irecv(
+                row_ptr(buf, rows + 1, nx),
+                nx,
+                MpiDatatype::Double,
+                down as i32,
+                TAG_UP,
+            )?);
+            reqs.push(ctx.mpi.isend(
+                row_ptr(buf, rows, nx),
+                nx,
+                MpiDatatype::Double,
+                down,
+                TAG_DOWN,
+            )?);
         }
-        ctx.mpi.waitall(&mut reqs).unwrap();
+        ctx.mpi.waitall(&mut reqs)?;
+        Ok(())
     }
 }
 
@@ -241,7 +246,7 @@ struct Scratch {
     hg: Ptr,
 }
 
-fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgResult {
+fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> AppResult<CgResult> {
     let rank = ctx.rank();
     let nx = cfg.nx;
     let rows = cfg.rows_per_rank();
@@ -250,14 +255,14 @@ fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgRes
     let cg = Cg { k, nx, rows, n_int };
 
     // Fields: rhs b, solution u, residual r, search direction p, A·p in w.
-    let d_b = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_u = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_r = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_p = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_w = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_dot = ctx.cuda.malloc::<f64>(1).unwrap();
-    let h_dot = ctx.cuda.host_malloc::<f64>(1).unwrap();
-    let h_dot_global = ctx.cuda.host_malloc::<f64>(1).unwrap();
+    let d_b = ctx.cuda.malloc::<f64>(local)?;
+    let d_u = ctx.cuda.malloc::<f64>(local)?;
+    let d_r = ctx.cuda.malloc::<f64>(local)?;
+    let d_p = ctx.cuda.malloc::<f64>(local)?;
+    let d_w = ctx.cuda.malloc::<f64>(local)?;
+    let d_dot = ctx.cuda.malloc::<f64>(1)?;
+    let h_dot = ctx.cuda.host_malloc::<f64>(1)?;
+    let h_dot_global = ctx.cuda.host_malloc::<f64>(1)?;
     let scratch = Scratch {
         d: d_dot,
         h: h_dot,
@@ -265,13 +270,13 @@ fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgRes
     };
 
     for p in [d_b, d_u, d_r, d_p, d_w] {
-        ctx.cuda.memset(p, 0, local * 8).unwrap();
+        ctx.cuda.memset(p, 0, local * 8)?;
     }
-    ctx.cuda.memset(d_dot, 0, 8).unwrap();
+    ctx.cuda.memset(d_dot, 0, 8)?;
 
     // Initial energy b: ambient 0.1 with a hot square in the global
     // domain's [¼,½) band, staged on the host and moved with one H2D copy.
-    let h_init = ctx.cuda.host_malloc::<f64>(local).unwrap();
+    let h_init = ctx.cuda.host_malloc::<f64>(local)?;
     {
         let space = ctx.space();
         let mut field = vec![0.0f64; local as usize];
@@ -283,27 +288,23 @@ fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgRes
             }
         }
         ctx.tools
-            .host_write_slice::<f64>(&space, h_init, &field, "tealeaf init staging")
-            .unwrap();
+            .host_write_slice::<f64>(&space, h_init, &field, "tealeaf init staging")?;
     }
     ctx.cuda
-        .memcpy(d_b, h_init, local * 8, CopyKind::HostToDevice)
-        .unwrap();
+        .memcpy(d_b, h_init, local * 8, CopyKind::HostToDevice)?;
 
     let interior = |p: Ptr| row_ptr(p, 1, nx);
     let copy_local = |ctx: &mut RankCtx, dst: Ptr, src: Ptr| {
-        ctx.cuda
-            .launch(
-                k.copy,
-                LaunchGrid::linear(local),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(dst),
-                    LaunchArg::Ptr(src),
-                    LaunchArg::I64(local as i64),
-                ],
-            )
-            .unwrap();
+        ctx.cuda.launch(
+            k.copy,
+            LaunchGrid::linear(local),
+            StreamId::DEFAULT,
+            vec![
+                LaunchArg::Ptr(dst),
+                LaunchArg::Ptr(src),
+                LaunchArg::I64(local as i64),
+            ],
+        )
     };
 
     let mut total_iterations = 0;
@@ -312,10 +313,10 @@ fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgRes
     let mut bb = 0.0;
     for _step in 0..cfg.steps {
         // u0 = 0, so r = b; p = r.
-        ctx.cuda.memset(d_u, 0, local * 8).unwrap();
-        copy_local(ctx, d_r, d_b);
-        copy_local(ctx, d_p, d_r);
-        rr = cg.global_dot(ctx, scratch, interior(d_r), interior(d_r));
+        ctx.cuda.memset(d_u, 0, local * 8)?;
+        copy_local(ctx, d_r, d_b)?;
+        copy_local(ctx, d_p, d_r)?;
+        rr = cg.global_dot(ctx, scratch, interior(d_r), interior(d_r))?;
         bb = rr;
 
         let mut step_converged = false;
@@ -326,35 +327,33 @@ fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgRes
                 break;
             }
             // Halo exchange of p (non-blocking, Fig. 1 shape).
-            cg.exchange_halos(ctx, d_p, cfg.race);
+            cg.exchange_halos(ctx, d_p, cfg.race)?;
             // w = A p.
-            ctx.cuda
-                .launch(
-                    k.apply_a,
-                    LaunchGrid::linear(n_int),
-                    StreamId::DEFAULT,
-                    vec![
-                        LaunchArg::Ptr(d_w),
-                        LaunchArg::Ptr(d_p),
-                        LaunchArg::I64(nx as i64),
-                        LaunchArg::I64(rows as i64),
-                        LaunchArg::F64(cfg.rx),
-                        LaunchArg::F64(cfg.ry),
-                    ],
-                )
-                .unwrap();
+            ctx.cuda.launch(
+                k.apply_a,
+                LaunchGrid::linear(n_int),
+                StreamId::DEFAULT,
+                vec![
+                    LaunchArg::Ptr(d_w),
+                    LaunchArg::Ptr(d_p),
+                    LaunchArg::I64(nx as i64),
+                    LaunchArg::I64(rows as i64),
+                    LaunchArg::F64(cfg.rx),
+                    LaunchArg::F64(cfg.ry),
+                ],
+            )?;
             // α = rr / (p·w).
-            let pw = cg.global_dot(ctx, scratch, interior(d_p), interior(d_w));
+            let pw = cg.global_dot(ctx, scratch, interior(d_p), interior(d_w))?;
             let alpha = rr / pw;
             // u += α p; r -= α w.
-            cg.launch2(ctx, k.axpy, n_int, interior(d_u), interior(d_p), alpha);
-            cg.launch2(ctx, k.axpy, n_int, interior(d_r), interior(d_w), -alpha);
+            cg.launch2(ctx, k.axpy, n_int, interior(d_u), interior(d_p), alpha)?;
+            cg.launch2(ctx, k.axpy, n_int, interior(d_r), interior(d_w), -alpha)?;
             // β = rr' / rr.
-            let rr_new = cg.global_dot(ctx, scratch, interior(d_r), interior(d_r));
+            let rr_new = cg.global_dot(ctx, scratch, interior(d_r), interior(d_r))?;
             let beta = rr_new / rr;
             rr = rr_new;
             // p = r + β p.
-            cg.launch2(ctx, k.xpay, n_int, interior(d_p), interior(d_r), beta);
+            cg.launch2(ctx, k.xpay, n_int, interior(d_p), interior(d_r), beta)?;
             it += 1;
         }
         if rr <= cfg.eps * bb {
@@ -363,19 +362,19 @@ fn tealeaf_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &TeaLeafConfig) -> CgRes
         converged &= step_converged;
         total_iterations += it;
         // Next step's rhs is the new temperature field: b = u.
-        copy_local(ctx, d_b, d_u);
-        ctx.cuda.device_synchronize().unwrap();
+        copy_local(ctx, d_b, d_u)?;
+        ctx.cuda.device_synchronize()?;
     }
 
     for p in [d_b, d_u, d_r, d_p, d_w, d_dot, h_dot, h_dot_global, h_init] {
-        ctx.cuda.free(p).unwrap();
+        ctx.cuda.free(p)?;
     }
-    CgResult {
+    Ok(CgResult {
         iterations: total_iterations,
         rr,
         bb,
         converged,
-    }
+    })
 }
 
 #[cfg(test)]

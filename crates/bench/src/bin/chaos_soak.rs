@@ -1,32 +1,38 @@
-//! Chaos soak: a deterministic fault-seed sweep over the chaos twins of
-//! Jacobi and TeaLeaf (`cusan_apps::chaos`).
+//! Chaos soak: a seeded fault sweep over the real Jacobi and TeaLeaf.
 //!
-//! For every seed, each app runs under a seeded [`FaultPlan`] (every 4th
-//! seed additionally under a shadow-page budget, exercising counted
+//! For every seed, each app runs under a seeded
+//! [`FaultSchedule`] — the controller that decides the `ApiFault` choice
+//! at every checked CUDA and MPI entry, independently per rank (every
+//! 4th seed additionally under a shadow-page budget, exercising counted
 //! best-effort degradation; odd seeds record binary traces, even seeds
-//! text) and the soak asserts the robustness contract end to end:
+//! text) — and the soak asserts the robustness contract end to end:
 //!
-//! * **No panics**: every rank either finishes or returns a typed error;
-//!   the harness always collects outcomes.
+//! * **No panics**: every rank either finishes or returns a typed
+//!   `AppError`; a partner left waiting on a rank that returned early
+//!   gets `MpiError::Deadlock` from the world's wait monitor.
 //! * **Per-seed determinism**: a same-seed re-run produces identical
 //!   per-rank results, race reports, and byte-identical traces.
 //! * **Replay fidelity under faults**: replaying each recorded trace
 //!   reproduces the live race reports, detector stats, and event
-//!   counters bit-for-bit — the `ApiFault` records carry the fault
-//!   schedule, the header carries the budget.
-//! * **Clean teardown**: a fault-free baseline leaves zero live
-//!   allocations; faulted runs leak at most what their failed frees
-//!   abandoned.
+//!   counters bit-for-bit — the `ApiFault` records carry the faults,
+//!   the header carries the budget.
+//! * **Leaks are reported, not failed**: a faulted rank returns before
+//!   its frees, so the soak prints the bytes left allocated; a run in
+//!   which no fault fired must leak nothing.
 //!
 //! Usage: `chaos_soak [seeds] [explore-budget]` (defaults 32 and 3; the
 //! CI soak job passes 8, then 4 and 3).
 
-use cusan::{replay_stream, FaultPlan, Flavor, ToolConfig, TraceFormat};
+use cusan::{replay_stream, Flavor, ToolConfig, TraceFormat};
+use cusan_apps::tealeaf::CgResult;
 use cusan_apps::testsuite::outcome_digest;
-use cusan_apps::{run_chaos_jacobi, run_chaos_tealeaf, ChaosConfig, ChaosResult};
+use cusan_apps::{
+    try_run_jacobi, try_run_tealeaf, AppResult, JacobiConfig, RaceMode, TeaLeafConfig,
+};
 use cusan_bench::banner;
-use explore::SchedulePlan;
+use explore::{FaultSchedule, ScheduleController, SchedulePlan};
 use must_rt::WorldOutcome;
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,213 +40,169 @@ use std::time::Instant;
 const RATES: [f64; 3] = [0.002, 0.01, 0.05];
 
 /// Shadow budget applied on every 4th seed (pages of 4 KiB; small enough
-/// that even the tiny chaos grids overflow it and drop annotations).
+/// that even the soak's grids overflow it and drop annotations).
 const BUDGET: usize = 2;
+
+/// World size of both apps.
+const RANKS: usize = 2;
+
+/// Jacobi at soak size: 4 iterations of a 32 × 16 grid.
+const JACOBI: JacobiConfig = JacobiConfig {
+    nx: 32,
+    ny: 16,
+    ranks: RANKS,
+    iters: 4,
+    race: RaceMode::None,
+};
+
+/// TeaLeaf at soak size: one CG solve on a 16 × 16 grid.
+fn tealeaf_config() -> TeaLeafConfig {
+    TeaLeafConfig {
+        nx: 16,
+        ny: 16,
+        ranks: RANKS,
+        steps: 1,
+        ..TeaLeafConfig::default()
+    }
+}
+
+/// One app run: a tool configuration and, if given, a controller in;
+/// each rank's result or first error out.
+type Run<'a, T> =
+    &'a dyn Fn(ToolConfig, Option<Arc<dyn ScheduleController>>) -> WorldOutcome<AppResult<T>>;
 
 fn soak_config(seed: u64) -> ToolConfig {
     let mut c = Flavor::MustCusan.config();
-    c.faults = FaultPlan::with_rate(seed, RATES[seed as usize % RATES.len()]);
     if seed % 4 == 3 {
         c.shadow_page_budget = Some(BUDGET);
     }
-    if seed % 2 == 1 {
-        c.record = Some(TraceFormat::Binary);
-    }
+    c.record = Some(if seed % 2 == 1 {
+        TraceFormat::Binary
+    } else {
+        TraceFormat::Text
+    });
     c
 }
 
+/// The seed's fault schedule over `plan`.
+fn faults(seed: u64, plan: Arc<SchedulePlan>) -> Option<Arc<dyn ScheduleController>> {
+    Some(FaultSchedule::seeded(
+        plan,
+        seed,
+        RATES[seed as usize % RATES.len()],
+    ))
+}
+
+#[derive(Default)]
 struct Tally {
     runs: usize,
     faulted_ranks: usize,
     faults_fired: u64,
+    leaked_bytes: u64,
     dropped: u64,
     races: u64,
-    schedules: u64,
+    schedules: usize,
     errs: Vec<String>,
 }
 
-/// Run one app under one seed twice (determinism) and replay every trace
-/// (fidelity). Returns the first run for tallying.
-fn soak_one(
-    app: &str,
-    seed: u64,
-    run: impl Fn(ToolConfig) -> WorldOutcome<ChaosResult>,
-    tally: &mut Tally,
-) {
-    let a = run(soak_config(seed));
-    let b = run(soak_config(seed));
-    tally.runs += 2;
-
-    // Per-seed determinism: identical results, reports, and trace bytes.
-    if a.results != b.results {
-        tally.errs.push(format!(
-            "{app} seed {seed}: results diverge across same-seed re-run:\n  {:?}\n  {:?}",
-            a.results, b.results
-        ));
-    }
-    for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
-        if ra.races != rb.races {
-            tally.errs.push(format!(
-                "{app} seed {seed} rank {}: race reports diverge across re-run",
-                ra.rank
+impl Tally {
+    /// Hold run `a` to the contract: `b`, a re-run of the same schedule,
+    /// has the same results and byte-identical traces; every trace
+    /// replays to its live rank; a failure or a leak needs a fault that
+    /// fired.
+    fn check<T: PartialEq + Debug>(
+        &mut self,
+        what: &str,
+        a: &WorldOutcome<AppResult<T>>,
+        b: &WorldOutcome<AppResult<T>>,
+    ) {
+        self.runs += 2;
+        if a.results != b.results {
+            self.errs.push(format!(
+                "{what}: results diverge across same-schedule re-run:\n  {:?}\n  {:?}",
+                a.results, b.results
             ));
         }
-        if ra.trace != rb.trace {
-            tally.errs.push(format!(
-                "{app} seed {seed} rank {}: trace bytes diverge across re-run",
-                ra.rank
-            ));
-        }
-    }
-
-    // Replay fidelity: the recorded stream reproduces the live run.
-    for r in &a.ranks {
-        let bytes = r.trace.as_deref().expect("soak runs are traced");
-        let out = match replay_stream(bytes) {
-            Ok(out) => out,
-            Err(e) => {
-                tally.errs.push(format!(
-                    "{app} seed {seed} rank {}: trace replay error: {e}",
-                    r.rank
-                ));
-                continue;
-            }
-        };
-        if out.reports != r.races {
-            tally.errs.push(format!(
-                "{app} seed {seed} rank {}: replay races {} != live {}",
-                r.rank,
-                out.reports.len(),
-                r.races.len()
-            ));
-        }
-        if out.stats != r.tsan {
-            tally.errs.push(format!(
-                "{app} seed {seed} rank {}: replay stats diverge\n  live:   {:?}\n  replay: {:?}",
-                r.rank, r.tsan, out.stats
-            ));
-        }
-        if out.counters != r.events {
-            tally.errs.push(format!(
-                "{app} seed {seed} rank {}: replay counters diverge\n  live:   {:?}\n  replay: {:?}",
-                r.rank, r.events, out.counters
-            ));
-        }
-    }
-
-    // Failure attribution: a rank error is only acceptable if the plan
-    // actually fired in this world — an error with zero `ApiFault`
-    // events is a genuine bug wearing a chaos costume, and used to be
-    // silently tallied as a "faulted rank" (green-washing the exit
-    // code).
-    let failed = a.results.iter().filter(|r| r.is_err()).count();
-    let world_faults = a.ranks.iter().map(|r| r.events.api_faults).sum::<u64>();
-    if failed > 0 && world_faults == 0 {
-        tally.errs.push(format!(
-            "{app} seed {seed}: {failed} rank(s) failed but no fault fired — \
-             failure not attributable to the injected plan"
-        ));
-    }
-
-    tally.faulted_ranks += failed;
-    tally.faults_fired += world_faults;
-    tally.dropped += a
-        .ranks
-        .iter()
-        .map(|r| r.tsan.dropped_annotations)
-        .sum::<u64>();
-    tally.races += a.total_races();
-}
-
-/// Explored slice: enumerate `budget` schedules of one app under one
-/// seed's fault plan and hold every explored execution to the same
-/// contract as the default schedule — re-running its recorded choice
-/// vectors reproduces the per-rank traces byte-for-byte, and replaying
-/// each recorded trace reproduces the live reports and counters.
-fn soak_explored(
-    app: &str,
-    seed: u64,
-    lanes: usize,
-    budget: usize,
-    run: impl Fn(ToolConfig, Arc<SchedulePlan>) -> WorldOutcome<ChaosResult>,
-    tally: &mut Tally,
-) {
-    let report = explore::explore(lanes, budget, |plan| {
-        let out = run(soak_config(seed), Arc::clone(plan));
-        (outcome_digest(&out), out)
-    });
-    tally.schedules += report.stats.schedules_run as u64;
-    for ex in &report.runs {
-        tally.runs += 2;
-        let again = run(
-            soak_config(seed),
-            SchedulePlan::with_choices(ex.plan.clone()),
-        );
-        if ex.value.results != again.results {
-            tally.errs.push(format!(
-                "{app} seed {seed} plan {:?}: results diverge across same-schedule re-run",
-                ex.plan
-            ));
-        }
-        for (ra, rb) in ex.value.ranks.iter().zip(&again.ranks) {
-            if ra.trace != rb.trace {
-                tally.errs.push(format!(
-                    "{app} seed {seed} plan {:?} rank {}: trace bytes diverge across re-run",
-                    ex.plan, ra.rank
+        for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
+            if ra.races != rb.races || ra.trace != rb.trace {
+                self.errs.push(format!(
+                    "{what} rank {}: race reports or trace bytes diverge across re-run",
+                    ra.rank
                 ));
             }
-        }
-        for r in &ex.value.ranks {
-            let bytes = r.trace.as_deref().expect("soak runs are traced");
-            let out = match replay_stream(bytes) {
-                Ok(out) => out,
-                Err(e) => {
-                    tally.errs.push(format!(
-                        "{app} seed {seed} plan {:?} rank {}: trace replay error: {e}",
-                        ex.plan, r.rank
-                    ));
-                    continue;
+            let bytes = ra.trace.as_deref().expect("soak runs are traced");
+            match replay_stream(bytes) {
+                Err(e) => self
+                    .errs
+                    .push(format!("{what} rank {}: trace replay error: {e}", ra.rank)),
+                Ok(out) if out.reports != ra.races || out.stats != ra.tsan => {
+                    self.errs.push(format!(
+                        "{what} rank {}: replay diverges from the live run\n  \
+                         live:   {} races, {:?}\n  replay: {} races, {:?}",
+                        ra.rank,
+                        ra.races.len(),
+                        ra.tsan,
+                        out.reports.len(),
+                        out.stats
+                    ))
                 }
-            };
-            if out.reports != r.races || out.stats != r.tsan || out.counters != r.events {
-                tally.errs.push(format!(
-                    "{app} seed {seed} plan {:?} rank {}: explored replay diverges from live run",
-                    ex.plan, r.rank
-                ));
+                Ok(out) if out.counters != ra.events => self.errs.push(format!(
+                    "{what} rank {}: replay counters diverge\n  live:   {:?}\n  replay: {:?}",
+                    ra.rank, ra.events, out.counters
+                )),
+                Ok(_) => {}
             }
         }
-        tally.races += ex.value.total_races();
-        tally.faults_fired += ex
-            .value
+        let failed = a.results.iter().filter(|r| r.is_err()).count();
+        let fired = a.ranks.iter().map(|r| r.events.api_faults).sum::<u64>();
+        // A failure or a leak with zero `ApiFault` events is a genuine
+        // bug wearing a chaos costume.
+        if fired == 0 && (failed > 0 || a.space.live_allocs > 0) {
+            self.errs.push(format!(
+                "{what}: {failed} rank(s) failed and {} allocations leaked, \
+                 but no fault fired",
+                a.space.live_allocs
+            ));
+        }
+        self.faulted_ranks += failed;
+        self.faults_fired += fired;
+        self.leaked_bytes += a.space.live_bytes;
+        self.dropped += a
             .ranks
             .iter()
-            .map(|r| r.events.api_faults)
+            .map(|r| r.tsan.dropped_annotations)
             .sum::<u64>();
+        self.races += a.total_races();
     }
 }
 
-fn baseline(app: &str, run: impl Fn(ToolConfig) -> WorldOutcome<ChaosResult>) -> Vec<String> {
-    let mut errs = Vec::new();
-    let out = run(Flavor::MustCusan.config());
-    if let Some(e) = out.results.iter().find_map(|r| r.clone().err()) {
-        errs.push(format!("{app} baseline: rank failed without faults: {e}"));
+/// Run one app under one seed's faults on `budget` explored schedules
+/// (1: the default schedule alone), re-run each from its recorded
+/// choice vectors, and hold both to the contract.
+fn soak<T: PartialEq + Debug>(app: &str, seed: u64, budget: usize, run: Run<T>, tally: &mut Tally) {
+    let report = explore::explore(RANKS + 1, budget, |plan| {
+        let out = run(soak_config(seed), faults(seed, Arc::clone(plan)));
+        (outcome_digest(&out), out)
+    });
+    if budget > 1 {
+        tally.schedules += report.stats.schedules_run;
     }
-    if out.space.live_allocs != 0 {
-        errs.push(format!(
-            "{app} baseline: {} allocations leaked at teardown",
-            out.space.live_allocs
-        ));
+    for ex in &report.runs {
+        let plan = SchedulePlan::with_choices(ex.plan.clone());
+        let again = run(soak_config(seed), faults(seed, plan));
+        tally.check(
+            &format!("{app} seed {seed} plan {:?}", ex.plan),
+            &ex.value,
+            &again,
+        );
     }
-    if out.ranks.iter().any(|r| r.events.api_faults != 0) {
-        errs.push(format!("{app} baseline: ApiFault events without a plan"));
-    }
-    errs
 }
 
 /// Final process exit code for a finished soak. Pure and total so the
 /// no-green-washing contract is unit-testable: *any* recorded mismatch
 /// fails the job, as does a sweep that never fired a single fault
-/// (dead rates or broken plan plumbing would otherwise pass vacuously).
+/// (dead rates or broken controller plumbing would otherwise pass
+/// vacuously).
 fn verdict(errs: &[String], faults_fired: u64) -> i32 {
     if !errs.is_empty() || faults_fired == 0 {
         1
@@ -260,76 +222,58 @@ fn main() {
         .unwrap_or(3);
     banner(
         "chaos soak",
-        "sweeps seeded fault plans over the symmetric Jacobi/TeaLeaf chaos\n\
-         bodies; asserts no panics, per-seed determinism, and record/replay\n\
+        "sweeps seeded fault schedules over the real Jacobi and TeaLeaf;\n\
+         asserts no panics, per-seed determinism, and record/replay\n\
          fidelity under injected CUDA/MPI failures and shadow pressure",
     );
 
-    let cfg = ChaosConfig::default();
+    let tealeaf_cfg = tealeaf_config();
+    let jacobi: Run<Vec<f64>> = &|t, c| try_run_jacobi(&JACOBI, t, c);
+    let tealeaf: Run<CgResult> = &|t, c| try_run_tealeaf(&tealeaf_cfg, t, c);
     let start = Instant::now();
-    let mut tally = Tally {
-        runs: 0,
-        faulted_ranks: 0,
-        faults_fired: 0,
-        dropped: 0,
-        races: 0,
-        schedules: 0,
-        errs: Vec::new(),
-    };
+    let mut tally = Tally::default();
 
-    tally
-        .errs
-        .extend(baseline("jacobi", |t| run_chaos_jacobi(&cfg, t, None)));
-    tally
-        .errs
-        .extend(baseline("tealeaf", |t| run_chaos_tealeaf(&cfg, t, None)));
+    // Baseline: without a controller every rank succeeds, records no
+    // fault and frees everything it allocated.
+    let clean = soak_config(0);
+    tally.check(
+        "jacobi baseline",
+        &jacobi(clean, None),
+        &jacobi(clean, None),
+    );
+    tally.check(
+        "tealeaf baseline",
+        &tealeaf(clean, None),
+        &tealeaf(clean, None),
+    );
+    if tally.faults_fired != 0 {
+        tally
+            .errs
+            .push("baseline: ApiFault events without a controller".into());
+    }
 
     for seed in 0..seeds {
-        soak_one(
-            "jacobi",
-            seed,
-            |t| run_chaos_jacobi(&cfg, t, None),
-            &mut tally,
-        );
-        soak_one(
-            "tealeaf",
-            seed,
-            |t| run_chaos_tealeaf(&cfg, t, None),
-            &mut tally,
-        );
-        if explore_budget > 1 {
-            // Every 4th seed also sweeps alternative schedules: the
-            // fault plan composes with the controller, and every
-            // explored execution must keep the determinism and replay
-            // contracts.
-            if seed % 4 == 0 {
-                soak_explored(
-                    "jacobi",
-                    seed,
-                    cfg.ranks + 1,
-                    explore_budget,
-                    |t, p| run_chaos_jacobi(&cfg, t, Some(p)),
-                    &mut tally,
-                );
-                soak_explored(
-                    "tealeaf",
-                    seed,
-                    cfg.ranks + 1,
-                    explore_budget,
-                    |t, p| run_chaos_tealeaf(&cfg, t, Some(p)),
-                    &mut tally,
-                );
-            }
-        }
+        // Every 4th seed also sweeps alternative schedules: the faults
+        // compose with the explored plan, and every explored execution
+        // must keep the determinism and replay contracts.
+        let budget = if seed % 4 == 0 {
+            explore_budget.max(1)
+        } else {
+            1
+        };
+        soak("jacobi", seed, budget, jacobi, &mut tally);
+        soak("tealeaf", seed, budget, tealeaf, &mut tally);
     }
 
     println!(
         "{} runs over {seeds} seeds in {:.2?}: {} faults fired across {} rank failures,\n\
-         {} annotations dropped under budget, {} races, {} explored schedules, {} mismatches",
+         {} bytes left allocated by faulted ranks, {} annotations dropped under budget,\n\
+         {} races, {} explored schedules, {} mismatches",
         tally.runs,
         start.elapsed(),
         tally.faults_fired,
         tally.faulted_ranks,
+        tally.leaked_bytes,
         tally.dropped,
         tally.races,
         tally.schedules,
@@ -340,7 +284,7 @@ fn main() {
         println!("OK: deterministic degradation and faithful replay on every seed");
     } else {
         if tally.faults_fired == 0 {
-            eprintln!("MISMATCH: sweep fired no faults at all — rates or plan plumbing broken");
+            eprintln!("MISMATCH: sweep fired no faults at all — rates or controller broken");
         }
         for e in &tally.errs {
             eprintln!("MISMATCH: {e}");

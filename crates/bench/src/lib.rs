@@ -3,7 +3,7 @@
 //! Three binaries: `reproduce` regenerates the paper's evaluation (§V:
 //! Figs. 10–12, Table I, the §V-B and §VI-D ablations) and one extension
 //! figure; `replay_trace` records, checks, replays and transcodes traces;
-//! `chaos_soak` sweeps seeded fault plans and schedules. Everything else
+//! `chaos_soak` sweeps seeded fault schedules over the real mini-apps. Everything else
 //! that is measured — decode, apply, serve, spill, explorer, shadow and
 //! clock costs — is a row of the ledger in `benchmark/`; no bin here
 //! writes a file or reads an environment variable.

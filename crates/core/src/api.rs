@@ -115,7 +115,8 @@ impl CusanCuda {
 
     /// Fault-injection gate, checked at the top of every fallible call —
     /// before validation and before any detector annotation, so a faulted
-    /// call leaves neither device nor happens-before state behind.
+    /// call leaves neither device nor happens-before state behind. Each
+    /// gate is one site of [`ToolCtx::should_fault`].
     fn fault(&self, call: &'static str) -> Result<(), CudaError> {
         if self.tools.should_fault(call) {
             Err(CudaError::FaultInjected { call })

@@ -8,7 +8,6 @@
 //! [`Flavor`] is a struct update over it. Nothing else configures a run:
 //! the product reads no environment variable.
 
-use crate::fault::FaultPlan;
 use crate::trace::TraceFormat;
 use std::fmt;
 
@@ -43,10 +42,6 @@ pub struct ToolConfig {
     /// positives whole-allocation annotation can produce — for
     /// boundary-region kernels. Off by default to match the paper.
     pub bounded_tracking: bool,
-    /// Deterministic fault injection (see [`crate::fault`]): at each
-    /// intercepted CUDA/MPI call, the plan decides whether the call
-    /// returns its typed error instead of running. Disabled by default.
-    pub faults: FaultPlan,
     /// Shadow-memory page budget: once the detector owns this many shadow
     /// pages it degrades to counted best-effort mode — range annotations
     /// needing *new* pages are dropped and counted
@@ -70,7 +65,6 @@ impl ToolConfig {
         typeart: false,
         track_access_ranges: false,
         bounded_tracking: false,
-        faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
         record: None,
     };
@@ -188,16 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn faults_and_budget_default_off_everywhere() {
-        // Fault injection and the shadow budget are opt-in: every flavor
-        // (and VANILLA) ships with both disabled so behavior is
-        // byte-identical to the pre-fault-injection stack.
+    fn budget_defaults_off_everywhere() {
+        // The shadow budget is opt-in: every flavor (and VANILLA) ships
+        // with it disabled, so the detector never drops an annotation
+        // it was not asked to.
         for f in Flavor::ALL {
-            assert_eq!(f.config().faults, FaultPlan::DISABLED, "{f}");
-            assert!(!f.config().faults.enabled(), "{f}");
             assert_eq!(f.config().shadow_page_budget, None, "{f}");
         }
-        assert_eq!(ToolConfig::VANILLA.faults, FaultPlan::DISABLED);
         assert_eq!(ToolConfig::VANILLA.shadow_page_budget, None);
     }
 

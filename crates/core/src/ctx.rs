@@ -22,11 +22,11 @@
 //!
 //! [`ToolConfig`] is the only way to configure a run: nothing here reads
 //! the environment, except to warn once per process about `CUSAN_*`
-//! variables earlier versions read.
+//! variables earlier versions read. Faults are not configuration: the
+//! harness hands a fault controller's decision to [`ToolCtx::decide_faults`].
 
 use crate::config::ToolConfig;
 use crate::event::{CusanEvent, EventCounters, StrId};
-use crate::fault::FaultInjector;
 use crate::session::{CheckSession, SessionOptions};
 use crate::trace::TraceSink;
 use sim_mem::{AddressSpace, MemError, Pod, Ptr};
@@ -48,7 +48,10 @@ const REMOVED_KNOBS: [(&str, &str); 20] = [
         "CUSAN_CHECK_THREADS",
         "live checking is inline; `cusan-serve --check-threads` sizes the pool",
     ),
-    ("CUSAN_FAULTS", "set `ToolConfig::faults`"),
+    (
+        "CUSAN_FAULTS",
+        "faults are schedule choices: run under an `explore::FaultSchedule`",
+    ),
     (
         "CUSAN_BARRIER_TIMEOUT_MS",
         "deadlocks are detected when every rank is blocked; there is no timeout",
@@ -100,7 +103,10 @@ pub struct ToolCtx {
     /// Allocation-type tracking.
     pub typeart: RefCell<TypeartRuntime>,
     recorder: RefCell<Option<TraceSink>>,
-    injector: FaultInjector,
+    /// Decides each checked CUDA/MPI entry: `true` fails it.
+    fault_decider: Option<Box<dyn Fn() -> bool>>,
+    /// Entries asked so far: the next one is site `fault_sites`.
+    fault_sites: Cell<u64>,
     diagnostics: RefCell<Vec<String>>,
     rank: usize,
     request_serial: Cell<u64>,
@@ -135,7 +141,8 @@ impl ToolCtx {
                     .record
                     .map(|format| TraceSink::new(format, rank, config.shadow_page_budget)),
             ),
-            injector: FaultInjector::new(config.faults),
+            fault_decider: None,
+            fault_sites: Cell::new(0),
             diagnostics: RefCell::new(Vec::new()),
             rank,
             request_serial: Cell::new(0),
@@ -197,21 +204,32 @@ impl ToolCtx {
 
     // ---- fault injection ----------------------------------------------------
 
-    /// Query the fault injector at one interception site. Advances the
-    /// per-rank site counter exactly once per call (the counter *is* the
-    /// site numbering, so every checked API entry point queries exactly
-    /// once, before doing anything else). Returns `true` if the call must
-    /// fail, in which case an [`CusanEvent::ApiFault`] was emitted so the
-    /// trace carries the fault schedule.
+    /// Let `decide` choose, at every checked CUDA and MPI entry of this
+    /// rank, whether the call fails (`true`) instead of running. The
+    /// harness installs a fault controller's `ApiFault` choice here; a
+    /// context without one never faults.
+    pub fn decide_faults(&mut self, decide: impl Fn() -> bool + 'static) {
+        self.fault_decider = Some(Box::new(decide));
+    }
+
+    /// The fault gate of one interception site. Without a decider it is
+    /// a no-op; with one, every checked API entry asks exactly once,
+    /// before doing anything else, so the `k`-th ask is site `k`.
+    /// Returns `true` if the call must fail, in which case a
+    /// [`CusanEvent::ApiFault`] was emitted: the trace carries the fault,
+    /// and replay never re-decides it.
     pub fn should_fault(&self, call: &'static str) -> bool {
-        match self.injector.next_site() {
-            Some(site) => {
-                let call = self.intern_label(call);
-                self.emit(CusanEvent::ApiFault { call, site });
-                true
-            }
-            None => false,
+        let Some(decide) = &self.fault_decider else {
+            return false;
+        };
+        let site = self.fault_sites.get();
+        self.fault_sites.set(site + 1);
+        if !decide() {
+            return false;
         }
+        let call = self.intern_label(call);
+        self.emit(CusanEvent::ApiFault { call, site });
+        true
     }
 
     // ---- diagnostics --------------------------------------------------------
@@ -355,7 +373,6 @@ impl ToolCtx {
 mod tests {
     use super::*;
     use crate::config::Flavor;
-    use crate::fault::FaultPlan;
     use sim_mem::MemKind;
 
     #[test]
@@ -443,27 +460,32 @@ mod tests {
 
     #[test]
     fn should_fault_fires_deterministically_and_emits_events() {
+        // Every third site fails: the decider is asked once per site, and
+        // each fired site is one `ApiFault` numbered by its site.
         let run = || {
-            let mut config = Flavor::MustCusan.config();
-            config.faults = FaultPlan::with_rate(11, 0.1);
-            let ctx = ToolCtx::new(0, config);
+            let mut ctx = ToolCtx::new(0, Flavor::MustCusan.config());
+            let asked = std::rc::Rc::new(Cell::new(0u64));
+            let count = std::rc::Rc::clone(&asked);
+            ctx.decide_faults(move || {
+                count.set(count.get() + 1);
+                count.get().is_multiple_of(3)
+            });
             let fired: Vec<bool> = (0..500).map(|_| ctx.should_fault("cudaMemcpy")).collect();
-            (fired, ctx.event_counters().api_faults)
+            (fired, ctx.event_counters().api_faults, asked.get())
         };
-        let (a, fa) = run();
-        let (b, fb) = run();
-        assert_eq!(a, b, "same plan, same schedule");
-        assert_eq!(fa, fb);
-        assert!(fa > 0, "10% over 500 sites must fire");
+        let (a, fa, asked) = run();
+        let (b, fb, _) = run();
+        assert_eq!((&a, fa), (&b, fb), "same decider, same faults");
+        assert_eq!(asked, 500, "one ask per site");
+        assert_eq!(fa, 166);
         assert_eq!(fa, a.iter().filter(|f| **f).count() as u64);
     }
 
     #[test]
     fn fault_events_leave_detector_untouched() {
         // The consistency-on-failure invariant at the ToolCtx level.
-        let mut config = Flavor::MustCusan.config();
-        config.faults = FaultPlan::with_rate(0, 1.0); // every site fires
-        let ctx = ToolCtx::new(0, config);
+        let mut ctx = ToolCtx::new(0, Flavor::MustCusan.config());
+        ctx.decide_faults(|| true); // every site fires
         let before = ctx.tsan_stats();
         let races = ctx.race_count();
         assert!(ctx.should_fault("MPI_Isend"));
@@ -545,7 +567,7 @@ mod tests {
             assert!(!line.contains('\n') && !line.contains("  "), "{line:?}");
         }
         assert!(lines[0].ends_with("`cusan-serve --check-threads` sizes the pool"));
-        assert!(lines[1].ends_with("set `ToolConfig::faults`"));
+        assert!(lines[1].ends_with("run under an `explore::FaultSchedule`"));
         assert!(lines[2].ends_with("pass `--small` or `--full`"));
         assert!(lines[4].ends_with("detected when every rank is blocked; there is no timeout"));
         assert!(lines[5].contains("`ToolConfig::record`"));

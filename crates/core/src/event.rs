@@ -153,8 +153,8 @@ pub enum CusanEvent {
     /// Marker: a named Table-I counter advanced (CUDA rows).
     CounterBump { counter: StrId, delta: u64 },
     /// Marker: an intercepted CUDA/MPI call returned an injected fault
-    /// (see [`crate::fault`]). `call` names the API call, `site` is the
-    /// rank's interception-site index. Recording these makes a faulty
+    /// (see [`crate::ToolCtx::should_fault`]). `call` names the API call,
+    /// `site` is the rank's interception-site index. Recording these makes a faulty
     /// run's trace self-contained: replay observes the schedule instead
     /// of re-deciding it.
     ApiFault { call: StrId, site: u64 },

@@ -40,7 +40,6 @@ pub mod binio;
 pub mod config;
 pub mod ctx;
 pub mod event;
-pub mod fault;
 pub mod keys;
 pub mod session;
 pub mod trace;
@@ -50,7 +49,6 @@ pub use async_check::{AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
 pub use event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
-pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{
     replay_stream, transcode, TraceFormat, TraceHeader, TraceItem, TracePushParser, TraceReader,

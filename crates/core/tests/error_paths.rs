@@ -8,7 +8,8 @@
 //! counters) around a failing call and asserts bit-for-bit equality.
 
 use cuda_sim::{EventId, StreamFlags, StreamId};
-use cusan::{CusanCuda, EventCounters, FaultPlan, Flavor, ToolCtx};
+use cusan::{CusanCuda, EventCounters, Flavor, ToolCtx};
+use explore::{ChoiceKind, FaultSchedule, ScheduleController, SchedulePlan};
 use kernel_ir::ast::ScalarTy;
 use kernel_ir::builder::*;
 use kernel_ir::{KernelId, KernelRegistry, LaunchArg, LaunchGrid};
@@ -24,10 +25,12 @@ struct World {
 }
 
 fn world() -> World {
-    world_with_faults(FaultPlan::DISABLED)
+    world_with_faults(None)
 }
 
-fn world_with_faults(faults: FaultPlan) -> World {
+/// A one-rank world; under `faults`, a fault controller decides every
+/// checked call on lane 0, as the harness installs it.
+fn world_with_faults(faults: Option<Arc<dyn ScheduleController>>) -> World {
     let space = Arc::new(AddressSpace::new());
     let mut reg = KernelRegistry::new();
     let mut b = KernelBuilder::new("fill");
@@ -36,9 +39,11 @@ fn world_with_faults(faults: FaultPlan) -> World {
     let n = b.scalar_param("n", ScalarTy::I64);
     b.if_(tid().lt(n.get()), |bb| bb.store(p, tid(), v.get()));
     let fill = reg.register_ir(b.finish()).unwrap();
-    let mut config = Flavor::MustCusan.config();
-    config.faults = faults;
-    let tools = Rc::new(ToolCtx::new(0, config));
+    let mut tools = ToolCtx::new(0, Flavor::MustCusan.config());
+    if let Some(c) = faults {
+        tools.decide_faults(move || c.choose(0, ChoiceKind::ApiFault, &[0, 1]) == 1);
+    }
+    let tools = Rc::new(tools);
     let cuda = CusanCuda::new(DeviceId(0), space, Arc::new(reg), Rc::clone(&tools));
     World { cuda, tools, fill }
 }
@@ -177,7 +182,9 @@ fn injected_fault_on_malloc_registers_no_allocation() {
     // identical world that makes no call at all. The only admissible
     // difference is the ApiFault marker itself.
     let control = world();
-    let mut w = world_with_faults(FaultPlan::with_rate(7, 1.0));
+    // The controller fails site 0 of lane 0: the world's first checked
+    // call.
+    let mut w = world_with_faults(Some(FaultSchedule::single(SchedulePlan::defaults(1), 0, 0)));
     let err = w.cuda.malloc::<f64>(64).unwrap_err();
     assert!(
         matches!(

@@ -10,17 +10,25 @@
 //!
 //! ## Choice points
 //!
-//! The sim has exactly three kinds of *choice points*, each a place
-//! where the simulated platform's semantics genuinely admit more than one
-//! outcome, and each with one candidate-selection path: it consults an
-//! installed [`ScheduleController`] when there are two or more
-//! candidates, and takes candidate 0 otherwise:
+//! The sim has four kinds of *choice points*, each a place where the
+//! simulated platform admits more than one outcome, and each with one
+//! candidate-selection path: it consults an installed
+//! [`ScheduleController`] when there are two or more candidates, and
+//! takes candidate 0 otherwise:
 //!
 //! | kind | site | candidates |
 //! |------|------|------------|
 //! | [`ChoiceKind::WildcardRecv`] | `mpi-sim` wildcard receive matching | per-`(src, tag)` oldest pending sends |
 //! | [`ChoiceKind::StreamDrain`] | `cuda-sim` full-device drains | streams whose front op has all deps satisfied |
 //! | [`ChoiceKind::CollectiveFold`] | `mpi-sim` reduction fold | remaining contributions (arrival order) |
+//! | [`ChoiceKind::ApiFault`] | every checked CUDA and MPI entry | run (0) or fail (1) |
+//!
+//! [`ChoiceKind::ApiFault`] is asked only of a controller that opts in
+//! ([`ScheduleController::decides_faults`]): a [`FaultSchedule`], seeded
+//! (a fault rate) or single (one site of one rank). A [`SchedulePlan`]
+//! never sees it, so [`explore`] searches exactly the three
+//! commutable-op kinds, and a fault that fires is in the trace as the
+//! `ApiFault` event it emits, not as a `ScheduleChoice` marker.
 //!
 //! Candidates are always presented in a **canonical deterministic
 //! order**. There is no uncontrolled sim: the default schedule is the
@@ -49,8 +57,8 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-/// Which kind of commutable-op decision a controller is being asked to
-/// make. See the module docs for the three sites.
+/// Which kind of decision a controller is being asked to make. See the
+/// module docs for the four sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChoiceKind {
     /// Which pending send a wildcard (`ANY_SOURCE`/`ANY_TAG`) receive
@@ -62,6 +70,10 @@ pub enum ChoiceKind {
     /// Which remaining contribution folds into the accumulator next in
     /// a commutative reduction (models participant arrival order).
     CollectiveFold,
+    /// Whether a checked CUDA or MPI call runs (0) or returns its typed
+    /// fault error (1). The `k`-th consult on a rank's lane is that
+    /// rank's site `k`.
+    ApiFault,
 }
 
 impl ChoiceKind {
@@ -71,6 +83,7 @@ impl ChoiceKind {
             ChoiceKind::WildcardRecv => "sched.wildcard_recv",
             ChoiceKind::StreamDrain => "sched.stream_drain",
             ChoiceKind::CollectiveFold => "sched.collective_fold",
+            ChoiceKind::ApiFault => "sched.api_fault",
         }
     }
 }
@@ -83,6 +96,18 @@ impl ChoiceKind {
 pub trait ScheduleController: Send + Sync {
     /// Pick which candidate fires next.
     fn choose(&self, lane: usize, kind: ChoiceKind, sigs: &[u64]) -> usize;
+
+    /// The decisions logged on `lane` so far, in order: what a recording
+    /// carries as `ScheduleChoice` markers. None by default.
+    fn decisions(&self, _lane: usize) -> Vec<Decision> {
+        Vec::new()
+    }
+
+    /// Whether this controller decides [`ChoiceKind::ApiFault`]. Only one
+    /// that opts in is asked at the checked CUDA and MPI entries.
+    fn decides_faults(&self) -> bool {
+        false
+    }
 }
 
 /// One recorded consultation of the controller.
@@ -147,47 +172,9 @@ impl SchedulePlan {
         })
     }
 
-    /// A pseudo-random plan for a world of `n_ranks` ranks: `len`
-    /// choices per lane drawn uniformly from `0..=max_choice` by a
-    /// seeded xorshift. Deterministic in `seed`; used by the chaos soak
-    /// to sample the schedule space instead of enumerating it.
-    pub fn from_seed(n_ranks: usize, seed: u64, len: usize, max_choice: u32) -> Arc<SchedulePlan> {
-        let mut s = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = || {
-            // xorshift64*: cheap, deterministic, good enough to sample.
-            s ^= s >> 12;
-            s ^= s << 25;
-            s ^= s >> 27;
-            s.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let choices = (0..n_ranks + 1)
-            .map(|_| {
-                (0..len)
-                    .map(|_| (next() % (u64::from(max_choice) + 1)) as u32)
-                    .collect()
-            })
-            .collect();
-        SchedulePlan::with_choices(choices)
-    }
-
     /// Number of lanes (ranks + the world-global collective lane).
     pub fn lanes(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// The world-global lane index used for collective choice points.
-    pub fn collective_lane(&self) -> usize {
-        self.lanes.len().saturating_sub(1)
-    }
-
-    /// Clone of the decisions consulted so far on `lane`, in order.
-    /// Non-destructive: the harness reads it to emit trace events, the
-    /// explorer reads it again to branch.
-    pub fn decisions(&self, lane: usize) -> Vec<Decision> {
-        match self.lanes.get(lane) {
-            Some(l) => l.lock().expect("plan lane poisoned").log.clone(),
-            None => Vec::new(),
-        }
     }
 
     /// All lanes' decision logs (the explorer's view of one run).
@@ -213,6 +200,129 @@ impl ScheduleController for SchedulePlan {
             sigs: sigs.to_vec(),
         });
         chosen
+    }
+
+    /// Clone of the decisions consulted so far on `lane`, in order.
+    /// Non-destructive: the harness reads it to emit trace events, the
+    /// explorer reads it again to branch.
+    fn decisions(&self, lane: usize) -> Vec<Decision> {
+        match self.lanes.get(lane) {
+            Some(l) => l.lock().expect("plan lane poisoned").log.clone(),
+            None => Vec::new(),
+        }
+    }
+}
+
+/// xorshift64*: cheap, deterministic, good enough to sample faults.
+#[derive(Debug)]
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn new(seed: u64) -> Xorshift {
+        Xorshift(seed ^ 0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn next(&mut self) -> u64 {
+        let s = &mut self.0;
+        *s ^= *s >> 12;
+        *s ^= *s << 25;
+        *s ^= *s >> 27;
+        s.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+}
+
+/// Fault decisions per million sites (the fixed-point domain of a rate).
+const PPM: u64 = 1_000_000;
+
+/// One lane's fault state: the sites asked so far and its draws.
+#[derive(Debug)]
+struct FaultLane {
+    sites: u64,
+    rng: Xorshift,
+}
+
+/// The fault controller: it decides [`ChoiceKind::ApiFault`] at every
+/// checked CUDA and MPI entry and hands every other kind to its
+/// [`SchedulePlan`], so faults compose with an explored schedule.
+///
+/// Lane `l`'s `k`-th consult is rank `l`'s site `k`, drawn from lane
+/// `l`'s own generator: the same seed fails the same sites of the same
+/// rank every run, however the ranks interleave, and ranks fail
+/// independently (a partner left waiting gets `MpiError::Deadlock`).
+#[derive(Debug)]
+pub struct FaultSchedule {
+    plan: Arc<SchedulePlan>,
+    rate_ppm: u64,
+    /// The one `(lane, site)` a single-fault schedule fails.
+    at: Option<(usize, u64)>,
+    lanes: Vec<Mutex<FaultLane>>,
+}
+
+impl FaultSchedule {
+    /// Fail each site with probability `rate` (clamped to `[0, 1]`),
+    /// drawn from `seed`; `plan` decides every other choice point.
+    pub fn seeded(plan: Arc<SchedulePlan>, seed: u64, rate: f64) -> Arc<FaultSchedule> {
+        let rate_ppm = (rate * PPM as f64).round().clamp(0.0, PPM as f64) as u64;
+        FaultSchedule::new(plan, seed, rate_ppm, None)
+    }
+
+    /// Fail site `site` of lane `lane` and no other; `plan` decides every
+    /// other choice point.
+    pub fn single(plan: Arc<SchedulePlan>, lane: usize, site: u64) -> Arc<FaultSchedule> {
+        FaultSchedule::new(plan, 0, 0, Some((lane, site)))
+    }
+
+    fn new(
+        plan: Arc<SchedulePlan>,
+        seed: u64,
+        rate_ppm: u64,
+        at: Option<(usize, u64)>,
+    ) -> Arc<FaultSchedule> {
+        let mut seeds = Xorshift::new(seed);
+        let lanes = (0..plan.lanes())
+            .map(|_| {
+                let rng = Xorshift::new(seeds.next());
+                Mutex::new(FaultLane { sites: 0, rng })
+            })
+            .collect();
+        Arc::new(FaultSchedule {
+            plan,
+            rate_ppm,
+            at,
+            lanes,
+        })
+    }
+
+    /// Sites asked on `lane` so far: after a run, the number of checked
+    /// CUDA and MPI entries rank `lane` made.
+    pub fn sites(&self, lane: usize) -> u64 {
+        self.lanes
+            .get(lane)
+            .map_or(0, |l| l.lock().expect("fault lane poisoned").sites)
+    }
+}
+
+impl ScheduleController for FaultSchedule {
+    fn choose(&self, lane: usize, kind: ChoiceKind, sigs: &[u64]) -> usize {
+        if kind != ChoiceKind::ApiFault {
+            return self.plan.choose(lane, kind, sigs);
+        }
+        let Some(l) = self.lanes.get(lane) else {
+            return 0;
+        };
+        let mut l = l.lock().expect("fault lane poisoned");
+        let site = l.sites;
+        l.sites += 1;
+        let fail = self.at == Some((lane, site)) || l.rng.next() % PPM < self.rate_ppm;
+        usize::from(fail).min(sigs.len().saturating_sub(1))
+    }
+
+    fn decisions(&self, lane: usize) -> Vec<Decision> {
+        self.plan.decisions(lane)
+    }
+
+    fn decides_faults(&self) -> bool {
+        true
     }
 }
 
@@ -410,18 +520,61 @@ mod tests {
         assert!(plan.decisions(5).is_empty());
     }
 
+    fn fault_draws(f: &FaultSchedule, lane: usize, n: usize) -> Vec<usize> {
+        (0..n)
+            .map(|_| f.choose(lane, ChoiceKind::ApiFault, &[0, 1]))
+            .collect()
+    }
+
     #[test]
     fn seeded_plans_are_deterministic() {
-        let a = SchedulePlan::from_seed(2, 42, 8, 3);
-        let b = SchedulePlan::from_seed(2, 42, 8, 3);
-        let c = SchedulePlan::from_seed(2, 43, 8, 3);
-        let draw = |p: &Arc<SchedulePlan>| {
-            (0..8)
-                .map(|_| p.choose(1, ChoiceKind::WildcardRecv, &[0, 1, 2, 3]))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(draw(&a), draw(&b));
-        assert_ne!(draw(&a), draw(&c), "different seeds should diverge");
+        let a = FaultSchedule::seeded(SchedulePlan::defaults(2), 42, 0.1);
+        let b = FaultSchedule::seeded(SchedulePlan::defaults(2), 42, 0.1);
+        // Lane order does not matter: each lane draws from its own
+        // generator.
+        let b1 = fault_draws(&b, 1, 2_000);
+        let b0 = fault_draws(&b, 0, 2_000);
+        assert_eq!(fault_draws(&a, 0, 2_000), b0);
+        assert_eq!(fault_draws(&a, 1, 2_000), b1);
+        assert_ne!(b0, b1, "ranks fail independently");
+        assert_eq!((a.sites(0), a.sites(1), a.sites(2)), (2_000, 2_000, 0));
+        let rate = b0.iter().sum::<usize>() as f64 / 2_000.0;
+        assert!((rate - 0.1).abs() < 0.03, "observed rate {rate}");
+        let other = FaultSchedule::seeded(SchedulePlan::defaults(2), 43, 0.1);
+        assert_ne!(fault_draws(&other, 0, 2_000), b0, "seeds reschedule");
+        let never = FaultSchedule::seeded(SchedulePlan::defaults(1), 7, 0.0);
+        assert!(fault_draws(&never, 0, 1_000).iter().all(|c| *c == 0));
+        let always = FaultSchedule::seeded(SchedulePlan::defaults(1), 7, 1.0);
+        assert!(fault_draws(&always, 0, 1_000).iter().all(|c| *c == 1));
+    }
+
+    #[test]
+    fn a_single_fault_fails_one_site_of_one_lane() {
+        let f = FaultSchedule::single(SchedulePlan::defaults(2), 1, 3);
+        assert_eq!(fault_draws(&f, 0, 6), [0; 6]);
+        assert_eq!(fault_draws(&f, 1, 6), [0, 0, 0, 1, 0, 0]);
+    }
+
+    /// Only the fault kind stays with the fault schedule: every other
+    /// kind reaches its plan, and the plan never sees a fault.
+    #[test]
+    fn faults_opt_in_and_delegate_every_other_kind() {
+        let plan = SchedulePlan::with_choices(vec![vec![1], vec![]]);
+        assert!(!plan.decides_faults());
+        let f = FaultSchedule::seeded(Arc::clone(&plan), 1, 1.0);
+        assert!(f.decides_faults());
+        assert_eq!(f.choose(0, ChoiceKind::ApiFault, &[0, 1]), 1);
+        assert_eq!(f.choose(0, ChoiceKind::StreamDrain, &[5, 6]), 1);
+        assert_eq!(
+            f.choose(0, ChoiceKind::ApiFault, &[0]),
+            0,
+            "clamps to arity"
+        );
+        let log = f.decisions(0);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].kind, ChoiceKind::StreamDrain);
+        assert_eq!(plan.decisions(0), log);
+        assert_eq!(f.sites(0), 2);
     }
 
     /// A toy "system": two binary decisions on lane 0; the outcome is

@@ -16,14 +16,13 @@
 use crate::error::MpiError;
 use parking_lot::{Mutex, MutexGuard};
 
-/// The world's barriers, counted apart: `MPI_Barrier`, the phase barrier
-/// inside every collective, and [`crate::Comm::finalize`]; a deadlock
-/// names them "Barrier", "collective phase" and "Finalize".
+/// The world's barriers, counted apart: `MPI_Barrier` and the phase
+/// barrier inside every collective; a deadlock names them "Barrier" and
+/// "collective phase".
 #[derive(Clone, Copy)]
 pub(crate) enum BarrierId {
     World,
     Phase,
-    Finalize,
 }
 
 struct State {
@@ -33,7 +32,7 @@ struct State {
     /// most recent settlement.
     blocked: Vec<Option<String>>,
     /// Per barrier: ranks arrived this round, and rounds completed.
-    rounds: [(usize, u64); 3],
+    rounds: [(usize, u64); 2],
     failed: Option<MpiError>,
 }
 
@@ -69,7 +68,7 @@ impl Monitor {
             state: Mutex::new(State {
                 live: size,
                 blocked: vec![None; size],
-                rounds: [(0, 0); 3],
+                rounds: [(0, 0); 2],
                 failed: None,
             }),
             cv: Default::default(),
@@ -102,7 +101,7 @@ impl Monitor {
     /// exactly one rank per round (the last arrival, whose arrival is the
     /// settlement).
     pub fn barrier(&self, rank: usize, id: BarrierId) -> Result<bool, MpiError> {
-        let what = ["Barrier", "collective phase", "Finalize"][id as usize];
+        let what = ["Barrier", "collective phase"][id as usize];
         let mut s = self.state.lock();
         if let Some(e) = &s.failed {
             return Err(e.clone());

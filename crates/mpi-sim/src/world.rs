@@ -432,17 +432,6 @@ impl Comm {
             .map(drop)
     }
 
-    /// `MPI_Finalize`: block until every rank has called it. A barrier of
-    /// its own, which a checking layer does not annotate: a rank may free
-    /// its buffers once it returns, since no partner is still inside an
-    /// exchange that could deliver into them.
-    pub fn finalize(&self) -> Result<(), MpiError> {
-        self.shared
-            .monitor
-            .barrier(self.rank, BarrierId::Finalize)
-            .map(drop)
-    }
-
     /// `MPI_Allreduce`.
     pub fn allreduce(
         &self,

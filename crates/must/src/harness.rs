@@ -13,13 +13,16 @@
 //! gets the same one, and its `record` field says whether the ranks
 //! record their traces. Nothing is read from the environment. A deadlocked
 //! world needs no setting: `mpi-sim` detects it when every rank is
-//! blocked and fails each wait with `MpiError::Deadlock`.
+//! blocked and fails each wait with `MpiError::Deadlock`. Injected faults
+//! are schedule choices too: a controller that decides
+//! [`explore::ChoiceKind::ApiFault`] (an [`explore::FaultSchedule`]) is
+//! asked at every checked CUDA and MPI entry.
 
 use crate::checks::MustReport;
 use crate::mpi::CheckedMpi;
 use cuda_sim::CudaCounters;
 use cusan::{CusanCuda, CusanEvent, EventCounters, ToolConfig, ToolCtx};
-use explore::{Decision, ScheduleController, SchedulePlan};
+use explore::{ChoiceKind, Decision, ScheduleController};
 use kernel_ir::KernelRegistry;
 use mpi_sim::run_world_with_schedule;
 use sim_mem::{AddressSpace, DeviceId, SpaceStats};
@@ -138,26 +141,28 @@ pub fn run_checked_world<T: Send>(
     run_world_impl(n, config.into(), registry, None, f)
 }
 
-/// Like [`run_checked_world`], but with a [`SchedulePlan`] installed on
-/// every commutable choice point of the simulators: wildcard-receive
-/// matching and collective fold order (rank `r` consults plan lane `r`,
-/// collectives the world-global lane `n`) and full-device stream drains.
-/// The plan must have `n + 1` lanes ([`SchedulePlan::defaults`] /
-/// [`SchedulePlan::with_choices`] with `n + 1` vectors). Every decision
-/// the plan actually made is emitted as a [`CusanEvent::ScheduleChoice`]
-/// marker at the end of the rank's stream (rank 0 also carries the
-/// collective lane), so a recorded trace is schedule-complete.
+/// Like [`run_checked_world`], but with a schedule controller installed
+/// on every choice point: wildcard-receive matching and collective fold
+/// order (rank `r` consults lane `r`, collectives the world-global lane
+/// `n`), full-device stream drains, and — if the controller
+/// [decides faults](ScheduleController::decides_faults) — every checked
+/// CUDA and MPI entry. A [`explore::SchedulePlan`] must have `n + 1`
+/// lanes ([`explore::SchedulePlan::defaults`] / `with_choices` with
+/// `n + 1` vectors). Every decision the controller logged is emitted as a
+/// [`CusanEvent::ScheduleChoice`] marker at the end of the rank's stream
+/// (rank 0 also carries the collective lane), so a recorded trace is
+/// schedule-complete; a fault that fired is its `ApiFault` event.
 pub fn run_checked_world_scheduled<T: Send>(
     n: usize,
     config: impl Into<ToolConfig>,
     registry: Arc<KernelRegistry>,
-    plan: Arc<SchedulePlan>,
+    controller: Arc<dyn ScheduleController>,
     f: impl Fn(&mut RankCtx) -> T + Send + Sync,
 ) -> WorldOutcome<T> {
-    run_world_impl(n, config.into(), registry, Some(plan), f)
+    run_world_impl(n, config.into(), registry, Some(controller), f)
 }
 
-/// Emit the plan's consulted decisions on `lane` as trace markers.
+/// Emit the controller's logged decisions on one lane as trace markers.
 fn emit_schedule_choices(tools: &ToolCtx, decisions: &[Decision]) {
     for d in decisions {
         let kind = tools.intern_label(d.kind.label());
@@ -173,19 +178,22 @@ fn run_world_impl<T: Send>(
     n: usize,
     config: ToolConfig,
     registry: Arc<KernelRegistry>,
-    plan: Option<Arc<SchedulePlan>>,
+    controller: Option<Arc<dyn ScheduleController>>,
     f: impl Fn(&mut RankCtx) -> T + Send + Sync,
 ) -> WorldOutcome<T> {
     let space = Arc::new(AddressSpace::new());
     let space_for_stats = Arc::clone(&space);
     let registry = &registry;
-    let sched = plan
-        .as_ref()
-        .map(|p| Arc::clone(p) as Arc<dyn ScheduleController>);
-    let plan = &plan;
+    let sched = controller.clone();
+    let controller = &controller;
     let pairs = run_world_with_schedule(n, space, sched, move |comm| {
         let rank = comm.rank();
-        let tools = Rc::new(ToolCtx::new(rank, config));
+        let mut tools = ToolCtx::new(rank, config);
+        if let Some(c) = controller.as_ref().filter(|c| c.decides_faults()) {
+            let c = Arc::clone(c);
+            tools.decide_faults(move || c.choose(rank, ChoiceKind::ApiFault, &[0, 1]) == 1);
+        }
+        let tools = Rc::new(tools);
         let space = Arc::clone(comm.space());
         let mut cuda = CusanCuda::new(
             DeviceId(rank as u32),
@@ -193,9 +201,9 @@ fn run_world_impl<T: Send>(
             Arc::clone(registry),
             Rc::clone(&tools),
         );
-        if let Some(plan) = plan {
+        if let Some(c) = controller {
             cuda.device_mut()
-                .set_schedule_controller(Arc::clone(plan) as Arc<dyn ScheduleController>, rank);
+                .set_schedule_controller(Arc::clone(c), rank);
         }
         let mpi = CheckedMpi::new(comm, Rc::clone(&tools));
         let mut ctx = RankCtx { tools, cuda, mpi };
@@ -214,10 +222,10 @@ fn run_world_impl<T: Send>(
         // the last possible choice point); the collective lane is final
         // too once any rank's closure returned (collectives involve all
         // ranks), and rank 0 carries it.
-        if let Some(plan) = plan {
-            emit_schedule_choices(&ctx.tools, &plan.decisions(rank));
+        if let Some(c) = controller {
+            emit_schedule_choices(&ctx.tools, &c.decisions(rank));
             if rank == 0 {
-                emit_schedule_choices(&ctx.tools, &plan.decisions(plan.collective_lane()));
+                emit_schedule_choices(&ctx.tools, &c.decisions(n));
             }
         }
         // End the recording (a binary trace gets its end-of-trace

@@ -71,13 +71,12 @@ impl CheckedMpi {
     }
 
     /// Fault-injection gate, checked first in every fallible call — before
-    /// PROC_NULL short-circuits and before any annotation, so every rank
-    /// of a call-symmetric app advances its site counter identically and a
-    /// faulted call leaves no happens-before state behind.
+    /// PROC_NULL short-circuits and before any annotation, so a faulted
+    /// call leaves no happens-before state behind.
     ///
     /// Polling calls (`test`, `waitany`) are deliberately *not* gated:
     /// their invocation count depends on completion timing, which would
-    /// make the site counter — and thus the whole fault schedule —
+    /// make the site numbering — and thus the fault schedule —
     /// nondeterministic.
     fn fault(&self, call: &'static str) -> Result<(), MpiError> {
         if self.tools.should_fault(call) {

@@ -6,7 +6,7 @@
 //! 1. A real `cusan-serve` endpoint (TCP on localhost) with journaling
 //!    and spilling enabled in a private temp directory.
 //! 2. A [`crate::client::check_traces_resilient`] client whose frame
-//!    writes are perturbed by the seed's [`cusan::NetFault`] schedule —
+//!    writes are perturbed by the seed's [`NetFaults`] schedule —
 //!    torn frames, clean disconnects, stalled writes, duplicate resumes.
 //! 3. A second, independent schedule (same seed, salted) that decides at
 //!    each reconnect whether to **restart the server process state**:
@@ -31,9 +31,9 @@
 
 use crate::client::{check_traces_resilient, RetryPolicy};
 use crate::engine::{EngineConfig, ServeEngine, ServeStats};
+use crate::fault::NetFaults;
 use crate::proto::Reply;
 use crate::{serve_stream, solo_summary, summary_to_json};
-use cusan::{FaultInjector, FaultPlan};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -237,10 +237,8 @@ fn run_scenario(
         ..EngineConfig::default()
     };
     let mut server = ChaosServer::start(config)?;
-    let net_plan = FaultPlan::with_rate(seed, opts.fault_rate);
-    let injector = FaultInjector::new(net_plan);
-    let restart_injector =
-        FaultInjector::new(FaultPlan::with_rate(seed ^ RESTART_SALT, opts.restart_rate));
+    let faults = NetFaults::new(seed, opts.fault_rate);
+    let restarts = NetFaults::new(seed ^ RESTART_SALT, opts.restart_rate);
     let policy = RetryPolicy {
         max_attempts: 100_000,
         backoff_base: Duration::from_millis(1),
@@ -256,14 +254,14 @@ fn run_scenario(
                 // A crashed server is only observable across a client
                 // reconnect; decide restarts there (never before the
                 // first connection — there is nothing to crash yet).
-                if attempt > 0 && restart_injector.next_site().is_some() {
+                if attempt > 0 && restarts.next_net_fault().is_some() {
                     server.restart().map_err(std::io::Error::other)?;
                 }
                 TcpStream::connect(server.addr)
             },
             corpus,
             opts.chunk,
-            &injector,
+            &faults,
             &policy,
         )
     };
@@ -298,13 +296,11 @@ fn run_scenario(
             }
         }
     }
-    let fault_sites = injector.sites_visited();
-    let faults_fired = (0..fault_sites).filter(|s| net_plan.fires_at(*s)).count() as u64;
     Ok(ChaosReport {
         seed,
         sessions: corpus.len(),
-        fault_sites,
-        faults_fired,
+        fault_sites: faults.sites_visited(),
+        faults_fired: faults.fired(),
         connects,
         restarts,
         stats,

@@ -13,16 +13,16 @@
 //! fault schedules.
 //!
 //! Fault injection lives *in this client*: each `D` frame write is one
-//! site of a [`cusan::FaultInjector`] schedule, and a firing site
-//! perturbs the write ([`cusan::NetFault`] decides how — torn frame,
-//! clean disconnect, stalled write, duplicate resume). The injector's
-//! site counter persists across reconnects, so one seed names one
-//! complete failure schedule for the whole batch.
+//! site of a [`NetFaults`] schedule, and a firing site perturbs the
+//! write ([`NetFault`] decides how — torn frame, clean disconnect,
+//! stalled write, duplicate resume). The schedule's site counter
+//! persists across reconnects, so one seed names one complete failure
+//! schedule for the whole batch.
 
+use crate::fault::{NetFault, NetFaults};
 use crate::proto::{
     close_frame, data_frame, parse_reply, quit_frame, read_frame, resume_frame, write_frame, Reply,
 };
-use cusan::{FaultInjector, NetFault};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -70,14 +70,14 @@ struct Cursor<'t> {
 /// `connect` is called for every connection attempt (with the attempt
 /// index) and returns a fresh stream — the chaos harness uses the
 /// callback to restart the server between attempts. `faults` drives the
-/// client-side fault injection (pass [`cusan::FaultPlan::DISABLED`] for
-/// none). Returns one terminal reply ([`Reply::Summary`] or
+/// client-side fault injection (pass `NetFaults::default()` for none).
+/// Returns one terminal reply ([`Reply::Summary`] or
 /// [`Reply::Error`]) per trace, in input order.
 pub fn check_traces_resilient(
     mut connect: impl FnMut(u64) -> io::Result<TcpStream>,
     traces: &[(u64, Vec<u8>)],
     chunk: usize,
-    faults: &FaultInjector,
+    faults: &NetFaults,
     policy: &RetryPolicy,
 ) -> io::Result<Vec<Reply>> {
     let chunk = chunk.max(1);
@@ -129,7 +129,7 @@ fn run_episode(
     cursors: &mut [Cursor],
     terminal: &mut HashMap<u64, Reply>,
     chunk: usize,
-    faults: &FaultInjector,
+    faults: &NetFaults,
 ) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -164,7 +164,7 @@ fn run_episode(
             }
         }
     }
-    // Data phase: round-robin D frames, one injector site per frame.
+    // Data phase: round-robin D frames, one fault site per frame.
     loop {
         let mut progressed = false;
         for c in cursors.iter_mut() {

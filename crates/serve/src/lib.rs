@@ -39,6 +39,7 @@
 pub mod chaos;
 pub mod client;
 pub mod engine;
+pub mod fault;
 pub mod ingest;
 pub mod json;
 pub mod labels;
@@ -47,6 +48,7 @@ pub mod proto;
 pub use chaos::{chaos_serve, ChaosOptions, ChaosReport};
 pub use client::{check_traces_resilient, RetryPolicy};
 pub use engine::{AttachError, EngineConfig, FeedError, ServeEngine, ServeStats};
+pub use fault::{NetFault, NetFaults};
 pub use ingest::SessionIngest;
 pub use json::summary_to_json;
 pub use labels::SharedLabels;
@@ -175,7 +177,7 @@ mod tests {
                 |_| TcpStream::connect(addr),
                 &[(7, trace)],
                 16,
-                &cusan::FaultInjector::new(cusan::FaultPlan::DISABLED),
+                &NetFaults::default(),
                 &RetryPolicy::default(),
             )
             .unwrap();

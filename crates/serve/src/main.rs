@@ -32,8 +32,8 @@
 //!   backoff from `--backoff-ms`).
 
 use cusan_serve::{
-    check_traces_resilient, serve_listener, solo_summary, summary_to_json, EngineConfig, Reply,
-    RetryPolicy, ServeEngine,
+    check_traces_resilient, serve_listener, solo_summary, summary_to_json, EngineConfig, NetFaults,
+    Reply, RetryPolicy, ServeEngine,
 };
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
@@ -266,12 +266,11 @@ fn run_check_remote(o: &Options, addr: &str) -> Result<(), String> {
         backoff_base: Duration::from_millis(o.backoff_ms),
         ..RetryPolicy::default()
     };
-    let injector = cusan::FaultInjector::new(cusan::FaultPlan::DISABLED);
     let replies = check_traces_resilient(
         |_attempt| TcpStream::connect(addr),
         &traces,
         o.chunk,
-        &injector,
+        &NetFaults::default(),
         &policy,
     )
     .map_err(|e| format!("{addr}: {e}"))?;

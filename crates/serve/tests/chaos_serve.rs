@@ -14,13 +14,17 @@ fn corpus() -> Vec<(u64, Vec<u8>)> {
         .as_bytes()
         .to_vec();
     let mut traces = vec![golden];
-    let out = cusan_apps::run_chaos_jacobi(
-        &cusan_apps::ChaosConfig::default(),
-        cusan::Flavor::MustCusan,
-        None,
-    );
-    for rank in out.ranks {
-        traces.push(rank.trace.expect("chaos runs are always traced"));
+    // Jacobi at the size `cusan-apps`'s `trace_replay.rs` records it.
+    let jacobi = cusan_apps::JacobiConfig {
+        nx: 64,
+        ny: 32,
+        ranks: 2,
+        iters: 20,
+        ..Default::default()
+    };
+    let run = cusan_apps::run_jacobi_traced(&jacobi, cusan::Flavor::MustCusan);
+    for rank in run.outcome.ranks {
+        traces.push(rank.trace.expect("traced runs record"));
     }
     traces
         .into_iter()

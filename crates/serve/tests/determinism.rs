@@ -4,25 +4,41 @@
 //! interleaved delivery, in process and over sockets.
 //!
 //! The corpus is the golden TeaLeaf fixture (recorded by
-//! `tests/trace_fixture.rs` — regenerate, don't hand-edit) plus
-//! chaos-twin traces of both mini-apps generated fresh per test run.
+//! `tests/trace_fixture.rs` — regenerate, don't hand-edit) plus rank
+//! traces of both mini-apps at test size, recorded fresh per test run.
 
 use cusan_serve::{solo_summary, summary_to_json, EngineConfig, ServeEngine, SessionIngest};
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("../../../tests/data/tealeaf_small.trace");
 
-/// Golden fixture + one chaos-twin trace per rank per mini-app.
+/// Golden fixture + one trace per rank per mini-app, at the sizes
+/// `cusan-apps`'s `trace_replay.rs` records them.
 fn corpus() -> Vec<Vec<u8>> {
+    let jacobi = cusan_apps::JacobiConfig {
+        nx: 64,
+        ny: 32,
+        ranks: 2,
+        iters: 20,
+        ..Default::default()
+    };
+    let tealeaf = cusan_apps::TeaLeafConfig {
+        nx: 16,
+        ny: 16,
+        ranks: 2,
+        steps: 1,
+        ..Default::default()
+    };
+    let flavor = cusan::Flavor::MustCusan;
+    let ranks = [
+        cusan_apps::run_jacobi_traced(&jacobi, flavor).outcome.ranks,
+        cusan_apps::run_tealeaf_traced(&tealeaf, flavor)
+            .outcome
+            .ranks,
+    ];
     let mut traces = vec![GOLDEN.as_bytes().to_vec()];
-    let cfg = cusan_apps::ChaosConfig::default();
-    for out in [
-        cusan_apps::run_chaos_jacobi(&cfg, cusan::Flavor::MustCusan, None),
-        cusan_apps::run_chaos_tealeaf(&cfg, cusan::Flavor::MustCusan, None),
-    ] {
-        for rank in out.ranks {
-            traces.push(rank.trace.expect("chaos runs are always traced"));
-        }
+    for rank in ranks.into_iter().flatten() {
+        traces.push(rank.trace.expect("traced runs record"));
     }
     traces
 }
@@ -153,7 +169,7 @@ fn socket_end_to_end(corpus: &[Vec<u8>], connections: usize, sessions: usize) {
                         |_| TcpStream::connect(addr),
                         traces,
                         173,
-                        &cusan::FaultInjector::new(cusan::FaultPlan::DISABLED),
+                        &cusan_serve::NetFaults::default(),
                         &RetryPolicy::default(),
                     )
                     .unwrap()

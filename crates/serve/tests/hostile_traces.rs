@@ -183,7 +183,7 @@ fn a_listener_outlives(hostile: &[(Vec<u8>, String)]) {
         |_| TcpStream::connect(addr),
         &good,
         4096,
-        &cusan::FaultInjector::new(cusan::FaultPlan::DISABLED),
+        &cusan_serve::NetFaults::default(),
         &RetryPolicy::default(),
     )
     .unwrap();

@@ -22,7 +22,7 @@ use cusan_apps::testsuite::{
     cases, outcome_digest, run_case, run_case_scheduled, wildcard_schedule_race, TIMING_DEPENDENT,
 };
 use cusan_apps::AppKernels;
-use explore::{explore, ChoiceKind, SchedulePlan};
+use explore::{explore, ChoiceKind, ScheduleController, SchedulePlan};
 use kernel_ir::{LaunchArg, LaunchGrid};
 use must_rt::{run_checked_world_scheduled, RankCtx, WorldOutcome};
 use proptest::prelude::*;
@@ -206,7 +206,7 @@ proptest! {
                     ..cusan::Flavor::MustCusan.config()
                 },
                 Arc::clone(&k.registry),
-                Arc::clone(plan),
+                plan.clone(),
                 move |ctx| {
                     let mut bufs = Vec::new();
                     for _ in 0..nstreams {
