@@ -23,7 +23,7 @@
 //!                                vs transcoded twin (the CI gate)
 //! ```
 
-use cusan::{replay_stream, transcode, Flavor, TraceFormat, TraceReader, TraceRecord};
+use cusan::{replay_stream, transcode, Flavor, TraceError, TraceFormat, TraceReader, TraceRecord};
 use cusan_apps::{run_jacobi_traced, run_tealeaf_traced, JacobiConfig, RaceMode, TeaLeafConfig};
 use cusan_bench::banner;
 use must_rt::RankOutcome;
@@ -171,7 +171,7 @@ fn verify_rank(app: &str, rank: &RankOutcome) -> Vec<String> {
 }
 
 /// Rank and event count of a trace, off the streaming reader.
-fn census(bytes: &[u8]) -> Result<(usize, usize), String> {
+fn census(bytes: &[u8]) -> Result<(usize, usize), TraceError> {
     let reader = TraceReader::new(bytes)?;
     let rank = reader.header().rank;
     let mut events = 0;

@@ -262,9 +262,9 @@ impl Encoder {
     }
 }
 
-/// One decoded binary record, before string-table validation (the push
-/// parser in [`crate::trace`] interns labels and checks id density, the
-/// same rules the text parser enforces).
+/// One decoded record, before string-table validation. The text line
+/// parser yields it too, and the push parser in [`crate::trace`]
+/// validates both encodings' records alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BinRecord {
     /// A string-table entry.
@@ -680,12 +680,14 @@ mod tests {
         // A future version fails loudly.
         let mut v4 = buf.clone();
         v4[7] = b'4';
-        let e = decode_header(&v4).unwrap_err();
-        assert_eq!(e.at(), Some(7));
-        assert!(
-            e.to_string()
-                .contains("unsupported binary trace version '4'"),
-            "{e}"
+        let what = "unsupported binary trace version '4', this reader only understands \
+                    `cusanbt3` (re-record or transcode the trace)";
+        assert_eq!(
+            decode_header(&v4),
+            Err(DecodeError::Corrupt {
+                at: 7,
+                what: what.to_string()
+            })
         );
     }
 }

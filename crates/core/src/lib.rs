@@ -51,7 +51,7 @@ pub use ctx::ToolCtx;
 pub use event::{CtxInterner, CusanEvent, EventCounters, FiberEventError, StrId};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{
-    replay_stream, transcode, TraceFormat, TraceHeader, TraceItem, TracePushParser, TraceReader,
-    TraceRecord, TraceSink,
+    replay_stream, transcode, TraceError, TraceErrorKind, TraceFormat, TraceHeader, TraceItem,
+    TracePos, TracePushParser, TraceReader, TraceRecord, TraceSink, Truncation,
 };
 pub use tsan_rt::DecodeError;

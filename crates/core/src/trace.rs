@@ -69,7 +69,7 @@
 //! test) — in either format.
 
 use crate::binio::{self, BinRecord};
-use crate::event::{CtxInterner, CusanEvent, StrId};
+use crate::event::{CtxInterner, CusanEvent, FiberEventError, StrId};
 use crate::session::{CheckSession, SessionSummary};
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -136,44 +136,32 @@ fn unescape(s: &str) -> String {
     out
 }
 
-/// Validation both body decoders run on an event before handing it out
-/// (the message gets the caller's line/record position): string ids must
-/// be defined, and a byte range must end inside the address space —
-/// `addr + len` is what the shadow's range arithmetic computes.
-fn check_event(ev: &CusanEvent, strings: &CtxInterner) -> Result<(), String> {
-    if let Some(id) = event_used_str(ev) {
-        if id.0 as usize >= strings.len() {
-            return Err(format!("undefined string id {}", id.0));
+/// Validation every event passes before the push parser hands it out:
+/// a string id it names must be defined, and a byte range must end
+/// inside the address space — `addr + len` is what the shadow's range
+/// arithmetic computes.
+fn check_event(ev: &CusanEvent, strings: &CtxInterner) -> Result<(), Box<str>> {
+    use CusanEvent as E;
+    let (label, range) = match *ev {
+        E::FiberCreate { name, .. } => (Some(name), None),
+        E::ReadRange { addr, len, ctx } | E::WriteRange { addr, len, ctx } => {
+            (Some(ctx), Some((addr, len)))
         }
+        E::Alloc { addr, bytes, kind } => (Some(kind), Some((addr, bytes))),
+        E::Free { addr, bytes } => (None, Some((addr, bytes))),
+        E::CounterBump { counter: id, .. }
+        | E::ApiFault { call: id, .. }
+        | E::ScheduleChoice { kind: id, .. } => (Some(id), None),
+        _ => (None, None),
+    };
+    if let Some(id) = label.filter(|id| id.0 as usize >= strings.len()) {
+        return Err(format!("undefined string id {}", id.0).into());
     }
-    match *ev {
-        CusanEvent::ReadRange { addr, len, .. }
-        | CusanEvent::WriteRange { addr, len, .. }
-        | CusanEvent::Alloc {
-            addr, bytes: len, ..
-        }
-        | CusanEvent::Free { addr, bytes: len }
-            if addr.checked_add(len).is_none() =>
-        {
-            Err(format!(
-                "range {addr:x}+{len} runs past the end of the address space"
-            ))
+    match range {
+        Some((addr, len)) if addr.checked_add(len).is_none() => {
+            Err(format!("range {addr:x}+{len} runs past the end of the address space").into())
         }
         _ => Ok(()),
-    }
-}
-
-/// String id an event references, if any — both parsers enforce that it
-/// is already defined by the string table.
-fn event_used_str(ev: &CusanEvent) -> Option<StrId> {
-    match *ev {
-        CusanEvent::FiberCreate { name, .. } => Some(name),
-        CusanEvent::ReadRange { ctx, .. } | CusanEvent::WriteRange { ctx, .. } => Some(ctx),
-        CusanEvent::Alloc { kind, .. } => Some(kind),
-        CusanEvent::CounterBump { counter, .. } => Some(counter),
-        CusanEvent::ApiFault { call, .. } => Some(call),
-        CusanEvent::ScheduleChoice { kind, .. } => Some(kind),
-        _ => None,
     }
 }
 
@@ -323,13 +311,136 @@ impl TraceSink {
     }
 }
 
-fn parse_err(lineno: usize, msg: impl Into<String>) -> String {
-    format!("trace line {}: {}", lineno + 1, msg.into())
+/// Where in a trace a [`TraceError`] sits, over the push parser's one
+/// record counter: the header is record 0 in both encodings, and a text
+/// stream's records are its lines (empty ones included).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TracePos {
+    /// Text record `n`, printed `trace line {n + 1}`.
+    Line(u64),
+    /// Binary record `n`, printed `trace record {n}`.
+    Record(u64),
 }
 
-fn rec_err(recno: u64, msg: impl Into<String>) -> String {
-    format!("trace record {}: {}", recno, msg.into())
+/// Where a binary trace was cut short.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Truncation {
+    /// Inside the magic or the header fields.
+    Header,
+    /// At a record boundary: only the end-of-trace marker is missing.
+    Boundary,
+    /// Inside a record.
+    MidRecord,
 }
+
+/// What is wrong with a trace, or with the stream carrying it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceErrorKind {
+    /// The stream ended before its first byte.
+    Empty,
+    /// A binary stream ended early.
+    Truncated(Truncation),
+    /// A text line, header included, longer than [`binio::MAX_RECORD`].
+    LineTooLong,
+    /// What the format does not allow, in words: header and line syntax,
+    /// an undefined string id, a non-dense string table, a range past the
+    /// end of the address space, data after the end-of-trace marker.
+    Syntax(Box<str>),
+    /// A binary header or record the codec cannot decode.
+    Decode(DecodeError),
+    /// A record that decodes, refused by the session applying it.
+    Refused(FiberEventError),
+    /// The byte source failed (the I/O error's text).
+    Read(Box<str>),
+    /// The ingest was already finished, spilled or failed.
+    Closed,
+    /// The ingest's serve engine is gone.
+    EngineGone,
+    /// The ingest was finished before any byte of a header arrived.
+    NoHeader,
+}
+
+/// A trace failure: its kind and, for a body record, its position.
+/// Header-level failures have none (except a text header past the line
+/// cap: `trace line 1`), and neither does a refusal from a served
+/// session's checker pool, which applies events behind the parser.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceError {
+    position: Option<TracePos>,
+    // Boxed: a poll result stays as small as a `String` error made it.
+    kind: Box<TraceErrorKind>,
+}
+
+const _: () = assert!(std::mem::size_of::<Result<Option<TraceItem>, TraceError>>() <= 40);
+
+impl TraceError {
+    fn new(position: Option<TracePos>, kind: TraceErrorKind) -> TraceError {
+        let kind = Box::new(kind);
+        TraceError { position, kind }
+    }
+
+    /// What is wrong.
+    pub fn kind(&self) -> &TraceErrorKind {
+        &self.kind
+    }
+
+    /// The record it is wrong at, if any.
+    pub fn position(&self) -> Option<TracePos> {
+        self.position
+    }
+}
+
+impl From<TraceErrorKind> for TraceError {
+    fn from(kind: TraceErrorKind) -> TraceError {
+        TraceError::new(None, kind)
+    }
+}
+
+impl From<FiberEventError> for TraceError {
+    fn from(refusal: FiberEventError) -> TraceError {
+        TraceErrorKind::Refused(refusal).into()
+    }
+}
+
+impl From<TraceError> for String {
+    fn from(e: TraceError) -> String {
+        e.to_string()
+    }
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TraceErrorKind as K;
+        match self.position {
+            Some(TracePos::Line(n)) => write!(f, "trace line {}: ", n + 1)?,
+            Some(TracePos::Record(n)) => write!(f, "trace record {n}: ")?,
+            None => {}
+        }
+        match &*self.kind {
+            K::Empty => f.write_str("empty trace"),
+            K::Truncated(Truncation::Header) => {
+                f.write_str("binary trace truncated inside the header")
+            }
+            K::Truncated(Truncation::Boundary) => f.write_str(
+                "binary trace truncated: missing end-of-trace marker \
+                 (stream cut at a record boundary)",
+            ),
+            K::Truncated(Truncation::MidRecord) => f.write_str("binary trace truncated mid-record"),
+            K::LineTooLong => write!(f, "line exceeds the {}-byte cap", binio::MAX_RECORD),
+            K::Syntax(detail) => f.write_str(detail),
+            // Without a position, a decode failure is in the binary header.
+            K::Decode(e) if self.position.is_none() => write!(f, "trace header: {e}"),
+            K::Decode(e) => write!(f, "{e}"),
+            K::Refused(refusal) => write!(f, "{refusal}"),
+            K::Read(e) => write!(f, "trace read error: {e}"),
+            K::Closed => f.write_str("session already closed"),
+            K::EngineGone => f.write_str("serve engine dropped"),
+            K::NoHeader => f.write_str("empty session: no trace header received"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
 
 /// The parsed header of a trace (common to both formats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,58 +457,53 @@ pub struct TraceHeader {
 
 impl TraceHeader {
     /// Parse the text header line (without its trailing newline).
-    pub fn parse(header: &str) -> Result<TraceHeader, String> {
-        let rest = header.strip_prefix(TRACE_MAGIC).ok_or_else(|| {
-            if header.starts_with(TRACE_FAMILY) {
-                format!(
-                    "unsupported trace format version: got {:?}, this reader only \
-                     understands `{TRACE_MAGIC}` (re-record the trace)",
-                    header
-                        .split_whitespace()
-                        .take(2)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                )
-            } else {
-                format!("bad header {header:?} (expected `{TRACE_MAGIC} …`)")
+    fn parse(header: &str) -> Result<TraceHeader, Box<str>> {
+        let Some(rest) = header.strip_prefix(TRACE_MAGIC) else {
+            if !header.starts_with(TRACE_FAMILY) {
+                return Err(format!("bad header {header:?} (expected `{TRACE_MAGIC} …`)").into());
             }
-        })?;
-        let hf: Vec<&str> = rest.split_whitespace().collect();
-        match hf.as_slice() {
-            ["rank", r, "tiered", t, "budget", b] => Ok(TraceHeader {
-                rank: r.parse::<usize>().map_err(|e| format!("bad rank: {e}"))?,
-                tiered: match *t {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("bad tiered flag {other:?}")),
-                },
-                budget: match *b {
-                    "none" => None,
-                    pages => Some(
-                        pages
-                            .parse::<usize>()
-                            .map_err(|e| format!("bad budget: {e}"))?,
-                    ),
-                },
-            }),
-            _ => Err(format!("bad header fields {rest:?}")),
-        }
+            let got = header.split_whitespace().take(2).collect::<Vec<_>>();
+            return Err(format!(
+                "unsupported trace format version: got {:?}, this reader only understands \
+                 `{TRACE_MAGIC}` (re-record the trace)",
+                got.join(" ")
+            )
+            .into());
+        };
+        let ["rank", r, "tiered", t, "budget", b] = rest.split_whitespace().collect::<Vec<_>>()[..]
+        else {
+            return Err(format!("bad header fields {rest:?}").into());
+        };
+        let rank = r.parse().map_err(|e| format!("bad rank: {e}"))?;
+        let tiered = match t {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("bad tiered flag {other:?}").into()),
+        };
+        let budget = match b {
+            "none" => None,
+            pages => Some(pages.parse().map_err(|e| format!("bad budget: {e}"))?),
+        };
+        Ok(TraceHeader {
+            rank,
+            tiered,
+            budget,
+        })
     }
 
     /// Refuse a recording made on the removed flat shadow (`tiered 0`):
     /// replaying it on the tiered shadow would report tier counters
     /// (`page_summaries_stored`, `page_unfolds`) the
     /// recording run never had.
-    fn reject_flat_shadow(self) -> Result<TraceHeader, String> {
+    fn reject_flat_shadow(self) -> Result<TraceHeader, Box<str>> {
         if self.tiered {
-            Ok(self)
-        } else {
-            Err(
-                "trace header: recorded with `tiered 0` (the flat shadow walk), which was \
-                 removed; this reader only replays tiered-shadow traces (re-record the trace)"
-                    .to_string(),
-            )
+            return Ok(self);
         }
+        Err(
+            "trace header: recorded with `tiered 0` (the flat shadow walk), which was \
+             removed; this reader only replays tiered-shadow traces (re-record the trace)"
+                .into(),
+        )
     }
 }
 
@@ -417,210 +523,99 @@ pub enum TraceRecord {
     Event(CusanEvent),
 }
 
-/// Incremental parser for *text* trace body lines: fed complete lines
-/// one at a time, it maintains the string table, the density/defined-id
-/// validation, and line numbers for error messages. [`TracePushParser`]
-/// wraps it (next to its binary counterpart) behind format sniffing.
-#[derive(Debug, Default)]
-struct TraceLineParser {
-    strings: CtxInterner,
-    /// Body lines consumed so far (the header is line 0, so the first
-    /// body line is 1 — matching the file's numbering). The serve spill
-    /// format records it so a restored parser numbers errors alike.
-    lineno: usize,
-}
-
-impl TraceLineParser {
-    /// Parse one body line (without its trailing newline). Returns
-    /// `Ok(None)` for empty lines.
-    ///
-    /// Kept out of line: inlined into [`TracePushParser::poll`] it
-    /// decodes faster, and the ledger's `replay-events/overhead_x` —
-    /// replay ÷ decode-only — reads a faster decoder as a +13 %
-    /// regression (ROADMAP item 0).
-    #[inline(never)]
-    fn parse_line(&mut self, line: &str) -> Result<Option<TraceRecord>, String> {
-        self.lineno += 1;
-        let lineno = self.lineno;
-        if line.is_empty() {
-            return Ok(None);
-        }
-        let (kind, body) = line
-            .split_once(' ')
-            .ok_or_else(|| parse_err(lineno, format!("malformed line {line:?}")))?;
-        let fields: Vec<&str> = body.split(' ').collect();
-        let dec = |i: usize| -> Result<u64, String> {
-            fields
-                .get(i)
-                .ok_or_else(|| parse_err(lineno, "missing field"))?
-                .parse::<u64>()
-                .map_err(|e| parse_err(lineno, format!("bad number: {e}")))
-        };
-        let hex = |i: usize| -> Result<u64, String> {
-            u64::from_str_radix(
-                fields
-                    .get(i)
-                    .ok_or_else(|| parse_err(lineno, "missing field"))?,
-                16,
-            )
-            .map_err(|e| parse_err(lineno, format!("bad hex number: {e}")))
-        };
-        let fib =
-            |i: usize| -> Result<FiberId, String> { Ok(FiberId::from_index(dec(i)? as usize)) };
-        let sid = |i: usize| -> Result<StrId, String> { Ok(StrId(dec(i)? as u32)) };
-        let ev = match kind {
-            "s" => {
-                // `s <id> <label>`: the label is everything after the id,
-                // spaces included.
-                let (id, label) = body
-                    .split_once(' ')
-                    .ok_or_else(|| parse_err(lineno, "string entry without label"))?;
-                let id: u32 = id
-                    .parse()
-                    .map_err(|e| parse_err(lineno, format!("bad string id: {e}")))?;
-                let interned = self.strings.intern(&unescape(label));
-                if interned.0 != id {
-                    return Err(parse_err(
-                        lineno,
-                        format!(
-                            "string table not dense: got id {id}, expected {}",
-                            interned.0
-                        ),
-                    ));
-                }
-                return Ok(Some(TraceRecord::Str {
-                    id: interned,
-                    label: self.strings.shared_label(interned).expect("just interned"),
-                }));
-            }
-            "fc" => CusanEvent::FiberCreate {
-                fiber: fib(0)?,
-                name: sid(1)?,
-            },
-            "fy" => CusanEvent::FiberSwitch {
-                fiber: fib(0)?,
-                sync: true,
-            },
-            "fs" => CusanEvent::FiberSwitch {
-                fiber: fib(0)?,
-                sync: false,
-            },
-            "fd" => CusanEvent::FiberDestroy { fiber: fib(0)? },
-            "hb" => CusanEvent::HappensBefore {
-                key: SyncKey(hex(0)?),
-            },
-            "ha" => CusanEvent::HappensAfter {
-                key: SyncKey(hex(0)?),
-            },
-            "rr" => CusanEvent::ReadRange {
-                addr: hex(0)?,
-                len: dec(1)?,
-                ctx: sid(2)?,
-            },
-            "wr" => CusanEvent::WriteRange {
-                addr: hex(0)?,
-                len: dec(1)?,
-                ctx: sid(2)?,
-            },
-            "al" => CusanEvent::Alloc {
-                addr: hex(0)?,
-                bytes: dec(1)?,
-                kind: sid(2)?,
-            },
-            "fr" => CusanEvent::Free {
-                addr: hex(0)?,
-                bytes: dec(1)?,
-            },
-            "qb" => CusanEvent::RequestBegin { serial: dec(0)? },
-            "qc" => CusanEvent::RequestComplete { serial: dec(0)? },
-            "cb" => CusanEvent::CounterBump {
-                counter: sid(0)?,
-                delta: dec(1)?,
-            },
-            "af" => CusanEvent::ApiFault {
-                call: sid(0)?,
-                site: dec(1)?,
-            },
-            "sc" => CusanEvent::ScheduleChoice {
-                kind: sid(0)?,
-                arity: dec(1)?,
-                chosen: dec(2)?,
-            },
-            other => return Err(parse_err(lineno, format!("unknown event kind {other:?}"))),
-        };
-        check_event(&ev, &self.strings).map_err(|msg| parse_err(lineno, msg))?;
-        Ok(Some(TraceRecord::Event(ev)))
+/// The syntax of one text body line (without its trailing newline):
+/// the record it spells, not yet checked against the string table, or
+/// `Ok(None)` for an empty line.
+///
+/// Kept out of line: inlined into [`TracePushParser::poll`] it decodes
+/// faster, and the ledger's `replay-events/overhead_x` — replay ÷
+/// decode-only — reads a faster decoder as a +13 % regression (ROADMAP
+/// item 0).
+#[inline(never)]
+fn parse_line(line: &str) -> Result<Option<BinRecord>, Box<str>> {
+    if line.is_empty() {
+        return Ok(None);
     }
-}
-
-/// Outcome of one binary-record decode step (internal).
-enum BinStep {
-    /// The frame at the front of the input is incomplete.
-    NeedMore,
-    /// The end-of-trace marker, consuming this many bytes.
-    End(usize),
-    /// One validated record, consuming this many bytes.
-    Record(usize, TraceRecord),
-}
-
-/// Incremental parser for *binary* trace body records — the v3
-/// counterpart of [`TraceLineParser`], enforcing the same string-table
-/// density and defined-id rules with record numbers in place of line
-/// numbers.
-#[derive(Debug, Default)]
-struct BinRecordParser {
-    strings: CtxInterner,
-    dec: binio::Decoder,
-    /// Records consumed so far (the header is record 0).
-    recno: u64,
-    saw_end: bool,
-}
-
-impl BinRecordParser {
-    fn next_record(&mut self, bytes: &[u8]) -> Result<BinStep, String> {
-        if self.saw_end {
-            return Err(rec_err(
-                self.recno + 1,
-                "data after the end-of-trace marker",
-            ));
+    let (kind, body) = line
+        .split_once(' ')
+        .ok_or_else(|| format!("malformed line {line:?}"))?;
+    let fields: Vec<&str> = body.split(' ').collect();
+    let field = |i: usize| fields.get(i).copied().ok_or("missing field");
+    let dec = |i: usize| -> Result<u64, Box<str>> {
+        Ok(field(i)?
+            .parse::<u64>()
+            .map_err(|e| format!("bad number: {e}"))?)
+    };
+    let hex = |i: usize| -> Result<u64, Box<str>> {
+        Ok(u64::from_str_radix(field(i)?, 16).map_err(|e| format!("bad hex number: {e}"))?)
+    };
+    let fib = |i: usize| -> Result<FiberId, Box<str>> { Ok(FiberId::from_index(dec(i)? as usize)) };
+    let sid = |i: usize| -> Result<StrId, Box<str>> { Ok(StrId(dec(i)? as u32)) };
+    let ev = match kind {
+        "s" => {
+            // `s <id> <label>`: the label is everything after the id,
+            // spaces included.
+            let (id, label) = body.split_once(' ').ok_or("string entry without label")?;
+            let id = id.parse().map_err(|e| format!("bad string id: {e}"))?;
+            let label = unescape(label);
+            return Ok(Some(BinRecord::Str { id, label }));
         }
-        match self.dec.decode_record(bytes) {
-            Ok(None) => Ok(BinStep::NeedMore),
-            Err(e) => Err(rec_err(self.recno + 1, e.to_string())),
-            Ok(Some((n, rec))) => {
-                self.recno += 1;
-                match rec {
-                    BinRecord::End => {
-                        self.saw_end = true;
-                        Ok(BinStep::End(n))
-                    }
-                    BinRecord::Str { id, label } => {
-                        let interned = self.strings.intern(&label);
-                        if interned.0 != id {
-                            return Err(rec_err(
-                                self.recno,
-                                format!(
-                                    "string table not dense: got id {id}, expected {}",
-                                    interned.0
-                                ),
-                            ));
-                        }
-                        Ok(BinStep::Record(
-                            n,
-                            TraceRecord::Str {
-                                id: interned,
-                                label: self.strings.shared_label(interned).expect("just interned"),
-                            },
-                        ))
-                    }
-                    BinRecord::Event(ev) => {
-                        check_event(&ev, &self.strings).map_err(|msg| rec_err(self.recno, msg))?;
-                        Ok(BinStep::Record(n, TraceRecord::Event(ev)))
-                    }
-                }
-            }
-        }
-    }
+        "fc" => CusanEvent::FiberCreate {
+            fiber: fib(0)?,
+            name: sid(1)?,
+        },
+        "fy" => CusanEvent::FiberSwitch {
+            fiber: fib(0)?,
+            sync: true,
+        },
+        "fs" => CusanEvent::FiberSwitch {
+            fiber: fib(0)?,
+            sync: false,
+        },
+        "fd" => CusanEvent::FiberDestroy { fiber: fib(0)? },
+        "hb" => CusanEvent::HappensBefore {
+            key: SyncKey(hex(0)?),
+        },
+        "ha" => CusanEvent::HappensAfter {
+            key: SyncKey(hex(0)?),
+        },
+        "rr" => CusanEvent::ReadRange {
+            addr: hex(0)?,
+            len: dec(1)?,
+            ctx: sid(2)?,
+        },
+        "wr" => CusanEvent::WriteRange {
+            addr: hex(0)?,
+            len: dec(1)?,
+            ctx: sid(2)?,
+        },
+        "al" => CusanEvent::Alloc {
+            addr: hex(0)?,
+            bytes: dec(1)?,
+            kind: sid(2)?,
+        },
+        "fr" => CusanEvent::Free {
+            addr: hex(0)?,
+            bytes: dec(1)?,
+        },
+        "qb" => CusanEvent::RequestBegin { serial: dec(0)? },
+        "qc" => CusanEvent::RequestComplete { serial: dec(0)? },
+        "cb" => CusanEvent::CounterBump {
+            counter: sid(0)?,
+            delta: dec(1)?,
+        },
+        "af" => CusanEvent::ApiFault {
+            call: sid(0)?,
+            site: dec(1)?,
+        },
+        "sc" => CusanEvent::ScheduleChoice {
+            kind: sid(0)?,
+            arity: dec(1)?,
+            chosen: dec(2)?,
+        },
+        other => return Err(format!("unknown event kind {other:?}").into()),
+    };
+    Ok(Some(BinRecord::Event(ev)))
 }
 
 /// One item a [`TracePushParser`] yields.
@@ -632,18 +627,25 @@ pub enum TraceItem {
     Record(TraceRecord),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 enum PushState {
     /// Deciding text vs binary from the first bytes.
+    #[default]
     Sniff,
     /// Text decided; waiting for the complete header line.
     TextHeader,
-    /// Text header accepted; body lines stream through the line parser.
-    TextBody(TraceLineParser),
+    /// Text header accepted; body lines stream through [`parse_line`].
+    TextBody,
     /// Binary magic matched; waiting for the complete header fields.
     BinHeader,
     /// Binary header accepted; body records stream through the decoder.
-    BinBody(BinRecordParser),
+    BinBody {
+        dec: binio::Decoder,
+        /// The end-of-trace marker has been read: nothing may follow.
+        saw_end: bool,
+    },
+    /// The stream failed; every poll returns this, its first error.
+    Failed(TraceError),
 }
 
 /// Format-sniffing push parser: feed it byte chunks with arbitrary
@@ -655,12 +657,11 @@ enum PushState {
 /// The first bytes decide the format: streams beginning with the binary
 /// family magic (`cusanbt`) decode as v3 records (wrong versions fail
 /// loudly), everything else parses as text lines (where a non-`v2`
-/// header fails loudly too). The parser buffers only the unconsumed
-/// tail, and its mid-stream state — pending bytes, position counters,
-/// binary delta state — snapshots into the serve spill format via
-/// [`TracePushParser::spill_to`]; its string table travels as the
-/// consuming session's.
-#[derive(Debug)]
+/// header fails loudly too). Either way, body records pass one
+/// validation against one string table and one counter numbers them.
+/// The parser buffers only the unconsumed tail, and its mid-stream state
+/// snapshots into the serve spill format ([`TracePushParser::spill_to`]).
+#[derive(Debug, Default)]
 pub struct TracePushParser {
     buf: Vec<u8>,
     /// Consumed prefix of `buf` (compacted on the next feed).
@@ -669,25 +670,17 @@ pub struct TracePushParser {
     /// so a line that arrives in many chunks is scanned once.
     scanned: usize,
     eof: bool,
+    /// Body records consumed so far, which is also the number of the one
+    /// yielded last (the header is record 0).
+    records: u64,
+    strings: CtxInterner,
     state: PushState,
-}
-
-impl Default for TracePushParser {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TracePushParser {
     /// Fresh parser, format undecided until the first bytes arrive.
     pub fn new() -> Self {
-        TracePushParser {
-            buf: Vec::new(),
-            start: 0,
-            scanned: 0,
-            eof: false,
-            state: PushState::Sniff,
-        }
+        Self::default()
     }
 
     /// Append one chunk of the stream.
@@ -707,152 +700,196 @@ impl TracePushParser {
         self.eof = true;
     }
 
-    /// `msg` with the position of the record [`Self::poll`] yielded last,
-    /// in the decoders' own style (`trace line N: …` / `trace record N:
-    /// …`).
-    fn locate(&self, msg: impl fmt::Display) -> String {
-        match &self.state {
-            PushState::TextBody(p) => parse_err(p.lineno, msg.to_string()),
-            PushState::BinBody(p) => rec_err(p.recno, msg.to_string()),
-            _ => msg.to_string(),
+    /// Record `n` in the body's encoding (`None` before the header).
+    fn position(&self, n: u64) -> Option<TracePos> {
+        match self.state {
+            PushState::TextHeader | PushState::TextBody => Some(TracePos::Line(n)),
+            PushState::BinBody { .. } => Some(TracePos::Record(n)),
+            _ => None,
         }
+    }
+
+    /// Poison the stream with its first error, at record `at` of the
+    /// body (`None`: no position).
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, at: Option<u64>, kind: TraceErrorKind) -> TraceError {
+        let e = TraceError::new(at.and_then(|n| self.position(n)), kind);
+        self.state = PushState::Failed(e.clone());
+        e
     }
 
     /// Produce the next item, or `Ok(None)` when more bytes are needed
     /// (before [`Self::close`]) / the stream is fully drained (after).
-    /// Errors are not consumed: a poisoned stream keeps returning the
-    /// same error, and callers are expected to stop at the first one.
-    pub fn poll(&mut self) -> Result<Option<TraceItem>, String> {
+    /// Errors are not consumed: a poisoned stream keeps returning its
+    /// first error, and callers are expected to stop there.
+    pub fn poll(&mut self) -> Result<Option<TraceItem>, TraceError> {
+        use TraceErrorKind::{Decode, Syntax, Truncated};
         loop {
+            let next = Some(self.records + 1);
+            let p = &self.buf[self.start..];
             match self.state {
                 PushState::Sniff => {
-                    let p = &self.buf[self.start..];
                     let probe = p.len().min(binio::BIN_FAMILY.len());
-                    if p[..probe] == binio::BIN_FAMILY[..probe] {
-                        if p.len() < binio::BIN_MAGIC.len() {
-                            if !self.eof {
-                                return Ok(None);
-                            }
-                            if p.is_empty() {
-                                return Err("empty trace".to_string());
-                            }
-                            // A ≤7-byte stream that is a prefix of the
-                            // binary magic can only be a cut-off trace
-                            // (text headers diverge from the family
-                            // within 6 bytes).
-                            return Err("binary trace truncated inside the header".to_string());
-                        }
-                        self.state = PushState::BinHeader;
-                    } else {
+                    if p[..probe] != binio::BIN_FAMILY[..probe] {
                         self.state = PushState::TextHeader;
+                    } else if p.len() >= binio::BIN_MAGIC.len() {
+                        self.state = PushState::BinHeader;
+                    } else if !self.eof {
+                        return Ok(None);
+                    } else if p.is_empty() {
+                        return Err(self.fail(None, TraceErrorKind::Empty));
+                    } else {
+                        // A ≤7-byte stream that is a prefix of the binary
+                        // magic can only be a cut-off trace (text headers
+                        // diverge from the family within 6 bytes).
+                        return Err(self.fail(None, Truncated(Truncation::Header)));
                     }
                 }
-                PushState::TextHeader => {
-                    let p = &self.buf[self.start..];
-                    let Some((line_len, consumed)) =
-                        text_line(p, &mut self.scanned, self.eof).map_err(|e| parse_err(0, e))?
-                    else {
-                        return Ok(None);
-                    };
-                    let line = std::str::from_utf8(&p[..line_len])
-                        .map_err(|_| "trace header is not valid UTF-8".to_string())?;
-                    let header = TraceHeader::parse(line)?.reject_flat_shadow()?;
-                    self.start += consumed;
-                    self.state = PushState::TextBody(TraceLineParser::default());
-                    return Ok(Some(TraceItem::Header(header)));
-                }
-                PushState::TextBody(ref mut parser) => {
-                    let p = &self.buf[self.start..];
-                    let Some((line_len, consumed)) = text_line(p, &mut self.scanned, self.eof)
-                        .map_err(|e| parse_err(parser.lineno + 1, e))?
-                    else {
-                        return Ok(None);
-                    };
-                    let line = std::str::from_utf8(&p[..line_len])
-                        .map_err(|_| parse_err(parser.lineno + 1, "line is not valid UTF-8"))?;
-                    let rec = parser.parse_line(line)?;
-                    self.start += consumed;
-                    if let Some(rec) = rec {
-                        return Ok(Some(TraceItem::Record(rec)));
-                    }
-                }
-                PushState::BinHeader => {
-                    let p = &self.buf[self.start..];
-                    match binio::decode_header(p) {
-                        Ok(Some((n, rank, tiered, budget))) => {
-                            let header = TraceHeader {
-                                rank,
-                                tiered,
-                                budget,
-                            }
-                            .reject_flat_shadow()?;
-                            self.start += n;
-                            self.state = PushState::BinBody(BinRecordParser::default());
-                            return Ok(Some(TraceItem::Header(header)));
-                        }
-                        Ok(None) if self.eof => {
-                            return Err("binary trace truncated inside the header".to_string())
-                        }
+                PushState::TextHeader | PushState::TextBody => {
+                    let body = matches!(self.state, PushState::TextBody);
+                    // The header line is record 0.
+                    let at = if body { next } else { Some(0) };
+                    let (len, consumed) = match text_line(p, &mut self.scanned, self.eof) {
+                        Ok(Some(line)) => line,
                         Ok(None) => return Ok(None),
-                        Err(e) => return Err(format!("trace header: {e}")),
+                        Err(kind) => return Err(self.fail(at, kind)),
+                    };
+                    let line = std::str::from_utf8(&p[..len]);
+                    self.start += consumed;
+                    if !body {
+                        let header = line
+                            .map_err(|_| "trace header is not valid UTF-8".into())
+                            .and_then(TraceHeader::parse);
+                        return self.enter_body(header, PushState::TextBody);
+                    }
+                    self.records += 1;
+                    let rec = line.map_err(|_| "line is not valid UTF-8".into());
+                    match rec.and_then(parse_line) {
+                        Ok(Some(rec)) => return self.admit(rec),
+                        Ok(None) => {}
+                        Err(detail) => return Err(self.fail(at, Syntax(detail))),
                     }
                 }
-                PushState::BinBody(ref mut parser) => {
-                    let p = &self.buf[self.start..];
-                    if p.is_empty() {
-                        if self.eof && !parser.saw_end {
-                            return Err("binary trace truncated: missing end-of-trace marker \
-                                 (stream cut at a record boundary)"
-                                .to_string());
-                        }
-                        return Ok(None);
+                PushState::BinHeader => match binio::decode_header(p) {
+                    Ok(Some((n, rank, tiered, budget))) => {
+                        self.start += n;
+                        let header = TraceHeader {
+                            rank,
+                            tiered,
+                            budget,
+                        };
+                        let body = PushState::BinBody {
+                            dec: binio::Decoder::default(),
+                            saw_end: false,
+                        };
+                        return self.enter_body(Ok(header), body);
                     }
-                    match parser.next_record(p)? {
-                        BinStep::Record(n, rec) => {
-                            self.start += n;
-                            return Ok(Some(TraceItem::Record(rec)));
-                        }
-                        BinStep::End(n) => {
-                            self.start += n;
-                        }
-                        BinStep::NeedMore if self.eof => {
-                            return Err(rec_err(
-                                parser.recno + 1,
-                                "binary trace truncated mid-record",
-                            ));
-                        }
-                        BinStep::NeedMore => return Ok(None),
+                    Ok(None) if self.eof => {
+                        return Err(self.fail(None, Truncated(Truncation::Header)))
                     }
+                    Ok(None) => return Ok(None),
+                    Err(e) => return Err(self.fail(None, Decode(e))),
+                },
+                PushState::BinBody { saw_end: true, .. } if p.is_empty() => return Ok(None),
+                PushState::BinBody { .. } if p.is_empty() && self.eof => {
+                    return Err(self.fail(None, Truncated(Truncation::Boundary)))
                 }
+                PushState::BinBody { saw_end: true, .. } => {
+                    let detail = "data after the end-of-trace marker".into();
+                    return Err(self.fail(next, Syntax(detail)));
+                }
+                PushState::BinBody {
+                    ref mut dec,
+                    ref mut saw_end,
+                } => match dec.decode_record(p) {
+                    Ok(Some((n, rec))) => {
+                        self.start += n;
+                        self.records += 1;
+                        if !matches!(rec, BinRecord::End) {
+                            return self.admit(rec);
+                        }
+                        *saw_end = true;
+                    }
+                    Ok(None) if self.eof => {
+                        return Err(self.fail(next, Truncated(Truncation::MidRecord)))
+                    }
+                    Ok(None) => return Ok(None),
+                    Err(e) => return Err(self.fail(next, Decode(e))),
+                },
+                PushState::Failed(ref e) => return Err(e.clone()),
             }
         }
     }
 
+    /// Yield `header` and stream the body in the `body` state, unless
+    /// the header is malformed or refused.
+    fn enter_body(
+        &mut self,
+        header: Result<TraceHeader, Box<str>>,
+        body: PushState,
+    ) -> Result<Option<TraceItem>, TraceError> {
+        match header.and_then(TraceHeader::reject_flat_shadow) {
+            Ok(header) => {
+                self.state = body;
+                Ok(Some(TraceItem::Header(header)))
+            }
+            Err(detail) => Err(self.fail(None, TraceErrorKind::Syntax(detail))),
+        }
+    }
+
+    /// The one validation both encodings' body records pass, at the
+    /// record just consumed: a string entry must take the next dense id,
+    /// and an event must pass [`check_event`].
+    fn admit(&mut self, rec: BinRecord) -> Result<Option<TraceItem>, TraceError> {
+        let checked = match rec {
+            BinRecord::Str { id, label } => match self.strings.intern(&label) {
+                StrId(expected) if expected != id => {
+                    Err(format!("string table not dense: got id {id}, expected {expected}").into())
+                }
+                interned => Ok(TraceRecord::Str {
+                    id: interned,
+                    label: self.strings.shared_label(interned).expect("just interned"),
+                }),
+            },
+            BinRecord::Event(ev) => {
+                check_event(&ev, &self.strings).map(|()| TraceRecord::Event(ev))
+            }
+            BinRecord::End => unreachable!("the body loop consumes the end marker"),
+        };
+        match checked {
+            Ok(rec) => Ok(Some(TraceItem::Record(rec))),
+            Err(detail) => Err(self.fail(Some(self.records), TraceErrorKind::Syntax(detail))),
+        }
+    }
+
     /// Serialize the mid-stream state — pending bytes, format decision,
-    /// position counters, binary delta state — into `buf` (the serve
-    /// spill layout's parser section). The string table is not written:
-    /// it is, label for label, the table of the session that consumed
-    /// every record this parser yielded, and that session's snapshot
-    /// carries it. [`TracePushParser::restore_from`] rebuilds a parser
-    /// that continues byte-for-byte identically.
+    /// record counter, binary delta state — into `buf` (the serve spill
+    /// layout's parser section). The string table is not written: it is,
+    /// label for label, the table of the session that consumed every
+    /// record this parser yielded, and that session's snapshot carries
+    /// it. [`TracePushParser::restore_from`] rebuilds a parser that
+    /// continues byte-for-byte identically. A failed parser panics: its
+    /// stream is dropped, not spilled.
     pub fn spill_to(&self, buf: &mut Vec<u8>) {
         put_bytes(buf, &self.buf[self.start..]);
         match &self.state {
             // Pre-header states re-sniff their pending bytes on restore.
             PushState::Sniff | PushState::TextHeader | PushState::BinHeader => buf.push(0),
-            PushState::TextBody(p) => {
+            PushState::TextBody => {
                 buf.push(1);
-                put_varint(buf, p.lineno as u64);
+                put_varint(buf, self.records);
             }
-            PushState::BinBody(p) => {
+            PushState::BinBody { dec, saw_end } => {
                 buf.push(2);
-                put_varint(buf, p.recno);
-                buf.push(u8::from(p.saw_end));
-                let ds = p.dec.state();
+                put_varint(buf, self.records);
+                buf.push(u8::from(*saw_end));
+                let ds = dec.state();
                 for v in [ds.addr, ds.fiber, ds.key] {
                     put_varint(buf, v);
                 }
             }
+            PushState::Failed(e) => unreachable!("spilling a failed trace stream ({e})"),
         }
     }
 
@@ -863,31 +900,28 @@ impl TracePushParser {
         s: &mut Scanner<'_>,
         strings: CtxInterner,
     ) -> Result<TracePushParser, DecodeError> {
-        let pending = s.bytes()?.to_vec();
-        let state = match s.u8()? {
-            0 => PushState::Sniff,
-            1 => PushState::TextBody(TraceLineParser {
-                strings,
-                lineno: s.varint_as()?,
-            }),
-            2 => PushState::BinBody(BinRecordParser {
-                strings,
-                recno: s.varint()?,
-                saw_end: s.bool()?,
-                dec: binio::Decoder::from_state(binio::DeltaState {
+        let buf = s.bytes()?.to_vec();
+        let (state, records) = match s.u8()? {
+            0 => (PushState::Sniff, 0),
+            1 => (PushState::TextBody, s.varint()?),
+            2 => {
+                let records = s.varint()?;
+                let saw_end = s.bool()?;
+                let dec = binio::Decoder::from_state(binio::DeltaState {
                     addr: s.varint()?,
                     fiber: s.varint()?,
                     key: s.varint()?,
-                }),
-            }),
+                });
+                (PushState::BinBody { dec, saw_end }, records)
+            }
             t => return Err(s.corrupt(format!("unknown parser state tag {t}"))),
         };
         Ok(TracePushParser {
-            buf: pending,
-            start: 0,
-            scanned: 0,
-            eof: false,
+            buf,
+            records,
+            strings,
             state,
+            ..TracePushParser::default()
         })
     }
 }
@@ -900,7 +934,11 @@ impl TracePushParser {
 /// stream was chunked and a stream without newlines holds at most the
 /// cap plus one chunk.
 #[inline]
-fn text_line(p: &[u8], scanned: &mut usize, eof: bool) -> Result<Option<(usize, usize)>, String> {
+fn text_line(
+    p: &[u8],
+    scanned: &mut usize,
+    eof: bool,
+) -> Result<Option<(usize, usize)>, TraceErrorKind> {
     let (len, consumed) = match p[*scanned..].iter().position(|&b| b == b'\n') {
         Some(i) => (*scanned + i, *scanned + i + 1),
         None if eof && !p.is_empty() => (p.len(), p.len()),
@@ -910,7 +948,7 @@ fn text_line(p: &[u8], scanned: &mut usize, eof: bool) -> Result<Option<(usize, 
         }
     };
     if len as u64 > binio::MAX_RECORD {
-        return Err(line_too_long());
+        return Err(TraceErrorKind::LineTooLong);
     }
     if consumed == 0 {
         return Ok(None);
@@ -919,62 +957,54 @@ fn text_line(p: &[u8], scanned: &mut usize, eof: bool) -> Result<Option<(usize, 
     Ok(Some((len, consumed)))
 }
 
-#[cold]
-#[inline(never)]
-fn line_too_long() -> String {
-    format!("line exceeds the {}-byte cap", binio::MAX_RECORD)
-}
-
-fn refill<R: BufRead>(input: &mut R, parser: &mut TracePushParser) -> Result<bool, String> {
-    let chunk = input
-        .fill_buf()
-        .map_err(|e| format!("trace read error: {e}"))?;
-    if chunk.is_empty() {
-        return Ok(false);
+/// The next item of `parser`, refilled from `input` as needed; `None`
+/// once the stream is drained.
+fn pull<R: BufRead>(
+    input: &mut R,
+    parser: &mut TracePushParser,
+) -> Result<Option<TraceItem>, TraceError> {
+    loop {
+        if let Some(item) = parser.poll()? {
+            return Ok(Some(item));
+        }
+        if parser.eof {
+            return Ok(None);
+        }
+        let chunk = input
+            .fill_buf()
+            .map_err(|e| TraceError::from(TraceErrorKind::Read(e.to_string().into())))?;
+        let n = chunk.len();
+        parser.feed(chunk);
+        input.consume(n);
+        if n == 0 {
+            parser.close();
+        }
     }
-    let n = chunk.len();
-    parser.feed(chunk);
-    input.consume(n);
-    Ok(true)
 }
 
 /// Pull-mode streaming reader: iterates [`TraceRecord`]s straight off a
 /// [`BufRead`] source without materializing the trace, sniffing the
 /// format from the magic. The unconsumed tail of one chunk is the only
-/// per-trace buffer.
+/// per-trace buffer. Like its parser, a failed reader keeps returning
+/// its first error.
 pub struct TraceReader<R> {
     input: R,
     parser: TracePushParser,
     header: TraceHeader,
-    closed: bool,
-    done: bool,
 }
 
 impl<R: BufRead> TraceReader<R> {
     /// Read and parse the header (text or binary); subsequent records
     /// come from [`Iterator::next`].
-    pub fn new(mut input: R) -> Result<Self, String> {
+    pub fn new(mut input: R) -> Result<Self, TraceError> {
         let mut parser = TracePushParser::new();
-        let mut closed = false;
-        let header = loop {
-            match parser.poll()? {
-                Some(TraceItem::Header(h)) => break h,
-                Some(TraceItem::Record(_)) => unreachable!("record before header"),
-                None if closed => return Err("empty trace".to_string()),
-                None => {
-                    if !refill(&mut input, &mut parser)? {
-                        parser.close();
-                        closed = true;
-                    }
-                }
-            }
+        let Some(TraceItem::Header(header)) = pull(&mut input, &mut parser)? else {
+            unreachable!("a stream yields its header first, or fails");
         };
         Ok(TraceReader {
             input,
             parser,
             header,
-            closed,
-            done: false,
         })
     }
 
@@ -982,48 +1012,17 @@ impl<R: BufRead> TraceReader<R> {
     pub fn header(&self) -> &TraceHeader {
         &self.header
     }
-
-    /// `msg` with the position of the record yielded last, in the
-    /// decoders' own style (`trace line N: …` / `trace record N: …`) —
-    /// for what only applying a record can find wrong with it.
-    fn locate(&self, msg: impl fmt::Display) -> String {
-        self.parser.locate(msg)
-    }
 }
 
 impl<R: BufRead> Iterator for TraceReader<R> {
-    type Item = Result<TraceRecord, String>;
+    type Item = Result<TraceRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.parser.poll() {
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Ok(Some(TraceItem::Record(rec))) => return Some(Ok(rec)),
-                Ok(Some(TraceItem::Header(_))) => unreachable!("second header"),
-                Ok(None) => {
-                    if self.closed {
-                        self.done = true;
-                        return None;
-                    }
-                    match refill(&mut self.input, &mut self.parser) {
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                        Ok(true) => {}
-                        Ok(false) => {
-                            self.parser.close();
-                            self.closed = true;
-                        }
-                    }
-                }
-            }
+        match pull(&mut self.input, &mut self.parser) {
+            Ok(Some(TraceItem::Record(rec))) => Some(Ok(rec)),
+            Ok(Some(TraceItem::Header(_))) => unreachable!("second header"),
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -1033,7 +1032,7 @@ impl<R: BufRead> Iterator for TraceReader<R> {
 /// transcoded trace replays identically and a round trip (text → binary
 /// → text) reproduces the original bytes exactly (both writers are
 /// canonical).
-pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, String> {
+pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, TraceError> {
     let mut reader = TraceReader::new(input)?;
     let h = *reader.header();
     let mut writer = RecordWriter::new(format);
@@ -1058,11 +1057,14 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, S
 /// reports (fiber and context labels included), detector stats and event
 /// counters all reproduce exactly. A record that does not decode, or a
 /// fiber event the session refuses, is an error naming its position.
-pub fn replay_stream<R: BufRead>(input: R) -> Result<SessionSummary, String> {
+pub fn replay_stream<R: BufRead>(input: R) -> Result<SessionSummary, TraceError> {
     let mut reader = TraceReader::new(input)?;
     let mut session = CheckSession::for_header(reader.header());
     while let Some(rec) = reader.next() {
-        session.feed(&rec?).map_err(|e| reader.locate(e))?;
+        if let Err(refusal) = session.feed(&rec?) {
+            let at = reader.parser.position(reader.parser.records);
+            return Err(TraceError::new(at, TraceErrorKind::Refused(refusal)));
+        }
     }
     Ok(session.into_summary())
 }
@@ -1087,7 +1089,7 @@ mod tests {
     /// are dense) and events.
     type WholeTrace = (TraceHeader, Vec<Arc<str>>, Vec<CusanEvent>);
 
-    fn read_all(bytes: &[u8]) -> Result<WholeTrace, String> {
+    fn read_all(bytes: &[u8]) -> Result<WholeTrace, TraceError> {
         let mut reader = TraceReader::new(bytes)?;
         let header = *reader.header();
         let (mut labels, mut events) = (Vec::new(), Vec::new());
@@ -1098,6 +1100,38 @@ mod tests {
             }
         }
         Ok((header, labels, events))
+    }
+
+    /// [`read_all`] through a [`TracePushParser`] fed `chunk` bytes at a
+    /// time, then closed.
+    fn push_all(bytes: &[u8], chunk: usize) -> Result<WholeTrace, TraceError> {
+        let mut parser = TracePushParser::new();
+        let (mut header, mut labels, mut events) = (None, Vec::new(), Vec::new());
+        let mut drain = |parser: &mut TracePushParser| -> Result<(), TraceError> {
+            while let Some(item) = parser.poll()? {
+                match item {
+                    TraceItem::Header(h) => header = Some(h),
+                    TraceItem::Record(TraceRecord::Str { label, .. }) => labels.push(label),
+                    TraceItem::Record(TraceRecord::Event(ev)) => events.push(ev),
+                }
+            }
+            Ok(())
+        };
+        for piece in bytes.chunks(chunk) {
+            parser.feed(piece);
+            drain(&mut parser)?;
+        }
+        parser.close();
+        drain(&mut parser)?;
+        Ok((
+            header.expect("a drained stream has its header"),
+            labels,
+            events,
+        ))
+    }
+
+    fn syntax(position: Option<TracePos>, detail: &str) -> TraceError {
+        TraceError::new(position, TraceErrorKind::Syntax(detail.into()))
     }
 
     fn sample_events(strings: &mut CtxInterner) -> Vec<CusanEvent> {
@@ -1220,18 +1254,49 @@ mod tests {
         let pairs: Vec<_> = events.iter().map(|e| (*e, &strings)).collect();
         let bin = record_as(TraceFormat::Binary, &pairs);
         for cut in 0..bin.len() {
+            // Whole or byte by byte, a prefix fails alike.
             let err = read_all(&bin[..cut])
                 .expect_err(&format!("prefix of {cut}/{} bytes must fail", bin.len()));
+            assert_eq!(push_all(&bin[..cut], 1), Err(err.clone()), "prefix {cut}");
             assert!(
-                err.contains("truncated") || err.contains("empty trace"),
+                matches!(
+                    err.kind(),
+                    TraceErrorKind::Empty | TraceErrorKind::Truncated(_)
+                ),
                 "prefix {cut}: unexpected error {err:?}"
             );
         }
-        // Trailing garbage after the end marker fails too.
+        // Trailing garbage after the end marker fails too, at the record
+        // after the marker: two labels and the events are records 1..=16,
+        // the marker 17.
         let mut extra = bin.clone();
         extra.extend_from_slice(&[3, 11, 0]);
-        let err = read_all(&extra).unwrap_err();
-        assert!(err.contains("after the end-of-trace marker"), "got: {err}");
+        let after_end = Some(TracePos::Record(
+            strings.len() as u64 + events.len() as u64 + 2,
+        ));
+        let want = syntax(after_end, "data after the end-of-trace marker");
+        assert_eq!(read_all(&extra), Err(want.clone()));
+        assert_eq!(push_all(&extra, 1), Err(want));
+    }
+
+    #[test]
+    fn text_prefixes_parse_alike_whole_and_bytewise() {
+        let mut strings = CtxInterner::new();
+        let events = sample_events(&mut strings);
+        let pairs: Vec<_> = events.iter().map(|e| (*e, &strings)).collect();
+        let text = record_as(TraceFormat::Text, &pairs);
+        for cut in 0..=text.len() {
+            let prefix = &text[..cut];
+            let whole = read_all(prefix);
+            assert_eq!(push_all(prefix, 1), whole, "prefix {cut}");
+            // A text stream has no end marker: one cut at a line
+            // boundary is a shorter trace, not a broken one.
+            match cut {
+                0 => assert_eq!(whole.unwrap_err().kind(), &TraceErrorKind::Empty),
+                _ if text[cut - 1] == b'\n' => assert!(whole.is_ok(), "prefix {cut}: {whole:?}"),
+                _ => {}
+            }
+        }
     }
 
     #[test]
@@ -1285,12 +1350,20 @@ mod tests {
     /// Both entry points refuse `bytes` at the header, naming the removed
     /// flat shadow.
     fn assert_flat_shadow_refused(bytes: &[u8]) {
-        let err = TraceReader::new(bytes).err().expect("reader accepted");
-        assert!(err.contains("flat shadow"), "got: {err}");
+        let flat = TraceHeader {
+            rank: 0,
+            tiered: false,
+            budget: None,
+        };
+        let refusal = TraceError::new(
+            None,
+            TraceErrorKind::Syntax(flat.reject_flat_shadow().unwrap_err()),
+        );
+        assert_eq!(TraceReader::new(bytes).err(), Some(refusal.clone()));
         let mut push = TracePushParser::new();
         push.feed(bytes);
         push.close();
-        assert_eq!(push.poll().err(), Some(err));
+        assert_eq!(push.poll().err(), Some(refusal));
     }
 
     #[test]
@@ -1322,7 +1395,10 @@ mod tests {
         );
         enc.encode_end(&mut bytes);
         let err = read_all(&bytes).unwrap_err();
-        assert!(err.contains("undefined string id 0"), "got: {err}");
+        assert_eq!(
+            err,
+            syntax(Some(TracePos::Record(1)), "undefined string id 0")
+        );
         // Non-dense string table.
         let mut bytes = Vec::new();
         binio::Encoder::encode_header(&mut bytes, 0, true, None);
@@ -1330,7 +1406,8 @@ mod tests {
         enc.encode_str(&mut bytes, 5, "label");
         enc.encode_end(&mut bytes);
         let err = read_all(&bytes).unwrap_err();
-        assert!(err.contains("string table not dense"), "got: {err}");
+        let not_dense = "string table not dense: got id 5, expected 0";
+        assert_eq!(err, syntax(Some(TracePos::Record(1)), not_dense));
     }
 
     #[test]
@@ -1348,15 +1425,17 @@ mod tests {
             },
             CusanEvent::Free { addr, bytes: len },
         ];
-        for format in [TraceFormat::Text, TraceFormat::Binary] {
+        let past_the_end = "range ffffffffffffffff+16 runs past the end of the address space";
+        for (format, at) in [
+            // The label is record 1, the event record 2.
+            (TraceFormat::Text, TracePos::Line(2)),
+            (TraceFormat::Binary, TracePos::Record(2)),
+        ] {
             for ev in &hostile {
                 let bytes = record_as(format, &[(*ev, &strings)]);
-                let err = replay_stream(&bytes[..]).unwrap_err();
-                assert!(
-                    err.contains("ffffffffffffffff+16 runs past the end"),
-                    "{format:?} {ev:?}: {err}"
-                );
-                assert!(read_all(&bytes).is_err());
+                let want = syntax(Some(at), past_the_end);
+                assert_eq!(replay_stream(&bytes[..]).unwrap_err(), want, "{ev:?}");
+                assert_eq!(read_all(&bytes).unwrap_err(), want, "{ev:?}");
             }
             // The last representable range is fine, and the shadow walks
             // it without overflowing.
@@ -1402,7 +1481,7 @@ mod tests {
                 (&binary[..], format!("trace record {recno}")),
             ] {
                 let want = format!("{at}: inconsistent fiber event: {why}");
-                assert_eq!(replay_stream(bytes).unwrap_err(), want);
+                assert_eq!(replay_stream(bytes).unwrap_err().to_string(), want);
                 // Refusing is the checker's job: every record decodes.
                 assert!(read_all(bytes).is_ok());
             }
@@ -1423,19 +1502,22 @@ mod tests {
         // A v1 recording (no budget field, no `af` events) must fail with a
         // version message, not a generic header error.
         let err = read_all(b"cusan-trace v1 rank 0 tiered 1\n").unwrap_err();
-        assert!(
-            err.contains("unsupported trace format version"),
-            "got: {err}"
-        );
-        assert!(err.contains("v1"), "got: {err}");
-        // Same loudness for an unknown *binary* version.
+        let v1 = "unsupported trace format version: got \"cusan-trace v1\", this reader only \
+                  understands `cusan-trace v2` (re-record the trace)";
+        assert_eq!(err, syntax(None, v1));
+        // Same loudness for an unknown *binary* version: the header's
+        // version byte is offset 7.
         let mut v4 = Vec::new();
         binio::Encoder::encode_header(&mut v4, 0, true, None);
         v4[7] = b'4';
         let err = read_all(&v4).unwrap_err();
+        assert_eq!(err.position(), None);
         assert!(
-            err.contains("unsupported binary trace version"),
-            "got: {err}"
+            matches!(
+                err.kind(),
+                TraceErrorKind::Decode(DecodeError::Corrupt { at: 7, .. })
+            ),
+            "got: {err:?}"
         );
     }
 
@@ -1584,7 +1666,7 @@ mod tests {
                 match parser.poll() {
                     Ok(Some(_)) => {}
                     Ok(None) => return None,
-                    Err(e) => return Some(e),
+                    Err(e) => return Some(e.to_string()),
                 }
             }
         }
@@ -1618,12 +1700,53 @@ mod tests {
 
     #[test]
     fn incremental_parser_keeps_line_numbers() {
-        let mut p = TraceLineParser::default();
-        assert!(p.parse_line("s 0 f").unwrap().is_some());
-        assert!(p.parse_line("").unwrap().is_none());
-        let err = p.parse_line("rr zz 8 0").unwrap_err();
-        // Header is line 1, so the third body line is file line 4.
-        assert!(err.starts_with("trace line 4:"), "got: {err}");
+        let mut p = TracePushParser::new();
+        p.feed(format!("{TRACE_MAGIC} rank 0 tiered 1 budget none\ns 0 f\n\n").as_bytes());
+        assert!(matches!(p.poll(), Ok(Some(TraceItem::Header(_)))));
+        assert!(matches!(p.poll(), Ok(Some(TraceItem::Record(_)))));
+        assert!(matches!(p.poll(), Ok(None)));
+        p.feed(b"rr zz 8 0\n");
+        // Header is record 0 and the empty line counts, so the third
+        // body line is record 3: file line 4.
+        let err = p.poll().unwrap_err();
+        let bad_hex = "bad hex number: invalid digit found in string";
+        assert_eq!(err, syntax(Some(TracePos::Line(3)), bad_hex));
+        assert_eq!(err.to_string(), format!("trace line 4: {bad_hex}"));
+    }
+
+    #[test]
+    fn a_poisoned_parser_repeats_its_first_error() {
+        let header = format!("{TRACE_MAGIC} rank 0 tiered 1 budget none\n");
+        // `record_as` does not validate: an event naming a string id the
+        // table never defined records as such in either encoding.
+        let undefined = CusanEvent::ReadRange {
+            addr: 0x10,
+            len: 8,
+            ctx: StrId(3),
+        };
+        let no_strings = CtxInterner::new();
+        let traces = [
+            format!("{header}s 0 f\nzz 1 2\nfd 1\n").into_bytes(),
+            format!("{header}rr 10 8 3\nfd 1\n").into_bytes(),
+            record_as(TraceFormat::Text, &[(undefined, &no_strings)]),
+            record_as(TraceFormat::Binary, &[(undefined, &no_strings)]),
+        ];
+        for bytes in traces {
+            let mut parser = TracePushParser::new();
+            parser.feed(&bytes);
+            parser.close();
+            let first = loop {
+                match parser.poll() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{bytes:?} parsed"),
+                    Err(e) => break e,
+                }
+            };
+            for _ in 0..3 {
+                assert_eq!(parser.poll().unwrap_err(), first);
+            }
+            assert_eq!(read_all(&bytes).unwrap_err(), first);
+        }
     }
 
     #[test]

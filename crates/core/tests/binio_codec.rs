@@ -19,7 +19,9 @@
 //! path of the text twin), and empty event streams.
 
 use cusan::binio::{BinRecord, Decoder, Encoder};
-use cusan::{transcode, CusanEvent, StrId, TraceFormat, TraceReader, TraceRecord};
+use cusan::{
+    transcode, CusanEvent, StrId, TraceError, TraceErrorKind, TraceFormat, TraceReader, TraceRecord,
+};
 use proptest::prelude::*;
 use tsan_rt::{FiberId, SyncKey};
 
@@ -66,7 +68,7 @@ fn encode(
 /// Every event of a stream, through the streaming reader. It only
 /// decodes: refusing fiber events no runtime could have produced — which
 /// the arbitrary ones below are — is replay's job.
-fn read_events(bytes: &[u8]) -> Result<Vec<CusanEvent>, String> {
+fn read_events(bytes: &[u8]) -> Result<Vec<CusanEvent>, TraceError> {
     let mut events = Vec::new();
     for rec in TraceReader::new(bytes)? {
         if let TraceRecord::Event(ev) = rec? {
@@ -165,7 +167,9 @@ proptest! {
         // shadow), so the reader-level properties run on a `tiered 1` twin.
         if !tiered {
             let refused = read_events(&bytes).expect_err("flat-shadow header accepted");
-            prop_assert!(refused.contains("flat shadow"), "{}", refused);
+            let budget = budget.map_or_else(|| "none".to_string(), |b| b.to_string());
+            let text = format!("cusan-trace v2 rank {rank} tiered 0 budget {budget}\n");
+            prop_assert_eq!(Err(refused), read_events(text.as_bytes()));
         }
         let bytes = encode(rank, true, budget, &labels, &events);
 
@@ -182,7 +186,7 @@ proptest! {
             match read_events(&bytes[..cut]) {
                 Ok(_) => prop_assert!(false, "prefix of {cut} bytes parsed silently"),
                 Err(e) => prop_assert!(
-                    e.contains("truncated") || e.contains("empty trace"),
+                    matches!(e.kind(), TraceErrorKind::Empty | TraceErrorKind::Truncated(_)),
                     "prefix {cut}: untyped error {e:?}"
                 ),
             }

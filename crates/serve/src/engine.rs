@@ -566,7 +566,7 @@ impl ServeEngine {
             let LiveState::Resident(ingest) = &mut s.state else {
                 unreachable!("ensure_resident restored the session");
             };
-            fed = ingest.feed(chunk);
+            fed = ingest.feed(chunk).map_err(String::from);
         }
         if fed.is_ok() {
             s.acked += chunk.len() as u64;
@@ -615,7 +615,7 @@ impl ServeEngine {
         let LiveState::Resident(ingest) = state else {
             unreachable!("ensure_resident restored the session");
         };
-        ingest.finish()
+        Ok(ingest.finish()?)
     }
 
     /// Detach one connection from session `id` (connection end, clean or

@@ -20,12 +20,16 @@
 //! of the same trace, at any worker count and in either trace format. A
 //! trace that decodes but whose fiber events no runtime could have
 //! produced fails the way a malformed one does: the session's first
-//! refusal ([`cusan::FiberEventError`]) comes back from the `feed` or
-//! `finish` that meets it — the pool applies behind the parser, so it
-//! names the event, not a line — and the ingest is dead from there.
+//! refusal comes back from the `feed` or `finish` that meets it, as a
+//! [`cusan::TraceError`] of kind `Refused` — without a position, since
+//! the pool applies behind the parser — and the ingest is dead from
+//! there.
 
 use crate::engine::ServeEngine;
-use cusan::{AsyncChecker, CheckSession, SessionSummary, TraceItem, TracePushParser, TraceRecord};
+use cusan::{
+    AsyncChecker, CheckSession, SessionSummary, TraceError, TraceErrorKind, TraceItem,
+    TracePushParser, TraceRecord,
+};
 use std::sync::{Arc, Weak};
 use tsan_rt::codec::{DecodeError, Scanner};
 
@@ -69,23 +73,23 @@ impl SessionIngest {
     /// Feed one chunk. Chunk boundaries are arbitrary — mid-record
     /// splits of either format are fine (only complete records are
     /// decoded). The first error poisons the ingest.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<(), String> {
+    pub fn feed(&mut self, chunk: &[u8]) -> Result<(), TraceError> {
         if matches!(self.state, IngestState::Done) {
-            return Err("session already closed".to_string());
+            return Err(TraceErrorKind::Closed.into());
         }
         let engine = self.engine()?;
         self.parser.feed(chunk);
         self.pump(&engine)
     }
 
-    fn engine(&self) -> Result<Arc<ServeEngine>, String> {
+    fn engine(&self) -> Result<Arc<ServeEngine>, TraceError> {
         self.engine
             .upgrade()
-            .ok_or_else(|| "serve engine dropped".to_string())
+            .ok_or_else(|| TraceErrorKind::EngineGone.into())
     }
 
     /// Drain every complete record the parser holds into the checker.
-    fn pump(&mut self, engine: &ServeEngine) -> Result<(), String> {
+    fn pump(&mut self, engine: &ServeEngine) -> Result<(), TraceError> {
         let pumped = self.pump_records(engine);
         if pumped.is_err() {
             self.state = IngestState::Done;
@@ -93,7 +97,7 @@ impl SessionIngest {
         pumped
     }
 
-    fn pump_records(&mut self, engine: &ServeEngine) -> Result<(), String> {
+    fn pump_records(&mut self, engine: &ServeEngine) -> Result<(), TraceError> {
         loop {
             let Some(item) = self.parser.poll()? else {
                 return Ok(());
@@ -120,8 +124,7 @@ impl SessionIngest {
                             checker.send_intern_shared(engine.labels().canon(&label))
                         }
                         TraceRecord::Event(ev) => checker.send_event(ev),
-                    }
-                    .map_err(|e| e.to_string())?;
+                    }?;
                 }
             }
         }
@@ -162,16 +165,15 @@ impl SessionIngest {
     /// rebuilds an ingest that continues bit-for-bit identically.
     /// Consuming the ingest releases its pool registration: spilling
     /// frees the session's entire memory footprint.
-    pub fn spill_to(mut self, buf: &mut Vec<u8>) -> Result<(), String> {
+    pub fn spill_to(mut self, buf: &mut Vec<u8>) -> Result<(), TraceError> {
         let checker = match std::mem::replace(&mut self.state, IngestState::Done) {
-            IngestState::Done => return Err("session already closed".to_string()),
+            IngestState::Done => return Err(TraceErrorKind::Closed.into()),
             IngestState::AwaitHeader => None,
             IngestState::Body { checker } => Some(checker),
         };
         buf.push(u8::from(checker.is_some()));
         if let Some(checker) = checker {
-            let session = checker.finish().map_err(|e| e.to_string())?;
-            session.write_snapshot(buf);
+            checker.finish()?.write_snapshot(buf);
         }
         self.parser.spill_to(buf);
         Ok(())
@@ -207,29 +209,24 @@ impl SessionIngest {
     /// A trailing text line without a final newline is accepted; a
     /// binary stream must end exactly at its end-of-trace marker or this
     /// reports the truncation.
-    pub fn finish(mut self) -> Result<SessionSummary, String> {
+    pub fn finish(mut self) -> Result<SessionSummary, TraceError> {
         if matches!(self.state, IngestState::Done) {
-            return Err("session already closed".to_string());
+            return Err(TraceErrorKind::Closed.into());
         }
         let engine = self.engine()?;
         self.parser.close();
-        self.pump(&engine).map_err(|e| {
-            if e == "empty trace" {
-                "empty session: no trace header received".to_string()
-            } else {
-                e
-            }
+        self.pump(&engine).map_err(|e| match e.kind() {
+            TraceErrorKind::Empty => TraceErrorKind::NoHeader.into(),
+            _ => e,
         })?;
-        match std::mem::replace(&mut self.state, IngestState::Done) {
-            IngestState::AwaitHeader => Err("empty session: no trace header received".to_string()),
-            IngestState::Done => Err("session already closed".to_string()),
-            IngestState::Body { checker } => {
-                // The barrier applies what is still queued — and is
-                // where a refusal in the stream's tail surfaces.
-                let session = checker.finish().map_err(|e| e.to_string())?;
-                engine.finish_session(session.shadow_pages());
-                Ok(session.into_summary())
-            }
-        }
+        let IngestState::Body { checker } = std::mem::replace(&mut self.state, IngestState::Done)
+        else {
+            unreachable!("a closed stream yields its header or fails");
+        };
+        // The barrier applies what is still queued — and is where a
+        // refusal in the stream's tail surfaces.
+        let session = checker.finish()?;
+        engine.finish_session(session.shadow_pages());
+        Ok(session.into_summary())
     }
 }

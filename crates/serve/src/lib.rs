@@ -54,7 +54,7 @@ pub use json::summary_to_json;
 pub use labels::SharedLabels;
 pub use proto::{serve_connection, FrameError, Reply};
 
-use cusan::SessionSummary;
+use cusan::{SessionSummary, TraceError};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,7 +76,7 @@ pub fn unique_scratch_dir(tag: &str) -> PathBuf {
 /// Reference result: replay `trace` (text or binary bytes — the reader
 /// sniffs) solo, synchronously, in this thread — the baseline every
 /// served session is compared against.
-pub fn solo_summary(trace: impl AsRef<[u8]>) -> Result<SessionSummary, String> {
+pub fn solo_summary(trace: impl AsRef<[u8]>) -> Result<SessionSummary, TraceError> {
     cusan::replay_stream(trace.as_ref())
 }
 

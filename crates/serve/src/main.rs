@@ -232,7 +232,7 @@ fn run_check(o: &Options) -> Result<(), String> {
     for (i, path) in o.files.iter().enumerate() {
         match std::fs::read(path)
             .map_err(|e| e.to_string())
-            .and_then(solo_summary)
+            .and_then(|trace| Ok(solo_summary(trace)?))
         {
             Ok(summary) => println!("{}", summary_to_json(i as u64, &summary)),
             Err(e) => {

@@ -7,6 +7,7 @@
 //! `tests/trace_fixture.rs` — regenerate, don't hand-edit) plus rank
 //! traces of both mini-apps at test size, recorded fresh per test run.
 
+use cusan::{TraceErrorKind, TracePos};
 use cusan_serve::{solo_summary, summary_to_json, EngineConfig, ServeEngine, SessionIngest};
 use std::sync::Arc;
 
@@ -261,7 +262,11 @@ fn bad_streams_fail_cleanly_without_poisoning_the_engine() {
     bad.feed(b"cusan-trace v2 rank 0 tiered 1 budget none\n")
         .unwrap();
     let err = bad.feed(b"rr zz 8 0\n").unwrap_err();
-    assert!(err.contains("bad hex number"), "got: {err}");
+    assert_eq!(err.position(), Some(TracePos::Line(1)));
+    assert_eq!(
+        err.kind(),
+        &TraceErrorKind::Syntax("bad hex number: invalid digit found in string".into())
+    );
 
     // Close without a header.
     let empty = SessionIngest::new(Arc::clone(&engine));
@@ -327,7 +332,8 @@ fn a_range_past_the_address_space_fails_only_its_own_session() {
         }
         match &replies[..] {
             [Reply::Error { id: 1, message }, Reply::Summary { id: 2, json }] => {
-                assert!(message.contains("runs past the end"), "got: {message}");
+                // The parser refuses it, so served and solo say the same.
+                assert_eq!(*message, solo_summary(hostile).unwrap_err().to_string());
                 assert_eq!(*json, solo_json);
             }
             other => panic!("unexpected replies: {other:?}"),

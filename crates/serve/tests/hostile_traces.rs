@@ -10,13 +10,13 @@
 //! `inconsistent_fiber_events_are_refused_in_both_encodings` in
 //! `crates/core/src/trace.rs`.
 
-use cusan::{transcode, TraceFormat};
+use cusan::{transcode, TraceErrorKind, TraceFormat};
 use cusan_serve::proto::{
     close_frame, data_frame, open_frame, parse_reply, quit_frame, read_frame, write_frame,
 };
 use cusan_serve::{
     check_traces_resilient, serve_connection, serve_listener, solo_summary, summary_to_json,
-    EngineConfig, FeedError, Reply, RetryPolicy, ServeEngine,
+    EngineConfig, FeedError, Reply, RetryPolicy, ServeEngine, SessionIngest,
 };
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -152,6 +152,30 @@ fn an_inconsistent_trace_fails_only_its_own_session() {
 }
 
 #[test]
+fn served_and_solo_refuse_alike_and_only_solo_names_the_record() {
+    // The pool applies events behind the parser, so a served refusal has
+    // no position; solo replay applies each record as it is read.
+    let engine = ServeEngine::new(EngineConfig::default());
+    for (trace, why) in hostile_traces() {
+        let solo = solo_summary(&trace).unwrap_err();
+        let mut ingest = SessionIngest::new(Arc::clone(&engine));
+        let served = match ingest.feed(&trace) {
+            Ok(()) => ingest.finish().unwrap_err(),
+            Err(e) => e,
+        };
+        assert!(
+            matches!(served.kind(), TraceErrorKind::Refused(_)),
+            "{why}: {served:?}"
+        );
+        assert_eq!(served.kind(), solo.kind(), "{why}");
+        assert_eq!(served.position(), None, "{why}");
+        assert!(solo.position().is_some(), "{why}");
+        assert_eq!(served.to_string(), why);
+    }
+    assert_eq!(engine.live_sessions(), 0);
+}
+
+#[test]
 fn a_listener_outlives_every_inconsistent_trace() {
     a_listener_outlives(&hostile_traces());
 }
@@ -210,7 +234,7 @@ fn offline_check_answers_with_a_line(hostile: Vec<(Vec<u8>, String)>) {
     let mut expected = String::new();
     for (i, (trace, why)) in hostile.into_iter().enumerate() {
         let path = dir.join(format!("hostile-{i}.trace"));
-        let solo = solo_summary(&trace).unwrap_err();
+        let solo = solo_summary(&trace).unwrap_err().to_string();
         assert!(solo.starts_with("trace ") && solo.ends_with(&why), "{solo}");
         std::fs::write(&path, trace).unwrap();
         expected += &format!("cusan-serve: {}: {solo}\n", path.display());
@@ -280,7 +304,10 @@ fn a_trace_with_more_contexts_than_ids_is_refused_not_asserted_on() {
         format!("trace line {}", last_record + 1),
         format!("trace record {last_record}"),
     ]) {
-        assert_eq!(solo_summary(trace).unwrap_err(), format!("{at}: {why}"));
+        assert_eq!(
+            solo_summary(trace).unwrap_err().to_string(),
+            format!("{at}: {why}")
+        );
     }
     a_listener_outlives(&flood);
     offline_check_answers_with_a_line(flood.into());
