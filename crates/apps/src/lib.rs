@@ -28,7 +28,8 @@
 //! [`try_run_tealeaf`] take an optional schedule controller (an
 //! [`explore::FaultSchedule`] fails the checked calls it picks) and
 //! return each rank's result or first error. [`run_jacobi`] and
-//! [`run_tealeaf`] expect success.
+//! [`run_tealeaf`] expect success. The testsuite's bodies do the same
+//! ([`testsuite::try_run_case`]).
 
 pub mod jacobi;
 pub mod jacobi2d;

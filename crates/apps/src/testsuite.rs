@@ -10,17 +10,23 @@
 //! Case names follow the upstream convention:
 //! `<category>/<scenario>[_nok]` where `_nok` marks an incorrect program.
 //!
+//! Every body propagates the errors of its checked calls with `?`, like
+//! the mini-apps, so one runner ([`try_run_case`]) runs a case plain or
+//! under a schedule controller that injects faults.
+//!
 //! Scheduled runs ([`run_case_scheduled`]) record every rank's trace in
 //! text (`ToolConfig::record`); [`outcome_digest`] hashes those records
 //! straight off [`cusan::TraceReader`], and replaying one goes through
 //! [`cusan::replay_stream`] like any other recording.
 
 use crate::kernels::AppKernels;
+use crate::{expect_ok, run_world, AppResult};
 use cuda_sim::{CopyKind, DefaultStreamMode, StreamFlags, StreamId};
 use cusan::Flavor;
+use explore::ScheduleController;
 use kernel_ir::{LaunchArg, LaunchGrid};
 use mpi_sim::{MpiDatatype, ReduceOp};
-use must_rt::{run_checked_world, RankCtx};
+use must_rt::{RankCtx, WorldOutcome};
 use sim_mem::Ptr;
 use std::sync::Arc;
 
@@ -38,14 +44,27 @@ pub enum Expected {
     MustReport,
 }
 
+impl Expected {
+    /// Whether a run's findings are this classification.
+    pub fn holds<T>(self, out: &WorldOutcome<T>) -> bool {
+        let (races, must_reports) = (out.total_races(), out.all_must_reports().len());
+        match self {
+            Expected::Clean => races == 0 && must_reports == 0,
+            Expected::Race => races > 0,
+            Expected::MustReport => must_reports > 0 && races == 0,
+        }
+    }
+}
+
 /// One testsuite case.
 pub struct Case {
     /// `category/scenario` name.
     pub name: &'static str,
     /// Expected classification.
     pub expected: Expected,
-    /// Per-rank body (world size is always 2).
-    pub run: fn(&mut RankCtx, &'static AppKernels),
+    /// Per-rank body (world size is always 2): `Ok` or the first error
+    /// of a checked call it did not discard.
+    pub run: fn(&mut RankCtx, &'static AppKernels) -> AppResult<()>,
 }
 
 /// Outcome of executing one case under the full MUST & CuSan stack.
@@ -59,19 +78,31 @@ pub struct CaseOutcome {
     pub details: Vec<String>,
 }
 
-/// Execute a case under the full MUST & CuSan stack.
-pub fn run_case(case: &Case) -> CaseOutcome {
-    run_case_with(case, Flavor::MustCusan.config())
-}
-
-/// Execute a case under an explicit tool configuration (used by the
-/// bounded-tracking detection-preservation sweep).
-pub fn run_case_with(case: &Case, cfg: cusan::ToolConfig) -> CaseOutcome {
+/// Run a case on its two ranks under `tools`, and under `controller` if
+/// one is given (an [`explore::FaultSchedule`] fails the checked calls it
+/// picks): each rank's `Ok` or first error, like
+/// [`crate::try_run_jacobi`].
+pub fn try_run_case(
+    case: &Case,
+    tools: impl Into<cusan::ToolConfig>,
+    controller: Option<Arc<dyn ScheduleController>>,
+) -> WorldOutcome<AppResult<()>> {
     let k = AppKernels::shared();
     let run = case.run;
-    let out = run_checked_world(2, cfg, Arc::clone(&k.registry), move |ctx| {
-        run(ctx, k);
-    });
+    run_world(2, tools.into(), controller, move |ctx| run(ctx, k))
+}
+
+/// Check a case against its expected classification under the full
+/// MUST & CuSan stack. A rank that failed is an `Err` naming the rank
+/// and its error.
+pub fn check_case(case: &Case) -> Result<CaseOutcome, String> {
+    let out = try_run_case(case, Flavor::MustCusan, None);
+    for (rank, result) in out.results.iter().enumerate() {
+        if let Err(e) = result {
+            return Err(format!("{}: rank {rank} failed: {e}", case.name));
+        }
+    }
+    let ok = case.expected.holds(&out);
     let mut details = Vec::new();
     for (rank, r) in out.all_races() {
         details.push(format!("rank {rank}: {r}"));
@@ -79,25 +110,10 @@ pub fn run_case_with(case: &Case, cfg: cusan::ToolConfig) -> CaseOutcome {
     for (rank, m) in out.all_must_reports() {
         details.push(format!("rank {rank}: MUST: {m}"));
     }
-    CaseOutcome {
+    let out = CaseOutcome {
         races: out.total_races(),
         must_reports: out.all_must_reports().len(),
         details,
-    }
-}
-
-/// Check a case against its expected classification.
-pub fn check_case(case: &Case) -> Result<CaseOutcome, String> {
-    check_case_with(case, Flavor::MustCusan.config())
-}
-
-/// Check a case under an explicit tool configuration.
-pub fn check_case_with(case: &Case, cfg: cusan::ToolConfig) -> Result<CaseOutcome, String> {
-    let out = run_case_with(case, cfg);
-    let ok = match case.expected {
-        Expected::Clean => out.races == 0 && out.must_reports == 0,
-        Expected::Race => out.races > 0,
-        Expected::MustReport => out.must_reports > 0 && out.races == 0,
     };
     if ok {
         Ok(out)
@@ -115,46 +131,46 @@ pub fn check_case_with(case: &Case, cfg: cusan::ToolConfig) -> Result<CaseOutcom
 
 // ---- kernel-launch helpers ----------------------------------------------------
 
-fn fill(ctx: &mut RankCtx, k: &AppKernels, p: Ptr, v: f64, s: StreamId) {
-    ctx.cuda
-        .launch(
-            k.fill,
-            LaunchGrid::linear(N),
-            s,
-            vec![
-                LaunchArg::Ptr(p),
-                LaunchArg::F64(v),
-                LaunchArg::I64(N as i64),
-            ],
-        )
-        .unwrap();
+fn fill(ctx: &mut RankCtx, k: &AppKernels, p: Ptr, v: f64, s: StreamId) -> AppResult<()> {
+    ctx.cuda.launch(
+        k.fill,
+        LaunchGrid::linear(N),
+        s,
+        vec![
+            LaunchArg::Ptr(p),
+            LaunchArg::F64(v),
+            LaunchArg::I64(N as i64),
+        ],
+    )?;
+    Ok(())
 }
 
-fn consume(ctx: &mut RankCtx, k: &AppKernels, out: Ptr, inp: Ptr, s: StreamId) {
-    ctx.cuda
-        .launch(
-            k.copy,
-            LaunchGrid::linear(N),
-            s,
-            vec![
-                LaunchArg::Ptr(out),
-                LaunchArg::Ptr(inp),
-                LaunchArg::I64(N as i64),
-            ],
-        )
-        .unwrap();
+fn consume(ctx: &mut RankCtx, k: &AppKernels, out: Ptr, inp: Ptr, s: StreamId) -> AppResult<()> {
+    ctx.cuda.launch(
+        k.copy,
+        LaunchGrid::linear(N),
+        s,
+        vec![
+            LaunchArg::Ptr(out),
+            LaunchArg::Ptr(inp),
+            LaunchArg::I64(N as i64),
+        ],
+    )?;
+    Ok(())
 }
 
-fn peer_recv(ctx: &mut RankCtx) {
-    let buf = ctx.cuda.malloc::<f64>(N).unwrap();
-    ctx.mpi.recv(buf, N, MpiDatatype::Double, 0, 0).unwrap();
+fn peer_recv(ctx: &mut RankCtx) -> AppResult<()> {
+    let buf = ctx.cuda.malloc::<f64>(N)?;
+    ctx.mpi.recv(buf, N, MpiDatatype::Double, 0, 0)?;
+    Ok(())
 }
 
-fn peer_send(ctx: &mut RankCtx, k: &AppKernels) {
-    let buf = ctx.cuda.malloc::<f64>(N).unwrap();
-    fill(ctx, k, buf, 5.0, StreamId::DEFAULT);
-    ctx.cuda.device_synchronize().unwrap();
-    ctx.mpi.send(buf, N, MpiDatatype::Double, 0, 0).unwrap();
+fn peer_send(ctx: &mut RankCtx, k: &AppKernels) -> AppResult<()> {
+    let buf = ctx.cuda.malloc::<f64>(N)?;
+    fill(ctx, k, buf, 5.0, StreamId::DEFAULT)?;
+    ctx.cuda.device_synchronize()?;
+    ctx.mpi.send(buf, N, MpiDatatype::Double, 0, 0)?;
+    Ok(())
 }
 
 // ---- the suite -------------------------------------------------------------------
@@ -172,12 +188,17 @@ pub const TIMING_DEPENDENT: [&str; 3] = [
 
 /// All cases, grouped by category.
 pub fn cases() -> Vec<Case> {
+    // A body is a block of `?`-propagating statements; the macro ends it
+    // with `Ok(())`.
     macro_rules! case {
-        ($name:literal, $expected:ident, $body:expr) => {
+        ($name:literal, $expected:ident, |$ctx:ident, $k:ident| $body:block) => {
             Case {
                 name: $name,
                 expected: Expected::$expected,
-                run: $body,
+                run: |$ctx, $k| {
+                    $body;
+                    Ok(())
+                },
             }
         };
     }
@@ -185,57 +206,57 @@ pub fn cases() -> Vec<Case> {
         // ------------------------- cuda-to-mpi -------------------------
         case!("cuda-to-mpi/send_device_sync", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_no_sync_nok", Race, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_stream_sync", Clean, |ctx, k| {
             if ctx.rank() == 0 {
                 let s = ctx.cuda.stream_create(StreamFlags::NonBlocking);
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, s);
-                ctx.cuda.stream_synchronize(s).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, s)?;
+                ctx.cuda.stream_synchronize(s)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_wrong_stream_sync_nok", Race, |ctx, k| {
             if ctx.rank() == 0 {
                 let s1 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
                 let s2 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, s1);
-                ctx.cuda.stream_synchronize(s2).unwrap(); // wrong stream
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, s1)?;
+                ctx.cuda.stream_synchronize(s2)?; // wrong stream
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_event_sync", Clean, |ctx, k| {
             if ctx.rank() == 0 {
                 let s = ctx.cuda.stream_create(StreamFlags::NonBlocking);
                 let e = ctx.cuda.event_create();
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, s);
-                ctx.cuda.event_record(e, s).unwrap();
-                ctx.cuda.event_synchronize(e).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, s)?;
+                ctx.cuda.event_record(e, s)?;
+                ctx.cuda.event_synchronize(e)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!(
@@ -245,66 +266,63 @@ pub fn cases() -> Vec<Case> {
                 if ctx.rank() == 0 {
                     let s = ctx.cuda.stream_create(StreamFlags::NonBlocking);
                     let e = ctx.cuda.event_create();
-                    let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                    ctx.cuda.event_record(e, s).unwrap(); // marker BEFORE the kernel
-                    fill(ctx, k, d, 1.0, s);
-                    ctx.cuda.event_synchronize(e).unwrap();
-                    ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                    let d = ctx.cuda.malloc::<f64>(N)?;
+                    ctx.cuda.event_record(e, s)?; // marker BEFORE the kernel
+                    fill(ctx, k, d, 1.0, s)?;
+                    ctx.cuda.event_synchronize(e)?;
+                    ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
                 } else {
-                    peer_recv(ctx);
+                    peer_recv(ctx)?;
                 }
             }
         ),
         case!("cuda-to-mpi/send_memcpy_sync", Clean, |ctx, k| {
             // A blocking D2H memcpy is an implicit synchronization point.
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let h = ctx.cuda.host_malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-                ctx.cuda
-                    .memcpy(h, d, N * 8, CopyKind::DeviceToHost)
-                    .unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let h = ctx.cuda.host_malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+                ctx.cuda.memcpy(h, d, N * 8, CopyKind::DeviceToHost)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_memcpy_async_nok", Race, |ctx, k| {
             // The async variant does NOT synchronize the host.
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let h = ctx.cuda.host_alloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let h = ctx.cuda.host_alloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
                 ctx.cuda
-                    .memcpy_async(h, d, N * 8, CopyKind::DeviceToHost, StreamId::DEFAULT)
-                    .unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                    .memcpy_async(h, d, N * 8, CopyKind::DeviceToHost, StreamId::DEFAULT)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_query_sync", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
                 // Busy-wait query acts as synchronization (paper §III-B1).
-                while !ctx.cuda.stream_query(StreamId::DEFAULT).unwrap() {}
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                while !ctx.cuda.stream_query(StreamId::DEFAULT)? {}
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_nonblocking_stream_nok", Race, |ctx, k| {
             if ctx.rank() == 0 {
                 let s = ctx.cuda.stream_create(StreamFlags::NonBlocking);
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, s);
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, s)?;
                 // Synchronizing the DEFAULT stream does not cover a
                 // non-blocking stream.
-                ctx.cuda.stream_synchronize(StreamId::DEFAULT).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                ctx.cuda.stream_synchronize(StreamId::DEFAULT)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!(
@@ -315,26 +333,26 @@ pub fn cases() -> Vec<Case> {
                 // terminates blocking user streams (paper §IV-A e).
                 if ctx.rank() == 0 {
                     let s = ctx.cuda.stream_create(StreamFlags::Default);
-                    let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                    fill(ctx, k, d, 1.0, s);
-                    ctx.cuda.stream_synchronize(StreamId::DEFAULT).unwrap();
-                    ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                    let d = ctx.cuda.malloc::<f64>(N)?;
+                    fill(ctx, k, d, 1.0, s)?;
+                    ctx.cuda.stream_synchronize(StreamId::DEFAULT)?;
+                    ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
                 } else {
-                    peer_recv(ctx);
+                    peer_recv(ctx)?;
                 }
             }
         ),
         case!("cuda-to-mpi/isend_wait_then_kernel", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
-                let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                ctx.mpi.wait(&mut req).unwrap();
-                fill(ctx, k, d, 2.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
+                let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0)?;
+                ctx.mpi.wait(&mut req)?;
+                fill(ctx, k, d, 2.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!(
@@ -342,26 +360,26 @@ pub fn cases() -> Vec<Case> {
             Race,
             |ctx, k| {
                 if ctx.rank() == 0 {
-                    let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                    fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-                    ctx.cuda.device_synchronize().unwrap();
-                    let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                    fill(ctx, k, d, 2.0, StreamId::DEFAULT); // inside the region
-                    ctx.mpi.wait(&mut req).unwrap();
-                    ctx.cuda.device_synchronize().unwrap();
+                    let d = ctx.cuda.malloc::<f64>(N)?;
+                    fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+                    ctx.cuda.device_synchronize()?;
+                    let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0)?;
+                    fill(ctx, k, d, 2.0, StreamId::DEFAULT)?; // inside the region
+                    ctx.mpi.wait(&mut req)?;
+                    ctx.cuda.device_synchronize()?;
                 } else {
-                    peer_recv(ctx);
+                    peer_recv(ctx)?;
                 }
             }
         ),
         case!("cuda-to-mpi/send_pinned_buffer", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let p = ctx.cuda.host_alloc::<f64>(N).unwrap();
-                fill(ctx, k, p, 3.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(p, N, MpiDatatype::Double, 1, 0).unwrap();
+                let p = ctx.cuda.host_alloc::<f64>(N)?;
+                fill(ctx, k, p, 3.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(p, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/free_during_isend_nok", Race, |ctx, k| {
@@ -370,74 +388,72 @@ pub fn cases() -> Vec<Case> {
             // rendezvous transfer then faults, so both sides tolerate the
             // resulting MPI errors.
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
-                let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                ctx.cuda.free(d).unwrap(); // released inside the region
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
+                let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0)?;
+                ctx.cuda.free(d)?; // released inside the region
                 let _ = ctx.mpi.wait(&mut req);
             } else {
-                let buf = ctx.cuda.malloc::<f64>(N).unwrap();
+                let buf = ctx.cuda.malloc::<f64>(N)?;
                 let _ = ctx.mpi.recv(buf, N, MpiDatatype::Double, 0, 0);
             }
         }),
         case!("cuda-to-mpi/send_memset_async_nok", Race, |ctx, _k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                ctx.cuda.memset(d, 0xFF, N * 8).unwrap(); // async w.r.t. host
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                ctx.cuda.memset(d, 0xFF, N * 8)?; // async w.r.t. host
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_memset_pinned", Clean, |ctx, _k| {
             if ctx.rank() == 0 {
-                let p = ctx.cuda.host_alloc::<f64>(N).unwrap();
-                ctx.cuda.memset(p, 0, N * 8).unwrap(); // pinned: blocks host
-                ctx.mpi.send(p, N, MpiDatatype::Double, 1, 0).unwrap();
+                let p = ctx.cuda.host_alloc::<f64>(N)?;
+                ctx.cuda.memset(p, 0, N * 8)?; // pinned: blocks host
+                ctx.mpi.send(p, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/send_memset_then_sync", Clean, |ctx, _k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                ctx.cuda.memset(d, 0, N * 8).unwrap();
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                ctx.cuda.memset(d, 0, N * 8)?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                peer_recv(ctx);
+                peer_recv(ctx)?;
             }
         }),
         case!("cuda-to-mpi/allreduce_no_sync_nok", Race, |ctx, k| {
-            let s = ctx.cuda.malloc::<f64>(N).unwrap();
-            let r = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, s, 1.0, StreamId::DEFAULT);
+            let s = ctx.cuda.malloc::<f64>(N)?;
+            let r = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, s, 1.0, StreamId::DEFAULT)?;
             // Missing sync before the collective reads the send buffer.
             ctx.mpi
-                .allreduce(s, r, N, MpiDatatype::Double, ReduceOp::Sum)
-                .unwrap();
+                .allreduce(s, r, N, MpiDatatype::Double, ReduceOp::Sum)?;
         }),
         case!("cuda-to-mpi/allreduce_sync", Clean, |ctx, k| {
-            let s = ctx.cuda.malloc::<f64>(N).unwrap();
-            let r = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, s, 1.0, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let s = ctx.cuda.malloc::<f64>(N)?;
+            let r = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, s, 1.0, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
             ctx.mpi
-                .allreduce(s, r, N, MpiDatatype::Double, ReduceOp::Sum)
-                .unwrap();
+                .allreduce(s, r, N, MpiDatatype::Double, ReduceOp::Sum)?;
         }),
         // ------------------------- mpi-to-cuda -------------------------
         case!("mpi-to-cuda/irecv_wait_kernel", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                ctx.mpi.wait(&mut req).unwrap();
-                consume(ctx, k, out, d, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0)?;
+                ctx.mpi.wait(&mut req)?;
+                consume(ctx, k, out, d, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                peer_send(ctx, k);
+                peer_send(ctx, k)?;
             }
         }),
         case!(
@@ -445,54 +461,54 @@ pub fn cases() -> Vec<Case> {
             Race,
             |ctx, k| {
                 if ctx.rank() == 0 {
-                    let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                    let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                    let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                    consume(ctx, k, out, d, StreamId::DEFAULT); // before Wait
-                    ctx.mpi.wait(&mut req).unwrap();
-                    ctx.cuda.device_synchronize().unwrap();
+                    let d = ctx.cuda.malloc::<f64>(N)?;
+                    let out = ctx.cuda.malloc::<f64>(N)?;
+                    let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0)?;
+                    consume(ctx, k, out, d, StreamId::DEFAULT)?; // before Wait
+                    ctx.mpi.wait(&mut req)?;
+                    ctx.cuda.device_synchronize()?;
                 } else {
-                    peer_send(ctx, k);
+                    peer_send(ctx, k)?;
                 }
             }
         ),
         case!("mpi-to-cuda/irecv_test_loop", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0)?;
                 // Poll with MPI_Test until completion — a successful test
                 // is a completion call.
-                while ctx.mpi.test(&mut req).unwrap().is_none() {
+                while ctx.mpi.test(&mut req)?.is_none() {
                     std::thread::yield_now();
                 }
-                consume(ctx, k, out, d, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                consume(ctx, k, out, d, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                peer_send(ctx, k);
+                peer_send(ctx, k)?;
             }
         }),
         case!("mpi-to-cuda/recv_then_kernel", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                ctx.mpi.recv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                consume(ctx, k, out, d, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                ctx.mpi.recv(d, N, MpiDatatype::Double, 1, 0)?;
+                consume(ctx, k, out, d, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                peer_send(ctx, k);
+                peer_send(ctx, k)?;
             }
         }),
         case!("mpi-to-cuda/recv_into_kernel_input_nok", Race, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                consume(ctx, k, out, d, StreamId::DEFAULT); // kernel reads d...
-                                                            // ...while the blocking Recv writes it, unsynchronized.
-                ctx.mpi.recv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                consume(ctx, k, out, d, StreamId::DEFAULT)?; // kernel reads d...
+                                                             // ...while the blocking Recv writes it, unsynchronized.
+                ctx.mpi.recv(d, N, MpiDatatype::Double, 1, 0)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                peer_send(ctx, k);
+                peer_send(ctx, k)?;
             }
         }),
         case!(
@@ -500,30 +516,31 @@ pub fn cases() -> Vec<Case> {
             Race,
             |ctx, k| {
                 if ctx.rank() == 0 {
-                    let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                    let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                    let _ = ctx
-                        .tools
-                        .host_read_slice::<f64>(&ctx.space(), d, N, "host read before wait")
-                        .unwrap();
-                    ctx.mpi.wait(&mut req).unwrap();
+                    let d = ctx.cuda.malloc::<f64>(N)?;
+                    let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0)?;
+                    let _ = ctx.tools.host_read_slice::<f64>(
+                        &ctx.space(),
+                        d,
+                        N,
+                        "host read before wait",
+                    )?;
+                    ctx.mpi.wait(&mut req)?;
                 } else {
-                    peer_send(ctx, k);
+                    peer_send(ctx, k)?;
                 }
             }
         ),
         case!("mpi-to-cuda/irecv_wait_host_read", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                ctx.mpi.wait(&mut req).unwrap();
-                let v = ctx
-                    .tools
-                    .host_read_slice::<f64>(&ctx.space(), d, N, "host read after wait")
-                    .unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let mut req = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0)?;
+                ctx.mpi.wait(&mut req)?;
+                let v =
+                    ctx.tools
+                        .host_read_slice::<f64>(&ctx.space(), d, N, "host read after wait")?;
                 assert_eq!(v[0], 5.0);
             } else {
-                peer_send(ctx, k);
+                peer_send(ctx, k)?;
             }
         }),
         case!(
@@ -532,15 +549,18 @@ pub fn cases() -> Vec<Case> {
             |ctx, k| {
                 // The paper's Fig. 1 race.
                 if ctx.rank() == 0 {
-                    let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                    let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                    ctx.tools
-                        .host_write_at::<f64>(&ctx.space(), d, 9.0, "host write before wait")
-                        .unwrap();
-                    ctx.mpi.wait(&mut req).unwrap();
+                    let d = ctx.cuda.malloc::<f64>(N)?;
+                    let mut req = ctx.mpi.isend(d, N, MpiDatatype::Double, 1, 0)?;
+                    ctx.tools.host_write_at::<f64>(
+                        &ctx.space(),
+                        d,
+                        9.0,
+                        "host write before wait",
+                    )?;
+                    ctx.mpi.wait(&mut req)?;
                 } else {
                     let _ = k;
-                    peer_recv(ctx);
+                    peer_recv(ctx)?;
                 }
             }
         ),
@@ -548,92 +568,93 @@ pub fn cases() -> Vec<Case> {
             // Two concurrent Irecvs into the same device buffer: the MPI
             // fibers' writes conflict with each other.
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let mut r1 = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0).unwrap();
-                let mut r2 = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 1).unwrap();
-                ctx.mpi.wait(&mut r1).unwrap();
-                ctx.mpi.wait(&mut r2).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let mut r1 = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 0)?;
+                let mut r2 = ctx.mpi.irecv(d, N, MpiDatatype::Double, 1, 1)?;
+                ctx.mpi.wait(&mut r1)?;
+                ctx.mpi.wait(&mut r2)?;
             } else {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                ctx.tools
-                    .host_write_slice::<f64>(&ctx.space(), d, &vec![1.0; N as usize], "init")
-                    .unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 0).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 1).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                ctx.tools.host_write_slice::<f64>(
+                    &ctx.space(),
+                    d,
+                    &vec![1.0; N as usize],
+                    "init",
+                )?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 0)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 1)?;
                 let _ = k;
             }
         }),
         case!("mpi-to-cuda/disjoint_irecv_waitall", Clean, |ctx, k| {
             // Two Irecvs into disjoint halves of one buffer are fine.
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
                 let half = N / 2;
                 let mut reqs = vec![
-                    ctx.mpi.irecv(d, half, MpiDatatype::Double, 1, 0).unwrap(),
+                    ctx.mpi.irecv(d, half, MpiDatatype::Double, 1, 0)?,
                     ctx.mpi
-                        .irecv(d.offset(half * 8), half, MpiDatatype::Double, 1, 1)
-                        .unwrap(),
+                        .irecv(d.offset(half * 8), half, MpiDatatype::Double, 1, 1)?,
                 ];
-                ctx.mpi.waitall(&mut reqs).unwrap();
+                ctx.mpi.waitall(&mut reqs)?;
             } else {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 2.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(d, N / 2, MpiDatatype::Double, 0, 0).unwrap();
-                ctx.mpi.send(d, N / 2, MpiDatatype::Double, 0, 1).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 2.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(d, N / 2, MpiDatatype::Double, 0, 0)?;
+                ctx.mpi.send(d, N / 2, MpiDatatype::Double, 0, 1)?;
             }
         }),
         case!("mpi-to-cuda/sendrecv_kernel_after", Clean, |ctx, k| {
             let me = ctx.rank();
             let peer = 1 - me as i64;
-            let tx = ctx.cuda.malloc::<f64>(N).unwrap();
-            let rx = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, tx, me as f64, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let tx = ctx.cuda.malloc::<f64>(N)?;
+            let rx = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, tx, me as f64, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
             ctx.mpi
-                .sendrecv(tx, N, peer, 0, rx, N, peer as i32, 0, MpiDatatype::Double)
-                .unwrap();
-            consume(ctx, k, out, rx, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+                .sendrecv(tx, N, peer, 0, rx, N, peer as i32, 0, MpiDatatype::Double)?;
+            consume(ctx, k, out, rx, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
         }),
         case!("mpi-to-cuda/bcast_device", Clean, |ctx, k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
             if ctx.rank() == 0 {
-                fill(ctx, k, d, 4.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                fill(ctx, k, d, 4.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
             }
-            ctx.mpi.bcast(d, N, MpiDatatype::Double, 0).unwrap();
+            ctx.mpi.bcast(d, N, MpiDatatype::Double, 0)?;
         }),
         case!("mpi-to-cuda/bcast_kernel_pending_nok", Race, |ctx, k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
             if ctx.rank() == 0 {
-                fill(ctx, k, d, 4.0, StreamId::DEFAULT);
+                fill(ctx, k, d, 4.0, StreamId::DEFAULT)?;
                 // root's send buffer read while the kernel is pending
             }
-            ctx.mpi.bcast(d, N, MpiDatatype::Double, 0).unwrap();
+            ctx.mpi.bcast(d, N, MpiDatatype::Double, 0)?;
         }),
         // ------------------------- cuda-to-cuda -------------------------
         case!("cuda-to-cuda/two_streams_no_sync_nok", Race, |ctx, k| {
             let s1 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
             let s2 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, s1);
-            consume(ctx, k, out, d, s2);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, s1)?;
+            consume(ctx, k, out, d, s2)?;
+            ctx.cuda.device_synchronize()?;
         }),
         case!("cuda-to-cuda/two_streams_wait_event", Clean, |ctx, k| {
             let s1 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
             let s2 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
             let e = ctx.cuda.event_create();
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, s1);
-            ctx.cuda.event_record(e, s1).unwrap();
-            ctx.cuda.stream_wait_event(s2, e).unwrap();
-            consume(ctx, k, out, d, s2);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, s1)?;
+            ctx.cuda.event_record(e, s1)?;
+            ctx.cuda.stream_wait_event(s2, e)?;
+            consume(ctx, k, out, d, s2)?;
+            ctx.cuda.device_synchronize()?;
         }),
         case!(
             "cuda-to-cuda/two_streams_host_sync_between",
@@ -641,46 +662,45 @@ pub fn cases() -> Vec<Case> {
             |ctx, k| {
                 let s1 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
                 let s2 = ctx.cuda.stream_create(StreamFlags::NonBlocking);
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, s1);
-                ctx.cuda.stream_synchronize(s1).unwrap();
-                consume(ctx, k, out, d, s2);
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, s1)?;
+                ctx.cuda.stream_synchronize(s1)?;
+                consume(ctx, k, out, d, s2)?;
+                ctx.cuda.device_synchronize()?;
             }
         ),
         case!("cuda-to-cuda/legacy_user_then_default", Clean, |ctx, k| {
             // Fig. 3 logical barrier: no explicit sync needed.
             let s = ctx.cuda.stream_create(StreamFlags::Default);
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, s);
-            consume(ctx, k, out, d, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, s)?;
+            consume(ctx, k, out, d, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
         }),
         case!("cuda-to-cuda/legacy_default_then_user", Clean, |ctx, k| {
             let s = ctx.cuda.stream_create(StreamFlags::Default);
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-            consume(ctx, k, out, d, s);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+            consume(ctx, k, out, d, s)?;
+            ctx.cuda.device_synchronize()?;
         }),
         case!("cuda-to-cuda/legacy_transitive_chain", Clean, |ctx, k| {
             // K1 (s1) -> K0 (default) -> K2 (s2), all blocking: ordered.
             let s1 = ctx.cuda.stream_create(StreamFlags::Default);
             let s2 = ctx.cuda.stream_create(StreamFlags::Default);
-            let a = ctx.cuda.malloc::<f64>(N).unwrap();
-            let b = ctx.cuda.malloc::<f64>(N).unwrap();
-            let c = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, a, 1.0, s1);
-            consume(ctx, k, b, a, StreamId::DEFAULT);
-            consume(ctx, k, c, b, s2);
-            ctx.cuda.stream_synchronize(s2).unwrap();
+            let a = ctx.cuda.malloc::<f64>(N)?;
+            let b = ctx.cuda.malloc::<f64>(N)?;
+            let c = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, a, 1.0, s1)?;
+            consume(ctx, k, b, a, StreamId::DEFAULT)?;
+            consume(ctx, k, c, b, s2)?;
+            ctx.cuda.stream_synchronize(s2)?;
             let v = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), c, N, "chain check")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), c, N, "chain check")?;
             assert_eq!(v[0], 1.0);
         }),
         case!(
@@ -688,107 +708,95 @@ pub fn cases() -> Vec<Case> {
             Race,
             |ctx, k| {
                 let nb = ctx.cuda.stream_create(StreamFlags::NonBlocking);
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, nb);
-                consume(ctx, k, out, d, StreamId::DEFAULT); // no barrier for nb
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, nb)?;
+                consume(ctx, k, out, d, StreamId::DEFAULT)?; // no barrier for nb
+                ctx.cuda.device_synchronize()?;
             }
         ),
         case!("cuda-to-cuda/same_stream_fifo", Clean, |ctx, k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-            fill(ctx, k, d, 2.0, StreamId::DEFAULT);
-            consume(ctx, k, out, d, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+            fill(ctx, k, d, 2.0, StreamId::DEFAULT)?;
+            consume(ctx, k, out, d, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
         }),
         // ------------------------- cuda-to-host -------------------------
         case!("cuda-to-host/read_no_sync_nok", Race, |ctx, k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, StreamId::DEFAULT);
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
             let _ = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), d, N, "host read")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), d, N, "host read")?;
         }),
         case!("cuda-to-host/read_after_device_sync", Clean, |ctx, k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
             let v = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), d, N, "host read")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), d, N, "host read")?;
             assert_eq!(v[0], 1.0);
         }),
         case!("cuda-to-host/memcpy_async_read_nok", Race, |ctx, _k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let h = ctx.cuda.host_alloc::<f64>(N).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let h = ctx.cuda.host_alloc::<f64>(N)?;
             ctx.cuda
-                .memcpy_async(h, d, N * 8, CopyKind::DeviceToHost, StreamId::DEFAULT)
-                .unwrap();
+                .memcpy_async(h, d, N * 8, CopyKind::DeviceToHost, StreamId::DEFAULT)?;
             let _ = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), h, N, "host read")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), h, N, "host read")?;
         }),
         case!("cuda-to-host/memcpy_sync_read", Clean, |ctx, _k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let h = ctx.cuda.host_malloc::<f64>(N).unwrap();
-            ctx.cuda
-                .memcpy(h, d, N * 8, CopyKind::DeviceToHost)
-                .unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let h = ctx.cuda.host_malloc::<f64>(N)?;
+            ctx.cuda.memcpy(h, d, N * 8, CopyKind::DeviceToHost)?;
             let _ = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), h, N, "host read")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), h, N, "host read")?;
         }),
         case!("cuda-to-host/memset_device_read_nok", Race, |ctx, _k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            ctx.cuda.memset(d, 0xAB, N * 8).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            ctx.cuda.memset(d, 0xAB, N * 8)?;
             let _ = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), d, N, "host read")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), d, N, "host read")?;
         }),
         case!("cuda-to-host/memset_pinned_read", Clean, |ctx, _k| {
-            let p = ctx.cuda.host_alloc::<f64>(N).unwrap();
-            ctx.cuda.memset(p, 0, N * 8).unwrap();
+            let p = ctx.cuda.host_alloc::<f64>(N)?;
+            ctx.cuda.memset(p, 0, N * 8)?;
             let _ = ctx
                 .tools
-                .host_read_slice::<f64>(&ctx.space(), p, N, "host read")
-                .unwrap();
+                .host_read_slice::<f64>(&ctx.space(), p, N, "host read")?;
         }),
         case!(
             "cuda-to-host/managed_write_during_kernel_nok",
             Race,
             |ctx, k| {
-                let m = ctx.cuda.malloc_managed::<f64>(N).unwrap();
-                fill(ctx, k, m, 1.0, StreamId::DEFAULT);
+                let m = ctx.cuda.malloc_managed::<f64>(N)?;
+                fill(ctx, k, m, 1.0, StreamId::DEFAULT)?;
                 ctx.tools
-                    .host_write_at::<f64>(&ctx.space(), m, 7.0, "managed host write")
-                    .unwrap();
-                ctx.cuda.device_synchronize().unwrap();
+                    .host_write_at::<f64>(&ctx.space(), m, 7.0, "managed host write")?;
+                ctx.cuda.device_synchronize()?;
             }
         ),
         case!("cuda-to-host/managed_write_after_sync", Clean, |ctx, k| {
-            let m = ctx.cuda.malloc_managed::<f64>(N).unwrap();
-            fill(ctx, k, m, 1.0, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let m = ctx.cuda.malloc_managed::<f64>(N)?;
+            fill(ctx, k, m, 1.0, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
             ctx.tools
-                .host_write_at::<f64>(&ctx.space(), m, 7.0, "managed host write")
-                .unwrap();
+                .host_write_at::<f64>(&ctx.space(), m, 7.0, "managed host write")?;
         }),
         case!("cuda-to-host/host_init_then_kernel", Clean, |ctx, k| {
             // Host writes BEFORE the launch are ordered by submission.
-            let m = ctx.cuda.malloc_managed::<f64>(N).unwrap();
+            let m = ctx.cuda.malloc_managed::<f64>(N)?;
             ctx.tools
-                .host_write_slice::<f64>(&ctx.space(), m, &vec![3.0; N as usize], "init")
-                .unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            consume(ctx, k, out, m, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+                .host_write_slice::<f64>(&ctx.space(), m, &vec![3.0; N as usize], "init")?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            consume(ctx, k, out, m, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
         }),
         // ------------------ extensions (§VI features) ------------------
         case!(
@@ -799,11 +807,11 @@ pub fn cases() -> Vec<Case> {
                 ctx.cuda
                     .set_default_stream_mode(DefaultStreamMode::PerThread);
                 let s = ctx.cuda.stream_create(StreamFlags::Default);
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 1.0, s);
-                consume(ctx, k, out, d, StreamId::DEFAULT); // no legacy barrier
-                ctx.cuda.device_synchronize().unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 1.0, s)?;
+                consume(ctx, k, out, d, StreamId::DEFAULT)?; // no legacy barrier
+                ctx.cuda.device_synchronize()?;
             }
         ),
         case!("extensions/per_thread_event_ordered", Clean, |ctx, k| {
@@ -811,102 +819,100 @@ pub fn cases() -> Vec<Case> {
                 .set_default_stream_mode(DefaultStreamMode::PerThread);
             let s = ctx.cuda.stream_create(StreamFlags::Default);
             let e = ctx.cuda.event_create();
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
-            let out = ctx.cuda.malloc::<f64>(N).unwrap();
-            fill(ctx, k, d, 1.0, s);
-            ctx.cuda.event_record(e, s).unwrap();
-            ctx.cuda.stream_wait_event(StreamId::DEFAULT, e).unwrap();
-            consume(ctx, k, out, d, StreamId::DEFAULT);
-            ctx.cuda.device_synchronize().unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
+            let out = ctx.cuda.malloc::<f64>(N)?;
+            fill(ctx, k, d, 1.0, s)?;
+            ctx.cuda.event_record(e, s)?;
+            ctx.cuda.stream_wait_event(StreamId::DEFAULT, e)?;
+            consume(ctx, k, out, d, StreamId::DEFAULT)?;
+            ctx.cuda.device_synchronize()?;
         }),
         case!("extensions/waitany_then_kernel", Clean, |ctx, k| {
             if ctx.rank() == 0 {
-                let a = ctx.cuda.malloc::<f64>(N).unwrap();
-                let b = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
+                let a = ctx.cuda.malloc::<f64>(N)?;
+                let b = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
                 let mut reqs = vec![
-                    ctx.mpi.irecv(a, N, MpiDatatype::Double, 1, 0).unwrap(),
-                    ctx.mpi.irecv(b, N, MpiDatatype::Double, 1, 1).unwrap(),
+                    ctx.mpi.irecv(a, N, MpiDatatype::Double, 1, 0)?,
+                    ctx.mpi.irecv(b, N, MpiDatatype::Double, 1, 1)?,
                 ];
                 // Consume each buffer only after ITS request completed.
                 for _ in 0..2 {
-                    let (i, _) = ctx.mpi.waitany(&mut reqs).unwrap();
+                    let (i, _) = ctx.mpi.waitany(&mut reqs)?;
                     let buf = if i == 0 { a } else { b };
-                    consume(ctx, k, out, buf, StreamId::DEFAULT);
-                    ctx.cuda.device_synchronize().unwrap();
+                    consume(ctx, k, out, buf, StreamId::DEFAULT)?;
+                    ctx.cuda.device_synchronize()?;
                 }
             } else {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                fill(ctx, k, d, 2.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 1).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                fill(ctx, k, d, 2.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 1)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 0)?;
             }
         }),
         case!("extensions/waitany_wrong_buffer_nok", Race, |ctx, k| {
             if ctx.rank() == 0 {
-                let a = ctx.cuda.malloc::<f64>(N).unwrap();
-                let b = ctx.cuda.malloc::<f64>(N).unwrap();
-                let out = ctx.cuda.malloc::<f64>(N).unwrap();
+                let a = ctx.cuda.malloc::<f64>(N)?;
+                let b = ctx.cuda.malloc::<f64>(N)?;
+                let out = ctx.cuda.malloc::<f64>(N)?;
                 let mut reqs = vec![
-                    ctx.mpi.irecv(a, N, MpiDatatype::Double, 1, 0).unwrap(),
-                    ctx.mpi.irecv(b, N, MpiDatatype::Double, 1, 1).unwrap(),
+                    ctx.mpi.irecv(a, N, MpiDatatype::Double, 1, 0)?,
+                    ctx.mpi.irecv(b, N, MpiDatatype::Double, 1, 1)?,
                 ];
                 // BUG: waitany completed ONE request but the kernel reads
                 // the OTHER, still-in-flight buffer.
-                let (i, _) = ctx.mpi.waitany(&mut reqs).unwrap();
+                let (i, _) = ctx.mpi.waitany(&mut reqs)?;
                 let wrong = if i == 0 { b } else { a };
-                consume(ctx, k, out, wrong, StreamId::DEFAULT);
-                ctx.mpi.waitall(&mut reqs).unwrap();
-                ctx.cuda.device_synchronize().unwrap();
+                consume(ctx, k, out, wrong, StreamId::DEFAULT)?;
+                ctx.mpi.waitall(&mut reqs)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                let d = ctx.cuda.malloc::<f64>(N).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 1).unwrap();
-                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 0).unwrap();
+                let d = ctx.cuda.malloc::<f64>(N)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 1)?;
+                ctx.mpi.send(d, N, MpiDatatype::Double, 0, 0)?;
             }
         }),
         case!("extensions/memcpy2d_pack_sync", Clean, |ctx, k| {
             // Pitched column pack, synchronized before the send.
             if ctx.rank() == 0 {
-                let field = ctx.cuda.malloc::<f64>(N).unwrap(); // 32x32
-                let col = ctx.cuda.malloc::<f64>(32).unwrap();
-                fill(ctx, k, field, 3.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                let field = ctx.cuda.malloc::<f64>(N)?; // 32x32
+                let col = ctx.cuda.malloc::<f64>(32)?;
+                fill(ctx, k, field, 3.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
                 ctx.cuda
-                    .memcpy_2d(col, 8, field, 32 * 8, 8, 32, CopyKind::DeviceToDevice)
-                    .unwrap();
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(col, 32, MpiDatatype::Double, 1, 0).unwrap();
+                    .memcpy_2d(col, 8, field, 32 * 8, 8, 32, CopyKind::DeviceToDevice)?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(col, 32, MpiDatatype::Double, 1, 0)?;
             } else {
-                let col = ctx.cuda.malloc::<f64>(32).unwrap();
-                ctx.mpi.recv(col, 32, MpiDatatype::Double, 0, 0).unwrap();
+                let col = ctx.cuda.malloc::<f64>(32)?;
+                ctx.mpi.recv(col, 32, MpiDatatype::Double, 0, 0)?;
             }
         }),
         case!("extensions/memcpy2d_pack_no_sync_nok", Race, |ctx, k| {
             // The pitched pack is stream-ordered (D2D): sending without a
             // synchronize races with the copy's write of the pack buffer.
             if ctx.rank() == 0 {
-                let field = ctx.cuda.malloc::<f64>(N).unwrap();
-                let col = ctx.cuda.malloc::<f64>(32).unwrap();
-                fill(ctx, k, field, 3.0, StreamId::DEFAULT);
-                ctx.cuda.device_synchronize().unwrap();
+                let field = ctx.cuda.malloc::<f64>(N)?;
+                let col = ctx.cuda.malloc::<f64>(32)?;
+                fill(ctx, k, field, 3.0, StreamId::DEFAULT)?;
+                ctx.cuda.device_synchronize()?;
                 ctx.cuda
-                    .memcpy_2d(col, 8, field, 32 * 8, 8, 32, CopyKind::DeviceToDevice)
-                    .unwrap();
+                    .memcpy_2d(col, 8, field, 32 * 8, 8, 32, CopyKind::DeviceToDevice)?;
                 // MISSING device synchronize.
-                ctx.mpi.send(col, 32, MpiDatatype::Double, 1, 0).unwrap();
+                ctx.mpi.send(col, 32, MpiDatatype::Double, 1, 0)?;
             } else {
-                let col = ctx.cuda.malloc::<f64>(32).unwrap();
-                ctx.mpi.recv(col, 32, MpiDatatype::Double, 0, 0).unwrap();
+                let col = ctx.cuda.malloc::<f64>(32)?;
+                ctx.mpi.recv(col, 32, MpiDatatype::Double, 0, 0)?;
             }
         }),
         // ------------------------- datatype (MUST) -------------------------
         case!("datatype/type_mismatch_nok", MustReport, |ctx, k| {
-            let d = ctx.cuda.malloc::<i32>(2 * N).unwrap();
+            let d = ctx.cuda.malloc::<i32>(2 * N)?;
             if ctx.rank() == 0 {
-                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0).unwrap();
+                ctx.mpi.send(d, N, MpiDatatype::Double, 1, 0)?;
             } else {
-                ctx.mpi.recv(d, N, MpiDatatype::Double, 0, 0).unwrap();
+                ctx.mpi.recv(d, N, MpiDatatype::Double, 0, 0)?;
             }
             let _ = k;
         }),
@@ -915,31 +921,27 @@ pub fn cases() -> Vec<Case> {
             // allocation. MUST reports the overrun at interception; the
             // transfer itself fails in the simulator (like a segfaulting
             // send in reality), so no rank posts a matching receive.
-            let d = ctx.cuda.malloc::<f64>(N / 2).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N / 2)?;
             let peer = 1 - ctx.rank() as i64;
             let err = ctx.mpi.send(d, N, MpiDatatype::Double, peer, 0);
             assert!(err.is_err(), "overrun send must fail in the simulator");
         }),
         case!("datatype/byte_view_ok", Clean, |ctx, _k| {
             // MPI_BYTE is compatible with any element type.
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
             if ctx.rank() == 0 {
-                ctx.mpi.send(d, N * 8, MpiDatatype::Byte, 1, 0).unwrap();
+                ctx.mpi.send(d, N * 8, MpiDatatype::Byte, 1, 0)?;
             } else {
-                ctx.mpi.recv(d, N * 8, MpiDatatype::Byte, 0, 0).unwrap();
+                ctx.mpi.recv(d, N * 8, MpiDatatype::Byte, 0, 0)?;
             }
         }),
         case!("datatype/interior_pointer_ok", Clean, |ctx, _k| {
-            let d = ctx.cuda.malloc::<f64>(N).unwrap();
+            let d = ctx.cuda.malloc::<f64>(N)?;
             let half = d.offset(N / 2 * 8);
             if ctx.rank() == 0 {
-                ctx.mpi
-                    .send(half, N / 2, MpiDatatype::Double, 1, 0)
-                    .unwrap();
+                ctx.mpi.send(half, N / 2, MpiDatatype::Double, 1, 0)?;
             } else {
-                ctx.mpi
-                    .recv(half, N / 2, MpiDatatype::Double, 0, 0)
-                    .unwrap();
+                ctx.mpi.recv(half, N / 2, MpiDatatype::Double, 0, 0)?;
             }
         }),
     ]
@@ -967,84 +969,76 @@ pub fn wildcard_schedule_race() -> Case {
         expected: Expected::Race,
         run: |ctx, k| {
             if ctx.rank() == 0 {
-                let d = ctx.cuda.malloc::<f64>(EAGER_M).unwrap();
-                let payload = ctx.cuda.malloc::<f64>(EAGER_M).unwrap();
-                let ready = ctx.cuda.malloc::<f64>(1).unwrap();
+                let d = ctx.cuda.malloc::<f64>(EAGER_M)?;
+                let payload = ctx.cuda.malloc::<f64>(EAGER_M)?;
+                let ready = ctx.cuda.malloc::<f64>(1)?;
                 // Kernel write to `d` stays pending on the default stream.
-                ctx.cuda
-                    .launch(
-                        k.fill,
-                        LaunchGrid::linear(EAGER_M),
-                        StreamId::DEFAULT,
-                        vec![
-                            LaunchArg::Ptr(d),
-                            LaunchArg::F64(1.0),
-                            LaunchArg::I64(EAGER_M as i64),
-                        ],
-                    )
-                    .unwrap();
+                ctx.cuda.launch(
+                    k.fill,
+                    LaunchGrid::linear(EAGER_M),
+                    StreamId::DEFAULT,
+                    vec![
+                        LaunchArg::Ptr(d),
+                        LaunchArg::F64(1.0),
+                        LaunchArg::I64(EAGER_M as i64),
+                    ],
+                )?;
                 // Rank 1 posts tag 0, tag 1, then the tag-2 flag, in that
                 // seq order. Receiving the flag first (per-(src,tag)
                 // matching lets it overtake) guarantees both payload
                 // sends are pending when the wildcard below matches.
-                ctx.mpi.recv(ready, 1, MpiDatatype::Double, 1, 2).unwrap();
-                let st = ctx
-                    .mpi
-                    .recv(payload, EAGER_M, MpiDatatype::Double, 1, mpi_sim::ANY_TAG)
-                    .unwrap();
+                ctx.mpi.recv(ready, 1, MpiDatatype::Double, 1, 2)?;
+                let st =
+                    ctx.mpi
+                        .recv(payload, EAGER_M, MpiDatatype::Double, 1, mpi_sim::ANY_TAG)?;
                 if st.tag == 0 {
                     // The default (oldest-send) match: synchronized.
-                    ctx.cuda.device_synchronize().unwrap();
+                    ctx.cuda.device_synchronize()?;
                 }
                 // Racy only on the tag-1 branch: the kernel write to `d`
                 // is still queued.
-                let _ = ctx
-                    .tools
-                    .host_read_slice::<f64>(&ctx.space(), d, EAGER_M, "host read of kernel output")
-                    .unwrap();
+                let _ = ctx.tools.host_read_slice::<f64>(
+                    &ctx.space(),
+                    d,
+                    EAGER_M,
+                    "host read of kernel output",
+                )?;
                 // Drain the other payload send, then the device.
                 ctx.mpi
-                    .recv(payload, EAGER_M, MpiDatatype::Double, 1, 1 - st.tag)
-                    .unwrap();
-                ctx.cuda.device_synchronize().unwrap();
+                    .recv(payload, EAGER_M, MpiDatatype::Double, 1, 1 - st.tag)?;
+                ctx.cuda.device_synchronize()?;
             } else {
-                let a = ctx.cuda.malloc::<f64>(EAGER_M).unwrap();
-                let b = ctx.cuda.malloc::<f64>(EAGER_M).unwrap();
-                let flag = ctx.cuda.malloc::<f64>(1).unwrap();
-                ctx.cuda
-                    .launch(
-                        k.fill,
-                        LaunchGrid::linear(EAGER_M),
-                        StreamId::DEFAULT,
-                        vec![
-                            LaunchArg::Ptr(a),
-                            LaunchArg::F64(2.0),
-                            LaunchArg::I64(EAGER_M as i64),
-                        ],
-                    )
-                    .unwrap();
-                ctx.cuda.device_synchronize().unwrap();
-                ctx.mpi.send(a, EAGER_M, MpiDatatype::Double, 0, 0).unwrap();
-                ctx.mpi.send(b, EAGER_M, MpiDatatype::Double, 0, 1).unwrap();
-                ctx.mpi.send(flag, 1, MpiDatatype::Double, 0, 2).unwrap();
+                let a = ctx.cuda.malloc::<f64>(EAGER_M)?;
+                let b = ctx.cuda.malloc::<f64>(EAGER_M)?;
+                let flag = ctx.cuda.malloc::<f64>(1)?;
+                ctx.cuda.launch(
+                    k.fill,
+                    LaunchGrid::linear(EAGER_M),
+                    StreamId::DEFAULT,
+                    vec![
+                        LaunchArg::Ptr(a),
+                        LaunchArg::F64(2.0),
+                        LaunchArg::I64(EAGER_M as i64),
+                    ],
+                )?;
+                ctx.cuda.device_synchronize()?;
+                ctx.mpi.send(a, EAGER_M, MpiDatatype::Double, 0, 0)?;
+                ctx.mpi.send(b, EAGER_M, MpiDatatype::Double, 0, 1)?;
+                ctx.mpi.send(flag, 1, MpiDatatype::Double, 0, 2)?;
             }
+            Ok(())
         },
     }
 }
 
 /// Execute a case under an explicit [`explore::SchedulePlan`] with a
-/// trace recorded on every rank. The world is always 2 ranks, so plans
-/// need 3 lanes ([`explore::SchedulePlan::defaults`]`(2)`).
-pub fn run_case_scheduled(
-    case: &Case,
-    plan: Arc<explore::SchedulePlan>,
-) -> must_rt::WorldOutcome<()> {
-    let k = AppKernels::shared();
-    let run = case.run;
-    let cfg = crate::recording(Flavor::MustCusan.config());
-    must_rt::run_checked_world_scheduled(2, cfg, Arc::clone(&k.registry), plan, move |ctx| {
-        run(ctx, k);
-    })
+/// trace recorded on every rank; a rank's error is a panic naming it.
+/// The world is always 2 ranks, so plans need 3 lanes
+/// ([`explore::SchedulePlan::defaults`]`(2)`).
+pub fn run_case_scheduled(case: &Case, plan: Arc<explore::SchedulePlan>) -> WorldOutcome<()> {
+    let plan: Arc<dyn ScheduleController> = plan;
+    let tools = crate::recording(Flavor::MustCusan.config());
+    expect_ok(try_run_case(case, tools, Some(plan)))
 }
 
 /// State hash over the detector-visible outcome of a world run: every
@@ -1052,7 +1046,7 @@ pub fn run_case_scheduled(
 /// (two schedules that produce identical detector inputs are the same
 /// execution as far as checking is concerned), plus the race reports for
 /// untraced runs. This is the dedup key [`explore::explore`] uses.
-pub fn outcome_digest<T>(out: &must_rt::WorldOutcome<T>) -> u64 {
+pub fn outcome_digest<T>(out: &WorldOutcome<T>) -> u64 {
     let mut h = explore::Fnv::new();
     for r in &out.ranks {
         h.write_u64(r.rank as u64);

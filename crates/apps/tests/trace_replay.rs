@@ -3,13 +3,12 @@
 //! The event pipeline's contract: a recorded trace, replayed through a
 //! fresh detector via the same checker sink the live run used, reproduces
 //! the live run's race reports, detector counters, and event counters
-//! exactly. These tests assert that contract over the full testsuite and
+//! exactly. These tests assert that contract, through the one replay
+//! oracle (`RankOutcome::replay_mismatches`), over the full testsuite and
 //! both evaluation mini-apps, plus byte-level determinism of the recorder.
 
-use cusan::{
-    replay_stream, transcode, CusanEvent, Flavor, ToolConfig, TraceFormat, TraceReader, TraceRecord,
-};
-use cusan_apps::testsuite::cases;
+use cusan::{transcode, CusanEvent, Flavor, ToolConfig, TraceFormat, TraceReader, TraceRecord};
+use cusan_apps::testsuite::{cases, try_run_case};
 use cusan_apps::{
     kernels::AppKernels, run_jacobi_traced, run_tealeaf_traced, JacobiConfig, RaceMode,
     TeaLeafConfig,
@@ -17,66 +16,21 @@ use cusan_apps::{
 use must_rt::{run_checked_world, RankOutcome};
 use std::sync::Arc;
 
-/// Replay one rank's trace and assert it matches the live outcome — as
-/// recorded, and again through the transcoded twin in the other format
-/// (text ⇄ binary), which must replay identically and round-trip back to
-/// the recorded bytes exactly. Returns the trace's size in bytes as
-/// `[text, binary]`.
-fn assert_faithful(what: &str, rank: &RankOutcome) -> [usize; 2] {
-    let bytes = rank
-        .trace
-        .as_deref()
-        .expect("traced run must carry a trace");
-    let outcome = replay_stream(bytes)
-        .unwrap_or_else(|e| panic!("{what} rank {}: trace replay failed: {e}", rank.rank));
-    assert_eq!(
-        outcome.reports, rank.races,
-        "{what} rank {}: replayed race reports diverge from live run",
-        rank.rank
-    );
-    assert_eq!(
-        outcome.stats, rank.tsan,
-        "{what} rank {}: replayed detector stats diverge from live run",
-        rank.rank
-    );
-    assert_eq!(
-        outcome.counters, rank.events,
-        "{what} rank {}: replayed event counters diverge from live run",
-        rank.rank
-    );
-    // Format-twin fidelity: whichever encoding the run recorded, its
-    // transcoded twin carries the identical record stream.
-    let recorded = if bytes.starts_with(cusan::binio::BIN_FAMILY) {
-        TraceFormat::Binary
-    } else {
-        TraceFormat::Text
-    };
-    let twin_format = match recorded {
-        TraceFormat::Text => TraceFormat::Binary,
-        TraceFormat::Binary => TraceFormat::Text,
-    };
-    let twin = transcode(bytes, twin_format)
-        .unwrap_or_else(|e| panic!("{what} rank {}: transcode failed: {e}", rank.rank));
-    let twin_out = replay_stream(&twin[..]).expect("twin replays");
-    assert_eq!(
-        twin_out.reports,
-        outcome.reports,
-        "{what} rank {}: {} twin reports diverge",
-        rank.rank,
-        twin_format.name()
-    );
-    assert_eq!(twin_out.stats, outcome.stats);
-    assert_eq!(twin_out.counters, outcome.counters);
-    assert_eq!(
-        transcode(&twin[..], recorded).expect("transcode back"),
-        bytes,
-        "{what} rank {}: transcode round trip is not byte-identical",
-        rank.rank
-    );
-    match recorded {
-        TraceFormat::Text => [bytes.len(), twin.len()],
-        TraceFormat::Binary => [twin.len(), bytes.len()],
+/// Hold every rank's recording to the replay oracle: replay reproduces
+/// the live run, and the transcoded twin replays identically and round
+/// trips to the recorded bytes.
+fn assert_replays(what: &str, ranks: &[RankOutcome]) {
+    for rank in ranks {
+        let errs = rank.replay_mismatches();
+        assert!(errs.is_empty(), "{what}: {errs:#?}");
     }
+}
+
+/// A text recording's size in bytes as `[text, binary]`.
+fn sizes(rank: &RankOutcome) -> [usize; 2] {
+    let text = rank.trace.as_deref().expect("traced run");
+    let binary = transcode(text, TraceFormat::Binary).expect("recording transcodes");
+    [text.len(), binary.len()]
 }
 
 /// The binary encoding's size claim on an app's recording (all ranks):
@@ -94,21 +48,14 @@ fn assert_binary_compact(what: &str, sizes: &[[usize; 2]]) {
 
 #[test]
 fn testsuite_cases_roundtrip_through_trace_replay() {
-    let k = AppKernels::shared();
+    let tools = ToolConfig {
+        record: Some(TraceFormat::Text),
+        ..Flavor::MustCusan.config()
+    };
     for case in cases() {
-        let run = case.run;
-        let out = run_checked_world(
-            2,
-            ToolConfig {
-                record: Some(TraceFormat::Text),
-                ..Flavor::MustCusan.config()
-            },
-            Arc::clone(&k.registry),
-            move |ctx| run(ctx, k),
-        );
-        for rank in &out.ranks {
-            assert_faithful(case.name, rank);
-        }
+        let out = try_run_case(&case, tools, None);
+        assert!(out.results.iter().all(Result::is_ok), "{}", case.name);
+        assert_replays(case.name, &out.ranks);
     }
 }
 
@@ -123,28 +70,9 @@ fn jacobi_replay_reproduces_live_run() {
         iters: 20,
         ..JacobiConfig::default()
     };
-    let run = run_jacobi_traced(&cfg, Flavor::MustCusan);
-    let mut sizes = Vec::new();
-    for rank in &run.outcome.ranks {
-        sizes.push(assert_faithful("jacobi", rank));
-        // The CounterBump mirror of the device's Table-I CUDA rows must
-        // agree with the device's own counters.
-        assert_eq!(rank.events.named("cuda.streams"), rank.cuda.streams);
-        assert_eq!(
-            rank.events.named("cuda.memset_calls"),
-            rank.cuda.memset_calls
-        );
-        assert_eq!(
-            rank.events.named("cuda.memcpy_calls"),
-            rank.cuda.memcpy_calls
-        );
-        assert_eq!(rank.events.named("cuda.sync_calls"), rank.cuda.sync_calls);
-        assert_eq!(
-            rank.events.named("cuda.kernel_calls"),
-            rank.cuda.kernel_calls
-        );
-    }
-    assert_binary_compact("jacobi", &sizes);
+    let ranks = run_jacobi_traced(&cfg, Flavor::MustCusan).outcome.ranks;
+    assert_replays("jacobi", &ranks);
+    assert_binary_compact("jacobi", &ranks.iter().map(sizes).collect::<Vec<_>>());
 }
 
 #[test]
@@ -156,17 +84,9 @@ fn tealeaf_replay_reproduces_live_run() {
         steps: 1,
         ..TeaLeafConfig::default()
     };
-    let run = run_tealeaf_traced(&cfg, Flavor::MustCusan);
-    let mut sizes = Vec::new();
-    for rank in &run.outcome.ranks {
-        sizes.push(assert_faithful("tealeaf", rank));
-        assert_eq!(
-            rank.events.named("cuda.kernel_calls"),
-            rank.cuda.kernel_calls
-        );
-        assert_eq!(rank.events.named("cuda.sync_calls"), rank.cuda.sync_calls);
-    }
-    assert_binary_compact("tealeaf", &sizes);
+    let ranks = run_tealeaf_traced(&cfg, Flavor::MustCusan).outcome.ranks;
+    assert_replays("tealeaf", &ranks);
+    assert_binary_compact("tealeaf", &ranks.iter().map(sizes).collect::<Vec<_>>());
 }
 
 #[test]
@@ -204,8 +124,8 @@ fn binary_live_recording_is_the_transcoded_text_recording() {
                 "{race:?} rank {}: binary recording is not the transcoded text one",
                 b.rank
             );
-            assert_faithful(&format!("tealeaf {race:?} binary"), b);
         }
+        assert_replays(&format!("tealeaf {race:?} binary"), &binary.outcome.ranks);
     }
 }
 

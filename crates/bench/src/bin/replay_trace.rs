@@ -6,7 +6,9 @@
 //! the replay, the replay must reproduce the live race reports, detector
 //! counters, and Table-I event counters bit-for-bit; `check` verifies
 //! exactly that — for the recorded bytes *and* their transcoded twin in
-//! the other format — and exits non-zero on any divergence.
+//! the other format, through the one replay oracle every test uses
+//! (`RankOutcome::replay_mismatches`) — and exits non-zero on any
+//! divergence.
 //!
 //! Usage:
 //!
@@ -67,109 +69,6 @@ fn record_apps() -> Vec<(&'static str, Vec<RankOutcome>, Duration)> {
     ]
 }
 
-/// Compare one rank's live outcome against its trace replay — as
-/// recorded, and again through the transcoded twin in the other format.
-/// Returns the list of mismatch descriptions (empty = faithful replay).
-fn verify_rank(app: &str, rank: &RankOutcome) -> Vec<String> {
-    let mut errs = Vec::new();
-    let bytes = rank.trace.as_deref().expect("traced run carries a trace");
-    let outcome = match replay_stream(bytes) {
-        Ok(o) => o,
-        Err(e) => return vec![format!("{app} rank {}: trace replay error: {e}", rank.rank)],
-    };
-    if outcome.reports != rank.races {
-        errs.push(format!(
-            "{app} rank {}: race reports diverge (live {} vs replay {})",
-            rank.rank,
-            rank.races.len(),
-            outcome.reports.len()
-        ));
-    }
-    if outcome.stats != rank.tsan {
-        errs.push(format!(
-            "{app} rank {}: detector stats diverge\n  live:   {:?}\n  replay: {:?}",
-            rank.rank, rank.tsan, outcome.stats
-        ));
-    }
-    if outcome.counters != rank.events {
-        errs.push(format!(
-            "{app} rank {}: event counters diverge\n  live:   {:?}\n  replay: {:?}",
-            rank.rank, rank.events, outcome.counters
-        ));
-    }
-    // The CounterBump mirror of the device's Table-I CUDA rows.
-    let cuda = [
-        ("cuda.streams", rank.cuda.streams),
-        ("cuda.memset_calls", rank.cuda.memset_calls),
-        ("cuda.memcpy_calls", rank.cuda.memcpy_calls),
-        ("cuda.sync_calls", rank.cuda.sync_calls),
-        ("cuda.kernel_calls", rank.cuda.kernel_calls),
-    ];
-    for (name, live) in cuda {
-        let replayed = outcome.counters.named(name);
-        if replayed != live {
-            errs.push(format!(
-                "{app} rank {}: {name} diverges (device {live} vs replay {replayed})",
-                rank.rank
-            ));
-        }
-    }
-    // Binary/text twin: transcode into the other format, replay that, and
-    // demand the identical summary plus a byte-identical round trip.
-    let recorded = sniff(bytes);
-    let twin_format = match recorded {
-        TraceFormat::Text => TraceFormat::Binary,
-        TraceFormat::Binary => TraceFormat::Text,
-    };
-    match transcode(bytes, twin_format) {
-        Err(e) => errs.push(format!(
-            "{app} rank {}: transcode to {} failed: {e}",
-            rank.rank,
-            twin_format.name()
-        )),
-        Ok(twin) => {
-            match replay_stream(&twin[..]) {
-                Err(e) => errs.push(format!(
-                    "{app} rank {}: {} twin replay error: {e}",
-                    rank.rank,
-                    twin_format.name()
-                )),
-                Ok(twin_out) => {
-                    if twin_out.reports != outcome.reports
-                        || twin_out.stats != outcome.stats
-                        || twin_out.counters != outcome.counters
-                    {
-                        errs.push(format!(
-                            "{app} rank {}: {} twin replay diverges from the recording",
-                            rank.rank,
-                            twin_format.name()
-                        ));
-                    }
-                }
-            }
-            match transcode(&twin[..], recorded) {
-                Err(e) => errs.push(format!(
-                    "{app} rank {}: transcode back to {} failed: {e}",
-                    rank.rank,
-                    recorded.name()
-                )),
-                Ok(back) => {
-                    if back != bytes {
-                        errs.push(format!(
-                            "{app} rank {}: {} → {} → {} round trip is not byte-identical",
-                            rank.rank,
-                            recorded.name(),
-                            twin_format.name(),
-                            recorded.name()
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    errs
-}
-
 /// Rank and event count of a trace, off the streaming reader.
 fn census(bytes: &[u8]) -> Result<(usize, usize), TraceError> {
     let reader = TraceReader::new(bytes)?;
@@ -183,15 +82,6 @@ fn census(bytes: &[u8]) -> Result<(usize, usize), TraceError> {
     Ok((rank, events))
 }
 
-/// Which format a recorded byte buffer holds (both start with a magic).
-fn sniff(bytes: &[u8]) -> TraceFormat {
-    if bytes.starts_with(cusan::binio::BIN_FAMILY) {
-        TraceFormat::Binary
-    } else {
-        TraceFormat::Text
-    }
-}
-
 fn cmd_record(dir: &str) -> i32 {
     std::fs::create_dir_all(dir).expect("create output directory");
     for (app, ranks, _) in record_apps() {
@@ -202,7 +92,7 @@ fn cmd_record(dir: &str) -> i32 {
             println!(
                 "wrote {path} ({} bytes {}, {} races live)",
                 bytes.len(),
-                sniff(bytes).name(),
+                TraceFormat::of(bytes).name(),
                 r.races.len()
             );
         }
@@ -228,7 +118,7 @@ fn cmd_replay(files: &[String]) -> i32 {
             (Ok((rank, events)), Ok(outcome)) => {
                 println!(
                     "{f}: rank {rank} — {events} events ({}), {} races, {} fiber switches, {:.2?}",
-                    sniff(&bytes).name(),
+                    TraceFormat::of(&bytes).name(),
                     outcome.reports.len(),
                     outcome.stats.fiber_switches,
                     dt
@@ -254,17 +144,14 @@ fn cmd_transcode(input: &str, output: &str) -> i32 {
             return 1;
         }
     };
-    let to = match sniff(&bytes) {
-        TraceFormat::Text => TraceFormat::Binary,
-        TraceFormat::Binary => TraceFormat::Text,
-    };
+    let to = TraceFormat::of(&bytes).other();
     match transcode(&bytes[..], to) {
         Ok(out) => {
             std::fs::write(output, &out).expect("write transcoded trace");
             println!(
                 "{input} ({} bytes {}) -> {output} ({} bytes {})",
                 bytes.len(),
-                sniff(&bytes).name(),
+                TraceFormat::of(&bytes).name(),
                 out.len(),
                 to.name()
             );
@@ -290,7 +177,11 @@ fn cmd_check() -> i32 {
         let mut events = 0usize;
         for r in &ranks {
             let start = Instant::now();
-            errs.extend(verify_rank(app, r));
+            errs.extend(
+                r.replay_mismatches()
+                    .into_iter()
+                    .map(|e| format!("{app} {e}")),
+            );
             replay_total += start.elapsed();
             if let Some(t) = &r.trace {
                 events += census(t).map_or(0, |(_, n)| n);

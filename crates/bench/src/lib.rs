@@ -1,12 +1,14 @@
 //! # cusan-bench — the evaluation harness
 //!
-//! Three binaries: `reproduce` regenerates the paper's evaluation (§V:
+//! Two binaries: `reproduce` regenerates the paper's evaluation (§V:
 //! Figs. 10–12, Table I, the §V-B and §VI-D ablations) and one extension
-//! figure; `replay_trace` records, checks, replays and transcodes traces;
-//! `chaos_soak` sweeps seeded fault schedules over the real mini-apps. Everything else
-//! that is measured — decode, apply, serve, spill, explorer, shadow and
-//! clock costs — is a row of the ledger in `benchmark/`; no bin here
-//! writes a file or reads an environment variable.
+//! figure; `replay_trace` records, checks, replays and transcodes traces.
+//! Faults are not a bin's job: `crates/apps/tests/fault_sweep.rs` holds
+//! every checked program to one fault contract, single-site and seeded.
+//! Everything else that is measured — decode, apply, serve, spill,
+//! explorer, shadow and clock costs — is a row of the ledger in
+//! `benchmark/`; no bin here writes a file or reads an environment
+//! variable.
 
 use cuda_sim::StreamId;
 use cusan::{CusanCuda, ToolConfig, ToolCtx};

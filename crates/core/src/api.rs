@@ -281,7 +281,7 @@ impl CusanCuda {
     // ---- memory management ----------------------------------------------------
 
     fn on_alloc(&self, ptr: Ptr, type_id: TypeId, count: u64, bytes: u64, kind: MemKind) {
-        if self.config().typeart {
+        if self.enabled() {
             // An overlapping registration means the allocator handed out a
             // live range twice. The checker degrades rather than aborts:
             // the allocation stays untracked (no extent, no Alloc event)
@@ -380,7 +380,7 @@ impl CusanCuda {
                 ctx: self.ctx_free,
             });
         }
-        if self.config().typeart {
+        if self.enabled() {
             let _ = self.tools.typeart.borrow_mut().on_free(info.base);
             self.tools.emit(CusanEvent::Free {
                 addr: info.base.addr(),

@@ -14,8 +14,9 @@ use std::fmt;
 /// Which instrumentation layers are active.
 ///
 /// The flags mirror the paper's tool stack: TSan host-code
-/// instrumentation, MUST's MPI interception, CuSan's CUDA interception,
-/// and TypeART allocation tracking. [`Flavor`] provides the five
+/// instrumentation, MUST's MPI interception and CuSan's CUDA
+/// interception, which brings TypeART allocation tracking with it
+/// (paper §V: "only CuSan uses TypeART"). [`Flavor`] provides the five
 /// canonical combinations used in the evaluation; custom combinations are
 /// possible for ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,10 +26,10 @@ pub struct ToolConfig {
     pub tsan: bool,
     /// MUST: annotate MPI calls, model non-blocking requests as fibers.
     pub must: bool,
-    /// CuSan: annotate CUDA calls, model streams as fibers.
+    /// CuSan: annotate CUDA calls, model streams as fibers, and track
+    /// allocations with TypeART (the extents its annotations and MUST's
+    /// datatype checks read).
     pub cusan: bool,
-    /// TypeART: track allocations (required by CuSan for extents).
-    pub typeart: bool,
     /// CuSan's memory-range annotations for kernel arguments and memory
     /// ops. Disabling this (with `cusan` on) is the §V-B ablation: "
     /// completely removing memory annotations but keeping the rest of our
@@ -62,7 +63,6 @@ impl ToolConfig {
         tsan: false,
         must: false,
         cusan: false,
-        typeart: false,
         track_access_ranges: false,
         bounded_tracking: false,
         shadow_page_budget: None,
@@ -117,7 +117,6 @@ impl Flavor {
             Flavor::Cusan => ToolConfig {
                 tsan: true,
                 cusan: true,
-                typeart: true,
                 track_access_ranges: true,
                 ..ToolConfig::VANILLA
             },
@@ -125,7 +124,6 @@ impl Flavor {
                 tsan: true,
                 must: true,
                 cusan: true,
-                typeart: true,
                 track_access_ranges: true,
                 ..ToolConfig::VANILLA
             },
@@ -155,21 +153,34 @@ impl fmt::Display for Flavor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CusanCuda, ToolCtx};
+    use kernel_ir::KernelRegistry;
+    use sim_mem::{AddressSpace, DeviceId};
+    use std::rc::Rc;
+    use std::sync::Arc;
 
     #[test]
     fn vanilla_is_all_off() {
         let c = Flavor::Vanilla.config();
         assert!(!c.any_tsan());
-        assert!(!c.typeart);
     }
 
     #[test]
     fn cusan_requires_typeart() {
-        // Paper §V: "Only CuSan uses TypeART".
-        assert!(Flavor::Cusan.config().typeart);
-        assert!(Flavor::MustCusan.config().typeart);
-        assert!(!Flavor::Must.config().typeart);
-        assert!(!Flavor::Tsan.config().typeart);
+        // Paper §V: "Only CuSan uses TypeART": an allocation is tracked
+        // iff the CuSan layer is on.
+        for f in Flavor::ALL {
+            let tools = Rc::new(ToolCtx::new(0, f.config()));
+            let mut cuda = CusanCuda::new(
+                DeviceId(0),
+                Arc::new(AddressSpace::new()),
+                Arc::new(KernelRegistry::new()),
+                Rc::clone(&tools),
+            );
+            cuda.malloc::<f64>(8).unwrap();
+            let tracked = tools.typeart.borrow().live_allocs();
+            assert_eq!(tracked == 1, f.config().cusan, "{f}: {tracked} tracked");
+        }
     }
 
     #[test]

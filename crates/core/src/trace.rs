@@ -86,8 +86,9 @@ pub const TRACE_MAGIC: &str = "cusan-trace v2";
 const TRACE_FAMILY: &str = "cusan-trace v";
 
 /// Which encoding a trace writer produces. Readers never need this —
-/// they sniff the magic — so it only appears on the producer side
-/// ([`crate::ToolConfig::record`], [`transcode`]).
+/// they sniff the magic — so it appears on the producer side
+/// ([`crate::ToolConfig::record`], [`transcode`]) and where a caller
+/// picks a transcoding target ([`TraceFormat::of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
     /// v2 line-oriented UTF-8 (the default; human-greppable).
@@ -97,6 +98,24 @@ pub enum TraceFormat {
 }
 
 impl TraceFormat {
+    /// The encoding recorded `bytes` hold, from the binary magic (a
+    /// buffer without it reads as text).
+    pub fn of(bytes: &[u8]) -> TraceFormat {
+        if bytes.starts_with(binio::BIN_FAMILY) {
+            TraceFormat::Binary
+        } else {
+            TraceFormat::Text
+        }
+    }
+
+    /// The other encoding ([`transcode`]'s target for a twin).
+    pub fn other(self) -> TraceFormat {
+        match self {
+            TraceFormat::Text => TraceFormat::Binary,
+            TraceFormat::Binary => TraceFormat::Text,
+        }
+    }
+
     /// The format's name (`"text"` / `"binary"`).
     pub fn name(self) -> &'static str {
         match self {

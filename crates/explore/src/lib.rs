@@ -486,11 +486,6 @@ impl Fnv {
     }
 }
 
-/// One-shot FNV-1a of `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    Fnv::new().write(bytes).finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,11 +633,5 @@ mod tests {
         });
         assert_eq!(report.stats.schedules_run, 3);
         assert!(!report.stats.frontier_exhausted);
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -122,11 +122,6 @@ impl Ex {
     pub fn to_f(self) -> Ex {
         Ex(Expr::Un(UnOp::IntToFloat, Box::new(self.0)))
     }
-
-    /// Convert float to integer (truncating).
-    pub fn to_i(self) -> Ex {
-        Ex(Expr::Un(UnOp::FloatToInt, Box::new(self.0)))
-    }
 }
 
 macro_rules! std_op {

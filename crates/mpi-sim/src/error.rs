@@ -30,6 +30,14 @@ pub enum MpiError {
         /// Each blocked rank and what it waits for, in rank order.
         waiting: Vec<(usize, String)>,
     },
+    /// A request polled with `MPI_Test` can never settle: the one rank
+    /// that could settle it has exited.
+    PeerExited {
+        /// The exited rank.
+        peer: usize,
+        /// The request ("Irecv from 1 tag 0").
+        what: String,
+    },
     /// Request already completed or invalid.
     BadRequest,
     /// Failure injected by a fault plan (see `cusan::fault`); the
@@ -59,6 +67,9 @@ impl fmt::Display for MpiError {
                     write!(f, "; rank {rank} waits for {what}")?;
                 }
                 Ok(())
+            }
+            MpiError::PeerExited { peer, what } => {
+                write!(f, "{what} can never complete: rank {peer} has exited")
             }
             MpiError::BadRequest => write!(f, "invalid or already-completed request"),
             MpiError::FaultInjected { call } => write!(f, "injected fault in {call}"),

@@ -26,8 +26,8 @@ pub(crate) enum BarrierId {
 }
 
 struct State {
-    /// Ranks whose thread has not returned.
-    live: usize,
+    /// Per rank: its thread has returned.
+    exited: Vec<bool>,
     /// Per rank: what it waits for, if it found that false since the
     /// most recent settlement.
     blocked: Vec<Option<String>>,
@@ -40,7 +40,8 @@ impl State {
     /// Fail the world if every live rank is blocked.
     fn check_deadlock(&mut self) -> Option<MpiError> {
         let n_blocked = self.blocked.iter().flatten().count();
-        if self.live == 0 || n_blocked < self.live {
+        let live = self.exited.iter().filter(|&&gone| !gone).count();
+        if live == 0 || n_blocked < live {
             return None;
         }
         let waiting = self
@@ -66,7 +67,7 @@ impl Monitor {
     pub fn new(size: usize) -> Self {
         Monitor {
             state: Mutex::new(State {
-                live: size,
+                exited: vec![false; size],
                 blocked: vec![None; size],
                 rounds: [(0, 0); 2],
                 failed: None,
@@ -130,10 +131,15 @@ impl Monitor {
     pub fn exit(&self, rank: usize) {
         let mut s = self.state.lock();
         s.blocked[rank] = None;
-        s.live -= 1;
+        s.exited[rank] = true;
         if s.failed.is_none() && s.check_deadlock().is_some() {
             self.cv.notify_all();
         }
+    }
+
+    /// Whether `rank`'s thread is gone.
+    pub fn exited(&self, rank: usize) -> bool {
+        self.state.lock().exited[rank]
     }
 
     fn block<T>(

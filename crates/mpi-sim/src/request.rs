@@ -33,6 +33,9 @@ pub enum RequestKind {
 pub struct Request {
     pub(crate) flag: Arc<Flag>,
     pub(crate) kind: RequestKind,
+    /// The one rank that can settle it, if it names one (not a wildcard
+    /// or `PROC_NULL` receive).
+    pub(crate) peer: Option<usize>,
     pub(crate) what: String,
     pub(crate) completed: bool,
 }

@@ -160,6 +160,7 @@ impl Comm {
                 bytes: 0,
             }))),
             kind,
+            peer: None,
             what: what.to_string(),
             completed: false,
         }
@@ -234,6 +235,7 @@ impl Comm {
         Ok(Request {
             flag,
             kind: RequestKind::Send,
+            peer: Some(dest),
             what: format!("Isend to {dest} tag {tag}"),
             completed: false,
         })
@@ -315,6 +317,7 @@ impl Comm {
         Ok(Request {
             flag,
             kind: RequestKind::Recv,
+            peer: usize::try_from(src).ok(),
             what: format!("Irecv from {src} tag {tag}"),
             completed: false,
         })
@@ -364,16 +367,28 @@ impl Comm {
         Ok((i, st))
     }
 
-    /// `MPI_Test`.
+    /// `MPI_Test`; [`MpiError::PeerExited`] if the one rank that could
+    /// settle the request has exited, so a polling loop ends like a wait
+    /// nobody can satisfy instead of spinning.
     pub fn test(&self, req: &mut Request) -> Result<Option<Status>, MpiError> {
-        match req.flag.get() {
-            None => Ok(None),
-            Some(Ok(st)) => {
-                req.completed = true;
-                Ok(Some(*st))
+        let settled = match req.flag.get() {
+            Some(settled) => settled,
+            None => {
+                let exited = |&p: &usize| p != self.rank && self.shared.monitor.exited(p);
+                let Some(peer) = req.peer.filter(exited) else {
+                    return Ok(None);
+                };
+                // A peer seen exited posted everything it ever will, so a
+                // flag still unset now never settles.
+                req.flag.get().ok_or_else(|| MpiError::PeerExited {
+                    peer,
+                    what: req.what.clone(),
+                })?
             }
-            Some(Err(e)) => Err(e.clone()),
-        }
+        };
+        let st = settled.clone()?;
+        req.completed = true;
+        Ok(Some(st))
     }
 
     /// `MPI_Send` (blocking; eager below [`EAGER_LIMIT`], synchronous
@@ -1080,6 +1095,42 @@ mod tests {
             "{msg:?}"
         );
         assert!(took < std::time::Duration::from_secs(1), "{took:?}");
+    }
+
+    #[test]
+    fn polling_a_request_of_an_exited_rank_fails() {
+        // Rank 1 returns without sending: rank 0's `MPI_Test` loop ends
+        // with `PeerExited` instead of spinning; a request its peer did
+        // settle before exiting still completes.
+        let sp = space();
+        let buf = sp.alloc_array::<i32>(MemKind::HostPageable, 2).unwrap();
+        let results = run_world(2, Arc::clone(&sp), move |comm| {
+            if comm.rank() == 1 {
+                return comm
+                    .send(buf.offset(4), 1, MpiDatatype::Int, 0, 1)
+                    .map(|_| ());
+            }
+            let mut sent = comm.irecv(buf.offset(4), 1, MpiDatatype::Int, 1, 1)?;
+            let mut never = comm.irecv(buf, 1, MpiDatatype::Int, 1, 0)?;
+            loop {
+                match comm.test(&mut never) {
+                    Ok(None) => std::thread::yield_now(),
+                    Ok(Some(st)) => panic!("settled without a send: {st:?}"),
+                    Err(e) => {
+                        assert_eq!(
+                            e,
+                            MpiError::PeerExited {
+                                peer: 1,
+                                what: "Irecv from 1 tag 0".into()
+                            }
+                        );
+                        break;
+                    }
+                }
+            }
+            comm.test(&mut sent).map(|st| assert!(st.is_some()))
+        });
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
     }
 
     #[test]

@@ -21,7 +21,11 @@
 use crate::checks::MustReport;
 use crate::mpi::CheckedMpi;
 use cuda_sim::CudaCounters;
-use cusan::{CusanCuda, CusanEvent, EventCounters, ToolConfig, ToolCtx};
+use cusan::event::counter_names;
+use cusan::{
+    replay_stream, transcode, CusanCuda, CusanEvent, EventCounters, ToolConfig, ToolCtx,
+    TraceFormat,
+};
 use explore::{ChoiceKind, Decision, ScheduleController};
 use kernel_ir::KernelRegistry;
 use mpi_sim::run_world_with_schedule;
@@ -82,6 +86,89 @@ pub struct RankOutcome {
     /// Non-fatal tool diagnostics (teardown flush failures, degraded
     /// tracking) — conditions the checker reports instead of panicking on.
     pub diagnostics: Vec<String>,
+}
+
+impl RankOutcome {
+    /// Every way this rank's recording fails to stand for its live run;
+    /// empty means faithful. Replaying the trace must reproduce the live
+    /// `races`, `tsan` and `events`; a recording made with CuSan on (it
+    /// bumps `cuda.streams` for the default stream) must mirror the
+    /// device's Table-I rows, `events.named("cuda.*")` equal to `cuda`;
+    /// and the trace's twin in the other encoding must replay to the same
+    /// summary and transcode back to the recorded bytes. A rank that
+    /// recorded nothing is one mismatch.
+    pub fn replay_mismatches(&self) -> Vec<String> {
+        let rank = self.rank;
+        let Some(bytes) = self.trace.as_deref() else {
+            return vec![format!("rank {rank}: no trace recorded")];
+        };
+        let replayed = match replay_stream(bytes) {
+            Ok(summary) => summary,
+            Err(e) => return vec![format!("rank {rank}: trace replay error: {e}")],
+        };
+        let mut errs = Vec::new();
+        if replayed.reports != self.races {
+            errs.push(format!(
+                "rank {rank}: race reports diverge (live {} vs replay {})",
+                self.races.len(),
+                replayed.reports.len()
+            ));
+        }
+        if replayed.stats != self.tsan {
+            errs.push(format!(
+                "rank {rank}: detector stats diverge\n  live:   {:?}\n  replay: {:?}",
+                self.tsan, replayed.stats
+            ));
+        }
+        if replayed.counters != self.events {
+            errs.push(format!(
+                "rank {rank}: event counters diverge\n  live:   {:?}\n  replay: {:?}",
+                self.events, replayed.counters
+            ));
+        }
+        if self.events.named(counter_names::CUDA_STREAMS) > 0 {
+            let c = &self.cuda;
+            for (name, device) in [
+                (counter_names::CUDA_STREAMS, c.streams),
+                (counter_names::CUDA_MEMSET, c.memset_calls),
+                (counter_names::CUDA_MEMCPY, c.memcpy_calls),
+                (counter_names::CUDA_SYNC, c.sync_calls),
+                (counter_names::CUDA_KERNEL, c.kernel_calls),
+            ] {
+                let mirrored = self.events.named(name);
+                if mirrored != device {
+                    errs.push(format!(
+                        "rank {rank}: {name} diverges (device {device} vs events {mirrored})"
+                    ));
+                }
+            }
+        }
+        let recorded = TraceFormat::of(bytes);
+        let twin_format = recorded.other();
+        let (twin, other) = (twin_format.name(), recorded.name());
+        match transcode(bytes, twin_format) {
+            Err(e) => errs.push(format!("rank {rank}: transcode to {twin} failed: {e}")),
+            Ok(bytes_twin) => {
+                match replay_stream(&bytes_twin[..]) {
+                    Err(e) => errs.push(format!("rank {rank}: {twin} twin replay error: {e}")),
+                    Ok(s) if s != replayed => errs.push(format!(
+                        "rank {rank}: {twin} twin replay diverges from the recording"
+                    )),
+                    Ok(_) => {}
+                }
+                match transcode(&bytes_twin[..], recorded) {
+                    Err(e) => errs.push(format!(
+                        "rank {rank}: transcode back to {other} failed: {e}"
+                    )),
+                    Ok(back) if back != bytes => errs.push(format!(
+                        "rank {rank}: {other} → {twin} → {other} round trip is not byte-identical"
+                    )),
+                    Ok(_) => {}
+                }
+            }
+        }
+        errs
+    }
 }
 
 /// Result of a checked world run.

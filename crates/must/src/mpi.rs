@@ -89,7 +89,7 @@ impl CheckedMpi {
     fn run_checks(&self, call: &str, buf: Ptr, count: u64, dtype: MpiDatatype) {
         // The datatype analysis needs TypeART's allocation data; it is
         // active only when both layers run (the MUST & CuSan stack).
-        if self.enabled() && self.tools.config.typeart {
+        if self.enabled() && self.tools.config.cusan {
             let mut ta = self.tools.typeart.borrow_mut();
             check_buffer(
                 &mut ta,

@@ -137,11 +137,6 @@ impl Ptr {
     /// The null pointer.
     pub const NULL: Ptr = Ptr(0);
 
-    /// True if this is the null pointer.
-    pub fn is_null(self) -> bool {
-        self.0 == 0
-    }
-
     /// Raw address value.
     pub fn addr(self) -> u64 {
         self.0
@@ -151,12 +146,6 @@ impl Ptr {
     #[must_use]
     pub fn offset(self, bytes: u64) -> Ptr {
         Ptr(self.0 + bytes)
-    }
-
-    /// Pointer advanced by `n` elements of size `elem` bytes.
-    #[must_use]
-    pub fn offset_elems(self, n: u64, elem: usize) -> Ptr {
-        Ptr(self.0 + n * elem as u64)
     }
 
     /// Memory kind derived from the address window, if any.
@@ -227,14 +216,13 @@ mod tests {
     fn null_and_low_addresses_have_no_kind() {
         assert_eq!(layout::kind_of(0), None);
         assert_eq!(layout::kind_of(0xfff), None);
-        assert!(Ptr::NULL.is_null());
+        assert_eq!(Ptr::NULL.kind(), None);
     }
 
     #[test]
     fn ptr_offset_arithmetic() {
         let p = Ptr(layout::HOST_PAGEABLE_BASE);
         assert_eq!(p.offset(16).addr(), p.addr() + 16);
-        assert_eq!(p.offset_elems(4, 8).addr(), p.addr() + 32);
         assert_eq!(p.offset(0), p);
     }
 

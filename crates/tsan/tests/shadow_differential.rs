@@ -25,7 +25,7 @@
 //! regions, and 2–5 fibers keep covering whole pages. Its unaligned
 //! writes also supply the other chunk that walk serves — a range's last
 //! page, entered at its first word and left mid-page — and
-//! [`Tally`] counts them, and the evictions inside them, instead of
+//! [`ChunkCounts`] counts them, and the evictions inside them, instead of
 //! trusting the generator. A third mix ([`gen_extent_op`]) aims at the
 //! summary extents: over a 64-page arena, long covers form extents,
 //! sub-range covers split them, re-covers merge them back, ragged ends
@@ -355,7 +355,7 @@ fn any_conflict(conflicts: &Conflicts) -> bool {
 /// What a trace exercised, counted off the reference (which the device
 /// under test is asserted equal to) instead of trusted to the generator.
 #[derive(Debug, Default)]
-struct Tally {
+struct ChunkCounts {
     /// How often a trace walked the chunk `walk_runs` serves besides
     /// whole pages: the last page of a range, entered at its first word
     /// and left before its last. Whether that page was unfolded at the
@@ -393,7 +393,7 @@ fn run_trace(
     prelude: &[Op],
     ops: usize,
     mut gen: impl FnMut(&mut Lcg) -> Op,
-) -> (ShadowMemory, Conflicts, Conflicts, Tally) {
+) -> (ShadowMemory, Conflicts, Conflicts, ChunkCounts) {
     let mut rng = Lcg(seed);
     let mut dut = ShadowMemory::new();
     dut.set_page_budget(arena.budget);
@@ -415,7 +415,7 @@ fn run_trace(
     let mut dut_conflicts = Conflicts::new();
     let mut ref_conflicts = Conflicts::new();
     let mut last_access: Option<(u64, u64, bool, usize, u32)> = None;
-    let mut tally = Tally::default();
+    let mut tally = ChunkCounts::default();
     let words_per_page = PAGE_BYTES / WORD_BYTES;
 
     for i in 0..prelude.len() + ops {
@@ -586,7 +586,7 @@ fn whole_page_accesses_over_unfolded_pages_match_reference() {
 }
 
 /// The extent mix over `seed`, budgeted on odd seeds.
-fn run_extent_trace(seed: u64, ops: usize) -> (ShadowMemory, Conflicts, Conflicts, Tally) {
+fn run_extent_trace(seed: u64, ops: usize) -> (ShadowMemory, Conflicts, Conflicts, ChunkCounts) {
     let arena = Arena {
         pages: EXTENT_ARENA_PAGES,
         budget: (seed % 2 == 1).then_some(40),

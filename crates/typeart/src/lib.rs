@@ -11,8 +11,8 @@
 //! reports `(address, element count, type id)` to a per-rank
 //! [`TypeartRuntime`], every free removes the record — mirroring Fig. 2 of
 //! the paper. The compile-time side is modeled by [`TypeRegistry`], which
-//! assigns stable ids to type layouts and can be serialized/parsed (the
-//! paper's "serialized compile-time type info" file).
+//! assigns stable ids to type layouts in process (the role of the paper's
+//! serialized compile-time type info file; no file is written).
 
 pub mod registry;
 pub mod runtime;

@@ -120,53 +120,6 @@ impl TypeRegistry {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Serialize to the line format `id<TAB>size<TAB>name`, the analogue of
-    /// TypeART's serialized type file.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (i, t) in self.types.iter().enumerate() {
-            out.push_str(&format!("{}\t{}\t{}\n", i, t.size, t.name));
-        }
-        out
-    }
-
-    /// Parse the serialized form produced by [`Self::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut types = Vec::new();
-        let mut by_name = HashMap::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, '\t');
-            let id: usize = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing id"))?
-                .parse()
-                .map_err(|e| format!("line {lineno}: bad id: {e}"))?;
-            let size: u64 = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing size"))?
-                .parse()
-                .map_err(|e| format!("line {lineno}: bad size: {e}"))?;
-            let name = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing name"))?;
-            if id != types.len() {
-                return Err(format!("line {lineno}: non-contiguous id {id}"));
-            }
-            by_name.insert(name.to_string(), TypeId(id as u32));
-            types.push(TypeInfo {
-                name: name.to_string(),
-                size,
-            });
-        }
-        if types.is_empty() {
-            return Err("empty type table".to_string());
-        }
-        Ok(TypeRegistry { types, by_name })
-    }
 }
 
 impl fmt::Display for TypeId {
@@ -213,26 +166,5 @@ mod tests {
         let r = TypeRegistry::new();
         assert_eq!(r.size_of(TypeId(999)), 0);
         assert_eq!(r.size_of(TypeId::UNKNOWN), 0);
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let mut r = TypeRegistry::new();
-        r.register("struct halo_cell", 32);
-        let text = r.to_text();
-        let r2 = TypeRegistry::from_text(&text).unwrap();
-        assert_eq!(r2.len(), r.len());
-        assert_eq!(r2.id_of("struct halo_cell"), r.id_of("struct halo_cell"));
-        assert_eq!(r2.size_of(TypeId::F64), 8);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(TypeRegistry::from_text("not-a-table").is_err());
-        assert!(TypeRegistry::from_text("").is_err());
-        assert!(
-            TypeRegistry::from_text("5\t8\tf64\n").is_err(),
-            "non-contiguous id"
-        );
     }
 }

@@ -9,8 +9,8 @@
 //!    branching that one decision.
 //! 3. Every explored schedule is itself deterministic: re-running the
 //!    recorded choice vectors reproduces the per-rank traces
-//!    byte-for-byte, and offline replay of those traces reproduces the
-//!    live reports.
+//!    byte-for-byte, and every trace replays faithfully
+//!    (`RankOutcome::replay_mismatches`).
 //! 4. The whole 60-program testsuite reports identical race sets under
 //!    an installed all-defaults plan and under no controller at all —
 //!    the controller hooks are semantically invisible at choice 0. The
@@ -18,8 +18,10 @@
 //! 5. (proptest) Legacy default-stream barriers hold under *every*
 //!    explored completion order of independent user-stream ops.
 
+use cusan::Flavor;
 use cusan_apps::testsuite::{
-    cases, outcome_digest, run_case, run_case_scheduled, wildcard_schedule_race, TIMING_DEPENDENT,
+    cases, outcome_digest, run_case_scheduled, try_run_case, wildcard_schedule_race,
+    TIMING_DEPENDENT,
 };
 use cusan_apps::AppKernels;
 use explore::{explore, ChoiceKind, ScheduleController, SchedulePlan};
@@ -30,7 +32,7 @@ use std::sync::Arc;
 
 /// Rank-tagged race report strings, sorted — the comparable "race set"
 /// of a world run.
-fn race_set(out: &WorldOutcome<()>) -> Vec<String> {
+fn race_set<T>(out: &WorldOutcome<T>) -> Vec<String> {
     let mut races: Vec<String> = out
         .all_races()
         .into_iter()
@@ -44,13 +46,15 @@ fn race_set(out: &WorldOutcome<()>) -> Vec<String> {
 fn default_schedule_never_reports_the_planted_race() {
     let case = wildcard_schedule_race();
     // Plain run (no controller at all).
-    let out = run_case(&case);
+    let out = try_run_case(&case, Flavor::MustCusan, None);
+    assert!(out.results.iter().all(Result::is_ok), "{:?}", out.results);
     assert_eq!(
-        out.races, 0,
+        out.total_races(),
+        0,
         "default schedule must not see the planted race: {:?}",
-        out.details
+        out.all_races()
     );
-    assert_eq!(out.must_reports, 0);
+    assert!(out.all_must_reports().is_empty());
     // All-defaults plan: same execution, but the consultation log proves
     // the wildcard choice point was genuinely offered two candidates —
     // the race is hidden by the default pick, not by unreachability.
@@ -120,13 +124,8 @@ fn explored_schedules_replay_bit_for_bit() {
         }
         // Offline replay of the recorded trace reproduces the live run.
         for rank in &run.value.ranks {
-            let bytes = rank.trace.as_ref().expect("scheduled runs are traced");
-            let replayed = cusan::replay_stream(&bytes[..]).expect("trace replays");
-            assert_eq!(replayed.reports.len(), rank.races.len());
-            for (a, b) in replayed.reports.iter().zip(rank.races.iter()) {
-                assert_eq!(a.to_string(), b.to_string());
-            }
-            assert_eq!(replayed.counters, rank.events, "rank {}", rank.rank);
+            let errs = rank.replay_mismatches();
+            assert!(errs.is_empty(), "plan {:?}: {errs:#?}", run.plan);
         }
     }
 }
@@ -134,10 +133,11 @@ fn explored_schedules_replay_bit_for_bit() {
 #[test]
 fn testsuite_race_sets_are_identical_under_default_plan() {
     for case in cases() {
-        let plain = run_case(&case);
+        let plain = try_run_case(&case, Flavor::MustCusan, None);
         let planned = run_case_scheduled(&case, SchedulePlan::defaults(2));
+        assert!(plain.results.iter().all(Result::is_ok), "{}", case.name);
         assert_eq!(
-            plain.must_reports,
+            plain.all_must_reports().len(),
             planned.all_must_reports().len(),
             "{}: MUST findings changed under the all-defaults plan",
             case.name
@@ -146,22 +146,15 @@ fn testsuite_race_sets_are_identical_under_default_plan() {
             // Which request settles first is the threads' choice, not
             // the plan's: only the verdict repeats.
             assert_eq!(
-                plain.races > 0,
-                planned.total_races() > 0,
+                plain.has_races(),
+                planned.has_races(),
                 "{}: verdict changed under the all-defaults plan",
                 case.name
             );
             continue;
         }
-        let mut plain_races: Vec<String> = plain
-            .details
-            .iter()
-            .filter(|d| !d.contains("MUST:"))
-            .cloned()
-            .collect();
-        plain_races.sort();
         assert_eq!(
-            plain_races,
+            race_set(&plain),
             race_set(&planned),
             "{}: race set changed under the all-defaults plan",
             case.name

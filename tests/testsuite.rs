@@ -5,7 +5,8 @@
 //! the paper reports for its suite; this test enforces the same property
 //! for the reproduction.
 
-use cusan_apps::testsuite::{cases, check_case, Expected};
+use cusan::Flavor;
+use cusan_apps::testsuite::{cases, check_case, try_run_case, Expected};
 
 #[test]
 fn every_case_is_classified_correctly() {
@@ -42,22 +43,19 @@ fn suite_shape_matches_paper() {
 /// races but must never invent one.
 #[test]
 fn clean_cases_are_clean_under_all_flavors() {
-    use cusan::Flavor;
-    use cusan_apps::AppKernels;
-    use must_rt::run_checked_world;
-    use std::sync::Arc;
-
-    let k = AppKernels::shared();
     let mut checked = 0;
     for case in cases() {
         if case.expected != Expected::Clean {
             continue;
         }
         for flavor in [Flavor::Tsan, Flavor::Must, Flavor::Cusan] {
-            let run = case.run;
-            let out = run_checked_world(2, flavor, Arc::clone(&k.registry), move |ctx| {
-                run(ctx, k);
-            });
+            let out = try_run_case(&case, flavor, None);
+            assert!(
+                out.results.iter().all(Result::is_ok),
+                "{} failed under {flavor}: {:?}",
+                case.name,
+                out.results
+            );
             assert_eq!(
                 out.total_races(),
                 0,
@@ -76,20 +74,17 @@ fn clean_cases_are_clean_under_all_flavors() {
 /// requires the checker for forward progress.
 #[test]
 fn racy_cases_execute_under_vanilla() {
-    use cusan::Flavor;
-    use cusan_apps::AppKernels;
-    use must_rt::run_checked_world;
-    use std::sync::Arc;
-
-    let k = AppKernels::shared();
     for case in cases() {
         if case.expected != Expected::Race {
             continue;
         }
-        let run = case.run;
-        let out = run_checked_world(2, Flavor::Vanilla, Arc::clone(&k.registry), move |ctx| {
-            run(ctx, k);
-        });
+        let out = try_run_case(&case, Flavor::Vanilla, None);
+        assert!(
+            out.results.iter().all(Result::is_ok),
+            "{} failed under Vanilla: {:?}",
+            case.name,
+            out.results
+        );
         assert_eq!(
             out.total_races(),
             0,
@@ -105,21 +100,19 @@ fn racy_cases_execute_under_vanilla() {
 /// suite.
 #[test]
 fn bounded_tracking_preserves_every_classification() {
-    use cusan::Flavor;
-    use cusan_apps::testsuite::check_case_with;
-
     let mut cfg = Flavor::MustCusan.config();
     cfg.bounded_tracking = true;
-    let mut failures = Vec::new();
-    for case in cases() {
-        if let Err(e) = check_case_with(&case, cfg) {
-            failures.push(e);
-        }
-    }
+    let failures: Vec<_> = cases()
+        .into_iter()
+        .filter(|case| {
+            let out = try_run_case(case, cfg, None);
+            !(out.results.iter().all(Result::is_ok) && case.expected.holds(&out))
+        })
+        .map(|case| case.name)
+        .collect();
     assert!(
         failures.is_empty(),
-        "bounded tracking changed classifications:\n{}",
-        failures.join("\n---\n")
+        "bounded tracking changed classifications: {failures:?}"
     );
 }
 
@@ -132,9 +125,6 @@ fn bounded_tracking_preserves_every_classification() {
 /// run, so no program is left out.
 #[test]
 fn partial_tools_find_some_issues_but_not_all() {
-    use cusan::Flavor;
-    use cusan_apps::testsuite::run_case_with;
-
     let racy: Vec<_> = cases()
         .into_iter()
         .filter(|c| c.expected == Expected::Race)
@@ -142,7 +132,11 @@ fn partial_tools_find_some_issues_but_not_all() {
     let total = racy.len();
     let detect = |flavor: Flavor| -> usize {
         racy.iter()
-            .filter(|c| run_case_with(c, flavor.config()).races > 0)
+            .filter(|c| {
+                let out = try_run_case(c, flavor, None);
+                assert!(out.results.iter().all(Result::is_ok), "{}", c.name);
+                out.has_races()
+            })
             .count()
     };
 
