@@ -23,11 +23,11 @@
 //! needs it; partners left waiting; faithful replay.
 //!
 //! **Seeded mode.** Each seed runs both apps under a seeded fault
-//! schedule, exploring 3 schedules on every 4th seed (which also runs
-//! under a shadow-page budget); odd seeds record binary. Each explored
-//! run is re-run from its choices and must repeat its results and trace
-//! bytes; a failure or a leak needs a fault that fired; without a
-//! controller nothing fires; a sweep that fires no fault fails.
+//! schedule, exploring 3 schedules on every 4th seed; odd seeds record
+//! binary. Each explored run is re-run from its choices and must repeat
+//! its results and trace bytes; a failure or a leak needs a fault that
+//! fired; without a controller nothing fires; a sweep that fires no
+//! fault fails.
 //!
 //! Tier-1 runs every site of the programs, every 8th of the apps and 32
 //! seeds; `cargo test --release -p cusan-apps --test fault_sweep --
@@ -250,8 +250,6 @@ const SEEDED_JACOBI: JacobiConfig = JacobiConfig {
 
 fn seeded_config(seed: u64) -> ToolConfig {
     ToolConfig {
-        // 2 pages: small enough that even these grids overflow it.
-        shadow_page_budget: (seed % 4 == 3).then_some(2),
         record: Some(if seed % 2 == 1 {
             TraceFormat::Binary
         } else {
@@ -274,7 +272,6 @@ struct Seeded {
     faults_fired: u64,
     faulted_ranks: usize,
     leaked_bytes: u64,
-    dropped: u64,
     races: u64,
     schedules: usize,
     mismatches: Vec<String>,
@@ -319,11 +316,6 @@ impl Seeded {
         self.faulted_ranks += failed;
         self.faults_fired += fired;
         self.leaked_bytes += a.space.live_bytes;
-        self.dropped += a
-            .ranks
-            .iter()
-            .map(|r| r.tsan.dropped_annotations)
-            .sum::<u64>();
         self.races += a.total_races();
     }
 
@@ -376,13 +368,12 @@ fn seeded(seeds: u64, budget: usize) -> Seeded {
     }
     println!(
         "{} runs over {seeds} seeds: {} faults fired across {} rank failures, \
-         {} bytes left allocated by faulted ranks, {} annotations dropped under budget, \
-         {} races, {} explored schedules, {} mismatches",
+         {} bytes left allocated by faulted ranks, {} races, {} explored schedules, \
+         {} mismatches",
         s.runs,
         s.faults_fired,
         s.faulted_ranks,
         s.leaked_bytes,
-        s.dropped,
         s.races,
         s.schedules,
         s.mismatches.len()
@@ -403,7 +394,6 @@ fn seeded_faults_degrade_deterministically() {
         faults_fired: 58,
         faulted_ranks: 97,
         leaked_bytes: 612_648,
-        dropped: 1_116,
         races: 0,
         schedules: 37,
         mismatches: Vec::new(),

@@ -170,7 +170,7 @@ fn fig11(s: &Sizes) {
 /// Table I's rows for one rank (label, value, decimals), then the shadow,
 /// clock and arena counters (not in the paper's table; see DESIGN.md).
 #[rustfmt::skip]
-fn table1_rows(c: &CudaCounters, t: &TsanStats) -> [(&'static str, f64, usize); 18] {
+fn table1_rows(c: &CudaCounters, t: &TsanStats) -> [(&'static str, f64, usize); 16] {
     [
         ("CUDA  Stream", c.streams as f64, 0),
         ("CUDA  Memset", c.memset_calls as f64, 0),
@@ -187,9 +187,7 @@ fn table1_rows(c: &CudaCounters, t: &TsanStats) -> [(&'static str, f64, usize); 
         ("TSan  Shadow page summaries", t.page_summaries_stored as f64, 0),
         ("TSan  Shadow page unfolds", t.page_unfolds as f64, 0),
         ("TSan  Full clock joins", t.full_clock_joins as f64, 0),
-        ("TSan  Arena pages reused", t.arena_pages_reused as f64, 0),
         ("TSan  Arena slabs allocated", t.arena_slabs_allocated as f64, 0),
-        ("TSan  Arena pages evicted", t.arena_pages_evicted as f64, 0),
     ]
 }
 

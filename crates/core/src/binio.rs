@@ -143,7 +143,9 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// Write the magic and header fields.
+    /// Write the magic and header fields. Recordings write `tiered` true
+    /// and no budget; the trace readers refuse a header with either
+    /// other value (see [`crate::trace`]).
     pub fn encode_header(buf: &mut Vec<u8>, rank: usize, tiered: bool, budget: Option<usize>) {
         buf.extend_from_slice(BIN_MAGIC);
         put_varint(buf, rank as u64);

@@ -43,12 +43,6 @@ pub struct ToolConfig {
     /// positives whole-allocation annotation can produce — for
     /// boundary-region kernels. Off by default to match the paper.
     pub bounded_tracking: bool,
-    /// Shadow-memory page budget: once the detector owns this many shadow
-    /// pages it degrades to counted best-effort mode — range annotations
-    /// needing *new* pages are dropped and counted
-    /// (`TsanStats::dropped_annotations`) instead of growing the shadow
-    /// unboundedly. `None` (the default) is unlimited.
-    pub shadow_page_budget: Option<usize>,
     /// Record the run's event stream, and in which encoding: `None` (the
     /// default) records nothing; `Some` starts the per-rank
     /// [`crate::TraceSink`] with the context, before any event, in v2
@@ -65,7 +59,6 @@ impl ToolConfig {
         cusan: false,
         track_access_ranges: false,
         bounded_tracking: false,
-        shadow_page_budget: None,
         record: None,
     };
 
@@ -190,17 +183,6 @@ mod tests {
             assert!(f.config().tsan);
             assert!(f.config().any_tsan());
         }
-    }
-
-    #[test]
-    fn budget_defaults_off_everywhere() {
-        // The shadow budget is opt-in: every flavor (and VANILLA) ships
-        // with it disabled, so the detector never drops an annotation
-        // it was not asked to.
-        for f in Flavor::ALL {
-            assert_eq!(f.config().shadow_page_budget, None, "{f}");
-        }
-        assert_eq!(ToolConfig::VANILLA.shadow_page_budget, None);
     }
 
     #[test]

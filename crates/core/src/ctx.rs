@@ -128,19 +128,12 @@ impl ToolCtx {
                 eprintln!("{line}");
             }
         });
-        let session = CheckSession::new(&SessionOptions {
-            rank,
-            shadow_page_budget: config.shadow_page_budget,
-        });
+        let session = CheckSession::new(&SessionOptions::new(rank));
         ToolCtx {
             config,
             session: RefCell::new(session),
             typeart: RefCell::new(TypeartRuntime::new()),
-            recorder: RefCell::new(
-                config
-                    .record
-                    .map(|format| TraceSink::new(format, rank, config.shadow_page_budget)),
-            ),
+            recorder: RefCell::new(config.record.map(|format| TraceSink::new(format, rank))),
             fault_decider: None,
             fault_sites: Cell::new(0),
             diagnostics: RefCell::new(Vec::new()),
@@ -358,11 +351,6 @@ impl ToolCtx {
         self.with_tsan(|t| t.fiber_name(f).to_string())
     }
 
-    /// The detector's shadow page budget (for tests and figures).
-    pub fn shadow_page_budget(&self) -> Option<usize> {
-        self.with_tsan(|t| t.shadow_page_budget())
-    }
-
     /// Shadow pages currently owned by the detector.
     pub fn shadow_pages(&self) -> usize {
         self.with_tsan(|t| t.shadow_pages())
@@ -493,17 +481,6 @@ mod tests {
         assert_eq!(ctx.tsan_stats(), before);
         assert_eq!(ctx.race_count(), races);
         assert_eq!(ctx.event_counters().api_faults, 2);
-    }
-
-    #[test]
-    fn shadow_budget_flows_from_config() {
-        let mut config = Flavor::Cusan.config();
-        config.shadow_page_budget = Some(4);
-        let ctx = ToolCtx::new(0, config);
-        assert_eq!(ctx.shadow_page_budget(), Some(4));
-        ctx.annotate_host_write(Ptr(0), 16 << 12, "w");
-        assert_eq!(ctx.tsan_stats().dropped_annotations, 12);
-        assert_eq!(ctx.shadow_pages(), 4);
     }
 
     #[test]

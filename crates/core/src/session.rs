@@ -12,8 +12,7 @@
 //! Three producers drive sessions today:
 //!
 //! - **Live instrumentation** — [`crate::ToolCtx`] builds one session per
-//!   rank from its config's page budget and applies the events its
-//!   CUDA/MPI layers emit to it inline.
+//!   rank and applies the events its CUDA/MPI layers emit to it inline.
 //! - **Offline replay** — [`crate::trace::replay_stream`] builds a
 //!   session from a trace header ([`CheckSession::for_header`]) and
 //!   streams the recorded records through it ([`CheckSession::feed`]).
@@ -40,34 +39,29 @@ use tsan_rt::{CtxId, FiberId, RaceReport, TsanRuntime, TsanStats};
 /// [`tsan_rt::codec::LAYOUT_VERSION`] follows it.
 pub const SESSION_MAGIC: &[u8; 8] = b"cusanses";
 
-/// Construction parameters for a [`CheckSession`]: the two trace-header
-/// fields that shape detection.
+/// Construction parameters for a [`CheckSession`]: the trace-header
+/// field that shapes detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOptions {
     /// MPI rank (or client-chosen id) the session checks; only used for
     /// naming the host fiber, so reports match live runs.
     pub rank: usize,
-    /// Per-session shadow page budget (best-effort drops beyond it).
-    pub shadow_page_budget: Option<usize>,
 }
 
 impl SessionOptions {
-    /// Defaults matching a live `ToolCtx` run with a vanilla config: no
-    /// budget.
+    /// The options of a session checking `rank`.
     pub fn new(rank: usize) -> Self {
-        Self::for_trace(rank, true, None)
+        SessionOptions { rank }
     }
 
-    /// Options recorded in a trace header. `_tiered` takes the header's
-    /// shadow-mode flag and is not consulted: it is always `true`,
-    /// because the tiered shadow is the only one and the trace readers
-    /// refuse a `tiered 0` header (the removed flat shadow) before a
-    /// caller can get here.
-    pub fn for_trace(rank: usize, _tiered: bool, budget: Option<usize>) -> Self {
-        SessionOptions {
-            rank,
-            shadow_page_budget: budget,
-        }
+    /// Options recorded in a trace header. `_tiered` and `_budget` take
+    /// the header's shadow-mode flag and page budget and are not
+    /// consulted: they are always `true` and `None`, because the tiered,
+    /// unbudgeted shadow is the only one and the trace readers refuse a
+    /// header that names another (`tiered 0`, a budget) before a caller
+    /// can get here.
+    pub fn for_trace(rank: usize, _tiered: bool, _budget: Option<usize>) -> Self {
+        Self::new(rank)
     }
 }
 
@@ -100,20 +94,15 @@ pub struct CheckSession {
 impl CheckSession {
     /// Fresh session with its own runtime built from `opts`.
     pub fn new(opts: &SessionOptions) -> Self {
-        let mut rt = TsanRuntime::new(&format!("host (rank {})", opts.rank));
-        rt.set_shadow_page_budget(opts.shadow_page_budget);
+        let rt = TsanRuntime::new(&format!("host (rank {})", opts.rank));
         Self::from_runtime(opts.rank, rt)
     }
 
     /// Fresh session shaped by a trace's header: the recorded rank names
-    /// the host fiber and the recorded budget bounds the shadow, so a
-    /// replayed or served session detects exactly what the live run did.
+    /// the host fiber, so a replayed or served session detects exactly
+    /// what the live run did.
     pub fn for_header(header: &TraceHeader) -> Self {
-        Self::new(&SessionOptions::for_trace(
-            header.rank,
-            header.tiered,
-            header.budget,
-        ))
+        Self::new(&SessionOptions::new(header.rank))
     }
 
     /// Wrap an already-configured runtime that has no labels defined:

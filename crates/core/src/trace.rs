@@ -38,12 +38,12 @@
 //! cusan-trace v2 rank <rank> tiered 1 budget <pages|none>
 //! ```
 //!
-//! `budget` records the shadow page budget so replay reproduces any
-//! best-effort degradation (`dropped_annotations`) of a budget-capped
-//! run. `tiered` is the recording run's shadow mode; writers always emit
-//! `1`, and a `tiered 0` header — a recording made on the flat shadow,
-//! which no longer exists — is refused by the readers in both formats
-//! rather than replayed under tiers it never ran with. Every
+//! `tiered` and `budget` are the recording run's shadow mode and shadow
+//! page budget; writers always emit `tiered 1 budget none`. A header
+//! naming either removed mode — `tiered 0`, a recording made on the flat
+//! shadow, or a page budget, under which the shadow dropped annotations
+//! past its cap — is refused by the readers in both formats rather than
+//! replayed under a shadow it never ran with. Every
 //! other line is either a string-table entry — `s <id> <label>` with `\`
 //! and newline escaped, ids dense and ascending — or an event:
 //!
@@ -201,14 +201,11 @@ impl RecordWriter {
         }
     }
 
-    fn header(&mut self, out: &mut Vec<u8>, rank: usize, budget: Option<usize>) {
+    fn header(&mut self, out: &mut Vec<u8>, rank: usize) {
         match self {
-            RecordWriter::Text => {
-                let budget = budget.map_or_else(|| "none".to_string(), |b| b.to_string());
-                writeln!(out, "{TRACE_MAGIC} rank {rank} tiered 1 budget {budget}")
-                    .expect("writes to Vec are infallible");
-            }
-            RecordWriter::Binary(_) => binio::Encoder::encode_header(out, rank, true, budget),
+            RecordWriter::Text => writeln!(out, "{TRACE_MAGIC} rank {rank} tiered 1 budget none")
+                .expect("writes to Vec are infallible"),
+            RecordWriter::Binary(_) => binio::Encoder::encode_header(out, rank, true, None),
         }
     }
 
@@ -294,12 +291,11 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// Start a recording in the given format whose header records `rank`
-    /// and the shadow page budget.
-    pub fn new(format: TraceFormat, rank: usize, budget: Option<usize>) -> TraceSink {
+    /// Start a recording in the given format whose header records `rank`.
+    pub fn new(format: TraceFormat, rank: usize) -> TraceSink {
         let mut writer = RecordWriter::new(format);
         let mut out = Vec::new();
-        writer.header(&mut out, rank, budget);
+        writer.header(&mut out, rank);
         TraceSink {
             out,
             written: 0,
@@ -470,7 +466,9 @@ pub struct TraceHeader {
     /// reader yields: `tiered 0` named the removed flat shadow and is
     /// refused while parsing.
     pub tiered: bool,
-    /// Shadow page budget of the recording run (`None` = unlimited).
+    /// Shadow page budget of the recording run. Always `None` in a header
+    /// a reader yields: the page budget was removed and a header naming
+    /// one is refused while parsing.
     pub budget: Option<usize>,
 }
 
@@ -510,19 +508,27 @@ impl TraceHeader {
         })
     }
 
-    /// Refuse a recording made on the removed flat shadow (`tiered 0`):
-    /// replaying it on the tiered shadow would report tier counters
-    /// (`page_summaries_stored`, `page_unfolds`) the
-    /// recording run never had.
-    fn reject_flat_shadow(self) -> Result<TraceHeader, Box<str>> {
-        if self.tiered {
-            return Ok(self);
+    /// Refuse a recording made on a removed shadow mode: on the flat
+    /// shadow (`tiered 0`), replaying it on the tiered shadow would report
+    /// tier counters (`page_summaries_stored`, `page_unfolds`) the
+    /// recording run never had; under a page budget, the unbudgeted
+    /// shadow would check the accesses the recording run dropped.
+    fn refuse_removed_modes(self) -> Result<TraceHeader, Box<str>> {
+        if !self.tiered {
+            return Err(
+                "trace header: recorded with `tiered 0` (the flat shadow walk), which was \
+                 removed; this reader only replays tiered-shadow traces (re-record the trace)"
+                    .into(),
+            );
         }
-        Err(
-            "trace header: recorded with `tiered 0` (the flat shadow walk), which was \
-             removed; this reader only replays tiered-shadow traces (re-record the trace)"
-                .into(),
-        )
+        if let Some(pages) = self.budget {
+            return Err(format!(
+                "trace header: recorded under a shadow page budget of {pages} pages, which \
+                 was removed; this reader only replays unbudgeted traces (re-record the trace)"
+            )
+            .into());
+        }
+        Ok(self)
     }
 }
 
@@ -848,7 +854,7 @@ impl TracePushParser {
         header: Result<TraceHeader, Box<str>>,
         body: PushState,
     ) -> Result<Option<TraceItem>, TraceError> {
-        match header.and_then(TraceHeader::reject_flat_shadow) {
+        match header.and_then(TraceHeader::refuse_removed_modes) {
             Ok(header) => {
                 self.state = body;
                 Ok(Some(TraceItem::Header(header)))
@@ -1056,7 +1062,7 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, T
     let h = *reader.header();
     let mut writer = RecordWriter::new(format);
     let mut out = Vec::new();
-    writer.header(&mut out, h.rank, h.budget);
+    writer.header(&mut out, h.rank);
     for rec in &mut reader {
         match rec? {
             TraceRecord::Str { id, label } => writer.str_record(&mut out, id.0, &label),
@@ -1072,7 +1078,7 @@ pub fn transcode<R: BufRead>(input: R, format: TraceFormat) -> Result<Vec<u8>, T
 /// header, in O(1) memory in the trace length.
 ///
 /// Uses the same apply path as the live run ([`CheckSession::try_apply`]),
-/// with the recorded rank's host-fiber name and shadow budget, so
+/// with the recorded rank's host-fiber name, so
 /// reports (fiber and context labels included), detector stats and event
 /// counters all reproduce exactly. A record that does not decode, or a
 /// fiber event the session refuses, is an error naming its position.
@@ -1093,7 +1099,7 @@ mod tests {
     use super::*;
 
     fn record_as(format: TraceFormat, events: &[(CusanEvent, &CtxInterner)]) -> Vec<u8> {
-        let mut sink = TraceSink::new(format, 3, None);
+        let mut sink = TraceSink::new(format, 3);
         for (ev, strings) in events {
             sink.on_event(ev, strings);
         }
@@ -1366,17 +1372,12 @@ mod tests {
         assert_eq!(events.len(), 2);
     }
 
-    /// Both entry points refuse `bytes` at the header, naming the removed
-    /// flat shadow.
-    fn assert_flat_shadow_refused(bytes: &[u8]) {
-        let flat = TraceHeader {
-            rank: 0,
-            tiered: false,
-            budget: None,
-        };
+    /// Both entry points refuse `bytes` at the header, with no position,
+    /// naming the removed shadow mode `header` records.
+    fn assert_header_refused(bytes: &[u8], header: TraceHeader) {
         let refusal = TraceError::new(
             None,
-            TraceErrorKind::Syntax(flat.reject_flat_shadow().unwrap_err()),
+            TraceErrorKind::Syntax(header.refuse_removed_modes().unwrap_err()),
         );
         assert_eq!(TraceReader::new(bytes).err(), Some(refusal.clone()));
         let mut push = TracePushParser::new();
@@ -1385,18 +1386,40 @@ mod tests {
         assert_eq!(push.poll().err(), Some(refusal));
     }
 
+    /// A header recorded on the flat shadow, and one recorded under a
+    /// page budget of 2.
+    const REMOVED_MODES: [TraceHeader; 2] = [
+        TraceHeader {
+            rank: 0,
+            tiered: false,
+            budget: None,
+        },
+        TraceHeader {
+            rank: 0,
+            tiered: true,
+            budget: Some(2),
+        },
+    ];
+
     #[test]
     fn text_header_recorded_on_the_flat_shadow_is_refused() {
-        let text = format!("{TRACE_MAGIC} rank 0 tiered 0 budget none\ns 0 f\nfc 1 0\n");
-        assert_flat_shadow_refused(text.as_bytes());
+        for header in REMOVED_MODES {
+            let tiered = u8::from(header.tiered);
+            let budget = header.budget.map_or("none".to_string(), |b| b.to_string());
+            let text =
+                format!("{TRACE_MAGIC} rank 0 tiered {tiered} budget {budget}\ns 0 f\nfc 1 0\n");
+            assert_header_refused(text.as_bytes(), header);
+        }
     }
 
     #[test]
     fn binary_header_recorded_on_the_flat_shadow_is_refused() {
-        let mut bytes = Vec::new();
-        binio::Encoder::encode_header(&mut bytes, 0, false, None);
-        binio::Encoder::new().encode_end(&mut bytes);
-        assert_flat_shadow_refused(&bytes);
+        for header in REMOVED_MODES {
+            let mut bytes = Vec::new();
+            binio::Encoder::encode_header(&mut bytes, 0, header.tiered, header.budget);
+            binio::Encoder::new().encode_end(&mut bytes);
+            assert_header_refused(&bytes, header);
+        }
     }
 
     #[test]
@@ -1538,43 +1561,6 @@ mod tests {
             ),
             "got: {err:?}"
         );
-    }
-
-    #[test]
-    fn budget_survives_roundtrip_and_shapes_replay() {
-        let mut strings = CtxInterner::new();
-        let name = strings.intern("cuda stream 0");
-        let ctx = strings.intern("big write");
-        let f = FiberId::from_index(1);
-        let events = [
-            CusanEvent::FiberCreate { fiber: f, name },
-            CusanEvent::FiberSwitch {
-                fiber: f,
-                sync: true,
-            },
-            CusanEvent::WriteRange {
-                addr: 0x10000,
-                len: 8 << 12,
-                ctx,
-            },
-        ];
-        for format in [TraceFormat::Text, TraceFormat::Binary] {
-            let mut sink = TraceSink::new(format, 0, Some(2));
-            for ev in &events {
-                sink.on_event(ev, &strings);
-            }
-            let bytes = sink.finish();
-            if format == TraceFormat::Text {
-                let text = std::str::from_utf8(&bytes).unwrap();
-                assert!(text.starts_with(&format!("{TRACE_MAGIC} rank 0 tiered 1 budget 2\n")));
-            }
-            let (header, _, _) = read_all(&bytes).unwrap();
-            assert_eq!(header.budget, Some(2));
-            // Replay applies the recorded budget, reproducing the
-            // degradation counters of the capped live run.
-            let out = replay_stream(&bytes[..]).unwrap();
-            assert_eq!(out.stats.dropped_annotations, 6);
-        }
     }
 
     #[test]

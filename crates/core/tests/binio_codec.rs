@@ -162,16 +162,18 @@ proptest! {
         let reencoded = encode(rank, tiered, budget, &labels, &got_events);
         prop_assert_eq!(&reencoded, &bytes);
 
-        // The raw codec above carries either header flag; the trace
-        // readers refuse `tiered 0` (a recording made on the removed flat
-        // shadow), so the reader-level properties run on a `tiered 1` twin.
-        if !tiered {
-            let refused = read_events(&bytes).expect_err("flat-shadow header accepted");
+        // The raw codec above carries any header fields; the trace readers
+        // refuse `tiered 0` (a recording made on the removed flat shadow)
+        // and a page budget (removed too), in both encodings alike, so
+        // the reader-level properties run on a `tiered 1`, unbudgeted twin.
+        if !tiered || budget.is_some() {
+            let refused = read_events(&bytes).expect_err("removed shadow mode accepted");
+            let flag = u8::from(tiered);
             let budget = budget.map_or_else(|| "none".to_string(), |b| b.to_string());
-            let text = format!("cusan-trace v2 rank {rank} tiered 0 budget {budget}\n");
+            let text = format!("cusan-trace v2 rank {rank} tiered {flag} budget {budget}\n");
             prop_assert_eq!(Err(refused), read_events(text.as_bytes()));
         }
-        let bytes = encode(rank, true, budget, &labels, &events);
+        let bytes = encode(rank, true, None, &labels, &events);
 
         // 3. Transcode closure through the text twin.
         let text = transcode(&bytes[..], TraceFormat::Text).expect("binary → text");

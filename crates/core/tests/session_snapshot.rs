@@ -156,10 +156,8 @@ fn sanitize(script: &mut Script) {
     script.events = out;
 }
 
-fn fresh(budget: Option<usize>) -> CheckSession {
-    let mut opts = SessionOptions::new(3);
-    opts.shadow_page_budget = budget;
-    CheckSession::new(&opts)
+fn fresh() -> CheckSession {
+    CheckSession::new(&SessionOptions::new(3))
 }
 
 fn run(session: &mut CheckSession, script: &Script, range: std::ops::Range<usize>) {
@@ -179,12 +177,11 @@ fn session_spill_restore_is_invisible_at_any_split() {
         let mut script = gen_script(seed, 400);
         sanitize(&mut script);
         let n = script.events.len();
-        let budget = if seed == 77 { Some(4) } else { None };
-        let mut reference = fresh(budget);
+        let mut reference = fresh();
         run(&mut reference, &script, 0..n);
         let ref_summary = reference.summary();
         for split in [0, 1, n / 3, n - 1, n] {
-            let mut head = fresh(budget);
+            let mut head = fresh();
             run(&mut head, &script, 0..split);
             let blob = head.snapshot_bytes();
             let mut tail = CheckSession::restore_bytes(&blob)
@@ -211,7 +208,7 @@ fn session_spill_restore_is_invisible_at_any_split() {
 
 #[test]
 fn session_restore_rejects_garbage() {
-    let s = fresh(None);
+    let s = fresh();
     assert_eq!(
         CheckSession::restore_bytes(b"definitely not a session").err(),
         Some(DecodeError::BadMagic)
@@ -254,7 +251,7 @@ fn v1_session_blob_is_refused_by_version() {
     // the runtime's own label table, v4 fixed-width fields throughout —
     // none of which exist any more. The one version gate refuses them
     // all before any of the body is interpreted under the current layout.
-    let mut blob = fresh(None).snapshot_bytes();
+    let mut blob = fresh().snapshot_bytes();
     assert_eq!(u64::from(blob[8]), LAYOUT_VERSION);
     for old in 1..LAYOUT_VERSION as u32 {
         blob[8..12].copy_from_slice(&old.to_le_bytes());
@@ -315,7 +312,7 @@ fn restored_session_reuses_interned_ids() {
     // Interned labels survive the round trip with their ids: an event
     // referencing a pre-spill StrId resolves to the same context label
     // after restore.
-    let mut s = fresh(None);
+    let mut s = fresh();
     let name = s.intern("stream 1");
     let cw = s.intern("kernel write");
     let fiber = s.runtime().peek_next_fiber();

@@ -70,7 +70,7 @@ impl CudaDevice {
 
     /// Install a schedule controller consulted (on `lane`) for the
     /// completion order of independent queued ops during full-device
-    /// drains ([`CudaDevice::force_all`] sites: `cudaDeviceSynchronize`,
+    /// drains (`CudaDevice::force_all` sites: `cudaDeviceSynchronize`,
     /// `cudaFree`, teardown flush). Targeted syncs
     /// (`cudaStreamSynchronize` etc.) keep their mandated order.
     pub fn set_schedule_controller(&mut self, sched: Arc<dyn ScheduleController>, lane: usize) {

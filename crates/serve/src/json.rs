@@ -66,8 +66,7 @@ pub fn summary_to_json(session: u64, s: &SessionSummary) -> String {
          \"read_bytes\": {}, \"write_bytes\": {}, \
          \"races_reported\": {}, \"races_deduped\": {}, \
          \"fastpath_hits\": {}, \"page_summaries_stored\": {}, \"page_unfolds\": {}, \
-         \"dropped_annotations\": {}, \"arena_pages_reused\": {}, \
-         \"arena_slabs_allocated\": {}, \"arena_pages_evicted\": {}}}",
+         \"arena_pages_reused\": {}, \"arena_slabs_allocated\": {}}}",
         t.fiber_switches,
         t.happens_before,
         t.happens_after,
@@ -80,10 +79,8 @@ pub fn summary_to_json(session: u64, s: &SessionSummary) -> String {
         t.fastpath_hits,
         t.page_summaries_stored,
         t.page_unfolds,
-        t.dropped_annotations,
         t.arena_pages_reused,
         t.arena_slabs_allocated,
-        t.arena_pages_evicted,
     );
     let c = &s.counters;
     let _ = write!(

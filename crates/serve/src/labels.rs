@@ -10,9 +10,10 @@
 //! entry with a refcount bump instead of a byte copy.
 //!
 //! The table holds a label only while someone else does: once it has
-//! doubled since the last sweep (never below [`SWEEP_FLOOR`]), entries
-//! whose only reference is the table's own are dropped, so a server fed
-//! session-unique labels for a week stays bounded by its live sessions.
+//! doubled since the last sweep (never below `SWEEP_FLOOR`, 4096
+//! entries), entries whose only reference is the table's own are
+//! dropped, so a server fed session-unique labels for a week stays
+//! bounded by its live sessions.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

@@ -10,7 +10,7 @@
 //! `inconsistent_fiber_events_are_refused_in_both_encodings` in
 //! `crates/core/src/trace.rs`.
 
-use cusan::{transcode, TraceErrorKind, TraceFormat};
+use cusan::{binio, transcode, TraceErrorKind, TraceFormat};
 use cusan_serve::proto::{
     close_frame, data_frame, open_frame, parse_reply, quit_frame, read_frame, write_frame,
 };
@@ -156,13 +156,16 @@ fn served_and_solo_refuse_alike_and_only_solo_names_the_record() {
     // The pool applies events behind the parser, so a served refusal has
     // no position; solo replay applies each record as it is read.
     let engine = ServeEngine::new(EngineConfig::default());
-    for (trace, why) in hostile_traces() {
-        let solo = solo_summary(&trace).unwrap_err();
+    let served = |trace: &[u8]| {
         let mut ingest = SessionIngest::new(Arc::clone(&engine));
-        let served = match ingest.feed(&trace) {
+        match ingest.feed(trace) {
             Ok(()) => ingest.finish().unwrap_err(),
             Err(e) => e,
-        };
+        }
+    };
+    for (trace, why) in hostile_traces() {
+        let solo = solo_summary(&trace).unwrap_err();
+        let served = served(&trace);
         assert!(
             matches!(served.kind(), TraceErrorKind::Refused(_)),
             "{why}: {served:?}"
@@ -171,6 +174,21 @@ fn served_and_solo_refuse_alike_and_only_solo_names_the_record() {
         assert_eq!(served.position(), None, "{why}");
         assert!(solo.position().is_some(), "{why}");
         assert_eq!(served.to_string(), why);
+    }
+    // A header naming a shadow page budget (removed) is refused by the
+    // parser on both paths alike, before any record: no position.
+    let text = format!("{HEADER}{}", BODIES[0].0);
+    let binary = transcode(text.as_bytes(), TraceFormat::Binary).unwrap();
+    let (header_len, ..) = binio::decode_header(&binary).unwrap().unwrap();
+    let mut budgeted_binary = Vec::new();
+    binio::Encoder::encode_header(&mut budgeted_binary, 0, true, Some(2));
+    budgeted_binary.extend_from_slice(&binary[header_len..]);
+    let budgeted_text = text.replace("budget none", "budget 2").into_bytes();
+    for trace in [budgeted_text, budgeted_binary] {
+        let (solo, served) = (solo_summary(&trace).unwrap_err(), served(&trace));
+        assert!(matches!(solo.kind(), TraceErrorKind::Syntax(_)), "{solo:?}");
+        assert_eq!(served.kind(), solo.kind());
+        assert_eq!((served.position(), solo.position()), (None, None));
     }
     assert_eq!(engine.live_sessions(), 0);
 }

@@ -75,7 +75,7 @@ impl Allocation {
     }
 
     /// Exclusive write guard over the backing bytes. Waits out transient
-    /// contention from other rank threads (bounded by [`GUARD_WAIT`]).
+    /// contention from other rank threads (bounded by `GUARD_WAIT`, 200 ms).
     ///
     /// # Panics
     ///

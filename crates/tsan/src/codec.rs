@@ -31,9 +31,10 @@
 //!   context ids already.
 //! * **The fiber table** keeps its free list verbatim, so LIFO slot reuse
 //!   — and with it replayed fiber numbering — continues where it left off.
-//! * **Shadow pages** are sorted by page key; unfolded pages record their
-//!   exact [`crate::shadow`] block handle, so the restored arena re-carves
-//!   and recycles in the same order (its counters are summary surface).
+//! * **Shadow pages** are sorted by page key, one record per page; an
+//!   unfolded page records no block handle, and the restore carves its
+//!   blocks in page order — the arena's shape, and with it its slab
+//!   counter, depends only on how many pages are unfolded.
 //! * **Hash-ordered state** (sync vars, report-dedup keys) is sorted
 //!   before writing; map iteration order is not observable downstream.
 //!
@@ -45,9 +46,11 @@
 
 use std::fmt;
 
-/// Layout version of every snapshot blob and spill file. v6: one varint
-/// codec for every layer (v5 and below: three fixed-width layouts).
-pub const LAYOUT_VERSION: u64 = 6;
+/// Layout version of every snapshot blob and spill file. v7: no page
+/// budget, arena section, block handles or report cap in the shadow and
+/// runtime sections; v6: one varint codec for every layer (v5 and below:
+/// three fixed-width layouts).
+pub const LAYOUT_VERSION: u64 = 7;
 
 /// Why bytes could not be decoded. Offsets are relative to the slice the
 /// [`Scanner`] was built on.

@@ -15,9 +15,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SyncKey(pub u64);
 
-/// Default cap on retained race reports (detection continues counting
-/// after the cap; only report storage stops growing).
-pub const DEFAULT_MAX_REPORTS: usize = 256;
+/// Cap on retained race reports (detection continues counting after the
+/// cap; only report storage stops growing).
+pub const MAX_REPORTS: usize = 256;
 
 /// A per-rank ThreadSanitizer-style runtime. See crate docs.
 ///
@@ -36,7 +36,6 @@ pub struct TsanRuntime {
     report_keys: FxHashSet<(u32, u32)>,
     suppressions: Suppressions,
     stats: TsanStats,
-    max_reports: usize,
 }
 
 impl TsanRuntime {
@@ -52,7 +51,6 @@ impl TsanRuntime {
             report_keys: FxHashSet::default(),
             suppressions: Suppressions::default(),
             stats: TsanStats::default(),
-            max_reports: DEFAULT_MAX_REPORTS,
         };
         rt.stats.fibers_created = 1;
         rt
@@ -211,7 +209,6 @@ impl TsanRuntime {
             report_keys,
             suppressions,
             stats,
-            max_reports,
             ..
         } = self;
         let fibers: &FiberTable = fibers;
@@ -243,7 +240,7 @@ impl TsanRuntime {
                 stats.races_suppressed += 1;
             } else {
                 stats.races_reported += 1;
-                if reports.len() < *max_reports {
+                if reports.len() < MAX_REPORTS {
                     reports.push(report);
                 }
             }
@@ -282,32 +279,8 @@ impl TsanRuntime {
         let c = self.shadow.counters();
         s.page_summaries_stored = c.page_summaries_stored;
         s.page_unfolds = c.page_unfolds;
-        s.dropped_annotations = c.dropped_annotations;
-        s.arena_pages_reused = c.arena_pages_reused;
         s.arena_slabs_allocated = c.arena_slabs_allocated;
-        s.arena_pages_evicted = c.arena_pages_evicted;
         s
-    }
-
-    /// Cap the shadow's page count; past the budget the detector runs in
-    /// counted best-effort mode (see
-    /// [`crate::shadow::ShadowMemory::set_page_budget`]). `None` =
-    /// unlimited (the default).
-    pub fn set_shadow_page_budget(&mut self, budget: Option<usize>) {
-        self.shadow.set_page_budget(budget);
-    }
-
-    /// The configured shadow page budget.
-    pub fn shadow_page_budget(&self) -> Option<usize> {
-        self.shadow.page_budget()
-    }
-
-    /// Drop the shadow page covering `addr`, recycling its slot block
-    /// into the arena free list (see
-    /// [`crate::shadow::ShadowMemory::discard_page`]). Returns whether a
-    /// page was discarded.
-    pub fn discard_shadow_page(&mut self, addr: u64) -> bool {
-        self.shadow.discard_page(addr)
     }
 
     /// Approximate heap bytes owned by the detector: shadow pages, vector
@@ -346,7 +319,6 @@ impl TsanRuntime {
     /// snapshots, and `snapshot(restore(snapshot(x))) == snapshot(x)`.
     pub fn write_snapshot(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.current.index() as u64);
-        put_varint(buf, self.max_reports as u64);
         put_varint(buf, self.labels.len() as u64);
         for label in &self.labels {
             put_bytes(buf, label.as_bytes());
@@ -378,7 +350,7 @@ impl TsanRuntime {
             put_varint(buf, u64::from(b));
         }
         self.suppressions.write_snapshot(buf);
-        // The raw (unmerged) counter struct: the derived fields are
+        // The counters the runtime keeps itself: the derived fields are
         // recomputed from the fiber/shadow sections on every `stats()`
         // call, so serializing them here too would double state.
         let mut stats = self.stats;
@@ -393,7 +365,6 @@ impl TsanRuntime {
     /// reports, stats, and shadow evolution.
     pub fn read_snapshot(s: &mut Scanner<'_>) -> Result<Self, DecodeError> {
         let current = FiberId::from_index(s.varint_as::<u32>()? as usize);
-        let max_reports = s.varint_as()?;
         let n_labels = s.count(1)?;
         let labels = (0..n_labels)
             .map(|_| s.str().map(Arc::from))
@@ -447,7 +418,6 @@ impl TsanRuntime {
             report_keys,
             suppressions,
             stats: TsanStats::default(),
-            max_reports,
         };
         for v in raw_counters(&mut rt.stats) {
             *v = s.varint()?;
@@ -457,7 +427,7 @@ impl TsanRuntime {
 }
 
 /// The counters a runtime snapshot stores, in layout order.
-fn raw_counters(s: &mut TsanStats) -> [&mut u64; 19] {
+fn raw_counters(s: &mut TsanStats) -> [&mut u64; 13] {
     [
         &mut s.fiber_switches,
         &mut s.fibers_created,
@@ -471,13 +441,7 @@ fn raw_counters(s: &mut TsanStats) -> [&mut u64; 19] {
         &mut s.races_reported,
         &mut s.races_suppressed,
         &mut s.races_deduped,
-        &mut s.page_summaries_stored,
-        &mut s.page_unfolds,
-        &mut s.dropped_annotations,
         &mut s.full_clock_joins,
-        &mut s.arena_pages_reused,
-        &mut s.arena_slabs_allocated,
-        &mut s.arena_pages_evicted,
     ]
 }
 
@@ -745,21 +709,24 @@ mod tests {
 
     #[test]
     fn report_cap_limits_storage_not_counting() {
+        // MAX_REPORTS + 1 distinct context pairs race on one word: every
+        // one is counted, the first MAX_REPORTS are kept.
         let mut t = rt();
-        t.max_reports = 2;
         let f = fiber(&mut t, "f");
+        let cw = t.define_ctx("w".into());
         t.switch_to_fiber(f);
-        for i in 0..5 {
-            let c = t.define_ctx(format!("w{i}").into());
-            t.write_range(A, 8, c);
-        }
+        t.write_range(A, 8, cw);
         t.switch_to_fiber(FiberId::HOST);
-        for i in 0..5 {
+        for i in 0..=MAX_REPORTS {
             let c = t.define_ctx(format!("r{i}").into());
-            t.write_range(A, 8, c);
+            t.read_range(A, 8, c);
         }
-        assert!(t.race_count() > 2);
-        assert_eq!(t.reports().len(), 2);
+        assert_eq!(t.race_count(), MAX_REPORTS as u64 + 1);
+        assert_eq!(t.reports().len(), MAX_REPORTS);
+        assert_eq!(
+            t.reports()[MAX_REPORTS - 1].current.ctx,
+            format!("r{}", MAX_REPORTS - 1)
+        );
     }
 
     #[test]
@@ -784,25 +751,6 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.page_summaries_stored, 2);
         assert_eq!(s.page_unfolds, 1);
-    }
-
-    #[test]
-    fn shadow_budget_degrades_and_surfaces_in_stats() {
-        let mut t = rt();
-        assert_eq!(t.shadow_page_budget(), None);
-        t.set_shadow_page_budget(Some(2));
-        assert_eq!(t.shadow_page_budget(), Some(2));
-        let c = t.define_ctx("big write".into());
-        t.write_range(0, 8 << 12, c); // 8 pages, budget 2
-        assert_eq!(t.shadow_pages(), 2);
-        let s = t.stats();
-        assert_eq!(s.dropped_annotations, 6);
-        assert_eq!(s.write_range_calls, 1, "call still counted");
-        // No budget → the counter stays zero.
-        let mut u = rt();
-        let c = u.define_ctx("w".into());
-        u.write_range(0, 8 << 12, c);
-        assert_eq!(u.stats().dropped_annotations, 0);
     }
 
     #[test]

@@ -47,10 +47,9 @@
 //! would evict (eviction is word-local, so words would diverge), lazily
 //! *unfolds* the affected pages one by one into the flat word
 //! representation first; an unfolded page is an extent of exactly one
-//! page, and never folds back. Counters, snapshots and the page budget
-//! stay per page: `page_summaries_stored` grows by the pages a stretch
-//! covers, a snapshot holds one record per page, and a budget is spent
-//! page by page in address order.
+//! page, and never folds back. Counters and snapshots stay per page:
+//! `page_summaries_stored` grows by the pages a stretch covers, and a
+//! snapshot holds one record per page.
 //!
 //! **Run-valued walk.** The same rule carries over to unfolded pages:
 //! `walk_runs` scans each maximal run of words holding the same four
@@ -78,7 +77,6 @@ use std::collections::BTreeMap;
 use crate::clock::VectorClock;
 use crate::codec::{put_ascending, put_varint, DecodeError, Scanner};
 use crate::fiber::FiberId;
-use crate::fxhash::FxHashSet;
 use crate::report::CtxId;
 
 /// Application bytes covered by one shadow word.
@@ -162,18 +160,9 @@ pub struct ShadowCounters {
     /// Summaries expanded into flat word slots (partial overlap or a
     /// store that needed word-local eviction).
     pub page_unfolds: u64,
-    /// Page-sized annotation chunks dropped because the shadow reached
-    /// its page budget (best-effort mode; see
-    /// [`ShadowMemory::set_page_budget`]).
-    pub dropped_annotations: u64,
-    /// Page blocks recycled from the arena free list (0 while nothing
-    /// was discarded).
-    pub arena_pages_reused: u64,
     /// Arena slabs allocated (logarithmic in unfolded page count thanks
     /// to geometric slab growth).
     pub arena_slabs_allocated: u64,
-    /// Arena page blocks returned to the free list by page discard.
-    pub arena_pages_evicted: u64,
 }
 
 /// Pages in the first arena slab; subsequent slabs double up to
@@ -183,61 +172,44 @@ const ARENA_FIRST_SLAB_PAGES: usize = 4;
 const ARENA_MAX_SLAB_PAGES: usize = 256;
 
 /// Handle of one page block inside the arena: slab index + block index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockId {
     slab: u32,
     block: u32,
 }
 
 /// Slab arena carving [`SLOTS_PER_PAGE`]-word page blocks out of
-/// geometrically grown slabs, with a LIFO free list for recycled blocks.
+/// geometrically grown slabs.
 ///
 /// Unfolding a summary pays one `Vec` allocation per *slab* (4 pages
 /// doubling to 256) and otherwise just bumps a cursor. `vec![0u64; n]`
 /// lowers to `alloc_zeroed`, so large slabs come from lazily-zeroed OS
-/// pages — carving never eagerly zeroes slab memory ahead of use.
-///
-/// Recycling discipline: freshly carved blocks are guaranteed all-zero
-/// (never written since slab allocation); recycled blocks carry stale
-/// slots and are either fully overwritten ([`Self::alloc_filled`]) or
-/// explicitly re-zeroed ([`Self::alloc_zeroed`]) before reuse, so stale
-/// epochs can never resurrect in a recycled page.
+/// pages — carving never eagerly zeroes slab memory ahead of use. A page
+/// is never given back, so every block is carved once, all-zero, and
+/// owned by one unfolded page for the life of the shadow: the arena's
+/// shape is a function of how many pages are unfolded.
 struct PageArena {
     slabs: Vec<Box<[u64]>>,
-    free: Vec<BlockId>,
     /// Blocks already carved from the newest slab.
     carved: usize,
     next_slab_pages: usize,
-    pages_reused: u64,
-    slabs_allocated: u64,
-    pages_evicted: u64,
 }
 
 impl PageArena {
     fn new() -> Self {
         PageArena {
             slabs: Vec::new(),
-            free: Vec::new(),
             carved: 0,
             next_slab_pages: ARENA_FIRST_SLAB_PAGES,
-            pages_reused: 0,
-            slabs_allocated: 0,
-            pages_evicted: 0,
         }
     }
 
-    /// Pop a block: recycled (stale contents!) or freshly carved
-    /// (guaranteed all-zero). The bool is `true` for a fresh carve.
-    fn pop(&mut self) -> (BlockId, bool) {
-        if let Some(id) = self.free.pop() {
-            self.pages_reused += 1;
-            return (id, false);
-        }
+    /// Carve a fresh block: all of its slots are empty.
+    fn alloc_zeroed(&mut self) -> BlockId {
         let cap = self.slabs.last().map_or(0, |s| s.len() / SLOTS_PER_PAGE);
         if self.carved == cap {
             self.slabs
                 .push(vec![0u64; self.next_slab_pages * SLOTS_PER_PAGE].into_boxed_slice());
-            self.slabs_allocated += 1;
             self.carved = 0;
             self.next_slab_pages = (self.next_slab_pages * 2).min(ARENA_MAX_SLAB_PAGES);
         }
@@ -246,53 +218,25 @@ impl PageArena {
             block: self.carved as u32,
         };
         self.carved += 1;
-        (id, true)
-    }
-
-    /// Pop a block holding all-empty slots.
-    fn alloc_zeroed(&mut self) -> BlockId {
-        let (id, fresh) = self.pop();
-        if !fresh {
-            self.block_mut(id).fill(0);
-        }
         id
     }
 
-    /// Pop a block and fill every word with `summary` — the unfold fill.
-    /// Fresh blocks only need the live prefix stored (the tail is already
-    /// zero); recycled blocks are fully overwritten by doubling copies,
-    /// zero slots included.
+    /// Carve a block and fill every word with `summary` — the unfold
+    /// fill. Only the live prefix is stored: the tail is already zero.
     fn alloc_filled(&mut self, summary: &[u64; SLOTS_PER_WORD]) -> BlockId {
-        let (id, fresh) = self.pop();
-        let slots = self.block_mut(id);
-        if fresh {
-            // Live slots form a prefix (the store machine fills the first
-            // empty slot), but a rear scan stays correct even if an
-            // interior slot were zero.
-            let live = SLOTS_PER_WORD - summary.iter().rev().take_while(|&&s| s == 0).count();
-            if live > 0 {
-                for w in 0..WORDS_PER_PAGE {
-                    let base = w * SLOTS_PER_WORD;
-                    slots[base..base + live].copy_from_slice(&summary[..live]);
-                }
-            }
-        } else {
-            slots[..SLOTS_PER_WORD].copy_from_slice(summary);
-            let mut filled = SLOTS_PER_WORD;
-            while filled < SLOTS_PER_PAGE {
-                let n = filled.min(SLOTS_PER_PAGE - filled);
-                slots.copy_within(..n, filled);
-                filled += n;
+        let id = self.alloc_zeroed();
+        // Live slots form a prefix (the store machine fills the first
+        // empty slot), but a rear scan stays correct even if an interior
+        // slot were zero.
+        let live = SLOTS_PER_WORD - summary.iter().rev().take_while(|&&s| s == 0).count();
+        if live > 0 {
+            let slots = self.block_mut(id);
+            for w in 0..WORDS_PER_PAGE {
+                let base = w * SLOTS_PER_WORD;
+                slots[base..base + live].copy_from_slice(&summary[..live]);
             }
         }
         id
-    }
-
-    /// Return a block to the free list. The stale contents stay in place
-    /// until the block is reallocated (and then overwritten/zeroed).
-    fn free_block(&mut self, id: BlockId) {
-        self.pages_evicted += 1;
-        self.free.push(id);
     }
 
     fn block(&self, id: BlockId) -> &[u64; SLOTS_PER_PAGE] {
@@ -309,131 +253,10 @@ impl PageArena {
             .expect("block size")
     }
 
-    /// All slab bytes, carved or not — budget accounting must count what
-    /// the arena actually holds from the allocator, not just live blocks.
+    /// All slab bytes, carved or not: what the arena actually holds from
+    /// the allocator, not just live blocks.
     fn heap_bytes(&self) -> u64 {
-        self.slabs.iter().map(|s| (s.len() * 8) as u64).sum::<u64>()
-            + (self.free.capacity() * std::mem::size_of::<BlockId>()) as u64
-    }
-
-    /// True if `id` names a block that has actually been carved — the
-    /// bounds check for block handles decoded from snapshots.
-    fn is_carved(&self, id: BlockId) -> bool {
-        let slab = id.slab as usize;
-        let Some(s) = self.slabs.get(slab) else {
-            return false;
-        };
-        let cap = s.len() / SLOTS_PER_PAGE;
-        let limit = if slab + 1 == self.slabs.len() {
-            self.carved
-        } else {
-            cap
-        };
-        (id.block as usize) < limit
-    }
-
-    /// Serialize the arena's exact shape: slab capacities, carve cursor,
-    /// growth point, and the free list verbatim. Block *contents* are
-    /// serialized with the pages that own them; free-listed blocks hold
-    /// stale data by contract (always overwritten or re-zeroed before
-    /// reuse), so restoring them as zeros is behavior-identical.
-    fn write_snapshot(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.slabs.len() as u64);
-        for s in &self.slabs {
-            put_varint(buf, (s.len() / SLOTS_PER_PAGE) as u64);
-        }
-        put_varint(buf, self.carved as u64);
-        put_varint(buf, self.next_slab_pages as u64);
-        put_varint(buf, self.free.len() as u64);
-        for id in &self.free {
-            put_varint(buf, u64::from(id.slab));
-            put_varint(buf, u64::from(id.block));
-        }
-        put_varint(buf, self.pages_reused);
-        put_varint(buf, self.slabs_allocated);
-        put_varint(buf, self.pages_evicted);
-    }
-
-    /// Rebuild from [`Self::write_snapshot`] output, slabs zeroed (live
-    /// block contents are filled in by the page decoder). `claimed`
-    /// collects the free-listed blocks, each at most once; the page
-    /// decoder claims the rest.
-    fn read_snapshot(
-        s: &mut Scanner<'_>,
-        claimed: &mut FxHashSet<BlockId>,
-    ) -> Result<Self, DecodeError> {
-        let n_slabs = s.count(1)?;
-        let mut slab_pages = Vec::with_capacity(n_slabs);
-        for _ in 0..n_slabs {
-            let pages: usize = s.varint_as()?;
-            if pages == 0 || pages > ARENA_MAX_SLAB_PAGES {
-                return Err(s.corrupt(format!("slab of {pages} pages")));
-            }
-            slab_pages.push(pages);
-        }
-        let carved: usize = s.varint_as()?;
-        let last_cap = slab_pages.last().copied().unwrap_or(0);
-        if carved > last_cap {
-            return Err(s.corrupt(format!(
-                "carve cursor {carved} past slab capacity {last_cap}"
-            )));
-        }
-        let next_slab_pages: usize = s.varint_as()?;
-        if next_slab_pages == 0 || next_slab_pages > ARENA_MAX_SLAB_PAGES {
-            return Err(s.corrupt(format!("slab growth point {next_slab_pages}")));
-        }
-        // A slab is only added once its predecessor is fully carved, and
-        // a carved block is owned by a page record (≥ 5 bytes) or sits on
-        // the free list (two varints, ≥ 2 bytes). Hold the blob to that
-        // before zero-allocating 16 KiB per declared page.
-        let carved_pages = slab_pages.iter().rev().skip(1).sum::<usize>() + carved;
-        if carved_pages.saturating_mul(2) > s.remaining() {
-            return Err(s.corrupt(format!(
-                "{carved_pages} carved slab pages declared but only {} bytes follow",
-                s.remaining()
-            )));
-        }
-        let n_free = s.count(2)?;
-        let mut arena = PageArena {
-            slabs: slab_pages
-                .iter()
-                .map(|&pages| vec![0u64; pages * SLOTS_PER_PAGE].into_boxed_slice())
-                .collect(),
-            free: Vec::with_capacity(n_free),
-            carved,
-            next_slab_pages,
-            pages_reused: 0,
-            slabs_allocated: 0,
-            pages_evicted: 0,
-        };
-        for _ in 0..n_free {
-            let id = arena.read_block_id(s, claimed)?;
-            arena.free.push(id);
-        }
-        arena.pages_reused = s.varint()?;
-        arena.slabs_allocated = s.varint()?;
-        arena.pages_evicted = s.varint()?;
-        Ok(arena)
-    }
-
-    /// Decode a block handle and claim it: it must name a carved block
-    /// that no free-list entry or page has claimed before.
-    fn read_block_id(
-        &self,
-        s: &mut Scanner<'_>,
-        claimed: &mut FxHashSet<BlockId>,
-    ) -> Result<BlockId, DecodeError> {
-        let id = BlockId {
-            slab: s.varint_as()?,
-            block: s.varint_as()?,
-        };
-        if !self.is_carved(id) {
-            return Err(s.corrupt(format!("block {id:?} was never carved")));
-        }
-        if !claimed.insert(id) {
-            return Err(s.corrupt(format!("block {id:?} claimed twice")));
-        }
-        Ok(id)
+        self.slabs.iter().map(|s| (s.len() * 8) as u64).sum()
     }
 }
 
@@ -627,7 +450,6 @@ pub struct ShadowMemory {
     page_count: u64,
     arena: PageArena,
     counters: ShadowCounters,
-    page_budget: Option<usize>,
 }
 
 impl Default for ShadowMemory {
@@ -644,55 +466,15 @@ impl ShadowMemory {
             page_count: 0,
             arena: PageArena::new(),
             counters: ShadowCounters::default(),
-            page_budget: None,
         }
     }
 
-    /// Forget all shadow state for the page containing `addr`, returning
-    /// whether a page was tracked there. An unfolded page's slot block goes
-    /// back on the free list for recycling; a summary extent is split
-    /// around the page. Used by allocation-lifetime hooks (free/device-reset
-    /// paths) so long runs can give pages back.
-    pub fn discard_page(&mut self, addr: u64) -> bool {
-        let page = (addr / WORD_BYTES) / WORDS_PER_PAGE as u64;
-        let Some((key, extent)) = extent_at(&self.extents, page) else {
-            return false;
-        };
-        match extent {
-            Extent::Summary { .. } => cut(&mut self.extents, key, page, page),
-            Extent::Unfolded(id) => {
-                self.extents.remove(&key);
-                self.arena.free_block(id);
-            }
-        }
-        self.page_count -= 1;
-        true
-    }
-
-    /// Cap the number of shadow pages. Once the budget is reached the
-    /// shadow degrades to **counted best-effort mode**: accesses touching
-    /// already-tracked pages keep full detection, but annotation chunks
-    /// that would allocate a *new* page are dropped and counted in
-    /// [`ShadowCounters::dropped_annotations`] instead of growing the
-    /// shadow. The drop sequence is a pure function of the access stream,
-    /// so degraded runs stay deterministic and replayable. `None` (the
-    /// default) is unlimited.
-    pub fn set_page_budget(&mut self, budget: Option<usize>) {
-        self.page_budget = budget;
-    }
-
-    /// The configured page budget (`None` = unlimited).
-    pub fn page_budget(&self) -> Option<usize> {
-        self.page_budget
-    }
-
-    /// Tier event counters, with the arena's own tallies merged in.
+    /// Tier event counters, with the arena's slab count merged in.
     pub fn counters(&self) -> ShadowCounters {
-        let mut c = self.counters;
-        c.arena_pages_reused = self.arena.pages_reused;
-        c.arena_slabs_allocated = self.arena.slabs_allocated;
-        c.arena_pages_evicted = self.arena.pages_evicted;
-        c
+        ShadowCounters {
+            arena_slabs_allocated: self.arena.slabs.len() as u64,
+            ..self.counters
+        }
     }
 
     /// Record an access of `[addr, addr+len)` by `fiber` (whose clock
@@ -757,9 +539,7 @@ impl ShadowMemory {
             page_count,
             arena,
             counters,
-            page_budget,
         } = self;
-        let page_budget = (*page_budget).map(|b| b as u64);
         let mut page = first_page;
         while page <= last_page {
             match extent_at(extents, page) {
@@ -844,7 +624,7 @@ impl ShadowMemory {
                         // (rare: needs 4 live foreign epochs).
                         whole_end
                     };
-                    // Unfold = pop a block + replicate the summary into
+                    // Unfold = carve a block + replicate the summary into
                     // every word, so the chunk is one run of it. Once a
                     // page is unfolded, the rest of the extent starts
                     // after it.
@@ -868,50 +648,38 @@ impl ShadowMemory {
                     page = unfold_end + 1;
                 }
                 None if partial(page) => {
-                    // Partial first touch: pop a zeroed block from the
+                    // Partial first touch: carve a zeroed block from the
                     // arena. Every word is empty — one run.
-                    if page_budget.is_none_or(|b| *page_count < b) {
-                        let id = arena.alloc_zeroed();
-                        extents.insert(page, Extent::Unfolded(id));
-                        *page_count += 1;
-                        let (word, end_word) = chunk(page);
-                        walk_runs(
-                            arena.block_mut(id),
-                            word,
-                            end_word,
-                            new_raw,
-                            fiber,
-                            write,
-                            fiber_clock,
-                            &mut on_conflict,
-                        );
-                    } else {
-                        counters.dropped_annotations += 1;
-                    }
+                    let id = arena.alloc_zeroed();
+                    extents.insert(page, Extent::Unfolded(id));
+                    *page_count += 1;
+                    let (word, end_word) = chunk(page);
+                    walk_runs(
+                        arena.block_mut(id),
+                        word,
+                        end_word,
+                        new_raw,
+                        fiber,
+                        write,
+                        fiber_clock,
+                        &mut on_conflict,
+                    );
                     page += 1;
                 }
                 None => {
                     // First touch of the covered pages of a gap: one
-                    // packed store for all of them. Past the page budget
-                    // the shadow is best-effort: each page that would
-                    // need storing is dropped and counted, in page order,
-                    // while existing extents keep full detection.
+                    // packed store for all of them.
                     let gap_end = match extents.range(page..).next() {
                         Some((&next, _)) => (next - 1).min(last_page),
                         None => last_page,
                     };
                     let whole_end = gap_end - u64::from(partial(gap_end));
                     let gap = whole_end - page + 1;
-                    let stored =
-                        page_budget.map_or(gap, |b| b.saturating_sub(*page_count).min(gap));
-                    if stored > 0 {
-                        let mut slots = [0u64; SLOTS_PER_WORD];
-                        slots[0] = new_raw;
-                        insert_summary(extents, page, stored, slots);
-                        *page_count += stored;
-                        counters.page_summaries_stored += stored;
-                    }
-                    counters.dropped_annotations += gap - stored;
+                    let mut slots = [0u64; SLOTS_PER_WORD];
+                    slots[0] = new_raw;
+                    insert_summary(extents, page, gap, slots);
+                    *page_count += gap;
+                    counters.page_summaries_stored += gap;
                     page = whole_end + 1;
                 }
             }
@@ -957,9 +725,8 @@ impl ShadowMemory {
     /// Approximate heap bytes used by the shadow (drives Fig. 11).
     /// Charged per page, whatever the extent shape: a summary page costs a
     /// fixed few words, an unfolded page only its table entry here because
-    /// every slab byte — carved, free-listed, or not yet carved — is
-    /// charged via `PageArena::heap_bytes`. This keeps the page-budget
-    /// machinery honest about what the arena really holds.
+    /// every slab byte — carved or not yet carved — is charged via
+    /// `PageArena::heap_bytes`.
     pub fn heap_bytes(&self) -> u64 {
         let summary_pages = self.summary_page_count() as u64;
         let unfolded_pages = self.page_count - summary_pages;
@@ -968,19 +735,13 @@ impl ShadowMemory {
             + self.arena.heap_bytes()
     }
 
-    /// Serialize the entire shadow — the budget, the tier counters, the
-    /// arena shape, and one record per page in page order, whatever the
-    /// extent shape (so one content always snapshots to the same bytes).
+    /// Serialize the entire shadow — the tier counters and one record per
+    /// page in page order, whatever the extent shape (so one content
+    /// always snapshots to the same bytes). The arena is not written: its
+    /// shape is a function of the unfolded page count.
     pub(crate) fn write_snapshot(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(self.page_budget.is_some()));
-        if let Some(b) = self.page_budget {
-            put_varint(buf, b as u64);
-        }
-        // Own counters only — the arena carries its tallies itself.
         put_varint(buf, self.counters.page_summaries_stored);
         put_varint(buf, self.counters.page_unfolds);
-        put_varint(buf, self.counters.dropped_annotations);
-        self.arena.write_snapshot(buf);
         put_varint(buf, self.page_count);
         let mut last = None;
         for (&key, extent) in &self.extents {
@@ -998,8 +759,6 @@ impl ShadowMemory {
                 Extent::Unfolded(id) => {
                     put_ascending(buf, &mut last, key);
                     buf.push(2);
-                    put_varint(buf, u64::from(id.slab));
-                    put_varint(buf, u64::from(id.block));
                     write_sparse_slots(buf, self.arena.block(*id));
                 }
             }
@@ -1008,26 +767,20 @@ impl ShadowMemory {
 
     /// Rebuild a shadow from [`Self::write_snapshot`] output, whose slots
     /// must name fibers below `n_fibers`. Consecutive summary pages with
-    /// equal slots coalesce back into one extent. Unfolded pages are
-    /// written back into their original block handles, so subsequent
-    /// carve/recycle order — and with it every arena counter — evolves
-    /// exactly as in the snapshotted shadow.
+    /// equal slots coalesce back into one extent. Unfolded pages carve
+    /// their blocks in page order, which grows the same slabs the
+    /// snapshotted shadow held.
     pub(crate) fn read_snapshot(s: &mut Scanner<'_>, n_fibers: usize) -> Result<Self, DecodeError> {
-        let page_budget = if s.bool()? {
-            Some(s.varint_as()?)
-        } else {
-            None
-        };
         let counters = ShadowCounters {
             page_summaries_stored: s.varint()?,
             page_unfolds: s.varint()?,
-            dropped_annotations: s.varint()?,
             ..ShadowCounters::default()
         };
-        let mut claimed = FxHashSet::default();
-        let mut arena = PageArena::read_snapshot(s, &mut claimed)?;
-        // The table grows as pages decode (see `TsanRuntime::read_snapshot`).
-        let n_pages = s.count(5)?;
+        let mut arena = PageArena::new();
+        // The table and the arena grow as pages decode (see
+        // `TsanRuntime::read_snapshot`): an unfolded page's block is
+        // carved only once its record is in hand.
+        let n_pages = s.count(3)?;
         let mut extents = Extents::new();
         let mut last = None;
         for _ in 0..n_pages {
@@ -1050,7 +803,7 @@ impl ShadowMemory {
                     Extent::Summary { pages: 1, slots }
                 }
                 2 => {
-                    let id = arena.read_block_id(s, &mut claimed)?;
+                    let id = arena.alloc_zeroed();
                     read_sparse_slots(s, arena.block_mut(id), n_fibers)?;
                     Extent::Unfolded(id)
                 }
@@ -1058,28 +811,11 @@ impl ShadowMemory {
             };
             extents.insert(key, extent);
         }
-        // Every carved block is a page's or on the free list, once.
-        let carved = arena
-            .slabs
-            .iter()
-            .rev()
-            .skip(1)
-            .map(|s| s.len())
-            .sum::<usize>()
-            / SLOTS_PER_PAGE
-            + arena.carved;
-        if claimed.len() != carved {
-            return Err(s.corrupt(format!(
-                "{} of {carved} carved blocks owned by a page or the free list",
-                claimed.len()
-            )));
-        }
         Ok(ShadowMemory {
             extents,
             page_count: n_pages as u64,
             arena,
             counters,
-            page_budget,
         })
     }
 }
@@ -1739,24 +1475,6 @@ mod tests {
     }
 
     #[test]
-    fn discarding_a_page_splits_its_extent() {
-        let clk = VectorClock::new();
-        let mut sh = ShadowMemory::new();
-        sh.access_range(0, 8 * PAGE_BYTES, true, fid(1), 1, ctx(0), &clk, |_| {});
-        assert!(sh.discard_page(3 * PAGE_BYTES + 100));
-        assert!(!sh.discard_page(3 * PAGE_BYTES));
-        assert_eq!(sh.extents.len(), 2);
-        assert_eq!(sh.page_count(), 7);
-        assert!(sh.word_accesses(3 * PAGE_BYTES).is_empty());
-        assert_eq!(sh.word_accesses(4 * PAGE_BYTES).len(), 1);
-        // Writing the page again fills the gap and the extents merge.
-        let (f1, c0) = (fid(1), ctx(0));
-        sh.access_range(3 * PAGE_BYTES, PAGE_BYTES, true, f1, 1, c0, &clk, |_| {});
-        assert_eq!(sh.extents.len(), 1);
-        assert_eq!(sh.page_count(), 8);
-    }
-
-    #[test]
     fn partial_access_unfolds_summary() {
         let mut sh = ShadowMemory::new();
         let clk = VectorClock::new();
@@ -2109,103 +1827,39 @@ mod tests {
         }
     }
 
-    // ---- budget / best-effort mode -----------------------------------------
+    // ---- arena -------------------------------------------------------------
 
-    #[test]
-    fn budget_caps_pages_and_counts_drops() {
-        let mut sh = ShadowMemory::new();
-        sh.set_page_budget(Some(2));
-        assert_eq!(sh.page_budget(), Some(2));
-        let clk = VectorClock::new();
-        sh.access_range(
-            0,
-            4 * PAGE_BYTES,
-            true,
-            fid(1),
-            1,
-            ctx(0),
-            &clk,
-            no_conflict_expected,
-        );
-        assert_eq!(sh.page_count(), 2, "growth stops at the budget");
-        assert_eq!(sh.counters().dropped_annotations, 2);
-        // Tracked pages keep full detection...
-        let mut hits = 0;
-        sh.access_range(0, PAGE_BYTES, false, fid(2), 1, ctx(1), &clk, |c| {
-            hits += c.words
-        });
-        assert_eq!(hits, WORDS_PER_PAGE as u64);
-        // ...while dropped pages are best-effort: no record, no conflict.
-        let mut hits = 0;
-        sh.access_range(
-            3 * PAGE_BYTES,
-            PAGE_BYTES,
-            false,
-            fid(2),
-            1,
-            ctx(1),
-            &clk,
-            |_| hits += 1,
-        );
-        assert_eq!(hits, 0);
-        assert_eq!(sh.counters().dropped_annotations, 3);
-        assert_eq!(sh.page_count(), 2);
-    }
-
-    #[test]
-    fn budget_degradation_is_deterministic() {
-        let run = || {
-            let mut sh = ShadowMemory::new();
-            sh.set_page_budget(Some(3));
-            let clk = VectorClock::new();
-            let mut conflicts = Vec::new();
-            for i in 0..8u64 {
-                sh.access_range(
-                    i * PAGE_BYTES,
-                    PAGE_BYTES,
-                    true,
-                    fid(1),
-                    1,
-                    ctx(0),
-                    &clk,
-                    |_| {},
-                );
-                sh.access_range(
-                    i * PAGE_BYTES,
-                    PAGE_BYTES,
-                    true,
-                    fid(2),
-                    1,
-                    ctx(1),
-                    &clk,
-                    |c| conflicts.push(c),
-                );
-            }
-            (sh.counters(), sh.page_count(), conflicts)
-        };
-        assert_eq!(run(), run());
-        let (counters, pages, _) = run();
-        assert_eq!(pages, 3);
-        assert!(counters.dropped_annotations > 0);
-    }
-
+    /// There is no page budget: every page a range touches is kept —
+    /// the covered ones as one summary extent, the ragged ends unfolded.
     #[test]
     fn no_budget_means_no_drops() {
         let mut sh = ShadowMemory::new();
-        assert_eq!(sh.page_budget(), None);
         let clk = VectorClock::new();
+        let (f1, c0) = (fid(1), ctx(0));
         sh.access_range(
             0,
             64 * PAGE_BYTES,
             true,
-            fid(1),
+            f1,
             1,
-            ctx(0),
+            c0,
             &clk,
             no_conflict_expected,
         );
-        assert_eq!(sh.page_count(), 64);
-        assert_eq!(sh.counters().dropped_annotations, 0);
+        let ragged = (64 * PAGE_BYTES + 8, 1000 * PAGE_BYTES);
+        sh.access_range(
+            ragged.0,
+            ragged.1,
+            true,
+            f1,
+            1,
+            c0,
+            &clk,
+            no_conflict_expected,
+        );
+        assert_eq!(sh.page_count(), 1065);
+        assert_eq!(sh.summary_page_count(), 1063);
+        assert_eq!(sh.counters().page_summaries_stored, 64 + 999);
     }
 
     /// One 8-byte access per page: partial first touches, so every page
@@ -2233,111 +1887,9 @@ mod tests {
         touch_pages_partially(&mut sh, 28);
         let c = sh.counters();
         assert_eq!(c.arena_slabs_allocated, 3);
-        assert_eq!(c.arena_pages_reused, 0);
         assert_eq!(sh.summary_page_count(), 0);
         // Slab bytes dominate: (4+8+16) pages * 16 KiB of slots each.
         assert!(sh.heap_bytes() >= 28 * (SLOTS_PER_PAGE as u64) * 8);
-    }
-
-    #[test]
-    fn discarded_pages_recycle_and_rezero() {
-        let mut sh = ShadowMemory::new();
-        let mut clk = VectorClock::new();
-        clk.set(fid(1), 1);
-        clk.set(fid(2), 1);
-        clk.set(fid(3), 1);
-        // Fill page 0's words with three concurrent readers so every word
-        // holds 3 live slots — recognizable stale payload.
-        for f in 1..=3u32 {
-            let (ff, fc) = (fid(f as usize), ctx(f));
-            sh.access_range(0, PAGE_BYTES, false, ff, 1, fc, &clk, no_conflict_expected);
-            // Partial poke forces (and keeps) the page unfolded.
-            sh.access_range(16, 8, false, ff, 1, fc, &clk, no_conflict_expected);
-        }
-        assert_eq!(sh.word_accesses(128).len(), 3);
-        assert!(sh.discard_page(0));
-        assert!(!sh.discard_page(0), "already discarded");
-        assert_eq!(sh.word_accesses(128).len(), 0);
-
-        // Next partial first-touch (zeroed-block path) must pop the
-        // recycled block and see no stale slots anywhere.
-        sh.access_range(
-            PAGE_BYTES + 8,
-            8,
-            true,
-            fid(4),
-            1,
-            ctx(9),
-            &clk,
-            no_conflict_expected,
-        );
-        let c = sh.counters();
-        assert_eq!(c.arena_pages_reused, 1);
-        assert_eq!(sh.word_accesses(PAGE_BYTES + 8).len(), 1);
-        for w in 0..WORDS_PER_PAGE as u64 {
-            if w == 1 {
-                continue;
-            }
-            assert!(
-                sh.word_accesses(PAGE_BYTES + w * WORD_BYTES).is_empty(),
-                "stale slot leaked into recycled zeroed block at word {w}"
-            );
-        }
-    }
-
-    #[test]
-    fn recycled_unfold_overwrites_stale_tail() {
-        let mut sh = ShadowMemory::new();
-        let mut clk = VectorClock::new();
-        clk.set(fid(1), 1);
-        clk.set(fid(2), 1);
-        clk.set(fid(3), 1);
-        // Page 0: 3 live slots per word, unfolded, then discarded — the
-        // freed block is dense with stale epochs.
-        for f in 1..=3u32 {
-            let (ff, fc) = (fid(f as usize), ctx(f));
-            sh.access_range(0, PAGE_BYTES, false, ff, 1, fc, &clk, no_conflict_expected);
-        }
-        sh.access_range(16, 8, false, fid(1), 1, ctx(1), &clk, no_conflict_expected);
-        assert!(sh.discard_page(0));
-
-        // Page 1: whole-page summary with ONE live slot, then a partial
-        // write unfolds it through the recycled block (alloc_filled). If
-        // the fill skipped the zero tail, words would show the stale
-        // 3-reader slots from page 0.
-        let base = PAGE_BYTES;
-        sh.access_range(
-            base,
-            PAGE_BYTES,
-            false,
-            fid(5),
-            1,
-            ctx(5),
-            &clk,
-            no_conflict_expected,
-        );
-        sh.access_range(
-            base + 32,
-            8,
-            false,
-            fid(5),
-            1,
-            ctx(5),
-            &clk,
-            no_conflict_expected,
-        );
-        let c = sh.counters();
-        assert_eq!(c.arena_pages_reused, 1);
-        assert_eq!(c.page_unfolds, 2, "page 0 then page 1 each unfolded once");
-        for w in 0..WORDS_PER_PAGE as u64 {
-            let acc = sh.word_accesses(base + w * WORD_BYTES);
-            assert_eq!(
-                acc.len(),
-                1,
-                "recycled unfold left stale slots at word {w}: {acc:?}"
-            );
-            assert_eq!(acc[0].fiber, fid(5));
-        }
     }
 
     // ---- snapshot hardening ------------------------------------------------
@@ -2390,33 +1942,32 @@ mod tests {
 
     /// Restore → snapshot is byte-identical, and the restored table is the
     /// snapshotted one, on a shadow of every extent kind: split and merged
-    /// summaries, unfolded pages, a discarded page, a dropped budget tail.
+    /// summaries and unfolded pages.
     #[test]
     fn restore_then_snapshot_is_byte_identical() {
         let clk = VectorClock::new();
         let mut sh = ShadowMemory::new();
-        sh.set_page_budget(Some(60));
         let (f1, f2, c0) = (fid(1), fid(2), ctx(0));
         let p = PAGE_BYTES;
         sh.access_range(0, 64 * p, true, f1, 1, c0, &clk, |_| {});
         sh.access_range(20 * p, 10 * p, false, f2, 1, c0, &clk, |_| {});
         sh.access_range(5 * p + 24, 100, true, f2, 1, c0, &clk, |_| {});
         sh.access_range(29 * p - 8, 2 * p, true, f2, 1, c0, &clk, |_| {});
-        assert!(sh.discard_page(40 * p));
-        assert_eq!(sh.counters().dropped_annotations, 4);
+        sh.access_range(70 * p + 8, 8, true, f1, 1, c0, &clk, |_| {});
         assert!(sh.extents.len() > 5);
 
         let bytes = snapshot(&sh);
         let restored = restore(&bytes);
-        assert_eq!(restored.extents, sh.extents);
+        assert_eq!(restored.extents.len(), sh.extents.len());
         assert_eq!(restored.page_count(), sh.page_count());
+        assert_eq!(restored.counters(), sh.counters());
+        assert_eq!(restored.heap_bytes(), sh.heap_bytes());
         assert_eq!(snapshot(&restored), bytes);
     }
 
-    /// The shadow sections that precede the arena: no budget, zeroed
-    /// tier counters.
+    /// The shadow sections that precede the pages: zeroed tier counters.
     fn shadow_snapshot_prefix() -> Vec<u8> {
-        vec![0; 4]
+        vec![0; 2]
     }
 
     fn corrupt_message(buf: Vec<u8>) -> String {
@@ -2429,30 +1980,22 @@ mod tests {
 
     #[test]
     fn restore_rejects_slabs_the_blob_cannot_back() {
-        // 16 full slabs = 64 MiB of zeroed slots for 32 bytes of slab
-        // records. The blob cannot hold a page or free-list record for
-        // each carved block, so it is refused before any slab exists.
+        // 3840 unfolded pages would grow 16 full slabs, 60 MiB of zeroed
+        // slots, but their records cannot fit in the bytes that follow
+        // (≥ 3 each): the count is refused before any block is carved.
         let mut buf = shadow_snapshot_prefix();
-        put_varint(&mut buf, 16);
-        for _ in 0..16 {
-            put_varint(&mut buf, ARENA_MAX_SLAB_PAGES as u64);
+        put_varint(&mut buf, 3840);
+        for page in 0..10 {
+            buf.extend_from_slice(&[u8::from(page > 0), 2, 0]);
         }
-        for v in [0, ARENA_MAX_SLAB_PAGES as u64] {
-            put_varint(&mut buf, v); // carve cursor, growth point
-        }
-        assert!(buf.len() < 200);
-        let msg = corrupt_message(buf);
-        assert!(msg.contains("3840 carved slab pages"), "{msg}");
+        assert!(buf.len() < 40);
+        let got = ShadowMemory::read_snapshot(&mut Scanner::new(&buf), 1).err();
+        assert_eq!(got, Some(DecodeError::CountTooLarge { at: 2, count: 3840 }));
     }
 
     #[test]
     fn restore_rejects_the_retired_boxed_page_tag() {
         let mut buf = shadow_snapshot_prefix();
-        put_varint(&mut buf, 0); // slabs
-        for v in [0, ARENA_FIRST_SLAB_PAGES as u64] {
-            put_varint(&mut buf, v); // carve cursor, growth point
-        }
-        buf.extend_from_slice(&[0; 4]); // free list, arena counters
         put_varint(&mut buf, 1);
         put_varint(&mut buf, 0); // page key
         buf.push(1); // layout v1's boxed page
@@ -2461,9 +2004,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_block_claimed_twice_or_a_slot_of_no_fiber() {
-        // Two partially written pages: each owns a block, (0, 0) and
-        // (0, 1), and the blob ends with the second page's record.
+    fn restore_refuses_a_slot_of_no_fiber() {
         let mut sh = ShadowMemory::new();
         let clk = VectorClock::new();
         for addr in [0x1000, 0x3000] {
@@ -2475,15 +2016,6 @@ mod tests {
         ShadowMemory::read_snapshot(&mut s, 2).unwrap();
         s.expect_end().unwrap();
         // Fiber 1 wrote the slots; a one-fiber table cannot name it.
-        assert!(corrupt_message(buf.clone()).contains("names a fiber past the table"));
-        // The second page's block id, pointed at the first page's block:
-        // the record ends in block, count, index and the 8-byte word.
-        let block = buf.len() - 8 - 3;
-        assert_eq!(buf[block], 1);
-        buf[block] = 0;
-        match ShadowMemory::read_snapshot(&mut Scanner::new(&buf), 2) {
-            Err(DecodeError::Corrupt { what, .. }) => assert!(what.contains("claimed twice")),
-            other => panic!("expected Corrupt, got {:?}", other.err()),
-        }
+        assert!(corrupt_message(buf).contains("names a fiber past the table"));
     }
 }

@@ -42,9 +42,6 @@ pub struct TsanStats {
     /// Page summaries expanded into flat word slots by a partial overlap
     /// or eviction pressure.
     pub page_unfolds: u64,
-    /// Page-sized annotation chunks the shadow dropped after reaching its
-    /// page budget (best-effort degradation; 0 unless a budget is set).
-    pub dropped_annotations: u64,
     /// Never written (every clock op is a full join); stays only because
     /// the frozen `benchmark/src/probes.rs` names it (ROADMAP item 0(d)).
     pub epoch_fast_acquires: u64,
@@ -54,14 +51,13 @@ pub struct TsanStats {
     /// existing sync variable, every acquire that finds one, every sync
     /// switch between distinct fibers.
     pub full_clock_joins: u64,
-    /// Shadow page blocks recycled from the arena free list instead of
-    /// freshly carved.
+    /// Never written (shadow pages are never given back, so no arena
+    /// block is reused); stays only because the frozen
+    /// `benchmark/src/probes.rs` names it (ROADMAP item 0(d)).
     pub arena_pages_reused: u64,
     /// Arena slabs allocated (geometric growth: 4 pages doubling to the
     /// cap, so this stays logarithmic in the unfolded page count).
     pub arena_slabs_allocated: u64,
-    /// Arena page blocks returned to the free list by page discard.
-    pub arena_pages_evicted: u64,
 }
 
 impl TsanStats {
@@ -102,13 +98,11 @@ impl TsanStats {
             fastpath_hits: self.fastpath_hits + other.fastpath_hits,
             page_summaries_stored: self.page_summaries_stored + other.page_summaries_stored,
             page_unfolds: self.page_unfolds + other.page_unfolds,
-            dropped_annotations: self.dropped_annotations + other.dropped_annotations,
             epoch_fast_acquires: self.epoch_fast_acquires + other.epoch_fast_acquires,
             epoch_fast_releases: self.epoch_fast_releases + other.epoch_fast_releases,
             full_clock_joins: self.full_clock_joins + other.full_clock_joins,
             arena_pages_reused: self.arena_pages_reused + other.arena_pages_reused,
             arena_slabs_allocated: self.arena_slabs_allocated + other.arena_slabs_allocated,
-            arena_pages_evicted: self.arena_pages_evicted + other.arena_pages_evicted,
         }
     }
 }

@@ -28,11 +28,9 @@
 //! [`ChunkCounts`] counts them, and the evictions inside them, instead of
 //! trusting the generator. A third mix ([`gen_extent_op`]) aims at the
 //! summary extents: over a 64-page arena, long covers form extents,
-//! sub-range covers split them, re-covers merge them back, ragged ends
-//! unfold their edge pages and discards cut pages out of their middle.
-//! Half of its seeds run under a page budget that long first touches
-//! exhaust mid-gap; the reference keeps its own per-page tally of pages
-//! taken and chunks dropped, which the shadow's counts must equal after
+//! sub-range covers split them, re-covers merge them back and ragged
+//! ends unfold their edge pages. The reference keeps its own tally of
+//! the pages touched, which the shadow's page count must equal after
 //! every operation.
 
 use std::collections::{BTreeMap, HashSet};
@@ -55,11 +53,8 @@ struct ReferenceShadow {
     words: Vec<[u64; SLOTS_PER_WORD]>,
     /// Words in which the last `access_range` call evicted a slot.
     evicted: Vec<u64>,
-    /// The per-page tally: pages tracked, the page budget, and the page
-    /// chunks dropped because a new page would have exceeded it.
+    /// The per-page tally: every page an access has touched.
     pages: HashSet<u64>,
-    budget: Option<usize>,
-    dropped: u64,
 }
 
 impl ReferenceShadow {
@@ -88,22 +83,8 @@ impl ReferenceShadow {
         let last = (addr + len - 1) / WORD_BYTES;
         self.evicted.clear();
         let words_per_page = PAGE_BYTES / WORD_BYTES;
-        let mut tracked = false;
         for w in first..=last {
-            // Page by page: a page not yet tracked is taken while the
-            // budget allows, otherwise its whole chunk is dropped.
-            if w == first || w % words_per_page == 0 {
-                let page = w / words_per_page;
-                tracked = self.pages.contains(&page)
-                    || (self.budget.is_none_or(|b| self.pages.len() < b)
-                        && self.pages.insert(page));
-                if !tracked {
-                    self.dropped += 1;
-                }
-            }
-            if !tracked {
-                continue;
-            }
+            self.pages.insert(w / words_per_page);
             if self.words.len() <= w as usize {
                 self.words.resize(w as usize + 1, [0; SLOTS_PER_WORD]);
             }
@@ -143,18 +124,6 @@ impl ReferenceShadow {
                 slots[i] = new_raw;
             }
         }
-    }
-
-    /// Forget the page holding `addr`; whether it was tracked.
-    fn discard_page(&mut self, addr: u64) -> bool {
-        let words_per_page = PAGE_BYTES / WORD_BYTES;
-        let page = addr / PAGE_BYTES;
-        let first = (page * words_per_page) as usize;
-        let end = (first + words_per_page as usize).min(self.words.len());
-        if first < end {
-            self.words[first..end].fill([0; SLOTS_PER_WORD]);
-        }
-        self.pages.remove(&page)
     }
 
     fn word_accesses(&self, addr: u64) -> Vec<ShadowAccess> {
@@ -201,8 +170,6 @@ enum Op {
     Release(usize, usize),
     /// fiber acquires key.
     Acquire(usize, usize),
-    /// Discard the page holding this address.
-    Discard(u64),
 }
 
 fn gen_op(rng: &mut Lcg) -> Op {
@@ -288,10 +255,8 @@ fn gen_cover_op(rng: &mut Lcg, fibers: u64) -> Op {
 
 /// The extent mix, over [`EXTENT_ARENA_PAGES`]: long whole-buffer covers,
 /// sub-range covers that split the extents they leave behind, re-covers of
-/// the last long cover that merge them back, long ranges with ragged ends,
-/// and discards that land mid-extent. Few contexts, so neighbouring pages
-/// often end up equal. Run under a page budget, the long first touches
-/// run out of it inside a vacant gap.
+/// the last long cover that merge them back, and long ranges with ragged
+/// ends. Few contexts, so neighbouring pages often end up equal.
 fn gen_extent_op(rng: &mut Lcg, last_cover: &mut Option<Op>) -> Op {
     let arena = EXTENT_ARENA_PAGES;
     let fiber = rng.below(FIBERS as u64) as usize;
@@ -316,12 +281,11 @@ fn gen_extent_op(rng: &mut Lcg, last_cover: &mut Option<Op>) -> Op {
         // Re-cover: the last long cover again.
         45..=56 => last_cover.unwrap_or(Op::RepeatLast),
         // A long range entered and left mid-page.
-        57..=71 => {
+        57..=76 => {
             let len = 1 + rng.below(40 * PAGE_BYTES);
             let addr = rng.below(arena * PAGE_BYTES - len);
             Op::Access(addr, len, rng.below(2) == 0, fiber, ctx)
         }
-        72..=76 => Op::Discard(rng.below(arena * PAGE_BYTES)),
         77..=88 => Op::Release(fiber, rng.below(SYNC_KEYS as u64) as usize),
         _ => Op::Acquire(fiber, rng.below(SYNC_KEYS as u64) as usize),
     }
@@ -364,43 +328,22 @@ struct ChunkCounts {
     tail_chunks: u64,
     /// Words of those chunks whose store evicted a slot.
     tail_evictions: u64,
-    /// Accesses during which the page budget ran out: some new pages
-    /// were taken, later ones dropped.
-    budget_ran_out: u64,
-    /// Discards that found a tracked page.
-    discards: u64,
 }
-
-/// The shadow a trace runs against: its arena and page budget.
-#[derive(Clone, Copy)]
-struct Arena {
-    pages: u64,
-    budget: Option<usize>,
-}
-
-const SMALL_ARENA: Arena = Arena {
-    pages: ARENA_PAGES,
-    budget: None,
-};
 
 /// Replay `prelude`, then `ops` operations drawn from `gen`, through both
-/// shadows; returns the device under test with both conflict multisets.
-/// After every operation the device's page count and dropped chunks must
-/// equal the reference's per-page tally.
+/// shadows over an arena of `arena_pages` pages; returns the device under
+/// test with both conflict multisets. After every operation the device's
+/// page count must equal the reference's per-page tally.
 fn run_trace(
     seed: u64,
-    arena: Arena,
+    arena_pages: u64,
     prelude: &[Op],
     ops: usize,
     mut gen: impl FnMut(&mut Lcg) -> Op,
 ) -> (ShadowMemory, Conflicts, Conflicts, ChunkCounts) {
     let mut rng = Lcg(seed);
     let mut dut = ShadowMemory::new();
-    dut.set_page_budget(arena.budget);
-    let mut reference = ReferenceShadow {
-        budget: arena.budget,
-        ..ReferenceShadow::default()
-    };
+    let mut reference = ReferenceShadow::default();
 
     // Happens-before state, maintained once and fed to both shadows.
     let mut clocks: Vec<VectorClock> = (0..FIBERS)
@@ -435,7 +378,6 @@ fn run_trace(
                 last_access = Some((addr, len, write, f, ctx));
                 let fiber = FiberId::from_index(f);
                 let clock = clocks[f].get(fiber);
-                let (pages_before, dropped_before) = (reference.pages.len(), reference.dropped);
                 let (mut dut_runs, mut ref_runs) = (Runs::new(), Runs::new());
                 dut.access_range(
                     addr,
@@ -466,9 +408,6 @@ fn run_trace(
                     let evicted = reference.evicted.iter().filter(|w| **w >= tail_start);
                     tally.tail_evictions += evicted.count() as u64;
                 }
-                if reference.pages.len() > pages_before && reference.dropped > dropped_before {
-                    tally.budget_ran_out += 1;
-                }
             }
             Op::Release(f, k) => {
                 let fiber = FiberId::from_index(f);
@@ -485,26 +424,17 @@ fn run_trace(
                     clocks[f].join(sv);
                 }
             }
-            Op::Discard(addr) => {
-                let discarded = dut.discard_page(addr);
-                assert_eq!(
-                    discarded,
-                    reference.discard_page(addr),
-                    "seed {seed} step {i}"
-                );
-                tally.discards += u64::from(discarded);
-            }
             Op::RepeatLast => unreachable!(),
         }
         assert_eq!(
-            (dut.page_count(), dut.counters().dropped_annotations),
-            (reference.pages.len(), reference.dropped),
-            "seed {seed} step {i}: pages and dropped chunks diverged from the per-page tally"
+            dut.page_count(),
+            reference.pages.len(),
+            "seed {seed} step {i}: pages diverged from the per-page tally"
         );
         // Spot-check slot-level equality as the trace evolves (cheap:
         // a few words per step).
         if i % 97 == 0 {
-            let w = (rng.below(arena.pages * PAGE_BYTES / WORD_BYTES)) * WORD_BYTES;
+            let w = (rng.below(arena_pages * PAGE_BYTES / WORD_BYTES)) * WORD_BYTES;
             let mut a = dut.word_accesses(w);
             let mut b = reference.word_accesses(w);
             let key = |x: &ShadowAccess| pack(*x);
@@ -515,7 +445,7 @@ fn run_trace(
     }
 
     // Full final sweep over every word both sides could have touched.
-    for w in 0..(arena.pages * PAGE_BYTES / WORD_BYTES) {
+    for w in 0..(arena_pages * PAGE_BYTES / WORD_BYTES) {
         let addr = w * WORD_BYTES;
         let mut a = dut.word_accesses(addr);
         let mut b = reference.word_accesses(addr);
@@ -544,7 +474,7 @@ fn assert_same_detections(seed: u64, dut: &Conflicts, reference: &Conflicts) {
 fn tiered_matches_reference_on_random_traces() {
     // ~14k randomized ops across several seeds.
     for seed in [1, 2, 3, 7, 8, 0xDEAD, 0xC0FFEE] {
-        let (_, dut, reference, _) = run_trace(seed, SMALL_ARENA, &[], 2000, gen_op);
+        let (_, dut, reference, _) = run_trace(seed, ARENA_PAGES, &[], 2000, gen_op);
         assert_same_detections(seed, &dut, &reference);
         assert!(
             any_conflict(&reference),
@@ -563,7 +493,7 @@ fn whole_page_accesses_over_unfolded_pages_match_reference() {
         .collect();
     for (seed, fibers) in [(11, 2), (12, 3), (13, 4), (14, 5), (0xBEEF, 5)] {
         let (shadow, dut, reference, tally) =
-            run_trace(seed, SMALL_ARENA, &unfold_all, 1500, |rng| {
+            run_trace(seed, ARENA_PAGES, &unfold_all, 1500, |rng| {
                 gen_cover_op(rng, fibers)
             });
         assert_same_detections(seed, &dut, &reference);
@@ -585,14 +515,10 @@ fn whole_page_accesses_over_unfolded_pages_match_reference() {
     }
 }
 
-/// The extent mix over `seed`, budgeted on odd seeds.
+/// The extent mix over `seed`.
 fn run_extent_trace(seed: u64, ops: usize) -> (ShadowMemory, Conflicts, Conflicts, ChunkCounts) {
-    let arena = Arena {
-        pages: EXTENT_ARENA_PAGES,
-        budget: (seed % 2 == 1).then_some(40),
-    };
     let mut last_cover = None;
-    run_trace(seed, arena, &[], ops, |rng| {
+    run_trace(seed, EXTENT_ARENA_PAGES, &[], ops, |rng| {
         gen_extent_op(rng, &mut last_cover)
     })
 }
@@ -600,7 +526,7 @@ fn run_extent_trace(seed: u64, ops: usize) -> (ShadowMemory, Conflicts, Conflict
 #[test]
 fn long_extents_split_and_merged_match_reference() {
     for seed in [21, 22, 23, 24, 0xE7E7, 0xE7E8] {
-        let (shadow, dut, reference, tally) = run_extent_trace(seed, 800);
+        let (shadow, dut, reference, _) = run_extent_trace(seed, 800);
         assert_same_detections(seed, &dut, &reference);
         assert!(
             any_conflict(&reference),
@@ -611,10 +537,6 @@ fn long_extents_split_and_merged_match_reference() {
             c.page_summaries_stored > 0 && c.page_unfolds > 0,
             "seed {seed}: {c:?}"
         );
-        assert!(tally.discards > 0, "seed {seed}: {tally:?}");
-        // Budgeted, the long first touches run out of pages mid-range.
-        let budgeted = seed % 2 == 1;
-        assert_eq!(tally.budget_ran_out > 0, budgeted, "seed {seed}: {tally:?}");
     }
 }
 
@@ -627,10 +549,10 @@ fn all_three_mixes_match_reference_over_200_seeds() {
         .map(|p| Op::Access(p * PAGE_BYTES + 64, 8, true, 0, 0))
         .collect();
     for seed in 1000..1200 {
-        let (_, dut, reference, _) = run_trace(seed, SMALL_ARENA, &[], 2000, gen_op);
+        let (_, dut, reference, _) = run_trace(seed, ARENA_PAGES, &[], 2000, gen_op);
         assert_same_detections(seed, &dut, &reference);
         let fibers = 2 + seed % 4;
-        let (_, dut, reference, _) = run_trace(seed, SMALL_ARENA, &unfold_all, 1500, |rng| {
+        let (_, dut, reference, _) = run_trace(seed, ARENA_PAGES, &unfold_all, 1500, |rng| {
             gen_cover_op(rng, fibers)
         });
         assert_same_detections(seed, &dut, &reference);

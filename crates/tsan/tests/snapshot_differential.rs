@@ -2,7 +2,7 @@
 //! workload at any point with a snapshot→restore round trip must be
 //! invisible — the restored runtime finishes the workload with
 //! bit-for-bit identical reports, stats, and shadow evolution to an
-//! uninterrupted run, budgeted or not.
+//! uninterrupted run.
 
 use tsan_rt::codec::Scanner;
 use tsan_rt::{CtxId, DecodeError, FiberId, SyncKey, TsanRuntime};
@@ -39,7 +39,6 @@ enum Op {
         ctx: CtxId,
         write: bool,
     },
-    Discard(u64),
 }
 
 fn apply(rt: &mut TsanRuntime, op: &Op) {
@@ -68,9 +67,6 @@ fn apply(rt: &mut TsanRuntime, op: &Op) {
                 rt.read_range(*addr, *len, *ctx);
             }
         }
-        Op::Discard(addr) => {
-            rt.discard_shadow_page(*addr);
-        }
     }
 }
 
@@ -78,17 +74,16 @@ fn apply(rt: &mut TsanRuntime, op: &Op) {
 /// fiber ids in the script are the ones any replay will assign). The
 /// script mixes every state-machine shape: slot reuse, sync and
 /// non-sync switches, release/acquire chains, page-covering and ragged
-/// accesses, eviction pressure (6 fibers on a few addresses), and page
-/// discards that seed the arena free list.
+/// accesses, and eviction pressure (6 fibers on a few addresses).
 fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     let mut s = seed;
-    let mut scratch = fresh(None);
+    let mut scratch = fresh();
     let mut live: Vec<FiberId> = vec![FiberId::HOST];
     let mut current = FiberId::HOST;
     let mut ops = Vec::with_capacity(n);
     for i in 0..n {
         let r = splitmix(&mut s);
-        match r % 12 {
+        match r % 11 {
             0 if live.len() < 6 => {
                 let name = format!("fiber#{i}");
                 let expect = scratch.peek_next_fiber();
@@ -131,11 +126,6 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
                 scratch.annotate_happens_after(SyncKey(k));
                 ops.push(Op::Ha(k));
             }
-            11 => {
-                let addr = 0x1000 * ((r >> 8) % 8);
-                scratch.discard_shadow_page(addr);
-                ops.push(Op::Discard(addr));
-            }
             _ => {
                 let addr = 0x1000 * ((r >> 8) % 8) + 8 * ((r >> 40) % 4);
                 let len = [8u64, 64, 100, 4096, 8192][(r >> 16) as usize % 5];
@@ -168,9 +158,8 @@ fn restore(blob: &[u8]) -> Result<TsanRuntime, DecodeError> {
     Ok(rt)
 }
 
-fn fresh(budget: Option<usize>) -> TsanRuntime {
+fn fresh() -> TsanRuntime {
     let mut rt = TsanRuntime::new("host");
-    rt.set_shadow_page_budget(budget);
     rt.add_suppression("suppressed-lib");
     for i in 0..CTXS {
         rt.define_ctx(format!("ctx{i}").into());
@@ -191,13 +180,12 @@ fn assert_observably_equal(a: &TsanRuntime, b: &TsanRuntime) {
 fn snapshot_restore_is_invisible_at_any_split() {
     for seed in [1u64, 42, 0xC0FFEE] {
         let ops = gen_ops(seed, 300);
-        let budget = if seed == 42 { Some(3) } else { None };
-        let mut reference = fresh(budget);
+        let mut reference = fresh();
         for op in &ops {
             apply(&mut reference, op);
         }
         for split in [0, 1, 37, 150, 299, 300] {
-            let mut head = fresh(budget);
+            let mut head = fresh();
             for op in &ops[..split] {
                 apply(&mut head, op);
             }
@@ -217,36 +205,36 @@ fn snapshot_restore_is_invisible_at_any_split() {
 }
 
 #[test]
-fn restored_runtime_continues_arena_recycling_identically() {
-    // Discard → refill cycles after restore must recycle the same
-    // blocks in the same order as the uninterrupted run (arena counters
-    // are part of the summary surface).
+fn restored_runtime_continues_arena_growth_identically() {
+    // A restore carves the unfolded pages' blocks in page order, not in
+    // the order the snapshotted run unfolded them: the slabs it grows,
+    // and every unfold after it, must still match the uninterrupted run
+    // (the arena counters are part of the summary surface).
     let script = |rt: &mut TsanRuntime, phase2: bool| {
         let ctx = CtxId(0);
-        for i in 0..6u64 {
+        for i in [5u64, 0, 3, 1, 4, 2] {
             rt.write_range(i * 0x1000, 64, ctx); // partial: unfolded pages
         }
-        for i in 0..3u64 {
-            rt.discard_shadow_page(i * 0x1000);
-        }
         if phase2 {
-            for i in 0..6u64 {
+            for i in 0..30u64 {
                 rt.write_range((8 + i) * 0x1000 + 8, 72, ctx);
             }
         }
     };
-    let mut reference = fresh(None);
+    let mut reference = fresh();
     script(&mut reference, false);
     script(&mut reference, true);
-    let mut head = fresh(None);
+    let mut head = fresh();
     script(&mut head, false);
     let mut restored = restore(&snapshot(&head)).unwrap();
+    assert_eq!(restored.stats().arena_slabs_allocated, 2);
     script(&mut restored, true);
     let (a, b) = (reference.stats(), restored.stats());
-    assert!(b.arena_pages_reused >= 3, "recycle path exercised");
-    assert_eq!(a.arena_pages_reused, b.arena_pages_reused);
+    assert_eq!(
+        b.arena_slabs_allocated, 4,
+        "36 unfolded pages: slabs of 4, 8, 16, 32"
+    );
     assert_eq!(a.arena_slabs_allocated, b.arena_slabs_allocated);
-    assert_eq!(a.arena_pages_evicted, b.arena_pages_evicted);
     assert_observably_equal(&reference, &restored);
 }
 
@@ -255,7 +243,7 @@ fn restore_rejects_garbage() {
     assert!(restore(b"not a snapshot at all").is_err());
     assert!(restore(b"").is_err());
     // Every proper prefix is refused, at an offset inside it.
-    let mut rt = fresh(None);
+    let mut rt = fresh();
     for op in &gen_ops(7, 60) {
         apply(&mut rt, op);
     }
