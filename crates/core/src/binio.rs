@@ -143,14 +143,14 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// Write the magic and header fields. Recordings write `tiered` true
-    /// and no budget; the trace readers refuse a header with either
-    /// other value (see [`crate::trace`]).
-    pub fn encode_header(buf: &mut Vec<u8>, rank: usize, tiered: bool, budget: Option<usize>) {
+    /// Write the magic and header fields. The last two bytes are always
+    /// `tiered` 1 and budget none (varint 0); the trace readers refuse a
+    /// header with any other value of either (see [`crate::trace`]).
+    pub fn encode_header(buf: &mut Vec<u8>, rank: usize) {
         buf.extend_from_slice(BIN_MAGIC);
         put_varint(buf, rank as u64);
-        buf.push(u8::from(tiered));
-        put_varint(buf, budget.map_or(0, |b| b as u64 + 1));
+        buf.push(1);
+        put_varint(buf, 0);
     }
 
     /// Frame `scratch` (the payload built by the caller) into `buf`.
@@ -668,13 +668,17 @@ mod tests {
     #[test]
     fn header_roundtrip_and_version_gate() {
         let mut buf = Vec::new();
-        Encoder::encode_header(&mut buf, 7, true, Some(42));
+        Encoder::encode_header(&mut buf, 7);
         let (n, rank, tiered, budget) = decode_header(&buf).unwrap().unwrap();
-        assert_eq!((n, rank, tiered, budget), (buf.len(), 7, true, Some(42)));
+        assert_eq!((n, rank, tiered, budget), (buf.len(), 7, true, None));
+        // Old recorders' `tiered 0` and a budget of 42 (varint 43) still
+        // decode; refusing them is the trace readers' job.
         let mut buf = Vec::new();
-        Encoder::encode_header(&mut buf, 0, false, None);
+        Encoder::encode_header(&mut buf, 0);
+        let n = buf.len();
+        buf[n - 2..].copy_from_slice(&[0, 43]);
         let (_, rank, tiered, budget) = decode_header(&buf).unwrap().unwrap();
-        assert_eq!((rank, tiered, budget), (0, false, None));
+        assert_eq!((rank, tiered, budget), (0, false, Some(42)));
         // Every header prefix asks for more bytes instead of erroring.
         for cut in 0..buf.len() {
             assert_eq!(decode_header(&buf[..cut]).unwrap(), None);

@@ -205,7 +205,7 @@ impl RecordWriter {
         match self {
             RecordWriter::Text => writeln!(out, "{TRACE_MAGIC} rank {rank} tiered 1 budget none")
                 .expect("writes to Vec are infallible"),
-            RecordWriter::Binary(_) => binio::Encoder::encode_header(out, rank, true, None),
+            RecordWriter::Binary(_) => binio::Encoder::encode_header(out, rank),
         }
     }
 
@@ -1416,7 +1416,11 @@ mod tests {
     fn binary_header_recorded_on_the_flat_shadow_is_refused() {
         for header in REMOVED_MODES {
             let mut bytes = Vec::new();
-            binio::Encoder::encode_header(&mut bytes, 0, header.tiered, header.budget);
+            binio::Encoder::encode_header(&mut bytes, 0);
+            // The header ends in `tiered` and the budget (varint budget + 1).
+            let n = bytes.len();
+            bytes[n - 2] = u8::from(header.tiered);
+            bytes[n - 1] = header.budget.map_or(0, |b| b as u8 + 1);
             binio::Encoder::new().encode_end(&mut bytes);
             assert_header_refused(&bytes, header);
         }
@@ -1426,7 +1430,7 @@ mod tests {
     fn binary_parser_enforces_string_table_rules() {
         // Build records by hand: an event referencing an undefined id.
         let mut bytes = Vec::new();
-        binio::Encoder::encode_header(&mut bytes, 0, true, None);
+        binio::Encoder::encode_header(&mut bytes, 0);
         let mut enc = binio::Encoder::new();
         enc.encode_event(
             &mut bytes,
@@ -1443,7 +1447,7 @@ mod tests {
         );
         // Non-dense string table.
         let mut bytes = Vec::new();
-        binio::Encoder::encode_header(&mut bytes, 0, true, None);
+        binio::Encoder::encode_header(&mut bytes, 0);
         let mut enc = binio::Encoder::new();
         enc.encode_str(&mut bytes, 5, "label");
         enc.encode_end(&mut bytes);
@@ -1550,7 +1554,7 @@ mod tests {
         // Same loudness for an unknown *binary* version: the header's
         // version byte is offset 7.
         let mut v4 = Vec::new();
-        binio::Encoder::encode_header(&mut v4, 0, true, None);
+        binio::Encoder::encode_header(&mut v4, 0);
         v4[7] = b'4';
         let err = read_all(&v4).unwrap_err();
         assert_eq!(err.position(), None);

@@ -23,6 +23,7 @@ use cusan::{
     transcode, CusanEvent, StrId, TraceError, TraceErrorKind, TraceFormat, TraceReader, TraceRecord,
 };
 use proptest::prelude::*;
+use tsan_rt::codec::put_varint;
 use tsan_rt::{FiberId, SyncKey};
 
 /// Labels drawn from fragments that stress escaping and UTF-8 in the
@@ -53,7 +54,12 @@ fn encode(
     events: &[CusanEvent],
 ) -> Vec<u8> {
     let mut buf = Vec::new();
-    Encoder::encode_header(&mut buf, rank, tiered, budget);
+    Encoder::encode_header(&mut buf, rank);
+    // The header ends in `tiered` and the budget (varint budget + 1); the
+    // encoder writes only 1 and none, so other values are patched in.
+    buf.truncate(buf.len() - 2);
+    buf.push(u8::from(tiered));
+    put_varint(&mut buf, budget.map_or(0, |b| b as u64 + 1));
     let mut enc = Encoder::new();
     for (i, l) in labels.iter().enumerate() {
         enc.encode_str(&mut buf, i as u32, l);

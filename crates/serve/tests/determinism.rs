@@ -292,7 +292,7 @@ fn a_range_past_the_address_space_fails_only_its_own_session() {
     // `wr ffffffffffffffff 16 <ctx>` in both encodings.
     let text = b"cusan-trace v2 rank 0 tiered 1 budget none\ns 0 x\nwr ffffffffffffffff 16 0\n";
     let mut binary = Vec::new();
-    Encoder::encode_header(&mut binary, 0, true, None);
+    Encoder::encode_header(&mut binary, 0);
     let mut enc = Encoder::new();
     enc.encode_str(&mut binary, 0, "x");
     enc.encode_event(

@@ -181,7 +181,9 @@ fn served_and_solo_refuse_alike_and_only_solo_names_the_record() {
     let binary = transcode(text.as_bytes(), TraceFormat::Binary).unwrap();
     let (header_len, ..) = binio::decode_header(&binary).unwrap().unwrap();
     let mut budgeted_binary = Vec::new();
-    binio::Encoder::encode_header(&mut budgeted_binary, 0, true, Some(2));
+    binio::Encoder::encode_header(&mut budgeted_binary, 0);
+    // The budget is the header's last field: varint 3 is a budget of 2.
+    *budgeted_binary.last_mut().unwrap() = 3;
     budgeted_binary.extend_from_slice(&binary[header_len..]);
     let budgeted_text = text.replace("budget none", "budget 2").into_bytes();
     for trace in [budgeted_text, budgeted_binary] {

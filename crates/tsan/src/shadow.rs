@@ -1958,7 +1958,7 @@ mod tests {
 
         let bytes = snapshot(&sh);
         let restored = restore(&bytes);
-        assert_eq!(restored.extents.len(), sh.extents.len());
+        assert_eq!(restored.extents, sh.extents);
         assert_eq!(restored.page_count(), sh.page_count());
         assert_eq!(restored.counters(), sh.counters());
         assert_eq!(restored.heap_bytes(), sh.heap_bytes());
