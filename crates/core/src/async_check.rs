@@ -299,7 +299,8 @@ pub struct CheckerPool {
     /// syscall otherwise.
     idle: AtomicUsize,
     next_id: AtomicU64,
-    /// Worker threads ever spawned (observability/tests).
+    /// Worker threads ever spawned: what the worker-reuse test counts.
+    #[cfg(test)]
     spawned: AtomicU64,
 }
 
@@ -319,6 +320,7 @@ impl CheckerPool {
             work_cv: Condvar::new(),
             idle: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
+            #[cfg(test)]
             spawned: AtomicU64::new(0),
         })
     }
@@ -333,9 +335,10 @@ impl CheckerPool {
         self.state.lock().slots.len()
     }
 
-    /// Worker threads spawned over the pool's life (observability/tests):
-    /// stays flat while lingering workers are reused.
-    pub fn workers_spawned(&self) -> u64 {
+    /// Worker threads spawned over the pool's life: stays flat while
+    /// lingering workers are reused.
+    #[cfg(test)]
+    fn workers_spawned(&self) -> u64 {
         self.spawned.load(Ordering::Relaxed)
     }
 
@@ -379,6 +382,7 @@ impl CheckerPool {
                     .spawn(move || worker_loop(pool, index))
                     .expect("failed to spawn checker pool worker");
                 st.handles[index] = Some(handle);
+                #[cfg(test)]
                 self.spawned.fetch_add(1, Ordering::Relaxed);
             }
         }

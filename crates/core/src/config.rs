@@ -61,11 +61,6 @@ impl ToolConfig {
         bounded_tracking: false,
         record: None,
     };
-
-    /// True if any TSan-backed layer is on.
-    pub fn any_tsan(&self) -> bool {
-        self.tsan || self.must || self.cusan
-    }
 }
 
 /// The five tool combinations evaluated in the paper (Figs. 10 and 11).
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn vanilla_is_all_off() {
         let c = Flavor::Vanilla.config();
-        assert!(!c.any_tsan());
+        assert!(!(c.tsan || c.must || c.cusan));
     }
 
     #[test]
@@ -181,7 +176,6 @@ mod tests {
         // Paper §V: "CuSan and MUST are always executed with TSan enabled".
         for f in [Flavor::Must, Flavor::Cusan, Flavor::MustCusan] {
             assert!(f.config().tsan);
-            assert!(f.config().any_tsan());
         }
     }
 

@@ -248,9 +248,11 @@ fn v1_session_blob_is_refused_by_version() {
     // Layouts v1–v5 wrote the version as a little-endian u32: v1 carried
     // the two shadow mode bytes (tiered, arena), v2 the clock stamps and
     // the same-state cache, v3 the interner and its context map beside
-    // the runtime's own label table, v4 fixed-width fields throughout —
-    // none of which exist any more. The one version gate refuses them
-    // all before any of the body is interpreted under the current layout.
+    // the runtime's own label table, v4 fixed-width fields throughout;
+    // from v6 on a one-byte varint (the u32's first byte), v6 the page
+    // budget, v7 the suppression list — none of which exist any more.
+    // The one version gate refuses them all before any of the body is
+    // interpreted under the current layout.
     let mut blob = fresh().snapshot_bytes();
     assert_eq!(u64::from(blob[8]), LAYOUT_VERSION);
     for old in 1..LAYOUT_VERSION as u32 {

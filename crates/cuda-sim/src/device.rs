@@ -681,11 +681,6 @@ impl CudaDevice {
         Ok(())
     }
 
-    /// Where the event was recorded (for the checker's event→stream map).
-    pub fn event_stream(&self, e: EventId) -> Result<Option<StreamId>, CudaError> {
-        Ok(self.check_event(e)?.recorded.map(|d| d.stream))
-    }
-
     /// Flush all outstanding work (program teardown).
     pub fn flush(&mut self) -> Result<(), CudaError> {
         self.force_all()

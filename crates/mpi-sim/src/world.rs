@@ -682,12 +682,8 @@ mod tests {
         let d1 = sp
             .alloc_array::<f64>(MemKind::Device(DeviceId(1)), 1024)
             .unwrap();
-        sp.with_slice_mut::<f64, _>(d0, 1024, |s| {
-            for (i, v) in s.iter_mut().enumerate() {
-                *v = i as f64;
-            }
-        })
-        .unwrap();
+        let ramp: Vec<f64> = (0..1024u32).map(f64::from).collect();
+        sp.write_slice_data(d0, &ramp).unwrap();
         run_world(2, Arc::clone(&sp), move |comm| {
             if comm.rank() == 0 {
                 // 8 KiB > EAGER_LIMIT: rendezvous zero-copy.
@@ -1163,9 +1159,7 @@ mod tests {
     }
 
     fn sp_fill(space: &AddressSpace, p: Ptr, v: f64) {
-        space
-            .with_slice_mut::<f64, _>(p, 1024, |s| s.fill(v))
-            .unwrap();
+        space.write_slice_data(p, &[v; 1024]).unwrap();
     }
 
     /// Satellite regression: a completing `irecv` and a blocking `recv`

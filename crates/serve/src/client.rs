@@ -9,23 +9,15 @@
 //! and replays from there. The server's offset check drops whatever it
 //! already accepted, so no byte is ever double-counted and no byte is
 //! ever lost — each completed session's summary is byte-identical to an
-//! uninterrupted run, which the chaos harness asserts under seeded
-//! fault schedules.
-//!
-//! Fault injection lives *in this client*: each `D` frame write is one
-//! site of a [`NetFaults`] schedule, and a firing site perturbs the
-//! write ([`NetFault`] decides how — torn frame, clean disconnect,
-//! stalled write, duplicate resume). The schedule's site counter
-//! persists across reconnects, so one seed names one complete failure
-//! schedule for the whole batch.
+//! uninterrupted run. The crate's chaos test asserts this under seeded
+//! fault schedules by handing the client a stream that tears, drops,
+//! stalls or duplicates its frames.
 
-use crate::fault::{NetFault, NetFaults};
 use crate::proto::{
     close_frame, data_frame, parse_reply, quit_frame, read_frame, resume_frame, write_frame, Reply,
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Reconnect behavior of [`check_traces_resilient`].
@@ -68,16 +60,14 @@ struct Cursor<'t> {
 /// Stream `traces` to a server, surviving disconnects and restarts.
 ///
 /// `connect` is called for every connection attempt (with the attempt
-/// index) and returns a fresh stream — the chaos harness uses the
-/// callback to restart the server between attempts. `faults` drives the
-/// client-side fault injection (pass `NetFaults::default()` for none).
-/// Returns one terminal reply ([`Reply::Summary`] or
+/// index) and returns a fresh stream — any `Read + Write`, so a test can
+/// restart the server between attempts or wrap the socket in one that
+/// injects faults. Returns one terminal reply ([`Reply::Summary`] or
 /// [`Reply::Error`]) per trace, in input order.
-pub fn check_traces_resilient(
-    mut connect: impl FnMut(u64) -> io::Result<TcpStream>,
+pub fn check_traces_resilient<S: Read + Write>(
+    mut connect: impl FnMut(u64) -> io::Result<S>,
     traces: &[(u64, Vec<u8>)],
     chunk: usize,
-    faults: &NetFaults,
     policy: &RetryPolicy,
 ) -> io::Result<Vec<Reply>> {
     let chunk = chunk.max(1);
@@ -103,7 +93,7 @@ pub fn check_traces_resilient(
                 continue;
             }
         };
-        match run_episode(stream, &mut cursors, &mut terminal, chunk, faults) {
+        match run_episode(stream, &mut cursors, &mut terminal, chunk) {
             Ok(()) => {
                 return Ok(traces
                     .iter()
@@ -122,17 +112,19 @@ pub fn check_traces_resilient(
 }
 
 /// One connection's worth of progress. `Ok(())` means every session has
-/// a terminal reply; `Err` means the connection died (possibly by our
-/// own injected fault) and the caller should reconnect and call again.
-fn run_episode(
-    stream: TcpStream,
+/// a terminal reply; `Err` means the connection died and the caller
+/// should reconnect and call again.
+///
+/// Reads and writes never overlap (`R` frames, then their acks; `D`
+/// frames; `C`/`Q` frames, then their replies), so one buffered reader
+/// serves both directions: writes go through `get_mut` to the stream.
+fn run_episode<S: Read + Write>(
+    stream: S,
     cursors: &mut [Cursor],
     terminal: &mut HashMap<u64, Reply>,
     chunk: usize,
-    faults: &NetFaults,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut reader = BufReader::new(stream);
     // Resume handshake: attach every unfinished session, rewind its
     // cursor to what the server actually holds. A session the server
     // expired (or never saw, or lost to a restart with an empty journal)
@@ -146,9 +138,9 @@ fn run_episode(
         return Ok(());
     }
     for id in &open {
-        write_frame(&mut writer, &resume_frame(*id))?;
+        write_frame(reader.get_mut(), &resume_frame(*id))?;
     }
-    writer.flush()?;
+    reader.get_mut().flush()?;
     let mut awaiting = open.len();
     while awaiting > 0 {
         match read_reply(&mut reader)? {
@@ -164,7 +156,7 @@ fn run_episode(
             }
         }
     }
-    // Data phase: round-robin D frames, one fault site per frame.
+    // Data phase: round-robin D frames.
     loop {
         let mut progressed = false;
         for c in cursors.iter_mut() {
@@ -172,39 +164,9 @@ fn run_episode(
                 continue;
             }
             let rest = c.trace.len() as u64 - c.sent;
-            let (id, sent, take) = (c.id, c.sent, chunk.min(rest as usize));
-            let frame = data_frame(id, sent, &c.trace[sent as usize..sent as usize + take]);
-            match faults.next_net_fault() {
-                None => write_frame(&mut writer, &frame)?,
-                Some(NetFault::StalledWrite) => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    write_frame(&mut writer, &frame)?;
-                }
-                Some(NetFault::DuplicateResume) => {
-                    // A retransmitted handshake racing its own ack: the
-                    // extra A is absorbed by the close-phase read loop.
-                    write_frame(&mut writer, &resume_frame(id))?;
-                    write_frame(&mut writer, &frame)?;
-                }
-                Some(NetFault::TornFrame) => {
-                    // Die mid-frame: ship a prefix, then drop the socket.
-                    let mut encoded = Vec::with_capacity(4 + frame.len());
-                    write_frame(&mut encoded, &frame)?;
-                    let torn = &encoded[..encoded.len() / 2];
-                    writer.write_all(torn)?;
-                    writer.flush()?;
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "injected: torn frame",
-                    ));
-                }
-                Some(NetFault::Disconnect) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "injected: disconnect",
-                    ));
-                }
-            }
+            let (sent, take) = (c.sent, chunk.min(rest as usize));
+            let frame = data_frame(c.id, sent, &c.trace[sent as usize..sent as usize + take]);
+            write_frame(reader.get_mut(), &frame)?;
             c.sent = sent + take as u64;
             progressed = true;
         }
@@ -218,12 +180,12 @@ fn run_episode(
     let mut want = 0usize;
     for c in cursors.iter() {
         if !terminal.contains_key(&c.id) {
-            write_frame(&mut writer, &close_frame(c.id))?;
+            write_frame(reader.get_mut(), &close_frame(c.id))?;
             want += 1;
         }
     }
-    write_frame(&mut writer, &quit_frame())?;
-    writer.flush()?;
+    write_frame(reader.get_mut(), &quit_frame())?;
+    reader.get_mut().flush()?;
     while want > 0 {
         match read_reply(&mut reader)? {
             Reply::Ack { .. } => {}

@@ -959,6 +959,12 @@ mod tests {
 
     const GOLDEN: &[u8] = include_bytes!("../../../tests/data/tealeaf_small.trace");
 
+    /// A scratch directory path (not created) private to this test
+    /// process and `tag`.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("cusan-{tag}-{}", std::process::id()))
+    }
+
     /// A label the checked session behind resident session `id` holds.
     fn session_label(engine: &ServeEngine, id: u64) -> Arc<str> {
         let sess = engine.lookup(id).expect("session is registered");
@@ -1003,7 +1009,7 @@ mod tests {
 
         // Spilled mid-trace: the spill frees the first incarnation, the
         // close the restored one.
-        let dir = crate::unique_scratch_dir("test-freed-at-close");
+        let dir = scratch_dir("test-freed-at-close");
         let engine = ServeEngine::new(EngineConfig {
             spill_dir: Some(dir.clone()),
             ..EngineConfig::default()
@@ -1058,7 +1064,7 @@ mod tests {
     #[test]
     fn a_damaged_spill_file_is_refused_before_it_is_believed() {
         const RACY: &[u8] = include_bytes!("../../../tests/data/tealeaf_small_racy.trace");
-        let dir = crate::unique_scratch_dir("test-hostile-spill");
+        let dir = scratch_dir("test-hostile-spill");
         let engine = ServeEngine::new(EngineConfig {
             spill_dir: Some(dir.clone()),
             ..EngineConfig::default()

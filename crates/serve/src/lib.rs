@@ -30,25 +30,20 @@
 //! `R` resume op reattaches and replays from the last acked offset),
 //! unfinished idle sessions can be spilled to disk and transparently
 //! restored, and a restarted server recovers in-flight sessions from
-//! its spill directory. The [`chaos`] harness (run over 32 seeds in
-//! each trace encoding by `tests/chaos_serve.rs`) drives all of it with
-//! seeded socket-level fault schedules and asserts the summaries stay
-//! byte-identical to solo replay. See `DESIGN.md`, "Failure model &
-//! resumption".
+//! its spill directory. The crate's chaos test drives all of it with
+//! seeded socket-level fault schedules (32 seeds in each trace
+//! encoding) and asserts the summaries stay byte-identical to solo
+//! replay. See `DESIGN.md`, "Failure model & resumption".
 
-pub mod chaos;
 pub mod client;
 pub mod engine;
-pub mod fault;
 pub mod ingest;
 pub mod json;
 pub mod labels;
 pub mod proto;
 
-pub use chaos::{chaos_serve, ChaosOptions, ChaosReport};
 pub use client::{check_traces_resilient, RetryPolicy};
 pub use engine::{AttachError, EngineConfig, FeedError, ServeEngine, ServeStats};
-pub use fault::{NetFault, NetFaults};
 pub use ingest::SessionIngest;
 pub use json::summary_to_json;
 pub use labels::SharedLabels;
@@ -58,20 +53,7 @@ use cusan::{SessionSummary, TraceError};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A scratch directory path (not created) that no other call is handed:
-/// `temp_dir()/cusan-<tag>-<pid>-<n>`, `n` from a process-wide counter.
-/// The pid separates processes; the counter separates callers inside
-/// one, which may pass the same tag at the same time (two tests running
-/// one chaos seed on two threads).
-pub fn unique_scratch_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("cusan-{tag}-{}-{n}", std::process::id()))
-}
 
 /// Reference result: replay `trace` (text or binary bytes — the reader
 /// sniffs) solo, synchronously, in this thread — the baseline every
@@ -84,7 +66,7 @@ pub fn solo_summary(trace: impl AsRef<[u8]>) -> Result<SessionSummary, TraceErro
 /// writing through buffers: a reply frame leaves in one segment, where
 /// two unbuffered writes on a socket without `TCP_NODELAY` cost a
 /// client that waits for each reply a delayed-ACK round (≈ 40 ms).
-pub(crate) fn serve_stream(engine: &Arc<ServeEngine>, stream: TcpStream) -> std::io::Result<()> {
+fn serve_stream(engine: &Arc<ServeEngine>, stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     serve_connection(engine, &mut reader, &mut writer)
@@ -149,7 +131,7 @@ fn serve_listener_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn a_panicking_connection_thread_is_logged_not_re_raised() {
@@ -177,7 +159,6 @@ mod tests {
                 |_| TcpStream::connect(addr),
                 &[(7, trace)],
                 16,
-                &NetFaults::default(),
                 &RetryPolicy::default(),
             )
             .unwrap();

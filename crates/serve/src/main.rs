@@ -32,8 +32,8 @@
 //!   backoff from `--backoff-ms`).
 
 use cusan_serve::{
-    check_traces_resilient, serve_listener, solo_summary, summary_to_json, EngineConfig, NetFaults,
-    Reply, RetryPolicy, ServeEngine,
+    check_traces_resilient, serve_listener, solo_summary, summary_to_json, EngineConfig, Reply,
+    RetryPolicy, ServeEngine,
 };
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
@@ -270,7 +270,6 @@ fn run_check_remote(o: &Options, addr: &str) -> Result<(), String> {
         |_attempt| TcpStream::connect(addr),
         &traces,
         o.chunk,
-        &NetFaults::default(),
         &policy,
     )
     .map_err(|e| format!("{addr}: {e}"))?;

@@ -5,9 +5,13 @@
 //! every session's summary byte-identical to a solo synchronous replay.
 //! `chaos_serve` itself enforces the oracle per session; this test
 //! additionally checks that the sweep actually *exercised* each failure
-//! mode (a schedule that never fired would prove nothing).
+//! mode (a schedule that never fired would prove nothing). The harness
+//! lives in `chaos/`; `--nocapture` prints each seed's counts.
 
-use cusan_serve::{chaos_serve, ChaosOptions};
+mod chaos;
+mod common;
+
+use chaos::{chaos_serve, ChaosOptions};
 
 fn corpus() -> Vec<(u64, Vec<u8>)> {
     let golden = include_str!("../../../tests/data/tealeaf_small.trace")
@@ -48,12 +52,12 @@ fn binary_corpus() -> Vec<(u64, Vec<u8>)> {
 
 #[test]
 fn thirty_two_seeded_schedules_hold_the_byte_identical_oracle() {
-    sweep(corpus());
+    sweep("text", corpus());
 }
 
 #[test]
 fn thirty_two_seeded_schedules_hold_with_binary_sessions() {
-    sweep(binary_corpus());
+    sweep("binary", binary_corpus());
 }
 
 /// Two runs of one seed at the same time must not share a spill
@@ -87,7 +91,7 @@ fn sweep_options() -> ChaosOptions {
     }
 }
 
-fn sweep(corpus: Vec<(u64, Vec<u8>)>) {
+fn sweep(encoding: &str, corpus: Vec<(u64, Vec<u8>)>) {
     let opts = sweep_options();
     let (mut fired, mut restarts, mut resumed, mut spilled, mut restored) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -95,6 +99,10 @@ fn sweep(corpus: Vec<(u64, Vec<u8>)>) {
         let report = chaos_serve(seed, &corpus, &opts)
             .unwrap_or_else(|e| panic!("chaos seed {seed} violated the oracle: {e}"));
         assert_eq!(report.sessions, corpus.len());
+        println!(
+            "{encoding} seed {seed}: {} fault sites, {} fired, {} connects, {} restarts",
+            report.fault_sites, report.faults_fired, report.connects, report.restarts
+        );
         fired += report.faults_fired;
         restarts += report.restarts;
         resumed += report.stats.sessions_resumed;

@@ -170,7 +170,6 @@ fn socket_end_to_end(corpus: &[Vec<u8>], connections: usize, sessions: usize) {
                         |_| TcpStream::connect(addr),
                         traces,
                         173,
-                        &cusan_serve::NetFaults::default(),
                         &RetryPolicy::default(),
                     )
                     .unwrap()

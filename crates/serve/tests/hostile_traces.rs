@@ -10,6 +10,8 @@
 //! `inconsistent_fiber_events_are_refused_in_both_encodings` in
 //! `crates/core/src/trace.rs`.
 
+mod common;
+
 use cusan::{binio, transcode, TraceErrorKind, TraceFormat};
 use cusan_serve::proto::{
     close_frame, data_frame, open_frame, parse_reply, quit_frame, read_frame, write_frame,
@@ -227,7 +229,6 @@ fn a_listener_outlives(hostile: &[(Vec<u8>, String)]) {
         |_| TcpStream::connect(addr),
         &good,
         4096,
-        &cusan_serve::NetFaults::default(),
         &RetryPolicy::default(),
     )
     .unwrap();
@@ -248,7 +249,7 @@ fn offline_check_answers_an_inconsistent_trace_with_a_line_not_a_backtrace() {
 /// `SessionIngest::finish`. Offline `check` is solo replay, so each line
 /// is solo's refusal with its `trace line N:` / `trace record N:`.
 fn offline_check_answers_with_a_line(hostile: Vec<(Vec<u8>, String)>) {
-    let dir = cusan_serve::unique_scratch_dir("hostile-check");
+    let dir = common::unique_scratch_dir("hostile-check");
     std::fs::create_dir_all(&dir).unwrap();
     let mut files = Vec::new();
     let mut expected = String::new();

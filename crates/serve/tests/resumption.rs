@@ -10,6 +10,8 @@
 //! version of these properties — everything at once under seeded
 //! failure schedules — lives in `chaos_serve.rs`.
 
+mod common;
+
 use cusan_serve::engine::JOURNAL_ONLY_SPILL;
 use cusan_serve::proto::{
     close_frame, data_frame, heartbeat_frame, open_frame, parse_reply, quit_frame, read_frame,
@@ -26,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
-use tsan_rt::codec::{put_varint, Scanner};
+use tsan_rt::codec::{put_varint, Scanner, LAYOUT_VERSION};
 
 const GOLDEN: &str = include_str!("../../../tests/data/tealeaf_small.trace");
 
@@ -35,7 +37,7 @@ struct ScratchDir(PathBuf);
 
 impl ScratchDir {
     fn new(name: &str) -> ScratchDir {
-        let p = cusan_serve::unique_scratch_dir(&format!("test-{name}"));
+        let p = common::unique_scratch_dir(&format!("test-{name}"));
         std::fs::create_dir_all(&p).expect("create scratch dir");
         ScratchDir(p)
     }
@@ -344,7 +346,9 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
             let at = sections_at(f);
             f[at] ^= 0xff
         }),
-        ("written by layout v5", |f| f[8] = 5),
+        ("written by the previous layout", |f| {
+            f[8] = LAYOUT_VERSION as u8 - 1
+        }),
     ];
     // Session 4, spilled half-way through the trace.
     let spilled_half_way = |dir: &ScratchDir| {
@@ -380,7 +384,9 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
     // moved the spill layout under a session spilled by the old binary.
     let restarts: [(&str, Damage); 2] = [
         ("cut after the version", |f| f.truncate(9)),
-        ("written by layout v5", |f| f[8] = 5),
+        ("written by the previous layout", |f| {
+            f[8] = LAYOUT_VERSION as u8 - 1
+        }),
     ];
     for (what, damage) in restarts {
         let dir = ScratchDir::new("torn-spill-restart");

@@ -16,11 +16,14 @@
 //! idle server may grow by at most two of those, however many passes
 //! run.
 
+mod common;
+
+use common::unique_scratch_dir;
 use cusan_serve::proto::{
     close_frame, data_frame, heartbeat_frame, parse_reply, quit_frame, read_frame, resume_frame,
     write_frame,
 };
-use cusan_serve::{solo_summary, summary_to_json, unique_scratch_dir, Reply};
+use cusan_serve::{solo_summary, summary_to_json, Reply};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};

@@ -39,11 +39,6 @@ pub enum MemKind {
 }
 
 impl MemKind {
-    /// True for both host-resident kinds.
-    pub fn is_host(self) -> bool {
-        matches!(self, MemKind::HostPageable | MemKind::HostPinned)
-    }
-
     /// True if the pointer is usable on a device (device, managed, pinned).
     pub fn device_accessible(self) -> bool {
         !matches!(self, MemKind::HostPageable)
@@ -228,9 +223,6 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(MemKind::HostPageable.is_host());
-        assert!(MemKind::HostPinned.is_host());
-        assert!(!MemKind::Managed.is_host());
         assert!(!MemKind::HostPageable.device_accessible());
         assert!(MemKind::HostPinned.device_accessible());
         assert!(MemKind::Device(DeviceId(0)).is_device());

@@ -397,19 +397,6 @@ impl AddressSpace {
         self.write_bytes(ptr, &buf[..T::SIZE])
     }
 
-    /// Run `f` over a mutable typed view of `[ptr, ptr + n*size_of::<T>())`.
-    pub fn with_slice_mut<T: Pod, R>(
-        &self,
-        ptr: Ptr,
-        n: u64,
-        f: impl FnOnce(&mut [T]) -> R,
-    ) -> Result<R, MemError> {
-        let a = self.find_range(ptr, n * T::SIZE as u64)?;
-        let off = ptr.0 - a.base.0;
-        let mut g = a.write_slice::<T>(off, n);
-        Ok(f(&mut g))
-    }
-
     /// Current accounting snapshot.
     pub fn stats(&self) -> SpaceStats {
         *self.stats.lock()
@@ -573,19 +560,6 @@ mod tests {
         assert_eq!(s.live_allocs(), 0);
         assert_eq!(s.stats().total_allocs, 2);
         assert_eq!(s.stats().total_frees, 2);
-    }
-
-    #[test]
-    fn with_slice_mut_applies_changes() {
-        let s = space();
-        let p = s.alloc(MemKind::Device(DeviceId(0)), 32).unwrap();
-        s.with_slice_mut::<f64, _>(p, 4, |sl| {
-            for (i, v) in sl.iter_mut().enumerate() {
-                *v = i as f64;
-            }
-        })
-        .unwrap();
-        assert_eq!(s.read_vec::<f64>(p, 4).unwrap(), [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -82,9 +82,10 @@ impl VectorClock {
         self.c.is_empty()
     }
 
-    /// Heap bytes used by this clock.
+    /// Heap bytes this clock's components take (its length, not its
+    /// capacity: the charge is a function of state).
     pub fn heap_bytes(&self) -> u64 {
-        (self.c.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.c.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Append the components, count first (capacity is not observable,

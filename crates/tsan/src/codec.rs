@@ -1,10 +1,9 @@
 //! The one byte codec for everything the tool writes and reads back: the
 //! binary trace (`cusan::binio`) and every snapshot layer — this crate's
-//! runtime, fiber table, shadow and suppressions, `cusan`'s session and
-//! trace parser, `cusan-serve`'s ingest and spill file. Writers append to
-//! a `Vec<u8>`; readers use one bounds-checked cursor, [`Scanner`], whose
-//! every failure is a [`DecodeError`] naming its byte offset, never a
-//! panic.
+//! runtime, fiber table and shadow, `cusan`'s session and trace parser,
+//! `cusan-serve`'s ingest and spill file. Writers append to a `Vec<u8>`;
+//! readers use one bounds-checked cursor, [`Scanner`], whose every
+//! failure is a [`DecodeError`] naming its byte offset, never a panic.
 //!
 //! * Counts, ids, counters, keys and clock components are minimal-length
 //!   unsigned LEB128 varints, so decode → re-encode is the identity.
@@ -46,11 +45,13 @@
 
 use std::fmt;
 
-/// Layout version of every snapshot blob and spill file. v7: no page
-/// budget, arena section, block handles or report cap in the shadow and
-/// runtime sections; v6: one varint codec for every layer (v5 and below:
-/// three fixed-width layouts).
-pub const LAYOUT_VERSION: u64 = 7;
+/// Layout version of every snapshot blob and spill file. v8: no
+/// suppression section, and the runtime stores 10 counters (the fiber
+/// counts live in the fiber table alone); v7: no page budget, arena
+/// section, block handles or report cap in the shadow and runtime
+/// sections; v6: one varint codec for every layer (v5 and below: three
+/// fixed-width layouts).
+pub const LAYOUT_VERSION: u64 = 8;
 
 /// Why bytes could not be decoded. Offsets are relative to the slice the
 /// [`Scanner`] was built on.

@@ -201,16 +201,12 @@ impl FiberTable {
             .unwrap_or(false)
     }
 
-    pub fn live_count(&self) -> usize {
-        self.fibers.len() - self.free.len()
-    }
-
     pub fn heap_bytes(&self) -> u64 {
         self.fibers
             .iter()
             .map(|f| f.clock.heap_bytes())
             .sum::<u64>()
-            + (self.fibers.capacity() * std::mem::size_of::<Fiber>() + self.host_name.len()) as u64
+            + (self.fibers.len() * std::mem::size_of::<Fiber>() + self.host_name.len()) as u64
     }
 
     /// Total slots (live + retired) in the table — bounds-checks ids
@@ -301,7 +297,7 @@ mod tests {
         let t = FiberTable::new("host");
         assert!(t.is_alive(FiberId::HOST));
         assert_eq!(t.name(FiberId::HOST, &[]), "host");
-        assert_eq!(t.live_count(), 1);
+        assert_eq!((t.created, t.destroyed), (1, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::clock::VectorClock;
 use crate::codec::{put_ascending, put_bytes, put_varint, DecodeError, Scanner};
 use crate::fiber::{FiberId, FiberTable};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::report::{label, CtxId, RaceReport, RaceSide, Suppressions};
+use crate::report::{label, CtxId, RaceReport, RaceSide};
 use crate::shadow::ShadowMemory;
 use crate::stats::TsanStats;
 use std::sync::Arc;
@@ -34,14 +34,15 @@ pub struct TsanRuntime {
     labels: Vec<Arc<str>>,
     reports: Vec<RaceReport>,
     report_keys: FxHashSet<(u32, u32)>,
-    suppressions: Suppressions,
+    /// The counters the runtime keeps itself; [`Self::stats`] adds the
+    /// ones the fiber table and the shadow keep.
     stats: TsanStats,
 }
 
 impl TsanRuntime {
     /// New runtime; the calling context becomes the host fiber.
     pub fn new(host_name: &str) -> Self {
-        let mut rt = TsanRuntime {
+        TsanRuntime {
             fibers: FiberTable::new(host_name),
             current: FiberId::HOST,
             shadow: ShadowMemory::new(),
@@ -49,11 +50,8 @@ impl TsanRuntime {
             labels: Vec::new(),
             reports: Vec::new(),
             report_keys: FxHashSet::default(),
-            suppressions: Suppressions::default(),
             stats: TsanStats::default(),
-        };
-        rt.stats.fibers_created = 1;
-        rt
+        }
     }
 
     // ---- fibers -----------------------------------------------------------
@@ -67,7 +65,6 @@ impl TsanRuntime {
     /// inherits the *current* fiber's clock (creation synchronizes
     /// creator → new fiber, as in TSan).
     pub fn create_fiber(&mut self, name: CtxId) -> FiberId {
-        self.stats.fibers_created += 1;
         // Creation is a release: accesses the creator performs *after* the
         // creation must not appear ordered before the new fiber's work.
         // `create_child` snapshots the creator's pre-bump clock in place,
@@ -95,7 +92,6 @@ impl TsanRuntime {
     /// Destroy a fiber. Must not be the current fiber or the host fiber.
     pub fn destroy_fiber(&mut self, f: FiberId) {
         assert!(f != self.current, "cannot destroy the active fiber");
-        self.stats.fibers_destroyed += 1;
         self.fibers.destroy(f);
     }
 
@@ -207,7 +203,6 @@ impl TsanRuntime {
             labels,
             reports,
             report_keys,
-            suppressions,
             stats,
             ..
         } = self;
@@ -236,13 +231,9 @@ impl TsanRuntime {
                     ctx: label(labels, c.prev.ctx).to_string(),
                 },
             };
-            if suppressions.matches(&report) {
-                stats.races_suppressed += 1;
-            } else {
-                stats.races_reported += 1;
-                if reports.len() < MAX_REPORTS {
-                    reports.push(report);
-                }
+            stats.races_reported += 1;
+            if reports.len() < MAX_REPORTS {
+                reports.push(report);
             }
         });
     }
@@ -264,11 +255,6 @@ impl TsanRuntime {
         self.stats.races_reported
     }
 
-    /// Install a suppression pattern.
-    pub fn add_suppression(&mut self, pattern: &str) {
-        self.suppressions.add(pattern);
-    }
-
     // ---- accounting --------------------------------------------------------
 
     /// Counter snapshot.
@@ -284,26 +270,22 @@ impl TsanRuntime {
     }
 
     /// Approximate heap bytes owned by the detector: shadow pages, vector
-    /// clocks, sync variables, label handles. Drives Fig. 11.
+    /// clocks, sync variables, label handles. Drives Fig. 11. A function
+    /// of the runtime's state (lengths, never capacities), so a restored
+    /// runtime reports what the snapshotted one did.
     pub fn memory_bytes(&self) -> u64 {
         let sync: u64 = self
             .sync_vars
             .values()
             .map(|clock| clock.heap_bytes() + std::mem::size_of::<VectorClock>() as u64 + 16)
             .sum();
-        let labels = self.labels.capacity() * std::mem::size_of::<Arc<str>>();
+        let labels = self.labels.len() * std::mem::size_of::<Arc<str>>();
         self.shadow.heap_bytes() + self.fibers.heap_bytes() + sync + labels as u64
     }
 
     /// Shadow pages allocated (diagnostics / benches).
     pub fn shadow_pages(&self) -> usize {
         self.shadow.page_count()
-    }
-
-    /// Number of currently-live fibers (host + streams + in-flight
-    /// requests).
-    pub fn live_fibers(&self) -> usize {
-        self.fibers.live_count()
     }
 
     // ---- snapshot/restore --------------------------------------------------
@@ -349,10 +331,9 @@ impl TsanRuntime {
             put_varint(buf, u64::from(a));
             put_varint(buf, u64::from(b));
         }
-        self.suppressions.write_snapshot(buf);
-        // The counters the runtime keeps itself: the derived fields are
-        // recomputed from the fiber/shadow sections on every `stats()`
-        // call, so serializing them here too would double state.
+        // The counters the runtime keeps itself: the fiber and shadow
+        // counters are read from their sections on every `stats()` call,
+        // so serializing them here too would double state.
         let mut stats = self.stats;
         for v in raw_counters(&mut stats) {
             put_varint(buf, *v);
@@ -407,7 +388,6 @@ impl TsanRuntime {
         let report_keys = (0..n_dedup)
             .map(|_| Ok((s.varint_as()?, s.varint_as()?)))
             .collect::<Result<FxHashSet<_>, DecodeError>>()?;
-        let suppressions = Suppressions::read_snapshot(s)?;
         let mut rt = TsanRuntime {
             fibers,
             current,
@@ -416,7 +396,6 @@ impl TsanRuntime {
             labels,
             reports,
             report_keys,
-            suppressions,
             stats: TsanStats::default(),
         };
         for v in raw_counters(&mut rt.stats) {
@@ -427,11 +406,9 @@ impl TsanRuntime {
 }
 
 /// The counters a runtime snapshot stores, in layout order.
-fn raw_counters(s: &mut TsanStats) -> [&mut u64; 13] {
+fn raw_counters(s: &mut TsanStats) -> [&mut u64; 10] {
     [
         &mut s.fiber_switches,
-        &mut s.fibers_created,
-        &mut s.fibers_destroyed,
         &mut s.happens_before,
         &mut s.happens_after,
         &mut s.read_range_calls,
@@ -439,7 +416,6 @@ fn raw_counters(s: &mut TsanStats) -> [&mut u64; 13] {
         &mut s.read_bytes,
         &mut s.write_bytes,
         &mut s.races_reported,
-        &mut s.races_suppressed,
         &mut s.races_deduped,
         &mut s.full_clock_joins,
     ]
@@ -669,21 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn suppression_suppresses() {
-        let mut t = rt();
-        t.add_suppression("openmpi-internal");
-        let f = fiber(&mut t, "f");
-        let cw = t.define_ctx("openmpi-internal progress thread".into());
-        let cr = t.define_ctx("host".into());
-        t.switch_to_fiber(f);
-        t.write_range(A, 8, cw);
-        t.switch_to_fiber(FiberId::HOST);
-        t.read_range(A, 8, cr);
-        assert_eq!(t.race_count(), 0);
-        assert_eq!(t.stats().races_suppressed, 1);
-    }
-
-    #[test]
     fn stats_count_events() {
         let mut t = rt();
         let f = fiber(&mut t, "f");
@@ -694,7 +655,6 @@ mod tests {
         t.annotate_happens_after(SyncKey(1));
         t.read_range(A, 100, c);
         t.write_range(A, 50, c);
-        assert_eq!(t.live_fibers(), 2);
         let s = t.stats();
         assert_eq!(s.fiber_switches, 2);
         assert_eq!(s.happens_before, 1);

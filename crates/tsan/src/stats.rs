@@ -26,10 +26,8 @@ pub struct TsanStats {
     pub read_bytes: u64,
     /// Total bytes covered by `write_range` calls.
     pub write_bytes: u64,
-    /// Races reported (after dedup, before suppression).
+    /// Races reported (after dedup).
     pub races_reported: u64,
-    /// Races suppressed by the suppression list.
-    pub races_suppressed: u64,
     /// Conflicts dropped because an identical (ctx, ctx) pair was already
     /// reported.
     pub races_deduped: u64,
@@ -93,7 +91,6 @@ impl TsanStats {
             read_bytes: self.read_bytes + other.read_bytes,
             write_bytes: self.write_bytes + other.write_bytes,
             races_reported: self.races_reported + other.races_reported,
-            races_suppressed: self.races_suppressed + other.races_suppressed,
             races_deduped: self.races_deduped + other.races_deduped,
             fastpath_hits: self.fastpath_hits + other.fastpath_hits,
             page_summaries_stored: self.page_summaries_stored + other.page_summaries_stored,
