@@ -18,6 +18,12 @@
 //! [`RaceMode::SkipSyncBeforeExchange`] removes step 5's synchronize —
 //! the paper's Fig. 4 bug — producing both a CuSan race report and
 //! genuinely stale halos.
+//!
+//! The rank body is written over a `px × py` rank grid (`RankGrid`);
+//! this app is its `1 × ranks` case. [`crate::jacobi2d`] runs the same
+//! body with `px > 1`, which adds two column transfer buffers, a pitched
+//! column exchange after step 5 and `residual2d` (interior columns only)
+//! in step 2.
 
 use crate::kernels::AppKernels;
 use crate::{expect_ok, run_world, AppResult, RaceMode};
@@ -113,28 +119,75 @@ pub fn try_run_jacobi(
     tools: impl Into<ToolConfig>,
     controller: Option<Arc<dyn ScheduleController>>,
 ) -> WorldOutcome<AppResult<Vec<f64>>> {
-    let cfg = *cfg;
-    let k = AppKernels::shared();
-    run_world(cfg.ranks, tools.into(), controller, move |ctx| {
-        jacobi_rank(ctx, k, &cfg)
-    })
+    let grid = RankGrid {
+        w: cfg.nx,
+        rows: cfg.rows_per_rank(),
+        px: 1,
+        py: cfg.ranks,
+        iters: cfg.iters,
+        race: cfg.race,
+    };
+    grid.run(tools.into(), controller)
 }
 
-fn row_ptr(base: Ptr, row: u64, nx: u64) -> Ptr {
-    base.offset(row * nx * 8)
+/// The one rank body's geometry: a `px × py` rank grid (rank `r` at
+/// column `r % px`, row `r / px`) of local fields `rows + 2` rows by `w`
+/// columns. Row-decomposed Jacobi is the `1 × ranks` grid whose `w` is
+/// the global width, so its edge columns are fixed boundary; with
+/// `px > 1` the first and last column of each field are halo columns.
+#[derive(Clone, Copy)]
+pub(crate) struct RankGrid {
+    /// Local width, halo or boundary columns included.
+    pub w: u64,
+    /// Interior rows per rank.
+    pub rows: u64,
+    /// Rank-grid columns.
+    pub px: usize,
+    /// Rank-grid rows.
+    pub py: usize,
+    /// Iterations to run.
+    pub iters: u32,
+    /// Synchronization-bug injection.
+    pub race: RaceMode,
 }
 
-fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> AppResult<Vec<f64>> {
+impl RankGrid {
+    /// Run the rank body on every rank of the grid.
+    pub fn run(
+        self,
+        tools: ToolConfig,
+        controller: Option<Arc<dyn ScheduleController>>,
+    ) -> WorldOutcome<AppResult<Vec<f64>>> {
+        let k = AppKernels::shared();
+        run_world(self.px * self.py, tools, controller, move |ctx| {
+            jacobi_rank(ctx, k, &self)
+        })
+    }
+}
+
+fn row_ptr(base: Ptr, row: u64, w: u64) -> Ptr {
+    base.offset(row * w * 8)
+}
+
+fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, g: &RankGrid) -> AppResult<Vec<f64>> {
     let rank = ctx.rank();
-    let nx = cfg.nx;
-    let rows = cfg.rows_per_rank();
-    let local = (rows + 2) * nx;
-    let n_int = nx * rows;
+    let RankGrid {
+        w, rows, px, py, ..
+    } = *g;
+    let (rx, ry) = (rank % px, rank / px);
+    let local = (rows + 2) * w;
+    let n_int = w * rows;
 
-    // Device allocations.
+    // Device allocations; contiguous column transfer buffers only when
+    // there are columns to exchange.
     let d_a = ctx.cuda.malloc::<f64>(local)?;
     let d_anew = ctx.cuda.malloc::<f64>(local)?;
     let d_norm = ctx.cuda.malloc::<f64>(1)?;
+    let col_bufs = if px > 1 {
+        Some((ctx.cuda.malloc::<f64>(rows)?, ctx.cuda.malloc::<f64>(rows)?))
+    } else {
+        None
+    };
     let h_norm = ctx.cuda.host_malloc::<f64>(1)?;
     let h_norm_global = ctx.cuda.host_malloc::<f64>(1)?;
 
@@ -142,18 +195,18 @@ fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> AppResu
     ctx.cuda.memset(d_a, 0, local * 8)?;
     ctx.cuda.memset(d_anew, 0, local * 8)?;
 
-    // Dirichlet condition: the global top boundary (rank 0's halo row 0)
-    // is held at 1.0 in both fields.
-    if rank == 0 {
+    // Dirichlet condition: the global top boundary (halo row 0 of the
+    // grid's first rank row) is held at 1.0 in both fields.
+    if ry == 0 {
         for buf in [d_a, d_anew] {
             ctx.cuda.launch(
                 k.fill,
-                LaunchGrid::linear(nx),
+                LaunchGrid::linear(w),
                 StreamId::DEFAULT,
                 vec![
                     LaunchArg::Ptr(buf),
                     LaunchArg::F64(1.0),
-                    LaunchArg::I64(nx as i64),
+                    LaunchArg::I64(w as i64),
                 ],
             )?;
         }
@@ -163,19 +216,32 @@ fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> AppResu
     // Jacobi uses 2 streams).
     let norm_stream = ctx.cuda.stream_create(StreamFlags::Default);
 
-    // Fixed-boundary neighbours are MPI_PROC_NULL, like the NVIDIA
-    // CUDA-aware MPI example: the sendrecv pair is unconditional.
-    let up: i64 = if rank > 0 { rank as i64 - 1 } else { PROC_NULL };
-    let down: i64 = if rank + 1 < cfg.ranks {
-        rank as i64 + 1
+    // Neighbours in the rank grid are MPI_PROC_NULL at the global
+    // boundary, like the NVIDIA CUDA-aware MPI example: the row sendrecv
+    // pair is unconditional.
+    let up = if ry > 0 {
+        (rank - px) as i64
     } else {
         PROC_NULL
     };
-    const TAG_UP: i32 = 0; // message moving to a lower rank
-    const TAG_DOWN: i32 = 1; // message moving to a higher rank
+    let down = if ry + 1 < py {
+        (rank + px) as i64
+    } else {
+        PROC_NULL
+    };
+    let left = if rx > 0 { (rank - 1) as i64 } else { PROC_NULL };
+    let right = if rx + 1 < px {
+        (rank + 1) as i64
+    } else {
+        PROC_NULL
+    };
+    const TAG_UP: i32 = 0; // message moving to a lower rank row
+    const TAG_DOWN: i32 = 1; // message moving to a higher rank row
+    const TAG_LEFT: i32 = 2;
+    const TAG_RIGHT: i32 = 3;
 
-    let mut norms = Vec::with_capacity(cfg.iters as usize);
-    for _ in 0..cfg.iters {
+    let mut norms = Vec::with_capacity(g.iters as usize);
+    for _ in 0..g.iters {
         // 1. Stencil update on the default stream.
         ctx.cuda.launch(
             k.jacobi_step,
@@ -184,24 +250,39 @@ fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> AppResu
             vec![
                 LaunchArg::Ptr(d_anew),
                 LaunchArg::Ptr(d_a),
-                LaunchArg::I64(nx as i64),
+                LaunchArg::I64(w as i64),
                 LaunchArg::I64(rows as i64),
             ],
         )?;
 
         // 2. Residual reduction on the norm stream (ordered after the
-        //    step kernel by legacy default-stream semantics).
-        ctx.cuda.launch(
-            k.residual,
-            LaunchGrid::cover(1, 1),
-            norm_stream,
-            vec![
-                LaunchArg::Ptr(d_norm),
-                LaunchArg::Ptr(row_ptr(d_a, 1, nx)),
-                LaunchArg::Ptr(row_ptr(d_anew, 1, nx)),
-                LaunchArg::I64(n_int as i64),
-            ],
-        )?;
+        //    step kernel by legacy default-stream semantics): over the
+        //    contiguous interior rows, or — when the edge columns hold a
+        //    neighbour's data — over the interior columns only.
+        let (residual, args) = if px == 1 {
+            (
+                k.residual,
+                vec![
+                    LaunchArg::Ptr(d_norm),
+                    LaunchArg::Ptr(row_ptr(d_a, 1, w)),
+                    LaunchArg::Ptr(row_ptr(d_anew, 1, w)),
+                    LaunchArg::I64(n_int as i64),
+                ],
+            )
+        } else {
+            (
+                k.residual2d,
+                vec![
+                    LaunchArg::Ptr(d_norm),
+                    LaunchArg::Ptr(d_a),
+                    LaunchArg::Ptr(d_anew),
+                    LaunchArg::I64(w as i64),
+                    LaunchArg::I64(rows as i64),
+                ],
+            )
+        };
+        ctx.cuda
+            .launch(residual, LaunchGrid::cover(1, 1), norm_stream, args)?;
 
         // 3. Blocking D2H copy of the local norm, then Allreduce.
         ctx.cuda.memcpy(h_norm, d_norm, 8, CopyKind::DeviceToHost)?;
@@ -224,37 +305,89 @@ fn jacobi_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &JacobiConfig) -> AppResu
             ],
         )?;
 
-        // 5. Synchronize, then exchange halos with blocking Sendrecv on
-        //    device pointers.
-        if cfg.race != RaceMode::SkipSyncBeforeExchange {
+        // 5. Synchronize, then exchange halo rows (full width) with
+        //    blocking Sendrecv on device pointers.
+        if g.race != RaceMode::SkipSyncBeforeExchange {
             ctx.cuda.device_synchronize()?;
         }
         ctx.mpi.sendrecv(
-            row_ptr(d_a, 1, nx),
-            nx,
+            row_ptr(d_a, 1, w),
+            w,
             up,
             TAG_UP,
-            row_ptr(d_a, 0, nx),
-            nx,
+            row_ptr(d_a, 0, w),
+            w,
             up as i32,
             TAG_DOWN,
             MpiDatatype::Double,
         )?;
         ctx.mpi.sendrecv(
-            row_ptr(d_a, rows, nx),
-            nx,
+            row_ptr(d_a, rows, w),
+            w,
             down,
             TAG_DOWN,
-            row_ptr(d_a, rows + 1, nx),
-            nx,
+            row_ptr(d_a, rows + 1, w),
+            w,
             down as i32,
             TAG_UP,
             MpiDatatype::Double,
         )?;
+
+        // 6. Column halos: pack (pitched D2D) -> Sendrecv -> unpack.
+        let Some((d_col_tx, d_col_rx)) = col_bufs else {
+            continue;
+        };
+        let pitch = w * 8;
+        for (neighbor, send_tag, recv_tag, send_col, halo_col) in [
+            (left, TAG_LEFT, TAG_RIGHT, 1, 0),
+            (right, TAG_RIGHT, TAG_LEFT, w - 2, w - 1),
+        ] {
+            if neighbor == PROC_NULL {
+                continue;
+            }
+            ctx.cuda.memcpy_2d(
+                d_col_tx,
+                8,
+                row_ptr(d_a, 1, w).offset(send_col * 8),
+                pitch,
+                8,
+                rows,
+                CopyKind::DeviceToDevice,
+            )?;
+            // D2D is stream-ordered; the MPI call below reads d_col_tx
+            // from the host side, so synchronize first.
+            ctx.cuda.device_synchronize()?;
+            ctx.mpi.sendrecv(
+                d_col_tx,
+                rows,
+                neighbor,
+                send_tag,
+                d_col_rx,
+                rows,
+                neighbor as i32,
+                recv_tag,
+                MpiDatatype::Double,
+            )?;
+            ctx.cuda.memcpy_2d(
+                row_ptr(d_a, 1, w).offset(halo_col * 8),
+                pitch,
+                d_col_rx,
+                8,
+                8,
+                rows,
+                CopyKind::DeviceToDevice,
+            )?;
+            ctx.cuda.device_synchronize()?;
+        }
     }
 
     // Release device memory (exercises cudaFree's device-wide sync).
-    for p in [d_a, d_anew, d_norm, h_norm, h_norm_global] {
+    let cols = col_bufs.into_iter().flat_map(|(tx, rx)| [tx, rx]);
+    for p in [d_a, d_anew, d_norm]
+        .into_iter()
+        .chain(cols)
+        .chain([h_norm, h_norm_global])
+    {
         ctx.cuda.free(p)?;
     }
     Ok(norms)

@@ -1,29 +1,21 @@
-//! 2-D–decomposed Jacobi solver.
+//! 2-D–decomposed Jacobi: [`crate::jacobi`]'s rank body on a `px × py`
+//! rank grid.
 //!
-//! Extends the row-decomposed mini-app ([`crate::jacobi`]) to a `px × py`
-//! rank grid, which requires **column** halo exchanges in addition to row
-//! exchanges. Columns are not contiguous, so each boundary column is
-//! packed into a contiguous transfer buffer with a pitched
-//! `cudaMemcpy2D` (and unpacked on the other side the same way) — the
+//! Each rank owns `nx / px` interior columns plus a halo column on each
+//! side, so besides the full-width row exchanges (PROC_NULL at the global
+//! top/bottom) it exchanges **columns** with its left and right
+//! neighbours (PROC_NULL at the global left/right). Columns are not
+//! contiguous, so each boundary column is packed into a contiguous
+//! transfer buffer with a pitched `cudaMemcpy2D`, sent with
+//! `MPI_Sendrecv` and unpacked on the other side the same way — the
 //! workload pattern behind the §VI-A API extension and a natural fit for
-//! the §VI-D bounded-tracking optimization.
-//!
-//! Communication per iteration:
-//!
-//! * rows: blocking `MPI_Sendrecv` of contiguous rows (PROC_NULL at the
-//!   global top/bottom);
-//! * columns: pitched pack → `MPI_Sendrecv` → pitched unpack (PROC_NULL
-//!   at the global left/right).
+//! the §VI-D bounded-tracking optimization. A `1 × py` grid is
+//! row-decomposed Jacobi on `nx + 2` global columns, byte for byte.
 
-use crate::kernels::AppKernels;
-use crate::RaceMode;
-use cuda_sim::{CopyKind, StreamFlags, StreamId};
+use crate::jacobi::RankGrid;
+use crate::{expect_ok, RaceMode};
 use cusan::ToolConfig;
-use kernel_ir::{LaunchArg, LaunchGrid};
-use mpi_sim::{MpiDatatype, ReduceOp, PROC_NULL};
-use must_rt::{run_checked_world, RankCtx, WorldOutcome};
-use sim_mem::Ptr;
-use std::sync::Arc;
+use must_rt::WorldOutcome;
 use std::time::{Duration, Instant};
 
 /// 2-D Jacobi configuration.
@@ -88,242 +80,27 @@ pub struct Jacobi2dRun {
     pub outcome: WorldOutcome<Vec<f64>>,
 }
 
-/// Run the 2-D Jacobi solver under a tool configuration.
+/// Run the 2-D Jacobi solver under a tool configuration. Expects every
+/// rank to succeed.
 pub fn run_jacobi2d(cfg: &Jacobi2dConfig, tools: impl Into<ToolConfig>) -> Jacobi2dRun {
-    let cfg = *cfg;
-    let k = AppKernels::shared();
-    let tools = tools.into();
+    let grid = RankGrid {
+        w: cfg.cols_per_rank() + 2,
+        rows: cfg.rows_per_rank(),
+        px: cfg.px,
+        py: cfg.py,
+        iters: cfg.iters,
+        race: cfg.race,
+    };
     let start = Instant::now();
-    let outcome = run_checked_world(cfg.ranks(), tools, Arc::clone(&k.registry), move |ctx| {
-        jacobi2d_rank(ctx, k, &cfg)
-    });
+    let outcome = grid.run(tools.into(), None);
     let elapsed = start.elapsed();
+    let outcome = expect_ok(outcome);
     Jacobi2dRun {
-        config: cfg,
+        config: *cfg,
         norms: outcome.results[0].clone(),
         elapsed,
         outcome,
     }
-}
-
-fn jacobi2d_rank(ctx: &mut RankCtx, k: &AppKernels, cfg: &Jacobi2dConfig) -> Vec<f64> {
-    let rank = ctx.rank();
-    let (px, py) = (cfg.px, cfg.py);
-    let (rx, ry) = (rank % px, rank / px);
-    let cols = cfg.cols_per_rank();
-    let rows = cfg.rows_per_rank();
-    let w = cols + 2; // local width incl. halo columns
-    let local = (rows + 2) * w;
-    let pitch = w * 8;
-
-    let d_a = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_anew = ctx.cuda.malloc::<f64>(local).unwrap();
-    let d_norm = ctx.cuda.malloc::<f64>(1).unwrap();
-    // Contiguous column transfer buffers.
-    let d_col_tx = ctx.cuda.malloc::<f64>(rows).unwrap();
-    let d_col_rx = ctx.cuda.malloc::<f64>(rows).unwrap();
-    let h_norm = ctx.cuda.host_malloc::<f64>(1).unwrap();
-    let h_norm_global = ctx.cuda.host_malloc::<f64>(1).unwrap();
-
-    ctx.cuda.memset(d_a, 0, local * 8).unwrap();
-    ctx.cuda.memset(d_anew, 0, local * 8).unwrap();
-
-    // Dirichlet: the global top boundary row is 1.0.
-    if ry == 0 {
-        for buf in [d_a, d_anew] {
-            ctx.cuda
-                .launch(
-                    k.fill,
-                    LaunchGrid::linear(w),
-                    StreamId::DEFAULT,
-                    vec![
-                        LaunchArg::Ptr(buf),
-                        LaunchArg::F64(1.0),
-                        LaunchArg::I64(w as i64),
-                    ],
-                )
-                .unwrap();
-        }
-    }
-
-    let norm_stream = ctx.cuda.stream_create(StreamFlags::Default);
-
-    // Neighbours in the rank grid, PROC_NULL at the global boundary.
-    let up = if ry > 0 {
-        (rank - px) as i64
-    } else {
-        PROC_NULL
-    };
-    let down = if ry + 1 < py {
-        (rank + px) as i64
-    } else {
-        PROC_NULL
-    };
-    let left = if rx > 0 { (rank - 1) as i64 } else { PROC_NULL };
-    let right = if rx + 1 < px {
-        (rank + 1) as i64
-    } else {
-        PROC_NULL
-    };
-    const TAG_UP: i32 = 0;
-    const TAG_DOWN: i32 = 1;
-    const TAG_LEFT: i32 = 2;
-    const TAG_RIGHT: i32 = 3;
-
-    let cell_ptr = |base: Ptr, row: u64, col: u64| base.offset(row * pitch + col * 8);
-
-    let mut norms = Vec::with_capacity(cfg.iters as usize);
-    for _ in 0..cfg.iters {
-        // Stencil update + residual, as in the 1-D version.
-        ctx.cuda
-            .launch(
-                k.jacobi_step,
-                LaunchGrid::linear(w * rows),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(d_anew),
-                    LaunchArg::Ptr(d_a),
-                    LaunchArg::I64(w as i64),
-                    LaunchArg::I64(rows as i64),
-                ],
-            )
-            .unwrap();
-        ctx.cuda
-            .launch(
-                k.residual2d,
-                LaunchGrid::cover(1, 1),
-                norm_stream,
-                vec![
-                    LaunchArg::Ptr(d_norm),
-                    LaunchArg::Ptr(d_a),
-                    LaunchArg::Ptr(d_anew),
-                    LaunchArg::I64(w as i64),
-                    LaunchArg::I64(rows as i64),
-                ],
-            )
-            .unwrap();
-        ctx.cuda
-            .memcpy(h_norm, d_norm, 8, CopyKind::DeviceToHost)
-            .unwrap();
-        ctx.mpi
-            .allreduce(h_norm, h_norm_global, 1, MpiDatatype::Double, ReduceOp::Sum)
-            .unwrap();
-        let sq: f64 = ctx
-            .tools
-            .host_read_at(&ctx.space(), h_norm_global, "jacobi2d norm")
-            .unwrap();
-        norms.push(sq.sqrt());
-
-        // Commit anew -> a.
-        ctx.cuda
-            .launch(
-                k.copy,
-                LaunchGrid::linear(local),
-                StreamId::DEFAULT,
-                vec![
-                    LaunchArg::Ptr(d_a),
-                    LaunchArg::Ptr(d_anew),
-                    LaunchArg::I64(local as i64),
-                ],
-            )
-            .unwrap();
-
-        if cfg.race != RaceMode::SkipSyncBeforeExchange {
-            ctx.cuda.device_synchronize().unwrap();
-        }
-
-        // Row halo exchange (contiguous interior spans of each row).
-        ctx.mpi
-            .sendrecv(
-                cell_ptr(d_a, 1, 1),
-                cols,
-                up,
-                TAG_UP,
-                cell_ptr(d_a, 0, 1),
-                cols,
-                up as i32,
-                TAG_DOWN,
-                MpiDatatype::Double,
-            )
-            .unwrap();
-        ctx.mpi
-            .sendrecv(
-                cell_ptr(d_a, rows, 1),
-                cols,
-                down,
-                TAG_DOWN,
-                cell_ptr(d_a, rows + 1, 1),
-                cols,
-                down as i32,
-                TAG_UP,
-                MpiDatatype::Double,
-            )
-            .unwrap();
-
-        // Column halo exchange: pack (pitched D2D) -> sendrecv -> unpack.
-        for (neighbor, send_tag, recv_tag, send_col, halo_col) in [
-            (left, TAG_LEFT, TAG_RIGHT, 1, 0),
-            (right, TAG_RIGHT, TAG_LEFT, cols, cols + 1),
-        ] {
-            if neighbor == PROC_NULL {
-                continue;
-            }
-            // Pack boundary column `send_col` (rows elements).
-            ctx.cuda
-                .memcpy_2d(
-                    d_col_tx,
-                    8,
-                    cell_ptr(d_a, 1, send_col),
-                    pitch,
-                    8,
-                    rows,
-                    CopyKind::DeviceToDevice,
-                )
-                .unwrap();
-            // D2D is stream-ordered; the MPI call below reads d_col_tx
-            // from the host side, so synchronize first.
-            ctx.cuda.device_synchronize().unwrap();
-            ctx.mpi
-                .sendrecv(
-                    d_col_tx,
-                    rows,
-                    neighbor,
-                    send_tag,
-                    d_col_rx,
-                    rows,
-                    neighbor as i32,
-                    recv_tag,
-                    MpiDatatype::Double,
-                )
-                .unwrap();
-            // Unpack into the halo column.
-            ctx.cuda
-                .memcpy_2d(
-                    cell_ptr(d_a, 1, halo_col),
-                    pitch,
-                    d_col_rx,
-                    8,
-                    8,
-                    rows,
-                    CopyKind::DeviceToDevice,
-                )
-                .unwrap();
-            ctx.cuda.device_synchronize().unwrap();
-        }
-    }
-
-    for p in [
-        d_a,
-        d_anew,
-        d_norm,
-        d_col_tx,
-        d_col_rx,
-        h_norm,
-        h_norm_global,
-    ] {
-        ctx.cuda.free(p).unwrap();
-    }
-    norms
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //!   example: row-decomposed domain, **blocking** `MPI_Sendrecv` halo
 //!   exchange of device pointers, per-iteration residual reduction with a
 //!   device→host copy and an `MPI_Allreduce`, and a second CUDA stream for
-//!   the reduction (the paper's Jacobi uses two streams, Table I).
+//!   the reduction (the paper's Jacobi uses two streams, Table I). Its
+//!   rank body is written over a `px × py` rank grid; [`jacobi2d`] is the
+//!   same body with `px > 1` (pitched column halos), not a second app.
 //! * [`tealeaf`] — a TeaLeaf-style implicit heat-conduction step: a CG
 //!   solve of the 5-point Laplacian system with **non-blocking**
 //!   `MPI_Isend`/`MPI_Irecv` halo exchanges and `MPI_Waitall`, default

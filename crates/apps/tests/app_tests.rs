@@ -2,7 +2,9 @@
 //! race behaviour under the tool flavors.
 
 use cusan::Flavor;
-use cusan_apps::{run_jacobi, run_tealeaf, JacobiConfig, RaceMode, TeaLeafConfig};
+use cusan_apps::{
+    run_jacobi, run_jacobi_traced, run_tealeaf, JacobiConfig, RaceMode, TeaLeafConfig,
+};
 
 fn small_jacobi(ranks: usize) -> JacobiConfig {
     JacobiConfig {
@@ -406,4 +408,87 @@ mod jacobi2d_tests {
         let c = run_jacobi2d(&cfg(2, 2), Flavor::MustCusan);
         assert_eq!(v.norms, c.norms);
     }
+}
+
+/// Each rank's recording of a small Jacobi run, digested, in both
+/// encodings: pinned before the 2-D decomposition became a geometry of
+/// the same rank body, so folding the two cannot move a byte.
+#[test]
+fn jacobi_recordings_are_pinned() {
+    use cusan::{ToolConfig, TraceFormat};
+    let cfg = JacobiConfig {
+        nx: 32,
+        ny: 16,
+        ranks: 2,
+        iters: 4,
+        race: RaceMode::None,
+    };
+    let mut got: Vec<(TraceFormat, usize, u64)> = Vec::new();
+    for format in [TraceFormat::Text, TraceFormat::Binary] {
+        let tools = ToolConfig {
+            record: Some(format),
+            ..ToolConfig::from(Flavor::MustCusan)
+        };
+        let run = run_jacobi_traced(&cfg, tools);
+        for rank in &run.outcome.ranks {
+            let bytes = rank.trace.as_deref().expect("recorded");
+            got.push((format, rank.rank, explore::Fnv::new().write(bytes).finish()));
+        }
+    }
+    let want = vec![
+        (TraceFormat::Text, 0, 2243407060812109715),
+        (TraceFormat::Text, 1, 13079959109490472193),
+        (TraceFormat::Binary, 0, 11864735938205818270),
+        (TraceFormat::Binary, 1, 13085640584603825767),
+    ];
+    assert_eq!(got, want);
+}
+
+/// A one-column rank grid is row-decomposed Jacobi: `nx` interior columns
+/// plus two halo columns that no neighbour fills are the row app's `nx + 2`
+/// global columns, and the recordings agree byte for byte.
+#[test]
+fn a_one_column_grid_is_jacobi() {
+    use cusan::{ToolConfig, TraceFormat};
+    use cusan_apps::{run_jacobi2d, Jacobi2dConfig};
+    let tools = ToolConfig {
+        record: Some(TraceFormat::Text),
+        ..ToolConfig::from(Flavor::MustCusan)
+    };
+    let grid = run_jacobi2d(
+        &Jacobi2dConfig {
+            nx: 30,
+            ny: 16,
+            px: 1,
+            py: 2,
+            iters: 4,
+            race: RaceMode::None,
+        },
+        tools,
+    );
+    let rows = run_jacobi(
+        &JacobiConfig {
+            nx: 32,
+            ny: 16,
+            ranks: 2,
+            iters: 4,
+            race: RaceMode::None,
+        },
+        tools,
+    );
+    assert_eq!(grid.norms, rows.norms);
+    assert_eq!(grid.outcome.ranks.len(), 2);
+    for (g, r) in grid.outcome.ranks.iter().zip(&rows.outcome.ranks) {
+        let (g, r) = (g.trace.as_deref(), r.trace.as_deref());
+        assert!(g.is_some());
+        assert!(g == r, "rank recordings differ");
+    }
+}
+
+/// Vanilla runs no tool layer, so it holds no tool memory: Fig. 11's
+/// uninstrumented row reads 0 B.
+#[test]
+fn vanilla_jacobi_holds_no_tool_memory() {
+    let run = run_jacobi(&small_jacobi(2), Flavor::Vanilla);
+    assert_eq!(run.outcome.total_tool_memory(), 0);
 }

@@ -21,9 +21,8 @@
 //! exactly when the `tsan` flag is active.
 //!
 //! [`ToolConfig`] is the only way to configure a run: nothing here reads
-//! the environment, except to warn once per process about `CUSAN_*`
-//! variables earlier versions read. Faults are not configuration: the
-//! harness hands a fault controller's decision to [`ToolCtx::decide_faults`].
+//! the environment. Faults are not configuration: the harness hands a
+//! fault controller's decision to [`ToolCtx::decide_faults`].
 
 use crate::config::ToolConfig;
 use crate::event::{CusanEvent, EventCounters, StrId};
@@ -31,68 +30,8 @@ use crate::session::{CheckSession, SessionOptions};
 use crate::trace::TraceSink;
 use sim_mem::{AddressSpace, MemError, Pod, Ptr};
 use std::cell::{Cell, RefCell};
-use std::sync::Once;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
-
-/// What replaced the evaluation binaries' size knobs.
-const REPRODUCE_SIZES: &str = "`reproduce` has one size table: pass `--small` or `--full`";
-
-/// Variables earlier versions read, each with what replaced it.
-const REMOVED_KNOBS: [(&str, &str); 20] = [
-    (
-        "CUSAN_ASYNC_CHECK",
-        "live checking is inline; `cusan-serve --check-threads` sizes the pool",
-    ),
-    (
-        "CUSAN_CHECK_THREADS",
-        "live checking is inline; `cusan-serve --check-threads` sizes the pool",
-    ),
-    (
-        "CUSAN_FAULTS",
-        "faults are schedule choices: run under an `explore::FaultSchedule`",
-    ),
-    (
-        "CUSAN_BARRIER_TIMEOUT_MS",
-        "deadlocks are detected when every rank is blocked; there is no timeout",
-    ),
-    (
-        "CUSAN_TRACE_FORMAT",
-        "set `ToolConfig::record` or run `replay_trace transcode`",
-    ),
-    ("CUSAN_BENCH_RUNS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_JACOBI_NX", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_JACOBI_NY", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_JACOBI_ITERS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_TEALEAF_NX", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_TEALEAF_NY", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_TEALEAF_STEPS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_RANKS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_FULL", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_FIELD_ELEMS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_ROW_ELEMS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_PACK_ITERS", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_JACOBI2D_N", REPRODUCE_SIZES),
-    ("CUSAN_BENCH_JACOBI2D_ITERS", REPRODUCE_SIZES),
-    (
-        "CUSAN_BENCH_RSS_BASELINE_MB",
-        "`reproduce fig11` prints measured bytes, not a modeled RSS",
-    ),
-];
-
-/// One warning per removed knob among the names of set variables, so a
-/// stale setting says it has no effect instead of silently not having
-/// one.
-fn removed_knob_warnings<'a>(set: impl IntoIterator<Item = &'a str>) -> Vec<String> {
-    set.into_iter()
-        .filter_map(|name| {
-            let (_, instead) = REMOVED_KNOBS.iter().find(|(knob, _)| *knob == name)?;
-            Some(format!(
-                "warning: ignoring {name}: no longer read: {instead}"
-            ))
-        })
-        .collect()
-}
 
 /// Shared per-rank tool state. Not `Send`: each rank thread owns its own.
 pub struct ToolCtx {
@@ -115,19 +54,7 @@ pub struct ToolCtx {
 impl ToolCtx {
     /// Create the context for one rank, configured by `config` alone;
     /// with `config.record` set it records from its first event on.
-    /// The first call in a process warns about any set variable earlier
-    /// versions read (`REMOVED_KNOBS`).
     pub fn new(rank: usize, config: ToolConfig) -> Self {
-        static WARN_REMOVED_KNOBS: Once = Once::new();
-        WARN_REMOVED_KNOBS.call_once(|| {
-            let set = REMOVED_KNOBS
-                .iter()
-                .map(|(name, _)| *name)
-                .filter(|name| std::env::var_os(name).is_some());
-            for line in removed_knob_warnings(set) {
-                eprintln!("{line}");
-            }
-        });
         let session = CheckSession::new(&SessionOptions::new(rank));
         ToolCtx {
             config,
@@ -340,10 +267,16 @@ impl ToolCtx {
         self.with_tsan(|t| t.stats())
     }
 
-    /// Approximate tool heap usage: detector shadow/clocks + TypeART
+    /// Approximate tool heap usage: detector shadow/clocks (when the
+    /// `tsan` layer is on; an idle detector is no tool's memory) + TypeART
     /// tables. Feeds the Fig. 11 reproduction.
     pub fn tool_memory_bytes(&self) -> u64 {
-        self.with_tsan(|t| t.memory_bytes()) + self.typeart.borrow().memory_bytes()
+        let tsan = if self.config.tsan {
+            self.with_tsan(|t| t.memory_bytes())
+        } else {
+            0
+        };
+        tsan + self.typeart.borrow().memory_bytes()
     }
 
     /// Name of a fiber (for diagnostics and tests).
@@ -519,40 +452,5 @@ mod tests {
         assert_eq!(ctx.fiber_name(a), "a2");
         assert_eq!(ctx.fiber_name(c), "c2");
         assert_eq!(ctx.event_counters().fiber_creates, 6);
-    }
-
-    #[test]
-    fn a_removed_knob_warns_by_name() {
-        let set = [
-            "PATH",
-            "CUSAN_CHECK_THREADS",
-            "CUSAN_FAULTS",
-            "CUSAN_BENCH_RUNS",
-            "CUSAN_ASYNC_CHECK",
-            "CUSAN_BARRIER_TIMEOUT_MS",
-            "CUSAN_TRACE_FORMAT",
-            "CUSAN_BENCH_RSS_BASELINE_MB",
-        ];
-        let lines = removed_knob_warnings(set);
-        let names = &set[1..];
-        assert_eq!(lines.len(), names.len(), "{lines:?}");
-        for (line, name) in lines.iter().zip(names) {
-            assert!(
-                line.starts_with(&format!("warning: ignoring {name}: no longer read: ")),
-                "{line:?}"
-            );
-            assert!(!line.contains('\n') && !line.contains("  "), "{line:?}");
-        }
-        assert!(lines[0].ends_with("`cusan-serve --check-threads` sizes the pool"));
-        assert!(lines[1].ends_with("run under an `explore::FaultSchedule`"));
-        assert!(lines[2].ends_with("pass `--small` or `--full`"));
-        assert!(lines[4].ends_with("detected when every rank is blocked; there is no timeout"));
-        assert!(lines[5].contains("`ToolConfig::record`"));
-        assert!(lines[6].contains("measured bytes"));
-        assert!(removed_knob_warnings(["CUSAN_BENCH", "CUSAN_NOT_A_KNOB", "PATH"]).is_empty());
-        assert!(removed_knob_warnings([]).is_empty());
-        for (name, _) in REMOVED_KNOBS {
-            assert_eq!(removed_knob_warnings([name]).len(), 1, "{name}");
-        }
     }
 }

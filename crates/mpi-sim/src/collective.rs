@@ -177,112 +177,6 @@ impl CollShared {
     }
 }
 
-impl CollShared {
-    /// `MPI_Gather`: rank slices concatenated at `root` in rank order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather(
-        &self,
-        rank: usize,
-        root: usize,
-        space: &AddressSpace,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-    ) -> Result<(), MpiError> {
-        assert!(root < self.size, "invalid root {root}");
-        let bytes = count * dtype.size();
-        let mut mine = vec![0u8; bytes as usize];
-        space.read_bytes(send_buf, &mut mine)?;
-        let result = self.run(
-            rank,
-            |contribs| contribs[rank] = Some(mine),
-            |slots| slots.result = Some(concat(&slots.contribs)),
-            |slots| slots.result.clone().expect("result computed"),
-        )?;
-        if rank == root {
-            space.write_bytes(recv_buf, &result)?;
-        }
-        Ok(())
-    }
-
-    /// `MPI_Allgather`: every rank receives the concatenation.
-    pub fn allgather(
-        &self,
-        rank: usize,
-        space: &AddressSpace,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-    ) -> Result<(), MpiError> {
-        let bytes = count * dtype.size();
-        let mut mine = vec![0u8; bytes as usize];
-        space.read_bytes(send_buf, &mut mine)?;
-        let result = self.run(
-            rank,
-            |contribs| contribs[rank] = Some(mine),
-            |slots| slots.result = Some(concat(&slots.contribs)),
-            |slots| slots.result.clone().expect("result computed"),
-        )?;
-        space.write_bytes(recv_buf, &result)?;
-        Ok(())
-    }
-
-    /// `MPI_Scatter`: `root`'s buffer is split into per-rank slices.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scatter(
-        &self,
-        rank: usize,
-        root: usize,
-        space: &AddressSpace,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-    ) -> Result<(), MpiError> {
-        assert!(root < self.size, "invalid root {root}");
-        let slice = count * dtype.size();
-        let mine = if rank == root {
-            let mut data = vec![0u8; (slice * self.size as u64) as usize];
-            space.read_bytes(send_buf, &mut data)?;
-            Some(data)
-        } else {
-            None
-        };
-        let result = self.run(
-            rank,
-            |contribs| {
-                if let Some(data) = mine {
-                    contribs[root] = Some(data);
-                }
-            },
-            |slots| {
-                slots.result = Some(match slots.contribs[root].clone() {
-                    Some(d) => Ok(d),
-                    None => Err(MpiError::BadRequest),
-                });
-            },
-            |slots| slots.result.clone().expect("result computed"),
-        )?;
-        let off = rank as u64 * slice;
-        space.write_bytes(recv_buf, &result[off as usize..(off + slice) as usize])?;
-        Ok(())
-    }
-}
-
-/// Concatenate per-rank contributions in rank order.
-fn concat(contribs: &[Option<Vec<u8>>]) -> Result<Vec<u8>, MpiError> {
-    let mut out = Vec::new();
-    for c in contribs {
-        match c {
-            Some(d) => out.extend_from_slice(d),
-            None => return Err(MpiError::BadRequest),
-        }
-    }
-    Ok(out)
-}
-
 /// Fold the contributions into one reduction result, taking each next
 /// one from the ranks not yet folded. The candidates model the
 /// (unordered) arrival of participants: seq-ascending with signature =
@@ -524,121 +418,5 @@ mod tests {
             // After the barrier every rank must observe all increments.
             assert_eq!(c.load(Ordering::SeqCst), 4);
         });
-    }
-}
-
-#[cfg(test)]
-mod gather_tests {
-    use crate::datatype::MpiDatatype;
-    use crate::world::run_world;
-    use sim_mem::{AddressSpace, MemKind, Ptr};
-    use std::sync::Arc;
-
-    fn space() -> Arc<AddressSpace> {
-        Arc::new(AddressSpace::new())
-    }
-
-    #[test]
-    fn gather_concatenates_in_rank_order() {
-        let sp = space();
-        let n = 4;
-        let send: Vec<Ptr> = (0..n)
-            .map(|r| {
-                let p = sp.alloc_array::<i32>(MemKind::HostPageable, 2).unwrap();
-                sp.write_slice_data::<i32>(p, &[r as i32, 10 * r as i32])
-                    .unwrap();
-                p
-            })
-            .collect();
-        let recv = sp
-            .alloc_array::<i32>(MemKind::HostPageable, 2 * n as u64)
-            .unwrap();
-        let s = send.clone();
-        run_world(n, Arc::clone(&sp), move |comm| {
-            comm.gather(s[comm.rank()], recv, 2, MpiDatatype::Int, 1)
-                .unwrap();
-        });
-        assert_eq!(
-            sp.read_vec::<i32>(recv, 8).unwrap(),
-            vec![0, 0, 1, 10, 2, 20, 3, 30]
-        );
-    }
-
-    #[test]
-    fn allgather_gives_everyone_the_concatenation() {
-        let sp = space();
-        let n = 3;
-        let bufs: Vec<(Ptr, Ptr)> = (0..n)
-            .map(|r| {
-                let s = sp.alloc_array::<f64>(MemKind::HostPageable, 1).unwrap();
-                sp.write_at::<f64>(s, r as f64 + 0.5).unwrap();
-                let d = sp
-                    .alloc_array::<f64>(MemKind::HostPageable, n as u64)
-                    .unwrap();
-                (s, d)
-            })
-            .collect();
-        let b = bufs.clone();
-        run_world(n, Arc::clone(&sp), move |comm| {
-            let (s, d) = b[comm.rank()];
-            comm.allgather(s, d, 1, MpiDatatype::Double).unwrap();
-        });
-        for (_, d) in &bufs {
-            assert_eq!(sp.read_vec::<f64>(*d, 3).unwrap(), vec![0.5, 1.5, 2.5]);
-        }
-    }
-
-    #[test]
-    fn scatter_splits_root_buffer() {
-        let sp = space();
-        let n = 4;
-        let root_buf = sp
-            .alloc_array::<i64>(MemKind::HostPageable, n as u64)
-            .unwrap();
-        sp.write_slice_data::<i64>(root_buf, &[100, 200, 300, 400])
-            .unwrap();
-        let recvs: Vec<Ptr> = (0..n)
-            .map(|_| sp.alloc_array::<i64>(MemKind::HostPageable, 1).unwrap())
-            .collect();
-        let rc = recvs.clone();
-        run_world(n, Arc::clone(&sp), move |comm| {
-            comm.scatter(root_buf, rc[comm.rank()], 1, MpiDatatype::Long, 0)
-                .unwrap();
-        });
-        for (r, p) in recvs.iter().enumerate() {
-            assert_eq!(sp.read_at::<i64>(*p).unwrap(), (r as i64 + 1) * 100);
-        }
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let sp = space();
-        let n = 3;
-        let ins: Vec<Ptr> = (0..n)
-            .map(|r| {
-                let p = sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap();
-                sp.write_at::<i32>(p, r as i32 * 7).unwrap();
-                p
-            })
-            .collect();
-        let mid = sp
-            .alloc_array::<i32>(MemKind::HostPageable, n as u64)
-            .unwrap();
-        let outs: Vec<Ptr> = (0..n)
-            .map(|_| sp.alloc_array::<i32>(MemKind::HostPageable, 1).unwrap())
-            .collect();
-        let (i2, o2) = (ins.clone(), outs.clone());
-        run_world(n, Arc::clone(&sp), move |comm| {
-            comm.gather(i2[comm.rank()], mid, 1, MpiDatatype::Int, 0)
-                .unwrap();
-            comm.scatter(mid, o2[comm.rank()], 1, MpiDatatype::Int, 0)
-                .unwrap();
-        });
-        for (inp, out) in ins.iter().zip(&outs) {
-            assert_eq!(
-                sp.read_at::<i32>(*inp).unwrap(),
-                sp.read_at::<i32>(*out).unwrap()
-            );
-        }
     }
 }

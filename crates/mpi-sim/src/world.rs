@@ -490,68 +490,6 @@ impl Comm {
         )
     }
 
-    /// `MPI_Gather` to `root` (`count` elements contributed per rank;
-    /// root's receive buffer holds `count * size` elements).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather(
-        &self,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-        root: usize,
-    ) -> Result<(), MpiError> {
-        self.shared.coll.gather(
-            self.rank,
-            root,
-            &self.shared.space,
-            send_buf,
-            recv_buf,
-            count,
-            dtype,
-        )
-    }
-
-    /// `MPI_Allgather`.
-    pub fn allgather(
-        &self,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-    ) -> Result<(), MpiError> {
-        self.shared.coll.allgather(
-            self.rank,
-            &self.shared.space,
-            send_buf,
-            recv_buf,
-            count,
-            dtype,
-        )
-    }
-
-    /// `MPI_Scatter` from `root` (root provides `count * size` elements;
-    /// every rank receives `count`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn scatter(
-        &self,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-        root: usize,
-    ) -> Result<(), MpiError> {
-        self.shared.coll.scatter(
-            self.rank,
-            root,
-            &self.shared.space,
-            send_buf,
-            recv_buf,
-            count,
-            dtype,
-        )
-    }
-
     /// `MPI_Bcast` from `root`.
     pub fn bcast(
         &self,

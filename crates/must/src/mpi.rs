@@ -415,105 +415,6 @@ impl CheckedMpi {
         self.comm.reduce(send_buf, recv_buf, count, dtype, op, root)
     }
 
-    /// `MPI_Gather`.
-    pub fn gather(
-        &self,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-        root: usize,
-    ) -> Result<(), MpiError> {
-        self.fault("MPI_Gather")?;
-        self.run_checks("MPI_Gather (send)", send_buf, count, dtype);
-        self.annotate_host(
-            send_buf,
-            count * dtype.size(),
-            false,
-            "MPI_Gather send buffer [read]",
-        );
-        if self.rank() == root {
-            self.run_checks(
-                "MPI_Gather (recv)",
-                recv_buf,
-                count * self.size() as u64,
-                dtype,
-            );
-            self.annotate_host(
-                recv_buf,
-                count * self.size() as u64 * dtype.size(),
-                true,
-                "MPI_Gather recv buffer [write]",
-            );
-        }
-        self.comm.gather(send_buf, recv_buf, count, dtype, root)
-    }
-
-    /// `MPI_Allgather`.
-    pub fn allgather(
-        &self,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-    ) -> Result<(), MpiError> {
-        self.fault("MPI_Allgather")?;
-        self.run_checks("MPI_Allgather (send)", send_buf, count, dtype);
-        self.run_checks(
-            "MPI_Allgather (recv)",
-            recv_buf,
-            count * self.size() as u64,
-            dtype,
-        );
-        self.annotate_host(
-            send_buf,
-            count * dtype.size(),
-            false,
-            "MPI_Allgather send buffer [read]",
-        );
-        self.annotate_host(
-            recv_buf,
-            count * self.size() as u64 * dtype.size(),
-            true,
-            "MPI_Allgather recv buffer [write]",
-        );
-        self.comm.allgather(send_buf, recv_buf, count, dtype)
-    }
-
-    /// `MPI_Scatter`.
-    pub fn scatter(
-        &self,
-        send_buf: Ptr,
-        recv_buf: Ptr,
-        count: u64,
-        dtype: MpiDatatype,
-        root: usize,
-    ) -> Result<(), MpiError> {
-        self.fault("MPI_Scatter")?;
-        if self.rank() == root {
-            self.run_checks(
-                "MPI_Scatter (send)",
-                send_buf,
-                count * self.size() as u64,
-                dtype,
-            );
-            self.annotate_host(
-                send_buf,
-                count * self.size() as u64 * dtype.size(),
-                false,
-                "MPI_Scatter send buffer [read]",
-            );
-        }
-        self.run_checks("MPI_Scatter (recv)", recv_buf, count, dtype);
-        self.annotate_host(
-            recv_buf,
-            count * dtype.size(),
-            true,
-            "MPI_Scatter recv buffer [write]",
-        );
-        self.comm.scatter(send_buf, recv_buf, count, dtype, root)
-    }
-
     /// `MPI_Bcast`.
     pub fn bcast(
         &self,

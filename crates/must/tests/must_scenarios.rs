@@ -479,60 +479,6 @@ fn eight_rank_ring_with_collectives() {
     }
 }
 
-/// Gather/scatter/allgather on device buffers under the full stack: clean
-/// when synchronized, racy when the contribution kernel is pending.
-#[test]
-fn gather_family_device_buffers() {
-    for (sync, expect_race) in [(true, false), (false, true)] {
-        let k = kernels();
-        let reg = Arc::clone(&k.registry);
-        let out = run_checked_world(2, Flavor::MustCusan, reg, move |ctx| {
-            let n = ctx.size() as u64;
-            let s = ctx.cuda.malloc::<f64>(4).unwrap();
-            let g = ctx.cuda.malloc::<f64>(4 * n).unwrap();
-            let ag = ctx.cuda.malloc::<f64>(4 * n).unwrap();
-            let sc = ctx.cuda.malloc::<f64>(4).unwrap();
-            ctx.cuda
-                .launch(
-                    k.fill,
-                    kernel_ir::LaunchGrid::cover(4, 4),
-                    StreamId::DEFAULT,
-                    vec![
-                        kernel_ir::LaunchArg::Ptr(s),
-                        kernel_ir::LaunchArg::F64(ctx.rank() as f64 + 1.0),
-                        kernel_ir::LaunchArg::I64(4),
-                    ],
-                )
-                .unwrap();
-            if sync {
-                ctx.cuda.device_synchronize().unwrap();
-            }
-            ctx.mpi.gather(s, g, 4, MpiDatatype::Double, 0).unwrap();
-            ctx.mpi.allgather(s, ag, 4, MpiDatatype::Double).unwrap();
-            ctx.mpi.scatter(ag, sc, 4, MpiDatatype::Double, 0).unwrap();
-            if sync {
-                let v = ctx
-                    .tools
-                    .host_read_slice::<f64>(&ctx.space(), ag, 4 * n, "verify")
-                    .unwrap();
-                assert_eq!(v[0], 1.0);
-                assert_eq!(v[4], 2.0);
-            }
-        });
-        assert_eq!(
-            out.has_races(),
-            expect_race,
-            "sync={sync}: {:#?}",
-            out.all_races()
-        );
-        assert!(
-            out.all_must_reports().is_empty(),
-            "{:#?}",
-            out.all_must_reports()
-        );
-    }
-}
-
 /// A `Waitany` on receives nobody sends is a deadlock the moment the
 /// only rank blocks: a typed error at once, no timeout. (Observed:
 /// 4–7 µs on a 2-core x86-64 machine; the bound leaves room for a
