@@ -162,3 +162,30 @@ fn fixture_event_mix_matches_tealeaf_shape() {
     // Every MPI request fiber is retired; only the stream fiber survives.
     assert_eq!(creates, destroys + 1);
 }
+
+/// Every deterministic testsuite program recorded under the default
+/// schedule, each rank's trace solo-replayed and its summary JSON
+/// digested: pinned before the session stopped keeping its own copy of
+/// the detector's counts, so the `"counters"` block, every report and
+/// every `TsanStats` field of all 114 rank summaries cannot move a byte.
+#[test]
+fn testsuite_summaries_are_pinned() {
+    use cusan_apps::testsuite::{cases, run_case_scheduled, TIMING_DEPENDENT};
+    use cusan_serve::solo_summary;
+    let mut h = explore::Fnv::new();
+    let mut traces = 0;
+    for case in cases() {
+        if TIMING_DEPENDENT.contains(&case.name) {
+            continue;
+        }
+        let out = run_case_scheduled(&case, explore::SchedulePlan::defaults(2));
+        for rank in &out.ranks {
+            let trace = rank.trace.as_deref().expect("recorded");
+            let summary = solo_summary(trace).expect("recording replays");
+            h.write_str(&summary_to_json(0, &summary));
+            traces += 1;
+        }
+    }
+    assert_eq!(traces, 114);
+    assert_eq!(h.finish(), 8166468559812045289);
+}
