@@ -53,7 +53,6 @@ pub struct CusanCuda {
     dev: CudaDevice,
     tools: Rc<ToolCtx>,
     stream_fibers: HashMap<StreamId, FiberId>,
-    nonblocking: HashSet<StreamId>,
     /// Streams whose sync key holds a cross-stream barrier release that the
     /// stream's own fiber has not yet acquired.
     pending_release: HashSet<StreamId>,
@@ -88,7 +87,6 @@ impl CusanCuda {
             dev,
             tools,
             stream_fibers: HashMap::new(),
-            nonblocking: HashSet::new(),
             pending_release: HashSet::new(),
             kernel_ctx_cache: HashMap::new(),
             ctx_memcpy_src: src,
@@ -194,11 +192,17 @@ impl CusanCuda {
         f
     }
 
+    /// Whether `s` was created `cudaStreamNonBlocking` (the device keeps
+    /// the flag; a stream it does not know is not).
+    fn is_nonblocking(&self, s: StreamId) -> bool {
+        matches!(self.dev.stream_flags(s), Ok(StreamFlags::NonBlocking))
+    }
+
     fn blocking_user_streams(&self) -> Vec<StreamId> {
         self.dev
             .live_streams()
             .into_iter()
-            .filter(|s| !s.is_default() && !self.nonblocking.contains(s))
+            .filter(|&s| !s.is_default() && !self.is_nonblocking(s))
             .collect()
     }
 
@@ -249,7 +253,7 @@ impl CusanCuda {
         // Legacy default-stream logical barriers (Fig. 3). Per-thread
         // default-stream mode (§VI-B) has no implicit barriers.
         let is_legacy_blocking =
-            self.legacy_default() && (s.is_default() || !self.nonblocking.contains(&s));
+            self.legacy_default() && (s.is_default() || !self.is_nonblocking(s));
         if is_legacy_blocking {
             let targets: Vec<StreamId> = if s.is_default() {
                 self.blocking_user_streams()
@@ -379,8 +383,6 @@ impl CusanCuda {
                 len: info.len,
                 ctx: self.ctx_free,
             });
-        }
-        if self.enabled() {
             let _ = self.tools.typeart.borrow_mut().on_free(info.base);
             self.tools.emit(CusanEvent::Free {
                 addr: info.base.addr(),
@@ -402,9 +404,6 @@ impl CusanCuda {
     /// non-blocking attribute (paper §IV-A a).
     pub fn stream_create(&mut self, flags: StreamFlags) -> StreamId {
         let s = self.dev.stream_create(flags);
-        if matches!(flags, StreamFlags::NonBlocking) {
-            self.nonblocking.insert(s);
-        }
         if self.enabled() {
             self.bump(counter_names::CUDA_STREAMS, 1);
             self.fiber_for(s);
@@ -457,7 +456,7 @@ impl CusanCuda {
             return Vec::new();
         }
         let analysis = self.dev.registry().analysis();
-        let attrs = analysis.kernel(kernel).to_vec();
+        let attrs = analysis.kernel(kernel);
         let bounded_cfg = self.config().bounded_tracking;
         let mut out = Vec::new();
         for (i, arg) in args.iter().enumerate() {
@@ -466,7 +465,7 @@ impl CusanCuda {
                 Some(a) if a.any() => *a,
                 _ => continue,
             };
-            let Some(extent) = self.tools.typeart.borrow_mut().extent_of(*p) else {
+            let Some(extent) = self.tools.typeart.borrow().extent_of(*p) else {
                 // Untracked allocation: nothing to annotate (TypeART is the
                 // only source of extents, paper §IV-C).
                 continue;

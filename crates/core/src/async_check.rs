@@ -736,17 +736,19 @@ mod tests {
         let (strings, evs) = event_stream(100);
         let ac = pooled(None);
         feed(&ac, &strings, &evs);
-        let (counters, mirrored, shared) = ac
+        let (stats, counters, mirrored, shared) = ac
             .with_session(|s| {
                 (
+                    s.runtime().stats(),
                     s.counters().clone(),
                     s.strings().len(),
                     s.strings().shared_label(StrId(0)),
                 )
             })
             .unwrap();
-        assert_eq!(counters.write_range_calls, 100);
-        assert_eq!(counters.fiber_switches, 200);
+        assert_eq!(stats.write_range_calls, 100);
+        assert_eq!(stats.fiber_switches, 200);
+        assert_eq!(counters.sync_switches, 100);
         assert_eq!(mirrored, strings.len());
         assert_eq!(shared.as_deref(), Some("stream 1"));
     }

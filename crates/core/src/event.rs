@@ -14,11 +14,17 @@
 //!    detection, offline trace replay ([`crate::trace::replay_stream`])
 //!    and `cusan-serve`, which is what makes replay reproduce live
 //!    results exactly.
-//! 2. **Counters** ([`EventCounters`]) — the session's, derived purely
-//!    from the event stream (including the named CUDA Table-I rows
-//!    carried by [`CusanEvent::CounterBump`]).
+//! 2. **Counters** ([`EventCounters`]) — the session's counts of what the
+//!    detector does not count: the markers (allocations, requests,
+//!    faults, schedule choices), synchronizing switches, and the named
+//!    CUDA Table-I rows carried by [`CusanEvent::CounterBump`].
 //! 3. **The trace recorder** ([`crate::trace::TraceSink`]), when a run
 //!    records.
+//!
+//! Each count has one owner: the detector counts fiber, clock and range
+//! events ([`tsan_rt::TsanStats`]), the session counts markers, and the
+//! simulated device counts CUDA calls ([`cuda_sim::CudaCounters`], which
+//! the `CounterBump` rows mirror so a trace carries them).
 //!
 //! The recorder sees an event *after* the checker has applied it, and
 //! events of one rank are totally ordered (each rank owns its pipeline,
@@ -241,31 +247,15 @@ impl fmt::Display for FiberEventError {
 
 impl std::error::Error for FiberEventError {}
 
-/// Counters derived purely from the event stream (the pipeline's own view
-/// of Table I). The `named` map carries [`CusanEvent::CounterBump`] rows —
-/// the CUDA section of Table I — keyed by counter name.
+/// The session's counts of what the detector does not count: marker
+/// events and synchronizing switches (Table I's fiber, clock and range
+/// rows are the detector's own: [`tsan_rt::TsanStats`]). The `named` map
+/// carries [`CusanEvent::CounterBump`] rows — the CUDA section of Table
+/// I — keyed by counter name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventCounters {
-    /// `FiberCreate` events (host fiber excluded: it is never an event).
-    pub fiber_creates: u64,
-    /// `FiberDestroy` events.
-    pub fiber_destroys: u64,
-    /// All `FiberSwitch` events (Table I: "Switch To Fiber").
-    pub fiber_switches: u64,
     /// `FiberSwitch` events with `sync = true`.
     pub sync_switches: u64,
-    /// `HappensBefore` events (Table I).
-    pub happens_before: u64,
-    /// `HappensAfter` events (Table I).
-    pub happens_after: u64,
-    /// `ReadRange` events (Table I: "Memory Read Range").
-    pub read_range_calls: u64,
-    /// `WriteRange` events (Table I: "Memory Write Range").
-    pub write_range_calls: u64,
-    /// Bytes covered by `ReadRange` events.
-    pub read_bytes: u64,
-    /// Bytes covered by `WriteRange` events.
-    pub write_bytes: u64,
     /// `Alloc` markers.
     pub allocs: u64,
     /// `Free` markers.
@@ -287,24 +277,7 @@ impl EventCounters {
     /// Fold one event into the counters.
     pub fn observe(&mut self, ev: &CusanEvent, strings: &CtxInterner) {
         match *ev {
-            CusanEvent::FiberCreate { .. } => self.fiber_creates += 1,
-            CusanEvent::FiberDestroy { .. } => self.fiber_destroys += 1,
-            CusanEvent::FiberSwitch { sync, .. } => {
-                self.fiber_switches += 1;
-                if sync {
-                    self.sync_switches += 1;
-                }
-            }
-            CusanEvent::HappensBefore { .. } => self.happens_before += 1,
-            CusanEvent::HappensAfter { .. } => self.happens_after += 1,
-            CusanEvent::ReadRange { len, .. } => {
-                self.read_range_calls += 1;
-                self.read_bytes += len;
-            }
-            CusanEvent::WriteRange { len, .. } => {
-                self.write_range_calls += 1;
-                self.write_bytes += len;
-            }
+            CusanEvent::FiberSwitch { sync: true, .. } => self.sync_switches += 1,
             CusanEvent::Alloc { .. } => self.allocs += 1,
             CusanEvent::Free { .. } => self.frees += 1,
             CusanEvent::RequestBegin { .. } => self.requests_begun += 1,
@@ -321,39 +294,13 @@ impl EventCounters {
                     }
                 }
             }
+            _ => {}
         }
     }
 
     /// A named counter's total (0 if never bumped).
     pub fn named(&self, name: &str) -> u64 {
         self.named.get(name).copied().unwrap_or(0)
-    }
-
-    /// Elementwise sum (for aggregating over ranks).
-    pub fn merged(&self, other: &EventCounters) -> EventCounters {
-        let mut named = self.named.clone();
-        for (k, v) in &other.named {
-            *named.entry(k.clone()).or_insert(0) += v;
-        }
-        EventCounters {
-            fiber_creates: self.fiber_creates + other.fiber_creates,
-            fiber_destroys: self.fiber_destroys + other.fiber_destroys,
-            fiber_switches: self.fiber_switches + other.fiber_switches,
-            sync_switches: self.sync_switches + other.sync_switches,
-            happens_before: self.happens_before + other.happens_before,
-            happens_after: self.happens_after + other.happens_after,
-            read_range_calls: self.read_range_calls + other.read_range_calls,
-            write_range_calls: self.write_range_calls + other.write_range_calls,
-            read_bytes: self.read_bytes + other.read_bytes,
-            write_bytes: self.write_bytes + other.write_bytes,
-            allocs: self.allocs + other.allocs,
-            frees: self.frees + other.frees,
-            requests_begun: self.requests_begun + other.requests_begun,
-            requests_completed: self.requests_completed + other.requests_completed,
-            api_faults: self.api_faults + other.api_faults,
-            schedule_choices: self.schedule_choices + other.schedule_choices,
-            named,
-        }
     }
 }
 
@@ -564,18 +511,11 @@ mod tests {
         ] {
             c.observe(&ev, &strings);
         }
-        assert_eq!(c.fiber_switches, 2);
         assert_eq!(c.api_faults, 1);
         assert_eq!(c.sync_switches, 1);
-        assert_eq!(c.read_bytes, 100);
-        assert_eq!(c.write_bytes, 50);
         assert_eq!(c.named(counter_names::CUDA_KERNEL), 3);
         assert_eq!(c.named("cuda.nope"), 0);
         assert_eq!(c.requests_begun, 1);
-        let m = c.merged(&c);
-        assert_eq!(m.read_bytes, 200);
-        assert_eq!(m.named(counter_names::CUDA_KERNEL), 6);
-        assert_eq!(m.api_faults, 2);
     }
 
     #[test]

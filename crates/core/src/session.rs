@@ -5,6 +5,8 @@
 //! [`CtxInterner`] that resolves event string ids, the one match that
 //! translates an event into detector calls, and the per-session
 //! [`EventCounters`] — independent of any particular event producer.
+//! The runtime counts the fiber, clock and range events it applies
+//! ([`TsanStats`]); the session counts only the markers it does not.
 //!
 //! The interner is the session's only label table: every label it takes
 //! is defined in the runtime under the same id, so a range event's
@@ -76,9 +78,11 @@ pub struct SessionSummary {
     pub reports: Vec<RaceReport>,
     /// Races counted pre-dedup ([`TsanRuntime::race_count`]).
     pub race_count: u64,
-    /// Detector-side Table-I counters.
+    /// Detector-side Table-I counters: every fiber, clock and range
+    /// event the session applied.
     pub stats: TsanStats,
-    /// Event-stream-side counters.
+    /// The session's marker counts and named CUDA rows; the fiber, clock
+    /// and range counts are [`Self::stats`]' alone.
     pub counters: EventCounters,
 }
 
@@ -147,12 +151,12 @@ impl CheckSession {
         id
     }
 
-    /// Apply one event: detector first, then the session counters. This
-    /// is the one apply path shared by live checking, trace replay and
-    /// serve's checker pool. A fiber event this session's fiber table
-    /// cannot accept is refused and leaves the session as it was; every
-    /// producer of events it did not make itself — a trace, a socket —
-    /// calls this.
+    /// Apply one event: detector first, then the session's marker
+    /// counts. This is the one apply path shared by live checking, trace
+    /// replay and serve's checker pool. A fiber event this session's
+    /// fiber table cannot accept is refused and leaves the session as it
+    /// was; every producer of events it did not make itself — a trace, a
+    /// socket — calls this.
     pub fn try_apply(&mut self, ev: &CusanEvent) -> Result<(), FiberEventError> {
         self.detect(ev)?;
         self.counters.observe(ev, &self.strings);
@@ -294,7 +298,7 @@ impl CheckSession {
     /// a spill file embeds inline.
     pub fn write_snapshot(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.rank as u64);
-        // Event-stream counters: the scalar fields, then the named rows
+        // Marker counters: the scalar fields, then the named rows
         // (BTreeMap iteration is already sorted).
         let mut counters = self.counters.clone();
         for v in scalar_counters(&mut counters) {
@@ -372,18 +376,9 @@ impl CheckSession {
 
 /// The event counters a session snapshot stores ahead of the named rows,
 /// in layout order.
-fn scalar_counters(c: &mut EventCounters) -> [&mut u64; 16] {
+fn scalar_counters(c: &mut EventCounters) -> [&mut u64; 7] {
     [
-        &mut c.fiber_creates,
-        &mut c.fiber_destroys,
-        &mut c.fiber_switches,
         &mut c.sync_switches,
-        &mut c.happens_before,
-        &mut c.happens_after,
-        &mut c.read_range_calls,
-        &mut c.write_range_calls,
-        &mut c.read_bytes,
-        &mut c.write_bytes,
         &mut c.allocs,
         &mut c.frees,
         &mut c.requests_begun,
@@ -445,8 +440,9 @@ mod tests {
         assert_eq!(sum.race_count, 1);
         assert_eq!(sum.reports.len(), 1);
         assert_eq!(sum.reports[0].previous.ctx, "kernel write");
-        assert_eq!(sum.counters.fiber_switches, 2);
-        assert_eq!(sum.counters.write_bytes, 64);
+        assert_eq!(sum.stats.fiber_switches, 2);
+        assert_eq!(sum.stats.write_bytes, 64);
+        assert_eq!(sum.counters.sync_switches, 1);
         // into_summary agrees with the cloning snapshot.
         assert_eq!(s.into_summary(), sum);
     }

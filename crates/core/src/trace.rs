@@ -1791,7 +1791,7 @@ mod tests {
         assert_eq!(out.reports.len(), 1);
         assert_eq!(out.reports[0].previous.fiber, "cuda stream 0");
         assert_eq!(out.stats.read_range_calls, 1);
-        assert_eq!(out.counters.read_range_calls, 1);
-        assert_eq!(out.counters.fiber_switches, 2);
+        assert_eq!(out.stats.fiber_switches, 2);
+        assert_eq!(out.counters.sync_switches, 1);
     }
 }

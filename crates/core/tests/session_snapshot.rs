@@ -250,7 +250,8 @@ fn v1_session_blob_is_refused_by_version() {
     // the same-state cache, v3 the interner and its context map beside
     // the runtime's own label table, v4 fixed-width fields throughout;
     // from v6 on a one-byte varint (the u32's first byte), v6 the page
-    // budget, v7 the suppression list — none of which exist any more.
+    // budget, v7 the suppression list, v8 the session's own copies of
+    // the detector's counts — none of which exist any more.
     // The one version gate refuses them all before any of the body is
     // interpreted under the current layout.
     let mut blob = fresh().snapshot_bytes();

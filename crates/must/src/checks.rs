@@ -89,7 +89,7 @@ impl fmt::Display for MustReport {
 /// Run the datatype/extent checks for one buffer argument, appending any
 /// findings to `out`.
 pub(crate) fn check_buffer(
-    typeart: &mut TypeartRuntime,
+    typeart: &TypeartRuntime,
     call: &str,
     buf: Ptr,
     count: u64,
@@ -151,10 +151,10 @@ mod tests {
 
     #[test]
     fn compatible_buffer_passes() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Send",
             Ptr(0x1000),
             10,
@@ -166,10 +166,10 @@ mod tests {
 
     #[test]
     fn interior_pointer_with_room_passes() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Send",
             Ptr(0x1000 + 16),
             8,
@@ -181,16 +181,9 @@ mod tests {
 
     #[test]
     fn type_mismatch_reported() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
-        check_buffer(
-            &mut ta,
-            "MPI_Send",
-            Ptr(0x1000),
-            10,
-            MpiDatatype::Int,
-            &mut out,
-        );
+        check_buffer(&ta, "MPI_Send", Ptr(0x1000), 10, MpiDatatype::Int, &mut out);
         assert!(
             matches!(
                 &out[0],
@@ -205,10 +198,10 @@ mod tests {
 
     #[test]
     fn byte_matches_anything() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Send",
             Ptr(0x1000),
             80,
@@ -220,10 +213,10 @@ mod tests {
 
     #[test]
     fn overrun_reported() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Recv",
             Ptr(0x1000),
             11,
@@ -242,10 +235,10 @@ mod tests {
 
     #[test]
     fn overrun_from_interior_pointer() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Recv",
             Ptr(0x1000 + 40),
             6,
@@ -260,10 +253,10 @@ mod tests {
 
     #[test]
     fn unknown_buffer_reported() {
-        let mut ta = TypeartRuntime::new();
+        let ta = TypeartRuntime::new();
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Send",
             Ptr(0x9999),
             1,
@@ -275,10 +268,10 @@ mod tests {
 
     #[test]
     fn misaligned_reported() {
-        let mut ta = rt_with_f64(0x1000, 10);
+        let ta = rt_with_f64(0x1000, 10);
         let mut out = Vec::new();
         check_buffer(
-            &mut ta,
+            &ta,
             "MPI_Send",
             Ptr(0x1003),
             1,

@@ -90,9 +90,8 @@ impl CheckedMpi {
         // The datatype analysis needs TypeART's allocation data; it is
         // active only when both layers run (the MUST & CuSan stack).
         if self.enabled() && self.tools.config.cusan {
-            let mut ta = self.tools.typeart.borrow_mut();
             check_buffer(
-                &mut ta,
+                &self.tools.typeart.borrow(),
                 call,
                 buf,
                 count,

@@ -2,6 +2,12 @@
 //! no serde). This is the product's only JSON writer: the wire format of
 //! an `S` reply and of `cusan-serve check`'s output.
 //!
+//! The `"counters"` object keeps its historical keys: nine of them
+//! (fiber creates, destroys and switches, happens-before/after, the
+//! range calls and bytes) are the detector's counts, printed from the
+//! summary's `stats`; the rest are the session's marker counts and the
+//! named CUDA rows.
+//!
 //! Serialization is deterministic: field order is fixed, reports keep
 //! detection order, and the named counter map is a `BTreeMap`. Two equal
 //! [`SessionSummary`] values therefore always produce byte-identical
@@ -82,6 +88,8 @@ pub fn summary_to_json(session: u64, s: &SessionSummary) -> String {
         t.arena_pages_reused,
         t.arena_slabs_allocated,
     );
+    // `fiber_creates` counts events; the host fiber is created with the
+    // runtime, never by one.
     let c = &s.counters;
     let _ = write!(
         j,
@@ -93,16 +101,16 @@ pub fn summary_to_json(session: u64, s: &SessionSummary) -> String {
          \"allocs\": {}, \"frees\": {}, \
          \"requests_begun\": {}, \"requests_completed\": {}, \"api_faults\": {}, \
          \"named\": {{",
-        c.fiber_creates,
-        c.fiber_destroys,
-        c.fiber_switches,
+        t.fibers_created.saturating_sub(1),
+        t.fibers_destroyed,
+        t.fiber_switches,
         c.sync_switches,
-        c.happens_before,
-        c.happens_after,
-        c.read_range_calls,
-        c.write_range_calls,
-        c.read_bytes,
-        c.write_bytes,
+        t.happens_before,
+        t.happens_after,
+        t.read_range_calls,
+        t.write_range_calls,
+        t.read_bytes,
+        t.write_bytes,
         c.allocs,
         c.frees,
         c.requests_begun,

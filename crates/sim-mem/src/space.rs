@@ -138,12 +138,8 @@ pub struct SpaceStats {
     pub live_bytes: u64,
     /// High-water mark of live bytes.
     pub peak_bytes: u64,
-    /// Currently-live allocation count.
+    /// Currently-live allocation count ([`AddressSpace::live_allocs`]).
     pub live_allocs: u64,
-    /// Total allocations ever made.
-    pub total_allocs: u64,
-    /// Total frees.
-    pub total_frees: u64,
 }
 
 #[derive(Debug, Default)]
@@ -215,8 +211,6 @@ impl AddressSpace {
         let mut st = self.stats.lock();
         st.live_bytes += len;
         st.peak_bytes = st.peak_bytes.max(st.live_bytes);
-        st.live_allocs += 1;
-        st.total_allocs += 1;
         Ok(Ptr(base))
     }
 
@@ -230,10 +224,7 @@ impl AddressSpace {
         let removed = self.table.write().remove(&ptr.0);
         match removed {
             Some(a) => {
-                let mut st = self.stats.lock();
-                st.live_bytes -= a.len;
-                st.live_allocs -= 1;
-                st.total_frees += 1;
+                self.stats.lock().live_bytes -= a.len;
                 Ok(AllocationInfo {
                     base: a.base,
                     len: a.len,
@@ -399,7 +390,10 @@ impl AddressSpace {
 
     /// Current accounting snapshot.
     pub fn stats(&self) -> SpaceStats {
-        *self.stats.lock()
+        SpaceStats {
+            live_allocs: self.live_allocs(),
+            ..*self.stats.lock()
+        }
     }
 
     /// Number of live allocations.
@@ -558,8 +552,7 @@ mod tests {
         assert_eq!(s.stats().peak_bytes, 300);
         s.free(b).unwrap();
         assert_eq!(s.live_allocs(), 0);
-        assert_eq!(s.stats().total_allocs, 2);
-        assert_eq!(s.stats().total_frees, 2);
+        assert_eq!(s.stats().live_allocs, 0);
     }
 
     #[test]

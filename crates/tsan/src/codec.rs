@@ -45,13 +45,14 @@
 
 use std::fmt;
 
-/// Layout version of every snapshot blob and spill file. v8: no
-/// suppression section, and the runtime stores 10 counters (the fiber
-/// counts live in the fiber table alone); v7: no page budget, arena
-/// section, block handles or report cap in the shadow and runtime
-/// sections; v6: one varint codec for every layer (v5 and below: three
-/// fixed-width layouts).
-pub const LAYOUT_VERSION: u64 = 8;
+/// Layout version of every snapshot blob and spill file. v9: a session
+/// stores 7 marker counters (the fiber, clock and range counts are the
+/// runtime's alone); v8: no suppression section, and the runtime stores
+/// 10 counters (the fiber counts live in the fiber table alone); v7: no
+/// page budget, arena section, block handles or report cap in the
+/// shadow and runtime sections; v6: one varint codec for every layer
+/// (v5 and below: three fixed-width layouts).
+pub const LAYOUT_VERSION: u64 = 9;
 
 /// Why bytes could not be decoded. Offsets are relative to the slice the
 /// [`Scanner`] was built on.

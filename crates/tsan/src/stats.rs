@@ -77,31 +77,6 @@ impl TsanStats {
             self.write_bytes as f64 / self.write_range_calls as f64 / 1024.0
         }
     }
-
-    /// Elementwise sum (for aggregating over ranks).
-    pub fn merged(&self, other: &TsanStats) -> TsanStats {
-        TsanStats {
-            fiber_switches: self.fiber_switches + other.fiber_switches,
-            fibers_created: self.fibers_created + other.fibers_created,
-            fibers_destroyed: self.fibers_destroyed + other.fibers_destroyed,
-            happens_before: self.happens_before + other.happens_before,
-            happens_after: self.happens_after + other.happens_after,
-            read_range_calls: self.read_range_calls + other.read_range_calls,
-            write_range_calls: self.write_range_calls + other.write_range_calls,
-            read_bytes: self.read_bytes + other.read_bytes,
-            write_bytes: self.write_bytes + other.write_bytes,
-            races_reported: self.races_reported + other.races_reported,
-            races_deduped: self.races_deduped + other.races_deduped,
-            fastpath_hits: self.fastpath_hits + other.fastpath_hits,
-            page_summaries_stored: self.page_summaries_stored + other.page_summaries_stored,
-            page_unfolds: self.page_unfolds + other.page_unfolds,
-            epoch_fast_acquires: self.epoch_fast_acquires + other.epoch_fast_acquires,
-            epoch_fast_releases: self.epoch_fast_releases + other.epoch_fast_releases,
-            full_clock_joins: self.full_clock_joins + other.full_clock_joins,
-            arena_pages_reused: self.arena_pages_reused + other.arena_pages_reused,
-            arena_slabs_allocated: self.arena_slabs_allocated + other.arena_slabs_allocated,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,22 +101,5 @@ mod tests {
         };
         assert_eq!(s.avg_read_kb(), 2.0);
         assert_eq!(s.avg_write_kb(), 2.0);
-    }
-
-    #[test]
-    fn merged_sums_fields() {
-        let a = TsanStats {
-            happens_before: 3,
-            read_bytes: 10,
-            ..TsanStats::default()
-        };
-        let b = TsanStats {
-            happens_before: 4,
-            read_bytes: 5,
-            ..TsanStats::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.happens_before, 7);
-        assert_eq!(m.read_bytes, 15);
     }
 }

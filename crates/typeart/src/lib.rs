@@ -13,9 +13,14 @@
 //! the paper. The compile-time side is modeled by [`TypeRegistry`], which
 //! assigns stable ids to type layouts in process (the role of the paper's
 //! serialized compile-time type info file; no file is written).
+//!
+//! The runtime keeps no counters: its allocation table is the one record
+//! of what is tracked ([`TypeartRuntime::live_allocs`],
+//! [`TypeartRuntime::memory_bytes`]), and the allocations and frees a
+//! rank made are counted once, as markers in its checker session.
 
 pub mod registry;
 pub mod runtime;
 
 pub use registry::{TypeId, TypeInfo, TypeRegistry};
-pub use runtime::{AllocRecord, TypeQuery, TypeartError, TypeartRuntime, TypeartStats};
+pub use runtime::{AllocRecord, TypeQuery, TypeartError, TypeartRuntime};

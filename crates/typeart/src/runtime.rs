@@ -70,27 +70,11 @@ impl fmt::Display for TypeartError {
 
 impl std::error::Error for TypeartError {}
 
-/// Counters for the runtime (diagnostics + memory accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TypeartStats {
-    /// `on_alloc` events observed.
-    pub allocs: u64,
-    /// `on_free` events observed.
-    pub frees: u64,
-    /// Currently tracked allocations.
-    pub live: u64,
-    /// High-water mark of tracked allocations.
-    pub peak_live: u64,
-    /// Pointer queries served.
-    pub queries: u64,
-}
-
 /// The per-rank TypeART runtime.
 #[derive(Debug)]
 pub struct TypeartRuntime {
     registry: TypeRegistry,
     table: BTreeMap<u64, AllocRecord>,
-    stats: TypeartStats,
 }
 
 impl Default for TypeartRuntime {
@@ -105,7 +89,6 @@ impl TypeartRuntime {
         TypeartRuntime {
             registry: TypeRegistry::new(),
             table: BTreeMap::new(),
-            stats: TypeartStats::default(),
         }
     }
 
@@ -151,27 +134,18 @@ impl TypeartRuntime {
                 kind,
             },
         );
-        self.stats.allocs += 1;
-        self.stats.live += 1;
-        self.stats.peak_live = self.stats.peak_live.max(self.stats.live);
         Ok(())
     }
 
     /// Record a de-allocation callback.
     pub fn on_free(&mut self, base: Ptr) -> Result<AllocRecord, TypeartError> {
-        match self.table.remove(&base.0) {
-            Some(r) => {
-                self.stats.frees += 1;
-                self.stats.live -= 1;
-                Ok(r)
-            }
-            None => Err(TypeartError::UntrackedFree(base)),
-        }
+        self.table
+            .remove(&base.0)
+            .ok_or(TypeartError::UntrackedFree(base))
     }
 
     /// Query the allocation containing `ptr` (Fig. 2 step 4).
-    pub fn query(&mut self, ptr: Ptr) -> Option<TypeQuery> {
-        self.stats.queries += 1;
+    pub fn query(&self, ptr: Ptr) -> Option<TypeQuery> {
         let (_, record) = self.table.range(..=ptr.0).next_back()?;
         if ptr.0 >= record.base.0 + record.bytes {
             return None;
@@ -188,13 +162,8 @@ impl TypeartRuntime {
 
     /// Extent in bytes from `ptr` to the end of its allocation — CuSan's
     /// "allocation size query" used for kernel-argument range annotations.
-    pub fn extent_of(&mut self, ptr: Ptr) -> Option<u64> {
+    pub fn extent_of(&self, ptr: Ptr) -> Option<u64> {
         self.query(ptr).map(|q| q.remaining_bytes())
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> TypeartStats {
-        self.stats
     }
 
     /// Approximate heap bytes of the lookup table (Fig. 11 contribution).
@@ -296,11 +265,7 @@ mod tests {
         ta.on_alloc(Ptr(0x1000), TypeId::F64, 1, dev()).unwrap();
         ta.on_alloc(Ptr(0x2000), TypeId::F64, 1, dev()).unwrap();
         ta.on_free(Ptr(0x1000)).unwrap();
-        let s = ta.stats();
-        assert_eq!(s.allocs, 2);
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.live, 1);
-        assert_eq!(s.peak_live, 2);
+        assert_eq!(ta.live_allocs(), 1);
         assert!(ta.memory_bytes() > 0);
     }
 

@@ -24,9 +24,6 @@ fn table1_relations_hold_exactly() {
     };
     let jacobi = run_jacobi(&jc, Flavor::Cusan).outcome;
     let tealeaf = run_tealeaf(&tc, Flavor::Cusan).outcome;
-    // Every `cudaFree` is a device-wide sync; TeaLeaf frees its buffers at
-    // teardown, the same number on every rank.
-    let teardown_frees = tealeaf.space.total_frees / tc.ranks as u64;
 
     for r in jacobi.ranks.iter().chain(&tealeaf.ranks) {
         let (c, t) = (&r.cuda, &r.tsan);
@@ -48,6 +45,9 @@ fn table1_relations_hold_exactly() {
     }
     for r in &tealeaf.ranks {
         let (c, t) = (&r.cuda, &r.tsan);
+        // Every `cudaFree` is a device-wide sync; TeaLeaf frees its
+        // buffers at teardown.
+        let teardown_frees = r.events.frees;
         assert_eq!(c.streams, 1, "rank {}", r.rank);
         assert_eq!(
             t.happens_before,
