@@ -650,8 +650,14 @@ impl CusanCuda {
         } else {
             "cudaMemcpy2D"
         })?;
+        // Validate the stream and the pitches before annotating: a call
+        // that will fail in the runtime must not leave phantom accesses
+        // in the detector. A width past either pitch is the device's to
+        // refuse (below), before it counts the call.
+        self.dev.stream_flags(stream)?;
+        let fits = width <= dpitch && width <= spitch;
         let mut host_sync = false;
-        if self.enabled() {
+        if self.enabled() && fits {
             let dk = self.dev.pointer_attributes(dst)?.kind;
             let sk = self.dev.pointer_attributes(src)?.kind;
             let resolved = semantics::resolve_copy_kind(kind, dk, sk)?;
@@ -677,9 +683,7 @@ impl CusanCuda {
                 self.stream_op(stream, &[]);
             }
         }
-        // The device rejects a width exceeding either pitch before counting
-        // the call — mirror that ordering.
-        if width <= dpitch && width <= spitch {
+        if fits {
             self.bump(counter_names::CUDA_MEMCPY, 1);
         }
         if is_async {

@@ -300,12 +300,11 @@ impl CheckSession {
         put_varint(buf, self.rank as u64);
         // Marker counters: the scalar fields, then the named rows
         // (BTreeMap iteration is already sorted).
-        let mut counters = self.counters.clone();
-        for v in scalar_counters(&mut counters) {
-            put_varint(buf, *v);
+        for v in scalar_values(&self.counters) {
+            put_varint(buf, v);
         }
-        put_varint(buf, counters.named.len() as u64);
-        for (name, total) in &counters.named {
+        put_varint(buf, self.counters.named.len() as u64);
+        for (name, total) in &self.counters.named {
             put_bytes(buf, name.as_bytes());
             put_varint(buf, *total);
         }
@@ -375,7 +374,21 @@ impl CheckSession {
 }
 
 /// The event counters a session snapshot stores ahead of the named rows,
-/// in layout order.
+/// in layout order, by value (the snapshot writer borrows the session);
+/// [`scalar_counters`] is the same list, writable.
+fn scalar_values(c: &EventCounters) -> [u64; 7] {
+    [
+        c.sync_switches,
+        c.allocs,
+        c.frees,
+        c.requests_begun,
+        c.requests_completed,
+        c.api_faults,
+        c.schedule_choices,
+    ]
+}
+
+/// [`scalar_values`], writable: what the snapshot reader fills in.
 fn scalar_counters(c: &mut EventCounters) -> [&mut u64; 7] {
     [
         &mut c.sync_switches,
@@ -401,6 +414,15 @@ fn range_ctx(id: StrId) -> Result<CtxId, FiberEventError> {
 mod tests {
     use super::*;
     use tsan_rt::FiberId;
+
+    #[test]
+    fn the_scalar_counter_lists_line_up() {
+        let mut c = EventCounters::default();
+        for (i, v) in scalar_counters(&mut c).into_iter().enumerate() {
+            *v = i as u64 + 1;
+        }
+        assert_eq!(scalar_values(&c), [1, 2, 3, 4, 5, 6, 7]);
+    }
 
     fn race_session() -> CheckSession {
         // The Fig. 6B pattern through the session apply path.

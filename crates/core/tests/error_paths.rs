@@ -7,7 +7,7 @@
 //! full detector-visible state (TSan counters, race count, event-pipeline
 //! counters) around a failing call and asserts bit-for-bit equality.
 
-use cuda_sim::{EventId, StreamFlags, StreamId};
+use cuda_sim::{CopyKind, EventId, StreamFlags, StreamId};
 use cusan::{CusanCuda, EventCounters, Flavor, ToolCtx};
 use explore::{ChoiceKind, FaultSchedule, ScheduleController, SchedulePlan};
 use kernel_ir::ast::ScalarTy;
@@ -120,6 +120,60 @@ fn launch_on_destroyed_stream_leaves_detector_unchanged() {
         before,
         "failed launch must record no kernel accesses"
     );
+}
+
+#[test]
+fn failing_2d_copies_leave_detector_unchanged() {
+    // A blocking or async 2-D copy onto a destroyed stream, or with a
+    // width past either pitch, returns its error before any fiber
+    // switch, range or happens-before edge.
+    let mut w = world();
+    let d = w.cuda.malloc::<f64>(64).unwrap();
+    let h = w.cuda.malloc::<f64>(64).unwrap();
+    let s = w.cuda.stream_create(StreamFlags::Default);
+    w.cuda.stream_destroy(s).unwrap();
+    let live = w.cuda.stream_create(StreamFlags::Default);
+    let before = snapshot(&w);
+    let is_stream_error = |e: &cuda_sim::CudaError| {
+        matches!(
+            e,
+            cuda_sim::CudaError::InvalidStream(_) | cuda_sim::CudaError::StreamDestroyed(_)
+        )
+    };
+    let err = w
+        .cuda
+        .memcpy_2d_async(d, 64, h, 64, 64, 4, CopyKind::Default, s)
+        .unwrap_err();
+    assert!(
+        is_stream_error(&err),
+        "async onto a destroyed stream: {err}"
+    );
+    assert_eq!(snapshot(&w), before, "async onto a destroyed stream");
+    for (dpitch, spitch) in [(32, 64), (64, 32)] {
+        let err = w
+            .cuda
+            .memcpy_2d(d, dpitch, h, spitch, 64, 4, CopyKind::Default)
+            .unwrap_err();
+        assert!(
+            matches!(err, cuda_sim::CudaError::InvalidCopyKind { .. }),
+            "width past a pitch: {err}"
+        );
+        assert_eq!(snapshot(&w), before, "blocking, pitches {dpitch}/{spitch}");
+        let err = w
+            .cuda
+            .memcpy_2d_async(d, dpitch, h, spitch, 64, 4, CopyKind::Default, live)
+            .unwrap_err();
+        assert!(
+            matches!(err, cuda_sim::CudaError::InvalidCopyKind { .. }),
+            "width past a pitch: {err}"
+        );
+        assert_eq!(snapshot(&w), before, "async, pitches {dpitch}/{spitch}");
+    }
+    // The same copy within its pitches annotates.
+    w.cuda
+        .memcpy_2d_async(d, 64, h, 64, 64, 4, CopyKind::Default, live)
+        .unwrap();
+    assert_ne!(snapshot(&w), before, "a good 2-D copy annotates");
 }
 
 #[test]

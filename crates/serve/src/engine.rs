@@ -28,85 +28,92 @@
 //! exceeds it the least-recently-touched ones are dropped from memory.
 //! A session whose journal (below) holds at most [`JOURNAL_ONLY_SPILL`]
 //! bytes — every testsuite-sized one — keeps nothing else: replaying
-//! that journal costs less than a snapshot's round trip through a file.
-//! A larger one is first serialized to `spill_dir` as
-//! `session-<id>.spill`: its magic, the one
-//! [`tsan_rt::codec::LAYOUT_VERSION`], the acked offset, the ingest's
-//! sections inline ([`crate::SessionIngest::spill_to`]) and a checksum of
-//! every byte after the magic — the offset included, since a restore
-//! replays the journal from it. The next frame for a spilled session
-//! transparently restores it from the spill file plus the journal past
-//! it, or from the journal alone; both are exact (the spill codec takes
-//! canonical snapshots of the full detector state, and replay is
-//! deterministic), so a spilled-and-restored session finishes with
-//! bit-for-bit the same summary as one that stayed resident — asserted
-//! by the differential tests and the chaos soak.
+//! that journal costs less than a snapshot's round trip through the
+//! store. A larger one is first written to the spill directory's
+//! session store ([`crate::store`]) as a snapshot record: the one
+//! [`tsan_rt::codec::LAYOUT_VERSION`], the acked offset and the ingest's
+//! sections inline ([`crate::SessionIngest::spill_to`]), checksummed
+//! with the offset — a restore replays the journal from it. The next
+//! frame for a spilled session transparently restores it from its
+//! newest snapshot plus the journal past it, or from the journal alone;
+//! both are exact (the snapshot codec takes canonical snapshots of the
+//! full detector state, and replay is deterministic), so a
+//! spilled-and-restored session finishes with bit-for-bit the same
+//! summary as one that stayed resident — asserted by the differential
+//! tests and the chaos soak.
 //!
 //! ## Journals and restart recovery
 //!
 //! With `spill_dir` set, every accepted session byte is also appended to
-//! an on-disk journal **before any ack, detach or spill**: accepted
-//! bytes collect in a per-session write-behind buffer that is written
-//! out before every point at which an offset leaves the process (an `A`
-//! reply — [`ServeEngine::resume`], [`ServeEngine::touch`]) or the
-//! session leaves its connection ([`ServeEngine::detach`],
+//! the store as a journal record **before any ack, detach or spill**:
+//! accepted bytes collect in a per-session write-behind buffer that is
+//! written out before every point at which an offset leaves the process
+//! (an `A` reply — [`ServeEngine::resume`], [`ServeEngine::touch`]) or
+//! the session leaves its connection ([`ServeEngine::detach`],
 //! [`ServeEngine::spill_session`]), and whenever it reaches
 //! [`JOURNAL_WRITE_BEHIND`]. So no byte is ever acked unless a restarted
 //! server can re-derive it from disk, and a crash costs an uploader
 //! that never asked for an ack at most that many bytes of re-send. A
 //! session that opens, streams and closes on one connection without
-//! asking touches no file at all. The engine records which of its two
-//! files each session has, so ending a session unlinks only those and a
-//! restore reads a spill file only where one was written. A restarted
-//! server ([`ServeEngine::recover`]) re-registers every journaled
-//! session as spilled, its acked offset the journal's length, and —
-//! not knowing which spilled with a file — tries both; the first frame
-//! restores it from the latest spill (if any) plus the journal tail — or
+//! asking writes nothing, and a process whose sessions all do never
+//! creates the store. Ending a session (close, expiry, a fatal error)
+//! retires its records, if it has any: an `end` record makes them dead
+//! bytes for the store's compaction, and when no other session has
+//! records the file is cut back to its magic instead. A restarted server
+//! ([`ServeEngine::recover`]) walks the store once, cuts off a torn or
+//! damaged final record, and re-registers every unfinished session as
+//! spilled, its acked offset the length of its journal; the first frame
+//! restores it from its newest snapshot plus the journal tail — or
 //! replays the whole journal when it spilled as its journal, when the
-//! process died before ever spilling, or while writing the spill: the
-//! journal holds `[0, acked)` before any spill starts, so a spill file
-//! of another layout version, one whose checksum does not match or one
-//! that does not decode (a positioned [`tsan_rt::DecodeError`]) is
-//! logged, discarded and rebuilt from journal byte 0. A directory entry that
-//! cannot be read is logged and skipped. Clients learn the recovered
-//! acked offset from the `R` handshake and replay the rest.
+//! process died before ever spilling, or while writing the snapshot: the
+//! journal holds `[0, acked)` before any snapshot is written, so a
+//! snapshot record of another layout version, one whose checksum does
+//! not match or one that does not decode (a positioned
+//! [`tsan_rt::DecodeError`]) is logged, forgotten and rebuilt from
+//! journal byte 0. Per-session files an older binary left in the
+//! directory are logged and left in place, not recovered. Clients learn
+//! the recovered acked offset from the `R` handshake and replay the rest.
 
 use crate::ingest::SessionIngest;
 use crate::labels::SharedLabels;
+use crate::store::{self, SnapshotRecord, Store};
 use cusan::{CheckerPool, SessionSummary};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-use tsan_rt::codec::{put_header, put_varint, DecodeError, Scanner};
 
-/// Magic prefix of an on-disk session spill file; the layout version
-/// ([`tsan_rt::codec::LAYOUT_VERSION`]) follows it. A file of another
-/// version is discarded and the session rebuilt from its journal.
-const SPILL_MAGIC: &[u8; 8] = b"cusanspl";
-
-/// Accepted bytes a session may hold back from its journal file between
-/// acks. It bounds both the re-send a crash costs a client that never
-/// asked for an ack and the memory an attached session adds; at the
-/// clients' 4 KiB frames it turns sixteen open/write/close rounds into
-/// one.
+/// Accepted bytes a session may hold back from the store between acks.
+/// It bounds both the re-send a crash costs a client that never asked
+/// for an ack and the memory an attached session adds. The write it
+/// saves is now an append to the open store (ext4 on a 2-thread VM:
+/// ≈ 2.6 µs for 4 KiB, ≈ 15 µs for 64 KiB, against ≈ 13 µs to create,
+/// append to and close a per-session file and ≈ 8 µs to unlink it, as
+/// the journal cost before the store), so at the clients' 4 KiB
+/// frames it turns sixteen ≈ 2.6 µs appends into one ≈ 15 µs one; the
+/// bound on re-send and memory, not the write, sets the value, which
+/// stays.
 pub const JOURNAL_WRITE_BEHIND: usize = 64 << 10;
 
-/// Journal bytes up to which a spilled session keeps no spill file: its
+/// Journal bytes up to which a spilled session writes no snapshot: its
 /// in-memory state is dropped and the next frame replays the journal
 /// through a fresh ingest. That replay grows with the journal, while a
-/// spill file costs a round trip (encode, write, read, decode, one more
-/// unlink) that is mostly fixed. The value is the break-even, measured
-/// per session on the ledger's corpus spilled three quarters in (two
-/// hardware threads, ext4): a testsuite session with a 0.3 KB journal
-/// finishes ≈ 23 µs sooner spilled as its journal (≈ 43 against 66 µs),
-/// one with 1.4 KB ≈ 11 µs sooner; the saving shrinks by ≈ 10 µs per KiB
-/// and reaches zero near 2.4 KB. The smallest app session (Jacobi
-/// 256×128, 4.7 KB at the detach point, large ranges) would finish
-/// ≈ 120 µs later.
+/// snapshot costs a round trip (encode, append, `pread`, decode) that is
+/// mostly fixed. With the store the file-system part of that round trip
+/// fell from ≈ 50–80 µs (create, write, read, unlink per session) to a
+/// few µs, and the ledger's `serve.engine.spill_us` / `restore_us` from
+/// ≈ 49 / 25 µs to ≈ 30 / 17 µs (medians of four same-seed traced
+/// `serve-spill` runs per side); what is left is the codec, which still
+/// costs a small session more than replaying its journal. Measured on
+/// `serve-spill` with the store (80 corpus sessions spilled three
+/// quarters in, one pinned thread, ext4, four alternating 8 s pairs):
+/// writing a snapshot for every spill (this constant at 0) read
+/// `overhead_x` 1.22–1.24 against 1.16–1.19 at 2 KiB, so the value
+/// stays. (The earlier
+/// per-session measurement: a 0.3 KB journal finished ≈ 23 µs sooner
+/// spilled as its journal, the saving shrinking by ≈ 10 µs per KiB.)
 pub const JOURNAL_ONLY_SPILL: usize = 2 << 10;
 
 /// Engine-wide configuration.
@@ -123,8 +130,9 @@ pub struct EngineConfig {
     /// Cap on concurrently open (unfinished) sessions; opens beyond it
     /// get a typed capacity error (`None`: unlimited).
     pub max_sessions: Option<usize>,
-    /// Directory for session spill files and byte journals (`None`:
-    /// spilling and restart recovery disabled).
+    /// Directory of the session store, which holds every session's
+    /// journal and spill snapshots (`None`: spilling and restart
+    /// recovery disabled).
     pub spill_dir: Option<PathBuf>,
     /// Detached sessions idle longer than this are expired by
     /// [`ServeEngine::sweep_idle`] (`None`: never expire).
@@ -146,8 +154,8 @@ pub struct ServeStats {
     pub labels_shared: u64,
     /// `R` attaches to an already-existing session (reconnects).
     pub sessions_resumed: u64,
-    /// Unfinished sessions spilled under the live budget (to a spill
-    /// file, or as their journal alone).
+    /// Unfinished sessions spilled under the live budget (as a snapshot
+    /// record, or as their journal alone).
     pub sessions_spilled: u64,
     /// Spilled/journaled sessions transparently restored on a frame.
     pub sessions_restored: u64,
@@ -230,31 +238,19 @@ struct LiveSession {
     /// Last frame/attach/detach, for idle expiry and spill ordering.
     last_touch: Instant,
     /// Write-behind journal buffer: the accepted bytes
-    /// `[acked - journal_tail.len(), acked)` the journal file does not
-    /// hold yet. Empty whenever the session is spilled.
+    /// `[acked - journal_tail.len(), acked)` the store does not hold
+    /// yet. Empty whenever the session is spilled.
     journal_tail: Vec<u8>,
-    /// Which of its files the session may have on disk.
-    files: DiskFiles,
-}
-
-/// Which of a session's two files may exist: ending the session unlinks
-/// only these, and a restore reads a spill file only if one may exist.
-/// A session found by [`ServeEngine::recover`] may have either.
-#[derive(Clone, Copy, Default)]
-struct DiskFiles {
-    journal: bool,
-    spill: bool,
 }
 
 impl LiveSession {
-    fn new(state: LiveState, acked: u64, attach_count: usize, files: DiskFiles) -> LiveSession {
+    fn new(state: LiveState, acked: u64, attach_count: usize) -> LiveSession {
         LiveSession {
             state,
             acked,
             attach_count,
             last_touch: Instant::now(),
             journal_tail: Vec::new(),
-            files,
         }
     }
 }
@@ -281,6 +277,9 @@ pub struct ServeEngine {
     /// session's feed from serializing every other connection; the
     /// outer lock covers only map shape changes and lookups.
     live: Mutex<HashMap<u64, Arc<Mutex<LiveSession>>>>,
+    /// The session store of `spill_dir` (`None` without one). Taken
+    /// inside a session's lock, never the other way round.
+    store: Option<Mutex<Store>>,
     /// Self-reference so `&self` methods can hand fresh ingests the
     /// `Arc` their constructors take (engines only exist inside an
     /// `Arc`). Ingests keep it weak too, so the registry below holding
@@ -291,14 +290,18 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// Engine with a private checker pool (never the global one: a serve
-    /// process pins its own worker policy).
+    /// process pins its own worker policy). With a `spill_dir`, the first
+    /// write replaces any store a previous process left there;
+    /// [`ServeEngine::recover`] keeps it.
     pub fn new(config: EngineConfig) -> Arc<ServeEngine> {
         if let Some(dir) = &config.spill_dir {
             // Best-effort: feed/spill report real errors with context.
             let _ = fs::create_dir_all(dir);
         }
+        let store = config.spill_dir.clone().map(|d| Mutex::new(Store::new(d)));
         Arc::new_cyclic(|me| ServeEngine {
             pool: CheckerPool::new(config.check_threads),
+            store,
             config,
             labels: SharedLabels::new(),
             state: Mutex::new(EngineState::default()),
@@ -307,49 +310,27 @@ impl ServeEngine {
         })
     }
 
-    /// [`ServeEngine::new`], then re-register every session whose
-    /// journal survives in `spill_dir` — the restarted-server path.
-    /// Recovered sessions sit on disk until their first frame (restore
-    /// is lazy); their acked offset is the journal length, so a resuming
-    /// client replays exactly the lost tail. A directory entry that
-    /// cannot be read (a dangling symlink, say) is logged and skipped:
-    /// it costs its own session, not the restart.
+    /// [`ServeEngine::new`], then re-register every unfinished session
+    /// the store in `spill_dir` holds — the restarted-server path. The
+    /// store is walked once; a torn or damaged record is cut off with
+    /// everything after it (see [`crate::store`]). Recovered sessions sit
+    /// on disk until their first frame (restore is lazy); their acked
+    /// offset is their journal's length, so a resuming client replays
+    /// exactly the lost tail.
     pub fn recover(config: EngineConfig) -> std::io::Result<Arc<ServeEngine>> {
         let engine = ServeEngine::new(config);
         let Some(dir) = engine.config.spill_dir.clone() else {
             return Ok(engine);
         };
+        let (store, sessions) = Store::recover(dir)?;
+        *engine
+            .store
+            .as_ref()
+            .expect("a spill dir has a store")
+            .lock() = store;
         let mut live = engine.live.lock();
-        for entry in fs::read_dir(&dir)? {
-            let path = match entry {
-                Ok(entry) => entry.path(),
-                Err(e) => {
-                    eprintln!("cusan-serve: recovering {}: {e}; skipped", dir.display());
-                    continue;
-                }
-            };
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let Some(id) = name
-                .strip_prefix("session-")
-                .and_then(|n| n.strip_suffix(".journal"))
-                .and_then(|n| n.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let acked = match fs::metadata(&path) {
-                Ok(meta) => meta.len(),
-                Err(e) => {
-                    eprintln!("cusan-serve: recovering {}: {e}; skipped", path.display());
-                    continue;
-                }
-            };
-            // Whether the previous process left a spill file is unknown:
-            // the restore tries it.
-            let files = DiskFiles {
-                journal: true,
-                spill: true,
-            };
-            let session = LiveSession::new(LiveState::Spilled, acked, 0, files);
+        for (id, acked) in sessions {
+            let session = LiveSession::new(LiveState::Spilled, acked, 0);
             live.insert(id, Arc::new(Mutex::new(session)));
         }
         drop(live);
@@ -371,30 +352,10 @@ impl ServeEngine {
         self.live.lock().len()
     }
 
-    fn spill_path(&self, id: u64) -> Option<PathBuf> {
-        self.config
-            .spill_dir
-            .as_ref()
-            .map(|d| d.join(format!("session-{id}.spill")))
-    }
-
-    fn journal_path(&self, id: u64) -> Option<PathBuf> {
-        self.config
-            .spill_dir
-            .as_ref()
-            .map(|d| d.join(format!("session-{id}.journal")))
-    }
-
-    fn remove_disk_state(&self, id: u64, files: DiskFiles) {
-        if files.spill {
-            if let Some(p) = self.spill_path(id) {
-                let _ = fs::remove_file(p);
-            }
-        }
-        if files.journal {
-            if let Some(p) = self.journal_path(id) {
-                let _ = fs::remove_file(p);
-            }
+    /// Retire session `id`'s records, if it has any.
+    fn end_on_disk(&self, id: u64) {
+        if let Some(store) = &self.store {
+            store.lock().end(id);
         }
     }
 
@@ -425,7 +386,7 @@ impl ServeEngine {
         }
         let ingest = SessionIngest::new(self.self_arc());
         let state = LiveState::Resident(Box::new(ingest));
-        let session = LiveSession::new(state, 0, 1, DiskFiles::default());
+        let session = LiveSession::new(state, 0, 1);
         live.insert(id, Arc::new(Mutex::new(session)));
         Ok(())
     }
@@ -488,31 +449,21 @@ impl ServeEngine {
         Ok(s.acked)
     }
 
-    /// Write session `id`'s write-behind buffer to its journal file.
-    /// Every path that lets an offset out of the process, or the session
-    /// off its connection, calls this first (see the module docs). A
-    /// failed write leaves the file at its previous length and the
-    /// buffer intact, so a retry cannot duplicate bytes.
+    /// Append session `id`'s write-behind buffer to the store as a
+    /// journal record. Every path that lets an offset out of the
+    /// process, or the session off its connection, calls this first (see
+    /// the module docs). A failed write leaves the store at its previous
+    /// length and the buffer intact, so a retry cannot duplicate bytes.
     fn flush_journal(&self, id: u64, s: &mut LiveSession) -> Result<(), String> {
         if s.journal_tail.is_empty() {
             return Ok(());
         }
-        let path = self
-            .journal_path(id)
+        let store = self
+            .store
+            .as_ref()
             .expect("bytes are only buffered with a spill dir");
         let held = s.acked - s.journal_tail.len() as u64;
-        // Set first: a failed write may still have created the file.
-        s.files.journal = true;
-        fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| {
-                f.write_all(&s.journal_tail).inspect_err(|_| {
-                    let _ = f.set_len(held);
-                })
-            })
-            .map_err(|e| format!("journal {}: {e}", path.display()))?;
+        store.lock().append_journal(id, held, &s.journal_tail)?;
         // Released, not cleared: idle sessions outnumber streaming ones.
         s.journal_tail = Vec::new();
         Ok(())
@@ -575,7 +526,7 @@ impl ServeEngine {
             // spill — writes the journal first, so a byte is never acked
             // (and thus skipped by a resuming client) unless a restarted
             // server can re-derive it from disk.
-            if self.config.spill_dir.is_some() {
+            if self.store.is_some() {
                 s.journal_tail.extend_from_slice(chunk);
                 if s.journal_tail.len() >= JOURNAL_WRITE_BEHIND {
                     fed = self.flush_journal(id, &mut s);
@@ -592,7 +543,7 @@ impl ServeEngine {
         }
     }
 
-    /// Close session `id`: restore it if spilled, clear its disk state,
+    /// Close session `id`: restore it if spilled, retire its records,
     /// and consume it into its summary.
     pub fn close(&self, id: u64) -> Result<SessionSummary, String> {
         let sess = {
@@ -600,18 +551,15 @@ impl ServeEngine {
             live.remove(&id).ok_or("session not open")?
         };
         let mut s = sess.lock();
-        // A session that cannot be restored is gone either way; its files
-        // must not outlive it for `recover` to re-register.
-        if let Err(e) = self.ensure_resident(id, &mut s) {
-            self.remove_disk_state(id, s.files);
-            return Err(e);
-        }
-        let state = std::mem::replace(&mut s.state, LiveState::Spilled);
+        // A session that cannot be restored is gone either way; its
+        // records must not outlive it for `recover` to re-register.
+        let restored = self.ensure_resident(id, &mut s);
+        self.end_on_disk(id);
+        restored?;
         // Bytes still in the write-behind buffer die with the session: a
         // closed session has nothing left to recover.
-        let files = s.files;
+        let state = std::mem::replace(&mut s.state, LiveState::Spilled);
         drop(s);
-        self.remove_disk_state(id, files);
         let LiveState::Resident(ingest) = state else {
             unreachable!("ensure_resident restored the session");
         };
@@ -641,65 +589,52 @@ impl ServeEngine {
         if matches!(s.state, LiveState::Resident(_)) {
             return Ok(());
         }
+        let store = self.store.as_ref().ok_or("spilled without a spill dir")?;
         let engine = self.self_arc();
-        // No spill file (a journal-only spill, or a crash before any
+        // No snapshot (a journal-only spill, or a crash before any
         // spill): the journal alone rebuilds the session from byte zero.
-        let (mut ingest, restored_to) = match self.read_spill_file(&engine, id, s)? {
+        let (mut ingest, restored_to) = match self.restore_snapshot(store, &engine, id, s.acked) {
             Some(restored) => restored,
             None => (SessionIngest::new(engine), 0),
         };
-        // Replay the journal past the spill (all of it without one).
+        // Replay the journal past the snapshot (all of it without one).
         if restored_to < s.acked {
-            let journal_path = self.journal_path(id).ok_or("journaling disabled")?;
-            let journal =
-                fs::read(&journal_path).map_err(|e| format!("{}: {e}", journal_path.display()))?;
-            if (journal.len() as u64) < s.acked {
-                return Err(format!(
-                    "journal holds {} of {} acked bytes",
-                    journal.len(),
-                    s.acked
-                ));
-            }
-            ingest.feed(&journal[restored_to as usize..s.acked as usize])?;
+            let journal = store.lock().read_journal(id, restored_to, s.acked)?;
+            ingest.feed(&journal)?;
         }
         s.state = LiveState::Resident(Box::new(ingest));
         self.state.lock().sessions_restored += 1;
         Ok(())
     }
 
-    /// The ingest in session `id`'s spill file and the offset it was
-    /// taken at, or `None` when there is no file to restore from: none
-    /// written, none on disk, or one that does not decode. A spill cut
-    /// short (killed mid-write, disk full) or damaged is logged and
-    /// deleted, since the journal held `[0, acked)` before it began.
-    fn read_spill_file(
+    /// The ingest in session `id`'s newest snapshot and the offset it was
+    /// taken at, or `None` when there is none to restore from: none
+    /// written, or one that cannot be read or does not decode. A snapshot
+    /// cut short (killed mid-write, disk full) or damaged is logged and
+    /// forgotten, since the journal held `[0, acked)` before it was
+    /// written. Decoding holds no lock but the session's.
+    fn restore_snapshot(
         &self,
+        store: &Mutex<Store>,
         engine: &Arc<ServeEngine>,
         id: u64,
-        s: &mut LiveSession,
-    ) -> Result<Option<(SessionIngest, u64)>, String> {
-        if !s.files.spill {
-            return Ok(None);
-        }
-        let spill_path = self.spill_path(id).ok_or("spilled without a spill dir")?;
-        let blob = match fs::read(&spill_path) {
-            Ok(blob) => blob,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                s.files.spill = false;
-                return Ok(None);
-            }
-            Err(e) => return Err(format!("{}: {e}", spill_path.display())),
-        };
-        match restore_spill_file(engine, &blob, s.acked) {
-            Ok(restored) => Ok(Some(restored)),
+        acked: u64,
+    ) -> Option<(SessionIngest, u64)> {
+        let record = store.lock().snapshot(id)?;
+        let restored = record.map_err(|e| e.to_string()).and_then(|record| {
+            store::decode_snapshot(&record, acked, |s| {
+                SessionIngest::restore(Arc::clone(engine), s)
+            })
+            .map_err(|e| e.to_string())
+        });
+        match restored {
+            Ok(restored) => Some(restored),
             Err(e) => {
                 eprintln!(
-                    "cusan-serve: session {id}: {}: {e}; rebuilding from the journal",
-                    spill_path.display()
+                    "cusan-serve: session {id}: snapshot record: {e}; rebuilding from the journal"
                 );
-                let _ = fs::remove_file(&spill_path);
-                s.files.spill = false;
-                Ok(None)
+                store.lock().drop_snapshot(id);
+                None
             }
         }
     }
@@ -708,12 +643,11 @@ impl ServeEngine {
     /// Returns whether it was spilled. A session whose journal holds at
     /// most [`JOURNAL_ONLY_SPILL`] bytes is spilled by dropping its
     /// in-memory state: the journal is its spill. A larger one writes a
-    /// spill file. Public for tests and operational tooling; budget
+    /// snapshot record. Public for tests and operational tooling; budget
     /// pressure calls it internally.
     pub fn spill_session(&self, id: u64) -> Result<bool, String> {
-        let spill_path = match self.spill_path(id) {
-            Some(p) => p,
-            None => return Ok(false),
+        let Some(store) = &self.store else {
+            return Ok(false);
         };
         let Some(sess) = self.lookup(id) else {
             return Ok(false);
@@ -722,8 +656,8 @@ impl ServeEngine {
         if s.attach_count > 0 || matches!(s.state, LiveState::Spilled) {
             return Ok(false);
         }
-        // The spill file records `acked`; the journal must reach it
-        // first, because recovery takes the journal's length for it.
+        // The snapshot records `acked`; the journal must reach it first,
+        // because recovery takes the journal's length for it.
         self.flush_journal(id, &mut s)?;
         let LiveState::Resident(ingest) = std::mem::replace(&mut s.state, LiveState::Spilled)
         else {
@@ -733,10 +667,8 @@ impl ServeEngine {
         if acked <= JOURNAL_ONLY_SPILL as u64 {
             drop(ingest);
         } else {
-            let file = encode_spill_file(acked, *ingest)?;
-            // Set first: a failed write may still have created the file.
-            s.files.spill = true;
-            fs::write(&spill_path, file).map_err(|e| format!("{}: {e}", spill_path.display()))?;
+            let record = SnapshotRecord::build(id, acked, |buf| ingest.spill_to(buf))?;
+            store.lock().append_snapshot(record)?;
         }
         drop(s);
         self.state.lock().sessions_spilled += 1;
@@ -749,7 +681,7 @@ impl ServeEngine {
         let Some(budget) = self.config.live_page_budget else {
             return;
         };
-        if self.config.spill_dir.is_none() {
+        if self.store.is_none() {
             return;
         }
         // Snapshot candidates without holding the registry lock across
@@ -789,7 +721,7 @@ impl ServeEngine {
     }
 
     /// Expire detached sessions idle longer than the configured timeout
-    /// (their disk state is removed too — an expired session is gone).
+    /// (their records are retired too — an expired session is gone).
     /// Returns how many were expired. No-op without an `idle_timeout`.
     pub fn sweep_idle(&self) -> usize {
         let Some(timeout) = self.config.idle_timeout else {
@@ -829,8 +761,10 @@ impl ServeEngine {
                 }
             };
             if let Some(sess) = removed {
-                let files = sess.lock().files;
-                self.remove_disk_state(id, files);
+                // Under the session's lock: a frame that got hold of it
+                // before the removal journals before the end record.
+                let _s = sess.lock();
+                self.end_on_disk(id);
                 self.state.lock().sessions_expired += 1;
                 n += 1;
             }
@@ -842,8 +776,8 @@ impl ServeEngine {
     fn drop_session(&self, id: u64) {
         let removed = self.live.lock().remove(&id);
         if let Some(sess) = removed {
-            let files = sess.lock().files;
-            self.remove_disk_state(id, files);
+            let _s = sess.lock();
+            self.end_on_disk(id);
         }
     }
 
@@ -876,81 +810,6 @@ impl ServeEngine {
             duplicate_bytes_dropped: st.duplicate_bytes_dropped,
         }
     }
-}
-
-/// A spill file: magic, layout version, the acked offset the spill was
-/// taken at, the ingest's sections inline, and a [`spill_checksum`] of
-/// every byte after the magic.
-fn encode_spill_file(acked: u64, ingest: SessionIngest) -> Result<Vec<u8>, String> {
-    let mut file = Vec::new();
-    put_header(&mut file, SPILL_MAGIC);
-    put_varint(&mut file, acked);
-    ingest.spill_to(&mut file)?;
-    let sum = spill_checksum(&file[SPILL_MAGIC.len()..]);
-    file.extend_from_slice(&sum.to_le_bytes());
-    Ok(file)
-}
-
-/// 64-bit checksum of a spill file's body, a word at a time: four
-/// lanes each fold every fourth little-endian word with
-/// xor-multiply-rotate, then the lanes are folded into the length. Each
-/// step is a bijection of the running value for a fixed word, so damage
-/// confined to one word always changes the sum; the four lanes keep the
-/// multiplies independent (≈ 0.06 ns/byte, 7 µs for a 110 KiB TeaLeaf
-/// spill). It catches damage, not an adversary who rewrites the file.
-fn spill_checksum(bytes: &[u8]) -> u64 {
-    fn mix(h: u64, word: &[u8]) -> u64 {
-        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte word"));
-        (h ^ word)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(31)
-    }
-    let mut lanes = [1u64, 2, 3, 4];
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = mix(*lane, word);
-        }
-    }
-    let mut tail = [0u8; 32];
-    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
-    for (lane, word) in lanes.iter_mut().zip(tail.chunks_exact(8)) {
-        *lane = mix(*lane, word);
-    }
-    lanes
-        .iter()
-        .fold(bytes.len() as u64, |h, lane| mix(h, &lane.to_le_bytes()))
-}
-
-/// Decode a spill file into the ingest it holds and the stream offset it
-/// was taken at. The version is checked first, so an older layout is
-/// refused as such; then the checksum, so no field — the offset
-/// included — is believed before the whole body is known intact. A spill
-/// never runs ahead of the journal, so an offset beyond `acked` is
-/// corruption like any other.
-fn restore_spill_file(
-    engine: &Arc<ServeEngine>,
-    bytes: &[u8],
-    acked: u64,
-) -> Result<(SessionIngest, u64), DecodeError> {
-    let (body, sum) = bytes.split_at(bytes.len().saturating_sub(8));
-    let mut s = Scanner::new(body);
-    s.header(SPILL_MAGIC)?;
-    if sum != spill_checksum(&body[SPILL_MAGIC.len()..]).to_le_bytes() {
-        return Err(DecodeError::Corrupt {
-            at: body.len(),
-            what: "checksum mismatch".to_string(),
-        });
-    }
-    let acked_at_spill = s.varint()?;
-    if acked_at_spill > acked {
-        return Err(s.corrupt(format!(
-            "taken at offset {acked_at_spill}, journal ends at {acked}"
-        )));
-    }
-    let ingest = SessionIngest::restore(Arc::clone(engine), &mut s)?;
-    s.expect_end()?;
-    Ok((ingest, acked_at_spill))
 }
 
 #[cfg(test)]
@@ -1039,32 +898,9 @@ mod tests {
     }
 
     #[test]
-    fn the_spill_checksum_sees_every_flipped_byte() {
-        // Lengths around the 32-byte block, so the zero-padded tail is
-        // covered; each byte flipped in its low bit, its high bit and
-        // whole.
-        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
-        for len in [0, 1, 7, 8, 31, 32, 33, 64, 100] {
-            let data = &bytes[..len];
-            let sum = spill_checksum(data);
-            for at in 0..len {
-                for flip in [0x01, 0x80, 0xff] {
-                    let mut damaged = data.to_vec();
-                    damaged[at] ^= flip;
-                    assert_ne!(spill_checksum(&damaged), sum, "len {len}, byte {at}");
-                }
-            }
-            // Zero padding does not hide a shorter or longer blob.
-            let mut longer = data.to_vec();
-            longer.push(0);
-            assert_ne!(spill_checksum(&longer), sum, "len {len} + a zero byte");
-        }
-    }
-
-    #[test]
-    fn a_damaged_spill_file_is_refused_before_it_is_believed() {
+    fn a_damaged_snapshot_record_is_refused_before_it_is_believed() {
         const RACY: &[u8] = include_bytes!("../../../tests/data/tealeaf_small_racy.trace");
-        let dir = scratch_dir("test-hostile-spill");
+        let dir = scratch_dir("test-hostile-snapshot");
         let engine = ServeEngine::new(EngineConfig {
             spill_dir: Some(dir.clone()),
             ..EngineConfig::default()
@@ -1074,14 +910,20 @@ mod tests {
         engine.feed(1, 0, &RACY[..half]).unwrap();
         engine.detach(1);
         assert!(engine.spill_session(1).unwrap());
-        let file = fs::read(dir.join("session-1.spill")).unwrap();
+        let store = engine.store.as_ref().unwrap();
+        let record = store.lock().snapshot(1).unwrap().unwrap();
         let acked = half as u64;
-        let (ingest, at) = restore_spill_file(&engine, &file, acked).unwrap();
+        let restore = |bytes: &[u8]| {
+            store::decode_snapshot(bytes, acked, |s| {
+                SessionIngest::restore(Arc::clone(&engine), s)
+            })
+        };
+        let (ingest, at) = restore(&record).unwrap();
         assert_eq!(at, acked);
         drop(ingest);
         // Every proper prefix is refused at an offset inside it.
-        for cut in 0..file.len() {
-            let e = restore_spill_file(&engine, &file[..cut], acked)
+        for cut in 0..record.len() {
+            let e = restore(&record[..cut])
                 .err()
                 .expect("a proper prefix restored");
             assert!(
@@ -1089,17 +931,17 @@ mod tests {
                 "prefix of {cut} bytes: {e}"
             );
         }
-        // A flipped byte anywhere is refused: the magic and version by
-        // their gate, every later byte by the checksum.
+        // A flipped byte anywhere is refused: the layout version by its
+        // gate, every other byte by the checksum.
         let mut seed = 0x5EED_u64;
         for _ in 0..256 {
             seed = seed
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let r = seed >> 11;
-            let mut damaged = file.clone();
-            damaged[(r % file.len() as u64) as usize] ^= 1 + ((r >> 32) % 255) as u8;
-            assert!(restore_spill_file(&engine, &damaged, acked).is_err());
+            let mut damaged = record.clone();
+            damaged[(r % record.len() as u64) as usize] ^= 1 + ((r >> 32) % 255) as u8;
+            assert!(restore(&damaged).is_err());
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -41,6 +41,7 @@ pub mod ingest;
 pub mod json;
 pub mod labels;
 pub mod proto;
+pub mod store;
 
 pub use client::{check_traces_resilient, RetryPolicy};
 pub use engine::{AttachError, EngineConfig, FeedError, ServeEngine, ServeStats};

@@ -15,8 +15,11 @@
 //! * `listen` — serve the frame protocol (see [`cusan_serve::proto`]) on
 //!   a TCP address until killed. `--max-sessions` (default 1024) bounds
 //!   concurrently open sessions (excess opens get a typed `E` reply);
-//!   `--spill-dir` enables journaling, live-session spilling (forced
-//!   under `--live-budget`), and restart recovery; a sweeper expires
+//!   `--spill-dir` keeps one session store file in DIR
+//!   (`sessions.store`, see [`cusan_serve::store`]) for journaling,
+//!   live-session spilling (forced under `--live-budget`) and restart
+//!   recovery; per-session files an older binary left there are logged
+//!   and left in place; a sweeper expires
 //!   detached sessions idle for `--idle-timeout-ms` (default one hour).
 //!   `0` lifts either limit.
 //! * `check` — check each trace file and print one summary JSON line per
@@ -130,8 +133,10 @@ listen: serve the frame protocol on a TCP address until killed
   --check-threads N     checker pool workers (default: one per session up to
                         hardware threads - 1, at least 1)
   --max-sessions N      sessions open at once, 0 = unlimited (default {LISTEN_MAX_SESSIONS})
-  --spill-dir DIR       journal sessions under DIR, spill them there under
-                        --live-budget, recover them after a restart
+  --spill-dir DIR       keep one session store in DIR (DIR/sessions.store):
+                        journal sessions into it, spill them there under
+                        --live-budget, recover them after a restart;
+                        older per-session files are logged, left in place
                         (default: off)
   --live-budget P       shadow pages detached sessions may hold before the
                         least recently used are spilled (default: unlimited)

@@ -2,10 +2,11 @@
 //! offset-checked exactly-once delivery, typed capacity errors, idle
 //! expiry, spill/restore of unfinished sessions (the A/B differential,
 //! and the small sessions whose journal is their spill), restart
-//! recovery from the journal (also past a torn, corrupt or checksum-
-//! failing spill file, and past a directory entry it cannot read), the
-//! write-behind journal's invariant (on disk before any ack,
-//! detach or spill), socket-level
+//! recovery from the journal records of the session store (also past a
+//! torn, corrupt, checksum-failing or other-layout snapshot record, and
+//! past per-session files an older binary left), the write-behind
+//! journal's invariant (in the store before any ack, detach or spill),
+//! the store's bound under churn, socket-level
 //! resumption, and canonical-label stability under session churn. The whole-system
 //! version of these properties — everything at once under seeded
 //! failure schedules — lives in `chaos_serve.rs`.
@@ -17,6 +18,7 @@ use cusan_serve::proto::{
     close_frame, data_frame, heartbeat_frame, open_frame, parse_reply, quit_frame, read_frame,
     resume_frame, write_frame,
 };
+use cusan_serve::store::{self, RecordKind, COMPACT_FLOOR, STORE_FILE};
 use cusan_serve::{
     serve_connection, serve_listener, solo_summary, summary_to_json, AttachError, EngineConfig,
     FeedError, Reply, ServeEngine,
@@ -235,18 +237,23 @@ fn spill_restore_roundtrip_is_invisible() {
     spilled.detach(1);
     assert!(spilled.spill_session(1).unwrap(), "idle session must spill");
     assert_eq!(spilled.stats().sessions_spilled, 1);
-    assert!(
-        dir.0.join("session-1.spill").exists(),
-        "spill file on disk while spilled"
+    assert_eq!(
+        kinds(&dir.0, 1),
+        [RecordKind::Journal, RecordKind::Snapshot],
+        "snapshot on disk while spilled"
     );
     // The next frame restores transparently.
     spilled.feed(1, split as u64, &bytes[split..]).unwrap();
     assert_eq!(spilled.stats().sessions_restored, 1);
     let a = spilled.close(1).unwrap();
-    assert!(
-        !dir.0.join("session-1.spill").exists() && !dir.0.join("session-1.journal").exists(),
-        "close clears the session's disk state"
+    // The last session with records leaves the store at its magic.
+    assert_eq!(
+        kinds(&dir.0, 1),
+        Vec::<RecordKind>::new(),
+        "close retires the session's records"
     );
+    assert_eq!(std::fs::metadata(dir.0.join(STORE_FILE)).unwrap().len(), 8);
+    assert_eq!(sessions_on_disk(&dir.0), 0);
 
     let resident = ServeEngine::new(EngineConfig {
         check_threads: Some(2),
@@ -325,29 +332,33 @@ fn restarted_server_recovers_sessions_from_disk() {
 }
 
 #[test]
-fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
-    // A server killed inside `fs::write` (or out of disk) leaves a spill
-    // file that stops anywhere; a bad sector leaves one that does not
+fn a_torn_or_corrupt_snapshot_record_is_rebuilt_from_the_journal() {
+    // A server killed inside the snapshot's write (or out of disk) leaves
+    // a record that stops anywhere; a bad sector leaves one that does not
     // decode; an upgrade leaves one in the previous version's layout.
-    // None costs the session anything: its journal held every accepted
-    // byte before the spill began.
+    // None costs the session anything: its journal records held every
+    // accepted byte before the snapshot was written.
     let bytes = GOLDEN.as_bytes();
     let split = bytes.len() / 2;
     let solo = solo_summary(GOLDEN).unwrap();
-    type Damage = fn(&mut Vec<u8>);
+    type Damage = fn(&mut Vec<u8>, &store::Record);
     let damages: [(&str, Damage); 8] = [
-        ("emptied", |f| f.clear()),
-        ("cut inside the magic", |f| f.truncate(5)),
-        ("cut inside the offset", |f| f.truncate(10)),
-        ("cut in half", |f| f.truncate(f.len() / 2)),
-        ("one byte short", |f| f.truncate(f.len() - 1)),
-        ("magic flipped", |f| f[0] ^= 0xff),
-        ("session flag flipped", |f| {
-            let at = sections_at(f);
+        ("emptied", |f, r| f.truncate(r.at as usize)),
+        ("cut inside the length", |f, r| {
+            f.truncate(r.at as usize + 2)
+        }),
+        ("cut inside the version", |f, r| f.truncate(r.body as usize)),
+        ("cut in half", |f, r| {
+            f.truncate((r.at + r.len / 2) as usize)
+        }),
+        ("one byte short", |f, _| f.truncate(f.len() - 1)),
+        ("length flipped", |f, r| f[r.at as usize] ^= 0xff),
+        ("session flag flipped", |f, r| {
+            let at = r.at as usize + sections_at(&f[r.at as usize..]);
             f[at] ^= 0xff
         }),
-        ("written by the previous layout", |f| {
-            f[8] = LAYOUT_VERSION as u8 - 1
+        ("written by the previous layout", |f, r| {
+            previous_layout(f, r)
         }),
     ];
     // Session 4, spilled half-way through the trace.
@@ -359,91 +370,106 @@ fn a_torn_or_corrupt_spill_file_is_rebuilt_from_the_journal() {
         assert!(engine.spill_session(4).unwrap());
         engine
     };
-    let damage_spill = |dir: &ScratchDir, damage: Damage| {
-        let spill = dir.0.join("session-4.spill");
-        let mut file = std::fs::read(&spill).unwrap();
-        damage(&mut file);
-        std::fs::write(&spill, file).unwrap();
-        spill
+    let damage_snapshot = |dir: &ScratchDir, damage: Damage| {
+        let record = snapshot_record(&dir.0, 4);
+        let path = dir.0.join(STORE_FILE);
+        let mut file = std::fs::read(&path).unwrap();
+        assert_eq!(record.at + record.len, file.len() as u64, "the last record");
+        damage(&mut file, &record);
+        std::fs::write(&path, file).unwrap();
     };
     for (what, damage) in damages {
-        let dir = ScratchDir::new("torn-spill");
+        let dir = ScratchDir::new("torn-snapshot");
         let engine = spilled_half_way(&dir);
-        let spill = damage_spill(&dir, damage);
+        damage_snapshot(&dir, damage);
 
         // The same process meets the damage on the next frame …
         engine.feed(4, split as u64, &bytes[split..]).unwrap();
         assert_eq!(engine.stats().sessions_restored, 1, "{what}");
-        assert!(!spill.exists(), "{what}: the bad file is discarded");
         assert_eq!(journal(&dir.0, 4), &bytes[..split], "{what}");
         assert_eq!(engine.close(4).unwrap(), solo, "{what}");
+        assert_eq!(sessions_on_disk(&dir.0), 0, "{what}");
     }
 
     // … and so does a restarted one, whose only copy of the offset is
     // the journal's length: after a crash, and after an upgrade that
-    // moved the spill layout under a session spilled by the old binary.
+    // moved the snapshot layout under a session spilled by the old
+    // binary.
     let restarts: [(&str, Damage); 2] = [
-        ("cut after the version", |f| f.truncate(9)),
-        ("written by the previous layout", |f| {
-            f[8] = LAYOUT_VERSION as u8 - 1
+        ("cut after the version", |f, r| {
+            f.truncate(r.body as usize + 1)
+        }),
+        ("written by the previous layout", |f, r| {
+            previous_layout(f, r)
         }),
     ];
     for (what, damage) in restarts {
-        let dir = ScratchDir::new("torn-spill-restart");
+        let dir = ScratchDir::new("torn-snapshot-restart");
         drop(spilled_half_way(&dir));
-        damage_spill(&dir, damage);
+        damage_snapshot(&dir, damage);
         let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
         assert_eq!(engine.resume(4).unwrap(), split as u64, "{what}");
         engine.feed(4, split as u64, &bytes[split..]).unwrap();
         assert_eq!(engine.stats().sessions_restored, 1, "{what}");
         assert_eq!(engine.close(4).unwrap(), solo, "{what}");
-        assert_eq!(dir_entries(&dir.0), Vec::<String>::new(), "{what}");
+        assert_eq!(sessions_on_disk(&dir.0), 0, "{what}");
     }
 
     // Damage the decoder cannot see: one byte of a shadow slot's clock.
-    // The blob still restores — into a detector that finishes with
+    // The record still restores — into a detector that finishes with
     // another summary — so only the checksum can tell.
     let dir = ScratchDir::new("flipped-slot");
     let engine = spilled_half_way(&dir);
-    let spill = dir.0.join("session-4.spill");
-    let file = std::fs::read(&spill).unwrap();
-    let flipped = slot_value_offsets(&file)
+    let r = snapshot_record(&dir.0, 4);
+    let path = dir.0.join(STORE_FILE);
+    let file = std::fs::read(&path).unwrap();
+    let record = &file[r.at as usize..(r.at + r.len) as usize];
+    let flipped = slot_value_offsets(record)
         .into_iter()
         .map(|at| {
-            let mut file = file.clone();
-            file[at + CLOCK_BYTE] ^= 0xff;
-            file
+            let mut record = record.to_vec();
+            record[at + CLOCK_BYTE] ^= 0xff;
+            record
         })
-        .find(|file| finishes_otherwise(file, &bytes[split..], &solo))
+        .find(|record| finishes_otherwise(record, &bytes[split..], &solo))
         .expect("a slot whose clock decides the summary");
-    std::fs::write(&spill, flipped).unwrap();
+    let mut file = file.clone();
+    file[r.at as usize..].copy_from_slice(&flipped);
+    std::fs::write(&path, file).unwrap();
     engine.feed(4, split as u64, &bytes[split..]).unwrap();
     assert_eq!(engine.stats().sessions_restored, 1);
-    assert!(!spill.exists(), "the bad file is discarded");
     assert_eq!(engine.close(4).unwrap(), solo);
+}
+
+/// The snapshot record `r` rewritten as the previous layout would have
+/// written it, checksum and all.
+fn previous_layout(f: &mut [u8], r: &store::Record) {
+    f[r.body as usize] = LAYOUT_VERSION as u8 - 1;
+    store::reseal(&mut f[r.at as usize..(r.at + r.len) as usize]);
 }
 
 /// Byte of a little-endian shadow slot inside its clock field (bits
 /// 20–51): flipping it moves the access far into its fiber's future.
 const CLOCK_BYTE: usize = 5;
 
-/// Where a spill file's ingest sections start: after the magic, the
-/// layout version and the acked offset.
-fn sections_at(file: &[u8]) -> usize {
-    let mut s = Scanner::new(file);
-    s.header(b"cusanspl").unwrap();
+/// Where a snapshot record's ingest sections start: after the length,
+/// kind and id, the layout version and the acked offset.
+fn sections_at(record: &[u8]) -> usize {
+    let mut s = Scanner::new(record);
+    s.take(4 + 1 + 8).unwrap();
+    s.varint().unwrap();
     s.varint().unwrap();
     s.pos()
 }
 
-/// Offsets in a spill file that look like shadow slot values: the
+/// Offsets in a snapshot record that look like shadow slot values: the
 /// detector snapshot writes an unfolded page as tag 2, its block id (two
 /// varints), a varint count and that many (slot index, 8-byte
 /// little-endian value) pairs, indices ascending below 2048 (written as
 /// gaps) and values nonzero. A match need not be one; [`finishes_otherwise`] confirms.
-fn slot_value_offsets(file: &[u8]) -> Vec<usize> {
+fn slot_value_offsets(record: &[u8]) -> Vec<usize> {
     let slots_at = |page: usize| -> Option<Vec<usize>> {
-        let mut s = Scanner::new(file);
+        let mut s = Scanner::new(record);
         s.take(page + 1).ok()?;
         s.varint().ok()?;
         s.varint().ok()?;
@@ -457,19 +483,20 @@ fn slot_value_offsets(file: &[u8]) -> Vec<usize> {
         }
         Some(offsets)
     };
-    (0..file.len())
-        .filter(|&at| file[at] == 2)
+    (sections_at(record)..record.len())
+        .filter(|&at| record[at] == 2)
         .filter_map(slots_at)
         .flatten()
         .collect()
 }
 
-/// Whether the ingest in spill file `file`, restored past any integrity
-/// check, decodes and finishes `rest` with a summary other than `solo`.
-fn finishes_otherwise(file: &[u8], rest: &[u8], solo: &cusan::SessionSummary) -> bool {
+/// Whether the ingest in snapshot record `record`, restored past any
+/// integrity check, decodes and finishes `rest` with a summary other
+/// than `solo`.
+fn finishes_otherwise(record: &[u8], rest: &[u8], solo: &cusan::SessionSummary) -> bool {
     let engine = ServeEngine::new(EngineConfig::default());
-    let mut s = Scanner::new(&file[..file.len() - 8]);
-    s.take(sections_at(file)).unwrap();
+    let mut s = Scanner::new(&record[..record.len() - 8]);
+    s.take(sections_at(record)).unwrap();
     let Ok(mut ingest) = cusan_serve::SessionIngest::restore(engine.clone(), &mut s) else {
         return false;
     };
@@ -477,11 +504,11 @@ fn finishes_otherwise(file: &[u8], rest: &[u8], solo: &cusan::SessionSummary) ->
 }
 
 #[test]
-fn a_spill_file_whose_offset_was_lowered_is_rebuilt_from_the_journal() {
-    // The offset a spill was taken at is where the restore resumes the
-    // journal. Lowered, it would re-feed bytes the spilled ingest has
+fn a_snapshot_record_whose_offset_was_lowered_is_rebuilt_from_the_journal() {
+    // The offset a snapshot was taken at is where the restore resumes the
+    // journal. Lowered, it would re-feed bytes the snapshot's ingest has
     // already consumed — so the checksum covers it like every other byte
-    // after the magic, and the damaged file is rebuilt from the journal.
+    // of the record, and the damaged record is rebuilt from the journal.
     let bytes = GOLDEN.as_bytes();
     let split = bytes.len() / 2;
     let dir = ScratchDir::new("lowered-offset");
@@ -490,16 +517,20 @@ fn a_spill_file_whose_offset_was_lowered_is_rebuilt_from_the_journal() {
     engine.feed(4, 0, &bytes[..split]).unwrap();
     engine.detach(4);
     assert!(engine.spill_session(4).unwrap());
-    let spill = dir.0.join("session-4.spill");
-    let file = std::fs::read(&spill).unwrap();
-    let mut lowered = file[..9].to_vec();
-    put_varint(&mut lowered, (split / 2) as u64);
-    lowered.extend_from_slice(&file[sections_at(&file)..]);
-    std::fs::write(&spill, lowered).unwrap();
+    let r = snapshot_record(&dir.0, 4);
+    let path = dir.0.join(STORE_FILE);
+    let mut file = std::fs::read(&path).unwrap();
+    let at = r.body as usize + 1; // past the one-byte layout version
+    let mut lowered = Vec::new();
+    put_varint(&mut lowered, (split - 1000) as u64);
+    let mut was = Vec::new();
+    put_varint(&mut was, split as u64);
+    assert_eq!(lowered.len(), was.len(), "the offset keeps its width");
+    file[at..at + was.len()].copy_from_slice(&lowered);
+    std::fs::write(&path, file).unwrap();
 
     engine.feed(4, split as u64, &bytes[split..]).unwrap();
     assert_eq!(engine.stats().sessions_restored, 1);
-    assert!(!spill.exists(), "the damaged file is discarded");
     assert_eq!(engine.close(4).unwrap(), solo_summary(GOLDEN).unwrap());
 }
 
@@ -534,34 +565,42 @@ fn a_testsuite_sized_session_spills_as_its_journal_alone() {
     // Its journal is its spill.
     let engine = ServeEngine::new(config.clone());
     detached(&engine, 1, &trace, head);
-    assert_eq!(dir_entries(&dir.0), ["session-1.journal"]);
+    assert_eq!(kinds(&dir.0, 1), [RecordKind::Journal]);
     assert_eq!(journal(&dir.0, 1), &trace[..head]);
     assert_eq!(finish(&engine, 1, &trace, head).unwrap(), solo);
     assert_eq!(engine.stats().sessions_restored, 1);
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+    assert_eq!(sessions_on_disk(&dir.0), 0);
 
     // And after a restart.
     detached(&engine, 2, &trace, head);
     drop(engine);
     let engine = ServeEngine::recover(config).unwrap();
     assert_eq!(finish(&engine, 2, &trace, head).unwrap(), solo);
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+    assert_eq!(sessions_on_disk(&dir.0), 0);
 
-    // Past the threshold a session still writes a spill file — which
-    // alone restores it: the journal is not read.
+    // Past the threshold a session still writes a snapshot record —
+    // which alone restores it: the journal is not read (here it is
+    // damaged, and the restore does not notice).
     let golden = GOLDEN.as_bytes();
     let split = golden.len() / 2;
     assert!(split > JOURNAL_ONLY_SPILL);
     detached(&engine, 3, golden, split);
-    let mut files = dir_entries(&dir.0);
-    files.sort();
-    assert_eq!(files, ["session-3.journal", "session-3.spill"]);
-    std::fs::remove_file(dir.0.join("session-3.journal")).unwrap();
+    assert_eq!(
+        kinds(&dir.0, 3),
+        [RecordKind::Journal, RecordKind::Snapshot]
+    );
+    let journal_record = store_records(&dir.0)
+        .into_iter()
+        .find(|r| r.id == 3 && r.kind == RecordKind::Journal)
+        .unwrap();
+    let path = dir.0.join(STORE_FILE);
+    let mut file = std::fs::read(&path).unwrap();
+    file[(journal_record.at + journal_record.len / 2) as usize] ^= 0xff;
+    std::fs::write(&path, file).unwrap();
     assert_eq!(
         finish(&engine, 3, golden, split).unwrap(),
         solo_summary(GOLDEN).unwrap()
     );
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
 }
 
 /// Rank 0's trace of testsuite program `name` under the default schedule.
@@ -575,33 +614,39 @@ fn testsuite_trace(name: &str) -> Vec<u8> {
     rank.trace.expect("scheduled runs are traced")
 }
 
-#[cfg(unix)]
 #[test]
-fn an_unreadable_journal_entry_does_not_block_recovery() {
+fn per_session_files_of_an_older_binary_are_left_in_place() {
+    // An older binary kept a journal (and a spill file) per session. A
+    // restart logs them and leaves them where they are: it recovers what
+    // the store holds, and nothing else.
     let bytes = GOLDEN.as_bytes();
     let split = bytes.len() / 3;
-    let dir = ScratchDir::new("recover-dangling");
+    let dir = ScratchDir::new("recover-legacy");
     {
         let engine = ServeEngine::new(spilling_config(&dir));
         engine.open_new(7).unwrap();
         engine.feed(7, 0, &bytes[..split]).unwrap();
         engine.detach(7);
     }
-    std::os::unix::fs::symlink(dir.0.join("gone"), dir.0.join("session-9.journal")).unwrap();
-    let engine = ServeEngine::recover(spilling_config(&dir)).expect("recovery skips the entry");
+    let legacy = dir.0.join("session-9.journal");
+    std::fs::write(&legacy, &bytes[..split]).unwrap();
+    let dangling = dir.0.join("session-9.spill");
+    std::os::unix::fs::symlink(dir.0.join("gone"), &dangling).unwrap();
+    let engine = ServeEngine::recover(spilling_config(&dir)).expect("recovery skips them");
     assert_eq!(engine.live_sessions(), 1);
     assert_eq!(engine.resume(7).unwrap(), split as u64);
     engine.feed(7, split as u64, &bytes[split..]).unwrap();
     assert_eq!(engine.close(7).unwrap(), solo_summary(GOLDEN).unwrap());
+    assert!(legacy.exists() && dangling.symlink_metadata().is_ok());
 }
 
 #[test]
 fn closing_an_unrestorable_session_leaves_nothing_to_recover() {
-    // Spill gone and the journal shorter than what was acknowledged:
-    // nothing can rebuild session 6. `close` fails, and it must take the
-    // session's files with it — the id is already out of the registry, so
-    // nobody else will, and a restart would re-register a session that
-    // can never finish.
+    // Snapshot gone and the journal shorter than what was acknowledged:
+    // nothing can rebuild session 6. `close` fails, and it must retire
+    // the session's records with it — the id is already out of the
+    // registry, so nobody else will, and a restart would re-register a
+    // session that can never finish.
     let bytes = GOLDEN.as_bytes();
     let split = bytes.len() / 2;
     let dir = ScratchDir::new("close-unrestorable");
@@ -610,22 +655,132 @@ fn closing_an_unrestorable_session_leaves_nothing_to_recover() {
     engine.feed(6, 0, &bytes[..split]).unwrap();
     engine.detach(6);
     assert!(engine.spill_session(6).unwrap());
-    std::fs::remove_file(dir.0.join("session-6.spill")).unwrap();
-    let journal_path = dir.0.join("session-6.journal");
-    let journal_file = std::fs::OpenOptions::new()
+    let journal_record = store_records(&dir.0)[0];
+    assert_eq!(journal_record.kind, RecordKind::Journal);
+    let store_file = std::fs::OpenOptions::new()
         .write(true)
-        .open(&journal_path)
+        .open(dir.0.join(STORE_FILE))
         .unwrap();
-    journal_file.set_len(split as u64 / 2).unwrap();
-    drop(journal_file);
+    store_file
+        .set_len(journal_record.at + journal_record.len / 2)
+        .unwrap();
+    drop(store_file);
 
     let err = engine.close(6).unwrap_err();
     assert!(err.contains("acked bytes"), "{err}");
     assert_eq!(engine.live_sessions(), 0);
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
     drop(engine);
     let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
     assert_eq!(engine.live_sessions(), 0, "nothing to resurrect");
+}
+
+#[test]
+fn closing_a_session_without_records_writes_nothing() {
+    // A session whose bytes never reached the store ends without an
+    // `end` record: there is nothing for one to retire.
+    let dir = ScratchDir::new("close-without-records");
+    let engine = ServeEngine::new(spilling_config(&dir));
+    let bytes = GOLDEN.as_bytes();
+    engine.open_new(1).unwrap();
+    engine.feed(1, 0, bytes).unwrap();
+    engine.close(1).unwrap();
+    assert_eq!(dir_entries(&dir.0), Vec::<String>::new(), "no store yet");
+    // One that did write a record ends with one while another session
+    // still has records; the last to end cuts the store back to its
+    // magic instead.
+    engine.open_new(2).unwrap();
+    engine.feed(2, 0, &bytes[..100]).unwrap();
+    engine.touch(2).unwrap();
+    engine.open_new(4).unwrap();
+    engine.feed(4, 0, &bytes[..200]).unwrap();
+    engine.touch(4).unwrap();
+    engine.close(2).unwrap();
+    assert_eq!(kinds(&dir.0, 2), [RecordKind::Journal, RecordKind::End]);
+    engine.close(4).unwrap();
+    assert_eq!(store_records(&dir.0), Vec::<store::Record>::new());
+    let len = std::fs::metadata(dir.0.join(STORE_FILE)).unwrap().len();
+    assert_eq!(len, 8, "the magic alone");
+    // And once the store exists, another record-less session leaves it
+    // as it was.
+    engine.open_new(3).unwrap();
+    engine.feed(3, 0, bytes).unwrap();
+    engine.close(3).unwrap();
+    assert_eq!(
+        std::fs::metadata(dir.0.join(STORE_FILE)).unwrap().len(),
+        len
+    );
+}
+
+#[test]
+fn the_store_stays_bounded_under_session_churn() {
+    // Pass after pass of open → spill → restore → close, with a few
+    // sessions left spilled across each pass: the store never holds more
+    // than the compaction floor or twice its live bytes.
+    let dir = ScratchDir::new("store-bound");
+    let engine = ServeEngine::new(EngineConfig {
+        live_page_budget: Some(0),
+        ..spilling_config(&dir)
+    });
+    let bytes = GOLDEN.as_bytes();
+    let split = bytes.len() * 3 / 4;
+    let solo = solo_summary(GOLDEN).unwrap();
+    let path = dir.0.join(STORE_FILE);
+    let check = |when: &str| {
+        let len = std::fs::metadata(&path).map_or(0, |m| m.len());
+        let live = live_bytes(&dir.0);
+        assert!(
+            len <= COMPACT_FLOOR.max(2 * live),
+            "{when}: {len} bytes in the store, {live} of them live"
+        );
+    };
+    let mut written = 0;
+    let mut id = 0;
+    for pass in 0..40 {
+        let ids: Vec<u64> = (0..4).map(|k| id + k).collect();
+        id += 4;
+        for &id in &ids {
+            engine.open_new(id).unwrap();
+            engine.feed(id, 0, &bytes[..split]).unwrap();
+            engine.detach(id); // the zero budget spills it
+            check(&format!("pass {pass}, spilled {id}"));
+        }
+        // The last session of each pass stays spilled a pass longer.
+        for &id in &ids[..3] {
+            assert_eq!(engine.resume(id).unwrap(), split as u64);
+            engine.feed(id, split as u64, &bytes[split..]).unwrap();
+            assert_eq!(engine.close(id).unwrap(), solo);
+            check(&format!("pass {pass}, closed {id}"));
+        }
+        if pass > 0 {
+            let carried = ids[0] - 1;
+            engine.resume(carried).unwrap();
+            engine.feed(carried, split as u64, &bytes[split..]).unwrap();
+            assert_eq!(engine.close(carried).unwrap(), solo);
+            check(&format!("pass {pass}, closed {carried}"));
+        }
+        written += 4 * split;
+    }
+    assert!(
+        written as u64 > 8 * COMPACT_FLOOR,
+        "the churn must cross the floor many times ({written} bytes journaled)"
+    );
+}
+
+/// Live record bytes of the store in `dir` as the store counts them: its
+/// magic, plus every journal record and the newest snapshot of each
+/// session that has not ended.
+fn live_bytes(dir: &Path) -> u64 {
+    let mut sessions: std::collections::HashMap<u64, (u64, u64)> = Default::default();
+    for r in store_records(dir) {
+        match r.kind {
+            RecordKind::Journal => sessions.entry(r.id).or_default().0 += r.len,
+            RecordKind::Snapshot => sessions.entry(r.id).or_default().1 = r.len,
+            RecordKind::End => {
+                sessions.remove(&r.id);
+            }
+        }
+    }
+    8 + sessions.values().map(|(j, s)| j + s).sum::<u64>()
 }
 
 /// The client half of a connection as a script: hands `serve_connection`
@@ -711,13 +866,66 @@ fn dir_entries(dir: &Path) -> Vec<String> {
         .collect()
 }
 
-/// Bytes of session `id`'s journal file (absent: none).
-fn journal(dir: &Path, id: u64) -> Vec<u8> {
-    match std::fs::read(dir.join(format!("session-{id}.journal"))) {
-        Ok(bytes) => bytes,
+/// The intact records of the store in `dir` (none without a store).
+fn store_records(dir: &Path) -> Vec<store::Record> {
+    match store::records(&dir.join(STORE_FILE)) {
+        Ok(records) => records,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => panic!("reading journal {id}: {e}"),
+        Err(e) => panic!("reading the store: {e}"),
     }
+}
+
+/// The kinds of session `id`'s records, in file order.
+fn kinds(dir: &Path, id: u64) -> Vec<RecordKind> {
+    store_records(dir)
+        .iter()
+        .filter(|r| r.id == id)
+        .map(|r| r.kind)
+        .collect()
+}
+
+/// Session `id`'s newest snapshot record.
+fn snapshot_record(dir: &Path, id: u64) -> store::Record {
+    store_records(dir)
+        .into_iter()
+        .rfind(|r| r.id == id && r.kind == RecordKind::Snapshot)
+        .expect("a snapshot record")
+}
+
+/// The bytes session `id`'s journal records hold since its last `end`
+/// record (none: empty).
+fn journal(dir: &Path, id: u64) -> Vec<u8> {
+    let file = std::fs::read(dir.join(STORE_FILE)).unwrap_or_default();
+    let mut out = Vec::new();
+    for r in store_records(dir) {
+        if r.id != id {
+            continue;
+        }
+        match r.kind {
+            RecordKind::Journal => {
+                assert_eq!(r.offset, out.len() as u64, "journal records continue");
+                let mut s = Scanner::new(&file[r.body as usize..(r.at + r.len) as usize - 8]);
+                s.varint().unwrap();
+                out.extend_from_slice(s.take(s.remaining()).unwrap());
+            }
+            RecordKind::End => out.clear(),
+            RecordKind::Snapshot => {}
+        }
+    }
+    out
+}
+
+/// Sessions a restart would re-register from the store in `dir`:
+/// recovered from a copy, so the engine that owns `dir` is not
+/// disturbed.
+fn sessions_on_disk(dir: &Path) -> usize {
+    let copy = ScratchDir::new("recover-copy");
+    if let Err(e) = std::fs::copy(dir.join(STORE_FILE), copy.0.join(STORE_FILE)) {
+        assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}");
+    }
+    ServeEngine::recover(spilling_config(&copy))
+        .unwrap()
+        .live_sessions()
 }
 
 fn data_frames(id: u64, bytes: &[u8], from: usize, chunk: usize) -> Vec<Vec<u8>> {
@@ -733,8 +941,8 @@ fn a_session_that_never_asks_for_an_ack_touches_no_file() {
     // Open, stream, close on one connection — what every `check_traces`
     // client does. No offset ever leaves the process and the session
     // never leaves its connection, so there is nothing a restarted
-    // server could be asked to re-derive: the spill dir stays empty
-    // after every single frame.
+    // server could be asked to re-derive: the spill dir stays empty — no
+    // store is created — after every single frame.
     let dir = ScratchDir::new("no-ack-no-file");
     let engine = ServeEngine::new(spilling_config(&dir));
     let mut frames = vec![open_frame(3)];
@@ -762,8 +970,8 @@ fn a_session_that_never_asks_for_an_ack_touches_no_file() {
 #[test]
 fn every_acked_offset_is_already_in_the_journal() {
     // The invariant as the wire shows it: whenever an `A` reply is out,
-    // the journal file holds exactly the acked prefix of the stream —
-    // so `recover`, which takes the file's length for the offset, can
+    // the store's journal records hold exactly the acked prefix of the
+    // stream — so `recover`, which takes their length for the offset, can
     // never hand a resuming client an offset it has to skip bytes for.
     let dir = ScratchDir::new("ack-means-journaled");
     let engine = ServeEngine::new(spilling_config(&dir));
@@ -810,7 +1018,7 @@ fn every_acked_offset_is_already_in_the_journal() {
     let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
     assert_eq!(engine.resume(5).unwrap(), bytes.len() as u64);
     assert_eq!(engine.close(5).unwrap(), solo_summary(GOLDEN).unwrap());
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+    assert_eq!(sessions_on_disk(&dir.0), 0);
 }
 
 #[test]
@@ -843,7 +1051,7 @@ fn unacked_bytes_trail_the_journal_by_at_most_the_write_behind_bound() {
     assert_eq!(engine.touch(1).unwrap(), acked);
     assert_eq!(journal(&dir.0, 1), trace);
     assert_eq!(engine.close(1).unwrap(), solo_summary(&trace).unwrap());
-    assert_eq!(dir_entries(&dir.0), Vec::<String>::new());
+    assert_eq!(sessions_on_disk(&dir.0), 0);
 }
 
 #[test]

@@ -23,7 +23,8 @@ use cusan_serve::proto::{
     close_frame, data_frame, heartbeat_frame, parse_reply, quit_frame, read_frame, resume_frame,
     write_frame,
 };
-use cusan_serve::{solo_summary, summary_to_json, Reply};
+use cusan_serve::store::{COMPACT_FLOOR, STORE_FILE};
+use cusan_serve::{solo_summary, summary_to_json, EngineConfig, Reply, ServeEngine};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -115,16 +116,40 @@ impl Listen {
     fn settle(&self) -> (u64, u64) {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let files = std::fs::read_dir(self.scratch.join("spill"))
-                .expect("spill dir")
-                .count();
+            let (store_bytes, on_disk) = self.sessions_on_disk();
             let threads = self.status("Threads");
-            if (files == 0 && threads <= IDLE_THREADS) || Instant::now() >= deadline {
-                assert_eq!(files, 0, "sessions left on disk after the idle sweep");
+            let idle = on_disk == 0 && threads <= IDLE_THREADS;
+            if idle || Instant::now() >= deadline {
+                assert_eq!(on_disk, 0, "sessions left on disk after the idle sweep");
+                assert!(
+                    store_bytes <= COMPACT_FLOOR,
+                    "{store_bytes} bytes left in the store, past the compaction floor"
+                );
                 return (self.status("VmRSS"), threads);
             }
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// The size of the server's session store and the sessions a
+    /// restart would re-register from it — recovered from a copy, so the
+    /// running server's file is not touched.
+    fn sessions_on_disk(&self) -> (u64, usize) {
+        let store = self.scratch.join("spill").join(STORE_FILE);
+        let copy = self.scratch.join("recover-copy");
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).expect("create the copy's dir");
+        let store_bytes = match std::fs::copy(&store, copy.join(STORE_FILE)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+            Err(e) => panic!("copying {}: {e}", store.display()),
+        };
+        let recovered = ServeEngine::recover(EngineConfig {
+            spill_dir: Some(copy),
+            ..EngineConfig::default()
+        })
+        .expect("recover the copy");
+        (store_bytes, recovered.live_sessions())
     }
 }
 
