@@ -86,6 +86,13 @@ const MIN_LEN: u32 = (1 + 8 + SUM) as u32;
 /// Bytes compaction and the recovery scan read at a time.
 const IO_CHUNK: usize = 64 << 10;
 
+/// Journal payloads up to which a record is built in one buffer and
+/// written with one `pwrite`. A larger one (a write-behind flush, up to
+/// 64 KiB) is written where it lies, between its head and checksum:
+/// two more small writes cost less than copying it, and the store keeps
+/// no buffer that size.
+const COPY_LIMIT: usize = 16 << 10;
+
 /// What a record holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordKind {
@@ -262,15 +269,17 @@ fn begin_record(buf: &mut Vec<u8>, kind: RecordKind, id: u64) {
     buf.extend_from_slice(&id.to_le_bytes());
 }
 
-/// Fill in the `len` field of the record in `buf` and append its
-/// checksum.
-fn seal(buf: &mut Vec<u8>) -> Result<(), String> {
-    let len = u32::try_from(buf.len() - 4 + SUM)
-        .map_err(|_| format!("a {}-byte record exceeds the store's limit", buf.len()))?;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    let sum = checksum(buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    Ok(())
+/// Fill in the `len` field of the record whose bytes are `head`
+/// followed by `tail`, and return its checksum, which follows them.
+fn seal(head: &mut [u8], tail: &[u8]) -> Result<[u8; SUM], String> {
+    let bytes = head.len() + tail.len();
+    let len = u32::try_from(bytes - 4 + SUM)
+        .map_err(|_| format!("a {bytes}-byte record exceeds the store's limit"))?;
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    let mut sum = Checksum::new();
+    sum.update(head);
+    sum.update(tail);
+    Ok(sum.finish().to_le_bytes())
 }
 
 /// Recompute the checksum of `record` — one whole record, `len` field to
@@ -302,7 +311,8 @@ impl SnapshotRecord {
         put_varint(&mut bytes, LAYOUT_VERSION);
         put_varint(&mut bytes, acked);
         sections(&mut bytes).map_err(|e| e.to_string())?;
-        seal(&mut bytes)?;
+        let sum = seal(&mut bytes, &[])?;
+        bytes.extend_from_slice(&sum);
         Ok(SnapshotRecord { id, acked, bytes })
     }
 }
@@ -553,17 +563,22 @@ impl Store {
         Ok(file)
     }
 
-    /// Append the sealed record in `bytes`. A failed write is cut back
-    /// off, so the file never keeps half a record the index lacks.
-    fn append(&mut self, bytes: &[u8]) -> io::Result<u64> {
+    /// Append the sealed record whose bytes are `parts`, in order. A
+    /// failed write is cut back off, so the file never keeps half a
+    /// record the index lacks.
+    fn append(&mut self, parts: &[&[u8]]) -> io::Result<u64> {
         self.file()?;
         let at = self.len;
         let file = self.file.as_ref().expect("opened above");
-        if let Err(e) = file.write_all_at(bytes, at) {
-            let _ = file.set_len(at);
-            return Err(e);
+        let mut end = at;
+        for part in parts {
+            if let Err(e) = file.write_all_at(part, end) {
+                let _ = file.set_len(at);
+                return Err(e);
+            }
+            end += part.len() as u64;
         }
-        self.len = at + bytes.len() as u64;
+        self.len = end;
         Ok(at)
     }
 
@@ -579,12 +594,25 @@ impl Store {
         begin_record(&mut buf, RecordKind::Journal, id);
         put_varint(&mut buf, offset);
         let payload = buf.len();
-        buf.extend_from_slice(bytes);
-        let appended = seal(&mut buf).and_then(|()| {
-            self.append(&buf)
-                .map_err(|e| format!("journal {}: {e}", self.path().display()))
+        let apart = bytes.len() > COPY_LIMIT;
+        if !apart {
+            buf.extend_from_slice(bytes);
+        }
+        let tail = if apart { bytes } else { &[] };
+        let appended = seal(&mut buf, tail).and_then(|sum| {
+            let written = if apart {
+                self.append(&[&buf, bytes, &sum])
+            } else {
+                buf.extend_from_slice(&sum);
+                self.append(&[&buf])
+            };
+            written.map_err(|e| format!("journal {}: {e}", self.path().display()))
         });
-        let len = buf.len() as u64;
+        let len = if apart {
+            buf.len() + bytes.len() + SUM
+        } else {
+            buf.len()
+        } as u64;
         self.buf = buf;
         let at = appended?;
         let entry = self.index.entry(id).or_default();
@@ -608,7 +636,7 @@ impl Store {
     /// it is dead.
     pub(crate) fn append_snapshot(&mut self, record: SnapshotRecord) -> Result<(), String> {
         let at = self
-            .append(&record.bytes)
+            .append(&[&record.bytes])
             .map_err(|e| format!("{}: {e}", self.path().display()))?;
         let len = record.bytes.len() as u64;
         let entry = self.index.entry(record.id).or_default();
@@ -638,8 +666,9 @@ impl Store {
         }
         let mut buf = std::mem::take(&mut self.buf);
         begin_record(&mut buf, RecordKind::End, id);
-        if seal(&mut buf).is_ok() {
-            if let Err(e) = self.append(&buf) {
+        if let Ok(sum) = seal(&mut buf, &[]) {
+            buf.extend_from_slice(&sum);
+            if let Err(e) = self.append(&[&buf]) {
                 eprintln!(
                     "cusan-serve: {}: ending session {id}: {e}",
                     self.path().display()
@@ -852,6 +881,40 @@ fn note_legacy_files(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn journal_records_read_back_whether_copied_or_written_apart() {
+        // One payload small enough to be copied next to its head, one
+        // large enough to be written between head and checksum: both
+        // read back, and a flipped byte in either is refused.
+        let dir = std::env::temp_dir().join(format!("cusan-store-apart-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let stream: Vec<u8> = (0..COPY_LIMIT as u32 * 3)
+            .map(|i| (i * 7 + 3) as u8)
+            .collect();
+        let (small, large) = stream.split_at(100);
+        let mut store = Store::new(dir.clone());
+        store.append_journal(1, 0, small).unwrap();
+        store.append_journal(1, small.len() as u64, large).unwrap();
+        let end = stream.len() as u64;
+        assert_eq!(store.read_journal(1, 0, end).unwrap(), stream);
+        assert_eq!(store.read_journal(1, 50, 5000).unwrap(), &stream[50..5000]);
+        let records = records(&store.path()).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].at + records[1].len, store.len);
+        let file = store.file.as_ref().unwrap();
+        for r in &records {
+            let at = r.at + r.len / 2;
+            let mut byte = [0u8];
+            file.read_exact_at(&mut byte, at).unwrap();
+            file.write_all_at(&[byte[0] ^ 1], at).unwrap();
+            assert!(store.read_journal(1, 0, end).is_err(), "record at {}", r.at);
+            file.write_all_at(&byte, at).unwrap();
+        }
+        assert_eq!(store.read_journal(1, 0, end).unwrap(), stream);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn the_checksum_sees_every_flipped_byte() {
