@@ -295,7 +295,7 @@ impl CheckSession {
     }
 
     /// [`CheckSession::snapshot_bytes`] without the framing: the sections
-    /// a spill file embeds inline.
+    /// a session store's snapshot record embeds inline.
     pub fn write_snapshot(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.rank as u64);
         // Marker counters: the scalar fields, then the named rows

@@ -234,7 +234,8 @@ fn session_restore_rejects_garbage() {
             left: 1
         })
     );
-    // The unframed sections a spill file embeds are not a session blob.
+    // The unframed sections a store snapshot record embeds are not a
+    // session blob.
     let mut sections = Vec::new();
     s.write_snapshot(&mut sections);
     assert_eq!(

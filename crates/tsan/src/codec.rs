@@ -1,7 +1,7 @@
 //! The one byte codec for everything the tool writes and reads back: the
 //! binary trace (`cusan::binio`) and every snapshot layer — this crate's
 //! runtime, fiber table and shadow, `cusan`'s session and trace parser,
-//! `cusan-serve`'s ingest and spill file. Writers append to a `Vec<u8>`;
+//! `cusan-serve`'s ingest and session store. Writers append to a `Vec<u8>`;
 //! readers use one bounds-checked cursor, [`Scanner`], whose every
 //! failure is a [`DecodeError`] naming its byte offset, never a panic.
 //!
@@ -45,9 +45,9 @@
 
 use std::fmt;
 
-/// Layout version of every snapshot blob and spill file. v9: a session
-/// stores 7 marker counters (the fiber, clock and range counts are the
-/// runtime's alone); v8: no suppression section, and the runtime stores
+/// Layout version of every snapshot blob and store snapshot record. v9:
+/// a session stores 7 marker counters (the fiber, clock and range counts
+/// are the runtime's alone); v8: no suppression section, and the runtime stores
 /// 10 counters (the fiber counts live in the fiber table alone); v7: no
 /// page budget, arena section, block handles or report cap in the
 /// shadow and runtime sections; v6: one varint codec for every layer

@@ -42,7 +42,7 @@
 //! [`TsanRuntime::write_snapshot`] serializes the complete runtime, so
 //! the serve path can spill an unfinished session and resume it later.
 //! Every layer that writes bytes it reads back — these sections, `cusan`'s
-//! binary trace and session, `cusan-serve`'s spill file — uses the one
+//! binary trace and session, `cusan-serve`'s session store — uses the one
 //! [`codec`] and one [`codec::LAYOUT_VERSION`].
 
 pub mod clock;

@@ -291,9 +291,9 @@ impl TsanRuntime {
     // ---- snapshot/restore --------------------------------------------------
 
     /// Serialize the complete runtime state into `buf`, unframed:
-    /// embedders (the session snapshot, the spill file) put the one
-    /// magic and [`crate::codec::LAYOUT_VERSION`] in front of their own
-    /// sections.
+    /// embedders (the session snapshot, a session store's snapshot
+    /// record) put their framing and [`crate::codec::LAYOUT_VERSION`] in
+    /// front of their own sections.
     ///
     /// The encoding is *canonical*: hash-ordered state (sync variables,
     /// report-dedup keys, shadow pages) is sorted before writing, so two
