@@ -60,10 +60,11 @@
 //! retires its records, if it has any: an `end` record makes them dead
 //! bytes for the store's compaction, and when no other session has
 //! records the file is cut back to its magic instead. A restarted server
-//! ([`ServeEngine::recover`]) walks the store once, cuts off a torn or
-//! damaged final record, and re-registers every unfinished session as
-//! spilled, its acked offset the length of its journal; the first frame
-//! restores it from its newest snapshot plus the journal tail — or
+//! ([`ServeEngine::recover`]) walks the store once, skips a damaged
+//! record (costing only its session), cuts off a torn final one, and
+//! re-registers every unfinished session as spilled, its acked offset
+//! the length of its journal; the first frame restores it from its
+//! newest snapshot plus the journal tail — or
 //! replays the whole journal when it spilled as its journal, when the
 //! process died before ever spilling, or while writing the snapshot: the
 //! journal holds `[0, acked)` before any snapshot is written, so a
@@ -226,6 +227,9 @@ enum LiveState {
     /// On disk (spilled under pressure, or journaled by a previous
     /// process); the next frame restores it.
     Spilled,
+    /// Out of the registry, its records retired: a connection that
+    /// looked it up before it ended finds it gone and writes nothing.
+    Ended,
 }
 
 /// One unfinished session in the registry.
@@ -312,8 +316,8 @@ impl ServeEngine {
 
     /// [`ServeEngine::new`], then re-register every unfinished session
     /// the store in `spill_dir` holds — the restarted-server path. The
-    /// store is walked once; a torn or damaged record is cut off with
-    /// everything after it (see [`crate::store`]). Recovered sessions sit
+    /// store is walked once; a damaged record is skipped, and a torn
+    /// final one cut off (see [`crate::store`]). Recovered sessions sit
     /// on disk until their first frame (restore is lazy); their acked
     /// offset is their journal's length, so a resuming client replays
     /// exactly the lost tail.
@@ -352,11 +356,17 @@ impl ServeEngine {
         self.live.lock().len()
     }
 
-    /// Retire session `id`'s records, if it has any.
-    fn end_on_disk(&self, id: u64) {
+    /// End session `id`, already out of the registry, under its lock:
+    /// retire its records, if it has any, and drop its unwritten bytes,
+    /// so a connection still holding it writes nothing more. Returns the
+    /// state it had, to be dropped once the lock is released (a resident
+    /// ingest drains its ring when dropped).
+    fn retire(&self, id: u64, s: &mut LiveSession) -> LiveState {
+        s.journal_tail = Vec::new();
         if let Some(store) = &self.store {
             store.lock().end(id);
         }
+        std::mem::replace(&mut s.state, LiveState::Ended)
     }
 
     /// Open a brand-new session attached to the calling connection.
@@ -440,6 +450,9 @@ impl ServeEngine {
     pub fn touch(&self, id: u64) -> Result<u64, String> {
         let sess = self.lookup(id).ok_or("session not open")?;
         let mut s = sess.lock();
+        if matches!(s.state, LiveState::Ended) {
+            return Err("session not open".to_string());
+        }
         s.last_touch = Instant::now();
         if let Err(e) = self.flush_journal(id, &mut s) {
             drop(s);
@@ -492,6 +505,9 @@ impl ServeEngine {
             .lookup(id)
             .ok_or_else(|| FeedError::Fatal("session not open".to_string()))?;
         let mut s = sess.lock();
+        if matches!(s.state, LiveState::Ended) {
+            return Err(FeedError::Fatal("session not open".to_string()));
+        }
         s.last_touch = Instant::now();
         let acked = s.acked;
         // Offset reconciliation before any expensive work.
@@ -553,13 +569,12 @@ impl ServeEngine {
         let mut s = sess.lock();
         // A session that cannot be restored is gone either way; its
         // records must not outlive it for `recover` to re-register.
-        let restored = self.ensure_resident(id, &mut s);
-        self.end_on_disk(id);
-        restored?;
         // Bytes still in the write-behind buffer die with the session: a
         // closed session has nothing left to recover.
-        let state = std::mem::replace(&mut s.state, LiveState::Spilled);
+        let restored = self.ensure_resident(id, &mut s);
+        let state = self.retire(id, &mut s);
         drop(s);
+        restored?;
         let LiveState::Resident(ingest) = state else {
             unreachable!("ensure_resident restored the session");
         };
@@ -586,8 +601,10 @@ impl ServeEngine {
 
     /// Restore a spilled session in place (no-op when resident).
     fn ensure_resident(&self, id: u64, s: &mut LiveSession) -> Result<(), String> {
-        if matches!(s.state, LiveState::Resident(_)) {
-            return Ok(());
+        match s.state {
+            LiveState::Resident(_) => return Ok(()),
+            LiveState::Ended => return Err("session not open".to_string()),
+            LiveState::Spilled => {}
         }
         let store = self.store.as_ref().ok_or("spilled without a spill dir")?;
         let engine = self.self_arc();
@@ -653,7 +670,7 @@ impl ServeEngine {
             return Ok(false);
         };
         let mut s = sess.lock();
-        if s.attach_count > 0 || matches!(s.state, LiveState::Spilled) {
+        if s.attach_count > 0 || !matches!(s.state, LiveState::Resident(_)) {
             return Ok(false);
         }
         // The snapshot records `acked`; the journal must reach it first,
@@ -762,9 +779,10 @@ impl ServeEngine {
             };
             if let Some(sess) = removed {
                 // Under the session's lock: a frame that got hold of it
-                // before the removal journals before the end record.
-                let _s = sess.lock();
-                self.end_on_disk(id);
+                // before the removal journals before the end record, and
+                // one that gets it after finds it ended.
+                let state = self.retire(id, &mut sess.lock());
+                drop(state);
                 self.state.lock().sessions_expired += 1;
                 n += 1;
             }
@@ -776,8 +794,8 @@ impl ServeEngine {
     fn drop_session(&self, id: u64) {
         let removed = self.live.lock().remove(&id);
         if let Some(sess) = removed {
-            let _s = sess.lock();
-            self.end_on_disk(id);
+            let state = self.retire(id, &mut sess.lock());
+            drop(state);
         }
     }
 
@@ -942,6 +960,52 @@ mod tests {
             let mut damaged = record.clone();
             damaged[(r % record.len() as u64) as usize] ^= 1 + ((r >> 32) % 255) as u8;
             assert!(restore(&damaged).is_err());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_connection_holding_an_ended_session_writes_nothing() {
+        // A connection that looked a session up just before it was closed
+        // or dropped takes its lock afterwards: it must find the session
+        // ended, with no buffered bytes left to journal after the `end`.
+        let dir = scratch_dir("test-late-holder");
+        let engine = ServeEngine::new(EngineConfig {
+            spill_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        });
+        let path = dir.join(store::STORE_FILE);
+        engine.open_new(9).unwrap();
+        engine.feed(9, 0, &GOLDEN[..100]).unwrap();
+        engine.touch(9).unwrap();
+        type End = fn(&ServeEngine, u64);
+        let end: [(&str, End); 2] = [
+            ("closed", |e, id| drop(e.close(id))),
+            ("dropped", |e, id| e.drop_session(id)),
+        ];
+        for (id, (what, end)) in (1..).zip(end) {
+            engine.open_new(id).unwrap();
+            engine.feed(id, 0, &GOLDEN[..200]).unwrap();
+            engine.touch(id).unwrap();
+            engine.feed(id, 200, &GOLDEN[200..300]).unwrap();
+            let held = engine.lookup(id).unwrap();
+            end(&engine, id);
+            let mut s = held.lock();
+            assert!(s.journal_tail.is_empty(), "{what}");
+            assert!(matches!(s.state, LiveState::Ended), "{what}");
+            engine.flush_journal(id, &mut s).unwrap();
+            assert!(engine.ensure_resident(id, &mut s).is_err(), "{what}");
+            let kinds: Vec<store::RecordKind> = store::records(&path)
+                .unwrap()
+                .iter()
+                .filter(|r| r.id == id)
+                .map(|r| r.kind)
+                .collect();
+            assert_eq!(
+                kinds,
+                [store::RecordKind::Journal, store::RecordKind::End],
+                "{what}"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -47,15 +47,21 @@
 //! ## Recovery
 //!
 //! Recovery ([`crate::ServeEngine::recover`]) walks the file once,
-//! verifying every record; at the first one that is torn (cut short by
-//! a crash or a full disk) or fails its checksum it cuts the file, since
-//! nothing after a byte it cannot trust can be framed. Per-session files
-//! an older binary left in the directory are logged and left in place,
-//! not recovered.
+//! verifying every journal and `end` record and stepping over each
+//! snapshot record's body, which a restore verifies before believing
+//! it (a damaged one is rebuilt from the journal records). A record
+//! that its `len` field frames but whose checksum fails is skipped, and
+//! the walk goes on: the damage costs that record's session alone,
+//! which resumes from the journal records before it (a later one no
+//! longer continues them) or, without any, is not recovered. Where
+//! framing ends — a torn final record, cut short by a crash or a full
+//! disk, or a `len` no record can have — the file is cut, since nothing
+//! after it can be framed. Per-session files an older binary left in
+//! the directory are logged and left in place, not recovered.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use tsan_rt::codec::{put_varint, DecodeError, Scanner, LAYOUT_VERSION};
@@ -85,13 +91,6 @@ const MIN_LEN: u32 = (1 + 8 + SUM) as u32;
 
 /// Bytes compaction and the recovery scan read at a time.
 const IO_CHUNK: usize = 64 << 10;
-
-/// Journal payloads up to which a record is built in one buffer and
-/// written with one `pwrite`. A larger one (a write-behind flush, up to
-/// 64 KiB) is written where it lies, between its head and checksum:
-/// two more small writes cost less than copying it, and the store keeps
-/// no buffer that size.
-const COPY_LIMIT: usize = 16 << 10;
 
 /// What a record holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,8 +122,8 @@ impl RecordKind {
     }
 }
 
-/// One intact record of a store file, as [`records`] and the recovery
-/// scan see it.
+/// One record of a store file as [`records`] and the recovery scan see
+/// it: intact, or for a snapshot record, framed (see [`records`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     /// What the record holds.
@@ -173,14 +172,12 @@ pub(crate) struct Store {
     dir: PathBuf,
     /// `None` until the first write (or a recovered file).
     file: Option<File>,
-    /// Bytes of the file that are the magic and intact records: the
+    /// Bytes of the file that are the magic and framed records: the
     /// append position. 0 before the magic is written.
     len: u64,
     /// The magic plus every record the index points at.
     live: u64,
     index: HashMap<u64, Entry>,
-    /// Reused for building journal records.
-    buf: Vec<u8>,
 }
 
 /// 64-bit checksum, a word at a time: four lanes each fold every fourth
@@ -260,26 +257,26 @@ fn checksum(bytes: &[u8]) -> u64 {
     sum.finish()
 }
 
-/// Start a record of `kind` for session `id` in `buf` (cleared); finish
-/// it with [`seal`].
-fn begin_record(buf: &mut Vec<u8>, kind: RecordKind, id: u64) {
-    buf.clear();
+/// Start a record of `kind` for session `id` with room for `body`
+/// more bytes; finish it with [`seal`]. Each record is built in its own
+/// buffer and written with one `pwrite`, so the store keeps none.
+fn begin_record(kind: RecordKind, id: u64, body: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEAD + body + SUM);
     buf.extend_from_slice(&[0; 4]);
     buf.push(kind.byte());
     buf.extend_from_slice(&id.to_le_bytes());
+    buf
 }
 
-/// Fill in the `len` field of the record whose bytes are `head`
-/// followed by `tail`, and return its checksum, which follows them.
-fn seal(head: &mut [u8], tail: &[u8]) -> Result<[u8; SUM], String> {
-    let bytes = head.len() + tail.len();
-    let len = u32::try_from(bytes - 4 + SUM)
-        .map_err(|_| format!("a {bytes}-byte record exceeds the store's limit"))?;
-    head[..4].copy_from_slice(&len.to_le_bytes());
-    let mut sum = Checksum::new();
-    sum.update(head);
-    sum.update(tail);
-    Ok(sum.finish().to_le_bytes())
+/// Fill in the `len` field of the record in `buf` and append its
+/// checksum.
+fn seal(buf: &mut Vec<u8>) -> Result<(), String> {
+    let len = u32::try_from(buf.len() - 4 + SUM)
+        .map_err(|_| format!("a {}-byte record exceeds the store's limit", buf.len()))?;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    Ok(())
 }
 
 /// Recompute the checksum of `record` — one whole record, `len` field to
@@ -306,13 +303,11 @@ impl SnapshotRecord {
         acked: u64,
         sections: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
     ) -> Result<SnapshotRecord, String> {
-        let mut bytes = Vec::new();
-        begin_record(&mut bytes, RecordKind::Snapshot, id);
+        let mut bytes = begin_record(RecordKind::Snapshot, id, 0);
         put_varint(&mut bytes, LAYOUT_VERSION);
         put_varint(&mut bytes, acked);
         sections(&mut bytes).map_err(|e| e.to_string())?;
-        let sum = seal(&mut bytes, &[])?;
-        bytes.extend_from_slice(&sum);
+        seal(&mut bytes)?;
         Ok(SnapshotRecord { id, acked, bytes })
     }
 }
@@ -353,16 +348,21 @@ pub(crate) fn decode_snapshot<T>(
     Ok((value, taken_at))
 }
 
-/// Reads the records of a store file in order, verifying each, with one
-/// bounded buffer. Stops at the end of the intact prefix.
+/// Reads the records of a store file in order with one bounded buffer,
+/// verifying each but a snapshot record's body, which is verified where
+/// it is read back ([`decode_snapshot`]). Stops where framing ends; skips
+/// a record that is framed but damaged.
 struct Scan<R> {
     reader: BufReader<R>,
-    /// File offset of the next record.
+    /// File offset of the next record: once the scan has stopped, the
+    /// end of the last framed record.
     pos: u64,
     file_len: u64,
+    /// Framed records skipped as damaged.
+    damaged: u64,
 }
 
-impl<R: Read> Scan<R> {
+impl<R: Read + Seek> Scan<R> {
     /// Past the magic, or `None` when the file does not start with it.
     fn new(inner: R, file_len: u64) -> io::Result<Option<Scan<R>>> {
         let mut reader = BufReader::with_capacity(IO_CHUNK, inner);
@@ -378,56 +378,76 @@ impl<R: Read> Scan<R> {
             reader,
             pos: magic.len() as u64,
             file_len,
+            damaged: 0,
         }))
     }
 
-    /// The next intact record, or `None` at the end of the intact prefix
-    /// (which [`Scan::pos`] then names).
+    /// The next intact record, or `None` where framing ends: at the end
+    /// of the file, or at a `len` field no record can have (below the
+    /// smallest record, or past the end of the file: a torn tail). A
+    /// record that `len` frames but whose checksum fails, or whose head
+    /// does not parse, is skipped: the records after it are still
+    /// framed, so one damaged record costs only its own session.
+    ///
+    /// A snapshot record's body is stepped over unread: it is most of
+    /// the store's bytes, and a restore checks its checksum before
+    /// believing any of it, so one damaged here is refused there and
+    /// its session rebuilt from the journal records, which are checked
+    /// here because their lengths are what recovery re-registers.
     fn next_record(&mut self) -> io::Result<Option<Record>> {
-        let left = self.file_len - self.pos;
-        if left < 4 {
-            return Ok(None);
-        }
-        let mut len_bytes = [0u8; 4];
-        self.reader.read_exact(&mut len_bytes)?;
-        let len = u32::from_le_bytes(len_bytes);
-        if len < MIN_LEN || u64::from(len) > left - 4 {
-            return Ok(None);
-        }
-        let mut sum = Checksum::new();
-        sum.update(&len_bytes);
-        // The head: kind, id and up to two varints of the body.
-        let mut head = [0u8; 1 + 8 + 20];
-        let unsummed = len as usize - SUM;
-        let head_len = head.len().min(unsummed);
-        self.reader.read_exact(&mut head[..head_len])?;
-        sum.update(&head[..head_len]);
-        let mut rest = unsummed - head_len;
-        while rest > 0 {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(io::ErrorKind::UnexpectedEof.into());
+        loop {
+            let left = self.file_len - self.pos;
+            if left < 4 {
+                return Ok(None);
             }
-            let take = buf.len().min(rest);
-            sum.update(&buf[..take]);
-            self.reader.consume(take);
-            rest -= take;
+            let mut len_bytes = [0u8; 4];
+            self.reader.read_exact(&mut len_bytes)?;
+            let len = u32::from_le_bytes(len_bytes);
+            if len < MIN_LEN || u64::from(len) > left - 4 {
+                return Ok(None);
+            }
+            let mut sum = Checksum::new();
+            sum.update(&len_bytes);
+            // The head: kind, id and up to two varints of the body.
+            let mut head = [0u8; 1 + 8 + 20];
+            let unsummed = len as usize - SUM;
+            let head_len = head.len().min(unsummed);
+            self.reader.read_exact(&mut head[..head_len])?;
+            sum.update(&head[..head_len]);
+            let mut rest = unsummed - head_len;
+            let intact = if head[0] == RecordKind::Snapshot.byte() {
+                self.reader.seek_relative((rest + SUM) as i64)?;
+                true
+            } else {
+                while rest > 0 {
+                    let buf = self.reader.fill_buf()?;
+                    if buf.is_empty() {
+                        return Err(io::ErrorKind::UnexpectedEof.into());
+                    }
+                    let take = buf.len().min(rest);
+                    sum.update(&buf[..take]);
+                    self.reader.consume(take);
+                    rest -= take;
+                }
+                let mut stored = [0u8; SUM];
+                self.reader.read_exact(&mut stored)?;
+                sum.finish() == u64::from_le_bytes(stored)
+            };
+            let at = self.pos;
+            self.pos += u64::from(len) + 4;
+            let record = intact
+                .then(|| parse_head(&head[..head_len], at, u64::from(len) + 4))
+                .flatten();
+            match record {
+                Some(record) => return Ok(Some(record)),
+                None => self.damaged += 1,
+            }
         }
-        let mut stored = [0u8; SUM];
-        self.reader.read_exact(&mut stored)?;
-        if sum.finish() != u64::from_le_bytes(stored) {
-            return Ok(None);
-        }
-        let Some(record) = parse_head(&head[..head_len], self.pos, u64::from(len) + 4) else {
-            return Ok(None);
-        };
-        self.pos += record.len;
-        Ok(Some(record))
     }
 }
 
-/// The [`Record`] whose checksummed head (kind, id, the start of its
-/// body) is `head`, at file offset `at`, `len` bytes long; `None` when
+/// The [`Record`] whose head (kind, id, the start of its body) is
+/// `head`, at file offset `at`, `len` bytes long; `None` when
 /// the head does not parse (an unknown kind, a varint cut by the end of
 /// the record).
 fn parse_head(head: &[u8], at: u64, len: u64) -> Option<Record> {
@@ -453,8 +473,9 @@ fn parse_head(head: &[u8], at: u64, len: u64) -> Option<Record> {
     })
 }
 
-/// Every intact record of the store file at `path`, in file order — the
-/// records a recovery would walk before cutting. For tests and tooling.
+/// Every record of the store file at `path` that a recovery indexes, in
+/// file order: intact journal and end records, framed snapshot records
+/// (whose checksum a restore checks). For tests and tooling.
 pub fn records(path: &Path) -> io::Result<Vec<Record>> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
@@ -478,7 +499,6 @@ impl Store {
             len: 0,
             live: 0,
             index: HashMap::new(),
-            buf: Vec::new(),
         }
     }
 
@@ -488,9 +508,9 @@ impl Store {
     }
 
     /// Open the store `dir` holds and index it: every session with an
-    /// unfinished journal, with the length of that journal. A torn or
-    /// damaged record is cut off with everything after it, and the
-    /// sessions are those of the intact prefix.
+    /// unfinished journal, with the length of that journal. A damaged
+    /// record is skipped; where framing ends before the file does, the
+    /// rest is cut off.
     pub(crate) fn recover(dir: PathBuf) -> io::Result<(Store, Vec<(u64, u64)>)> {
         note_legacy_files(&dir);
         let _ = fs::remove_file(dir.join(COMPACT_FILE));
@@ -503,20 +523,27 @@ impl Store {
         };
         let file_len = file.metadata()?.len();
         let mut index: HashMap<u64, Entry> = HashMap::new();
-        let mut intact = 0;
+        let mut framed = 0;
         if let Some(mut scan) = Scan::new(&file, file_len)? {
             while let Some(r) = scan.next_record()? {
                 index_record(&mut index, &r);
             }
-            intact = scan.pos;
+            framed = scan.pos;
+            if scan.damaged > 0 {
+                eprintln!(
+                    "cusan-serve: {}: skipped {} damaged records",
+                    path.display(),
+                    scan.damaged
+                );
+            }
         }
-        if intact < file_len {
+        if framed < file_len {
             eprintln!(
-                "cusan-serve: {}: cut {} bytes from byte {intact} (a torn or damaged record)",
+                "cusan-serve: {}: cut {} bytes from byte {framed} (a torn record)",
                 path.display(),
-                file_len - intact
+                file_len - framed
             );
-            file.set_len(intact)?;
+            file.set_len(framed)?;
         }
         // A session is recovered at the length of its journal; one with
         // none has nothing to resume, and a snapshot past the journal's
@@ -530,13 +557,13 @@ impl Store {
         let mut sessions: Vec<(u64, u64)> =
             index.iter().map(|(id, e)| (*id, e.journaled)).collect();
         sessions.sort_unstable();
-        store.live = if intact == 0 {
+        store.live = if framed == 0 {
             0
         } else {
             STORE_MAGIC.len() as u64
         } + index.values().map(Entry::live_bytes).sum::<u64>();
         store.index = index;
-        store.len = intact;
+        store.len = framed;
         store.file = Some(file);
         Ok((store, sessions))
     }
@@ -563,22 +590,17 @@ impl Store {
         Ok(file)
     }
 
-    /// Append the sealed record whose bytes are `parts`, in order. A
-    /// failed write is cut back off, so the file never keeps half a
-    /// record the index lacks.
-    fn append(&mut self, parts: &[&[u8]]) -> io::Result<u64> {
+    /// Append the sealed record in `bytes`. A failed write is cut back
+    /// off, so the file never keeps half a record the index lacks.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<u64> {
         self.file()?;
         let at = self.len;
         let file = self.file.as_ref().expect("opened above");
-        let mut end = at;
-        for part in parts {
-            if let Err(e) = file.write_all_at(part, end) {
-                let _ = file.set_len(at);
-                return Err(e);
-            }
-            end += part.len() as u64;
+        if let Err(e) = file.write_all_at(bytes, at) {
+            let _ = file.set_len(at);
+            return Err(e);
         }
-        self.len = end;
+        self.len = at + bytes.len() as u64;
         Ok(at)
     }
 
@@ -590,36 +612,25 @@ impl Store {
         offset: u64,
         bytes: &[u8],
     ) -> Result<(), String> {
-        let mut buf = std::mem::take(&mut self.buf);
-        begin_record(&mut buf, RecordKind::Journal, id);
+        // Recovery drops a record that does not continue its session's
+        // journal, and with it every later one: refuse to write it.
+        let journaled = self.index.get(&id).map_or(0, |e| e.journaled);
+        if journaled != offset {
+            return Err(format!(
+                "session {id}: journal ends at {journaled}, not at {offset}"
+            ));
+        }
+        let mut buf = begin_record(RecordKind::Journal, id, 10 + bytes.len());
         put_varint(&mut buf, offset);
         let payload = buf.len();
-        let apart = bytes.len() > COPY_LIMIT;
-        if !apart {
-            buf.extend_from_slice(bytes);
-        }
-        let tail = if apart { bytes } else { &[] };
-        let appended = seal(&mut buf, tail).and_then(|sum| {
-            let written = if apart {
-                self.append(&[&buf, bytes, &sum])
-            } else {
-                buf.extend_from_slice(&sum);
-                self.append(&[&buf])
-            };
-            written.map_err(|e| format!("journal {}: {e}", self.path().display()))
+        buf.extend_from_slice(bytes);
+        let appended = seal(&mut buf).and_then(|()| {
+            self.append(&buf)
+                .map_err(|e| format!("journal {}: {e}", self.path().display()))
         });
-        let len = if apart {
-            buf.len() + bytes.len() + SUM
-        } else {
-            buf.len()
-        } as u64;
-        self.buf = buf;
+        let len = buf.len() as u64;
         let at = appended?;
         let entry = self.index.entry(id).or_default();
-        debug_assert_eq!(
-            entry.journaled, offset,
-            "journal records continue one another"
-        );
         entry.journal.push(Extent {
             at,
             len,
@@ -636,7 +647,7 @@ impl Store {
     /// it is dead.
     pub(crate) fn append_snapshot(&mut self, record: SnapshotRecord) -> Result<(), String> {
         let at = self
-            .append(&[&record.bytes])
+            .append(&record.bytes)
             .map_err(|e| format!("{}: {e}", self.path().display()))?;
         let len = record.bytes.len() as u64;
         let entry = self.index.entry(record.id).or_default();
@@ -664,18 +675,15 @@ impl Store {
         if self.index.is_empty() && self.cut_to_magic().is_ok() {
             return;
         }
-        let mut buf = std::mem::take(&mut self.buf);
-        begin_record(&mut buf, RecordKind::End, id);
-        if let Ok(sum) = seal(&mut buf, &[]) {
-            buf.extend_from_slice(&sum);
-            if let Err(e) = self.append(&[&buf]) {
+        let mut buf = begin_record(RecordKind::End, id, 0);
+        if seal(&mut buf).is_ok() {
+            if let Err(e) = self.append(&buf) {
                 eprintln!(
                     "cusan-serve: {}: ending session {id}: {e}",
                     self.path().display()
                 );
             }
         }
-        self.buf = buf;
         self.compact_if_needed();
     }
 
@@ -883,14 +891,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn journal_records_read_back_whether_copied_or_written_apart() {
-        // One payload small enough to be copied next to its head, one
-        // large enough to be written between head and checksum: both
-        // read back, and a flipped byte in either is refused.
-        let dir = std::env::temp_dir().join(format!("cusan-store-apart-{}", std::process::id()));
+    fn journal_records_read_back_and_refuse_a_flipped_byte() {
+        // A small record and one the size of a write-behind flush, read
+        // back whole and in part; a flipped byte in either is refused.
+        let dir = std::env::temp_dir().join(format!("cusan-store-journal-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let stream: Vec<u8> = (0..COPY_LIMIT as u32 * 3)
+        let stream: Vec<u8> = (0..100 + (64 << 10) as u32)
             .map(|i| (i * 7 + 3) as u8)
             .collect();
         let (small, large) = stream.split_at(100);

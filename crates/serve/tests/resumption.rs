@@ -392,15 +392,19 @@ fn a_torn_or_corrupt_snapshot_record_is_rebuilt_from_the_journal() {
     }
 
     // … and so does a restarted one, whose only copy of the offset is
-    // the journal's length: after a crash, and after an upgrade that
-    // moved the snapshot layout under a session spilled by the old
-    // binary.
-    let restarts: [(&str, Damage); 2] = [
+    // the journal's length: after a crash, after an upgrade that moved
+    // the snapshot layout under a session spilled by the old binary, and
+    // after a bad sector, which recovery steps over and leaves to the
+    // restore's checksum.
+    let restarts: [(&str, Damage); 3] = [
         ("cut after the version", |f, r| {
             f.truncate(r.body as usize + 1)
         }),
         ("written by the previous layout", |f, r| {
             previous_layout(f, r)
+        }),
+        ("a byte flipped in the body", |f, r| {
+            f[(r.at + r.len / 2) as usize] ^= 0xff
         }),
     ];
     for (what, damage) in restarts {
@@ -601,6 +605,7 @@ fn a_testsuite_sized_session_spills_as_its_journal_alone() {
         finish(&engine, 3, golden, split).unwrap(),
         solo_summary(GOLDEN).unwrap()
     );
+    assert_eq!(sessions_on_disk(&dir.0), 0);
 }
 
 /// Rank 0's trace of testsuite program `name` under the default schedule.
@@ -669,6 +674,7 @@ fn closing_an_unrestorable_session_leaves_nothing_to_recover() {
     let err = engine.close(6).unwrap_err();
     assert!(err.contains("acked bytes"), "{err}");
     assert_eq!(engine.live_sessions(), 0);
+    assert_eq!(sessions_on_disk(&dir.0), 0);
     drop(engine);
     let engine = ServeEngine::recover(spilling_config(&dir)).unwrap();
     assert_eq!(engine.live_sessions(), 0, "nothing to resurrect");

@@ -5,7 +5,8 @@
 //! panic and without allocating by what the bytes claim, must never
 //! re-register the ended session while its `end` record survives, and
 //! every session it does re-register must either finish bit-identical to
-//! solo replay or fail typed.
+//! solo replay or fail typed. A damaged record that is still framed
+//! costs its own session alone.
 //!
 //! This binary installs a counting global allocator; the count is per
 //! thread, so a test elsewhere in it cannot disturb the measurement.
@@ -126,10 +127,35 @@ fn three_session_store(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join(STORE_FILE)).unwrap()
 }
 
-/// How a recovered session was left: its id, acked offset and the kinds
-/// of its surviving records. Equal keys finish alike, so each is finished
-/// once.
-type Key = (u64, u64, Vec<RecordKind>);
+#[test]
+fn a_damaged_record_costs_only_its_own_session() {
+    // A flipped byte inside session 1's journal record, the store's
+    // first: recovery skips that record and keeps every record after it,
+    // so session 2 comes back at its full acked length, session 3 stays
+    // ended, and nothing is cut.
+    let dir = ScratchDir::new("store-one-damaged");
+    let mut file = three_session_store(&dir.0);
+    let path = dir.0.join(STORE_FILE);
+    let first = store::records(&path).unwrap()[0];
+    assert_eq!((first.id, first.kind), (1, RecordKind::Journal));
+    file[(first.at + first.len / 2) as usize] ^= 0x01;
+    std::fs::write(&path, &file).unwrap();
+    let engine = ServeEngine::recover(config(&dir.0)).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), file.len() as u64);
+    assert_eq!(engine.live_sessions(), 1);
+    assert!(engine.touch(1).is_err() && engine.touch(3).is_err());
+    assert_eq!(engine.resume(2).unwrap(), 3600);
+    engine.feed(2, 3600, &GOLDEN[3600..]).unwrap();
+    assert_eq!(engine.close(2).unwrap(), solo_summary(GOLDEN).unwrap());
+}
+
+/// How a recovered session was left: its id, acked offset, the kinds of
+/// its surviving records and whether its newest snapshot record is the
+/// one written (recovery verifies journal and `end` records, while a
+/// snapshot record's checksum is checked by the restore, which rebuilds
+/// the session from its journal records in place of any damaged one).
+/// Equal keys finish alike, so each is finished once.
+type Key = (u64, u64, Vec<RecordKind>, bool);
 
 #[test]
 fn recovery_survives_every_cut_and_every_flipped_byte() {
@@ -176,7 +202,8 @@ fn recovery_survives_every_cut_and_every_flipped_byte() {
             allocated < engine_alone + SCAN_ALLOCATION,
             "{what}: recovery allocated {allocated} bytes, an empty one {engine_alone}"
         );
-        // Recovery cut the file to its intact prefix: what it walked.
+        // The records recovery indexed: the framed prefix it kept, less
+        // the damaged records it skipped.
         let intact = store::records(&dir.0.join(STORE_FILE)).unwrap();
         let kept = intact.last().map_or(0, |r| r.at + r.len);
         let ended = intact
@@ -192,15 +219,15 @@ fn recovery_survives_every_cut_and_every_flipped_byte() {
         }
         for id in registered {
             let acked = engine.resume(id).unwrap();
-            let key: Key = (
-                id,
-                acked,
-                intact
-                    .iter()
-                    .filter(|r| r.id == id)
-                    .map(|r| r.kind)
-                    .collect(),
-            );
+            let ours: Vec<&store::Record> = intact.iter().filter(|r| r.id == id).collect();
+            let as_written = ours
+                .iter()
+                .rfind(|r| r.kind == RecordKind::Snapshot)
+                .is_none_or(|r| {
+                    let (at, end) = (r.at as usize, (r.at + r.len) as usize);
+                    file.get(at..end) == Some(&bytes[at..end])
+                });
+            let key: Key = (id, acked, ours.iter().map(|r| r.kind).collect(), as_written);
             if let Some(&ok) = finished.get(&key) {
                 identical += usize::from(ok);
                 refused += usize::from(!ok);
